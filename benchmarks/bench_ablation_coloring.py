@@ -4,13 +4,13 @@ Section IV.B.2's independent-set schedule exists to make spreading
 parallel-safe; this ablation checks its overheads and invariants on
 the host:
 
-* all three strategies (sparse ``P^T f``, colored scatter, colored
-  scatter with a thread pool) produce bit-identical meshes,
-* the per-color write footprints are disjoint (the race-freedom
+* all three strategies (sparse ``P^T f``, the colored engine on a
+  serial context, the colored engine on a threads context) produce
+  the same mesh to rounding,
+* the per-color block write footprints are disjoint (the race-freedom
   invariant, re-verified here at benchmark scale),
-* relative costs on this interpreter are reported (on real multicore
-  hardware the colored schedule is what *enables* the parallel speedup;
-  under the GIL it is a correctness demonstration).
+* relative costs on this host are reported (the colored schedule is
+  what lets the threads context scatter with plain stores).
 
 Run ``python benchmarks/bench_ablation_coloring.py`` for the table.
 """
@@ -24,8 +24,8 @@ from repro.bench import (
     print_table,
     record_benchmark,
 )
-from repro.parallel.coloring import ColoredSpreader
-from repro.parallel.threads import ThreadedSpreader
+from repro.exec import ExecutionContext
+from repro.parallel.engine import ColoredPMEEngine
 from repro.pme.spread import InterpolationMatrix
 from repro.pme.tuning import tune_parameters
 
@@ -36,41 +36,46 @@ def _setup(n):
     return susp, params
 
 
+def _engine(susp, interp, context):
+    return ColoredPMEEngine(susp.positions, susp.box, interp.K, interp.p,
+                            weights=interp.weights, columns=interp.columns,
+                            context=context)
+
+
 def experiment_rows(n=None):
     n = n or (20000 if bench_scale() == "paper" else 3000)
     susp, params = _setup(n)
-    K, p = params.K, params.p
-    f = np.random.default_rng(0).standard_normal(n)
-
-    interp = InterpolationMatrix(susp.positions, susp.box, K, p)
-    colored = ColoredSpreader(susp.positions, susp.box, K, p)
-    threaded = ThreadedSpreader(susp.positions, susp.box, K, p, n_workers=4)
-
-    reference = interp.spread(f)
-    rows = []
-    for name, fn, result in (
-            ("sparse P^T f", lambda: interp.spread(f), reference),
-            ("8-color scatter", lambda: colored.spread(f),
-             colored.spread(f)),
-            ("8-color + threads", lambda: threaded.spread(f),
-             threaded.spread(f))):
-        t = measure_seconds(fn, repeats=3, warmup=1).best
-        max_dev = float(np.abs(result - reference).max())
-        rows.append([name, t, f"{max_dev:.1e}"])
-    return rows, colored
+    f = np.random.default_rng(0).standard_normal((n, 1))
+    interp = InterpolationMatrix(susp.positions, susp.box, params.K,
+                                 params.p)
+    reference = interp.spread_batch(f)
+    mesh = np.empty_like(reference)
+    rows = [["sparse P^T f",
+             measure_seconds(lambda: interp.spread_batch(f, out=mesh),
+                             repeats=3, warmup=1).best, "0.0e+00"]]
+    with ExecutionContext("serial") as serial, \
+            ExecutionContext("threads", workers=2) as threads:
+        for name, context in (("8-color engine, serial", serial),
+                              ("8-color engine, 2 threads", threads)):
+            engine = _engine(susp, interp, context)
+            t = measure_seconds(lambda: engine.spread_batch(f, out=mesh),
+                                repeats=3, warmup=1).best
+            max_dev = float(np.abs(mesh - reference).max())
+            rows.append([name, t, f"{max_dev:.1e}"])
+    return rows, engine
 
 
 def main():
-    rows, colored = experiment_rows()
+    rows, engine = experiment_rows()
     headers = ["strategy", "t (s)", "max deviation"]
     print_table("Ablation: spreading strategies (identical results "
                 "required)",
                 headers, rows)
     disjoint = all(
         not np.intersect1d(a, b).size
-        for c in range(colored.n_colors)
-        for idx, a in enumerate(colored.block_footprints(c))
-        for b in colored.block_footprints(c)[idx + 1:])
+        for c in range(engine.coloring.n_colors)
+        for idx, a in enumerate(engine.block_footprints(c))
+        for b in engine.block_footprints(c)[idx + 1:])
     print(f"per-color block write footprints disjoint: {disjoint} "
           "(the schedule's race-freedom invariant)")
     record_benchmark("ablation_coloring", headers, rows,
@@ -87,9 +92,13 @@ def test_sparse_spreading(benchmark):
 
 def test_colored_spreading(benchmark):
     susp, params = _setup(2000)
-    colored = ColoredSpreader(susp.positions, susp.box, params.K, params.p)
-    f = np.random.default_rng(0).standard_normal(2000)
-    benchmark(colored.spread, f)
+    interp = InterpolationMatrix(susp.positions, susp.box, params.K,
+                                 params.p)
+    f = np.random.default_rng(0).standard_normal((2000, 1))
+    mesh = np.empty((1, params.K ** 3))
+    with ExecutionContext("serial") as context:
+        engine = _engine(susp, interp, context)
+        benchmark(engine.spread_batch, f, mesh)
 
 
 def test_strategies_identical(benchmark):

@@ -74,7 +74,7 @@ def test_distributed_equals_global(benchmark):
 
     def run():
         dist = distributed_real_space_matrix(r, box, XI, R_MAX, 3)
-        ref = RealSpaceOperator(r, box, XI, R_MAX, engine="bcsr")
+        ref = RealSpaceOperator(r, box, XI, R_MAX)
         return dist, ref
 
     dist, ref = benchmark.pedantic(run, rounds=1, iterations=1)

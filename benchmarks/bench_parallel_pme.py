@@ -1,18 +1,19 @@
 """Blocked-PME apply under execution contexts: serial vs threads.
 
 The ExecutionContext layer dispatches the per-color spread/interpolate
-blocks to a thread pool (GIL-releasing C kernels), runs the stacked
-FFTs with ``workers=`` parallelism and chunks the real-space BCSR SpMM
-across workers (paper Sections IV.B.2, IV.C, IV.E).  This benchmark
-times the same ``(3n, s)`` blocked apply through
+blocks to a thread pool (GIL-releasing C kernels), splits the forward
+FFT lanes and the stacked inverse transforms across workers and chunks
+the real-space BCSR SpMM across workers (paper Sections IV.B.2, IV.C,
+IV.E).  This benchmark times the same ``(3n, s)`` blocked apply
 
-* the legacy no-context pipeline (the committed-baseline reference),
-* a ``serial`` context (colored engine, one worker), and
-* ``threads`` contexts at increasing worker counts,
+* without a context (calling thread, spreading through the sparse
+  ``P`` — the reference arm),
+* on a ``serial`` context (colored engine, one worker), and
+* on ``threads`` contexts at increasing worker counts,
 
 and asserts the headline invariant along the way: every context
-produces **bit-identical** velocities, and all agree with the legacy
-pipeline to solver precision.
+produces **bit-identical** velocities, and all agree with the
+no-context result to solver precision.
 
 The speedup column is honest about the machine it ran on: on a
 single-CPU host the thread rows measure dispatch overhead, not
@@ -78,10 +79,10 @@ def parallel_rows(n=N, s=S, repeats=None):
                        K=K, p=P)
     f = np.random.default_rng(0).standard_normal((3 * n, s))
 
-    legacy_op = PMEOperator(susp.positions, susp.box, params)
-    u_legacy = legacy_op.apply_block(f)
-    t_legacy = _best_of(lambda: legacy_op.apply_block(f), repeats)
-    rows = [["legacy", "-", t_legacy, 1.0]]
+    plain_op = PMEOperator(susp.positions, susp.box, params)
+    u_plain = plain_op.apply_block(f)
+    t_plain = _best_of(lambda: plain_op.apply_block(f), repeats)
+    rows = [["no-context", "-", t_plain, 1.0]]
 
     configs = [("serial", 1)] + [("threads", w) for w in THREAD_WORKERS]
     digests = set()
@@ -90,19 +91,20 @@ def parallel_rows(n=N, s=S, repeats=None):
             op = PMEOperator(susp.positions, susp.box, params, context=ctx)
             u = op.apply_block(f)
             digests.add(_digest(u))
-            err = (np.linalg.norm(u - u_legacy)
-                   / np.linalg.norm(u_legacy))
+            err = (np.linalg.norm(u - u_plain)
+                   / np.linalg.norm(u_plain))
             assert err < 1e-13, \
-                f"{backend}/{workers} diverged from legacy: {err:.2e}"
+                f"{backend}/{workers} diverged from no-context: {err:.2e}"
             t = _best_of(lambda: op.apply_block(f), repeats)
-            rows.append([backend, workers, t, t_legacy / t])
+            rows.append([backend, workers, t, t_plain / t])
     assert len(digests) == 1, "contexts disagree bitwise"
     return rows
 
 
 def main():
     rows = parallel_rows()
-    headers = ["backend", "workers", "t block (s)", "speedup vs legacy"]
+    headers = ["backend", "workers", "t block (s)",
+               "speedup vs no-context"]
     print_table(f"Blocked-PME apply under execution contexts "
                 f"(n={N}, s={S}, cpus={_cpus()}, "
                 f"native kernel: {kernel_available()})",
@@ -117,7 +119,7 @@ def main():
                            "threads_speedups": threads,
                            "best_threads_speedup": best_threads,
                            "bit_identical": True})
-    print(f"\nbest threads speedup vs legacy: {best_threads:.2f}x "
+    print(f"\nbest threads speedup vs no-context: {best_threads:.2f}x "
           f"on {_cpus()} cpu(s)")
 
 

@@ -80,6 +80,7 @@ def record_benchmark(name: str, headers: Iterable[str],
     if meta:
         record["meta"] = {k: _jsonable(v) for k, v in meta.items()}
     directory = Path(out_dir) if out_dir is not None else bench_output_dir()
+    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return path

@@ -1,8 +1,8 @@
 """Execution contexts: who owns the workers, and which backend runs them.
 
 :class:`ExecutionContext` is the one object in the package that owns
-worker resources — a ``ThreadPoolExecutor`` for the ``threads``
-backend, a :class:`~repro.exec.procpool.ProcPool` (worker processes +
+worker resources — a ``ThreadPoolExecutor`` for thunks (both parallel
+backends), a :class:`~repro.exec.procpool.ProcPool` (worker processes +
 shared memory) for ``processes`` — and the only place such pools are
 constructed (lint rule RPR011 enforces this).  Everything in the hot
 path that can run in parallel takes a context:
@@ -10,7 +10,9 @@ path that can run in parallel takes a context:
 * the per-color spread/interpolate stages of the PME pipeline
   (Section IV.B.2: within a color, block writes are disjoint, so the
   workers scatter with plain stores),
-* the stacked r2c/c2r FFTs (``workers=`` of :mod:`scipy.fft`),
+* the FFTs: forward r2c lanes as :meth:`ExecutionContext.run_tasks`
+  thunks, stacked inverse transforms through ``workers=`` of
+  :mod:`scipy.fft`,
 * the chunked BCSR SpMM of the real-space term (Section IV.C),
 * the per-device shares of the hybrid scheduler (Section IV.E).
 
@@ -94,13 +96,15 @@ class ExecutionContext:
 
     @property
     def fft_workers(self) -> int:
-        """``workers=`` value for :mod:`scipy.fft` calls.
+        """``workers=`` value for the stacked inverse :mod:`scipy.fft`
+        transforms.
 
-        The FFT threads live inside pocketfft regardless of backend
-        (the ``processes`` backend does not ship spectra across
-        processes — there is no FFT on blocks of vectors to partition,
-        the Section IV.E observation), so any parallel backend uses
-        the context's worker count here.
+        FFT threads live in this process regardless of backend (the
+        ``processes`` backend does not ship spectra across processes —
+        there is no FFT on blocks of vectors to partition, the Section
+        IV.E observation), so any parallel backend uses the context's
+        worker count here, as :meth:`run_tasks` does for the forward
+        lanes.
         """
         return self._workers
 
@@ -116,9 +120,11 @@ class ExecutionContext:
     # -- pools ----------------------------------------------------------
 
     def thread_pool(self) -> ThreadPoolExecutor:
-        """The lazily created thread pool (threads backend)."""
+        """The lazily created thread pool behind :meth:`run_tasks`."""
         self._check_open()
         if self._thread_pool is None:
+            if self._backend == "processes":
+                self.proc_pool()    # fork workers before threads exist
             with self._lock:
                 if self._thread_pool is None:
                     self._thread_pool = ThreadPoolExecutor(
@@ -151,19 +157,19 @@ class ExecutionContext:
                   stage: str = "exec") -> list[Any]:
         """Run independent thunks; barrier; returns results in order.
 
-        ``threads`` dispatches to the owned pool (the compiled kernels
-        release the GIL inside ``ctypes`` calls, so this is genuine
-        parallelism); ``serial`` runs inline.  The ``processes``
-        backend also runs inline — generic Python callables do not
-        cross the process boundary; the structured PME stages use
-        :meth:`proc_pool` directly instead.
+        Any context with more than one worker dispatches to its thread
+        pool (the compiled kernels and NumPy's FFT release the GIL, so
+        this is genuine parallelism); one worker runs inline.  That
+        includes the ``processes`` backend: generic Python callables do
+        not cross the process boundary — its structured PME stages use
+        :meth:`proc_pool` directly — so thunks (the FFT lanes) get
+        threads there as well.
         """
         self._check_open()
         if not tasks:
             return []
         submit_t = now()
-        if (self._backend == "threads" and self._workers > 1
-                and len(tasks) > 1):
+        if self._workers > 1 and len(tasks) > 1:
             first_start = [None]
 
             def timed(task: Callable[[], Any]) -> Any:
@@ -238,9 +244,8 @@ def default_context() -> ExecutionContext | None:
     When the resolved :class:`~repro.config.RuntimeConfig` selects a
     parallel backend (``REPRO_BACKEND`` / ``--backend``), operators
     built without an explicit ``context=`` share this one; with the
-    default ``serial`` backend they keep the legacy single-threaded
-    code path, so existing digests are unchanged unless a parallel
-    backend is asked for.
+    default ``serial`` backend they run the pipeline on the calling
+    thread and spread through the stored sparse ``P``.
     """
     config = get_config()
     if config.backend == "serial":

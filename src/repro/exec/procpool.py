@@ -11,9 +11,10 @@ stable string keys, and per-stage messages carry only segment *tokens*
 plus index ranges.  Workers attach lazily and cache their attachments,
 so steady-state traffic is a few hundred bytes per stage.
 
-Three structured jobs are served (mirroring the compiled entry points
-of :mod:`repro.sparse.kernels`, with NumPy fallbacks preserving the
-exact accumulation order):
+Three structured jobs are served (the compiled entry points of
+:mod:`repro.sparse.kernels`, or its NumPy fallbacks preserving the
+exact accumulation order — the same calls the ``threads`` backend
+makes):
 
 * ``spread`` — scatter-add of per-block particle ranges of one color
   onto the shared mesh (disjoint writes by the coloring invariant, so
@@ -29,7 +30,7 @@ the worker target and job table are module-level.
 from __future__ import annotations
 
 import multiprocessing as mp
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
 import numpy as np
@@ -42,90 +43,34 @@ __all__ = ["ProcPool", "ShmToken"]
 ShmToken = tuple[str, tuple[int, ...], str]
 
 
-def _attach(token: ShmToken,
-            cache: dict[str, shared_memory.SharedMemory]) -> np.ndarray:
-    """Worker-side view of a shared segment (attachments cached)."""
-    name, shape, dtype = token
-    shm = cache.get(name)
-    if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            # the parent owns the segment's lifetime; unregister the
-            # attachment so the child's resource tracker does not warn
-            # about (or worse, unlink) a segment it does not own
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name,  # type: ignore[attr-defined]
-                                        "shared_memory")
-        except (AttributeError, KeyError, ValueError, OSError):
-            pass  # tracker API is CPython-internal; a failed unregister
-            #     # only risks a spurious warning at interpreter exit
-        cache[name] = shm
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-
 # ----------------------------------------------------------------------
 # worker-side jobs
 # ----------------------------------------------------------------------
 
 def _job_spread(args: dict[str, Any], attach: Callable[..., np.ndarray]
                 ) -> None:
-    data = attach(args["data"])
-    cols = attach(args["cols"])
-    idx = attach(args["idx"])
-    vals = attach(args["vals"])
-    out = attach(args["out"])
-    pcube = data.shape[1]
-    lanes = vals.shape[1]
-    k3 = out.shape[1]
-    kern = kernels.spread_kernel()
-    for lo, hi in args["ranges"]:
-        if hi <= lo:
-            continue
-        if kern is not None:
-            kern(hi - lo, idx[lo:hi], data, cols, pcube, vals, lanes,
-                 out, k3)
-        else:
-            sub = idx[lo:hi]
-            contrib = data[sub][:, :, None] * vals[sub][:, None, :]
-            np.add.at(out.T, cols[sub].ravel(),
-                      contrib.reshape(-1, lanes))
+    kernels.spread_ranges(attach(args["data"]), attach(args["cols"]),
+                          attach(args["idx"]), attach(args["vals"]),
+                          attach(args["out"]), args["ranges"])
 
 
 def _job_interp(args: dict[str, Any], attach: Callable[..., np.ndarray]
                 ) -> None:
-    data = attach(args["data"])
-    cols = attach(args["cols"])
-    mesh = attach(args["mesh"])
-    out = attach(args["out"])
-    pcube = data.shape[1]
-    lanes, k3 = mesh.shape
-    n = out.shape[1]
-    kern = kernels.interp_kernel()
-    for lo, hi in args["ranges"]:
-        if hi <= lo:
-            continue
-        if kern is not None:
-            kern(lo, hi, data, cols, pcube, mesh, k3, lanes, n, out)
-        else:
-            out[:, lo:hi] = np.einsum("ie,bie->bi", data[lo:hi],
-                                      mesh[:, cols[lo:hi]])
+    kernels.interp_ranges(attach(args["data"]), attach(args["cols"]),
+                          attach(args["mesh"]), attach(args["out"]),
+                          args["ranges"])
 
 
 def _job_spmm(args: dict[str, Any], attach: Callable[..., np.ndarray]
               ) -> None:
-    indptr = attach(args["indptr"])
-    indices = attach(args["indices"])
-    blocks = attach(args["blocks"])
-    x = attach(args["x"])
-    y = attach(args["y"])
-    s = x.shape[2]
-    kern = kernels.spmm_range_kernel()
+    kern = kernels.spmm_kernel()
     if kern is None:
         raise RuntimeError(
             "spmm job dispatched to a worker without the native kernel")
+    x = attach(args["x"])
     for lo, hi in args["ranges"]:
-        if hi > lo:
-            kern(lo, hi, indptr, indices, blocks, x, y, s)
+        kern(lo, hi, attach(args["indptr"]), attach(args["indices"]),
+             attach(args["blocks"]), x, attach(args["y"]), x.shape[2])
 
 
 _JOBS: dict[str, Callable[[dict[str, Any], Callable[..., np.ndarray]],
@@ -141,7 +86,15 @@ def _proc_worker_main(conn: Any) -> None:
     cache: dict[str, shared_memory.SharedMemory] = {}
 
     def attach(token: ShmToken) -> np.ndarray:
-        return _attach(token, cache)
+        """View of a shared segment (attachments cached)."""
+        name, shape, dtype = token
+        shm = cache.get(name)
+        if shm is None:
+            # registers with the resource tracker the worker shares with
+            # the parent (ProcPool starts it before the workers): a no-op
+            # there, and the parent's unlink() is the one unregistration
+            shm = cache[name] = shared_memory.SharedMemory(name=name)
+        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
     try:
         while True:
@@ -186,6 +139,10 @@ class ProcPool:
         self.n_workers = max(1, int(n_workers))
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        # Workers must share this process's resource tracker: one that a
+        # worker started for itself would unlink the parent's segments
+        # when the worker exits.
+        resource_tracker.ensure_running()
         self._conns = []
         self._procs = []
         for _ in range(self.n_workers):
@@ -211,23 +168,9 @@ class ProcPool:
         attachment); a shape/dtype change allocates a fresh segment.
         """
         array = np.ascontiguousarray(array)
-        dtype = array.dtype.str
-        entry = self._segments.get(key)
-        if entry is not None and (entry[1] != array.shape
-                                  or entry[2] != dtype):
-            entry[0].close()
-            entry[0].unlink()
-            entry = None
-            del self._segments[key]
-        if entry is None:
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, array.nbytes))
-            entry = (shm, array.shape, dtype)
-            self._segments[key] = entry
-        view = np.ndarray(array.shape, dtype=array.dtype,
-                          buffer=entry[0].buf)
-        view[...] = array
-        return (entry[0].name, entry[1], entry[2])
+        token = self.output(key, array.shape, array.dtype)
+        self.view(key)[...] = array
+        return token
 
     def output(self, key: str, shape: tuple[int, ...],
                dtype: Any = np.float64) -> ShmToken:
@@ -255,25 +198,19 @@ class ProcPool:
 
     # -- dispatch -------------------------------------------------------
 
-    def run(self, job: str, per_worker: list[dict[str, Any] | None],
+    def run(self, job: str, shares: list[list[tuple[int, int]]],
             **shared: Any) -> None:
-        """Run one job on every worker with non-``None`` args; barrier.
+        """Run one job with worker ``w`` on the ranges ``shares[w]``; barrier.
 
-        ``per_worker[w]`` is merged over ``shared`` to form worker
-        ``w``'s message.  Raises ``RuntimeError`` if any worker reports
-        an error or died.
+        ``shared`` (segment tokens) goes to every worker.  Raises
+        ``RuntimeError`` if any worker reports an error or died.
         """
         if self._closed:
             raise RuntimeError("ProcPool is closed")
-        active = []
-        for w, args in enumerate(per_worker):
-            if args is None:
-                continue
-            message = {"job": job, **shared, **args}
-            self._conns[w].send(message)
-            active.append(w)
+        for w, ranges in enumerate(shares):
+            self._conns[w].send({"job": job, "ranges": ranges, **shared})
         errors = []
-        for w in active:
+        for w in range(len(shares)):
             try:
                 reply = self._conns[w].recv()
             except (EOFError, OSError):

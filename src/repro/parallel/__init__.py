@@ -5,7 +5,8 @@ machines, reproduced as explicit, testable work-partitioning logic:
 
 * :mod:`~repro.parallel.coloring` -- the 8-color independent-set
   schedule that makes the spreading scatter-add write-conflict free
-  (Section IV.B.2, Fig. 2),
+  (Section IV.B.2, Fig. 2), executed on an execution context's
+  workers by :mod:`~repro.parallel.engine`,
 * :mod:`~repro.parallel.partition` -- row-block and cost-balanced
   partitioning used for P construction and static work splits,
 * :mod:`~repro.parallel.hybrid` -- the hybrid CPU + Xeon Phi scheduler:
@@ -20,10 +21,9 @@ bit-for-bit, which is the property that makes them correct on real
 parallel hardware.
 """
 
-from .coloring import IndependentSetColoring, ColoredSpreader
+from .coloring import IndependentSetColoring
 from .partition import row_blocks, balance_by_cost
 from .hybrid import HybridScheduler, HybridPlan, OffloadModel
-from .threads import ThreadedSpreader
 from .decomposition import (
     SlabDecomposition,
     distributed_real_space_matrix,
@@ -32,8 +32,6 @@ from .decomposition import (
 
 __all__ = [
     "IndependentSetColoring",
-    "ColoredSpreader",
-    "ThreadedSpreader",
     "row_blocks",
     "balance_by_cost",
     "HybridScheduler",

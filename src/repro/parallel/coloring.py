@@ -15,10 +15,11 @@ The requirement for correctness under periodic wrap-around is an
 are adjacent but share parity); the constructor enforces it by merging
 blocks when needed.
 
-:class:`ColoredSpreader` executes the schedule on real data; the test
-suite verifies it reproduces the sparse-matrix spreading bit-for-bit
-and that the per-set write footprints are disjoint — the property that
-makes the schedule race-free on actual parallel hardware.
+:class:`~repro.parallel.engine.ColoredPMEEngine` executes the schedule
+on real data; the test suite verifies it reproduces the sparse-matrix
+spreading and that the per-block write footprints within a set are
+disjoint — the property that makes the schedule race-free on actual
+parallel hardware.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..utils.validation import as_positions
-from ..pme.bspline import bspline_weights
 
-__all__ = ["IndependentSetColoring", "ColoredSpreader"]
+__all__ = ["IndependentSetColoring"]
 
 
 class IndependentSetColoring:
@@ -65,6 +65,14 @@ class IndependentSetColoring:
             np.searchsorted(self.block_edges, mesh_coord, side="right") - 1,
             self.blocks_per_dim - 1)
 
+    def block_ids(self, mesh_points: np.ndarray) -> np.ndarray:
+        """Flat block id of flat mesh points ``(x K + y) K + z``."""
+        k, nb = self.K, self.blocks_per_dim
+        bx = self.block_of(mesh_points // (k * k))
+        by = self.block_of((mesh_points // k) % k)
+        bz = self.block_of(mesh_points % k)
+        return (bx * nb + by) * nb + bz
+
     def color_of_particles(self, base: np.ndarray) -> np.ndarray:
         """Color (0..7) of particles whose spreading window *ends* at ``base``.
 
@@ -89,71 +97,3 @@ class IndependentSetColoring:
         colors = self.color_of_particles(base)
         return [np.flatnonzero(colors == c) for c in range(self.n_colors)]
 
-
-class ColoredSpreader:
-    """Spreading executed color-by-color per the independent-set schedule.
-
-    Functionally identical to ``P^T f`` (tested bit-for-bit); the value
-    of the class is that within each color stage the writes of distinct
-    blocks are provably disjoint, so a real multicore implementation
-    runs each stage with plain (non-atomic) parallel writes.
-
-    Parameters
-    ----------
-    positions, box, K, p:
-        As for :class:`repro.pme.spread.InterpolationMatrix`.
-    """
-
-    def __init__(self, positions, box: Box, K: int, p: int):
-        from ..pme.spread import _weights_and_columns
-        self.K, self.p = int(K), int(p)
-        self.coloring = IndependentSetColoring(K, p)
-        self.n = as_positions(positions).shape[0]
-        self._data, self._cols = _weights_and_columns(positions, box, K, p)
-        self._groups = self.coloring.groups(positions, box)
-
-    @property
-    def n_colors(self) -> int:
-        """Number of independent sets in the schedule."""
-        return self.coloring.n_colors
-
-    def color_footprints(self) -> list[np.ndarray]:
-        """Unique mesh points written by each color (for disjointness tests
-        at the block level use :meth:`block_footprints`)."""
-        return [np.unique(self._cols[g]) for g in self._groups]
-
-    def block_footprints(self, color: int) -> list[np.ndarray]:
-        """Within one color, the mesh points written per block.
-
-        These sets are pairwise disjoint — the race-freedom property.
-        """
-        group = self._groups[color]
-        if group.size == 0:
-            return []
-        # recompute each particle's block id from its window end
-        ends = self._cols[group][:, 0]  # first column = (base_x, base_y, base_z)
-        bx = self.coloring.block_of(ends // (self.K * self.K))
-        by = self.coloring.block_of((ends // self.K) % self.K)
-        bz = self.coloring.block_of(ends % self.K)
-        bid = (bx * self.coloring.blocks_per_dim + by) * \
-            self.coloring.blocks_per_dim + bz
-        return [np.unique(self._cols[group[bid == b]])
-                for b in np.unique(bid)]
-
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Spread per-particle values onto the mesh in 8 color stages.
-
-        Parameters and return as
-        :meth:`repro.pme.spread.InterpolationMatrix.spread`.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        flat = values.ndim == 1
-        vals = values[:, None] if flat else values
-        out = np.zeros((self.K ** 3, vals.shape[1]))
-        for group in self._groups:
-            if group.size == 0:
-                continue
-            contrib = self._data[group][:, :, None] * vals[group][:, None, :]
-            np.add.at(out, self._cols[group].ravel(),
-                      contrib.reshape(-1, vals.shape[1]))
-        return out[:, 0] if flat else out

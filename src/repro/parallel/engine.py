@@ -11,9 +11,9 @@ color into its mesh blocks, and executes
   dispatched across the workers of an
   :class:`~repro.exec.ExecutionContext` — block write footprints are
   disjoint within a color, so the workers scatter with plain stores
-  (no atomics), through the GIL-releasing C kernel of
-  :mod:`repro.sparse.kernels` when available and an order-preserving
-  ``np.add.at`` fallback otherwise;
+  (no atomics), through :func:`repro.sparse.kernels.spread_ranges`
+  (the GIL-releasing C kernel when available, an order-preserving
+  ``np.add.at`` fallback otherwise);
 * **interpolation** as a row-partitioned gather
   (:func:`~repro.parallel.partition.row_blocks`), trivially disjoint.
 
@@ -30,6 +30,7 @@ pipeline of :meth:`repro.pme.operator.PMEOperator.apply_block`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any
 
@@ -76,18 +77,10 @@ class ColoredPMEEngine:
         # the contiguous (lo, hi) range of each block inside that order.
         self._color_idx: list[np.ndarray] = []
         self._color_ranges: list[list[tuple[int, int]]] = []
-        k = self.K
-        nb = self.coloring.blocks_per_dim
         for group in groups:
-            if group.size == 0:
-                self._color_idx.append(np.empty(0, dtype=np.int64))
-                self._color_ranges.append([])
-                continue
-            ends = self.columns[group][:, 0]
-            bx = self.coloring.block_of(ends // (k * k))
-            by = self.coloring.block_of((ends // k) % k)
-            bz = self.coloring.block_of(ends % k)
-            bid = (bx * nb + by) * nb + bz
+            # column 0 is the window end (base_x, base_y, base_z): it
+            # names the particle's block
+            bid = self.coloring.block_ids(self.columns[group][:, 0])
             order = np.argsort(bid, kind="stable")
             idx = np.ascontiguousarray(group[order], dtype=np.int64)
             sorted_bid = bid[order]
@@ -96,10 +89,21 @@ class ColoredPMEEngine:
             stops = np.concatenate((bounds, [idx.size]))
             self._color_idx.append(idx)
             self._color_ranges.append(
-                [(int(lo), int(hi)) for lo, hi in zip(starts, stops)])
+                [(int(lo), int(hi)) for lo, hi in zip(starts, stops)
+                 if hi > lo])                # an empty color has no blocks
         # processes-backend shared-memory state (registered lazily)
         self._shm_prefix: str | None = None
         self._shm_static: dict[str, Any] = {}
+        self._shm_idx: list[Any] = []
+
+    def block_footprints(self, color: int) -> list[np.ndarray]:
+        """Within one color, the mesh points written per block.
+
+        These sets are pairwise disjoint — the race-freedom property.
+        """
+        idx = self._color_idx[color]
+        return [np.unique(self.columns[idx[lo:hi]])
+                for lo, hi in self._color_ranges[color]]
 
     # ------------------------------------------------------------------
     # spreading (scatter-add, 8 color stages)
@@ -116,38 +120,16 @@ class ColoredPMEEngine:
         if self.context.backend == "processes":
             return self._spread_processes(values, out)
         out[...] = 0.0
-        kern = kernels.spread_kernel()
-        lanes = values.shape[1]
-        k3 = self.K ** 3
-        workers = self.context.workers
         for idx, ranges in zip(self._color_idx, self._color_ranges):
             if not ranges:
                 continue
-            shares = self._share_ranges(ranges, workers)
-            tasks = [self._spread_task(kern, idx, share, values, out,
-                                       lanes, k3)
-                     for share in shares]
-            self.context.run_tasks(tasks, stage="spread")
+            self.context.run_tasks(
+                [functools.partial(kernels.spread_ranges, self.weights,
+                                   self.columns, idx, values, out, share)
+                 for share in self._share_ranges(ranges,
+                                                 self.context.workers)],
+                stage="spread")
         return out
-
-    def _spread_task(self, kern: Any, idx: np.ndarray,
-                     ranges: list[tuple[int, int]], values: np.ndarray,
-                     out: np.ndarray, lanes: int, k3: int) -> Any:
-        weights, columns = self.weights, self.columns
-        pcube = weights.shape[1]
-
-        def task() -> None:
-            for lo, hi in ranges:
-                if kern is not None:
-                    kern(hi - lo, idx[lo:hi], weights, columns, pcube,
-                         values, lanes, out, k3)
-                else:
-                    sub = idx[lo:hi]
-                    contrib = (weights[sub][:, :, None]
-                               * values[sub][:, None, :])
-                    np.add.at(out.T, columns[sub].ravel(),
-                              contrib.reshape(-1, lanes))
-        return task
 
     @staticmethod
     def _share_ranges(ranges: list[tuple[int, int]], workers: int
@@ -169,27 +151,12 @@ class ColoredPMEEngine:
         mesh = np.ascontiguousarray(mesh, dtype=np.float64)
         if self.context.backend == "processes":
             return self._interp_processes(mesh, out)
-        kern = kernels.interp_kernel()
-        lanes, k3 = mesh.shape
-        weights, columns = self.weights, self.columns
-        pcube = weights.shape[1]
-        n = self.n
-
-        def make_task(lo: int, hi: int) -> Any:
-            def task() -> None:
-                if kern is not None:
-                    kern(lo, hi, weights, columns, pcube, mesh, k3,
-                         lanes, n, out)
-                else:
-                    out[:, lo:hi] = np.einsum(
-                        "ie,bie->bi", weights[lo:hi],
-                        mesh[:, columns[lo:hi]])
-            return task
-
-        tasks = [make_task(lo, hi)
-                 for lo, hi in row_blocks(n, self.context.workers)
-                 if hi > lo]
-        self.context.run_tasks(tasks, stage="interpolate")
+        self.context.run_tasks(
+            [functools.partial(kernels.interp_ranges, self.weights,
+                               self.columns, mesh, out, [(lo, hi)])
+             for lo, hi in row_blocks(self.n, self.context.workers)
+             if hi > lo],
+            stage="interpolate")
         return out
 
     # ------------------------------------------------------------------
@@ -204,10 +171,9 @@ class ColoredPMEEngine:
         self._shm_prefix = prefix
         self._shm_static = {
             "data": pool.share(prefix + "w", self.weights),
-            "cols": pool.share(prefix + "c", self.columns),
-            "idx": [pool.share(f"{prefix}i{c}", idx)
-                    for c, idx in enumerate(self._color_idx)],
-        }
+            "cols": pool.share(prefix + "c", self.columns)}
+        self._shm_idx = [pool.share(f"{prefix}i{c}", idx)
+                         for c, idx in enumerate(self._color_idx)]
 
     def _spread_processes(self, values: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
@@ -217,21 +183,14 @@ class ColoredPMEEngine:
         vals_tok = pool.share(prefix + "vals", values)
         mesh_tok = pool.output(prefix + "mesh", out.shape)
         pool.view(prefix + "mesh")[...] = 0.0
-        workers = pool.n_workers
         n_jobs = 0
         for color, ranges in enumerate(self._color_ranges):
             if not ranges:
                 continue
-            shares = self._share_ranges(ranges, workers)
-            per_worker: list[dict[str, Any] | None] = [None] * workers
-            for w, share in enumerate(shares):
-                per_worker[w] = {"ranges": share}
+            shares = self._share_ranges(ranges, pool.n_workers)
             n_jobs += len(shares)
-            pool.run("spread", per_worker,
-                     data=self._shm_static["data"],
-                     cols=self._shm_static["cols"],
-                     idx=self._shm_static["idx"][color],
-                     vals=vals_tok, out=mesh_tok)
+            pool.run("spread", shares, idx=self._shm_idx[color],
+                     vals=vals_tok, out=mesh_tok, **self._shm_static)
         out[...] = pool.view(prefix + "mesh")
         self.context.record_dispatch(n_jobs, 0.0, "spread")
         return out
@@ -243,15 +202,10 @@ class ColoredPMEEngine:
         prefix = self._shm_prefix
         mesh_tok = pool.share(prefix + "mesh_in", mesh)
         out_tok = pool.output(prefix + "part", out.shape)
-        ranges = [(lo, hi) for lo, hi in row_blocks(self.n, pool.n_workers)
+        shares = [[(lo, hi)] for lo, hi in row_blocks(self.n, pool.n_workers)
                   if hi > lo]
-        per_worker: list[dict[str, Any] | None] = [None] * pool.n_workers
-        for w, rng in enumerate(ranges):
-            per_worker[w] = {"ranges": [rng]}
-        pool.run("interp", per_worker,
-                 data=self._shm_static["data"],
-                 cols=self._shm_static["cols"],
-                 mesh=mesh_tok, out=out_tok)
+        pool.run("interp", shares, mesh=mesh_tok, out=out_tok,
+                 **self._shm_static)
         out[...] = pool.view(prefix + "part")
-        self.context.record_dispatch(len(ranges), 0.0, "interpolate")
+        self.context.record_dispatch(len(shares), 0.0, "interpolate")
         return out

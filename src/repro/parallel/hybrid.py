@@ -203,8 +203,7 @@ class HybridScheduler:
     # host execution of a plan
     # ------------------------------------------------------------------
 
-    def execute(self, operator, forces,
-                context=None) -> tuple[np.ndarray, HybridPlan]:
+    def execute(self, operator, forces) -> tuple[np.ndarray, HybridPlan]:
         """Execute ``u = M f`` per the hybrid schedule (on the host).
 
         The real-space term and each device's share of reciprocal
@@ -213,11 +212,11 @@ class HybridScheduler:
         identical to ``operator.apply(forces)`` (tested), while the
         returned plan carries the modeled per-device times.
 
-        ``context`` (an :class:`~repro.exec.ExecutionContext`) chunks
-        the real-space SpMM across workers; the per-device reciprocal
-        shares stay sequential on the host — they model distinct
-        physical devices, so overlapping them here would misstate the
-        schedule the plan's times describe.
+        Both halves run on the operator's own
+        :class:`~repro.exec.ExecutionContext` (if it has one); the
+        per-device reciprocal shares stay sequential on the host — they
+        model distinct physical devices, so overlapping them here
+        would misstate the schedule the plan's times describe.
         """
         f = np.asarray(forces, dtype=np.float64)
         flat = f.ndim == 1
@@ -229,10 +228,7 @@ class HybridScheduler:
                 if s == 1 else
                 self.plan_block(operator.n, params.K, params.p, density, s))
 
-        if context is not None:
-            u_real = operator.real.apply_block(fb, context=context)
-        else:
-            u_real = operator.apply_real(fb)
+        u_real = operator.apply_real(fb)
         u_recip = np.empty_like(fb)
         col = 0
         split = plan.assignments if s > 1 else [0, s] + [0] * (

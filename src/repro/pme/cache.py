@@ -21,7 +21,8 @@ redone at every rebuild:
 
 A single :class:`MobilityCache` instance is owned by the integrator
 (:class:`~repro.core.integrators.MatrixFreeBD`) and threaded into every
-operator it builds; hit/miss counters make the reuse observable.
+operator it builds (an operator built without one owns a private
+cache); hit/miss counters make the reuse observable.
 Position-*dependent* state (``P``, the BCSR matrix) is deliberately not
 cached — it must be rebuilt when the configuration changes.
 
@@ -68,35 +69,29 @@ class MobilityCache:
         #: Number of lookups that had to build a fresh entry.
         self.misses = 0
 
-    def mesh(self, box: Box, K: int) -> Mesh:
-        """The ``K^3`` mesh for ``box`` (built once per ``(L, K)``)."""
-        key = (float(box.length), int(K))
+    def _lookup(self, store: dict, key: tuple, build: Any) -> Any:
+        """``store[key]``, built (and counted as a miss) when absent."""
         with self._lock:
-            mesh = self._meshes.get(key)
-            if mesh is None:
+            entry = store.get(key)
+            if entry is None:
                 self.misses += 1
-                mesh = Mesh(box, K)
-                self._meshes[key] = mesh
+                entry = store[key] = build()
             else:
                 self.hits += 1
-            return mesh
+            return entry
+
+    def mesh(self, box: Box, K: int) -> Mesh:
+        """The ``K^3`` mesh for ``box`` (built once per ``(L, K)``)."""
+        return self._lookup(self._meshes, (float(box.length), int(K)),
+                            lambda: Mesh(box, K))
 
     def influence(self, mesh: Mesh, xi: float, p: int, radius: float,
                   interpolation: str, kernel: str) -> InfluenceFunction:
         """The influence function for the given physical parameters."""
         key = (float(mesh.box.length), mesh.K, float(xi), int(p),
                float(radius), interpolation, kernel)
-        with self._lock:
-            influence = self._influences.get(key)
-            if influence is None:
-                self.misses += 1
-                influence = InfluenceFunction(mesh, xi, p, radius,
-                                              interpolation=interpolation,
-                                              kernel=kernel)
-                self._influences[key] = influence
-            else:
-                self.hits += 1
-            return influence
+        return self._lookup(self._influences, key, lambda: InfluenceFunction(
+            mesh, xi, p, radius, interpolation=interpolation, kernel=kernel))
 
     def workspace(self, K: int, lanes: int, n: int
                   ) -> dict[str, np.ndarray]:
@@ -109,21 +104,12 @@ class MobilityCache:
         sharing one cache must serialize around the whole apply (see
         the module docstring).
         """
-        key = (int(K), int(lanes), int(n))
-        with self._lock:
-            ws = self._workspaces.get(key)
-            if ws is None:
-                self.misses += 1
-                ws = {
-                    "mesh": np.empty((lanes, K ** 3)),
-                    "spec": np.empty((lanes, K, K, K // 2 + 1),
-                                     dtype=np.complex128),
-                    "particle": np.empty((lanes, n)),
-                }
-                self._workspaces[key] = ws
-            else:
-                self.hits += 1
-            return ws
+        return self._lookup(self._workspaces, (int(K), int(lanes), int(n)),
+                            lambda: {
+                                "mesh": np.empty((lanes, K ** 3)),
+                                "spec": np.empty((lanes, K, K, K // 2 + 1),
+                                                 dtype=np.complex128),
+                                "particle": np.empty((lanes, n))})
 
     def memory_bytes(self) -> int:
         """Bytes currently held by cached arrays (workspaces +

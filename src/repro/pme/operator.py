@@ -20,6 +20,7 @@ the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,42 @@ from ..utils.params import keyword_only
 from ..utils.timing import PhaseTimer
 from ..utils.validation import as_force_block, as_positions
 from .cache import MobilityCache
-from .influence import InfluenceFunction
-from .mesh import Mesh
 from .realspace import RealSpaceOperator
 from .spread import InterpolationMatrix, interpolate_on_the_fly, spread_on_the_fly
 
 __all__ = ["PMEParams", "PMEOperator"]
 
 
-def _rfftn_into(src: np.ndarray, dst: np.ndarray) -> None:
-    """Forward r2c FFT into a preallocated spectrum (NumPy >= 2 has
-    ``out=``; older versions pay one assignment copy)."""
-    try:
-        np.fft.rfftn(src, out=dst)
-    except TypeError:  # pragma: no cover - numpy < 2
-        dst[...] = np.fft.rfftn(src)
+#: Widest column block one pass of the pipeline handles; wider blocks
+#: are chunked so the ``(3 s, K^3)`` workspaces stay bounded (``to_dense``
+#: applies the operator to a ``3n``-column identity).
+MAX_BLOCK_COLUMNS = 32
+
+
+def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context=None) -> None:
+    """Forward r2c FFT of every lane ``src[b]`` straight into ``dst[b]``.
+
+    The one forward-transform path of the pipeline: lanes are split in
+    contiguous ranges over ``context.run_tasks`` (NumPy's pocketfft
+    releases the GIL), and each lane is transformed by the same call
+    whatever the worker count, so the spectrum is bitwise independent
+    of the context.  No context, or one worker, is the plain loop.
+    """
+    def transform(lo: int, hi: int) -> None:
+        for b in range(lo, hi):
+            try:
+                np.fft.rfftn(src[b], out=dst[b])
+            except TypeError:  # pragma: no cover - numpy < 2 has no out=
+                dst[b] = np.fft.rfftn(src[b])
+
+    lanes = src.shape[0]
+    if context is None:
+        transform(0, lanes)
+        return
+    from ..parallel.partition import row_blocks  # deferred: import cycle
+    context.run_tasks([functools.partial(transform, lo, hi)
+                       for lo, hi in row_blocks(lanes, context.workers)
+                       if hi > lo], stage="fft")
 
 
 @keyword_only
@@ -119,27 +141,28 @@ class PMEOperator:
         Precompute and reuse the interpolation matrix ``P`` (paper
         Section IV.A; the Fig. 4 optimization).  When false, spreading
         and interpolation recompute spline weights on the fly.
-    real_engine:
-        ``"scipy"`` or ``"bcsr"`` SpMV engine for the real-space term.
     cache:
-        Optional :class:`~repro.pme.cache.MobilityCache`: reuses the
+        :class:`~repro.pme.cache.MobilityCache` holding the
         position-independent state (mesh, influence function, batched
-        workspaces) across operator rebuilds — the mobility-reuse
-        optimization of Algorithm 2, where a fresh operator is built
-        every ``lambda_RPY`` steps.
+        workspaces).  Pass the integrator's cache to reuse that state
+        across operator rebuilds — the mobility-reuse optimization of
+        Algorithm 2, where a fresh operator is built every
+        ``lambda_RPY`` steps; an operator built without one owns a
+        private cache.
     context:
-        Optional :class:`~repro.exec.ExecutionContext`.  When attached
-        (any backend, including an explicit ``serial`` one),
-        :meth:`apply_block` runs the *colored* deterministic pipeline:
-        spreading/interpolation execute per the Section IV.B.2
-        independent-set schedule on the context's workers, the stacked
-        FFTs use ``workers=``-parallel :mod:`scipy.fft`, and the
-        real-space SpMM is chunked across workers — with results
-        bit-identical across the ``serial``/``threads``/``processes``
-        backends for a fixed kernel configuration.  ``None`` (default)
-        uses the process default from :func:`repro.exec.default_context`
-        (which is ``None`` — the legacy single-threaded path — unless
-        the runtime config selects a parallel backend).
+        Optional :class:`~repro.exec.ExecutionContext`.  The pipeline
+        is the same with and without one; a context supplies the
+        workers: spreading/interpolation execute per the Section IV.B.2
+        independent-set schedule on them (any backend, including an
+        explicit ``serial`` one), the forward FFT lanes and the stacked
+        inverse transforms are split across them, and the real-space
+        SpMM is chunked across them — with results bit-identical
+        across the ``serial``/``threads``/``processes`` backends for a
+        fixed kernel configuration.  ``None`` (default) uses the
+        process default from :func:`repro.exec.default_context` (which
+        is ``None`` — single-threaded, spreading through the stored
+        sparse ``P`` — unless the runtime config selects a parallel
+        backend).
 
     Notes
     -----
@@ -151,7 +174,7 @@ class PMEOperator:
     @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
                  fluid: FluidParams = REDUCED, neighbor_backend: str = "cells",
-                 store_p: bool = True, real_engine: str = "scipy",
+                 store_p: bool = True,
                  cache: MobilityCache | None = None, context=None):
         from ..exec import default_context  # deferred: import cycle
         self.positions = as_positions(positions).copy()
@@ -159,19 +182,15 @@ class PMEOperator:
         self.box = box
         self.params = params
         self.fluid = fluid
-        self.cache = cache
+        self.cache = cache if cache is not None else MobilityCache()
         self.context = context if context is not None else default_context()
         self._exec_args = ({} if self.context is None
                            else self.context.span_args())
-        self.mesh = (cache.mesh(box, params.K) if cache is not None
-                     else Mesh(box, params.K))
+        self.mesh = self.cache.mesh(box, params.K)
         self.store_p = bool(store_p)
         self.timers = PhaseTimer(prefix="pme")
         #: Total number of operator applications (column counts included).
         self.n_applications = 0
-        #: Batched-pipeline workspaces when no shared cache is set,
-        #: keyed by lane count (allocated on first apply_block).
-        self._workspaces: dict[tuple[int, int, int], dict] = {}
 
         with self.timers.phase("construct_p", **self._exec_args):
             self.interp = (InterpolationMatrix(self.positions, box,
@@ -186,19 +205,13 @@ class PMEOperator:
                     self.positions, box, params.K, params.p,
                     weights=self.interp.weights,
                     columns=self.interp.columns, context=self.context)
-        if cache is not None:
-            self.influence = cache.influence(
-                self.mesh, params.xi, params.p, fluid.radius,
-                interpolation=params.interpolation, kernel=params.kernel)
-        else:
-            self.influence = InfluenceFunction(
-                self.mesh, params.xi, params.p, fluid.radius,
-                interpolation=params.interpolation, kernel=params.kernel)
+        self.influence = self.cache.influence(
+            self.mesh, params.xi, params.p, fluid.radius,
+            interpolation=params.interpolation, kernel=params.kernel)
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                neighbor_backend=neighbor_backend, engine=real_engine,
-                kernel=params.kernel)
+                neighbor_backend=neighbor_backend, kernel=params.kernel)
         registry = obs.get_metrics()
         if registry is not None:
             self._record_build_metrics(registry)
@@ -213,47 +226,15 @@ class PMEOperator:
         return (3 * self.n, 3 * self.n)
 
     @force_block_arg()
-    def apply(self, forces) -> np.ndarray:
-        """``u = M f`` for ``f`` of shape ``(3n,)`` or ``(3n, s)``.
-
-        The result includes the physical prefactor ``mu0`` and all three
-        Ewald contributions.
-        """
-        f, flat = as_force_block(forces, self.n)
-        out = self.apply_real(f) + self.apply_reciprocal(f)
-        out *= self.fluid.mobility0
-        self.n_applications += f.shape[1]
-        obs.inc("pme_applications_total", f.shape[1])
-        return out[:, 0] if flat else out
-
-    def __call__(self, forces) -> np.ndarray:
-        from ..core.mobility import reject_call_shim  # deferred: import cycle
-        reject_call_shim(type(self).__name__)
-
-    def _workspace(self, lanes: int) -> dict:
-        """Batched-pipeline scratch arrays for ``lanes = 3 s``."""
-        if self.cache is not None:
-            return self.cache.workspace(self.params.K, lanes, self.n)
-        key = (self.params.K, lanes, self.n)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            K = self.params.K
-            ws = {
-                "mesh": np.empty((lanes, K ** 3)),
-                "spec": np.empty((lanes, K, K, K // 2 + 1),
-                                 dtype=np.complex128),
-                "particle": np.empty((lanes, self.n)),
-            }
-            self._workspaces[key] = ws
-        return ws
-
-    @force_block_arg()
     def apply_block(self, forces) -> np.ndarray:
-        """Batched ``U = M F`` for a block ``F`` of shape ``(3n, s)``.
+        """``U = M F`` for ``F`` of shape ``(3n,)`` or ``(3n, s)``.
 
-        Produces the same operator action as ``s`` :meth:`apply` calls
-        but amortizes the whole reciprocal pipeline across the block
-        (paper Sections IV.A-IV.C):
+        The one mobility-apply pipeline (:meth:`apply` is this method):
+        the reciprocal half (:meth:`apply_reciprocal`) plus the real
+        half (:meth:`apply_real`), times the physical prefactor
+        ``mu0``.  A flat vector is a one-column block and comes back
+        flat.  The whole reciprocal pipeline is amortized across the
+        block (paper Sections IV.A-IV.C):
 
         * one sparse spread product for all ``3s`` mesh components,
         * ``3s`` contiguous forward r2c FFTs into one stacked
@@ -266,140 +247,102 @@ class PMEOperator:
         * one BCSR SpMM for the real-space term (each 3x3 block
           streamed once against all ``s`` lanes).
 
-        Workspaces come from the :class:`~repro.pme.cache.MobilityCache`
-        when one is attached, so repeated block applications (block
-        Lanczos iterations, consecutive mobility updates) allocate
-        nothing.
+        Workspaces come from the :class:`~repro.pme.cache.MobilityCache`,
+        so repeated block applications (block Lanczos iterations,
+        consecutive mobility updates) allocate nothing; blocks wider
+        than ``MAX_BLOCK_COLUMNS`` run as several passes.
 
         With an :class:`~repro.exec.ExecutionContext` attached, the
         spread/interpolate stages run through the colored
-        :class:`~repro.parallel.engine.ColoredPMEEngine`, the stacked
-        transforms use ``workers=``-parallel :mod:`scipy.fft`, and the
-        real-space SpMM is chunked across the workers.  Without one
-        (the default), this is the legacy single-threaded pipeline,
-        byte-for-byte.
+        :class:`~repro.parallel.engine.ColoredPMEEngine`, the FFT lanes
+        and the real-space SpMM are split across its workers; without
+        one (the default) the same stages run on the calling thread
+        and spreading uses the stored sparse ``P``.
         """
         f, flat = as_force_block(forces, self.n)
-        f = np.ascontiguousarray(f)
-        n, s = self.n, f.shape[1]
-        K = self.params.K
-        lanes = 3 * s                       # lane b = component*s + vector
-        ws = self._workspace(lanes)
-        g, spec = ws["mesh"], ws["spec"]
-        ctx, xargs = self.context, self._exec_args
-
-        fm = f.reshape(n, 3, s).reshape(n, lanes)
-        with self.timers.phase("spread", vectors=s, **xargs):
-            if self.engine is not None:
-                self.engine.spread_batch(fm, out=g)
-            elif self.interp is not None:
-                self.interp.spread_batch(fm, out=g)
-            else:
-                gm = spread_on_the_fly(self.positions, self.box, K,
-                                       self.params.p, fm,
-                                       kind=self.params.interpolation)
-                for lo in range(0, K ** 3, 16384):
-                    hi = min(lo + 16384, K ** 3)
-                    g[:, lo:hi] = gm[lo:hi].T
-
-        gl = g.reshape(lanes, K, K, K)
-        with self.timers.phase("fft", vectors=s, **xargs):
-            if ctx is not None:
-                # one stacked r2c pass over all lanes; pocketfft splits
-                # the independent line transforms across workers, which
-                # is bitwise deterministic in the worker count
-                spec[...] = sfft.rfftn(gl, axes=(1, 2, 3),
-                                       workers=ctx.fft_workers)
-            else:
-                for b in range(lanes):
-                    _rfftn_into(gl[b], spec[b])
-
-        with self.timers.phase("influence", vectors=s, **xargs):
-            self.influence.apply_batch(spec.reshape((3, s) + self.mesh.rshape))
-
-        with self.timers.phase("ifft", vectors=s, **xargs):
-            # decomposed inverse: batched c2c over the two full axes,
-            # then one batched c2r transform on the half axis
-            fft_workers = 1 if ctx is None else ctx.fft_workers
-            tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
-                             workers=fft_workers)
-            u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
-                           workers=fft_workers)
-
-        with self.timers.phase("interpolate", vectors=s, **xargs):
-            ub = u.reshape(lanes, K ** 3)
-            if self.engine is not None:
-                um = self.engine.interpolate_batch(ub, out=ws["particle"])
-                recip = um.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s)
-            elif self.interp is not None:
-                um = self.interp.interpolate_batch(ub, out=ws["particle"])
-                recip = um.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s)
-            else:
-                um = interpolate_on_the_fly(self.positions, self.box, K,
-                                            self.params.p, ub.T,
-                                            kind=self.params.interpolation)
-                recip = um.reshape(n, 3, s).reshape(3 * n, s).copy()
-
-        with self.timers.phase("real", vectors=s, **xargs):
-            recip += self.real.apply_block(f, context=ctx)
-        recip *= self.fluid.mobility0
+        s = f.shape[1]
+        out = self.apply_reciprocal(f)
+        out += self.apply_real(f)
+        out *= self.fluid.mobility0
         self.n_applications += s
         obs.inc("pme_applications_total", s)
-        return recip[:, 0] if flat else recip
+        return out[:, 0] if flat else out
+
+    #: ``u = M f`` — the batched pipeline with one column.
+    apply = apply_block
+
+    def __call__(self, forces) -> np.ndarray:
+        from ..core.mobility import reject_call_shim  # deferred: import cycle
+        reject_call_shim(type(self).__name__)
 
     def apply_real(self, forces) -> np.ndarray:
-        """Real-space + self contribution in ``mu0`` units."""
+        """Real-space + self contribution in ``mu0`` units (the real
+        half of :meth:`apply_block`)."""
         f, flat = as_force_block(forces, self.n)
-        with self.timers.phase("real"):
-            out = self.real.apply(f)
+        with self.timers.phase("real", vectors=f.shape[1],
+                               **self._exec_args):
+            out = self.real.apply_block(f, context=self.context)
         return out[:, 0] if flat else out
 
     def apply_reciprocal(self, forces) -> np.ndarray:
-        """Reciprocal-space contribution in ``mu0`` units.
+        """Reciprocal-space contribution in ``mu0`` units (the
+        reciprocal half of :meth:`apply_block`).
 
-        Runs the six-step mesh pipeline once per (vector, component):
-        with ``s`` input vectors this is ``3s`` forward and ``3s``
-        inverse 3-D real-to-complex FFTs (there is no FFT on blocks of
-        vectors — the observation behind the paper's hybrid static
-        partitioning, Section IV.E).
+        The six-step mesh pipeline of Section IV.A over all ``3s``
+        lanes of the block at once, ``MAX_BLOCK_COLUMNS`` columns per
+        pass.
         """
         f, flat = as_force_block(forces, self.n)
-        n, s = self.n, f.shape[1]
-        K = self.params.K
+        n, K = self.n, self.params.K
+        ctx, xargs = self.context, self._exec_args
+        fft_workers = 1 if ctx is None else ctx.fft_workers
+        # stored-P stages: the colored engine on a context, sparse P without
+        stored = self.engine if self.engine is not None else self.interp
+        out = np.empty((3 * n, f.shape[1]))
+        for lo in range(0, f.shape[1], MAX_BLOCK_COLUMNS):
+            fc = f[:, lo:lo + MAX_BLOCK_COLUMNS]
+            s = fc.shape[1]
+            lanes = 3 * s                   # lane b = component*s + vector
+            ws = self.cache.workspace(K, lanes, n)
+            g, spec = ws["mesh"], ws["spec"]
 
-        # spread all components and vectors in one sparse product
-        fm = np.ascontiguousarray(f).reshape(n, 3 * s)
-        with self.timers.phase("spread"):
-            if self.interp is not None:
-                mesh_f = self.interp.spread(fm)
-            else:
-                mesh_f = spread_on_the_fly(self.positions, self.box, K,
+            fm = fc.reshape(n, lanes)
+            with self.timers.phase("spread", vectors=s, **xargs):
+                if stored is not None:
+                    stored.spread_batch(fm, out=g)
+                else:
+                    gm = spread_on_the_fly(self.positions, self.box, K,
                                            self.params.p, fm,
                                            kind=self.params.interpolation)
-        mesh_f = mesh_f.reshape(K, K, K, 3, s)
+                    for a in range(0, K ** 3, 16384):
+                        g[:, a:a + 16384] = gm[a:a + 16384].T
 
-        mesh_u = np.empty_like(mesh_f)
-        spec = np.empty((3,) + self.mesh.rshape, dtype=np.complex128)
-        for v in range(s):
-            with self.timers.phase("fft"):
-                for theta in range(3):
-                    spec[theta] = np.fft.rfftn(mesh_f[:, :, :, theta, v])
-            with self.timers.phase("influence"):
-                self.influence.apply(spec, out=spec)
-            with self.timers.phase("ifft"):
-                for theta in range(3):
-                    mesh_u[:, :, :, theta, v] = np.fft.irfftn(
-                        spec[theta], s=self.mesh.shape, axes=(0, 1, 2))
+            with self.timers.phase("fft", vectors=s, **xargs):
+                _rfftn_lanes(g.reshape(lanes, K, K, K), spec, ctx)
 
-        with self.timers.phase("interpolate"):
-            if self.interp is not None:
-                um = self.interp.interpolate(mesh_u.reshape(K ** 3, 3 * s))
-            else:
-                um = interpolate_on_the_fly(self.positions, self.box, K,
-                                            self.params.p,
-                                            mesh_u.reshape(K ** 3, 3 * s),
-                                            kind=self.params.interpolation)
-        out = np.ascontiguousarray(um).reshape(3 * n, s)
+            with self.timers.phase("influence", vectors=s, **xargs):
+                self.influence.apply_batch(
+                    spec.reshape((3, s) + self.mesh.rshape))
+
+            with self.timers.phase("ifft", vectors=s, **xargs):
+                # decomposed inverse: batched c2c over the two full
+                # axes, then one batched c2r transform on the half axis
+                tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
+                                 workers=fft_workers)
+                u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
+                               workers=fft_workers)
+
+            with self.timers.phase("interpolate", vectors=s, **xargs):
+                ub = u.reshape(lanes, K ** 3)
+                oc = out.reshape(n, 3, -1)[:, :, lo:lo + s]
+                if stored is not None:
+                    um = stored.interpolate_batch(ub, out=ws["particle"])
+                    oc[...] = um.reshape(3, s, n).transpose(2, 0, 1)
+                else:
+                    um = interpolate_on_the_fly(self.positions, self.box, K,
+                                                self.params.p, ub.T,
+                                                kind=self.params.interpolation)
+                    oc[...] = um.reshape(n, 3, s)
         return out[:, 0] if flat else out
 
     # ------------------------------------------------------------------

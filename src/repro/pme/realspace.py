@@ -5,11 +5,8 @@ beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
 Section IV.C).  It is built in linear time from a Verlet cell list and
 stored in BCSR; because Algorithm 2 applies it to blocks of vectors,
-the multi-vector SpMV path matters and two engines are provided:
-
-* ``"bcsr"``  -- the from-scratch :class:`~repro.sparse.bcsr.BlockCSR`
-  product (vectorized NumPy, faithful to the paper's kernel structure),
-* ``"scipy"`` -- a compiled ``scipy.sparse`` CSR product (default).
+every product — one column or many — is the multi-RHS SpMM of
+:meth:`~repro.sparse.bcsr.BlockCSR.matmat`.
 
 All values are in units of ``mu0 = 1/(6 pi eta a)``; the composed
 :class:`~repro.pme.operator.PMEOperator` applies the physical prefactor.
@@ -53,9 +50,6 @@ class RealSpaceOperator:
     overlap_corrected:
         Apply the positive-definite overlap regularization to pairs
         closer than ``2a`` (default true).
-    engine:
-        ``"scipy"`` (compiled CSR SpMV, default) or ``"bcsr"``
-        (from-scratch block SpMV).
     kernel:
         ``"rpy"`` (default) or ``"oseen"``.
     """
@@ -63,8 +57,7 @@ class RealSpaceOperator:
     @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
                  fluid: FluidParams = REDUCED, neighbor_backend: str = "cells",
-                 overlap_corrected: bool = True, engine: str = "scipy",
-                 kernel: str = "rpy"):
+                 overlap_corrected: bool = True, kernel: str = "rpy"):
         r = as_positions(positions)
         n = r.shape[0]
         if r_max <= 0:
@@ -73,15 +66,12 @@ class RealSpaceOperator:
             raise ConfigurationError(
                 f"r_max={r_max} exceeds half the box length {box.length / 2}; "
                 "the real-space sum would need explicit image shells")
-        if engine not in ("scipy", "bcsr"):
-            raise ConfigurationError(f"unknown engine {engine!r}")
 
         self.box = box
         self.fluid = fluid
         self.xi = float(xi)
         self.r_max = float(r_max)
         self.n = n
-        self.engine = engine
         self.kernel = kernel
 
         with obs.span("pme.find_pairs", n=n, backend=neighbor_backend):
@@ -107,49 +97,34 @@ class RealSpaceOperator:
 
         #: The block-sparse operator (always available for introspection).
         self.bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
-        self._csr = self.bcsr.to_scipy() if engine == "scipy" else None
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 
     @force_block_arg()
-    def apply(self, forces) -> np.ndarray:
+    def apply_block(self, forces, context=None) -> np.ndarray:
         """``u_real = (M_real + M_self) f`` in ``mu0`` units.
 
         Accepts flat ``(3n,)`` vectors or ``(3n, s)`` blocks of vectors
-        (the block path is the one Algorithm 2 exercises).
-        """
-        f, flat = as_force_block(forces, self.n)
-        with obs.span("pme.real_spmv", engine=self.engine,
-                      s=int(f.shape[1])):
-            if self._csr is not None:
-                out = self._csr @ f
-            else:
-                out = self.bcsr.matvec(f)
-        return out[:, 0] if flat else out
-
-    def apply_block(self, forces, context=None) -> np.ndarray:
-        """Multi-RHS real-space product via BCSR SpMM.
-
-        Unlike :meth:`apply` (which on the SciPy engine loops the RHS
-        columns inside ``csr_matvecs``), this streams each 3x3 block
-        once against all ``s`` lanes through
+        (the block path is the one Algorithm 2 exercises) and streams
+        each 3x3 block once against all ``s`` lanes through
         :meth:`~repro.sparse.bcsr.BlockCSR.matmat` — the paper's
         Section IV.C block-of-vectors SpMV.  A parallel
         :class:`~repro.exec.ExecutionContext` chunks the product into
         block-row ranges across its workers (bit-identical to the
         serial product: row results are independent).
         """
-        f, _ = as_force_block(forces, self.n)
+        f, flat = as_force_block(forces, self.n)
         span_args = {} if context is None else context.span_args()
         with obs.span("pme.real_spmm", s=int(f.shape[1]), **span_args):
-            return self.bcsr.matmat(f, context=context)
+            out = self.bcsr.matmat(f, context=context)
+        return out[:, 0] if flat else out
+
+    #: The same product; a flat vector is a one-column block.
+    apply = apply_block
 
     @property
     def memory_bytes(self) -> int:
         """Bytes of the stored sparse operator."""
-        if self._csr is not None:
-            return (self._csr.data.nbytes + self._csr.indices.nbytes
-                    + self._csr.indptr.nbytes)
         return self.bcsr.memory_bytes
 
     @property

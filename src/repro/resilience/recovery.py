@@ -48,9 +48,9 @@ def materialize_operator(matvec: Any, dim: int) -> np.ndarray:
     Accepts anything :func:`~repro.core.mobility.as_mobility` does: a
     :class:`~repro.core.mobility.MobilityOperator`, a dense matrix or a
     legacy matvec callable.  A dense operator is returned directly;
-    anything else is applied column by column — ``apply_block`` on a
-    ``(dim, dim)`` identity would make batched operators (PME) allocate
-    ``O(dim K^3)`` mesh workspaces for a last-resort path.
+    anything else is applied column by column (a vector-only callable
+    accepts nothing wider; for PME one column is one pass of the
+    batched pipeline with the smallest workspace).
     """
     from ..core.mobility import DenseMobilityMatrix, as_mobility  # cycle
     operator = as_mobility(matvec, dim=dim)

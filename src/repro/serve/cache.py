@@ -125,7 +125,8 @@ class SingleFlight:
     while it is in flight await the same result.  The key is released
     when the computation finishes (either way), so a *failed* flight
     is retried by the next request rather than caching the exception
-    forever.
+    forever; when the computing caller is *cancelled* (its client went
+    away), the first joiner to wake computes instead.
     """
 
     def __init__(self) -> None:
@@ -141,15 +142,21 @@ class SingleFlight:
                   compute: Callable[[], Awaitable[Any]]) -> Any:
         import asyncio
 
-        existing = self._inflight.get(key)
-        if existing is not None:
+        while (existing := self._inflight.get(key)) is not None:
             self.joined += 1
-            return await asyncio.shield(existing)
+            try:
+                return await asyncio.shield(existing)
+            except asyncio.CancelledError:
+                if not existing.cancelled():
+                    raise           # this caller's own cancellation
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[key] = future
         try:
             value = await compute()
+        except asyncio.CancelledError:
+            future.cancel()         # joiners take the computation over
+            raise
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)

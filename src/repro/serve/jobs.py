@@ -111,10 +111,20 @@ class SimulateJob:
 
     # -- lifecycle -------------------------------------------------------
 
-    async def start(self) -> None:
-        """Build the campaign and launch it on the executor."""
+    def start(self) -> None:
+        """Schedule the campaign on the loop.
+
+        Never awaits: a job is joinable (dedup) from the moment it is
+        registered, so it always owns a runner that resolves ``wait()``
+        — whatever happens to the request that launched it.
+        """
         loop = asyncio.get_running_loop()
         self._done = loop.create_future()
+        self._runner = loop.create_task(self._drive())
+
+    async def _prepare(self) -> None:
+        """Build the campaign (resuming a drained one if present)."""
+        loop = asyncio.get_running_loop()
         manifest_path = os.path.join(self.job_dir, "campaign.json")
         records: Any = None
         if os.path.exists(manifest_path):
@@ -131,17 +141,18 @@ class SimulateJob:
         self.supervisor = Supervisor(
             records, self.job_dir, n_workers=self._sim_workers,
             manifest_path=manifest_path)
+        if self.cancelled:          # abandoned while still pending
+            self.supervisor.request_drain()
         self.state = "running"
-        self._runner = loop.create_task(self._drive())
 
     async def _drive(self) -> None:
-        require(self.supervisor is not None and self._done is not None,
-                "job was not started")
+        require(self._done is not None, "job was not started")
         loop = asyncio.get_running_loop()
-        record = self.supervisor.records[0]
-        run = loop.run_in_executor(self._executor, self.supervisor.run)
         last_step = -1
         try:
+            await self._prepare()
+            record = self.supervisor.records[0]
+            run = loop.run_in_executor(self._executor, self.supervisor.run)
             while not run.done():
                 step = record.completed_step
                 if step != last_step and step > 0:
@@ -235,8 +246,8 @@ class JobManager:
             self.deduplicated += 1
         return job
 
-    async def launch(self, key: str, spec: SystemSpec, seed: int,
-                     steps: int) -> SimulateJob:
+    def launch(self, key: str, spec: SystemSpec, seed: int,
+               steps: int) -> SimulateJob:
         """Start a new job; the caller must have admission-checked."""
         job_dir = os.path.join(self.work_dir,
                                f"{key[:16]}-{seed}-{steps}")
@@ -247,12 +258,7 @@ class JobManager:
         self.active[key] = job
         self.started += 1
         obs.set_gauge("serve_active_jobs", len(self.active))
-        try:
-            await job.start()
-        except Exception:
-            self.active.pop(key, None)
-            obs.set_gauge("serve_active_jobs", len(self.active))
-            raise
+        job.start()
         return job
 
     def finish(self, key: str) -> None:

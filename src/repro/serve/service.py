@@ -249,6 +249,8 @@ class SimulationService:
             self._clients.pop(state.client_id, None)
             obs.set_gauge("serve_clients", len(self._clients))
             self._abandon_jobs(state)
+            for task in list(state.tasks):
+                task.cancel()       # nobody is left to answer
             with contextlib.suppress(OSError):
                 writer.close()
 
@@ -257,7 +259,7 @@ class SimulationService:
         for job, queue, forwarder in state.jobs.values():
             forwarder.cancel()
             job.unsubscribe(queue)
-            if job.subscribers == 0 and job.state == "running":
+            if job.subscribers == 0 and job.state in ("pending", "running"):
                 obs.inc("serve_jobs_abandoned_total")
                 job.cancel()
         state.jobs.clear()
@@ -416,7 +418,7 @@ class SimulationService:
             if shed is not None:
                 return shed_response(message, shed.reason,
                                      shed.retry_after), "shed"
-            job = await self.jobs.launch(key, spec, seed, steps)
+            job = self.jobs.launch(key, spec, seed, steps)
             finalizer = asyncio.get_running_loop().create_task(
                 self._finalize_job(key, job))
             self._background.add(finalizer)

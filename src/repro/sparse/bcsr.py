@@ -24,6 +24,7 @@ loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 
 from ..errors import ConfigurationError
 from ..lint.contracts import force_block_arg
-from .kernels import spmm_kernel, spmm_range_kernel
+from .kernels import spmm_kernel
 
 __all__ = ["BlockCSR"]
 
@@ -233,6 +234,7 @@ class BlockCSR:
         Row results are independent, so every partition is
         bit-identical to the serial product.
         """
+        from ..parallel.partition import row_blocks  # deferred: cycle
         n = self.n_block_rows
         x = self._normalized(x)
         if x.ndim != 2:
@@ -240,42 +242,26 @@ class BlockCSR:
                 f"matmat expects a 2-D (3n, s) block, got shape {x.shape}")
         s = x.shape[1]
         kernel = spmm_kernel()
-        if kernel is not None:
-            indptr64, indices64 = self._spmm_arrays()
-            xg = x.reshape(n, 3, s)
-            y = np.empty((n, 3, s))
-            if (context is not None and context.backend != "serial"
-                    and context.workers > 1 and n > 1):
-                self._parallel_matmat(context, indptr64, indices64, xg, y, s)
-            else:
-                kernel(n, indptr64, indices64, self.blocks, xg, y, s)
-            return y.reshape(3 * n, s)
-        if self._csr is None:
-            self._csr = self.to_scipy()
-        return np.asarray(self._csr @ x)
-
-    def _parallel_matmat(self, context: "object", indptr64: np.ndarray,
-                         indices64: np.ndarray, xg: np.ndarray,
-                         y: np.ndarray, s: int) -> None:
-        """Chunked SpMM over the context's workers (C kernel path)."""
-        from ..parallel.partition import row_blocks  # deferred: cycle
-        n = self.n_block_rows
-        ranges = [(lo, hi) for lo, hi in row_blocks(n, context.workers)
-                  if hi > lo]
-        if context.backend == "processes":
+        if kernel is None:
+            if self._csr is None:
+                self._csr = self.to_scipy()
+            return np.asarray(self._csr @ x)
+        indptr64, indices64 = self._spmm_arrays()
+        xg = x.reshape(n, 3, s)
+        y = np.empty((n, 3, s))
+        workers = 1 if context is None else context.workers
+        ranges = [(lo, hi) for lo, hi in row_blocks(n, workers) if hi > lo]
+        if len(ranges) < 2:
+            kernel(0, n, indptr64, indices64, self.blocks, xg, y, s)
+        elif context.backend == "processes":
             self._processes_matmat(context, indptr64, indices64, xg, y,
                                    ranges)
-            return
-        rng_kernel = spmm_range_kernel()
-        blocks = self.blocks
-
-        def make_task(lo: int, hi: int):
-            def task() -> None:
-                rng_kernel(lo, hi, indptr64, indices64, blocks, xg, y, s)
-            return task
-
-        context.run_tasks([make_task(lo, hi) for lo, hi in ranges],
-                          stage="real_spmm")
+        else:
+            context.run_tasks(
+                [functools.partial(kernel, lo, hi, indptr64, indices64,
+                                   self.blocks, xg, y, s)
+                 for lo, hi in ranges], stage="real_spmm")
+        return y.reshape(3 * n, s)
 
     def _processes_matmat(self, context: "object", indptr64: np.ndarray,
                           indices64: np.ndarray, xg: np.ndarray,
@@ -294,10 +280,7 @@ class BlockCSR:
         prefix = self._shm_prefix
         x_tok = pool.share(prefix + "x", xg)
         y_tok = pool.output(prefix + "y", y.shape)
-        per_worker: list[dict | None] = [None] * pool.n_workers
-        for w, rng in enumerate(ranges):
-            per_worker[w] = {"ranges": [rng]}
-        pool.run("spmm", per_worker, x=x_tok, y=y_tok,
+        pool.run("spmm", [[rng] for rng in ranges], x=x_tok, y=y_tok,
                  **self._shm_static)
         y[...] = pool.view(prefix + "y")
         context.record_dispatch(len(ranges), 0.0, "real_spmm")

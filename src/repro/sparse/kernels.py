@@ -4,16 +4,16 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the four
+compiles, at import-on-demand time, a small C library with the three
 entry points the parallel execution layer needs:
 
-``bcsr_matmat`` / ``bcsr_matmat_range``
+``bcsr_matmat_range``
     Multi-RHS BCSR SpMM streaming each 3x3 block once against all
     ``s`` lanes.  Lane counts common in Algorithm 2 (1, 2, 4, 6, 8,
-    12, 16) get fully specialized inner loops; the ``_range`` variant
-    computes only block rows ``[lo, hi)`` so an execution context can
-    chunk the product over workers (row results are independent, so
-    any partition is bit-identical to the serial product).
+    12, 16) get fully specialized inner loops; it computes block rows
+    ``[lo, hi)`` so an execution context can chunk the product over
+    workers (row results are independent, so any partition is
+    bit-identical to the serial ``[0, n)`` product).
 ``spread_idx``
     Scatter-add of a particle subset onto a batch-first ``(lanes,
     K^3)`` mesh (Section IV.B.2).  The subset is one mesh block of one
@@ -57,7 +57,8 @@ from numpy.ctypeslib import ndpointer
 from ..config import get_config
 
 __all__ = [
-    "spmm_kernel", "spmm_range_kernel", "spread_kernel", "interp_kernel",
+    "spmm_kernel",
+    "spread_ranges", "interp_ranges",
     "kernel_available", "reset_kernel_cache", "SPECIALIZED_LANES",
 ]
 
@@ -132,13 +133,6 @@ void bcsr_matmat_range(const long long lo, const long long hi,
     }
 }
 
-void bcsr_matmat(const long long nb, const long long *indptr,
-                 const long long *indices, const double *blocks,
-                 const double *x, double *y, const long long s)
-{
-    bcsr_matmat_range(0, nb, indptr, indices, blocks, x, y, s);
-}
-
 /* Scatter-add a particle subset onto a batch-first (lanes, k3) mesh.
  * idx selects rows of the (n, pcube) weight/column tables; vals is the
  * (n, lanes) per-particle operand.  Accumulation order is (particle,
@@ -196,14 +190,12 @@ _kernels: object = _UNSET
 
 
 class _Kernels:
-    """The four loaded entry points of one compiled library."""
+    """The three loaded entry points of one compiled library."""
 
-    __slots__ = ("spmm", "spmm_range", "spread", "interp")
+    __slots__ = ("spmm", "spread", "interp")
 
-    def __init__(self, spmm: object, spmm_range: object, spread: object,
-                 interp: object):
+    def __init__(self, spmm: object, spread: object, interp: object):
         self.spmm = spmm
-        self.spmm_range = spmm_range
         self.spread = spread
         self.interp = interp
 
@@ -250,8 +242,7 @@ def _compile(compiler: str, flags: list[str], out: Path) -> bool:
 def _load(path: Path) -> _Kernels | None:
     try:
         lib = ctypes.CDLL(str(path))
-        spmm = lib.bcsr_matmat
-        spmm_range = lib.bcsr_matmat_range
+        spmm = lib.bcsr_matmat_range
         spread = lib.spread_idx
         interp = lib.interp_range
     except (OSError, AttributeError):
@@ -259,28 +250,26 @@ def _load(path: Path) -> _Kernels | None:
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     f64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     ll = ctypes.c_longlong
-    spmm.argtypes = [ll, i64, i64, f64, f64, f64, ll]
+    spmm.argtypes = [ll, ll, i64, i64, f64, f64, f64, ll]
     spmm.restype = None
-    spmm_range.argtypes = [ll, ll, i64, i64, f64, f64, f64, ll]
-    spmm_range.restype = None
     spread.argtypes = [ll, i64, f64, i64, ll, f64, ll, f64, ll]
     spread.restype = None
     interp.argtypes = [ll, ll, f64, i64, ll, f64, ll, ll, ll, f64]
     interp.restype = None
-    return _Kernels(spmm, spmm_range, spread, interp)
+    return _Kernels(spmm, spread, interp)
 
 
 def _selftest(kernels: _Kernels) -> bool:
     """Check every loaded entry point against tiny NumPy references."""
     rng = np.random.default_rng(7)
 
-    # SpMM (full + range must agree with the dense product)
+    # SpMM (full and split ranges must agree with the dense product)
     indptr = np.array([0, 2, 3], dtype=np.int64)
     indices = np.array([0, 1, 1], dtype=np.int64)
     blocks = np.ascontiguousarray(rng.standard_normal((3, 3, 3)))
     x = np.ascontiguousarray(rng.standard_normal((2, 3, 2)))
     y = np.empty_like(x)
-    kernels.spmm(2, indptr, indices, blocks, x, y, 2)
+    kernels.spmm(0, 2, indptr, indices, blocks, x, y, 2)
     dense = np.zeros((6, 6))
     dense[0:3, 0:3] = blocks[0]
     dense[0:3, 3:6] = blocks[1]
@@ -289,8 +278,8 @@ def _selftest(kernels: _Kernels) -> bool:
     if not np.allclose(y, ref, rtol=1e-12, atol=1e-12):
         return False
     y2 = np.zeros_like(x)
-    kernels.spmm_range(0, 1, indptr, indices, blocks, x, y2, 2)
-    kernels.spmm_range(1, 2, indptr, indices, blocks, x, y2, 2)
+    kernels.spmm(0, 1, indptr, indices, blocks, x, y2, 2)
+    kernels.spmm(1, 2, indptr, indices, blocks, x, y2, 2)
     if not np.array_equal(y, y2):
         return False
 
@@ -358,33 +347,50 @@ def reset_kernel_cache() -> None:
 def spmm_kernel() -> object | None:
     """The compiled SpMM entry point, or ``None`` when unavailable.
 
-    The returned callable has the C signature ``bcsr_matmat(nb, indptr,
-    indices, blocks, x, y, s)`` with ``x``/``y`` row-major ``(nb, 3, s)``
-    float64 arrays.  The result is memoized for the process lifetime.
+    The returned callable has the C signature ``bcsr_matmat_range(lo,
+    hi, indptr, indices, blocks, x, y, s)`` — block rows ``[lo, hi)``
+    only — with ``x``/``y`` row-major ``(nb, 3, s)`` float64 arrays.
+    The result is memoized for the process lifetime.
     """
-    kernels = _bundle()
-    return None if kernels is None else kernels.spmm
+    return getattr(_bundle(), "spmm", None)
 
 
-def spmm_range_kernel() -> object | None:
-    """Row-range SpMM ``bcsr_matmat_range(lo, hi, indptr, indices,
-    blocks, x, y, s)`` — computes block rows ``[lo, hi)`` only."""
-    kernels = _bundle()
-    return None if kernels is None else kernels.spmm_range
+def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,
+                  values: np.ndarray, out: np.ndarray,
+                  ranges: list[tuple[int, int]]) -> None:
+    """Scatter-add particles ``idx[lo:hi]`` of every range onto the
+    batch-first mesh ``out (lanes, K^3)``: the compiled kernel, or an
+    ``np.add.at`` pass with the same accumulation order."""
+    kern = getattr(_bundle(), "spread", None)
+    pcube, lanes, k3 = weights.shape[1], values.shape[1], out.shape[1]
+    for lo, hi in ranges:
+        if hi <= lo:
+            continue
+        if kern is not None:
+            kern(hi - lo, idx[lo:hi], weights, columns, pcube, values,
+                 lanes, out, k3)
+        else:
+            sub = idx[lo:hi]
+            contrib = weights[sub][:, :, None] * values[sub][:, None, :]
+            np.add.at(out.T, columns[sub].ravel(),
+                      contrib.reshape(-1, lanes))
 
 
-def spread_kernel() -> object | None:
-    """Colored scatter-add ``spread_idx(nidx, idx, data, cols, pcube,
-    vals, lanes, out, k3)`` with ``out`` batch-first ``(lanes, k3)``."""
-    kernels = _bundle()
-    return None if kernels is None else kernels.spread
-
-
-def interp_kernel() -> object | None:
-    """Row-range gather ``interp_range(lo, hi, data, cols, pcube, mesh,
-    k3, lanes, n, out)`` with ``out`` shaped ``(lanes, n)``."""
-    kernels = _bundle()
-    return None if kernels is None else kernels.interp
+def interp_ranges(weights: np.ndarray, columns: np.ndarray, mesh: np.ndarray,
+                  out: np.ndarray, ranges: list[tuple[int, int]]) -> None:
+    """Gather particle rows ``[lo, hi)`` of every range from the
+    batch-first ``mesh (lanes, K^3)`` into ``out (lanes, n)``: the
+    compiled kernel, or the einsum reference."""
+    kern = getattr(_bundle(), "interp", None)
+    pcube, (lanes, k3), n = weights.shape[1], mesh.shape, out.shape[1]
+    for lo, hi in ranges:
+        if hi <= lo:
+            continue
+        if kern is not None:
+            kern(lo, hi, weights, columns, pcube, mesh, k3, lanes, n, out)
+        else:
+            out[:, lo:hi] = np.einsum("ie,bie->bi", weights[lo:hi],
+                                      mesh[:, columns[lo:hi]])
 
 
 def kernel_available() -> bool:

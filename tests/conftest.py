@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Box, FluidParams, REDUCED
+from repro.sparse.kernels import reset_kernel_cache
 from repro.systems import random_suspension
 
 
@@ -37,3 +38,21 @@ def medium_suspension():
 def fluid():
     """The reduced-unit fluid parameters."""
     return REDUCED
+
+
+@pytest.fixture
+def set_kernel_mode(monkeypatch):
+    """``set_kernel_mode(no_ckernel)`` switches the rest of the test to the
+    compiled kernels or to the ``REPRO_NO_CKERNEL`` fallbacks."""
+    def switch(no_ckernel: bool) -> None:
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1" if no_ckernel else "0")
+        reset_kernel_cache()
+    yield switch
+    reset_kernel_cache()
+
+
+@pytest.fixture(params=[False, True], ids=["ckernel", "fallback"])
+def kernel_mode(request, set_kernel_mode):
+    """Run the test in both kernel modes."""
+    set_kernel_mode(request.param)
+    return request.param

@@ -87,6 +87,12 @@ class TestRecord:
         assert doc["rows"][1][1]["repeats"] == 2
         assert doc["meta"]["nested"] == [[1, 2], [3, 4]]
 
+    def test_record_creates_missing_outdir(self, monkeypatch, tmp_path):
+        missing = tmp_path / "not" / "there"
+        monkeypatch.setenv("REPRO_BENCH_OUTDIR", str(missing))
+        path = record_benchmark("mk", ["v"], [[1]])
+        assert path == missing / "BENCH_mk.json" and path.exists()
+
     def test_record_handles_numpy_scalars(self, tmp_path):
         path = record_benchmark("np", ["v"], [[np.float64(0.5)]],
                                 out_dir=tmp_path)

@@ -28,7 +28,7 @@ def test_matches_global_build(system, n_domains):
     r, box = system
     distributed = distributed_real_space_matrix(r, box, XI, R_MAX,
                                                 n_domains)
-    global_op = RealSpaceOperator(r, box, XI, R_MAX, engine="bcsr")
+    global_op = RealSpaceOperator(r, box, XI, R_MAX)
     f = np.random.default_rng(0).standard_normal(3 * r.shape[0])
     np.testing.assert_allclose(distributed.matvec(f),
                                global_op.apply(f), rtol=1e-12)

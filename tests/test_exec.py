@@ -3,7 +3,8 @@
 The headline invariant of the PR: for a fixed kernel configuration the
 colored pipeline produces **bit-identical** results across the
 ``serial``, ``threads`` and ``processes`` backends — and agrees with
-the legacy no-context pipeline to solver precision (<= 1e-13).
+the no-context pipeline (sparse ``P`` instead of the colored engine)
+to solver precision (<= 1e-13).
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from repro import Box
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionContext, default_context, reset_default_context
 from repro.pme.operator import PMEOperator, PMEParams
-from repro.sparse.kernels import kernel_available, reset_kernel_cache
+from repro.sparse.kernels import kernel_available
 
 BACKENDS = [("serial", 1), ("threads", 3), ("processes", 2)]
 
@@ -32,15 +33,6 @@ def system():
     params = PMEParams(xi=1.0, r_max=3.0, K=16, p=4)
     f = rng.standard_normal((3 * r.shape[0], 4))
     return box, r, params, f
-
-
-@pytest.fixture(params=[False, True], ids=["ckernel", "fallback"])
-def kernel_mode(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-    reset_kernel_cache()
-    yield request.param
-    reset_kernel_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +79,53 @@ def test_run_tasks_is_a_barrier():
     with ExecutionContext(backend="threads", workers=4) as ctx:
         ctx.run_tasks([lambda i=i: done.append(i) for i in range(16)])
     assert sorted(done) == list(range(16))
+
+
+def test_run_tasks_threads_on_processes_backend():
+    # thunks do not cross the process boundary: the processes backend
+    # runs them on its thread pool, like threads
+    import threading
+
+    with ExecutionContext(backend="processes", workers=2) as ctx:
+        names = ctx.run_tasks([lambda: threading.current_thread().name] * 4)
+        # the worker processes were forked before those threads existed
+        assert ctx._proc_pool is not None
+    assert all(name.startswith("repro-exec") for name in names)
+
+
+def test_second_processes_context_exits_clean(tmp_path):
+    # forked workers share the parent's resource tracker: the second
+    # context of one interpreter must not unregister segments twice
+    # (KeyError tracebacks at exit) nor leak them
+    import glob
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "two_contexts.py"
+    script.write_text(
+        "import numpy as np\n"
+        "from repro import Box\n"
+        "from repro.exec import ExecutionContext\n"
+        "from repro.pme.operator import PMEOperator, PMEParams\n"
+        "box = Box(10.0)\n"
+        "rng = np.random.default_rng(7)\n"
+        "r = rng.uniform(0, box.length, size=(100, 3))\n"
+        "params = PMEParams(xi=1.0, r_max=3.0, K=16, p=4)\n"
+        "f = rng.standard_normal((300, 2))\n"
+        "for _ in range(2):\n"
+        "    with ExecutionContext('processes', workers=2) as ctx:\n"
+        "        PMEOperator(r, box, params, context=ctx).apply_block(f)\n")
+    before = set(glob.glob("/dev/shm/psm_*"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
 def test_default_context_none_on_serial(monkeypatch):
@@ -157,6 +196,27 @@ def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
             digests.add(digest(u))
             assert np.abs(u - legacy).max() <= 1e-13
     assert len(digests) == 1, "backends disagree bitwise"
+
+
+def test_forward_fft_lanes_independent_of_workers():
+    # each lane is transformed by the same call whoever runs it: the
+    # spectrum bytes do not depend on the backend or the worker count
+    from repro.pme.operator import _rfftn_lanes
+
+    K, lanes = 12, 7
+    mesh = np.random.default_rng(4).standard_normal((lanes, K, K, K))
+    spec = np.empty((lanes, K, K, K // 2 + 1), dtype=np.complex128)
+    _rfftn_lanes(mesh, spec)
+    digests = {digest(spec)}
+    for backend in ("serial", "threads", "processes"):
+        for workers in (1, 2, 3):
+            with ExecutionContext(backend=backend, workers=workers) as ctx:
+                spec[...] = 0.0
+                _rfftn_lanes(mesh, spec, ctx)
+                digests.add(digest(spec))
+    assert len(digests) == 1
+    np.testing.assert_allclose(spec, np.fft.rfftn(mesh, axes=(1, 2, 3)),
+                               atol=1e-12)
 
 
 def test_parallel_apply_repeatable(system):

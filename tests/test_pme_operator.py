@@ -84,13 +84,48 @@ def test_linearity(system):
 
 
 def test_real_plus_reciprocal_composition(system):
+    # the two public halves are the halves apply_block sums: bitwise
     box, r, _ = system
-    op = PMEOperator(r, box, PARAMS)
+    op = PMEOperator(r, box, PARAMS, fluid=FluidParams(viscosity=3.0))
     rng = np.random.default_rng(6)
-    f = rng.standard_normal(3 * r.shape[0])
-    total = op.apply(f)
-    parts = (op.apply_real(f) + op.apply_reciprocal(f)) * op.fluid.mobility0
-    np.testing.assert_allclose(total, parts, rtol=1e-12)
+    for f in (rng.standard_normal(3 * r.shape[0]),
+              rng.standard_normal((3 * r.shape[0], 3))):
+        parts = ((op.apply_real(f) + op.apply_reciprocal(f))
+                 * op.fluid.mobility0)
+        assert parts.shape == f.shape
+        assert parts.tobytes() == op.apply_block(f).tobytes()
+
+
+def test_apply_is_apply_block(system):
+    # one pipeline: a flat vector is a one-column block and comes back
+    # flat; columns are counted once
+    box, r, _ = system
+    assert PMEOperator.apply is PMEOperator.apply_block
+    op = PMEOperator(r, box, PARAMS)
+    f = np.random.default_rng(9).standard_normal((3 * r.shape[0], 3))
+    flat = op.apply_block(f[:, 0])
+    assert flat.shape == (3 * r.shape[0],)
+    assert flat.tobytes() == op.apply(f[:, :1])[:, 0].tobytes()
+    assert op.n_applications == 2
+    op.apply(f)
+    assert op.n_applications == 5
+
+
+def test_wide_block_is_chunked(system):
+    # wider than MAX_BLOCK_COLUMNS: same numbers as column by column,
+    # and no workspace wider than the constant is ever allocated
+    from repro.pme.operator import MAX_BLOCK_COLUMNS
+
+    box, r, _ = system
+    op = PMEOperator(r, box, PMEParams(xi=1.0, r_max=4.0, K=16, p=4))
+    width = 2 * MAX_BLOCK_COLUMNS + 5
+    f = np.random.default_rng(10).standard_normal((3 * r.shape[0], width))
+    wide = op.apply_block(f)
+    columns = np.column_stack([op.apply(f[:, c]) for c in range(width)])
+    assert np.abs(wide - columns).max() <= 1e-13
+    assert op.n_applications == 2 * width
+    lanes = [ws["mesh"].shape[0] for ws in op.cache._workspaces.values()]
+    assert max(lanes) == 3 * MAX_BLOCK_COLUMNS
 
 
 def test_linear_operator_adapter(system):

@@ -43,13 +43,29 @@ def test_matches_dense_reference(setup):
 
 
 def test_engines_agree(setup):
+    # one product: apply is apply_block, a flat vector a one-column block
     box, r = setup
+    op = RealSpaceOperator(r, box, xi=0.8, r_max=4.0)
+    assert RealSpaceOperator.apply is RealSpaceOperator.apply_block
     f = np.random.default_rng(1).standard_normal((3 * r.shape[0], 4))
-    u_scipy = RealSpaceOperator(r, box, xi=0.8, r_max=4.0,
-                                engine="scipy").apply(f)
-    u_bcsr = RealSpaceOperator(r, box, xi=0.8, r_max=4.0,
-                               engine="bcsr").apply(f)
-    np.testing.assert_allclose(u_bcsr, u_scipy, rtol=1e-12)
+    assert op.apply(f).tobytes() == op.apply_block(f).tobytes()
+    assert op.apply(f[:, 0]).shape == (3 * r.shape[0],)
+    assert op.apply_block(f[:, 0]).tobytes() == op.apply(f[:, :1]).tobytes()
+
+
+def test_product_matches_references(setup, kernel_mode):
+    # with the C kernel and with the SciPy CSR fallback, the product
+    # equals the NumPy block SpMV and the exported CSR product
+    box, r = setup
+    op = RealSpaceOperator(r, box, xi=0.8, r_max=4.0)
+    rng = np.random.default_rng(1)
+    for f in (rng.standard_normal(3 * r.shape[0]),
+              rng.standard_normal((3 * r.shape[0], 4))):
+        u = op.apply(f)
+        assert u.tobytes() == op.apply_block(f).tobytes()
+        np.testing.assert_allclose(u, op.bcsr.matvec(f), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u, op.bcsr.to_scipy() @ f,
+                                   rtol=0, atol=1e-13)
 
 
 def test_neighbor_backends_agree(setup):
@@ -88,8 +104,8 @@ def test_cutoff_validation():
         RealSpaceOperator(r, box, xi=1.0, r_max=6.0)   # > L/2
     with pytest.raises(ConfigurationError):
         RealSpaceOperator(r, box, xi=1.0, r_max=0.0)
-    with pytest.raises(ConfigurationError):
-        RealSpaceOperator(r, box, xi=1.0, r_max=4.0, engine="cuda")
+    with pytest.raises(TypeError):      # the engine option is gone
+        RealSpaceOperator(r, box, xi=1.0, r_max=4.0, engine="scipy")
 
 
 def test_pair_count_and_memory(setup):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,31 @@ def test_single_flight_failure_is_not_cached():
 
         assert await flight.run("k", working) == 42
         assert len(attempts) == 1
+
+    asyncio.run(scenario())
+
+
+def test_single_flight_cancelled_caller_hands_over():
+    # the computing caller is cancelled (its client disconnected): the
+    # joiner must still get an answer, from its own computation
+    async def scenario():
+        flight = SingleFlight()
+        started = asyncio.Event()
+
+        async def never():
+            started.set()
+            await asyncio.Event().wait()
+
+        async def working():
+            return 42
+
+        first = asyncio.ensure_future(flight.run("k", never))
+        await started.wait()
+        joiner = asyncio.ensure_future(flight.run("k", working))
+        await asyncio.sleep(0)
+        first.cancel()
+        assert await asyncio.wait_for(joiner, timeout=5.0) == 42
+        assert first.cancelled() and flight.active() == 0
 
     asyncio.run(scenario())
 
@@ -565,6 +591,86 @@ def test_service_cancels_abandoned_simulate(tmp_path):
     assert cancelled                  # disconnect triggered the drain
     assert not active                 # and the job was retired
     assert state in ("drained", "done")
+
+
+def _slow_task_spec(monkeypatch, seconds: float) -> None:
+    """Hold every job in its ``pending`` phase for ``seconds``."""
+    from repro.serve import jobs as jobs_mod
+    real = jobs_mod.task_spec_for
+
+    def slow(spec, seed, steps):
+        time.sleep(seconds)
+        return real(spec, seed, steps)
+
+    monkeypatch.setattr(jobs_mod, "task_spec_for", slow)
+
+
+def test_service_drops_simulate_abandoned_inside_launch(tmp_path,
+                                                        monkeypatch):
+    # the connection goes away from inside launch(), i.e. before the
+    # job is registered on it and while the job is still pending: the
+    # disconnect cleanup must still find and cancel it
+    spec = SystemSpec(n=16, phi=0.2, lambda_rpy=4)
+    _slow_task_spec(monkeypatch, 0.3)
+
+    async def scenario(service):
+        real_launch = service.jobs.launch
+        launched = []
+
+        def launch(key, spec, seed, steps):
+            writer.close()
+            launched.append(real_launch(key, spec, seed, steps))
+            return launched[0]
+
+        service.jobs.launch = launch
+        reader, writer = await asyncio.open_unix_connection(
+            service.settings.socket_path, limit=2 ** 25)
+        writer.write(encode_message({
+            "op": "simulate", "id": "gone", "system": spec.to_json(),
+            "seed": 9, "steps": 400}))
+        await writer.drain()
+        for _ in range(600):
+            if launched and not service.jobs.active:
+                break
+            await asyncio.sleep(0.05)
+        return launched, dict(service.jobs.active)
+
+    (job,), active = _run_service(_settings(tmp_path), scenario)
+    assert job.cancelled and not active
+    assert job.state == "drained"     # cancelled while pending: no steps
+
+
+def test_service_joiner_survives_launcher_disconnect(tmp_path, monkeypatch):
+    # B joins A's job while it is still pending (inside its launch);
+    # A disconnects.  The job must keep running for B.
+    spec = SystemSpec(n=16, phi=0.2, lambda_rpy=4)
+    _slow_task_spec(monkeypatch, 0.5)
+
+    async def scenario(service):
+        path = service.settings.socket_path
+        request = {"op": "simulate", "system": spec.to_json(),
+                   "seed": 3, "steps": 8}
+        reader, writer = await asyncio.open_unix_connection(
+            path, limit=2 ** 25)
+        writer.write(encode_message({**request, "id": "a"}))
+        await writer.drain()
+        while not service.jobs.active:
+            await asyncio.sleep(0.01)
+        job, = service.jobs.active.values()
+        second = asyncio.ensure_future(
+            _request(path, {**request, "id": "b"}))
+        while job.subscribers < 2:
+            await asyncio.sleep(0.01)
+        assert job.state == "pending"
+        writer.close()                          # A goes away
+        response, = await asyncio.wait_for(second, timeout=60.0)
+        return response, job.cancelled, service.jobs.started
+
+    response, cancelled, started = _run_service(_settings(tmp_path),
+                                                scenario)
+    assert response["status"] == "ok", response
+    assert response["result"]["state"] == "done"
+    assert started == 1 and not cancelled
 
 
 def test_service_stats_and_latency_quantiles(tmp_path):

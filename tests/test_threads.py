@@ -1,89 +1,59 @@
-"""Tests for the thread-pool colored spreading executor."""
+"""Tests for the colored spread schedule on a ``threads`` context."""
 
 import numpy as np
 import pytest
 
 from repro import Box
-from repro.parallel.threads import ThreadedSpreader
-from repro.pme.spread import InterpolationMatrix
+from repro.exec import ExecutionContext
+
+from .test_coloring import _engine, _spread
 
 
 @pytest.fixture
 def system():
     box = Box(16.0)
     rng = np.random.default_rng(33)
-    r = rng.uniform(0, box.length, size=(200, 3))
-    return box, r
+    return box, rng.uniform(0, box.length, size=(200, 3))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_threaded_matches_matrix(system, n_workers):
     box, r = system
-    K, p = 32, 4
-    spreader = ThreadedSpreader(r, box, K, p, n_workers=n_workers)
-    interp = InterpolationMatrix(r, box, K, p)
-    f = np.random.default_rng(0).standard_normal(r.shape[0])
-    np.testing.assert_allclose(spreader.spread(f), interp.spread(f),
-                               atol=1e-13)
+    f = np.random.default_rng(0).standard_normal((200, 1))
+    with ExecutionContext("threads", workers=n_workers) as ctx:
+        engine, interp = _engine(r, box, 32, 4, ctx)
+        np.testing.assert_allclose(_spread(engine, f), interp.spread(f),
+                                   atol=1e-13)
 
 
 def test_threaded_multivector(system):
     box, r = system
-    spreader = ThreadedSpreader(r, box, 32, 4, n_workers=3)
-    interp = InterpolationMatrix(r, box, 32, 4)
-    f = np.random.default_rng(1).standard_normal((r.shape[0], 4))
-    np.testing.assert_allclose(spreader.spread(f), interp.spread(f),
-                               atol=1e-13)
+    f = np.random.default_rng(1).standard_normal((200, 4))
+    with ExecutionContext("threads", workers=3) as ctx:
+        engine, interp = _engine(r, box, 32, 4, ctx)
+        np.testing.assert_allclose(_spread(engine, f), interp.spread(f),
+                                   atol=1e-13)
 
 
 def test_threaded_deterministic(system):
     # thread scheduling must not change the result (disjoint writes)
     box, r = system
-    spreader = ThreadedSpreader(r, box, 32, 4, n_workers=4)
-    f = np.random.default_rng(2).standard_normal(r.shape[0])
-    results = [spreader.spread(f) for _ in range(5)]
-    for res in results[1:]:
-        np.testing.assert_array_equal(res, results[0])
+    f = np.random.default_rng(2).standard_normal((200, 1))
+    with ExecutionContext("threads", workers=4) as ctx:
+        engine, _ = _engine(r, box, 32, 4, ctx)
+        first = _spread(engine, f).copy()
+        for _ in range(4):
+            np.testing.assert_array_equal(_spread(engine, f), first)
 
 
 def test_block_groups_partition_colors(system):
+    # the per-block ranges of a color cover exactly that color's particles
     box, r = system
-    spreader = ThreadedSpreader(r, box, 32, 4)
-    for group, blocks in zip(spreader._groups, spreader._block_groups):
-        if group.size:
-            joined = np.sort(np.concatenate(blocks))
-            np.testing.assert_array_equal(joined, np.sort(group))
-
-
-def test_spreader_owns_persistent_pool(system):
-    # the pool is created once on the context, not per spread() call
-    box, r = system
-    with ThreadedSpreader(r, box, 32, 4, n_workers=2) as spreader:
-        assert spreader._owns_context
-        f = np.random.default_rng(3).standard_normal(r.shape[0])
-        spreader.spread(f)
-        pool = spreader.context.thread_pool()
-        spreader.spread(f)
-        assert spreader.context.thread_pool() is pool
-    assert spreader.context.closed
-
-
-def test_spreader_close_is_idempotent(system):
-    box, r = system
-    spreader = ThreadedSpreader(r, box, 32, 4, n_workers=2)
-    spreader.close()
-    spreader.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        spreader.spread(np.zeros(r.shape[0]))
-
-
-def test_spreader_borrowed_context_left_open(system):
-    from repro.exec import ExecutionContext
-
-    box, r = system
-    with ExecutionContext(backend="threads", workers=2) as ctx:
-        spreader = ThreadedSpreader(r, box, 32, 4, context=ctx)
-        f = np.random.default_rng(4).standard_normal(r.shape[0])
-        spreader.spread(f)
-        spreader.close()
-        assert not ctx.closed  # borrowed: owner closes it
+    with ExecutionContext("serial") as ctx:
+        engine, _ = _engine(r, box, 32, 4, ctx)
+    groups = engine.coloring.groups(r, box)
+    for group, idx, ranges in zip(groups, engine._color_idx,
+                                  engine._color_ranges):
+        np.testing.assert_array_equal(np.sort(idx), np.sort(group))
+        covered = [i for lo, hi in ranges for i in range(lo, hi)]
+        assert covered == list(range(idx.size))
