@@ -250,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_exec_arguments(sub_parser: argparse.ArgumentParser) -> None:
+    from .config import BACKENDS
+
     sub_parser.add_argument(
-        "--backend", choices=["serial", "threads", "processes"],
-        default=None,
+        "--backend", choices=list(BACKENDS), default=None,
         help="execution backend for the PME pipeline (default: "
              "REPRO_BACKEND or serial)")
     sub_parser.add_argument(
         "--exec-workers", type=int, default=None, metavar="N",
-        help="worker count for parallel backends (0 = one per CPU; "
+        help="worker count for the threads backend (0 = one per CPU; "
              "default: REPRO_EXEC_WORKERS)")
 
 

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Supported execution backends (see :mod:`repro.exec`).
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 
 #: Field name -> environment variable consulted for it.
 ENV_VARS: Mapping[str, str] = {
@@ -78,9 +78,9 @@ class RuntimeConfig:
     bench_scale: str = "ci"
     #: Directory receiving ``BENCH_*.json`` records.
     bench_outdir: str = "."
-    #: Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``.
+    #: Execution backend: ``"serial"`` or ``"threads"``.
     backend: str = "serial"
-    #: Worker count for parallel backends (0 = auto: one per CPU).
+    #: Worker count for the threads backend (0 = auto: one per CPU).
     exec_workers: int = 0
 
     def __post_init__(self) -> None:

@@ -1,13 +1,12 @@
 """repro.exec — execution contexts and worker-resource ownership.
 
 The package's answer to "who runs the parallel parts": an
-:class:`ExecutionContext` selects a backend (``serial`` | ``threads``
-| ``processes``), owns the corresponding pool, and is threaded through
-the PME hot path so spreading, interpolation, the stacked FFTs and the
-real-space SpMM actually execute on multiple cores (paper Sections
+:class:`ExecutionContext` selects a backend (``serial`` | ``threads``),
+owns the thread pool, and is threaded through the PME hot path so
+spreading, interpolation, the stacked FFTs and the real-space SpMM
+actually execute on multiple cores (paper Sections
 IV.B.2, IV.C, IV.E).  See :mod:`repro.exec.context` for the backend
-semantics and the bit-identity invariant, and
-:mod:`repro.exec.procpool` for the shared-memory process pool.
+semantics and the bit-identity invariant.
 """
 
 from .context import ExecutionContext, default_context, reset_default_context

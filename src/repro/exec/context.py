@@ -1,11 +1,10 @@
 """Execution contexts: who owns the workers, and which backend runs them.
 
 :class:`ExecutionContext` is the one object in the package that owns
-worker resources — a ``ThreadPoolExecutor`` for thunks (both parallel
-backends), a :class:`~repro.exec.procpool.ProcPool` (worker processes +
-shared memory) for ``processes`` — and the only place such pools are
-constructed (lint rule RPR011 enforces this).  Everything in the hot
-path that can run in parallel takes a context:
+worker resources — one ``ThreadPoolExecutor``, used by the ``threads``
+backend — and the only place such a pool is constructed (lint rule
+RPR011 enforces this).  Everything in the hot path that can run in
+parallel takes a context:
 
 * the per-color spread/interpolate stages of the PME pipeline
   (Section IV.B.2: within a color, block writes are disjoint, so the
@@ -17,13 +16,13 @@ path that can run in parallel takes a context:
 * the per-device shares of the hybrid scheduler (Section IV.E).
 
 The headline invariant: for a fixed kernel configuration, the
-``serial``, ``threads`` and ``processes`` backends produce
-**bit-identical** results — every partition the context hands out
+``serial`` and ``threads`` backends produce **bit-identical** results
+at any worker count — every partition the context hands out
 (color blocks, row ranges) writes disjoint outputs and preserves the
 per-element accumulation order, so parallelism never perturbs the
 floating-point sums.
 
-Pools are created lazily on first dispatch and owned until
+The pool is created lazily on first dispatch and owned until
 :meth:`ExecutionContext.close` (idempotent; the context is also a
 context manager).  Dispatches are observable: each one increments the
 ``exec_tasks_total`` counter and records the pool queue lag (submit →
@@ -50,7 +49,7 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"threads"`` or ``"processes"``; default from
+        ``"serial"`` or ``"threads"``; default from
         :func:`repro.config.get_config`.
     workers:
         Worker count; default is the config's resolved count (one per
@@ -74,7 +73,6 @@ class ExecutionContext:
         self._backend = backend
         self._workers = 1 if backend == "serial" else workers
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._proc_pool: Any = None
         self._closed = False
         self._lock = threading.Lock()
 
@@ -94,20 +92,6 @@ class ExecutionContext:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def fft_workers(self) -> int:
-        """``workers=`` value for the stacked inverse :mod:`scipy.fft`
-        transforms.
-
-        FFT threads live in this process regardless of backend (the
-        ``processes`` backend does not ship spectra across processes —
-        there is no FFT on blocks of vectors to partition, the Section
-        IV.E observation), so any parallel backend uses the context's
-        worker count here, as :meth:`run_tasks` does for the forward
-        lanes.
-        """
-        return self._workers
-
     def span_args(self) -> dict[str, Any]:
         """Span/phase annotations identifying this context."""
         return {"backend": self._backend, "workers": self._workers}
@@ -117,34 +101,18 @@ class ExecutionContext:
         return (f"ExecutionContext(backend={self._backend!r}, "
                 f"workers={self._workers}, {state})")
 
-    # -- pools ----------------------------------------------------------
+    # -- pool -----------------------------------------------------------
 
     def thread_pool(self) -> ThreadPoolExecutor:
         """The lazily created thread pool behind :meth:`run_tasks`."""
         self._check_open()
         if self._thread_pool is None:
-            if self._backend == "processes":
-                self.proc_pool()    # fork workers before threads exist
             with self._lock:
                 if self._thread_pool is None:
                     self._thread_pool = ThreadPoolExecutor(
                         max_workers=self._workers,
                         thread_name_prefix="repro-exec")
         return self._thread_pool
-
-    def proc_pool(self) -> Any:
-        """The lazily created process pool (processes backend)."""
-        self._check_open()
-        if self._backend != "processes":
-            raise ConfigurationError(
-                f"proc_pool() requires the processes backend, "
-                f"this context uses {self._backend!r}")
-        if self._proc_pool is None:
-            with self._lock:
-                if self._proc_pool is None:
-                    from .procpool import ProcPool
-                    self._proc_pool = ProcPool(self._workers)
-        return self._proc_pool
 
     def _check_open(self) -> None:
         if self._closed:
@@ -157,19 +125,16 @@ class ExecutionContext:
                   stage: str = "exec") -> list[Any]:
         """Run independent thunks; barrier; returns results in order.
 
-        Any context with more than one worker dispatches to its thread
+        A context with more than one worker dispatches to its thread
         pool (the compiled kernels and NumPy's FFT release the GIL, so
-        this is genuine parallelism); one worker runs inline.  That
-        includes the ``processes`` backend: generic Python callables do
-        not cross the process boundary — its structured PME stages use
-        :meth:`proc_pool` directly — so thunks (the FFT lanes) get
-        threads there as well.
+        this is genuine parallelism); one worker runs inline.
         """
         self._check_open()
         if not tasks:
             return []
-        submit_t = now()
+        queue_lag = 0.0
         if self._workers > 1 and len(tasks) > 1:
+            submit_t = now()
             first_start = [None]
 
             def timed(task: Callable[[], Any]) -> Any:
@@ -180,17 +145,10 @@ class ExecutionContext:
             pool = self.thread_pool()
             futures = [pool.submit(timed, task) for task in tasks]
             results = [future.result() for future in futures]
-            lag = ((first_start[0] or submit_t) - submit_t)
-            self.record_dispatch(len(tasks), max(0.0, lag), stage)
-            return results
-        results = [task() for task in tasks]
-        self.record_dispatch(len(tasks), 0.0, stage)
-        return results
-
-    def record_dispatch(self, n_tasks: int, queue_lag: float,
-                        stage: str = "exec") -> None:
-        """Publish dispatch metrics (also used by the processes path)."""
-        obs.inc("exec_tasks_total", n_tasks)
+            queue_lag = max(0.0, (first_start[0] or submit_t) - submit_t)
+        else:
+            results = [task() for task in tasks]
+        obs.inc("exec_tasks_total", len(tasks))
         registry = obs.get_metrics()
         if registry is not None:
             registry.gauge("exec_queue_lag_seconds",
@@ -198,20 +156,18 @@ class ExecutionContext:
                                 "(submit to first task start)",
                            backend=self._backend,
                            stage=stage).set(queue_lag)
+        return results
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release owned pools; idempotent."""
+        """Release the owned pool; idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
-        if self._proc_pool is not None:
-            self._proc_pool.close()
-            self._proc_pool = None
 
     def __enter__(self) -> "ExecutionContext":
         self._check_open()
@@ -227,15 +183,6 @@ class ExecutionContext:
 
 _default: ExecutionContext | None = None
 _default_key: tuple[str, int] | None = None
-_atexit_registered = False
-
-
-def _register_atexit() -> None:
-    global _atexit_registered
-    import atexit
-
-    atexit.register(reset_default_context)
-    _atexit_registered = True
 
 
 def default_context() -> ExecutionContext | None:
@@ -258,11 +205,6 @@ def default_context() -> ExecutionContext | None:
         _default.close()        # stale config: release the old pool
     _default = ExecutionContext(config.backend, config.resolved_workers())
     _default_key = key
-    if not _atexit_registered:
-        # the shared context outlives any one operator, so interpreter
-        # shutdown is the only reliable point to join worker processes
-        # and unlink their shared-memory segments
-        _register_atexit()
     return _default
 
 

@@ -542,11 +542,11 @@ class AdHocWorkerPoolRule(Rule):
         id="RPR011", name="ad-hoc-worker-pool",
         summary="direct ThreadPoolExecutor / ProcessPoolExecutor / "
                 "multiprocessing Pool construction outside repro.exec",
-        rationale="The ExecutionContext owns worker resources: it sizes "
-                  "pools against the configured worker budget (so "
+        rationale="The ExecutionContext owns the one thread pool: it sizes "
+                  "it against the configured worker budget (so "
                   "ensemble workers don't oversubscribe the machine), "
-                  "reuses them across applications instead of paying "
-                  "thread start-up per call, and closes them "
+                  "reuses it across applications instead of paying "
+                  "thread start-up per call, and closes it "
                   "deterministically.  A pool constructed elsewhere "
                   "escapes all three guarantees.")
 
@@ -581,8 +581,8 @@ class AdHocWorkerPoolRule(Rule):
                     f"worker pool {pool}(...) constructed outside "
                     "repro.exec",
                     hint="request workers from an "
-                         "repro.exec.ExecutionContext (run_tasks / "
-                         "thread_pool / proc_pool) so sizing, reuse and "
+                         "repro.exec.ExecutionContext (run_tasks, or "
+                         "its one thread_pool) so sizing, reuse and "
                          "shutdown stay centralized")
 
 

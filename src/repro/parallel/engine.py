@@ -20,8 +20,8 @@ color into its mesh blocks, and executes
 Accumulation order is fixed by construction — colors sequential,
 within a color each mesh point is written by exactly one block, within
 a block particles in a deterministic order — so the results are
-**bit-identical** across the ``serial``, ``threads`` and ``processes``
-backends for a fixed kernel configuration (the tested headline
+**bit-identical** across the ``serial`` and ``threads`` backends at any
+worker count for a fixed kernel configuration (the tested headline
 invariant of the execution layer).
 
 Mesh layout is batch-first ``(lanes, K^3)``, matching the batched FFT
@@ -31,7 +31,6 @@ pipeline of :meth:`repro.pme.operator.PMEOperator.apply_block`.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Any
 
 import numpy as np
@@ -43,9 +42,6 @@ from .coloring import IndependentSetColoring
 from .partition import balance_by_cost, row_blocks
 
 __all__ = ["ColoredPMEEngine"]
-
-#: Engine instance counter (namespaces the shared-memory keys).
-_SEQ = itertools.count()
 
 
 class ColoredPMEEngine:
@@ -91,10 +87,6 @@ class ColoredPMEEngine:
             self._color_ranges.append(
                 [(int(lo), int(hi)) for lo, hi in zip(starts, stops)
                  if hi > lo])                # an empty color has no blocks
-        # processes-backend shared-memory state (registered lazily)
-        self._shm_prefix: str | None = None
-        self._shm_static: dict[str, Any] = {}
-        self._shm_idx: list[Any] = []
 
     def block_footprints(self, color: int) -> list[np.ndarray]:
         """Within one color, the mesh points written per block.
@@ -117,8 +109,6 @@ class ColoredPMEEngine:
         the context's workers with plain disjoint stores.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if self.context.backend == "processes":
-            return self._spread_processes(values, out)
         out[...] = 0.0
         for idx, ranges in zip(self._color_idx, self._color_ranges):
             if not ranges:
@@ -149,63 +139,10 @@ class ColoredPMEEngine:
                           out: np.ndarray) -> np.ndarray:
         """Gather ``mesh (lanes, K^3)`` to particles ``out (lanes, n)``."""
         mesh = np.ascontiguousarray(mesh, dtype=np.float64)
-        if self.context.backend == "processes":
-            return self._interp_processes(mesh, out)
         self.context.run_tasks(
             [functools.partial(kernels.interp_ranges, self.weights,
                                self.columns, mesh, out, [(lo, hi)])
              for lo, hi in row_blocks(self.n, self.context.workers)
              if hi > lo],
             stage="interpolate")
-        return out
-
-    # ------------------------------------------------------------------
-    # processes backend (shared-memory jobs)
-    # ------------------------------------------------------------------
-
-    def _proc_setup(self, pool: Any) -> None:
-        """Register the static tables once per engine."""
-        if self._shm_prefix is not None:
-            return
-        prefix = f"eng{next(_SEQ)}-"
-        self._shm_prefix = prefix
-        self._shm_static = {
-            "data": pool.share(prefix + "w", self.weights),
-            "cols": pool.share(prefix + "c", self.columns)}
-        self._shm_idx = [pool.share(f"{prefix}i{c}", idx)
-                         for c, idx in enumerate(self._color_idx)]
-
-    def _spread_processes(self, values: np.ndarray,
-                          out: np.ndarray) -> np.ndarray:
-        pool = self.context.proc_pool()
-        self._proc_setup(pool)
-        prefix = self._shm_prefix
-        vals_tok = pool.share(prefix + "vals", values)
-        mesh_tok = pool.output(prefix + "mesh", out.shape)
-        pool.view(prefix + "mesh")[...] = 0.0
-        n_jobs = 0
-        for color, ranges in enumerate(self._color_ranges):
-            if not ranges:
-                continue
-            shares = self._share_ranges(ranges, pool.n_workers)
-            n_jobs += len(shares)
-            pool.run("spread", shares, idx=self._shm_idx[color],
-                     vals=vals_tok, out=mesh_tok, **self._shm_static)
-        out[...] = pool.view(prefix + "mesh")
-        self.context.record_dispatch(n_jobs, 0.0, "spread")
-        return out
-
-    def _interp_processes(self, mesh: np.ndarray,
-                          out: np.ndarray) -> np.ndarray:
-        pool = self.context.proc_pool()
-        self._proc_setup(pool)
-        prefix = self._shm_prefix
-        mesh_tok = pool.share(prefix + "mesh_in", mesh)
-        out_tok = pool.output(prefix + "part", out.shape)
-        shares = [[(lo, hi)] for lo, hi in row_blocks(self.n, pool.n_workers)
-                  if hi > lo]
-        pool.run("interp", shares, mesh=mesh_tok, out=out_tok,
-                 **self._shm_static)
-        out[...] = pool.view(prefix + "part")
-        self.context.record_dispatch(len(shares), 0.0, "interpolate")
         return out

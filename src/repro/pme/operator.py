@@ -153,12 +153,12 @@ class PMEOperator:
         Optional :class:`~repro.exec.ExecutionContext`.  The pipeline
         is the same with and without one; a context supplies the
         workers: spreading/interpolation execute per the Section IV.B.2
-        independent-set schedule on them (any backend, including an
+        independent-set schedule on them (either backend, including an
         explicit ``serial`` one), the forward FFT lanes and the stacked
         inverse transforms are split across them, and the real-space
         SpMM is chunked across them — with results bit-identical
-        across the ``serial``/``threads``/``processes`` backends for a
-        fixed kernel configuration.  ``None`` (default) uses the
+        across the ``serial``/``threads`` backends, at any worker
+        count, for a fixed kernel configuration.  ``None`` (default) uses the
         process default from :func:`repro.exec.default_context` (which
         is ``None`` — single-threaded, spreading through the stored
         sparse ``P`` — unless the runtime config selects a parallel
@@ -295,7 +295,7 @@ class PMEOperator:
         f, flat = as_force_block(forces, self.n)
         n, K = self.n, self.params.K
         ctx, xargs = self.context, self._exec_args
-        fft_workers = 1 if ctx is None else ctx.fft_workers
+        workers = 1 if ctx is None else ctx.workers
         # stored-P stages: the colored engine on a context, sparse P without
         stored = self.engine if self.engine is not None else self.interp
         out = np.empty((3 * n, f.shape[1]))
@@ -328,9 +328,9 @@ class PMEOperator:
                 # decomposed inverse: batched c2c over the two full
                 # axes, then one batched c2r transform on the half axis
                 tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
-                                 workers=fft_workers)
+                                 workers=workers)
                 u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
-                               workers=fft_workers)
+                               workers=workers)
 
             with self.timers.phase("interpolate", vectors=s, **xargs):
                 ub = u.reshape(lanes, K ** 3)

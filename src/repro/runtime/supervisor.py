@@ -293,18 +293,14 @@ class Supervisor:
 
         The configured worker budget is divided evenly between the
         ensemble workers so co-resident tasks don't oversubscribe the
-        machine.  A configured ``processes`` backend is downgraded to
-        ``threads`` inside the workers: they are daemonic processes and
-        may not fork a nested pool (and the colored pipeline is
-        bit-identical across backends anyway).
+        machine.
         """
         from ..config import get_config
         cfg = get_config()
         if cfg.backend == "serial":
             return None
-        backend = "threads" if cfg.backend == "processes" else cfg.backend
         share = max(1, cfg.resolved_workers() // self.n_workers)
-        return {"backend": backend, "workers": share}
+        return {"backend": cfg.backend, "workers": share}
 
     def _obs_config(self) -> dict[str, Any] | None:
         """Worker observability config (``None`` when obs is off)."""

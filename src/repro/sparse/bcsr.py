@@ -25,7 +25,6 @@ loops.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,9 +34,6 @@ from ..lint.contracts import force_block_arg
 from .kernels import spmm_kernel
 
 __all__ = ["BlockCSR"]
-
-#: Instance counter namespacing shared-memory keys (processes backend).
-_BCSR_SEQ = itertools.count()
 
 
 class BlockCSR:
@@ -87,9 +83,6 @@ class BlockCSR:
         self._indptr64: np.ndarray | None = None
         self._indices64: np.ndarray | None = None
         self._csr: sp.csr_matrix | None = None
-        # processes-backend shared-memory registration (lazy)
-        self._shm_prefix: str | None = None
-        self._shm_static: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -253,37 +246,12 @@ class BlockCSR:
         ranges = [(lo, hi) for lo, hi in row_blocks(n, workers) if hi > lo]
         if len(ranges) < 2:
             kernel(0, n, indptr64, indices64, self.blocks, xg, y, s)
-        elif context.backend == "processes":
-            self._processes_matmat(context, indptr64, indices64, xg, y,
-                                   ranges)
         else:
             context.run_tasks(
                 [functools.partial(kernel, lo, hi, indptr64, indices64,
                                    self.blocks, xg, y, s)
                  for lo, hi in ranges], stage="real_spmm")
         return y.reshape(3 * n, s)
-
-    def _processes_matmat(self, context: "object", indptr64: np.ndarray,
-                          indices64: np.ndarray, xg: np.ndarray,
-                          y: np.ndarray,
-                          ranges: list[tuple[int, int]]) -> None:
-        """SpMM over shared-memory worker processes."""
-        pool = context.proc_pool()
-        if self._shm_prefix is None:
-            self._shm_prefix = f"bcsr{next(_BCSR_SEQ)}-"
-            prefix = self._shm_prefix
-            self._shm_static = {
-                "indptr": pool.share(prefix + "p", indptr64),
-                "indices": pool.share(prefix + "i", indices64),
-                "blocks": pool.share(prefix + "b", self.blocks),
-            }
-        prefix = self._shm_prefix
-        x_tok = pool.share(prefix + "x", xg)
-        y_tok = pool.output(prefix + "y", y.shape)
-        pool.run("spmm", [[rng] for rng in ranges], x=x_tok, y=y_tok,
-                 **self._shm_static)
-        y[...] = pool.view(prefix + "y")
-        context.record_dispatch(len(ranges), 0.0, "real_spmm")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

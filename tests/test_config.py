@@ -57,17 +57,17 @@ def test_env_beats_defaults(monkeypatch):
 
 
 def test_cli_beats_defaults():
-    set_cli_overrides(backend="processes", exec_workers=2)
+    set_cli_overrides(backend="threads", exec_workers=2)
     cfg = get_config()
-    assert cfg.backend == "processes"
+    assert cfg.backend == "threads"
     assert cfg.exec_workers == 2
 
 
 def test_env_beats_cli(monkeypatch):
-    set_cli_overrides(backend="processes", exec_workers=8)
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    set_cli_overrides(backend="threads", exec_workers=8)
+    monkeypatch.setenv("REPRO_BACKEND", "serial")
     cfg = get_config()
-    assert cfg.backend == "threads"      # env wins
+    assert cfg.backend == "serial"       # env wins
     assert cfg.exec_workers == 8         # CLI survives where env is unset
 
 

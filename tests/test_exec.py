@@ -2,8 +2,8 @@
 
 The headline invariant of the PR: for a fixed kernel configuration the
 colored pipeline produces **bit-identical** results across the
-``serial``, ``threads`` and ``processes`` backends — and agrees with
-the no-context pipeline (sparse ``P`` instead of the colored engine)
+``serial`` and ``threads`` backends at any worker count — and agrees
+with the no-context pipeline (sparse ``P`` instead of the colored engine)
 to solver precision (<= 1e-13).
 """
 
@@ -16,9 +16,8 @@ from repro import Box
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionContext, default_context, reset_default_context
 from repro.pme.operator import PMEOperator, PMEParams
-from repro.sparse.kernels import kernel_available
 
-BACKENDS = [("serial", 1), ("threads", 3), ("processes", 2)]
+BACKENDS = [("serial", 1), ("threads", 1), ("threads", 2), ("threads", 3)]
 
 
 def digest(a: np.ndarray) -> str:
@@ -49,7 +48,7 @@ def test_context_defaults_from_config(monkeypatch):
 
 def test_serial_context_single_worker():
     ctx = ExecutionContext(backend="serial", workers=8)
-    assert ctx.workers == 1 and ctx.fft_workers == 1
+    assert ctx.workers == 1
     ctx.close()
 
 
@@ -68,10 +67,41 @@ def test_close_is_idempotent_and_guards_use():
         ctx.run_tasks([lambda: None])
 
 
+@pytest.mark.parametrize("entry", ["env", "context", "cli"])
+def test_processes_backend_rejected(entry, monkeypatch, capsys):
+    # the validation that rejects ``gpu`` rejects the removed backend,
+    # and names the two that remain
+    if entry == "cli":
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as usage:      # argparse
+            main(["simulate", "-n", "10", "--steps", "1",
+                  "--backend", "processes"])
+        assert usage.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ConfigurationError) as caught:
+            if entry == "env":
+                from repro.config import get_config
+
+                monkeypatch.setenv("REPRO_BACKEND", "processes")
+                get_config()
+            else:
+                ExecutionContext("processes")
+        message = str(caught.value)
+    assert "processes" in message
+    assert "serial" in message and "threads" in message
+
+
 def test_proc_pool_requires_processes_backend():
+    # id pinned by the tier-1 floor; there is no process pool left to
+    # require: the thread pool is the only one a context can own
+    from repro.config import BACKENDS as configured
+
+    assert configured == ("serial", "threads")
     with ExecutionContext(backend="threads", workers=2) as ctx:
-        with pytest.raises(ConfigurationError, match="processes"):
-            ctx.proc_pool()
+        assert not hasattr(ctx, "proc_pool")
+        assert ctx.thread_pool() is ctx.thread_pool()
 
 
 def test_run_tasks_is_a_barrier():
@@ -82,21 +112,22 @@ def test_run_tasks_is_a_barrier():
 
 
 def test_run_tasks_threads_on_processes_backend():
-    # thunks do not cross the process boundary: the processes backend
-    # runs them on its thread pool, like threads
+    # id pinned by the tier-1 floor; thunks run on the context's own
+    # ``repro-exec`` threads under ``threads``, inline under ``serial``
     import threading
 
-    with ExecutionContext(backend="processes", workers=2) as ctx:
-        names = ctx.run_tasks([lambda: threading.current_thread().name] * 4)
-        # the worker processes were forked before those threads existed
-        assert ctx._proc_pool is not None
+    thunks = [lambda: threading.current_thread().name] * 4
+    with ExecutionContext(backend="threads", workers=2) as ctx:
+        names = ctx.run_tasks(thunks)
     assert all(name.startswith("repro-exec") for name in names)
+    with ExecutionContext(backend="serial") as ctx:
+        assert set(ctx.run_tasks(thunks)) == {threading.current_thread().name}
 
 
 def test_second_processes_context_exits_clean(tmp_path):
-    # forked workers share the parent's resource tracker: the second
-    # context of one interpreter must not unregister segments twice
-    # (KeyError tracebacks at exit) nor leak them
+    # id pinned by the tier-1 floor; two successive threads contexts in
+    # one interpreter, plus a default context nobody closes, exit with
+    # nothing on stderr and no shared-memory segment left behind
     import glob
     import os
     import subprocess
@@ -116,13 +147,16 @@ def test_second_processes_context_exits_clean(tmp_path):
         "params = PMEParams(xi=1.0, r_max=3.0, K=16, p=4)\n"
         "f = rng.standard_normal((300, 2))\n"
         "for _ in range(2):\n"
-        "    with ExecutionContext('processes', workers=2) as ctx:\n"
-        "        PMEOperator(r, box, params, context=ctx).apply_block(f)\n")
+        "    with ExecutionContext('threads', workers=2) as ctx:\n"
+        "        PMEOperator(r, box, params, context=ctx).apply_block(f)\n"
+        "PMEOperator(r, box, params).apply_block(f)\n")
     before = set(glob.glob("/dev/shm/psm_*"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     done = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": src,
+                               "REPRO_BACKEND": "threads",
+                               "REPRO_EXEC_WORKERS": "2"})
     assert done.returncode == 0
     assert done.stderr == ""
     assert set(glob.glob("/dev/shm/psm_*")) <= before
@@ -198,9 +232,10 @@ def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
     assert len(digests) == 1, "backends disagree bitwise"
 
 
-def test_forward_fft_lanes_independent_of_workers():
+def test_forward_fft_lanes_independent_of_workers(set_kernel_mode):
     # each lane is transformed by the same call whoever runs it: the
-    # spectrum bytes do not depend on the backend or the worker count
+    # spectrum bytes do not depend on the backend, the worker count or
+    # the kernel mode
     from repro.pme.operator import _rfftn_lanes
 
     K, lanes = 12, 7
@@ -208,8 +243,9 @@ def test_forward_fft_lanes_independent_of_workers():
     spec = np.empty((lanes, K, K, K // 2 + 1), dtype=np.complex128)
     _rfftn_lanes(mesh, spec)
     digests = {digest(spec)}
-    for backend in ("serial", "threads", "processes"):
-        for workers in (1, 2, 3):
+    for no_ckernel in (False, True):
+        set_kernel_mode(no_ckernel)
+        for backend, workers in BACKENDS:
             with ExecutionContext(backend=backend, workers=workers) as ctx:
                 spec[...] = 0.0
                 _rfftn_lanes(mesh, spec, ctx)
@@ -230,18 +266,18 @@ def test_parallel_apply_repeatable(system):
             np.testing.assert_array_equal(op.apply_block(f), first)
 
 
-def test_real_spmm_context_matches_serial(system):
-    if not kernel_available():
-        pytest.skip("parallel SpMM chunking needs the C kernel")
+def test_real_spmm_context_matches_serial(system, set_kernel_mode):
+    # row chunks of the C kernel are independent; the SciPy fallback
+    # ignores the context: either way the no-context bytes come back
     box, r, params, f = system
-    op = PMEOperator(r, box, params)
-    serial = op.real.apply_block(f)
-    with ExecutionContext(backend="threads", workers=3) as ctx:
-        np.testing.assert_array_equal(op.real.apply_block(f, context=ctx),
-                                      serial)
-    with ExecutionContext(backend="processes", workers=2) as ctx:
-        np.testing.assert_array_equal(op.real.apply_block(f, context=ctx),
-                                      serial)
+    for no_ckernel in (False, True):
+        set_kernel_mode(no_ckernel)
+        op = PMEOperator(r, box, params)
+        serial = op.real.apply_block(f)
+        for backend, workers in BACKENDS:
+            with ExecutionContext(backend=backend, workers=workers) as ctx:
+                np.testing.assert_array_equal(
+                    op.real.apply_block(f, context=ctx), serial)
 
 
 def test_exec_metrics_and_spans_recorded(system):

@@ -585,8 +585,12 @@ def test_rpr011_exempts_exec_package_and_tests():
     for path in ("src/repro/exec/context.py", "tests/test_exec.py"):
         assert all(f.rule != "RPR011"
                    for f in lint_source(snippet, path)), path
-    assert any(f.rule == "RPR011"
-               for f in lint_source(snippet, "src/repro/pme/spread.py"))
+    flagged = [f for f in lint_source(snippet, "src/repro/pme/spread.py")
+               if f.rule == "RPR011"]
+    assert flagged
+    # the hint points at the one pool a context owns
+    assert "thread_pool" in flagged[0].hint
+    assert "proc_pool" not in flagged[0].hint
 
 
 # ----------------------------------------------------------------------

@@ -332,14 +332,33 @@ def test_campaign_drain_and_resume_bit_identity(tmp_path):
     os.makedirs(d)
     supervisor = Supervisor(_specs(2, n_steps=400), d, n_workers=2,
                             hang_timeout=60.0)
-    threading.Timer(1.0, supervisor.request_drain).start()
-    report = supervisor.run()
+    # drain on observed progress, not on a timer that races the campaign:
+    # as soon as some task has one durable lambda_RPY block behind it
+    finished = threading.Event()
+
+    def drain_after_first_block():
+        while not finished.wait(0.005):
+            if any(record.completed_step >= record.spec.lambda_rpy
+                   for record in supervisor.records):
+                supervisor.request_drain()
+                return
+
+    trigger = threading.Thread(target=drain_after_first_block)
+    trigger.start()
+    try:
+        report = supervisor.run()
+    finally:
+        finished.set()
+        trigger.join()
     assert report.drained
     manifest = CampaignManifest.load(os.path.join(d, "campaign.json"))
     assert manifest.drained and manifest.resumable
     # drain stops at lambda_RPY block boundaries
     for record in manifest.tasks:
         assert record.completed_step % record.spec.lambda_rpy == 0
+    # ... and short of the end, so the resume below does real work
+    assert any(record.completed_step < record.spec.n_steps
+               for record in manifest.tasks)
 
     resumed = Supervisor(manifest.tasks, d, n_workers=2,
                          hang_timeout=60.0).run()
