@@ -695,6 +695,7 @@ def _apply_exec_overrides(args) -> None:
     config_mod.set_cli_overrides(
         backend=getattr(args, "backend", None),
         exec_workers=getattr(args, "exec_workers", None))
+    config_mod.get_config()     # resolve now: a bad value is a usage error
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -704,8 +705,15 @@ def main(argv: list[str] | None = None) -> int:
         # Forward everything after `lint` untouched: argparse REMAINDER
         # refuses a leading optional such as `repro lint --help`.
         return _cmd_lint_argv(argv[1:])
-    args = build_parser().parse_args(argv)
-    _apply_exec_overrides(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    from .errors import ConfigurationError
+    try:
+        _apply_exec_overrides(args)
+    except ConfigurationError as exc:
+        # an invalid REPRO_* value ends like an invalid flag: usage,
+        # "repro: error: ..." on stderr, exit code 2
+        parser.error(str(exc))
     handlers = {
         "simulate": _cmd_simulate,
         "ensemble": _cmd_ensemble,

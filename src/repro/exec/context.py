@@ -6,9 +6,9 @@ backend — and the only place such a pool is constructed (lint rule
 RPR011 enforces this).  Everything in the hot path that can run in
 parallel takes a context:
 
-* the per-color spread/interpolate stages of the PME pipeline
-  (Section IV.B.2: within a color, block writes are disjoint, so the
-  workers scatter with plain stores),
+* spreading and interpolation of the PME pipeline, as gathers over
+  mesh-row and particle-row ranges (every output element has one
+  writer, so there is nothing to colour or lock),
 * the FFTs: forward r2c lanes as :meth:`ExecutionContext.run_tasks`
   thunks, stacked inverse transforms through ``workers=`` of
   :mod:`scipy.fft`,
@@ -17,10 +17,12 @@ parallel takes a context:
 
 The headline invariant: for a fixed kernel configuration, the
 ``serial`` and ``threads`` backends produce **bit-identical** results
-at any worker count — every partition the context hands out
-(color blocks, row ranges) writes disjoint outputs and preserves the
-per-element accumulation order, so parallelism never perturbs the
-floating-point sums.
+at any worker count — every partition the context hands out (row and
+lane ranges) writes disjoint outputs and preserves the per-element
+accumulation order, so parallelism never perturbs the floating-point
+sums.  ``serial`` is not the absence of a context: it is a one-worker
+context running every task inline, and it is what
+:func:`default_context` returns unless the config selects ``threads``.
 
 The pool is created lazily on first dispatch and owned until
 :meth:`ExecutionContext.close` (idempotent; the context is also a
@@ -182,36 +184,33 @@ class ExecutionContext:
 # ----------------------------------------------------------------------
 
 _default: ExecutionContext | None = None
-_default_key: tuple[str, int] | None = None
 
 
-def default_context() -> ExecutionContext | None:
-    """The config-selected shared context, or ``None`` for serial.
+def default_context() -> ExecutionContext:
+    """The config-selected context shared by operators built without
+    an explicit ``context=``.
 
-    When the resolved :class:`~repro.config.RuntimeConfig` selects a
-    parallel backend (``REPRO_BACKEND`` / ``--backend``), operators
-    built without an explicit ``context=`` share this one; with the
-    default ``serial`` backend they run the pipeline on the calling
-    thread and spread through the stored sparse ``P``.
+    With the default ``serial`` backend that is a one-worker context
+    running every stage on the calling thread; when the resolved
+    :class:`~repro.config.RuntimeConfig` selects ``threads``
+    (``REPRO_BACKEND`` / ``--backend``) it is one pooled context,
+    rebuilt when the backend or worker count changes.
     """
     config = get_config()
-    if config.backend == "serial":
-        return None
     key = (config.backend, config.resolved_workers())
-    global _default, _default_key
-    if _default is not None and _default_key == key and not _default.closed:
-        return _default
-    if _default is not None:
-        _default.close()        # stale config: release the old pool
-    _default = ExecutionContext(config.backend, config.resolved_workers())
-    _default_key = key
+    global _default
+    if (_default is None or _default.closed
+            or (_default.backend, _default.workers) != key):
+        reset_default_context()     # stale config: release the old pool
+        _default = ExecutionContext(*key)
     return _default
 
 
 def reset_default_context() -> None:
-    """Close and forget the shared default context (test/CLI helper)."""
-    global _default, _default_key
-    if _default is not None:
+    """Forget the shared default context and release its pool (test/CLI
+    helper).  A ``serial`` default owns no pool and is left open: an
+    operator built before a reset or a config flip keeps a usable one."""
+    global _default
+    if _default is not None and _default.backend != "serial":
         _default.close()
     _default = None
-    _default_key = None

@@ -6,7 +6,8 @@ machines, reproduced as explicit, testable work-partitioning logic:
 * :mod:`~repro.parallel.coloring` -- the 8-color independent-set
   schedule that makes the spreading scatter-add write-conflict free
   (Section IV.B.2, Fig. 2), executed on an execution context's
-  workers by :mod:`~repro.parallel.engine`,
+  workers by :mod:`~repro.parallel.engine` (the reference schedule:
+  the mobility pipeline itself spreads by ``P^T`` row gather),
 * :mod:`~repro.parallel.partition` -- row-block and cost-balanced
   partitioning used for P construction and static work splits,
 * :mod:`~repro.parallel.hybrid` -- the hybrid CPU + Xeon Phi scheduler:

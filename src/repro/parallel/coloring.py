@@ -20,6 +20,10 @@ on real data; the test suite verifies it reproduces the sparse-matrix
 spreading and that the per-block write footprints within a set are
 disjoint — the property that makes the schedule race-free on actual
 parallel hardware.
+
+This is the paper's schedule, kept as the reference: the pipeline's
+:meth:`repro.pme.spread.InterpolationMatrix.spread_batch` gathers over
+``P^T`` rows (one writer per mesh point) and needs no colouring.
 """
 
 from __future__ import annotations

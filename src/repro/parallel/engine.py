@@ -1,7 +1,10 @@
 """Context-driven execution of the colored spread/interpolate stages.
 
-This is where the paper's Section IV.B.2 schedule finally meets real
-workers: :class:`ColoredPMEEngine` takes the per-particle interpolation
+The paper's Section IV.B.2 schedule on real workers, kept as the
+reference for the ablation benchmark and the race-freedom tests (the
+pipeline's spreader, :class:`~repro.pme.spread.InterpolationMatrix`,
+gathers over ``P^T`` rows and needs no colouring):
+:class:`ColoredPMEEngine` takes the per-particle interpolation
 tables (the ``(n, p^3)`` weight/column arrays behind ``P``), groups the
 particles into the 8 independent sets of
 :class:`~repro.parallel.coloring.IndependentSetColoring`, splits every
@@ -21,8 +24,9 @@ Accumulation order is fixed by construction — colors sequential,
 within a color each mesh point is written by exactly one block, within
 a block particles in a deterministic order — so the results are
 **bit-identical** across the ``serial`` and ``threads`` backends at any
-worker count for a fixed kernel configuration (the tested headline
-invariant of the execution layer).
+worker count for a fixed kernel configuration.  The order differs from
+the row gather's (colour by colour, not ascending particle), so the two
+agree to rounding, not bytewise.
 
 Mesh layout is batch-first ``(lanes, K^3)``, matching the batched FFT
 pipeline of :meth:`repro.pme.operator.PMEOperator.apply_block`.
@@ -52,8 +56,8 @@ class ColoredPMEEngine:
     positions, box, K, p:
         The particle configuration and mesh the tables belong to.
     weights, columns:
-        The ``(n, p^3)`` spreading weights and flat mesh columns (from
-        :func:`repro.pme.spread._weights_and_columns`, shared with the
+        The ``(n, p^3)`` spreading weights and flat mesh columns
+        (``InterpolationMatrix.weights`` / ``.columns``, shared with the
         stored ``P`` so nothing is recomputed).
     context:
         The :class:`~repro.exec.ExecutionContext` owning the workers.

@@ -48,14 +48,14 @@ __all__ = ["PMEParams", "PMEOperator"]
 MAX_BLOCK_COLUMNS = 32
 
 
-def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context=None) -> None:
+def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context) -> None:
     """Forward r2c FFT of every lane ``src[b]`` straight into ``dst[b]``.
 
     The one forward-transform path of the pipeline: lanes are split in
     contiguous ranges over ``context.run_tasks`` (NumPy's pocketfft
     releases the GIL), and each lane is transformed by the same call
     whatever the worker count, so the spectrum is bitwise independent
-    of the context.  No context, or one worker, is the plain loop.
+    of the context.  One worker is the plain loop.
     """
     def transform(lo: int, hi: int) -> None:
         for b in range(lo, hi):
@@ -64,13 +64,9 @@ def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context=None) -> None:
             except TypeError:  # pragma: no cover - numpy < 2 has no out=
                 dst[b] = np.fft.rfftn(src[b])
 
-    lanes = src.shape[0]
-    if context is None:
-        transform(0, lanes)
-        return
     from ..parallel.partition import row_blocks  # deferred: import cycle
     context.run_tasks([functools.partial(transform, lo, hi)
-                       for lo, hi in row_blocks(lanes, context.workers)
+                       for lo, hi in row_blocks(src.shape[0], context.workers)
                        if hi > lo], stage="fft")
 
 
@@ -150,19 +146,16 @@ class PMEOperator:
         ``lambda_RPY`` steps; an operator built without one owns a
         private cache.
     context:
-        Optional :class:`~repro.exec.ExecutionContext`.  The pipeline
-        is the same with and without one; a context supplies the
-        workers: spreading/interpolation execute per the Section IV.B.2
-        independent-set schedule on them (either backend, including an
-        explicit ``serial`` one), the forward FFT lanes and the stacked
-        inverse transforms are split across them, and the real-space
-        SpMM is chunked across them — with results bit-identical
-        across the ``serial``/``threads`` backends, at any worker
-        count, for a fixed kernel configuration.  ``None`` (default) uses the
-        process default from :func:`repro.exec.default_context` (which
-        is ``None`` — single-threaded, spreading through the stored
-        sparse ``P`` — unless the runtime config selects a parallel
-        backend).
+        The :class:`~repro.exec.ExecutionContext` supplying the
+        workers; ``None`` (default) takes the process default from
+        :func:`repro.exec.default_context` — a one-worker ``serial``
+        context unless the runtime config selects ``threads``.  Mesh
+        rows of the spreading gather, particle rows of the
+        interpolation, FFT lanes and block rows of the real-space SpMM
+        are split across them; every split writes disjoint outputs in
+        a fixed summation order, so the result is the same bytes on
+        ``serial`` and ``threads`` at any worker count, for a fixed
+        kernel configuration.
 
     Notes
     -----
@@ -184,8 +177,7 @@ class PMEOperator:
         self.fluid = fluid
         self.cache = cache if cache is not None else MobilityCache()
         self.context = context if context is not None else default_context()
-        self._exec_args = ({} if self.context is None
-                           else self.context.span_args())
+        self._exec_args = self.context.span_args()
         self.mesh = self.cache.mesh(box, params.K)
         self.store_p = bool(store_p)
         self.timers = PhaseTimer(prefix="pme")
@@ -197,14 +189,6 @@ class PMEOperator:
                                                params.K, params.p,
                                                kind=params.interpolation)
                            if store_p else None)
-        self.engine = None
-        if self.context is not None and self.interp is not None:
-            from ..parallel.engine import ColoredPMEEngine  # deferred cycle
-            with self.timers.phase("construct_engine", **self._exec_args):
-                self.engine = ColoredPMEEngine(
-                    self.positions, box, params.K, params.p,
-                    weights=self.interp.weights,
-                    columns=self.interp.columns, context=self.context)
         self.influence = self.cache.influence(
             self.mesh, params.xi, params.p, fluid.radius,
             interpolation=params.interpolation, kernel=params.kernel)
@@ -236,7 +220,7 @@ class PMEOperator:
         flat.  The whole reciprocal pipeline is amortized across the
         block (paper Sections IV.A-IV.C):
 
-        * one sparse spread product for all ``3s`` mesh components,
+        * one spreading gather over ``P^T`` for all ``3s`` mesh lanes,
         * ``3s`` contiguous forward r2c FFTs into one stacked
           half-spectrum, and a *stacked* inverse transform (one batched
           c2c pass over the two full axes + one batched c2r pass over
@@ -251,13 +235,6 @@ class PMEOperator:
         so repeated block applications (block Lanczos iterations,
         consecutive mobility updates) allocate nothing; blocks wider
         than ``MAX_BLOCK_COLUMNS`` run as several passes.
-
-        With an :class:`~repro.exec.ExecutionContext` attached, the
-        spread/interpolate stages run through the colored
-        :class:`~repro.parallel.engine.ColoredPMEEngine`, the FFT lanes
-        and the real-space SpMM are split across its workers; without
-        one (the default) the same stages run on the calling thread
-        and spreading uses the stored sparse ``P``.
         """
         f, flat = as_force_block(forces, self.n)
         s = f.shape[1]
@@ -295,9 +272,7 @@ class PMEOperator:
         f, flat = as_force_block(forces, self.n)
         n, K = self.n, self.params.K
         ctx, xargs = self.context, self._exec_args
-        workers = 1 if ctx is None else ctx.workers
-        # stored-P stages: the colored engine on a context, sparse P without
-        stored = self.engine if self.engine is not None else self.interp
+        interp = self.interp        # None: the Fig. 4 on-the-fly reference
         out = np.empty((3 * n, f.shape[1]))
         for lo in range(0, f.shape[1], MAX_BLOCK_COLUMNS):
             fc = f[:, lo:lo + MAX_BLOCK_COLUMNS]
@@ -308,8 +283,8 @@ class PMEOperator:
 
             fm = fc.reshape(n, lanes)
             with self.timers.phase("spread", vectors=s, **xargs):
-                if stored is not None:
-                    stored.spread_batch(fm, out=g)
+                if interp is not None:
+                    interp.spread_batch(fm, out=g, context=ctx)
                 else:
                     gm = spread_on_the_fly(self.positions, self.box, K,
                                            self.params.p, fm,
@@ -328,15 +303,16 @@ class PMEOperator:
                 # decomposed inverse: batched c2c over the two full
                 # axes, then one batched c2r transform on the half axis
                 tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
-                                 workers=workers)
+                                 workers=ctx.workers)
                 u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
-                               workers=workers)
+                               workers=ctx.workers)
 
             with self.timers.phase("interpolate", vectors=s, **xargs):
                 ub = u.reshape(lanes, K ** 3)
                 oc = out.reshape(n, 3, -1)[:, :, lo:lo + s]
-                if stored is not None:
-                    um = stored.interpolate_batch(ub, out=ws["particle"])
+                if interp is not None:
+                    um = interp.interpolate_batch(ub, out=ws["particle"],
+                                                  context=ctx)
                     oc[...] = um.reshape(3, s, n).transpose(2, 0, 1)
                 else:
                     um = interpolate_on_the_fly(self.positions, self.box, K,

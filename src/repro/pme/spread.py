@@ -13,9 +13,17 @@ provided for that comparison.
 row pointers are redundant (every row has exactly ``p^3`` nonzeros) but
 CSR keeps the compiled SpMV available; the redundancy is one ``intp``
 per particle.
+
+:class:`InterpolationMatrix` is the one stored-``P`` spreader of the
+mobility pipeline, whatever the execution backend: it also keeps
+``P^T`` in CSR *by mesh row*, which turns spreading from a scatter over
+particles (racy: hence the paper's Section IV.B.2 colouring) into a
+gather with one writer and a fixed summation order per mesh point.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +32,7 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import positions_arg
+from ..sparse import kernels
 from ..utils.validation import as_positions
 from .bspline import bspline_weights
 
@@ -108,16 +117,20 @@ class InterpolationMatrix:
             self.kind = kind
             #: Per-particle spreading weights and flat mesh columns,
             #: shape ``(n, p^3)`` — the tables behind the CSR arrays
-            #: (shared memory, not copies).  The colored execution
-            #: engine (:class:`repro.parallel.engine.ColoredPMEEngine`)
-            #: reuses them so parallel spreading recomputes nothing.
+            #: (shared memory, not copies) and the operands of the
+            #: interpolation gather.
             self.weights = data
-            self.columns = cols
+            self.columns = np.ascontiguousarray(cols, dtype=np.int64)
             indptr = np.arange(0, n * p ** 3 + 1, p ** 3, dtype=np.intp)
             #: The sparse ``n x K^3`` matrix (CSR).
             self.matrix = sp.csr_matrix(
                 (data.ravel(), cols.ravel(), indptr), shape=(n, K ** 3))
-            self._transpose = self.matrix.T.tocsr()
+            # P^T in CSR by mesh row as the gather's int64 (indptr,
+            # indices, data); the conversion leaves each row's particle
+            # ids ascending, which fixes every mesh point's sum order
+            pt = self.matrix.T.tocsr()
+            self._pt = (pt.indptr.astype(np.int64),
+                        pt.indices.astype(np.int64), pt.data)
         obs.set_gauge("pme_p_nnz", self.matrix.nnz)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
@@ -133,7 +146,7 @@ class InterpolationMatrix:
         -------
         Mesh array of shape ``(K^3,)`` or ``(K^3, s)``.
         """
-        return self._transpose @ values
+        return self.matrix.T @ values
 
     def interpolate(self, mesh_values: np.ndarray) -> np.ndarray:
         """Interpolate mesh values at the particle locations: ``P mesh``."""
@@ -141,7 +154,7 @@ class InterpolationMatrix:
 
     def spread_batch(self, values: np.ndarray,
                      out: np.ndarray | None = None,
-                     chunk: int = 16384) -> np.ndarray:
+                     context=None) -> np.ndarray:
         """Spread a lane block to *batch-first* mesh layout.
 
         Parameters
@@ -151,7 +164,11 @@ class InterpolationMatrix:
             per-particle values.
         out:
             Optional preallocated ``(B, K^3)`` output (the batched
-            pipeline reuses one across applications).
+            pipeline reuses one across applications; every element is
+            overwritten).
+        context:
+            Optional :class:`~repro.exec.ExecutionContext` whose workers
+            share the mesh rows; ``None`` runs on the calling thread.
 
         Returns
         -------
@@ -160,22 +177,22 @@ class InterpolationMatrix:
 
         Notes
         -----
-        The sparse product naturally produces ``(K^3, B)`` (lane-last);
-        the batched FFTs want lane-*first*.  Transposing the ~``8 B
-        K^3``-byte intermediate in one strided pass thrashes the TLB,
-        so the bridge runs in row chunks that fit in cache.
+        A gather over rows of ``P^T``
+        (:func:`repro.sparse.kernels.spread_rows`): each mesh point is
+        written by exactly one task and summed in ascending particle
+        order, so the bytes do not depend on the row partition.
         """
-        gm = self._transpose @ values
-        k3, b = gm.shape
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if out is None:
-            out = np.empty((b, k3))
-        for lo in range(0, k3, chunk):
-            hi = min(lo + chunk, k3)
-            out[:, lo:hi] = gm[lo:hi].T
+            out = np.empty((values.shape[1], self.K ** 3))
+        _run_row_ranges(
+            functools.partial(kernels.spread_rows, *self._pt, values, out),
+            self.K ** 3, context, "spread")
         return out
 
     def interpolate_batch(self, mesh_values: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None,
+                          context=None) -> np.ndarray:
         """Interpolate a batch-first mesh block back to the particles.
 
         Parameters
@@ -184,35 +201,49 @@ class InterpolationMatrix:
             Shape ``(B, K^3)`` — one C-contiguous mesh field per lane.
         out:
             Optional preallocated ``(B, n)`` output.
+        context:
+            Optional :class:`~repro.exec.ExecutionContext` whose workers
+            share the particle rows; ``None`` runs on the calling thread.
 
         Returns
         -------
-        ``(B, n)`` array with ``out[b] = P mesh_values[b]``.
-
-        Notes
-        -----
-        SciPy's CSR multi-vector product walks the operand columns one
-        at a time, so handing it ``mesh_values.T`` would first pay a
-        full transposed copy for nothing; one compiled SpMV per lane on
-        the already-contiguous rows is faster.
+        ``(B, n)`` array with ``out[b] = P mesh_values[b]``, gathered
+        by :func:`repro.sparse.kernels.interp_ranges` (rows independent:
+        any row partition is bit-identical).
         """
-        b = mesh_values.shape[0]
+        mesh_values = np.ascontiguousarray(mesh_values, dtype=np.float64)
         if out is None:
-            out = np.empty((b, self.n))
-        for lane in range(b):
-            out[lane] = self.matrix @ mesh_values[lane]
+            out = np.empty((mesh_values.shape[0], self.n))
+        _run_row_ranges(
+            functools.partial(kernels.interp_ranges, self.weights,
+                              self.columns, mesh_values, out),
+            self.n, context, "interpolate")
         return out
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by ``P`` (values + column indices + row pointers).
+        """Bytes held by ``P`` and ``P^T`` (values, indices and row
+        pointers of each).
 
         The paper's model charges ``12 p^3 n`` bytes for ``P`` (8-byte
-        values + 4-byte column indices); SciPy uses 8-byte indices so
-        the actual figure is reported here.
+        values + 4-byte column indices); the resident ``P^T`` (same
+        nonzeros, 8-byte indices, a ``K^3 + 1`` row pointer) is the
+        spreading operand here, so what is actually held is reported.
         """
         m = self.matrix
-        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                + sum(a.nbytes for a in self._pt))
+
+
+def _run_row_ranges(task, n_rows: int, context, stage: str) -> None:
+    """``task([(lo, hi)])`` over ``row_blocks(n_rows, workers)`` through
+    ``context.run_tasks``; without a context, one range right here."""
+    if context is None:
+        task([(0, n_rows)])
+        return
+    from ..parallel.partition import row_blocks  # deferred: import cycle
+    context.run_tasks([functools.partial(task, [block]) for block
+                       in row_blocks(n_rows, context.workers)], stage=stage)
 
 
 def spread_on_the_fly(positions, box: Box, K: int, p: int,

@@ -144,8 +144,8 @@ class _WorkerHandle:
 
     def assign(self, record: TaskRecord, fault, *, checkpoint_dir: str,
                slow_per_step: float, heartbeat_interval: float,
-               obs_config: dict[str, Any] | None = None,
-               exec_config: dict[str, Any] | None = None) -> None:
+               exec_config: dict[str, Any],
+               obs_config: dict[str, Any] | None = None) -> None:
         spec = record.spec
         if obs_config is not None:
             # stamp the trace context on the wire copy only — the
@@ -160,11 +160,10 @@ class _WorkerHandle:
             "checkpoint_dir": checkpoint_dir,
             "slow_per_step": slow_per_step,
             "heartbeat_interval": heartbeat_interval,
+            "exec": exec_config,
         }
         if obs_config is not None:
             message["obs"] = obs_config
-        if exec_config is not None:
-            message["exec"] = exec_config
         if fault is not None:
             message["fault"] = {"kind": fault.kind, "at_step": fault.at_step}
         self.conn.send(message)
@@ -288,17 +287,15 @@ class Supervisor:
         self._next_worker_id += 1
         return handle
 
-    def _exec_config(self) -> dict[str, Any] | None:
-        """Per-worker execution sizing (``None`` on the serial backend).
+    def _exec_config(self) -> dict[str, Any]:
+        """Per-worker execution context description.
 
         The configured worker budget is divided evenly between the
         ensemble workers so co-resident tasks don't oversubscribe the
-        machine.
+        machine (a ``serial`` context is one worker whatever the share).
         """
         from ..config import get_config
         cfg = get_config()
-        if cfg.backend == "serial":
-            return None
         share = max(1, cfg.resolved_workers() // self.n_workers)
         return {"backend": cfg.backend, "workers": share}
 

@@ -209,7 +209,7 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
     set_tracer(None)
     set_metrics(None)
     session: SpoolingSession | None = None
-    context = None  # process-lifetime execution context (first "exec")
+    context = None  # process-lifetime execution context (first task)
     conn.send({"msg": "ready", "worker_id": worker_id})
     while True:
         try:
@@ -224,13 +224,11 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
             if context is not None:
                 context.close()
             return
-        exec_config = message.get("exec")
-        if exec_config is not None and context is None:
+        if context is None:
             # the supervisor already divided the machine between the
             # ensemble workers; this share is ours for the process life
             from ..exec import ExecutionContext
-            context = ExecutionContext(backend=exec_config["backend"],
-                                       workers=exec_config["workers"])
+            context = ExecutionContext(**message["exec"])
         spec = TaskSpec.from_json(message["spec"])
         obs_config = message.get("obs")
         if obs_config is not None and session is None:

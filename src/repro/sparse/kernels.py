@@ -4,8 +4,8 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the three
-entry points the parallel execution layer needs:
+compiles, at import-on-demand time, a small C library with the four
+entry points the mobility pipeline and its reference schedule need:
 
 ``bcsr_matmat_range``
     Multi-RHS BCSR SpMM streaming each 3x3 block once against all
@@ -14,9 +14,15 @@ entry points the parallel execution layer needs:
     ``[lo, hi)`` so an execution context can chunk the product over
     workers (row results are independent, so any partition is
     bit-identical to the serial ``[0, n)`` product).
+``spread_rows``
+    The pipeline's spreader, a gather: rows ``[lo, hi)`` of ``P^T``
+    (CSR by mesh row) into a batch-first ``(lanes, K^3)`` mesh.  Each
+    mesh point has one writer and a fixed summation order, so any row
+    partition is bit-identical and needs no colouring.
 ``spread_idx``
     Scatter-add of a particle subset onto a batch-first ``(lanes,
-    K^3)`` mesh (Section IV.B.2).  The subset is one mesh block of one
+    K^3)`` mesh (Section IV.B.2; the reference schedule of
+    :mod:`repro.parallel.engine`).  The subset is one mesh block of one
     color of the independent-set schedule: within a color, blocks
     write disjoint mesh points, so concurrent calls use *plain stores*
     — no atomics — exactly as the paper promises.
@@ -43,6 +49,7 @@ machine, not per process.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import hashlib
 import os
@@ -52,13 +59,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.ctypeslib import ndpointer
 
 from ..config import get_config
 
 __all__ = [
     "spmm_kernel",
-    "spread_ranges", "interp_ranges",
+    "spread_ranges", "interp_ranges", "spread_rows",
     "kernel_available", "reset_kernel_cache", "SPECIALIZED_LANES",
 ]
 
@@ -161,22 +169,71 @@ void spread_idx(const long long nidx, const long long *restrict idx,
 
 /* Gather (interpolate) particle rows [lo, hi) from a batch-first
  * (lanes, k3) mesh into a (lanes, n) output.  Row results are
- * independent, so any row partition is bit-identical. */
+ * independent, so any row partition is bit-identical.  INTERP_LANES
+ * lanes per sweep over the particles: few enough that their mesh lanes
+ * stay cache-resident, enough independent sums to hide the multiply-add
+ * latency that a single chain is bound by. */
+#define INTERP_LANES 4
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
 void interp_range(const long long lo, const long long hi,
                   const double *restrict data, const long long *restrict cols,
                   const long long pcube, const double *restrict mesh,
                   const long long k3, const long long lanes,
                   const long long n, double *restrict out)
 {
-    for (long long i = lo; i < hi; ++i) {
-        const double *restrict wi = data + (size_t)i * pcube;
-        const long long *restrict ci = cols + (size_t)i * pcube;
-        for (long long b = 0; b < lanes; ++b) {
-            const double *restrict mb = mesh + (size_t)b * k3;
-            double acc = 0.0;
+    for (long long b0 = 0; b0 < lanes; b0 += INTERP_LANES) {
+        const long long nb = MIN(lanes - b0, INTERP_LANES);
+        const double *restrict mb = mesh + (size_t)b0 * k3;
+        for (long long i = lo; i < hi; ++i) {
+            const double *restrict wi = data + (size_t)i * pcube;
+            const long long *restrict ci = cols + (size_t)i * pcube;
+            double acc[INTERP_LANES] = {0.0};
             for (long long e = 0; e < pcube; ++e)
-                acc += wi[e] * mb[ci[e]];
-            out[(size_t)b * n + i] = acc;
+                for (long long b = 0; b < nb; ++b)
+                    acc[b] += wi[e] * mb[(size_t)b * k3 + ci[e]];
+            for (long long b = 0; b < nb; ++b)
+                out[(size_t)(b0 + b) * n + i] = acc[b];
+        }
+    }
+}
+
+/* Spread as a gather: rows [lo, hi) of P^T (CSR by mesh row; particle
+ * ids ascending within a row) times vals (n, lanes), into a batch-first
+ * (lanes, k3) mesh.  Every row of the range is written, empty ones as
+ * zeros, by exactly one call and summed in stored order — so any row
+ * partition is bit-identical and nothing needs colouring.  A tile of
+ * rows is accumulated lane-contiguous in one pass over its nonzeros
+ * (most rows are empty), then stored lane by lane (contiguous runs;
+ * strided single stores lose), SPREAD_LANES lanes per sweep (96 store
+ * streams at once measured 2x slower than 3 x 32). */
+#define SPREAD_TILE 16
+#define SPREAD_LANES 32
+void spread_rows(const long long lo, const long long hi,
+                 const long long *restrict indptr,
+                 const long long *restrict indices,
+                 const double *restrict data, const double *restrict vals,
+                 const long long lanes, double *restrict out,
+                 const long long k3)
+{
+    double acc[SPREAD_TILE * SPREAD_LANES];
+    for (long long b0 = 0; b0 < lanes; b0 += SPREAD_LANES) {
+        const long long nb = MIN(lanes - b0, SPREAD_LANES);
+        for (long long r0 = lo; r0 < hi; r0 += SPREAD_TILE) {
+            const long long nr = MIN(hi - r0, SPREAD_TILE);
+            for (long long c = 0; c < nr * nb; ++c) acc[c] = 0.0;
+            long long t = 0;        /* tile row of nonzero k */
+            for (long long k = indptr[r0]; k < indptr[r0 + nr]; ++k) {
+                while (k >= indptr[r0 + t + 1]) ++t;
+                double *restrict a = acc + t * nb;
+                const double w = data[k];
+                const double *restrict v =
+                    vals + (size_t)indices[k] * lanes + b0;
+                for (long long b = 0; b < nb; ++b) a[b] += w * v[b];
+            }
+            for (long long b = 0; b < nb; ++b) {
+                double *restrict ob = out + (size_t)(b0 + b) * k3 + r0;
+                for (long long t = 0; t < nr; ++t) ob[t] = acc[t * nb + b];
+            }
         }
     }
 }
@@ -189,15 +246,8 @@ _UNSET = object()
 _kernels: object = _UNSET
 
 
-class _Kernels:
-    """The three loaded entry points of one compiled library."""
-
-    __slots__ = ("spmm", "spread", "interp")
-
-    def __init__(self, spmm: object, spread: object, interp: object):
-        self.spmm = spmm
-        self.spread = spread
-        self.interp = interp
+#: The four loaded entry points of one compiled library.
+_Kernels = collections.namedtuple("_Kernels", "spmm spread interp rows")
 
 
 def _cache_dir() -> Path:
@@ -245,6 +295,7 @@ def _load(path: Path) -> _Kernels | None:
         spmm = lib.bcsr_matmat_range
         spread = lib.spread_idx
         interp = lib.interp_range
+        rows = lib.spread_rows
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -256,7 +307,9 @@ def _load(path: Path) -> _Kernels | None:
     spread.restype = None
     interp.argtypes = [ll, ll, f64, i64, ll, f64, ll, ll, ll, f64]
     interp.restype = None
-    return _Kernels(spmm, spread, interp)
+    rows.argtypes = [ll, ll, i64, i64, f64, f64, ll, f64, ll]
+    rows.restype = None
+    return _Kernels(spmm, spread, interp, rows)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -303,7 +356,21 @@ def _selftest(kernels: _Kernels) -> bool:
     got = np.zeros((lanes, n))
     kernels.interp(0, n, data, cols, pcube, mesh, k3, lanes, n, got)
     want = np.einsum("ie,bie->bi", data, mesh[:, cols])
-    return bool(np.allclose(got, want, rtol=1e-12, atol=1e-12))
+    if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
+        return False
+
+    # spread as a gather: P^T rows (one empty) overwrite a NaN mesh, and
+    # a split range gives the same bytes as the full one
+    ptr = np.array([0, 2, 2, 5, 6], dtype=np.int64)
+    ids = np.array([0, 2, 0, 1, 2, 1], dtype=np.int64)
+    w = np.ascontiguousarray(rng.standard_normal(6))
+    full, split = np.full((2, lanes, 4), np.nan)
+    kernels.rows(0, 4, ptr, ids, w, vals, lanes, full, 4)
+    kernels.rows(0, 1, ptr, ids, w, vals, lanes, split, 4)
+    kernels.rows(1, 4, ptr, ids, w, vals, lanes, split, 4)
+    want = (sp.csr_matrix((w, ids, ptr), shape=(4, n)) @ vals).T
+    return bool(np.array_equal(full, split)
+                and np.allclose(full, want, rtol=1e-12, atol=1e-12))
 
 
 def _bundle() -> _Kernels | None:
@@ -380,7 +447,8 @@ def interp_ranges(weights: np.ndarray, columns: np.ndarray, mesh: np.ndarray,
                   out: np.ndarray, ranges: list[tuple[int, int]]) -> None:
     """Gather particle rows ``[lo, hi)`` of every range from the
     batch-first ``mesh (lanes, K^3)`` into ``out (lanes, n)``: the
-    compiled kernel, or the einsum reference."""
+    compiled kernel, or the same rows of ``P`` through one SciPy SpMV
+    per (already contiguous) lane."""
     kern = getattr(_bundle(), "interp", None)
     pcube, (lanes, k3), n = weights.shape[1], mesh.shape, out.shape[1]
     for lo, hi in ranges:
@@ -388,9 +456,34 @@ def interp_ranges(weights: np.ndarray, columns: np.ndarray, mesh: np.ndarray,
             continue
         if kern is not None:
             kern(lo, hi, weights, columns, pcube, mesh, k3, lanes, n, out)
-        else:
-            out[:, lo:hi] = np.einsum("ie,bie->bi", weights[lo:hi],
-                                      mesh[:, columns[lo:hi]])
+            continue
+        rows = sp.csr_matrix(
+            (weights[lo:hi].ravel(), columns[lo:hi].ravel(),
+             np.arange(0, (hi - lo) * pcube + 1, pcube)), shape=(hi - lo, k3))
+        for b in range(lanes):
+            out[b, lo:hi] = rows @ mesh[b]
+
+
+def spread_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                values: np.ndarray, out: np.ndarray,
+                ranges: list[tuple[int, int]]) -> None:
+    """Rows ``[lo, hi)`` of ``P^T`` (int64 CSR by mesh row) times
+    ``values (n, lanes)`` into the batch-first mesh ``out (lanes, K^3)``,
+    every row written: the compiled gather, or the same rows through
+    SciPy's CSR product, a cache-sized run at a time so that the
+    lane-last ``(K^3, lanes)`` mesh never exists."""
+    kern = getattr(_bundle(), "rows", None)
+    (n, lanes), k3 = values.shape, out.shape[1]
+    for lo, hi in ranges:
+        if kern is not None:
+            kern(lo, hi, indptr, indices, data, values, lanes, out, k3)
+            continue
+        for a in range(lo, hi, 16384):
+            b = min(a + 16384, hi)
+            k0, k1 = indptr[a], indptr[b]
+            rows = sp.csr_matrix((data[k0:k1], indices[k0:k1],
+                                  indptr[a:b + 1] - k0), shape=(b - a, n))
+            out[:, a:b] = (rows @ values).T
 
 
 def kernel_available() -> bool:

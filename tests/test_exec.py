@@ -1,10 +1,10 @@
-"""Tests for the execution-context layer (repro.exec + colored engine).
+"""Tests for the execution-context layer (repro.exec).
 
-The headline invariant of the PR: for a fixed kernel configuration the
-colored pipeline produces **bit-identical** results across the
-``serial`` and ``threads`` backends at any worker count — and agrees
-with the no-context pipeline (sparse ``P`` instead of the colored engine)
-to solver precision (<= 1e-13).
+The headline invariant: for a fixed kernel configuration the pipeline
+produces **bit-identical** results with no explicit context (the
+process default), on ``serial`` and on ``threads`` at any worker count.
+The 8-colour reference schedule (repro.parallel.engine) is bit-identical
+across backends too and agrees with the shipped row gather to 1e-12.
 """
 
 import hashlib
@@ -67,18 +67,23 @@ def test_close_is_idempotent_and_guards_use():
         ctx.run_tasks([lambda: None])
 
 
-@pytest.mark.parametrize("entry", ["env", "context", "cli"])
+@pytest.mark.parametrize("entry", ["env", "context", "cli", "cli-env"])
 def test_processes_backend_rejected(entry, monkeypatch, capsys):
     # the validation that rejects ``gpu`` rejects the removed backend,
     # and names the two that remain
-    if entry == "cli":
+    if entry in ("cli", "cli-env"):
         from repro.cli import main
 
+        argv = ["simulate", "-n", "10", "--steps", "1",
+                "--backend", "processes"]
+        if entry == "cli-env":      # same ending as the flag: no traceback
+            monkeypatch.setenv("REPRO_BACKEND", "processes")
+            argv = ["config", "show"]
         with pytest.raises(SystemExit) as usage:      # argparse
-            main(["simulate", "-n", "10", "--steps", "1",
-                  "--backend", "processes"])
+            main(argv)
         assert usage.value.code == 2
         message = capsys.readouterr().err
+        assert "error:" in message and "Traceback" not in message
     else:
         with pytest.raises(ConfigurationError) as caught:
             if entry == "env":
@@ -162,10 +167,26 @@ def test_second_processes_context_exits_clean(tmp_path):
     assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
-def test_default_context_none_on_serial(monkeypatch):
+def test_default_context_none_on_serial(monkeypatch, system):
+    # id pinned by the tier-1 floor; ``serial`` is never "no context":
+    # it is a one-worker context that owns no pool, so an operator built
+    # before a reset or a config flip keeps working
+    box, r, params, f = system
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     reset_default_context()
-    assert default_context() is None
+    ctx = default_context()
+    assert ctx.backend == "serial" and ctx.workers == 1
+    op = PMEOperator(r, box, params)
+    assert op.context is ctx
+    first = op.apply_block(f)
+    reset_default_context()
+    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    try:
+        assert default_context().backend == "threads"
+        assert not ctx.closed
+        np.testing.assert_array_equal(op.apply_block(f), first)
+    finally:
+        reset_default_context()
 
 
 def test_default_context_shared_and_rebuilt(monkeypatch):
@@ -198,6 +219,23 @@ def test_spread_interpolate_digest_bit_identity(system, kernel_mode):
     vals = rng.standard_normal((r.shape[0], 6))
     mesh_in = rng.standard_normal((6, K ** 3))
 
+    # the shipped spreader: one digest with no context and on every backend
+    mesh_ref = interp.spread_batch(vals)
+    part_ref = interp.interpolate_batch(mesh_in)
+    spread_digests, interp_digests = {digest(mesh_ref)}, {digest(part_ref)}
+    for backend, workers in BACKENDS:
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
+            spread_digests.add(digest(
+                interp.spread_batch(vals, context=ctx)))
+            interp_digests.add(digest(
+                interp.interpolate_batch(mesh_in, context=ctx)))
+    assert len(spread_digests) == 1
+    assert len(interp_digests) == 1
+    np.testing.assert_allclose(mesh_ref, interp.spread(vals).T, atol=1e-12)
+    np.testing.assert_allclose(part_ref, interp.interpolate(mesh_in.T).T,
+                               atol=1e-12)
+
+    # the IV.B.2 reference schedule: one digest of its own, same numbers
     spread_digests, interp_digests = set(), set()
     for backend, workers in BACKENDS:
         with ExecutionContext(backend=backend, workers=workers) as ctx:
@@ -210,11 +248,8 @@ def test_spread_interpolate_digest_bit_identity(system, kernel_mode):
             part_out = np.empty((6, r.shape[0]))
             engine.interpolate_batch(mesh_in, out=part_out)
             interp_digests.add(digest(part_out))
-            # cross-check against the sparse-matrix reference
-            np.testing.assert_allclose(
-                mesh_out, interp.spread_batch(vals), atol=1e-12)
-            np.testing.assert_allclose(
-                part_out, interp.interpolate_batch(mesh_in), atol=1e-12)
+            np.testing.assert_allclose(mesh_out, mesh_ref, atol=1e-12)
+            np.testing.assert_allclose(part_out, part_ref, atol=1e-12)
     assert len(spread_digests) == 1
     assert len(interp_digests) == 1
 
@@ -222,13 +257,13 @@ def test_spread_interpolate_digest_bit_identity(system, kernel_mode):
 def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
     box, r, params, f = system
     legacy = PMEOperator(r, box, params).apply_block(f)
-    digests = set()
+    digests = {digest(legacy)}          # no explicit context: the default
     for backend, workers in BACKENDS:
         with ExecutionContext(backend=backend, workers=workers) as ctx:
             op = PMEOperator(r, box, params, context=ctx)
             u = op.apply_block(f)
             digests.add(digest(u))
-            assert np.abs(u - legacy).max() <= 1e-13
+            np.testing.assert_array_equal(u, legacy)
     assert len(digests) == 1, "backends disagree bitwise"
 
 
@@ -241,7 +276,7 @@ def test_forward_fft_lanes_independent_of_workers(set_kernel_mode):
     K, lanes = 12, 7
     mesh = np.random.default_rng(4).standard_normal((lanes, K, K, K))
     spec = np.empty((lanes, K, K, K // 2 + 1), dtype=np.complex128)
-    _rfftn_lanes(mesh, spec)
+    _rfftn_lanes(mesh, spec, default_context())
     digests = {digest(spec)}
     for no_ckernel in (False, True):
         set_kernel_mode(no_ckernel)
@@ -292,13 +327,18 @@ def test_exec_metrics_and_spans_recorded(system):
         with ExecutionContext(backend="threads", workers=2) as ctx:
             op = PMEOperator(r, box, params, context=ctx)
             op.apply_block(f)
+        default = default_context()
+        PMEOperator(r, box, params).apply_block(f)
     finally:
         obs.set_tracer(prev_t)
         obs.set_metrics(prev_m)
-    spread = [e for e in tracer.events
-              if e.name == "pme.spread" and e.phase == "X"]
-    assert spread and spread[0].args["backend"] == "threads"
-    assert spread[0].args["workers"] == 2
+    # the explicit context first, then the default path: both annotated
+    for stage in ("pme.spread", "pme.interpolate"):
+        first, second = [e.args for e in tracer.events
+                         if e.name == stage and e.phase == "X"]
+        assert (first["backend"], first["workers"]) == ("threads", 2)
+        assert (second["backend"], second["workers"]) == (
+            default.backend, default.workers)
     names = {fam["name"] for fam in registry.to_json()["metrics"]}
     assert "exec_tasks_total" in names
     assert "exec_queue_lag_seconds" in names

@@ -139,10 +139,50 @@ def test_multivector_spread(setup):
                                    atol=1e-12)
 
 
+def test_spread_batch_any_row_partition_same_bytes(setup, kernel_mode):
+    # the gather contract: every row of a range is written (zero rows
+    # included) in stored order, so the bytes do not depend on how
+    # [0, K^3) is cut — tile-aligned or not, one row or many
+    from repro.sparse import kernels
+
+    box, r, rng = setup
+    K = 12
+    interp = InterpolationMatrix(r, box, K=K, p=4)
+    vals = rng.standard_normal((r.shape[0], 5))
+    one = interp.spread_batch(vals, out=np.full((5, K ** 3), np.nan))
+    assert np.all(np.isfinite(one))              # every row written
+    for cuts in ([0, 1, 17, 800, K ** 3], [0, 16, 64, 65, 1000, K ** 3],
+                 sorted({0, K ** 3, *rng.integers(0, K ** 3, 9).tolist()})):
+        cut = np.full((5, K ** 3), np.nan)
+        for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
+            kernels.spread_rows(*interp._pt, vals, cut, [(lo, hi)])
+        assert cut.tobytes() == one.tobytes()
+    np.testing.assert_allclose(one, interp.spread(vals).T, atol=1e-13)
+
+
+def test_spread_batch_empty_rows_and_particle_on_mesh_point(kernel_mode):
+    # one particle exactly on a mesh point next to one that is not, on a
+    # mesh most of whose rows are empty; 40 lanes is more than the
+    # compiled gather sweeps at once
+    box = Box(8.0)
+    r = np.array([[2.0, 4.0, 6.0], [2.2, 4.1, 5.7]])
+    interp = InterpolationMatrix(r, box, K=16, p=2)
+    vals = np.random.default_rng(1).standard_normal((2, 40))
+    mesh = interp.spread_batch(vals, out=np.full((40, 16 ** 3), np.nan))
+    # (not bytewise: the compiled gather may contract to fused multiply-adds)
+    np.testing.assert_allclose(mesh, interp.spread(vals).T, rtol=0,
+                               atol=1e-15)
+    assert np.count_nonzero(mesh[0]) <= 2 * 2 ** 3
+    np.testing.assert_allclose(mesh.sum(axis=1), vals.sum(axis=0),
+                               atol=1e-13)
+
+
 def test_memory_accounting(setup):
+    # P and the resident P^T: values of both, plus P^T's K^3 + 1 pointer
     box, r, _ = setup
     interp = InterpolationMatrix(r, box, K=16, p=4)
     assert interp.memory_bytes >= 8 * r.shape[0] * 4 ** 3
+    assert interp.memory_bytes >= 2 * 8 * r.shape[0] * 4 ** 3 + 8 * 16 ** 3
 
 
 def test_validation():
