@@ -10,14 +10,20 @@ operator (Section IV.C, reference [24]):
    native SpMM kernel, each 3x3 block streamed once against all lanes)
    against the two references it replaced as selectable engines: the
    NumPy ``BlockCSR.matvec`` and the ``scipy.sparse`` CSR export,
-3. **neighbor backend** — cell list (the paper's Verlet cells) vs
-   KD-tree for constructing the matrix.
+3. **construction** — the three passes of the build (kd-tree pair
+   search, RPY tensors on the half pair list, symmetric assembly) read
+   off the operator's own obs spans, with the compiled assembly and
+   with its ``lexsort`` fallback; and the search alone, kd-tree against
+   the cell list (the paper's Verlet cells) it replaced in the build.
 
 Run ``python benchmarks/bench_ablation_spmv.py`` for the tables.
 """
 
+import os
+
 import numpy as np
 
+from repro import obs
 from repro.bench import (
     bench_scale,
     cached_suspension,
@@ -25,7 +31,9 @@ from repro.bench import (
     print_table,
     record_benchmark,
 )
+from repro.neighbor.pairs import find_pairs
 from repro.pme.realspace import RealSpaceOperator
+from repro.sparse.kernels import reset_kernel_cache
 
 R_MAX = 4.0
 XI = 1.0
@@ -57,18 +65,53 @@ def multi_rhs_rows(n=None):
     return rows
 
 
+#: The passes of ``RealSpaceOperator.__init__``, by obs span.
+BUILD_PASSES = {"search": "pme.find_pairs", "tensors": "pme.real_tensors",
+                "assembly": "pme.real_assemble"}
+
+
+def _build_pass_seconds(susp, r_max, repeats=3):
+    """Best-of-``repeats`` seconds per build pass, from the obs spans."""
+    previous = obs.get_tracer()
+    best = dict.fromkeys(BUILD_PASSES, float("inf"))
+    try:
+        for _ in range(repeats + 1):        # first build warms the kernels
+            tracer = obs.Tracer()
+            obs.set_tracer(tracer)
+            RealSpaceOperator(susp.positions, susp.box, XI, r_max)
+            totals = tracer.totals()
+            best = {name: min(best[name], totals[span])
+                    for name, span in BUILD_PASSES.items()}
+    finally:
+        obs.set_tracer(previous)
+    return best
+
+
 def construction_rows(n=None):
-    """Operator construction cost per neighbor backend."""
+    """Rows ``[what, kernel mode, n, seconds]``: the three build passes
+    per kernel mode, then the pair search alone per backend."""
     n = n or (20000 if bench_scale() == "paper" else 3000)
+    susp = cached_suspension(n)
+    r_max = min(R_MAX, susp.box.length / 2)
     rows = []
-    for backend in ("cells", "kdtree"):
-        susp = cached_suspension(n)
+    saved = os.environ.get("REPRO_NO_CKERNEL")
+    try:
+        for mode, flag in (("ckernel", "0"), ("fallback", "1")):
+            os.environ["REPRO_NO_CKERNEL"] = flag
+            reset_kernel_cache()
+            for name, t in _build_pass_seconds(susp, r_max).items():
+                rows.append([name, mode, n, t])
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NO_CKERNEL"]
+        else:
+            os.environ["REPRO_NO_CKERNEL"] = saved
+        reset_kernel_cache()
+    for backend in ("kdtree", "cells"):
         t = measure_seconds(
-            lambda: RealSpaceOperator(susp.positions, susp.box, XI,
-                                      min(R_MAX, susp.box.length / 2),
-                                      neighbor_backend=backend),
-            repeats=2).best
-        rows.append([backend, n, t])
+            lambda: find_pairs(susp.positions, susp.box, r_max,
+                               backend=backend), repeats=3).best
+        rows.append([f"find_pairs({backend})", "-", n, t])
     return rows
 
 
@@ -79,9 +122,8 @@ def main():
                 ["product", "block width s", "t block (s)",
                  "t per vector (s)"],
                 rhs_rows)
-    print_table("Ablation: real-space operator construction by neighbor "
-                "backend",
-                ["backend", "n", "t build (s)"],
+    print_table("Ablation: real-space operator construction, pass by pass",
+                ["pass", "kernel mode", "n", "t (s)"],
                 build_rows)
     record_benchmark("ablation_spmv",
                      ["product", "block width s", "t block (s)",

@@ -474,7 +474,7 @@ def _run_ensemble(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .obs.profiling import run_profile
+    from .obs.profiling import BUILD_SPANS, run_profile
 
     report = run_profile(
         n=args.particles, phi=args.phi, steps=args.steps, dt=args.dt,
@@ -482,6 +482,9 @@ def _cmd_profile(args) -> int:
         seed=args.seed, trace_path=args.trace,
         chrome_path=args.chrome_trace, metrics_path=args.metrics)
     print(report.format_table())
+    print("operator build (s): " + ", ".join(
+        f"{name[4:]}={report.totals[name]:.4g}" for name in BUILD_SPANS
+        if name in report.totals))
     other = {name: total for name, total in sorted(report.totals.items())
              if not name.startswith("pme.")}
     if other:

@@ -412,8 +412,6 @@ class MatrixFreeBD(BrownianDynamicsBase):
         Krylov relative-error tolerance (Table II).
     store_p:
         Precompute the interpolation matrix ``P`` (Fig. 4 optimization).
-    neighbor_backend:
-        Pair-search backend for the real-space matrix.
     Remaining parameters as :class:`BrownianDynamicsBase`.
     """
 
@@ -423,14 +421,13 @@ class MatrixFreeBD(BrownianDynamicsBase):
                  seed: int | np.random.Generator | None = 0,
                  pme_params: PMEParams | None = None, target_ep: float = 1e-3,
                  e_k: float = 1e-2, store_p: bool = True,
-                 neighbor_backend: str = "cells", max_krylov_iter: int = 200,
+                 max_krylov_iter: int = 200,
                  recovery: RecoveryPolicy | None = None, context=None):
         super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
                          recovery=recovery, context=context)
         self.pme_params = pme_params
         self.target_ep = float(target_ep)
         self.store_p = bool(store_p)
-        self.neighbor_backend = neighbor_backend
         self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k,
                                                   max_iter=max_krylov_iter)
         self._operator: PMEOperator | None = None
@@ -444,7 +441,7 @@ class MatrixFreeBD(BrownianDynamicsBase):
                 fluid=self.fluid)
         self._operator = PMEOperator(
             positions, self.box, self.pme_params, fluid=self.fluid,
-            neighbor_backend=self.neighbor_backend, store_p=self.store_p,
+            store_p=self.store_p,
             cache=self._mobility_cache, context=self.context)
 
     def _apply_mobility(self, forces_flat: np.ndarray) -> np.ndarray:

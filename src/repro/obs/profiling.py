@@ -39,6 +39,11 @@ PROFILE_SCHEMA = "repro-profile/1"
 PROFILE_PHASES = ["spread", "fft", "influence", "ifft", "interpolate",
                   "real"]
 
+#: Spans of an operator (re)build: the two construct phases, and inside
+#: ``construct_real`` the three passes of the real-space build.
+BUILD_SPANS = ["pme.construct_p", "pme.construct_real", "pme.find_pairs",
+               "pme.real_tensors", "pme.real_assemble"]
+
 
 @dataclass
 class PhaseRow:

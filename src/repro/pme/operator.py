@@ -131,8 +131,6 @@ class PMEOperator:
     fluid:
         Fluid parameters; the returned velocities include the physical
         ``mu0`` prefactor.
-    neighbor_backend:
-        Pair-search backend for the real-space matrix.
     store_p:
         Precompute and reuse the interpolation matrix ``P`` (paper
         Section IV.A; the Fig. 4 optimization).  When false, spreading
@@ -166,8 +164,7 @@ class PMEOperator:
 
     @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
-                 fluid: FluidParams = REDUCED, neighbor_backend: str = "cells",
-                 store_p: bool = True,
+                 fluid: FluidParams = REDUCED, store_p: bool = True,
                  cache: MobilityCache | None = None, context=None):
         from ..exec import default_context  # deferred: import cycle
         self.positions = as_positions(positions).copy()
@@ -195,7 +192,7 @@ class PMEOperator:
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                neighbor_backend=neighbor_backend, kernel=params.kernel)
+                kernel=params.kernel)
         registry = obs.get_metrics()
         if registry is not None:
             self._record_build_metrics(registry)

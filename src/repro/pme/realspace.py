@@ -3,9 +3,14 @@
 With the Ewald parameter chosen so the real-space series is negligible
 beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
-Section IV.C).  It is built in linear time from a Verlet cell list and
-stored in BCSR; because Algorithm 2 applies it to blocks of vectors,
-every product — one column or many — is the multi-RHS SpMM of
+Section IV.C) and stored in BCSR.  The build is three passes: a
+periodic kd-tree pair search (:func:`~repro.neighbor.kdtree.kdtree_pairs`
+— a substitution for the paper's Verlet cell list, O(n log n) and
+compiled), the RPY tensor of every pair on the half pair list (NumPy;
+it decides the bytes), and one linear symmetric assembly
+(:meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`).  Because Algorithm 2
+applies the operator to blocks of vectors, every product — one column
+or many — is the multi-RHS SpMM of
 :meth:`~repro.sparse.bcsr.BlockCSR.matmat`.
 
 All values are in units of ``mu0 = 1/(6 pi eta a)``; the composed
@@ -45,8 +50,6 @@ class RealSpaceOperator:
         Real-space cutoff distance.
     fluid:
         Fluid parameters (radius enters the tensors).
-    neighbor_backend:
-        Pair-search backend (``"cells"``, ``"kdtree"``, ``"brute"``).
     overlap_corrected:
         Apply the positive-definite overlap regularization to pairs
         closer than ``2a`` (default true).
@@ -56,7 +59,7 @@ class RealSpaceOperator:
 
     @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
-                 fluid: FluidParams = REDUCED, neighbor_backend: str = "cells",
+                 fluid: FluidParams = REDUCED,
                  overlap_corrected: bool = True, kernel: str = "rpy"):
         r = as_positions(positions)
         n = r.shape[0]
@@ -74,29 +77,31 @@ class RealSpaceOperator:
         self.n = n
         self.kernel = kernel
 
-        with obs.span("pme.find_pairs", n=n, backend=neighbor_backend):
-            i, j = find_pairs(r, box, r_max, backend=neighbor_backend)
-        if i.size:
-            rij, dist = box.distances(r, i, j)
-            f, g = beenakker.real_space_coefficients(dist, xi, fluid.radius,
-                                                     kernel=kernel)
-            if overlap_corrected and kernel == "rpy":
-                df, dg = beenakker.overlap_correction_coefficients(
-                    dist, fluid.radius)
-                f = f + df
-                g = g + dg
-            rhat = rij / dist[:, None]
-            blocks = (f[:, None, None] * np.eye(3)
-                      + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
-        else:
-            blocks = np.empty((0, 3, 3))
+        with obs.span("pme.find_pairs", n=n):
+            i, j = find_pairs(r, box, r_max, backend="kdtree")
+        with obs.span("pme.real_tensors", pairs=int(i.size)):
+            if i.size:
+                rij, dist = box.distances(r, i, j)
+                f, g = beenakker.real_space_coefficients(
+                    dist, xi, fluid.radius, kernel=kernel)
+                if overlap_corrected and kernel == "rpy":
+                    df, dg = beenakker.overlap_correction_coefficients(
+                        dist, fluid.radius)
+                    f = f + df
+                    g = g + dg
+                rhat = rij / dist[:, None]
+                blocks = (f[:, None, None] * np.eye(3)
+                          + g[:, None, None]
+                          * (rhat[:, :, None] * rhat[:, None, :]))
+            else:
+                blocks = np.empty((0, 3, 3))
+            diag_scalar = beenakker.self_mobility_scalar(xi, fluid.radius,
+                                                         kernel=kernel)
+            diag = np.broadcast_to(diag_scalar * np.eye(3), (n, 3, 3)).copy()
 
-        diag_scalar = beenakker.self_mobility_scalar(xi, fluid.radius,
-                                                     kernel=kernel)
-        diag = np.broadcast_to(diag_scalar * np.eye(3), (n, 3, 3)).copy()
-
-        #: The block-sparse operator (always available for introspection).
-        self.bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
+        with obs.span("pme.real_assemble", pairs=int(i.size)):
+            #: The block-sparse operator (always available for introspection).
+            self.bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 

@@ -5,7 +5,9 @@ its natural sparse format is CSR over *block* rows and columns with a
 dense 3x3 payload per stored block (paper Section IV.C).  Key
 operations:
 
-* construction from a pair list (symmetric fill-in of both triangles),
+* construction from a half pair list in any order (symmetric fill-in
+  of both triangles; one compiled linear pass,
+  :func:`repro.sparse.kernels.bcsr_assemble`),
 * single-vector and multi-vector SpMV (``y = A x`` with ``x`` of shape
   ``(3n,)`` or ``(3n, s)``) — the multi-vector product is the kernel
   the block Krylov method relies on (paper reference [24]),
@@ -31,7 +33,7 @@ import scipy.sparse as sp
 
 from ..errors import ConfigurationError
 from ..lint.contracts import force_block_arg
-from .kernels import spmm_kernel
+from .kernels import bcsr_assemble, spmm_kernel
 
 __all__ = ["BlockCSR"]
 
@@ -73,10 +75,6 @@ class BlockCSR:
         self.indptr = indptr
         self.indices = indices
         self.blocks = blocks
-        # Precompute the row id of every stored block for the SpMV
-        # scatter (cheap: one intp per block).
-        self._block_rows = np.repeat(np.arange(n_block_rows, dtype=np.intp),
-                                     np.diff(indptr))
         # SpMM-path caches, materialized on first matmat call: int64
         # index views/copies for the native kernel and a scalar CSR
         # export for the SciPy fallback.
@@ -99,8 +97,9 @@ class BlockCSR:
         n:
             Number of particles (block rows).
         i, j:
-            Pair indices with ``i != j`` (each unordered pair listed
-            once; both triangles are filled automatically).
+            Pair indices with ``i != j``, in any order and either
+            orientation (each unordered pair listed once; both
+            triangles are filled automatically).
         pair_blocks:
             3x3 tensor for each pair, shape ``(m, 3, 3)``.  The block
             stored at ``(j, i)`` is the transpose of the one at
@@ -109,41 +108,13 @@ class BlockCSR:
         diag_blocks:
             Optional diagonal 3x3 blocks, shape ``(n, 3, 3)``; omitted
             diagonals are zero.
+
+        Rows come out ascending with columns ascending within a row,
+        whatever the input order, from
+        :func:`repro.sparse.kernels.bcsr_assemble` (compiled counting
+        sort, or its ``lexsort`` fallback — the same bytes).
         """
-        i = np.asarray(i, dtype=np.intp)
-        j = np.asarray(j, dtype=np.intp)
-        pair_blocks = np.asarray(pair_blocks, dtype=np.float64)
-        if i.shape != j.shape or pair_blocks.shape != (i.size, 3, 3):
-            raise ConfigurationError(
-                "pair arrays must have matching shapes (m,), (m,), (m, 3, 3)")
-        if np.any(i == j):
-            raise ConfigurationError(
-                "from_pairs expects off-diagonal pairs only; "
-                "pass diagonal blocks via diag_blocks")
-
-        rows = [i, j]
-        cols = [j, i]
-        payload = [pair_blocks, pair_blocks.transpose(0, 2, 1)]
-        if diag_blocks is not None:
-            diag_blocks = np.asarray(diag_blocks, dtype=np.float64)
-            if diag_blocks.shape != (n, 3, 3):
-                raise ConfigurationError(
-                    f"diag_blocks must have shape ({n}, 3, 3), "
-                    f"got {diag_blocks.shape}")
-            rng = np.arange(n, dtype=np.intp)
-            rows.append(rng)
-            cols.append(rng)
-            payload.append(diag_blocks)
-
-        row = np.concatenate(rows)
-        col = np.concatenate(cols)
-        blk = np.concatenate(payload, axis=0)
-
-        order = np.lexsort((col, row))
-        row, col, blk = row[order], col[order], blk[order]
-        counts = np.bincount(row, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(n, indptr, col, blk)
+        return cls(n, *bcsr_assemble(n, i, j, pair_blocks, diag_blocks))
 
     # ------------------------------------------------------------------
     # products
@@ -274,7 +245,7 @@ class BlockCSR:
         """Densify (small matrices / tests only)."""
         n = self.n_block_rows
         out = np.zeros((3 * n, 3 * n))
-        rows = self._block_rows
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
         for e in range(self.indices.size):
             r, c = rows[e], self.indices[e]
             out[3 * r:3 * r + 3, 3 * c:3 * c + 3] += self.blocks[e]
@@ -289,14 +260,12 @@ class BlockCSR:
     def memory_bytes(self) -> int:
         """Bytes held by payload and index arrays (Fig. 7a accounting).
 
-        Counts the row-id scatter array and, once the SpMM path has
-        materialized them, the kernel's int64 index arrays (zero extra
-        on LP64 platforms, where they alias the stored ``intp``
-        arrays) — index overhead is real memory and is reported as
-        such.
+        Counts, once the SpMM path has materialized them, the kernel's
+        int64 index arrays (zero extra on LP64 platforms, where they
+        alias the stored ``intp`` arrays) — index overhead is real
+        memory and is reported as such.
         """
-        total = (self.blocks.nbytes + self.indices.nbytes
-                 + self.indptr.nbytes + self._block_rows.nbytes)
+        total = self.blocks.nbytes + self.indices.nbytes + self.indptr.nbytes
         for extra, base in ((self._indptr64, self.indptr),
                             (self._indices64, self.indices)):
             if extra is not None and extra is not base and extra.base is not base:

@@ -1,11 +1,12 @@
-"""Runtime-compiled native kernels for the PME hot path.
+"""Runtime-compiled native kernels for the PME hot path and its rebuild.
 
 ``scipy.sparse``'s CSR ``matmat`` walks the right-hand-side *columns*
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the four
-entry points the mobility pipeline and its reference schedule need:
+compiles, at import-on-demand time, a small C library with the five
+entry points the mobility pipeline, its rebuild and its reference
+schedule need:
 
 ``bcsr_matmat_range``
     Multi-RHS BCSR SpMM streaming each 3x3 block once against all
@@ -30,6 +31,13 @@ entry points the mobility pipeline and its reference schedule need:
     Gather (interpolation) of particle rows ``[lo, hi)`` from a
     batch-first mesh; pure reads plus disjoint writes, so row chunks
     parallelize trivially.
+``bcsr_assemble``
+    The body of :meth:`repro.sparse.bcsr.BlockCSR.from_pairs`: the
+    symmetric BCSR matrix of a half pair list in any order, by a stable
+    counting sort on the column then on the row — two linear passes, the
+    72-byte payload written once (copied, or transposed for the mirror
+    triangle).  No floating-point arithmetic, so the bytes are those of
+    the ``lexsort`` fallback whatever the compiler flags.
 
 Every entry point is called through ``ctypes``, which releases the GIL
 for the duration of the C call — this is what makes the ``threads``
@@ -63,10 +71,11 @@ import scipy.sparse as sp
 from numpy.ctypeslib import ndpointer
 
 from ..config import get_config
+from ..errors import ConfigurationError
 
 __all__ = [
     "spmm_kernel",
-    "spread_ranges", "interp_ranges", "spread_rows",
+    "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "kernel_available", "reset_kernel_cache", "SPECIALIZED_LANES",
 ]
 
@@ -237,6 +246,57 @@ void spread_rows(const long long lo, const long long hi,
         }
     }
 }
+
+/* Symmetric BCSR assembly from a half pair list (any order, either
+ * orientation).  Entry e of the virtual list is (pi[e], pj[e]) with
+ * payload e for e < m, its mirror (pj[e-m], pi[e-m]) with the payload
+ * transposed for e < 2m, and the diagonal block e - 2m after that.  A
+ * stable counting sort by column then one by row (an LSD radix over two
+ * keys of n buckets) leaves rows ascending and columns ascending within
+ * a row — the order of lexsort((col, row)).  The pattern is symmetric,
+ * so the row counts are the column counts: indptr serves both passes.
+ * Integer work and copies only, so compiler flags cannot change a byte.
+ * work holds n + 1 cursors followed by nnz entry ids. */
+void bcsr_assemble(const long long n, const long long m,
+                   const long long *restrict pi, const long long *restrict pj,
+                   const double *restrict pair_blocks,
+                   const long long ndiag, const double *restrict diag_blocks,
+                   long long *restrict indptr, long long *restrict indices,
+                   double *restrict blocks, long long *restrict work)
+{
+    const long long nnz = 2 * m + ndiag;
+    long long *restrict cursor = work;
+    long long *restrict bycol = work + n + 1;
+
+    for (long long r = 0; r <= n; ++r) indptr[r] = 0;
+    for (long long k = 0; k < m; ++k) { ++indptr[pi[k] + 1]; ++indptr[pj[k] + 1]; }
+    for (long long r = 0; r < ndiag; ++r) ++indptr[r + 1];
+    for (long long r = 0; r < n; ++r) indptr[r + 1] += indptr[r];
+
+    for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
+    for (long long k = 0; k < m; ++k) bycol[cursor[pj[k]]++] = k;
+    for (long long k = 0; k < m; ++k) bycol[cursor[pi[k]]++] = m + k;
+    for (long long r = 0; r < ndiag; ++r) bycol[cursor[r]++] = 2 * m + r;
+
+    for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
+    for (long long p = 0; p < nnz; ++p) {
+        const long long e = bycol[p];
+        const long long k = e < m ? e : e - m;      /* pair of entry e */
+        long long row, col;
+        const double *restrict src;
+        if (e < m) { row = pi[k]; col = pj[k]; src = pair_blocks + 9 * (size_t)k; }
+        else if (e < 2 * m) { row = pj[k]; col = pi[k]; src = pair_blocks + 9 * (size_t)k; }
+        else { row = col = e - 2 * m; src = diag_blocks + 9 * (size_t)row; }
+        const long long dst = cursor[row]++;
+        double *restrict b = blocks + 9 * (size_t)dst;
+        indices[dst] = col;
+        if (e >= m && e < 2 * m)
+            for (int u = 0; u < 3; ++u)
+                for (int v = 0; v < 3; ++v) b[3 * u + v] = src[3 * v + u];
+        else
+            for (int c = 0; c < 9; ++c) b[c] = src[c];
+    }
+}
 """
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
@@ -246,8 +306,9 @@ _UNSET = object()
 _kernels: object = _UNSET
 
 
-#: The four loaded entry points of one compiled library.
-_Kernels = collections.namedtuple("_Kernels", "spmm spread interp rows")
+#: The five loaded entry points of one compiled library.
+_Kernels = collections.namedtuple("_Kernels",
+                                  "spmm spread interp rows assemble")
 
 
 def _cache_dir() -> Path:
@@ -296,6 +357,7 @@ def _load(path: Path) -> _Kernels | None:
         spread = lib.spread_idx
         interp = lib.interp_range
         rows = lib.spread_rows
+        assemble = lib.bcsr_assemble
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -309,7 +371,9 @@ def _load(path: Path) -> _Kernels | None:
     interp.restype = None
     rows.argtypes = [ll, ll, i64, i64, f64, f64, ll, f64, ll]
     rows.restype = None
-    return _Kernels(spmm, spread, interp, rows)
+    assemble.argtypes = [ll, ll, i64, i64, f64, ll, f64, i64, i64, f64, i64]
+    assemble.restype = None
+    return _Kernels(spmm, spread, interp, rows, assemble)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -369,8 +433,22 @@ def _selftest(kernels: _Kernels) -> bool:
     kernels.rows(0, 1, ptr, ids, w, vals, lanes, split, 4)
     kernels.rows(1, 4, ptr, ids, w, vals, lanes, split, 4)
     want = (sp.csr_matrix((w, ids, ptr), shape=(4, n)) @ vals).T
-    return bool(np.array_equal(full, split)
-                and np.allclose(full, want, rtol=1e-12, atol=1e-12))
+    if not (np.array_equal(full, split)
+            and np.allclose(full, want, rtol=1e-12, atol=1e-12)):
+        return False
+
+    # assembly: a shuffled, mixed-orientation half pair list with an
+    # isolated row (3) gives the bytes of the lexsort reference
+    pi = np.array([4, 0, 2, 1, 0], dtype=np.int64)
+    pj = np.array([2, 1, 0, 4, 4], dtype=np.int64)
+    pair_blocks = rng.standard_normal((5, 3, 3))
+    for diag in (rng.standard_normal((5, 3, 3)), None):
+        got = _assemble_compiled(kernels.assemble, 5, pi, pj, pair_blocks,
+                                 diag)
+        want = _assemble_lexsort(5, pi, pj, pair_blocks, diag)
+        if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
+            return False
+    return True
 
 
 def _bundle() -> _Kernels | None:
@@ -484,6 +562,85 @@ def spread_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
             rows = sp.csr_matrix((data[k0:k1], indices[k0:k1],
                                   indptr[a:b + 1] - k0), shape=(b - a, n))
             out[:, a:b] = (rows @ values).T
+
+
+def _assemble_lexsort(n: int, i: np.ndarray, j: np.ndarray,
+                      pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference assembly: concatenate both triangles (and the diagonal),
+    ``lexsort`` by (row, column), gather the payload."""
+    rows = [i, j]
+    cols = [j, i]
+    payload = [pair_blocks, pair_blocks.transpose(0, 2, 1)]
+    if diag_blocks is not None:
+        rng = np.arange(n, dtype=np.int64)
+        rows.append(rng)
+        cols.append(rng)
+        payload.append(diag_blocks)
+    row = np.concatenate(rows)
+    col = np.concatenate(cols)
+    order = np.lexsort((col, row))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, col[order], np.concatenate(payload, axis=0)[order]
+
+
+def _assemble_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
+                       pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One call of the C assembly into freshly allocated outputs."""
+    ndiag = 0 if diag_blocks is None else n
+    nnz = 2 * i.size + ndiag
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=np.int64)
+    blocks = np.empty((nnz, 3, 3))
+    work = np.empty(n + 1 + nnz, dtype=np.int64)
+    kern(n, i.size, i, j, pair_blocks, ndiag,
+         pair_blocks if diag_blocks is None else diag_blocks,
+         indptr, indices, blocks, work)
+    return indptr, indices, blocks
+
+
+def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
+                  pair_blocks: np.ndarray,
+                  diag_blocks: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, blocks)`` of the symmetric BCSR matrix with
+    ``pair_blocks[k]`` at ``(i[k], j[k])``, its transpose at ``(j[k],
+    i[k])`` and ``diag_blocks`` on the diagonal: rows ascending, columns
+    ascending within a row.
+
+    The half pair list may come in any order and either orientation
+    (each unordered pair once, ``i != j``).  The compiled kernel is two
+    counting-sort passes that write the payload once; the fallback is
+    the ``lexsort`` reference — the same bytes, since the kernel only
+    moves integers and copies blocks.  Shapes, ``i != j`` and the index
+    range are checked here, before any pointer reaches C.
+    """
+    i = np.ascontiguousarray(i, dtype=np.int64)
+    j = np.ascontiguousarray(j, dtype=np.int64)
+    pair_blocks = np.ascontiguousarray(pair_blocks, dtype=np.float64)
+    if (i.ndim != 1 or i.shape != j.shape
+            or pair_blocks.shape != (i.size, 3, 3)):
+        raise ConfigurationError(
+            "pair arrays must have matching shapes (m,), (m,), (m, 3, 3)")
+    if np.any(i == j):
+        raise ConfigurationError(
+            "from_pairs expects off-diagonal pairs only; "
+            "pass diagonal blocks via diag_blocks")
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        raise ConfigurationError(
+            f"pair index out of range for {n} block rows")
+    if diag_blocks is not None:
+        diag_blocks = np.ascontiguousarray(diag_blocks, dtype=np.float64)
+        if diag_blocks.shape != (n, 3, 3):
+            raise ConfigurationError(
+                f"diag_blocks must have shape ({n}, 3, 3), "
+                f"got {diag_blocks.shape}")
+    kern = getattr(_bundle(), "assemble", None)
+    if kern is None:
+        return _assemble_lexsort(n, i, j, pair_blocks, diag_blocks)
+    return _assemble_compiled(kern, n, i, j, pair_blocks, diag_blocks)
 
 
 def kernel_available() -> bool:

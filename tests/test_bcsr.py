@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sparse import BlockCSR
+from repro.sparse.kernels import _assemble_lexsort
 
 
 def _random_symmetric_bcsr(n, density, seed):
@@ -91,10 +92,65 @@ def test_zero_matrix():
     np.testing.assert_allclose(bcsr.matvec(np.ones(12)), 0.0)
 
 
+def _half_pair_list(case):
+    """``(n, i, j, pair_blocks, diag_blocks)`` of one assembly case; the
+    payloads are not symmetric, so the mirror block is a real transpose."""
+    rng = np.random.default_rng(31)
+    n = 9
+    iu, ju = np.triu_indices(n, k=1)
+    keep = (rng.random(iu.size) < 0.4) & (iu != 5) & (ju != 5)  # row 5 alone
+    i, j = iu[keep], ju[keep]
+    diag = rng.standard_normal((n, 3, 3))
+    if case == "shuffled":
+        order = rng.permutation(i.size)
+        i, j = i[order], j[order]
+    elif case == "mixed-orientation":
+        order = rng.permutation(i.size)
+        flip = rng.random(i.size) < 0.5
+        i, j = np.where(flip, j, i)[order], np.where(flip, i, j)[order]
+    elif case == "empty":
+        i = j = np.empty(0, dtype=np.intp)
+    elif case == "no-diagonal":
+        diag = None
+    else:
+        assert case == "sorted"
+    return n, i, j, rng.standard_normal((i.size, 3, 3)), diag
+
+
+@pytest.mark.parametrize("case", ["sorted", "shuffled", "mixed-orientation",
+                                  "empty", "no-diagonal"])
+def test_from_pairs_bytes_match_lexsort_reference(case, kernel_mode):
+    # the compiled assembly and its fallback give the bytes of the
+    # concatenate + lexsort reference, whatever the order of the list
+    n, i, j, blocks, diag = _half_pair_list(case)
+    bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
+    indptr, indices, payload = _assemble_lexsort(
+        n, i.astype(np.int64), j.astype(np.int64), blocks, diag)
+    assert bcsr.indptr.tobytes() == indptr.tobytes()
+    assert bcsr.indices.tobytes() == indices.tobytes()
+    assert bcsr.blocks.tobytes() == payload.tobytes()
+    assert bcsr.nnz_blocks == 2 * i.size + (0 if diag is None else n)
+    assert np.diff(bcsr.indptr)[5] == (0 if diag is None else 1)
+    for r in range(n):      # columns ascending within every row
+        assert np.all(np.diff(bcsr.indices[bcsr.indptr[r]:bcsr.indptr[r + 1]]) > 0)
+    np.testing.assert_array_equal(
+        bcsr.to_dense(),
+        _dense_reference(n, i, j, blocks,
+                         np.zeros((n, 3, 3)) if diag is None else diag))
+
+
 def test_rejects_diagonal_pairs():
     with pytest.raises(ConfigurationError):
         BlockCSR.from_pairs(3, np.array([1]), np.array([1]),
                             np.ones((1, 3, 3)))
+
+
+@pytest.mark.parametrize("i,j", [([0], [3]), ([3], [0]), ([-1], [1]),
+                                 ([0, 1], [1, 7]), ([0, 2], [1, 2])])
+def test_rejects_out_of_range_and_diagonal_pairs(i, j, kernel_mode):
+    with pytest.raises(ConfigurationError):
+        BlockCSR.from_pairs(3, np.array(i), np.array(j),
+                            np.ones((len(i), 3, 3)))
 
 
 def test_rejects_bad_shapes():

@@ -53,6 +53,10 @@ def test_profile_prints_phase_table(tmp_path, capsys):
                   "real"):
         assert phase in out
     assert "meas/pred" in out
+    # the operator build, and the three passes of its real-space half
+    for span in ("construct_p=", "construct_real=", "find_pairs=",
+                 "real_tensors=", "real_assemble="):
+        assert span in out
     assert metrics.exists()
     from repro.obs.schema import validate_prometheus_text
     validate_prometheus_text(metrics.read_text())

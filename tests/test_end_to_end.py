@@ -87,3 +87,37 @@ def test_hybrid_execution_in_simulation_context():
     u, plan = scheduler.execute(op, f)
     np.testing.assert_allclose(u, op.apply(f), rtol=1e-12)
     assert plan.cpu_only_time > 0
+
+
+def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
+                                                        monkeypatch):
+    # The real-space build (kd-tree search, compiled or fallback
+    # assembly) leaves the trajectory of the build it replaced — cell-list
+    # search, concatenate + lexsort assembly — bit for bit, in both
+    # kernel modes.  On the host of PR 17 both runs end at
+    # positions_digest 92bb07ae... (C kernels) / 977912f1... (fallback),
+    # the parent commit's values; the reference is rebuilt here instead
+    # of pinned so the test does not depend on the CPU's libm/SIMD paths.
+    import repro.pme.realspace as realspace
+    import repro.sparse.bcsr as bcsr
+    from repro.neighbor.pairs import find_pairs
+    from repro.runtime import positions_digest
+    from repro.sparse.kernels import _assemble_lexsort
+
+    def run():
+        sim = Simulation(make_suspension(100, 0.2, seed=0), "matrix-free",
+                         dt=1e-3, lambda_rpy=8, seed=0, target_ep=1e-3,
+                         e_k=1e-2)
+        traj, stats = sim.run(n_steps=16)
+        assert stats.mobility_updates == 2
+        return positions_digest(traj.positions[-1])
+
+    digest = run()
+    monkeypatch.setattr(
+        realspace, "find_pairs",
+        lambda r, box, cutoff, backend: find_pairs(r, box, cutoff, "cells"))
+    monkeypatch.setattr(
+        bcsr, "bcsr_assemble",
+        lambda n, i, j, blocks, diag: _assemble_lexsort(
+            n, i.astype(np.int64), j.astype(np.int64), blocks, diag))
+    assert run() == digest

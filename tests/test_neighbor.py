@@ -85,6 +85,35 @@ def test_kdtree_strict_inequality_convention():
     assert i.size == 1
 
 
+@pytest.mark.parametrize("direction", ["axis", "oblique"])
+def test_kdtree_keeps_pairs_within_an_ulp_of_the_cutoff(direction):
+    # The tree only proposes candidates (queried a hair wide); the strict
+    # box.distances filter decides, so pairs at cutoff * (1 - k 2^-52)
+    # across a periodic face are the brute-force reference's, and a pair
+    # at exactly the cutoff stays out.
+    box = Box(12.0)
+    cutoff = 3.7
+    rng = np.random.default_rng(5)
+    m = 60
+    if direction == "axis":
+        u = np.tile([1.0, 0.0, 0.0], (m, 1))
+    else:
+        u = rng.standard_normal((m, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+    base = rng.uniform(0, box.length, size=(m, 3))
+    base[:, 0] = box.length - rng.uniform(0.0, 0.5, size=m)
+    k = np.arange(m) % 6            # k = 0 is the cutoff exactly
+    other = base + u * (cutoff * (1 - k * 2.0 ** -52))[:, None]
+    r = box.wrap(np.concatenate([base, other]))
+    i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r, box, cutoff))
+    i, j = canonicalize_pairs(*kdtree_pairs(r, box, cutoff))
+    np.testing.assert_array_equal(i, i_ref)
+    np.testing.assert_array_equal(j, j_ref)
+    _, dist = box.distances(r, i, j)
+    assert np.all(dist < cutoff)
+    assert np.count_nonzero(dist > cutoff * (1 - 1e-14)) >= m // 3
+
+
 def test_find_pairs_unknown_backend():
     with pytest.raises(ValueError):
         find_pairs(np.zeros((2, 3)), Box(5.0), 1.0, backend="quantum")

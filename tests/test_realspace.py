@@ -5,9 +5,11 @@ import pytest
 
 from repro import Box
 from repro.errors import ConfigurationError
-from repro.neighbor.pairs import brute_force_pairs
+from repro.neighbor.pairs import brute_force_pairs, find_pairs
 from repro.pme.realspace import RealSpaceOperator
 from repro.rpy import beenakker
+from repro.sparse import BlockCSR
+from repro.sparse.kernels import _assemble_lexsort
 
 
 @pytest.fixture
@@ -68,14 +70,47 @@ def test_product_matches_references(setup, kernel_mode):
                                    rtol=0, atol=1e-13)
 
 
+def _operator_from_pairs(r, box, xi, r_max, backend):
+    """The operator's matrix assembled the reference way (concatenate +
+    lexsort) from the pair list of another search."""
+    n = r.shape[0]
+    i, j = find_pairs(r, box, r_max, backend=backend)
+    rij, dist = box.distances(r, i, j)
+    f, g = beenakker.real_space_coefficients(dist, xi, 1.0)
+    df, dg = beenakker.overlap_correction_coefficients(dist, 1.0)
+    rhat = rij / dist[:, None]
+    blocks = ((f + df)[:, None, None] * np.eye(3)
+              + (g + dg)[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
+    diag = np.broadcast_to(beenakker.self_mobility_scalar(xi) * np.eye(3),
+                           (n, 3, 3)).copy()
+    return BlockCSR(n, *_assemble_lexsort(n, i.astype(np.int64),
+                                          j.astype(np.int64), blocks, diag))
+
+
 def test_neighbor_backends_agree(setup):
+    # the operator searches with the kd-tree; matrices assembled from
+    # the cell-list and brute-force pair lists give the same product
     box, r = setup
     f = np.random.default_rng(2).standard_normal(3 * r.shape[0])
-    results = [RealSpaceOperator(r, box, xi=0.8, r_max=4.0,
-                                 neighbor_backend=b).apply(f)
-               for b in ("cells", "kdtree", "brute")]
-    np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
-    np.testing.assert_allclose(results[2], results[0], rtol=1e-12)
+    u = RealSpaceOperator(r, box, xi=0.8, r_max=4.0).apply(f)
+    for backend in ("cells", "brute"):
+        ref = _operator_from_pairs(r, box, 0.8, 4.0, backend)
+        assert u.tobytes() == ref.matmat(f[:, None])[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("half_box", [False, True], ids=["r4", "half-box"])
+def test_matrix_bytes_match_brute_force_assembly(medium_suspension, half_box,
+                                                 kernel_mode):
+    # kd-tree search + compiled (or fallback) assembly == brute-force
+    # pairs + lexsort reference, byte for byte, also at r_max = L/2
+    box, r = medium_suspension.box, medium_suspension.positions
+    r_max = box.length / 2 if half_box else 4.0
+    op = RealSpaceOperator(r, box, xi=0.8, r_max=r_max)
+    ref = _operator_from_pairs(r, box, 0.8, r_max, "brute")
+    assert op.n_pairs == (ref.nnz_blocks - r.shape[0]) // 2 > 0
+    assert op.bcsr.indptr.tobytes() == ref.indptr.tobytes()
+    assert op.bcsr.indices.tobytes() == ref.indices.tobytes()
+    assert op.bcsr.blocks.tobytes() == ref.blocks.tobytes()
 
 
 def test_block_application_matches_columns(setup):
@@ -106,6 +141,8 @@ def test_cutoff_validation():
         RealSpaceOperator(r, box, xi=1.0, r_max=0.0)
     with pytest.raises(TypeError):      # the engine option is gone
         RealSpaceOperator(r, box, xi=1.0, r_max=4.0, engine="scipy")
+    with pytest.raises(TypeError):      # and so is the choice of search
+        RealSpaceOperator(r, box, xi=1.0, r_max=4.0, neighbor_backend="cells")
 
 
 def test_pair_count_and_memory(setup):
