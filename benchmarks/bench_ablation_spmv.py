@@ -10,11 +10,11 @@ operator (Section IV.C, reference [24]):
    native SpMM kernel, each 3x3 block streamed once against all lanes)
    against the two references it replaced as selectable engines: the
    NumPy ``BlockCSR.matvec`` and the ``scipy.sparse`` CSR export,
-3. **construction** — the three passes of the build (kd-tree pair
-   search, RPY tensors on the half pair list, symmetric assembly) read
-   off the operator's own obs spans, with the compiled assembly and
-   with its ``lexsort`` fallback; and the search alone, kd-tree against
-   the cell list (the paper's Verlet cells) it replaced in the build.
+3. **construction** — the three passes of the build (pair search, RPY
+   tensors on the half pair list, symmetric assembly) read off the
+   operator's own obs spans, with the compiled assembly and with its
+   ``lexsort`` fallback; and the search alone, ``find_pairs`` against
+   its O(n^2) brute-force reference (at a small n only).
 
 Run ``python benchmarks/bench_ablation_spmv.py`` for the tables.
 """
@@ -31,7 +31,7 @@ from repro.bench import (
     print_table,
     record_benchmark,
 )
-from repro.neighbor.pairs import find_pairs
+from repro.neighbor.pairs import brute_force_pairs, find_pairs
 from repro.pme.realspace import RealSpaceOperator
 from repro.sparse.kernels import reset_kernel_cache
 
@@ -89,7 +89,9 @@ def _build_pass_seconds(susp, r_max, repeats=3):
 
 def construction_rows(n=None):
     """Rows ``[what, kernel mode, n, seconds]``: the three build passes
-    per kernel mode, then the pair search alone per backend."""
+    per kernel mode, then the pair search alone: the engine at ``n``,
+    and engine vs brute-force reference at ``min(n, 1000)`` (the
+    reference holds all ``n (n - 1) / 2`` candidates at once)."""
     n = n or (20000 if bench_scale() == "paper" else 3000)
     susp = cached_suspension(n)
     r_max = min(R_MAX, susp.box.length / 2)
@@ -107,11 +109,14 @@ def construction_rows(n=None):
         else:
             os.environ["REPRO_NO_CKERNEL"] = saved
         reset_kernel_cache()
-    for backend in ("kdtree", "cells"):
-        t = measure_seconds(
-            lambda: find_pairs(susp.positions, susp.box, r_max,
-                               backend=backend), repeats=3).best
-        rows.append([f"find_pairs({backend})", "-", n, t])
+    small = cached_suspension(min(n, 1000))
+    small_r_max = min(R_MAX, small.box.length / 2)
+    for search, s, cutoff in ((find_pairs, susp, r_max),
+                              (find_pairs, small, small_r_max),
+                              (brute_force_pairs, small, small_r_max)):
+        t = measure_seconds(lambda: search(s.positions, s.box, cutoff),
+                            repeats=3).best
+        rows.append([search.__name__, "-", s.n, t])
     return rows
 
 

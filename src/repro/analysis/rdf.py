@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import positions_arg
-from ..neighbor.celllist import CellList
+from ..neighbor.pairs import find_pairs
 
 __all__ = ["radial_distribution"]
 
@@ -41,7 +41,7 @@ def radial_distribution(positions: np.ndarray, box: Box, r_max: float,
     if r_max > box.length / 2:
         raise ConfigurationError(
             f"r_max={r_max} exceeds half the box length {box.length / 2}")
-    i, j = CellList(box, r_max).pairs(r)
+    i, j = find_pairs(r, box, r_max)
     _, dist = box.distances(r, i, j)
     counts, edges = np.histogram(dist, bins=n_bins, range=(0.0, r_max))
     centers = 0.5 * (edges[1:] + edges[:-1])

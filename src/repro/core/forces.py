@@ -5,7 +5,8 @@ harmonic contact force preventing particle overlap (Section V.A)::
 
     f_ij = -125 (|r_ij| - 2a) rhat_ij     if |r_ij| <= 2a, else 0
 
-evaluated with Verlet cell lists.  This module provides that force plus
+evaluated with Verlet cell lists (here a :class:`VerletList` over the
+package's one pair search).  This module provides that force plus
 the small set of extras the example applications need (harmonic bonds
 for polymers, constant body forces for sedimentation) behind one
 ``ForceField`` interface so integrators are agnostic to the model.

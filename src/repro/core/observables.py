@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..neighbor.celllist import CellList
+from ..neighbor.pairs import find_pairs
 from .forces import ForceField
 
 __all__ = ["Monitor", "MSDMonitor", "MinSeparationMonitor",
@@ -84,7 +84,7 @@ class MinSeparationMonitor(Monitor):
         self.cutoff = min(cutoff, box.length / 2)
 
     def sample(self, wrapped, unwrapped) -> float:
-        i, j = CellList(self.box, self.cutoff).pairs(wrapped)
+        i, j = find_pairs(wrapped, self.box, self.cutoff)
         if i.size == 0:
             return float("inf")
         _, dist = self.box.distances(wrapped, i, j)

@@ -1,7 +1,7 @@
 """Cubic periodic simulation box.
 
 The box is the geometric context shared by every operator in the
-package: Ewald sums, PME meshes, cell lists and integrators all take a
+package: Ewald sums, PME meshes, neighbor searches and integrators all take a
 :class:`Box`.  Only cubic boxes are supported, matching the paper
 (``L x L x L``, Section III.A).
 """

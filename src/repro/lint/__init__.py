@@ -24,6 +24,8 @@ section it protects.
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from .contracts import (
     BASIC,
     OFF,
@@ -38,10 +40,31 @@ from .contracts import (
     spd_arg,
     trajectory_arg,
 )
-from .baseline import Baseline, apply_baseline
-from .engine import lint_paths, lint_source
-from .findings import Finding, REPORT_JSON_SCHEMA
-from .registry import all_rules, get_rule, resolve_selection
+
+# The analyser is tooling: its names resolve on first use (PEP 562), so
+# the numeric core's ``from ..lint.contracts import ...`` does not load
+# the rule engine and the dataflow interpreter into every process.
+_ANALYSER_NAMES = {
+    "Baseline": "baseline",
+    "apply_baseline": "baseline",
+    "lint_paths": "engine",
+    "lint_source": "engine",
+    "Finding": "findings",
+    "REPORT_JSON_SCHEMA": "findings",
+    "all_rules": "registry",
+    "get_rule": "registry",
+    "resolve_selection": "registry",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ANALYSER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import_module(".engine", __name__)      # registers every rule first
+    value = getattr(import_module("." + _ANALYSER_NAMES[name], __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Finding",

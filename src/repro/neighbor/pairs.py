@@ -1,8 +1,9 @@
-"""Pair-list utilities and the brute-force reference implementation."""
+"""The pair search of the package and its brute-force reference."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..geometry.box import Box
 from ..lint.contracts import positions_arg
@@ -15,11 +16,11 @@ def brute_force_pairs(positions, box: Box, cutoff: float
                       ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs ``(i, j)``, ``i < j``, with minimum-image distance < cutoff.
 
-    O(n^2) time and memory; the reference against which the cell list
-    and KD-tree backends are validated.  Correct for any cutoff (even
-    larger than ``L/2``, where it falls back to minimum-image truncation
-    like the other backends).
+    O(n^2) time and memory; the reference :func:`find_pairs` is
+    validated against, and its fallback for cutoffs larger than ``L/2``
+    (minimum-image truncation), which the periodic kd-tree cannot take.
     """
+    require(cutoff > 0, f"cutoff must be positive, got {cutoff}")
     r = as_positions(positions)
     n = r.shape[0]
     if n < 2:
@@ -35,7 +36,7 @@ def canonicalize_pairs(i: np.ndarray, j: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Sort pair lists into the canonical order (i < j, lexicographic).
 
-    Used by tests to compare pair lists produced by different backends.
+    Used by tests to compare :func:`find_pairs` with the reference.
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
@@ -46,30 +47,30 @@ def canonicalize_pairs(i: np.ndarray, j: np.ndarray
 
 
 @positions_arg()
-def find_pairs(positions, box: Box, cutoff: float, backend: str = "cells"
+def find_pairs(positions, box: Box, cutoff: float
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Find interacting pairs with the requested backend.
+    """All pairs ``(i, j)``, ``i < j``, with minimum-image distance < cutoff.
 
-    Parameters
-    ----------
-    positions, box, cutoff:
-        As for :func:`brute_force_pairs`.
-    backend:
-        ``"cells"`` (vectorized linked cells, default), ``"kdtree"``
-        (``scipy.spatial.cKDTree``), or ``"brute"`` (O(n^2) reference).
-
-    Returns
-    -------
-    (i, j):
-        Index arrays with ``i < j`` for every pair within ``cutoff``.
+    The one neighbor search behind the real-space matrix, the forces,
+    the system generators and the analysis code: a periodic
+    ``scipy.spatial.cKDTree`` (a substitution for the paper's Verlet
+    cell list: O(n log n), compiled) proposes candidates and the strict
+    ``box.distances < cutoff`` filter decides membership, so the pair
+    set is that of :func:`brute_force_pairs`.  The pair order is the
+    tree's, deterministic for a given input.
     """
     require(cutoff > 0, f"cutoff must be positive, got {cutoff}")
-    if backend == "cells":
-        from .celllist import CellList
-        return CellList(box, cutoff).pairs(positions)
-    if backend == "kdtree":
-        from .kdtree import kdtree_pairs
-        return kdtree_pairs(positions, box, cutoff)
-    if backend == "brute":
-        return brute_force_pairs(positions, box, cutoff)
-    raise ValueError(f"unknown neighbor backend {backend!r}")
+    r = box.wrap(as_positions(positions))
+    if cutoff > box.length / 2:
+        # beyond what the periodic tree accepts
+        return brute_force_pairs(r, box, cutoff)
+    tree = cKDTree(r, boxsize=box.length)
+    # The tree's distance arithmetic is not box.distances', so it is
+    # queried a hair wide and the filter below is the one membership test.
+    pairs = tree.query_pairs(cutoff * (1 + 1e-12), output_type="ndarray")
+    if pairs.size == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    _, dist = box.distances(r, pairs[:, 0], pairs[:, 1])
+    sel = dist < cutoff
+    return pairs[sel, 0], pairs[sel, 1]

@@ -1,7 +1,7 @@
 """Skin-buffered Verlet pair list reusable across time steps.
 
 The BD integrators rebuild short-range interaction lists every step; a
-Verlet list with a skin buffer amortizes the cell-list construction by
+Verlet list with a skin buffer amortizes the pair search by
 caching all pairs within ``cutoff + skin`` and only rebuilding once any
 particle has moved more than ``skin / 2`` since the last build (the
 standard displacement criterion, Allen & Tildesley Section 5.3).
@@ -13,7 +13,7 @@ import numpy as np
 
 from ..geometry.box import Box
 from ..utils.validation import as_positions, require
-from .celllist import CellList
+from .pairs import find_pairs
 
 __all__ = ["VerletList"]
 
@@ -30,18 +30,14 @@ class VerletList:
     skin:
         Extra buffer distance; larger skins rebuild less often but
         return more candidate pairs.  Default ``0.3 * cutoff``.
-    backend:
-        Neighbor backend used for rebuilds (``"cells"``, ``"kdtree"``).
     """
 
-    def __init__(self, box: Box, cutoff: float, skin: float | None = None,
-                 backend: str = "cells"):
+    def __init__(self, box: Box, cutoff: float, skin: float | None = None):
         require(cutoff > 0, f"cutoff must be positive, got {cutoff}")
         self.box = box
         self.cutoff = float(cutoff)
         self.skin = float(skin) if skin is not None else 0.3 * cutoff
         require(self.skin >= 0, f"skin must be non-negative, got {self.skin}")
-        self.backend = backend
         self._reference_positions: np.ndarray | None = None
         self._cached: tuple[np.ndarray, np.ndarray] | None = None
         #: Number of full rebuilds performed (for diagnostics/benchmarks).
@@ -65,18 +61,10 @@ class VerletList:
         """
         r = self.box.wrap(as_positions(positions))
         if self._needs_rebuild(r):
-            if self.backend == "cells":
-                cl = CellList(self.box, self.cutoff + self.skin)
-                self._cached = cl.pairs(r)
-            else:
-                from .pairs import find_pairs
-                self._cached = find_pairs(r, self.box, self.cutoff + self.skin,
-                                          backend=self.backend)
+            self._cached = find_pairs(r, self.box, self.cutoff + self.skin)
             self._reference_positions = r.copy()
             self.n_rebuilds += 1
         i, j = self._cached
-        if self.skin == 0.0:
-            return i, j
         _, dist = self.box.distances(r, i, j)
         sel = dist < self.cutoff
         return i[sel], j[sel]

@@ -4,9 +4,9 @@ With the Ewald parameter chosen so the real-space series is negligible
 beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
 Section IV.C) and stored in BCSR.  The build is three passes: a
-periodic kd-tree pair search (:func:`~repro.neighbor.kdtree.kdtree_pairs`
-— a substitution for the paper's Verlet cell list, O(n log n) and
-compiled), the RPY tensor of every pair on the half pair list (NumPy;
+pair search (:func:`~repro.neighbor.pairs.find_pairs`: a periodic
+kd-tree, a substitution for the paper's Verlet cell list, O(n log n)
+and compiled), the RPY tensor of every pair on the half pair list (NumPy;
 it decides the bytes), and one linear symmetric assembly
 (:meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`).  Because Algorithm 2
 applies the operator to blocks of vectors, every product — one column
@@ -78,7 +78,7 @@ class RealSpaceOperator:
         self.kernel = kernel
 
         with obs.span("pme.find_pairs", n=n):
-            i, j = find_pairs(r, box, r_max, backend="kdtree")
+            i, j = find_pairs(r, box, r_max)
         with obs.span("pme.real_tensors", pairs=int(i.size)):
             if i.size:
                 rij, dist = box.distances(r, i, j)

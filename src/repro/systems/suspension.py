@@ -3,7 +3,7 @@
 The paper's test systems are monodisperse suspensions of spheres at
 volume fractions ``Phi`` from 0.1 to 0.4.  Two generators are provided:
 
-* random sequential addition (RSA) with cell-list overlap checks —
+* random sequential addition (RSA) with pair-search overlap checks —
   genuinely random, but RSA saturates near ``Phi ~ 0.30`` for
   non-overlapping spheres,
 * a jittered FCC lattice — reaches any ``Phi`` up to close packing and
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ConvergenceError
 from ..geometry.box import Box
-from ..neighbor.celllist import CellList
+from ..neighbor.pairs import find_pairs
 from ..units import FluidParams, REDUCED
 from .lattice import fcc_positions
 
@@ -62,7 +62,7 @@ class Suspension:
     def min_separation(self) -> float:
         """Smallest minimum-image pair distance (overlap diagnostics)."""
         cutoff = min(4.0 * self.fluid.radius, self.box.length / 2)
-        i, j = CellList(self.box, cutoff).pairs(self.positions)
+        i, j = find_pairs(self.positions, self.box, cutoff)
         if i.size == 0:
             return float("inf")
         _, dist = self.box.distances(self.positions, i, j)
@@ -77,7 +77,7 @@ def random_suspension(n: int, volume_fraction: float,
 
     Particles are inserted one at a time at uniform positions, rejecting
     any insertion closer than ``2a`` to an existing particle (checked
-    through a cell list over the accepted set).
+    through a pair search over the accepted set).
 
     Raises
     ------
@@ -98,10 +98,8 @@ def random_suspension(n: int, volume_fraction: float,
 
     accepted = np.empty((n, 3))
     count = 0
-    # cells over accepted particles, rebuilt geometrically as the set grows
     while count < n:
-        batch = max(64, count)  # insert in batches to amortize cell builds
-        cl = CellList(box, two_a)
+        batch = max(64, count)  # insert in batches to amortize the searches
         for _ in range(max_attempts_per_particle):
             m = min(batch, n - count)
             cand = rng.uniform(0.0, box.length, size=(m, 3))
@@ -110,7 +108,7 @@ def random_suspension(n: int, volume_fraction: float,
                 # distance of each candidate to accepted set via one
                 # combined pair search over the union
                 union = np.concatenate([accepted[:count], cand])
-                i, j = cl.pairs(union)
+                i, j = find_pairs(union, box, two_a)
                 bad_pairs = (i < count) != (j < count)  # accepted-candidate
                 bad = np.unique(np.where(j[bad_pairs] >= count,
                                          j[bad_pairs], i[bad_pairs]) - count)
@@ -118,7 +116,7 @@ def random_suspension(n: int, volume_fraction: float,
             # candidates must also not overlap each other
             cand_ok = cand[ok]
             if cand_ok.shape[0] > 1:
-                i, j = cl.pairs(cand_ok)
+                i, j = find_pairs(cand_ok, box, two_a)
                 mask = np.ones(cand_ok.shape[0], dtype=bool)
                 mask[j] = False  # keep the first of each overlapping pair
                 cand_ok = cand_ok[mask]
@@ -149,7 +147,7 @@ def _resolve_overlaps(positions: np.ndarray, box: Box, radius: float,
     target = contact * 1.0001
     r = box.wrap(positions.copy())
     for _ in range(max_sweeps):
-        i, j = CellList(box, contact).pairs(r)
+        i, j = find_pairs(r, box, contact)
         if i.size == 0:
             return r
         rij, dist = box.distances(r, i, j)

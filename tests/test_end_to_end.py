@@ -91,16 +91,15 @@ def test_hybrid_execution_in_simulation_context():
 
 def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
                                                         monkeypatch):
-    # The real-space build (kd-tree search, compiled or fallback
-    # assembly) leaves the trajectory of the build it replaced — cell-list
+    # The real-space build (find_pairs, compiled or fallback assembly)
+    # leaves the trajectory of the reference build — brute-force pair
     # search, concatenate + lexsort assembly — bit for bit, in both
-    # kernel modes.  On the host of PR 17 both runs end at
-    # positions_digest 92bb07ae... (C kernels) / 977912f1... (fallback),
-    # the parent commit's values; the reference is rebuilt here instead
-    # of pinned so the test does not depend on the CPU's libm/SIMD paths.
+    # kernel modes (the id names the cell-list build this pinned before
+    # that search left src/).  The reference is rebuilt here instead of
+    # pinned so the test does not depend on the CPU's libm/SIMD paths.
     import repro.pme.realspace as realspace
     import repro.sparse.bcsr as bcsr
-    from repro.neighbor.pairs import find_pairs
+    from repro.neighbor.pairs import brute_force_pairs
     from repro.runtime import positions_digest
     from repro.sparse.kernels import _assemble_lexsort
 
@@ -113,9 +112,7 @@ def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
         return positions_digest(traj.positions[-1])
 
     digest = run()
-    monkeypatch.setattr(
-        realspace, "find_pairs",
-        lambda r, box, cutoff, backend: find_pairs(r, box, cutoff, "cells"))
+    monkeypatch.setattr(realspace, "find_pairs", brute_force_pairs)
     monkeypatch.setattr(
         bcsr, "bcsr_assemble",
         lambda n, i, j, blocks, diag: _assemble_lexsort(

@@ -11,6 +11,7 @@ from repro.core.forces import (
     RepulsiveHarmonic,
 )
 from repro.errors import ConfigurationError
+from repro.neighbor import brute_force_pairs
 from repro.systems import random_suspension
 
 
@@ -86,6 +87,40 @@ class TestRepulsiveHarmonic:
     def test_rejects_bad_stiffness(self):
         with pytest.raises(ConfigurationError):
             RepulsiveHarmonic(Box(10.0), stiffness=0.0)
+
+    def test_overlapping_forces_match_brute_force_and_repeat_bytewise(self):
+        # the force path's pair order is the engine's: the values are the
+        # brute-force accumulation's to round-off, and the bytes repeat
+        # on a list-reuse step, after invalidate() and on a fresh instance
+        box = Box(14.0)
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0, box.length, size=(120, 3))   # ideal gas: overlaps
+        field = RepulsiveHarmonic(box)
+
+        def reference(r):
+            i, j = brute_force_pairs(r, box, field.contact)
+            rij, dist = box.distances(r, i, j)
+            fij = (-field.stiffness * (dist - field.contact)
+                   / dist)[:, None] * rij
+            out = np.zeros_like(r)
+            np.add.at(out, i, fij)
+            np.add.at(out, j, -fij)
+            return out, i.size
+
+        ref, n_overlaps = reference(r)
+        assert n_overlaps > 20
+        f = field.forces(r)
+        np.testing.assert_allclose(f, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+        moved = box.wrap(r + 0.02 * rng.standard_normal(r.shape))
+        np.testing.assert_allclose(field.forces(moved), reference(moved)[0],
+                                   rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert field.forces(r).tobytes() == f.tobytes()
+        assert field._verlet.n_rebuilds == 1        # both were reuse steps
+        field._verlet.invalidate()
+        assert field.forces(r).tobytes() == f.tobytes()
+        assert field._verlet.n_rebuilds == 2
+        assert RepulsiveHarmonic(box).forces(r).tobytes() == f.tobytes()
 
 
 class TestHarmonicBonds:

@@ -26,6 +26,26 @@ def rule_ids(source: str) -> list[str]:
     return [f.rule for f in lint_source(dedent(source), "<snippet>")]
 
 
+def test_importing_the_package_does_not_load_the_analyser():
+    # the numeric core only needs repro.lint.contracts; the analyser
+    # names of repro.lint resolve on first use (CI runs the same check)
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro\n"
+        "loaded = [m for m in sys.modules if m == 'repro.lint.engine'"
+        " or m.startswith('repro.lint.flow')]\n"
+        "assert not loaded, loaded\n"
+        "from repro.lint import lint_paths, Finding, all_rules\n"
+        "assert 'repro.lint.engine' in sys.modules and all_rules()\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert done.returncode == 0, done.stderr
+
+
 # ----------------------------------------------------------------------
 # the registry itself
 # ----------------------------------------------------------------------

@@ -70,11 +70,11 @@ def test_product_matches_references(setup, kernel_mode):
                                    rtol=0, atol=1e-13)
 
 
-def _operator_from_pairs(r, box, xi, r_max, backend):
+def _operator_from_pairs(r, box, xi, r_max, search):
     """The operator's matrix assembled the reference way (concatenate +
-    lexsort) from the pair list of another search."""
+    lexsort) from the pair list of ``search``."""
     n = r.shape[0]
-    i, j = find_pairs(r, box, r_max, backend=backend)
+    i, j = search(r, box, r_max)
     rij, dist = box.distances(r, i, j)
     f, g = beenakker.real_space_coefficients(dist, xi, 1.0)
     df, dg = beenakker.overlap_correction_coefficients(dist, 1.0)
@@ -88,25 +88,25 @@ def _operator_from_pairs(r, box, xi, r_max, backend):
 
 
 def test_neighbor_backends_agree(setup):
-    # the operator searches with the kd-tree; matrices assembled from
-    # the cell-list and brute-force pair lists give the same product
+    # matrices assembled the reference way from the engine's and the
+    # brute-force pair lists give the operator's product
     box, r = setup
     f = np.random.default_rng(2).standard_normal(3 * r.shape[0])
     u = RealSpaceOperator(r, box, xi=0.8, r_max=4.0).apply(f)
-    for backend in ("cells", "brute"):
-        ref = _operator_from_pairs(r, box, 0.8, 4.0, backend)
+    for search in (find_pairs, brute_force_pairs):
+        ref = _operator_from_pairs(r, box, 0.8, 4.0, search)
         assert u.tobytes() == ref.matmat(f[:, None])[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("half_box", [False, True], ids=["r4", "half-box"])
 def test_matrix_bytes_match_brute_force_assembly(medium_suspension, half_box,
                                                  kernel_mode):
-    # kd-tree search + compiled (or fallback) assembly == brute-force
+    # find_pairs + compiled (or fallback) assembly == brute-force
     # pairs + lexsort reference, byte for byte, also at r_max = L/2
     box, r = medium_suspension.box, medium_suspension.positions
     r_max = box.length / 2 if half_box else 4.0
     op = RealSpaceOperator(r, box, xi=0.8, r_max=r_max)
-    ref = _operator_from_pairs(r, box, 0.8, r_max, "brute")
+    ref = _operator_from_pairs(r, box, 0.8, r_max, brute_force_pairs)
     assert op.n_pairs == (ref.nnz_blocks - r.shape[0]) // 2 > 0
     assert op.bcsr.indptr.tobytes() == ref.indptr.tobytes()
     assert op.bcsr.indices.tobytes() == ref.indices.tobytes()
