@@ -1,10 +1,9 @@
 """Blocked-PME apply under execution contexts: serial vs threads.
 
 An ExecutionContext splits the mesh rows of the spreading gather, the
-particle rows of the interpolation, the forward FFT lanes, the stacked
-inverse transforms and the block rows of the real-space BCSR SpMM
-across its workers (GIL-releasing C kernels; paper Sections IV.A, IV.C,
-IV.E).  This benchmark times the same ``(3n, s)`` blocked apply
+particle rows of the interpolation, the FFT lanes of both directions
+and the block rows of the real-space BCSR SpMM across its workers
+(GIL-releasing C kernels; paper Sections IV.A, IV.C, IV.E).  This benchmark times the same ``(3n, s)`` blocked apply
 
 * without an explicit context (``no-context``: the process default, a
   one-worker ``serial`` context — the reference arm),
@@ -19,7 +18,9 @@ single-CPU host the thread rows measure dispatch overhead, not
 parallel gain, and the recorded ``cpus`` field lets the CI comparison
 interpret the numbers.  Run ``python benchmarks/bench_parallel_pme.py``
 for the table; ``BENCH_parallel_pme.json`` is written via
-``repro.bench.record``.
+``repro.bench.record``, with the mean seconds per apply of each pipeline
+phase at 1 and 2 threads in ``meta["phase_seconds"]`` (how each stage,
+the inverse FFT included, scales on the context's pool).
 """
 
 import hashlib
@@ -48,6 +49,10 @@ XI, R_MAX, K, P = 0.30, 13.0, 24, 6
 
 #: Worker counts measured under the threads backend.
 THREAD_WORKERS = (1, 2, 4)
+
+#: Pipeline phases (Fig. 5 names) whose seconds per apply are recorded
+#: for the 1- and 2-worker threads arms.
+PHASES = ("spread", "fft", "influence", "ifft", "interpolate", "real")
 
 
 def _cpus() -> int:
@@ -85,18 +90,25 @@ def parallel_rows(n=N, s=S, repeats=None):
 
     configs = [("serial", 1)] + [("threads", w) for w in THREAD_WORKERS]
     digests = {_digest(u_plain)}
+    phase_seconds = {}
     for backend, workers in configs:
         with ExecutionContext(backend=backend, workers=workers) as ctx:
             op = PMEOperator(susp.positions, susp.box, params, context=ctx)
             digests.add(_digest(op.apply_block(f)))
             t = _best_of(lambda: op.apply_block(f), repeats)
             rows.append([backend, workers, t, t_plain / t])
+            if backend == "threads" and workers <= 2:
+                applies = op.n_applications // s
+                phase_seconds[workers] = {
+                    name: seconds / applies
+                    for name, seconds in op.phase_breakdown().items()
+                    if name in PHASES}
     assert len(digests) == 1, "contexts disagree bitwise"
-    return rows
+    return rows, phase_seconds
 
 
 def main():
-    rows = parallel_rows()
+    rows, phase_seconds = parallel_rows()
     headers = ["backend", "workers", "t block (s)",
                "speedup vs no-context"]
     print_table(f"Blocked-PME apply under execution contexts "
@@ -114,6 +126,7 @@ def main():
                            "kernel_available": kernel_available(),
                            "threads_speedups": threads,
                            "best_threads_speedup": best_threads,
+                           "phase_seconds": phase_seconds,
                            "bit_identical": True})
     print(f"\nbest threads speedup (2+ workers) vs no-context: "
           f"{best_threads:.2f}x on {_cpus()} cpu(s)")

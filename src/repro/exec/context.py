@@ -9,20 +9,23 @@ parallel takes a context:
 * spreading and interpolation of the PME pipeline, as gathers over
   mesh-row and particle-row ranges (every output element has one
   writer, so there is nothing to colour or lock),
-* the FFTs: forward r2c lanes as :meth:`ExecutionContext.run_tasks`
-  thunks, stacked inverse transforms through ``workers=`` of
-  :mod:`scipy.fft`,
+* the FFTs, both directions: every lane is one single-threaded
+  transform, and lane ranges are split over the workers (no
+  ``workers=`` of :mod:`scipy.fft`: that starts pocketfft's own
+  process-global pool, which no context sizes, counts or closes),
 * the chunked BCSR SpMM of the real-space term (Section IV.C),
 * the per-device shares of the hybrid scheduler (Section IV.E).
 
 The headline invariant: for a fixed kernel configuration, the
 ``serial`` and ``threads`` backends produce **bit-identical** results
-at any worker count — every partition the context hands out (row and
-lane ranges) writes disjoint outputs and preserves the per-element
-accumulation order, so parallelism never perturbs the floating-point
-sums.  ``serial`` is not the absence of a context: it is a one-worker
-context running every task inline, and it is what
-:func:`default_context` returns unless the config selects ``threads``.
+at any worker count — every partition the context hands out
+(:meth:`ExecutionContext.run_ranges` over :func:`row_blocks`: the one
+place that decides how a stage is split) writes disjoint outputs and
+preserves the per-element accumulation order, so parallelism never
+perturbs the floating-point sums.  ``serial`` is not the absence of a
+context: it is a one-worker context running every task inline, and it
+is what :func:`default_context` returns unless the config selects
+``threads``.
 
 The pool is created lazily on first dispatch and owned until
 :meth:`ExecutionContext.close` (idempotent; the context is also a
@@ -33,6 +36,7 @@ first task start) in the ``exec_queue_lag_seconds`` gauge.
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
@@ -42,7 +46,29 @@ from ..config import BACKENDS, get_config
 from ..errors import ConfigurationError
 from ..utils.timing import now
 
-__all__ = ["ExecutionContext", "default_context", "reset_default_context"]
+__all__ = ["ExecutionContext", "INLINE", "default_context",
+           "reset_default_context", "row_blocks"]
+
+
+def row_blocks(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
+    """Split ``n_rows`` into ``n_workers`` contiguous, balanced ranges.
+
+    Returns half-open ``(start, stop)`` ranges; sizes differ by at most
+    one.  Workers beyond ``n_rows`` receive empty ranges.  (The paper's
+    row-block partition of ``P``, Section IV.B.1.)
+    """
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+    if n_rows < 0:
+        raise ConfigurationError(f"n_rows must be >= 0, got {n_rows}")
+    base, extra = divmod(n_rows, n_workers)
+    ranges = []
+    start = 0
+    for w in range(n_workers):
+        size = base + (1 if w < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
 
 
 class ExecutionContext:
@@ -61,8 +87,7 @@ class ExecutionContext:
 
     def __init__(self, backend: str | None = None,
                  workers: int | None = None):
-        config = get_config()
-        backend = (config.backend if backend is None
+        backend = (get_config().backend if backend is None
                    else str(backend).lower())
         if backend not in BACKENDS:
             raise ConfigurationError(
@@ -70,7 +95,7 @@ class ExecutionContext:
                 f"got {backend!r}")
         if workers is None:
             workers = (1 if backend == "serial"
-                       else config.resolved_workers())
+                       else get_config().resolved_workers())
         workers = max(1, int(workers))
         self._backend = backend
         self._workers = 1 if backend == "serial" else workers
@@ -128,7 +153,7 @@ class ExecutionContext:
         """Run independent thunks; barrier; returns results in order.
 
         A context with more than one worker dispatches to its thread
-        pool (the compiled kernels and NumPy's FFT release the GIL, so
+        pool (the compiled kernels and pocketfft release the GIL, so
         this is genuine parallelism); one worker runs inline.
         """
         self._check_open()
@@ -160,6 +185,20 @@ class ExecutionContext:
                            stage=stage).set(queue_lag)
         return results
 
+    def run_ranges(self, fn: Callable[[int, int], Any], n: int,
+                   stage: str = "exec") -> list[Any]:
+        """``fn(lo, hi)`` over ``[0, n)`` split among the workers.
+
+        The one decision of how a stage is split: the non-empty
+        :func:`row_blocks` of ``n`` over :attr:`workers`, dispatched as
+        one :meth:`run_tasks` barrier (so one worker, or ``n < 2``, runs
+        inline and ``n == 0`` dispatches nothing).
+        """
+        return self.run_tasks(
+            [functools.partial(fn, lo, hi)
+             for lo, hi in row_blocks(n, self._workers) if hi > lo],
+            stage=stage)
+
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
@@ -177,6 +216,12 @@ class ExecutionContext:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+#: The calling thread as a context (one worker, every task inline, no
+#: pool, never closed): what ``context=None`` means on the leaf methods
+#: that take an optional context.
+INLINE = ExecutionContext("serial")
 
 
 # ----------------------------------------------------------------------

@@ -541,14 +541,17 @@ class AdHocWorkerPoolRule(Rule):
     meta = RuleMeta(
         id="RPR011", name="ad-hoc-worker-pool",
         summary="direct ThreadPoolExecutor / ProcessPoolExecutor / "
-                "multiprocessing Pool construction outside repro.exec",
+                "multiprocessing Pool construction, or a workers= "
+                "scipy.fft call, outside repro.exec",
         rationale="The ExecutionContext owns the one thread pool: it sizes "
                   "it against the configured worker budget (so "
                   "ensemble workers don't oversubscribe the machine), "
                   "reuses it across applications instead of paying "
                   "thread start-up per call, and closes it "
                   "deterministically.  A pool constructed elsewhere "
-                  "escapes all three guarantees.")
+                  "escapes all three guarantees — and so does "
+                  "pocketfft's process-global native pool, which a "
+                  "scipy.fft call starts when given workers=.")
 
     #: Constructor names that allocate a worker pool.
     _POOL_NAMES = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
@@ -561,14 +564,43 @@ class AdHocWorkerPoolRule(Rule):
             return True
         return "exec" in parts
 
+    @staticmethod
+    def _scipy_fft_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+        """Names this file binds to the ``scipy.fft`` module, and to
+        functions imported from it."""
+        modules, functions = {"scipy.fft"}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname for a in node.names
+                               if a.name == "scipy.fft" and a.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                modules.update(a.asname or a.name for a in node.names
+                               if a.name == "fft")
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "scipy.fft"):
+                functions.update(a.asname or a.name for a in node.names)
+        return modules, functions
+
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
         if self._exempt(ctx.display_path):
             return
+        fft_modules, fft_functions = self._scipy_fft_names(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = _last_attr(node.func)
             dotted = _dotted(node.func)
+            if (dotted is not None
+                    and any(kw.arg == "workers" for kw in node.keywords)
+                    and (dotted in fft_functions
+                         or dotted.rpartition(".")[0] in fft_modules)):
+                yield self.finding(
+                    ctx, node,
+                    f"{dotted}(..., workers=) starts pocketfft's own "
+                    "thread pool outside repro.exec",
+                    hint="leave workers unset and split the transforms "
+                         "over ExecutionContext.run_ranges")
+                continue
             pool = None
             if name in self._POOL_NAMES:
                 pool = name

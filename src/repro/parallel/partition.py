@@ -4,7 +4,9 @@ The paper partitions the interpolation matrix ``P`` into row blocks
 (one per thread, Section IV.B.1) and statically partitions the
 block-of-vectors reciprocal work between CPUs and coprocessors
 (Section IV.E).  These helpers compute such partitions; they are pure
-functions so the schedules are unit-testable.
+functions so the schedules are unit-testable.  ``row_blocks`` lives in
+:mod:`repro.exec` beside ``ExecutionContext.run_ranges``, the one
+dispatch that applies it, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -12,28 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..exec import row_blocks   # re-export: the context owns the partition
 
 __all__ = ["row_blocks", "balance_by_cost"]
-
-
-def row_blocks(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split ``n_rows`` into ``n_workers`` contiguous, balanced ranges.
-
-    Returns half-open ``(start, stop)`` ranges; sizes differ by at most
-    one.  Workers beyond ``n_rows`` receive empty ranges.
-    """
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if n_rows < 0:
-        raise ConfigurationError(f"n_rows must be >= 0, got {n_rows}")
-    base, extra = divmod(n_rows, n_workers)
-    ranges = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
 
 
 def balance_by_cost(costs, n_workers: int) -> list[list[int]]:

@@ -4,9 +4,10 @@ The Fig. 5 experiment overlays the Section IV.D model on real
 measurements.  Rather than hand-tuning the host's FFT rates and
 effective bandwidth, :func:`calibrate_host` measures them directly:
 
-* 3-D r2c/c2r FFT rates at a few mesh sizes (GF/s using the model's
-  own ``2.5 K^3 log2 K^3`` flop convention, so model and measurement
-  cancel consistently),
+* 3-D r2c/c2r FFT rates at a few mesh sizes — the PME pipeline's own
+  lane transforms, so the model is calibrated on the code it predicts
+  (GF/s using the model's own ``2.5 K^3 log2 K^3`` flop convention, so
+  model and measurement cancel consistently),
 * sustainable bandwidth from a large out-of-place array copy
   (read + write), which matches how the model charges traffic.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exec import INLINE
+from ..pme.operator import _irfftn_lanes, _rfftn_lanes
 from ..utils.timing import Timer
 from .machines import Machine
 
@@ -32,16 +35,17 @@ def _time_best(fn, repeats: int = 3) -> float:
 
 
 def _fft_rate(K: int, inverse: bool) -> float:
-    """Measured 3-D (i)FFT rate in GF/s at mesh dimension ``K``."""
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((K, K, K))
-    spec = np.fft.rfftn(x)
+    """Measured 3-D (i)FFT rate in GF/s at mesh dimension ``K``: the
+    pipeline's transform of that direction on a one-lane stack."""
+    mesh = np.random.default_rng(0).standard_normal((1, K, K, K))
+    spec = np.empty((1, K, K, K // 2 + 1), dtype=np.complex128)
+    _rfftn_lanes(mesh, spec, INLINE)
     flops = 2.5 * K ** 3 * np.log2(K ** 3)
     if inverse:
-        t = _time_best(lambda: np.fft.irfftn(spec, s=(K, K, K),
-                                             axes=(0, 1, 2)))
+        # consumes ``spec``; what it leaves is still a finite spectrum
+        t = _time_best(lambda: _irfftn_lanes(spec, mesh, INLINE))
     else:
-        t = _time_best(lambda: np.fft.rfftn(x))
+        t = _time_best(lambda: _rfftn_lanes(mesh, spec, INLINE))
     return flops / t / 1e9
 
 

@@ -97,12 +97,14 @@ class MobilityCache:
                   ) -> dict[str, np.ndarray]:
         """Preallocated batched-pipeline arrays for ``lanes = 3 s``.
 
-        Returns a dict with keys ``"mesh"`` (``(lanes, K^3)`` float64),
-        ``"spec"`` (``(lanes, K, K, K//2 + 1)`` complex128) and
-        ``"particle"`` (``(lanes, n)`` float64).  Contents are
-        scratch — callers overwrite them fully, and concurrent applies
-        sharing one cache must serialize around the whole apply (see
-        the module docstring).
+        Returns a dict with keys ``"mesh"`` (``(lanes, K^3)`` float64:
+        the spread forces, then — once the forward FFT has consumed
+        them — the output of the inverse FFT, so a pass holds one
+        real mesh block, not two), ``"spec"`` (``(lanes, K, K, K//2 +
+        1)`` complex128) and ``"particle"`` (``(lanes, n)`` float64).
+        Contents are scratch — callers overwrite them fully, and
+        concurrent applies sharing one cache must serialize around the
+        whole apply (see the module docstring).
         """
         return self._lookup(self._workspaces, (int(K), int(lanes), int(n)),
                             lambda: {

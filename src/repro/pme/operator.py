@@ -20,7 +20,6 @@ the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,26 +47,56 @@ __all__ = ["PMEParams", "PMEOperator"]
 MAX_BLOCK_COLUMNS = 32
 
 
+#: ``np.fft`` transforms write into ``out=`` from NumPy 2.0 on; below
+#: it (declared floor: 1.24) a lane is transformed and then copied.
+#: Decided here, once, for both directions.
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
 def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context) -> None:
     """Forward r2c FFT of every lane ``src[b]`` straight into ``dst[b]``.
 
     The one forward-transform path of the pipeline: lanes are split in
-    contiguous ranges over ``context.run_tasks`` (NumPy's pocketfft
-    releases the GIL), and each lane is transformed by the same call
+    contiguous ranges over ``context.run_ranges`` (pocketfft releases
+    the GIL), and each lane is transformed by the same NumPy call
     whatever the worker count, so the spectrum is bitwise independent
     of the context.  One worker is the plain loop.
     """
     def transform(lo: int, hi: int) -> None:
         for b in range(lo, hi):
-            try:
+            if _FFT_OUT:
                 np.fft.rfftn(src[b], out=dst[b])
-            except TypeError:  # pragma: no cover - numpy < 2 has no out=
+            else:
                 dst[b] = np.fft.rfftn(src[b])
 
-    from ..parallel.partition import row_blocks  # deferred: import cycle
-    context.run_tasks([functools.partial(transform, lo, hi)
-                       for lo, hi in row_blocks(src.shape[0], context.workers)
-                       if hi > lo], stage="fft")
+    context.run_ranges(transform, src.shape[0], "fft")
+
+
+def _irfftn_lanes(spec: np.ndarray, mesh: np.ndarray, context) -> None:
+    """Inverse c2r FFT of every lane ``spec[b]`` straight into
+    ``mesh[b]``; the mirror of :func:`_rfftn_lanes`, on the same pool.
+    ``spec`` is consumed (its lanes are transformed in place).
+
+    Per lane: SciPy's c2c over the two full axes, then the c2r over the
+    half axis — NumPy's where it takes ``out=`` (nothing is allocated
+    and nothing copied), SciPy's plus a lane copy below NumPy 2.  These
+    are the 1-D pocketfft transforms of the stacked
+    ``scipy.fft.ifftn(axes=(1, 2))`` / ``irfft(axis=3)`` pair, and give
+    its bytes; an all-NumPy ``irfftn`` does not, and is slower.  No
+    ``workers=``: lanes are the parallelism, and pocketfft's own thread
+    pool is never started.
+    """
+    K = mesh.shape[-1]
+
+    def transform(lo: int, hi: int) -> None:
+        for b in range(lo, hi):
+            tmp = sfft.ifftn(spec[b], axes=(0, 1), overwrite_x=True)
+            if _FFT_OUT:
+                np.fft.irfft(tmp, n=K, axis=2, out=mesh[b])
+            else:
+                mesh[b] = sfft.irfft(tmp, n=K, axis=2, overwrite_x=True)
+
+    context.run_ranges(transform, spec.shape[0], "ifft")
 
 
 @keyword_only
@@ -219,9 +248,9 @@ class PMEOperator:
 
         * one spreading gather over ``P^T`` for all ``3s`` mesh lanes,
         * ``3s`` contiguous forward r2c FFTs into one stacked
-          half-spectrum, and a *stacked* inverse transform (one batched
-          c2c pass over the two full axes + one batched c2r pass over
-          the half axis),
+          half-spectrum, and ``3s`` inverse transforms (c2c over the
+          two full axes + c2r over the half axis) back into the mesh
+          workspace the forces were spread on,
         * the influence function applied slab-fused over all vectors
           (``khat``/scalar grids read once per slab, not once per
           vector),
@@ -277,6 +306,7 @@ class PMEOperator:
             lanes = 3 * s                   # lane b = component*s + vector
             ws = self.cache.workspace(K, lanes, n)
             g, spec = ws["mesh"], ws["spec"]
+            g4 = g.reshape(lanes, K, K, K)
 
             fm = fc.reshape(n, lanes)
             with self.timers.phase("spread", vectors=s, **xargs):
@@ -290,30 +320,26 @@ class PMEOperator:
                         g[:, a:a + 16384] = gm[a:a + 16384].T
 
             with self.timers.phase("fft", vectors=s, **xargs):
-                _rfftn_lanes(g.reshape(lanes, K, K, K), spec, ctx)
+                _rfftn_lanes(g4, spec, ctx)
 
             with self.timers.phase("influence", vectors=s, **xargs):
                 self.influence.apply_batch(
                     spec.reshape((3, s) + self.mesh.rshape))
 
             with self.timers.phase("ifft", vectors=s, **xargs):
-                # decomposed inverse: batched c2c over the two full
-                # axes, then one batched c2r transform on the half axis
-                tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
-                                 workers=ctx.workers)
-                u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
-                               workers=ctx.workers)
+                # the forward FFT consumed the spread forces: the mesh
+                # workspace now takes the velocities
+                _irfftn_lanes(spec, g4, ctx)
 
             with self.timers.phase("interpolate", vectors=s, **xargs):
-                ub = u.reshape(lanes, K ** 3)
                 oc = out.reshape(n, 3, -1)[:, :, lo:lo + s]
                 if interp is not None:
-                    um = interp.interpolate_batch(ub, out=ws["particle"],
+                    um = interp.interpolate_batch(g, out=ws["particle"],
                                                   context=ctx)
                     oc[...] = um.reshape(3, s, n).transpose(2, 0, 1)
                 else:
                     um = interpolate_on_the_fly(self.positions, self.box, K,
-                                                self.params.p, ub.T,
+                                                self.params.p, g.T,
                                                 kind=self.params.interpolation)
                     oc[...] = um.reshape(n, 3, s)
         return out[:, 0] if flat else out

@@ -23,13 +23,12 @@ gather with one writer and a fixed summation order per mesh point.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
 from ..errors import ConfigurationError
+from ..exec import INLINE
 from ..geometry.box import Box
 from ..lint.contracts import positions_arg
 from ..sparse import kernels
@@ -185,9 +184,10 @@ class InterpolationMatrix:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if out is None:
             out = np.empty((values.shape[1], self.K ** 3))
-        _run_row_ranges(
-            functools.partial(kernels.spread_rows, *self._pt, values, out),
-            self.K ** 3, context, "spread")
+        (context or INLINE).run_ranges(
+            lambda lo, hi: kernels.spread_rows(*self._pt, values, out,
+                                               [(lo, hi)]),
+            self.K ** 3, "spread")
         return out
 
     def interpolate_batch(self, mesh_values: np.ndarray,
@@ -214,10 +214,10 @@ class InterpolationMatrix:
         mesh_values = np.ascontiguousarray(mesh_values, dtype=np.float64)
         if out is None:
             out = np.empty((mesh_values.shape[0], self.n))
-        _run_row_ranges(
-            functools.partial(kernels.interp_ranges, self.weights,
-                              self.columns, mesh_values, out),
-            self.n, context, "interpolate")
+        (context or INLINE).run_ranges(
+            lambda lo, hi: kernels.interp_ranges(
+                self.weights, self.columns, mesh_values, out, [(lo, hi)]),
+            self.n, "interpolate")
         return out
 
     @property
@@ -233,17 +233,6 @@ class InterpolationMatrix:
         m = self.matrix
         return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                 + sum(a.nbytes for a in self._pt))
-
-
-def _run_row_ranges(task, n_rows: int, context, stage: str) -> None:
-    """``task([(lo, hi)])`` over ``row_blocks(n_rows, workers)`` through
-    ``context.run_tasks``; without a context, one range right here."""
-    if context is None:
-        task([(0, n_rows)])
-        return
-    from ..parallel.partition import row_blocks  # deferred: import cycle
-    context.run_tasks([functools.partial(task, [block]) for block
-                       in row_blocks(n_rows, context.workers)], stage=stage)
 
 
 def spread_on_the_fly(positions, box: Box, K: int, p: int,

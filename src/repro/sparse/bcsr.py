@@ -26,12 +26,11 @@ loops.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigurationError
+from ..exec import INLINE
 from ..lint.contracts import force_block_arg
 from .kernels import bcsr_assemble, spmm_kernel
 
@@ -198,7 +197,6 @@ class BlockCSR:
         Row results are independent, so every partition is
         bit-identical to the serial product.
         """
-        from ..parallel.partition import row_blocks  # deferred: cycle
         n = self.n_block_rows
         x = self._normalized(x)
         if x.ndim != 2:
@@ -213,15 +211,10 @@ class BlockCSR:
         indptr64, indices64 = self._spmm_arrays()
         xg = x.reshape(n, 3, s)
         y = np.empty((n, 3, s))
-        workers = 1 if context is None else context.workers
-        ranges = [(lo, hi) for lo, hi in row_blocks(n, workers) if hi > lo]
-        if len(ranges) < 2:
-            kernel(0, n, indptr64, indices64, self.blocks, xg, y, s)
-        else:
-            context.run_tasks(
-                [functools.partial(kernel, lo, hi, indptr64, indices64,
-                                   self.blocks, xg, y, s)
-                 for lo, hi in ranges], stage="real_spmm")
+        (context or INLINE).run_ranges(
+            lambda lo, hi: kernel(lo, hi, indptr64, indices64, self.blocks,
+                                  xg, y, s),
+            n, "real_spmm")
         return y.reshape(3 * n, s)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

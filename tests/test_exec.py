@@ -14,7 +14,12 @@ import pytest
 
 from repro import Box
 from repro.errors import ConfigurationError
-from repro.exec import ExecutionContext, default_context, reset_default_context
+from repro.exec import (
+    INLINE,
+    ExecutionContext,
+    default_context,
+    reset_default_context,
+)
 from repro.pme.operator import PMEOperator, PMEParams
 
 BACKENDS = [("serial", 1), ("threads", 1), ("threads", 2), ("threads", 3)]
@@ -114,6 +119,32 @@ def test_run_tasks_is_a_barrier():
     with ExecutionContext(backend="threads", workers=4) as ctx:
         ctx.run_tasks([lambda i=i: done.append(i) for i in range(16)])
     assert sorted(done) == list(range(16))
+
+
+def test_run_ranges_covers_each_index_once_with_no_empty_range():
+    # the one place a stage is split: contiguous non-empty ranges that
+    # cover [0, n) exactly once, dispatched through run_tasks
+    import threading
+
+    for backend, workers in BACKENDS + [("threads", 5)]:
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
+            for n in (0, 1, 3, 16):
+                seen = ctx.run_ranges(lambda lo, hi: (lo, hi), n)
+                assert all(hi > lo for lo, hi in seen)
+                assert len(seen) == min(n, ctx.workers)
+                assert [i for lo, hi in seen for i in range(lo, hi)] \
+                    == list(range(n))
+    # one worker (and INLINE, what context=None means) runs on the caller
+    me = threading.current_thread().name
+    for ctx in (ExecutionContext("threads", workers=1), INLINE):
+        assert ctx.run_ranges(
+            lambda lo, hi: threading.current_thread().name, 8) == [me]
+    # ... through run_tasks, stage passed on: what the suite patches
+    calls = []
+    with ExecutionContext("threads", workers=2) as ctx:
+        ctx.run_tasks = lambda tasks, stage: calls.append((len(tasks), stage))
+        ctx.run_ranges(lambda lo, hi: None, 8, "fft")
+    assert calls == [(2, "fft")]
 
 
 def test_run_tasks_threads_on_processes_backend():
@@ -267,27 +298,42 @@ def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
     assert len(digests) == 1, "backends disagree bitwise"
 
 
-def test_forward_fft_lanes_independent_of_workers(set_kernel_mode):
+def test_forward_fft_lanes_independent_of_workers(set_kernel_mode,
+                                                  monkeypatch):
     # each lane is transformed by the same call whoever runs it: the
-    # spectrum bytes do not depend on the backend, the worker count or
-    # the kernel mode
-    from repro.pme.operator import _rfftn_lanes
+    # bytes of either direction do not depend on the backend, the
+    # worker count, the kernel mode or whether np.fft takes out=
+    import scipy.fft as sfft
 
-    K, lanes = 12, 7
-    mesh = np.random.default_rng(4).standard_normal((lanes, K, K, K))
-    spec = np.empty((lanes, K, K, K // 2 + 1), dtype=np.complex128)
-    _rfftn_lanes(mesh, spec, default_context())
-    digests = {digest(spec)}
-    for no_ckernel in (False, True):
-        set_kernel_mode(no_ckernel)
-        for backend, workers in BACKENDS:
-            with ExecutionContext(backend=backend, workers=workers) as ctx:
-                spec[...] = 0.0
-                _rfftn_lanes(mesh, spec, ctx)
-                digests.add(digest(spec))
-    assert len(digests) == 1
-    np.testing.assert_allclose(spec, np.fft.rfftn(mesh, axes=(1, 2, 3)),
-                               atol=1e-12)
+    from repro.pme import operator as pme_operator
+    from repro.pme.operator import _irfftn_lanes, _rfftn_lanes
+
+    lanes = 7
+    for K in (12, 15):
+        mesh = np.random.default_rng(4).standard_normal((lanes, K, K, K))
+        spec = np.fft.rfftn(mesh, axes=(1, 2, 3))
+        for lanes_fft, src, ref in (
+                (_rfftn_lanes, mesh, spec),
+                (_irfftn_lanes, spec, np.fft.irfftn(spec, s=(K, K, K),
+                                                    axes=(1, 2, 3)))):
+            out = np.empty_like(ref)
+            lanes_fft(src.copy(), out, default_context())   # inverse eats src
+            digests = {digest(out)}
+            for fft_out in (pme_operator._FFT_OUT, False):  # numpy < 2 arm
+                monkeypatch.setattr(pme_operator, "_FFT_OUT", fft_out)
+                for no_ckernel in (False, True):
+                    set_kernel_mode(no_ckernel)
+                    for backend, workers in BACKENDS:
+                        with ExecutionContext(backend=backend,
+                                              workers=workers) as ctx:
+                            out[...] = 0.0
+                            lanes_fft(src.copy(), out, ctx)
+                            digests.add(digest(out))
+            assert len(digests) == 1
+            np.testing.assert_allclose(out, ref, atol=1e-12)
+        # the inverse's bytes of record: SciPy's stacked c2c + c2r pair
+        np.testing.assert_array_equal(
+            out, sfft.irfft(sfft.ifftn(spec, axes=(1, 2)), n=K, axis=3))
 
 
 def test_parallel_apply_repeatable(system):
@@ -299,6 +345,50 @@ def test_parallel_apply_repeatable(system):
         first = op.apply_block(f)
         for _ in range(3):
             np.testing.assert_array_equal(op.apply_block(f), first)
+
+
+def test_warm_apply_allocates_no_mesh_block(set_kernel_mode):
+    # every stage of a pass writes into the cached workspaces: a warm
+    # apply_block peaks at its own result, an order below the
+    # (lanes, K^3) block the inverse used to return
+    import tracemalloc
+
+    from repro import make_suspension
+    from repro.sparse import kernel_available
+
+    set_kernel_mode(False)
+    if not kernel_available():
+        pytest.skip("the SciPy fallback gathers allocate per chunk")
+    n, s = 200, 8
+    susp = make_suspension(n, 0.2, seed=0)
+    params = PMEParams(xi=0.5, r_max=4.0, K=24, p=6)
+    f = np.random.default_rng(0).standard_normal((3 * n, s))
+    for backend, workers in (("serial", 1), ("threads", 2)):
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
+            op = PMEOperator(susp.positions, susp.box, params, context=ctx)
+            op.apply_block(f)
+            op.apply_block(f)
+            tracemalloc.start()
+            try:
+                op.apply_block(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * params.K ** 3 * 16 + f.nbytes, (backend, peak)
+
+
+def test_apply_reciprocal_leaves_velocities_in_mesh_workspace(system):
+    # the inverse FFT writes the lanes the forward FFT consumed: after
+    # the call the velocities' mesh field is the "mesh" workspace itself
+    box, r, params, f = system
+    n, s, K = r.shape[0], f.shape[1], params.K
+    op = PMEOperator(r, box, params)
+    u = op.apply_reciprocal(f)
+    ws = op.cache.workspace(K, 3 * s, n)
+    assert set(ws) == {"mesh", "spec", "particle"}
+    again = op.interp.interpolate_batch(ws["mesh"])
+    np.testing.assert_array_equal(
+        again.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s), u)
 
 
 def test_real_spmm_context_matches_serial(system, set_kernel_mode):

@@ -613,6 +613,39 @@ def test_rpr011_exempts_exec_package_and_tests():
     assert "proc_pool" not in flagged[0].hint
 
 
+def test_rpr011_flags_scipy_fft_workers():
+    # workers= starts pocketfft's process-global pool: one more pool
+    # the ExecutionContext does not own (every import spelling)
+    findings = rule_ids("""
+        import scipy.fft
+        import scipy.fft as sfft
+        from scipy import fft
+        from scipy.fft import irfft as c2r
+
+        def inverse(spec, n):
+            a = sfft.ifftn(spec, axes=(1, 2), workers=n)
+            b = scipy.fft.ifftn(spec, workers=n)
+            c = fft.rfftn(spec, workers=-1)
+            return c2r(a, axis=3, workers=n), b, c
+    """)
+    assert findings.count("RPR011") == 4
+
+
+def test_rpr011_ignores_scipy_fft_without_workers_and_other_workers():
+    assert "RPR011" not in rule_ids("""
+        import numpy as np
+        import scipy.fft as sfft
+
+        def inverse(spec, context, make):
+            tmp = sfft.ifftn(spec, axes=(0, 1), overwrite_x=True)
+            make(backend="threads", workers=2)
+            return np.fft.irfft(tmp, axis=2), context.workers
+    """)
+    snippet = "import scipy.fft as sfft\nx = sfft.fft([1.0], workers=2)\n"
+    assert all(f.rule != "RPR011" for f in
+               lint_source(snippet, "src/repro/exec/context.py"))
+
+
 # ----------------------------------------------------------------------
 # RPR012 blocking calls in async serve code
 # ----------------------------------------------------------------------
