@@ -57,7 +57,7 @@ def multi_rhs_rows(n=None):
     n = n or (20000 if bench_scale() == "paper" else 3000)
     rows = []
     for name, product in _products(_operator(n)).items():
-        for s in (1, 4, 16):
+        for s in (1, 4, 8, 10, 16, 32):
             f = np.random.default_rng(0).standard_normal((3 * n, s))
             t = measure_seconds(lambda: product(f), repeats=3,
                                 warmup=1).best

@@ -24,7 +24,6 @@ the inverse FFT included, scales on the context's pool).
 """
 
 import hashlib
-import os
 import time
 
 import numpy as np
@@ -35,6 +34,7 @@ from repro.bench import (
     print_table,
     record_benchmark,
 )
+from repro.config import available_cpus
 from repro.exec import ExecutionContext
 from repro.pme.operator import PMEOperator, PMEParams
 from repro.sparse import kernel_available
@@ -53,13 +53,6 @@ THREAD_WORKERS = (1, 2, 4)
 #: Pipeline phases (Fig. 5 names) whose seconds per apply are recorded
 #: for the 1- and 2-worker threads arms.
 PHASES = ("spread", "fft", "influence", "ifft", "interpolate", "real")
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _best_of(fn, repeats):
@@ -112,7 +105,7 @@ def main():
     headers = ["backend", "workers", "t block (s)",
                "speedup vs no-context"]
     print_table(f"Blocked-PME apply under execution contexts "
-                f"(n={N}, s={S}, cpus={_cpus()}, "
+                f"(n={N}, s={S}, cpus={available_cpus()}, "
                 f"native kernel: {kernel_available()})",
                 headers, rows)
     threads = {r[1]: r[-1] for r in rows if r[0] == "threads"}
@@ -122,14 +115,14 @@ def main():
     record_benchmark("parallel_pme", headers, rows,
                      meta={"n": N, "s": S, "phi": PHI,
                            "xi": XI, "r_max": R_MAX, "K": K, "p": P,
-                           "cpus": _cpus(),
+                           "cpus": available_cpus(),
                            "kernel_available": kernel_available(),
                            "threads_speedups": threads,
                            "best_threads_speedup": best_threads,
                            "phase_seconds": phase_seconds,
                            "bit_identical": True})
     print(f"\nbest threads speedup (2+ workers) vs no-context: "
-          f"{best_threads:.2f}x on {_cpus()} cpu(s)")
+          f"{best_threads:.2f}x on {available_cpus()} cpu(s)")
 
 
 if __name__ == "__main__":

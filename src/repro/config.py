@@ -37,6 +37,7 @@ __all__ = [
     "set_cli_overrides",
     "clear_cli_overrides",
     "config_table",
+    "available_cpus",
 ]
 
 #: Supported execution backends (see :mod:`repro.exec`).
@@ -54,6 +55,14 @@ ENV_VARS: Mapping[str, str] = {
 }
 
 _TRUTHY = ("1", "true", "yes", "on")
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (the affinity mask, not the host's)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -99,13 +108,7 @@ class RuntimeConfig:
         """The effective worker count (auto = one per available CPU)."""
         if self.backend == "serial":
             return 1
-        if self.exec_workers > 0:
-            return self.exec_workers
-        try:
-            auto = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):  # pragma: no cover - non-Linux
-            auto = os.cpu_count() or 1
-        return max(1, auto)
+        return self.exec_workers if self.exec_workers > 0 else available_cpus()
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view (for ``repro config show --format json``)."""

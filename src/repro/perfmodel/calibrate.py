@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import available_cpus
 from ..exec import INLINE
 from ..pme.operator import _irfftn_lanes, _rfftn_lanes
 from ..utils.timing import Timer
@@ -69,8 +70,7 @@ def calibrate_host(mesh_dims: tuple[int, ...] = (32, 64, 128),
     ifft = tuple((K, round(_fft_rate(K, inverse=True), 2))
                  for K in mesh_dims)
     bw = _bandwidth_gbs()
-    import os
-    cores = os.cpu_count() or 1
+    cores = available_cpus()
     return Machine(
         name=name, cores=cores, threads=cores, frequency_ghz=0.0,
         peak_gflops_dp=max(v for _, v in fft) * 4,

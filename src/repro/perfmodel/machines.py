@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import available_cpus
+
 __all__ = ["Machine", "WESTMERE_EP", "XEON_PHI_KNC", "HOST"]
 
 
@@ -125,8 +127,7 @@ def _measure_host() -> Machine:
     the host (Fig. 5 model-vs-measured); calibrated lazily by the
     benchmark harness, these defaults are a single-core NumPy stack.
     """
-    import os
-    cores = os.cpu_count() or 1
+    cores = available_cpus()
     return Machine(
         name=f"host ({cores} core NumPy)",
         cores=cores, threads=cores, frequency_ghz=2.5,

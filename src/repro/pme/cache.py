@@ -12,12 +12,14 @@ redone at every rebuild:
   ``(box, K, p, xi, a)`` only (paper Section IV.B.4 notes it is built
   once per simulation);
 * the **mesh** description;
-* the **batched-pipeline workspaces** — the ``(3s, K, K, K/2+1)``
+* the **batched-pipeline workspace arena** — the ``(3s, K, K, K/2+1)``
   complex spectrum, the ``(3s, K^3)`` batch-first mesh block and the
   ``(3s, n)`` interpolation output used by
   :meth:`~repro.pme.operator.PMEOperator.apply_block`, several dozen MB
   at production sizes that would otherwise be reallocated (and page-
-  faulted in) every ``lambda_RPY`` steps.
+  faulted in) every ``lambda_RPY`` steps.  One arena per ``(K, n)``,
+  as wide as the widest pass seen: a narrower pass works in its leading
+  lanes, so the block width never decides how many are held.
 
 A single :class:`MobilityCache` instance is owned by the integrator
 (:class:`~repro.core.integrators.MatrixFreeBD`) and threaded into every
@@ -69,11 +71,12 @@ class MobilityCache:
         #: Number of lookups that had to build a fresh entry.
         self.misses = 0
 
-    def _lookup(self, store: dict, key: tuple, build: Any) -> Any:
-        """``store[key]``, built (and counted as a miss) when absent."""
+    def _lookup(self, store: dict, key: tuple, build: Any,
+                usable: Any = lambda entry: True) -> Any:
+        """``store[key]``; built, counted as a miss, if absent or unusable."""
         with self._lock:
             entry = store.get(key)
-            if entry is None:
+            if entry is None or not usable(entry):
                 self.misses += 1
                 entry = store[key] = build()
             else:
@@ -95,23 +98,26 @@ class MobilityCache:
 
     def workspace(self, K: int, lanes: int, n: int
                   ) -> dict[str, np.ndarray]:
-        """Preallocated batched-pipeline arrays for ``lanes = 3 s``.
+        """The leading ``lanes = 3 s`` lanes of the ``(K, n)`` arena.
 
         Returns a dict with keys ``"mesh"`` (``(lanes, K^3)`` float64:
         the spread forces, then — once the forward FFT has consumed
         them — the output of the inverse FFT, so a pass holds one
         real mesh block, not two), ``"spec"`` (``(lanes, K, K, K//2 +
-        1)`` complex128) and ``"particle"`` (``(lanes, n)`` float64).
-        Contents are scratch — callers overwrite them fully, and
-        concurrent applies sharing one cache must serialize around the
-        whole apply (see the module docstring).
+        1)`` complex128) and ``"particle"`` (``(lanes, n)`` float64):
+        C-contiguous views of the arena, which is reallocated (a miss)
+        only for a pass wider than every pass before it.  Contents are
+        scratch — callers overwrite them fully, and concurrent applies
+        sharing one cache must serialize around the whole apply.
         """
-        return self._lookup(self._workspaces, (int(K), int(lanes), int(n)),
-                            lambda: {
-                                "mesh": np.empty((lanes, K ** 3)),
-                                "spec": np.empty((lanes, K, K, K // 2 + 1),
-                                                 dtype=np.complex128),
-                                "particle": np.empty((lanes, n))})
+        arena = self._lookup(
+            self._workspaces, (int(K), int(n)), lambda: {
+                "mesh": np.empty((lanes, K ** 3)),
+                "spec": np.empty((lanes, K, K, K // 2 + 1),
+                                 dtype=np.complex128),
+                "particle": np.empty((lanes, n))},
+            usable=lambda arena: arena["mesh"].shape[0] >= lanes)
+        return {name: array[:lanes] for name, array in arena.items()}
 
     def memory_bytes(self) -> int:
         """Bytes currently held by cached arrays (workspaces +

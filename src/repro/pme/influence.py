@@ -100,19 +100,18 @@ class InfluenceFunction:
         Returns
         -------
         The projected, scaled spectrum ``D`` with
-        ``D_u = scalar * (C_u - khat_u (khat . C))``.
+        ``D_u = scalar * (C_u - khat_u (khat . C))`` — the one-vector
+        case of :meth:`apply_batch`, which holds the only projector.
         """
         if C.shape != (3,) + self.mesh.rshape:
             raise ConfigurationError(
                 f"expected spectrum of shape {(3,) + self.mesh.rshape}, "
                 f"got {C.shape}")
-        hx, hy, hz = self._khat
-        dot = C[0] * hx + C[1] * hy + C[2] * hz
         if out is None:
-            out = np.empty_like(C)
-        np.multiply(self.scalar, C[0] - hx * dot, out=out[0])
-        np.multiply(self.scalar, C[1] - hy * dot, out=out[1])
-        np.multiply(self.scalar, C[2] - hz * dot, out=out[2])
+            out = C.copy()
+        elif out is not C:
+            out[...] = C
+        self.apply_batch(out[:, None])
         return out
 
     def apply_batch(self, spec: np.ndarray, slab: int | None = None
@@ -135,11 +134,12 @@ class InfluenceFunction:
 
         Notes
         -----
-        This is the same ``scalar(k) (I - khat khat^T)`` projection as
-        :meth:`apply`, but fused over slabs of the leading axis so the
-        ``khat`` grids and the stored scalar are read once per slab for
-        all ``s`` vectors instead of once per vector — the reciprocal
-        analogue of the paper's block-of-vectors SpMV (Section IV.C).
+        The ``scalar(k) (I - khat khat^T)`` projection, fused over
+        slabs of the leading axis so the ``khat`` grids and the stored
+        scalar are read once per slab for all ``s`` vectors instead of
+        once per vector — the reciprocal analogue of the paper's
+        block-of-vectors SpMV (Section IV.C).  Vectors are independent:
+        ``spec[:, v]`` comes out the same bytes whatever ``s``.
         """
         K = self.mesh.K
         expected = (3,) + (spec.shape[1],) + self.mesh.rshape

@@ -254,13 +254,13 @@ class PMEOperator:
         * the influence function applied slab-fused over all vectors
           (``khat``/scalar grids read once per slab, not once per
           vector),
-        * one BCSR SpMM for the real-space term (each 3x3 block
-          streamed once against all ``s`` lanes).
+        * one BCSR SpMM for the real-space term (a row's 3x3 blocks
+          against all ``s`` lanes while the row is in L1).
 
-        Workspaces come from the :class:`~repro.pme.cache.MobilityCache`,
-        so repeated block applications (block Lanczos iterations,
-        consecutive mobility updates) allocate nothing; blocks wider
-        than ``MAX_BLOCK_COLUMNS`` run as several passes.
+        No stage's arithmetic depends on ``s``: column ``j`` is, bytewise,
+        the result for column ``j`` alone.  Workspaces are leading lanes
+        of the ``MobilityCache`` arena, so repeated applications allocate
+        nothing; blocks wider than ``MAX_BLOCK_COLUMNS`` run as passes.
         """
         f, flat = as_force_block(forces, self.n)
         s = f.shape[1]

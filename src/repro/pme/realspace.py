@@ -110,13 +110,12 @@ class RealSpaceOperator:
         """``u_real = (M_real + M_self) f`` in ``mu0`` units.
 
         Accepts flat ``(3n,)`` vectors or ``(3n, s)`` blocks of vectors
-        (the block path is the one Algorithm 2 exercises) and streams
-        each 3x3 block once against all ``s`` lanes through
-        :meth:`~repro.sparse.bcsr.BlockCSR.matmat` — the paper's
-        Section IV.C block-of-vectors SpMV.  A parallel
-        :class:`~repro.exec.ExecutionContext` chunks the product into
-        block-row ranges across its workers (bit-identical to the
-        serial product: row results are independent).
+        (the block path is the one Algorithm 2 exercises): one
+        :meth:`~repro.sparse.bcsr.BlockCSR.matmat`, the paper's Section
+        IV.C block-of-vectors SpMV, at any width and with the same bytes
+        per column.  A parallel :class:`~repro.exec.ExecutionContext`
+        chunks the product into block-row ranges across its workers
+        (bit-identical: row results are independent).
         """
         f, flat = as_force_block(forces, self.n)
         span_args = {} if context is None else context.span_args()

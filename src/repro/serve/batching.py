@@ -9,12 +9,12 @@ into one block apply, so the spread product, the stacked FFTs, the
 slab-fused influence function and the BCSR SpMM are all amortized over
 requests that arrived independently.
 
-Correctness rests on a property the test suite pins down bit-exactly:
-``apply_block`` computes every output column independently (spreading,
-FFT lanes, influence multiply, interpolation and the real-space SpMM
-all accumulate per column in a fixed order), so slicing a request's
-columns out of a batched result equals applying that request alone —
-byte for byte.  Batching changes *latency*, never *bytes*.
+Correctness rests on one property: below ``apply_block`` the block
+width is an operand, never a code path — every stage sums a column in
+an order that does not depend on what it is batched with — so slicing
+a request's columns out of a batched result equals applying that
+request alone, byte for byte (``tests/test_width_invariance.py``: every
+width 1..33, both kernel modes).  Batching changes *latency*, never *bytes*.
 
 Scheduling is classic max-batch / max-wait microbatching:
 

@@ -8,13 +8,13 @@ operations:
 * construction from a half pair list in any order (symmetric fill-in
   of both triangles; one compiled linear pass,
   :func:`repro.sparse.kernels.bcsr_assemble`),
-* single-vector and multi-vector SpMV (``y = A x`` with ``x`` of shape
-  ``(3n,)`` or ``(3n, s)``) — the multi-vector product is the kernel
-  the block Krylov method relies on (paper reference [24]),
-* true multi-RHS SpMM (:meth:`BlockCSR.matmat`): each 3x3 block is
-  streamed once and multiplied against all ``s`` lanes, through the
-  optional native kernel of :mod:`repro.sparse.kernels` when a C
-  compiler is available (SciPy CSR otherwise),
+* the product (:meth:`BlockCSR.matmat`, also behind ``@``): ``Y = A X``
+  for a block ``X`` of any width ``s`` — the kernel the block Krylov
+  method relies on (paper reference [24]) — through the native kernel of
+  :mod:`repro.sparse.kernels` when a C compiler is available (SciPy CSR
+  otherwise).  Column ``j`` is, bytewise, the product of column ``j`` alone,
+* its NumPy reference (:meth:`BlockCSR.matvec`), kept by name for the
+  tests and the SpMV ablation,
 * export to ``scipy.sparse`` CSR for a compiled backend,
 * densification and memory accounting for the Fig. 7 comparisons.
 
@@ -144,10 +144,9 @@ class BlockCSR:
 
     @force_block_arg("x")
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse product ``y = A x`` for ``x`` of shape ``(3n,)`` or ``(3n, s)``.
-
-        The multi-vector case computes all ``s`` products in one pass
-        over the blocks (the paper's block-of-vectors SpMV).
+        """NumPy reference product ``y = A x`` for ``x`` of shape ``(3n,)``
+        or ``(3n, s)``: one gather / 3x3-matmul / segmented-sum pass over
+        the blocks.  No operator path uses it (see :meth:`matmat`).
         """
         n = self.n_block_rows
         x = self._normalized(x)
@@ -183,19 +182,18 @@ class BlockCSR:
                context: "object | None" = None) -> np.ndarray:
         """Multi-RHS product ``Y = A X`` with ``X`` of shape ``(3n, s)``.
 
-        Unlike :meth:`matvec` (and unlike SciPy's CSR ``matmat``, which
-        loops the RHS columns one by one), this streams every stored
-        3x3 block exactly once and multiplies it against all ``s``
-        lanes while it is hot — the paper's Section IV.C "SpMV on
-        blocks of vectors".  Uses the optional native kernel of
-        :mod:`repro.sparse.kernels`; without a C compiler the SciPy
-        CSR export is used instead (correct, less amortization).
+        The paper's Section IV.C "SpMV on blocks of vectors": unlike
+        SciPy's CSR ``matmat``, which loops the RHS columns one by one,
+        the native kernel of :mod:`repro.sparse.kernels` multiplies a
+        row's 3x3 blocks against the ``s`` lanes in chunks of 8, 4, 2
+        and 1 while the row is in L1.  Every chunk width sums a lane in
+        the same order, so a column's bytes do not depend on ``s`` or on
+        its position in the block.  Without a C compiler the SciPy CSR
+        export is used instead (column by column, so the same holds).
 
-        With a parallel :class:`~repro.exec.ExecutionContext` and the
-        native kernel available, the product is chunked into
-        contiguous block-row ranges across the context's workers.
-        Row results are independent, so every partition is
-        bit-identical to the serial product.
+        With a parallel :class:`~repro.exec.ExecutionContext` the native
+        kernel runs contiguous block-row ranges on the context's workers;
+        row results are independent, so every partition is bit-identical.
         """
         n = self.n_block_rows
         x = self._normalized(x)
@@ -218,10 +216,9 @@ class BlockCSR:
         return y.reshape(3 * n, s)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` is :meth:`matmat`; a flat ``x`` is its one column."""
         x = np.asarray(x)
-        if x.ndim == 2 and x.shape[1] > 1:
-            return self.matmat(x)
-        return self.matvec(x)
+        return self.matmat(x[:, None])[:, 0] if x.ndim == 1 else self.matmat(x)
 
     # ------------------------------------------------------------------
     # conversions and accounting

@@ -9,12 +9,13 @@ entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
 ``bcsr_matmat_range``
-    Multi-RHS BCSR SpMM streaming each 3x3 block once against all
-    ``s`` lanes.  Lane counts common in Algorithm 2 (1, 2, 4, 6, 8,
-    12, 16) get fully specialized inner loops; it computes block rows
-    ``[lo, hi)`` so an execution context can chunk the product over
-    workers (row results are independent, so any partition is
-    bit-identical to the serial ``[0, n)`` product).
+    Multi-RHS BCSR SpMM: block rows ``[lo, hi)`` of ``Y = A X`` for an
+    ``s``-lane ``X``, so an execution context can chunk the product
+    over workers (any row partition is bit-identical to ``[0, n)``).
+    The width is an operand, not a code path: one row body, at chunk
+    widths 8, 4, 2 and 1, covers a row's lanes while its 3x3 blocks are
+    in L1, and every width sums a lane in the same order — the 1-wide
+    product *is* column ``j`` of any wider one (self-tested at load).
 ``spread_rows``
     The pipeline's spreader, a gather: rows ``[lo, hi)`` of ``P^T``
     (CSR by mesh row) into a batch-first ``(lanes, K^3)`` mesh.  Each
@@ -76,77 +77,68 @@ from ..errors import ConfigurationError
 __all__ = [
     "spmm_kernel",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
-    "kernel_available", "reset_kernel_cache", "SPECIALIZED_LANES",
+    "kernel_available", "reset_kernel_cache",
 ]
-
-#: Lane counts with fully specialized (compile-time ``s``) inner loops.
-SPECIALIZED_LANES = (1, 2, 4, 6, 8, 12, 16)
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <string.h>
 
-#define DEFINE_SPMM(S)                                                   \
-static void bcsr_matmat_##S(const long long lo, const long long hi,      \
-                            const long long *restrict indptr,            \
-                            const long long *restrict indices,           \
-                            const double *restrict blocks,               \
-                            const double *restrict x,                    \
-                            double *restrict y)                          \
+typedef double lanes1;
+typedef double lanes2 __attribute__((vector_size(16)));
+typedef double lanes4 __attribute__((vector_size(32)));
+typedef double lanes8 __attribute__((vector_size(64)));
+
+/* One block row of Y = A X against W adjacent lanes of the s-wide
+ * operand (x, yr: the chunk's first lane; s: the lane stride), W lanes
+ * to a SIMD value: gcc and clang split one wider than the machine's,
+ * and `scalar * vector` splats.  A lane is one chain -- blocks in
+ * stored order, then u, then v -- whatever W it rides in, and the
+ * chain's latency is what bounds a chunk: 8 lanes cost what 1 does. */
+#define DEFINE_SPMM_ROW(W)                                               \
+static void bcsr_row_##W(const long long k0, const long long k1,         \
+                         const long long *restrict indices,              \
+                         const double *restrict blocks,                  \
+                         const double *restrict x,                       \
+                         double *restrict yr, const long long s)         \
 {                                                                        \
-    for (long long r = lo; r < hi; ++r) {                                \
-        double acc[3 * S];                                               \
-        for (int c = 0; c < 3 * S; ++c) acc[c] = 0.0;                    \
-        const long long k1 = indptr[r + 1];                              \
-        for (long long k = indptr[r]; k < k1; ++k) {                     \
-            const double *restrict b = blocks + 9 * (size_t)k;           \
-            const double *restrict xc = x + (size_t)(3 * S) * indices[k];\
-            for (int u = 0; u < 3; ++u)                                  \
-                for (int v = 0; v < 3; ++v) {                            \
-                    const double buv = b[3 * u + v];                     \
-                    for (int j = 0; j < S; ++j)                          \
-                        acc[S * u + j] += buv * xc[S * v + j];           \
-                }                                                        \
-        }                                                                \
-        double *restrict yr = y + (size_t)(3 * S) * r;                   \
-        for (int c = 0; c < 3 * S; ++c) yr[c] = acc[c];                  \
+    lanes##W acc[3], xv[3];                                              \
+    memset(acc, 0, sizeof acc);                                          \
+    for (long long k = k0; k < k1; ++k) {                                \
+        const double *restrict b = blocks + 9 * (size_t)k;               \
+        const double *restrict xc = x + (size_t)(3 * s) * indices[k];    \
+        for (int v = 0; v < 3; ++v)                                      \
+            memcpy(&xv[v], xc + s * v, sizeof xv[v]);                    \
+        for (int u = 0; u < 3; ++u)                                      \
+            for (int v = 0; v < 3; ++v)                                  \
+                acc[u] += b[3 * u + v] * xv[v];                          \
     }                                                                    \
+    for (int u = 0; u < 3; ++u)                                          \
+        memcpy(yr + s * u, &acc[u], sizeof acc[u]);                      \
 }
 
-DEFINE_SPMM(1)
-DEFINE_SPMM(2)
-DEFINE_SPMM(4)
-DEFINE_SPMM(6)
-DEFINE_SPMM(8)
-DEFINE_SPMM(12)
-DEFINE_SPMM(16)
+DEFINE_SPMM_ROW(8)
+DEFINE_SPMM_ROW(4)
+DEFINE_SPMM_ROW(2)
+DEFINE_SPMM_ROW(1)
 
+/* Block rows [lo, hi) of Y = A X, X and Y row-major (n, 3, s).  A row's
+ * lanes are covered while its blocks are in L1, by s in binary: s / 8
+ * chunks of 8, then the 4, 2 and 1 bits. */
+#define SPMM_ROW(W, j) \
+    bcsr_row_##W(k0, k1, indices, blocks, x + (j), yr + (j), s)
 void bcsr_matmat_range(const long long lo, const long long hi,
                        const long long *indptr, const long long *indices,
                        const double *blocks, const double *x, double *y,
                        const long long s)
 {
-    switch (s) {
-    case 1:  bcsr_matmat_1(lo, hi, indptr, indices, blocks, x, y);  return;
-    case 2:  bcsr_matmat_2(lo, hi, indptr, indices, blocks, x, y);  return;
-    case 4:  bcsr_matmat_4(lo, hi, indptr, indices, blocks, x, y);  return;
-    case 6:  bcsr_matmat_6(lo, hi, indptr, indices, blocks, x, y);  return;
-    case 8:  bcsr_matmat_8(lo, hi, indptr, indices, blocks, x, y);  return;
-    case 12: bcsr_matmat_12(lo, hi, indptr, indices, blocks, x, y); return;
-    case 16: bcsr_matmat_16(lo, hi, indptr, indices, blocks, x, y); return;
-    }
     for (long long r = lo; r < hi; ++r) {
+        const long long k0 = indptr[r], k1 = indptr[r + 1];
         double *yr = y + (size_t)(3 * s) * r;
-        for (long long c = 0; c < 3 * s; ++c) yr[c] = 0.0;
-        for (long long k = indptr[r]; k < indptr[r + 1]; ++k) {
-            const double *b = blocks + 9 * (size_t)k;
-            const double *xc = x + (size_t)(3 * s) * indices[k];
-            for (int u = 0; u < 3; ++u)
-                for (int v = 0; v < 3; ++v) {
-                    const double buv = b[3 * u + v];
-                    for (long long j = 0; j < s; ++j)
-                        yr[s * u + j] += buv * xc[s * v + j];
-                }
-        }
+        for (long long j = 0; j + 8 <= s; j += 8) SPMM_ROW(8, j);
+        if (s & 4) SPMM_ROW(4, s & ~7LL);
+        if (s & 2) SPMM_ROW(2, s & ~3LL);
+        if (s & 1) SPMM_ROW(1, s & ~1LL);
     }
 }
 
@@ -380,25 +372,27 @@ def _selftest(kernels: _Kernels) -> bool:
     """Check every loaded entry point against tiny NumPy references."""
     rng = np.random.default_rng(7)
 
-    # SpMM (full and split ranges must agree with the dense product)
+    # SpMM at a width of every chunk (8 + 4 + 2 + 1), over a split row
+    # range: the dense product, each column the bytes of the 1-wide one
     indptr = np.array([0, 2, 3], dtype=np.int64)
     indices = np.array([0, 1, 1], dtype=np.int64)
     blocks = np.ascontiguousarray(rng.standard_normal((3, 3, 3)))
-    x = np.ascontiguousarray(rng.standard_normal((2, 3, 2)))
+    x = np.ascontiguousarray(rng.standard_normal((2, 3, 15)))
     y = np.empty_like(x)
-    kernels.spmm(0, 2, indptr, indices, blocks, x, y, 2)
+    kernels.spmm(0, 1, indptr, indices, blocks, x, y, 15)
+    kernels.spmm(1, 2, indptr, indices, blocks, x, y, 15)
     dense = np.zeros((6, 6))
     dense[0:3, 0:3] = blocks[0]
     dense[0:3, 3:6] = blocks[1]
     dense[3:6, 3:6] = blocks[2]
-    ref = (dense @ x.reshape(6, 2)).reshape(2, 3, 2)
+    ref = (dense @ x.reshape(6, 15)).reshape(2, 3, 15)
     if not np.allclose(y, ref, rtol=1e-12, atol=1e-12):
         return False
-    y2 = np.zeros_like(x)
-    kernels.spmm(0, 1, indptr, indices, blocks, x, y2, 2)
-    kernels.spmm(1, 2, indptr, indices, blocks, x, y2, 2)
-    if not np.array_equal(y, y2):
-        return False
+    for j in range(15):
+        xj, yj = np.ascontiguousarray(x[:, :, j:j + 1]), np.empty((2, 3, 1))
+        kernels.spmm(0, 2, indptr, indices, blocks, xj, yj, 1)
+        if yj.tobytes() != y[:, :, j:j + 1].tobytes():
+            return False
 
     # spread: scatter-add must match np.add.at exactly
     n, pcube, k3, lanes = 3, 4, 8, 2

@@ -26,13 +26,14 @@ class TestExecution:
     def test_single_vector_matches_apply(self, operator, scheduler):
         f = np.random.default_rng(0).standard_normal(3 * operator.n)
         u_hybrid, plan = scheduler.execute(operator, f)
-        np.testing.assert_allclose(u_hybrid, operator.apply(f), rtol=1e-12)
+        assert u_hybrid.tobytes() == operator.apply(f).tobytes()
         assert isinstance(plan, HybridPlan)
 
     def test_block_matches_apply(self, operator, scheduler):
         f = np.random.default_rng(1).standard_normal((3 * operator.n, 8))
+        # per-device column shares are, bytewise, columns of the block
         u_hybrid, plan = scheduler.execute(operator, f)
-        np.testing.assert_allclose(u_hybrid, operator.apply(f), rtol=1e-12)
+        assert u_hybrid.tobytes() == operator.apply(f).tobytes()
         assert sum(plan.assignments) == 8
 
 

@@ -255,6 +255,26 @@ def test_cache_workspaces_shared_across_rebuilds(system):
     assert stats["memory_bytes"] > 0
 
 
+def test_cache_holds_one_arena_as_wide_as_the_widest_pass(system):
+    # the block width decides how much of the arena a pass touches,
+    # not how many workspace sets are held
+    box, r, params = system
+    rng = np.random.default_rng(8)
+    widest = PMEOperator(r, box, params)
+    widest.apply_block(rng.standard_normal((3 * r.shape[0], 40)))
+    op = PMEOperator(r, box, params)
+    for s in range(1, 41):
+        op.apply_block(rng.standard_normal((3 * r.shape[0], s)))
+    stats = op.cache.stats()
+    assert stats["workspaces"] == 1
+    assert stats["memory_bytes"] == widest.cache.memory_bytes()
+    # 1-wide after all that: leading lanes of the same arena, no miss
+    misses = op.cache.misses
+    ws = op.cache.workspace(params.K, 3, r.shape[0])
+    assert op.cache.misses == misses
+    assert all(a.shape[0] == 3 and a.flags.c_contiguous for a in ws.values())
+
+
 # ---------------------------------------------------------------------------
 # solvers consume the protocol
 # ---------------------------------------------------------------------------

@@ -101,6 +101,23 @@ class TestMachines:
         assert HOST.cores >= 1
         assert HOST.fft_rate(64) > 0
 
+    def test_host_is_sized_by_the_affinity_mask(self, monkeypatch):
+        # a CPU-limited container: the model, the calibration and the
+        # worker count agree on the CPUs this process may run on
+        import os
+
+        from repro.config import RuntimeConfig
+        from repro.perfmodel.calibrate import calibrate_host
+        from repro.perfmodel.machines import _measure_host
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                            raising=False)
+        host = _measure_host()
+        assert (host.cores, host.threads) == (3, 3)
+        assert host.stream_bandwidth_gbs == 4.0 * 3
+        assert calibrate_host(mesh_dims=(8,)).cores == 3
+        assert RuntimeConfig(backend="threads").resolved_workers() == 3
+
 
 class TestRealSpaceModel:
     def test_scales_with_density_and_vectors(self):

@@ -214,32 +214,32 @@ def test_single_flight_cancelled_caller_hands_over():
 
 def test_batched_applies_bit_identical_to_direct():
     rng = np.random.default_rng(7)
-    widths = (1, 2, 1, 3, 1)
-    forces = [rng.standard_normal((3 * SPEC.n, s)) for s in widths]
-
     # direct reference: a fresh operator, one apply per request
     operator, _cache = build_operator(SPEC)
-    reference = [operator.apply_block(f) for f in forces]
 
-    async def scenario():
+    async def scenario(forces, max_batch):
         with ExecutionContext("threads", workers=2) as context:
             pool = OperatorPool(context.thread_pool(), max_systems=2)
             batcher = MobilityBatcher(pool, context.thread_pool(),
-                                      max_batch=sum(widths),
+                                      max_batch=max_batch,
                                       max_wait=0.05)
             results = await asyncio.gather(
                 *(batcher.submit(SPEC, f) for f in forces))
             await batcher.drain()
             return results, batcher.stats()
 
-    results, stats = asyncio.run(scenario())
-    # all five requests coalesced into one apply_block
-    assert stats["batches_flushed"] == 1
-    assert stats["requests_batched"] == len(widths)
-    assert stats["backlog_columns"] == 0
-    for got, want in zip(results, reference):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    # an 8-wide batch, and the 16-wide one `serve --max-batch 16` forms
+    for widths in ((1, 2, 1, 3, 1), (4, 1, 8, 3)):
+        forces = [rng.standard_normal((3 * SPEC.n, s)) for s in widths]
+        reference = [operator.apply_block(f) for f in forces]
+        results, stats = asyncio.run(scenario(forces, sum(widths)))
+        # all requests coalesced into one apply_block
+        assert stats["batches_flushed"] == 1
+        assert stats["requests_batched"] == len(widths)
+        assert stats["backlog_columns"] == 0
+        for got, want in zip(results, reference):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_batcher_flushes_at_max_batch_without_waiting():
