@@ -2,17 +2,25 @@
 
 Regenerates the paper's Table III with our tuner: for each particle
 count at volume fraction 0.2, the PME parameters that minimize the
-predicted execution time subject to ``e_p < 1e-3``.  For sizes small
-enough to densify, the measured ``e_p`` (against the dense Ewald
-reference) is reported alongside and must be below the target.
+predicted cost of a block step subject to ``e_p < 1e-3`` — under the
+default ranking (this substrate, :data:`repro.perfmodel.SUBSTRATE`) and,
+side by side, under the paper's Westmere-EP.  The measured ``e_p`` of
+the default split is reported for every size the run can afford
+(against the dense Ewald reference while the system is densifiable,
+against the separately tuned PME reference above) and must be below
+the target: ``main`` fails otherwise, which is what the CI bench-smoke
+job runs.
 
 Run ``python benchmarks/bench_table3_configs.py`` for the table.
 """
 
 import numpy as np
 
-from repro import Box, PMEOperator, pme_relative_error, tune_parameters
+from repro import (Box, PMEOperator, make_suspension, pme_relative_error,
+                   tune_parameters)
 from repro.bench import bench_scale, print_table, record_benchmark
+from repro.perfmodel import PMECostModel, WESTMERE_EP
+from repro.pme.accuracy import DENSE_REFERENCE_LIMIT
 
 TARGET_EP = 1e-3
 PHI = 0.2
@@ -20,36 +28,46 @@ PHI = 0.2
 CI_COUNTS = [125, 250, 500, 1000, 2000, 4000, 8000, 16000]
 PAPER_COUNTS = [125, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000, 7000,
                 8000, 10000, 20000, 50000, 100000, 200000, 300000, 500000]
-MEASURE_LIMIT = 500  # densifiable sizes get a measured e_p column
+MEASURE_LIMIT = 4000  # sizes up to here get a measured e_p column
 
 
 def table_rows(counts=None):
     """Rows of the Table III analog: one tuned configuration per n."""
     counts = counts or (PAPER_COUNTS if bench_scale() == "paper"
                         else CI_COUNTS)
+    westmere = PMECostModel(WESTMERE_EP)
     rows = []
     for n in counts:
         box = Box.for_volume_fraction(n, PHI)
         params = tune_parameters(n, box, target_ep=TARGET_EP)
-        measured = ""
+        paper = tune_parameters(n, box, target_ep=TARGET_EP, model=westmere)
+        measured = reference = ""
         if n <= MEASURE_LIMIT:
-            rng = np.random.default_rng(n)
-            r = rng.uniform(0, box.length, size=(n, 3))
-            op = PMEOperator(r, box, params)
-            measured = f"{pme_relative_error(op, n_probe=2):.1e}"
+            susp = make_suspension(n, PHI, seed=n)
+            op = PMEOperator(susp.positions, susp.box, params)
+            measured = pme_relative_error(op, n_probe=2)
+            reference = "dense" if n <= DENSE_REFERENCE_LIMIT else "PME"
         rows.append([n, params.K, params.p, round(params.r_max, 2),
-                     round(params.xi, 3), measured])
+                     round(params.xi, 3), measured, reference,
+                     paper.K, round(paper.r_max, 2), round(paper.xi, 3)])
     return rows
 
 
 def main():
-    headers = ["n", "K", "p", "r_max", "alpha", "measured e_p"]
+    headers = ["n", "K", "p", "r_max", "alpha", "measured e_p", "reference",
+               "K (Westmere)", "r_max (Westmere)", "alpha (Westmere)"]
     rows = table_rows()
+    shown = [[f"{c:.1e}" if isinstance(c, float) and h == "measured e_p"
+              else c for h, c in zip(headers, row)] for row in rows]
     print_table(
-        f"Table III: tuned PME configurations (Phi={PHI}, e_p<{TARGET_EP})",
-        headers, rows)
-    record_benchmark("table3_configs", headers, rows,
+        f"Table III: tuned PME configurations (Phi={PHI}, e_p<{TARGET_EP}); "
+        "ranked on this substrate | on the paper's Westmere-EP",
+        headers, shown)
+    record_benchmark("table3_configs", headers, shown,
                      meta={"phi": PHI, "target_ep": TARGET_EP})
+    missed = [(row[0], row[5]) for row in rows
+              if row[5] != "" and not row[5] < TARGET_EP]
+    assert not missed, f"measured e_p not below {TARGET_EP}: {missed}"
 
 
 def test_tuning_speed(benchmark):

@@ -490,7 +490,13 @@ def _cmd_profile(args) -> int:
     if other:
         print("other spans (s): " + ", ".join(
             f"{name}={total:.4g}" for name, total in other.items()))
+    from .perfmodel import SUBSTRATE, calibrate_host
+    print(f"tuner's ranking model (committed): {SUBSTRATE!r}")
     if args.json is not None:
+        # the literal to commit as perfmodel.machines.SUBSTRATE on
+        # another box (with cores=1: the rates are one-core rates)
+        report.machine = calibrate_host()
+        print(f"this host, calibrated: {report.machine!r}")
         report.outputs["json"] = report.write_json(args.json)
     for kind, path in report.outputs.items():
         print(f"{kind} -> {path}")
@@ -521,18 +527,40 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tune(args) -> int:
     from .geometry.box import Box
-    from .pme.tuning import tune_parameters
+    from .perfmodel import (REFERENCE_KRYLOV_ITERATIONS,
+                            REFERENCE_LAMBDA_RPY, SUBSTRATE,
+                            SUBSTRATE_COST_TOLERANCE)
+    from .pme.tuning import rank_candidates
 
     box = Box.for_volume_fraction(args.particles, args.phi)
-    params = tune_parameters(args.particles, box, target_ep=args.e_p,
-                             p=args.order)
+    rows = rank_candidates(args.particles, box, target_ep=args.e_p,
+                           p=args.order)
+    chosen = next(c.params for c in rows if c.chosen)
     print(f"n={args.particles}  Phi={args.phi}  L={box.length:.2f}")
-    print(f"  K={params.K}  p={params.p}  r_max={params.r_max:.2f}  "
-          f"alpha={params.xi:.4f}")
-    from .perfmodel import PMECostModel, WESTMERE_EP
-    model = PMECostModel(WESTMERE_EP)
-    print(f"  predicted reciprocal time/apply (Westmere model): "
-          f"{model.t_reciprocal(args.particles, params.K, params.p) * 1e3:.2f} ms")
+    print(f"  K={chosen.K}  p={chosen.p}  r_max={chosen.r_max:.2f}  "
+          f"alpha={chosen.xi:.4f}")
+    print(f"  ranked on: {SUBSTRATE.name}")
+    print(f"  modelled block step (ms: rebuild + {REFERENCE_LAMBDA_RPY} "
+          f"drift applies + {REFERENCE_KRYLOV_ITERATIONS} block-Lanczos "
+          f"passes of {REFERENCE_LAMBDA_RPY} columns),")
+    print("  memory (Eq. 11 mesh + BCSR blocks) and error estimates per "
+          "candidate cutoff:")
+    print(f"  {'r_max':>6} {'alpha':>7} {'K':>4} {'build':>8} {'recip':>9} "
+          f"{'real':>8} {'step':>9} {'MiB':>7} {'e_real':>8} "
+          f"{'e_spline':>8} {'e_trunc':>8}")
+    for c in rows:
+        ms = {part: t * 1e3 for part, t in c.cost.items()}
+        mark = ("  <- chosen" if c.chosen else "") + (
+            "  (cheapest)" if c.cheapest else "")
+        print(f"  {c.params.r_max:6.2f} {c.params.xi:7.4f} {c.params.K:4d} "
+              f"{ms['build']:8.1f} {ms['reciprocal']:9.1f} "
+              f"{ms['real']:8.1f} {ms['total']:9.1f} "
+              f"{c.memory_bytes / 2 ** 20:7.1f} {c.errors['real']:8.1e} "
+              f"{c.errors['spline']:8.1e} "
+              f"{c.errors['recip_truncation']:8.1e}{mark}")
+    print(f"  chosen: the smallest cutoff within "
+          f"{SUBSTRATE_COST_TOLERANCE:.0%} (the model's validated error) "
+          "of the cheapest")
     return 0
 
 

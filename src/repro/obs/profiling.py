@@ -21,6 +21,7 @@ imported lazily (by the CLI), never from ``repro.obs.__init__``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -79,6 +80,9 @@ class ProfileReport:
     counts: dict[str, int] = field(default_factory=dict)
     #: Paths written (trace/chrome/metrics), for the CLI summary.
     outputs: dict[str, Path] = field(default_factory=dict)
+    #: This host as :func:`repro.perfmodel.calibrate_host` measured it
+    #: (``repro profile --json`` fills it in); ``None`` if not measured.
+    machine: Any = None
 
     def format_table(self) -> str:
         """The Fig. 5-style aligned table."""
@@ -115,6 +119,8 @@ class ProfileReport:
                      for row in self.rows],
             "totals": dict(self.totals),
             "counts": dict(self.counts),
+            "machine": (None if self.machine is None
+                        else dataclasses.asdict(self.machine)),
         }
 
     def write_json(self, path: str | Path) -> Path:

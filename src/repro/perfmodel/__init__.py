@@ -13,10 +13,13 @@ results (Figs. 6 and 9) are reproduced on hardware we do not have —
 see DESIGN.md, "Substitutions".
 """
 
-from .machines import Machine, WESTMERE_EP, XEON_PHI_KNC, HOST
+from .machines import (Machine, WESTMERE_EP, XEON_PHI_KNC, SUBSTRATE,
+                       SUBSTRATE_COST_TOLERANCE, HOST)
 from .calibrate import calibrate_host
 from .model import (
     PMECostModel,
+    REFERENCE_KRYLOV_ITERATIONS,
+    REFERENCE_LAMBDA_RPY,
     spreading_bytes,
     interpolation_bytes,
     influence_bytes,
@@ -28,9 +31,13 @@ __all__ = [
     "Machine",
     "WESTMERE_EP",
     "XEON_PHI_KNC",
+    "SUBSTRATE",
+    "SUBSTRATE_COST_TOLERANCE",
     "HOST",
     "calibrate_host",
     "PMECostModel",
+    "REFERENCE_LAMBDA_RPY",
+    "REFERENCE_KRYLOV_ITERATIONS",
     "spreading_bytes",
     "interpolation_bytes",
     "influence_bytes",

@@ -23,7 +23,8 @@ import numpy as np
 
 from ..config import available_cpus
 
-__all__ = ["Machine", "WESTMERE_EP", "XEON_PHI_KNC", "HOST"]
+__all__ = ["Machine", "WESTMERE_EP", "XEON_PHI_KNC", "SUBSTRATE",
+           "SUBSTRATE_COST_TOLERANCE", "HOST"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,15 @@ class Machine:
     fft_rate_table / ifft_rate_table:
         ``(K, GF/s)`` samples of the achievable forward/inverse 3-D FFT
         rate ``P_FFT(K)``; log-K interpolated, clamped at the ends.
+    spmm_ns_per_block:
+        Measured real-space SpMM time per stored 3x3 block per chunk of
+        up to 8 right-hand sides (the width of one pass of the BCSR
+        kernel's row body), in nanoseconds; ``None`` (the Table I
+        machines) prices the SpMM as bandwidth bound.
+    pair_build_us:
+        Measured real-space build time per pair within ``r_max`` (pair
+        search + RPY tensors + BCSR assembly), in microseconds;
+        ``None`` prices the build as the bytes it writes.
     """
 
     name: str
@@ -59,11 +69,12 @@ class Machine:
     memory_gb: float
     fft_rate_table: tuple[tuple[int, float], ...] = field(default=())
     ifft_rate_table: tuple[tuple[int, float], ...] = field(default=())
+    spmm_ns_per_block: float | None = None
+    pair_build_us: float | None = None
 
-    def _interp(self, table: tuple[tuple[int, float], ...], K: int) -> float:
-        ks = np.array([t[0] for t in table], dtype=np.float64)
-        vs = np.array([t[1] for t in table], dtype=np.float64)
-        return float(np.interp(np.log2(K), np.log2(ks), vs))
+    def _interp(self, table: tuple[tuple[int, float], ...], K):
+        ks, vs = np.array(table).T
+        return np.interp(np.log2(K), np.log2(ks), vs)
 
     def fft_rate(self, K: int) -> float:
         """Achievable forward 3-D FFT rate ``P_FFT(K)`` in GF/s."""
@@ -118,6 +129,38 @@ XEON_PHI_KNC = Machine(
     ifft_rate_table=((16, 3.0), (32, 6.0), (64, 13.0), (128, 24.0),
                      (256, 30.0), (512, 32.0)),
 )
+
+
+#: The substrate this package runs on, as measured: pocketfft one mesh
+#: lane at a time, NumPy influence function, compiled BCSR / gather
+#: kernels — on ONE core, so the description (and every Ewald split
+#: ranked with it) is the same on a 1-CPU and a 64-CPU box.  A recorded
+#: output of :func:`repro.perfmodel.calibrate.calibrate_host` (best of
+#: five runs per entry; Xeon @ 2.1 GHz VM, GCC 12.2 ``-O3``, NumPy 2.4.6,
+#: SciPy 1.17.1; table in EXPERIMENTS.md) with ``cores`` set to the one
+#: the rates were measured on.  The FFT rates are 6.4-8.5 ns per mesh
+#: point per lane from K = 20 to 128.  This is the default ranking model
+#: of :func:`repro.pme.tuning.tune_parameters`; regenerate it for
+#: another box with ``repro profile --json``.
+SUBSTRATE = Machine(
+    name="substrate (pocketfft per lane + compiled BCSR/gather, one core)",
+    cores=1, threads=1, frequency_ghz=0.0,
+    peak_gflops_dp=28.52, stream_bandwidth_gbs=6.2, memory_gb=8.0,
+    fft_rate_table=((16, 2.77), (20, 3.86), (24, 4.73), (30, 5.22),
+                    (36, 5.15), (48, 6.31), (54, 6.46), (64, 7.04),
+                    (72, 6.8), (90, 7.13), (96, 7.08), (128, 6.15)),
+    ifft_rate_table=((16, 3.14), (20, 4.3), (24, 5.12), (30, 5.48),
+                     (36, 5.4), (48, 6.18), (54, 5.94), (64, 7.04),
+                     (72, 6.43), (90, 6.66), (96, 6.4), (128, 5.19)),
+    spmm_ns_per_block=5.9, pair_build_us=0.40,
+)
+
+#: Validated error of ``PMECostModel(SUBSTRATE).block_step``: the worst
+#: relative deviation between the modelled and the measured cost of the
+#: reference block over the calibration table (n = 200 ... 4000,
+#: ``r_max`` = 4a ... 14a; EXPERIMENTS.md).  Candidates whose modelled
+#: cost differ by less than this are a tie the model cannot break.
+SUBSTRATE_COST_TOLERANCE = 0.15
 
 
 def _measure_host() -> Machine:

@@ -17,12 +17,20 @@ exactly:
 
 The real-space SpMV is modeled as bandwidth bound over the BCSR bytes,
 which Section IV.E uses to balance the hybrid split.
+
+Beside Eq. 10 (one vector, one application) the model prices what a
+caller of Algorithm 2 pays: a *block step* — one mobility rebuild, the
+``lambda_RPY`` single-vector drift applications and the block-Lanczos
+iterations on ``lambda_RPY`` columns (:meth:`PMECostModel.block_step`).
+That is the cost :func:`repro.pme.tuning.tune_parameters` ranks Ewald
+splits by.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .machines import Machine
 
@@ -33,8 +41,30 @@ __all__ = [
     "fft_flops",
     "pme_memory_bytes",
     "real_space_bytes",
+    "reciprocal_block_bytes",
     "PMECostModel",
+    "REFERENCE_LAMBDA_RPY",
+    "REFERENCE_KRYLOV_ITERATIONS",
+    "SPMM_CHUNK",
+    "BCSR_BLOCK_BYTES",
 ]
+
+#: The reference block :meth:`PMECostModel.block_step` prices: the
+#: integrators' default ``lambda_rpy`` and the block-Lanczos iteration
+#: count every benchmark workload shows at ``e_k = 1e-2``.
+REFERENCE_LAMBDA_RPY = 10
+REFERENCE_KRYLOV_ITERATIONS = 7
+
+#: Right-hand sides one pass of the BCSR SpMM row body covers
+#: (:mod:`repro.sparse.kernels`); wider blocks take ``ceil(s / 8)``.
+SPMM_CHUNK = 8
+
+#: Stored bytes per 3x3 block: 72 payload + 8 column index.
+BCSR_BLOCK_BYTES = 80.0
+
+#: The build writes each stored block once and ~5x that in temporaries
+#: (separations, distances, coefficients, half-list tensors, sort keys).
+_BUILD_PASSES = 6.0
 
 
 def spreading_bytes(n: int, K: int, p: int) -> float:
@@ -59,7 +89,7 @@ def influence_bytes(K: int) -> float:
 
 def fft_flops(K: int) -> float:
     """Flops of the three 3-D (i)FFTs of one PME application (IV.D(b))."""
-    return 3 * 2.5 * K ** 3 * math.log2(K ** 3)
+    return 3 * 2.5 * K ** 3 * np.log2(K ** 3)
 
 
 def pme_memory_bytes(n: int, K: int, p: int) -> float:
@@ -76,10 +106,24 @@ def real_space_bytes(n: int, pair_density: float, n_vectors: int = 1) -> float:
     row (and over ``n_vectors`` right-hand sides, the multiple-RHS
     advantage of reference [24]).
     """
-    nnzb = n * (pair_density + 1.0)
-    payload = nnzb * (72.0 + 8.0)
+    payload = n * (pair_density + 1.0) * BCSR_BLOCK_BYTES
     vectors = 2 * 3 * 8 * n * n_vectors
     return payload + vectors
+
+
+def reciprocal_block_bytes(n: int, K: int, p: int, n_vectors: int) -> float:
+    """Non-FFT memory traffic of one reciprocal pass over ``n_vectors``
+    columns, as this pipeline moves it.
+
+    Per column the mesh terms of Eq. 10 (``24 K^3`` written by the
+    spreading, ``52 K^3`` through the influence function) and the
+    ``24 p^3 n`` gathered by the interpolation; per *pass* the ``12 p^3
+    n`` of ``P``, read once by each of the two gathers whatever the
+    block width.  The paper's ``24 p^3 n`` scatter term is absent: the
+    spreading is a gather by mesh row that writes every mesh word once.
+    """
+    nnz = p ** 3 * n
+    return n_vectors * (76 * K ** 3 + 24 * nnz) + 2 * 12 * nnz
 
 
 @dataclass(frozen=True)
@@ -120,9 +164,60 @@ class PMECostModel:
                 + self.t_influence(K) + self.t_interpolation(n, K, p))
 
     def t_real(self, n: int, pair_density: float, n_vectors: int = 1) -> float:
-        """Real-space SpMV time per application (per block of vectors)."""
-        return (real_space_bytes(n, pair_density, n_vectors)
+        """Real-space SpMV time per application (per block of vectors).
+
+        The machine's measured rate per stored block and chunk of
+        ``SPMM_CHUNK`` columns where it has one, else bandwidth bound.
+        """
+        rate = self.machine.spmm_ns_per_block
+        if rate is None:
+            return (real_space_bytes(n, pair_density, n_vectors)
+                    / self.machine.bandwidth_bytes)
+        chunks = -(-n_vectors // SPMM_CHUNK)        # ceil
+        return n * (pair_density + 1.0) * chunks * rate * 1e-9
+
+    def t_reciprocal_block(self, n: int, K: int, p: int,
+                           n_vectors: int) -> float:
+        """One reciprocal pass over a block of ``n_vectors`` columns:
+        ``3 n_vectors`` lane transforms each way at the Eq. 10 rates
+        plus :func:`reciprocal_block_bytes` over ``B``."""
+        return (n_vectors * (self.t_fft(K) + self.t_ifft(K))
+                + reciprocal_block_bytes(n, K, p, n_vectors)
                 / self.machine.bandwidth_bytes)
+
+    def t_build(self, n: int, pair_density: float) -> float:
+        """Real-space rebuild (pair search, tensors, BCSR assembly): the
+        machine's measured rate per pair, else the bytes it writes."""
+        rate = self.machine.pair_build_us
+        if rate is None:
+            return (_BUILD_PASSES * BCSR_BLOCK_BYTES * n
+                    * (pair_density + 1.0) / self.machine.bandwidth_bytes)
+        return 0.5 * n * pair_density * rate * 1e-6
+
+    def block_step(self, n: int, K: int, p: int, pair_density: float,
+                   lambda_rpy: int = REFERENCE_LAMBDA_RPY,
+                   iterations: int = REFERENCE_KRYLOV_ITERATIONS
+                   ) -> dict[str, float]:
+        """Predicted seconds of one block of Algorithm 2, by part.
+
+        ``build + lambda_rpy (recip(1) + real(1)) + iterations
+        (recip(lambda_rpy) + real(lambda_rpy))``: the rebuild, the
+        single-vector drift applications and the block-Lanczos
+        iterations.  The split-independent construction of ``P``
+        (``~ p^3 n``, 2-3 % of a step) is not priced.  ``K`` and
+        ``pair_density`` may be arrays, one entry per candidate split.
+        """
+        parts = {
+            "build": self.t_build(n, pair_density),
+            "reciprocal": (
+                lambda_rpy * self.t_reciprocal_block(n, K, p, 1)
+                + iterations * self.t_reciprocal_block(n, K, p, lambda_rpy)),
+            "real": (lambda_rpy * self.t_real(n, pair_density, 1)
+                     + iterations * self.t_real(n, pair_density,
+                                                lambda_rpy)),
+        }
+        parts["total"] = sum(parts.values())
+        return parts
 
     def breakdown(self, n: int, K: int, p: int) -> dict[str, float]:
         """Per-phase predicted times, keyed like Fig. 5."""

@@ -20,7 +20,8 @@ Module layout mirrors the paper's six-step reformulation
 * :mod:`~repro.pme.realspace` -- the short-range BCSR operator,
 * :mod:`~repro.pme.operator`  -- the composed matrix-free operator,
 * :mod:`~repro.pme.tuning`    -- selection of ``(alpha, r_max, K, p)``
-  for a target relative error ``e_p`` (Table III),
+  for a target relative error ``e_p`` at the lowest block-step cost
+  on this substrate (Table III),
 * :mod:`~repro.pme.accuracy`  -- measurement of ``e_p`` against a
   reference (Section V.B).
 """
@@ -32,7 +33,7 @@ from .influence import InfluenceFunction
 from .realspace import RealSpaceOperator
 from .cache import MobilityCache
 from .operator import PMEOperator, PMEParams
-from .tuning import tune_parameters, estimate_errors
+from .tuning import tune_parameters, rank_candidates, estimate_errors
 from .accuracy import pme_relative_error
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "PMEOperator",
     "PMEParams",
     "tune_parameters",
+    "rank_candidates",
     "estimate_errors",
     "pme_relative_error",
 ]

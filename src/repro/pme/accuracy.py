@@ -3,8 +3,9 @@
 The paper defines ``e_p = ||u_pme - u_exact||_2 / ||u_exact||_2`` where
 ``u_exact`` is "computed with very high accuracy, possibly by a
 different method".  Here the reference is the dense Ewald summation
-(tight tolerance) for small systems, or a deliberately over-resolved
-PME operator for systems too large to densify.
+(tight tolerance) for small systems, or a PME operator with a split of
+its own, tuned two orders of magnitude tighter, for systems too large
+to densify.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from ..lint.contracts import positions_arg
 from ..rpy.ewald import EwaldSummation
 from ..units import FluidParams, REDUCED
 from .operator import PMEOperator, PMEParams
+from .tuning import estimate_errors, tune_parameters
 
 __all__ = ["pme_relative_error", "reference_operator"]
 
@@ -29,21 +31,21 @@ def reference_operator(positions, box: Box, params: PMEParams,
     """A high-accuracy reference ``u = M f`` callable for ``e_p`` measurement.
 
     Small systems use the dense Ewald matrix with ``tol = 1e-12``;
-    larger systems use a PME operator with a finer mesh (``1.5 K``),
-    larger cutoff and higher spline order, whose own error is one to two
-    orders of magnitude below any practically tuned operator's.
+    larger systems use a PME operator whose split is its own: tuned
+    (order 8, the default cutoff grid) for a hundredth of the error
+    :func:`~repro.pme.tuning.estimate_errors` gives ``params``.  It
+    shares neither ``xi`` nor ``r_max`` with the operator under test, so
+    a real-space truncation error of that operator is measured in full
+    however close its cutoff is to ``L/2``.
     """
     r = np.asarray(positions, dtype=np.float64)
     n = r.shape[0]
     if n <= DENSE_REFERENCE_LIMIT:
         matrix = EwaldSummation(box=box, fluid=fluid, tol=1e-12).matrix(r)
         return lambda f: matrix @ f
-    fine = PMEParams(
-        xi=params.xi,
-        r_max=min(params.r_max * 1.5, box.length / 2),
-        K=int(np.ceil(params.K * 1.5 / 2) * 2),
-        p=min(params.p + 2, 10),
-    )
+    estimate = estimate_errors(params, box, n, fluid)["total"]
+    fine = tune_parameters(n, box, target_ep=max(estimate / 100, 1e-12),
+                           p=8, fluid=fluid, kernel=params.kernel)
     op = PMEOperator(r, box, fine, fluid=fluid)
     return op.apply
 

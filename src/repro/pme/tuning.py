@@ -4,217 +4,399 @@ For every configuration the paper chooses PME parameters "such that
 execution time is minimized while keeping the PME relative error e_p
 less than 10^-3" (Section V.C; the procedure itself is "beyond the
 scope" of the paper).  This module implements a concrete such
-procedure:
+procedure, :func:`tune_parameters`:
 
-1. error control — for a candidate cutoff ``r_max``, the splitting
-   parameter ``xi`` is set by bisection so the real-space kernel at the
-   cutoff is below the error budget; the mesh must then resolve the
-   reciprocal kernel both in *truncation* (the splitting function
-   ``chi`` at the Nyquist wavenumber below budget) and in *spline
-   interpolation* (``xi h`` below an order-dependent bound calibrated
-   against measured ``e_p``),
-2. cost minimization — among admissible ``(xi, r_max, K)`` triples the
-   one with the smallest predicted time under the Section IV.D
-   performance model is selected.
+1. **candidates** — cutoffs ``r_max`` on a fixed geometric grid from
+   ``2.5 a`` up to the minimum-image cap ``L/2``, so the chosen cutoff
+   is interior to the list (or is the cap);
+2. **error control** — for each cutoff the splitting parameter ``xi`` is
+   the smallest whose real-space truncation error meets the budget, and
+   ``K`` the smallest FFT-friendly mesh whose reciprocal error
+   (B-spline aliasing plus the modes beyond the mesh Nyquist) does.
+   Both errors are *computed*, not tabulated: for unit random forces
+   ``e_p^2 = (||dM||_F^2 / 3n) / (||M||_F^2 / 3n)``, and the Frobenius
+   norms follow from the pair kernels — the real-space tail integral
+   (:func:`real_space_error`), the aliasing sums of the spline
+   (:func:`reciprocal_error`) and the row norm of the periodic RPY
+   tensor (:func:`mobility_row_norm`).  Against dense Ewald the
+   estimates hold within 0.6-1.5x for ``xi a`` in [0.3, 1.2], ``p`` in
+   {4, 6, 8} and random suspensions (``tests/test_pme_tuning.py``);
+3. **cost minimization** — each admissible ``(xi, r_max, K)`` is priced
+   as one *block step* of Algorithm 2 (mobility rebuild + ``lambda_RPY``
+   drift applications + the block-Lanczos iterations,
+   :meth:`repro.perfmodel.PMECostModel.block_step`) on the machine the
+   code runs on: :data:`repro.perfmodel.SUBSTRATE`, a committed one-core
+   description of this NumPy/pocketfft + compiled-kernel substrate
+   (the paper's Westmere-EP and KNC stay for Table I, Fig. 6 and Fig. 9;
+   pass ``model=PMECostModel(WESTMERE_EP)`` to rank for them).  Among
+   candidates whose cost is within the model's validated error of the
+   minimum the **smallest cutoff** wins: stored blocks, build
+   temporaries and build time grow as ``r_max^3`` exactly where the
+   time curve is flat.
 
-The resulting parameters are validated by
-:func:`repro.pme.accuracy.pme_relative_error` in the test suite.
+The result is a pure function of ``(n, box, target_ep, p, fluid,
+model)`` — no clock, CPU count or environment is read — which is what
+keeps campaign digests equal at 1 and N workers and served applies
+equal to direct ones.  :func:`rank_candidates` returns the whole
+ranking (``repro tune`` prints it).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import ConfigurationError, ConvergenceError
 from ..geometry.box import Box
-from ..perfmodel import PMECostModel, WESTMERE_EP
+from ..perfmodel import (PMECostModel, SUBSTRATE, SUBSTRATE_COST_TOLERANCE,
+                         pme_memory_bytes)
+from ..perfmodel.model import BCSR_BLOCK_BYTES
 from ..rpy import beenakker
 from ..units import FluidParams, REDUCED
 from .operator import PMEParams
 
-__all__ = ["tune_parameters", "estimate_errors", "fft_friendly_size",
-           "spline_resolution_bound"]
+__all__ = ["tune_parameters", "rank_candidates", "Candidate",
+           "estimate_errors", "real_space_error", "reciprocal_error",
+           "mobility_row_norm", "fft_friendly_size", "candidate_cutoffs"]
 
-# Measured B-spline interpolation error of the reciprocal sum as a
-# function of xi*h (h = L/K mesh spacing), tabulated at the reference
-# xi*a = 2 on random suspensions against the dense Ewald matrix.  The
-# error collapses onto e = T_p(xi*h) * (xi*a/2)^3 across mesh sizes —
-# the (xi a)^3 factor comes from the O(a^3 xi^3) amplitude of the
-# degree-3 RPY kernel terms.  See tests/test_pme_tuning.py for the
-# re-calibration check.
-_SPLINE_ERR_TABLE: dict[int, tuple[tuple[float, float], ...]] = {
-    4: ((0.10, 2.7e-4), (0.15, 1.5e-3), (0.20, 5.6e-3), (0.30, 3.0e-2),
-        (0.45, 2.2e-1), (0.60, 7.8e-1), (0.80, 2.4e0)),
-    6: ((0.10, 1.1e-6), (0.15, 1.5e-5), (0.20, 1.1e-4), (0.30, 1.8e-3),
-        (0.45, 4.3e-2), (0.60, 3.7e-1), (0.80, 2.0e0)),
-    8: ((0.10, 3.1e-9), (0.15, 2.2e-7), (0.20, 3.0e-6), (0.30, 1.7e-4),
-        (0.45, 1.5e-2), (0.60, 2.4e-1), (0.80, 2.2e0)),
-}
+#: Spline orders whose reciprocal-error estimate is validated against
+#: dense Ewald.
+_VALIDATED_ORDERS = (4, 6, 8)
 
-#: Reference ``xi * a`` at which the table above was measured.
-_SPLINE_REF_XIA = 2.0
+#: Default cutoff grid: ``2.5 a`` times powers of 1.05 up to ``L/2`` —
+#: geometric because ``K ~ 1 / r_max`` at a fixed error, so one step
+#: moves the mesh by about one FFT-friendly size, at any ``n``.
+_CUTOFF_START, _CUTOFF_RATIO = 2.5, 1.05
 
-
-def _spline_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    if p not in _SPLINE_ERR_TABLE:
-        raise ConfigurationError(
-            f"no spline calibration for order p={p}; use p in "
-            f"{sorted(_SPLINE_ERR_TABLE)}")
-    table = _SPLINE_ERR_TABLE[p]
-    xih = np.log(np.array([t[0] for t in table]))
-    err = np.log(np.array([t[1] for t in table]))
-    return xih, err
+def _friendly_sizes(limit: int) -> np.ndarray:
+    """All even 5-smooth integers (2^a 3^b 5^c, a >= 1) up to ``limit``."""
+    sizes = []
+    p5 = 1
+    while 2 * p5 <= limit:
+        p3 = p5
+        while 2 * p3 <= limit:
+            k = 2 * p3
+            while k <= limit:
+                sizes.append(k)
+                k *= 2
+            p3 *= 3
+        p5 *= 5
+    return np.array(sorted(sizes))
 
 
-def spline_error_estimate(p: int, xih: float, xia: float) -> float:
-    """Estimated relative spline error at mesh resolution ``xi*h``.
-
-    Log-log interpolation of the calibration table with linear
-    extrapolation at the ends, scaled by ``(xi a / 2)^3``.
-    """
-    lx, le = _spline_table(p)
-    x = math.log(max(xih, 1e-6))
-    if x <= lx[0]:
-        slope = (le[1] - le[0]) / (lx[1] - lx[0])
-        y = le[0] + slope * (x - lx[0])
-    elif x >= lx[-1]:
-        slope = (le[-1] - le[-2]) / (lx[-1] - lx[-2])
-        y = le[-1] + slope * (x - lx[-1])
-    else:
-        y = float(np.interp(x, lx, le))
-    return math.exp(y) * (xia / _SPLINE_REF_XIA) ** 3
-
-
-def spline_resolution_bound(p: int, budget: float, xia: float) -> float:
-    """Largest ``xi * h`` with estimated spline error <= ``budget``.
-
-    Inverts :func:`spline_error_estimate` (monotone in ``xi h``); the
-    result is clamped to ``[0.02, 1.0]``.
-    """
-    if budget <= 0:
-        raise ConfigurationError(f"budget must be positive, got {budget}")
-    lx, le = _spline_table(p)
-    target = math.log(budget / max((xia / _SPLINE_REF_XIA) ** 3, 1e-300))
-    if target >= le[-1]:
-        slope = (le[-1] - le[-2]) / (lx[-1] - lx[-2])
-        x = lx[-1] + (target - le[-1]) / slope
-    elif target <= le[0]:
-        slope = (le[1] - le[0]) / (lx[1] - lx[0])
-        x = lx[0] + (target - le[0]) / slope
-    else:
-        x = float(np.interp(target, le, lx))
-    return float(np.clip(math.exp(x), 0.02, 1.0))
+#: The meshes :func:`tune_parameters` chooses from.
+_MESH_SIZES = _friendly_sizes(1 << 13)
 
 
 def fft_friendly_size(minimum: int) -> int:
     """Smallest even 5-smooth integer (2^a 3^b 5^c) >= ``minimum``."""
     k = max(2, int(minimum))
-    while True:
-        if k % 2 == 0:
-            m = k
-            for f in (2, 3, 5):
-                while m % f == 0:
-                    m //= f
-            if m == 1:
-                return k
-        k += 1
+    sizes = _MESH_SIZES if k <= _MESH_SIZES[-1] else _friendly_sizes(2 * k)
+    return int(sizes[np.searchsorted(sizes, k)])
 
 
-def _real_kernel_magnitude(xi: float, r: float, radius: float) -> float:
-    """``|f| + |g|`` of the real-space kernel at distance ``r``."""
-    f, g = beenakker.real_space_coefficients(np.array([r]), xi, radius)
-    return float(abs(f[0]) + abs(g[0]))
+def candidate_cutoffs(box: Box, radius: float = 1.0) -> list[float]:
+    """The default ``r_max`` candidates: the fixed geometric grid
+    ``2.5 a * 1.05^i`` below the minimum-image cap ``L/2``, and the cap."""
+    half = box.length / 2
+    start = _CUTOFF_START * radius
+    steps = math.ceil(math.log(max(half / start, 1.0))
+                      / math.log(_CUTOFF_RATIO))
+    return [start * _CUTOFF_RATIO ** i for i in range(steps)] + [half]
 
 
-def _xi_for_cutoff(r_max: float, budget: float, radius: float) -> float:
-    """Smallest ``xi`` whose real-space kernel at ``r_max`` is <= budget.
+# ----------------------------------------------------------------------
+# the error model
+# ----------------------------------------------------------------------
 
-    The kernel decreases monotonically in ``xi`` at fixed ``r`` (more
-    of the sum is pushed to reciprocal space); bisection on
-    ``log xi``.
+def mobility_row_norm(n: int, box: Box, radius: float = 1.0) -> float:
+    """RMS row norm ``||M||_F / sqrt(3n)`` of the periodic RPY mobility
+    (``mu0`` units): ``||M f||`` for a unit random force, the
+    denominator of ``e_p``.
+
+    The diagonal is the Hasimoto self mobility ``1 - 2.837 a/L + ...``;
+    the off-diagonal blocks sum (Parseval, the ``1/k^4`` lattice sum
+    ``16.53``) to ``rho a^2 (2.51 L - c a)``, where ``c = 19.8`` — the
+    excluded near field — is fitted to ``||M f||`` of suspensions with
+    n = 45 ... 8000 at volume fractions 0.05 ... 0.4.
     """
-    lo, hi = 1e-3 / r_max, 50.0 / r_max
-    if _real_kernel_magnitude(hi, r_max, radius) > budget:
-        raise ConvergenceError(
-            f"cannot reach real-space budget {budget} at r_max={r_max}")
-    if _real_kernel_magnitude(lo, r_max, radius) <= budget:
-        return lo
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if _real_kernel_magnitude(mid, r_max, radius) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x = radius / box.length
+    diagonal = 1.0 - 2.837297 * x + 4.0 * math.pi / 3.0 * x ** 3
+    density = n * radius ** 3 / box.volume
+    return math.sqrt(diagonal ** 2
+                     + density * max(0.0, 2.51 / x - 19.8))
 
 
-def _chi(k: float, xi: float) -> float:
-    """Beenakker splitting function ``chi_alpha(k)`` (reciprocal decay).
+#: Gauss-Laguerre nodes of the real-space tail integral.
+_TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.laguerre.laggauss(8)
 
-    ``chi = (1 + k^2/(4 xi^2) + k^4/(8 xi^4)) exp(-k^2/(4 xi^2))``.
+
+def real_space_error(xi, r_max, n: int, box: Box, radius: float = 1.0,
+                     kernel: str = "rpy"):
+    """Relative error of truncating the real-space sum at ``r_max``.
+
+    The dropped pairs (all images beyond the cutoff, uniform density
+    ``rho``) add incoherently for a random force:
+    ``e^2 = rho/3 int_{r_max}^inf 4 pi r^2 ||M1(r)||_F^2 dr / row_norm^2``
+    (``M1 = f I + g rhat rhat^T``, Beenakker's real-space tensor),
+    the tail by Gauss-Laguerre on its ``exp(-2 xi^2 r^2)`` decay.
+    ``xi`` and ``r_max`` broadcast.
     """
-    x = (k / (2.0 * xi)) ** 2
-    return (1.0 + x + 2.0 * x * x) * math.exp(-x)
-
-
-def _k_for_truncation(xi: float, budget: float) -> float:
-    """Smallest wavenumber with ``chi(k) <= budget`` (bisection)."""
-    lo, hi = 1e-6 * xi, 200.0 * xi
-    if _chi(hi, xi) > budget:
-        raise ConvergenceError(f"cannot reach reciprocal budget {budget}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _chi(mid, xi) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _shell_factor(n: int, box: Box, r_max: float, xi: float) -> float:
-    """Error amplification from the population of the truncated shell.
-
-    The relative error contributed by real-space truncation is roughly
-    the kernel magnitude at the cutoff times the square root of the
-    number of neighbors in the decay shell ``[r_max, r_max + 1/xi]``
-    (incoherent sum of the truncated pair contributions).
-    """
+    xi = np.asarray(xi, dtype=np.float64)[..., None]
+    r0 = np.asarray(r_max, dtype=np.float64)[..., None]
+    rate = 4.0 * xi * xi * r0                 # -d/dr of the exponent at r0
+    r = r0 + _TAIL_NODES / rate
+    f, g = beenakker.real_space_coefficients(r, xi, radius, kernel=kernel)
+    tail = np.sum(_TAIL_WEIGHTS * np.exp(_TAIL_NODES) * 4.0 * math.pi * r * r
+                  * (2.0 * f * f + (f + g) ** 2),   # ||f I + g rr^T||_F^2
+                  axis=-1) / rate[..., 0]
     density = n / box.volume
-    n_shell = density * 4.0 * math.pi * r_max ** 2 / xi
-    return math.sqrt(max(1.0, n_shell))
+    return np.sqrt(density * tail / 3.0) / mobility_row_norm(n, box, radius)
 
 
-def estimate_errors(params: PMEParams, box: Box,
-                    fluid: FluidParams = REDUCED, n: int | None = None
-                    ) -> dict[str, float]:
-    """A-priori error estimates of a PME parameter set.
+#: Resolution grid ``s = xi h`` of the reciprocal-error moments (log).
+_LOG_S = np.log(np.geomspace(0.02, 2.5, 48))
 
-    Returns the three components the tuner controls: the real-space
-    kernel magnitude at the cutoff (``real``), the splitting function at
-    the mesh Nyquist (``recip_truncation``), and the spline-resolution
-    digits implied by the calibration table (``spline`` as an error,
-    ``10^-digits``).
+
+@lru_cache(maxsize=None)
+def _reciprocal_moments(p: int) -> np.ndarray:
+    """Moments of the spline's aliasing error over the Ewald spectrum.
+
+    A mode ``k`` reaches a particle through ``W(k) = sinc^p(k h / 2)``
+    per axis and the ``|b(k)|^2`` deconvolution; with ``w_m = (x /
+    (x + 2 pi m))^p`` (``x = k_d h``) the weights of its aliases,
+    ``S1 = sum_m w_m`` and ``S2 = sum_m w_m^2``, a pair coefficient is
+    off by ``4 S1^2 + 2 S2`` (relative variance, random phases) and a
+    particle's own by ``|(1 + S2)/(1 + S1)^2 - 1|`` (coherent); beyond
+    the Nyquist ``|x| = pi`` a mode is lost (both 1).  Averaged over
+    directions (three axes, ``x = y mu``) these weight the radial
+    integrals of ``m_alpha(k)^2`` and ``m_alpha(k)``; with ``k = y/h``,
+    ``chi`` a function of ``y / (2 s)`` and the ``(1 - a^2 k^2 / 3)``
+    factor expanded, what is left are moments in ``y`` on the grid of
+    ``s = xi h``.
+
+    Returns log-moments of shape ``(2, 5, len(_LOG_S))``: axis 0 the
+    part inside the Nyquist cube (aliasing) and the part outside
+    (truncation); axis 1 the pair moments of ``y^0, y^2, y^4`` then the
+    own-coefficient moments of ``y^0, y^2``.
     """
-    h = box.length / params.K
-    k_ny = math.pi * params.K / box.length
-    real = _real_kernel_magnitude(params.xi, params.r_max, fluid.radius)
-    if n is not None:
-        real *= _shell_factor(n, box, params.r_max, params.xi)
-    trunc = _chi(k_ny, params.xi)
-    if params.p in _SPLINE_ERR_TABLE:
-        spline = spline_error_estimate(params.p, params.xi * h,
-                                       params.xi * fluid.radius)
-    else:
-        spline = float("nan")
-    return {"real": real, "recip_truncation": trunc, "spline": spline}
+    if p not in _VALIDATED_ORDERS:
+        raise ConfigurationError(
+            f"no reciprocal-error estimate for order p={p}; use p in "
+            f"{list(_VALIDATED_ORDERS)}")
+    x = np.linspace(0.0, math.pi, 257)
+    s1 = np.zeros_like(x)
+    s2 = np.zeros_like(x)
+    for m in (1, -1, 2, -2, 3, -3, 4, -4):
+        w = (x / (x + 2.0 * math.pi * m)) ** p
+        s1 += w
+        s2 += w * w
+    pair_err = np.minimum(4.0 * s1 * s1 + 2.0 * s2, 1.0)
+    own_err = np.minimum(np.abs((1.0 + s2) / (1.0 + s1) ** 2 - 1.0), 1.0)
+
+    y = np.geomspace(1e-3, 80.0, 512)
+    dy = np.gradient(y)                             # trapezoid weights
+    q = y / (2.0 * np.exp(_LOG_S)[:, None])
+    chi = (1.0 + q * q + 2.0 * q ** 4) * np.exp(-q * q)
+    lost = np.maximum(0.0, 1.0 - math.pi / y)       # directions past Nyquist
+
+    def aliased(err: np.ndarray) -> np.ndarray:
+        """Direction average of ``err(y mu)`` over the part inside."""
+        cumulative = np.concatenate(([0.0], np.cumsum(
+            0.5 * (err[1:] + err[:-1]) * (x[1] - x[0]))))
+        return np.interp(np.minimum(y, math.pi), x, cumulative) / y
+
+    moments = np.empty((2, 5, _LOG_S.size))
+    for part, (pair_share, own_share) in enumerate(
+            ((aliased(pair_err), aliased(own_err)), (lost, lost))):
+        for j, power in enumerate((0, 2, 4)):
+            moments[part, j] = np.sum(
+                chi * chi * y ** (power - 2) * pair_share * dy, axis=1)
+        for j, power in enumerate((0, 2)):
+            moments[part, 3 + j] = np.sum(
+                chi * y ** power * own_share * dy, axis=1)
+    return np.log(np.maximum(moments, 1e-300))
+
+
+def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
+                     kernel: str = "rpy"):
+    """Relative errors ``(aliasing, truncation)`` of the mesh sum.
+
+    ``e^2 = (rho F + c^2) / row_norm^2``: ``F`` the incoherent error of
+    the pair coefficients, ``F = 36 a^2 int (1 - a^2 k^2/3)^2 chi^2
+    err(k h) / k^2 dk``, and ``c = (6 a / pi) int (1 - a^2 k^2/3) chi
+    err(k h) dk`` the coherent error of each particle's own coefficient
+    (it dominates from ``xi a ~ 0.5`` up), both from
+    :func:`_reciprocal_moments`.  ``xi`` and ``K`` broadcast.
+    """
+    table = _reciprocal_moments(p)
+    xi = np.asarray(xi, dtype=np.float64)
+    h = box.length / np.asarray(K, dtype=np.float64)
+    log_s = np.clip(np.log(xi * h), _LOG_S[0], _LOG_S[-1])
+    step = _LOG_S[1] - _LOG_S[0]
+    cell = np.minimum(((log_s - _LOG_S[0]) / step).astype(np.int64),
+                      _LOG_S.size - 2)
+    w = (log_s - _LOG_S[cell]) / step
+    m = np.exp(table[..., cell] * (1.0 - w) + table[..., cell + 1] * w)
+    u = (radius / h) ** 2 if kernel == "rpy" else 0.0
+    pairs = 36.0 * radius ** 2 * h * (m[:, 0] - 2.0 / 3.0 * u * m[:, 1]
+                                      + u * u / 9.0 * m[:, 2])
+    own = 6.0 * radius / (math.pi * h) * (m[:, 3] - u / 3.0 * m[:, 4])
+    e = np.sqrt(n / box.volume * np.maximum(pairs, 0.0) + own * own
+                ) / mobility_row_norm(n, box, radius)
+    return e[0], e[1]
+
+
+def estimate_errors(params: PMEParams, box: Box, n: int,
+                    fluid: FluidParams = REDUCED) -> dict[str, float]:
+    """A-priori error estimates of a PME parameter set for ``n``
+    particles in ``box``.
+
+    ``real`` (real-space truncation at ``r_max``), ``spline`` (B-spline
+    aliasing on the mesh), ``recip_truncation`` (modes beyond the mesh
+    Nyquist) and ``total``, their root sum of squares — the estimate of
+    :func:`repro.pme.accuracy.pme_relative_error`.
+    """
+    a = fluid.radius
+    real = float(real_space_error(params.xi, params.r_max, n, box, a,
+                                  params.kernel))
+    spline, trunc = (float(e) for e in reciprocal_error(
+        params.xi, params.K, params.p, n, box, a, params.kernel))
+    return _error_dict(real, spline, trunc)
+
+
+def _error_dict(real: float, spline: float, trunc: float
+                ) -> dict[str, float]:
+    return {"real": real, "recip_truncation": trunc, "spline": spline,
+            "total": math.sqrt(real ** 2 + spline ** 2 + trunc ** 2)}
+
+
+# ----------------------------------------------------------------------
+# the ranking
+# ----------------------------------------------------------------------
+
+def _xi_for_cutoffs(r_max: np.ndarray, budget: float, n: int, box: Box,
+                    radius: float, kernel: str) -> np.ndarray:
+    """The ``xi`` per cutoff at which the truncation error is the budget.
+
+    The error falls like ``exp(-(xi r_max)^2)`` times a slow polynomial,
+    so its logarithm is almost linear in ``t = (xi r_max)^2``: a secant
+    iteration in ``t``, all cutoffs at once, is at round-off in six
+    steps for any budget below 0.05 (eight are taken; ``xi r_max`` is
+    kept in [0.3, 12]).
+    """
+    def excess(t: np.ndarray) -> np.ndarray:
+        return np.log(real_space_error(np.sqrt(t) / r_max, r_max, n, box,
+                                       radius, kernel) / budget)
+
+    t0 = np.full_like(r_max, 2.5 ** 2)
+    t1 = np.full_like(r_max, 3.5 ** 2)
+    f0, f1 = excess(t0), excess(t1)
+    for _ in range(8):
+        slope = np.where(f1 == f0, 1.0, f1 - f0)
+        t0, f0, t1 = t1, f1, np.clip(t1 - f1 * (t1 - t0) / slope,
+                                     0.3 ** 2, 12.0 ** 2)
+        f1 = excess(t1)
+    return np.sqrt(t1) / r_max
+
+
+def _mesh_for(xi: np.ndarray, budget: float, p: int, n: int, box: Box,
+              radius: float, kernel: str) -> np.ndarray:
+    """Smallest FFT-friendly ``K`` per ``xi`` whose reciprocal error
+    (aliasing and truncation together) is <= budget: bisection on the
+    index into the friendly sizes, all ``xi`` at once."""
+    sizes = _MESH_SIZES[_MESH_SIZES >= max(p, 8)]
+    lo = np.zeros(xi.shape, dtype=np.int64)
+    hi = np.full(xi.shape, sizes.size - 1)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        alias, trunc = reciprocal_error(xi, sizes[mid], p, n, box, radius,
+                                        kernel)
+        ok = alias * alias + trunc * trunc <= budget * budget
+        hi = np.where(ok, mid, hi)
+        lo = np.minimum(np.where(ok, lo, mid + 1), hi)
+    return sizes[lo]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One admissible Ewald split and what it is modelled to cost."""
+
+    params: PMEParams
+    #: Modelled seconds of the reference block step, by part
+    #: (:meth:`repro.perfmodel.PMECostModel.block_step`).
+    cost: dict[str, float]
+    #: Eq. 11 reciprocal memory plus the stored BCSR blocks, bytes.
+    memory_bytes: float
+    #: :func:`estimate_errors` of the split.
+    errors: dict[str, float]
+    #: Cheapest of the ranking under the model.
+    cheapest: bool = False
+    #: The split :func:`tune_parameters` returns: the smallest cutoff
+    #: within the model's tolerance of the cheapest.
+    chosen: bool = False
+
+
+def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
+                    fluid: FluidParams = REDUCED,
+                    model: PMECostModel | None = None,
+                    r_max_candidates=None, safety: float = 2.5,
+                    interpolation: str = "bspline",
+                    kernel: str = "rpy") -> list[Candidate]:
+    """Every admissible candidate of :func:`tune_parameters` (same
+    arguments), by ascending cutoff, priced and with the cheapest and
+    the chosen one marked."""
+    if not (0 < target_ep < 1):
+        raise ConfigurationError(f"target_ep must be in (0, 1), got {target_ep}")
+    if model is None:
+        model = PMECostModel(SUBSTRATE)
+    a = fluid.radius
+    half = box.length / 2
+    if r_max_candidates is None:
+        r_max_candidates = candidate_cutoffs(box, a)
+    cutoffs = np.array(sorted({min(float(r), half)
+                               for r in r_max_candidates
+                               if min(float(r), half) > 2 * a * 1.01}))
+    budget = target_ep / safety
+    xi = _xi_for_cutoffs(cutoffs, budget, n, box, a, kernel)
+    mesh = _mesh_for(xi, budget, p, n, box, a, kernel)
+    real = real_space_error(xi, cutoffs, n, box, a, kernel)
+    spline, trunc = reciprocal_error(xi, mesh, p, n, box, a, kernel)
+    # a cutoff no mesh of the list resolves is not a candidate
+    keep = np.hypot(spline, trunc) <= budget
+    if not np.any(keep):
+        raise ConvergenceError(
+            f"no admissible PME parameters for n={n}, L={box.length}, "
+            f"target_ep={target_ep}")
+    cutoffs, xi, mesh, real, spline, trunc = (
+        v[keep] for v in (cutoffs, xi, mesh, real, spline, trunc))
+    pair_density = n * (4.0 / 3.0) * math.pi * cutoffs ** 3 / box.volume
+    cost = model.block_step(n, mesh, p, pair_density)
+    memory = (pme_memory_bytes(n, mesh, p)
+              + BCSR_BLOCK_BYTES * n * (pair_density + 1.0))
+    total = cost["total"]
+    cheapest = int(np.argmin(total))
+    chosen = int(np.argmax(
+        total <= total[cheapest] * (1.0 + SUBSTRATE_COST_TOLERANCE)))
+    return [Candidate(
+        params=PMEParams(xi=float(xi[i]), r_max=float(cutoffs[i]),
+                         K=int(mesh[i]), p=p, interpolation=interpolation,
+                         kernel=kernel),
+        cost={part: float(t[i]) for part, t in cost.items()},
+        memory_bytes=float(memory[i]),
+        errors=_error_dict(float(real[i]), float(spline[i]),
+                           float(trunc[i])),
+        cheapest=i == cheapest, chosen=i == chosen)
+        for i in range(cutoffs.size)]
 
 
 def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
                     fluid: FluidParams = REDUCED,
                     model: PMECostModel | None = None,
-                    r_max_candidates=None, safety: float = 4.0,
+                    r_max_candidates=None, safety: float = 2.5,
                     interpolation: str = "bspline",
                     kernel: str = "rpy") -> PMEParams:
     """Choose ``(xi, r_max, K, p)`` minimizing predicted time at a target ``e_p``.
@@ -232,67 +414,35 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
     fluid:
         Fluid parameters (radius enters the kernels).
     model:
-        Performance model used for the cost ranking; defaults to the
-        paper's Westmere-EP machine (the ranking, not the absolute
-        times, is what matters).
+        Performance model pricing a block step; defaults to the
+        committed one-core description of this substrate,
+        ``PMECostModel(SUBSTRATE)`` — the same on every box, so the
+        result does not depend on where it is computed.  Pass
+        ``PMECostModel(WESTMERE_EP)`` for the paper's machine or
+        ``PMECostModel(calibrate_host())`` for the one at hand.
     r_max_candidates:
-        Cutoff distances to consider; default spans ``2.5a .. 6a``
-        capped at ``L/2``.
+        Cutoff distances to consider (each capped at ``L/2``); default
+        :func:`candidate_cutoffs`, ``2.5a * 1.05^i`` up to ``L/2``.
     safety:
-        Error-budget divisor applied to ``target_ep`` for each
-        component (real, truncation, spline).
+        Error-budget divisor applied to ``target_ep`` for each of the
+        two components (real-space truncation, reciprocal sum).  They
+        add in quadrature, so the default 2.5 aims the total at
+        ``0.57 target_ep``; with the estimates' 0.6-1.5x accuracy the
+        measured ``e_p`` lands in ``[0.3, 0.8] target_ep``.
     interpolation, kernel:
-        Forwarded into the returned :class:`PMEParams`.  The spline
-        calibration table was measured for the SPME/RPY combination;
-        for Lagrangian interpolation the same ``K`` yields a larger
-        (but monotonically related) error, so treat tuned Lagrange
-        parameters as a starting point and verify with
-        :func:`repro.pme.accuracy.pme_relative_error`.
+        Forwarded into the returned :class:`PMEParams`.  The error
+        estimates hold for SPME; for Lagrangian interpolation the same
+        ``K`` yields a larger (but monotonically related) error, so
+        treat tuned Lagrange parameters as a starting point and verify
+        with :func:`repro.pme.accuracy.pme_relative_error`.
 
     Returns
     -------
     PMEParams
-        The admissible parameter set with the lowest predicted cost.
+        Among the admissible parameter sets whose predicted block-step
+        cost is within the model's validated error of the lowest, the
+        one with the smallest cutoff.
     """
-    if not (0 < target_ep < 1):
-        raise ConfigurationError(f"target_ep must be in (0, 1), got {target_ep}")
-    if model is None:
-        model = PMECostModel(WESTMERE_EP)
-    a = fluid.radius
-    half_l = box.length / 2
-    if r_max_candidates is None:
-        base = np.array([2.5, 3.0, 3.5, 4.0, 5.0, 6.0]) * a
-        r_max_candidates = sorted({min(float(r), half_l) for r in base})
-    budget = target_ep / safety
-
-    best: PMEParams | None = None
-    best_cost = math.inf
-    for r_max in r_max_candidates:
-        if r_max <= 2 * a * 1.01:
-            continue
-        try:
-            # fixed point: the shell amplification depends on xi, which
-            # depends on the (amplification-reduced) kernel budget
-            xi = _xi_for_cutoff(r_max, budget, a)
-            for _ in range(3):
-                xi = _xi_for_cutoff(
-                    r_max, budget / _shell_factor(n, box, r_max, xi), a)
-            k_needed = _k_for_truncation(xi, budget)
-        except ConvergenceError:
-            continue
-        k_trunc = int(math.ceil(k_needed * box.length / math.pi))
-        xih_max = spline_resolution_bound(p, budget, xi * a)
-        k_spline = int(math.ceil(xi * box.length / xih_max))
-        K = fft_friendly_size(max(k_trunc, k_spline, p, 8))
-        pair_density = n * (4.0 / 3.0) * math.pi * r_max ** 3 / box.volume
-        cost = (model.t_reciprocal(n, K, p)
-                + model.t_real(n, pair_density))
-        if cost < best_cost:
-            best_cost = cost
-            best = PMEParams(xi=xi, r_max=float(r_max), K=K, p=p,
-                             interpolation=interpolation, kernel=kernel)
-    if best is None:
-        raise ConvergenceError(
-            f"no admissible PME parameters for n={n}, L={box.length}, "
-            f"target_ep={target_ep}")
-    return best
+    return next(c.params for c in rank_candidates(
+        n, box, target_ep, p, fluid, model, r_max_candidates, safety,
+        interpolation, kernel) if c.chosen)

@@ -87,7 +87,8 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     dist:
         Pair distances (any shape, strictly positive).
     xi:
-        Ewald splitting parameter (the paper's ``alpha``), units 1/length.
+        Ewald splitting parameter (the paper's ``alpha``), units 1/length;
+        a scalar, or an array broadcasting against ``dist``.
     radius:
         Particle radius ``a``.
     kernel:
@@ -101,7 +102,7 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     if np.any(r <= 0):
         raise ValueError("real_space_coefficients requires positive distances")
     a = float(radius)
-    if xi <= 0:
+    if np.any(np.asarray(xi) <= 0):
         raise ValueError(f"xi must be positive, got {xi}")
 
     a3 = a ** 3 if kernel == "rpy" else 0.0

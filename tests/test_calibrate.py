@@ -19,6 +19,10 @@ def test_calibrated_rates_physically_plausible():
     for K in (16, 32):
         assert 0.05 < machine.fft_rate(K) < 500
     assert 0.5 < machine.stream_bandwidth_gbs < 1000
+    # the two real-space rates: a stored block takes between a cycle
+    # and a cache miss per chunk, a pair between 0.05 and 50 us to build
+    assert 0.2 < machine.spmm_ns_per_block < 500
+    assert 0.05 < machine.pair_build_us < 50
 
 
 def test_prediction_brackets_measurement():

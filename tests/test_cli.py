@@ -18,6 +18,40 @@ def test_tune(capsys):
     out = capsys.readouterr().out
     assert "K=" in out
     assert "alpha=" in out
+    # the ranking it came from: one row per candidate cutoff, the
+    # machine it was ranked on, the chosen row and the cheapest marked
+    assert "ranked on: substrate" in out
+    assert "Westmere" not in out
+    for column in ("r_max", "build", "recip", "real", "step", "MiB",
+                   "e_real", "e_spline", "e_trunc"):
+        assert column in out
+    assert out.count("<- chosen") == 1
+    assert out.count("(cheapest)") == 1
+    from repro import Box
+    from repro.pme.tuning import candidate_cutoffs
+    rows = [line for line in out.splitlines()
+            if line.strip()[:1].isdigit()]
+    assert len(rows) == len(candidate_cutoffs(
+        Box.for_volume_fraction(500, 0.2)))
+
+
+def test_profile_document_carries_a_calibrated_machine(tmp_path, capsys):
+    import json
+
+    from repro.perfmodel import Machine, PMECostModel
+    doc = tmp_path / "profile.json"
+    rc = main(["profile", "-n", "30", "--phi", "0.1", "--steps", "2",
+               "--e-p", "1e-2", "--json", str(doc)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "tuner's ranking model (committed): Machine(" in out
+    assert "this host, calibrated: Machine(" in out
+    fields = json.loads(doc.read_text())["machine"]
+    for key in ("fft_rate_table", "ifft_rate_table"):
+        fields[key] = tuple(tuple(row) for row in fields[key])
+    machine = Machine(**fields)
+    assert machine.spmm_ns_per_block > 0 and machine.pair_build_us > 0
+    assert PMECostModel(machine).block_step(1000, 24, 6, 140.0)["total"] > 0
 
 
 def test_simulate_and_analyze(tmp_path, capsys):

@@ -7,6 +7,9 @@ import pytest
 from repro.perfmodel import (
     HOST,
     PMECostModel,
+    REFERENCE_KRYLOV_ITERATIONS,
+    REFERENCE_LAMBDA_RPY,
+    SUBSTRATE,
     WESTMERE_EP,
     XEON_PHI_KNC,
     fft_flops,
@@ -128,3 +131,69 @@ class TestRealSpaceModel:
         # multi-RHS amortizes the matrix traffic: cost per vector drops
         t_block = model.t_real(1000, 10.0, n_vectors=16)
         assert t_block < 16 * t1
+
+
+class TestBlockStep:
+    """The cost the tuner ranks by: one block of Algorithm 2."""
+
+    def test_parts_sum_and_formula(self):
+        model = PMECostModel(SUBSTRATE)
+        n, K, p, density = 1000, 24, 6, 140.0
+        lam, iters = REFERENCE_LAMBDA_RPY, REFERENCE_KRYLOV_ITERATIONS
+        step = model.block_step(n, K, p, density)
+        assert step["total"] == pytest.approx(
+            step["build"] + step["reciprocal"] + step["real"], rel=1e-12)
+        assert step["reciprocal"] == pytest.approx(
+            lam * model.t_reciprocal_block(n, K, p, 1)
+            + iters * model.t_reciprocal_block(n, K, p, lam), rel=1e-12)
+        assert step["real"] == pytest.approx(
+            lam * model.t_real(n, density, 1)
+            + iters * model.t_real(n, density, lam), rel=1e-12)
+        assert step["build"] == model.t_build(n, density)
+
+    def test_block_pass_amortizes_only_the_matrix(self):
+        # s columns cost s single passes minus (s - 1) reads of P by
+        # each gather: nothing else is shared between columns
+        model = PMECostModel(SUBSTRATE)
+        n, K, p, s = 2000, 32, 6, 10
+        saved = (s - 1) * 2 * 12 * p ** 3 * n / SUBSTRATE.bandwidth_bytes
+        assert model.t_reciprocal_block(n, K, p, s) == pytest.approx(
+            s * model.t_reciprocal_block(n, K, p, 1) - saved, rel=1e-12)
+
+    def test_measured_rates_where_the_machine_has_them(self):
+        n, density = 1000, 200.0
+        blocks = n * (density + 1)
+        ours = PMECostModel(SUBSTRATE)
+        # one chunk of up to 8 columns per stored block
+        assert ours.t_real(n, density, 1) == ours.t_real(n, density, 8)
+        assert ours.t_real(n, density, 10) == pytest.approx(
+            2 * blocks * SUBSTRATE.spmm_ns_per_block * 1e-9)
+        assert ours.t_build(n, density) == pytest.approx(
+            0.5 * n * density * SUBSTRATE.pair_build_us * 1e-6)
+        # Table I machines carry no such rates: bandwidth bound
+        assert WESTMERE_EP.spmm_ns_per_block is None
+        paper = PMECostModel(WESTMERE_EP)
+        assert paper.t_real(n, density, 8) > paper.t_real(n, density, 1)
+        assert paper.t_build(n, density) == pytest.approx(
+            6 * 80 * blocks / WESTMERE_EP.bandwidth_bytes)
+
+    def test_mesh_and_density_broadcast(self):
+        import numpy as np
+
+        model = PMECostModel(SUBSTRATE)
+        meshes = np.array([20, 24, 54])
+        densities = np.array([300.0, 140.0, 40.0])
+        step = model.block_step(1000, meshes, 6, densities)
+        for i in range(3):
+            one = model.block_step(1000, int(meshes[i]), 6,
+                                   float(densities[i]))
+            assert step["total"][i] == pytest.approx(one["total"],
+                                                     rel=1e-12)
+
+    def test_substrate_is_one_core(self):
+        assert (SUBSTRATE.cores, SUBSTRATE.threads) == (1, 1)
+        # 6-9 ns per mesh point per lane over the meshes in use
+        for K in (20, 24, 32, 54, 96):
+            ns = 2.5 * math.log2(K ** 3) / SUBSTRATE.fft_rate(K)
+            assert 6.0 < ns < 9.0
+
