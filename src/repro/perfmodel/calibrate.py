@@ -30,6 +30,7 @@ from ..pme.influence import InfluenceFunction
 from ..pme.mesh import Mesh
 from ..pme.operator import _irfftn_lanes, _rfftn_lanes
 from ..pme.realspace import RealSpaceOperator
+from ..sparse.kernels import SPMM_CHUNK
 from ..systems.suspension import make_suspension
 from ..utils.timing import Timer
 from .machines import Machine
@@ -80,8 +81,8 @@ def _bandwidth_gbs(K: int = 64, columns: int = 4) -> float:
 def _real_space_rates(n: int = 1000, r_max: float = 10.0
                       ) -> tuple[float, float]:
     """Measured ``(spmm_ns_per_block, pair_build_us)`` on a random
-    suspension at volume fraction 0.2: an 8-column product (one chunk
-    of the SpMM row body) and the whole constructor."""
+    suspension at volume fraction 0.2: a product one chunk of the SpMM
+    row body wide and the whole constructor."""
     suspension = make_suspension(n, 0.2, seed=0)
 
     def build() -> RealSpaceOperator:
@@ -90,7 +91,7 @@ def _real_space_rates(n: int = 1000, r_max: float = 10.0
 
     t_build = _time_best(build, repeats=3)
     op = build()
-    block = np.random.default_rng(0).standard_normal((3 * n, 8))
+    block = np.random.default_rng(0).standard_normal((3 * n, SPMM_CHUNK))
     t_spmm = _time_best(lambda: op.apply_block(block, context=INLINE))
     return (t_spmm / op.nnz_blocks * 1e9, t_build / op.n_pairs * 1e6)
 

@@ -17,7 +17,7 @@ behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,27 +164,16 @@ SUBSTRATE_COST_TOLERANCE = 0.15
 
 
 def _measure_host() -> Machine:
-    """A rough description of the machine running this process.
+    """The machine running this process: :data:`SUBSTRATE`'s measured
+    one-core rates under the CPU count of the affinity mask.
 
-    Only used when the cost model is asked to *predict* wall-clock on
-    the host (Fig. 5 model-vs-measured); calibrated lazily by the
-    benchmark harness, these defaults are a single-core NumPy stack.
+    What the profile overlay, ``repro info`` and the Fig. 5 benchmark
+    price with; :func:`repro.perfmodel.calibrate.calibrate_host`
+    re-measures the rates on the box at hand.
     """
     cores = available_cpus()
-    return Machine(
-        name=f"host ({cores} core NumPy)",
-        cores=cores, threads=cores, frequency_ghz=2.5,
-        peak_gflops_dp=8.0 * cores,
-        # effective bandwidth of the unfused NumPy kernels (several
-        # array passes per logical pass), calibrated against the Fig. 5
-        # host measurements
-        stream_bandwidth_gbs=4.0 * cores,
-        memory_gb=8.0,
-        fft_rate_table=((16, 2.0), (32, 3.5), (64, 4.8), (128, 5.2),
-                        (256, 5.4), (512, 5.4)),
-        ifft_rate_table=((16, 1.8), (32, 3.2), (64, 4.4), (128, 4.8),
-                         (256, 5.0), (512, 5.0)),
-    )
+    return replace(SUBSTRATE, name=f"host ({cores} core, substrate rates)",
+                   cores=cores, threads=cores)
 
 
 #: Description of the machine running this process (used for Fig. 5).

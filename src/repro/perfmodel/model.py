@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sparse.kernels import SPMM_CHUNK
 from .machines import Machine
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "PMECostModel",
     "REFERENCE_LAMBDA_RPY",
     "REFERENCE_KRYLOV_ITERATIONS",
-    "SPMM_CHUNK",
     "BCSR_BLOCK_BYTES",
 ]
 
@@ -54,10 +54,6 @@ __all__ = [
 #: count every benchmark workload shows at ``e_k = 1e-2``.
 REFERENCE_LAMBDA_RPY = 10
 REFERENCE_KRYLOV_ITERATIONS = 7
-
-#: Right-hand sides one pass of the BCSR SpMM row body covers
-#: (:mod:`repro.sparse.kernels`); wider blocks take ``ceil(s / 8)``.
-SPMM_CHUNK = 8
 
 #: Stored bytes per 3x3 block: 72 payload + 8 column index.
 BCSR_BLOCK_BYTES = 80.0
@@ -167,7 +163,8 @@ class PMECostModel:
         """Real-space SpMV time per application (per block of vectors).
 
         The machine's measured rate per stored block and chunk of
-        ``SPMM_CHUNK`` columns where it has one, else bandwidth bound.
+        :data:`~repro.sparse.kernels.SPMM_CHUNK` columns where it has
+        one, else bandwidth bound.
         """
         rate = self.machine.spmm_ns_per_block
         if rate is None:
@@ -194,27 +191,26 @@ class PMECostModel:
                     * (pair_density + 1.0) / self.machine.bandwidth_bytes)
         return 0.5 * n * pair_density * rate * 1e-6
 
-    def block_step(self, n: int, K: int, p: int, pair_density: float,
-                   lambda_rpy: int = REFERENCE_LAMBDA_RPY,
-                   iterations: int = REFERENCE_KRYLOV_ITERATIONS
-                   ) -> dict[str, float]:
-        """Predicted seconds of one block of Algorithm 2, by part.
+    def block_step(self, n: int, K: int, p: int,
+                   pair_density: float) -> dict[str, float]:
+        """Predicted seconds of the reference block of Algorithm 2, by
+        part.
 
-        ``build + lambda_rpy (recip(1) + real(1)) + iterations
-        (recip(lambda_rpy) + real(lambda_rpy))``: the rebuild, the
-        single-vector drift applications and the block-Lanczos
-        iterations.  The split-independent construction of ``P``
-        (``~ p^3 n``, 2-3 % of a step) is not priced.  ``K`` and
-        ``pair_density`` may be arrays, one entry per candidate split.
+        ``build + lam (recip(1) + real(1)) + iters (recip(lam) +
+        real(lam))`` at ``lam = REFERENCE_LAMBDA_RPY`` and ``iters =
+        REFERENCE_KRYLOV_ITERATIONS``: the rebuild, the single-vector
+        drift applications and the block-Lanczos iterations.  The
+        split-independent construction of ``P`` (``~ p^3 n``, 2-3 % of
+        a step) is not priced.  ``K`` and ``pair_density`` may be
+        arrays, one entry per candidate split.
         """
+        lam, iters = REFERENCE_LAMBDA_RPY, REFERENCE_KRYLOV_ITERATIONS
         parts = {
             "build": self.t_build(n, pair_density),
-            "reciprocal": (
-                lambda_rpy * self.t_reciprocal_block(n, K, p, 1)
-                + iterations * self.t_reciprocal_block(n, K, p, lambda_rpy)),
-            "real": (lambda_rpy * self.t_real(n, pair_density, 1)
-                     + iterations * self.t_real(n, pair_density,
-                                                lambda_rpy)),
+            "reciprocal": (lam * self.t_reciprocal_block(n, K, p, 1)
+                           + iters * self.t_reciprocal_block(n, K, p, lam)),
+            "real": (lam * self.t_real(n, pair_density, 1)
+                     + iters * self.t_real(n, pair_density, lam)),
         }
         parts["total"] = sum(parts.values())
         return parts

@@ -17,7 +17,8 @@ from ..lint.contracts import positions_arg
 from ..rpy.ewald import EwaldSummation
 from ..units import FluidParams, REDUCED
 from .operator import PMEOperator, PMEParams
-from .tuning import estimate_errors, tune_parameters
+from .tuning import (VALIDATED_ORDERS, estimate_errors, real_space_error,
+                     tune_parameters)
 
 __all__ = ["pme_relative_error", "reference_operator"]
 
@@ -33,17 +34,23 @@ def reference_operator(positions, box: Box, params: PMEParams,
     Small systems use the dense Ewald matrix with ``tol = 1e-12``;
     larger systems use a PME operator whose split is its own: tuned
     (order 8, the default cutoff grid) for a hundredth of the error
-    :func:`~repro.pme.tuning.estimate_errors` gives ``params``.  It
-    shares neither ``xi`` nor ``r_max`` with the operator under test, so
-    a real-space truncation error of that operator is measured in full
-    however close its cutoff is to ``L/2``.
+    :func:`~repro.pme.tuning.estimate_errors` gives ``params`` — of its
+    real-space term alone at a spline order the reciprocal estimate
+    does not cover, a lower bound that only makes the reference
+    tighter.  It shares neither ``xi`` nor ``r_max`` with the operator
+    under test, so a real-space truncation error of that operator is
+    measured in full however close its cutoff is to ``L/2``.
     """
     r = np.asarray(positions, dtype=np.float64)
     n = r.shape[0]
     if n <= DENSE_REFERENCE_LIMIT:
         matrix = EwaldSummation(box=box, fluid=fluid, tol=1e-12).matrix(r)
         return lambda f: matrix @ f
-    estimate = estimate_errors(params, box, n, fluid)["total"]
+    if params.p in VALIDATED_ORDERS:
+        estimate = estimate_errors(params, box, n, fluid)["total"]
+    else:
+        estimate = float(real_space_error(params.xi, params.r_max, n, box,
+                                          fluid.radius, params.kernel))
     fine = tune_parameters(n, box, target_ep=max(estimate / 100, 1e-12),
                            p=8, fluid=fluid, kernel=params.kernel)
     op = PMEOperator(r, box, fine, fluid=fluid)

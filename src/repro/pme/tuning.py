@@ -60,11 +60,12 @@ from .operator import PMEParams
 
 __all__ = ["tune_parameters", "rank_candidates", "Candidate",
            "estimate_errors", "real_space_error", "reciprocal_error",
-           "mobility_row_norm", "fft_friendly_size", "candidate_cutoffs"]
+           "mobility_row_norm", "fft_friendly_size", "candidate_cutoffs",
+           "VALIDATED_ORDERS"]
 
 #: Spline orders whose reciprocal-error estimate is validated against
 #: dense Ewald.
-_VALIDATED_ORDERS = (4, 6, 8)
+VALIDATED_ORDERS = (4, 6, 8)
 
 #: Default cutoff grid: ``2.5 a`` times powers of 1.05 up to ``L/2`` —
 #: geometric because ``K ~ 1 / r_max`` at a fixed error, so one step
@@ -183,10 +184,10 @@ def _reciprocal_moments(p: int) -> np.ndarray:
     (truncation); axis 1 the pair moments of ``y^0, y^2, y^4`` then the
     own-coefficient moments of ``y^0, y^2``.
     """
-    if p not in _VALIDATED_ORDERS:
+    if p not in VALIDATED_ORDERS:
         raise ConfigurationError(
             f"no reciprocal-error estimate for order p={p}; use p in "
-            f"{list(_VALIDATED_ORDERS)}")
+            f"{list(VALIDATED_ORDERS)}")
     x = np.linspace(0.0, math.pi, 257)
     s1 = np.zeros_like(x)
     s2 = np.zeros_like(x)

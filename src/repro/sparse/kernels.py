@@ -77,8 +77,14 @@ from ..errors import ConfigurationError
 __all__ = [
     "spmm_kernel",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
-    "kernel_available", "reset_kernel_cache",
+    "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
 ]
+
+#: Right-hand sides one pass of ``bcsr_matmat_range``'s row body covers
+#: (the widest ``DEFINE_SPMM_ROW`` below): an ``s``-wide product walks
+#: a row's blocks ``ceil(s / SPMM_CHUNK)`` times.  The cost model and
+#: its calibration read the width from here.
+SPMM_CHUNK = 8
 
 _SOURCE = r"""
 #include <stddef.h>

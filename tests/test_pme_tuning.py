@@ -307,20 +307,40 @@ class TestRanking:
                 assert tune_parameters(1000, box) == expected
         assert (SUBSTRATE.cores, SUBSTRATE.threads) == (1, 1)
 
-    def test_cost_of_tuning(self):
+    def test_cost_of_tuning(self, monkeypatch):
         # runs once per Simulation, per ensemble task and per served
-        # system: a few ms, at any n (the parent took 52 ms)
+        # system (the parent: 1 968 one-element kernel calls, 52 ms at
+        # any n).  Now a dozen evaluations of each error kernel, every
+        # one over the whole cutoff grid at once, whatever n; the wall
+        # time is the suite's `pme.tune_ms`.
+        from repro.pme import tuning
+        from repro.rpy import beenakker
+
+        shapes = {"real": [], "recip": []}
+        coefficients = beenakker.real_space_coefficients
+        reciprocal = tuning.reciprocal_error
+
+        def counted_coefficients(r, *args, **kwargs):
+            shapes["real"].append(np.shape(r))
+            return coefficients(r, *args, **kwargs)
+
+        def counted_reciprocal(xi, *args, **kwargs):
+            shapes["recip"].append(np.shape(xi))
+            return reciprocal(xi, *args, **kwargs)
+
+        monkeypatch.setattr(beenakker, "real_space_coefficients",
+                            counted_coefficients)
+        monkeypatch.setattr(tuning, "reciprocal_error", counted_reciprocal)
         for n in (100, 100_000):
             box = Box.for_volume_fraction(n, 0.2)
+            for calls in shapes.values():
+                calls.clear()
             tune_parameters(n, box)
-            best = min(_timed(tune_parameters, n, box) for _ in range(5))
-            assert best < 0.02
-
-
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
+            grid = len(candidate_cutoffs(box))
+            assert len(shapes["real"]) <= 12
+            assert len(shapes["recip"]) <= 12
+            assert all(shape[0] == grid for shape in shapes["real"])
+            assert all(shape == (grid,) for shape in shapes["recip"])
 
 
 class TestReference:
@@ -341,4 +361,19 @@ class TestReference:
         monkeypatch.setattr(accuracy, "DENSE_REFERENCE_LIMIT", n - 1)
         large = pme_relative_error(op, n_probe=2)
         assert dense > 1e-3
+        assert large == pytest.approx(dense, rel=0.02)
+
+    @pytest.mark.parametrize("p", [5, 10])
+    def test_large_n_reference_at_an_unvalidated_order(self, p, monkeypatch):
+        # PMEParams takes any p >= 2, the reciprocal estimate covers
+        # 4, 6, 8: measuring an operator must not need its estimate
+        n = 120
+        susp = make_suspension(n, 0.2, seed=3)
+        params = PMEParams(xi=0.5, r_max=susp.box.length / 2, K=30, p=p)
+        with pytest.raises(ConfigurationError):
+            estimate_errors(params, susp.box, n)
+        op = PMEOperator(susp.positions, susp.box, params)
+        dense = pme_relative_error(op, n_probe=2)
+        monkeypatch.setattr(accuracy, "DENSE_REFERENCE_LIMIT", n - 1)
+        large = pme_relative_error(op, n_probe=2)
         assert large == pytest.approx(dense, rel=0.02)
