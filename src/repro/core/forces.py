@@ -78,10 +78,7 @@ class RepulsiveHarmonic(ForceField):
         self._verlet = VerletList(box, self.contact, skin=skin)
 
     def _overlapping(self, r: np.ndarray):
-        i, j = self._verlet.pairs(r)
-        if i.size == 0:
-            return i, j, None, None
-        rij, dist = self.box.distances(r, i, j)
+        i, j, rij, dist = self._verlet.separations(r)
         sel = dist <= self.contact
         return i[sel], j[sel], rij[sel], dist[sel]
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..lint.contracts import positions_arg
+from ..sparse.kernels import pair_separations, pairs_within
 from ..utils.pbc import fractional_coordinates, minimum_image, wrap_positions
 
 __all__ = ["Box"]
@@ -84,7 +85,20 @@ class Box:
 
         Returns ``(rij, dist)`` where ``rij[k] = min_image(r[i_k] - r[j_k])``
         (the vector pointing from particle ``j`` to particle ``i``) and
-        ``dist[k] = |rij[k]|``.
+        ``dist[k] = |rij[k]|``: one compiled pass, or the NumPy
+        expressions it reproduces byte for byte
+        (:func:`repro.sparse.kernels.pair_separations`).
         """
-        rij = self.minimum_image(positions[pairs_i] - positions[pairs_j])
-        return rij, np.linalg.norm(rij, axis=1)
+        return pair_separations(positions, pairs_i, pairs_j, self.length)
+
+    @positions_arg()
+    def pairs_within(self, positions: np.ndarray, pairs_i: np.ndarray,
+                     pairs_j: np.ndarray, cutoff: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate pairs strictly inside ``cutoff``, with their
+        separations: ``(i, j, rij, dist)`` of those with ``dist <
+        cutoff`` in input order, ``rij`` and ``dist`` as :meth:`distances`
+        gives them — the membership test of every pair list, in the same
+        pass that computes what it tests.
+        """
+        return pairs_within(positions, pairs_i, pairs_j, self.length, cutoff)

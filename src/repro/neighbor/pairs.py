@@ -55,9 +55,10 @@ def find_pairs(positions, box: Box, cutoff: float
     the system generators and the analysis code: a periodic
     ``scipy.spatial.cKDTree`` (a substitution for the paper's Verlet
     cell list: O(n log n), compiled) proposes candidates and the strict
-    ``box.distances < cutoff`` filter decides membership, so the pair
-    set is that of :func:`brute_force_pairs`.  The pair order is the
-    tree's, deterministic for a given input.
+    ``box.distances < cutoff`` filter (:meth:`Box.pairs_within`, on the
+    wrapped positions) decides membership, so the pair set is that of
+    :func:`brute_force_pairs`.  The pair order is the tree's,
+    deterministic for a given input.
     """
     require(cutoff > 0, f"cutoff must be positive, got {cutoff}")
     r = box.wrap(as_positions(positions))
@@ -71,6 +72,4 @@ def find_pairs(positions, box: Box, cutoff: float
     if pairs.size == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    _, dist = box.distances(r, pairs[:, 0], pairs[:, 1])
-    sel = dist < cutoff
-    return pairs[sel, 0], pairs[sel, 1]
+    return box.pairs_within(r, pairs[:, 0], pairs[:, 1], cutoff)[:2]

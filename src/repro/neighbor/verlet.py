@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.box import Box
+from ..lint.contracts import positions_arg
 from ..utils.validation import as_positions, require
 from .pairs import find_pairs
 
@@ -52,22 +53,35 @@ class VerletList:
         max_disp = float(np.sqrt((disp * disp).sum(axis=1).max()))
         return max_disp > self.skin / 2.0
 
-    def pairs(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs within ``cutoff`` for the given configuration.
+    def separations(self, positions
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs within ``cutoff`` with their minimum-image separations:
+        ``(i, j, rij, dist)``, ``rij`` and ``dist`` those of
+        :meth:`Box.distances` on ``positions`` as given.
 
         Rebuilds the underlying list (at ``cutoff + skin``) only when
         the displacement criterion requires it; otherwise the cached
-        candidates are re-filtered at the true cutoff.
+        candidates are re-filtered at the true cutoff.  Membership is
+        decided on the wrapped positions; for input that is already
+        wrapped (the integrators') the filter's separations are the
+        ones returned, so each candidate's is computed once.
         """
-        r = self.box.wrap(as_positions(positions))
+        given = as_positions(positions)
+        r = self.box.wrap(given)
         if self._needs_rebuild(r):
             self._cached = find_pairs(r, self.box, self.cutoff + self.skin)
             self._reference_positions = r.copy()
             self.n_rebuilds += 1
-        i, j = self._cached
-        _, dist = self.box.distances(r, i, j)
-        sel = dist < self.cutoff
-        return i[sel], j[sel]
+        i, j, rij, dist = self.box.pairs_within(r, *self._cached, self.cutoff)
+        if r.tobytes() != given.tobytes():
+            rij, dist = self.box.distances(given, i, j)
+        return i, j, rij, dist
+
+    @positions_arg()
+    def pairs(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``(i, j)`` within ``cutoff`` for the given configuration
+        (see :meth:`separations`)."""
+        return self.separations(positions)[:2]
 
     def invalidate(self) -> None:
         """Force a rebuild on the next :meth:`pairs` call."""

@@ -56,7 +56,8 @@ class Machine:
         machines) prices the SpMM as bandwidth bound.
     pair_build_us:
         Measured real-space build time per pair within ``r_max`` (pair
-        search + RPY tensors + BCSR assembly), in microseconds;
+        search, separations, coefficients, fused tensor fill and BCSR
+        assembly: the whole constructor), in microseconds;
         ``None`` prices the build as the bytes it writes.
     """
 
@@ -139,7 +140,9 @@ XEON_PHI_KNC = Machine(
 #: five runs per entry; Xeon @ 2.1 GHz VM, GCC 12.2 ``-O3``, NumPy 2.4.6,
 #: SciPy 1.17.1; table in EXPERIMENTS.md) with ``cores`` set to the one
 #: the rates were measured on.  The FFT rates are 6.4-8.5 ns per mesh
-#: point per lane from K = 20 to 128.  This is the default ranking model
+#: point per lane from K = 20 to 128; ``pair_build_us`` is the rebuild
+#: in compiled passes (same protocol and host: 0.20 at 100 k pairs,
+#: 0.22-0.29 from 200 k to 1.1 M).  This is the default ranking model
 #: of :func:`repro.pme.tuning.tune_parameters`; regenerate it for
 #: another box with ``repro profile --json``.
 SUBSTRATE = Machine(
@@ -152,7 +155,7 @@ SUBSTRATE = Machine(
     ifft_rate_table=((16, 3.14), (20, 4.3), (24, 5.12), (30, 5.48),
                      (36, 5.4), (48, 6.18), (54, 5.94), (64, 7.04),
                      (72, 6.43), (90, 6.66), (96, 6.4), (128, 5.19)),
-    spmm_ns_per_block=5.9, pair_build_us=0.40,
+    spmm_ns_per_block=5.9, pair_build_us=0.20,
 )
 
 #: Validated error of ``PMECostModel(SUBSTRATE).block_step``: the worst

@@ -3,12 +3,20 @@
 With the Ewald parameter chosen so the real-space series is negligible
 beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
-Section IV.C) and stored in BCSR.  The build is three passes: a
-pair search (:func:`~repro.neighbor.pairs.find_pairs`: a periodic
-kd-tree, a substitution for the paper's Verlet cell list, O(n log n)
-and compiled), the RPY tensor of every pair on the half pair list (NumPy;
-it decides the bytes), and one linear symmetric assembly
-(:meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`).  Because Algorithm 2
+Section IV.C) and stored in BCSR.  The build is compiled from the
+candidate list to the stored blocks: a pair search
+(:func:`~repro.neighbor.pairs.find_pairs`: a periodic kd-tree, a
+substitution for the paper's Verlet cell list, O(n log n), whose strict
+minimum-image filter is one C pass), the separations of the pairs in a
+second one (:meth:`~repro.geometry.box.Box.distances`), the scalar
+coefficients ``f, g`` of every pair in NumPy/SciPy
+(:func:`~repro.rpy.beenakker.pair_coefficients`: ``erfc`` and ``exp``
+decide the bytes and are not the bottleneck), and one linear symmetric
+assembly that computes each ``f I + g rhat rhat^T`` in the slot it is
+stored in (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no
+per-pair tensor array exists.  Without a C compiler the same matrix,
+byte for byte, comes from :func:`~repro.rpy.beenakker.real_space_tensors`
+through :meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2
 applies the operator to blocks of vectors, every product — one column
 or many — is the multi-RHS SpMM of
 :meth:`~repro.sparse.bcsr.BlockCSR.matmat`.
@@ -29,6 +37,7 @@ from ..lint.contracts import force_block_arg, positions_arg
 from ..neighbor.pairs import find_pairs
 from ..rpy import beenakker
 from ..sparse.bcsr import BlockCSR
+from ..sparse.kernels import bcsr_assemble_dyads, kernel_available
 from ..units import FluidParams, REDUCED
 from ..utils.validation import as_force_block, as_positions
 
@@ -79,29 +88,29 @@ class RealSpaceOperator:
 
         with obs.span("pme.find_pairs", n=n):
             i, j = find_pairs(r, box, r_max)
+        radius = fluid.radius
+        diag_scalar = beenakker.self_mobility_scalar(xi, radius, kernel=kernel)
+        # without a compiler: NumPy tensors through from_pairs, the byte
+        # reference of the fused fill
+        fused = kernel_available()
         with obs.span("pme.real_tensors", pairs=int(i.size)):
-            if i.size:
-                rij, dist = box.distances(r, i, j)
-                f, g = beenakker.real_space_coefficients(
-                    dist, xi, fluid.radius, kernel=kernel)
-                if overlap_corrected and kernel == "rpy":
-                    df, dg = beenakker.overlap_correction_coefficients(
-                        dist, fluid.radius)
-                    f = f + df
-                    g = g + dg
-                rhat = rij / dist[:, None]
-                blocks = (f[:, None, None] * np.eye(3)
-                          + g[:, None, None]
-                          * (rhat[:, :, None] * rhat[:, None, :]))
+            rij, dist = box.distances(r, i, j)
+            if fused:
+                f, g = beenakker.pair_coefficients(
+                    dist, xi, radius, overlap_corrected, kernel)
             else:
-                blocks = np.empty((0, 3, 3))
-            diag_scalar = beenakker.self_mobility_scalar(xi, fluid.radius,
-                                                         kernel=kernel)
-            diag = np.broadcast_to(diag_scalar * np.eye(3), (n, 3, 3)).copy()
+                blocks = beenakker.real_space_tensors(
+                    rij, xi, radius, overlap_corrected, kernel)
 
         with obs.span("pme.real_assemble", pairs=int(i.size)):
             #: The block-sparse operator (always available for introspection).
-            self.bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
+            if fused:
+                self.bcsr = BlockCSR(n, *bcsr_assemble_dyads(
+                    n, i, j, f, g, rij, dist, diag_scalar))
+            else:
+                diag = np.broadcast_to(diag_scalar * np.eye(3), (n, 3, 3))
+                self.bcsr = BlockCSR.from_pairs(n, i, j, blocks,
+                                                diag_blocks=diag)
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 

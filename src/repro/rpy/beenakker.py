@@ -56,6 +56,7 @@ from scipy.special import erfc
 
 __all__ = [
     "real_space_coefficients",
+    "pair_coefficients",
     "real_space_tensors",
     "reciprocal_scalar",
     "self_mobility_scalar",
@@ -159,6 +160,25 @@ def overlap_correction_coefficients(dist: np.ndarray, radius: float = 1.0
     return df, dg
 
 
+def pair_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
+                      overlap_corrected: bool = True,
+                      kernel: str = "rpy") -> tuple[np.ndarray, np.ndarray]:
+    """``(f, g)`` of the block the real-space matrix stores for a pair:
+    :func:`real_space_coefficients`, plus — for the RPY kernel, when
+    ``overlap_corrected`` — :func:`overlap_correction_coefficients`.
+
+    The one definition of the stored coefficients, shared by
+    :func:`real_space_tensors` and the compiled tensor fill of
+    :class:`~repro.pme.realspace.RealSpaceOperator`.
+    """
+    f, g = real_space_coefficients(dist, xi, radius, kernel=kernel)
+    if overlap_corrected and kernel == "rpy":
+        df, dg = overlap_correction_coefficients(dist, radius)
+        f = f + df
+        g = g + dg
+    return f, g
+
+
 def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
                        overlap_corrected: bool = True,
                        kernel: str = "rpy") -> np.ndarray:
@@ -182,11 +202,7 @@ def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
     """
     rij = np.asarray(rij, dtype=np.float64)
     dist = np.linalg.norm(rij, axis=1)
-    f, g = real_space_coefficients(dist, xi, radius, kernel=kernel)
-    if overlap_corrected and kernel == "rpy":
-        df, dg = overlap_correction_coefficients(dist, radius)
-        f = f + df
-        g = g + dg
+    f, g = pair_coefficients(dist, xi, radius, overlap_corrected, kernel)
     rhat = rij / dist[:, None]
     return (f[:, None, None] * np.eye(3)
             + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))

@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the five
+compiles, at import-on-demand time, a small C library with the seven
 entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
@@ -39,6 +39,23 @@ schedule need:
     72-byte payload written once (copied, or transposed for the mirror
     triangle).  No floating-point arithmetic, so the bytes are those of
     the ``lexsort`` fallback whatever the compiler flags.
+``min_image_pairs``
+    The body of :meth:`repro.geometry.box.Box.distances` and of the
+    strict ``< cutoff`` filter of the pair search
+    (:func:`pair_separations`, :func:`pairs_within`): minimum-image
+    separations of index pairs, optionally compacted to those inside a
+    cutoff, in NumPy's operations and order — the same bytes.
+``bcsr_assemble_dyads``
+    ``bcsr_assemble`` with the real-space tensor fill fused in: block
+    ``f I + g rhat rhat^T`` of every pair computed in the slot the
+    counting sort assigns it, the self term on the diagonal; what
+    :class:`repro.pme.realspace.RealSpaceOperator` is built by.
+
+The last two do floating-point arithmetic whose bytes are pinned to
+NumPy's, so they are compiled with multiply-add contraction switched
+off *for those functions* (a pragma in the source; the flags, hence the
+bytes of the kernels above, are untouched) and a compiler that fuses
+anyway fails the load-time self-test and loses the kernels.
 
 Every entry point is called through ``ctypes``, which releases the GIL
 for the duration of the C call — this is what makes the ``threads``
@@ -73,10 +90,12 @@ from numpy.ctypeslib import ndpointer
 
 from ..config import get_config
 from ..errors import ConfigurationError
+from ..utils.pbc import minimum_image
 
 __all__ = [
     "spmm_kernel",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
+    "bcsr_assemble_dyads", "pair_separations", "pairs_within",
     "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
 ]
 
@@ -87,6 +106,7 @@ __all__ = [
 SPMM_CHUNK = 8
 
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -245,24 +265,24 @@ void spread_rows(const long long lo, const long long hi,
     }
 }
 
-/* Symmetric BCSR assembly from a half pair list (any order, either
- * orientation).  Entry e of the virtual list is (pi[e], pj[e]) with
- * payload e for e < m, its mirror (pj[e-m], pi[e-m]) with the payload
- * transposed for e < 2m, and the diagonal block e - 2m after that.  A
- * stable counting sort by column then one by row (an LSD radix over two
- * keys of n buckets) leaves rows ascending and columns ascending within
- * a row — the order of lexsort((col, row)).  The pattern is symmetric,
- * so the row counts are the column counts: indptr serves both passes.
- * Integer work and copies only, so compiler flags cannot change a byte.
- * work holds n + 1 cursors followed by nnz entry ids. */
-void bcsr_assemble(const long long n, const long long m,
-                   const long long *restrict pi, const long long *restrict pj,
-                   const double *restrict pair_blocks,
-                   const long long ndiag, const double *restrict diag_blocks,
-                   long long *restrict indptr, long long *restrict indices,
-                   double *restrict blocks, long long *restrict work)
+/* Symmetric BCSR pattern of a half pair list (any order, either
+ * orientation).  Entry e of the virtual list is (pi[e], pj[e]) for
+ * e < m, its mirror (pj[e-m], pi[e-m]) for e < 2m, and the diagonal
+ * block e - 2m after that.  A stable counting sort by column then one
+ * by row (an LSD radix over two keys of n buckets) leaves rows ascending
+ * and columns ascending within a row — the order of lexsort((col, row)).
+ * The pattern is symmetric, so the row counts are the column counts:
+ * indptr serves both passes.  work holds n + 1 cursors followed by nnz
+ * entry ids; on return the ids are in column order and the cursors are
+ * reset to the row starts, so the caller's pass over the ids (row pass:
+ * dst = cursor[row]++) places each entry.  Integer work only. */
+static void bcsr_sort_by_column(const long long n, const long long m,
+                                const long long *restrict pi,
+                                const long long *restrict pj,
+                                const long long ndiag,
+                                long long *restrict indptr,
+                                long long *restrict work)
 {
-    const long long nnz = 2 * m + ndiag;
     long long *restrict cursor = work;
     long long *restrict bycol = work + n + 1;
 
@@ -277,6 +297,24 @@ void bcsr_assemble(const long long n, const long long m,
     for (long long r = 0; r < ndiag; ++r) bycol[cursor[r]++] = 2 * m + r;
 
     for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
+}
+
+/* Symmetric BCSR assembly of general payloads: pair_blocks[k] at
+ * (pi[k], pj[k]), its transpose at the mirror, diag_blocks on the
+ * diagonal, each 72-byte block written once.  Integer work and copies
+ * only, so compiler flags cannot change a byte. */
+void bcsr_assemble(const long long n, const long long m,
+                   const long long *restrict pi, const long long *restrict pj,
+                   const double *restrict pair_blocks,
+                   const long long ndiag, const double *restrict diag_blocks,
+                   long long *restrict indptr, long long *restrict indices,
+                   double *restrict blocks, long long *restrict work)
+{
+    const long long nnz = 2 * m + ndiag;
+    long long *restrict cursor = work;
+    const long long *restrict bycol = work + n + 1;
+
+    bcsr_sort_by_column(n, m, pi, pj, ndiag, indptr, work);
     for (long long p = 0; p < nnz; ++p) {
         const long long e = bycol[p];
         const long long k = e < m ? e : e - m;      /* pair of entry e */
@@ -295,6 +333,112 @@ void bcsr_assemble(const long long n, const long long m,
             for (int c = 0; c < 9; ++c) b[c] = src[c];
     }
 }
+
+/* ---- Floating-point entry points whose bytes are NumPy's -------------
+ * The two functions below reproduce NumPy expressions operation for
+ * operation, so from here to the end of the file a product and a sum
+ * stay two roundings: contraction into a fused multiply-add is switched
+ * off for these functions only (the flags, and with them the kernels
+ * above, are untouched).  Nothing else can reassociate without
+ * -ffast-math; the load-time self-test compares bytes, so a compiler
+ * that ignores the pragma loses the kernels, not the invariant. */
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize ("fp-contract=off")
+#endif
+
+/* Minimum-image separations of m index pairs of an (n, 3) position
+ * array, in Box.distances' arithmetic: per component d - L * rint(d / L)
+ * (np.round rounds half to even, as rint does in the default mode), then
+ * sqrt((x^2 + y^2) + z^2) (np.linalg.norm: add.reduce over three).
+ * With strict != 0 only pairs with dist < cutoff are kept, compacted in
+ * input order with their indices in (ki, kj).  Returns the number of
+ * pairs written, or -1 — before dereferencing it — on an index outside
+ * [0, n). */
+long long min_image_pairs(const long long n, const long long m,
+                          const long long *restrict pi,
+                          const long long *restrict pj,
+                          const double *restrict pos, const double L,
+                          const int strict, const double cutoff,
+                          long long *restrict ki, long long *restrict kj,
+                          double *restrict rij, double *restrict dist)
+{
+    long long kept = 0;
+    for (long long k = 0; k < m; ++k) {
+        const long long a = pi[k], b = pj[k];
+        if (a < 0 || a >= n || b < 0 || b >= n) return -1;
+        double d[3];
+        for (int c = 0; c < 3; ++c) {
+            const double dr = pos[3 * a + c] - pos[3 * b + c];
+            d[c] = dr - L * rint(dr / L);
+        }
+        const double r = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+        if (strict) {
+            if (!(r < cutoff)) continue;
+            ki[kept] = a;
+            kj[kept] = b;
+        }
+        for (int c = 0; c < 3; ++c) rij[3 * kept + c] = d[c];
+        dist[kept++] = r;
+    }
+    return kept;
+}
+
+/* The 3x3 block c I + g h h^T, as NumPy evaluates
+ * c * eye(3) + g * (h[:, None] * h[None, :]): c * 0.0 is kept (its sign
+ * decides the sign of a zero entry). */
+static inline void dyad_block(double *restrict b, const double c,
+                              const double g, const double *restrict h)
+{
+    for (int u = 0; u < 3; ++u)
+        for (int v = 0; v < 3; ++v)
+            b[3 * u + v] = c * (u == v ? 1.0 : 0.0) + g * (h[u] * h[v]);
+}
+
+/* Symmetric BCSR assembly with the tensor fill fused in: pair k stores
+ * f[k] I + g[k] rhat rhat^T, rhat = rij[k] / dist[k], at (pi[k], pj[k])
+ * and at the mirror (the block is bytewise symmetric: rhat_u * rhat_v
+ * commutes), and every diagonal block is self_scalar I.  Each block is
+ * computed where it is stored; no (m, 3, 3) payload exists. */
+void bcsr_assemble_dyads(const long long n, const long long m,
+                         const long long *restrict pi,
+                         const long long *restrict pj,
+                         const double *restrict f, const double *restrict g,
+                         const double *restrict rij,
+                         const double *restrict dist,
+                         const double self_scalar,
+                         long long *restrict indptr,
+                         long long *restrict indices,
+                         double *restrict blocks, long long *restrict work)
+{
+    const long long nnz = 2 * m + n;
+    long long *restrict cursor = work;
+    const long long *restrict bycol = work + n + 1;
+
+    bcsr_sort_by_column(n, m, pi, pj, n, indptr, work);
+    for (long long p = 0; p < nnz; ++p) {
+        const long long e = bycol[p];
+        const long long k = e < m ? e : e - m;
+        long long row, col;
+        if (e < m) { row = pi[k]; col = pj[k]; }
+        else if (e < 2 * m) { row = pj[k]; col = pi[k]; }
+        else { row = col = e - 2 * m; }
+        const long long dst = cursor[row]++;
+        double *restrict b = blocks + 9 * (size_t)dst;
+        indices[dst] = col;
+        if (e < 2 * m) {
+            const double *restrict d = rij + 3 * (size_t)k;
+            const double h[3] = {d[0] / dist[k], d[1] / dist[k],
+                                 d[2] / dist[k]};
+            dyad_block(b, f[k], g[k], h);
+        } else {        /* self_scalar * eye(3): no dyad term to add */
+            for (int u = 0; u < 3; ++u)
+                for (int v = 0; v < 3; ++v)
+                    b[3 * u + v] = self_scalar * (u == v ? 1.0 : 0.0);
+        }
+    }
+}
 """
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
@@ -304,9 +448,9 @@ _UNSET = object()
 _kernels: object = _UNSET
 
 
-#: The five loaded entry points of one compiled library.
-_Kernels = collections.namedtuple("_Kernels",
-                                  "spmm spread interp rows assemble")
+#: The seven loaded entry points of one compiled library.
+_Kernels = collections.namedtuple(
+    "_Kernels", "spmm spread interp rows assemble min_image dyads")
 
 
 def _cache_dir() -> Path:
@@ -333,7 +477,7 @@ def _compile(compiler: str, flags: list[str], out: Path) -> bool:
         obj = Path(tmp) / out.name
         try:
             result = subprocess.run(
-                [compiler, *flags, str(src), "-o", str(obj)],
+                [compiler, *flags, str(src), "-o", str(obj), "-lm"],
                 capture_output=True, timeout=120, check=False)
         except (OSError, subprocess.SubprocessError):
             return False
@@ -356,6 +500,8 @@ def _load(path: Path) -> _Kernels | None:
         interp = lib.interp_range
         rows = lib.spread_rows
         assemble = lib.bcsr_assemble
+        min_image = lib.min_image_pairs
+        dyads = lib.bcsr_assemble_dyads
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -371,7 +517,13 @@ def _load(path: Path) -> _Kernels | None:
     rows.restype = None
     assemble.argtypes = [ll, ll, i64, i64, f64, ll, f64, i64, i64, f64, i64]
     assemble.restype = None
-    return _Kernels(spmm, spread, interp, rows, assemble)
+    min_image.argtypes = [ll, ll, i64, i64, f64, ctypes.c_double,
+                          ctypes.c_int, ctypes.c_double, i64, i64, f64, f64]
+    min_image.restype = ll
+    dyads.argtypes = [ll, ll, i64, i64, f64, f64, f64, f64, ctypes.c_double,
+                      i64, i64, f64, i64]
+    dyads.restype = None
+    return _Kernels(spmm, spread, interp, rows, assemble, min_image, dyads)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -446,6 +598,44 @@ def _selftest(kernels: _Kernels) -> bool:
         got = _assemble_compiled(kernels.assemble, 5, pi, pj, pair_blocks,
                                  diag)
         want = _assemble_lexsort(5, pi, pj, pair_blocks, diag)
+        if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
+            return False
+
+    # separations, strict filter and fused tensor fill against the NumPy
+    # bytes, on enough pairs that a contracted multiply-add cannot hide:
+    # 40 particles up to five boxes away (L * round(d / L) is inexact),
+    # every pair of them, the first an axis-aligned overlapping one
+    # (zero components of rhat); the Oseen self term is negative, so are
+    # its zeros
+    from ..rpy import beenakker
+    length, cutoff = 9.0, 4.4
+    pos = rng.uniform(0.0, length, (40, 3))
+    pos[1] = pos[0] + [0.0, 1.5, 0.0]
+    pos += length * rng.integers(-5, 6, (40, 3))
+    pi, pj = (np.ascontiguousarray(a, dtype=np.int64)
+              for a in np.triu_indices(40, 1))
+    rij, dist = _separations_numpy(pos, pi, pj, length)
+    sel = dist < cutoff
+    want = (pi[sel], pj[sel], rij[sel], dist[sel])
+    got = _separations_compiled(kernels.min_image, pos, pi, pj, length,
+                                cutoff)
+    full = _separations_compiled(kernels.min_image, pos, pi, pj, length, None)
+    if (got is None or full is None
+            or not all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            or full[2].tobytes() != rij.tobytes()
+            or full[3].tobytes() != dist.tobytes()
+            or _separations_compiled(kernels.min_image, pos, pi, pj + 1,
+                                     length, None) is not None):
+        return False
+    pi, pj, rij, dist = got
+    for kernel, xi in (("rpy", 0.45), ("oseen", 0.6)):
+        f, g = beenakker.pair_coefficients(dist, xi, kernel=kernel)
+        scalar = beenakker.self_mobility_scalar(xi, kernel=kernel)
+        got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
+                                       dist, scalar)
+        want = _assemble_lexsort(
+            40, pi, pj, beenakker.real_space_tensors(rij, xi, kernel=kernel),
+            np.broadcast_to(scalar * np.eye(3), (40, 3, 3)))
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False
     return True
@@ -585,20 +775,42 @@ def _assemble_lexsort(n: int, i: np.ndarray, j: np.ndarray,
     return indptr, col[order], np.concatenate(payload, axis=0)[order]
 
 
+def _assembly_buffers(n: int, nnz: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised ``(indptr, indices, blocks, work)`` of a C assembly
+    of ``nnz`` blocks in ``n`` rows."""
+    return (np.empty(n + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64),
+            np.empty((nnz, 3, 3)), np.empty(n + 1 + nnz, dtype=np.int64))
+
+
 def _assemble_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
                        pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One call of the C assembly into freshly allocated outputs."""
     ndiag = 0 if diag_blocks is None else n
-    nnz = 2 * i.size + ndiag
-    indptr = np.empty(n + 1, dtype=np.int64)
-    indices = np.empty(nnz, dtype=np.int64)
-    blocks = np.empty((nnz, 3, 3))
-    work = np.empty(n + 1 + nnz, dtype=np.int64)
+    indptr, indices, blocks, work = _assembly_buffers(n, 2 * i.size + ndiag)
     kern(n, i.size, i, j, pair_blocks, ndiag,
          pair_blocks if diag_blocks is None else diag_blocks,
          indptr, indices, blocks, work)
     return indptr, indices, blocks
+
+
+def _pair_indices(n: int, i: np.ndarray, j: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The half pair list as C-contiguous int64 ``(m,)`` arrays, checked —
+    before any pointer reaches C — to be off-diagonal and inside
+    ``[0, n)``."""
+    i = np.ascontiguousarray(i, dtype=np.int64)
+    j = np.ascontiguousarray(j, dtype=np.int64)
+    if i.ndim != 1 or i.shape != j.shape:
+        raise ConfigurationError("pair index arrays must both have shape (m,)")
+    if np.any(i == j):
+        raise ConfigurationError(
+            "from_pairs expects off-diagonal pairs only; "
+            "pass diagonal blocks via diag_blocks")
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        raise ConfigurationError(
+            f"pair index out of range for {n} block rows")
+    return i, j
 
 
 def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
@@ -617,20 +829,11 @@ def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
     moves integers and copies blocks.  Shapes, ``i != j`` and the index
     range are checked here, before any pointer reaches C.
     """
-    i = np.ascontiguousarray(i, dtype=np.int64)
-    j = np.ascontiguousarray(j, dtype=np.int64)
+    i, j = _pair_indices(n, i, j)
     pair_blocks = np.ascontiguousarray(pair_blocks, dtype=np.float64)
-    if (i.ndim != 1 or i.shape != j.shape
-            or pair_blocks.shape != (i.size, 3, 3)):
+    if pair_blocks.shape != (i.size, 3, 3):
         raise ConfigurationError(
             "pair arrays must have matching shapes (m,), (m,), (m, 3, 3)")
-    if np.any(i == j):
-        raise ConfigurationError(
-            "from_pairs expects off-diagonal pairs only; "
-            "pass diagonal blocks via diag_blocks")
-    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
-        raise ConfigurationError(
-            f"pair index out of range for {n} block rows")
     if diag_blocks is not None:
         diag_blocks = np.ascontiguousarray(diag_blocks, dtype=np.float64)
         if diag_blocks.shape != (n, 3, 3):
@@ -641,6 +844,121 @@ def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
     if kern is None:
         return _assemble_lexsort(n, i, j, pair_blocks, diag_blocks)
     return _assemble_compiled(kern, n, i, j, pair_blocks, diag_blocks)
+
+
+def _assemble_dyads_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
+                             f: np.ndarray, g: np.ndarray, rij: np.ndarray,
+                             dist: np.ndarray, self_scalar: float
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One call of the fused C assembly into freshly allocated outputs."""
+    indptr, indices, blocks, work = _assembly_buffers(n, 2 * i.size + n)
+    kern(n, i.size, i, j, f, g, rij, dist, self_scalar,
+         indptr, indices, blocks, work)
+    return indptr, indices, blocks
+
+
+def bcsr_assemble_dyads(n: int, i: np.ndarray, j: np.ndarray,
+                        f: np.ndarray, g: np.ndarray, rij: np.ndarray,
+                        dist: np.ndarray, self_scalar: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bcsr_assemble` with the tensor fill fused in (compiled
+    kernels only): block ``f[k] I + g[k] rhat rhat^T``, ``rhat = rij[k] /
+    dist[k]``, at ``(i[k], j[k])`` and at its mirror, ``self_scalar I``
+    on every diagonal — each block computed in the slot it is stored in.
+
+    The bytes are those of :func:`bcsr_assemble` on the NumPy payload
+    ``f[:, None, None] * eye(3) + g[:, None, None] * (rhat[:, :, None] *
+    rhat[:, None, :])`` and the diagonal ``self_scalar * eye(3)`` (the
+    kernel is built without multiply-add contraction; self-tested at
+    load), so a caller without a compiler takes that route —
+    :func:`kernel_available` tells which.
+    """
+    kern = getattr(_bundle(), "dyads", None)
+    if kern is None:
+        raise ConfigurationError(
+            "bcsr_assemble_dyads needs the compiled kernels; assemble the "
+            "NumPy tensors with bcsr_assemble instead")
+    i, j = _pair_indices(n, i, j)
+    f, g, dist = (np.ascontiguousarray(a, dtype=np.float64)
+                  for a in (f, g, dist))
+    rij = np.ascontiguousarray(rij, dtype=np.float64)
+    if not (f.shape == g.shape == dist.shape == i.shape
+            and rij.shape == (i.size, 3)):
+        raise ConfigurationError(
+            "pair arrays must have matching shapes (m,) and (m, 3)")
+    return _assemble_dyads_compiled(kern, n, i, j, f, g, rij, dist,
+                                    float(self_scalar))
+
+
+def _separations_numpy(positions: np.ndarray, i: np.ndarray, j: np.ndarray,
+                       box_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference minimum-image separations: ``(rij, |rij|)``."""
+    rij = minimum_image(positions[i] - positions[j], box_length)
+    return rij, np.linalg.norm(rij, axis=1)
+
+
+def _separations_compiled(kern, positions: np.ndarray, i: np.ndarray,
+                          j: np.ndarray, box_length: float,
+                          cutoff: float | None
+                          ) -> tuple[np.ndarray, ...] | None:
+    """One call of ``min_image_pairs``: ``(i, j, rij, dist)`` of the pairs
+    kept (all of them for ``cutoff=None``), or ``None`` without the
+    kernel (``kern is None``) and for anything but in-range 1-D integer
+    pairs on ``(n, 3)`` float64 positions — NumPy's indexing decides
+    what that means (or that it is an error)."""
+    r, i, j = np.asarray(positions), np.asarray(i), np.asarray(j)
+    if not (kern is not None
+            and r.ndim == 2 and r.shape[1] == 3 and r.dtype == np.float64
+            and i.ndim == 1 and i.shape == j.shape
+            and i.dtype.kind in "iu" and j.dtype.kind in "iu"):
+        return None
+    r = np.ascontiguousarray(r)
+    i = np.ascontiguousarray(i, dtype=np.int64)
+    j = np.ascontiguousarray(j, dtype=np.int64)
+    strict = cutoff is not None
+    ki, kj = (np.empty_like(i), np.empty_like(j)) if strict else (i, j)
+    rij = np.empty((i.size, 3))
+    dist = np.empty(i.size)
+    kept = kern(r.shape[0], i.size, i, j, r, box_length, strict,
+                cutoff if strict else 0.0, ki, kj, rij, dist)
+    if kept < 0:        # an index outside [0, n): nothing was read there
+        return None
+    return ki[:kept], kj[:kept], rij[:kept], dist[:kept]
+
+
+def pair_separations(positions: np.ndarray,  # noqa: RPR001 - validated by Box.distances
+                     i: np.ndarray, j: np.ndarray,
+                     box_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-image separation vectors ``rij[k] = min_image(r[i_k] -
+    r[j_k])`` and distances ``|rij[k]|`` in a cubic box: the body of
+    :meth:`repro.geometry.box.Box.distances`.
+
+    The compiled loop performs NumPy's operations in NumPy's order
+    (``d - L * round(d / L)``, ``sqrt((x^2 + y^2) + z^2)``), so both
+    routes return the same bytes.
+    """
+    out = _separations_compiled(getattr(_bundle(), "min_image", None),
+                                positions, i, j, box_length, None)
+    if out is None:
+        return _separations_numpy(positions, i, j, box_length)
+    return out[2], out[3]
+
+
+def pairs_within(positions: np.ndarray,  # noqa: RPR001 - validated by Box.pairs_within
+                 i: np.ndarray, j: np.ndarray,
+                 box_length: float, cutoff: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The strict membership test of the pair search: ``(i, j, rij,
+    dist)`` of the candidate pairs with minimum-image ``dist < cutoff``,
+    in input order, with the separations :func:`pair_separations` gives.
+    """
+    out = _separations_compiled(getattr(_bundle(), "min_image", None),
+                                positions, i, j, box_length, float(cutoff))
+    if out is None:
+        rij, dist = _separations_numpy(positions, i, j, box_length)
+        sel = dist < cutoff
+        out = np.asarray(i)[sel], np.asarray(j)[sel], rij[sel], dist[sel]
+    return out
 
 
 def kernel_available() -> bool:

@@ -12,6 +12,7 @@ from repro.core.forces import (
 )
 from repro.errors import ConfigurationError
 from repro.neighbor import brute_force_pairs
+from repro.neighbor.pairs import find_pairs
 from repro.systems import random_suspension
 
 
@@ -121,6 +122,42 @@ class TestRepulsiveHarmonic:
         assert field.forces(r).tobytes() == f.tobytes()
         assert field._verlet.n_rebuilds == 2
         assert RepulsiveHarmonic(box).forces(r).tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("outside", [False, True],
+                             ids=["wrapped", "outside"])
+    def test_force_bytes_are_those_of_two_numpy_passes(self, outside,
+                                                       kernel_mode):
+        # candidates filtered on the wrapped positions (strict), the
+        # survivors' separations taken from the positions as given
+        # (<= contact), summed in list order: for wrapped input the
+        # filter's separations are handed on, the bytes are the same
+        box = Box(14.0)
+        rng = np.random.default_rng(12)
+        r = rng.uniform(0, box.length, size=(150, 3))
+        if outside:
+            r = r + box.length * rng.integers(-3, 4, size=r.shape)
+        field = RepulsiveHarmonic(box)
+
+        def separations(x, i, j):
+            d = x[i] - x[j]
+            rij = d - box.length * np.round(d / box.length)
+            return rij, np.linalg.norm(rij, axis=1)
+
+        wrapped = box.wrap(r)
+        i, j = find_pairs(wrapped, box, field.contact + field._verlet.skin)
+        keep = separations(wrapped, i, j)[1] < field.contact
+        i, j = i[keep], j[keep]
+        rij, dist = separations(r, i, j)
+        keep = dist <= field.contact
+        i, j, rij, dist = i[keep], j[keep], rij[keep], dist[keep]
+        assert i.size > 20
+        fij = (-field.stiffness * (dist - field.contact) / dist)[:, None] * rij
+        want = np.zeros_like(r)
+        np.add.at(want, i, fij)
+        np.add.at(want, j, -fij)
+        assert field.forces(r).tobytes() == want.tobytes()
+        assert field.energy(r) == float(
+            0.5 * field.stiffness * np.sum((dist - field.contact) ** 2))
 
 
 class TestHarmonicBonds:

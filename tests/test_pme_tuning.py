@@ -260,6 +260,17 @@ class TestRanking:
                    if c.params.r_max < chosen.params.r_max)
         assert sum(c.cheapest for c in rows) == 1
 
+    def test_default_splits_on_the_committed_substrate(self):
+        # every default trajectory digest hangs on these; they move only
+        # when a SUBSTRATE rate is re-recorded.  pair_build_us 0.40 ->
+        # 0.20 (the rebuild in compiled passes) moved n = 4000 from
+        # (8.47, 40): a cheaper build buys a larger cutoff
+        splits = {100: (6.02, 24), 200: (7.31, 20), 1000: (8.89, 24),
+                  2000: (8.47, 32), 4000: (8.89, 36)}
+        for n, (r_max, K) in splits.items():
+            params = tune_parameters(n, Box.for_volume_fraction(n, 0.2))
+            assert (round(params.r_max, 2), params.K) == (r_max, K)
+
     def test_small_box_may_choose_the_cap(self):
         box = Box.for_volume_fraction(45, 0.2)
         assert tune_parameters(45, box).r_max <= box.length / 2
