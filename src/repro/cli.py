@@ -199,7 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "immediately (default 8)")
     serve.add_argument("--max-wait", type=float, default=2e-3,
                        metavar="SECONDS",
-                       help="microbatching window (default 2ms)")
+                       help="longest a mobility batch waits for a "
+                            "connection that has not sent; batches "
+                            "flush at once when every open connection "
+                            "is waiting in one (default 2ms)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="mobility backlog bound in columns; beyond "
                             "it requests are shed (default 64)")

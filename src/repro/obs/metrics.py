@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -113,9 +114,10 @@ class Histogram:
         self.sum += value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
+        counts = self.counts
+        # the buckets are sorted: skip the ones below value unexamined
+        for i in range(bisect_left(self.buckets, value), len(counts)):
+            counts[i] += 1
 
     @property
     def mean(self) -> float:

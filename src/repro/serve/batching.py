@@ -16,13 +16,28 @@ a request's columns out of a batched result equals applying that
 request alone, byte for byte (``tests/test_width_invariance.py``: every
 width 1..33, both kernel modes).  Batching changes *latency*, never *bytes*.
 
-Scheduling is classic max-batch / max-wait microbatching:
+Scheduling is microbatching that knows who could still send:
 
 * the first request for an operator key opens a window and arms a
   ``max_wait`` timer;
 * requests arriving inside the window join the batch;
-* the batch flushes when its column count reaches ``max_batch`` or
-  the timer fires, whichever is first;
+* the batch flushes at the first of three events: its column count
+  reaches ``max_batch``; the timer fires; or **every open connection
+  is waiting on a request in an open window** (of any system: a
+  connection waiting in another system's window cannot send into this
+  one either) — then nobody is left to join, and waiting would add
+  latency and no company; every open window flushes.  The service
+  reports connections opening and closing
+  (:meth:`MobilityBatcher.connect` / :meth:`~MobilityBatcher.disconnect`)
+  and which connections wait on each request (the submitter plus its
+  single-flight joiners).  ``max_wait`` is therefore the longest a
+  batch waits for a connection that has not sent;
+* the third test is decided once per event-loop turn (``call_soon``),
+  after every request line already read has been submitted — decided
+  inline in :meth:`~MobilityBatcher.submit`, it would split one
+  connection's pipelined requests into one batch each.  A disconnect
+  re-decides, so a window waiting only for the departing connection
+  flushes at once;
 * per-operator applies are serialized (an :class:`asyncio.Lock` per
   entry) because the shared :class:`~repro.pme.cache.MobilityCache`
   workspaces are scratch — two concurrent applies on one operator
@@ -40,7 +55,7 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import AbstractSet, Any, Hashable
 
 import numpy as np
 
@@ -167,6 +182,9 @@ class _Item:
     forces: np.ndarray           # (3n, s), validated
     future: asyncio.Future
     enqueued_at: float
+    #: Connections waiting on this answer; the caller may add to the
+    #: set after submitting (single-flight joiners).
+    waiters: AbstractSet[Hashable]
 
 
 @dataclass
@@ -179,7 +197,12 @@ class _Window:
 
 
 class MobilityBatcher:
-    """Max-batch / max-wait microbatching scheduler.
+    """Microbatching scheduler: a window closes when it is full, when
+    ``max_wait`` has passed, or when every open connection is waiting
+    on a request in an open window (see the module docstring).
+
+    With no connection registered the third rule holds vacuously, so
+    in-process callers get one batch per event-loop turn.
 
     Parameters
     ----------
@@ -191,7 +214,8 @@ class MobilityBatcher:
     max_batch:
         Column count that flushes a window immediately.
     max_wait:
-        Seconds the first request of a window waits for company.
+        Seconds a window waits for a connection that has not sent
+        (``0``: every request flushes at once).
     """
 
     def __init__(self, pool: OperatorPool, executor,
@@ -208,17 +232,59 @@ class MobilityBatcher:
         self.max_wait = max_wait
         self._windows: dict[str, _Window] = {}
         self._inflight: set[asyncio.Task] = set()
+        #: Open connections: the ones a window may still wait for.
+        self._connections: set[Hashable] = set()
+        #: The pending end-of-turn decision, if one is scheduled.
+        self._decision: asyncio.Handle | None = None
         #: Columns admitted and not yet answered (queued + executing);
         #: the admission controller sheds against this.
         self.backlog_columns = 0
         self.batches_flushed = 0
         self.requests_batched = 0
 
+    # -- connections -----------------------------------------------------
+
+    def connect(self, client: Hashable) -> None:
+        """A connection opened: windows may now wait for it."""
+        self._connections.add(client)
+
+    def disconnect(self, client: Hashable) -> None:
+        """A connection closed: windows stop waiting for it."""
+        self._connections.discard(client)
+        self.recheck()
+
+    def recheck(self) -> None:
+        """Re-decide the connection rule at the end of this loop turn.
+
+        Call after adding a connection to a submitted request's
+        ``waiters``; :meth:`submit` and :meth:`disconnect` call it.
+        """
+        if self._decision is None and self._windows:
+            self._decision = asyncio.get_running_loop().call_soon(
+                self._decide)
+
+    def _decide(self) -> None:
+        """Flush every window if no open connection is left to join."""
+        self._decision = None
+        waiting: set[Hashable] = set()
+        for window in self._windows.values():
+            for item in window.items:
+                waiting.update(item.waiters)
+        if self._connections <= waiting:
+            for key in list(self._windows):
+                self._flush(key)
+
     # -- submission ------------------------------------------------------
 
-    async def submit(self, spec: SystemSpec, forces: np.ndarray
+    async def submit(self, spec: SystemSpec, forces: np.ndarray,
+                     waiters: AbstractSet[Hashable] = frozenset()
                      ) -> np.ndarray:
-        """Queue one request; resolves to its ``(3n, s)`` velocities."""
+        """Queue one request; resolves to its ``(3n, s)`` velocities.
+
+        ``waiters`` are the connections waiting on the answer (the
+        service passes a set it grows when a single-flight joiner
+        arrives, then calls :meth:`recheck`).
+        """
         if forces.ndim != 2 or forces.shape[0] != 3 * spec.n:
             raise ProtocolError(
                 f"forces must have shape (3n, s) = ({3 * spec.n}, s), "
@@ -233,7 +299,8 @@ class MobilityBatcher:
                 window.timer = loop.call_later(
                     self.max_wait, self._flush, key)
         item = _Item(spec=spec, forces=forces,
-                     future=loop.create_future(), enqueued_at=now())
+                     future=loop.create_future(), enqueued_at=now(),
+                     waiters=waiters)
         window.items.append(item)
         window.columns += forces.shape[1]
         self.backlog_columns += forces.shape[1]
@@ -242,6 +309,8 @@ class MobilityBatcher:
                       self.backlog_columns, queue="mobility")
         if window.columns >= self.max_batch or self.max_wait == 0:
             self._flush(key)
+        else:
+            self.recheck()
         return await item.future
 
     # -- flushing --------------------------------------------------------

@@ -65,10 +65,10 @@ from .protocol import (
 
 __all__ = ["ServeSettings", "SimulationService"]
 
-#: Latency buckets (seconds) fine enough for sub-millisecond applies
-#: and coarse enough for multi-second simulate jobs.
-_LATENCY_BUCKETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
-                    1.0, 3.0, 10.0, 30.0)
+#: Latency buckets (seconds): a x1.5 ladder from 100 us past 30 s.  The
+#: ``stats`` quantiles interpolate linearly inside a bucket, so the
+#: step bounds their error on a skewed sample.
+_LATENCY_BUCKETS = tuple(1e-4 * 1.5 ** k for k in range(33))
 
 #: Hard cap on simulate steps per request (a served campaign is a
 #: bounded job, not an open-ended run).
@@ -83,6 +83,9 @@ class ServeSettings:
     host: str = "127.0.0.1"
     port: int = 0                 # 0: ephemeral, reported by endpoint()
     max_batch: int = 8
+    #: Longest a mobility batch waits for a connection that has not
+    #: sent; once every open connection is waiting in a batch, the
+    #: batches flush at once.
     max_wait: float = 2e-3
     max_queue_columns: int = 64
     max_inflight: int = 8
@@ -105,6 +108,9 @@ class _ClientState:
 
     client_id: int
     writer: asyncio.StreamWriter
+    #: The ``_handle_client`` task; :meth:`SimulationService.stop`
+    #: awaits it so no handler outlives the service.
+    handler: asyncio.Task | None = None
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: int = 0
     closed: bool = False
@@ -136,6 +142,8 @@ class SimulationService:
         self.cache = ResultCache(max_entries=s.cache_entries,
                                  ttl=s.cache_ttl)
         self.flight = SingleFlight()
+        #: mobility result key -> connections waiting on its answer
+        self._mobility_waiters: dict[str, set[int]] = {}
         self.jobs = JobManager(s.work_dir, self._executor,
                                max_jobs=s.max_jobs,
                                sim_workers=s.sim_workers,
@@ -180,21 +188,30 @@ class SimulationService:
         return {"host": address[0], "port": address[1]}
 
     async def stop(self) -> None:
-        """Stop accepting, drain batches and jobs, release pools."""
+        """Stop accepting, drain batches and jobs, close connections,
+        release pools."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self.batcher.drain()
         await self.jobs.drain_all()
         if self._background:
             await asyncio.gather(*list(self._background),
                                  return_exceptions=True)
+        # close every transport and wait for its handler to see EOF:
+        # a handler still pending when the loop shuts down is cancelled
+        # there, and asyncio reports that as an unhandled exception
+        handlers = [state.handler for state in self._clients.values()
+                    if state.handler is not None]
         for state in list(self._clients.values()):
             state.closed = True
             with contextlib.suppress(OSError):
                 state.writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._clients.clear()
+        if self._server is not None:
+            # after the connections: on Python >= 3.12 this waits for them
+            await self._server.wait_closed()
+            self._server = None
         self._context.close()
         if self._installed_metrics:
             obs.set_metrics(None)
@@ -225,8 +242,10 @@ class SimulationService:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         self._next_client += 1
-        state = _ClientState(client_id=self._next_client, writer=writer)
+        state = _ClientState(client_id=self._next_client, writer=writer,
+                             handler=asyncio.current_task())
         self._clients[state.client_id] = state
+        self.batcher.connect(state.client_id)
         obs.set_gauge("serve_clients", len(self._clients))
         try:
             while True:
@@ -251,6 +270,7 @@ class SimulationService:
             self._abandon_jobs(state)
             for task in list(state.tasks):
                 task.cancel()       # nobody is left to answer
+            self.batcher.disconnect(state.client_id)
             with contextlib.suppress(OSError):
                 writer.close()
 
@@ -344,7 +364,7 @@ class SimulationService:
             return shed_response(message, shed.reason,
                                  shed.retry_after), "shed"
         if op == "mobility.apply":
-            return await self._answer_mobility(message)
+            return await self._answer_mobility(state, message)
         if op == "simulate":
             return await self._answer_simulate(state, message)
         if op == "cancel":
@@ -353,7 +373,8 @@ class SimulationService:
 
     # -- mobility.apply --------------------------------------------------
 
-    async def _answer_mobility(self, message: dict[str, Any]
+    async def _answer_mobility(self, state: _ClientState,
+                               message: dict[str, Any]
                                ) -> tuple[dict[str, Any], str]:
         import hashlib
 
@@ -380,8 +401,16 @@ class SimulationService:
         if cached is not None:
             return ok_response(message, {**cached, "cached": True}), "ok"
 
+        # the connections waiting on this key: whoever computes it hands
+        # the set to the batcher, so a joiner counts as waiting in the
+        # window that holds the computing request
+        waiters = self._mobility_waiters.setdefault(key, set())
+        waiters.add(state.client_id)
+        if len(waiters) > 1:
+            self.batcher.recheck()      # a joiner: the request is queued
+
         async def compute() -> dict[str, Any]:
-            velocities = await self.batcher.submit(spec, forces)
+            velocities = await self.batcher.submit(spec, forces, waiters)
             result = {
                 "velocities": encode_array(
                     velocities[:, 0] if flat else velocities),
@@ -389,7 +418,12 @@ class SimulationService:
             self.cache.put(key, result)
             return result
 
-        result = await self.flight.run(key, compute)
+        try:
+            result = await self.flight.run(key, compute)
+        finally:
+            waiters.discard(state.client_id)
+            if not waiters and self._mobility_waiters.get(key) is waiters:
+                del self._mobility_waiters[key]
         return ok_response(message, {**result, "cached": False}), "ok"
 
     # -- simulate --------------------------------------------------------

@@ -248,10 +248,12 @@ def test_batcher_flushes_at_max_batch_without_waiting():
             pool = OperatorPool(context.thread_pool())
             batcher = MobilityBatcher(pool, context.thread_pool(),
                                       max_batch=2, max_wait=60.0)
+            batcher.connect("silent")
             rng = np.random.default_rng(0)
             forces = [rng.standard_normal((3 * SPEC.n, 1))
                       for _ in range(2)]
-            # max_wait is a minute: only the size trigger can flush
+            # max_wait is a minute and a connection never sends: only
+            # the size trigger can flush
             results = await asyncio.wait_for(
                 asyncio.gather(*(batcher.submit(SPEC, f)
                                  for f in forces)), timeout=30.0)
@@ -694,6 +696,176 @@ def test_service_stats_and_latency_quantiles(tmp_path):
     assert stats["batcher"]["requests_batched"] == 3
     assert stats["operators"]["resident"] == 1
     assert stats["cache"]["misses"] >= 3
+
+
+def test_latency_quantiles_track_a_skewed_sample():
+    from repro.obs.metrics import Histogram
+    from repro.serve.service import _LATENCY_BUCKETS
+
+    steps = [b / a for a, b in zip(_LATENCY_BUCKETS, _LATENCY_BUCKETS[1:])]
+    assert max(steps) <= 1.5 + 1e-12
+    assert _LATENCY_BUCKETS[0] <= 1e-4 and _LATENCY_BUCKETS[-1] >= 30.0
+    # closed-loop request latencies: a bulk near 3.6 ms, a tail to 9.5
+    rng = np.random.default_rng(0)
+    sample = np.concatenate([rng.normal(3.6e-3, 0.2e-3, 900),
+                             rng.uniform(5e-3, 9.5e-3, 100)])
+    histogram = Histogram(buckets=_LATENCY_BUCKETS)
+    for value in sample:
+        histogram.observe(value)
+    want = float(np.median(sample))
+    assert abs(histogram.quantile(0.5) - want) <= 0.1 * want
+
+
+# ----------------------------------------------------------------------
+# flush rule: once every open connection waits in a batch, it flushes
+# ----------------------------------------------------------------------
+
+#: max_wait of the flush-rule tests: a minute, so the timer answers none
+NEVER = 60.0
+
+
+async def _open(path: str):
+    """A connection the server has registered (its ping was answered)."""
+    reader, writer = await asyncio.open_unix_connection(
+        path, limit=2 ** 25)
+    writer.write(encode_message({"op": "ping", "id": "hello"}))
+    await writer.drain()
+    assert json.loads(await reader.readline())["status"] == "ok"
+    return reader, writer
+
+
+async def _replies(reader, count: int) -> list[dict]:
+    async def read():
+        return [json.loads(await reader.readline()) for _ in range(count)]
+
+    return await asyncio.wait_for(read(), timeout=30.0)
+
+
+def _apply(request_id, forces, spec: SystemSpec = SPEC) -> dict:
+    return {"op": "mobility.apply", "id": request_id,
+            "system": spec.to_json(), "forces": encode_array(forces)}
+
+
+@pytest.mark.parametrize("specs, batches", [
+    ((SPEC, SPEC), 1),
+    # a connection waiting in another system's window cannot join
+    # this one either: both windows flush
+    ((SPEC, SystemSpec(n=18, phi=0.2)), 2),
+])
+def test_batch_flushes_once_every_connection_has_sent(tmp_path, specs,
+                                                      batches):
+    rng = np.random.default_rng(20)
+
+    async def scenario(service):
+        conns = [await _open(service.settings.socket_path)
+                 for _ in specs]
+        for i, ((_, writer), spec) in enumerate(zip(conns, specs)):
+            writer.write(encode_message(
+                _apply(i, rng.standard_normal(3 * spec.n), spec)))
+            await writer.drain()
+        replies = [await _replies(reader, 1) for reader, _ in conns]
+        for _, writer in conns:
+            writer.close()
+        return replies, service.batcher.stats()
+
+    replies, stats = _run_service(_settings(tmp_path, max_wait=NEVER),
+                                  scenario)
+    assert [r["status"] for (r,) in replies] == ["ok", "ok"]
+    assert stats["batches_flushed"] == batches
+    assert stats["requests_batched"] == 2
+
+
+def test_pipelined_requests_of_one_connection_share_one_batch(tmp_path):
+    rng = np.random.default_rng(21)
+
+    async def scenario(service):
+        reader, writer = await _open(service.settings.socket_path)
+        writer.write(b"".join(
+            encode_message(_apply(i, rng.standard_normal(3 * SPEC.n)))
+            for i in range(5)))
+        await writer.drain()
+        replies = await _replies(reader, 5)
+        writer.close()
+        return replies, service.batcher.stats()
+
+    replies, stats = _run_service(
+        _settings(tmp_path, max_wait=NEVER, max_batch=16), scenario)
+    assert all(r["status"] == "ok" for r in replies)
+    # decided at the end of the loop turn, not per submit
+    assert stats["batches_flushed"] == 1 and stats["requests_batched"] == 5
+
+
+def test_silent_connection_holds_the_batch_until_it_leaves(tmp_path):
+    rng = np.random.default_rng(22)
+
+    async def scenario(service):
+        conns = [await _open(service.settings.socket_path)
+                 for _ in range(3)]
+        for i, (_, writer) in enumerate(conns[:2]):
+            writer.write(encode_message(
+                _apply(i, rng.standard_normal(3 * SPEC.n))))
+            await writer.drain()
+
+        async def queued():
+            while service.batcher.requests_batched < 2:
+                await asyncio.sleep(0.01)
+
+        await asyncio.wait_for(queued(), timeout=30.0)
+        await asyncio.sleep(0.2)
+        held = service.batcher.batches_flushed
+        conns[2][1].close()                 # the silent one goes away
+        replies = [await _replies(reader, 1) for reader, _ in conns[:2]]
+        for _, writer in conns[:2]:
+            writer.close()
+        return held, replies, service.batcher.batches_flushed
+
+    held, replies, flushed = _run_service(
+        _settings(tmp_path, max_wait=NEVER), scenario)
+    assert held == 0                        # it could still have sent
+    assert [r["status"] for (r,) in replies] == ["ok", "ok"]
+    assert flushed == 1
+
+
+def test_single_flight_joiner_counts_as_waiting_in_the_batch(tmp_path):
+    forces = np.random.default_rng(23).standard_normal(3 * SPEC.n)
+    operator, _ = build_operator(SPEC)
+    want = operator.apply_block(forces.reshape(-1, 1))[:, 0]
+
+    async def scenario(service):
+        conns = [await _open(service.settings.socket_path)
+                 for _ in range(2)]
+        for i, (_, writer) in enumerate(conns):
+            writer.write(encode_message(_apply(i, forces)))
+            await writer.drain()
+        replies = [await _replies(reader, 1) for reader, _ in conns]
+        for _, writer in conns:
+            writer.close()
+        return replies, service.flight.joined, service.batcher.stats()
+
+    replies, joined, stats = _run_service(
+        _settings(tmp_path, max_wait=NEVER), scenario)
+    # the second connection never reached the batcher: it waited on
+    # the first one's request, and that counted as being in the window
+    assert joined == 1 and stats["requests_batched"] == 1
+    for (reply,) in replies:
+        assert decode_array(
+            reply["result"]["velocities"]).tobytes() == want.tobytes()
+
+
+def test_stop_with_a_connected_client_leaves_no_handler_behind(tmp_path):
+    reported: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reported.append(context))
+        service = SimulationService(_settings(tmp_path))
+        await service.start()
+        _reader, writer = await _open(service.settings.socket_path)
+        await service.stop()                # the client is still there
+        writer.close()
+
+    asyncio.run(main())
+    assert reported == []
 
 
 def test_serve_client_roundtrip_and_retry(tmp_path):
