@@ -7,9 +7,7 @@ actually needs, end to end:
    potential energy),
 2. write block-aligned checkpoints so the run can resume bit-exactly
    after an interruption,
-3. persist the trajectory and re-load it for analysis,
-4. solve a resistance problem on the final configuration (the forces
-   needed to hold every particle still against a moving neighbor).
+3. persist the trajectory and re-load it for analysis.
 
 Run:  python examples/production_run.py
 """
@@ -32,7 +30,6 @@ from repro import (
 from repro.core.checkpoint import checkpoint_callback, resume
 from repro.core.integrators import MatrixFreeBD
 from repro.core.trajectory_io import load_trajectory, save_trajectory
-from repro.krylov import solve_resistance
 
 
 def main():
@@ -77,15 +74,6 @@ def main():
     d = diffusion_coefficient(loaded, lag_frames=1)
     print(f"trajectory saved/loaded ({loaded.n_frames} frames); "
           f"D(tau->0) = {d:.3f} D0")
-
-    # --- 4. a resistance problem on the final configuration ----------
-    op = bd.operator
-    u = np.zeros(3 * susp.n)
-    u[0] = 1.0    # particle 0 pulled at unit velocity, the rest held
-    f_hold, info = solve_resistance(op.apply, u, tol=1e-8)
-    print(f"holding the suspension still against one moving particle "
-          f"needs |f| up to {np.abs(f_hold).max():.2f} "
-          f"({info.n_matvecs} PME applications)")
     print(f"\nartifacts in {workdir}")
 
 

@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 3)")
 
     lint = sub.add_parser(
-        "lint", help="physics-aware static analysis (file rules "
-                     "RPR001-RPR011, dataflow rules RPR101-RPR302)",
+        "lint", help="physics-aware static analysis (`repro lint "
+                     "--list-rules` prints the rules)",
         add_help=False)
     lint.add_argument("lint_args", nargs=argparse.REMAINDER,
                       help="arguments forwarded to repro-lint "

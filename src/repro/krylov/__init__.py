@@ -30,14 +30,12 @@ from .lanczos import lanczos_sqrt, LanczosInfo
 from .block_lanczos import block_lanczos_sqrt
 from .chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from .reference import dense_sqrt_apply, cholesky_displacements, dense_sqrtm
-from .resistance import solve_resistance
 
 __all__ = [
     "lanczos_sqrt",
     "block_lanczos_sqrt",
     "chebyshev_sqrt",
     "eigenvalue_bounds",
-    "solve_resistance",
     "LanczosInfo",
     "dense_sqrt_apply",
     "cholesky_displacements",

@@ -3,15 +3,13 @@
 Two cooperating layers keep the package's array invariants honest:
 
 * **Static layer** — an AST linter (``python -m repro.lint``, ``repro
-  lint``, ``repro-lint``) with per-file rules RPR001-RPR011 targeting
-  the failure modes of fast Brownian dynamics codes (unvalidated
-  position arrays, global RNG state, unguarded Cholesky
-  factorizations, missing minimum-image folds, dtype drift, swallowed
-  solver diagnostics, mutable defaults, ``assert``-based validation,
-  failures dropped outside the resilience taxonomy)
-  plus the whole-program dataflow families of :mod:`repro.lint.flow`:
-  RPR1xx shape/dtype flow, RPR2xx determinism flow and RPR3xx hot-path
-  allocation lints.
+  lint``, ``repro-lint``) whose per-file rules target the failure modes
+  of fast Brownian dynamics codes (unvalidated position arrays, global
+  RNG state, unguarded Cholesky factorizations, missing minimum-image
+  folds, dtype drift, swallowed solver diagnostics, mutable defaults,
+  ``assert``-based validation, failures dropped outside the resilience
+  taxonomy, ad-hoc worker pools, blocking calls in async code);
+  ``repro-lint --list-rules`` prints the set.
 * **Runtime layer** — :mod:`repro.lint.contracts`, lightweight
   decorators (``@positions_arg``, ``@force_block_arg``,
   ``@returns_spd``, ...) applied across the public entry points and
@@ -35,7 +33,6 @@ from .contracts import (
     contract,
     force_block_arg,
     positions_arg,
-    radii_arg,
     returns_spd,
     spd_arg,
     trajectory_arg,
@@ -43,7 +40,7 @@ from .contracts import (
 
 # The analyser is tooling: its names resolve on first use (PEP 562), so
 # the numeric core's ``from ..lint.contracts import ...`` does not load
-# the rule engine and the dataflow interpreter into every process.
+# the rule engine into every process.
 _ANALYSER_NAMES = {
     "Baseline": "baseline",
     "apply_baseline": "baseline",
@@ -83,7 +80,6 @@ __all__ = [
     "contract",
     "positions_arg",
     "force_block_arg",
-    "radii_arg",
     "trajectory_arg",
     "array_arg",
     "spd_arg",

@@ -9,12 +9,9 @@ Invocations::
 Exit codes follow the convention CI gates on: ``0`` no findings, ``1``
 findings were reported, ``2`` usage error (bad path / unknown rule).
 
-Beyond plain linting the CLI drives two workflows:
-
-* ``--baseline write`` snapshots current findings to a baseline file;
-  ``--baseline check`` fails only on findings not covered by it.
-* ``--graph out.json`` exports the whole-program model (call graph,
-  function summaries, hot registry) the dataflow rules analyzed.
+Beyond plain linting the CLI drives the baseline workflow:
+``--baseline write`` snapshots current findings to a baseline file;
+``--baseline check`` fails only on findings not covered by it.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Physics-aware static analysis for the repro package "
-                    "(file rules RPR001-RPR010, dataflow rules "
-                    "RPR101-RPR302; see docs/static_analysis.md)")
+                    "(--list-rules prints the rules; see "
+                    "docs/static_analysis.md)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", "-f", "--output-format",
@@ -62,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help=f"baseline location (default: "
                              f"{DEFAULT_BASELINE})")
-    parser.add_argument("--graph", default=None, metavar="PATH",
-                        help="also export the analyzed call graph + "
-                             "function summaries as JSON to PATH")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
     return parser
@@ -142,9 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         findings, files_checked = lint_paths(
             args.paths, select=_split_csv(args.select),
             ignore=_split_csv(args.ignore))
-        if args.graph:
-            from .flow.graphexport import export_graph
-            export_graph(args.paths, args.graph)
 
         if args.baseline == "write":
             Baseline.from_findings(findings).write(args.baseline_file)

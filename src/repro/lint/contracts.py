@@ -34,8 +34,8 @@ from ..errors import ConfigurationError
 from ..utils import validation
 
 __all__ = ["OFF", "BASIC", "STRICT", "check_level", "contract",
-           "positions_arg", "force_block_arg", "radii_arg",
-           "trajectory_arg", "array_arg", "spd_arg", "returns_spd"]
+           "positions_arg", "force_block_arg", "trajectory_arg",
+           "array_arg", "spd_arg", "returns_spd"]
 
 #: Contract levels (ordered).
 OFF, BASIC, STRICT = 0, 1, 2
@@ -148,15 +148,6 @@ def force_block_arg(name: str = "forces") -> Callable:
                 np.asarray(f, dtype=np.float64))):
             raise ConfigurationError(f"{name} contain non-finite values")
         return value
-
-    return contract(name, validate)
-
-
-def radii_arg(name: str = "radii") -> Callable:
-    """Require ``name`` to be a positive finite ``(n,)`` radii array."""
-
-    def validate(value: Any, strict: bool) -> Any:
-        return validation.as_radii(value)
 
     return contract(name, validate)
 

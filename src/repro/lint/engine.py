@@ -11,10 +11,7 @@ multi-line statement (a wrapped call, a long ``def`` signature) the
 comment may sit on *any* physical line of the statement — the closing
 paren included — and still suppresses findings anchored anywhere in it.
 
-Two kinds of rules run per invocation: per-file rules see one parsed
-:class:`FileContext`; project rules (:class:`~repro.lint.registry
-.ProjectRule`, the RPR1xx/2xx/3xx dataflow families) see the
-whole-program model built from every file of the run.
+Every rule sees one parsed :class:`FileContext` at a time.
 """
 
 from __future__ import annotations
@@ -27,14 +24,7 @@ from typing import Iterable, Sequence
 
 from . import rules as _builtin_rules  # noqa: F401 - registers RPR rules
 from .findings import Finding
-from .flow import rules_flow as _flow_rules  # noqa: F401 - RPR1xx-3xx
-from .registry import (
-    ProjectRule,
-    Rule,
-    SYNTAX_ERROR_ID,
-    all_rules,
-    resolve_selection,
-)
+from .registry import Rule, SYNTAX_ERROR_ID, all_rules, resolve_selection
 
 __all__ = ["FileContext", "lint_source", "lint_paths", "iter_python_files"]
 
@@ -145,28 +135,8 @@ def _run_file_rules(ctx: FileContext,
                     rules: Sequence[Rule]) -> list[Finding]:
     findings: list[Finding] = []
     for rule in rules:
-        if rule.scope != "file":
-            continue
         for finding in rule.check(ctx):
             if not _suppressed(ctx, finding):
-                findings.append(finding)
-    return findings
-
-
-def _run_project_rules(contexts: Sequence[FileContext],
-                       rules: Sequence[ProjectRule]) -> list[Finding]:
-    if not rules or not contexts:
-        return []
-    from .flow.project import build_project
-
-    project = build_project([(ctx.display_path, ctx.tree)
-                             for ctx in contexts])
-    by_path = {ctx.display_path: ctx for ctx in contexts}
-    findings: list[Finding] = []
-    for rule in rules:
-        for finding in rule.check_project(project):
-            ctx = by_path.get(finding.path)
-            if ctx is None or not _suppressed(ctx, finding):
                 findings.append(finding)
     return findings
 
@@ -176,19 +146,15 @@ def lint_source(source: str, display_path: str,
                 include_syntax_errors: bool = True) -> list[Finding]:
     """Lint one in-memory source string; returns surviving findings.
 
-    Both per-file and project rules run (the "project" is the single
-    source string).  Syntax errors produce one ``RPR000`` finding at
-    the error location instead of raising.
+    Syntax errors produce one ``RPR000`` finding at the error location
+    instead of raising.
     """
     if rules is None:
         rules = all_rules()
     parsed = parse_context(source, display_path)
     if isinstance(parsed, Finding):
         return [parsed] if include_syntax_errors else []
-    findings = _run_file_rules(parsed, rules)
-    findings += _run_project_rules(
-        [parsed], [r for r in rules if isinstance(r, ProjectRule)])
-    return sorted(findings)
+    return sorted(_run_file_rules(parsed, rules))
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -222,12 +188,9 @@ def lint_paths(paths: Iterable[str | Path],
     """
     selected = resolve_selection(select, ignore)
     rules = [r for r in all_rules() if r.meta.id in selected]
-    file_rules = [r for r in rules if r.scope == "file"]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     emit_syntax = SYNTAX_ERROR_ID in selected
 
     findings: list[Finding] = []
-    contexts: list[FileContext] = []
     files = iter_python_files(paths)
     for path in files:
         source = path.read_text(encoding="utf-8")
@@ -236,7 +199,5 @@ def lint_paths(paths: Iterable[str | Path],
             if emit_syntax:
                 findings.append(parsed)
             continue
-        contexts.append(parsed)
-        findings.extend(_run_file_rules(parsed, file_rules))
-    findings.extend(_run_project_rules(contexts, project_rules))
+        findings.extend(_run_file_rules(parsed, rules))
     return sorted(findings), len(files)

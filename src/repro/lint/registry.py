@@ -4,7 +4,7 @@ Rules are classes with a :class:`RuleMeta` ``meta`` attribute and a
 ``check(ctx)`` generator; registering them with :func:`register` makes
 them discoverable by the engine, the CLI (``--list-rules``) and the
 documentation.  Selection strings are rule-id prefixes, so
-``--select RPR00`` matches every built-in rule and ``--ignore RPR007``
+``--select RPR`` matches every built-in rule and ``--ignore RPR007``
 disables exactly one.
 """
 
@@ -20,10 +20,9 @@ from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import FileContext
-    from .flow.project import ProjectModel
 
-__all__ = ["RuleMeta", "Rule", "ProjectRule", "register", "all_rules",
-           "get_rule", "resolve_selection", "SYNTAX_ERROR_ID"]
+__all__ = ["RuleMeta", "Rule", "register", "all_rules", "get_rule",
+           "resolve_selection", "SYNTAX_ERROR_ID"]
 
 #: Pseudo-rule id of unparseable files (emitted by the engine itself).
 SYNTAX_ERROR_ID = "RPR000"
@@ -62,9 +61,6 @@ class Rule:
     """
 
     meta: RuleMeta
-    #: ``"file"`` rules see one parsed file; ``"project"`` rules
-    #: (:class:`ProjectRule`) see the whole-program model.
-    scope: str = "file"
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
         raise NotImplementedError
@@ -76,29 +72,6 @@ class Rule:
         return Finding(path=ctx.display_path, line=node.lineno,
                        col=node.col_offset, rule=self.meta.id,
                        message=message, hint=hint)
-
-
-class ProjectRule(Rule):
-    """Base class of whole-program (dataflow) rules.
-
-    Subclasses implement :meth:`check_project` over the
-    :class:`~repro.lint.flow.project.ProjectModel` of one lint run;
-    findings still carry per-file locations and honour ``noqa``.
-    """
-
-    scope = "project"
-
-    def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        return iter(())  # project rules never run per-file
-
-    def check_project(self, project: "ProjectModel") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(self, path: str, node: ast.AST, message: str,
-                   hint: str = "") -> Finding:
-        return Finding(path=path, line=getattr(node, "lineno", 1),
-                       col=getattr(node, "col_offset", 0),
-                       rule=self.meta.id, message=message, hint=hint)
 
 
 _REGISTRY: dict[str, Type[Rule]] = {}

@@ -22,8 +22,8 @@ __all__ = ["CONTRACT_DECORATORS", "VALIDATION_CALLS"]
 
 #: Decorator names (from :mod:`repro.lint.contracts`) that satisfy RPR001.
 CONTRACT_DECORATORS = frozenset({
-    "contract", "positions_arg", "force_block_arg", "radii_arg",
-    "trajectory_arg", "array_arg", "spd_arg", "returns_spd",
+    "contract", "positions_arg", "force_block_arg", "trajectory_arg",
+    "array_arg", "spd_arg", "returns_spd",
 })
 
 #: Callee names whose invocation counts as validating ``positions``.

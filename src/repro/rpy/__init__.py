@@ -25,14 +25,8 @@ from .beenakker import (
     reciprocal_cutoff,
 )
 from .ewald import EwaldSummation, ewald_mobility_matrix
-from .polydisperse import (
-    rpy_polydisperse_pair_tensors,
-    mobility_matrix_polydisperse,
-)
 
 __all__ = [
-    "rpy_polydisperse_pair_tensors",
-    "mobility_matrix_polydisperse",
     "rpy_pair_tensors",
     "rpy_self_tensor",
     "mobility_matrix_free",

@@ -6,7 +6,6 @@ from .timing import Timer, PhaseTimer
 from .validation import (
     as_positions,
     as_force_block,
-    as_radii,
     check_square_box,
     require,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "PhaseTimer",
     "as_positions",
     "as_force_block",
-    "as_radii",
     "check_square_box",
     "require",
 ]

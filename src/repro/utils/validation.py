@@ -17,8 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["require", "as_positions", "as_force_block", "as_radii",
-           "check_square_box"]
+__all__ = ["require", "as_positions", "as_force_block", "check_square_box"]
 
 
 def require(condition: bool, message: str) -> None:
@@ -83,30 +82,6 @@ def as_force_block(forces, n: int,
     if check_finite and not np.all(np.isfinite(f)):
         raise ConfigurationError("forces contain non-finite values")
     return np.ascontiguousarray(f), was_flat
-
-
-def as_radii(radii, n: int | None = None) -> np.ndarray:
-    """Validate per-particle radii: positive, finite, shape ``(n,)``.
-
-    Parameters
-    ----------
-    radii:
-        Any array-like of shape ``(n,)``.
-    n:
-        If given, additionally require exactly this number of entries.
-    """
-    a = np.ascontiguousarray(radii, dtype=np.float64)
-    if a.ndim != 1:
-        raise ConfigurationError(
-            f"radii must have shape (n,), got {a.shape}")
-    if n is not None and a.shape[0] != n:
-        raise ConfigurationError(
-            f"expected {n} radii, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigurationError("radii contain non-finite values")
-    if a.size and np.min(a) <= 0.0:
-        raise ConfigurationError("radii must be strictly positive")
-    return a
 
 
 def check_square_box(box_length: float) -> float:

@@ -15,12 +15,11 @@ from repro.lint.contracts import (
     check_level,
     force_block_arg,
     positions_arg,
-    radii_arg,
     returns_spd,
     spd_arg,
     trajectory_arg,
 )
-from repro.utils.validation import as_force_block, as_radii
+from repro.utils.validation import as_force_block
 
 
 @pytest.fixture
@@ -148,44 +147,6 @@ def test_force_block_finite_scan_strict_only(checks):
     checks("strict")
     with pytest.raises(ConfigurationError):
         _norm(bad)
-
-
-# ----------------------------------------------------------------------
-# radii_arg / as_radii
-# ----------------------------------------------------------------------
-
-def test_as_radii_normalizes():
-    out = as_radii([1.0, 2.0, 0.5])
-    assert out.dtype == np.float64
-    assert out.shape == (3,)
-
-
-@pytest.mark.parametrize("bad", [
-    [[1.0, 2.0]],           # wrong rank
-    [1.0, -2.0],            # negative
-    [1.0, 0.0],             # zero
-    [1.0, np.nan],          # non-finite
-])
-def test_as_radii_rejects(bad):
-    with pytest.raises((ConfigurationError, ValueError)):
-        as_radii(bad)
-
-
-def test_as_radii_checks_count():
-    with pytest.raises(ValueError):
-        as_radii([1.0, 1.0], n=3)
-
-
-def test_radii_arg_contract(checks):
-    checks("1")
-
-    @radii_arg()
-    def total(radii):
-        return float(radii.sum())
-
-    assert total([1.0, 2.0]) == 3.0
-    with pytest.raises(ConfigurationError):
-        total([1.0, -1.0])
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +294,6 @@ def test_contracts_introspection_attribute():
     from repro.krylov.lanczos import lanczos_sqrt
     from repro.pme.operator import PMEOperator
     from repro.rpy.ewald import EwaldSummation
-    from repro.rpy.polydisperse import mobility_matrix_polydisperse
     from repro.rpy.tensor import mobility_matrix_free
     from repro.sparse.bcsr import BlockCSR
 
@@ -341,7 +301,6 @@ def test_contracts_introspection_attribute():
         PMEOperator.__init__,
         PMEOperator.apply,
         mobility_matrix_free,
-        mobility_matrix_polydisperse,
         EwaldSummation.matrix,
         EwaldSummation.apply,
         lanczos_sqrt,

