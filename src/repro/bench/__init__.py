@@ -16,16 +16,6 @@ from .harness import (
     measure_seconds,
     print_table,
 )
-from .ledger import (
-    Comparison,
-    Delta,
-    Timing,
-    append_history,
-    compare_records,
-    extract_timings,
-    load_history,
-    machine_key,
-)
 from .record import bench_output_dir, record_benchmark
 
 __all__ = [
@@ -38,12 +28,4 @@ __all__ = [
     "measure_seconds",
     "print_table",
     "record_benchmark",
-    "Timing",
-    "Delta",
-    "Comparison",
-    "machine_key",
-    "extract_timings",
-    "append_history",
-    "load_history",
-    "compare_records",
 ]

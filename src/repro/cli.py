@@ -12,10 +12,12 @@ The subcommands cover the common workflows:
 * ``analyze``  — diffusion analysis of a saved trajectory,
 * ``tune``     — print the PME parameters the tuner selects for a
   system size / accuracy target (one Table III row),
-* ``bench``    — performance-regression ledger: ``bench record``
-  appends ``BENCH_*.json`` runs to a machine-keyed history file,
-  ``bench compare`` diffs a run against a committed baseline with
-  noise-aware thresholds (nonzero exit on regression),
+* ``lint``     — physics-aware static analysis (forwards its arguments
+  to ``repro-lint``),
+* ``config``   — ``config show`` prints the resolved ``REPRO_*``
+  runtime configuration with provenance,
+* ``serve``    — the batched simulation service on a local socket,
+* ``submit``   — send one request to a running ``serve`` instance,
 * ``info``     — version, backend and machine-model summary.
 """
 
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=0)
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="write the machine-readable profile document "
-                           "(repro-profile/1; feeds `repro bench`)")
+                           "(repro-profile/1, with this host calibrated)")
     _add_obs_arguments(prof)
     _add_exec_arguments(prof)
 
@@ -138,35 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--e-p", type=float, default=1e-3)
     tune.add_argument("-p", "--order", type=int, default=6,
                       help="B-spline order (4, 6 or 8)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark ledger: record history, compare vs a baseline")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    brec = bench_sub.add_parser(
-        "record",
-        help="append BENCH_*.json records to the machine-keyed "
-             "history ledger")
-    brec.add_argument("records", nargs="+", metavar="BENCH_JSON",
-                      help="benchmark record files (or repro-profile "
-                           "JSON documents)")
-    brec.add_argument("--history", default="benchmarks/bench-history.jsonl",
-                      metavar="PATH",
-                      help="history ledger to append to "
-                           "(default benchmarks/bench-history.jsonl)")
-    bcmp = bench_sub.add_parser(
-        "compare",
-        help="diff a benchmark record against a committed baseline "
-             "(noise-aware; exits nonzero on regression)")
-    bcmp.add_argument("current", metavar="BENCH_JSON",
-                      help="the freshly produced record")
-    bcmp.add_argument("--baseline", required=True, metavar="PATH",
-                      help="the committed baseline record")
-    bcmp.add_argument("--rel-tol", type=float, default=None,
-                      help="relative slowdown budget (default 0.5 = +50%%)")
-    bcmp.add_argument("--sigma", type=float, default=None,
-                      help="noise widening in standard deviations "
-                           "(default 3)")
 
     lint = sub.add_parser(
         "lint", help="physics-aware static analysis (`repro lint "
@@ -567,49 +540,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .bench import ledger
-
-    if args.bench_command == "record":
-        for record_path in args.records:
-            record = _json.loads(
-                Path(record_path).read_text(encoding="utf-8"))
-            entry = ledger.append_history(record, args.history)
-            print(f"{record_path}: {entry['name']} "
-                  f"[{entry['machine_key']}] "
-                  f"{len(entry['timings'])} timings -> {args.history}")
-        return 0
-
-    # compare
-    current = _json.loads(Path(args.current).read_text(encoding="utf-8"))
-    baseline = _json.loads(
-        Path(args.baseline).read_text(encoding="utf-8"))
-    kwargs = {}
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.sigma is not None:
-        kwargs["sigma"] = args.sigma
-    comparison = ledger.compare_records(current, baseline, **kwargs)
-    print(comparison.format_table())
-    if comparison.new:
-        print("new timings (not in baseline): "
-              + ", ".join(sorted(comparison.new)))
-    if comparison.ok:
-        print(f"ok: {len(comparison.deltas)} timings within threshold")
-        return 0
-    if comparison.regressions:
-        print(f"REGRESSION: {len(comparison.regressions)} of "
-              f"{len(comparison.deltas)} timings exceeded threshold")
-    if comparison.missing:
-        print(f"MISSING: {len(comparison.missing)} baseline timings "
-              "absent from the current record (update the baseline "
-              "deliberately if the benchmark changed)")
-    return 1
-
-
 def _cmd_lint(args) -> int:
     return _cmd_lint_argv(args.lint_args)
 
@@ -754,7 +684,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "analyze": _cmd_analyze,
         "tune": _cmd_tune,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "config": _cmd_config,
         "serve": _cmd_serve,

@@ -31,9 +31,7 @@ from . import trace as _trace
 
 __all__ = ["PhaseRow", "ProfileReport", "run_profile", "PROFILE_SCHEMA"]
 
-#: Version tag of the ``repro profile --json`` document layout.  The
-#: document doubles as a :mod:`repro.bench.ledger` input — per-phase
-#: measured seconds become ledger timings.
+#: Version tag of the ``repro profile --json`` document layout.
 PROFILE_SCHEMA = "repro-profile/1"
 
 #: Reciprocal phases in Fig. 5 order, then the real-space term.
@@ -106,8 +104,8 @@ class ProfileReport:
     def to_json(self) -> dict[str, Any]:
         """The machine-readable profile document (``repro-profile/1``).
 
-        Consumable by :mod:`repro.bench.ledger`, so profile runs can
-        feed the same regression gate as the benchmarks.
+        Its ``machine`` is the host :func:`repro.perfmodel.calibrate_host`
+        measured — the literal ``perfmodel.SUBSTRATE`` is recorded from.
         """
         return {
             "schema": PROFILE_SCHEMA,

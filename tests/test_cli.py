@@ -101,6 +101,21 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_subcommands_are_pinned(capsys):
+    import argparse
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == [
+        "simulate", "ensemble", "profile", "analyze", "tune", "lint",
+        "config", "serve", "submit", "info"]
+    # no `bench` subcommand: benchmarks/suite is the performance gate
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "compare", "x.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_algorithm():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "--algorithm", "magic"])
