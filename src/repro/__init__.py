@@ -64,7 +64,7 @@ from .pme import (
     tune_parameters,
     pme_relative_error,
 )
-from .krylov import lanczos_sqrt, block_lanczos_sqrt
+from .krylov import block_lanczos_sqrt
 from .core import (
     MobilityOperator,
     DenseMobilityMatrix,
@@ -125,7 +125,6 @@ __all__ = [
     "PMEParams",
     "tune_parameters",
     "pme_relative_error",
-    "lanczos_sqrt",
     "block_lanczos_sqrt",
     "MobilityOperator",
     "DenseMobilityMatrix",

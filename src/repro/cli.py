@@ -322,12 +322,12 @@ def _run_simulate(args) -> int:
     schedule = None
     if args.inject_faults is not None:
         from .resilience.faults import (
-            FaultSchedule,
+            FaultPlan,
             faulty_checkpoint_callback,
             install_faults,
         )
 
-        schedule = FaultSchedule.from_spec(args.inject_faults)
+        schedule = FaultPlan.from_spec(args.inject_faults)
         install_faults(sim.integrator, schedule)
         if args.checkpoint:
             from .core.integrators import BDStepStats
@@ -367,7 +367,7 @@ def _run_simulate(args) -> int:
         print(f"resumable: stopped gracefully at step {stats.n_steps} "
               f"of {args.steps} ({stop_reason}); checkpoint: {where}")
     if schedule is not None:
-        print(f"injected faults: {len(schedule.injected)} "
+        print(f"injected faults: {len(schedule.faults)} "
               f"(force={schedule.count('force')}, "
               f"operator={schedule.count('operator')}, "
               f"brownian={schedule.count('brownian')}, "
@@ -382,10 +382,10 @@ def _run_simulate(args) -> int:
 def _run_ensemble(args) -> int:
     import os
 
+    from .resilience.faults import FaultPlan
     from .runtime import (
         CampaignManifest,
         GracefulShutdown,
-        ProcessFaultPlan,
         Supervisor,
         TaskState,
         make_ensemble,
@@ -407,7 +407,7 @@ def _run_ensemble(args) -> int:
         print(f"campaign: {len(tasks)} tasks x {args.steps} steps, "
               f"n={args.particles}, Phi={args.phi}, "
               f"{args.workers} workers")
-    plan = (ProcessFaultPlan.from_spec(args.inject_faults)
+    plan = (FaultPlan.from_spec(args.inject_faults)
             if args.inject_faults else None)
     supervisor = Supervisor(
         tasks, args.checkpoint_dir, n_workers=args.workers,
@@ -418,7 +418,7 @@ def _run_ensemble(args) -> int:
     print(report.summary())
     if plan is not None:
         for fault in plan.faults:
-            print(f"  fault {fault.kind} on task {fault.task_id} "
+            print(f"  fault {fault.kind} on task {fault.index} "
                   f"@ step {fault.at_step}: "
                   f"observed={fault.observed or 'NOT OBSERVED'}")
     for record in report.manifest.tasks:

@@ -19,9 +19,8 @@ from typing import Any
 
 import numpy as np
 
-from ..krylov.block_lanczos import block_lanczos_sqrt
+from ..krylov.block_lanczos import LanczosInfo, block_lanczos_sqrt
 from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
-from ..krylov.lanczos import LanczosInfo
 from ..krylov.reference import cholesky_displacements
 from ..lint.contracts import array_arg, spd_arg
 from ..utils.params import keyword_only
@@ -34,8 +33,9 @@ __all__ = ["CholeskyBrownianGenerator", "KrylovBrownianGenerator",
 class CholeskyBrownianGenerator:
     """Dense-matrix Brownian displacements (Algorithm 1, lines 5-7).
 
-    Construct with keyword arguments (positional construction warns
-    once; ``replace(**changes)`` returns a reconfigured copy).
+    Construct with keyword arguments (positional construction raises
+    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
+    copy).
 
     Parameters
     ----------
@@ -67,8 +67,9 @@ class KrylovBrownianGenerator:
     max_iter:
         Iteration cap forwarded to the solver.
 
-    Construct with keyword arguments (positional construction warns
-    once; ``replace(**changes)`` returns a reconfigured copy).
+    Construct with keyword arguments (positional construction raises
+    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
+    copy).
     """
 
     def __init__(self, kT: float, dt: float, tol: float = 1e-2,
@@ -136,8 +137,9 @@ class ChebyshevBrownianGenerator:
     bound_iterations:
         Lanczos steps used to estimate the spectral interval.
 
-    Construct with keyword arguments (positional construction warns
-    once; ``replace(**changes)`` returns a reconfigured copy).
+    Construct with keyword arguments (positional construction raises
+    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
+    copy).
     """
 
     def __init__(self, kT: float, dt: float, tol: float = 1e-2,

@@ -20,15 +20,13 @@ solver may receive — a conforming operator, a dense matrix, or a bare
 block solvers issue *one* batched apply per iteration regardless of
 what the caller handed them.
 
-Calling an operator directly (``op(f)``) was deprecated in favour of
-``op.apply(f)`` and the deprecation cycle is now complete: the
-``__call__`` shims raise :class:`TypeError` with the migration hint
-(see ``docs/api.md`` for the migration guide).
+Operators are not callable: use ``op.apply(f)`` (see ``docs/api.md``
+for the migration guide).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, NoReturn, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -38,21 +36,7 @@ __all__ = [
     "DenseMobilityMatrix",
     "CallableMobility",
     "as_mobility",
-    "reject_call_shim",
 ]
-
-
-def reject_call_shim(cls_name: str) -> NoReturn:
-    """Raise the ``operator(f)`` removal error (shared shim).
-
-    The ``DeprecationWarning`` period for direct calls ended with the
-    execution-context release; direct calls now fail loudly with the
-    same migration hint the warning used to carry.
-    """
-    raise TypeError(
-        f"calling {cls_name} instances directly was removed; use "
-        f".apply(f) for single vectors or .apply_block(F) for "
-        f"multi-RHS blocks (see docs/api.md)")
 
 
 @runtime_checkable
@@ -113,9 +97,6 @@ class DenseMobilityMatrix:
         return LinearOperator(self.shape, matvec=self.apply,
                               matmat=self.apply_block, rmatvec=self.apply,
                               dtype=np.float64)
-
-    def __call__(self, forces: Any) -> np.ndarray:
-        reject_call_shim(type(self).__name__)
 
 
 class CallableMobility:

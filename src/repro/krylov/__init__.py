@@ -20,19 +20,18 @@ SpMV/PME applications (paper Section III.B).
 
 Modules:
 
-* :mod:`~repro.krylov.lanczos` -- single-vector Lanczos square root,
-* :mod:`~repro.krylov.block_lanczos` -- the block version,
+* :mod:`~repro.krylov.block_lanczos` -- block Lanczos square root (a
+  single vector is a block of one column),
+* :mod:`~repro.krylov.chebyshev` -- Chebyshev polynomial square root,
 * :mod:`~repro.krylov.reference` -- dense references (eigendecomposition
   square root, Cholesky sampling).
 """
 
-from .lanczos import lanczos_sqrt, LanczosInfo
-from .block_lanczos import block_lanczos_sqrt
+from .block_lanczos import LanczosInfo, block_lanczos_sqrt
 from .chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from .reference import dense_sqrt_apply, cholesky_displacements, dense_sqrtm
 
 __all__ = [
-    "lanczos_sqrt",
     "block_lanczos_sqrt",
     "chebyshev_sqrt",
     "eigenvalue_bounds",

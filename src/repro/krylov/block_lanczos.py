@@ -20,6 +20,7 @@ criterion is the Frobenius-norm relative update, matching the paper's
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -28,9 +29,30 @@ import scipy.linalg
 from .. import obs
 from ..errors import ConvergenceError
 from ..lint.contracts import array_arg
-from .lanczos import LanczosInfo
 
-__all__ = ["block_lanczos_sqrt"]
+__all__ = ["block_lanczos_sqrt", "LanczosInfo"]
+
+
+@dataclass
+class LanczosInfo:
+    """Diagnostics of a Krylov square-root solve.
+
+    Attributes
+    ----------
+    iterations:
+        Number of (block) Lanczos steps performed.
+    converged:
+        Whether the relative-update criterion was met.
+    rel_change:
+        Last relative update of the iterate.
+    n_matvecs:
+        Number of operator applications, counted per column.
+    """
+
+    iterations: int
+    converged: bool
+    rel_change: float
+    n_matvecs: int
 
 
 def _block_tridiag_sqrt_first(blocks_a: list[np.ndarray],
@@ -55,13 +77,24 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
                        ) -> tuple[np.ndarray, LanczosInfo]:
     """Approximate ``M^(1/2) Z`` for a block ``Z`` of shape ``(d, s)``.
 
-    Parameters mirror :func:`repro.krylov.lanczos.lanczos_sqrt`.
     ``matvec`` may be a :class:`~repro.core.mobility.MobilityOperator`
     (preferred — each iteration issues **one** batched
     ``apply_block``), a dense matrix, or a legacy ``matvec`` callable
     (wrapped via :func:`~repro.core.mobility.as_mobility`; callables
     that accept column blocks keep their block behaviour).  Returns
-    ``(Y, info)`` with ``Y`` of shape ``(d, s)``.
+    ``(Y, info)`` with ``Y`` of shape ``(d, s)``; a single vector is
+    the block ``z[:, None]``.
+
+    Parameters
+    ----------
+    tol:
+        Frobenius-norm relative-update stopping tolerance (the paper's
+        ``e_k``).
+    max_iter:
+        Maximum block steps (capped at ``d // s``); exceeding it raises
+        :class:`~repro.errors.ConvergenceError`.
+    reorthogonalize:
+        Re-orthogonalize each new block against the full basis.
 
     Rank deficiency of a new block (an invariant subspace) terminates
     the expansion; the current iterate is then exact on the subspace

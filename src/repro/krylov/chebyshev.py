@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConvergenceError
-from .lanczos import LanczosInfo
+from .block_lanczos import LanczosInfo
 
 __all__ = ["eigenvalue_bounds", "chebyshev_coefficients", "chebyshev_sqrt"]
 

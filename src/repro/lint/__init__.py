@@ -42,8 +42,6 @@ from .contracts import (
 # the numeric core's ``from ..lint.contracts import ...`` does not load
 # the rule engine into every process.
 _ANALYSER_NAMES = {
-    "Baseline": "baseline",
-    "apply_baseline": "baseline",
     "lint_paths": "engine",
     "lint_source": "engine",
     "Finding": "findings",
@@ -71,8 +69,6 @@ __all__ = [
     "all_rules",
     "get_rule",
     "resolve_selection",
-    "Baseline",
-    "apply_baseline",
     "OFF",
     "BASIC",
     "STRICT",

@@ -8,10 +8,6 @@ Invocations::
 
 Exit codes follow the convention CI gates on: ``0`` no findings, ``1``
 findings were reported, ``2`` usage error (bad path / unknown rule).
-
-Beyond plain linting the CLI drives the baseline workflow:
-``--baseline write`` snapshots current findings to a baseline file;
-``--baseline check`` fails only on findings not covered by it.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import sys
 from typing import TextIO
 
 from ..errors import ConfigurationError
-from .baseline import DEFAULT_BASELINE, Baseline, apply_baseline
 from .findings import Finding, report_to_dict
 from .engine import lint_paths
 from .registry import all_rules
@@ -51,14 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="RULES",
                         help="comma-separated rule-id prefixes to disable; "
                              "repeatable")
-    parser.add_argument("--baseline", choices=["write", "check"],
-                        default=None,
-                        help="write: snapshot findings to the baseline "
-                             "file; check: fail only on findings not in it")
-    parser.add_argument("--baseline-file", default=DEFAULT_BASELINE,
-                        metavar="PATH",
-                        help=f"baseline location (default: "
-                             f"{DEFAULT_BASELINE})")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
     return parser
@@ -104,8 +91,7 @@ def format_github(finding: Finding) -> str:
             f"title={title}::{_escape(message, prop=False)}")
 
 
-def _emit(findings: list[Finding], files_checked: int, fmt: str,
-          trailer: str = "") -> None:
+def _emit(findings: list[Finding], files_checked: int, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report_to_dict(findings, files_checked), indent=2))
         return
@@ -118,8 +104,6 @@ def _emit(findings: list[Finding], files_checked: int, fmt: str,
     summary = (f"{len(findings)} finding(s) in {files_checked} file(s)"
                if findings else
                f"clean: {files_checked} file(s), no findings")
-    if trailer:
-        summary += f" ({trailer})"
     print(summary)
 
 
@@ -136,21 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         findings, files_checked = lint_paths(
             args.paths, select=_split_csv(args.select),
             ignore=_split_csv(args.ignore))
-
-        if args.baseline == "write":
-            Baseline.from_findings(findings).write(args.baseline_file)
-            print(f"baseline: wrote {len(findings)} finding(s) to "
-                  f"{args.baseline_file}")
-            return 0
-        if args.baseline == "check":
-            baseline = Baseline.load(args.baseline_file)
-            findings, suppressed, stale = apply_baseline(findings, baseline)
-            for key in stale:
-                print(f"repro-lint: note: stale baseline entry {key!r} "
-                      f"(fixed? shrink the baseline)", file=sys.stderr)
-            trailer = f"{suppressed} baselined" if suppressed else ""
-            _emit(findings, files_checked, args.format, trailer)
-            return 1 if findings else 0
     except ConfigurationError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2

@@ -274,10 +274,6 @@ class PMEOperator:
     #: ``u = M f`` — the batched pipeline with one column.
     apply = apply_block
 
-    def __call__(self, forces) -> np.ndarray:
-        from ..core.mobility import reject_call_shim  # deferred: import cycle
-        reject_call_shim(type(self).__name__)
-
     def apply_real(self, forces) -> np.ndarray:
         """Real-space + self contribution in ``mu0`` units (the real
         half of :meth:`apply_block`)."""

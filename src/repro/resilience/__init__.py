@@ -16,7 +16,9 @@ This subpackage provides
 * :mod:`~repro.resilience.recovery` — the retry → Chebyshev → dense
   reference degradation ladder,
 * :mod:`~repro.resilience.faults` — the deterministic fault-injection
-  harness used by the tests and ``repro simulate --inject-faults``.
+  engine (:class:`FaultPlan`) behind the tests and the
+  ``--inject-faults`` option of ``repro simulate`` and ``repro
+  ensemble``.
 
 ``faults`` is imported lazily (it wraps concrete :mod:`repro.core`
 classes, which themselves use this package's policy types).
@@ -44,8 +46,8 @@ __all__ = [
     "krylov_displacements_resilient",
     "cholesky_displacements_resilient",
     "materialize_operator",
-    "FaultSchedule",
-    "InjectedFault",
+    "FaultPlan",
+    "Fault",
     "FaultyForceField",
     "FaultyOperator",
     "FaultyKrylovGenerator",
@@ -53,7 +55,7 @@ __all__ = [
     "install_faults",
 ]
 
-_FAULT_NAMES = {"FaultSchedule", "InjectedFault", "FaultyForceField",
+_FAULT_NAMES = {"FaultPlan", "Fault", "FaultyForceField",
                 "FaultyOperator", "FaultyKrylovGenerator",
                 "faulty_checkpoint_callback", "install_faults"}
 

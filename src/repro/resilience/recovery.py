@@ -32,8 +32,8 @@ from ..errors import (
     ConvergenceError,
     NotPositiveDefiniteError,
 )
+from ..krylov.block_lanczos import LanczosInfo
 from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
-from ..krylov.lanczos import LanczosInfo
 from ..krylov.reference import cholesky_displacements, dense_sqrtm
 from .failures import FailureKind, StepFailure, classify_exception
 from .policy import RecoveryLog, RecoveryPolicy

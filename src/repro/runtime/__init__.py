@@ -13,16 +13,15 @@ slowdowns and corrupted results:
   circuit breakers, graceful drain,
 * :mod:`~repro.runtime.worker` — the worker-process entry point
   (checkpointed stepping, heartbeats, fault execution),
-* :mod:`~repro.runtime.faults` — deterministic *process-level* fault
-  injection (:class:`ProcessFaultPlan`: kill/hang/slow/corrupt),
 * :mod:`~repro.runtime.signals` — :class:`GracefulShutdown`, shared
   with ``repro simulate --max-wall-time``.
 
-See ``docs/robustness.md`` ("Supervision tree") for the state machine
-and protocol.
+Process faults (kill/hang/slow/corrupt) are planned by
+:class:`~repro.resilience.faults.FaultPlan`, the one fault-injection
+engine.  See ``docs/robustness.md`` ("Supervision tree") for the state
+machine and protocol.
 """
 
-from .faults import FAULT_KINDS, ProcessFault, ProcessFaultPlan
 from .signals import GracefulShutdown
 from .supervisor import Supervisor, SupervisorReport, WorkerRestart
 from .tasks import (
@@ -38,6 +37,5 @@ __all__ = [
     "TaskSpec", "TaskRecord", "TaskState", "CampaignManifest",
     "make_ensemble", "positions_digest",
     "Supervisor", "SupervisorReport", "WorkerRestart",
-    "ProcessFault", "ProcessFaultPlan", "FAULT_KINDS",
     "GracefulShutdown",
 ]

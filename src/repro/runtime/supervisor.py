@@ -44,8 +44,8 @@ from ..errors import ConfigurationError
 from ..obs.collect import CampaignCollection, TraceContext, collect_campaign
 from ..resilience.backoff import BackoffPolicy, CircuitBreaker
 from ..resilience.failures import FailureKind, StepFailure
+from ..resilience.faults import FaultPlan
 from ..utils.timing import now
-from .faults import ProcessFaultPlan
 from .signals import GracefulShutdown
 from .tasks import (
     CampaignManifest,
@@ -95,7 +95,7 @@ class SupervisorReport:
 
     manifest: CampaignManifest
     restarts: list[WorkerRestart] = field(default_factory=list)
-    fault_plan: ProcessFaultPlan | None = None
+    fault_plan: FaultPlan | None = None
     #: Largest heartbeat silence observed on a live worker (seconds).
     max_heartbeat_lag: float = 0.0
     drained: bool = False
@@ -220,8 +220,10 @@ class Supervisor:
         Consecutive failures before a task's circuit breaker opens
         (first trip: safe-mode reroute; second trip: quarantine).
     fault_plan:
-        Optional :class:`ProcessFaultPlan`; faults are assigned at
-        :meth:`run` start and injected on first attempts only.
+        Optional :class:`~repro.resilience.faults.FaultPlan` of process
+        faults; they are assigned at :meth:`run` start and injected on
+        first attempts only.  A plan with in-process rates, calls or
+        checkpoint events is rejected.
     manifest_path:
         Where the resumable manifest is written; defaults to
         ``<checkpoint_dir>/campaign.json``.
@@ -238,7 +240,7 @@ class Supervisor:
                  deadline: float | None = None, hang_timeout: float = 5.0,
                  backoff: BackoffPolicy | None = None,
                  breaker_threshold: int = 3,
-                 fault_plan: ProcessFaultPlan | None = None,
+                 fault_plan: FaultPlan | None = None,
                  manifest_path: str | None = None,
                  max_worker_restarts: int = 50,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -246,6 +248,11 @@ class Supervisor:
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}")
+        if fault_plan is not None and fault_plan.in_process_keys():
+            raise ConfigurationError(
+                f"fault key {fault_plan.in_process_keys()[0]!r} is an "
+                "in-process fault: an ensemble injects only kill, hang, "
+                "slow and corrupt (in-process faults need repro simulate)")
         self.records: list[TaskRecord] = []
         for task in tasks:
             record = (task if isinstance(task, TaskRecord)

@@ -14,7 +14,7 @@ one :class:`~repro.runtime.tasks.TaskSpec` at a time:
    SHA-256 digest — the supervisor recomputes the digest on receipt,
    so a corrupted payload is detected end-to-end.
 
-Process faults from the :class:`~repro.runtime.faults.ProcessFaultPlan`
+Process faults from the :class:`~repro.resilience.faults.FaultPlan`
 are executed here: ``kill`` SIGKILLs the worker mid-step, ``hang``
 stops both progress and heartbeats (the supervisor's watchdog must
 notice), ``slow`` injects per-step delay while heartbeats continue
@@ -36,10 +36,8 @@ from typing import Any
 import numpy as np
 
 from ..core.checkpoint import (
-    fsync_directory,
+    checkpoint_callback,
     load_checkpoint_with_fallback,
-    previous_checkpoint_path,
-    save_checkpoint,
 )
 from ..core.forces import RepulsiveHarmonic
 from ..core.integrators import MatrixFreeBD
@@ -126,6 +124,8 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
 
     last_hb = [now()]
     progress = {"gstep": step0}
+    write_checkpoint = checkpoint_callback(ckpt_path, integrator,
+                                           spec.lambda_rpy)
 
     def callback(step: int, wrapped: np.ndarray,
                  unwrapped: np.ndarray) -> None:
@@ -139,11 +139,7 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
         if fault_kind == "slow" and gstep >= fault_step:
             time.sleep(slow_per_step)
         if gstep % spec.lambda_rpy == 0:
-            if os.path.exists(ckpt_path):
-                os.replace(ckpt_path, previous_checkpoint_path(ckpt_path))
-                fsync_directory(checkpoint_dir)
-            save_checkpoint(ckpt_path, wrapped, unwrapped,
-                            gstep, integrator.rng)
+            write_checkpoint(gstep, wrapped, unwrapped)
             conn.send({"msg": "checkpoint", "task_id": spec.task_id,
                        "completed_step": gstep, "checkpoint": ckpt_path})
             last_hb[0] = now()

@@ -2,7 +2,8 @@
 
 The physics requirement (fluctuation-dissipation): the displacement
 block must have covariance ``2 kT dt M``.  Verified statistically for
-both the Cholesky and the Krylov generator on a real Ewald mobility.
+every sampler (Cholesky, block Lanczos, Chebyshev) on a real Ewald
+mobility.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro import Box
 from repro.core.brownian import (
+    ChebyshevBrownianGenerator,
     CholeskyBrownianGenerator,
     KrylovBrownianGenerator,
 )
@@ -37,25 +39,23 @@ def _empirical_covariance(generate, d, n_samples, seed, batch=500):
     return acc / n_samples
 
 
-def test_cholesky_covariance(mobility):
-    kT, dt = 1.0, 1e-3
-    gen = CholeskyBrownianGenerator(kT=kT, dt=dt)
-    d = mobility.shape[0]
-    cov = _empirical_covariance(lambda z: gen.generate(mobility, z), d,
-                                30_000, seed=0)
-    target = 2 * kT * dt * mobility
-    assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
-
-
-def test_krylov_covariance(mobility):
-    kT, dt = 1.0, 1e-3
-    gen = KrylovBrownianGenerator(kT=kT, dt=dt, tol=1e-6)
-    d = mobility.shape[0]
+@pytest.mark.parametrize("make, seed, batch", [
+    pytest.param(lambda: CholeskyBrownianGenerator(kT=1.0, dt=1e-3),
+                 0, 500, id="cholesky"),
     # block size must not exceed the dimension (24 here)
-    cov = _empirical_covariance(
-        lambda z: gen.generate(lambda v: mobility @ v, z), d,
-        30_000, seed=1, batch=8)
-    target = 2 * kT * dt * mobility
+    pytest.param(lambda: KrylovBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-6),
+                 1, 8, id="block_lanczos"),
+    pytest.param(lambda: ChebyshevBrownianGenerator(kT=1.0, dt=1e-3,
+                                                    tol=1e-5),
+                 8, 500, id="chebyshev"),
+])
+def test_fluctuation_dissipation(mobility, make, seed, batch):
+    """Every sampler's displacements have covariance ``2 kT dt M``."""
+    gen = make()
+    cov = _empirical_covariance(lambda z: gen.generate(mobility, z),
+                                mobility.shape[0], 30_000, seed=seed,
+                                batch=batch)
+    target = 2 * 1.0 * 1e-3 * mobility
     assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
 
 

@@ -114,22 +114,6 @@ class TestGeneratorOnRealMobility:
         r = rng.uniform(0, box.length, size=(8, 3))
         return EwaldSummation(box=box, tol=1e-10).matrix(r)
 
-    def test_covariance(self, mobility):
-        kT, dt = 1.0, 1e-3
-        gen = ChebyshevBrownianGenerator(kT=kT, dt=dt, tol=1e-5)
-        d = mobility.shape[0]
-        rng = np.random.default_rng(8)
-        acc = np.zeros((d, d))
-        n_samples = 30_000
-        batch = 500
-        for _ in range(n_samples // batch):
-            z = rng.standard_normal((d, batch))
-            g = gen.generate(lambda v: mobility @ v, z)
-            acc += g @ g.T
-        cov = acc / n_samples
-        target = 2 * kT * dt * mobility
-        assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
-
     def test_quadratic_form_matches_krylov(self, mobility):
         from repro.core.brownian import KrylovBrownianGenerator
         z = np.random.default_rng(9).standard_normal((mobility.shape[0], 4))

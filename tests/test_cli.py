@@ -77,6 +77,25 @@ def test_simulate_ewald_backend(tmp_path):
     assert traj.n_particles == 20
 
 
+@pytest.mark.parametrize("command, spec, key", [
+    ("simulate", "kill=1", "kill"),
+    ("ensemble", "lanczos=0.1", "lanczos"),
+])
+def test_inject_faults_rejects_the_other_levels_keys(tmp_path, command,
+                                                     spec, key):
+    # simulate injects in-process faults only, ensemble process faults
+    # only; each names the key it cannot inject
+    from repro.errors import ConfigurationError
+
+    argv = {"simulate": ["simulate", "-n", "20", "--steps", "2",
+                         "--e-p", "1e-2", "-o", str(tmp_path / "t.npz")],
+            "ensemble": ["ensemble", "-n", "20", "--steps", "2",
+                         "--tasks", "1", "--checkpoint-dir",
+                         str(tmp_path / "campaign")]}[command]
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        main(argv + ["--inject-faults", spec])
+
+
 def test_profile_prints_phase_table(tmp_path, capsys):
     metrics = tmp_path / "m.prom"
     rc = main(["profile", "-n", "30", "--phi", "0.1", "--steps", "2",

@@ -291,7 +291,6 @@ def test_returns_spd_passes_on_real_mobility(checks):
 def test_contracts_introspection_attribute():
     from repro.core.brownian import CholeskyBrownianGenerator
     from repro.krylov.block_lanczos import block_lanczos_sqrt
-    from repro.krylov.lanczos import lanczos_sqrt
     from repro.pme.operator import PMEOperator
     from repro.rpy.ewald import EwaldSummation
     from repro.rpy.tensor import mobility_matrix_free
@@ -303,7 +302,6 @@ def test_contracts_introspection_attribute():
         mobility_matrix_free,
         EwaldSummation.matrix,
         EwaldSummation.apply,
-        lanczos_sqrt,
         block_lanczos_sqrt,
         BlockCSR.matvec,
         CholeskyBrownianGenerator.generate,

@@ -1,4 +1,4 @@
-"""Tests for the Lanczos and block Lanczos square-root solvers."""
+"""Tests for the block Lanczos square-root solver and its dense references."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.krylov import (
     cholesky_displacements,
     dense_sqrt_apply,
     dense_sqrtm,
-    lanczos_sqrt,
 )
 
 
@@ -51,14 +50,7 @@ class TestDenseReference:
 
 
 class TestSingleVector:
-    def test_converges_to_reference(self):
-        m = _random_spd(60, 4)
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal(60)
-        ref = dense_sqrt_apply(m, z)
-        y, info = lanczos_sqrt(lambda v: m @ v, z, tol=1e-8)
-        assert info.converged
-        np.testing.assert_allclose(y, ref, rtol=1e-6)
+    """One-column blocks: the single-vector Lanczos square root."""
 
     def test_tolerance_controls_error(self):
         m = _random_spd(80, 6, cond=1000.0)
@@ -67,43 +59,28 @@ class TestSingleVector:
         ref = dense_sqrt_apply(m, z)
         errs = []
         for tol in (1e-1, 1e-3, 1e-6):
-            y, _ = lanczos_sqrt(lambda v: m @ v, z, tol=tol)
-            errs.append(np.linalg.norm(y - ref) / np.linalg.norm(ref))
+            y, _ = block_lanczos_sqrt(m, z[:, None], tol=tol)
+            errs.append(np.linalg.norm(y[:, 0] - ref) / np.linalg.norm(ref))
         assert errs[2] < errs[0]
         assert errs[2] < 1e-4
 
     def test_exact_on_identity(self):
         z = np.arange(1.0, 11.0)
-        y, info = lanczos_sqrt(lambda v: v, z, tol=1e-10)
-        np.testing.assert_allclose(y, z, rtol=1e-10)
+        y, info = block_lanczos_sqrt(np.eye(10), z[:, None], tol=1e-10)
+        np.testing.assert_allclose(y[:, 0], z, rtol=1e-10)
         assert info.iterations <= 3
 
     def test_diagonal_matrix(self):
         d = np.array([1.0, 4.0, 9.0, 16.0])
         z = np.ones(4)
-        y, _ = lanczos_sqrt(lambda v: d * v, z, tol=1e-12)
-        np.testing.assert_allclose(y, np.sqrt(d), rtol=1e-8)
-
-    def test_zero_vector(self):
-        y, info = lanczos_sqrt(lambda v: v, np.zeros(5), tol=1e-6)
-        np.testing.assert_allclose(y, 0.0)
-        assert info.iterations == 0
+        y, _ = block_lanczos_sqrt(np.diag(d), z[:, None], tol=1e-12)
+        np.testing.assert_allclose(y[:, 0], np.sqrt(d), rtol=1e-8)
 
     def test_raises_on_no_convergence(self):
         m = _random_spd(50, 8, cond=1e8)
         z = np.random.default_rng(9).standard_normal(50)
         with pytest.raises(ConvergenceError):
-            lanczos_sqrt(lambda v: m @ v, z, tol=1e-14, max_iter=3)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            lanczos_sqrt(lambda v: v, np.ones((4, 2)))
-
-    def test_matvec_count(self):
-        m = _random_spd(30, 10)
-        z = np.random.default_rng(11).standard_normal(30)
-        _, info = lanczos_sqrt(lambda v: m @ v, z, tol=1e-6)
-        assert info.n_matvecs == info.iterations
+            block_lanczos_sqrt(m, z[:, None], tol=1e-14, max_iter=3)
 
 
 class TestBlock:
@@ -122,16 +99,17 @@ class TestBlock:
         rng = np.random.default_rng(15)
         z = rng.standard_normal((120, 10))
         _, info_block = block_lanczos_sqrt(lambda v: m @ v, z, tol=1e-6)
-        _, info_single = lanczos_sqrt(lambda v: m @ v, z[:, 0], tol=1e-6)
+        _, info_single = block_lanczos_sqrt(lambda v: m @ v, z[:, :1],
+                                            tol=1e-6)
         assert info_block.iterations < info_single.iterations
 
     def test_block_size_one_matches_single(self):
         m = _random_spd(40, 16)
         z = np.random.default_rng(17).standard_normal(40)
-        y1, _ = lanczos_sqrt(lambda v: m @ v, z, tol=1e-9)
         yb, _ = block_lanczos_sqrt(lambda v: m @ v.reshape(40, -1),
                                    z[:, None], tol=1e-9)
-        np.testing.assert_allclose(yb[:, 0], y1, rtol=1e-6)
+        np.testing.assert_allclose(yb[:, 0], dense_sqrt_apply(m, z),
+                                   rtol=1e-6)
 
     def test_rank_deficient_start(self):
         # duplicated columns create an invariant subspace; solver must
@@ -170,5 +148,5 @@ def test_lanczos_property_accuracy(d, seed):
     m = _random_spd(d, seed, cond=50.0)
     z = np.random.default_rng(seed + 1).standard_normal(d)
     ref = dense_sqrt_apply(m, z)
-    y, _ = lanczos_sqrt(lambda v: m @ v, z, tol=1e-9, max_iter=d)
-    assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-6
+    y, _ = block_lanczos_sqrt(m, z[:, None], tol=1e-9, max_iter=d)
+    assert np.linalg.norm(y[:, 0] - ref) / np.linalg.norm(ref) < 1e-6

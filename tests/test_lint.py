@@ -1,5 +1,5 @@
 """Tests of the static layer: rules RPR001-RPR012, noqa, selection,
-baselines, CLI, output formats."""
+CLI, output formats."""
 
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.lint import (
     REPORT_JSON_SCHEMA,
-    Baseline,
     all_rules,
-    apply_baseline,
     lint_paths,
     lint_source,
     resolve_selection,
 )
-from repro.lint.baseline import fingerprint
 from repro.lint.cli import format_github, main as lint_main
 from repro.lint.findings import Finding
 
@@ -636,6 +633,8 @@ def test_list_rules_is_the_file_rule_set(tmp_path, capsys):
     # grep for leftover uses of it stays empty)
     assert _exit_code([str(clean), "--" + "graph",
                        str(tmp_path / "x.json")]) == 2
+    # so is the finding-baseline workflow
+    assert _exit_code([str(clean), "--baseline", "check"]) == 2
 
 
 def _validate_against_schema(doc: dict) -> None:
@@ -680,78 +679,6 @@ def test_cli_github_format(tmp_path, capsys):
     assert lint_main([str(target), "--output-format", "github"]) == 1
     out = capsys.readouterr().out
     assert "::warning file=" in out and "RPR005" in out
-
-
-# ----------------------------------------------------------------------
-# baseline workflow
-# ----------------------------------------------------------------------
-
-def _finding(path="a.py", line=3, rule="RPR005", message="m"):
-    return Finding(path=path, line=line, col=0, rule=rule, message=message)
-
-
-def test_baseline_roundtrip_and_check(tmp_path):
-    baseline_file = tmp_path / "lint-baseline.json"
-    known = [_finding(line=3), _finding(line=9)]  # same fingerprint x2
-    Baseline.from_findings(known).write(baseline_file)
-
-    loaded = Baseline.load(baseline_file)
-    assert loaded.entries == {fingerprint(known[0]): 2}
-
-    new, suppressed, stale = apply_baseline(
-        known + [_finding(line=30, rule="RPR002")], loaded)
-    assert suppressed == 2
-    assert [f.rule for f in new] == ["RPR002"]
-    assert stale == []
-
-
-def test_baseline_excess_occurrences_surface(tmp_path):
-    baseline = Baseline.from_findings([_finding(line=3)])
-    new, suppressed, _ = apply_baseline(
-        [_finding(line=3), _finding(line=7)], baseline)
-    assert suppressed == 1
-    assert len(new) == 1
-
-
-def test_baseline_stale_entries_reported():
-    baseline = Baseline.from_findings([_finding()])
-    new, suppressed, stale = apply_baseline([], baseline)
-    assert new == [] and suppressed == 0
-    assert stale == [fingerprint(_finding())]
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert Baseline.load(tmp_path / "absent.json").entries == {}
-
-
-def test_baseline_rejects_foreign_json(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text('{"some": "other file"}')
-    with pytest.raises(ConfigurationError, match="entries"):
-        Baseline.load(bad)
-    bad.write_text('{"version": 99, "entries": {}}')
-    with pytest.raises(ConfigurationError, match="version"):
-        Baseline.load(bad)
-
-
-def test_cli_baseline_write_then_check(tmp_path, capsys):
-    target = tmp_path / "code.py"
-    target.write_text("import numpy as np\n"
-                      "x = np.zeros(3, dtype=np.float32)\n")
-    baseline_file = tmp_path / "bl.json"
-
-    assert lint_main([str(target), "--baseline", "write",
-                      "--baseline-file", str(baseline_file)]) == 0
-    assert lint_main([str(target), "--baseline", "check",
-                      "--baseline-file", str(baseline_file)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-    # a new finding is NOT covered
-    target.write_text(target.read_text() +
-                      "y = np.zeros(4, dtype=np.float32)\n")
-    assert lint_main([str(target), "--baseline", "check",
-                      "--baseline-file", str(baseline_file)]) == 1
 
 
 def test_repro_cli_lint_subcommand(seeded_file):

