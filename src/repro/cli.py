@@ -187,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compute-threads", type=int, default=0,
                        help="thread pool size for applies/builds "
                             "(0 = REPRO_EXEC_WORKERS resolution)")
-    serve.add_argument("--sim-workers", type=int, default=1,
-                       help="Supervisor workers per simulate job "
-                            "(default 1)")
     serve.add_argument("--cache-entries", type=int, default=256,
                        help="result cache LRU bound (default 256)")
     serve.add_argument("--cache-ttl", type=float, default=600.0,
@@ -250,16 +247,19 @@ def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _obs_wanted(args) -> bool:
-    return any(getattr(args, name, None) is not None
-               for name in ("trace", "chrome_trace", "metrics"))
+    # profile always traces: its table is read off the tracer
+    return args.command == "profile" or any(
+        getattr(args, name, None) is not None
+        for name in ("trace", "chrome_trace", "metrics"))
 
 
-def _write_obs_outputs(args, tracer, registry) -> None:
+def _write_obs_outputs(args, merged, registry) -> None:
+    """Write the requested trace and metrics files (every command)."""
     if args.trace is not None:
-        path = tracer.write_jsonl(args.trace)
-        print(f"trace: {len(tracer.events)} events -> {path}")
+        path = merged.write_jsonl(args.trace)
+        print(f"trace: {len(merged.events)} events -> {path}")
     if args.chrome_trace is not None:
-        path = tracer.write_chrome_trace(args.chrome_trace)
+        path = merged.write_chrome_trace(args.chrome_trace)
         print(f"chrome trace -> {path}")
     if args.metrics is not None:
         path = registry.write(args.metrics)
@@ -269,9 +269,10 @@ def _write_obs_outputs(args, tracer, registry) -> None:
 def _with_obs(args, runner, write_outputs: bool = True) -> int:
     """Run ``runner(args)`` under a fresh tracer/registry if requested.
 
+    The process's own trace is written as a one-track merge;
     ``write_outputs=False`` leaves the export to the runner — the
-    ensemble command writes *merged* cross-process outputs instead of
-    the supervisor-only view this helper would produce.
+    ensemble command writes the campaign merge with every worker's
+    track instead.
     """
     if not _obs_wanted(args):
         return runner(args)
@@ -287,7 +288,8 @@ def _with_obs(args, runner, write_outputs: bool = True) -> int:
         obs.set_tracer(previous_tracer)
         obs.set_metrics(previous_registry)
     if write_outputs:
-        _write_obs_outputs(args, tracer, registry)
+        merged = obs.merge_traces([tracer.track_group(args.command)])
+        _write_obs_outputs(args, merged, registry)
     return code
 
 
@@ -432,16 +434,7 @@ def _run_ensemble(args) -> int:
         print(f"observability: {collection.summary()}")
         for kind, path in sorted(collection.outputs.items()):
             print(f"  {kind} -> {path}")
-        if args.trace is not None:
-            path = collection.merged.write_jsonl(args.trace)
-            print(f"merged trace: {len(collection.merged.events)} "
-                  f"events -> {path}")
-        if args.chrome_trace is not None:
-            path = collection.merged.write_chrome_trace(args.chrome_trace)
-            print(f"merged chrome trace -> {path}")
-        if args.metrics is not None:
-            path = collection.metrics.write(args.metrics)
-            print(f"aggregated metrics -> {path}")
+        _write_obs_outputs(args, collection.merged, collection.metrics)
     if report.drained:
         print("resumable: campaign drained; continue with "
               f"`repro ensemble --resume --checkpoint-dir "
@@ -450,13 +443,16 @@ def _run_ensemble(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    return _with_obs(args, _run_profile)
+
+
+def _run_profile(args) -> int:
     from .obs.profiling import BUILD_SPANS, run_profile
 
     report = run_profile(
         n=args.particles, phi=args.phi, steps=args.steps, dt=args.dt,
         lambda_rpy=args.lambda_rpy, e_k=args.e_k, e_p=args.e_p,
-        seed=args.seed, trace_path=args.trace,
-        chrome_path=args.chrome_trace, metrics_path=args.metrics)
+        seed=args.seed)
     print(report.format_table())
     print("operator build (s): " + ", ".join(
         f"{name[4:]}={report.totals[name]:.4g}" for name in BUILD_SPANS
@@ -473,9 +469,7 @@ def _cmd_profile(args) -> int:
         # another box (with cores=1: the rates are one-core rates)
         report.machine = calibrate_host()
         print(f"this host, calibrated: {report.machine!r}")
-        report.outputs["json"] = report.write_json(args.json)
-    for kind, path in report.outputs.items():
-        print(f"{kind} -> {path}")
+        print(f"json -> {report.write_json(args.json)}")
     return 0
 
 
@@ -597,7 +591,6 @@ def _run_serve(args) -> int:
         max_queue_columns=args.max_queue,
         max_inflight=args.max_inflight, max_jobs=args.max_jobs,
         compute_threads=args.compute_threads,
-        sim_workers=args.sim_workers,
         cache_entries=args.cache_entries,
         cache_ttl=(None if args.cache_ttl == 0 else args.cache_ttl),
         work_dir=args.work_dir)

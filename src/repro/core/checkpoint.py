@@ -72,6 +72,35 @@ def fsync_directory(directory: str | os.PathLike) -> bool:
         os.close(dir_fd)
 
 
+def _write_durably(path: str | os.PathLike, write, *, prefix: str,
+                   mode: str) -> None:
+    """Replace ``path`` with what ``write(fh)`` writes, crash-safely.
+
+    The bytes are staged in a temporary file in the destination
+    directory, flushed and fsynced, then moved into place with
+    :func:`os.replace` (the temporary file is removed on any error), and
+    the rename is persisted with :func:`fsync_directory` — without it
+    the new file can vanish on power loss between rename and journal
+    flush.  The one durable write of checkpoints and campaign manifests.
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    fsync_directory(directory)
+
+
 def _payload_checksum(wrapped: np.ndarray, unwrapped: np.ndarray,
                       step: int, state: str) -> str:
     """SHA-256 over a canonical serialization of the checkpoint payload."""
@@ -114,33 +143,18 @@ def save_checkpoint(path: str | os.PathLike, wrapped: np.ndarray,
     state = json.dumps(rng.bit_generator.state)
     checksum = _payload_checksum(wrapped, unwrapped, step, state)
 
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                format_version=_FORMAT_VERSION,
-                wrapped=wrapped,
-                unwrapped=unwrapped,
-                step=int(step),
-                rng_state=np.frombuffer(state.encode(), dtype=np.uint8),
-                checksum=np.frombuffer(checksum.encode(), dtype=np.uint8),
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    # persist the rename itself: without the directory fsync the new
-    # checkpoint can vanish on power loss between rename and journal flush
-    fsync_directory(directory)
+    def write(fh) -> None:
+        np.savez_compressed(
+            fh,
+            format_version=_FORMAT_VERSION,
+            wrapped=wrapped,
+            unwrapped=unwrapped,
+            step=int(step),
+            rng_state=np.frombuffer(state.encode(), dtype=np.uint8),
+            checksum=np.frombuffer(checksum.encode(), dtype=np.uint8),
+        )
+
+    _write_durably(path, write, prefix=".ckpt-", mode="wb")
 
 
 def load_checkpoint(path: str | os.PathLike

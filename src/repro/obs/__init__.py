@@ -3,8 +3,10 @@
 The observability layer every other subsystem reports into (the
 instrumentation behind the paper's Section V evaluation):
 
-* :mod:`repro.obs.trace` — span-based tracer with thread-safe nesting,
-  JSONL event logs and Chrome ``chrome://tracing`` / Perfetto export;
+* :mod:`repro.obs.trace` — span-based tracer with thread-safe nesting;
+* :mod:`repro.obs.collect` — the trace merge and its JSONL and Chrome
+  ``chrome://tracing`` / Perfetto encoders (one process or a whole
+  campaign), plus the ensemble's cross-process spools;
 * :mod:`repro.obs.metrics` — counters, gauges and histograms with
   Prometheus-text and JSON export;
 * :mod:`repro.obs.schema` — published schemas + validators for every
@@ -22,9 +24,9 @@ streams.  Typical usage::
 
     tracer, registry = obs.enable()
     ...  # run a simulation
-    tracer.write_jsonl("out.jsonl")
-    registry.write("out.prom")
     obs.disable()
+    obs.merge_traces([tracer.track_group()]).write_jsonl("out.jsonl")
+    registry.write("out.prom")
 
 Inside library code, use the fast-path facades::
 
@@ -80,15 +82,13 @@ from .trace import (
     read_jsonl_header,
     set_tracer,
     span,
-    to_chrome_trace,
     tracing_enabled,
-    write_jsonl,
 )
 
 __all__ = [
     "SpanEvent", "Tracer", "span", "instant", "get_tracer", "set_tracer",
-    "tracing_enabled", "read_jsonl", "read_jsonl_header", "write_jsonl",
-    "to_chrome_trace", "clock", "TRACE_SCHEMA",
+    "tracing_enabled", "read_jsonl", "read_jsonl_header", "clock",
+    "TRACE_SCHEMA",
     "TraceContext", "SpoolWriter", "SpoolingSession", "TrackGroup",
     "MergedTrace", "merge_traces", "read_spool", "aggregate_metrics",
     "collect_campaign", "CampaignCollection", "spans_for_task",

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .metrics import MetricsRegistry, set_metrics
-from .trace import TRACE_SCHEMA, SpanEvent, Tracer, is_header, set_tracer
+from .trace import TRACE_SCHEMA, Tracer, TrackGroup, is_header, set_tracer
 
 __all__ = ["TraceContext", "SpoolWriter", "SpoolData", "SpoolingSession",
            "read_spool", "spool_path", "metrics_snapshot_path",
@@ -117,9 +117,6 @@ class SpoolWriter:
     def __init__(self, path: str | Path, *, pid: int, worker_id: int,
                  trace_id: str | None = None):
         self.path = Path(path)
-        self.pid = pid
-        self.worker_id = worker_id
-        self.trace_id = trace_id
         self._dropped = 0
         new = not self.path.exists() or self.path.stat().st_size == 0
         self._fh = self.path.open("a", encoding="utf-8")
@@ -132,33 +129,25 @@ class SpoolWriter:
             self._fh.write(json.dumps(header) + "\n")
             self._fh.flush()
 
-    def write(self, events: Iterable[SpanEvent], epoch: float,
-              dropped: int = 0) -> int:
-        """Append drained events (timestamps shifted to absolute).
+    def write(self, track: TrackGroup) -> int:
+        """Append a drained :meth:`Tracer.track_group` (absolute
+        timestamps); returns the number of event lines written.
 
-        ``dropped`` is the draining tracer's cumulative drop count; an
-        increase since the last write is recorded in the spool as a
-        ``trace.dropped`` instant, so the cap is never silent even
-        when the process later dies.  Returns the number of event
-        lines written.
+        The track's trailing ``trace.dropped`` instant is kept only when
+        the cumulative drop count grew since the last write, so each
+        increase lands in the spool once and the cap is never silent
+        even when the process later dies.
         """
-        n = 0
-        for e in events:
-            d = e.to_dict()
-            d["ts"] = d["ts"] + epoch
+        events = track.events
+        if track.dropped:
+            if track.dropped <= self._dropped:
+                events = events[:-1]
+            self._dropped = track.dropped
+        for d in events:
             self._fh.write(json.dumps(d) + "\n")
-            n += 1
-        if dropped > self._dropped:
-            self._fh.write(json.dumps({
-                "name": "trace.dropped", "ph": "i", "ts": epoch,
-                "dur": 0.0, "tid": 0, "depth": 0, "pid": self.pid,
-                "worker_id": self.worker_id,
-                "args": {"dropped": dropped}}) + "\n")
-            self._dropped = dropped
-            n += 1
-        if n:
+        if events:
             self._fh.flush()
-        return n
+        return len(events)
 
     def close(self) -> None:
         self._fh.close()
@@ -266,8 +255,7 @@ class SpoolingSession:
     def flush(self) -> None:
         """Drain trace events to the spool; snapshot the metrics."""
         if self.tracer is not None and self.spool is not None:
-            self.spool.write(self.tracer.drain(), self.tracer.epoch,
-                             self.tracer.dropped)
+            self.spool.write(self.tracer.track_group(drain=True))
         if self.registry is not None:
             _write_json_atomic(self.metrics_path,
                                self.registry.to_json())
@@ -306,19 +294,6 @@ def _write_json_atomic(path: Path, doc: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # merging
 # ----------------------------------------------------------------------
-
-@dataclass
-class TrackGroup:
-    """One process track feeding the merge (supervisor or a worker)."""
-
-    label: str
-    pid: int
-    #: Event dicts with *absolute* tracer-clock ``ts`` (seconds).
-    events: list[dict[str, Any]]
-    worker_id: int | None = None
-    dropped: int = 0
-    truncated: bool = False
-
 
 @dataclass
 class MergedTrace:
@@ -589,15 +564,7 @@ def collect_campaign(directory: str | Path, *,
     spools: list[SpoolData] = []
 
     if supervisor_tracer is not None:
-        events = []
-        for e in supervisor_tracer._export_events():
-            d = e.to_dict()
-            d["ts"] = d["ts"] + supervisor_tracer.epoch
-            events.append(d)
-        groups.append(TrackGroup(
-            label="supervisor", pid=supervisor_tracer.pid,
-            events=events, worker_id=None,
-            dropped=supervisor_tracer.dropped))
+        groups.append(supervisor_tracer.track_group("supervisor"))
 
     for path in find_spools(directory):
         data = read_spool(path)

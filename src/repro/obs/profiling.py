@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from . import metrics as _metrics
+from ..errors import ConfigurationError
 from . import trace as _trace
 
 __all__ = ["PhaseRow", "ProfileReport", "run_profile", "PROFILE_SCHEMA"]
@@ -76,8 +76,6 @@ class ProfileReport:
     totals: dict[str, float] = field(default_factory=dict)
     #: Span counts per name.
     counts: dict[str, int] = field(default_factory=dict)
-    #: Paths written (trace/chrome/metrics), for the CLI summary.
-    outputs: dict[str, Path] = field(default_factory=dict)
     #: This host as :func:`repro.perfmodel.calibrate_host` measured it
     #: (``repro profile --json`` fills it in); ``None`` if not measured.
     machine: Any = None
@@ -133,37 +131,30 @@ class ProfileReport:
 
 def run_profile(n: int = 1000, phi: float = 0.2, steps: int = 5,
                 dt: float = 1e-3, lambda_rpy: int = 16,
-                e_k: float = 1e-2, e_p: float = 1e-3, seed: int = 0,
-                trace_path: str | Path | None = None,
-                chrome_path: str | Path | None = None,
-                metrics_path: str | Path | None = None,
-                max_events: int = 1_000_000) -> ProfileReport:
-    """Run a short traced simulation and aggregate the phase profile.
+                e_k: float = 1e-2, e_p: float = 1e-3,
+                seed: int = 0) -> ProfileReport:
+    """Run a short simulation and aggregate its phase profile.
 
-    A fresh tracer and metrics registry are installed for the duration
-    of the run and the previous globals restored afterwards, so
-    profiling composes with (and never corrupts) an enclosing
-    observability session.
+    The profile is read off the installed global tracer (``repro
+    profile`` installs a fresh one; library callers use
+    :func:`repro.obs.enable`), so every span it holds counts.
     """
     from ..core.simulation import Simulation
     from ..perfmodel import HOST, PMECostModel
     from ..systems.suspension import make_suspension
 
-    tracer = _trace.Tracer(max_events=max_events)
-    registry = _metrics.MetricsRegistry()
-    previous_tracer = _trace.set_tracer(tracer)
-    previous_registry = _metrics.set_metrics(registry)
-    try:
-        susp = make_suspension(n, phi, seed=seed)
-        sim = Simulation(susp, algorithm="matrix-free", dt=dt,
-                         lambda_rpy=lambda_rpy, seed=seed + 1, e_k=e_k,
-                         target_ep=e_p)
-        sim.run(n_steps=steps, record_interval=max(1, steps))
-        params = sim.integrator.pme_params
-        operator = sim.integrator.operator
-    finally:
-        _trace.set_tracer(previous_tracer)
-        _metrics.set_metrics(previous_registry)
+    tracer = _trace.get_tracer()
+    if tracer is None:
+        raise ConfigurationError(
+            "run_profile reads the installed tracer: call obs.enable() "
+            "first")
+    susp = make_suspension(n, phi, seed=seed)
+    sim = Simulation(susp, algorithm="matrix-free", dt=dt,
+                     lambda_rpy=lambda_rpy, seed=seed + 1, e_k=e_k,
+                     target_ep=e_p)
+    sim.run(n_steps=steps, record_interval=max(1, steps))
+    params = sim.integrator.pme_params
+    operator = sim.integrator.operator
 
     totals = tracer.totals()
     counts = tracer.counts()
@@ -188,13 +179,6 @@ def run_profile(n: int = 1000, phi: float = 0.2, steps: int = 5,
             predicted=(None if predicted is None
                        else predicted * n_apps)))
 
-    report = ProfileReport(n=n, K=params.K, p=params.p, steps=steps,
-                           applications=n_apps, rows=rows,
-                           totals=totals, counts=counts)
-    if trace_path is not None:
-        report.outputs["trace"] = tracer.write_jsonl(trace_path)
-    if chrome_path is not None:
-        report.outputs["chrome"] = tracer.write_chrome_trace(chrome_path)
-    if metrics_path is not None:
-        report.outputs["metrics"] = registry.write(metrics_path)
-    return report
+    return ProfileReport(n=n, K=params.K, p=params.p, steps=steps,
+                         applications=n_apps, rows=rows,
+                         totals=totals, counts=counts)

@@ -2,11 +2,10 @@
 
 A :class:`Tracer` records *spans* — named, timed, attributed intervals
 — with thread-safe nesting, plus zero-duration *instant* events (used
-by the recovery ladder).  The recorded stream exports to
-
-* JSONL (one event object per line, the ``--trace out.jsonl`` format),
-* the Chrome trace-event JSON consumed by ``chrome://tracing`` and
-  Perfetto (``ph: "X"`` complete events / ``ph: "i"`` instants).
+by the recovery ladder).  It only records: :meth:`Tracer.track_group`
+hands its events to :func:`repro.obs.collect.merge_traces`, whose
+:class:`~repro.obs.collect.MergedTrace` is the one JSONL and Chrome
+trace-event encoder — for one process as for a whole campaign.
 
 Tracing is **opt-in and near-free when off**: the module-level
 :func:`span` / :func:`instant` facades check one global and return a
@@ -28,12 +27,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = ["SpanEvent", "Tracer", "span", "instant", "get_tracer",
-           "set_tracer", "tracing_enabled", "write_jsonl", "read_jsonl",
-           "read_jsonl_header", "to_chrome_trace", "clock", "NULL_SPAN",
-           "TRACE_SCHEMA"]
+__all__ = ["SpanEvent", "TrackGroup", "Tracer", "span", "instant",
+           "get_tracer", "set_tracer", "tracing_enabled", "read_jsonl",
+           "read_jsonl_header", "clock", "NULL_SPAN", "TRACE_SCHEMA"]
 
 #: Version tag of the trace event/stream layout.  v2 adds the optional
 #: process-identity fields (``pid``/``worker_id``/``task_id``) and the
@@ -98,6 +96,19 @@ class SpanEvent:
         if self.args:
             out["args"] = self.args
         return out
+
+
+@dataclass
+class TrackGroup:
+    """One process track feeding the merge (supervisor or a worker)."""
+
+    label: str
+    pid: int
+    #: Event dicts with *absolute* tracer-clock ``ts`` (seconds).
+    events: list[dict[str, Any]]
+    worker_id: int | None = None
+    dropped: int = 0
+    truncated: bool = False
 
 
 class _NullSpan:
@@ -252,69 +263,35 @@ class Tracer:
             out[e.name] = out.get(e.name, 0) + 1
         return out
 
-    # -- export ------------------------------------------------------------
+    def track_group(self, label: str = "main", *,
+                    drain: bool = False) -> TrackGroup:
+        """The recorded events as one merge track, absolute timestamps.
 
-    def header(self) -> dict[str, Any]:
-        """The JSONL stream header (schema tag, drop count, context)."""
-        out: dict[str, Any] = {"schema": TRACE_SCHEMA,
-                               "dropped": self.dropped, "pid": self.pid,
-                               "epoch": self.epoch}
-        if self.worker_id is not None:
-            out["worker_id"] = self.worker_id
-        return out
-
-    def _export_events(self) -> list[SpanEvent]:
-        """Events to export, with a final ``trace.dropped`` instant when
-        the cap truncated the stream (no silent drops)."""
-        events = list(self.events)
-        if self.dropped:
+        When the ``max_events`` cap dropped events, a trailing
+        ``trace.dropped`` instant carries the cumulative count (no
+        silent drops).  ``drain=True`` removes the returned events from
+        the tracer, as :meth:`drain` does.
+        """
+        if drain:
+            events = self.drain()
+        else:
+            with self._lock:
+                events = list(self.events)
+        dropped = self.dropped
+        if dropped:
             events.append(SpanEvent(
                 name="trace.dropped", ts=time.perf_counter() - self.epoch,
                 dur=0.0, tid=threading.get_ident(), depth=0, phase="i",
-                args={"dropped": self.dropped,
-                      "max_events": self.max_events},
-                pid=self.pid, worker_id=self.worker_id))
-        return events
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write one JSON object per line; returns the path written.
-
-        The first line is the stream header (schema tag, ``dropped``
-        count, recording context); a nonzero drop count additionally
-        appends a ``trace.dropped`` instant event.
-        """
-        return write_jsonl(self._export_events(), path,
-                           header=self.header())
-
-    def to_chrome_trace(self) -> dict[str, Any]:
-        """The ``chrome://tracing`` / Perfetto JSON document."""
-        doc = to_chrome_trace(self._export_events())
-        doc["otherData"]["dropped"] = self.dropped
-        return doc
-
-    def write_chrome_trace(self, path: str | Path) -> Path:
-        """Write the Chrome trace-event JSON document to ``path``."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_chrome_trace()),
-                        encoding="utf-8")
-        return path
-
-
-def write_jsonl(events: Iterable[SpanEvent], path: str | Path,
-                header: dict[str, Any] | None = None) -> Path:
-    """Write events as JSON Lines (one event dict per line).
-
-    ``header``, when given, becomes the first line of the stream (the
-    schema-v2 header object; distinguished from events by its
-    ``schema`` key and absence of a ``name``).
-    """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps(header) + "\n")
-        for event in events:
-            fh.write(json.dumps(event.to_dict()) + "\n")
-    return path
+                args={"dropped": dropped, "max_events": self.max_events},
+                pid=self.pid, worker_id=self.worker_id,
+                task_id=self.task_id))
+        out = []
+        for e in events:
+            d = e.to_dict()
+            d["ts"] += self.epoch
+            out.append(d)
+        return TrackGroup(label=label, pid=self.pid, events=out,
+                          worker_id=self.worker_id, dropped=dropped)
 
 
 def is_header(obj: dict[str, Any]) -> bool:
@@ -349,43 +326,6 @@ def read_jsonl_header(path: str | Path) -> dict[str, Any] | None:
                 obj = json.loads(line)
                 return obj if is_header(obj) else None
     return None
-
-
-def to_chrome_trace(events: Iterable[SpanEvent]) -> dict[str, Any]:
-    """Convert events to the Chrome trace-event format.
-
-    Timestamps and durations are microseconds as the format requires;
-    the span's dotted root becomes the category.  Events stamped with
-    a ``pid`` (schema v2) keep it — merged multi-process traces rely
-    on it for their per-worker process tracks — and their
-    ``worker_id``/``task_id`` context lands in ``args`` so Perfetto
-    queries can correlate supervisor and worker spans.
-    """
-    own_pid = os.getpid()
-    trace_events = []
-    for e in events:
-        entry: dict[str, Any] = {
-            "name": e.name,
-            "cat": e.name.split(".", 1)[0],
-            "ph": e.phase,
-            "pid": own_pid if e.pid is None else e.pid,
-            "tid": e.tid,
-            "ts": e.ts * 1e6,
-        }
-        if e.phase == "X":
-            entry["dur"] = e.dur * 1e6
-        else:
-            entry["s"] = "t"  # thread-scoped instant
-        args = dict(e.args)
-        if e.worker_id is not None:
-            args.setdefault("worker_id", e.worker_id)
-        if e.task_id is not None:
-            args.setdefault("task_id", e.task_id)
-        if args:
-            entry["args"] = args
-        trace_events.append(entry)
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms",
-            "otherData": {"schema": TRACE_SCHEMA}}
 
 
 def clock() -> float:

@@ -25,11 +25,6 @@ parallel hardware.
 from .coloring import IndependentSetColoring
 from .partition import row_blocks, balance_by_cost
 from .hybrid import HybridScheduler, HybridPlan, OffloadModel
-from .decomposition import (
-    SlabDecomposition,
-    distributed_real_space_matrix,
-    merge_pair_blocks,
-)
 
 __all__ = [
     "IndependentSetColoring",
@@ -38,7 +33,4 @@ __all__ = [
     "HybridScheduler",
     "HybridPlan",
     "OffloadModel",
-    "SlabDecomposition",
-    "distributed_real_space_matrix",
-    "merge_pair_blocks",
 ]

@@ -222,9 +222,6 @@ class PMEOperator:
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
                 kernel=params.kernel)
-        registry = obs.get_metrics()
-        if registry is not None:
-            self._record_build_metrics(registry)
 
     # ------------------------------------------------------------------
     # application
@@ -374,49 +371,3 @@ class PMEOperator:
     def phase_breakdown(self) -> dict[str, float]:
         """Accumulated seconds per pipeline phase (Fig. 5 data)."""
         return self.timers.breakdown()
-
-    def _record_build_metrics(self, registry) -> None:
-        """Publish configuration + Section IV.D cost estimates.
-
-        Gauges carry the *predicted* per-application byte/flop figures
-        of the performance model so an exporter scrape (or ``repro
-        profile``) can compare them against the measured phase times
-        without re-deriving the model inputs.
-        """
-        from ..perfmodel.model import (
-            fft_flops,
-            influence_bytes,
-            interpolation_bytes,
-            pme_memory_bytes,
-            spreading_bytes,
-        )
-        n, K, p = self.n, self.params.K, self.params.p
-        registry.counter("pme_operators_built_total",
-                         help="PME operator constructions "
-                              "(one per mobility update)").inc()
-        registry.gauge("pme_particles", help="particles n").set(n)
-        registry.gauge("pme_mesh_dim", help="FFT mesh dimension K").set(K)
-        registry.gauge("pme_interpolation_order",
-                       help="interpolation order p").set(p)
-        registry.gauge("pme_real_pairs",
-                       help="pairs within r_max").set(self.real.n_pairs)
-        bytes_gauge = registry.gauge
-        predicted = {
-            "spread": spreading_bytes(n, K, p),
-            "influence": influence_bytes(K),
-            "interpolate": interpolation_bytes(n, K, p),
-        }
-        for phase, nbytes in predicted.items():
-            bytes_gauge("pme_predicted_bytes",
-                        help="Eq. 10 per-application memory traffic",
-                        phase=phase).set(nbytes)
-        registry.gauge("pme_predicted_fft_flops",
-                       help="Eq. 10 flops of the three (i)FFTs per "
-                            "application").set(fft_flops(K))
-        registry.gauge("pme_predicted_memory_bytes",
-                       help="Eq. 11 persistent reciprocal-space "
-                            "footprint").set(pme_memory_bytes(n, K, p))
-        for component, nbytes in self.memory_report().items():
-            registry.gauge("pme_memory_bytes",
-                           help="measured bytes held per component",
-                           component=component).set(nbytes)

@@ -130,7 +130,6 @@ class InterpolationMatrix:
             pt = self.matrix.T.tocsr()
             self._pt = (pt.indptr.astype(np.int64),
                         pt.indices.astype(np.int64), pt.data)
-        obs.set_gauge("pme_p_nnz", self.matrix.nnz)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Spread per-particle values onto the mesh: ``P^T values``.

@@ -294,16 +294,17 @@ class Supervisor:
         self._next_worker_id += 1
         return handle
 
-    def _exec_config(self) -> dict[str, Any]:
+    def _exec_config(self, pool_size: int) -> dict[str, Any]:
         """Per-worker execution context description.
 
         The configured worker budget is divided evenly between the
-        ensemble workers so co-resident tasks don't oversubscribe the
-        machine (a ``serial`` context is one worker whatever the share).
+        ``pool_size`` workers actually spawned (never more than there
+        are tasks), so co-resident tasks don't oversubscribe the machine
+        (a ``serial`` context is one worker whatever the share).
         """
         from ..config import get_config
         cfg = get_config()
-        share = max(1, cfg.resolved_workers() // self.n_workers)
+        share = max(1, cfg.resolved_workers() // pool_size)
         return {"backend": cfg.backend, "workers": share}
 
     def _obs_config(self) -> dict[str, Any] | None:
@@ -500,7 +501,7 @@ class Supervisor:
                                        if self.fault_plan else 0.0),
                         heartbeat_interval=self.heartbeat_interval,
                         obs_config=self._obs_config(),
-                        exec_config=self._exec_config())
+                        exec_config=self._exec_config(len(workers)))
 
             busy = [h for h in workers if h.busy]
             if not busy and (self._draining or not self._pending()):

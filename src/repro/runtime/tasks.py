@@ -29,13 +29,12 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
-from ..core.checkpoint import fsync_directory
+from ..core.checkpoint import _write_durably
 from ..errors import ConfigurationError
 from ..obs.collect import TraceContext
 from ..pme.operator import PMEParams
@@ -224,23 +223,8 @@ class CampaignManifest:
                    "worker_restarts": self.worker_restarts,
                    "counts": self.counts(),
                    "tasks": [t.to_json() for t in self.tasks]}
-        path = os.fspath(path)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_directory(directory)
+        _write_durably(path, lambda fh: json.dump(payload, fh, indent=1),
+                       prefix=".manifest-", mode="w")
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> CampaignManifest:

@@ -72,15 +72,13 @@ class SimulateJob:
     """One running (or finished) served simulation."""
 
     def __init__(self, key: str, spec: SystemSpec, seed: int, steps: int,
-                 job_dir: str, executor, *, sim_workers: int = 1,
-                 progress_poll: float = 0.05):
+                 job_dir: str, executor, *, progress_poll: float = 0.05):
         self.key = key
         self.spec = spec
         self.seed = seed
         self.steps = steps
         self.job_dir = job_dir
         self._executor = executor
-        self._sim_workers = sim_workers
         self._progress_poll = progress_poll
         self.supervisor: Supervisor | None = None
         self.state = "pending"
@@ -139,7 +137,7 @@ class SimulateJob:
                 self.spec, self.seed, self.steps)
             records = [task]
         self.supervisor = Supervisor(
-            records, self.job_dir, n_workers=self._sim_workers,
+            records, self.job_dir, n_workers=1,
             manifest_path=manifest_path)
         if self.cancelled:          # abandoned while still pending
             self.supervisor.request_drain()
@@ -226,14 +224,13 @@ class JobManager:
     """Owns the active simulate jobs (dedup + concurrency bound)."""
 
     def __init__(self, work_dir: str, executor, *, max_jobs: int = 2,
-                 sim_workers: int = 1, progress_poll: float = 0.05):
+                 progress_poll: float = 0.05):
         if max_jobs < 1:
             raise ConfigurationError(
                 f"max_jobs must be >= 1, got {max_jobs}")
         self.work_dir = work_dir
         self._executor = executor
         self.max_jobs = max_jobs
-        self.sim_workers = sim_workers
         self.progress_poll = progress_poll
         self.active: dict[str, SimulateJob] = {}
         self.started = 0
@@ -253,8 +250,7 @@ class JobManager:
                                f"{key[:16]}-{seed}-{steps}")
         os.makedirs(job_dir, exist_ok=True)
         job = SimulateJob(key, spec, seed, steps, job_dir,
-                          self._executor, sim_workers=self.sim_workers,
-                          progress_poll=self.progress_poll)
+                          self._executor, progress_poll=self.progress_poll)
         self.active[key] = job
         self.started += 1
         obs.set_gauge("serve_active_jobs", len(self.active))

@@ -92,7 +92,6 @@ class ServeSettings:
     max_jobs: int = 2
     max_systems: int = 8
     compute_threads: int = 0      # 0: RuntimeConfig resolved count
-    sim_workers: int = 1
     cache_entries: int = 256
     cache_ttl: float | None = 600.0
     work_dir: str = "serve-jobs"
@@ -146,7 +145,6 @@ class SimulationService:
         self._mobility_waiters: dict[str, set[int]] = {}
         self.jobs = JobManager(s.work_dir, self._executor,
                                max_jobs=s.max_jobs,
-                               sim_workers=s.sim_workers,
                                progress_poll=s.progress_poll)
         os.makedirs(s.work_dir, exist_ok=True)
         self._server: asyncio.AbstractServer | None = None

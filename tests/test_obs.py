@@ -148,6 +148,11 @@ class TestDisabled:
 # exports
 # ----------------------------------------------------------------------
 
+def _merged(tracer):
+    """A process's own trace: the one-track merge every command writes."""
+    return obs.merge_traces([tracer.track_group()])
+
+
 class TestExports:
     def _populated(self):
         tracer = obs.Tracer()
@@ -159,18 +164,21 @@ class TestExports:
 
     def test_jsonl_roundtrip_and_schema(self, tmp_path):
         tracer = self._populated()
-        path = tracer.write_jsonl(tmp_path / "t.jsonl")
+        path = _merged(tracer).write_jsonl(tmp_path / "t.jsonl")
         events = read_jsonl(path)
         validate_trace_events(events)
-        assert [e["name"] for e in events] == ["pme.fft", "pme.spread",
+        # ordered by start time, counted from the earliest event
+        assert [e["name"] for e in events] == ["pme.spread", "pme.fft",
                                                "recovery.retry"]
-        assert events[1]["args"] == {"n": 10}
+        assert events[0]["ts"] == 0.0
+        assert events[0]["args"] == {"n": 10}
 
     def test_chrome_trace_schema(self):
-        doc = self._populated().to_chrome_trace()
+        doc = _merged(self._populated()).to_chrome_trace()
         validate_chrome_trace(doc)
         assert doc["displayTimeUnit"] == "ms"
-        by_name = {e["name"]: e for e in doc["traceEvents"]}
+        by_name = {e["name"]: e for e in doc["traceEvents"]
+                   if e["ph"] != "M"}
         # microsecond timestamps, category = dotted root
         assert by_name["pme.spread"]["cat"] == "pme"
         assert by_name["pme.spread"]["dur"] >= by_name["pme.fft"]["dur"]
@@ -178,13 +186,13 @@ class TestExports:
         assert by_name["recovery.retry"]["s"] == "t"
 
     def test_zero_event_exports_are_valid(self, tmp_path):
-        tracer = obs.Tracer()
-        path = tracer.write_jsonl(tmp_path / "empty.jsonl")
+        merged = _merged(obs.Tracer())
+        path = merged.write_jsonl(tmp_path / "empty.jsonl")
         assert read_jsonl(path) == []
         validate_trace_events(read_jsonl(path))
-        doc = tracer.to_chrome_trace()
+        doc = merged.to_chrome_trace()
         validate_chrome_trace(doc)
-        assert doc["traceEvents"] == []
+        assert [e for e in doc["traceEvents"] if e["ph"] != "M"] == []
 
     def test_schema_rejects_malformed_event(self):
         with pytest.raises(SchemaError):
@@ -321,6 +329,29 @@ class TestPipelineWiring:
         validate_prometheus_text(registry.to_prometheus_text())
         validate_metrics_json(registry.to_json())
 
+    def test_pme_phase_spans_reconcile_with_phase_breakdown(self):
+        # the suite reads these eight names off phase_breakdown(); the
+        # trace must carry the same phases as pme.<phase> spans
+        from repro import Box, PMEOperator, PMEParams
+
+        rng = np.random.default_rng(0)
+        box = Box(10.0)
+        positions = rng.uniform(0.0, 10.0, (40, 3))
+        tracer, _ = obs.enable()
+        try:
+            op = PMEOperator(positions, box,
+                             PMEParams(xi=1.0, r_max=4.0, K=16, p=4))
+            op.apply_block(rng.standard_normal((120, 3)))
+        finally:
+            obs.disable()
+        totals = tracer.totals("pme.")
+        breakdown = op.phase_breakdown()
+        for phase in ("spread", "fft", "influence", "ifft", "interpolate",
+                      "real", "construct_p", "construct_real"):
+            span_total = totals[f"pme.{phase}"]
+            assert span_total >= breakdown[phase]
+            assert span_total <= breakdown[phase] + 0.25
+
     def test_recovery_events_traced(self):
         from repro.core.simulation import Simulation
         from repro.resilience import RecoveryPolicy
@@ -387,6 +418,29 @@ class TestCliRoundTrip:
         assert n_blocks == 1
         n_steps = sum(1 for e in events if e["name"] == "bd.propagate")
         assert n_steps == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    def test_every_export_validates(self, tmp_path, capsys, command):
+        from repro.cli import main
+        from repro.obs.schema import main as schema_main
+        from repro.obs.trace import read_jsonl_header
+
+        trace, chrome, metrics = (tmp_path / "t.jsonl",
+                                  tmp_path / "t.json", tmp_path / "m.prom")
+        argv = [command, "-n", "24", "--phi", "0.1", "--steps", "2",
+                "--e-p", "1e-2", "--trace", str(trace),
+                "--chrome-trace", str(chrome), "--metrics", str(metrics)]
+        if command == "simulate":
+            argv += ["-o", str(tmp_path / "t.npz")]
+        assert main(argv) == 0
+        assert schema_main([str(trace), str(chrome), str(metrics)]) == 0
+        # a process's own trace is a one-track merge, named after the
+        # command that recorded it
+        header = read_jsonl_header(trace)
+        assert (header["kind"], header["processes"]) == ("merged", 1)
+        doc = json.loads(chrome.read_text())
+        assert [e["args"]["name"] for e in doc["traceEvents"]
+                if e["name"] == "process_name"] == [command]
 
 
 class TestHistogramQuantileEdges:

@@ -97,9 +97,10 @@ class TestTraceContext:
 
     def test_header_schema_and_validation(self):
         tracer = obs.Tracer(worker_id=1)
-        header = tracer.header()
+        header = merge_traces([tracer.track_group()]).header()
         assert header["schema"] == TRACE_SCHEMA
         assert header["dropped"] == 0
+        assert (header["kind"], header["processes"]) == ("merged", 1)
         validate_trace_header(header)
         with pytest.raises(SchemaError):
             validate_trace_header({"schema": "other/1", "dropped": 0})
@@ -110,23 +111,38 @@ class TestTraceContext:
         tracer = obs.Tracer(worker_id=5)
         with tracer.span("a"):
             pass
-        path = tracer.write_jsonl(tmp_path / "t.jsonl")
+        path = merge_traces([tracer.track_group()]).write_jsonl(
+            tmp_path / "t.jsonl")
         header = read_jsonl_header(path)
-        assert header["worker_id"] == 5
+        assert header["kind"] == "merged"
         events = read_jsonl(path)  # header line skipped
         assert [e["name"] for e in events] == ["a"]
+        assert events[0]["worker_id"] == 5
+
+    def test_single_process_stream_of_the_old_layout_validates(
+            self, tmp_path):
+        # the pre-merge single-process file: a header with no kind,
+        # timestamps counted from the tracer epoch
+        path = tmp_path / "old.jsonl"
+        header = {"schema": TRACE_SCHEMA, "dropped": 0, "pid": 7,
+                  "epoch": 1234.5}
+        lines = [header, _event(name="a", ts=0.25, pid=7),
+                 _event(name="b", ts=0.125, dur=0.0, pid=7)]
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        assert "trace jsonl (2 events)" in validate_file(path)
 
     def test_dropped_surfaces_everywhere(self, tmp_path, capsys):
         tracer = obs.Tracer(max_events=1)
         for _ in range(3):
             tracer.instant("e")
         assert tracer.dropped == 2
-        path = tracer.write_jsonl(tmp_path / "d.jsonl")
+        merged = merge_traces([tracer.track_group()])
+        path = merged.write_jsonl(tmp_path / "d.jsonl")
         assert read_jsonl_header(path)["dropped"] == 2
         # final trace.dropped instant appended to the stream
         assert read_jsonl(path)[-1]["name"] == "trace.dropped"
         # chrome export carries it in otherData
-        assert tracer.to_chrome_trace()["otherData"]["dropped"] == 2
+        assert merged.to_chrome_trace()["otherData"]["dropped"] == 2
         # the validator warns, and the CLI surfaces it on stderr
         assert "WARNING" in validate_file(path)
         from repro.obs.schema import main as schema_main
@@ -158,8 +174,9 @@ class TestSpool:
         tracer = obs.Tracer(worker_id=1, task_id=0)
         with tracer.span("w.step", i=0):
             pass
-        writer.write(tracer.drain(), tracer.epoch)
+        writer.write(tracer.track_group(drain=True))
         writer.close()
+        assert tracer.events == []
 
         data = read_spool(path)
         assert data.worker_id == 1 and data.pid == 4242
@@ -173,10 +190,16 @@ class TestSpool:
     def test_dropped_becomes_spool_instant(self, tmp_path):
         path = spool_path(tmp_path, 0, 1)
         writer = SpoolWriter(path, pid=1, worker_id=0)
-        writer.write([], epoch=0.0, dropped=7)
+        tracer = obs.Tracer(max_events=0, worker_id=0)
+        for _ in range(7):
+            tracer.instant("e")
+        writer.write(tracer.track_group(drain=True))
+        # no new drops: the next flush does not repeat the instant
+        assert writer.write(tracer.track_group(drain=True)) == 0
         writer.close()
         data = read_spool(path)
         assert data.dropped == 7
+        assert [e["name"] for e in data.events] == ["trace.dropped"]
 
     def test_torn_final_line_recovered(self, tmp_path):
         path = spool_path(tmp_path, 2, 99)
@@ -184,7 +207,7 @@ class TestSpool:
         tracer = obs.Tracer(worker_id=2)
         tracer.instant("kept.one")
         tracer.instant("kept.two")
-        writer.write(tracer.drain(), tracer.epoch)
+        writer.write(tracer.track_group(drain=True))
         writer.close()
         # simulate a SIGKILL mid-flush: half an event line at the end
         with path.open("a", encoding="utf-8") as fh:

@@ -334,6 +334,26 @@ def test_campaign_single_vs_multi_worker_bit_identity(tmp_path):
     assert not r1.restarts
 
 
+def test_thread_share_divides_by_the_workers_spawned(tmp_path, monkeypatch):
+    # a campaign spawns min(n_workers, tasks) workers: one task on a
+    # two-worker pool runs on one worker, which gets the whole budget
+    from repro.runtime import supervisor as supervisor_mod
+
+    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
+    shares = []
+    assign = supervisor_mod._WorkerHandle.assign
+
+    def spy(self, record, fault, **kw):
+        shares.append(kw["exec_config"])
+        return assign(self, record, fault, **kw)
+
+    monkeypatch.setattr(supervisor_mod._WorkerHandle, "assign", spy)
+    report = _run(tmp_path, _specs(1, n_steps=10), n_workers=2)
+    assert report.manifest.counts() == {"done": 1}
+    assert shares == [{"backend": "threads", "workers": 2}]
+
+
 def test_campaign_drain_and_resume_bit_identity(tmp_path):
     reference = _run(tmp_path, _specs(2, n_steps=400), "ref", n_workers=2)
 
