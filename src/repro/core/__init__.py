@@ -5,7 +5,9 @@ This subpackage implements both BD algorithms of the paper:
 * :class:`~repro.core.integrators.EwaldBD` — Algorithm 1, the
   conventional baseline (dense Ewald matrix + Cholesky),
 * :class:`~repro.core.integrators.MatrixFreeBD` — Algorithm 2, the
-  paper's contribution (PME operator + block Krylov),
+  paper's contribution (PME operator + block Krylov, here on the
+  real-space half of a positively split Ewald sum plus one wave-space
+  sampling pass),
 
 plus the force models of Section V.A and the
 :class:`~repro.core.simulation.Simulation` driver that records
@@ -28,7 +30,6 @@ from .forces import (
 from .brownian import (
     CholeskyBrownianGenerator,
     KrylovBrownianGenerator,
-    ChebyshevBrownianGenerator,
 )
 from .integrators import EwaldBD, MatrixFreeBD, BDStepStats
 from .simulation import Simulation, Trajectory
@@ -60,7 +61,6 @@ __all__ = [
     "CompositeForce",
     "CholeskyBrownianGenerator",
     "KrylovBrownianGenerator",
-    "ChebyshevBrownianGenerator",
     "EwaldBD",
     "MatrixFreeBD",
     "BDStepStats",

@@ -9,7 +9,10 @@ Both BD algorithms draw correlated Gaussian displacements
   only matrix-free products (paper Section III.B).
 
 Both return a ``(3n, lambda)`` block ``D`` whose columns are consumed
-one per inner time step.
+one per inner time step (a ``(3n,)`` vector for a 1-D ``z``).
+:class:`~repro.core.integrators.MatrixFreeBD` runs the Krylov generator
+on the real-space half of the positively split mobility only and draws
+the wave-space half in one mesh pass.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ from typing import Any
 import numpy as np
 
 from ..krylov.block_lanczos import LanczosInfo, block_lanczos_sqrt
-from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from ..krylov.reference import cholesky_displacements
 from ..lint.contracts import array_arg, spd_arg
 from ..utils.params import keyword_only
 
-__all__ = ["CholeskyBrownianGenerator", "KrylovBrownianGenerator",
-           "ChebyshevBrownianGenerator"]
+__all__ = ["CholeskyBrownianGenerator", "KrylovBrownianGenerator"]
 
 
 @keyword_only
@@ -92,7 +93,8 @@ class KrylovBrownianGenerator:
         Blocks wider than the operator dimension (tiny systems with a
         large ``lambda_RPY``) are processed in chunks of at most ``d``
         columns — the columns are independent samples, so chunking does
-        not change the statistics.
+        not change the statistics.  A 1-D ``z`` gives a 1-D result, as
+        from every other generator.
         """
         z2 = np.atleast_2d(z.T).T
         d, s = z2.shape
@@ -112,59 +114,5 @@ class KrylovBrownianGenerator:
                 iters = max(iters, info.iterations)
             info = LanczosInfo(iters, True, info.rel_change, total_matvecs)
         self.last_info = info
-        return self.scale * y
-
-
-@keyword_only
-class ChebyshevBrownianGenerator:
-    """Fixman-style Brownian displacements via Chebyshev polynomials.
-
-    The alternative matrix-free method the paper cites (reference
-    [25]): a polynomial approximation of ``sqrt`` on the estimated
-    spectral interval of ``M``, evaluated with the three-term
-    recurrence.  Requires eigenvalue estimates (refreshed whenever the
-    mobility changes), which Lanczos does not — the practical advantage
-    of the paper's Krylov choice; the ablation benchmark
-    ``benchmarks/bench_ablation_brownian.py`` quantifies the trade.
-
-    Parameters
-    ----------
-    kT, dt:
-        Thermal energy and time step.
-    tol:
-        Sup-norm tolerance of the polynomial on the spectral interval
-        (plays the role of ``e_k``).
-    bound_iterations:
-        Lanczos steps used to estimate the spectral interval.
-
-    Construct with keyword arguments (positional construction raises
-    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
-    copy).
-    """
-
-    def __init__(self, kT: float, dt: float, tol: float = 1e-2,
-                 bound_iterations: int = 25):
-        self.scale = math.sqrt(2.0 * kT * dt)
-        self.tol = float(tol)
-        self.bound_iterations = int(bound_iterations)
-        #: Diagnostics of the last solve.
-        self.last_info: LanczosInfo | None = None
-        #: Spectral interval used by the last solve.
-        self.last_bounds: tuple[float, float] | None = None
-
-    @array_arg("z", ndim=(1, 2))
-    def generate(self, matvec: Any, z: np.ndarray) -> np.ndarray:
-        """``D = sqrt(2 kT dt) M^(1/2) Z`` via a Chebyshev polynomial.
-
-        ``matvec`` accepts the same operator forms as
-        :meth:`KrylovBrownianGenerator.generate`.
-        """
-        z2 = np.atleast_2d(z.T).T
-        l_min, l_max = eigenvalue_bounds(matvec, z2.shape[0],
-                                         n_iter=self.bound_iterations)
-        self.last_bounds = (l_min, l_max)
-        y, info = chebyshev_sqrt(matvec, z2, l_min, l_max, tol=self.tol)
-        # account for the bound-estimation matvecs in the diagnostics
-        info.n_matvecs += min(self.bound_iterations, z2.shape[0])
-        self.last_info = info
-        return self.scale * y
+        y = self.scale * y
+        return y[:, 0] if z.ndim == 1 else y

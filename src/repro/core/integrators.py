@@ -12,8 +12,9 @@ generated together (Section II.D).
 
 * :class:`EwaldBD` — **Algorithm 1**: dense Ewald matrix, Cholesky
   factorization, ``O(n^2)`` memory, ``O(n^3)`` factor.
-* :class:`MatrixFreeBD` — **Algorithm 2**: PME operator, block Krylov
-  displacements, ``O(n)`` memory, ``O(n log n)`` per application.
+* :class:`MatrixFreeBD` — **Algorithm 2**: PME operator, matrix-free
+  displacements (one wave-space mesh pass plus block Lanczos on the
+  real-space half), ``O(n)`` memory, ``O(n log n)`` per application.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..pme.cache import MobilityCache
-from ..pme.operator import PMEOperator, PMEParams
+from ..pme.operator import MAX_BLOCK_COLUMNS, PMEOperator, PMEParams
 from ..pme.tuning import tune_parameters
 from ..resilience.backoff import next_dt_scale
 from ..resilience.failures import FailureKind, StepFailure
@@ -399,7 +400,14 @@ class MatrixFreeBD(BrownianDynamicsBase):
 
     Every ``lambda_RPY`` steps a fresh :class:`~repro.pme.operator.PMEOperator`
     is constructed (line 4) and the Brownian displacement block is
-    computed with block Lanczos using only PME products (line 6).
+    computed matrix-free (line 6).  The operator's Ewald split is
+    positive (:mod:`repro.rpy.pse`), so the block is drawn as two
+    independent samples: the wave-space half exactly, in one mesh pass,
+    and the real-space half by block Lanczos on its sparse matrix alone
+    — no PME apply is issued by the sampler.  (Block Lanczos on the
+    whole operator, the paper's own line 6, stays available as
+    :class:`~repro.core.brownian.KrylovBrownianGenerator` on the
+    operator; Table II and the ablation use it.)
 
     Parameters
     ----------
@@ -409,7 +417,8 @@ class MatrixFreeBD(BrownianDynamicsBase):
     target_ep:
         PME relative-error target used when auto-tuning.
     e_k:
-        Krylov relative-error tolerance (Table II).
+        Krylov relative-error tolerance (Table II) of the real-space
+        half's block Lanczos.
     store_p:
         Precompute the interpolation matrix ``P`` (Fig. 4 optimization).
     Remaining parameters as :class:`BrownianDynamicsBase`.
@@ -449,19 +458,36 @@ class MatrixFreeBD(BrownianDynamicsBase):
 
     def _generate_displacements(self, n_cols: int,
                                 stats: BDStepStats) -> np.ndarray:
-        z = self.rng.standard_normal((3 * self._operator.n, n_cols))
-        # hand the operator itself (not a bound matvec) down: block
-        # Lanczos then issues one batched apply_block per iteration
+        """The block as the sum of two independent samples, one per
+        half of the positively split mobility: block Lanczos on the
+        sparse real-space matrix alone, plus one wave-space mesh pass
+        (:meth:`~repro.pme.operator.PMEOperator.sample_reciprocal`).
+        ``z`` and then the mesh noise are drawn from ``self.rng``, in
+        that order, so a rollback or a resume replays both."""
+        op = self._operator
+        z = self.rng.standard_normal((3 * op.n, n_cols))
+        wave = np.empty_like(z)
+        K = op.params.K
+        for lo in range(0, n_cols, MAX_BLOCK_COLUMNS):
+            s = min(MAX_BLOCK_COLUMNS, n_cols - lo)
+            noise = self._mobility_cache.workspace(K, 3 * s, op.n)["mesh"]
+            self.rng.standard_normal(out=noise)
+            wave[:, lo:lo + s] = op.sample_reciprocal(noise)
+        # hand the real half itself (not a bound matvec) down: block
+        # Lanczos then issues one batched SpMM per iteration
         if self.recovery is None:
-            d = self._generator.generate(self._operator, z)
+            d = self._generator.generate(op.real, z)
             iters = self._generator.last_info.iterations
         else:
             d, info = krylov_displacements_resilient(
-                self._generator, self._operator, z, self.recovery,
+                self._generator, op.real, z, self.recovery,
                 stats.recovery, step=stats.n_steps)
             iters = info.iterations if info is not None else 0
         stats.krylov_iterations.append(iters)
         obs.observe("bd_krylov_iterations", iters)
+        # the real half is in mu0 units, the wave sample already scaled
+        d *= math.sqrt(self.fluid.mobility0)
+        d += self._generator.scale * wave
         return d
 
     def mobility_memory_bytes(self) -> int:

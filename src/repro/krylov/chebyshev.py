@@ -9,8 +9,9 @@ three-term recurrence — only matrix-vector products are needed, plus
 compared with Lanczos (the Krylov iteration adapts to the spectrum
 automatically).
 
-Implemented here for the ablation benchmark comparing the two methods
-(``benchmarks/bench_ablation_brownian.py``):
+Used by rung 3 of the recovery ladder (:mod:`repro.resilience.recovery`)
+and compared with the other samplers in
+``benchmarks/bench_ablation_brownian.py``:
 
 * :func:`eigenvalue_bounds` — extremal Ritz values from a short
   Lanczos run, padded by safety factors,

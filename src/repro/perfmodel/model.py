@@ -20,8 +20,9 @@ which Section IV.E uses to balance the hybrid split.
 
 Beside Eq. 10 (one vector, one application) the model prices what a
 caller of Algorithm 2 pays: a *block step* — one mobility rebuild, the
-``lambda_RPY`` single-vector drift applications and the block-Lanczos
-iterations on ``lambda_RPY`` columns (:meth:`PMECostModel.block_step`).
+``lambda_RPY`` single-vector drift applications, one wave-space
+sampling pass over ``lambda_RPY`` columns and the block-Lanczos
+iterations on the real-space half (:meth:`PMECostModel.block_step`).
 That is the cost :func:`repro.pme.tuning.tune_parameters` ranks Ewald
 splits by.
 """
@@ -50,10 +51,13 @@ __all__ = [
 ]
 
 #: The reference block :meth:`PMECostModel.block_step` prices: the
-#: integrators' default ``lambda_rpy`` and the block-Lanczos iteration
-#: count every benchmark workload shows at ``e_k = 1e-2``.
+#: integrators' default ``lambda_rpy`` and the iteration count of the
+#: block Lanczos on the *real-space half* alone (the positively split
+#: sampler of :class:`~repro.core.integrators.MatrixFreeBD`), measured
+#: at ``e_k = 1e-2`` on the benchmark workloads (4 at n = 1000 and
+#: 2000; block Lanczos on the whole operator took 7).
 REFERENCE_LAMBDA_RPY = 10
-REFERENCE_KRYLOV_ITERATIONS = 7
+REFERENCE_KRYLOV_ITERATIONS = 4
 
 #: Stored bytes per 3x3 block: 72 payload + 8 column index.
 BCSR_BLOCK_BYTES = 80.0
@@ -196,10 +200,12 @@ class PMECostModel:
         """Predicted seconds of the reference block of Algorithm 2, by
         part.
 
-        ``build + lam (recip(1) + real(1)) + iters (recip(lam) +
-        real(lam))`` at ``lam = REFERENCE_LAMBDA_RPY`` and ``iters =
+        ``build + lam (recip(1) + real(1)) + recip(lam) + iters
+        real(lam)`` at ``lam = REFERENCE_LAMBDA_RPY`` and ``iters =
         REFERENCE_KRYLOV_ITERATIONS``: the rebuild, the single-vector
-        drift applications and the block-Lanczos iterations.  The
+        drift applications, the one wave-space sampling pass (priced as
+        a reciprocal pass: the noise replaces the spread) and the block
+        Lanczos on the real-space half.  The
         split-independent construction of ``P`` (``~ p^3 n``, 2-3 % of
         a step) is not priced.  ``K`` and ``pair_density`` may be
         arrays, one entry per candidate split.
@@ -208,7 +214,7 @@ class PMECostModel:
         parts = {
             "build": self.t_build(n, pair_density),
             "reciprocal": (lam * self.t_reciprocal_block(n, K, p, 1)
-                           + iters * self.t_reciprocal_block(n, K, p, lam)),
+                           + self.t_reciprocal_block(n, K, p, lam)),
             "real": (lam * self.t_real(n, pair_density, 1)
                      + iters * self.t_real(n, pair_density, lam)),
         }

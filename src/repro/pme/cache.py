@@ -8,7 +8,8 @@ does not depend on the particle configuration at all and was still
 redone at every rebuild:
 
 * the **influence function** — ``reciprocal_scalar`` over the half
-  spectrum plus the ``|b|^2`` deconvolution, a function of
+  spectrum plus the ``|b|^2`` deconvolution, and its square root, a
+  function of
   ``(box, K, p, xi, a)`` only (paper Section IV.B.4 notes it is built
   once per simulation);
 * the **mesh** description;
@@ -127,7 +128,7 @@ class MobilityCache:
             for ws in self._workspaces.values():
                 total += sum(a.nbytes for a in ws.values())
             for infl in self._influences.values():
-                total += infl.memory_bytes
+                total += infl.memory_bytes + infl.sqrt_scalar.nbytes
                 total += sum(h.nbytes for h in infl._khat)
             return total
 

@@ -1,7 +1,10 @@
 """The PME influence function (paper Section IV.B.4).
 
 At every mesh wavevector the reciprocal-space kernel is the 3x3 tensor
-``M^(2)_alpha(k) = (I - khat khat^T) m_alpha(|k|)`` (paper Eq. 5).
+``M^(2)_alpha(k) = (I - khat khat^T) m_alpha(|k|)`` (paper Eq. 5), with
+the wave scalar of the positively split Ewald decomposition
+(:func:`repro.rpy.pse.reciprocal_scalar`, ``>= 0``) in place of
+Beenakker's.
 Storing the full tensor would need six floats per mode; the paper's
 memory optimization stores only the *scalar* ``m_alpha`` (one float per
 mode, on the half spectrum) and reconstructs the projector
@@ -11,7 +14,11 @@ that makes the method fit accelerator memories.
 The stored scalar also absorbs the smooth-PME correction
 ``|b1(k1) b2(k2) b3(k3)|^2`` and the constant ``K^3 / V`` arising from
 the inverse-FFT normalization, so applying the influence function is a
-single fused multiply over the spectrum.
+single fused multiply over the spectrum.  Because it is non-negative
+its square root is stored beside it: the same projector with
+``sqrt(scalar)`` is ``C^(1/2)`` of the mesh operator ``C = F^-1 D F``,
+which turns white mesh noise into a sample of the reciprocal half
+(:meth:`~repro.pme.operator.PMEOperator.sample_reciprocal`).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rpy.beenakker import reciprocal_scalar
+from ..rpy.pse import reciprocal_scalar
 from .bspline import euler_spline_modulus
 from .mesh import Mesh
 
@@ -75,8 +82,20 @@ class InfluenceFunction:
         # fold in the 1/V Ewald prefactor and the K^3 that cancels the
         # irfftn normalization, so apply() needs no further scaling
         scalar *= K ** 3 / mesh.box.volume
+        if K % 2 == 0:
+            # a Nyquist mode's stored wavevector is not minus that of
+            # its conjugate partner, so the projector there is not
+            # Hermitian: with no weight on those planes the influence is
+            # an exact Hermitian multiplier, and its square root the
+            # exact root of the mesh operator
+            scalar[K // 2] = 0.0
+            scalar[:, K // 2] = 0.0
+            scalar[:, :, K // 2] = 0.0
         #: The stored scalar field, shape ``mesh.rshape`` (one float per mode).
         self.scalar = scalar
+        #: ``sqrt(scalar)``: the influence of :meth:`apply_batch` with
+        #: ``root=True``, the factor of the reciprocal-half sampler.
+        self.sqrt_scalar = np.sqrt(scalar)
 
         # unit wavevector components, built once; k=0 entry is arbitrary
         # because scalar[0,0,0] == 0.
@@ -114,8 +133,8 @@ class InfluenceFunction:
         self.apply_batch(out[:, None])
         return out
 
-    def apply_batch(self, spec: np.ndarray, slab: int | None = None
-                    ) -> np.ndarray:
+    def apply_batch(self, spec: np.ndarray, slab: int | None = None,
+                    root: bool = False) -> np.ndarray:
         """In-place batched influence over ``s`` spectra at once.
 
         Parameters
@@ -131,6 +150,10 @@ class InfluenceFunction:
             default keeps the working set (3 slabs of ``khat`` plus the
             scalar and the spectra slices) inside cache.  The result is
             independent of the slab size.
+        root:
+            Scale by :attr:`sqrt_scalar` instead of :attr:`scalar` (the
+            projector is idempotent, so this is the square root of the
+            influence).
 
         Notes
         -----
@@ -149,12 +172,13 @@ class InfluenceFunction:
                 f"{self.mesh.rshape}, got {spec.shape}")
         s = spec.shape[1]
         hx, hy, hz = self._khat
+        scalar = self.sqrt_scalar if root else self.scalar
         if slab is None:
             slab = max(1, 324 // K)
         for lo in range(0, K, slab):
             hi = min(lo + slab, K)
             hxs, hys, hzs = hx[lo:hi], hy[lo:hi], hz[lo:hi]
-            ss = self.scalar[lo:hi]
+            ss = scalar[lo:hi]
             for v in range(s):
                 cx = spec[0, v, lo:hi]
                 cy = spec[1, v, lo:hi]

@@ -13,6 +13,11 @@ configuration, then applied to many force vectors::
 * the self term is carried on the diagonal blocks of the real-space
   matrix.
 
+The Ewald split is the positively split one (:mod:`repro.rpy.pse`), so
+the operator also samples its reciprocal half exactly:
+:meth:`PMEOperator.sample_reciprocal` runs the pipeline after the
+spread on white mesh noise with the square root of the influence.
+
 Each phase is timed into :class:`~repro.utils.timing.PhaseTimer` under
 the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
 ``interpolate``, ``real``).
@@ -221,7 +226,7 @@ class PMEOperator:
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                kernel=params.kernel)
+                kernel=params.kernel, context=self.context)
 
     # ------------------------------------------------------------------
     # application
@@ -290,7 +295,6 @@ class PMEOperator:
         """
         f, flat = as_force_block(forces, self.n)
         n, K = self.n, self.params.K
-        ctx, xargs = self.context, self._exec_args
         interp = self.interp        # None: the Fig. 4 on-the-fly reference
         out = np.empty((3 * n, f.shape[1]))
         for lo in range(0, f.shape[1], MAX_BLOCK_COLUMNS):
@@ -298,44 +302,99 @@ class PMEOperator:
             s = fc.shape[1]
             lanes = 3 * s                   # lane b = component*s + vector
             ws = self.cache.workspace(K, lanes, n)
-            g, spec = ws["mesh"], ws["spec"]
-            g4 = g.reshape(lanes, K, K, K)
+            g = ws["mesh"]
 
             fm = fc.reshape(n, lanes)
-            with self.timers.phase("spread", vectors=s, **xargs):
+            with self.timers.phase("spread", vectors=s, **self._exec_args):
                 if interp is not None:
-                    interp.spread_batch(fm, out=g, context=ctx)
+                    interp.spread_batch(fm, out=g, context=self.context)
                 else:
                     gm = spread_on_the_fly(self.positions, self.box, K,
                                            self.params.p, fm,
                                            kind=self.params.interpolation)
                     for a in range(0, K ** 3, 16384):
                         g[:, a:a + 16384] = gm[a:a + 16384].T
-
-            with self.timers.phase("fft", vectors=s, **xargs):
-                _rfftn_lanes(g4, spec, ctx)
-
-            with self.timers.phase("influence", vectors=s, **xargs):
-                self.influence.apply_batch(
-                    spec.reshape((3, s) + self.mesh.rshape))
-
-            with self.timers.phase("ifft", vectors=s, **xargs):
-                # the forward FFT consumed the spread forces: the mesh
-                # workspace now takes the velocities
-                _irfftn_lanes(spec, g4, ctx)
-
-            with self.timers.phase("interpolate", vectors=s, **xargs):
-                oc = out.reshape(n, 3, -1)[:, :, lo:lo + s]
-                if interp is not None:
-                    um = interp.interpolate_batch(g, out=ws["particle"],
-                                                  context=ctx)
-                    oc[...] = um.reshape(3, s, n).transpose(2, 0, 1)
-                else:
-                    um = interpolate_on_the_fly(self.positions, self.box, K,
-                                                self.params.p, g.T,
-                                                kind=self.params.interpolation)
-                    oc[...] = um.reshape(n, 3, s)
+            self._mesh_pass(g.reshape(lanes, K, K, K), ws,
+                            out.reshape(n, 3, -1)[:, :, lo:lo + s])
         return out[:, 0] if flat else out
+
+    def sample_reciprocal(self, noise) -> np.ndarray:
+        """A sample of the reciprocal half: ``sqrt(mu0) P C^(1/2) W``.
+
+        ``noise`` holds ``W``: ``3s`` lanes of real white noise on the
+        mesh, shape ``(3s, K^3)`` or ``(3s, K, K, K)`` (lane ``b =
+        component * s + column``, as in :meth:`apply_reciprocal`; wider
+        than ``MAX_BLOCK_COLUMNS`` columns, it runs as passes over
+        copies of the column chunks).  It goes through the stages of
+        :meth:`apply_reciprocal` with the spread replaced by the noise
+        and the influence by its square root
+        (:meth:`InfluenceFunction.apply_batch` with ``root=True``):
+        ``C = F^-1 D F`` is the mesh operator of the reciprocal half, so
+        ``C^(1/2) = F^-1 D^(1/2) F`` and, with standard-normal ``W``,
+        the ``(3n, s)`` result has covariance ``mu0 P C P^T`` — exactly
+        the reciprocal half of :meth:`apply_block`, with no iteration.
+        The noise is consumed; passing the leading lanes of the cache's
+        ``"mesh"`` workspace (drawn in place with
+        ``Generator.standard_normal(out=)``) makes the pass allocate
+        nothing but its result.
+        """
+        n, K = self.n, self.params.K
+        lanes = noise.shape[0]
+        if lanes % 3 or noise.size != lanes * K ** 3:
+            raise ConfigurationError(
+                f"noise must hold 3s mesh lanes of {K}^3, got shape "
+                f"{noise.shape}")
+        s = lanes // 3
+        if s > MAX_BLOCK_COLUMNS:
+            w = noise.reshape(3, s, K ** 3)
+            return np.concatenate([
+                self.sample_reciprocal(w[:, lo:lo + MAX_BLOCK_COLUMNS]
+                                       .reshape(-1, K ** 3))
+                for lo in range(0, s, MAX_BLOCK_COLUMNS)], axis=1)
+        out = np.empty((3 * n, s))
+        self._mesh_pass(noise.reshape(lanes, K, K, K),
+                        self.cache.workspace(K, lanes, n),
+                        out.reshape(n, 3, s), root=True)
+        out *= np.sqrt(self.fluid.mobility0)
+        return out
+
+    def _mesh_pass(self, src: np.ndarray, ws: dict[str, np.ndarray],
+                   out: np.ndarray, root: bool = False) -> None:
+        """fft -> influence -> ifft -> interpolate of the mesh lanes
+        ``src`` (``(3s, K, K, K)``) into ``out`` (``(n, 3, s)``, ``mu0``
+        units), in the workspace ``ws``; ``root`` applies the square
+        root of the influence.  The stages after the spread, shared by
+        the apply and the sampler."""
+        n, K = self.n, self.params.K
+        ctx, xargs = self.context, self._exec_args
+        interp = self.interp
+        lanes = src.shape[0]
+        s = lanes // 3
+        g, spec = ws["mesh"], ws["spec"]
+        g4 = g.reshape(lanes, K, K, K)
+
+        with self.timers.phase("fft", vectors=s, **xargs):
+            _rfftn_lanes(src, spec, ctx)
+
+        with self.timers.phase("influence", vectors=s, **xargs):
+            self.influence.apply_batch(
+                spec.reshape((3, s) + self.mesh.rshape), root=root)
+
+        with self.timers.phase("ifft", vectors=s, **xargs):
+            # the forward FFT consumed the source lanes: the mesh
+            # workspace now takes the velocities
+            _irfftn_lanes(spec, g4, ctx)
+
+        with self.timers.phase("interpolate", vectors=s, **xargs):
+            if interp is not None:
+                um = interp.interpolate_batch(g, out=ws["particle"],
+                                              context=ctx)
+                out[...] = um.reshape(3, s, n).transpose(2, 0, 1)
+            else:
+                um = interpolate_on_the_fly(self.positions, self.box, K,
+                                            self.params.p, g.T,
+                                            kind=self.params.interpolation)
+                out[...] = um.reshape(n, 3, s)
 
     # ------------------------------------------------------------------
     # adapters and accounting

@@ -10,32 +10,39 @@ substitution for the paper's Verlet cell list, O(n log n), whose strict
 minimum-image filter is one C pass), the separations of the pairs in a
 second one (:meth:`~repro.geometry.box.Box.distances`), the scalar
 coefficients ``f, g`` of every pair in NumPy/SciPy
-(:func:`~repro.rpy.beenakker.pair_coefficients`: ``erfc`` and ``exp``
-decide the bytes and are not the bottleneck), and one linear symmetric
+(:func:`~repro.rpy.pse.pair_coefficients`, the positively split Ewald
+real-space half: ``erfc`` and ``exp`` decide the bytes and are not the
+bottleneck), and one linear symmetric
 assembly that computes each ``f I + g rhat rhat^T`` in the slot it is
 stored in (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no
 per-pair tensor array exists.  Without a C compiler the same matrix,
-byte for byte, comes from :func:`~repro.rpy.beenakker.real_space_tensors`
-through :meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2
+byte for byte, comes from :func:`~repro.rpy.tensor.pair_dyads` through
+:meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2
 applies the operator to blocks of vectors, every product — one column
 or many — is the multi-RHS SpMM of
 :meth:`~repro.sparse.bcsr.BlockCSR.matmat`.
 
 All values are in units of ``mu0 = 1/(6 pi eta a)``; the composed
 :class:`~repro.pme.operator.PMEOperator` applies the physical prefactor.
-The diagonal blocks carry the Ewald self term ``M^(0)_alpha``.
+The diagonal blocks carry the self term of the split.  The matrix is the
+positive-definite half of the split (its transform is ``6 pi a
+sinc^2(ka) (1 - H(k)) / k^2 >= 0``), so Algorithm 2 samples it by block
+Lanczos on its own; overlapping pairs need no correction, the overlap
+form of the RPY tensor is part of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import force_block_arg, positions_arg
 from ..neighbor.pairs import find_pairs
-from ..rpy import beenakker
+from ..rpy import pse
+from ..rpy.tensor import pair_dyads
 from ..sparse.bcsr import BlockCSR
 from ..sparse.kernels import bcsr_assemble_dyads, kernel_available
 from ..units import FluidParams, REDUCED
@@ -46,6 +53,9 @@ __all__ = ["RealSpaceOperator"]
 
 class RealSpaceOperator:
     """Sparse real-space Ewald mobility ``M_real + M_self`` (in ``mu0`` units).
+
+    A :class:`~repro.core.mobility.MobilityOperator`: block Lanczos
+    samples it directly (:class:`~repro.core.integrators.MatrixFreeBD`).
 
     Parameters
     ----------
@@ -59,17 +69,17 @@ class RealSpaceOperator:
         Real-space cutoff distance.
     fluid:
         Fluid parameters (radius enters the tensors).
-    overlap_corrected:
-        Apply the positive-definite overlap regularization to pairs
-        closer than ``2a`` (default true).
     kernel:
         ``"rpy"`` (default) or ``"oseen"``.
+    context:
+        The :class:`~repro.exec.ExecutionContext` a product runs on when
+        :meth:`apply_block` is given none (``None``: serial).
     """
 
     @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
-                 fluid: FluidParams = REDUCED,
-                 overlap_corrected: bool = True, kernel: str = "rpy"):
+                 fluid: FluidParams = REDUCED, kernel: str = "rpy",
+                 context=None):
         r = as_positions(positions)
         n = r.shape[0]
         if r_max <= 0:
@@ -85,22 +95,20 @@ class RealSpaceOperator:
         self.r_max = float(r_max)
         self.n = n
         self.kernel = kernel
+        self.context = context
 
         with obs.span("pme.find_pairs", n=n):
             i, j = find_pairs(r, box, r_max)
         radius = fluid.radius
-        diag_scalar = beenakker.self_mobility_scalar(xi, radius, kernel=kernel)
+        diag_scalar = pse.self_mobility_scalar(xi, radius, kernel=kernel)
         # without a compiler: NumPy tensors through from_pairs, the byte
         # reference of the fused fill
         fused = kernel_available()
         with obs.span("pme.real_tensors", pairs=int(i.size)):
             rij, dist = box.distances(r, i, j)
-            if fused:
-                f, g = beenakker.pair_coefficients(
-                    dist, xi, radius, overlap_corrected, kernel)
-            else:
-                blocks = beenakker.real_space_tensors(
-                    rij, xi, radius, overlap_corrected, kernel)
+            f, g = pse.pair_coefficients(dist, xi, radius, kernel)
+            if not fused:
+                blocks = pair_dyads(rij, f, g)
 
         with obs.span("pme.real_assemble", pairs=int(i.size)):
             #: The block-sparse operator (always available for introspection).
@@ -124,9 +132,12 @@ class RealSpaceOperator:
         IV.C block-of-vectors SpMV, at any width and with the same bytes
         per column.  A parallel :class:`~repro.exec.ExecutionContext`
         chunks the product into block-row ranges across its workers
-        (bit-identical: row results are independent).
+        (bit-identical: row results are independent); without one the
+        operator's own ``context`` is used.
         """
         f, flat = as_force_block(forces, self.n)
+        if context is None:
+            context = self.context
         span_args = {} if context is None else context.span_args()
         with obs.span("pme.real_spmm", s=int(f.shape[1]), **span_args):
             out = self.bcsr.matmat(f, context=context)
@@ -134,6 +145,18 @@ class RealSpaceOperator:
 
     #: The same product; a flat vector is a one-column block.
     apply = apply_block
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Operator shape ``(3n, 3n)``."""
+        return (3 * self.n, 3 * self.n)
+
+    def as_linear_operator(self) -> LinearOperator:
+        """A :class:`scipy.sparse.linalg.LinearOperator` view (``mu0``
+        units)."""
+        return LinearOperator(shape=self.shape, matvec=self.apply,
+                              matmat=self.apply_block, rmatvec=self.apply,
+                              dtype=np.float64)
 
     @property
     def memory_bytes(self) -> int:

@@ -23,7 +23,8 @@ procedure, :func:`tune_parameters`:
    {4, 6, 8} and random suspensions (``tests/test_pme_tuning.py``);
 3. **cost minimization** — each admissible ``(xi, r_max, K)`` is priced
    as one *block step* of Algorithm 2 (mobility rebuild + ``lambda_RPY``
-   drift applications + the block-Lanczos iterations,
+   drift applications + one wave-space sampling pass + the block-Lanczos
+   iterations on the real-space half,
    :meth:`repro.perfmodel.PMECostModel.block_step`) on the machine the
    code runs on: :data:`repro.perfmodel.SUBSTRATE`, a committed one-core
    description of this NumPy/pocketfft + compiled-kernel substrate
@@ -54,7 +55,7 @@ from ..geometry.box import Box
 from ..perfmodel import (PMECostModel, SUBSTRATE, SUBSTRATE_COST_TOLERANCE,
                          pme_memory_bytes)
 from ..perfmodel.model import BCSR_BLOCK_BYTES
-from ..rpy import beenakker
+from ..rpy import pse
 from ..units import FluidParams, REDUCED
 from .operator import PMEParams
 
@@ -139,32 +140,39 @@ def real_space_error(xi, r_max, n: int, box: Box, radius: float = 1.0,
                      kernel: str = "rpy"):
     """Relative error of truncating the real-space sum at ``r_max``.
 
-    The dropped pairs (all images beyond the cutoff, uniform density
-    ``rho``) add incoherently for a random force:
-    ``e^2 = rho/3 int_{r_max}^inf 4 pi r^2 ||M1(r)||_F^2 dr / row_norm^2``
-    (``M1 = f I + g rhat rhat^T``, Beenakker's real-space tensor),
-    the tail by Gauss-Laguerre on its ``exp(-2 xi^2 r^2)`` decay.
+    The dropped pairs (all images beyond the cutoff) add incoherently
+    for a random force:
+    ``e^2 = rho/3 int_{r_max}^inf 4 pi r^2 g(r) ||M1(r)||_F^2 dr /
+    row_norm^2`` (``M1 = f I + g rhat rhat^T``, the real-space tensor of
+    the PSE split, :func:`repro.rpy.pse.real_space_coefficients`), the
+    tail by Gauss-Laguerre with the ``exp(-2 xi^2 r^2)`` weight.  The
+    PSE tail decays like ``exp(-xi^2 (r - 2a)^2)``, so it lives in the
+    first coordination shells, where a suspension's pair density is not
+    uniform: ``g(r)`` is bounded by the envelope ``1 + (g_c - 1)
+    exp(-(r - 2a) / 2a)``, ``g_c = (1 - phi/2) / (1 - phi)^3`` the
+    Carnahan-Starling contact value at the volume fraction ``phi`` (a
+    jittered FCC suspension at ``phi = 0.4`` puts its second shell right
+    past the tuned cutoff: the uniform density was 2x optimistic there).
     ``xi`` and ``r_max`` broadcast.
     """
     xi = np.asarray(xi, dtype=np.float64)[..., None]
     r0 = np.asarray(r_max, dtype=np.float64)[..., None]
     rate = 4.0 * xi * xi * r0                 # -d/dr of the exponent at r0
     r = r0 + _TAIL_NODES / rate
-    f, g = beenakker.real_space_coefficients(r, xi, radius, kernel=kernel)
+    f, g = pse.real_space_coefficients(r, xi, radius, kernel=kernel)
+    phi =n * 4.0 / 3.0 * math.pi * radius ** 3 / box.volume
+    contact = (1.0 - phi / 2.0) / (1.0 - phi) ** 3
+    pair = 1.0 + (contact - 1.0) * np.exp(-(r - 2.0 * radius) / (2.0 * radius))
     tail = np.sum(_TAIL_WEIGHTS * np.exp(_TAIL_NODES) * 4.0 * math.pi * r * r
-                  * (2.0 * f * f + (f + g) ** 2),   # ||f I + g rr^T||_F^2
+                  * pair * (2.0 * f * f + (f + g) ** 2),  # ||f I + g rr^T||_F^2
                   axis=-1) / rate[..., 0]
     density = n / box.volume
     return np.sqrt(density * tail / 3.0) / mobility_row_norm(n, box, radius)
 
 
-#: Resolution grid ``s = xi h`` of the reciprocal-error moments (log).
-_LOG_S = np.log(np.geomspace(0.02, 2.5, 48))
-
-
 @lru_cache(maxsize=None)
-def _reciprocal_moments(p: int) -> np.ndarray:
-    """Moments of the spline's aliasing error over the Ewald spectrum.
+def _alias_shares(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spline's aliasing error, direction-averaged, per mode.
 
     A mode ``k`` reaches a particle through ``W(k) = sinc^p(k h / 2)``
     per axis and the ``|b(k)|^2`` deconvolution; with ``w_m = (x /
@@ -174,15 +182,13 @@ def _reciprocal_moments(p: int) -> np.ndarray:
     particle's own by ``|(1 + S2)/(1 + S1)^2 - 1|`` (coherent); beyond
     the Nyquist ``|x| = pi`` a mode is lost (both 1).  Averaged over
     directions (three axes, ``x = y mu``) these weight the radial
-    integrals of ``m_alpha(k)^2`` and ``m_alpha(k)``; with ``k = y/h``,
-    ``chi`` a function of ``y / (2 s)`` and the ``(1 - a^2 k^2 / 3)``
-    factor expanded, what is left are moments in ``y`` on the grid of
-    ``s = xi h``.
+    integrals of the wave scalar and its square in ``y = k h``
+    (:func:`reciprocal_error`).
 
-    Returns log-moments of shape ``(2, 5, len(_LOG_S))``: axis 0 the
-    part inside the Nyquist cube (aliasing) and the part outside
-    (truncation); axis 1 the pair moments of ``y^0, y^2, y^4`` then the
-    own-coefficient moments of ``y^0, y^2``.
+    Returns ``(y, shares, dy)``: the ``y`` grid, the shares of shape
+    ``(2, 2, len(y))`` — axis 0 the part inside the Nyquist cube
+    (aliasing) and the part outside (truncation), axis 1 the pair and
+    the own coefficient — and the trapezoid weights.
     """
     if p not in VALIDATED_ORDERS:
         raise ConfigurationError(
@@ -199,9 +205,6 @@ def _reciprocal_moments(p: int) -> np.ndarray:
     own_err = np.minimum(np.abs((1.0 + s2) / (1.0 + s1) ** 2 - 1.0), 1.0)
 
     y = np.geomspace(1e-3, 80.0, 512)
-    dy = np.gradient(y)                             # trapezoid weights
-    q = y / (2.0 * np.exp(_LOG_S)[:, None])
-    chi = (1.0 + q * q + 2.0 * q ** 4) * np.exp(-q * q)
     lost = np.maximum(0.0, 1.0 - math.pi / y)       # directions past Nyquist
 
     def aliased(err: np.ndarray) -> np.ndarray:
@@ -210,16 +213,8 @@ def _reciprocal_moments(p: int) -> np.ndarray:
             0.5 * (err[1:] + err[:-1]) * (x[1] - x[0]))))
         return np.interp(np.minimum(y, math.pi), x, cumulative) / y
 
-    moments = np.empty((2, 5, _LOG_S.size))
-    for part, (pair_share, own_share) in enumerate(
-            ((aliased(pair_err), aliased(own_err)), (lost, lost))):
-        for j, power in enumerate((0, 2, 4)):
-            moments[part, j] = np.sum(
-                chi * chi * y ** (power - 2) * pair_share * dy, axis=1)
-        for j, power in enumerate((0, 2)):
-            moments[part, 3 + j] = np.sum(
-                chi * y ** power * own_share * dy, axis=1)
-    return np.log(np.maximum(moments, 1e-300))
+    shares = np.array([[aliased(pair_err), aliased(own_err)], [lost, lost]])
+    return y, shares, np.gradient(y)
 
 
 def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
@@ -227,26 +222,29 @@ def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
     """Relative errors ``(aliasing, truncation)`` of the mesh sum.
 
     ``e^2 = (rho F + c^2) / row_norm^2``: ``F`` the incoherent error of
-    the pair coefficients, ``F = 36 a^2 int (1 - a^2 k^2/3)^2 chi^2
-    err(k h) / k^2 dk``, and ``c = (6 a / pi) int (1 - a^2 k^2/3) chi
-    err(k h) dk`` the coherent error of each particle's own coefficient
-    (it dominates from ``xi a ~ 0.5`` up), both from
-    :func:`_reciprocal_moments`.  ``xi`` and ``K`` broadcast.
+    the pair coefficients, ``F = 36 a^2 int sinc^4(ka) H^2 err(k h) /
+    k^2 dk``, and ``c = (6 a / pi) int sinc^2(ka) H err(k h) dk`` the
+    coherent error of each particle's own coefficient (it dominates from
+    ``xi a ~ 0.5`` up), with the PSE splitting function ``H = (1 + q^2)
+    exp(-q^2)``, ``q = k / 2 xi`` (:mod:`repro.rpy.pse`; the Oseen
+    kernel drops ``sinc^2``) and the spline's error shares of
+    :func:`_alias_shares`.  ``xi`` and ``K`` broadcast.
     """
-    table = _reciprocal_moments(p)
+    y, shares, dy = _alias_shares(p)
     xi = np.asarray(xi, dtype=np.float64)
     h = box.length / np.asarray(K, dtype=np.float64)
-    log_s = np.clip(np.log(xi * h), _LOG_S[0], _LOG_S[-1])
-    step = _LOG_S[1] - _LOG_S[0]
-    cell = np.minimum(((log_s - _LOG_S[0]) / step).astype(np.int64),
-                      _LOG_S.size - 2)
-    w = (log_s - _LOG_S[cell]) / step
-    m = np.exp(table[..., cell] * (1.0 - w) + table[..., cell + 1] * w)
-    u = (radius / h) ** 2 if kernel == "rpy" else 0.0
-    pairs = 36.0 * radius ** 2 * h * (m[:, 0] - 2.0 / 3.0 * u * m[:, 1]
-                                      + u * u / 9.0 * m[:, 2])
-    own = 6.0 * radius / (math.pi * h) * (m[:, 3] - u / 3.0 * m[:, 4])
-    e = np.sqrt(n / box.volume * np.maximum(pairs, 0.0) + own * own
+    xi, h = np.broadcast_arrays(xi, h)
+    q = y / (2.0 * (xi * h)[..., None])
+    wave = (1.0 + q * q) * np.exp(-q * q)         # H, then sinc^2(ka) H
+    if kernel == "rpy":
+        ka = y * (radius / h)[..., None]
+        wave = wave * (np.sin(ka) / ka) ** 2
+    shares = shares.reshape((2, 2) + (1,) * xi.ndim + y.shape)
+    pairs = 36.0 * radius ** 2 * h * np.sum(
+        wave * wave / (y * y) * shares[:, 0] * dy, axis=-1)
+    own = 6.0 * radius / (math.pi * h) * np.sum(
+        wave * shares[:, 1] * dy, axis=-1)
+    e = np.sqrt(n / box.volume * pairs + own * own
                 ) / mobility_row_norm(n, box, radius)
     return e[0], e[1]
 

@@ -7,7 +7,9 @@ paper (Section II):
   free-boundary mobility matrix,
 * :mod:`repro.rpy.beenakker` -- Beenakker's Ewald decomposition of the
   RPY tensor for periodic boundary conditions (real-space, reciprocal-
-  space, and self scalar functions),
+  space, and self scalar functions): the split of the dense Ewald sum,
+* :mod:`repro.rpy.pse` -- the positively split Ewald decomposition
+  (both halves positive definite) used by the PME operator,
 * :mod:`repro.rpy.ewald` -- the conventional dense Ewald-summed mobility
   matrix (the substrate of Algorithm 1, the baseline "Ewald BD").
 """

@@ -54,6 +54,8 @@ import math
 import numpy as np
 from scipy.special import erfc
 
+from .tensor import pair_dyads
+
 __all__ = [
     "real_space_coefficients",
     "pair_coefficients",
@@ -163,13 +165,9 @@ def overlap_correction_coefficients(dist: np.ndarray, radius: float = 1.0
 def pair_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
                       overlap_corrected: bool = True,
                       kernel: str = "rpy") -> tuple[np.ndarray, np.ndarray]:
-    """``(f, g)`` of the block the real-space matrix stores for a pair:
+    """``(f, g)`` of the block the dense Ewald sum adds for a pair:
     :func:`real_space_coefficients`, plus — for the RPY kernel, when
     ``overlap_corrected`` — :func:`overlap_correction_coefficients`.
-
-    The one definition of the stored coefficients, shared by
-    :func:`real_space_tensors` and the compiled tensor fill of
-    :class:`~repro.pme.realspace.RealSpaceOperator`.
     """
     f, g = real_space_coefficients(dist, xi, radius, kernel=kernel)
     if overlap_corrected and kernel == "rpy":
@@ -203,9 +201,7 @@ def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
     rij = np.asarray(rij, dtype=np.float64)
     dist = np.linalg.norm(rij, axis=1)
     f, g = pair_coefficients(dist, xi, radius, overlap_corrected, kernel)
-    rhat = rij / dist[:, None]
-    return (f[:, None, None] * np.eye(3)
-            + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
+    return pair_dyads(rij, f, g)
 
 
 def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,

@@ -26,7 +26,18 @@ from ..units import FluidParams, REDUCED
 from ..utils.validation import as_positions
 
 __all__ = ["rpy_pair_tensors", "rpy_self_tensor", "mobility_matrix_free",
-           "rpy_scalar_coefficients"]
+           "rpy_scalar_coefficients", "pair_dyads"]
+
+
+def pair_dyads(rij: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The ``(m, 3, 3)`` blocks ``f I + g rhat rhat^T`` of separations
+    ``rij`` (``(m, 3)``, each nonzero), for any scalar functions ``f, g``
+    — the NumPy bytes of the compiled tensor fill
+    (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`)."""
+    rij = np.asarray(rij, dtype=np.float64)
+    rhat = rij / np.linalg.norm(rij, axis=1)[:, None]
+    return (f[:, None, None] * np.eye(3)
+            + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
 
 
 def rpy_scalar_coefficients(dist: np.ndarray, radius: float

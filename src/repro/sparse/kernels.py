@@ -607,7 +607,8 @@ def _selftest(kernels: _Kernels) -> bool:
     # every pair of them, the first an axis-aligned overlapping one
     # (zero components of rhat); the Oseen self term is negative, so are
     # its zeros
-    from ..rpy import beenakker
+    from ..rpy import pse
+    from ..rpy.tensor import pair_dyads
     length, cutoff = 9.0, 4.4
     pos = rng.uniform(0.0, length, (40, 3))
     pos[1] = pos[0] + [0.0, 1.5, 0.0]
@@ -629,12 +630,12 @@ def _selftest(kernels: _Kernels) -> bool:
         return False
     pi, pj, rij, dist = got
     for kernel, xi in (("rpy", 0.45), ("oseen", 0.6)):
-        f, g = beenakker.pair_coefficients(dist, xi, kernel=kernel)
-        scalar = beenakker.self_mobility_scalar(xi, kernel=kernel)
+        f, g = pse.pair_coefficients(dist, xi, kernel=kernel)
+        scalar = pse.self_mobility_scalar(xi, kernel=kernel)
         got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
                                        dist, scalar)
         want = _assemble_lexsort(
-            40, pi, pj, beenakker.real_space_tensors(rij, xi, kernel=kernel),
+            40, pi, pj, pair_dyads(rij, f, g),
             np.broadcast_to(scalar * np.eye(3), (40, 3, 3)))
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False

@@ -2,61 +2,147 @@
 
 The physics requirement (fluctuation-dissipation): the displacement
 block must have covariance ``2 kT dt M``.  Verified statistically for
-every sampler (Cholesky, block Lanczos, Chebyshev) on a real Ewald
-mobility.
+every sampler (Cholesky, block Lanczos, the Chebyshev square root of the
+recovery ladder, and the positively split sampler of ``MatrixFreeBD``)
+against a real dense Ewald mobility.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from repro import Box
+from repro import Box, tune_parameters
 from repro.core.brownian import (
-    ChebyshevBrownianGenerator,
     CholeskyBrownianGenerator,
     KrylovBrownianGenerator,
 )
+from repro.core.integrators import BDStepStats, MatrixFreeBD
+from repro.errors import ConvergenceError
+from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
+from repro.resilience import RecoveryLog, RecoveryPolicy
+from repro.resilience.recovery import krylov_displacements_resilient
 from repro.rpy.ewald import EwaldSummation
 
 
 @pytest.fixture(scope="module")
-def mobility():
+def system():
+    """Positions, box and dense Ewald mobility of 8 particles."""
     box = Box(15.0)
     rng = np.random.default_rng(6)
     r = rng.uniform(0, box.length, size=(8, 3))
-    return EwaldSummation(box=box, tol=1e-10).matrix(r)
+    return r, box, EwaldSummation(box=box, tol=1e-10).matrix(r)
 
 
-def _empirical_covariance(generate, d, n_samples, seed, batch=500):
+@pytest.fixture(scope="module")
+def mobility(system):
+    return system[2]
+
+
+def _empirical_covariance(sample, d, n_samples, seed, batch=500):
+    """Covariance of ``n_samples`` columns of ``sample(rng, m)``."""
     rng = np.random.default_rng(seed)
     acc = np.zeros((d, d))
     done = 0
     while done < n_samples:
         m = min(batch, n_samples - done)
-        z = rng.standard_normal((d, m))
-        g = generate(z)
+        g = sample(rng, m)
         acc += g @ g.T
         done += m
     return acc / n_samples
 
 
+def _generator(make):
+    """A sampler drawing ``z`` and calling ``make().generate(M, z)``."""
+    def build(system):
+        gen, matrix = make(), system[2]
+        return lambda rng, m: gen.generate(
+            matrix, rng.standard_normal((matrix.shape[0], m)))
+    return build
+
+
+def _chebyshev(system):
+    """The ladder's rung 3: eigenvalue bounds + Chebyshev square root."""
+    matrix = system[2]
+    l_min, l_max = eigenvalue_bounds(matrix, matrix.shape[0])
+    scale = math.sqrt(2.0 * 1.0 * 1e-3)
+
+    def sample(rng, m):
+        z = rng.standard_normal((matrix.shape[0], m))
+        return scale * chebyshev_sqrt(matrix, z, l_min, l_max, tol=1e-5)[0]
+    return sample
+
+
+def _pse(system):
+    """``MatrixFreeBD``'s own blocks: one wave-space pass plus block
+    Lanczos on the real-space half, on the tuned split."""
+    r, box, _ = system
+    bd = MatrixFreeBD(box, dt=1e-3, seed=2,
+                      pme_params=tune_parameters(r.shape[0], box))
+    bd._prepare(r)
+    return lambda rng, m: bd._generate_displacements(m, BDStepStats())
+
+
 @pytest.mark.parametrize("make, seed, batch", [
-    pytest.param(lambda: CholeskyBrownianGenerator(kT=1.0, dt=1e-3),
+    pytest.param(_generator(lambda: CholeskyBrownianGenerator(kT=1.0,
+                                                              dt=1e-3)),
                  0, 500, id="cholesky"),
     # block size must not exceed the dimension (24 here)
-    pytest.param(lambda: KrylovBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-6),
+    pytest.param(_generator(lambda: KrylovBrownianGenerator(kT=1.0, dt=1e-3,
+                                                            tol=1e-6)),
                  1, 8, id="block_lanczos"),
-    pytest.param(lambda: ChebyshevBrownianGenerator(kT=1.0, dt=1e-3,
-                                                    tol=1e-5),
-                 8, 500, id="chebyshev"),
+    pytest.param(_chebyshev, 8, 500, id="chebyshev"),
+    pytest.param(_pse, 3, 500, id="pse"),
 ])
-def test_fluctuation_dissipation(mobility, make, seed, batch):
+def test_fluctuation_dissipation(system, make, seed, batch):
     """Every sampler's displacements have covariance ``2 kT dt M``."""
-    gen = make()
-    cov = _empirical_covariance(lambda z: gen.generate(mobility, z),
-                                mobility.shape[0], 30_000, seed=seed,
-                                batch=batch)
+    mobility = system[2]
+    cov = _empirical_covariance(make(system), mobility.shape[0], 30_000,
+                                seed=seed, batch=batch)
     target = 2 * 1.0 * 1e-3 * mobility
     assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
+
+
+class _FailsOnce(KrylovBrownianGenerator):
+    """Block Lanczos whose first solve does not converge: the ladder's
+    rungs answer instead."""
+
+    def generate(self, matvec, z):
+        if not getattr(self, "failed", False):
+            self.failed = True
+            raise ConvergenceError("first solve fails", iterations=1,
+                                   residual=0.5,
+                                   best_iterate=np.atleast_2d(z.T).T.copy(),
+                                   n_matvecs=1)
+        return super().generate(matvec, z)
+
+
+_RUNGS = {
+    "retry-lanczos": RecoveryPolicy(),
+    "accept-partial": RecoveryPolicy(lanczos_retries=0,
+                                     accept_partial_rel_change=1.0),
+    "fallback-chebyshev": RecoveryPolicy(lanczos_retries=0),
+    "fallback-cholesky": RecoveryPolicy(lanczos_retries=0,
+                                        chebyshev_fallback=False),
+}
+
+
+@pytest.mark.parametrize("sampler", ["cholesky", "block_lanczos",
+                                     *_RUNGS])
+def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler):
+    # the same call must not change shape with the rung that answers it
+    z = np.random.default_rng(11).standard_normal(mobility.shape[0])
+    if sampler == "cholesky":
+        d = CholeskyBrownianGenerator(kT=1.0, dt=1e-3).generate(mobility, z)
+    elif sampler == "block_lanczos":
+        d = KrylovBrownianGenerator(kT=1.0, dt=1e-3).generate(mobility, z)
+    else:
+        log = RecoveryLog()
+        d, _ = krylov_displacements_resilient(
+            _FailsOnce(kT=1.0, dt=1e-3), mobility, z, _RUNGS[sampler],
+            log, step=0)
+        assert log.count(action=sampler) == 1
+    assert d.shape == z.shape
 
 
 def test_generators_agree_on_sqrt_action(mobility):

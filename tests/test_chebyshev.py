@@ -1,10 +1,10 @@
-"""Tests for the Chebyshev (Fixman) Brownian displacement method."""
+"""Tests for the Chebyshev (Fixman) square root, rung 3 of the recovery
+ladder (:mod:`repro.resilience.recovery`)."""
 
 import numpy as np
 import pytest
 
 from repro import Box
-from repro.core.brownian import ChebyshevBrownianGenerator
 from repro.errors import ConvergenceError
 from repro.krylov import dense_sqrt_apply
 from repro.krylov.chebyshev import (
@@ -107,6 +107,9 @@ class TestChebyshevSqrt:
 
 
 class TestGeneratorOnRealMobility:
+    """``eigenvalue_bounds`` + ``chebyshev_sqrt`` on a real Ewald
+    mobility, exactly as the ladder's rung 3 calls them."""
+
     @pytest.fixture(scope="class")
     def mobility(self):
         box = Box(15.0)
@@ -117,17 +120,23 @@ class TestGeneratorOnRealMobility:
     def test_quadratic_form_matches_krylov(self, mobility):
         from repro.core.brownian import KrylovBrownianGenerator
         z = np.random.default_rng(9).standard_normal((mobility.shape[0], 4))
-        g_cheb = ChebyshevBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-8).generate(
-            lambda v: mobility @ v, z)
+        l_min, l_max = eigenvalue_bounds(lambda v: mobility @ v,
+                                         mobility.shape[0])
+        g_cheb, _ = chebyshev_sqrt(lambda v: mobility @ v, z, l_min, l_max,
+                                   tol=1e-8)
+        g_cheb *= np.sqrt(2.0 * 1.0 * 1e-3)
         g_kry = KrylovBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-9).generate(
             lambda v: mobility @ v, z)
         # both approximate the same principal square root action
         np.testing.assert_allclose(g_cheb, g_kry, rtol=1e-4, atol=1e-8)
 
     def test_reports_bounds_and_info(self, mobility):
-        gen = ChebyshevBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-3)
         z = np.random.default_rng(10).standard_normal(mobility.shape[0])
-        gen.generate(lambda v: mobility @ v, z)
-        assert gen.last_bounds is not None
-        assert gen.last_bounds[0] > 0
-        assert gen.last_info.n_matvecs > gen.last_info.iterations
+        l_min, l_max = eigenvalue_bounds(lambda v: mobility @ v,
+                                         mobility.shape[0])
+        eigs = np.linalg.eigvalsh(mobility)
+        assert 0 < l_min <= eigs[0] and l_max >= eigs[-1]
+        _, info = chebyshev_sqrt(lambda v: mobility @ v, z, l_min, l_max,
+                                 tol=1e-3)
+        assert info.converged
+        assert info.n_matvecs > info.iterations

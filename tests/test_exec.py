@@ -298,6 +298,20 @@ def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
     assert len(digests) == 1, "backends disagree bitwise"
 
 
+def test_sample_reciprocal_bit_identity(system, kernel_mode):
+    # the wave-space sampling pass of MatrixFreeBD: the same bytes with
+    # no context and on every backend, like the apply
+    box, r, params, f = system
+    noise = np.random.default_rng(8).standard_normal(
+        (3 * f.shape[1], params.K ** 3))
+    legacy = PMEOperator(r, box, params).sample_reciprocal(noise.copy())
+    for backend, workers in BACKENDS:
+        with ExecutionContext(backend=backend, workers=workers) as ctx:
+            op = PMEOperator(r, box, params, context=ctx)
+            assert digest(op.sample_reciprocal(noise.copy())) == \
+                digest(legacy), (backend, workers)
+
+
 def test_forward_fft_lanes_independent_of_workers(set_kernel_mode,
                                                   monkeypatch):
     # each lane is transformed by the same call whoever runs it: the

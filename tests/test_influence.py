@@ -84,3 +84,25 @@ def test_shape_validation(influence):
 def test_rejects_bad_xi():
     with pytest.raises(ConfigurationError):
         InfluenceFunction(Mesh(Box(5.0), 8), xi=0.0, p=4)
+
+
+def test_root_influence_squares_to_the_influence(influence):
+    # the sampler's factor: sqrt(scalar) with the same (idempotent)
+    # projector, applied twice, is the influence applied once
+    c = _random_spectrum(influence.mesh, seed=3)
+    once = influence.apply(c.copy())
+    root = influence.apply_batch(c.copy()[:, None], root=True)
+    twice = influence.apply_batch(root, root=True)[:, 0]
+    np.testing.assert_allclose(twice, once, rtol=0,
+                               atol=1e-12 * np.abs(once).max())
+    assert np.all(influence.scalar >= 0.0)
+
+
+def test_nyquist_planes_carry_no_weight(influence):
+    # a Nyquist mode's stored wavevector is not minus its conjugate
+    # partner's: zero weight keeps the influence an exact Hermitian
+    # multiplier (and its square root an exact root)
+    K = influence.mesh.K
+    for plane in (influence.scalar[K // 2], influence.scalar[:, K // 2],
+                  influence.scalar[:, :, K // 2]):
+        assert not plane.any()

@@ -55,6 +55,16 @@ def test_pme_operator_conforms(system):
     assert op.shape == (3 * r.shape[0],) * 2
 
 
+def test_real_space_operator_conforms(system):
+    # the real half of the split is sampled on its own by block Lanczos
+    box, r, params = system
+    op = PMEOperator(r, box, params).real
+    assert isinstance(op, MobilityOperator)
+    assert op.shape == (3 * r.shape[0],) * 2
+    f = np.random.default_rng(4).standard_normal((3 * r.shape[0], 2))
+    assert (op.as_linear_operator() @ f).tobytes() == op.apply(f).tobytes()
+
+
 def test_dense_matrix_wrapper_conforms(spd_matrix):
     op = DenseMobilityMatrix(spd_matrix)
     assert isinstance(op, MobilityOperator)

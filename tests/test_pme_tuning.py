@@ -60,16 +60,17 @@ class TestSplineCalibration:
             _spline_error(4, 0.3, 2.0)
 
     def test_xia_cubed_scaling(self):
-        # the table's (xi a)^3 collapse held near xi a = 2 only, and was
-        # 6x optimistic at the xi a ~ 0.4-0.7 tuned splits live at.  At
-        # fixed xi h the coherent own-coefficient error grows like
-        # (xi a)^3 only where the a^3 k^2 term of m_alpha dominates ...
-        high = _spline_error(6, 0.3, 2.0) / _spline_error(6, 0.3, 1.0)
-        assert high == pytest.approx(8.0, rel=0.25)
-        # ... and not at all below xi a ~ 0.5, where m_alpha's factor
-        # (a - a^3 k^2 / 3) changes sign inside the aliased band: the
-        # estimate *falls* from xi a = 0.2 to 0.4
-        assert _spline_error(6, 0.3, 0.4) < _spline_error(6, 0.3, 0.2)
+        # Beenakker's wave scalar carried (a - a^3 k^2 / 3): at fixed xi h
+        # its coherent error grew like (xi a)^3 and changed sign inside
+        # the aliased band.  The positively split scalar carries
+        # sinc^2(k a) instead, ~ 1/(k a)^2 at the aliased wavenumbers
+        # k ~ pi / h: at fixed xi h the estimate falls like 1 / (xi a) ...
+        low = _spline_error(6, 0.3, 4.0) / _spline_error(6, 0.3, 2.0)
+        assert low == pytest.approx(0.5, rel=0.1)
+        # ... and falls monotonically from small xi a on
+        errs = [_spline_error(6, 0.3, xia) for xia in (0.1, 0.2, 0.4, 1.0,
+                                                      2.0, 4.0)]
+        assert errs == sorted(errs, reverse=True)
 
     def test_bound_inverts_estimate(self):
         # the mesh of every candidate is the smallest friendly size
@@ -113,15 +114,21 @@ class TestErrorEstimates:
 
     @pytest.mark.parametrize("n,phi", [(100, 0.1), (200, 0.2)])
     def test_components_within_a_factor_1_6(self, n, phi):
+        # the wave-space half of the split at xi: a mesh of spacing
+        # L/96 at order 8 resolves it to round-off (its estimate is
+        # < 1e-10 here); the total is dense Ewald, so the real-space
+        # half is what is left of it
         susp, matrix = _system(n, phi, 0)
         box, r = susp.box, susp.positions
         rng = np.random.default_rng(5)
         f = rng.standard_normal((3 * n, 3))
         f /= np.linalg.norm(f, axis=0)
         u = matrix @ f
+        compared = 0
         for xi in (0.35, 0.5, 0.7):
-            exact = EwaldSummation(box=box, xi=xi, tol=1e-12)
-            recip = exact._reciprocal_matrix(box.wrap(r)) @ f
+            fine = PMEParams(xi=xi, r_max=2.5, K=96, p=8)
+            assert np.hypot(*reciprocal_error(xi, 96, 8, n, box)) < 1e-10
+            recip = PMEOperator(r, box, fine).apply_reciprocal(f)
             for K, p in ((16, 4), (20, 6), (30, 6), (24, 8)):
                 op = PMEOperator(r, box, PMEParams(xi=xi, r_max=2.5, K=K,
                                                    p=p))
@@ -132,6 +139,7 @@ class TestErrorEstimates:
                     continue
                 estimate = np.hypot(*reciprocal_error(xi, K, p, n, box))
                 assert 1 / 1.6 < measured / estimate < 1.6, (xi, K, p)
+                compared += 1
             for r_max in (4.0, 5.5, box.length / 2):
                 op = PMEOperator(r, box, PMEParams(xi=xi, r_max=r_max,
                                                    K=16, p=4))
@@ -142,6 +150,8 @@ class TestErrorEstimates:
                     continue
                 estimate = float(real_space_error(xi, r_max, n, box))
                 assert 1 / 1.6 < measured / estimate < 1.6, (xi, r_max)
+                compared += 1
+        assert compared >= 12
 
 
 class TestTuner:
@@ -262,11 +272,13 @@ class TestRanking:
 
     def test_default_splits_on_the_committed_substrate(self):
         # every default trajectory digest hangs on these; they move only
-        # when a SUBSTRATE rate is re-recorded.  pair_build_us 0.40 ->
-        # 0.20 (the rebuild in compiled passes) moved n = 4000 from
-        # (8.47, 40): a cheaper build buys a larger cutoff
-        splits = {100: (6.02, 24), 200: (7.31, 20), 1000: (8.89, 24),
-                  2000: (8.47, 32), 4000: (8.89, 36)}
+        # when a SUBSTRATE rate is re-recorded or the split changes.  The
+        # positively split Ewald sum (real half decaying like
+        # exp(-xi^2 (r - 2a)^2), no Lanczos pass over the mesh) moved
+        # them from (6.02, 24), (7.31, 20), (8.89, 24), (8.47, 32) and
+        # (8.89, 36): smaller cutoffs, and finer meshes at large n
+        splits = {100: (5.46, 12), 200: (6.96, 12), 1000: (5.46, 24),
+                  2000: (4.71, 32), 4000: (4.71, 40)}
         for n, (r_max, K) in splits.items():
             params = tune_parameters(n, Box.for_volume_fraction(n, 0.2))
             assert (round(params.r_max, 2), params.K) == (r_max, K)
@@ -325,10 +337,10 @@ class TestRanking:
         # one over the whole cutoff grid at once, whatever n; the wall
         # time is the suite's `pme.tune_ms`.
         from repro.pme import tuning
-        from repro.rpy import beenakker
+        from repro.rpy import pse
 
         shapes = {"real": [], "recip": []}
-        coefficients = beenakker.real_space_coefficients
+        coefficients = pse.real_space_coefficients
         reciprocal = tuning.reciprocal_error
 
         def counted_coefficients(r, *args, **kwargs):
@@ -339,7 +351,7 @@ class TestRanking:
             shapes["recip"].append(np.shape(xi))
             return reciprocal(xi, *args, **kwargs)
 
-        monkeypatch.setattr(beenakker, "real_space_coefficients",
+        monkeypatch.setattr(pse, "real_space_coefficients",
                             counted_coefficients)
         monkeypatch.setattr(tuning, "reciprocal_error", counted_reciprocal)
         for n in (100, 100_000):

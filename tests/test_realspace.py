@@ -7,7 +7,8 @@ from repro import Box
 from repro.errors import ConfigurationError
 from repro.neighbor.pairs import brute_force_pairs, find_pairs
 from repro.pme.realspace import RealSpaceOperator
-from repro.rpy import beenakker
+from repro.rpy import pse
+from repro.rpy.tensor import pair_dyads
 from repro.sparse import BlockCSR
 from repro.sparse.kernels import _assemble_lexsort
 
@@ -27,11 +28,11 @@ def _dense_reference(r, box, xi, r_max):
     i, j = brute_force_pairs(r, box, r_max)
     if i.size:
         rij, dist = box.distances(r, i, j)
-        tensors = beenakker.real_space_tensors(rij, xi)
+        tensors = pair_dyads(rij, *pse.pair_coefficients(dist, xi))
         for k in range(i.size):
             out[3 * i[k]:3 * i[k] + 3, 3 * j[k]:3 * j[k] + 3] = tensors[k]
             out[3 * j[k]:3 * j[k] + 3, 3 * i[k]:3 * i[k] + 3] = tensors[k].T
-    diag = beenakker.self_mobility_scalar(xi)
+    diag = pse.self_mobility_scalar(xi)
     out[np.arange(3 * n), np.arange(3 * n)] += diag
     return out
 
@@ -76,12 +77,11 @@ def _operator_from_pairs(r, box, xi, r_max, search):
     n = r.shape[0]
     i, j = search(r, box, r_max)
     rij, dist = box.distances(r, i, j)
-    f, g = beenakker.real_space_coefficients(dist, xi, 1.0)
-    df, dg = beenakker.overlap_correction_coefficients(dist, 1.0)
+    f, g = pse.real_space_coefficients(dist, xi, 1.0)
     rhat = rij / dist[:, None]
-    blocks = ((f + df)[:, None, None] * np.eye(3)
-              + (g + dg)[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
-    diag = np.broadcast_to(beenakker.self_mobility_scalar(xi) * np.eye(3),
+    blocks = (f[:, None, None] * np.eye(3)
+              + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
+    diag = np.broadcast_to(pse.self_mobility_scalar(xi) * np.eye(3),
                            (n, 3, 3)).copy()
     return BlockCSR(n, *_assemble_lexsort(n, i.astype(np.int64),
                                           j.astype(np.int64), blocks, diag))
@@ -128,7 +128,7 @@ def test_self_term_only_for_isolated_particle():
     r = np.array([[10.0, 10.0, 10.0]])
     op = RealSpaceOperator(r, box, xi=0.7, r_max=5.0)
     f = np.array([1.0, 0.0, 0.0])
-    expect = beenakker.self_mobility_scalar(0.7)
+    expect = pse.self_mobility_scalar(0.7)
     np.testing.assert_allclose(op.apply(f), [expect, 0.0, 0.0], rtol=1e-12)
 
 
@@ -143,6 +143,8 @@ def test_cutoff_validation():
         RealSpaceOperator(r, box, xi=1.0, r_max=4.0, engine="scipy")
     with pytest.raises(TypeError):      # and so is the choice of search
         RealSpaceOperator(r, box, xi=1.0, r_max=4.0, neighbor_backend="cells")
+    with pytest.raises(TypeError):      # the overlap form is in the split
+        RealSpaceOperator(r, box, xi=1.0, r_max=4.0, overlap_corrected=True)
 
 
 def test_pair_count_and_memory(setup):
@@ -152,14 +154,3 @@ def test_pair_count_and_memory(setup):
     assert op.n_pairs == i.size
     assert op.nnz_blocks == 2 * i.size + r.shape[0]
     assert op.memory_bytes > 0
-
-
-def test_overlap_correction_toggles(setup):
-    box = Box(10.0)
-    r = np.array([[1.0, 1.0, 1.0], [2.5, 1.0, 1.0]])  # dist 1.5 < 2a
-    f = np.array([1.0, 0, 0, 0, 0, 0])
-    with_corr = RealSpaceOperator(r, box, xi=1.0, r_max=4.0,
-                                  overlap_corrected=True).apply(f)
-    without = RealSpaceOperator(r, box, xi=1.0, r_max=4.0,
-                                overlap_corrected=False).apply(f)
-    assert not np.allclose(with_corr, without)

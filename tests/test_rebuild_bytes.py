@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from repro import Box
 from repro.neighbor.pairs import find_pairs
 from repro.pme.realspace import RealSpaceOperator
-from repro.rpy import beenakker
+from repro.rpy import pse
 from repro.sparse.kernels import _assemble_lexsort
 from repro.systems import fcc_positions, make_suspension
 
@@ -28,7 +28,7 @@ def _separations(r, i, j, length):
     return rij, np.linalg.norm(rij, axis=1)
 
 
-def _reference(r, box, xi, r_max, overlap_corrected=True, kernel="rpy"):
+def _reference(r, box, xi, r_max, kernel="rpy"):
     """``(indptr, indices, blocks)`` the slow way: all pairs, membership
     on the wrapped positions, tensors on the positions as given."""
     n, length = r.shape[0], box.length
@@ -36,14 +36,11 @@ def _reference(r, box, xi, r_max, overlap_corrected=True, kernel="rpy"):
     keep = _separations(box.wrap(r), i, j, length)[1] < r_max
     i, j = i[keep].astype(np.int64), j[keep].astype(np.int64)
     rij, dist = _separations(r, i, j, length)
-    f, g = beenakker.real_space_coefficients(dist, xi, kernel=kernel)
-    if overlap_corrected and kernel == "rpy":
-        df, dg = beenakker.overlap_correction_coefficients(dist)
-        f, g = f + df, g + dg
+    f, g = pse.real_space_coefficients(dist, xi, kernel=kernel)
     rhat = rij / dist[:, None]
     blocks = (f[:, None, None] * np.eye(3)
               + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
-    scalar = beenakker.self_mobility_scalar(xi, kernel=kernel)
+    scalar = pse.self_mobility_scalar(xi, kernel=kernel)
     diag = np.broadcast_to(scalar * np.eye(3), (n, 3, 3))
     return i.size, _assemble_lexsort(n, i, j, blocks, diag)
 
@@ -85,21 +82,20 @@ def test_exact_fcc_lattice(kernel_mode):
     _assert_same_bytes(r, box, 0.5, 5.9, kernel="oseen")
 
 
-@pytest.mark.parametrize("overlap_corrected", [True, False])
-def test_overlapping_pairs(overlap_corrected, kernel_mode):
+@pytest.mark.parametrize("kernel", ["rpy", "oseen"])
+def test_overlapping_pairs(kernel, kernel_mode):
     # uniform random points overlap freely; the second system is 60
-    # copies of 2 sites, every copy within 0.2 a of its site
+    # copies of 2 sites, every copy within 0.2 a of its site.  The
+    # overlap form of the RPY tensor is part of the split's real half
     box = Box(11.0)
     rng = np.random.default_rng(11)
     r = rng.uniform(0, box.length, size=(120, 3))
-    op = _assert_same_bytes(r, box, 0.6, 5.0,
-                            overlap_corrected=overlap_corrected)
+    op = _assert_same_bytes(r, box, 0.6, 5.0, kernel=kernel)
     i, j = find_pairs(r, box, 2.0)
     assert i.size > 20 and op.n_pairs > i.size
     sites = np.array([[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]])
     clumped = np.repeat(sites, 60, axis=0) + rng.uniform(-0.1, 0.1, (120, 3))
-    _assert_same_bytes(clumped, box, 0.6, 5.0,
-                       overlap_corrected=overlap_corrected)
+    _assert_same_bytes(clumped, box, 0.6, 5.0, kernel=kernel)
 
 
 @pytest.mark.parametrize("below", [0.0, 1e-9], ids=["half-box", "just-below"])
@@ -111,11 +107,11 @@ def test_cutoff_at_half_the_box(below, kernel_mode):
 
 
 def test_oseen_kernel(kernel_mode):
-    # xi a > 0.3: the Oseen self term is negative, its off-diagonal
-    # zeros are -0.0
+    # xi a > sqrt(pi)/3: the Oseen self term is negative, its
+    # off-diagonal zeros are -0.0
     s = make_suspension(100, 0.2, seed=4)
-    assert beenakker.self_mobility_scalar(0.5, kernel="oseen") < 0
-    op = _assert_same_bytes(s.positions, s.box, 0.5, 5.0, kernel="oseen")
+    assert pse.self_mobility_scalar(0.7, kernel="oseen") < 0
+    op = _assert_same_bytes(s.positions, s.box, 0.7, 5.0, kernel="oseen")
     assert np.signbit(op.bcsr.blocks[op.bcsr.blocks == 0.0]).any()
 
 

@@ -5,7 +5,9 @@ the block it rides in: column ``j`` of an ``s``-wide product equals the
 1-wide product of column ``j`` **bytewise**, at every width, in both
 kernel modes and on both backends.  Served-vs-direct identity
 (``repro.serve.batching``), hybrid per-device column shares and the
-``MAX_BLOCK_COLUMNS`` chunking all rest on it.
+``MAX_BLOCK_COLUMNS`` chunking all rest on it.  The wave-space sampling
+pass (``PMEOperator.sample_reciprocal``, noise lanes in place of the
+spread) is held to the same rule.
 """
 
 import numpy as np
@@ -46,6 +48,7 @@ def _products(ctx):
     G = rng.standard_normal((WIDEST, K ** 3))
     S = (rng.standard_normal((3, WIDEST) + op.mesh.rshape)
          + 1j * rng.standard_normal((3, WIDEST) + op.mesh.rshape))
+    W = rng.standard_normal((3, WIDEST, K ** 3))
     return {
         "BlockCSR.matmat":
             lambda c: op.real.bcsr.matmat(F[:, c], context=ctx).T,
@@ -59,6 +62,9 @@ def _products(ctx):
             lambda c: op.influence.apply_batch(S[:, c].copy()).swapaxes(0, 1),
         "PMEOperator.apply_block":
             lambda c: op.apply_block(F[:, c]).T,
+        "PMEOperator.sample_reciprocal":
+            lambda c: op.sample_reciprocal(
+                W[:, c].reshape(-1, K ** 3)).T,
     }
 
 
