@@ -323,9 +323,9 @@ class PMEOperator:
 
         ``noise`` holds ``W``: ``3s`` lanes of real white noise on the
         mesh, shape ``(3s, K^3)`` or ``(3s, K, K, K)`` (lane ``b =
-        component * s + column``, as in :meth:`apply_reciprocal`; wider
-        than ``MAX_BLOCK_COLUMNS`` columns, it runs as passes over
-        copies of the column chunks).  It goes through the stages of
+        component * s + column``, as in :meth:`apply_reciprocal`; at most
+        ``MAX_BLOCK_COLUMNS`` columns, the caller draws wider blocks in
+        chunks).  It goes through the stages of
         :meth:`apply_reciprocal` with the spread replaced by the noise
         and the influence by its square root
         (:meth:`InfluenceFunction.apply_batch` with ``root=True``):
@@ -346,11 +346,9 @@ class PMEOperator:
                 f"{noise.shape}")
         s = lanes // 3
         if s > MAX_BLOCK_COLUMNS:
-            w = noise.reshape(3, s, K ** 3)
-            return np.concatenate([
-                self.sample_reciprocal(w[:, lo:lo + MAX_BLOCK_COLUMNS]
-                                       .reshape(-1, K ** 3))
-                for lo in range(0, s, MAX_BLOCK_COLUMNS)], axis=1)
+            raise ConfigurationError(
+                f"noise holds {s} columns; one pass takes at most "
+                f"{MAX_BLOCK_COLUMNS}")
         out = np.empty((3 * n, s))
         self._mesh_pass(noise.reshape(lanes, K, K, K),
                         self.cache.workspace(K, lanes, n),

@@ -10,7 +10,7 @@ substitution for the paper's Verlet cell list, O(n log n), whose strict
 minimum-image filter is one C pass), the separations of the pairs in a
 second one (:meth:`~repro.geometry.box.Box.distances`), the scalar
 coefficients ``f, g`` of every pair in NumPy/SciPy
-(:func:`~repro.rpy.pse.pair_coefficients`, the positively split Ewald
+(:func:`~repro.rpy.pse.real_space_coefficients`, the positively split Ewald
 real-space half: ``erfc`` and ``exp`` decide the bytes and are not the
 bottleneck), and one linear symmetric
 assembly that computes each ``f I + g rhat rhat^T`` in the slot it is
@@ -106,7 +106,7 @@ class RealSpaceOperator:
         fused = kernel_available()
         with obs.span("pme.real_tensors", pairs=int(i.size)):
             rij, dist = box.distances(r, i, j)
-            f, g = pse.pair_coefficients(dist, xi, radius, kernel)
+            f, g = pse.real_space_coefficients(dist, xi, radius, kernel)
             if not fused:
                 blocks = pair_dyads(rij, f, g)
 

@@ -58,7 +58,6 @@ from .tensor import pair_dyads
 
 __all__ = [
     "real_space_coefficients",
-    "pair_coefficients",
     "real_space_tensors",
     "reciprocal_scalar",
     "self_mobility_scalar",
@@ -162,25 +161,10 @@ def overlap_correction_coefficients(dist: np.ndarray, radius: float = 1.0
     return df, dg
 
 
-def pair_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
-                      overlap_corrected: bool = True,
-                      kernel: str = "rpy") -> tuple[np.ndarray, np.ndarray]:
-    """``(f, g)`` of the block the dense Ewald sum adds for a pair:
-    :func:`real_space_coefficients`, plus — for the RPY kernel, when
-    ``overlap_corrected`` — :func:`overlap_correction_coefficients`.
-    """
-    f, g = real_space_coefficients(dist, xi, radius, kernel=kernel)
-    if overlap_corrected and kernel == "rpy":
-        df, dg = overlap_correction_coefficients(dist, radius)
-        f = f + df
-        g = g + dg
-    return f, g
-
-
 def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
-                       overlap_corrected: bool = True,
                        kernel: str = "rpy") -> np.ndarray:
-    """Real-space Ewald tensors ``M^(1)(r_ij) / mu0`` for separation vectors.
+    """Real-space Ewald tensors ``M^(1)(r_ij) / mu0`` for separation vectors
+    (no overlap correction: :func:`overlap_correction_coefficients`).
 
     Parameters
     ----------
@@ -190,9 +174,6 @@ def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
         Ewald splitting parameter.
     radius:
         Particle radius ``a``.
-    overlap_corrected:
-        If true (default), pairs closer than ``2a`` get the
-        positive-definite overlap regularization added.
 
     Returns
     -------
@@ -200,8 +181,8 @@ def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
     """
     rij = np.asarray(rij, dtype=np.float64)
     dist = np.linalg.norm(rij, axis=1)
-    f, g = pair_coefficients(dist, xi, radius, overlap_corrected, kernel)
-    return pair_dyads(rij, f, g)
+    return pair_dyads(rij, *real_space_coefficients(dist, xi, radius,
+                                                    kernel=kernel))
 
 
 def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,

@@ -261,8 +261,7 @@ class EwaldSummation:
         sel = dist0 < r_cut
         if np.any(sel):
             tensors = beenakker.real_space_tensors(
-                self_offsets[sel], xi, a, overlap_corrected=False,
-                kernel=self.kernel)
+                self_offsets[sel], xi, a, kernel=self.kernel)
             total = tensors.sum(axis=0)
             for i in range(n):
                 m[3 * i:3 * i + 3, 3 * i:3 * i + 3] += total

@@ -70,7 +70,6 @@ from scipy.special import erfc
 
 __all__ = [
     "real_space_coefficients",
-    "pair_coefficients",
     "reciprocal_scalar",
     "self_mobility_scalar",
 ]
@@ -116,7 +115,9 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
 
     ``M_real(r) / mu0 = f(r) I + g(r) rhat rhat^T`` at every separation
     ``r > 0``, overlapping pairs included (the overlap form is part of
-    ``f_RPY``).  ``xi`` is a scalar or broadcasts against ``dist``;
+    ``f_RPY``, not a correction added to it).  The one definition of the
+    stored coefficients, shared by the NumPy tensor fill and the compiled
+    fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a scalar or broadcasts against ``dist``;
     ``kernel`` is ``"rpy"`` (default) or ``"oseen"``.
     """
     _check_kernel(kernel)
@@ -146,19 +147,6 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     f = c * (u2 / r - u1 / r2 + u0 / (r2 * r))
     g = -c * (u2 / r - 3.0 * u1 / r2 + 3.0 * u0 / (r2 * r))
     return f, g
-
-
-def pair_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
-                      kernel: str = "rpy") -> tuple[np.ndarray, np.ndarray]:
-    """``(f, g)`` of the block the real-space matrix stores for a pair.
-
-    The one definition of the stored coefficients, shared by the NumPy
-    tensor fill and the compiled fill of
-    :class:`~repro.pme.realspace.RealSpaceOperator`.  Under PSE it is
-    :func:`real_space_coefficients` itself: the overlap form is part of
-    the split, not a correction added to it.
-    """
-    return real_space_coefficients(dist, xi, radius, kernel=kernel)
 
 
 def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,

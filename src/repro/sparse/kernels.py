@@ -630,7 +630,7 @@ def _selftest(kernels: _Kernels) -> bool:
         return False
     pi, pj, rij, dist = got
     for kernel, xi in (("rpy", 0.45), ("oseen", 0.6)):
-        f, g = pse.pair_coefficients(dist, xi, kernel=kernel)
+        f, g = pse.real_space_coefficients(dist, xi, kernel=kernel)
         scalar = pse.self_mobility_scalar(xi, kernel=kernel)
         got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
                                        dist, scalar)

@@ -1,6 +1,7 @@
 """Tests for PME parameter selection (the Table III procedure)."""
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -20,7 +21,8 @@ from repro.pme.tuning import (
     real_space_error,
     reciprocal_error,
 )
-from repro.rpy.ewald import EwaldSummation
+from repro.rpy import pse
+from repro.rpy.ewald import EwaldSummation, _k_lattice_half
 
 
 class TestFFTFriendly:
@@ -109,15 +111,35 @@ def _system(n, phi, seed):
     return susp, matrix
 
 
+def _wave_half(r, box, xi, f):
+    """The wave-space half of the split at ``xi`` applied to ``f``
+    (``mu0`` units), as a direct sum over the k lattice: no mesh, so it
+    is independent of the estimate it checks.  The lattice stops where
+    ``(1 + q^2) e^(-q^2)`` falls below 1e-14."""
+    n = r.shape[0]
+    k = _k_lattice_half(box, 2 * xi * math.sqrt(36.0)) * (
+        2 * math.pi / box.length)
+    k2 = (k * k).sum(axis=1)
+    scal = pse.reciprocal_scalar(k2, xi) * 2 / box.volume  # half k-space
+    khat = k / np.sqrt(k2)[:, None]
+    phase = r @ k.T
+    out = np.zeros((n, 3, f.shape[1]))
+    for trig in (np.cos(phase), np.sin(phase)):
+        # sum_j trig(k . r_j) f_j, projected off khat
+        c = np.einsum("jk,jcs->kcs", trig, f.reshape(n, 3, -1))
+        c -= khat[:, :, None] * np.einsum("kc,kcs->ks", khat, c)[:, None]
+        out += np.einsum("jk,kcs->jcs", trig, scal[:, None, None] * c)
+    return out.reshape(3 * n, -1)
+
+
 class TestErrorEstimates:
     """The two error components against dense Ewald, apart."""
 
     @pytest.mark.parametrize("n,phi", [(100, 0.1), (200, 0.2)])
     def test_components_within_a_factor_1_6(self, n, phi):
-        # the wave-space half of the split at xi: a mesh of spacing
-        # L/96 at order 8 resolves it to round-off (its estimate is
-        # < 1e-10 here); the total is dense Ewald, so the real-space
-        # half is what is left of it
+        # the wave-space half of the split at xi as a direct k-space
+        # sum; the total is dense Ewald, so the real-space half is what
+        # is left of it
         susp, matrix = _system(n, phi, 0)
         box, r = susp.box, susp.positions
         rng = np.random.default_rng(5)
@@ -126,9 +148,7 @@ class TestErrorEstimates:
         u = matrix @ f
         compared = 0
         for xi in (0.35, 0.5, 0.7):
-            fine = PMEParams(xi=xi, r_max=2.5, K=96, p=8)
-            assert np.hypot(*reciprocal_error(xi, 96, 8, n, box)) < 1e-10
-            recip = PMEOperator(r, box, fine).apply_reciprocal(f)
+            recip = _wave_half(r, box, xi, f)
             for K, p in ((16, 4), (20, 6), (30, 6), (24, 8)):
                 op = PMEOperator(r, box, PMEParams(xi=xi, r_max=2.5, K=K,
                                                    p=p))

@@ -16,8 +16,10 @@ from scipy.special import spherical_jn
 
 from repro import Box, PMEOperator, PMEParams, make_suspension, \
     pme_relative_error, tune_parameters
+from repro.errors import ConfigurationError
 from repro.pme.influence import InfluenceFunction
 from repro.pme.mesh import Mesh
+from repro.pme.operator import MAX_BLOCK_COLUMNS
 from repro.rpy import pse
 from repro.rpy.ewald import EwaldSummation
 
@@ -56,10 +58,10 @@ def _quadrature(r, xi, a, kernel):
 
 @pytest.mark.parametrize("kernel", ["rpy", "oseen"])
 @pytest.mark.parametrize("xi", [0.35, 0.6, 0.9])
-def test_pair_coefficients_match_quadrature(kernel, xi):
+def test_real_space_coefficients_match_quadrature(kernel, xi):
     # on both sides of contact, at contact, and in the tail
     r = np.array([0.3, 1.0, 1.9, 1.999, 2.0, 2.001, 2.5, 4.0, 7.0])
-    f, g = pse.pair_coefficients(r, xi, 1.0, kernel)
+    f, g = pse.real_space_coefficients(r, xi, 1.0, kernel)
     for k, dist in enumerate(r):
         fq, gq = _quadrature(dist, xi, 1.0, kernel)
         assert abs(f[k] - fq) < 1e-10 and abs(g[k] - gq) < 1e-10, dist
@@ -76,7 +78,7 @@ def test_self_term_is_the_limit_at_zero_separation(xi):
     assert pse.self_mobility_scalar(xi) == pytest.approx(quadrature,
                                                          abs=1e-12)
     h = 1e-3
-    f, g = pse.pair_coefficients(np.array([h, 2 * h]), xi)
+    f, g = pse.real_space_coefficients(np.array([h, 2 * h]), xi)
     # (round-off of the closed forms grows like 1/r^3 below r ~ 1e-2)
     assert 2 * f[0] - f[1] == pytest.approx(pse.self_mobility_scalar(xi),
                                             abs=1e-5)
@@ -117,8 +119,8 @@ def test_sampling_pass_is_an_exact_root_of_the_reciprocal_half():
                      PMEParams(xi=0.6, r_max=3.0, K=K, p=4))
     dim = 3 * K ** 3
     cols = []
-    for lo in range(0, dim, 32):
-        s = min(32, dim - lo)
+    for lo in range(0, dim, MAX_BLOCK_COLUMNS):
+        s = min(MAX_BLOCK_COLUMNS, dim - lo)
         unit = np.zeros((3, s, K ** 3))
         for c, j in enumerate(range(lo, lo + s)):
             unit[j // K ** 3, c, j % K ** 3] = 1.0
@@ -126,6 +128,9 @@ def test_sampling_pass_is_an_exact_root_of_the_reciprocal_half():
     a = np.concatenate(cols, axis=1)
     recip = op.apply_reciprocal(np.eye(3 * op.n)) * op.fluid.mobility0
     assert np.abs(a @ a.T - recip).max() < 1e-12 * np.abs(recip).max()
+    # one pass takes at most MAX_BLOCK_COLUMNS columns; the caller chunks
+    with pytest.raises(ConfigurationError):
+        op.sample_reciprocal(np.zeros((3 * MAX_BLOCK_COLUMNS + 3, K ** 3)))
 
 
 def test_split_total_is_independent_of_xi():

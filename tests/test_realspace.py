@@ -28,7 +28,7 @@ def _dense_reference(r, box, xi, r_max):
     i, j = brute_force_pairs(r, box, r_max)
     if i.size:
         rij, dist = box.distances(r, i, j)
-        tensors = pair_dyads(rij, *pse.pair_coefficients(dist, xi))
+        tensors = pair_dyads(rij, *pse.real_space_coefficients(dist, xi))
         for k in range(i.size):
             out[3 * i[k]:3 * i[k] + 3, 3 * j[k]:3 * j[k] + 3] = tensors[k]
             out[3 * j[k]:3 * j[k] + 3, 3 * i[k]:3 * i[k] + 3] = tensors[k].T
