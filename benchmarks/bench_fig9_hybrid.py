@@ -11,14 +11,20 @@ output is verified identical to the plain operator — while the
 per-device durations come from the Table I machine models (DESIGN.md,
 "Substitutions").
 
-Run ``python benchmarks/bench_fig9_hybrid.py`` for the table.
+The scheduler is ``benchmarks/reference/hybrid.py``.
+
+Run ``python benchmarks/bench_fig9_hybrid.py`` for the table, followed
+by a walk-through of one configuration: the per-phase model on both
+machines, the load-balancing cutoff, each device's share of a block,
+and the host execution checked against the plain operator.
 """
 
 import numpy as np
+from reference.hybrid import HybridScheduler
 
-from repro import Box, PMEOperator, tune_parameters
+from repro import Box, PMEOperator, make_suspension, tune_parameters
 from repro.bench import bench_scale, cached_suspension, print_table, record_benchmark
-from repro.parallel.hybrid import HybridScheduler
+from repro.perfmodel import WESTMERE_EP, XEON_PHI_KNC, PMECostModel
 
 CI_COUNTS = [1000, 5000, 20000, 100000, 500000]
 PAPER_COUNTS = [1000, 5000, 10000, 50000, 100000, 200000, 500000]
@@ -57,6 +63,42 @@ def main():
     record_benchmark("fig9_hybrid", headers, rows,
                      meta={"lambda_rpy": LAMBDA_RPY,
                            "mean_speedup": float(np.mean(speedups))})
+    walkthrough()
+
+
+def walkthrough(n=400):
+    """One configuration through every step of the Section IV.E plan."""
+    susp = make_suspension(n, 0.2, seed=0)
+    params = tune_parameters(n, susp.box, target_ep=1e-3)
+    print(f"\nwalk-through at n={n}: K={params.K}, p={params.p}, "
+          f"r_max={params.r_max:.2f}, alpha={params.xi:.3f}")
+    for machine in (WESTMERE_EP, XEON_PHI_KNC):
+        breakdown = PMECostModel(machine).breakdown(n, params.K, params.p)
+        phases = ", ".join(f"{k}={v * 1e3:.2f}ms"
+                           for k, v in breakdown.items())
+        print(f"  {machine.name}: {phases}")
+
+    scheduler = HybridScheduler()
+    # alpha tuning: the cutoff balancing CPU real-space work against
+    # one coprocessor reciprocal evaluation
+    balanced_r = scheduler.balance_alpha_cutoff(
+        n, susp.box.volume, params.K, params.p,
+        r_max_grid=np.linspace(2.5, susp.box.length / 2, 16))
+    print(f"load-balancing cutoff r_max = {balanced_r:.2f}a "
+          "(larger cutoff -> more work on the CPU)")
+
+    density = n * (4 / 3) * np.pi * params.r_max ** 3 / susp.box.volume
+    plan = scheduler.plan_block(n, params.K, params.p, density, LAMBDA_RPY)
+    for name, count, t in zip(plan.device_names, plan.assignments,
+                              plan.device_times):
+        print(f"  {name}: {count} vectors, busy {t * 1e3:.2f} ms")
+    print(f"predicted hybrid speedup over CPU-only: {plan.speedup:.2f}x")
+
+    op = PMEOperator(susp.positions, susp.box, params)
+    f = np.random.default_rng(1).standard_normal((3 * n, LAMBDA_RPY))
+    u_hybrid, _ = scheduler.execute(op, f)
+    err = np.abs(u_hybrid - op.apply(f)).max()
+    print(f"hybrid execution matches the plain operator to {err:.2e}")
 
 
 def test_hybrid_execution_correct_and_timed(benchmark):

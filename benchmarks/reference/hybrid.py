@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..perfmodel.machines import Machine, WESTMERE_EP, XEON_PHI_KNC
-from ..perfmodel.model import PMECostModel
+from repro.errors import ConfigurationError
+from repro.perfmodel import WESTMERE_EP, XEON_PHI_KNC, Machine, PMECostModel
 
 __all__ = ["OffloadModel", "HybridPlan", "HybridScheduler"]
 

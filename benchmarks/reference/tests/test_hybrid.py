@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import Box, PMEOperator, PMEParams
+from reference.hybrid import HybridPlan, HybridScheduler, OffloadModel
+from repro import Box, PMEOperator, PMEParams, make_suspension, tune_parameters
 from repro.errors import ConfigurationError
-from repro.parallel.hybrid import HybridPlan, HybridScheduler, OffloadModel
-from repro.perfmodel import WESTMERE_EP, XEON_PHI_KNC
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +110,14 @@ class TestOffloadModel:
         plan = sched.plan_block(n=500, K=16, p=4, pair_density=5.0,
                                 n_vectors=16)
         assert plan.speedup < 2.0
+
+
+def test_hybrid_execution_in_simulation_context():
+    susp = make_suspension(30, 0.15, seed=6)
+    params = tune_parameters(susp.n, susp.box, target_ep=1e-2)
+    op = PMEOperator(susp.positions, susp.box, params)
+    scheduler = HybridScheduler()
+    f = np.random.default_rng(1).standard_normal((3 * susp.n, 4))
+    u, plan = scheduler.execute(op, f)
+    np.testing.assert_allclose(u, op.apply(f), rtol=1e-12)
+    assert plan.cpu_only_time > 0

@@ -93,7 +93,6 @@ from .analysis import (
     finite_size_correction,
     radial_distribution,
 )
-from .parallel import HybridScheduler
 from .perfmodel import PMECostModel, WESTMERE_EP, XEON_PHI_KNC
 
 __version__ = "1.0.0"
@@ -150,7 +149,6 @@ __all__ = [
     "short_time_self_diffusion",
     "finite_size_correction",
     "radial_distribution",
-    "HybridScheduler",
     "PMECostModel",
     "WESTMERE_EP",
     "XEON_PHI_KNC",

@@ -419,8 +419,6 @@ class MatrixFreeBD(BrownianDynamicsBase):
     e_k:
         Krylov relative-error tolerance (Table II) of the real-space
         half's block Lanczos.
-    store_p:
-        Precompute the interpolation matrix ``P`` (Fig. 4 optimization).
     Remaining parameters as :class:`BrownianDynamicsBase`.
     """
 
@@ -429,14 +427,13 @@ class MatrixFreeBD(BrownianDynamicsBase):
                  lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
                  pme_params: PMEParams | None = None, target_ep: float = 1e-3,
-                 e_k: float = 1e-2, store_p: bool = True,
+                 e_k: float = 1e-2,
                  max_krylov_iter: int = 200,
                  recovery: RecoveryPolicy | None = None, context=None):
         super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
                          recovery=recovery, context=context)
         self.pme_params = pme_params
         self.target_ep = float(target_ep)
-        self.store_p = bool(store_p)
         self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k,
                                                   max_iter=max_krylov_iter)
         self._operator: PMEOperator | None = None
@@ -450,7 +447,6 @@ class MatrixFreeBD(BrownianDynamicsBase):
                 fluid=self.fluid)
         self._operator = PMEOperator(
             positions, self.box, self.pme_params, fluid=self.fluid,
-            store_p=self.store_p,
             cache=self._mobility_cache, context=self.context)
 
     def _apply_mobility(self, forces_flat: np.ndarray) -> np.ndarray:

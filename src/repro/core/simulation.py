@@ -87,7 +87,7 @@ class Simulation:
         available as ``stats.recovery``.
     **integrator_kwargs:
         Algorithm-specific options (``e_k``, ``target_ep``,
-        ``pme_params``, ``store_p``, ``ewald_tol``, ...) plus the
+        ``pme_params``, ``ewald_tol``, ...) plus the
         shared ``context=`` (an :class:`~repro.exec.ExecutionContext`
         parallelizing the matrix-free mobility applications).
     """

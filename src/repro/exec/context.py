@@ -13,8 +13,7 @@ parallel takes a context:
   transform, and lane ranges are split over the workers (no
   ``workers=`` of :mod:`scipy.fft`: that starts pocketfft's own
   process-global pool, which no context sizes, counts or closes),
-* the chunked BCSR SpMM of the real-space term (Section IV.C),
-* the per-device shares of the hybrid scheduler (Section IV.E).
+* the chunked BCSR SpMM of the real-space term (Section IV.C).
 
 The headline invariant: for a fixed kernel configuration, the
 ``serial`` and ``threads`` backends produce **bit-identical** results

@@ -28,7 +28,7 @@ Module layout mirrors the paper's six-step reformulation
 
 from .bspline import bspline_weights, bspline_value, euler_spline_modulus
 from .mesh import Mesh
-from .spread import InterpolationMatrix, spread_on_the_fly, interpolate_on_the_fly
+from .spread import InterpolationMatrix
 from .influence import InfluenceFunction
 from .realspace import RealSpaceOperator
 from .cache import MobilityCache
@@ -42,8 +42,6 @@ __all__ = [
     "euler_spline_modulus",
     "Mesh",
     "InterpolationMatrix",
-    "spread_on_the_fly",
-    "interpolate_on_the_fly",
     "InfluenceFunction",
     "RealSpaceOperator",
     "MobilityCache",

@@ -90,12 +90,12 @@ class MobilityCache:
                             lambda: Mesh(box, K))
 
     def influence(self, mesh: Mesh, xi: float, p: int, radius: float,
-                  interpolation: str, kernel: str) -> InfluenceFunction:
+                  kernel: str) -> InfluenceFunction:
         """The influence function for the given physical parameters."""
         key = (float(mesh.box.length), mesh.K, float(xi), int(p),
-               float(radius), interpolation, kernel)
+               float(radius), kernel)
         return self._lookup(self._influences, key, lambda: InfluenceFunction(
-            mesh, xi, p, radius, interpolation=interpolation, kernel=kernel))
+            mesh, xi, p, radius, kernel=kernel))
 
     def workspace(self, K: int, lanes: int, n: int
                   ) -> dict[str, np.ndarray]:

@@ -46,9 +46,8 @@ class InfluenceFunction:
         B-spline order (enters through the ``|b|^2`` correction).
     radius:
         Particle radius ``a``.
-    interpolation:
-        ``"bspline"`` applies the smooth-PME ``|b|^2`` deconvolution;
-        ``"lagrange"`` (original PME) applies none.
+    kernel:
+        ``"rpy"`` or ``"oseen"`` (:func:`repro.rpy.pse.reciprocal_scalar`).
 
     Notes
     -----
@@ -58,27 +57,22 @@ class InfluenceFunction:
     """
 
     def __init__(self, mesh: Mesh, xi: float, p: int, radius: float = 1.0,
-                 interpolation: str = "bspline", kernel: str = "rpy"):
+                 kernel: str = "rpy"):
         if xi <= 0:
             raise ConfigurationError(f"xi must be positive, got {xi}")
-        if interpolation not in ("bspline", "lagrange"):
-            raise ConfigurationError(
-                f"unknown interpolation {interpolation!r}")
         self.mesh = mesh
         self.xi = float(xi)
         self.p = int(p)
         self.radius = float(radius)
-        self.interpolation = interpolation
         self.kernel = kernel
 
         K = mesh.K
         k2 = mesh.k2_grid()
-        scalar = reciprocal_scalar(k2, self.xi, self.radius, kernel=kernel)
-        if interpolation == "bspline":
-            bsq = euler_spline_modulus(K, p)
-            bz = bsq[: K // 2 + 1]
-            scalar = scalar * (bsq[:, None, None] * bsq[None, :, None]
-                               * bz[None, None, :])
+        bsq = euler_spline_modulus(K, p)
+        bz = bsq[: K // 2 + 1]
+        scalar = (reciprocal_scalar(k2, self.xi, self.radius, kernel=kernel)
+                  * (bsq[:, None, None] * bsq[None, :, None]
+                     * bz[None, None, :]))
         # fold in the 1/V Ewald prefactor and the K^3 that cancels the
         # irfftn normalization, so apply() needs no further scaling
         scalar *= K ** 3 / mesh.box.volume

@@ -41,7 +41,7 @@ from ..utils.timing import PhaseTimer
 from ..utils.validation import as_force_block, as_positions
 from .cache import MobilityCache
 from .realspace import RealSpaceOperator
-from .spread import InterpolationMatrix, interpolate_on_the_fly, spread_on_the_fly
+from .spread import InterpolationMatrix
 
 __all__ = ["PMEParams", "PMEOperator"]
 
@@ -125,9 +125,6 @@ class PMEParams:
     r_max: float
     K: int
     p: int = 6
-    #: Interpolation scheme: ``"bspline"`` (smooth PME, default) or
-    #: ``"lagrange"`` (the original PME of paper reference [6]).
-    interpolation: str = "bspline"
     #: Hydrodynamic kernel: ``"rpy"`` (the paper) or ``"oseen"`` (the
     #: Stokeslet kernel of the related-work Stokesian PME codes).
     kernel: str = "rpy"
@@ -144,9 +141,6 @@ class PMEParams:
         if self.K < self.p:
             raise ConfigurationError(
                 f"K={self.K} must be at least the spline order p={self.p}")
-        if self.interpolation not in ("bspline", "lagrange"):
-            raise ConfigurationError(
-                f"unknown interpolation {self.interpolation!r}")
         if self.kernel not in ("rpy", "oseen"):
             raise ConfigurationError(f"unknown kernel {self.kernel!r}")
 
@@ -165,10 +159,6 @@ class PMEOperator:
     fluid:
         Fluid parameters; the returned velocities include the physical
         ``mu0`` prefactor.
-    store_p:
-        Precompute and reuse the interpolation matrix ``P`` (paper
-        Section IV.A; the Fig. 4 optimization).  When false, spreading
-        and interpolation recompute spline weights on the fly.
     cache:
         :class:`~repro.pme.cache.MobilityCache` holding the
         position-independent state (mesh, influence function, batched
@@ -198,7 +188,7 @@ class PMEOperator:
 
     @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
-                 fluid: FluidParams = REDUCED, store_p: bool = True,
+                 fluid: FluidParams = REDUCED,
                  cache: MobilityCache | None = None, context=None):
         from ..exec import default_context  # deferred: import cycle
         self.positions = as_positions(positions).copy()
@@ -210,19 +200,18 @@ class PMEOperator:
         self.context = context if context is not None else default_context()
         self._exec_args = self.context.span_args()
         self.mesh = self.cache.mesh(box, params.K)
-        self.store_p = bool(store_p)
         self.timers = PhaseTimer(prefix="pme")
         #: Total number of operator applications (column counts included).
         self.n_applications = 0
 
         with self.timers.phase("construct_p", **self._exec_args):
-            self.interp = (InterpolationMatrix(self.positions, box,
-                                               params.K, params.p,
-                                               kind=params.interpolation)
-                           if store_p else None)
+            #: The interpolation matrix ``P`` and its ``P^T``, precomputed
+            #: once per configuration (paper Section IV.A; Fig. 4).
+            self.interp = InterpolationMatrix(self.positions, box,
+                                              params.K, params.p)
         self.influence = self.cache.influence(
             self.mesh, params.xi, params.p, fluid.radius,
-            interpolation=params.interpolation, kernel=params.kernel)
+            kernel=params.kernel)
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
@@ -295,7 +284,6 @@ class PMEOperator:
         """
         f, flat = as_force_block(forces, self.n)
         n, K = self.n, self.params.K
-        interp = self.interp        # None: the Fig. 4 on-the-fly reference
         out = np.empty((3 * n, f.shape[1]))
         for lo in range(0, f.shape[1], MAX_BLOCK_COLUMNS):
             fc = f[:, lo:lo + MAX_BLOCK_COLUMNS]
@@ -306,14 +294,7 @@ class PMEOperator:
 
             fm = fc.reshape(n, lanes)
             with self.timers.phase("spread", vectors=s, **self._exec_args):
-                if interp is not None:
-                    interp.spread_batch(fm, out=g, context=self.context)
-                else:
-                    gm = spread_on_the_fly(self.positions, self.box, K,
-                                           self.params.p, fm,
-                                           kind=self.params.interpolation)
-                    for a in range(0, K ** 3, 16384):
-                        g[:, a:a + 16384] = gm[a:a + 16384].T
+                self.interp.spread_batch(fm, out=g, context=self.context)
             self._mesh_pass(g.reshape(lanes, K, K, K), ws,
                             out.reshape(n, 3, -1)[:, :, lo:lo + s])
         return out[:, 0] if flat else out
@@ -365,7 +346,6 @@ class PMEOperator:
         the apply and the sampler."""
         n, K = self.n, self.params.K
         ctx, xargs = self.context, self._exec_args
-        interp = self.interp
         lanes = src.shape[0]
         s = lanes // 3
         g, spec = ws["mesh"], ws["spec"]
@@ -384,15 +364,9 @@ class PMEOperator:
             _irfftn_lanes(spec, g4, ctx)
 
         with self.timers.phase("interpolate", vectors=s, **xargs):
-            if interp is not None:
-                um = interp.interpolate_batch(g, out=ws["particle"],
-                                              context=ctx)
-                out[...] = um.reshape(3, s, n).transpose(2, 0, 1)
-            else:
-                um = interpolate_on_the_fly(self.positions, self.box, K,
-                                            self.params.p, g.T,
-                                            kind=self.params.interpolation)
-                out[...] = um.reshape(n, 3, s)
+            um = self.interp.interpolate_batch(g, out=ws["particle"],
+                                               context=ctx)
+            out[...] = um.reshape(3, s, n).transpose(2, 0, 1)
 
     # ------------------------------------------------------------------
     # adapters and accounting
@@ -417,8 +391,7 @@ class PMEOperator:
         report = {
             "real_space_matrix": self.real.memory_bytes,
             "influence_function": self.influence.memory_bytes,
-            "interpolation_matrix": (self.interp.memory_bytes
-                                     if self.interp is not None else 0),
+            "interpolation_matrix": self.interp.memory_bytes,
             # two K^3 x 3 float mesh arrays (forces and velocities)
             "mesh_arrays": 2 * 3 * 8 * self.params.K ** 3,
         }

@@ -6,8 +6,8 @@ back to the particles is ``u = P U``, with ``P`` the ``n x K^3``
 interpolation matrix of Eq. 7 (``p^3`` nonzeros per row).  Because the
 Krylov method applies the same PME operator to many vectors, ``P`` is
 precomputed once per mobility update and reused — the optimization
-measured in Fig. 4.  On-the-fly variants that never store ``P`` are
-provided for that comparison.
+measured in Fig. 4 (the on-the-fly baseline it is measured against
+lives in ``benchmarks/reference/``).
 
 ``P`` is stored as a ``scipy.sparse.csr_matrix``: as the paper notes,
 row pointers are redundant (every row has exactly ``p^3`` nonzeros) but
@@ -35,21 +35,16 @@ from ..sparse import kernels
 from ..utils.validation import as_positions
 from .bspline import bspline_weights
 
-__all__ = ["InterpolationMatrix", "spread_on_the_fly", "interpolate_on_the_fly"]
+__all__ = ["InterpolationMatrix"]
 
 
-def _weights_and_columns(positions, box: Box, K: int, p: int,
-                         kind: str = "bspline"
+def _weights_and_columns(positions, box: Box, K: int, p: int
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-particle interpolation weights and flattened mesh indices.
+    """Per-particle B-spline weights and flattened mesh indices.
 
     Returns ``(data, cols)`` with shapes ``(n, p^3)``: row ``i`` holds
     the ``p^3`` spreading weights of particle ``i`` and the flat
     (row-major) indices of the mesh points they address.
-
-    ``kind`` selects cardinal B-splines (smooth PME, default) or
-    Lagrange polynomials (the original PME of Darden et al.; see
-    :mod:`repro.pme.lagrange`).
     """
     if p < 2:
         raise ConfigurationError(f"interpolation order must be >= 2, got {p}")
@@ -61,17 +56,9 @@ def _weights_and_columns(positions, box: Box, K: int, p: int,
     base = np.floor(u).astype(np.intp)
     frac = u - base
 
-    if kind == "bspline":
-        w = [bspline_weights(frac[:, d], p) for d in range(3)]  # 3 x (n, p)
-        j = np.arange(p, dtype=np.intp)
-        idx = [np.mod(base[:, d][:, None] - j[None, :], K) for d in range(3)]
-    elif kind == "lagrange":
-        from .lagrange import lagrange_weights, lagrange_window_offsets
-        w = [lagrange_weights(frac[:, d], p) for d in range(3)]
-        j = lagrange_window_offsets(p)
-        idx = [np.mod(base[:, d][:, None] + j[None, :], K) for d in range(3)]
-    else:
-        raise ConfigurationError(f"unknown interpolation kind {kind!r}")
+    w = [bspline_weights(frac[:, d], p) for d in range(3)]  # 3 x (n, p)
+    j = np.arange(p, dtype=np.intp)
+    idx = [np.mod(base[:, d][:, None] - j[None, :], K) for d in range(3)]
 
     data = np.einsum("ia,ib,ic->iabc", w[0], w[1], w[2]).reshape(-1, p ** 3)
     cols = ((idx[0][:, :, None, None] * K + idx[1][:, None, :, None]) * K
@@ -93,10 +80,6 @@ class InterpolationMatrix:
     p:
         B-spline order.
 
-    kind:
-        ``"bspline"`` (smooth PME, default) or ``"lagrange"`` (original
-        PME interpolation).
-
     Notes
     -----
     Construction is step 1 of the paper's six-step reciprocal-space
@@ -104,16 +87,13 @@ class InterpolationMatrix:
     """
 
     @positions_arg()
-    def __init__(self, positions, box: Box, K: int, p: int,
-                 kind: str = "bspline"):
-        with obs.span("pme.build_p", K=int(K), p=int(p), kind=kind):
-            data, cols = _weights_and_columns(positions, box, K, p,
-                                              kind=kind)
+    def __init__(self, positions, box: Box, K: int, p: int):
+        with obs.span("pme.build_p", K=int(K), p=int(p)):
+            data, cols = _weights_and_columns(positions, box, K, p)
             n = data.shape[0]
             self.n = n
             self.K = int(K)
             self.p = int(p)
-            self.kind = kind
             #: Per-particle spreading weights and flat mesh columns,
             #: shape ``(n, p^3)`` — the tables behind the CSR arrays
             #: (shared memory, not copies) and the operands of the
@@ -233,51 +213,3 @@ class InterpolationMatrix:
         return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                 + sum(a.nbytes for a in self._pt))
 
-
-def spread_on_the_fly(positions, box: Box, K: int, p: int,
-                      values: np.ndarray, chunk: int = 65536,
-                      kind: str = "bspline") -> np.ndarray:
-    """Spread without storing ``P`` (recomputes weights every call).
-
-    This is the baseline of the Fig. 4 comparison: lower memory traffic
-    per application but the ``O(p^3 n)`` weight computation is repeated
-    for every vector.  Processes particles in chunks to bound the
-    temporary memory.
-
-    Parameters and return as :meth:`InterpolationMatrix.spread`.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    flat = values.ndim == 1
-    vals = values[:, None] if flat else values
-    n, s = vals.shape
-    out = np.zeros((K ** 3, s))
-    r = as_positions(positions, n)
-    with obs.span("pme.spread_otf", n=n, s=s):
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            data, cols = _weights_and_columns(r[lo:hi], box, K, p, kind=kind)
-            # scatter-add: multiple particles hit the same mesh points
-            contrib = data[:, :, None] * vals[lo:hi, None, :]
-            np.add.at(out, cols.ravel(),
-                      contrib.reshape(-1, s))
-    return out[:, 0] if flat else out
-
-
-def interpolate_on_the_fly(positions, box: Box, K: int, p: int,
-                           mesh_values: np.ndarray, chunk: int = 65536,
-                           kind: str = "bspline") -> np.ndarray:
-    """Interpolate without storing ``P`` (counterpart of
-    :func:`spread_on_the_fly`)."""
-    mesh_values = np.asarray(mesh_values, dtype=np.float64)
-    flat = mesh_values.ndim == 1
-    mv = mesh_values[:, None] if flat else mesh_values
-    r = as_positions(positions)
-    n = r.shape[0]
-    out = np.empty((n, mv.shape[1]))
-    with obs.span("pme.interpolate_otf", n=n, s=int(mv.shape[1])):
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            data, cols = _weights_and_columns(r[lo:hi], box, K, p, kind=kind)
-            out[lo:hi] = np.einsum("ie,ies->is", data, mv[cols],
-                                   optimize=True)
-    return out[:, 0] if flat else out

@@ -343,7 +343,6 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
                     fluid: FluidParams = REDUCED,
                     model: PMECostModel | None = None,
                     r_max_candidates=None, safety: float = 2.5,
-                    interpolation: str = "bspline",
                     kernel: str = "rpy") -> list[Candidate]:
     """Every admissible candidate of :func:`tune_parameters` (same
     arguments), by ascending cutoff, priced and with the cheapest and
@@ -382,8 +381,7 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
         total <= total[cheapest] * (1.0 + SUBSTRATE_COST_TOLERANCE)))
     return [Candidate(
         params=PMEParams(xi=float(xi[i]), r_max=float(cutoffs[i]),
-                         K=int(mesh[i]), p=p, interpolation=interpolation,
-                         kernel=kernel),
+                         K=int(mesh[i]), p=p, kernel=kernel),
         cost={part: float(t[i]) for part, t in cost.items()},
         memory_bytes=float(memory[i]),
         errors=_error_dict(float(real[i]), float(spline[i]),
@@ -396,7 +394,6 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
                     fluid: FluidParams = REDUCED,
                     model: PMECostModel | None = None,
                     r_max_candidates=None, safety: float = 2.5,
-                    interpolation: str = "bspline",
                     kernel: str = "rpy") -> PMEParams:
     """Choose ``(xi, r_max, K, p)`` minimizing predicted time at a target ``e_p``.
 
@@ -428,12 +425,9 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
         add in quadrature, so the default 2.5 aims the total at
         ``0.57 target_ep``; with the estimates' 0.6-1.5x accuracy the
         measured ``e_p`` lands in ``[0.3, 0.8] target_ep``.
-    interpolation, kernel:
-        Forwarded into the returned :class:`PMEParams`.  The error
-        estimates hold for SPME; for Lagrangian interpolation the same
-        ``K`` yields a larger (but monotonically related) error, so
-        treat tuned Lagrange parameters as a starting point and verify
-        with :func:`repro.pme.accuracy.pme_relative_error`.
+    kernel:
+        Hydrodynamic kernel, forwarded into the returned
+        :class:`PMEParams`.
 
     Returns
     -------
@@ -444,4 +438,4 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
     """
     return next(c.params for c in rank_candidates(
         n, box, target_ep, p, fluid, model, r_max_candidates, safety,
-        interpolation, kernel) if c.chosen)
+        kernel) if c.chosen)

@@ -120,9 +120,6 @@ class TaskSpec:
 
     def to_json(self) -> dict[str, Any]:
         d = asdict(self)
-        if self.pme is not None:
-            d["pme"] = {"xi": self.pme.xi, "r_max": self.pme.r_max,
-                        "K": self.pme.K, "p": self.pme.p}
         if self.trace is not None:
             d["trace"] = self.trace.to_json()
         else:

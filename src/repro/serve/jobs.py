@@ -60,8 +60,7 @@ def task_spec_for(spec: SystemSpec, seed: int, steps: int) -> TaskSpec:
     suspension = make_suspension(spec.n, spec.phi, seed=spec.system_seed)
     params = tune_parameters(
         suspension.n, suspension.box, target_ep=spec.e_p, p=spec.p,
-        fluid=suspension.fluid, interpolation=spec.interpolation,
-        kernel=spec.kernel)
+        fluid=suspension.fluid, kernel=spec.kernel)
     return TaskSpec(task_id=0, n=spec.n, phi=spec.phi, n_steps=steps,
                     seed=seed, system_seed=spec.system_seed, dt=spec.dt,
                     lambda_rpy=spec.lambda_rpy, e_k=spec.e_k, pme=params,

@@ -44,6 +44,7 @@ import numpy as np
 
 from ..config import get_config
 from ..errors import ReproError
+from ..pme.tuning import VALIDATED_ORDERS
 
 __all__ = ["PROTOCOL", "ProtocolError", "SystemSpec", "encode_array",
            "decode_array", "encode_message", "decode_line",
@@ -106,8 +107,7 @@ def decode_array(obj: Any, what: str = "array") -> np.ndarray:
 
 #: Fields that determine the mobility operator (and therefore which
 #: requests may share one batched ``apply_block``).
-_OPERATOR_FIELDS = ("n", "phi", "system_seed", "e_p", "p", "kernel",
-                    "interpolation")
+_OPERATOR_FIELDS = ("n", "phi", "system_seed", "e_p", "p", "kernel")
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,10 @@ class SystemSpec:
     """Deterministic recipe of one served system.
 
     ``n``/``phi``/``system_seed`` generate the suspension exactly as
-    :func:`~repro.systems.suspension.make_suspension` does; ``e_p`` and
-    ``p`` select the tuned PME parameters; ``dt``/``lambda_rpy``/
+    :func:`~repro.systems.suspension.make_suspension` does; ``e_p``,
+    ``p`` and ``kernel`` select the tuned PME parameters, and are
+    checked here, before any worker builds a suspension or runs the
+    tuner; ``dt``/``lambda_rpy``/
     ``e_k``/``forces`` only matter to ``simulate`` requests but are
     part of the full fingerprint so the result cache can key on it.
     """
@@ -127,7 +129,6 @@ class SystemSpec:
     e_p: float = 1e-3
     p: int = 6
     kernel: str = "rpy"
-    interpolation: str = "bspline"
     dt: float = 1e-3
     lambda_rpy: int = 16
     e_k: float = 1e-2
@@ -140,6 +141,12 @@ class SystemSpec:
             raise ProtocolError(f"phi must be in (0, 0.64), got {self.phi}")
         if self.e_p <= 0 or self.e_k <= 0:
             raise ProtocolError("e_p and e_k must be positive")
+        if self.p not in VALIDATED_ORDERS:
+            raise ProtocolError(
+                f"p must be one of {list(VALIDATED_ORDERS)}, got {self.p}")
+        if self.kernel not in ("rpy", "oseen"):
+            raise ProtocolError(
+                f"kernel must be 'rpy' or 'oseen', got {self.kernel!r}")
         if self.dt <= 0:
             raise ProtocolError(f"dt must be positive, got {self.dt}")
         if self.lambda_rpy < 1:

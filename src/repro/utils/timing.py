@@ -1,4 +1,4 @@
-"""Lightweight timers used by the benchmark harness and the hybrid scheduler.
+"""Lightweight timers used by the PME operator and the benchmark harness.
 
 The paper's Section V instruments each PME phase separately (Fig. 5).
 :class:`PhaseTimer` accumulates named phase durations so operators can

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    HybridScheduler,
     PMEOperator,
     Simulation,
     diffusion_coefficient,
@@ -76,17 +75,6 @@ def test_tuned_operator_with_krylov_displacements():
     ref = dense_sqrt_apply(m, z)
     err = np.linalg.norm(y - ref) / np.linalg.norm(ref)
     assert err < 5e-3
-
-
-def test_hybrid_execution_in_simulation_context():
-    susp = make_suspension(30, 0.15, seed=6)
-    params = tune_parameters(susp.n, susp.box, target_ep=1e-2)
-    op = PMEOperator(susp.positions, susp.box, params)
-    scheduler = HybridScheduler()
-    f = np.random.default_rng(1).standard_normal((3 * susp.n, 4))
-    u, plan = scheduler.execute(op, f)
-    np.testing.assert_allclose(u, op.apply(f), rtol=1e-12)
-    assert plan.cpu_only_time > 0
 
 
 def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,

@@ -16,7 +16,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent
 
 
 def test_examples_are_found():
-    assert len(EXAMPLES) >= 6
+    assert len(EXAMPLES) >= 5
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

@@ -129,10 +129,9 @@ def test_callable_block_falls_back_to_columns(spd_matrix):
 # batched apply_block vs sequential apply
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("store_p", [True, False])
-def test_apply_block_matches_per_column_apply(system, store_p):
+def test_apply_block_matches_per_column_apply(system):
     box, r, params = system
-    op = PMEOperator(r, box, params, store_p=store_p)
+    op = PMEOperator(r, box, params)
     rng = np.random.default_rng(0)
     f = rng.standard_normal((3 * r.shape[0], 8))
     block = op.apply_block(f)

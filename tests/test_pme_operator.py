@@ -63,15 +63,6 @@ def test_block_matches_column_loop(system):
                                    rtol=1e-10, atol=1e-12)
 
 
-def test_store_p_false_matches(system):
-    box, r, _ = system
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal(3 * r.shape[0])
-    u_stored = PMEOperator(r, box, PARAMS, store_p=True).apply(f)
-    u_fly = PMEOperator(r, box, PARAMS, store_p=False).apply(f)
-    np.testing.assert_allclose(u_fly, u_stored, rtol=1e-10, atol=1e-13)
-
-
 def test_linearity(system):
     box, r, _ = system
     op = PMEOperator(r, box, PARAMS)

@@ -244,12 +244,10 @@ class TestTuner:
                                 r_max_candidates=[6.0])
         assert large.K > small.K
 
-    def test_kernel_and_interpolation_forwarded(self):
+    def test_kernel_forwarded(self):
         box = Box.for_volume_fraction(50, 0.2)
-        params = tune_parameters(50, box, kernel="oseen",
-                                 interpolation="lagrange")
+        params = tune_parameters(50, box, kernel="oseen")
         assert params.kernel == "oseen"
-        assert params.interpolation == "lagrange"
 
     def test_tuned_oseen_meets_target(self):
         n, target = 40, 1e-3

@@ -29,6 +29,7 @@ from repro.exec import ExecutionContext
 from repro.pme.cache import MobilityCache
 from repro.pme.operator import PMEOperator
 from repro.pme.tuning import tune_parameters
+from repro.runtime.tasks import TaskSpec
 from repro.serve import (
     MobilityBatcher,
     OperatorPool,
@@ -103,6 +104,17 @@ def test_system_spec_validation_and_unknown_fields():
         SystemSpec.from_json({"phi": 0.1})  # n required
     spec = SystemSpec.from_json({"n": 10, "phi": 0.1})
     assert spec.n == 10 and spec.phi == 0.1
+
+
+def test_served_task_spec_round_trips_the_kernel():
+    # the worker rebuilds PMEParams from the manifest's JSON: every
+    # field, the kernel included, must survive the trip
+    from repro.serve.jobs import task_spec_for
+
+    spec = task_spec_for(SystemSpec(n=16, kernel="oseen"), 1, 2)
+    assert spec.pme.kernel == "oseen"
+    wire = json.loads(json.dumps(spec.to_json()))
+    assert TaskSpec.from_json(wire) == spec
 
 
 def test_fingerprint_vs_operator_key_granularity():
@@ -440,6 +452,35 @@ def test_service_mobility_bit_identity_and_cache(tmp_path):
     assert again["result"]["cached"] is True
     assert decode_array(
         again["result"]["velocities"]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [{"kernel": "foo"}, {"p": 1}, {"p": 40}],
+                         ids=["kernel-foo", "p-1", "p-40"])
+def test_service_rejects_bad_kernel_and_order_before_building(
+        tmp_path, monkeypatch, bad):
+    # checked on the wire: a config error, before any suspension is
+    # generated or the tuner runs in a worker thread
+    import repro.systems.suspension as suspension
+
+    built = []
+    real = suspension.make_suspension
+    monkeypatch.setattr(suspension, "make_suspension",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    system = {**SPEC.to_json(), **bad}
+
+    async def scenario(service):
+        path = service.settings.socket_path
+        replies = await _request(
+            path,
+            {"op": "mobility.apply", "id": 1, "system": system,
+             "forces": encode_array(np.zeros(3 * SPEC.n))},
+            {"op": "simulate", "id": 2, "system": system, "steps": 2})
+        return replies, service.pool.builds
+
+    replies, builds = _run_service(_settings(tmp_path), scenario)
+    assert [r["status"] for r in replies] == ["error", "error"], replies
+    assert [r["kind"] for r in replies] == ["config", "config"], replies
+    assert builds == 0 and built == []
 
 
 def test_service_simulate_digest_matches_direct_simulation(tmp_path):

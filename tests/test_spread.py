@@ -5,11 +5,7 @@ import pytest
 
 from repro import Box
 from repro.errors import ConfigurationError
-from repro.pme.spread import (
-    InterpolationMatrix,
-    interpolate_on_the_fly,
-    spread_on_the_fly,
-)
+from repro.pme.spread import InterpolationMatrix
 
 
 @pytest.fixture
@@ -83,26 +79,6 @@ def test_b_corrected_interpolation_reproduces_smooth_field(setup):
     exact = (np.sin(k0 * r[:, 0]) * np.cos(2 * k0 * r[:, 1])
              * np.sin(k0 * r[:, 2]))
     np.testing.assert_allclose(values, exact, atol=1e-5)
-
-
-def test_on_the_fly_matches_matrix(setup):
-    box, r, rng = setup
-    K, p = 16, 6
-    interp = InterpolationMatrix(r, box, K=K, p=p)
-    f = rng.standard_normal((r.shape[0], 3))
-    np.testing.assert_allclose(spread_on_the_fly(r, box, K, p, f),
-                               interp.spread(f), atol=1e-12)
-    u = rng.standard_normal((K ** 3, 3))
-    np.testing.assert_allclose(interpolate_on_the_fly(r, box, K, p, u),
-                               interp.interpolate(u), atol=1e-12)
-
-
-def test_on_the_fly_chunking(setup):
-    box, r, rng = setup
-    f = rng.standard_normal(r.shape[0])
-    full = spread_on_the_fly(r, box, 16, 4, f)
-    chunked = spread_on_the_fly(r, box, 16, 4, f, chunk=7)
-    np.testing.assert_allclose(chunked, full, atol=1e-12)
 
 
 def test_particle_on_mesh_point():
