@@ -42,7 +42,6 @@ from .errors import (
 from .resilience import (
     FailureKind,
     StepFailure,
-    RecoveryPolicy,
     RecoveryLog,
 )
 from .systems import (
@@ -109,7 +108,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "FailureKind",
     "StepFailure",
-    "RecoveryPolicy",
     "RecoveryLog",
     "Suspension",
     "make_suspension",

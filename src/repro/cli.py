@@ -60,19 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--checkpoint-interval", type=int, default=None,
                      help="steps between checkpoints "
                           "(default: lambda-rpy, the bit-exact choice)")
-    sim.add_argument("--recover", action="store_true",
-                     help="enable the fault-tolerant step loop "
-                          "(retry/degrade ladder, dt backoff, rollback)")
     sim.add_argument("--inject-faults", default=None, metavar="SPEC",
                      help="deterministic fault-injection soak, e.g. "
-                          "'seed=7,lanczos=0.01,nan-force=0.005,ckpt=kill@3'"
-                          " (implies --recover)")
+                          "'seed=7,lanczos=0.01,nan-force=0.005,ckpt=kill@3'")
     sim.add_argument("--max-wall-time", type=float, default=None,
                      metavar="SECONDS",
-                     help="stop gracefully at the next step boundary once "
-                          "this wall-clock budget is spent (also installs "
-                          "SIGTERM/SIGINT handlers); with --checkpoint the "
-                          "run is resumable and exits 0")
+                     help="stop gracefully at the next mobility-block "
+                          "boundary once this wall-clock budget is spent "
+                          "(also installs SIGTERM/SIGINT handlers); with "
+                          "--checkpoint the run is resumable and exits 0")
     _add_obs_arguments(sim)
     _add_exec_arguments(sim)
 
@@ -304,7 +300,6 @@ def _cmd_ensemble(args) -> int:
 def _run_simulate(args) -> int:
     from .core.simulation import Simulation
     from .core.trajectory_io import save_trajectory
-    from .resilience import RecoveryPolicy
     from .systems.suspension import make_suspension
 
     susp = make_suspension(args.particles, args.phi, seed=args.seed)
@@ -313,11 +308,9 @@ def _run_simulate(args) -> int:
     kwargs = {}
     if args.algorithm == "matrix-free":
         kwargs = dict(e_k=args.e_k, target_ep=args.e_p)
-    recovery = (RecoveryPolicy() if (args.recover or args.inject_faults)
-                else None)
     sim = Simulation(susp, algorithm=args.algorithm, dt=args.dt,
                      lambda_rpy=args.lambda_rpy, seed=args.seed + 1,
-                     recovery=recovery, **kwargs)
+                     **kwargs)
 
     run_kwargs = dict(n_steps=args.steps,
                       record_interval=args.record_interval)
@@ -374,7 +367,7 @@ def _run_simulate(args) -> int:
               f"operator={schedule.count('operator')}, "
               f"brownian={schedule.count('brownian')}, "
               f"checkpoint={schedule.count('checkpoint')})")
-    if recovery is not None:
+    if schedule is not None or len(stats.recovery):
         print("recovery log:")
         for line in stats.recovery.summary().splitlines():
             print(f"  {line}")

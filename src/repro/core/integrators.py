@@ -31,12 +31,15 @@ from ..geometry.box import Box
 from ..pme.cache import MobilityCache
 from ..pme.operator import MAX_BLOCK_COLUMNS, PMEOperator, PMEParams
 from ..pme.tuning import tune_parameters
-from ..resilience.backoff import next_dt_scale
 from ..resilience.failures import FailureKind, StepFailure
-from ..resilience.policy import RecoveryLog, RecoveryPolicy
+from ..resilience.policy import RecoveryLog
 from ..resilience.recovery import (
+    DT_RECOVERY_STEPS,
+    MAX_ROLLBACKS,
+    MAX_STEP_ATTEMPTS,
     cholesky_displacements_resilient,
     krylov_displacements_resilient,
+    next_dt_scale,
 )
 from ..rpy.ewald import EwaldSummation
 from ..units import FluidParams, REDUCED
@@ -67,11 +70,12 @@ class BDStepStats:
     recovery:
         The :class:`~repro.resilience.policy.RecoveryLog` of every
         failure observed and recovery action taken during the run
-        (empty when no recovery policy is active or nothing failed).
+        (empty when nothing failed).
     stopped_early:
-        ``True`` when the run ended at a step boundary because its
-        ``stop`` predicate fired (graceful shutdown / wall-time limit)
-        rather than completing the requested step count.
+        ``True`` when the run ended at a mobility-block boundary
+        because its ``stop`` predicate fired (graceful shutdown /
+        wall-time limit) rather than completing the requested step
+        count.
     """
 
     n_steps: int = 0
@@ -91,6 +95,14 @@ class BDStepStats:
 class BrownianDynamicsBase(ABC):
     """Shared propagation loop of Algorithms 1 and 2.
 
+    The loop is always guarded by the recovery runtime
+    (:mod:`repro.resilience.recovery`): the displacement solve walks
+    the retry/degrade ladder, a non-finite force or displacement backs
+    the time step off, and a failure beyond repair rolls the block
+    back to its mobility rebuild.  When nothing fails, the guard adds
+    checks but no arithmetic: trajectories are bit-identical to an
+    unguarded Ermak-McCammon loop.
+
     Subclasses provide the mobility representation: how it is rebuilt
     (:meth:`_prepare`), applied (:meth:`_apply_mobility`) and sampled
     from (:meth:`_generate_displacements`).
@@ -108,13 +120,6 @@ class BrownianDynamicsBase(ABC):
         Mobility update interval ``lambda_RPY`` (paper: 10-100).
     seed:
         Seed (or generator) for the Brownian noise.
-    recovery:
-        Optional :class:`~repro.resilience.policy.RecoveryPolicy`
-        enabling the fault-tolerant step loop (retry/degrade ladder,
-        dt backoff on non-finite states, block rollback).  ``None``
-        (default) keeps the fail-fast behaviour; with a policy active
-        but no failures occurring, trajectories are bit-identical to
-        the unguarded loop.
     context:
         Optional :class:`~repro.exec.ExecutionContext` threaded into
         the mobility representation (the matrix-free path parallelizes
@@ -126,7 +131,7 @@ class BrownianDynamicsBase(ABC):
                  force_field: ForceField | None = None, dt: float = 1e-3,
                  lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
-                 recovery: RecoveryPolicy | None = None, context=None):
+                 context=None):
         if dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         if lambda_rpy < 1:
@@ -139,7 +144,6 @@ class BrownianDynamicsBase(ABC):
         self.lambda_rpy = int(lambda_rpy)
         self.rng = (seed if isinstance(seed, np.random.Generator)
                     else np.random.default_rng(seed))
-        self.recovery = recovery
         self.context = context
         #: Cumulative dt backoff scale (1.0 = nominal time step).
         self._dt_scale = 1.0
@@ -183,12 +187,15 @@ class BrownianDynamicsBase(ABC):
         stats:
             Optional pre-existing stats object to accumulate into.
         stop:
-            Optional zero-argument predicate consulted after every
-            completed step (after ``callback``); returning true ends
-            the run gracefully at that step boundary with
-            ``stats.stopped_early`` set.  Used by the graceful-shutdown
-            path (``repro simulate --max-wall-time``, the ensemble
-            runtime's SIGTERM drain).
+            Optional zero-argument predicate consulted after the last
+            step of every mobility block (after ``callback``);
+            returning true ends the run gracefully at that block
+            boundary with ``stats.stopped_early`` set.  A block
+            boundary is where a resumed run rebuilds the mobility and
+            redraws the noise, so a run continued from there is
+            bit-identical to an uninterrupted one.  Used by the
+            graceful-shutdown path (``repro simulate --max-wall-time``,
+            the ensemble runtime's SIGTERM drain).
         unwrapped0:
             Optional initial *unwrapped* frame, for continuing a
             checkpointed run.  The accumulator starts from these exact
@@ -213,18 +220,15 @@ class BrownianDynamicsBase(ABC):
                      else np.array(as_positions(unwrapped0),
                                    dtype=np.float64))
         stats = stats or BDStepStats()
-        policy = self.recovery
         rollbacks = 0
 
         step = 0
         while step < n_steps:
             block = min(self.lambda_rpy, n_steps - step)
-            if policy is not None:
-                # block-boundary snapshot: positions + RNG state, the
-                # rollback target if this block fails beyond repair
-                snapshot = (wrapped.copy(), unwrapped.copy(),
-                            self.rng.bit_generator.state, step,
-                            stats.n_steps)
+            # block-boundary snapshot: positions + RNG state, the
+            # rollback target if this block fails beyond repair
+            snapshot = (wrapped.copy(), unwrapped.copy(),
+                        self.rng.bit_generator.state, step, stats.n_steps)
             try:
                 with obs.span("bd.block", step=step, size=block):
                     with stats.timers.phase("mobility"):
@@ -243,13 +247,8 @@ class BrownianDynamicsBase(ABC):
                         self._after_clean_step(stats, step)
                         if callback is not None:
                             callback(step, wrapped, unwrapped)
-                        if stop is not None and stop():
-                            # graceful stop: the completed step is kept,
-                            # the rest of the block (and run) is dropped
-                            stats.stopped_early = True
-                            return unwrapped, stats
             except StepFailure as failure:
-                if policy is None or rollbacks >= policy.max_rollbacks:
+                if rollbacks >= MAX_ROLLBACKS:
                     raise
                 rollbacks += 1
                 wrapped, unwrapped, rng_state, step, n_steps_done = snapshot
@@ -262,20 +261,24 @@ class BrownianDynamicsBase(ABC):
                 stats.recovery.record(step, failure.kind, "rollback",
                                       attempt=rollbacks,
                                       message=str(failure))
+                continue
+            if step < n_steps and stop is not None and stop():
+                # graceful stop at the block boundary: the rest of the
+                # run is dropped
+                stats.stopped_early = True
+                break
         return unwrapped, stats
 
     def _propose_step(self, wrapped: np.ndarray, g_col: np.ndarray, n: int,
                       stats: BDStepStats, step: int) -> np.ndarray:
         """One inner-step displacement, with dt-backoff retries.
 
-        Without a recovery policy this is byte-for-byte the original
-        step arithmetic (the finite checks are skipped and the dt scale
-        is pinned at 1.0).  With a policy, a non-finite force or
-        displacement rejects the step, halves the effective dt and
-        retries; exhausting ``max_step_attempts`` (or the dt floor)
-        escalates a :class:`StepFailure` to the block-rollback handler.
+        At the nominal dt this is byte-for-byte the plain step
+        arithmetic.  A non-finite force or displacement rejects the
+        step, halves the effective dt and retries; exhausting
+        ``MAX_STEP_ATTEMPTS`` (or the dt floor) escalates a
+        :class:`StepFailure` to the block-rollback handler.
         """
-        policy = self.recovery
         attempt = 0
         while True:
             try:
@@ -284,7 +287,7 @@ class BrownianDynamicsBase(ABC):
                 if self.force_field is not None:
                     with stats.timers.phase("forces"):
                         f = self.force_field.forces(wrapped).reshape(3 * n)
-                    if policy is not None and not np.all(np.isfinite(f)):
+                    if not np.all(np.isfinite(f)):
                         raise StepFailure(
                             FailureKind.NONFINITE_FORCES,
                             "force evaluation returned non-finite entries",
@@ -297,24 +300,18 @@ class BrownianDynamicsBase(ABC):
                 else:
                     with stats.timers.phase("propagate"):
                         dr = g.reshape(n, 3)
-                if policy is not None and not np.all(np.isfinite(dr)):
+                if not np.all(np.isfinite(dr)):
                     raise StepFailure(
                         FailureKind.NONFINITE_STATE,
                         "proposed displacement contains non-finite entries",
                         step=step + 1, attempt=attempt)
                 return dr
             except StepFailure as failure:
-                if policy is None:
-                    raise
                 stats.recovery.record(step + 1, failure.kind, "detect",
                                       attempt=attempt)
                 attempt += 1
-                # the decay/floor decision lives in the shared backoff
-                # utility (repro.resilience.backoff), not inline here
-                next_scale = next_dt_scale(self._dt_scale,
-                                           policy.dt_backoff_factor,
-                                           policy.min_dt_scale)
-                if attempt >= policy.max_step_attempts or next_scale is None:
+                next_scale = next_dt_scale(self._dt_scale)
+                if attempt >= MAX_STEP_ATTEMPTS or next_scale is None:
                     raise
                 self._dt_scale = next_scale
                 self._clean_steps = 0
@@ -325,10 +322,10 @@ class BrownianDynamicsBase(ABC):
 
     def _after_clean_step(self, stats: BDStepStats, step: int) -> None:
         """Walk a backed-off dt back to nominal after clean steps."""
-        if self.recovery is None or self._dt_scale == 1.0:
+        if self._dt_scale == 1.0:
             return
         self._clean_steps += 1
-        if self._clean_steps >= self.recovery.dt_recovery_steps:
+        if self._clean_steps >= DT_RECOVERY_STEPS:
             self._clean_steps = 0
             self._dt_scale = min(1.0, self._dt_scale * 2.0)
             obs.set_gauge("bd_dt_scale", self._dt_scale)
@@ -357,11 +354,11 @@ class EwaldBD(BrownianDynamicsBase):
                  lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
                  ewald_tol: float = 1e-6, xi: float | None = None,
-                 recovery: RecoveryPolicy | None = None, context=None):
+                 context=None):
         # the dense path has no parallel stage; context accepted (and
         # stored) so Simulation can forward it uniformly
         super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
-                         recovery=recovery, context=context)
+                         context=context)
         self._summation = EwaldSummation(box=box, fluid=fluid, xi=xi,
                                          tol=ewald_tol)
         self._generator = CholeskyBrownianGenerator(kT=fluid.kT, dt=dt)
@@ -376,11 +373,9 @@ class EwaldBD(BrownianDynamicsBase):
     def _generate_displacements(self, n_cols: int,
                                 stats: BDStepStats) -> np.ndarray:
         z = self.rng.standard_normal((self._matrix.shape[0], n_cols))
-        if self.recovery is None:
-            return self._generator.generate(self._matrix, z)
         return cholesky_displacements_resilient(
-            self._generator, self._matrix, z, self.recovery,
-            stats.recovery, step=stats.n_steps)
+            self._generator, self._matrix, z, stats.recovery,
+            step=stats.n_steps)
 
     def mobility_memory_bytes(self) -> int:
         if self._matrix is None:
@@ -428,10 +423,9 @@ class MatrixFreeBD(BrownianDynamicsBase):
                  seed: int | np.random.Generator | None = 0,
                  pme_params: PMEParams | None = None, target_ep: float = 1e-3,
                  e_k: float = 1e-2,
-                 max_krylov_iter: int = 200,
-                 recovery: RecoveryPolicy | None = None, context=None):
+                 max_krylov_iter: int = 200, context=None):
         super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
-                         recovery=recovery, context=context)
+                         context=context)
         self.pme_params = pme_params
         self.target_ep = float(target_ep)
         self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k,
@@ -471,14 +465,10 @@ class MatrixFreeBD(BrownianDynamicsBase):
             wave[:, lo:lo + s] = op.sample_reciprocal(noise)
         # hand the real half itself (not a bound matvec) down: block
         # Lanczos then issues one batched SpMM per iteration
-        if self.recovery is None:
-            d = self._generator.generate(op.real, z)
-            iters = self._generator.last_info.iterations
-        else:
-            d, info = krylov_displacements_resilient(
-                self._generator, op.real, z, self.recovery,
-                stats.recovery, step=stats.n_steps)
-            iters = info.iterations if info is not None else 0
+        d, info = krylov_displacements_resilient(
+            self._generator, op.real, z, stats.recovery,
+            step=stats.n_steps)
+        iters = info.iterations if info is not None else 0
         stats.krylov_iterations.append(iters)
         obs.observe("bd_krylov_iterations", iters)
         # the real half is in mu0 units, the wave sample already scaled

@@ -14,7 +14,6 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConfigurationError
-from ..resilience.policy import RecoveryPolicy
 from ..systems.suspension import Suspension
 from ..units import FluidParams
 from .checkpoint import checkpoint_callback, save_checkpoint
@@ -79,12 +78,9 @@ class Simulation:
         harmonic contact force.  Pass ``force_field=None`` explicitly
         for force-free diffusion.
     dt, lambda_rpy, seed:
-        Forwarded to the integrator.
-    recovery:
-        Optional :class:`~repro.resilience.policy.RecoveryPolicy`;
-        enables the fault-tolerant step loop (see
-        ``docs/robustness.md``).  The recovery log of a run is
-        available as ``stats.recovery``.
+        Forwarded to the integrator.  The step loop is always guarded
+        by the recovery runtime (see ``docs/robustness.md``); the
+        recovery log of a run is available as ``stats.recovery``.
     **integrator_kwargs:
         Algorithm-specific options (``e_k``, ``target_ep``,
         ``pme_params``, ``ewald_tol``, ...) plus the
@@ -98,14 +94,13 @@ class Simulation:
                  force_field: ForceField | None = _DEFAULT_FORCE,
                  dt: float = 1e-3, lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
-                 recovery: RecoveryPolicy | None = None,
                  **integrator_kwargs):
         self.suspension = suspension
         if force_field is Simulation._DEFAULT_FORCE:
             force_field = RepulsiveHarmonic(suspension.box, suspension.fluid)
         common = dict(box=suspension.box, fluid=suspension.fluid,
                       force_field=force_field, dt=dt, lambda_rpy=lambda_rpy,
-                      seed=seed, recovery=recovery)
+                      seed=seed)
         if algorithm == "matrix-free":
             self.integrator: BrownianDynamicsBase = MatrixFreeBD(
                 **common, **integrator_kwargs)
@@ -147,12 +142,13 @@ class Simulation:
             Optional pre-existing stats object to accumulate into (so
             external callbacks can share the run's recovery log).
         stop:
-            Optional zero-argument predicate; returning true ends the
-            run gracefully at the next step boundary
+            Optional zero-argument predicate, consulted at every
+            mobility-block boundary; returning true ends the run
+            gracefully at the end of the current block
             (``stats.stopped_early``).  When a ``checkpoint_path`` is
             set, a final checkpoint at the stopped step is written
-            before returning, so the run is resumable from exactly
-            where it stopped.
+            before returning, so continuing from it reproduces the
+            uninterrupted run bit-exactly.
 
         Returns
         -------

@@ -32,22 +32,19 @@ class ConvergenceError(ReproError):
     ``e_k`` is met, and by the PME parameter tuner when no parameter set
     achieves the requested accuracy within the allowed mesh sizes.
 
-    The solvers attach their best partial iterate and full diagnostics
-    so recovery policies (:mod:`repro.resilience`) can degrade
-    gracefully — accept a slightly-off iterate or hand it to a fallback
-    method — instead of discarding the work already done.
+    The solvers attach their diagnostics so the recovery ladder
+    (:mod:`repro.resilience.recovery`) can log why it degraded to a
+    more robust method.
     """
 
     def __init__(self, message: str, iterations: int | None = None,
                  residual: float | None = None,
-                 best_iterate=None, n_matvecs: int | None = None):
+                 n_matvecs: int | None = None):
         super().__init__(message)
         #: Number of iterations performed before giving up (if known).
         self.iterations = iterations
         #: Last observed relative residual/error estimate (if known).
         self.residual = residual
-        #: Best (last evaluated) partial iterate, unscaled (if any).
-        self.best_iterate = best_iterate
         #: Operator applications spent before giving up (if known).
         self.n_matvecs = n_matvecs
 

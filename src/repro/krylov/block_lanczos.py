@@ -100,9 +100,8 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
     the expansion; the current iterate is then exact on the subspace
     explored and is returned if the tolerance is met, otherwise a
     :class:`~repro.errors.ConvergenceError` is raised.  The error
-    carries the best partial iterate and the full solve diagnostics
-    (``iterations``, ``rel_change``/``residual``, ``n_matvecs``) so a
-    recovery policy can degrade instead of discarding the work.
+    carries the full solve diagnostics (``iterations``,
+    ``rel_change``/``residual``, ``n_matvecs``) for the recovery log.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -172,5 +171,4 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
         raise ConvergenceError(
             f"block Lanczos did not reach tol={tol} in {max_iter} "
             f"iterations",
-            iterations=max_iter, residual=rel_change, best_iterate=y_prev,
-            n_matvecs=n_matvecs)
+            iterations=max_iter, residual=rel_change, n_matvecs=n_matvecs)

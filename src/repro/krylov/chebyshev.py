@@ -9,7 +9,7 @@ three-term recurrence — only matrix-vector products are needed, plus
 compared with Lanczos (the Krylov iteration adapts to the spectrum
 automatically).
 
-Used by rung 3 of the recovery ladder (:mod:`repro.resilience.recovery`)
+Used by rung 2 of the recovery ladder (:mod:`repro.resilience.recovery`)
 and compared with the other samplers in
 ``benchmarks/bench_ablation_brownian.py``:
 
@@ -25,7 +25,6 @@ and compared with the other samplers in
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -170,10 +169,9 @@ def chebyshev_sqrt(matvec: Callable[[np.ndarray], np.ndarray],
     degree and ``info.n_matvecs`` counted per column.
 
     If the ``max_degree`` cap cannot reach ``tol``, the best available
-    polynomial is still evaluated and the raised
-    :class:`~repro.errors.ConvergenceError` carries that evaluation as
-    ``best_iterate`` (plus ``residual`` and ``n_matvecs``) so recovery
-    policies can degrade to it instead of discarding the work.
+    polynomial is still evaluated (its cost is reported) and a
+    :class:`~repro.errors.ConvergenceError` carrying ``iterations``,
+    ``residual`` and ``n_matvecs`` is raised.
     """
     z = np.asarray(z, dtype=np.float64)
     flat = z.ndim == 1
@@ -208,8 +206,7 @@ def chebyshev_sqrt(matvec: Callable[[np.ndarray], np.ndarray],
         raise ConvergenceError(
             f"Chebyshev degree {max_degree} insufficient for tol={tol} on "
             f"[{l_min:.3g}, {l_max:.3g}] (condition {l_max / l_min:.3g})",
-            iterations=degree, residual=err,
-            best_iterate=(y[:, 0] if flat else y), n_matvecs=n_matvecs)
+            iterations=degree, residual=err, n_matvecs=n_matvecs)
     info = LanczosInfo(iterations=degree, converged=converged,
                        rel_change=tol, n_matvecs=n_matvecs)
     return (y[:, 0] if flat else y), info

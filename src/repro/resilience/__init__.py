@@ -8,39 +8,39 @@ This subpackage provides
 
 * :mod:`~repro.resilience.failures` — the failure taxonomy
   (:class:`FailureKind`, :class:`StepFailure`),
-* :mod:`~repro.resilience.backoff` — shared retry backoff with
-  deterministic jitter, the dt-scale decay chokepoint and the
-  :class:`CircuitBreaker` used by the ensemble supervisor,
-* :mod:`~repro.resilience.policy` — :class:`RecoveryPolicy` knobs and
-  the :class:`RecoveryLog` returned in run statistics,
-* :mod:`~repro.resilience.recovery` — the retry → Chebyshev → dense
-  reference degradation ladder,
+* :mod:`~repro.resilience.backoff` — the ensemble supervisor's retry
+  backoff with deterministic jitter,
+* :mod:`~repro.resilience.policy` — the :class:`RecoveryLog` returned
+  in run statistics,
+* :mod:`~repro.resilience.recovery` — the recovery policy: the retry →
+  Chebyshev → dense reference degradation ladder and the constants of
+  the ladder, the dt backoff and the block rollback (recovery is
+  always on and has no knobs),
 * :mod:`~repro.resilience.faults` — the deterministic fault-injection
   engine (:class:`FaultPlan`) behind the tests and the
   ``--inject-faults`` option of ``repro simulate`` and ``repro
   ensemble``.
 
 ``faults`` is imported lazily (it wraps concrete :mod:`repro.core`
-classes, which themselves use this package's policy types).
+classes, which themselves use this package's recovery ladder).
 """
 
-from .backoff import BackoffPolicy, CircuitBreaker, next_dt_scale
+from .backoff import BackoffPolicy
 from .failures import FailureKind, StepFailure, classify_exception
-from .policy import RecoveryEvent, RecoveryLog, RecoveryPolicy
+from .policy import RecoveryEvent, RecoveryLog
 from .recovery import (
     cholesky_displacements_resilient,
     krylov_displacements_resilient,
     materialize_operator,
+    next_dt_scale,
 )
 
 __all__ = [
     "BackoffPolicy",
-    "CircuitBreaker",
     "next_dt_scale",
     "FailureKind",
     "StepFailure",
     "classify_exception",
-    "RecoveryPolicy",
     "RecoveryEvent",
     "RecoveryLog",
     "krylov_displacements_resilient",

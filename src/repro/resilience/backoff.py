@@ -1,23 +1,11 @@
-"""Shared retry backoff, dt-scale decay and circuit breaking.
+"""Retry backoff of the supervised ensemble runtime.
 
-Every layer of the runtime that retries something — the dt-backoff path
-of the integrators (PR 2), the supervised ensemble runtime
-(:mod:`repro.runtime`) retrying killed or hung workers — needs the same
-three primitives:
-
-* :class:`BackoffPolicy` — capped exponential delays with
-  *deterministic* jitter: the jitter of retry ``attempt`` for a given
-  ``seed`` is a pure function of ``(seed, attempt)``, so a re-executed
-  campaign schedules identically (the repo-wide reproducibility
-  contract extends to failure handling).
-* :func:`next_dt_scale` — the geometric time-step decay with a floor
-  used by the integrators' non-finite-state backoff; kept here so the
-  decay/floor decision has one chokepoint instead of inline arithmetic
-  per integrator.
-* :class:`CircuitBreaker` — consecutive-failure counting that *opens*
-  after a threshold, letting the supervisor stop retrying a task that
-  keeps dying and route it to a safer configuration (or quarantine it)
-  instead of burning worker restarts forever.
+:class:`BackoffPolicy` spaces the retries of killed, hung or failed
+worker tasks (:mod:`repro.runtime`) with capped exponential delays and
+*deterministic* jitter: the jitter of retry ``attempt`` for a given
+``seed`` is a pure function of ``(seed, attempt)``, so a re-executed
+campaign schedules identically (the repo-wide reproducibility contract
+extends to failure handling).
 
 Nothing in this module reads a clock: delays are computed, not slept,
 so policies stay unit-testable and schedulers own their own waiting.
@@ -25,13 +13,13 @@ so policies stay unit-testable and schedulers own their own waiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["BackoffPolicy", "next_dt_scale", "CircuitBreaker"]
+__all__ = ["BackoffPolicy"]
 
 
 @dataclass(frozen=True)
@@ -94,64 +82,3 @@ class BackoffPolicy:
     def delays(self, *, seed: int = 0) -> list[float]:
         """The full retry schedule: one delay per allowed retry."""
         return [self.delay(a, seed=seed) for a in range(self.max_retries)]
-
-
-def next_dt_scale(scale: float, factor: float, floor: float) -> float | None:
-    """One rung of the geometric dt-backoff ladder.
-
-    Returns ``scale * factor``, or ``None`` when the decayed scale
-    would undershoot ``floor`` — the caller escalates instead of
-    shrinking the time step further.  This is the single chokepoint of
-    the integrators' non-finite-state backoff
-    (:meth:`repro.core.integrators.BrownianDynamicsBase._propose_step`).
-    """
-    nxt = scale * factor
-    return None if nxt < floor else nxt
-
-
-@dataclass
-class CircuitBreaker:
-    """Consecutive-failure breaker guarding one retried operation.
-
-    The breaker is *closed* (operations allowed) until
-    ``failure_threshold`` consecutive failures are recorded, then
-    *opens*.  A success while closed resets the count.  The supervisor
-    keeps one breaker per task: an open breaker means "stop retrying
-    this task as-is" and triggers the safe-mode reroute / quarantine
-    ladder instead of another identical attempt.
-    """
-
-    failure_threshold: int = 3
-    failures: int = 0
-    #: Total failures ever recorded (not reset by successes).
-    total_failures: int = 0
-    _open: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got "
-                f"{self.failure_threshold}")
-
-    @property
-    def open(self) -> bool:
-        """True once the threshold has been reached."""
-        return self._open
-
-    def record_failure(self) -> bool:
-        """Count one failure; returns ``True`` if the breaker is now open."""
-        self.failures += 1
-        self.total_failures += 1
-        if self.failures >= self.failure_threshold:
-            self._open = True
-        return self._open
-
-    def record_success(self) -> None:
-        """A success while closed resets the consecutive count."""
-        if not self._open:
-            self.failures = 0
-
-    def reset(self) -> None:
-        """Close the breaker again (used after rerouting to safe mode)."""
-        self.failures = 0
-        self._open = False

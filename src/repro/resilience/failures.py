@@ -14,8 +14,6 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-import numpy as np
-
 from ..errors import (
     CheckpointCorruptionError,
     ConvergenceError,
@@ -70,8 +68,6 @@ def _diagnostics_from(exc: BaseException) -> dict[str, Any]:
             diag["rel_change"] = exc.residual
         if exc.n_matvecs is not None:
             diag["n_matvecs"] = exc.n_matvecs
-        if isinstance(exc.best_iterate, np.ndarray):
-            diag["has_best_iterate"] = True
     return diag
 
 

@@ -1,19 +1,11 @@
-"""Recovery policies and the structured recovery log.
+"""The structured recovery log.
 
-A :class:`RecoveryPolicy` is a bag of knobs describing *how hard* the
-simulation runtime should try to keep a run alive before giving up:
-
-* the Lanczos retry schedule (grow ``max_iter``, loosen then re-tighten
-  ``tol``),
-* whether to fall through to the Chebyshev and dense-Cholesky
-  reference methods,
-* the time-step backoff used for non-finite states,
-* how many block rollbacks to tolerate before aborting.
-
-Every action the runtime takes is recorded as a :class:`RecoveryEvent`
-in a :class:`RecoveryLog`, which is returned with the run statistics so
-a production service (or the fault-injection soak test) can account for
-every recovery after the fact.
+Every action the recovery runtime (:mod:`repro.resilience.recovery`,
+whose constants are the whole recovery policy) takes is recorded as a
+:class:`RecoveryEvent` in a :class:`RecoveryLog`, which is returned
+with the run statistics so a production service (or the
+fault-injection soak test) can account for every recovery after the
+fact.
 """
 
 from __future__ import annotations
@@ -22,111 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .. import obs
-from ..errors import ConfigurationError
 from .failures import FailureKind
 
-__all__ = ["RecoveryPolicy", "RecoveryEvent", "RecoveryLog"]
-
-
-@dataclass
-class RecoveryPolicy:
-    """Knobs of the retry/backoff/degrade ladder.
-
-    Attributes
-    ----------
-    lanczos_retries:
-        Number of Lanczos retries after the first failure.  Retry ``i``
-        multiplies ``max_iter`` by ``lanczos_iter_growth ** (i+1)``;
-        the first retry also loosens ``tol`` by ``lanczos_tol_loosen``
-        and later retries tighten back to the original tolerance
-        (looser-then-tighter: grab *a* usable sample fast, then try to
-        restore full accuracy with the enlarged iteration budget).
-    lanczos_iter_growth:
-        Multiplicative ``max_iter`` growth per retry.
-    lanczos_tol_loosen:
-        Tolerance loosening factor of the first retry.
-    accept_partial_rel_change:
-        If all retries fail but the best partial iterate reached a
-        relative change below this threshold, accept it instead of
-        escalating (``None`` disables).
-    chebyshev_fallback:
-        Fall back to the Chebyshev (Fixman) square root when Lanczos is
-        exhausted.
-    chebyshev_bound_iterations:
-        Lanczos steps used to estimate the spectral interval for the
-        Chebyshev fallback.
-    cholesky_fallback:
-        Final rung: materialize the dense mobility and use the
-        Cholesky / eigendecomposition reference square root.  ``O(n^2)``
-        memory — intended as a last resort for modest ``n``.
-    dense_fallback_max_dim:
-        Refuse the dense fallback above this operator dimension
-        (``3n``); prevents an accidental 500k-particle densification.
-    max_step_attempts:
-        Attempts per inner step (first try + dt-backoff retries) before
-        escalating to a block rollback.
-    dt_backoff_factor:
-        Time-step scale factor applied on a rejected (non-finite) step.
-    dt_recovery_steps:
-        Clean steps after which a backed-off ``dt`` is doubled back
-        towards its nominal value.
-    min_dt_scale:
-        Lower bound of the cumulative ``dt`` scale; reaching it
-        escalates instead of halving further.
-    max_rollbacks:
-        Block rollbacks (restore positions + RNG to the last mobility
-        rebuild) tolerated per ``run`` call before the failure is
-        re-raised.
-    """
-
-    lanczos_retries: int = 2
-    lanczos_iter_growth: float = 4.0
-    lanczos_tol_loosen: float = 10.0
-    accept_partial_rel_change: float | None = None
-    chebyshev_fallback: bool = True
-    chebyshev_bound_iterations: int = 25
-    cholesky_fallback: bool = True
-    dense_fallback_max_dim: int = 6000
-    max_step_attempts: int = 3
-    dt_backoff_factor: float = 0.5
-    dt_recovery_steps: int = 10
-    min_dt_scale: float = 1.0 / 64.0
-    max_rollbacks: int = 3
-
-    def __post_init__(self) -> None:
-        if self.lanczos_retries < 0:
-            raise ConfigurationError(
-                f"lanczos_retries must be >= 0, got {self.lanczos_retries}")
-        if self.lanczos_iter_growth < 1.0:
-            raise ConfigurationError(
-                f"lanczos_iter_growth must be >= 1, got "
-                f"{self.lanczos_iter_growth}")
-        if not 0.0 < self.dt_backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"dt_backoff_factor must be in (0, 1), got "
-                f"{self.dt_backoff_factor}")
-        if self.max_step_attempts < 1:
-            raise ConfigurationError(
-                f"max_step_attempts must be >= 1, got "
-                f"{self.max_step_attempts}")
-        if self.dt_recovery_steps < 1:
-            raise ConfigurationError(
-                f"dt_recovery_steps must be >= 1, got "
-                f"{self.dt_recovery_steps}")
-        if self.max_rollbacks < 0:
-            raise ConfigurationError(
-                f"max_rollbacks must be >= 0, got {self.max_rollbacks}")
-
-    def lanczos_retry_schedule(self, tol: float, max_iter: int
-                               ) -> list[tuple[float, int]]:
-        """The ``(tol, max_iter)`` pairs of the retry ladder."""
-        schedule = []
-        for i in range(self.lanczos_retries):
-            grown = max(int(max_iter * self.lanczos_iter_growth ** (i + 1)),
-                        max_iter + 1)
-            loosened = tol * self.lanczos_tol_loosen if i == 0 else tol
-            schedule.append((loosened, grown))
-        return schedule
+__all__ = ["RecoveryEvent", "RecoveryLog"]
 
 
 @dataclass
@@ -134,7 +24,7 @@ class RecoveryEvent:
     """One recorded recovery action.
 
     ``action`` is one of: ``detect`` (a failure was observed),
-    ``retry-lanczos``, ``accept-partial``, ``fallback-chebyshev``,
+    ``retry-lanczos``, ``fallback-chebyshev``,
     ``fallback-cholesky``, ``fallback-eigh``, ``dt-backoff``,
     ``restore-dt``, ``rollback``, ``checkpoint-fallback``, or a
     fault-injection marker (``inject-*``) from the test harness.

@@ -1,22 +1,27 @@
-"""The retry/degrade ladder for Brownian displacement generation.
+"""The recovery policy: the retry/degrade ladder and its constants.
 
 Fiore et al. (PAPERS.md) observe that iterative square-root methods
 degrade as particles approach overlap — the mobility spectrum widens
 and (block) Lanczos needs more iterations than the configured budget.
 Instead of aborting a 10-hour run, the ladder implemented here walks
-down a configurable sequence of increasingly robust (and increasingly
+down a fixed sequence of increasingly robust (and increasingly
 expensive) methods:
 
 1. retry Lanczos with a grown ``max_iter`` and a looser-then-tighter
-   tolerance (:meth:`RecoveryPolicy.lanczos_retry_schedule`),
-2. optionally accept the best partial iterate if it got close enough,
-3. fall back to the Chebyshev (Fixman) polynomial square root,
-4. fall back to the dense Cholesky / eigendecomposition reference
+   tolerance (:data:`LANCZOS_RETRY_SCHEDULE`),
+2. fall back to the Chebyshev (Fixman) polynomial square root,
+3. fall back to the dense Cholesky / eigendecomposition reference
    (materializing the operator — last resort, modest ``n`` only).
 
+The step-level half of the policy — dt backoff on non-finite states
+(:func:`next_dt_scale`) and block rollback — is driven by
+:meth:`repro.core.integrators.BrownianDynamicsBase.run` with the
+constants below.  Recovery is always on and has no knobs: every
+constant has the one value production uses.
+
 Every rung is recorded in the :class:`~repro.resilience.policy.RecoveryLog`.
-The no-failure fast path is byte-for-byte the same computation as the
-unguarded code, so enabling a policy does not perturb trajectories.
+The no-failure fast path is byte-for-byte the same computation as an
+unguarded solve, so the ladder does not perturb trajectories.
 """
 
 from __future__ import annotations
@@ -36,10 +41,42 @@ from ..krylov.block_lanczos import LanczosInfo
 from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from ..krylov.reference import cholesky_displacements, dense_sqrtm
 from .failures import FailureKind, StepFailure, classify_exception
-from .policy import RecoveryLog, RecoveryPolicy
+from .policy import RecoveryLog
 
 __all__ = ["krylov_displacements_resilient",
-           "cholesky_displacements_resilient", "materialize_operator"]
+           "cholesky_displacements_resilient", "materialize_operator",
+           "next_dt_scale"]
+
+#: Lanczos retries as ``(tol factor, max_iter factor)``: loosen first
+#: (grab *a* usable sample fast), then restore the original tolerance
+#: with a larger iteration budget.
+LANCZOS_RETRY_SCHEDULE = ((10.0, 4), (1.0, 16))
+#: Lanczos steps estimating the spectral interval of the Chebyshev rung.
+CHEBYSHEV_BOUND_ITERATIONS = 25
+#: Largest operator dimension (``3n``) the dense rung materializes.
+DENSE_FALLBACK_MAX_DIM = 6000
+#: Attempts per inner step (first try + dt-backoff retries) before a
+#: block rollback.
+MAX_STEP_ATTEMPTS = 3
+#: Time-step scale factor applied on a rejected (non-finite) step.
+DT_BACKOFF_FACTOR = 0.5
+#: Floor of the cumulative dt scale; reaching it escalates instead.
+MIN_DT_SCALE = 1.0 / 64.0
+#: Clean steps after which a backed-off dt is doubled back to nominal.
+DT_RECOVERY_STEPS = 10
+#: Block rollbacks tolerated per ``run`` call before re-raising.
+MAX_ROLLBACKS = 3
+
+
+def next_dt_scale(scale: float) -> float | None:
+    """One rung of the geometric dt-backoff ladder.
+
+    Returns ``scale * DT_BACKOFF_FACTOR``, or ``None`` when the decayed
+    scale would undershoot :data:`MIN_DT_SCALE` — the caller escalates
+    instead of shrinking the time step further.
+    """
+    nxt = scale * DT_BACKOFF_FACTOR
+    return None if nxt < MIN_DT_SCALE else nxt
 
 
 def materialize_operator(matvec: Any, dim: int) -> np.ndarray:
@@ -63,15 +100,15 @@ def materialize_operator(matvec: Any, dim: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _dense_displacements(matvec, z2: np.ndarray, scale: float,
-                         policy: RecoveryPolicy) -> tuple[np.ndarray, str]:
+def _dense_displacements(matvec, z2: np.ndarray,
+                         scale: float) -> tuple[np.ndarray, str]:
     """Last-resort rung: materialize and use the dense reference."""
     d = z2.shape[0]
-    if d > policy.dense_fallback_max_dim:
+    if d > DENSE_FALLBACK_MAX_DIM:
         raise StepFailure(
             FailureKind.LANCZOS_NONCONVERGENCE,
             f"dense fallback refused: operator dimension {d} exceeds "
-            f"dense_fallback_max_dim={policy.dense_fallback_max_dim}")
+            f"DENSE_FALLBACK_MAX_DIM={DENSE_FALLBACK_MAX_DIM}")
     with obs.span("recovery.dense_fallback", d=d):
         m = materialize_operator(matvec, d)
         m = 0.5 * (m + m.T)  # symmetrize against operator round-off
@@ -83,8 +120,7 @@ def _dense_displacements(matvec, z2: np.ndarray, scale: float,
 
 
 def krylov_displacements_resilient(
-        generator, matvec: Any,
-        z: np.ndarray, policy: RecoveryPolicy, log: RecoveryLog,
+        generator, matvec: Any, z: np.ndarray, log: RecoveryLog,
         step: int) -> tuple[np.ndarray, LanczosInfo | None]:
     """``sqrt(2 kT dt) M^(1/2) Z`` with the full recovery ladder.
 
@@ -98,8 +134,8 @@ def krylov_displacements_resilient(
         The mobility application.
     z:
         Standard-normal block ``(d, s)`` (or vector ``(d,)``).
-    policy, log:
-        The recovery policy and the log receiving every event.
+    log:
+        The log receiving every event.
     step:
         Step anchor recorded with the events (completed-step count).
 
@@ -108,6 +144,12 @@ def krylov_displacements_resilient(
     (displacements, info):
         The scaled displacement block and the diagnostics of the solve
         that produced it (``None`` for the dense fallback).
+
+    Raises
+    ------
+    StepFailure
+        When the dense rung refuses the operator dimension; the step
+        loop answers it with a block rollback.
     """
     try:
         d = generator.generate(matvec, z)
@@ -118,16 +160,14 @@ def krylov_displacements_resilient(
     log.record(step, kind, "detect", attempt=0,
                **StepFailure.from_exception(first, step=step).diagnostics)
 
-    best: ConvergenceError = first
-
     with obs.span("recovery.ladder", step=step, kind=kind.value):
         # Rung 1: Lanczos retries, grown budget, looser-then-tighter tol.
-        schedule = policy.lanczos_retry_schedule(generator.tol,
-                                                 generator.max_iter)
-        for attempt, (tol, max_iter) in enumerate(schedule, start=1):
+        for attempt, (tol_factor, iter_factor) in enumerate(
+                LANCZOS_RETRY_SCHEDULE, start=1):
             retry = copy.copy(generator)
-            retry.tol = tol
-            retry.max_iter = max_iter
+            retry.tol = tol = generator.tol * tol_factor
+            retry.max_iter = max_iter = max(generator.max_iter * iter_factor,
+                                            generator.max_iter + 1)
             try:
                 d = retry.generate(matvec, z)
                 info = retry.last_info
@@ -141,59 +181,31 @@ def krylov_displacements_resilient(
                            **StepFailure.from_exception(exc, step=step,
                                                         attempt=attempt
                                                         ).diagnostics)
-                if (exc.residual is not None
-                        and exc.best_iterate is not None
-                        and (best.residual is None
-                             or exc.residual < best.residual)):
-                    best = exc
 
-        # Rung 2: accept the best partial iterate if close enough.
+        # Rung 2: Chebyshev (Fixman) polynomial square root.
         z2 = np.atleast_2d(np.asarray(z).T).T
-        threshold = policy.accept_partial_rel_change
-        if (threshold is not None and best.best_iterate is not None
-                and best.residual is not None
-                and best.residual <= threshold
-                and np.asarray(best.best_iterate).shape == z2.shape):
-            log.record(step, kind, "accept-partial",
-                       rel_change=best.residual,
-                       iterations=best.iterations)
-            y = generator.scale * np.asarray(best.best_iterate)
-            info = LanczosInfo(best.iterations or 0, False,
-                               best.residual, best.n_matvecs or 0)
+        try:
+            l_min, l_max = eigenvalue_bounds(
+                matvec, z2.shape[0], n_iter=CHEBYSHEV_BOUND_ITERATIONS)
+            y, info = chebyshev_sqrt(matvec, z2, l_min, l_max,
+                                     tol=generator.tol)
+            log.record(step, kind, "fallback-chebyshev",
+                       degree=info.iterations, l_min=l_min, l_max=l_max)
+            y = generator.scale * y
             return (y[:, 0] if np.asarray(z).ndim == 1 else y), info
+        except ConvergenceError as exc:
+            log.record(step, classify_exception(exc), "detect",
+                       **StepFailure.from_exception(exc, step=step
+                                                    ).diagnostics)
 
-        # Rung 3: Chebyshev (Fixman) polynomial square root.
-        if policy.chebyshev_fallback:
-            try:
-                l_min, l_max = eigenvalue_bounds(
-                    matvec, z2.shape[0],
-                    n_iter=policy.chebyshev_bound_iterations)
-                y, info = chebyshev_sqrt(matvec, z2, l_min, l_max,
-                                         tol=generator.tol)
-                log.record(step, kind, "fallback-chebyshev",
-                           degree=info.iterations, l_min=l_min,
-                           l_max=l_max)
-                y = generator.scale * y
-                return (y[:, 0] if np.asarray(z).ndim == 1 else y), info
-            except ConvergenceError as exc:
-                log.record(step, classify_exception(exc), "detect",
-                           **StepFailure.from_exception(exc, step=step
-                                                        ).diagnostics)
-
-        # Rung 4: dense reference.
-        if policy.cholesky_fallback:
-            y, method = _dense_displacements(matvec, z2, generator.scale,
-                                             policy)
-            log.record(step, kind, "fallback-cholesky", method=method)
-            return (y[:, 0] if np.asarray(z).ndim == 1 else y), None
-
-        raise StepFailure.from_exception(best, step=step,
-                                         attempt=len(schedule))
+        # Rung 3: dense reference.
+        y, method = _dense_displacements(matvec, z2, generator.scale)
+        log.record(step, kind, "fallback-cholesky", method=method)
+        return (y[:, 0] if np.asarray(z).ndim == 1 else y), None
 
 
 def cholesky_displacements_resilient(
-        generator, matrix: np.ndarray, z: np.ndarray,
-        policy: RecoveryPolicy, log: RecoveryLog,
+        generator, matrix: np.ndarray, z: np.ndarray, log: RecoveryLog,
         step: int) -> np.ndarray:
     """Algorithm 1 displacements with eigendecomposition fallback.
 

@@ -9,8 +9,8 @@ slowdowns and corrupted results:
 * :mod:`~repro.runtime.tasks` — :class:`TaskSpec` / :class:`TaskRecord`
   and the resumable :class:`CampaignManifest`,
 * :mod:`~repro.runtime.supervisor` — the :class:`Supervisor` event
-  loop: heartbeat watchdog, deadlines, backoff retries, per-task
-  circuit breakers, graceful drain,
+  loop: heartbeat watchdog, deadlines, backoff retries, quarantine of
+  a task that keeps failing, graceful drain,
 * :mod:`~repro.runtime.worker` — the worker-process entry point
   (checkpointed stepping, heartbeats, fault execution),
 * :mod:`~repro.runtime.signals` — :class:`GracefulShutdown`, shared

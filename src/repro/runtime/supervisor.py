@@ -16,12 +16,12 @@ every process-level failure the fault plan (or reality) throws at it:
 
 Retries are spaced by the shared
 :class:`~repro.resilience.backoff.BackoffPolicy` (exponential with
-deterministic per-task jitter).  A per-task
-:class:`~repro.resilience.backoff.CircuitBreaker` escalates repeated
-failures: the first trip reroutes the task to *safe mode* (the PR-2
-recovery ladder with dense-reference fallback enabled), a second trip
-quarantines it with a structured failure report — the campaign never
-wedges on one sick member.
+deterministic per-task jitter).  Every attempt already runs the
+in-process recovery runtime (:mod:`repro.resilience.recovery`), so a
+task that keeps failing is not retried forever: its
+:data:`MAX_TASK_FAILURES`-th failed attempt quarantines it with a
+structured failure report — the campaign never wedges on one sick
+member.
 
 SIGTERM/SIGINT (via :class:`~repro.runtime.signals.GracefulShutdown`)
 triggers a drain: no new assignments, workers stop at their next block
@@ -42,7 +42,7 @@ from typing import Any, Sequence
 from .. import obs
 from ..errors import ConfigurationError
 from ..obs.collect import CampaignCollection, TraceContext, collect_campaign
-from ..resilience.backoff import BackoffPolicy, CircuitBreaker
+from ..resilience.backoff import BackoffPolicy
 from ..resilience.failures import FailureKind, StepFailure
 from ..resilience.faults import FaultPlan
 from ..utils.timing import now
@@ -57,6 +57,10 @@ from .tasks import (
 from .worker import DEFAULT_HEARTBEAT_INTERVAL, worker_main
 
 __all__ = ["Supervisor", "SupervisorReport", "WorkerRestart"]
+
+#: Failed attempts of one task (counted by each :class:`Supervisor`) after
+#: which it is quarantined instead of retried.
+MAX_TASK_FAILURES = 6
 
 
 def _mp_context():
@@ -156,7 +160,7 @@ class _WorkerHandle:
                                          task_id=spec.task_id))
         message: dict[str, Any] = {
             "cmd": "task", "spec": spec.to_json(),
-            "attempt": record.attempts, "safe_mode": record.safe_mode,
+            "attempt": record.attempts,
             "checkpoint_dir": checkpoint_dir,
             "slow_per_step": slow_per_step,
             "heartbeat_interval": heartbeat_interval,
@@ -216,9 +220,6 @@ class Supervisor:
     backoff:
         Retry spacing; jitter is seeded per task, so the schedule is
         deterministic and replay-identical.
-    breaker_threshold:
-        Consecutive failures before a task's circuit breaker opens
-        (first trip: safe-mode reroute; second trip: quarantine).
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` of process
         faults; they are assigned at :meth:`run` start and injected on
@@ -239,7 +240,6 @@ class Supervisor:
                  checkpoint_dir: str, *, n_workers: int = 2,
                  deadline: float | None = None, hang_timeout: float = 5.0,
                  backoff: BackoffPolicy | None = None,
-                 breaker_threshold: int = 3,
                  fault_plan: FaultPlan | None = None,
                  manifest_path: str | None = None,
                  max_worker_restarts: int = 50,
@@ -265,7 +265,6 @@ class Supervisor:
         self.deadline = deadline
         self.hang_timeout = hang_timeout
         self.backoff = backoff or BackoffPolicy()
-        self.breaker_threshold = breaker_threshold
         self.fault_plan = fault_plan
         self.manifest_path = (manifest_path
                               or f"{checkpoint_dir}/campaign.json")
@@ -273,10 +272,7 @@ class Supervisor:
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
 
-        self._breakers = {
-            r.spec.task_id: CircuitBreaker(
-                failure_threshold=breaker_threshold)
-            for r in self.records}
+        self._failures = {r.spec.task_id: 0 for r in self.records}
         self._ready_at = {r.spec.task_id: 0.0 for r in self.records}
         self._records_by_id = {r.spec.task_id: r for r in self.records}
         self._draining = False
@@ -366,26 +362,19 @@ class Supervisor:
     def _task_failed(self, record: TaskRecord, reason: str,
                      report: SupervisorReport,
                      failure: dict[str, Any] | None = None) -> None:
-        """Route a failed attempt: backoff retry, safe mode, quarantine."""
+        """Route a failed attempt: backoff retry or quarantine."""
         task_id = record.spec.task_id
         record.failure = failure or {"kind": "process-fault",
                                      "message": reason,
                                      "attempt": record.attempts - 1}
         if self.fault_plan is not None:
             self.fault_plan.observe(task_id, reason)
-        breaker = self._breakers[task_id]
-        if breaker.record_failure():
-            if not record.safe_mode:
-                # first trip: reroute through the recovery ladder with
-                # the dense-reference fallback armed, and start over
-                record.safe_mode = True
-                breaker.reset()
-                obs.instant("supervisor.safe_mode", task=task_id)
-            else:
-                record.state = TaskState.QUARANTINED
-                obs.instant("supervisor.quarantine", task=task_id)
-                self._save_manifest()
-                return
+        self._failures[task_id] += 1
+        if self._failures[task_id] >= MAX_TASK_FAILURES:
+            record.state = TaskState.QUARANTINED
+            obs.instant("supervisor.quarantine", task=task_id)
+            self._save_manifest()
+            return
         record.state = TaskState.PENDING
         delay = self.backoff.delay(max(0, record.attempts - 1),
                                    seed=task_id)

@@ -145,8 +145,8 @@ class TaskState(str, enum.Enum):
     PENDING = "pending"
     RUNNING = "running"
     DONE = "done"
-    #: Routed through the circuit breaker too many times; carries a
-    #: structured failure report instead of a result.
+    #: Failed too many attempts; carries a structured failure report
+    #: instead of a result.
     QUARANTINED = "quarantined"
 
 
@@ -165,9 +165,6 @@ class TaskRecord:
     completed_step: int = 0
     checkpoint: str | None = None
     digest: str | None = None
-    #: True once the circuit breaker rerouted the task to safe mode
-    #: (recovery ladder + dense-reference fallback enabled).
-    safe_mode: bool = False
     #: Structured report of the last failure (kind, reason, message).
     failure: dict[str, Any] | None = None
 
@@ -176,7 +173,7 @@ class TaskRecord:
                 "attempts": self.attempts,
                 "completed_step": self.completed_step,
                 "checkpoint": self.checkpoint, "digest": self.digest,
-                "safe_mode": self.safe_mode, "failure": self.failure}
+                "failure": self.failure}
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> TaskRecord:
@@ -184,7 +181,6 @@ class TaskRecord:
                    state=TaskState(d["state"]), attempts=d["attempts"],
                    completed_step=d["completed_step"],
                    checkpoint=d.get("checkpoint"), digest=d.get("digest"),
-                   safe_mode=d.get("safe_mode", False),
                    failure=d.get("failure"))
 
 

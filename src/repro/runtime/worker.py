@@ -45,7 +45,6 @@ from ..errors import CheckpointCorruptionError, ConfigurationError
 from ..obs import set_metrics, set_tracer
 from ..obs.collect import SpoolingSession
 from ..resilience.failures import StepFailure
-from ..resilience.policy import RecoveryPolicy
 from ..systems.suspension import make_suspension
 from ..utils.timing import now
 from .tasks import TaskSpec, positions_digest
@@ -72,28 +71,26 @@ def _corrupt_payload(positions: np.ndarray) -> np.ndarray:
                          dtype=np.float64).reshape(positions.shape)
 
 
-def _build_integrator(spec: TaskSpec, safe_mode: bool, context=None):
+def _build_integrator(spec: TaskSpec, context=None):
     suspension = make_suspension(spec.n, spec.phi, seed=spec.system_seed)
     force_field = (RepulsiveHarmonic(suspension.box, suspension.fluid)
                    if spec.forces else None)
-    recovery = RecoveryPolicy() if safe_mode else None
     integrator = MatrixFreeBD(
         box=suspension.box, fluid=suspension.fluid,
         force_field=force_field, dt=spec.dt, lambda_rpy=spec.lambda_rpy,
         seed=spec.seed, pme_params=spec.pme, e_k=spec.e_k,
-        recovery=recovery, context=context)
+        context=context)
     return suspension, integrator
 
 
 def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
-              fault: dict[str, Any] | None, safe_mode: bool,
+              fault: dict[str, Any] | None,
               checkpoint_dir: str, slow_per_step: float,
               heartbeat_interval: float,
               session: SpoolingSession | None = None,
               context=None) -> str:
     """Execute one task; reports over ``conn``, returns the outcome."""
-    suspension, integrator = _build_integrator(spec, safe_mode,
-                                               context=context)
+    suspension, integrator = _build_integrator(spec, context=context)
     ckpt_path = spec.checkpoint_path(checkpoint_dir)
 
     step0 = 0
@@ -119,18 +116,16 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
         # resumed past the end (e.g. retry after a corrupt-result
         # fault): the checkpointed unwrapped state *is* the final
         # state — reuse its exact bytes, no offset arithmetic
-        _send_done(conn, spec, step0, unwrapped0, fault_kind, safe_mode)
+        _send_done(conn, spec, step0, unwrapped0, fault_kind)
         return "done"
 
     last_hb = [now()]
-    progress = {"gstep": step0}
     write_checkpoint = checkpoint_callback(ckpt_path, integrator,
                                            spec.lambda_rpy)
 
     def callback(step: int, wrapped: np.ndarray,
                  unwrapped: np.ndarray) -> None:
         gstep = step0 + step
-        progress["gstep"] = gstep
         if fault_kind == "kill" and gstep == fault_step:
             os.kill(os.getpid(), signal.SIGKILL)
         if fault_kind == "hang" and gstep >= fault_step:
@@ -152,14 +147,12 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
             if session is not None:
                 session.flush()
 
-    def stop() -> bool:
-        # drain only at block boundaries: a checkpoint was just
-        # written there, so the resumed campaign stays bit-identical
-        return (stop_event.is_set()
-                and progress["gstep"] % spec.lambda_rpy == 0)
-
+    # the integrator consults stop only at block boundaries, where a
+    # checkpoint was just written: the resumed campaign stays
+    # bit-identical
     final, stats = integrator.run(start, spec.n_steps - step0,
-                                  callback=callback, stop=stop,
+                                  callback=callback,
+                                  stop=stop_event.is_set,
                                   unwrapped0=unwrapped0)
     gstep = step0 + stats.n_steps
     final_total = final
@@ -167,20 +160,19 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
         conn.send({"msg": "drained", "task_id": spec.task_id,
                    "completed_step": gstep, "checkpoint": ckpt_path})
         return "drained"
-    _send_done(conn, spec, gstep, final_total, fault_kind, safe_mode)
+    _send_done(conn, spec, gstep, final_total, fault_kind)
     return "done"
 
 
 def _send_done(conn, spec: TaskSpec, completed_step: int,
-               final_total: np.ndarray, fault_kind: str | None,
-               safe_mode: bool) -> None:
+               final_total: np.ndarray, fault_kind: str | None) -> None:
     digest = positions_digest(final_total)
     payload = final_total
     if fault_kind == "corrupt":
         payload = _corrupt_payload(final_total)
     conn.send({"msg": "done", "task_id": spec.task_id,
                "completed_step": completed_step, "digest": digest,
-               "positions": payload, "safe_mode": safe_mode})
+               "positions": payload})
 
 
 def worker_main(conn, stop_event, worker_id: int) -> None:
@@ -245,7 +237,6 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
                 conn, stop_event, spec,
                 attempt=message["attempt"],
                 fault=message.get("fault"),
-                safe_mode=message.get("safe_mode", False),
                 checkpoint_dir=message["checkpoint_dir"],
                 slow_per_step=message.get("slow_per_step", 0.0),
                 heartbeat_interval=message.get(

@@ -187,7 +187,7 @@ class SimulateJob:
         if record.state is TaskState.DONE:
             return {"state": "done", "digest": record.digest,
                     "completed_step": record.completed_step,
-                    "steps": self.steps, "safe_mode": record.safe_mode}
+                    "steps": self.steps}
         if report.drained:
             return {"state": "drained",
                     "completed_step": record.completed_step,

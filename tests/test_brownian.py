@@ -20,8 +20,7 @@ from repro.core.brownian import (
 from repro.core.integrators import BDStepStats, MatrixFreeBD
 from repro.errors import ConvergenceError
 from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
-from repro.resilience import RecoveryLog, RecoveryPolicy
-from repro.resilience.recovery import krylov_displacements_resilient
+from repro.resilience import RecoveryLog, recovery
 from repro.rpy.ewald import EwaldSummation
 
 
@@ -62,7 +61,7 @@ def _generator(make):
 
 
 def _chebyshev(system):
-    """The ladder's rung 3: eigenvalue bounds + Chebyshev square root."""
+    """The ladder's rung 2: eigenvalue bounds + Chebyshev square root."""
     matrix = system[2]
     l_min, l_max = eigenvalue_bounds(matrix, matrix.shape[0])
     scale = math.sqrt(2.0 * 1.0 * 1e-3)
@@ -105,31 +104,42 @@ def test_fluctuation_dissipation(system, make, seed, batch):
 
 class _FailsOnce(KrylovBrownianGenerator):
     """Block Lanczos whose first solve does not converge: the ladder's
-    rungs answer instead."""
+    Lanczos retry answers instead."""
 
     def generate(self, matvec, z):
         if not getattr(self, "failed", False):
             self.failed = True
             raise ConvergenceError("first solve fails", iterations=1,
-                                   residual=0.5,
-                                   best_iterate=np.atleast_2d(z.T).T.copy(),
-                                   n_matvecs=1)
+                                   residual=0.5, n_matvecs=1)
         return super().generate(matvec, z)
 
 
+class _NeverConverges(KrylovBrownianGenerator):
+    """Block Lanczos that never converges: every retry fails and the
+    Chebyshev rung answers (the dense rung, if Chebyshev fails too)."""
+
+    def generate(self, matvec, z):
+        raise ConvergenceError("solve fails", iterations=1, residual=0.5,
+                               n_matvecs=1)
+
+
+def _chebyshev_fails(*args, **kwargs):
+    raise ConvergenceError("Chebyshev degree cap insufficient",
+                           iterations=8, residual=1.0, n_matvecs=8)
+
+
+#: rung -> (generator, substitute a failing Chebyshev square root)
 _RUNGS = {
-    "retry-lanczos": RecoveryPolicy(),
-    "accept-partial": RecoveryPolicy(lanczos_retries=0,
-                                     accept_partial_rel_change=1.0),
-    "fallback-chebyshev": RecoveryPolicy(lanczos_retries=0),
-    "fallback-cholesky": RecoveryPolicy(lanczos_retries=0,
-                                        chebyshev_fallback=False),
+    "retry-lanczos": (_FailsOnce, False),
+    "fallback-chebyshev": (_NeverConverges, False),
+    "fallback-cholesky": (_NeverConverges, True),
 }
 
 
 @pytest.mark.parametrize("sampler", ["cholesky", "block_lanczos",
                                      *_RUNGS])
-def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler):
+def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler,
+                                                      monkeypatch):
     # the same call must not change shape with the rung that answers it
     z = np.random.default_rng(11).standard_normal(mobility.shape[0])
     if sampler == "cholesky":
@@ -137,10 +147,12 @@ def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler):
     elif sampler == "block_lanczos":
         d = KrylovBrownianGenerator(kT=1.0, dt=1e-3).generate(mobility, z)
     else:
+        generator, chebyshev_fails = _RUNGS[sampler]
+        if chebyshev_fails:
+            monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
         log = RecoveryLog()
-        d, _ = krylov_displacements_resilient(
-            _FailsOnce(kT=1.0, dt=1e-3), mobility, z, _RUNGS[sampler],
-            log, step=0)
+        d, _ = recovery.krylov_displacements_resilient(
+            generator(kT=1.0, dt=1e-3), mobility, z, log, step=0)
         assert log.count(action=sampler) == 1
     assert d.shape == z.shape
 

@@ -1,4 +1,4 @@
-"""Tests for the Chebyshev (Fixman) square root, rung 3 of the recovery
+"""Tests for the Chebyshev (Fixman) square root, rung 2 of the recovery
 ladder (:mod:`repro.resilience.recovery`)."""
 
 import numpy as np
@@ -108,7 +108,7 @@ class TestChebyshevSqrt:
 
 class TestGeneratorOnRealMobility:
     """``eigenvalue_bounds`` + ``chebyshev_sqrt`` on a real Ewald
-    mobility, exactly as the ladder's rung 3 calls them."""
+    mobility, exactly as the ladder's rung 2 calls them."""
 
     @pytest.fixture(scope="class")
     def mobility(self):

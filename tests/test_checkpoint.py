@@ -14,9 +14,11 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.integrators import MatrixFreeBD
+from repro.core.simulation import Simulation
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.pme.operator import PMEParams
-from repro.systems import random_suspension
+from repro.runtime.tasks import positions_digest
+from repro.systems import make_suspension, random_suspension
 
 PARAMS = PMEParams(xi=0.9, r_max=4.0, K=24, p=4)
 
@@ -54,6 +56,33 @@ def test_bit_exact_resumption(tmp_path):
     resumed, _ = resume(path, bd_resumed, 4)
 
     np.testing.assert_array_equal(resumed, full)
+
+
+def test_graceful_stop_mid_block_resumes_bit_exactly(tmp_path):
+    # a stop requested after step 6 of a lambda_rpy=4 run must end the
+    # run at the block boundary (step 8): continuing from a mid-block
+    # checkpoint would rebuild the mobility and redraw the noise at a
+    # step the uninterrupted run does not
+    susp = make_suspension(16, 0.1, seed=4)
+
+    def simulation():
+        return Simulation(susp, dt=1e-3, lambda_rpy=4, seed=6,
+                          pme_params=PARAMS)
+
+    full, _ = simulation().run(12)
+
+    seen = []
+    path = tmp_path / "stopped.ckpt.npz"
+    sim = simulation()
+    _, stats = sim.run(12, checkpoint_path=str(path),
+                       extra_callback=lambda step, w, u: seen.append(step),
+                       stop=lambda: seen[-1] >= 6)
+    assert stats.stopped_early
+    assert stats.n_steps == 8
+    assert load_checkpoint(path)[2] == 8
+
+    resumed, _ = resume(path, simulation().integrator, 12 - stats.n_steps)
+    assert positions_digest(resumed) == positions_digest(full.positions[-1])
 
 
 def test_resume_offsets_callback_steps(tmp_path):

@@ -354,14 +354,12 @@ class TestPipelineWiring:
 
     def test_recovery_events_traced(self):
         from repro.core.simulation import Simulation
-        from repro.resilience import RecoveryPolicy
         from repro.resilience.faults import FaultPlan, install_faults
         from repro.systems.suspension import make_suspension
 
         susp = make_suspension(24, 0.1, seed=3)
         sim = Simulation(susp, algorithm="matrix-free", dt=1e-3,
-                         lambda_rpy=2, seed=4, e_k=1e-2, target_ep=1e-2,
-                         recovery=RecoveryPolicy())
+                         lambda_rpy=2, seed=4, e_k=1e-2, target_ep=1e-2)
         # deterministic fault on the first Brownian solve (call index
         # 0), recovered by retry
         schedule = FaultPlan(brownian_calls=(0,))

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.brownian import CholeskyBrownianGenerator, KrylovBrownianGenerator
 from repro.core.checkpoint import load_checkpoint, resume
-from repro.core.integrators import MatrixFreeBD
+from repro.core.forces import CompositeForce, ConstantForce, RepulsiveHarmonic
+from repro.core.integrators import BDStepStats, MatrixFreeBD
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.krylov.block_lanczos import block_lanczos_sqrt
@@ -24,14 +25,14 @@ from repro.pme.operator import PMEParams
 from repro.resilience import (
     FailureKind,
     RecoveryLog,
-    RecoveryPolicy,
     StepFailure,
     cholesky_displacements_resilient,
     krylov_displacements_resilient,
+    recovery,
 )
 from repro.resilience.faults import (
     FaultPlan,
-    FaultyForceField,
+    FaultyKrylovGenerator,
     faulty_checkpoint_callback,
     install_faults,
 )
@@ -54,38 +55,50 @@ def _spd_problem(d=30, s=2, seed=0):
 # solver diagnostics attached to ConvergenceError (satellite)
 # ---------------------------------------------------------------------------
 
-def test_block_lanczos_error_carries_partial_iterate():
+def test_block_lanczos_error_carries_diagnostics():
     m, matvec, z = _spd_problem()
     with pytest.raises(ConvergenceError) as exc_info:
         block_lanczos_sqrt(matvec, z, tol=1e-10, max_iter=2)
     err = exc_info.value
-    assert err.best_iterate is not None and err.best_iterate.shape == z.shape
     assert err.iterations == 2
     assert err.n_matvecs == 2 * z.shape[1]
+    assert err.residual > 1e-10
     assert err.rel_change == err.residual
 
 
-def test_chebyshev_error_carries_best_evaluation():
+def test_chebyshev_error_carries_diagnostics():
     m, matvec, z = _spd_problem()
     # condition number too large for a degree-8 cap at tight tolerance
     with pytest.raises(ConvergenceError) as exc_info:
         chebyshev_sqrt(matvec, z, 1e-9, 1e3, tol=1e-12, max_degree=8)
     err = exc_info.value
-    assert err.best_iterate is not None and err.best_iterate.shape == z.shape
-    assert np.all(np.isfinite(err.best_iterate))
+    assert err.iterations == 8
+    assert err.residual > 1e-12
     assert err.n_matvecs > 0
 
 
 # ---------------------------------------------------------------------------
-# the degradation ladder (unit level)
+# the degradation ladder (unit level); each rung is reached through
+# FaultPlan call indices or a substituted failing method, not a knob
 # ---------------------------------------------------------------------------
+
+def _failing_generator(calls):
+    """A Krylov generator whose solves at ``calls`` are forced to fail:
+    call 0 is the first attempt, calls 1 and 2 the two Lanczos retries."""
+    inner = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
+    return FaultyKrylovGenerator(inner, FaultPlan(brownian_calls=calls))
+
+
+def _chebyshev_fails(*args, **kwargs):
+    raise ConvergenceError("Chebyshev degree cap insufficient",
+                           iterations=8, residual=1.0, n_matvecs=8)
+
 
 def test_ladder_retry_with_grown_budget():
     m, matvec, z = _spd_problem()
     gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
     log = RecoveryLog()
-    y, info = krylov_displacements_resilient(gen, matvec, z,
-                                             RecoveryPolicy(), log, step=0)
+    y, info = krylov_displacements_resilient(gen, matvec, z, log, step=0)
     ref = dense_sqrt_apply(m, z)
     np.testing.assert_allclose(y, ref, rtol=1e-5)
     assert log.count(action="retry-lanczos") == 1
@@ -98,62 +111,58 @@ def test_ladder_retry_with_grown_budget():
 
 def test_ladder_chebyshev_fallback():
     m, matvec, z = _spd_problem()
-    gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
+    gen = _failing_generator(calls=(0, 1, 2))
     log = RecoveryLog()
-    policy = RecoveryPolicy(lanczos_retries=0)
-    y, info = krylov_displacements_resilient(gen, matvec, z, policy, log, 0)
+    y, info = krylov_displacements_resilient(gen, matvec, z, log, 0)
     np.testing.assert_allclose(y, dense_sqrt_apply(m, z), rtol=1e-4)
-    assert [e.action for e in log] == ["detect", "fallback-chebyshev"]
+    assert [e.action for e in log] == ["detect"] * 3 + ["fallback-chebyshev"]
+    # the retry schedule: (tol x 10, max_iter x 4), then (tol, max_iter x 16)
+    assert [(e.detail["tol"], e.detail["max_iter"]) for e in log.events[1:3]
+            ] == [(pytest.approx(1e-5), 8), (pytest.approx(1e-6), 32)]
 
 
-def test_ladder_dense_fallback():
+def test_ladder_dense_fallback(monkeypatch):
     m, matvec, z = _spd_problem()
-    gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
+    monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
     log = RecoveryLog()
-    policy = RecoveryPolicy(lanczos_retries=0, chebyshev_fallback=False)
-    y, info = krylov_displacements_resilient(gen, matvec, z, policy, log, 0)
+    y, info = krylov_displacements_resilient(
+        _failing_generator(calls=(0, 1, 2)), matvec, z, log, 0)
     # the dense rung samples via the Cholesky factor: a valid Brownian
     # sample with the exact covariance, reproducible from (m, z)
     np.testing.assert_allclose(
         y, cholesky_displacements(0.5 * (m + m.T), z), rtol=1e-10)
+    assert log.count(action="detect",
+                     kind=FailureKind.CHEBYSHEV_FAILURE) == 1
     assert log.count(action="fallback-cholesky") == 1
 
 
-def test_ladder_dense_fallback_respects_dim_cap():
+def test_ladder_dense_fallback_respects_dim_cap(monkeypatch):
     m, matvec, z = _spd_problem()
-    gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
-    policy = RecoveryPolicy(lanczos_retries=0, chebyshev_fallback=False,
-                            dense_fallback_max_dim=10)
-    with pytest.raises(StepFailure):
-        krylov_displacements_resilient(gen, matvec, z, policy,
-                                       RecoveryLog(), 0)
-
-
-def test_ladder_accept_partial_iterate():
-    m, matvec, z = _spd_problem()
-    # enough iterations to get close (rel_change ~1e-3) but an
-    # unreachable tolerance; accept the partial iterate instead
-    gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-14, max_iter=8)
-    log = RecoveryLog()
-    policy = RecoveryPolicy(lanczos_retries=0, chebyshev_fallback=False,
-                            cholesky_fallback=False,
-                            accept_partial_rel_change=1.0)
-    y, info = krylov_displacements_resilient(gen, matvec, z, policy, log, 0)
-    assert log.count(action="accept-partial") == 1
-    assert info is not None and not info.converged
-    ref = dense_sqrt_apply(m, z)
-    assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 0.02
-
-
-def test_ladder_escalates_when_exhausted():
-    m, matvec, z = _spd_problem()
-    gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-10, max_iter=2)
-    policy = RecoveryPolicy(lanczos_retries=0, chebyshev_fallback=False,
-                            cholesky_fallback=False)
+    monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
+    monkeypatch.setattr(recovery, "DENSE_FALLBACK_MAX_DIM", 10)
     with pytest.raises(StepFailure) as exc_info:
-        krylov_displacements_resilient(gen, matvec, z, policy,
-                                       RecoveryLog(), 0)
-    assert exc_info.value.kind is FailureKind.LANCZOS_NONCONVERGENCE
+        krylov_displacements_resilient(_failing_generator(calls=(0, 1, 2)),
+                                       matvec, z, RecoveryLog(), 0)
+    assert "DENSE_FALLBACK_MAX_DIM=10" in str(exc_info.value)
+
+
+def test_ladder_escalates_when_exhausted(monkeypatch):
+    # every rung of the first block's solve fails: the StepFailure rolls
+    # the block back, and the replayed block's solve (call 3) succeeds
+    monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
+    monkeypatch.setattr(recovery, "DENSE_FALLBACK_MAX_DIM", 0)
+    susp = random_suspension(16, 0.1, seed=4)
+    schedule = FaultPlan(brownian_calls=(0, 1, 2))
+    bd = _mf_integrator(susp, schedule)
+    final, stats = bd.run(susp.positions, 8)
+    assert np.all(np.isfinite(final))
+    log = stats.recovery
+    assert log.count(action="detect",
+                     kind=FailureKind.LANCZOS_NONCONVERGENCE) == 3
+    assert log.count(action="rollback",
+                     kind=FailureKind.LANCZOS_NONCONVERGENCE) == 1
+    assert stats.n_steps == 8
+    assert stats.mobility_updates == 3  # the failed block is rebuilt
 
 
 def test_ewald_cholesky_breakdown_falls_back_to_eigh():
@@ -166,7 +175,7 @@ def test_ewald_cholesky_breakdown_falls_back_to_eigh():
     z = rng.standard_normal((12, 3))
     gen = CholeskyBrownianGenerator(kT=0.5, dt=1.0)
     log = RecoveryLog()
-    y = cholesky_displacements_resilient(gen, m, z, RecoveryPolicy(), log, 0)
+    y = cholesky_displacements_resilient(gen, m, z, log, 0)
     assert np.all(np.isfinite(y))
     assert log.count(action="fallback-eigh") == 1
     assert log.count(kind=FailureKind.CHOLESKY_BREAKDOWN) == 2
@@ -227,10 +236,10 @@ def test_fault_schedule_from_spec():
 # integrator-level recovery paths
 # ---------------------------------------------------------------------------
 
-def _mf_integrator(susp, schedule=None, policy=None, seed=5, **kwargs):
+def _mf_integrator(susp, schedule=None, seed=5, **kwargs):
     bd = MatrixFreeBD(box=susp.box, force_field=kwargs.pop("force_field", None),
                       dt=1e-3, lambda_rpy=4, seed=seed, pme_params=PARAMS,
-                      recovery=policy, **kwargs)
+                      **kwargs)
     if schedule is not None:
         install_faults(bd, schedule)
     return bd
@@ -239,7 +248,7 @@ def _mf_integrator(susp, schedule=None, policy=None, seed=5, **kwargs):
 def test_injected_lanczos_failure_recovers_by_retry():
     susp = random_suspension(16, 0.1, seed=1)
     schedule = FaultPlan(brownian_calls=(1,))
-    bd = _mf_integrator(susp, schedule, RecoveryPolicy())
+    bd = _mf_integrator(susp, schedule)
     final, stats = bd.run(susp.positions, 12)
     assert np.all(np.isfinite(final))
     assert schedule.count("brownian") == 1
@@ -250,26 +259,27 @@ def test_injected_lanczos_failure_recovers_by_retry():
 
 def test_nan_force_triggers_dt_backoff_and_restore():
     susp = random_suspension(16, 0.15, seed=2)
-    from repro.core.forces import RepulsiveHarmonic
-
+    # force call 3 is step 4's first attempt; its retry at half dt is
+    # clean, and DT_RECOVERY_STEPS = 10 clean steps later (step 13) the
+    # nominal dt is back
     schedule = FaultPlan(force_calls=(3,))
-    policy = RecoveryPolicy(dt_recovery_steps=2)
-    bd = _mf_integrator(susp, schedule, policy,
+    bd = _mf_integrator(susp, schedule,
                         force_field=RepulsiveHarmonic(susp.box, susp.fluid))
-    final, stats = bd.run(susp.positions, 12)
+    final, stats = bd.run(susp.positions, 16)
     assert np.all(np.isfinite(final))
     assert stats.recovery.count(kind=FailureKind.NONFINITE_FORCES,
                                 action="detect") == 1
-    assert stats.recovery.count(action="dt-backoff") == 1
-    assert stats.recovery.count(action="restore-dt") >= 1
+    backoff, = [e for e in stats.recovery if e.action == "dt-backoff"]
+    assert (backoff.step, backoff.detail["dt_scale"]) == (4, 0.5)
+    restore, = [e for e in stats.recovery if e.action == "restore-dt"]
+    assert restore.step == 4 + recovery.DT_RECOVERY_STEPS - 1
     assert bd._dt_scale == 1.0  # fully restored by the end
 
 
 def test_nan_displacement_block_rolls_back():
     susp = random_suspension(16, 0.1, seed=3)
     schedule = FaultPlan(brownian_nan_calls=(0,))
-    policy = RecoveryPolicy(max_step_attempts=2)
-    bd = _mf_integrator(susp, schedule, policy)
+    bd = _mf_integrator(susp, schedule)
     final, stats = bd.run(susp.positions, 8)
     assert np.all(np.isfinite(final))
     assert stats.recovery.count(action="rollback") == 1
@@ -282,19 +292,18 @@ def test_rollback_budget_exhaustion_raises():
     susp = random_suspension(12, 0.1, seed=4)
     # poison every displacement block: rollback can never succeed
     schedule = FaultPlan(brownian_nan_calls=tuple(range(50)))
-    policy = RecoveryPolicy(max_step_attempts=2, max_rollbacks=2)
-    bd = _mf_integrator(susp, schedule, policy)
+    bd = _mf_integrator(susp, schedule)
     with pytest.raises(StepFailure):
         bd.run(susp.positions, 8)
+    # the first block and MAX_ROLLBACKS replays of it
+    assert schedule.count("brownian-nan") == recovery.MAX_ROLLBACKS + 1
 
 
 def test_recovered_run_matches_fault_free_run_statistically():
     """A recovered trajectory stays physical: finite, inside the box scale."""
     susp = random_suspension(16, 0.1, seed=6)
     schedule = FaultPlan(brownian_calls=(0,), force_calls=(5,))
-    from repro.core.forces import RepulsiveHarmonic
-
-    bd = _mf_integrator(susp, schedule, RecoveryPolicy(),
+    bd = _mf_integrator(susp, schedule,
                         force_field=RepulsiveHarmonic(susp.box, susp.fluid))
     final, stats = bd.run(susp.positions, 16)
     # displacements stay O(sqrt(2 D dt)) — nothing exploded
@@ -305,50 +314,73 @@ def test_recovered_run_matches_fault_free_run_statistically():
 # bit-identity guarantees
 # ---------------------------------------------------------------------------
 
-def test_zero_fault_recovery_run_is_bit_identical():
-    def trajectory(policy):
-        susp = make_suspension(16, 0.1, seed=1)
-        sim = Simulation(susp, dt=1e-3, lambda_rpy=4, seed=3,
-                         recovery=policy, pme_params=PARAMS)
-        traj, stats = sim.run(16, record_interval=4)
-        return traj, stats
+def _reference_run(integrator, positions, n_steps):
+    """The plain Ermak-McCammon loop, ``dr = M f dt + g`` per step, with
+    the mobility rebuilt and the noise block drawn every ``lambda_RPY``
+    steps — no finite checks, no dt scale, no snapshot."""
+    n = positions.shape[0]
+    wrapped = integrator.box.wrap(positions)
+    unwrapped = wrapped.copy()
+    stats = BDStepStats()
+    step = 0
+    while step < n_steps:
+        block = min(integrator.lambda_rpy, n_steps - step)
+        integrator._prepare(wrapped)
+        g = integrator._generate_displacements(block, stats)
+        for col in range(block):
+            f = integrator.force_field.forces(wrapped).reshape(3 * n)
+            dr = (integrator._apply_mobility(f) * integrator.dt
+                  + g[:, col]).reshape(n, 3)
+            unwrapped += dr
+            wrapped = integrator.box.wrap(wrapped + dr)
+            step += 1
+    return unwrapped
 
-    plain, _ = trajectory(None)
-    guarded, stats = trajectory(RecoveryPolicy())
-    np.testing.assert_array_equal(plain.positions, guarded.positions)
-    np.testing.assert_array_equal(plain.times, guarded.times)
-    assert len(stats.recovery) == 0
+
+def _forced_simulation(susp, algorithm):
+    forces = CompositeForce(RepulsiveHarmonic(susp.box, susp.fluid),
+                            ConstantForce(np.array([0.5, -0.25, 1.0])))
+    kwargs = {"pme_params": PARAMS} if algorithm == "matrix-free" else {}
+    return Simulation(susp, algorithm=algorithm, force_field=forces,
+                      dt=1e-3, lambda_rpy=4, seed=3, **kwargs)
+
+
+def test_zero_fault_recovery_run_is_bit_identical():
+    """With no fault, the always-guarded step loop is byte-for-byte the
+    plain loop of both algorithms: the guard adds checks, never
+    arithmetic."""
+    susp = make_suspension(16, 0.1, seed=1)
+    for algorithm in ("matrix-free", "ewald"):
+        traj, stats = _forced_simulation(susp, algorithm).run(14)
+        reference = _reference_run(
+            _forced_simulation(susp, algorithm).integrator,
+            susp.positions, 14)
+        assert traj.positions[-1].tobytes() == reference.tobytes(), algorithm
+        assert len(stats.recovery) == 0
 
 
 def test_interrupted_resumed_run_with_recovery_is_bit_identical(tmp_path):
-    """Interrupt + resume with a recovery policy == without one, bit-exact.
+    """Interrupt + resume == the plain reference loop, bit-exact.
 
-    (Resume-vs-uninterrupted bit-identity itself is covered in
-    ``test_checkpoint.py``; here we pin that enabling recovery changes
-    nothing about the resumed arithmetic when no fault fires.)
+    (Resume-vs-uninterrupted bit-identity of ``run`` itself is covered
+    in ``test_checkpoint.py``; here we pin that the guarded loop
+    changes nothing about the resumed arithmetic when no fault fires.)
     """
     from repro.core.checkpoint import checkpoint_callback
 
     susp = random_suspension(16, 0.1, seed=7)
-
-    def interrupted_run(policy):
-        bd_part = _mf_integrator(susp, policy=policy)
-        path = tmp_path / f"ckpt-{policy is not None}.npz"
-        bd_part.run(susp.positions, 8,
-                    callback=checkpoint_callback(path, bd_part, 8))
-        bd_resumed = _mf_integrator(susp, policy=policy, seed=999)
-        final, stats = resume(path, bd_resumed, 4)
-        return final, stats
-
-    plain, _ = interrupted_run(None)
-    guarded, stats = interrupted_run(RecoveryPolicy())
-    np.testing.assert_array_equal(guarded, plain)
+    forces = RepulsiveHarmonic(susp.box, susp.fluid)
+    bd_part = _mf_integrator(susp, force_field=forces)
+    path = tmp_path / "ckpt.npz"
+    bd_part.run(susp.positions, 8,
+                callback=checkpoint_callback(path, bd_part, 8))
+    bd_resumed = _mf_integrator(susp, force_field=forces, seed=999)
+    resumed, stats = resume(path, bd_resumed, 4)
     assert len(stats.recovery) == 0
 
-    # and both agree with the uninterrupted run to rounding
-    bd_full = _mf_integrator(susp, policy=RecoveryPolicy())
-    full, _ = bd_full.run(susp.positions, 12)
-    np.testing.assert_allclose(guarded, full, rtol=0, atol=1e-12)
+    reference = _reference_run(_mf_integrator(susp, force_field=forces),
+                               susp.positions, 12)
+    np.testing.assert_array_equal(resumed, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +392,7 @@ def test_checkpoint_kill_preserves_previous_checkpoint(tmp_path):
     path = tmp_path / "run.ckpt.npz"
     schedule = FaultPlan(checkpoint_events={1: "kill"})
     log = RecoveryLog()
-    bd = _mf_integrator(susp, policy=RecoveryPolicy())
+    bd = _mf_integrator(susp)
     cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
     # writes at steps 4 (ok), 8 (killed mid-write), 12 (ok)
     bd.run(susp.positions, 12, callback=cb)
@@ -376,10 +408,10 @@ def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
     path = tmp_path / "run.ckpt.npz"
     schedule = FaultPlan(checkpoint_events={2: "truncate"})
     log = RecoveryLog()
-    bd = _mf_integrator(susp, policy=RecoveryPolicy())
+    bd = _mf_integrator(susp)
     cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
     bd.run(susp.positions, 12)
-    bd2 = _mf_integrator(susp, policy=RecoveryPolicy())
+    bd2 = _mf_integrator(susp)
     bd2.run(susp.positions, 12, callback=cb)  # write 2 (step 12) truncated
 
     from repro.errors import CheckpointCorruptionError
@@ -387,7 +419,7 @@ def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
     with pytest.raises(CheckpointCorruptionError):
         load_checkpoint(path)
     # the rotated previous checkpoint (step 8) still resumes the run
-    bd3 = _mf_integrator(susp, policy=RecoveryPolicy(), seed=999)
+    bd3 = _mf_integrator(susp, seed=999)
     resumed, _ = resume(path, bd3, 4)
     assert np.all(np.isfinite(resumed))
 
@@ -397,13 +429,9 @@ def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_soak_1000_steps_with_injected_faults(tmp_path):
-    from repro.core.forces import RepulsiveHarmonic
-    from repro.core.integrators import BDStepStats
-
     susp = make_suspension(12, 0.1, seed=11)
-    policy = RecoveryPolicy(dt_recovery_steps=5)
     sim = Simulation(susp, dt=1e-3, lambda_rpy=10, seed=13,
-                     recovery=policy, pme_params=PARAMS)
+                     pme_params=PARAMS)
     schedule = FaultPlan(seed=17, lanczos_failure_rate=0.05,
                              nan_force_rate=0.003,
                              checkpoint_events={5: "kill"})

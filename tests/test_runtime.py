@@ -1,6 +1,6 @@
 """Tests of the supervised ensemble runtime (repro.runtime).
 
-Unit layers (backoff, circuit breaker, task specs, manifest, fault
+Unit layers (backoff, task specs, manifest, fault
 plan, signals, worker logic) run in-process; the integration layers
 spawn real worker processes, and the 1,000-step soak (``-m faults``)
 injects every process-fault kind and asserts the supervisor accounts
@@ -14,18 +14,14 @@ import os
 import signal
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pme.operator import PMEParams
-from repro.resilience.backoff import (
-    BackoffPolicy,
-    CircuitBreaker,
-    next_dt_scale,
-)
+from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.failures import FailureKind, StepFailure
 from repro.resilience.faults import EXPECTED_OBSERVATIONS, FaultPlan
+from repro.resilience.recovery import MIN_DT_SCALE, next_dt_scale
 from repro.runtime import (
     CampaignManifest,
     GracefulShutdown,
@@ -36,6 +32,7 @@ from repro.runtime import (
     make_ensemble,
     positions_digest,
 )
+from repro.runtime.supervisor import MAX_TASK_FAILURES
 from repro.runtime.worker import _run_task, failure_report
 
 #: Small-but-real PME parameters keeping worker tasks fast.
@@ -59,7 +56,7 @@ def _run(tmp_path, specs_or_records, sub="c", **kw):
 
 
 # ----------------------------------------------------------------------
-# backoff policy and circuit breaker
+# backoff policy and dt-scale decay
 # ----------------------------------------------------------------------
 
 def test_backoff_delays_grow_and_cap():
@@ -96,24 +93,11 @@ def test_backoff_validation():
 def test_next_dt_scale_decays_to_floor():
     scale = 1.0
     seen = []
-    while (scale := next_dt_scale(scale, 0.5, 0.1)) is not None:
+    while (scale := next_dt_scale(scale)) is not None:
         seen.append(scale)
-    assert seen == pytest.approx([0.5, 0.25, 0.125])
-    assert next_dt_scale(0.125, 0.5, 0.1) is None
-
-
-def test_circuit_breaker_trips_and_resets():
-    breaker = CircuitBreaker(failure_threshold=2)
-    assert not breaker.record_failure()
-    assert breaker.record_failure()
-    assert breaker.open
-    assert breaker.total_failures == 2
-    breaker.reset()
-    assert not breaker.open
-    assert breaker.total_failures == 2  # lifetime count survives reset
-    assert not breaker.record_failure()
-    breaker.record_success()
-    assert breaker.failures == 0
+    assert seen == [0.5 ** k for k in range(1, 7)]
+    assert seen[-1] == MIN_DT_SCALE
+    assert next_dt_scale(MIN_DT_SCALE) is None
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +135,19 @@ def test_manifest_roundtrip_and_resumability(tmp_path):
     assert loaded.fault_spec == "seed=1,kill=1"
     assert loaded.worker_restarts == {"worker-death": 2}
     assert loaded.tasks[0].digest == "d" * 64
+
+
+def test_manifest_with_safe_mode_key_still_loads(tmp_path):
+    # manifests written before the safe-mode reroute was removed carry
+    # a per-task "safe_mode" flag; it is ignored on load
+    record = TaskRecord(spec=_specs(1)[0])
+    path = tmp_path / "campaign.json"
+    CampaignManifest(tasks=[record]).save(path)
+    data = json.loads(path.read_text())
+    data["tasks"][0]["safe_mode"] = True
+    path.write_text(json.dumps(data))
+    (loaded,) = CampaignManifest.load(path).tasks
+    assert loaded.to_json() == record.to_json()
 
 
 def test_manifest_rejects_unknown_version(tmp_path):
@@ -268,7 +265,7 @@ def _worker_messages(tmp_path, spec, fault=None, attempt=0):
     conn = _StubConn()
     os.makedirs(str(tmp_path), exist_ok=True)
     _run_task(conn, _NeverStop(), spec, attempt=attempt, fault=fault,
-              safe_mode=False, checkpoint_dir=str(tmp_path),
+              checkpoint_dir=str(tmp_path),
               slow_per_step=0.0, heartbeat_interval=0.01)
     return conn.sent
 
@@ -397,15 +394,15 @@ def test_campaign_drain_and_resume_bit_identity(tmp_path):
 
 def test_campaign_quarantines_poison_task(tmp_path):
     # an impossible system spec (real-space cutoff larger than half the
-    # box) makes the worker fail on every attempt: breaker opens ->
-    # safe-mode reroute -> opens again -> quarantine
+    # box) makes the worker fail on every attempt: the 6th failed
+    # attempt quarantines the task
     bad = TaskSpec(task_id=0, n=10, phi=0.3, n_steps=20, seed=1,
                    system_seed=1,
                    pme=PMEParams(xi=0.9, r_max=1000.0, K=16, p=4))
-    report = _run(tmp_path, [bad], n_workers=1, breaker_threshold=2)
+    report = _run(tmp_path, [bad], n_workers=1)
     (task,) = report.manifest.tasks
     assert task.state is TaskState.QUARANTINED
-    assert task.safe_mode  # the reroute was attempted before giving up
+    assert task.attempts == MAX_TASK_FAILURES == 6
     assert task.failure is not None and task.failure["kind"]
 
 
