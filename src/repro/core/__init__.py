@@ -6,8 +6,8 @@ This subpackage implements both BD algorithms of the paper:
   conventional baseline (dense Ewald matrix + Cholesky),
 * :class:`~repro.core.integrators.MatrixFreeBD` — Algorithm 2, the
   paper's contribution (PME operator + block Krylov, here on the
-  real-space half of a positively split Ewald sum plus one wave-space
-  sampling pass),
+  real-space half of a positively split Ewald sum, the wave-space half
+  carried by each step's drift apply),
 
 plus the force models of Section V.A and the
 :class:`~repro.core.simulation.Simulation` driver that records

@@ -11,8 +11,8 @@ Both BD algorithms draw correlated Gaussian displacements
 Both return a ``(3n, lambda)`` block ``D`` whose columns are consumed
 one per inner time step (a ``(3n,)`` vector for a 1-D ``z``).
 :class:`~repro.core.integrators.MatrixFreeBD` runs the Krylov generator
-on the real-space half of the positively split mobility only and draws
-the wave-space half in one mesh pass.
+on the real-space half of the positively split mobility only; the
+wave-space half rides each step's drift apply.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ generated together (Section II.D).
 * :class:`EwaldBD` — **Algorithm 1**: dense Ewald matrix, Cholesky
   factorization, ``O(n^2)`` memory, ``O(n^3)`` factor.
 * :class:`MatrixFreeBD` — **Algorithm 2**: PME operator, matrix-free
-  displacements (one wave-space mesh pass plus block Lanczos on the
-  real-space half), ``O(n)`` memory, ``O(n log n)`` per application.
+  displacements (block Lanczos on the real-space half, the wave-space
+  half in each step's drift apply), ``O(n)`` memory, ``O(n log n)``
+  per application.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..pme.cache import MobilityCache
-from ..pme.operator import MAX_BLOCK_COLUMNS, PMEOperator, PMEParams
+from ..pme.operator import PMEOperator, PMEParams
 from ..pme.tuning import tune_parameters
 from ..resilience.failures import FailureKind, StepFailure
 from ..resilience.policy import RecoveryLog
@@ -104,8 +105,9 @@ class BrownianDynamicsBase(ABC):
     unguarded Ermak-McCammon loop.
 
     Subclasses provide the mobility representation: how it is rebuilt
-    (:meth:`_prepare`), applied (:meth:`_apply_mobility`) and sampled
-    from (:meth:`_generate_displacements`).
+    (:meth:`_prepare`), sampled from per block and per step
+    (:meth:`_generate_displacements`, :meth:`_step_noise`) and applied
+    (:meth:`_displacement`).
 
     Parameters
     ----------
@@ -156,13 +158,19 @@ class BrownianDynamicsBase(ABC):
         """Rebuild the mobility representation at ``positions`` (wrapped)."""
 
     @abstractmethod
-    def _apply_mobility(self, forces_flat: np.ndarray) -> np.ndarray:
-        """``u = M f`` with the current representation."""
+    def _displacement(self, forces, g, noise, dt_eff) -> np.ndarray:
+        """One step's flat ``M f dt_eff + g`` (``forces`` is ``None``
+        when force-free), plus what the step's ``noise`` carries."""
 
     @abstractmethod
     def _generate_displacements(self, n_cols: int,
                                 stats: BDStepStats) -> np.ndarray:
         """``(3n, n_cols)`` Brownian displacements for the coming steps."""
+
+    def _step_noise(self) -> np.ndarray | None:
+        """Noise drawn once per step, before its forces, for every
+        attempt of the step (``None``: the block carries it all)."""
+        return None
 
     @abstractmethod
     def mobility_memory_bytes(self) -> int:
@@ -279,11 +287,15 @@ class BrownianDynamicsBase(ABC):
         ``MAX_STEP_ATTEMPTS`` (or the dt floor) escalates a
         :class:`StepFailure` to the block-rollback handler.
         """
+        with stats.timers.phase("brownian"):
+            noise = self._step_noise()
         attempt = 0
         while True:
             try:
                 scaled = self._dt_scale != 1.0
                 g = g_col if not scaled else g_col * math.sqrt(self._dt_scale)
+                dt_eff = self.dt if not scaled else self.dt * self._dt_scale
+                f = None
                 if self.force_field is not None:
                     with stats.timers.phase("forces"):
                         f = self.force_field.forces(wrapped).reshape(3 * n)
@@ -292,14 +304,8 @@ class BrownianDynamicsBase(ABC):
                             FailureKind.NONFINITE_FORCES,
                             "force evaluation returned non-finite entries",
                             step=step + 1, attempt=attempt)
-                    with stats.timers.phase("propagate"):
-                        dt_eff = (self.dt if not scaled
-                                  else self.dt * self._dt_scale)
-                        drift = self._apply_mobility(f) * dt_eff
-                        dr = (drift + g).reshape(n, 3)
-                else:
-                    with stats.timers.phase("propagate"):
-                        dr = g.reshape(n, 3)
+                with stats.timers.phase("propagate"):
+                    dr = self._displacement(f, g, noise, dt_eff).reshape(n, 3)
                 if not np.all(np.isfinite(dr)):
                     raise StepFailure(
                         FailureKind.NONFINITE_STATE,
@@ -367,8 +373,10 @@ class EwaldBD(BrownianDynamicsBase):
     def _prepare(self, positions: np.ndarray) -> None:
         self._matrix = self._summation.matrix(positions)
 
-    def _apply_mobility(self, forces_flat: np.ndarray) -> np.ndarray:
-        return self._matrix @ forces_flat
+    def _displacement(self, forces, g, noise, dt_eff):
+        if forces is None:
+            return g
+        return (self._matrix @ forces) * dt_eff + g
 
     def _generate_displacements(self, n_cols: int,
                                 stats: BDStepStats) -> np.ndarray:
@@ -394,13 +402,14 @@ class MatrixFreeBD(BrownianDynamicsBase):
     """**Algorithm 2** — the paper's matrix-free BD.
 
     Every ``lambda_RPY`` steps a fresh :class:`~repro.pme.operator.PMEOperator`
-    is constructed (line 4) and the Brownian displacement block is
-    computed matrix-free (line 6).  The operator's Ewald split is
-    positive (:mod:`repro.rpy.pse`), so the block is drawn as two
-    independent samples: the wave-space half exactly, in one mesh pass,
-    and the real-space half by block Lanczos on its sparse matrix alone
-    — no PME apply is issued by the sampler.  (Block Lanczos on the
-    whole operator, the paper's own line 6, stays available as
+    is constructed (line 4) and the Brownian displacements are computed
+    matrix-free (line 6).  The operator's Ewald split is positive
+    (:mod:`repro.rpy.pse`), so they are two independent samples: the
+    real-space half per block by block Lanczos on its sparse matrix
+    alone, the wave-space half per step, exactly, in the step's drift
+    apply (``W^_t`` drawn before the step's forces; a force-free step
+    runs the noise-only pass).  (Block Lanczos on the whole operator,
+    the paper's own line 6, stays available as
     :class:`~repro.core.brownian.KrylovBrownianGenerator` on the
     operator; Table II and the ablation use it.)
 
@@ -443,26 +452,25 @@ class MatrixFreeBD(BrownianDynamicsBase):
             positions, self.box, self.pme_params, fluid=self.fluid,
             cache=self._mobility_cache, context=self.context)
 
-    def _apply_mobility(self, forces_flat: np.ndarray) -> np.ndarray:
-        return self._operator.apply(forces_flat)
+    def _step_noise(self) -> np.ndarray:
+        return self._operator.influence.white_noise(self.rng)
+
+    def _displacement(self, forces, g, noise, dt_eff):
+        """``M f dt_eff + sqrt(2 kT dt_eff mu0) P C^(1/2) W^ + g``, the
+        noise pre-divided by the drift's ``dt_eff mu0``."""
+        op, mu0 = self._operator, self.fluid.mobility0
+        amplitude = math.sqrt(2.0 * self.fluid.kT * dt_eff * mu0)
+        if forces is None:
+            return op.apply_reciprocal(None, noise * amplitude) + g
+        return (op.apply(forces, noise=noise * (amplitude / (dt_eff * mu0)))
+                * dt_eff + g)
 
     def _generate_displacements(self, n_cols: int,
                                 stats: BDStepStats) -> np.ndarray:
-        """The block as the sum of two independent samples, one per
-        half of the positively split mobility: block Lanczos on the
-        sparse real-space matrix alone, plus one wave-space mesh pass
-        (:meth:`~repro.pme.operator.PMEOperator.sample_reciprocal`).
-        ``z`` and then the mesh noise are drawn from ``self.rng``, in
-        that order, so a rollback or a resume replays both."""
+        """The real-space half of the block: block Lanczos on the
+        sparse real-space matrix alone."""
         op = self._operator
         z = self.rng.standard_normal((3 * op.n, n_cols))
-        wave = np.empty_like(z)
-        K = op.params.K
-        for lo in range(0, n_cols, MAX_BLOCK_COLUMNS):
-            s = min(MAX_BLOCK_COLUMNS, n_cols - lo)
-            noise = self._mobility_cache.workspace(K, 3 * s, op.n)["mesh"]
-            self.rng.standard_normal(out=noise)
-            wave[:, lo:lo + s] = op.sample_reciprocal(noise)
         # hand the real half itself (not a bound matvec) down: block
         # Lanczos then issues one batched SpMM per iteration
         d, info = krylov_displacements_resilient(
@@ -471,9 +479,8 @@ class MatrixFreeBD(BrownianDynamicsBase):
         iters = info.iterations if info is not None else 0
         stats.krylov_iterations.append(iters)
         obs.observe("bd_krylov_iterations", iters)
-        # the real half is in mu0 units, the wave sample already scaled
+        # the real half is in mu0 units
         d *= math.sqrt(self.fluid.mobility0)
-        d += self._generator.scale * wave
         return d
 
     def mobility_memory_bytes(self) -> int:

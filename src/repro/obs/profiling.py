@@ -7,10 +7,14 @@ machine description — the measured-vs-modeled comparison of the
 paper's Fig. 5, but produced from the *instrumentation* rather than a
 bespoke benchmark loop (the profiler dogfoods ``repro.obs``).
 
-The number of single-vector reciprocal pipeline passes is read off the
-trace as the count of ``pme.fft`` spans (the FFT phase runs once per
-vector per application), and each per-application model prediction is
-scaled by that count.  The real-space prediction charges the full
+The number of operator applications is read off the trace as the
+vectors of the ``pme.fft`` spans (the forward FFT runs once per vector
+per application), and each per-application model prediction is scaled
+by that count.  In a run with forces every mesh pass is a step's drift
+apply — the wave-space Brownian noise rides in it, adding no pass — so
+the count is the number of steps; the noise-only pass of a force-free
+step has no spread, no forward FFT and no real-space term, and is not
+counted.  The real-space prediction charges the full
 matrix payload per vector, so block (multi-RHS) application typically
 measures *below* it — the amortization the paper's reference [24]
 exploits.
@@ -69,7 +73,7 @@ class ProfileReport:
     K: int
     p: int
     steps: int
-    #: Single-vector reciprocal pipeline passes (``pme.fft`` spans).
+    #: Single-vector operator applications (``pme.fft`` span vectors).
     applications: int
     rows: list[PhaseRow]
     #: Seconds per span name, all recorded spans.

@@ -20,9 +20,10 @@ which Section IV.E uses to balance the hybrid split.
 
 Beside Eq. 10 (one vector, one application) the model prices what a
 caller of Algorithm 2 pays: a *block step* — one mobility rebuild, the
-``lambda_RPY`` single-vector drift applications, one wave-space
-sampling pass over ``lambda_RPY`` columns and the block-Lanczos
-iterations on the real-space half (:meth:`PMECostModel.block_step`).
+``lambda_RPY`` single-vector drift applications (which carry the
+wave-space noise), a ``lambda_RPY``-column reciprocal term standing in
+for the noise's cost and the block-Lanczos iterations on the
+real-space half (:meth:`PMECostModel.block_step`).
 That is the cost :func:`repro.pme.tuning.tune_parameters` ranks Ewald
 splits by.
 """
@@ -203,9 +204,13 @@ class PMECostModel:
         ``build + lam (recip(1) + real(1)) + recip(lam) + iters
         real(lam)`` at ``lam = REFERENCE_LAMBDA_RPY`` and ``iters =
         REFERENCE_KRYLOV_ITERATIONS``: the rebuild, the single-vector
-        drift applications, the one wave-space sampling pass (priced as
-        a reciprocal pass: the noise replaces the spread) and the block
-        Lanczos on the real-space half.  The
+        drift applications (which carry the wave-space noise), the
+        ``recip(lam)`` term and the block Lanczos on the real-space
+        half.  ``recip(lam)`` priced a separate wave-space sampling
+        pass until the noise joined the drift apply; it now stands in
+        for the noise's ``K^3``-per-step cost (the half-spectrum draw
+        and its weighted add), and is kept because the splits ranked
+        without it measure slower (EXPERIMENTS.md).  The
         split-independent construction of ``P`` (``~ p^3 n``, 2-3 % of
         a step) is not priced.  ``K`` and ``pair_density`` may be
         arrays, one entry per candidate split.

@@ -17,11 +17,15 @@ the inverse-FFT normalization, so applying the influence function is a
 single fused multiply over the spectrum.  Because it is non-negative
 its square root is stored beside it: the same projector with
 ``sqrt(scalar)`` is ``C^(1/2)`` of the mesh operator ``C = F^-1 D F``,
-which turns white mesh noise into a sample of the reciprocal half
-(:meth:`~repro.pme.operator.PMEOperator.sample_reciprocal`).
+so half-spectrum white noise ``W^`` (:meth:`InfluenceFunction.white_noise`)
+added as ``sqrt(scalar) W^`` leaves the drift's pass as a sample of the
+reciprocal half.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -87,8 +91,7 @@ class InfluenceFunction:
             scalar[:, :, K // 2] = 0.0
         #: The stored scalar field, shape ``mesh.rshape`` (one float per mode).
         self.scalar = scalar
-        #: ``sqrt(scalar)``: the influence of :meth:`apply_batch` with
-        #: ``root=True``, the factor of the reciprocal-half sampler.
+        #: ``sqrt(scalar)``: the weight of the noise of :meth:`apply_batch`.
         self.sqrt_scalar = np.sqrt(scalar)
 
         # unit wavevector components, built once; k=0 entry is arbitrary
@@ -128,7 +131,7 @@ class InfluenceFunction:
         return out
 
     def apply_batch(self, spec: np.ndarray, slab: int | None = None,
-                    root: bool = False) -> np.ndarray:
+                    noise: np.ndarray | None = None) -> np.ndarray:
         """In-place batched influence over ``s`` spectra at once.
 
         Parameters
@@ -144,10 +147,10 @@ class InfluenceFunction:
             default keeps the working set (3 slabs of ``khat`` plus the
             scalar and the spectra slices) inside cache.  The result is
             independent of the slab size.
-        root:
-            Scale by :attr:`sqrt_scalar` instead of :attr:`scalar` (the
-            projector is idempotent, so this is the square root of the
-            influence).
+        noise:
+            Optional spectra shaped like ``spec`` (scaled draws of
+            :meth:`white_noise`): the result is then ``(I - khat
+            khat^T) (scalar spec + sqrt(scalar) noise)``.
 
         Notes
         -----
@@ -160,33 +163,60 @@ class InfluenceFunction:
         """
         K = self.mesh.K
         expected = (3,) + (spec.shape[1],) + self.mesh.rshape
-        if spec.shape != expected:
+        if spec.shape != expected or (noise is not None
+                                      and noise.shape != expected):
             raise ConfigurationError(
-                f"expected batched spectrum of shape (3, s) + "
+                f"expected batched spectra of shape (3, s) + "
                 f"{self.mesh.rshape}, got {spec.shape}")
         s = spec.shape[1]
         hx, hy, hz = self._khat
-        scalar = self.sqrt_scalar if root else self.scalar
         if slab is None:
             slab = max(1, 324 // K)
         for lo in range(0, K, slab):
             hi = min(lo + slab, K)
             hxs, hys, hzs = hx[lo:hi], hy[lo:hi], hz[lo:hi]
-            ss = scalar[lo:hi]
+            ss = self.scalar[lo:hi]
+            rs = self.sqrt_scalar[lo:hi]
             for v in range(s):
                 cx = spec[0, v, lo:hi]
                 cy = spec[1, v, lo:hi]
                 cz = spec[2, v, lo:hi]
+                if noise is not None:
+                    # the projector is linear: weight and add the noise
+                    # first, then project at unit scale
+                    for c, w in zip((cx, cy, cz), noise[:, v, lo:hi]):
+                        c *= ss
+                        c += rs * w
                 dot = cx * hxs
                 dot += cy * hys
                 dot += cz * hzs
                 cx -= hxs * dot
-                cx *= ss
                 cy -= hys * dot
-                cy *= ss
                 cz -= hzs * dot
-                cz *= ss
+                if noise is None:
+                    cx *= ss
+                    cy *= ss
+                    cz *= ss
         return spec
+
+    def white_noise(self, rng: np.random.Generator) -> np.ndarray:
+        """Half spectrum ``W^`` (``(3,) + mesh.rshape``) with the law, as
+        the c2r sees it, of the r2c of a real white 3-component field:
+        drawn on modes of non-zero weight only, Re and Im of variance
+        ``K^3 / 2`` (``K^3`` on ``kz = 0``, whose Hermitian part is kept)."""
+        modes, std = self._noise_modes
+        w = np.zeros((3, self.scalar.size), dtype=np.complex128)
+        w[:, modes] = (rng.standard_normal((3, modes.size, 2)).view(
+            np.complex128)[..., 0] * std)
+        return w.reshape((3,) + self.mesh.rshape)
+
+    @functools.cached_property
+    def _noise_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on first use (an apply never needs them)
+        modes = np.flatnonzero(self.scalar)
+        kz0 = modes % self.scalar.shape[2] == 0
+        return modes, math.sqrt(self.mesh.K ** 3) * np.where(
+            kz0, 1.0, math.sqrt(0.5))
 
     @property
     def memory_bytes(self) -> int:

@@ -14,9 +14,9 @@ configuration, then applied to many force vectors::
   matrix.
 
 The Ewald split is the positively split one (:mod:`repro.rpy.pse`), so
-the operator also samples its reciprocal half exactly:
-:meth:`PMEOperator.sample_reciprocal` runs the pipeline after the
-spread on white mesh noise with the square root of the influence.
+the same pass also samples the reciprocal half exactly: the ``noise``
+of :meth:`PMEOperator.apply_block` joins the influence stage and leaves
+as ``P C^(1/2) W`` beside the drift.
 
 Each phase is timed into :class:`~repro.utils.timing.PhaseTimer` under
 the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
@@ -227,7 +227,7 @@ class PMEOperator:
         return (3 * self.n, 3 * self.n)
 
     @force_block_arg()
-    def apply_block(self, forces) -> np.ndarray:
+    def apply_block(self, forces, noise=None) -> np.ndarray:
         """``U = M F`` for ``F`` of shape ``(3n,)`` or ``(3n, s)``.
 
         The one mobility-apply pipeline (:meth:`apply` is this method):
@@ -252,10 +252,14 @@ class PMEOperator:
         the result for column ``j`` alone.  Workspaces are leading lanes
         of the ``MobilityCache`` arena, so repeated applications allocate
         nothing; blocks wider than ``MAX_BLOCK_COLUMNS`` run as passes.
+        ``noise`` (half spectra ``W^``, ``(3,) + mesh.rshape`` per
+        column, see :meth:`InfluenceFunction.white_noise`) makes it
+        ``mu0 (M F + P C^(1/2) W)``: a step's drift and wave-space noise
+        from one pass; without it the bytes are the plain apply's.
         """
         f, flat = as_force_block(forces, self.n)
         s = f.shape[1]
-        out = self.apply_reciprocal(f)
+        out = self.apply_reciprocal(f, noise)
         out += self.apply_real(f)
         out *= self.fluid.mobility0
         self.n_applications += s
@@ -274,99 +278,56 @@ class PMEOperator:
             out = self.real.apply_block(f, context=self.context)
         return out[:, 0] if flat else out
 
-    def apply_reciprocal(self, forces) -> np.ndarray:
+    def apply_reciprocal(self, forces, noise=None) -> np.ndarray:
         """Reciprocal-space contribution in ``mu0`` units (the
-        reciprocal half of :meth:`apply_block`).
+        reciprocal half of :meth:`apply_block`, ``noise`` included).
 
         The six-step mesh pipeline of Section IV.A over all ``3s``
         lanes of the block at once, ``MAX_BLOCK_COLUMNS`` columns per
-        pass.
+        pass.  ``forces=None`` is the noise-only pass ``P C^(1/2) W`` of
+        a force-free step: no spread and no forward FFT.
         """
-        f, flat = as_force_block(forces, self.n)
-        n, K = self.n, self.params.K
-        out = np.empty((3 * n, f.shape[1]))
-        for lo in range(0, f.shape[1], MAX_BLOCK_COLUMNS):
-            fc = f[:, lo:lo + MAX_BLOCK_COLUMNS]
-            s = fc.shape[1]
-            lanes = 3 * s                   # lane b = component*s + vector
-            ws = self.cache.workspace(K, lanes, n)
-            g = ws["mesh"]
-
-            fm = fc.reshape(n, lanes)
-            with self.timers.phase("spread", vectors=s, **self._exec_args):
-                self.interp.spread_batch(fm, out=g, context=self.context)
-            self._mesh_pass(g.reshape(lanes, K, K, K), ws,
-                            out.reshape(n, 3, -1)[:, :, lo:lo + s])
-        return out[:, 0] if flat else out
-
-    def sample_reciprocal(self, noise) -> np.ndarray:
-        """A sample of the reciprocal half: ``sqrt(mu0) P C^(1/2) W``.
-
-        ``noise`` holds ``W``: ``3s`` lanes of real white noise on the
-        mesh, shape ``(3s, K^3)`` or ``(3s, K, K, K)`` (lane ``b =
-        component * s + column``, as in :meth:`apply_reciprocal`; at most
-        ``MAX_BLOCK_COLUMNS`` columns, the caller draws wider blocks in
-        chunks).  It goes through the stages of
-        :meth:`apply_reciprocal` with the spread replaced by the noise
-        and the influence by its square root
-        (:meth:`InfluenceFunction.apply_batch` with ``root=True``):
-        ``C = F^-1 D F`` is the mesh operator of the reciprocal half, so
-        ``C^(1/2) = F^-1 D^(1/2) F`` and, with standard-normal ``W``,
-        the ``(3n, s)`` result has covariance ``mu0 P C P^T`` — exactly
-        the reciprocal half of :meth:`apply_block`, with no iteration.
-        The noise is consumed; passing the leading lanes of the cache's
-        ``"mesh"`` workspace (drawn in place with
-        ``Generator.standard_normal(out=)``) makes the pass allocate
-        nothing but its result.
-        """
-        n, K = self.n, self.params.K
-        lanes = noise.shape[0]
-        if lanes % 3 or noise.size != lanes * K ** 3:
-            raise ConfigurationError(
-                f"noise must hold 3s mesh lanes of {K}^3, got shape "
-                f"{noise.shape}")
-        s = lanes // 3
-        if s > MAX_BLOCK_COLUMNS:
-            raise ConfigurationError(
-                f"noise holds {s} columns; one pass takes at most "
-                f"{MAX_BLOCK_COLUMNS}")
-        out = np.empty((3 * n, s))
-        self._mesh_pass(noise.reshape(lanes, K, K, K),
-                        self.cache.workspace(K, lanes, n),
-                        out.reshape(n, 3, s), root=True)
-        out *= np.sqrt(self.fluid.mobility0)
-        return out
-
-    def _mesh_pass(self, src: np.ndarray, ws: dict[str, np.ndarray],
-                   out: np.ndarray, root: bool = False) -> None:
-        """fft -> influence -> ifft -> interpolate of the mesh lanes
-        ``src`` (``(3s, K, K, K)``) into ``out`` (``(n, 3, s)``, ``mu0``
-        units), in the workspace ``ws``; ``root`` applies the square
-        root of the influence.  The stages after the spread, shared by
-        the apply and the sampler."""
         n, K = self.n, self.params.K
         ctx, xargs = self.context, self._exec_args
-        lanes = src.shape[0]
-        s = lanes // 3
-        g, spec = ws["mesh"], ws["spec"]
-        g4 = g.reshape(lanes, K, K, K)
+        f, flat = ((None, noise.ndim == 4) if forces is None
+                   else as_force_block(forces, n))
+        if noise is not None:
+            noise = noise.reshape((3, -1) + self.mesh.rshape)
+        cols = noise.shape[1] if f is None else f.shape[1]
+        out = np.empty((3 * n, cols))
+        for lo in range(0, cols, MAX_BLOCK_COLUMNS):
+            s = min(MAX_BLOCK_COLUMNS, cols - lo)
+            lanes = 3 * s                   # lane b = component*s + vector
+            ws = self.cache.workspace(K, lanes, n)
+            g, spec = ws["mesh"], ws["spec"]
+            g4 = g.reshape(lanes, K, K, K)
 
-        with self.timers.phase("fft", vectors=s, **xargs):
-            _rfftn_lanes(src, spec, ctx)
+            if f is None:
+                spec[...] = 0.0
+            else:
+                with self.timers.phase("spread", vectors=s, **xargs):
+                    self.interp.spread_batch(
+                        f[:, lo:lo + s].reshape(n, lanes), out=g,
+                        context=ctx)
+                with self.timers.phase("fft", vectors=s, **xargs):
+                    _rfftn_lanes(g4, spec, ctx)
 
-        with self.timers.phase("influence", vectors=s, **xargs):
-            self.influence.apply_batch(
-                spec.reshape((3, s) + self.mesh.rshape), root=root)
+            with self.timers.phase("influence", vectors=s, **xargs):
+                self.influence.apply_batch(
+                    spec.reshape((3, s) + self.mesh.rshape),
+                    noise=None if noise is None else noise[:, lo:lo + s])
 
-        with self.timers.phase("ifft", vectors=s, **xargs):
-            # the forward FFT consumed the source lanes: the mesh
-            # workspace now takes the velocities
-            _irfftn_lanes(spec, g4, ctx)
+            with self.timers.phase("ifft", vectors=s, **xargs):
+                # the forward FFT consumed the spread lanes: the mesh
+                # workspace now takes the velocities
+                _irfftn_lanes(spec, g4, ctx)
 
-        with self.timers.phase("interpolate", vectors=s, **xargs):
-            um = self.interp.interpolate_batch(g, out=ws["particle"],
-                                               context=ctx)
-            out[...] = um.reshape(3, s, n).transpose(2, 0, 1)
+            with self.timers.phase("interpolate", vectors=s, **xargs):
+                um = self.interp.interpolate_batch(g, out=ws["particle"],
+                                                   context=ctx)
+                out.reshape(n, 3, cols)[:, :, lo:lo + s] = \
+                    um.reshape(3, s, n).transpose(2, 0, 1)
+        return out[:, 0] if flat else out
 
     # ------------------------------------------------------------------
     # adapters and accounting

@@ -23,7 +23,8 @@ procedure, :func:`tune_parameters`:
    {4, 6, 8} and random suspensions (``tests/test_pme_tuning.py``);
 3. **cost minimization** — each admissible ``(xi, r_max, K)`` is priced
    as one *block step* of Algorithm 2 (mobility rebuild + ``lambda_RPY``
-   drift applications + one wave-space sampling pass + the block-Lanczos
+   drift applications carrying the wave-space noise + a reciprocal
+   term standing in for the noise's cost + the block-Lanczos
    iterations on the real-space half,
    :meth:`repro.perfmodel.PMECostModel.block_step`) on the machine the
    code runs on: :data:`repro.perfmodel.SUBSTRATE`, a committed one-core

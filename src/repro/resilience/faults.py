@@ -350,8 +350,8 @@ class FaultyOperator:
         self._inner = inner
         self._schedule = schedule
 
-    def apply(self, forces) -> np.ndarray:
-        out = self._inner.apply(forces)
+    def apply(self, forces, noise=None) -> np.ndarray:
+        out = self._inner.apply(forces, noise=noise)
         if self._schedule.fire("operator", "nan"):
             out = _poison(out)
         return out

@@ -10,9 +10,10 @@ so that *both* halves are positive definite: the wave-space half carries
 ``H`` and the real-space half ``1 - H`` of the exact RPY transform
 ``6 pi a sinc^2(k a) / k^2 (I - khat khat^T)`` (``mu0`` units).  This is
 what lets Algorithm 2 sample the two halves separately: the wave half
-exactly, one mesh pass with ``sqrt`` of the influence scalar
-(:meth:`~repro.pme.operator.PMEOperator.sample_reciprocal`), the real
-half by block Lanczos on its sparse matrix alone.  Beenakker's split
+exactly, half-spectrum white noise weighted by ``sqrt`` of the
+influence scalar and carried by each step's drift apply (the ``noise``
+of :meth:`~repro.pme.operator.PMEOperator.apply_block`), the real half
+by block Lanczos on its sparse matrix alone.  Beenakker's split
 (:mod:`repro.rpy.beenakker`) expands ``sinc^2`` to ``1 - a^2 k^2/3``,
 whose wave scalar turns negative past ``k = sqrt(3)/a``; it stays the
 split of the dense :class:`~repro.rpy.ewald.EwaldSummation`, the

@@ -73,13 +73,21 @@ def _chebyshev(system):
 
 
 def _pse(system):
-    """``MatrixFreeBD``'s own blocks: one wave-space pass plus block
-    Lanczos on the real-space half, on the tuned split."""
+    """``MatrixFreeBD``'s own force-free steps, on the tuned split: a
+    column of the block's block Lanczos on the real-space half plus the
+    step's noise-only wave-space pass."""
     r, box, _ = system
     bd = MatrixFreeBD(box, dt=1e-3, seed=2,
                       pme_params=tune_parameters(r.shape[0], box))
     bd._prepare(r)
-    return lambda rng, m: bd._generate_displacements(m, BDStepStats())
+
+    def sample(rng, m):
+        bd.rng = rng
+        real = bd._generate_displacements(m, BDStepStats())
+        return np.stack([bd._displacement(None, real[:, j],
+                                          bd._step_noise(), bd.dt)
+                         for j in range(m)], axis=1)
+    return sample
 
 
 @pytest.mark.parametrize("make, seed, batch", [

@@ -298,18 +298,28 @@ def test_apply_block_bit_identity_and_legacy_agreement(system, kernel_mode):
     assert len(digests) == 1, "backends disagree bitwise"
 
 
-def test_sample_reciprocal_bit_identity(system, kernel_mode):
-    # the wave-space sampling pass of MatrixFreeBD: the same bytes with
-    # no context and on every backend, like the apply
+def test_noise_carrying_apply_bit_identity(system, kernel_mode):
+    # the fused drift + wave-space noise pass of MatrixFreeBD, and the
+    # noise-only pass of a force-free step: the same bytes with no
+    # context and on every backend, like the apply
     box, r, params, f = system
-    noise = np.random.default_rng(8).standard_normal(
-        (3 * f.shape[1], params.K ** 3))
-    legacy = PMEOperator(r, box, params).sample_reciprocal(noise.copy())
+    rng = np.random.default_rng(8)
+    plain = PMEOperator(r, box, params)
+    noise = np.stack([plain.influence.white_noise(rng)
+                      for _ in range(f.shape[1])], axis=1)
+    legacy = (plain.apply_block(f, noise=noise),
+              plain.apply_reciprocal(None, noise))
     for backend, workers in BACKENDS:
         with ExecutionContext(backend=backend, workers=workers) as ctx:
             op = PMEOperator(r, box, params, context=ctx)
-            assert digest(op.sample_reciprocal(noise.copy())) == \
-                digest(legacy), (backend, workers)
+            for got, want in zip((op.apply_block(f, noise=noise),
+                                  op.apply_reciprocal(None, noise)),
+                                 legacy):
+                assert digest(got) == digest(want), (backend, workers)
+    # the fused pass is the drift plus the noise-only pass
+    np.testing.assert_allclose(
+        legacy[0], plain.apply_block(f) + plain.fluid.mobility0 * legacy[1],
+        rtol=0, atol=1e-12 * np.abs(legacy[0]).max())
 
 
 def test_forward_fft_lanes_independent_of_workers(set_kernel_mode,

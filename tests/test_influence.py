@@ -87,15 +87,24 @@ def test_rejects_bad_xi():
 
 
 def test_root_influence_squares_to_the_influence(influence):
-    # the sampler's factor: sqrt(scalar) with the same (idempotent)
-    # projector, applied twice, is the influence applied once
+    # the noise's weight: sqrt(scalar) with the same (idempotent)
+    # projector, applied twice, is the influence applied once; and the
+    # noise adds to the drift's spectrum (the projector is linear)
     c = _random_spectrum(influence.mesh, seed=3)
+    w = _random_spectrum(influence.mesh, seed=4)
+    zero = np.zeros_like(c)[:, None]
     once = influence.apply(c.copy())
-    root = influence.apply_batch(c.copy()[:, None], root=True)
-    twice = influence.apply_batch(root, root=True)[:, 0]
-    np.testing.assert_allclose(twice, once, rtol=0,
-                               atol=1e-12 * np.abs(once).max())
+    root = influence.apply_batch(zero.copy(), noise=c[:, None])
+    twice = influence.apply_batch(zero.copy(), noise=root)[:, 0]
+    atol = 1e-12 * np.abs(once).max()
+    np.testing.assert_allclose(twice, once, rtol=0, atol=atol)
+    fused = influence.apply_batch(c.copy()[:, None], noise=w[:, None])
+    alone = influence.apply_batch(zero.copy(), noise=w[:, None])
+    np.testing.assert_allclose(fused, once[:, None] + alone, rtol=0,
+                               atol=atol)
     assert np.all(influence.scalar >= 0.0)
+    with pytest.raises(ConfigurationError):
+        influence.apply_batch(zero.copy(), noise=w[:, None, :-1])
 
 
 def test_nyquist_planes_carry_no_weight(influence):

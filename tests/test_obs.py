@@ -307,9 +307,10 @@ class TestPipelineWiring:
         _, stats, tracer, registry = _run_sim(n_steps=3, with_obs=True)
         counts = tracer.counts()
         assert counts["sim.run"] == 1
-        # 3 steps with lambda_rpy=2 -> 2 mobility blocks
+        # 3 steps with lambda_rpy=2 -> 2 mobility blocks; "brownian"
+        # times each block's real half and each step's wave-space draw
         assert counts["bd.block"] == 2
-        expected = {"mobility": 2, "brownian": 2,
+        expected = {"mobility": 2, "brownian": 2 + 3,
                     "forces": 3, "propagate": 3}
         for phase, n_expected in expected.items():
             name = f"bd.{phase}"
@@ -351,6 +352,22 @@ class TestPipelineWiring:
             span_total = totals[f"pme.{phase}"]
             assert span_total >= breakdown[phase]
             assert span_total <= breakdown[phase] + 0.25
+
+    def test_profile_counts_one_application_per_drift_apply(self):
+        # every mesh pass of a run with forces is a step's drift apply
+        # (its wave-space noise rides along), so the applications the
+        # profile prices are the steps, and each phase ran once per step
+        from repro.obs.profiling import run_profile
+
+        steps = 5
+        obs.enable()
+        try:
+            report = run_profile(n=300, steps=steps, lambda_rpy=16)
+        finally:
+            obs.disable()
+        assert report.applications == steps
+        for row in report.rows:
+            assert row.calls == steps, row
 
     def test_recovery_events_traced(self):
         from repro.core.simulation import Simulation

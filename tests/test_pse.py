@@ -2,9 +2,10 @@
 
 The closed forms of :mod:`repro.rpy.pse` against the 1-D quadrature
 that defines them, the positivity that makes the wave-space half
-sampleable in one pass, the exact sampling identity of
-``PMEOperator.sample_reciprocal``, and the split's total against the
-independent dense Ewald sum (Beenakker's split).
+sampleable inside the drift apply, the exact covariance of the
+half-spectrum noise draw (``InfluenceFunction.white_noise`` through the
+noise-only pass of ``PMEOperator.apply_reciprocal``), and the split's
+total against the independent dense Ewald sum (Beenakker's split).
 """
 
 import math
@@ -16,10 +17,8 @@ from scipy.special import spherical_jn
 
 from repro import Box, PMEOperator, PMEParams, make_suspension, \
     pme_relative_error, tune_parameters
-from repro.errors import ConfigurationError
 from repro.pme.influence import InfluenceFunction
 from repro.pme.mesh import Mesh
-from repro.pme.operator import MAX_BLOCK_COLUMNS
 from repro.rpy import pse
 from repro.rpy.ewald import EwaldSummation
 
@@ -111,26 +110,41 @@ def test_wave_scalar_non_negative_on_every_tuned_mesh(n):
                                rtol=1e-14)
 
 
-def test_sampling_pass_is_an_exact_root_of_the_reciprocal_half():
-    # feeding every unit noise vector: A A^T = mu0 apply_reciprocal(I)
+def test_half_spectrum_draw_covariance_is_exact():
+    # the noise-only pass fed the spectral unit basis, each vector
+    # scaled by the standard deviation of its draw (Re and Im: K^3/2,
+    # K^3 on the kz = 0 plane; only modes of non-zero weight): the sum
+    # of the outer products is the reciprocal half P C P^T, to
+    # round-off, at an even and an odd mesh
     susp = make_suspension(30, 0.2, seed=1)
-    K = 8
-    op = PMEOperator(susp.positions, susp.box,
-                     PMEParams(xi=0.6, r_max=3.0, K=K, p=4))
-    dim = 3 * K ** 3
-    cols = []
-    for lo in range(0, dim, MAX_BLOCK_COLUMNS):
-        s = min(MAX_BLOCK_COLUMNS, dim - lo)
-        unit = np.zeros((3, s, K ** 3))
-        for c, j in enumerate(range(lo, lo + s)):
-            unit[j // K ** 3, c, j % K ** 3] = 1.0
-        cols.append(op.sample_reciprocal(unit.reshape(3 * s, K ** 3)))
-    a = np.concatenate(cols, axis=1)
-    recip = op.apply_reciprocal(np.eye(3 * op.n)) * op.fluid.mobility0
-    assert np.abs(a @ a.T - recip).max() < 1e-12 * np.abs(recip).max()
-    # one pass takes at most MAX_BLOCK_COLUMNS columns; the caller chunks
-    with pytest.raises(ConfigurationError):
-        op.sample_reciprocal(np.zeros((3 * MAX_BLOCK_COLUMNS + 3, K ** 3)))
+    for K in (8, 9):
+        op = PMEOperator(susp.positions, susp.box,
+                         PMEParams(xi=0.6, r_max=3.0, K=K, p=4))
+        infl, rshape = op.influence, op.mesh.rshape
+        modes = np.flatnonzero(infl.scalar)
+        assert modes.size == (K - 1 + K % 2) ** 2 * ((K + 1) // 2) - 1
+        std = np.sqrt(np.where(modes % rshape[2] == 0, K ** 3,
+                               K ** 3 / 2))
+        cols = []
+        for u in range(3):
+            for part in (1.0, 1j):
+                basis = np.zeros((3, modes.size, infl.scalar.size),
+                                 dtype=complex)
+                basis[u, np.arange(modes.size), modes] = part * std
+                cols.append(op.apply_reciprocal(
+                    None, basis.reshape((3, -1) + rshape)))
+        a = np.concatenate(cols, axis=1)
+        recip = op.apply_reciprocal(np.eye(3 * op.n))
+        assert np.abs(a @ a.T - recip).max() < 1e-12 * np.abs(recip).max()
+        # and white_noise draws exactly that basis' coefficients: normal,
+        # on those modes only
+        draws = np.stack([infl.white_noise(np.random.default_rng(seed))
+                          for seed in range(400)]).reshape(400, 3, -1)
+        assert not draws[:, :, np.setdiff1d(np.arange(infl.scalar.size),
+                                            modes)].any()
+        for part in (draws.real, draws.imag):
+            ratio = part[:, :, modes].var(axis=(0, 1)) / std ** 2
+            assert abs(ratio.mean() - 1.0) < 0.02
 
 
 def test_split_total_is_independent_of_xi():

@@ -276,6 +276,23 @@ def test_nan_force_triggers_dt_backoff_and_restore():
     assert bd._dt_scale == 1.0  # fully restored by the end
 
 
+def test_dt_backoff_retry_reuses_the_steps_wave_noise():
+    # force call 1 is step 2's first attempt, mid-block: its retry at
+    # half dt reuses the step's half-spectrum draw (scaled like g), so
+    # the block ends with the generator where a clean block leaves it
+    susp = random_suspension(16, 0.15, seed=2)
+    field = RepulsiveHarmonic(susp.box, susp.fluid)
+    clean = _mf_integrator(susp, force_field=field)
+    clean.run(susp.positions, 4)
+    faulty = _mf_integrator(susp, FaultPlan(force_calls=(1,)),
+                            force_field=field)
+    final, stats = faulty.run(susp.positions, 4)
+    assert np.all(np.isfinite(final))
+    backoff, = [e for e in stats.recovery if e.action == "dt-backoff"]
+    assert backoff.step == 2
+    assert faulty.rng.bit_generator.state == clean.rng.bit_generator.state
+
+
 def test_nan_displacement_block_rolls_back():
     susp = random_suspension(16, 0.1, seed=3)
     schedule = FaultPlan(brownian_nan_calls=(0,))
@@ -317,7 +334,8 @@ def test_recovered_run_matches_fault_free_run_statistically():
 def _reference_run(integrator, positions, n_steps):
     """The plain Ermak-McCammon loop, ``dr = M f dt + g`` per step, with
     the mobility rebuilt and the noise block drawn every ``lambda_RPY``
-    steps — no finite checks, no dt scale, no snapshot."""
+    steps and the step's own noise before its forces — no finite
+    checks, no dt scale, no snapshot."""
     n = positions.shape[0]
     wrapped = integrator.box.wrap(positions)
     unwrapped = wrapped.copy()
@@ -328,9 +346,10 @@ def _reference_run(integrator, positions, n_steps):
         integrator._prepare(wrapped)
         g = integrator._generate_displacements(block, stats)
         for col in range(block):
+            noise = integrator._step_noise()
             f = integrator.force_field.forces(wrapped).reshape(3 * n)
-            dr = (integrator._apply_mobility(f) * integrator.dt
-                  + g[:, col]).reshape(n, 3)
+            dr = integrator._displacement(f, g[:, col], noise,
+                                          integrator.dt).reshape(n, 3)
             unwrapped += dr
             wrapped = integrator.box.wrap(wrapped + dr)
             step += 1

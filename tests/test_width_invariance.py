@@ -5,10 +5,9 @@ the block it rides in: column ``j`` of an ``s``-wide product equals the
 1-wide product of column ``j`` **bytewise**, at every width, in both
 kernel modes and on both backends.  Served-vs-direct identity
 (``repro.serve.batching``), hybrid per-device column shares and the
-``MAX_BLOCK_COLUMNS`` chunking all rest on it.  The wave-space sampling
-pass (``PMEOperator.sample_reciprocal``, noise lanes in place of the
-spread) is held to the same rule up to the ``MAX_BLOCK_COLUMNS`` it
-takes in one pass.
+``MAX_BLOCK_COLUMNS`` chunking all rest on it.  The noise-carrying apply
+(``PMEOperator.apply_block`` with ``noise=``, the drift and wave-space
+noise of a Brownian step in one pass) is held to the same rule.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 
 from repro import PMEOperator, PMEParams
 from repro.exec import ExecutionContext
-from repro.pme.operator import MAX_BLOCK_COLUMNS
 from repro.systems import random_suspension
 
 WIDTHS = [*range(1, 34), 40, 64]
@@ -50,7 +48,8 @@ def _products(ctx):
     G = rng.standard_normal((WIDEST, K ** 3))
     S = (rng.standard_normal((3, WIDEST) + op.mesh.rshape)
          + 1j * rng.standard_normal((3, WIDEST) + op.mesh.rshape))
-    W = rng.standard_normal((3, WIDEST, K ** 3))
+    W = (rng.standard_normal((3, WIDEST) + op.mesh.rshape)
+         + 1j * rng.standard_normal((3, WIDEST) + op.mesh.rshape))
     return {
         "BlockCSR.matmat":
             lambda c: op.real.bcsr.matmat(F[:, c], context=ctx).T,
@@ -64,9 +63,8 @@ def _products(ctx):
             lambda c: op.influence.apply_batch(S[:, c].copy()).swapaxes(0, 1),
         "PMEOperator.apply_block":
             lambda c: op.apply_block(F[:, c]).T,
-        "PMEOperator.sample_reciprocal":
-            lambda c: op.sample_reciprocal(
-                W[:, c].reshape(-1, K ** 3)).T,
+        "PMEOperator.apply_block(noise=)":
+            lambda c: op.apply_block(F[:, c], noise=W[:, c]).T,
     }
 
 
@@ -81,8 +79,6 @@ def test_column_bytes_do_not_depend_on_block_width(
                    for j in range(WIDEST)]
             for name, product in products[backend].items()}
     for name, product in products[backend].items():
-        if name == "PMEOperator.sample_reciprocal" and s > MAX_BLOCK_COLUMNS:
-            continue
         wide = product(slice(0, s))
         assert len(wide) == s
         different = [j for j in range(s)
