@@ -7,11 +7,13 @@ provides:
 
 * :func:`~repro.neighbor.pairs.find_pairs` -- the pair search of the
   whole package (real-space matrix, forces, system generators,
-  analysis): a periodic ``scipy.spatial`` kd-tree proposes candidates
-  and the strict minimum-image ``< cutoff`` filter decides (a
-  substitution for the paper's cell list: O(n log n), compiled),
+  analysis): the paper's cell list as one compiled O(n + pairs) sweep
+  whose strict minimum-image ``< cutoff`` test decides, pairs in
+  lexicographic order (without the kernels a periodic ``scipy.spatial``
+  kd-tree proposes candidates and the same filter decides),
 * :func:`~repro.neighbor.pairs.brute_force_pairs` -- the O(n^2)
-  reference used in tests, and the fallback for cutoffs above ``L/2``,
+  reference used in tests (the same arrays, order included), and the
+  fallback's answer for cutoffs above ``L/2``,
 * :class:`~repro.neighbor.verlet.VerletList` -- a skin-buffered pair
   list reusable across time steps.
 """

@@ -5,16 +5,16 @@ beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
 Section IV.C) and stored in BCSR.  The build is compiled from the
 candidate list to the stored blocks: a pair search
-(:func:`~repro.neighbor.pairs.find_pairs`: a periodic kd-tree, a
-substitution for the paper's Verlet cell list, O(n log n), whose strict
-minimum-image filter is one C pass), the separations of the pairs in a
-second one (:meth:`~repro.geometry.box.Box.distances`), the scalar
-coefficients ``f, g`` of every pair in NumPy/SciPy
-(:func:`~repro.rpy.pse.real_space_coefficients`, the positively split Ewald
-real-space half: ``erfc`` and ``exp`` decide the bytes and are not the
-bottleneck), and one linear symmetric
-assembly that computes each ``f I + g rhat rhat^T`` in the slot it is
-stored in (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no
+(:func:`~repro.neighbor.pairs.find_pairs`: the paper's Verlet cell list,
+one C sweep in O(n + pairs) whose strict minimum-image test decides),
+the separations of the pairs in a second one
+(:meth:`~repro.geometry.box.Box.distances`), the scalar coefficients
+``f, g`` of every pair in NumPy/SciPy
+(:func:`~repro.rpy.pse.real_space_coefficients`, the positively split
+Ewald real-space half, cache-sized chunks: ``erfc`` and ``exp`` decide
+the bytes, and this is the largest step of the build), and one linear
+symmetric assembly that computes each ``f I + g rhat rhat^T`` in the
+slot it is stored in (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no
 per-pair tensor array exists.  Without a C compiler the same matrix,
 byte for byte, comes from :func:`~repro.rpy.tensor.pair_dyads` through
 :meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2

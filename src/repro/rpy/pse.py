@@ -77,6 +77,11 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
+#: Separations one pass of :func:`real_space_coefficients` evaluates at a
+#: time, so that its ``(3, chunk)`` temporaries stay in cache.  Every
+#: operation is elementwise: the bytes do not depend on it.
+COEFFICIENT_CHUNK = 8192
+
 
 def _check_kernel(kernel: str) -> None:
     if kernel not in ("rpy", "oseen"):
@@ -118,8 +123,10 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     ``r > 0``, overlapping pairs included (the overlap form is part of
     ``f_RPY``, not a correction added to it).  The one definition of the
     stored coefficients, shared by the NumPy tensor fill and the compiled
-    fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a scalar or broadcasts against ``dist``;
-    ``kernel`` is ``"rpy"`` (default) or ``"oseen"``.
+    fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a
+    scalar or broadcasts against ``dist``; ``kernel`` is ``"rpy"``
+    (default) or ``"oseen"``.  At a scalar ``xi`` the separations are
+    evaluated :data:`COEFFICIENT_CHUNK` at a time (the same bytes).
     """
     _check_kernel(kernel)
     r = np.asarray(dist, dtype=np.float64)
@@ -128,6 +135,19 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     if np.any(np.asarray(xi) <= 0):
         raise ValueError(f"xi must be positive, got {xi}")
     a = float(radius)
+    if np.ndim(xi) or r.size <= COEFFICIENT_CHUNK:
+        return _coefficients(r, xi, a, kernel)
+    flat = r.ravel()
+    f, g = np.empty_like(flat), np.empty_like(flat)
+    for lo in range(0, flat.size, COEFFICIENT_CHUNK):
+        hi = lo + COEFFICIENT_CHUNK
+        f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a, kernel)
+    return f.reshape(r.shape), g.reshape(r.shape)
+
+
+def _coefficients(r: np.ndarray, xi, a: float, kernel: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The body of :func:`real_space_coefficients` on checked input."""
     if kernel == "rpy":
         c = 3.0 / (4.0 * math.pi * a)
         # u = 2 R(r) - R(r + 2a) - R(r - 2a), R extended oddly (R(-s) =

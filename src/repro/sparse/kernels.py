@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the seven
+compiles, at import-on-demand time, a small C library with the eight
 entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
@@ -45,13 +45,21 @@ schedule need:
     (:func:`pair_separations`, :func:`pairs_within`): minimum-image
     separations of index pairs, optionally compacted to those inside a
     cutoff, in NumPy's operations and order — the same bytes.
+``cell_list_pairs``
+    The body of :func:`repro.neighbor.pairs.find_pairs`, the paper's
+    Verlet cell list (Section IV.C): particles binned by a counting
+    sort, a half-stencil sweep over neighbouring cells, a cheap
+    squared-distance prefilter and then ``min_image_pairs``' exact test,
+    pairs ``i < j`` returned in lexicographic order (a stable counting
+    sort by ``j``, then by ``i``) — the arrays of
+    :func:`~repro.neighbor.pairs.brute_force_pairs`.
 ``bcsr_assemble_dyads``
     ``bcsr_assemble`` with the real-space tensor fill fused in: block
     ``f I + g rhat rhat^T`` of every pair computed in the slot the
     counting sort assigns it, the self term on the diagonal; what
     :class:`repro.pme.realspace.RealSpaceOperator` is built by.
 
-The last two do floating-point arithmetic whose bytes are pinned to
+The last three do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
@@ -78,6 +86,7 @@ from __future__ import annotations
 import collections
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -96,7 +105,7 @@ __all__ = [
     "spmm_kernel",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
-    "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
+    "cell_list_pairs", "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
 ]
 
 #: Right-hand sides one pass of ``bcsr_matmat_range``'s row body covers
@@ -106,6 +115,7 @@ __all__ = [
 SPMM_CHUNK = 8
 
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
@@ -348,14 +358,26 @@ void bcsr_assemble(const long long n, const long long m,
 #pragma GCC optimize ("fp-contract=off")
 #endif
 
+/* The minimum-image separation d = pa - pb and its length, in
+ * Box.distances' arithmetic: per component d - L * rint(d / L) (np.round
+ * rounds half to even, as rint does in the default mode), then
+ * sqrt((x^2 + y^2) + z^2) (np.linalg.norm: add.reduce over three). */
+static inline double min_image_sep(const double *restrict pa,
+                                   const double *restrict pb, const double L,
+                                   double *restrict d)
+{
+    for (int c = 0; c < 3; ++c) {
+        const double dr = pa[c] - pb[c];
+        d[c] = dr - L * rint(dr / L);
+    }
+    return sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+}
+
 /* Minimum-image separations of m index pairs of an (n, 3) position
- * array, in Box.distances' arithmetic: per component d - L * rint(d / L)
- * (np.round rounds half to even, as rint does in the default mode), then
- * sqrt((x^2 + y^2) + z^2) (np.linalg.norm: add.reduce over three).
- * With strict != 0 only pairs with dist < cutoff are kept, compacted in
- * input order with their indices in (ki, kj).  Returns the number of
- * pairs written, or -1 — before dereferencing it — on an index outside
- * [0, n). */
+ * array (min_image_sep).  With strict != 0 only pairs with dist < cutoff
+ * are kept, compacted in input order with their indices in (ki, kj).
+ * Returns the number of pairs written, or -1 — before dereferencing it —
+ * on an index outside [0, n). */
 long long min_image_pairs(const long long n, const long long m,
                           const long long *restrict pi,
                           const long long *restrict pj,
@@ -369,11 +391,7 @@ long long min_image_pairs(const long long n, const long long m,
         const long long a = pi[k], b = pj[k];
         if (a < 0 || a >= n || b < 0 || b >= n) return -1;
         double d[3];
-        for (int c = 0; c < 3; ++c) {
-            const double dr = pos[3 * a + c] - pos[3 * b + c];
-            d[c] = dr - L * rint(dr / L);
-        }
-        const double r = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+        const double r = min_image_sep(pos + 3 * a, pos + 3 * b, L, d);
         if (strict) {
             if (!(r < cutoff)) continue;
             ki[kept] = a;
@@ -383,6 +401,133 @@ long long min_image_pairs(const long long n, const long long m,
         dist[kept++] = r;
     }
     return kept;
+}
+
+/* Stable counting sort of m pairs by one key (n buckets): (si, sj) ->
+ * (di, dj), ordered by key[k] (si or sj).  cnt holds n + 1 cursors.
+ * Always inlined: a static function of its own is emitted ahead of the
+ * SpMM and gather kernels and moves their code (measured 2-3 % slower
+ * applies). */
+static inline __attribute__((always_inline)) void pairs_sort_by(const long long n, const long long m,
+                          const long long *restrict key,
+                          const long long *restrict si,
+                          const long long *restrict sj,
+                          long long *restrict di, long long *restrict dj,
+                          long long *restrict cnt)
+{
+    for (long long r = 0; r <= n; ++r) cnt[r] = 0;
+    for (long long k = 0; k < m; ++k) ++cnt[key[k] + 1];
+    for (long long r = 0; r < n; ++r) cnt[r + 1] += cnt[r];
+    for (long long k = 0; k < m; ++k) {
+        const long long dst = cnt[key[k]]++;
+        di[dst] = si[k];
+        dj[dst] = sj[k];
+    }
+}
+
+/* The pair search (find_pairs): every i < j of n positions wrapped into
+ * [0, L) with minimum-image distance < cutoff, in lexicographic order.
+ * m cells per edge of side L / m >= cutoff / reach (reach <= 2; chosen by
+ * the caller).  The particles are binned by a counting sort (ids
+ * ascending within a cell) and their positions copied cell-contiguous
+ * into spos (3n).  Every cell meets the distinct cells within reach of
+ * it along each axis — fewer than 2 reach + 1 when m is small — whose
+ * linear index is not below its own, so each unordered cell pair is
+ * swept once.  A candidate passes a squared-distance prefilter on a
+ * branch-folded image (loose by far more than its rounding), then
+ * min_image_sep's exact test decides, on the ids' own positions in the
+ * orientation (min id, max id) — brute_force_pairs' arithmetic.  Up to
+ * cap pairs are stored; the return value is the number found, or -1 for
+ * a reach above 2.  When it exceeds cap nothing is sorted and the caller
+ * retries with cap >= the count; otherwise a stable counting sort by j,
+ * then one by i (ti, tj: cap-sized scratch), leaves (ki, kj)
+ * lexicographic.  iwork: m^3 + 1 + 3n + 1 int64. */
+long long cell_list_pairs(const long long n, const double *restrict pos,
+                          const double L, const double cutoff,
+                          const long long m, const long long reach,
+                          const long long cap,
+                          long long *restrict ki, long long *restrict kj,
+                          long long *restrict ti, long long *restrict tj,
+                          long long *restrict iwork, double *restrict spos)
+{
+    if (reach < 0 || reach > 2) return -1;
+    const long long ncell = m * m * m;
+    long long *restrict start = iwork;              /* ncell + 1 */
+    long long *restrict ids = start + ncell + 1;    /* n */
+    long long *restrict cell = ids + n;             /* n */
+    long long *restrict cnt = cell + n;             /* n + 1 */
+
+    const double scale = (double)m / L;
+    for (long long c = 0; c <= ncell; ++c) start[c] = 0;
+    for (long long p = 0; p < n; ++p) {
+        long long q[3];
+        for (int c = 0; c < 3; ++c) {
+            const double u = pos[3 * p + c] * scale;
+            q[c] = u >= (double)m ? m - 1 : (u > 0.0 ? (long long)u : 0);
+        }
+        cell[p] = q[0] + m * (q[1] + m * q[2]);
+        ++start[cell[p]];
+    }
+    for (long long c = 1; c < ncell; ++c) start[c] += start[c - 1];
+    start[ncell] = n;
+    for (long long p = n - 1; p >= 0; --p) {    /* start[c]: first of c */
+        const long long s = --start[cell[p]];
+        ids[s] = p;
+        for (int c = 0; c < 3; ++c) spos[3 * s + c] = pos[3 * p + c];
+    }
+
+    long long off[5];
+    int noff = 0;
+    for (long long d = -reach; d <= reach; ++d) {
+        const long long v = ((d % m) + m) % m;
+        int seen = 0;
+        for (int t = 0; t < noff; ++t) seen |= off[t] == v;
+        if (!seen) off[noff++] = v;
+    }
+
+    const double half = 0.5 * L;
+    const double lim = cutoff * (1.0 + 1e-8) + 8.0 * L * DBL_EPSILON;
+    const double thr = lim * lim;
+    long long count = 0;
+    for (long long cz = 0; cz < m; ++cz)
+    for (long long cy = 0; cy < m; ++cy)
+    for (long long cx = 0; cx < m; ++cx) {
+        const long long c = cx + m * (cy + m * cz);
+        const long long p0 = start[c], p1 = start[c + 1];
+        if (p0 == p1) continue;
+        for (int a = 0; a < noff; ++a)
+        for (int b = 0; b < noff; ++b)
+        for (int e = 0; e < noff; ++e) {
+            const long long c2 = (cx + off[e]) % m
+                + m * ((cy + off[b]) % m + m * ((cz + off[a]) % m));
+            if (c2 < c) continue;
+            const long long q1 = start[c2 + 1];
+            for (long long s = p0; s < p1; ++s) {
+                const double *restrict ps = spos + 3 * s;
+                for (long long t = c2 == c ? s + 1 : start[c2]; t < q1; ++t) {
+                    const double *restrict pt = spos + 3 * t;
+                    double r2 = 0.0;
+                    for (int k = 0; k < 3; ++k) {
+                        double dr = ps[k] - pt[k];
+                        dr = dr > half ? dr - L : (dr < -half ? dr + L : dr);
+                        r2 += dr * dr;
+                    }
+                    if (!(r2 < thr)) continue;
+                    const long long u = ids[s] < ids[t] ? ids[s] : ids[t];
+                    const long long v = ids[s] < ids[t] ? ids[t] : ids[s];
+                    double d[3];
+                    if (!(min_image_sep(pos + 3 * u, pos + 3 * v, L, d) < cutoff))
+                        continue;
+                    if (count < cap) { ki[count] = u; kj[count] = v; }
+                    ++count;
+                }
+            }
+        }
+    }
+    if (count > cap) return count;
+    pairs_sort_by(n, count, kj, ki, kj, ti, tj, cnt);
+    pairs_sort_by(n, count, ti, ti, tj, ki, kj, cnt);
+    return count;
 }
 
 /* The 3x3 block c I + g h h^T, as NumPy evaluates
@@ -448,9 +593,9 @@ _UNSET = object()
 _kernels: object = _UNSET
 
 
-#: The seven loaded entry points of one compiled library.
+#: The eight loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
-    "_Kernels", "spmm spread interp rows assemble min_image dyads")
+    "_Kernels", "spmm spread interp rows assemble min_image cells dyads")
 
 
 def _cache_dir() -> Path:
@@ -501,6 +646,7 @@ def _load(path: Path) -> _Kernels | None:
         rows = lib.spread_rows
         assemble = lib.bcsr_assemble
         min_image = lib.min_image_pairs
+        cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
     except (OSError, AttributeError):
         return None
@@ -520,10 +666,14 @@ def _load(path: Path) -> _Kernels | None:
     min_image.argtypes = [ll, ll, i64, i64, f64, ctypes.c_double,
                           ctypes.c_int, ctypes.c_double, i64, i64, f64, f64]
     min_image.restype = ll
+    cells.argtypes = [ll, f64, ctypes.c_double, ctypes.c_double, ll, ll, ll,
+                      i64, i64, i64, i64, i64, f64]
+    cells.restype = ll
     dyads.argtypes = [ll, ll, i64, i64, f64, f64, f64, f64, ctypes.c_double,
                       i64, i64, f64, i64]
     dyads.restype = None
-    return _Kernels(spmm, spread, interp, rows, assemble, min_image, dyads)
+    return _Kernels(spmm, spread, interp, rows, assemble, min_image, cells,
+                    dyads)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -628,6 +778,31 @@ def _selftest(kernels: _Kernels) -> bool:
             or _separations_compiled(kernels.min_image, pos, pi, pj + 1,
                                      length, None) is not None):
         return False
+    # the cell list against every pair, in every grid regime: one cell
+    # (L/2 < cutoff and just below), half-width cells at reach 2 (and,
+    # capped by n = 30, fewer cells than the stencil), whole cells, capped
+    # and not; particles at 0 and a hair below L, pairs at exactly 2.8 and
+    # 1.5 (the second across a face) and an ulp inside, and a clump that
+    # overflows the first buffer
+    cloud = rng.uniform(0.0, length, (250, 3))
+    below = np.nextafter(2.8, 0.0)
+    cloud[:9] = [[0.0, 0.0, 0.0], [np.nextafter(length, 0.0), 0.0, 4.5],
+                 [4.5, np.nextafter(length, 0.0), 0.0], [1.0, 2.0, 2.0],
+                 [3.8, 2.0, 2.0], [0.5, 6.0, 6.0], [8.0, 6.0, 6.0],
+                 [2.0, 7.0, 1.0], [2.0 + below, 7.0, 1.0]]
+    cloud[200:] = cloud[200] + rng.uniform(-0.2, 0.2, (50, 3))
+    for pts, cutoffs in ((cloud, (5.0, 4.4, 2.8, 1.5, 0.6)),
+                         (cloud[:30], (2.8, 1.5))):
+        ci, cj = (np.ascontiguousarray(a, dtype=np.int64)
+                  for a in np.triu_indices(len(pts), 1))
+        cdist = _separations_numpy(pts, ci, cj, length)[1]
+        for c in cutoffs:
+            ki, kj = _cell_pairs_compiled(kernels.cells, pts, length, c)
+            keep = cdist < c
+            if (ki.tobytes() != ci[keep].tobytes()
+                    or kj.tobytes() != cj[keep].tobytes()):
+                return False
+
     pi, pj, rij, dist = got
     for kernel, xi in (("rpy", 0.45), ("oseen", 0.6)):
         f, g = pse.real_space_coefficients(dist, xi, kernel=kernel)
@@ -960,6 +1135,74 @@ def pairs_within(positions: np.ndarray,  # noqa: RPR001 - validated by Box.pairs
         sel = dist < cutoff
         out = np.asarray(i)[sel], np.asarray(j)[sel], rij[sel], dist[sel]
     return out
+
+
+def _cell_grid(n: int, box_length: float, cutoff: float) -> tuple[int, int]:
+    """``(m, reach)`` of the cell list: ``m`` cells per edge of side ``L /
+    m >= cutoff / reach``, from ``(L, cutoff, n)`` alone.
+
+    Reach 2 (half-width cells) while ``L / cutoff < 5``, where whole-cutoff
+    cells would sweep most of the box; reach 1 beyond.  Below ``L /
+    cutoff = 3`` one cell holds everything and every pair is tested —
+    minimum-image truncation included.  ``m^3 <= n``, so a dilute box
+    allocates nothing of order ``(L / cutoff)^3``; the side keeps a
+    ``1e-9`` margin over ``cutoff / reach`` that binning round-off cannot
+    eat.
+    """
+    ratio = box_length / cutoff
+    if ratio < 3.0:
+        return 1, 0
+    reach = 2 if ratio < 5.0 else 1
+    most = int(round(n ** (1.0 / 3.0)))
+    while most ** 3 > n:
+        most -= 1
+    return max(1, int(min(reach * ratio / (1.0 + 1e-9), most))), reach
+
+
+def _cell_pairs_compiled(kern, positions: np.ndarray, box_length: float,
+                         cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_list_pairs`` on wrapped ``(n, 3)`` float64 positions: the
+    buffers sized for a uniform density (half again, plus ``n``), and
+    one retry at the exact count when a clustered configuration has
+    more pairs."""
+    r = np.ascontiguousarray(positions, dtype=np.float64)
+    n = r.shape[0]
+    m, reach = _cell_grid(n, box_length, cutoff)
+    total = n * (n - 1) // 2
+    ball = 4.0 / 3.0 * math.pi * min(cutoff / box_length, 1.0) ** 3
+    cap = min(total, int(1.5 * ball * total) + n)
+    iwork = np.empty(m ** 3 + 3 * n + 2, dtype=np.int64)
+    spos = np.empty_like(r)
+    while True:
+        ki, kj, ti, tj = (np.empty(cap, dtype=np.int64) for _ in range(4))
+        found = kern(n, r, box_length, cutoff, m, reach, cap,
+                     ki, kj, ti, tj, iwork, spos)
+        if found <= cap:
+            return ki[:found], kj[:found]
+        cap = found
+
+
+def cell_list_pairs(positions: np.ndarray,  # noqa: RPR001 - validated by find_pairs
+                    box_length: float, cutoff: float
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The compiled body of :func:`repro.neighbor.pairs.find_pairs`:
+    pairs ``(i, j)``, ``i < j``, of positions wrapped into ``[0, L)^3``
+    with minimum-image distance ``< cutoff`` (``min_image_pairs``'
+    arithmetic), in lexicographic order — or ``None`` without the
+    kernels.  Time O(n + pairs) at a uniform density (below ``L / cutoff
+    = 3``, one cell: every pair is tested), memory O(n + pairs): no
+    O(n^2) buffer.
+    """
+    kern = getattr(_bundle(), "cells", None)
+    if kern is None:
+        return None
+    r = np.ascontiguousarray(positions, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise ConfigurationError(
+            f"positions must have shape (n, 3), got {r.shape}")
+    if not (box_length > 0 and cutoff > 0):
+        raise ConfigurationError("box length and cutoff must be positive")
+    return _cell_pairs_compiled(kern, r, float(box_length), float(cutoff))
 
 
 def kernel_available() -> bool:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro import Box
 from repro.neighbor import VerletList, brute_force_pairs
-from repro.neighbor.pairs import canonicalize_pairs, find_pairs
+from repro.neighbor.pairs import find_pairs
 from repro.errors import ConfigurationError
 
 
@@ -16,18 +16,23 @@ def _random_positions(n, box, seed):
     return rng.uniform(0, box.length, size=(n, 3))
 
 
+def _assert_is_brute_force(pairs, r, box, cutoff):
+    # the same arrays, order included: both are lexicographic
+    i_ref, j_ref = brute_force_pairs(box.wrap(r), box, cutoff)
+    np.testing.assert_array_equal(pairs[0], i_ref)
+    np.testing.assert_array_equal(pairs[1], j_ref)
+    return pairs
+
+
 def _assert_matches_brute_force(r, box, cutoff):
-    i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r, box, cutoff))
-    i, j = canonicalize_pairs(*find_pairs(r, box, cutoff))
-    np.testing.assert_array_equal(i, i_ref)
-    np.testing.assert_array_equal(j, j_ref)
-    return i, j
+    return _assert_is_brute_force(find_pairs(r, box, cutoff), r, box, cutoff)
 
 
 # The second axis keeps the ids of the two former backends; it now
 # selects how the configuration reaches the one engine: as generated
-# (inside the box) or rigidly shifted outside it, which the periodic
-# tree only accepts because find_pairs wraps first.
+# (inside the box) or rigidly shifted outside it, which the cell list
+# and the fallback's periodic tree only accept because find_pairs wraps
+# first.
 @pytest.mark.parametrize("shifted", [pytest.param(False, id="cells"),
                                      pytest.param(True, id="kdtree")])
 @pytest.mark.parametrize("n,L,cutoff", [
@@ -36,8 +41,8 @@ def _assert_matches_brute_force(r, box, cutoff):
     (30, 6.0, 2.9),     # fewer than 3 cutoffs per box edge
     (200, 15.0, 1.0),
     (10, 20.0, 9.9),
-    (40, 8.0, 4.0),             # cutoff == L/2: still the tree
-    (40, 8.0, 4.0 + 1e-9),      # just above: brute-force fallback
+    (40, 8.0, 4.0),             # cutoff == L/2: the tree without kernels
+    (40, 8.0, 4.0 + 1e-9),      # just above: brute force without kernels
     (40, 8.0, 6.5),             # minimum-image truncation, far above L/2
 ])
 def test_backends_match_brute_force(shifted, n, L, cutoff):
@@ -89,6 +94,56 @@ def test_cell_list_rejects_bad_cutoff():
                 search(np.zeros((2, 3)), Box(10.0), cutoff)
 
 
+@pytest.mark.parametrize("n,L,cutoff", [
+    (120, 8.0, 4.0),                        # cutoff exactly L/2
+    (120, 8.0, np.nextafter(4.0, 0.0)),     # just below
+    (300, 10.0, 3.9),                       # 2 < L/cutoff < 3: one cell
+    (400, 10.0, 10.0 / 3.0),                # L/cutoff ~ 3: half-width cells
+    (400, 10.0, 2.3),                       # 3 < L/cutoff < 5
+    (400, 10.0, 2.0),                       # L/cutoff == 5: whole cells
+])
+def test_edge_geometries_match_brute_force(n, L, cutoff, kernel_mode):
+    box = Box(L)
+    r = _random_positions(n, box, seed=n)
+    i, _ = _assert_matches_brute_force(r, box, cutoff)
+    assert i.size > 0
+    _assert_matches_brute_force(r + np.array([-2.0 * L, 5.0 * L, L]), box,
+                                cutoff)
+
+
+def test_dilute_box(kernel_mode):
+    # (L / cutoff)^3 = 13,824 cells of one cutoff, 60 particles: the grid
+    # is capped at 3^3 cells, each far wider than the cutoff
+    box = Box(60.0)
+    rng = np.random.default_rng(4)
+    centres = rng.uniform(0, box.length, size=(30, 3))
+    r = np.concatenate([centres, centres + rng.uniform(-1.4, 1.4, (30, 3))])
+    i, _ = _assert_matches_brute_force(r, box, 2.5)
+    assert i.size >= 30
+
+
+def test_particles_at_zero_and_at_the_edge(kernel_mode):
+    # a coordinate of exactly L wraps to 0; a hair below L stays in the
+    # last cell and meets the first one across the face
+    box = Box(10.0)
+    edge = np.nextafter(10.0, 0.0)
+    r = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0], [edge, 0.0, 0.5],
+                  [5.0, edge, edge], [0.5, 5.0, 5.0], [9.6, 5.0, 5.0]])
+    for cutoff in (1.2, 3.0, 4.5):
+        i, j = _assert_matches_brute_force(r, box, cutoff)
+        assert {(0, 1), (0, 2), (4, 5)} <= set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_few_particles(n, kernel_mode):
+    box = Box(10.0)
+    r = np.array([[1.0, 1.0, 1.0], [9.5, 1.0, 1.0]])[:n]
+    for cutoff in (2.0, 1.0, 7.0):
+        i, j = _assert_matches_brute_force(r, box, cutoff)
+        assert i.size == (n == 2 and cutoff > 1.5)
+        assert i.dtype.kind == "i" and j.dtype.kind == "i"
+
+
 def test_kdtree_strict_inequality_convention():
     box = Box(10.0)
     r = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -137,10 +192,7 @@ class TestVerletList:
         box = Box(10.0)
         r = _random_positions(80, box, 1)
         vl = VerletList(box, 2.5, skin=0.5)
-        i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r, box, 2.5))
-        i, j = canonicalize_pairs(*vl.pairs(r))
-        np.testing.assert_array_equal(i, i_ref)
-        np.testing.assert_array_equal(j, j_ref)
+        _assert_is_brute_force(vl.pairs(r), r, box, 2.5)
 
     def test_no_rebuild_for_small_moves(self):
         box = Box(10.0)
@@ -149,11 +201,9 @@ class TestVerletList:
         vl.pairs(r)
         assert vl.n_rebuilds == 1
         r2 = r + 0.05  # well within skin/2
-        i, j = canonicalize_pairs(*vl.pairs(r2))
+        pairs = vl.pairs(r2)
         assert vl.n_rebuilds == 1
-        i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r2, box, 2.0))
-        np.testing.assert_array_equal(i, i_ref)
-        np.testing.assert_array_equal(j, j_ref)
+        _assert_is_brute_force(pairs, r2, box, 2.0)
 
     def test_rebuild_triggered_by_large_move(self):
         box = Box(10.0)
@@ -162,11 +212,9 @@ class TestVerletList:
         vl.pairs(r)
         r2 = r.copy()
         r2[0] += 1.0  # exceeds skin/2
-        i, j = canonicalize_pairs(*vl.pairs(r2))
+        pairs = vl.pairs(r2)
         assert vl.n_rebuilds == 2
-        i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r2, box, 2.0))
-        np.testing.assert_array_equal(i, i_ref)
-        np.testing.assert_array_equal(j, j_ref)
+        _assert_is_brute_force(pairs, r2, box, 2.0)
 
     def test_correct_even_without_rebuild_sequence(self):
         # drift a configuration gradually; result must always equal brute
@@ -176,11 +224,7 @@ class TestVerletList:
         rng = np.random.default_rng(0)
         for _ in range(10):
             r = box.wrap(r + 0.05 * rng.standard_normal(r.shape))
-            i, j = canonicalize_pairs(*vl.pairs(r))
-            i_ref, j_ref = canonicalize_pairs(
-                *brute_force_pairs(r, box, 2.2))
-            np.testing.assert_array_equal(i, i_ref)
-            np.testing.assert_array_equal(j, j_ref)
+            _assert_is_brute_force(vl.pairs(r), r, box, 2.2)
 
     def test_invalidate_forces_rebuild(self):
         box = Box(10.0)
@@ -201,8 +245,6 @@ class TestVerletList:
         assert i.size > 0
         i[:] = -1
         j[:] = -1
-        i2, j2 = canonicalize_pairs(*vl.pairs(r))
+        pairs = vl.pairs(r)
         assert vl.n_rebuilds == 1
-        i_ref, j_ref = canonicalize_pairs(*brute_force_pairs(r, box, 2.5))
-        np.testing.assert_array_equal(i2, i_ref)
-        np.testing.assert_array_equal(j2, j_ref)
+        _assert_is_brute_force(pairs, r, box, 2.5)

@@ -99,6 +99,26 @@ def test_split_is_divergence_free():
         assert np.abs(div).max() < 1e-8
 
 
+@pytest.mark.parametrize("kernel", ["rpy", "oseen"])
+def test_chunked_coefficients_are_the_whole_array_bytes(kernel, monkeypatch):
+    # three chunks and a ragged tail, overlapping pairs and contact
+    # included: every operation is elementwise, so the chunk boundaries
+    # (and any other split) leave the bytes alone
+    chunk = pse.COEFFICIENT_CHUNK
+    rng = np.random.default_rng(12)
+    dist = rng.uniform(0.05, 10.0, 3 * chunk + 17)
+    dist[chunk - 2:chunk + 2] = [2.0, 1.0, 4.0, 2.0]
+    f, g = pse.real_space_coefficients(dist, 0.45, kernel=kernel)
+    pieces = [pse.real_space_coefficients(dist[lo:lo + 1000], 0.45,
+                                          kernel=kernel)
+              for lo in range(0, dist.size, 1000)]
+    monkeypatch.setattr(pse, "COEFFICIENT_CHUNK", dist.size)
+    whole = pse.real_space_coefficients(dist, 0.45, kernel=kernel)
+    for got, want, part in zip((f, g), whole, zip(*pieces)):
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.concatenate(part).tobytes()
+
+
 @pytest.mark.parametrize("n", [100, 200, 1000, 2000, 4000])
 def test_wave_scalar_non_negative_on_every_tuned_mesh(n):
     # what makes the wave half sampleable: sqrt of the influence exists

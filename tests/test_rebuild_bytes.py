@@ -11,10 +11,9 @@ which route built the operator.
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from repro import Box
-from repro.neighbor.pairs import find_pairs
+from repro.neighbor.pairs import brute_force_pairs, find_pairs
 from repro.pme.realspace import RealSpaceOperator
 from repro.rpy import pse
 from repro.sparse.kernels import _assemble_lexsort
@@ -125,21 +124,19 @@ def test_one_particle_and_no_pair_in_range(kernel_mode):
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["wrapped", "outside"])
-def test_find_pairs_keeps_the_tree_order(shifted, kernel_mode):
+def test_find_pairs_is_brute_force_in_order(shifted, kernel_mode):
     # np.add.at sums the forces in pair order, so the order is part of
-    # the trajectory: it is the periodic tree's, filtered in place
+    # the trajectory: it is brute force's (lexicographic) in both kernel
+    # modes, and so is the pair set, decided on the wrapped positions
     s = make_suspension(300, 0.2, seed=6)
-    box, cutoff = s.box, 5.0
+    box = s.box
     r = _far_outside(s.positions, box, 7) if shifted else s.positions
-    wrapped = box.wrap(r)
-    pairs = cKDTree(wrapped, boxsize=box.length).query_pairs(
-        cutoff * (1 + 1e-12), output_type="ndarray")
-    keep = _separations(wrapped, pairs[:, 0], pairs[:, 1],
-                        box.length)[1] < cutoff
-    i, j = find_pairs(r, box, cutoff)
-    assert 0 < i.size == keep.sum() <= keep.size
-    np.testing.assert_array_equal(i, pairs[keep, 0])
-    np.testing.assert_array_equal(j, pairs[keep, 1])
+    for cutoff in (5.0, 2.6, box.length / 2):
+        i, j = find_pairs(r, box, cutoff)
+        i_ref, j_ref = brute_force_pairs(box.wrap(r), box, cutoff)
+        assert i.size > 0
+        assert i.tobytes() == i_ref.tobytes()
+        assert j.tobytes() == j_ref.tobytes()
 
 
 def test_separations_are_numpy_bytes(kernel_mode):

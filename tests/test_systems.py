@@ -114,6 +114,19 @@ class TestMakeSuspension:
         assert make_suspension(300, 0.2, seed=3).positions.tobytes() \
             == expected
 
+    @pytest.mark.parametrize("n,phi", [(500, 0.2), (200, 0.4)])
+    def test_generator_bytes_across_kernel_modes(self, n, phi,
+                                                 set_kernel_mode):
+        # the compiled cell list and the kd-tree fallback return the same
+        # arrays, so random sequential addition (Phi 0.2) and the overlap
+        # projection of the lattice generator (Phi 0.4), which sums its
+        # pushes in pair order, give the same bytes
+        digests = []
+        for no_ckernel in (False, True):
+            set_kernel_mode(no_ckernel)
+            digests.append(make_suspension(n, phi, seed=11).positions.tobytes())
+        assert digests[0] == digests[1]
+
 
 class TestPolymer:
     def test_chain_connectivity(self):
