@@ -1,4 +1,4 @@
-"""Ablation — hydrodynamic kernel: RPY (the paper) vs Oseen/Stokeslet.
+"""Ablation D — hydrodynamic kernel: RPY (the paper) vs Oseen/Stokeslet.
 
 The related-work Stokesian PME codes ([15]-[17]) sum the Stokeslet
 (Oseen) tensor; the paper's contribution is PME for the *RPY* tensor,
@@ -6,33 +6,45 @@ The related-work Stokesian PME codes ([15]-[17]) sum the Stokeslet
 ablation quantifies why the distinction matters for Brownian dynamics:
 
 * both kernels cost the same through the PME machinery (the influence
-  scalar changes, nothing else),
+  scalar changes, nothing else): both cost rows time the one reference
+  reciprocal pass, ``reference.pme_variants.reciprocal_pass``, with
+  each kernel's wave scalar,
 * they agree in the far field but diverge at close range,
 * the Oseen mobility loses positive definiteness for near-contact
   pairs — at which point Brownian displacements (a matrix square root)
-  are no longer defined, while RPY stays SPD for every configuration.
+  are no longer defined, while RPY stays SPD for every configuration
+  (RPY rows: :class:`repro.rpy.ewald.EwaldSummation`; Oseen rows: the
+  dense sum of ``benchmarks/reference/oseen.py``).
 
 Run ``python benchmarks/bench_ablation_kernel.py`` for the table.
 """
 
 import numpy as np
+from reference import oseen
+from reference.pme_variants import reciprocal_pass
 
-from repro import Box, PMEOperator, PMEParams
+from repro import Box, PMEParams
 from repro.bench import measure_seconds, print_table, record_benchmark
+from repro.rpy import pse
 from repro.rpy.ewald import EwaldSummation
 from repro.systems import make_suspension
 
+#: Each kernel's positively split wave scalar.
+WAVE_SCALARS = {"rpy": pse.reciprocal_scalar,
+                "oseen": oseen.reciprocal_scalar}
+
 
 def timing_rows(n=400):
-    """PME application cost per kernel (should be ~identical)."""
+    """Reciprocal-pass cost per kernel (should be ~identical)."""
     susp = make_suspension(n, 0.2, seed=0)
-    rows = []
+    params = PMEParams(xi=1.0, r_max=4.0, K=48, p=6)
     f = np.random.default_rng(0).standard_normal(3 * n)
-    for kernel in ("rpy", "oseen"):
-        op = PMEOperator(susp.positions, susp.box,
-                         PMEParams(xi=1.0, r_max=4.0, K=48, p=6,
-                                   kernel=kernel))
-        t = measure_seconds(lambda: op.apply(f), repeats=3, warmup=1).best
+    rows = []
+    for kernel, wave in WAVE_SCALARS.items():
+        t = measure_seconds(
+            lambda: reciprocal_pass(susp.positions, susp.box, params, f,
+                                    wave=wave),
+            repeats=3, warmup=1).best
         rows.append([kernel, t])
     return rows
 
@@ -43,19 +55,18 @@ def definiteness_rows():
     rows = []
     for gap in (3.0, 2.0, 1.5, 1.0, 0.5):
         r = np.array([[5.0, 5.0, 5.0], [5.0 + gap, 5.0, 5.0]])
-        row = [gap]
-        for kernel in ("rpy", "oseen"):
-            m = EwaldSummation(box, tol=1e-8, kernel=kernel).matrix(r)
-            row.append(float(np.linalg.eigvalsh(m).min()))
-        rows.append(row)
+        m_rpy = EwaldSummation(box=box, tol=1e-8).matrix(r)
+        m_oseen = oseen.dense_matrix(r, box, tol=1e-8)
+        rows.append([gap] + [float(np.linalg.eigvalsh(m).min())
+                             for m in (m_rpy, m_oseen)])
     return rows
 
 
 def main():
     t_rows = timing_rows()
     d_rows = definiteness_rows()
-    print_table("Ablation: PME application cost per kernel (n=400, K=48, "
-                "p=6)",
+    print_table("Ablation: PME reciprocal-pass cost per kernel (n=400, "
+                "K=48, p=6)",
                 ["kernel", "t apply (s)"], t_rows)
     print_table("Ablation: minimum mobility eigenvalue vs pair separation",
                 ["separation (a)", "min eig RPY", "min eig Oseen"],
@@ -68,21 +79,20 @@ def main():
           "for the RPY tensor.")
 
 
-def test_rpy_kernel_apply(benchmark):
+def _pass_benchmark(benchmark, kernel):
     susp = make_suspension(400, 0.2, seed=0)
-    op = PMEOperator(susp.positions, susp.box,
-                     PMEParams(xi=1.0, r_max=4.0, K=48, p=6))
+    params = PMEParams(xi=1.0, r_max=4.0, K=48, p=6)
     f = np.random.default_rng(0).standard_normal(3 * 400)
-    benchmark(op.apply, f)
+    benchmark(reciprocal_pass, susp.positions, susp.box, params, f,
+              wave=WAVE_SCALARS[kernel])
+
+
+def test_rpy_kernel_apply(benchmark):
+    _pass_benchmark(benchmark, "rpy")
 
 
 def test_oseen_kernel_apply(benchmark):
-    susp = make_suspension(400, 0.2, seed=0)
-    op = PMEOperator(susp.positions, susp.box,
-                     PMEParams(xi=1.0, r_max=4.0, K=48, p=6,
-                               kernel="oseen"))
-    f = np.random.default_rng(0).standard_normal(3 * 400)
-    benchmark(op.apply, f)
+    _pass_benchmark(benchmark, "oseen")
 
 
 def test_kernel_ablation_shapes(benchmark):

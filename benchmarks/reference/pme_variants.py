@@ -21,7 +21,9 @@ spread on the fly -> r2c FFT -> projector times the influence scalar
 -> c2r FFT -> interpolate on the fly, for either interpolation kind.
 Its B-spline form is an independent implementation of
 :meth:`repro.PMEOperator.apply_reciprocal` (same mathematics, separate
-weights, FFT and influence code) and agrees with it to rounding.
+weights, FFT and influence code) and agrees with it to rounding.  Its
+``wave`` argument swaps the RPY wave scalar for another tensor's
+(:func:`reference.oseen.reciprocal_scalar`).
 """
 
 from __future__ import annotations
@@ -166,12 +168,13 @@ def interpolate_on_the_fly(positions, box: Box, K: int, p: int,
 
 
 def influence_scalar(mesh: Mesh, xi: float, p: int, radius: float = 1.0,
-                     kind: str = "bspline", kernel: str = "rpy"
+                     kind: str = "bspline", wave=reciprocal_scalar
                      ) -> np.ndarray:
     """The half-spectrum influence scalar of one interpolation kind.
 
-    The positively split wave scalar
-    (:func:`repro.rpy.pse.reciprocal_scalar`) times ``K^3 / V``, times
+    The wave scalar ``wave(k2, xi, radius)`` (default the positively
+    split RPY one, :func:`repro.rpy.pse.reciprocal_scalar`) times ``K^3
+    / V``, times
     the smooth-PME ``|b1 b2 b3|^2`` deconvolution for B-splines and
     nothing for Lagrange.  The Nyquist planes of an even mesh carry no
     weight in either kind (their stored wavevector is not minus that of
@@ -179,7 +182,7 @@ def influence_scalar(mesh: Mesh, xi: float, p: int, radius: float = 1.0,
     """
     _check_kind(kind)
     K = mesh.K
-    scalar = reciprocal_scalar(mesh.k2_grid(), xi, radius, kernel=kernel)
+    scalar = wave(mesh.k2_grid(), xi, radius)
     if kind == "bspline":
         bsq = euler_spline_modulus(K, p)
         scalar = scalar * (bsq[:, None, None] * bsq[None, :, None]
@@ -193,15 +196,15 @@ def influence_scalar(mesh: Mesh, xi: float, p: int, radius: float = 1.0,
 
 
 def reciprocal_pass(positions, box: Box, params: PMEParams, forces,
-                    kind: str = "bspline", radius: float = 1.0
-                    ) -> np.ndarray:
+                    kind: str = "bspline", radius: float = 1.0,
+                    wave=reciprocal_scalar) -> np.ndarray:
     """Reciprocal-space velocities in ``mu0`` units, all on the fly.
 
     spread (:func:`spread_on_the_fly`) -> r2c FFT -> ``scalar(k) (I -
     khat khat^T)`` -> c2r FFT -> interpolate
     (:func:`interpolate_on_the_fly`), with the scalar of
-    :func:`influence_scalar` for ``kind``.  ``forces`` is ``(3n,)`` or
-    ``(3n, s)`` and the result has its shape, like
+    :func:`influence_scalar` for ``kind`` and ``wave``.  ``forces`` is
+    ``(3n,)`` or ``(3n, s)`` and the result has its shape, like
     :meth:`repro.PMEOperator.apply_reciprocal`.
     """
     _check_kind(kind)
@@ -224,7 +227,7 @@ def reciprocal_pass(positions, box: Box, params: PMEParams, forces,
     dot = np.einsum("xyzu,xyzus->xyzs", khat, spec)
     spec -= khat[..., None] * dot[..., None, :]
     spec *= influence_scalar(mesh, params.xi, p, radius, kind,
-                             params.kernel)[..., None, None]
+                             wave)[..., None, None]
 
     vel = np.fft.irfftn(spec, s=(K, K, K), axes=(0, 1, 2))
     u = interpolate_on_the_fly(r, box, K, p, vel.reshape(K ** 3, 3 * s),

@@ -62,8 +62,8 @@ def test_on_the_fly_chunking(setup):
 @pytest.mark.parametrize("params, columns", [
     (PMEParams(xi=1.0, r_max=4.0, K=48, p=6), None),
     (PMEParams(xi=1.0, r_max=4.0, K=48, p=6), 5),
-    (PMEParams(xi=1.1, r_max=3.5, K=21, p=4, kernel="oseen"), 3),
-], ids=["flat", "block", "odd-mesh-oseen"])
+    (PMEParams(xi=1.1, r_max=3.5, K=21, p=4), 3),
+], ids=["flat", "block", "odd-mesh"])
 def test_bspline_reference_pass_matches_apply_reciprocal(system, params,
                                                          columns):
     box, r, _ = system

@@ -25,18 +25,14 @@ import numpy as np
 from ..krylov.block_lanczos import LanczosInfo, block_lanczos_sqrt
 from ..krylov.reference import cholesky_displacements
 from ..lint.contracts import array_arg, spd_arg
-from ..utils.params import keyword_only
 
 __all__ = ["CholeskyBrownianGenerator", "KrylovBrownianGenerator"]
 
 
-@keyword_only
 class CholeskyBrownianGenerator:
     """Dense-matrix Brownian displacements (Algorithm 1, lines 5-7).
 
-    Construct with keyword arguments (positional construction raises
-    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
-    copy).
+    Keyword-only.
 
     Parameters
     ----------
@@ -44,7 +40,7 @@ class CholeskyBrownianGenerator:
         Thermal energy and time step; the scale is ``sqrt(2 kT dt)``.
     """
 
-    def __init__(self, kT: float, dt: float):
+    def __init__(self, *, kT: float, dt: float):
         self.scale = math.sqrt(2.0 * kT * dt)
 
     @spd_arg("mobility")
@@ -54,9 +50,10 @@ class CholeskyBrownianGenerator:
         return cholesky_displacements(mobility, z, scale=self.scale)
 
 
-@keyword_only
 class KrylovBrownianGenerator:
     """Matrix-free Brownian displacements (Algorithm 2, line 6).
+
+    Keyword-only.
 
     Parameters
     ----------
@@ -67,13 +64,9 @@ class KrylovBrownianGenerator:
         iteration (paper Table II varies 1e-6 .. 1e-2).
     max_iter:
         Iteration cap forwarded to the solver.
-
-    Construct with keyword arguments (positional construction raises
-    :class:`TypeError`; ``replace(**changes)`` returns a reconfigured
-    copy).
     """
 
-    def __init__(self, kT: float, dt: float, tol: float = 1e-2,
+    def __init__(self, *, kT: float, dt: float, tol: float = 1e-2,
                  max_iter: int = 200):
         self.scale = math.sqrt(2.0 * kT * dt)
         self.tol = float(tol)

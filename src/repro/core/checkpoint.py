@@ -285,15 +285,13 @@ def resume(path: str | os.PathLike, integrator, n_steps: int,
 
 
 def checkpoint_callback(path: str | os.PathLike, integrator,
-                        interval: int, keep_previous: bool = True,
-                        _save=save_checkpoint):
+                        interval: int, _save=save_checkpoint):
     """A run callback writing a checkpoint every ``interval`` steps.
 
-    With ``keep_previous=True`` (default) the existing checkpoint is
-    rotated to ``<path>.prev`` before each write, so even if the latest
-    file is later found corrupt (bit rot, torn copy by an external
-    tool) the run can restart from the previous good one via
-    :func:`load_checkpoint_with_fallback`.
+    The existing checkpoint is rotated to ``<path>.prev`` before each
+    write, so even if the latest file is later found corrupt (bit rot,
+    torn copy by an external tool) the run can restart from the
+    previous good one via :func:`load_checkpoint_with_fallback`.
 
     ``_save`` is an internal injection point used by the
     fault-injection harness
@@ -323,7 +321,7 @@ def checkpoint_callback(path: str | os.PathLike, integrator,
 
     def callback(step, wrapped, unwrapped):
         if step % interval == 0:
-            if keep_previous and os.path.exists(path):
+            if os.path.exists(path):
                 os.replace(path, previous_checkpoint_path(path))
                 # make the rotation durable too: otherwise a power loss
                 # after the (durable) new write could resurface a state

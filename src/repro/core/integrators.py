@@ -431,14 +431,12 @@ class MatrixFreeBD(BrownianDynamicsBase):
                  lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
                  pme_params: PMEParams | None = None, target_ep: float = 1e-3,
-                 e_k: float = 1e-2,
-                 max_krylov_iter: int = 200, context=None):
+                 e_k: float = 1e-2, context=None):
         super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
                          context=context)
         self.pme_params = pme_params
         self.target_ep = float(target_ep)
-        self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k,
-                                                  max_iter=max_krylov_iter)
+        self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k)
         self._operator: PMEOperator | None = None
         #: Position-independent PME state reused across mobility rebuilds.
         self._mobility_cache = MobilityCache()

@@ -73,7 +73,7 @@ def _block_tridiag_sqrt_first(blocks_a: list[np.ndarray],
 
 @array_arg("z", ndim=(2,))
 def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
-                       max_iter: int = 200, reorthogonalize: bool = True
+                       max_iter: int = 200
                        ) -> tuple[np.ndarray, LanczosInfo]:
     """Approximate ``M^(1/2) Z`` for a block ``Z`` of shape ``(d, s)``.
 
@@ -93,8 +93,8 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
     max_iter:
         Maximum block steps (capped at ``d // s``); exceeding it raises
         :class:`~repro.errors.ConvergenceError`.
-    reorthogonalize:
-        Re-orthogonalize each new block against the full basis.
+
+    Each new block is re-orthogonalized against the full basis.
 
     Rank deficiency of a new block (an invariant subspace) terminates
     the expansion; the current iterate is then exact on the subspace
@@ -141,9 +141,8 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
             w = w - v @ a
             if m > 1:
                 w = w - basis[-2] @ blocks_b[-1].T
-            if reorthogonalize:
-                for vb in basis:
-                    w -= vb @ (vb.T @ w)
+            for vb in basis:           # full reorthogonalization
+                w -= vb @ (vb.T @ w)
 
             # iterate + convergence check (cheap next to the block matvec)
             coeffs = _block_tridiag_sqrt_first(blocks_a, blocks_b, s)

@@ -35,16 +35,19 @@ from .block_lanczos import LanczosInfo
 
 __all__ = ["eigenvalue_bounds", "chebyshev_coefficients", "chebyshev_sqrt"]
 
+#: Multiplicative widening of both ends of :func:`eigenvalue_bounds`.
+BOUND_SAFETY = 1.05
+
 
 def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                      n_iter: int = 25, safety: float = 1.05,
+                      n_iter: int = 25,
                       seed: int | np.random.Generator = 0
                       ) -> tuple[float, float]:
     """Estimated spectral interval ``[l_min, l_max]`` of an SPD operator.
 
     Runs ``n_iter`` Lanczos steps from a random vector and returns the
-    extremal Ritz values widened by ``safety`` (Ritz values always lie
-    inside the true spectrum).
+    extremal Ritz values widened by :data:`BOUND_SAFETY` (Ritz values
+    always lie inside the true spectrum).
 
     Parameters
     ----------
@@ -54,8 +57,6 @@ def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
         Operator dimension.
     n_iter:
         Lanczos steps (25 is ample for the RPY spectra of interest).
-    safety:
-        Multiplicative widening of both ends.
     seed:
         RNG seed or generator for the starting vector.
     """
@@ -88,8 +89,8 @@ def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
     import scipy.linalg
     ritz = scipy.linalg.eigvalsh_tridiagonal(
         np.array(alpha), np.array(beta[: len(alpha) - 1]))
-    l_min = float(ritz[0]) / safety
-    l_max = float(ritz[-1]) * safety
+    l_min = float(ritz[0]) / BOUND_SAFETY
+    l_max = float(ritz[-1]) * BOUND_SAFETY
     if l_min <= 0:
         raise ConvergenceError(
             f"operator does not look positive definite (Ritz min {ritz[0]})")

@@ -223,23 +223,14 @@ def spd_arg(name: str = "mobility") -> Callable:
     return contract(name, validate)
 
 
-def returns_spd(what: str = "returned mobility matrix",
-                unless: Callable | None = None) -> Callable:
-    """Under ``REPRO_CHECKS=strict``, verify the return value is SPD.
-
-    ``unless`` is an optional predicate receiving the bound instance;
-    when it returns ``True`` the check is skipped.  Used for kernel
-    variants whose mobility is *legitimately* not positive definite —
-    the Oseen tensor loses definiteness at close range, which is the
-    very deficiency RPY exists to fix.
-    """
+def returns_spd(what: str = "returned mobility matrix") -> Callable:
+    """Under ``REPRO_CHECKS=strict``, verify the return value is SPD."""
 
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             result = fn(*args, **kwargs)
-            if check_level() >= STRICT and not (
-                    unless is not None and args and unless(args[0])):
+            if check_level() >= STRICT:
                 _check_spd(result, what)
             return result
 

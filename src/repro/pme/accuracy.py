@@ -50,9 +50,9 @@ def reference_operator(positions, box: Box, params: PMEParams,
         estimate = estimate_errors(params, box, n, fluid)["total"]
     else:
         estimate = float(real_space_error(params.xi, params.r_max, n, box,
-                                          fluid.radius, params.kernel))
+                                          fluid.radius))
     fine = tune_parameters(n, box, target_ep=max(estimate / 100, 1e-12),
-                           p=8, fluid=fluid, kernel=params.kernel)
+                           p=8, fluid=fluid)
     op = PMEOperator(r, box, fine, fluid=fluid)
     return op.apply
 

@@ -89,13 +89,13 @@ class MobilityCache:
         return self._lookup(self._meshes, (float(box.length), int(K)),
                             lambda: Mesh(box, K))
 
-    def influence(self, mesh: Mesh, xi: float, p: int, radius: float,
-                  kernel: str) -> InfluenceFunction:
+    def influence(self, mesh: Mesh, xi: float, p: int, radius: float
+                  ) -> InfluenceFunction:
         """The influence function for the given physical parameters."""
         key = (float(mesh.box.length), mesh.K, float(xi), int(p),
-               float(radius), kernel)
+               float(radius))
         return self._lookup(self._influences, key, lambda: InfluenceFunction(
-            mesh, xi, p, radius, kernel=kernel))
+            mesh, xi, p, radius))
 
     def workspace(self, K: int, lanes: int, n: int
                   ) -> dict[str, np.ndarray]:

@@ -36,6 +36,12 @@ from .mesh import Mesh
 
 __all__ = ["InfluenceFunction"]
 
+#: Slab size of :meth:`InfluenceFunction.apply_batch`: ``max(1,
+#: SLAB_POINTS // K)`` rows of the leading mesh axis per pass keep the
+#: working set (three slabs of ``khat``, the scalar and the spectra
+#: slices) in cache.  The result does not depend on it.
+SLAB_POINTS = 324
+
 
 class InfluenceFunction:
     """Precomputed scalar influence function on the half-spectrum mesh.
@@ -50,8 +56,6 @@ class InfluenceFunction:
         B-spline order (enters through the ``|b|^2`` correction).
     radius:
         Particle radius ``a``.
-    kernel:
-        ``"rpy"`` or ``"oseen"`` (:func:`repro.rpy.pse.reciprocal_scalar`).
 
     Notes
     -----
@@ -60,21 +64,19 @@ class InfluenceFunction:
     simulation (paper Section IV.B.4).
     """
 
-    def __init__(self, mesh: Mesh, xi: float, p: int, radius: float = 1.0,
-                 kernel: str = "rpy"):
+    def __init__(self, mesh: Mesh, xi: float, p: int, radius: float = 1.0):
         if xi <= 0:
             raise ConfigurationError(f"xi must be positive, got {xi}")
         self.mesh = mesh
         self.xi = float(xi)
         self.p = int(p)
         self.radius = float(radius)
-        self.kernel = kernel
 
         K = mesh.K
         k2 = mesh.k2_grid()
         bsq = euler_spline_modulus(K, p)
         bz = bsq[: K // 2 + 1]
-        scalar = (reciprocal_scalar(k2, self.xi, self.radius, kernel=kernel)
+        scalar = (reciprocal_scalar(k2, self.xi, self.radius)
                   * (bsq[:, None, None] * bsq[None, :, None]
                      * bz[None, None, :]))
         # fold in the 1/V Ewald prefactor and the K^3 that cancels the
@@ -130,7 +132,7 @@ class InfluenceFunction:
         self.apply_batch(out[:, None])
         return out
 
-    def apply_batch(self, spec: np.ndarray, slab: int | None = None,
+    def apply_batch(self, spec: np.ndarray,
                     noise: np.ndarray | None = None) -> np.ndarray:
         """In-place batched influence over ``s`` spectra at once.
 
@@ -142,11 +144,6 @@ class InfluenceFunction:
             place** (and returned): the batched pipeline owns its
             workspace, so the copy :meth:`apply` makes for safety would
             be pure overhead here.
-        slab:
-            Rows of the leading mesh axis processed per pass; the
-            default keeps the working set (3 slabs of ``khat`` plus the
-            scalar and the spectra slices) inside cache.  The result is
-            independent of the slab size.
         noise:
             Optional spectra shaped like ``spec`` (scaled draws of
             :meth:`white_noise`): the result is then ``(I - khat
@@ -170,8 +167,7 @@ class InfluenceFunction:
                 f"{self.mesh.rshape}, got {spec.shape}")
         s = spec.shape[1]
         hx, hy, hz = self._khat
-        if slab is None:
-            slab = max(1, 324 // K)
+        slab = max(1, SLAB_POINTS // K)
         for lo in range(0, K, slab):
             hi = min(lo + slab, K)
             hxs, hys, hzs = hx[lo:hi], hy[lo:hi], hz[lo:hi]

@@ -36,7 +36,6 @@ from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import force_block_arg, positions_arg
 from ..units import FluidParams, REDUCED
-from ..utils.params import keyword_only
 from ..utils.timing import PhaseTimer
 from ..utils.validation import as_force_block, as_positions
 from .cache import MobilityCache
@@ -104,10 +103,11 @@ def _irfftn_lanes(spec: np.ndarray, mesh: np.ndarray, context) -> None:
     context.run_ranges(transform, spec.shape[0], "ifft")
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PMEParams:
     """The PME parameter set of the paper's Table III.
+
+    Keyword-only.
 
     Parameters
     ----------
@@ -125,9 +125,6 @@ class PMEParams:
     r_max: float
     K: int
     p: int = 6
-    #: Hydrodynamic kernel: ``"rpy"`` (the paper) or ``"oseen"`` (the
-    #: Stokeslet kernel of the related-work Stokesian PME codes).
-    kernel: str = "rpy"
 
     def __post_init__(self) -> None:
         if self.xi <= 0:
@@ -141,8 +138,6 @@ class PMEParams:
         if self.K < self.p:
             raise ConfigurationError(
                 f"K={self.K} must be at least the spline order p={self.p}")
-        if self.kernel not in ("rpy", "oseen"):
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}")
 
 
 class PMEOperator:
@@ -210,12 +205,11 @@ class PMEOperator:
             self.interp = InterpolationMatrix(self.positions, box,
                                               params.K, params.p)
         self.influence = self.cache.influence(
-            self.mesh, params.xi, params.p, fluid.radius,
-            kernel=params.kernel)
+            self.mesh, params.xi, params.p, fluid.radius)
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                kernel=params.kernel, context=self.context)
+                context=self.context)
 
     # ------------------------------------------------------------------
     # application

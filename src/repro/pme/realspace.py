@@ -69,8 +69,6 @@ class RealSpaceOperator:
         Real-space cutoff distance.
     fluid:
         Fluid parameters (radius enters the tensors).
-    kernel:
-        ``"rpy"`` (default) or ``"oseen"``.
     context:
         The :class:`~repro.exec.ExecutionContext` a product runs on when
         :meth:`apply_block` is given none (``None``: serial).
@@ -78,8 +76,7 @@ class RealSpaceOperator:
 
     @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
-                 fluid: FluidParams = REDUCED, kernel: str = "rpy",
-                 context=None):
+                 fluid: FluidParams = REDUCED, context=None):
         r = as_positions(positions)
         n = r.shape[0]
         if r_max <= 0:
@@ -94,19 +91,18 @@ class RealSpaceOperator:
         self.xi = float(xi)
         self.r_max = float(r_max)
         self.n = n
-        self.kernel = kernel
         self.context = context
 
         with obs.span("pme.find_pairs", n=n):
             i, j = find_pairs(r, box, r_max)
         radius = fluid.radius
-        diag_scalar = pse.self_mobility_scalar(xi, radius, kernel=kernel)
+        diag_scalar = pse.self_mobility_scalar(xi, radius)
         # without a compiler: NumPy tensors through from_pairs, the byte
         # reference of the fused fill
         fused = kernel_available()
         with obs.span("pme.real_tensors", pairs=int(i.size)):
             rij, dist = box.distances(r, i, j)
-            f, g = pse.real_space_coefficients(dist, xi, radius, kernel)
+            f, g = pse.real_space_coefficients(dist, xi, radius)
             if not fused:
                 blocks = pair_dyads(rij, f, g)
 

@@ -74,6 +74,13 @@ VALIDATED_ORDERS = (4, 6, 8)
 #: moves the mesh by about one FFT-friendly size, at any ``n``.
 _CUTOFF_START, _CUTOFF_RATIO = 2.5, 1.05
 
+#: Error-budget divisor applied to ``target_ep`` for each of the two
+#: components (real-space truncation, reciprocal sum).  They add in
+#: quadrature, so 2.5 aims the total at ``0.57 target_ep``; with the
+#: estimates' 0.6-1.5x accuracy the measured ``e_p`` lands in ``[0.3,
+#: 0.8] target_ep``.
+ERROR_SAFETY = 2.5
+
 def _friendly_sizes(limit: int) -> np.ndarray:
     """All even 5-smooth integers (2^a 3^b 5^c, a >= 1) up to ``limit``."""
     sizes = []
@@ -137,8 +144,7 @@ def mobility_row_norm(n: int, box: Box, radius: float = 1.0) -> float:
 _TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.laguerre.laggauss(8)
 
 
-def real_space_error(xi, r_max, n: int, box: Box, radius: float = 1.0,
-                     kernel: str = "rpy"):
+def real_space_error(xi, r_max, n: int, box: Box, radius: float = 1.0):
     """Relative error of truncating the real-space sum at ``r_max``.
 
     The dropped pairs (all images beyond the cutoff) add incoherently
@@ -160,7 +166,7 @@ def real_space_error(xi, r_max, n: int, box: Box, radius: float = 1.0,
     r0 = np.asarray(r_max, dtype=np.float64)[..., None]
     rate = 4.0 * xi * xi * r0                 # -d/dr of the exponent at r0
     r = r0 + _TAIL_NODES / rate
-    f, g = pse.real_space_coefficients(r, xi, radius, kernel=kernel)
+    f, g = pse.real_space_coefficients(r, xi, radius)
     phi =n * 4.0 / 3.0 * math.pi * radius ** 3 / box.volume
     contact = (1.0 - phi / 2.0) / (1.0 - phi) ** 3
     pair = 1.0 + (contact - 1.0) * np.exp(-(r - 2.0 * radius) / (2.0 * radius))
@@ -218,8 +224,7 @@ def _alias_shares(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, shares, np.gradient(y)
 
 
-def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
-                     kernel: str = "rpy"):
+def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0):
     """Relative errors ``(aliasing, truncation)`` of the mesh sum.
 
     ``e^2 = (rho F + c^2) / row_norm^2``: ``F`` the incoherent error of
@@ -227,8 +232,8 @@ def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
     k^2 dk``, and ``c = (6 a / pi) int sinc^2(ka) H err(k h) dk`` the
     coherent error of each particle's own coefficient (it dominates from
     ``xi a ~ 0.5`` up), with the PSE splitting function ``H = (1 + q^2)
-    exp(-q^2)``, ``q = k / 2 xi`` (:mod:`repro.rpy.pse`; the Oseen
-    kernel drops ``sinc^2``) and the spline's error shares of
+    exp(-q^2)``, ``q = k / 2 xi`` (:mod:`repro.rpy.pse`) and the
+    spline's error shares of
     :func:`_alias_shares`.  ``xi`` and ``K`` broadcast.
     """
     y, shares, dy = _alias_shares(p)
@@ -237,9 +242,8 @@ def reciprocal_error(xi, K, p: int, n: int, box: Box, radius: float = 1.0,
     xi, h = np.broadcast_arrays(xi, h)
     q = y / (2.0 * (xi * h)[..., None])
     wave = (1.0 + q * q) * np.exp(-q * q)         # H, then sinc^2(ka) H
-    if kernel == "rpy":
-        ka = y * (radius / h)[..., None]
-        wave = wave * (np.sin(ka) / ka) ** 2
+    ka = y * (radius / h)[..., None]
+    wave = wave * (np.sin(ka) / ka) ** 2
     shares = shares.reshape((2, 2) + (1,) * xi.ndim + y.shape)
     pairs = 36.0 * radius ** 2 * h * np.sum(
         wave * wave / (y * y) * shares[:, 0] * dy, axis=-1)
@@ -261,10 +265,9 @@ def estimate_errors(params: PMEParams, box: Box, n: int,
     :func:`repro.pme.accuracy.pme_relative_error`.
     """
     a = fluid.radius
-    real = float(real_space_error(params.xi, params.r_max, n, box, a,
-                                  params.kernel))
+    real = float(real_space_error(params.xi, params.r_max, n, box, a))
     spline, trunc = (float(e) for e in reciprocal_error(
-        params.xi, params.K, params.p, n, box, a, params.kernel))
+        params.xi, params.K, params.p, n, box, a))
     return _error_dict(real, spline, trunc)
 
 
@@ -279,7 +282,7 @@ def _error_dict(real: float, spline: float, trunc: float
 # ----------------------------------------------------------------------
 
 def _xi_for_cutoffs(r_max: np.ndarray, budget: float, n: int, box: Box,
-                    radius: float, kernel: str) -> np.ndarray:
+                    radius: float) -> np.ndarray:
     """The ``xi`` per cutoff at which the truncation error is the budget.
 
     The error falls like ``exp(-(xi r_max)^2)`` times a slow polynomial,
@@ -290,7 +293,7 @@ def _xi_for_cutoffs(r_max: np.ndarray, budget: float, n: int, box: Box,
     """
     def excess(t: np.ndarray) -> np.ndarray:
         return np.log(real_space_error(np.sqrt(t) / r_max, r_max, n, box,
-                                       radius, kernel) / budget)
+                                       radius) / budget)
 
     t0 = np.full_like(r_max, 2.5 ** 2)
     t1 = np.full_like(r_max, 3.5 ** 2)
@@ -304,7 +307,7 @@ def _xi_for_cutoffs(r_max: np.ndarray, budget: float, n: int, box: Box,
 
 
 def _mesh_for(xi: np.ndarray, budget: float, p: int, n: int, box: Box,
-              radius: float, kernel: str) -> np.ndarray:
+              radius: float) -> np.ndarray:
     """Smallest FFT-friendly ``K`` per ``xi`` whose reciprocal error
     (aliasing and truncation together) is <= budget: bisection on the
     index into the friendly sizes, all ``xi`` at once."""
@@ -313,8 +316,7 @@ def _mesh_for(xi: np.ndarray, budget: float, p: int, n: int, box: Box,
     hi = np.full(xi.shape, sizes.size - 1)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
-        alias, trunc = reciprocal_error(xi, sizes[mid], p, n, box, radius,
-                                        kernel)
+        alias, trunc = reciprocal_error(xi, sizes[mid], p, n, box, radius)
         ok = alias * alias + trunc * trunc <= budget * budget
         hi = np.where(ok, mid, hi)
         lo = np.minimum(np.where(ok, lo, mid + 1), hi)
@@ -343,8 +345,7 @@ class Candidate:
 def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
                     fluid: FluidParams = REDUCED,
                     model: PMECostModel | None = None,
-                    r_max_candidates=None, safety: float = 2.5,
-                    kernel: str = "rpy") -> list[Candidate]:
+                    r_max_candidates=None) -> list[Candidate]:
     """Every admissible candidate of :func:`tune_parameters` (same
     arguments), by ascending cutoff, priced and with the cheapest and
     the chosen one marked."""
@@ -359,11 +360,11 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
     cutoffs = np.array(sorted({min(float(r), half)
                                for r in r_max_candidates
                                if min(float(r), half) > 2 * a * 1.01}))
-    budget = target_ep / safety
-    xi = _xi_for_cutoffs(cutoffs, budget, n, box, a, kernel)
-    mesh = _mesh_for(xi, budget, p, n, box, a, kernel)
-    real = real_space_error(xi, cutoffs, n, box, a, kernel)
-    spline, trunc = reciprocal_error(xi, mesh, p, n, box, a, kernel)
+    budget = target_ep / ERROR_SAFETY
+    xi = _xi_for_cutoffs(cutoffs, budget, n, box, a)
+    mesh = _mesh_for(xi, budget, p, n, box, a)
+    real = real_space_error(xi, cutoffs, n, box, a)
+    spline, trunc = reciprocal_error(xi, mesh, p, n, box, a)
     # a cutoff no mesh of the list resolves is not a candidate
     keep = np.hypot(spline, trunc) <= budget
     if not np.any(keep):
@@ -382,7 +383,7 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
         total <= total[cheapest] * (1.0 + SUBSTRATE_COST_TOLERANCE)))
     return [Candidate(
         params=PMEParams(xi=float(xi[i]), r_max=float(cutoffs[i]),
-                         K=int(mesh[i]), p=p, kernel=kernel),
+                         K=int(mesh[i]), p=p),
         cost={part: float(t[i]) for part, t in cost.items()},
         memory_bytes=float(memory[i]),
         errors=_error_dict(float(real[i]), float(spline[i]),
@@ -394,8 +395,7 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
 def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
                     fluid: FluidParams = REDUCED,
                     model: PMECostModel | None = None,
-                    r_max_candidates=None, safety: float = 2.5,
-                    kernel: str = "rpy") -> PMEParams:
+                    r_max_candidates=None) -> PMEParams:
     """Choose ``(xi, r_max, K, p)`` minimizing predicted time at a target ``e_p``.
 
     Parameters
@@ -420,15 +420,8 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
     r_max_candidates:
         Cutoff distances to consider (each capped at ``L/2``); default
         :func:`candidate_cutoffs`, ``2.5a * 1.05^i`` up to ``L/2``.
-    safety:
-        Error-budget divisor applied to ``target_ep`` for each of the
-        two components (real-space truncation, reciprocal sum).  They
-        add in quadrature, so the default 2.5 aims the total at
-        ``0.57 target_ep``; with the estimates' 0.6-1.5x accuracy the
-        measured ``e_p`` lands in ``[0.3, 0.8] target_ep``.
-    kernel:
-        Hydrodynamic kernel, forwarded into the returned
-        :class:`PMEParams`.
+
+    Each error component gets ``target_ep /`` :data:`ERROR_SAFETY`.
 
     Returns
     -------
@@ -438,5 +431,4 @@ def tune_parameters(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
         one with the smallest cutoff.
     """
     return next(c.params for c in rank_candidates(
-        n, box, target_ep, p, fluid, model, r_max_candidates, safety,
-        kernel) if c.chosen)
+        n, box, target_ep, p, fluid, model, r_max_candidates) if c.chosen)

@@ -69,13 +69,7 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _check_kernel(kernel: str) -> None:
-    if kernel not in ("rpy", "oseen"):
-        raise ValueError(f"kernel must be 'rpy' or 'oseen', got {kernel!r}")
-
-
-def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
-                            kernel: str = "rpy"
+def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar functions ``(f, g)`` of Beenakker's real-space tensor.
 
@@ -93,13 +87,7 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
         a scalar, or an array broadcasting against ``dist``.
     radius:
         Particle radius ``a``.
-    kernel:
-        ``"rpy"`` (default) or ``"oseen"`` — the Stokeslet kernel of the
-        related-work codes the paper contrasts with (its Ewald split is
-        the exact ``a^3 -> 0`` limit of Beenakker's, because the
-        splitting is linear in the kernel).
     """
-    _check_kernel(kernel)
     r = np.asarray(dist, dtype=np.float64)
     if np.any(r <= 0):
         raise ValueError("real_space_coefficients requires positive distances")
@@ -107,7 +95,7 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     if np.any(np.asarray(xi) <= 0):
         raise ValueError(f"xi must be positive, got {xi}")
 
-    a3 = a ** 3 if kernel == "rpy" else 0.0
+    a3 = a ** 3
     r2 = r * r
     erfc_term = erfc(xi * r)
     gauss = np.exp(-(xi * r) ** 2) / _SQRT_PI
@@ -161,8 +149,8 @@ def overlap_correction_coefficients(dist: np.ndarray, radius: float = 1.0
     return df, dg
 
 
-def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
-                       kernel: str = "rpy") -> np.ndarray:
+def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0
+                       ) -> np.ndarray:
     """Real-space Ewald tensors ``M^(1)(r_ij) / mu0`` for separation vectors
     (no overlap correction: :func:`overlap_correction_coefficients`).
 
@@ -181,12 +169,11 @@ def real_space_tensors(rij: np.ndarray, xi: float, radius: float = 1.0,
     """
     rij = np.asarray(rij, dtype=np.float64)
     dist = np.linalg.norm(rij, axis=1)
-    return pair_dyads(rij, *real_space_coefficients(dist, xi, radius,
-                                                    kernel=kernel))
+    return pair_dyads(rij, *real_space_coefficients(dist, xi, radius))
 
 
-def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,
-                      kernel: str = "rpy") -> np.ndarray:
+def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0
+                      ) -> np.ndarray:
     """Beenakker's reciprocal-space scalar ``m_alpha(k)`` (paper Eq. 5).
 
     Parameters
@@ -207,10 +194,9 @@ def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,
         ``(I - khat khat^T)`` and the prefactor ``mu0 / V`` to obtain the
         reciprocal-space mobility contribution.
     """
-    _check_kernel(kernel)
     k2 = np.asarray(k2, dtype=np.float64)
     a = float(radius)
-    a3 = a ** 3 if kernel == "rpy" else 0.0
+    a3 = a ** 3
     inv_4xi2 = 1.0 / (4.0 * xi * xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = ((a - a3 * k2 / 3.0)
@@ -221,16 +207,11 @@ def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,
     return np.where(k2 == 0.0, 0.0, val)
 
 
-def self_mobility_scalar(xi: float, radius: float = 1.0,
-                         kernel: str = "rpy") -> float:
-    """Self term ``M^(0)_alpha / mu0`` of the Ewald sum.
-
-    ``1 - 6 xi a / sqrt(pi) + 40 (xi a)^3 / (3 sqrt(pi))`` for the RPY
-    kernel; the ``(xi a)^3`` term drops for the Oseen kernel.
-    """
-    _check_kernel(kernel)
+def self_mobility_scalar(xi: float, radius: float = 1.0) -> float:
+    """Self term ``M^(0)_alpha / mu0`` of the Ewald sum:
+    ``1 - 6 xi a / sqrt(pi) + 40 (xi a)^3 / (3 sqrt(pi))``."""
     xa = xi * radius
-    cubic = 40.0 * xa ** 3 / (3.0 * _SQRT_PI) if kernel == "rpy" else 0.0
+    cubic = 40.0 * xa ** 3 / (3.0 * _SQRT_PI)
     return 1.0 - 6.0 * xa / _SQRT_PI + cubic
 
 

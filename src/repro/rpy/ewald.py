@@ -28,7 +28,6 @@ from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import force_block_arg, positions_arg, returns_spd
 from ..units import FluidParams, REDUCED
-from ..utils.params import keyword_only
 from ..utils.validation import as_positions
 from . import beenakker
 
@@ -68,13 +67,12 @@ def _k_lattice_half(box: Box, k_max: float) -> np.ndarray:
     return m[inside & half]
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EwaldSummation:
     """Dense Ewald-summed RPY mobility for a cubic periodic box.
 
-    Construct with keyword arguments (positional construction warns
-    once; ``replace(**changes)`` returns a reconfigured copy).
+    Keyword-only; pairs closer than ``2a`` carry the positive-definite
+    RPY overlap regularization.
 
     Parameters
     ----------
@@ -88,29 +86,18 @@ class EwaldSummation:
         computed mobility is independent of ``xi`` up to ``tol``.
     tol:
         Truncation tolerance of both series.
-    overlap_corrected:
-        Apply the positive-definite RPY overlap regularization to pairs
-        closer than ``2a`` (default true; RPY kernel only).
-    kernel:
-        ``"rpy"`` (default) or ``"oseen"`` (the Stokeslet kernel used
-        by the related-work Stokesian PME codes the paper contrasts
-        against; see :mod:`repro.rpy.beenakker`).
     """
 
     box: Box
     fluid: FluidParams = REDUCED
     xi: float | None = None
     tol: float = 1e-8
-    overlap_corrected: bool = True
-    kernel: str = "rpy"
 
     def __post_init__(self) -> None:
         if not (0 < self.tol < 1):
             raise ConfigurationError(f"tol must be in (0, 1), got {self.tol}")
         if self.xi is not None and self.xi <= 0:
             raise ConfigurationError(f"xi must be positive, got {self.xi}")
-        if self.kernel not in ("rpy", "oseen"):
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}")
 
     @property
     def xi_value(self) -> float:
@@ -132,8 +119,7 @@ class EwaldSummation:
     # ------------------------------------------------------------------
 
     @positions_arg()
-    @returns_spd("Ewald-summed periodic RPY mobility matrix",
-                 unless=lambda self: self.kernel != "rpy")
+    @returns_spd("Ewald-summed periodic RPY mobility matrix")
     def matrix(self, positions) -> np.ndarray:
         """Build the dense ``3n x 3n`` periodic RPY mobility matrix.
 
@@ -146,8 +132,7 @@ class EwaldSummation:
         r = self.box.wrap(r)
         m = self._reciprocal_matrix(r)
         self._add_real_space(m, r)
-        diag = beenakker.self_mobility_scalar(self.xi_value, self.fluid.radius,
-                                             kernel=self.kernel)
+        diag = beenakker.self_mobility_scalar(self.xi_value, self.fluid.radius)
         idx = np.arange(3 * n)
         m[idx, idx] += diag
         m *= self.fluid.mobility0
@@ -185,8 +170,7 @@ class EwaldSummation:
         m_int = _k_lattice_half(self.box, self.k_cutoff)
         k = m_int * (2.0 * math.pi / self.box.length)
         k2 = (k * k).sum(axis=1)
-        scal = beenakker.reciprocal_scalar(k2, xi, self.fluid.radius,
-                                           kernel=self.kernel)
+        scal = beenakker.reciprocal_scalar(k2, xi, self.fluid.radius)
         scal *= 2.0 / self.box.volume  # factor 2: half k-space
         khat = k / np.sqrt(k2)[:, None]
 
@@ -238,12 +222,10 @@ class EwaldSummation:
                     continue
                 ds = d[sel]
                 dists = dist[sel]
-                f, g = beenakker.real_space_coefficients(dists, xi, a,
-                                                         kernel=self.kernel)
-                if self.overlap_corrected and self.kernel == "rpy":
-                    df, dg = beenakker.overlap_correction_coefficients(dists, a)
-                    f = f + df
-                    g = g + dg
+                f, g = beenakker.real_space_coefficients(dists, xi, a)
+                df, dg = beenakker.overlap_correction_coefficients(dists, a)
+                f = f + df
+                g = g + dg
                 rhat = ds / dists[:, None]
                 bis, bjs = bi[sel], bj[sel]
                 for u in range(3):
@@ -260,8 +242,7 @@ class EwaldSummation:
         dist0 = np.linalg.norm(self_offsets, axis=1)
         sel = dist0 < r_cut
         if np.any(sel):
-            tensors = beenakker.real_space_tensors(
-                self_offsets[sel], xi, a, kernel=self.kernel)
+            tensors = beenakker.real_space_tensors(self_offsets[sel], xi, a)
             total = tensors.sum(axis=0)
             for i in range(n):
                 m[3 * i:3 * i + 3, 3 * i:3 * i + 3] += total

@@ -55,11 +55,10 @@ built from ``-R``, the remainder
 
 extended oddly to ``s < 0`` — Hasimoto-type ``erfc`` / ``exp`` terms at
 ``r`` and ``r +- 2a`` (Fiore et al. 2017, appendix), decaying like
-``exp(-xi^2 (r - 2a)^2)``.  For the Oseen kernel (no ``sinc^2``) ``psi
-= 3a W(r) / (pi r)`` with the remainder ``R(s) = (pi s^2/4) erfc(xi s)
-- (sqrt(pi) s / (4 xi)) exp(-xi^2 s^2)``.  Both divergence-free and
-``xi``-independent in total; ``tests/test_pse.py`` checks them against
-the 1-D quadrature above.
+``exp(-xi^2 (r - 2a)^2)``.  Divergence-free and ``xi``-independent in
+total; ``tests/test_pse.py`` checks it against the 1-D quadrature above.
+The same split of the Oseen (Stokeslet) tensor, which no split makes
+positive definite near contact, is ``benchmarks/reference/oseen.py``.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ _SQRT_PI = math.sqrt(math.pi)
 COEFFICIENT_CHUNK = 8192
 
 
-def _check_kernel(kernel: str) -> None:
-    if kernel not in ("rpy", "oseen"):
-        raise ValueError(f"kernel must be 'rpy' or 'oseen', got {kernel!r}")
-
-
 def _rpy_remainder(s: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray,
                                                np.ndarray]:
     """``(R + pi/(64 xi^4), R', R'')`` of the RPY remainder at ``s >= 0``
@@ -103,19 +97,7 @@ def _rpy_remainder(s: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray,
     return r0, r1, r2
 
 
-def _oseen_remainder(s: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """``(R, R', R'')`` of the Oseen remainder at ``s >= 0``."""
-    gauss = np.exp(-(xi * s) ** 2)
-    tail = erfc(xi * s)
-    r0 = (math.pi / 4.0) * s * s * tail - _SQRT_PI * s / (4.0 * xi) * gauss
-    r1 = (math.pi / 2.0) * s * tail - _SQRT_PI / (4.0 * xi) * gauss
-    r2 = (math.pi / 2.0) * tail - _SQRT_PI * xi * s / 2.0 * gauss
-    return r0, r1, r2
-
-
-def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
-                            kernel: str = "rpy"
+def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar functions ``(f, g)`` of the PSE real-space tensor.
 
@@ -124,11 +106,10 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
     ``f_RPY``, not a correction added to it).  The one definition of the
     stored coefficients, shared by the NumPy tensor fill and the compiled
     fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a
-    scalar or broadcasts against ``dist``; ``kernel`` is ``"rpy"``
-    (default) or ``"oseen"``.  At a scalar ``xi`` the separations are
-    evaluated :data:`COEFFICIENT_CHUNK` at a time (the same bytes).
+    scalar or broadcasts against ``dist``.  At a scalar ``xi`` the
+    separations are evaluated :data:`COEFFICIENT_CHUNK` at a time (the
+    same bytes).
     """
-    _check_kernel(kernel)
     r = np.asarray(dist, dtype=np.float64)
     if np.any(r <= 0):
         raise ValueError("real_space_coefficients requires positive distances")
@@ -136,70 +117,57 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0,
         raise ValueError(f"xi must be positive, got {xi}")
     a = float(radius)
     if np.ndim(xi) or r.size <= COEFFICIENT_CHUNK:
-        return _coefficients(r, xi, a, kernel)
+        return _coefficients(r, xi, a)
     flat = r.ravel()
     f, g = np.empty_like(flat), np.empty_like(flat)
     for lo in range(0, flat.size, COEFFICIENT_CHUNK):
         hi = lo + COEFFICIENT_CHUNK
-        f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a, kernel)
+        f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a)
     return f.reshape(r.shape), g.reshape(r.shape)
 
 
-def _coefficients(r: np.ndarray, xi, a: float, kernel: str
+def _coefficients(r: np.ndarray, xi, a: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The body of :func:`real_space_coefficients` on checked input."""
-    if kernel == "rpy":
-        c = 3.0 / (4.0 * math.pi * a)
-        # u = 2 R(r) - R(r + 2a) - R(r - 2a), R extended oddly (R(-s) =
-        # -R(s), R'(-s) = R'(s)): all three arguments in one evaluation
-        sign = np.sign(r - 2.0 * a)
-        v0, v1, v2 = _rpy_remainder(
-            np.stack((r, r + 2.0 * a, np.abs(r - 2.0 * a))), xi)
-        # the constant -pi/(64 xi^4) of R, left out of v0, survives the
-        # difference only inside contact
-        u0 = (2.0 * v0[0] - v0[1] - sign * v0[2]
-              - math.pi / 64.0 / xi ** 4 * (1.0 - sign))
-        u1 = 2.0 * v1[0] - v1[1] - v1[2]
-        u2 = 2.0 * v2[0] - v2[1] - sign * v2[2]
-    else:
-        c = 3.0 * a / math.pi
-        u0, u1, u2 = _oseen_remainder(r, xi)
+    c = 3.0 / (4.0 * math.pi * a)
+    # u = 2 R(r) - R(r + 2a) - R(r - 2a), R extended oddly (R(-s) =
+    # -R(s), R'(-s) = R'(s)): all three arguments in one evaluation
+    sign = np.sign(r - 2.0 * a)
+    v0, v1, v2 = _rpy_remainder(
+        np.stack((r, r + 2.0 * a, np.abs(r - 2.0 * a))), xi)
+    # the constant -pi/(64 xi^4) of R, left out of v0, survives the
+    # difference only inside contact
+    u0 = (2.0 * v0[0] - v0[1] - sign * v0[2]
+          - math.pi / 64.0 / xi ** 4 * (1.0 - sign))
+    u1 = 2.0 * v1[0] - v1[1] - v1[2]
+    u2 = 2.0 * v2[0] - v2[1] - sign * v2[2]
     r2 = r * r
     f = c * (u2 / r - u1 / r2 + u0 / (r2 * r))
     g = -c * (u2 / r - 3.0 * u1 / r2 + 3.0 * u0 / (r2 * r))
     return f, g
 
 
-def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0,
-                      kernel: str = "rpy") -> np.ndarray:
+def reciprocal_scalar(k2: np.ndarray, xi: float, radius: float = 1.0
+                      ) -> np.ndarray:
     """Wave-space scalar ``6 pi a sinc^2(ka) H(k) / k^2`` (``mu0`` units).
 
     Non-negative everywhere, so its square root scales white noise into
     a sample of the wave-space half.  ``k2`` holds ``|k|^2``; the
-    ``k = 0`` mode yields 0.  The Oseen kernel drops ``sinc^2``.
+    ``k = 0`` mode yields 0.
     """
-    _check_kernel(kernel)
     k2 = np.asarray(k2, dtype=np.float64)
     a = float(radius)
     q2 = k2 / (4.0 * xi * xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 6.0 * math.pi * a * (1.0 + q2) * np.exp(-q2) / k2
-        if kernel == "rpy":
-            ka = np.sqrt(k2) * a
-            val *= (np.sin(ka) / ka) ** 2
+        ka = np.sqrt(k2) * a
+        val *= (np.sin(ka) / ka) ** 2
     return np.where(k2 == 0.0, 0.0, val)
 
 
-def self_mobility_scalar(xi: float, radius: float = 1.0,
-                         kernel: str = "rpy") -> float:
-    """Self term ``f(0)`` of the real-space half (``mu0`` units).
-
-    ``erfc(2 xi a) + (1 - exp(-4 xi^2 a^2)) / (4 sqrt(pi) xi a)`` for the
-    RPY kernel, ``1 - 3 xi a / sqrt(pi)`` for the Oseen kernel.
-    """
-    _check_kernel(kernel)
+def self_mobility_scalar(xi: float, radius: float = 1.0) -> float:
+    """Self term ``f(0)`` of the real-space half (``mu0`` units):
+    ``erfc(2 xi a) + (1 - exp(-4 xi^2 a^2)) / (4 sqrt(pi) xi a)``."""
     xa = xi * radius
-    if kernel == "oseen":
-        return 1.0 - 3.0 * xa / _SQRT_PI
     return (math.erfc(2.0 * xa)
             + (1.0 - math.exp(-4.0 * xa * xa)) / (4.0 * _SQRT_PI * xa))

@@ -131,7 +131,15 @@ class TaskSpec:
     def from_json(cls, d: dict[str, Any]) -> TaskSpec:
         d = dict(d)
         if d.get("pme") is not None:
-            d["pme"] = PMEParams(**d["pme"])
+            pme = dict(d["pme"])
+            # manifests written while PMEParams had a kernel option
+            # carry "kernel": "rpy", the one tensor there is now
+            kernel = pme.pop("kernel", "rpy")
+            if kernel != "rpy":
+                raise ConfigurationError(
+                    f"unsupported hydrodynamic kernel {kernel!r} in task "
+                    f"{d.get('task_id')}: only the RPY tensor is simulated")
+            d["pme"] = PMEParams(**pme)
         if d.get("trace") is not None:
             d["trace"] = TraceContext.from_json(d["trace"])
         else:

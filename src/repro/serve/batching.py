@@ -90,7 +90,7 @@ def build_operator(spec: SystemSpec):
     suspension = make_suspension(spec.n, spec.phi, seed=spec.system_seed)
     params = tune_parameters(
         suspension.n, suspension.box, target_ep=spec.e_p, p=spec.p,
-        fluid=suspension.fluid, kernel=spec.kernel)
+        fluid=suspension.fluid)
     cache = MobilityCache()
     operator = PMEOperator(suspension.positions, suspension.box, params,
                            fluid=suspension.fluid, cache=cache)

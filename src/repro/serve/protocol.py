@@ -107,7 +107,7 @@ def decode_array(obj: Any, what: str = "array") -> np.ndarray:
 
 #: Fields that determine the mobility operator (and therefore which
 #: requests may share one batched ``apply_block``).
-_OPERATOR_FIELDS = ("n", "phi", "system_seed", "e_p", "p", "kernel")
+_OPERATOR_FIELDS = ("n", "phi", "system_seed", "e_p", "p")
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,9 @@ class SystemSpec:
     """Deterministic recipe of one served system.
 
     ``n``/``phi``/``system_seed`` generate the suspension exactly as
-    :func:`~repro.systems.suspension.make_suspension` does; ``e_p``,
-    ``p`` and ``kernel`` select the tuned PME parameters, and are
-    checked here, before any worker builds a suspension or runs the
-    tuner; ``dt``/``lambda_rpy``/
+    :func:`~repro.systems.suspension.make_suspension` does; ``e_p`` and
+    ``p`` select the tuned PME parameters, and are checked here, before
+    any worker builds a suspension or runs the tuner; ``dt``/``lambda_rpy``/
     ``e_k``/``forces`` only matter to ``simulate`` requests but are
     part of the full fingerprint so the result cache can key on it.
     """
@@ -128,7 +127,6 @@ class SystemSpec:
     system_seed: int = 0
     e_p: float = 1e-3
     p: int = 6
-    kernel: str = "rpy"
     dt: float = 1e-3
     lambda_rpy: int = 16
     e_k: float = 1e-2
@@ -144,9 +142,6 @@ class SystemSpec:
         if self.p not in VALIDATED_ORDERS:
             raise ProtocolError(
                 f"p must be one of {list(VALIDATED_ORDERS)}, got {self.p}")
-        if self.kernel not in ("rpy", "oseen"):
-            raise ProtocolError(
-                f"kernel must be 'rpy' or 'oseen', got {self.kernel!r}")
         if self.dt <= 0:
             raise ProtocolError(f"dt must be positive, got {self.dt}")
         if self.lambda_rpy < 1:

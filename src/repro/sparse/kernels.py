@@ -755,8 +755,8 @@ def _selftest(kernels: _Kernels) -> bool:
     # bytes, on enough pairs that a contracted multiply-add cannot hide:
     # 40 particles up to five boxes away (L * round(d / L) is inexact),
     # every pair of them, the first an axis-aligned overlapping one
-    # (zero components of rhat); the Oseen self term is negative, so are
-    # its zeros
+    # (zero components of rhat); the negated coefficients give a negative
+    # self term, whose zeros are -0.0
     from ..rpy import pse
     from ..rpy.tensor import pair_dyads
     length, cutoff = 9.0, 4.4
@@ -804,9 +804,9 @@ def _selftest(kernels: _Kernels) -> bool:
                 return False
 
     pi, pj, rij, dist = got
-    for kernel, xi in (("rpy", 0.45), ("oseen", 0.6)):
-        f, g = pse.real_space_coefficients(dist, xi, kernel=kernel)
-        scalar = pse.self_mobility_scalar(xi, kernel=kernel)
+    for xi, sign in ((0.45, 1.0), (0.6, -1.0)):
+        f, g = (sign * c for c in pse.real_space_coefficients(dist, xi))
+        scalar = sign * pse.self_mobility_scalar(xi)
         got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
                                        dist, scalar)
         want = _assemble_lexsort(

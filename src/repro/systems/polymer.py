@@ -16,11 +16,13 @@ from .suspension import Suspension
 
 __all__ = ["bead_spring_chain"]
 
+#: Random directions tried per bead before the growth gives up.
+REGROW_ATTEMPTS = 10000
+
 
 def bead_spring_chain(n_beads: int, bond_length: float, box: Box,
                       fluid: FluidParams = REDUCED,
-                      seed: int | np.random.Generator | None = 0,
-                      max_regrow: int = 10000
+                      seed: int | np.random.Generator | None = 0
                       ) -> tuple[Suspension, np.ndarray]:
     """A self-avoiding random-walk chain of ``n_beads`` in a periodic box.
 
@@ -46,7 +48,7 @@ def bead_spring_chain(n_beads: int, bond_length: float, box: Box,
     positions = np.empty((n_beads, 3))
     positions[0] = rng.uniform(0, box.length, size=3)
     for b in range(1, n_beads):
-        for _ in range(max_regrow):
+        for _ in range(REGROW_ATTEMPTS):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             cand = positions[b - 1] + bond_length * direction

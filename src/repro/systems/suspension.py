@@ -30,6 +30,9 @@ __all__ = ["Suspension", "random_suspension", "lattice_suspension",
 #: Volume fraction above which RSA becomes impractically slow.
 RSA_LIMIT = 0.30
 
+#: Candidate batches RSA draws for one insertion before it gives up.
+RSA_ATTEMPTS = 2000
+
 
 @dataclass(frozen=True)
 class Suspension:
@@ -71,8 +74,8 @@ class Suspension:
 
 def random_suspension(n: int, volume_fraction: float,
                       fluid: FluidParams = REDUCED,
-                      seed: int | np.random.Generator | None = 0,
-                      max_attempts_per_particle: int = 2000) -> Suspension:
+                      seed: int | np.random.Generator | None = 0
+                      ) -> Suspension:
     """Non-overlapping random suspension via random sequential addition.
 
     Particles are inserted one at a time at uniform positions, rejecting
@@ -100,7 +103,7 @@ def random_suspension(n: int, volume_fraction: float,
     count = 0
     while count < n:
         batch = max(64, count)  # insert in batches to amortize the searches
-        for _ in range(max_attempts_per_particle):
+        for _ in range(RSA_ATTEMPTS):
             m = min(batch, n - count)
             cand = rng.uniform(0.0, box.length, size=(m, 3))
             ok = np.ones(m, dtype=bool)

@@ -244,22 +244,6 @@ class TestTuner:
                                 r_max_candidates=[6.0])
         assert large.K > small.K
 
-    def test_kernel_forwarded(self):
-        box = Box.for_volume_fraction(50, 0.2)
-        params = tune_parameters(50, box, kernel="oseen")
-        assert params.kernel == "oseen"
-
-    def test_tuned_oseen_meets_target(self):
-        n, target = 40, 1e-3
-        box = Box.for_volume_fraction(n, 0.2)
-        params = tune_parameters(n, box, target_ep=target, kernel="oseen")
-        rng = np.random.default_rng(n)
-        r = rng.uniform(0, box.length, size=(n, 3))
-        op = PMEOperator(r, box, params)
-        ref = EwaldSummation(box=box, tol=1e-12, kernel="oseen").matrix(r)
-        assert pme_relative_error(op, n_probe=2,
-                                  reference=lambda f: ref @ f) < target
-
 
 class TestRanking:
     """What the ranking sees and what it may depend on."""

@@ -23,16 +23,16 @@ from repro.rpy import pse
 from repro.rpy.ewald import EwaldSummation
 
 
-def _quadrature(r, xi, a, kernel):
+def _quadrature(r, xi, a):
     """``(f, g)`` of the real-space half by 1-D quadrature of the wave
-    half's image, subtracted from the regularized RPY (or Oseen) tensor."""
+    half's image, subtracted from the regularized RPY tensor."""
     def h(k):
         q2 = k * k / (4 * xi * xi)
         return (1 + q2) * math.exp(-q2)
 
     def sinc2(k):
         x = k * a
-        return 1.0 if kernel == "oseen" or x < 1e-8 else (math.sin(x) / x) ** 2
+        return 1.0 if x < 1e-8 else (math.sin(x) / x) ** 2
 
     def radial(k):
         x = k * r
@@ -44,9 +44,7 @@ def _quadrature(r, xi, a, kernel):
     wave_f = quad(lambda k: sinc2(k) * h(k) * radial(k), 0, kmax, **opts)[0]
     wave_g = quad(lambda k: sinc2(k) * h(k) * spherical_jn(2, k * r),
                   0, kmax, **opts)[0]
-    if kernel == "oseen":
-        f0, g0 = 0.75 * a / r, 0.75 * a / r
-    elif r >= 2 * a:
+    if r >= 2 * a:
         f0, g0 = 0.75 * a / r + 0.5 * a ** 3 / r ** 3, \
             0.75 * a / r - 1.5 * a ** 3 / r ** 3
     else:
@@ -55,14 +53,13 @@ def _quadrature(r, xi, a, kernel):
     return f0 - c * wave_f, g0 - c * wave_g
 
 
-@pytest.mark.parametrize("kernel", ["rpy", "oseen"])
 @pytest.mark.parametrize("xi", [0.35, 0.6, 0.9])
-def test_real_space_coefficients_match_quadrature(kernel, xi):
+def test_real_space_coefficients_match_quadrature(xi):
     # on both sides of contact, at contact, and in the tail
     r = np.array([0.3, 1.0, 1.9, 1.999, 2.0, 2.001, 2.5, 4.0, 7.0])
-    f, g = pse.real_space_coefficients(r, xi, 1.0, kernel)
+    f, g = pse.real_space_coefficients(r, xi, 1.0)
     for k, dist in enumerate(r):
-        fq, gq = _quadrature(dist, xi, 1.0, kernel)
+        fq, gq = _quadrature(dist, xi, 1.0)
         assert abs(f[k] - fq) < 1e-10 and abs(g[k] - gq) < 1e-10, dist
 
 
@@ -82,25 +79,20 @@ def test_self_term_is_the_limit_at_zero_separation(xi):
     assert 2 * f[0] - f[1] == pytest.approx(pse.self_mobility_scalar(xi),
                                             abs=1e-5)
     assert abs(2 * g[0] - g[1]) < 1e-5
-    # and the Oseen kernel: 1 - (2a/pi) int H dk
-    assert pse.self_mobility_scalar(xi, kernel="oseen") == pytest.approx(
-        1 - 3 * xi / math.sqrt(math.pi))
 
 
 def test_split_is_divergence_free():
     # f' + g' + 2g/r = 0 for each half (the projector I - khat khat^T)
     r = np.linspace(0.5, 8.0, 40)
     eps = 1e-5
-    for kernel in ("rpy", "oseen"):
-        fp, gp = pse.real_space_coefficients(r + eps, 0.5, kernel=kernel)
-        fm, gm = pse.real_space_coefficients(r - eps, 0.5, kernel=kernel)
-        _, g = pse.real_space_coefficients(r, 0.5, kernel=kernel)
-        div = (fp - fm + gp - gm) / (2 * eps) + 2 * g / r
-        assert np.abs(div).max() < 1e-8
+    fp, gp = pse.real_space_coefficients(r + eps, 0.5)
+    fm, gm = pse.real_space_coefficients(r - eps, 0.5)
+    _, g = pse.real_space_coefficients(r, 0.5)
+    div = (fp - fm + gp - gm) / (2 * eps) + 2 * g / r
+    assert np.abs(div).max() < 1e-8
 
 
-@pytest.mark.parametrize("kernel", ["rpy", "oseen"])
-def test_chunked_coefficients_are_the_whole_array_bytes(kernel, monkeypatch):
+def test_chunked_coefficients_are_the_whole_array_bytes(monkeypatch):
     # three chunks and a ragged tail, overlapping pairs and contact
     # included: every operation is elementwise, so the chunk boundaries
     # (and any other split) leave the bytes alone
@@ -108,12 +100,11 @@ def test_chunked_coefficients_are_the_whole_array_bytes(kernel, monkeypatch):
     rng = np.random.default_rng(12)
     dist = rng.uniform(0.05, 10.0, 3 * chunk + 17)
     dist[chunk - 2:chunk + 2] = [2.0, 1.0, 4.0, 2.0]
-    f, g = pse.real_space_coefficients(dist, 0.45, kernel=kernel)
-    pieces = [pse.real_space_coefficients(dist[lo:lo + 1000], 0.45,
-                                          kernel=kernel)
+    f, g = pse.real_space_coefficients(dist, 0.45)
+    pieces = [pse.real_space_coefficients(dist[lo:lo + 1000], 0.45)
               for lo in range(0, dist.size, 1000)]
     monkeypatch.setattr(pse, "COEFFICIENT_CHUNK", dist.size)
-    whole = pse.real_space_coefficients(dist, 0.45, kernel=kernel)
+    whole = pse.real_space_coefficients(dist, 0.45)
     for got, want, part in zip((f, g), whole, zip(*pieces)):
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == np.concatenate(part).tobytes()

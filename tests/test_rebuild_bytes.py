@@ -27,7 +27,7 @@ def _separations(r, i, j, length):
     return rij, np.linalg.norm(rij, axis=1)
 
 
-def _reference(r, box, xi, r_max, kernel="rpy"):
+def _reference(r, box, xi, r_max):
     """``(indptr, indices, blocks)`` the slow way: all pairs, membership
     on the wrapped positions, tensors on the positions as given."""
     n, length = r.shape[0], box.length
@@ -35,19 +35,18 @@ def _reference(r, box, xi, r_max, kernel="rpy"):
     keep = _separations(box.wrap(r), i, j, length)[1] < r_max
     i, j = i[keep].astype(np.int64), j[keep].astype(np.int64)
     rij, dist = _separations(r, i, j, length)
-    f, g = pse.real_space_coefficients(dist, xi, kernel=kernel)
+    f, g = pse.real_space_coefficients(dist, xi)
     rhat = rij / dist[:, None]
     blocks = (f[:, None, None] * np.eye(3)
               + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
-    scalar = pse.self_mobility_scalar(xi, kernel=kernel)
+    scalar = pse.self_mobility_scalar(xi)
     diag = np.broadcast_to(scalar * np.eye(3), (n, 3, 3))
     return i.size, _assemble_lexsort(n, i, j, blocks, diag)
 
 
-def _assert_same_bytes(r, box, xi, r_max, **options):
-    op = RealSpaceOperator(r, box, xi=xi, r_max=r_max, **options)
-    n_pairs, (indptr, indices, blocks) = _reference(r, box, xi, r_max,
-                                                    **options)
+def _assert_same_bytes(r, box, xi, r_max):
+    op = RealSpaceOperator(r, box, xi=xi, r_max=r_max)
+    n_pairs, (indptr, indices, blocks) = _reference(r, box, xi, r_max)
     assert op.n_pairs == n_pairs
     assert op.bcsr.indptr.tobytes() == indptr.tobytes()
     assert op.bcsr.indices.tobytes() == indices.tobytes()
@@ -78,23 +77,21 @@ def test_exact_fcc_lattice(kernel_mode):
     r = fcc_positions(108, box.length)
     op = _assert_same_bytes(r, box, 0.5, 5.9)
     assert np.count_nonzero(op.bcsr.blocks == 0.0) > op.n_pairs
-    _assert_same_bytes(r, box, 0.5, 5.9, kernel="oseen")
 
 
-@pytest.mark.parametrize("kernel", ["rpy", "oseen"])
-def test_overlapping_pairs(kernel, kernel_mode):
+def test_overlapping_pairs(kernel_mode):
     # uniform random points overlap freely; the second system is 60
     # copies of 2 sites, every copy within 0.2 a of its site.  The
     # overlap form of the RPY tensor is part of the split's real half
     box = Box(11.0)
     rng = np.random.default_rng(11)
     r = rng.uniform(0, box.length, size=(120, 3))
-    op = _assert_same_bytes(r, box, 0.6, 5.0, kernel=kernel)
+    op = _assert_same_bytes(r, box, 0.6, 5.0)
     i, j = find_pairs(r, box, 2.0)
     assert i.size > 20 and op.n_pairs > i.size
     sites = np.array([[2.0, 2.0, 2.0], [2.5, 2.0, 2.0]])
     clumped = np.repeat(sites, 60, axis=0) + rng.uniform(-0.1, 0.1, (120, 3))
-    _assert_same_bytes(clumped, box, 0.6, 5.0, kernel=kernel)
+    _assert_same_bytes(clumped, box, 0.6, 5.0)
 
 
 @pytest.mark.parametrize("below", [0.0, 1e-9], ids=["half-box", "just-below"])
@@ -103,15 +100,6 @@ def test_cutoff_at_half_the_box(below, kernel_mode):
     r_max = s.box.length / 2 - below
     _assert_same_bytes(s.positions, s.box, 0.5, r_max)
     _assert_same_bytes(_far_outside(s.positions, s.box, 3), s.box, 0.5, r_max)
-
-
-def test_oseen_kernel(kernel_mode):
-    # xi a > sqrt(pi)/3: the Oseen self term is negative, its
-    # off-diagonal zeros are -0.0
-    s = make_suspension(100, 0.2, seed=4)
-    assert pse.self_mobility_scalar(0.7, kernel="oseen") < 0
-    op = _assert_same_bytes(s.positions, s.box, 0.7, 5.0, kernel="oseen")
-    assert np.signbit(op.bcsr.blocks[op.bcsr.blocks == 0.0]).any()
 
 
 def test_one_particle_and_no_pair_in_range(kernel_mode):

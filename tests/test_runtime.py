@@ -150,6 +150,31 @@ def test_manifest_with_safe_mode_key_still_loads(tmp_path):
     assert loaded.to_json() == record.to_json()
 
 
+def _manifest_with_kernel(tmp_path, kernel):
+    # manifests written while PMEParams had a kernel option carry it in
+    # every task's "pme" object
+    record = TaskRecord(spec=_specs(1)[0])
+    path = tmp_path / "campaign.json"
+    CampaignManifest(tasks=[record]).save(path)
+    data = json.loads(path.read_text())
+    data["tasks"][0]["spec"]["pme"]["kernel"] = kernel
+    path.write_text(json.dumps(data))
+    return record, path
+
+
+def test_manifest_with_rpy_kernel_key_still_loads(tmp_path):
+    record, path = _manifest_with_kernel(tmp_path, "rpy")
+    (loaded,) = CampaignManifest.load(path).tasks
+    assert loaded.spec == record.spec
+    assert loaded.to_json() == record.to_json()
+
+
+def test_manifest_with_other_kernel_is_rejected(tmp_path):
+    _, path = _manifest_with_kernel(tmp_path, "oseen")
+    with pytest.raises(ConfigurationError, match="kernel"):
+        CampaignManifest.load(path)
+
+
 def test_manifest_rejects_unknown_version(tmp_path):
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps({"version": 99, "tasks": []}))

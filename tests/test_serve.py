@@ -29,7 +29,6 @@ from repro.exec import ExecutionContext
 from repro.pme.cache import MobilityCache
 from repro.pme.operator import PMEOperator
 from repro.pme.tuning import tune_parameters
-from repro.runtime.tasks import TaskSpec
 from repro.serve import (
     MobilityBatcher,
     OperatorPool,
@@ -106,15 +105,11 @@ def test_system_spec_validation_and_unknown_fields():
     assert spec.n == 10 and spec.phi == 0.1
 
 
-def test_served_task_spec_round_trips_the_kernel():
-    # the worker rebuilds PMEParams from the manifest's JSON: every
-    # field, the kernel included, must survive the trip
-    from repro.serve.jobs import task_spec_for
-
-    spec = task_spec_for(SystemSpec(n=16, kernel="oseen"), 1, 2)
-    assert spec.pme.kernel == "oseen"
-    wire = json.loads(json.dumps(spec.to_json()))
-    assert TaskSpec.from_json(wire) == spec
+def test_system_with_kernel_field_is_unknown():
+    # the RPY tensor is the one hydrodynamic kernel: a "kernel" field,
+    # which old clients sent, is an unknown system field
+    with pytest.raises(ProtocolError, match="unknown system fields"):
+        SystemSpec.from_json({"n": 16, "kernel": "rpy"})
 
 
 def test_fingerprint_vs_operator_key_granularity():
