@@ -13,7 +13,8 @@ the measured speedup is pure batching amortization — spread product,
 stacked FFTs, fused influence function and one BCSR stream shared
 across requests — not parallelism.
 
-Forces are unique per request (the result cache never hits) and every
+Every request is computed — the service answers ``mobility.apply``
+straight from the batcher, with no result cache in front — and every
 response is checked against a directly built reference operator, so
 the speedup is measured on bit-identical answers.
 

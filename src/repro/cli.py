@@ -184,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="thread pool size for applies/builds "
                             "(0 = REPRO_EXEC_WORKERS resolution)")
     serve.add_argument("--cache-entries", type=int, default=256,
-                       help="result cache LRU bound (default 256)")
+                       help="simulate result cache LRU bound "
+                            "(default 256)")
     serve.add_argument("--cache-ttl", type=float, default=600.0,
-                       help="result cache TTL seconds "
+                       help="simulate result cache TTL seconds "
                             "(0 disables expiry; default 600)")
     serve.add_argument("--work-dir", default="serve-jobs",
                        help="checkpoint/manifest directory for served "
@@ -379,6 +380,7 @@ def _run_ensemble(args) -> int:
 
     from .resilience.faults import FaultPlan
     from .runtime import (
+        MANIFEST_NAME,
         CampaignManifest,
         GracefulShutdown,
         Supervisor,
@@ -387,7 +389,7 @@ def _run_ensemble(args) -> int:
     )
 
     os.makedirs(args.checkpoint_dir, exist_ok=True)
-    manifest_path = os.path.join(args.checkpoint_dir, "campaign.json")
+    manifest_path = os.path.join(args.checkpoint_dir, MANIFEST_NAME)
     if args.resume:
         manifest = CampaignManifest.load(manifest_path)
         tasks = manifest.tasks
@@ -407,7 +409,7 @@ def _run_ensemble(args) -> int:
     supervisor = Supervisor(
         tasks, args.checkpoint_dir, n_workers=args.workers,
         deadline=args.deadline, hang_timeout=args.hang_timeout,
-        fault_plan=plan, manifest_path=manifest_path)
+        fault_plan=plan)
     with GracefulShutdown() as shutdown:
         report = supervisor.run(shutdown=shutdown)
     print(report.summary())

@@ -9,7 +9,7 @@ This subpackage provides
 * :mod:`~repro.resilience.failures` — the failure taxonomy
   (:class:`FailureKind`, :class:`StepFailure`),
 * :mod:`~repro.resilience.backoff` — the ensemble supervisor's retry
-  backoff with deterministic jitter,
+  delay (:func:`retry_delay`) with deterministic jitter,
 * :mod:`~repro.resilience.policy` — the :class:`RecoveryLog` returned
   in run statistics,
 * :mod:`~repro.resilience.recovery` — the recovery policy: the retry →
@@ -25,7 +25,7 @@ This subpackage provides
 classes, which themselves use this package's recovery ladder).
 """
 
-from .backoff import BackoffPolicy
+from .backoff import retry_delay
 from .failures import FailureKind, StepFailure, classify_exception
 from .policy import RecoveryEvent, RecoveryLog
 from .recovery import (
@@ -36,7 +36,7 @@ from .recovery import (
 )
 
 __all__ = [
-    "BackoffPolicy",
+    "retry_delay",
     "next_dt_scale",
     "FailureKind",
     "StepFailure",

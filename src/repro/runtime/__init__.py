@@ -25,6 +25,7 @@ machine and protocol.
 from .signals import GracefulShutdown
 from .supervisor import Supervisor, SupervisorReport, WorkerRestart
 from .tasks import (
+    MANIFEST_NAME,
     CampaignManifest,
     TaskRecord,
     TaskSpec,
@@ -35,6 +36,7 @@ from .tasks import (
 
 __all__ = [
     "TaskSpec", "TaskRecord", "TaskState", "CampaignManifest",
+    "MANIFEST_NAME",
     "make_ensemble", "positions_digest",
     "Supervisor", "SupervisorReport", "WorkerRestart",
     "GracefulShutdown",

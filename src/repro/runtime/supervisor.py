@@ -14,14 +14,13 @@ every process-level failure the fault plan (or reality) throws at it:
   positions disagrees with the digest the worker computed before
   transmission; the payload is discarded and the task retried.
 
-Retries are spaced by the shared
-:class:`~repro.resilience.backoff.BackoffPolicy` (exponential with
-deterministic per-task jitter).  Every attempt already runs the
-in-process recovery runtime (:mod:`repro.resilience.recovery`), so a
-task that keeps failing is not retried forever: its
-:data:`MAX_TASK_FAILURES`-th failed attempt quarantines it with a
-structured failure report — the campaign never wedges on one sick
-member.
+Retries are spaced by :func:`~repro.resilience.backoff.retry_delay`
+(exponential with deterministic per-task jitter).  Every attempt
+already runs the in-process recovery runtime
+(:mod:`repro.resilience.recovery`), so a task that keeps failing is
+not retried forever: its :data:`MAX_TASK_FAILURES`-th failed attempt
+quarantines it with a structured failure report — the campaign never
+wedges on one sick member.
 
 SIGTERM/SIGINT (via :class:`~repro.runtime.signals.GracefulShutdown`)
 triggers a drain: no new assignments, workers stop at their next block
@@ -34,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
@@ -42,25 +42,34 @@ from typing import Any, Sequence
 from .. import obs
 from ..errors import ConfigurationError
 from ..obs.collect import CampaignCollection, TraceContext, collect_campaign
-from ..resilience.backoff import BackoffPolicy
+from ..resilience.backoff import retry_delay
 from ..resilience.failures import FailureKind, StepFailure
 from ..resilience.faults import FaultPlan
 from ..utils.timing import now
 from .signals import GracefulShutdown
 from .tasks import (
+    MANIFEST_NAME,
     CampaignManifest,
     TaskRecord,
     TaskSpec,
     TaskState,
     positions_digest,
 )
-from .worker import DEFAULT_HEARTBEAT_INTERVAL, worker_main
+from .worker import worker_main
 
 __all__ = ["Supervisor", "SupervisorReport", "WorkerRestart"]
 
 #: Failed attempts of one task (counted by each :class:`Supervisor`) after
 #: which it is quarantined instead of retried.
 MAX_TASK_FAILURES = 6
+
+#: Worker restarts one campaign may need before it aborts with
+#: :class:`StepFailure` (the pool itself is sick, e.g. an OOM loop;
+#: retrying forever would thrash).
+MAX_WORKER_RESTARTS = 50
+
+#: Event-loop wait granularity in seconds.
+POLL_INTERVAL = 0.05
 
 
 def _mp_context():
@@ -147,8 +156,7 @@ class _WorkerHandle:
         return self.task is not None
 
     def assign(self, record: TaskRecord, fault, *, checkpoint_dir: str,
-               slow_per_step: float, heartbeat_interval: float,
-               exec_config: dict[str, Any],
+               slow_per_step: float, exec_config: dict[str, Any],
                obs_config: dict[str, Any] | None = None) -> None:
         spec = record.spec
         if obs_config is not None:
@@ -163,7 +171,6 @@ class _WorkerHandle:
             "attempt": record.attempts,
             "checkpoint_dir": checkpoint_dir,
             "slow_per_step": slow_per_step,
-            "heartbeat_interval": heartbeat_interval,
             "exec": exec_config,
         }
         if obs_config is not None:
@@ -207,8 +214,8 @@ class Supervisor:
         ``DONE``/``QUARANTINED`` records are kept as-is, everything
         else restarts from its latest checkpoint.
     checkpoint_dir:
-        Directory holding per-task rotating checkpoints and (by
-        default) the campaign manifest.
+        Directory holding per-task rotating checkpoints and the
+        campaign manifest (:data:`~repro.runtime.tasks.MANIFEST_NAME`).
     n_workers:
         Worker-process pool size.
     deadline:
@@ -217,34 +224,17 @@ class Supervisor:
     hang_timeout:
         Seconds of heartbeat silence after which a busy worker is
         declared hung and killed ("hang-timeout").
-    backoff:
-        Retry spacing; jitter is seeded per task, so the schedule is
-        deterministic and replay-identical.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` of process
         faults; they are assigned at :meth:`run` start and injected on
         first attempts only.  A plan with in-process rates, calls or
         checkpoint events is rejected.
-    manifest_path:
-        Where the resumable manifest is written; defaults to
-        ``<checkpoint_dir>/campaign.json``.
-    max_worker_restarts:
-        Abort budget — more restarts than this raise
-        :class:`StepFailure` (the pool itself is sick, e.g. an OOM
-        loop; retrying forever would thrash).
-    poll_interval:
-        Event-loop wait granularity in seconds.
     """
 
     def __init__(self, tasks: Sequence[TaskSpec | TaskRecord],
                  checkpoint_dir: str, *, n_workers: int = 2,
                  deadline: float | None = None, hang_timeout: float = 5.0,
-                 backoff: BackoffPolicy | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 manifest_path: str | None = None,
-                 max_worker_restarts: int = 50,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 poll_interval: float = 0.05):
+                 fault_plan: FaultPlan | None = None):
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}")
@@ -264,13 +254,8 @@ class Supervisor:
         self.n_workers = n_workers
         self.deadline = deadline
         self.hang_timeout = hang_timeout
-        self.backoff = backoff or BackoffPolicy()
         self.fault_plan = fault_plan
-        self.manifest_path = (manifest_path
-                              or f"{checkpoint_dir}/campaign.json")
-        self.max_worker_restarts = max_worker_restarts
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
+        self.manifest_path = os.path.join(checkpoint_dir, MANIFEST_NAME)
 
         self._failures = {r.spec.task_id: 0 for r in self.records}
         self._ready_at = {r.spec.task_id: 0.0 for r in self.records}
@@ -348,11 +333,11 @@ class Supervisor:
                     task=-1 if task_id is None else task_id)
         if handle.task is not None:
             self._task_failed(handle.task, reason, report)
-        if len(report.restarts) > self.max_worker_restarts:
+        if len(report.restarts) > MAX_WORKER_RESTARTS:
             raise StepFailure(
                 FailureKind.UNKNOWN,
                 f"worker restart budget exhausted "
-                f"({self.max_worker_restarts}); aborting campaign")
+                f"({MAX_WORKER_RESTARTS}); aborting campaign")
         if self._draining:
             return None  # no respawns while draining
         return self._spawn()
@@ -376,8 +361,7 @@ class Supervisor:
             self._save_manifest()
             return
         record.state = TaskState.PENDING
-        delay = self.backoff.delay(max(0, record.attempts - 1),
-                                   seed=task_id)
+        delay = retry_delay(max(0, record.attempts - 1), seed=task_id)
         self._ready_at[task_id] = now() + delay
         self._save_manifest()
 
@@ -488,7 +472,6 @@ class Supervisor:
                         record, fault, checkpoint_dir=self.checkpoint_dir,
                         slow_per_step=(self.fault_plan.slow_per_step
                                        if self.fault_plan else 0.0),
-                        heartbeat_interval=self.heartbeat_interval,
                         obs_config=self._obs_config(),
                         exec_config=self._exec_config(len(workers)))
 
@@ -497,12 +480,12 @@ class Supervisor:
                 return
             if not busy and self._pending():
                 # every pending task is in a backoff window; idle-wait
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL)
                 continue
 
             sources: list[Any] = [h.conn for h in workers]
             sources += [h.process.sentinel for h in workers]
-            ready = connection.wait(sources, timeout=self.poll_interval)
+            ready = connection.wait(sources, timeout=POLL_INTERVAL)
 
             for handle in list(workers):
                 if handle.conn in ready:

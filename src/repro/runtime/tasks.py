@@ -41,9 +41,12 @@ from ..pme.operator import PMEParams
 from ..utils.validation import as_positions
 
 __all__ = ["TaskSpec", "TaskState", "TaskRecord", "CampaignManifest",
-           "make_ensemble", "positions_digest"]
+           "MANIFEST_NAME", "make_ensemble", "positions_digest"]
 
 _MANIFEST_VERSION = 1
+
+#: File name of a campaign's manifest inside its checkpoint directory.
+MANIFEST_NAME = "campaign.json"
 
 
 def positions_digest(positions: np.ndarray) -> str:

@@ -52,7 +52,7 @@ from .tasks import TaskSpec, positions_digest
 __all__ = ["worker_main", "failure_report"]
 
 #: Seconds between heartbeat messages while a task is stepping.
-DEFAULT_HEARTBEAT_INTERVAL = 0.05
+HEARTBEAT_INTERVAL = 0.05
 
 
 def failure_report(failure: StepFailure, attempt: int) -> dict[str, Any]:
@@ -86,7 +86,6 @@ def _build_integrator(spec: TaskSpec, context=None):
 def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
               fault: dict[str, Any] | None,
               checkpoint_dir: str, slow_per_step: float,
-              heartbeat_interval: float,
               session: SpoolingSession | None = None,
               context=None) -> str:
     """Execute one task; reports over ``conn``, returns the outcome."""
@@ -140,7 +139,7 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
             last_hb[0] = now()
             if session is not None:
                 session.flush()  # trace/metrics ride the same cadence
-        elif now() - last_hb[0] >= heartbeat_interval:
+        elif now() - last_hb[0] >= HEARTBEAT_INTERVAL:
             conn.send({"msg": "heartbeat", "task_id": spec.task_id,
                        "step": gstep})
             last_hb[0] = now()
@@ -239,8 +238,6 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
                 fault=message.get("fault"),
                 checkpoint_dir=message["checkpoint_dir"],
                 slow_per_step=message.get("slow_per_step", 0.0),
-                heartbeat_interval=message.get(
-                    "heartbeat_interval", DEFAULT_HEARTBEAT_INTERVAL),
                 session=session, context=context)
         except Exception as exc:  # noqa: RPR006 - worker boundary: the
             # failure is not swallowed, it crosses the process boundary

@@ -6,9 +6,9 @@ clients into single :meth:`~repro.pme.operator.PMEOperator.apply_block`
 calls (the paper's Section IV.E block-of-vectors economics applied to
 *traffic* instead of a single caller), long ``simulate`` jobs run as
 supervised single-task campaigns with progress streaming and graceful
-cancellation, and everything is guarded by admission control and a
-deterministic result cache.  See ``docs/api.md`` ("Serving") for the
-protocol and semantics.
+cancellation, and everything is guarded by admission control; finished
+``simulate`` results land in a deterministic result cache.  See
+``docs/api.md`` ("Serving") for the protocol and semantics.
 """
 
 from .admission import AdmissionController, Shed

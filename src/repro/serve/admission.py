@@ -16,7 +16,9 @@ A refused request gets a ``shed`` response carrying ``retry_after``
 seconds — the Retry-After discipline: the *client* backs off and
 retries; the *server's* memory stays bounded no matter the offered
 load.  The hint scales with how oversubscribed the refused budget is,
-so a deeper backlog spreads retries further apart.
+so a deeper backlog spreads retries further apart.  A mobility request
+wider than the whole queue budget is not shed: no retry could ever
+admit it, so it is answered as a ``config`` error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..errors import ConfigurationError
+from .protocol import ProtocolError
 
 __all__ = ["Shed", "AdmissionController"]
 
@@ -89,12 +92,14 @@ class AdmissionController:
     def check_mobility(self, columns: int, backlog: int) -> Shed | None:
         """Queue-depth budget for one mobility request.
 
-        A single request wider than the whole budget is refused as
-        ``oversized`` (it could never be admitted, so no retry hint
-        softening applies).
+        Raises :class:`~repro.serve.protocol.ProtocolError` for a
+        request wider than the whole budget: it could never be
+        admitted, so it is an error, not a shed to retry.
         """
         if columns > self.max_queue_columns:
-            return self._shed("oversized", 0.0)
+            raise ProtocolError(
+                f"{columns} force columns exceed the mobility queue "
+                f"budget of {self.max_queue_columns} (max_queue_columns)")
         if backlog + columns > self.max_queue_columns:
             return self._shed("queue_full",
                               backlog / self.max_queue_columns)

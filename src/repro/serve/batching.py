@@ -2,8 +2,8 @@
 
 The paper's Section IV.E observation — the reciprocal-space pipeline
 is most efficient applied to *blocks* of vectors — is exploited inside
-one process by :meth:`~repro.pme.operator.PMEOperator.apply_block`
-(PR 4).  This module extends the same economics *across clients*: many
+one process by :meth:`~repro.pme.operator.PMEOperator.apply_block`.
+This module extends the same economics *across clients*: many
 small ``mobility.apply`` requests against the same system are merged
 into one block apply, so the spread product, the stacked FFTs, the
 slab-fused influence function and the BCSR SpMM are all amortized over
@@ -29,9 +29,9 @@ Scheduling is microbatching that knows who could still send:
   latency and no company; every open window flushes.  The service
   reports connections opening and closing
   (:meth:`MobilityBatcher.connect` / :meth:`~MobilityBatcher.disconnect`)
-  and which connections wait on each request (the submitter plus its
-  single-flight joiners).  ``max_wait`` is therefore the longest a
-  batch waits for a connection that has not sent;
+  and which connection submitted each request.  ``max_wait`` is
+  therefore the longest a batch waits for a connection that has not
+  sent;
 * the third test is decided once per event-loop turn (``call_soon``),
   after every request line already read has been submitted — decided
   inline in :meth:`~MobilityBatcher.submit`, it would split one
@@ -43,11 +43,16 @@ Scheduling is microbatching that knows who could still send:
   workspaces are scratch — two concurrent applies on one operator
   would race on them.  Distinct systems run concurrently.
 
+Every request is computed: the service hands each admitted request
+straight to :meth:`MobilityBatcher.submit`, with no result cache or
+request deduplication in front of it (the repository's clients send
+fresh forces with every request, so neither would ever hit).
+
 The :class:`OperatorPool` keeps one built operator (plus its
 :class:`~repro.pme.cache.MobilityCache`) per
-:meth:`~repro.serve.protocol.SystemSpec.operator_key`, LRU-bounded;
-construction is itself single-flighted so a burst of first requests
-builds each operator once.
+:meth:`~repro.serve.protocol.SystemSpec.operator_key`, LRU-bounded at
+:data:`MAX_SYSTEMS`; construction is single-flighted so a burst of
+first requests builds each operator once.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Hashable
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -73,6 +78,9 @@ _OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 #: Histogram buckets for in-queue wait (seconds).
 _WAIT_BUCKETS = (1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 5e-2, 1e-1, 1.0)
+
+#: Built operators the pool keeps resident (least recently used go).
+MAX_SYSTEMS = 8
 
 
 def build_operator(spec: SystemSpec):
@@ -116,12 +124,8 @@ class OperatorEntry:
 class OperatorPool:
     """LRU pool of built operators, keyed by operator fingerprint."""
 
-    def __init__(self, executor, max_systems: int = 8):
-        if max_systems < 1:
-            raise ConfigurationError(
-                f"max_systems must be >= 1, got {max_systems}")
+    def __init__(self, executor):
         self._executor = executor
-        self.max_systems = max_systems
         self._entries: "OrderedDict[str, OperatorEntry]" = OrderedDict()
         self._flight = SingleFlight()
         self.builds = 0
@@ -155,7 +159,7 @@ class OperatorPool:
 
     def _evict(self) -> None:
         """Drop least-recently-used idle entries beyond the bound."""
-        while len(self._entries) > self.max_systems:
+        while len(self._entries) > MAX_SYSTEMS:
             victim = next((k for k, e in self._entries.items()
                            if e.busy == 0), None)
             if victim is None:
@@ -164,7 +168,7 @@ class OperatorPool:
 
     def stats(self) -> dict[str, Any]:
         return {"resident": len(self._entries),
-                "max_systems": self.max_systems, "builds": self.builds,
+                "max_systems": MAX_SYSTEMS, "builds": self.builds,
                 "systems": [
                     {"fingerprint": e.key[:12], "n": e.operator.n,
                      "applies": e.applies,
@@ -181,9 +185,8 @@ class _Item:
     forces: np.ndarray           # (3n, s), validated
     future: asyncio.Future
     enqueued_at: float
-    #: Connections waiting on this answer; the caller may add to the
-    #: set after submitting (single-flight joiners).
-    waiters: AbstractSet[Hashable]
+    #: The submitting connection (``None`` for in-process callers).
+    client: Hashable | None
 
 
 @dataclass
@@ -250,14 +253,10 @@ class MobilityBatcher:
     def disconnect(self, client: Hashable) -> None:
         """A connection closed: windows stop waiting for it."""
         self._connections.discard(client)
-        self.recheck()
+        self._recheck()
 
-    def recheck(self) -> None:
-        """Re-decide the connection rule at the end of this loop turn.
-
-        Call after adding a connection to a submitted request's
-        ``waiters``; :meth:`submit` and :meth:`disconnect` call it.
-        """
+    def _recheck(self) -> None:
+        """Re-decide the connection rule at the end of this loop turn."""
         if self._decision is None and self._windows:
             self._decision = asyncio.get_running_loop().call_soon(
                 self._decide)
@@ -265,10 +264,8 @@ class MobilityBatcher:
     def _decide(self) -> None:
         """Flush every window if no open connection is left to join."""
         self._decision = None
-        waiting: set[Hashable] = set()
-        for window in self._windows.values():
-            for item in window.items:
-                waiting.update(item.waiters)
+        waiting = {item.client for window in self._windows.values()
+                   for item in window.items}
         if self._connections <= waiting:
             for key in list(self._windows):
                 self._flush(key)
@@ -276,13 +273,11 @@ class MobilityBatcher:
     # -- submission ------------------------------------------------------
 
     async def submit(self, spec: SystemSpec, forces: np.ndarray,
-                     waiters: AbstractSet[Hashable] = frozenset()
-                     ) -> np.ndarray:
+                     client: Hashable | None = None) -> np.ndarray:
         """Queue one request; resolves to its ``(3n, s)`` velocities.
 
-        ``waiters`` are the connections waiting on the answer (the
-        service passes a set it grows when a single-flight joiner
-        arrives, then calls :meth:`recheck`).
+        ``client`` is the submitting connection, which then counts as
+        waiting in this window (``None`` for in-process callers).
         """
         if forces.ndim != 2 or forces.shape[0] != 3 * spec.n:
             raise ProtocolError(
@@ -299,7 +294,7 @@ class MobilityBatcher:
                     self.max_wait, self._flush, key)
         item = _Item(spec=spec, forces=forces,
                      future=loop.create_future(), enqueued_at=now(),
-                     waiters=waiters)
+                     client=client)
         window.items.append(item)
         window.columns += forces.shape[1]
         self.backlog_columns += forces.shape[1]
@@ -309,7 +304,7 @@ class MobilityBatcher:
         if window.columns >= self.max_batch or self.max_wait == 0:
             self._flush(key)
         else:
-            self.recheck()
+            self._recheck()
         return await item.future
 
     # -- flushing --------------------------------------------------------

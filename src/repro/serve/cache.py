@@ -1,9 +1,9 @@
 """Deterministic result cache (LRU + TTL) and single-flight dedup.
 
-Because every served result is a pure function of its cache key — the
+The :class:`ResultCache` holds finished ``simulate`` results.  Each is
+a pure function of its cache key — the
 :class:`~repro.serve.protocol.SystemSpec` fingerprint plus the
-request's own inputs (seed and steps for ``simulate``, the exact force
-bytes for ``mobility.apply``) — caching is *semantically invisible*: a
+request's seed and steps — so caching is *semantically invisible*: a
 hit returns the same bytes the computation would have produced.  The
 cache therefore needs no invalidation protocol, only bounds:
 
@@ -13,17 +13,17 @@ cache therefore needs no invalidation protocol, only bounds:
   (and dropped on access), so a long-lived server does not pin
   arbitrarily old campaign results in memory forever.
 
-:class:`SingleFlight` deduplicates *concurrent* identical requests:
-the first caller computes, every later caller that arrives before the
-result lands awaits the same future.  Combined with the cache this
-gives the classic thundering-herd protection — N identical requests
-cost one computation, then hits.
+:class:`SingleFlight` deduplicates *concurrent* identical
+computations: the first caller computes, every later caller that
+arrives before the result lands awaits the same future.  The
+:class:`~repro.serve.batching.OperatorPool` builds each operator
+through it, so a burst of first requests for a system builds it once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from ..errors import ConfigurationError

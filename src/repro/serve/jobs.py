@@ -40,11 +40,19 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..resilience import classify_exception
 from ..runtime.supervisor import Supervisor
-from ..runtime.tasks import CampaignManifest, TaskSpec, TaskState
+from ..runtime.tasks import (
+    MANIFEST_NAME,
+    CampaignManifest,
+    TaskSpec,
+    TaskState,
+)
 from ..utils.validation import require
 from .protocol import SystemSpec
 
 __all__ = ["SimulateJob", "JobManager", "task_spec_for"]
+
+#: Seconds between polls of a running job's progress.
+PROGRESS_POLL = 0.05
 
 
 def task_spec_for(spec: SystemSpec, seed: int, steps: int) -> TaskSpec:
@@ -71,14 +79,13 @@ class SimulateJob:
     """One running (or finished) served simulation."""
 
     def __init__(self, key: str, spec: SystemSpec, seed: int, steps: int,
-                 job_dir: str, executor, *, progress_poll: float = 0.05):
+                 job_dir: str, executor):
         self.key = key
         self.spec = spec
         self.seed = seed
         self.steps = steps
         self.job_dir = job_dir
         self._executor = executor
-        self._progress_poll = progress_poll
         self.supervisor: Supervisor | None = None
         self.state = "pending"
         self.cancelled = False
@@ -122,7 +129,7 @@ class SimulateJob:
     async def _prepare(self) -> None:
         """Build the campaign (resuming a drained one if present)."""
         loop = asyncio.get_running_loop()
-        manifest_path = os.path.join(self.job_dir, "campaign.json")
+        manifest_path = os.path.join(self.job_dir, MANIFEST_NAME)
         records: Any = None
         if os.path.exists(manifest_path):
             manifest = CampaignManifest.load(manifest_path)
@@ -135,9 +142,7 @@ class SimulateJob:
                 self._executor, task_spec_for,
                 self.spec, self.seed, self.steps)
             records = [task]
-        self.supervisor = Supervisor(
-            records, self.job_dir, n_workers=1,
-            manifest_path=manifest_path)
+        self.supervisor = Supervisor(records, self.job_dir, n_workers=1)
         if self.cancelled:          # abandoned while still pending
             self.supervisor.request_drain()
         self.state = "running"
@@ -157,7 +162,7 @@ class SimulateJob:
                     self._publish({"event": "progress", "step": step,
                                    "of": self.steps})
                 await asyncio.wait(
-                    [run], timeout=self._progress_poll,
+                    [run], timeout=PROGRESS_POLL,
                     return_when=asyncio.FIRST_COMPLETED)
             report = run.result()
         except Exception as exc:  # noqa: RPR006 - job boundary: the
@@ -222,15 +227,13 @@ class SimulateJob:
 class JobManager:
     """Owns the active simulate jobs (dedup + concurrency bound)."""
 
-    def __init__(self, work_dir: str, executor, *, max_jobs: int = 2,
-                 progress_poll: float = 0.05):
+    def __init__(self, work_dir: str, executor, *, max_jobs: int = 2):
         if max_jobs < 1:
             raise ConfigurationError(
                 f"max_jobs must be >= 1, got {max_jobs}")
         self.work_dir = work_dir
         self._executor = executor
         self.max_jobs = max_jobs
-        self.progress_poll = progress_poll
         self.active: dict[str, SimulateJob] = {}
         self.started = 0
         self.deduplicated = 0
@@ -248,8 +251,7 @@ class JobManager:
         job_dir = os.path.join(self.work_dir,
                                f"{key[:16]}-{seed}-{steps}")
         os.makedirs(job_dir, exist_ok=True)
-        job = SimulateJob(key, spec, seed, steps, job_dir,
-                          self._executor, progress_poll=self.progress_poll)
+        job = SimulateJob(key, spec, seed, steps, job_dir, self._executor)
         self.active[key] = job
         self.started += 1
         obs.set_gauge("serve_active_jobs", len(self.active))

@@ -9,14 +9,14 @@ One :class:`SimulationService` owns the whole serving stack:
   it that way);
 * the :class:`~repro.serve.batching.MobilityBatcher` +
   :class:`~repro.serve.batching.OperatorPool` coalescing short
-  ``mobility.apply`` requests into block applies;
+  ``mobility.apply`` requests into block applies — an admitted
+  request goes straight to the batcher and is always computed;
 * the :class:`~repro.serve.jobs.JobManager` dispatching ``simulate``
   requests to Supervisor campaigns with progress streaming;
 * the :class:`~repro.serve.admission.AdmissionController` shedding
   load before anything is queued;
-* the :class:`~repro.serve.cache.ResultCache` +
-  :class:`~repro.serve.cache.SingleFlight` making repeated and
-  concurrent identical requests cost one computation.
+* the :class:`~repro.serve.cache.ResultCache` holding finished
+  ``simulate`` results, so a repeated campaign costs nothing.
 
 Every request runs under an :mod:`repro.obs` span carrying a trace id
 (``<client>-<request id>``), increments
@@ -46,7 +46,7 @@ from ..resilience import classify_exception
 from ..runtime.signals import GracefulShutdown
 from .admission import AdmissionController
 from .batching import MobilityBatcher, OperatorPool
-from .cache import ResultCache, SingleFlight
+from .cache import ResultCache
 from .jobs import JobManager
 from .protocol import (
     MAX_LINE_BYTES,
@@ -90,12 +90,10 @@ class ServeSettings:
     max_queue_columns: int = 64
     max_inflight: int = 8
     max_jobs: int = 2
-    max_systems: int = 8
     compute_threads: int = 0      # 0: RuntimeConfig resolved count
     cache_entries: int = 256
     cache_ttl: float | None = 600.0
     work_dir: str = "serve-jobs"
-    progress_poll: float = 0.05
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -130,8 +128,7 @@ class SimulationService:
         # RPR011: the thread pool is owned by an ExecutionContext
         self._context = ExecutionContext("threads", workers=workers)
         self._executor = self._context.thread_pool()
-        self.pool = OperatorPool(self._executor,
-                                 max_systems=s.max_systems)
+        self.pool = OperatorPool(self._executor)
         self.batcher = MobilityBatcher(self.pool, self._executor,
                                        max_batch=s.max_batch,
                                        max_wait=s.max_wait)
@@ -140,12 +137,8 @@ class SimulationService:
             max_inflight=s.max_inflight, max_jobs=s.max_jobs)
         self.cache = ResultCache(max_entries=s.cache_entries,
                                  ttl=s.cache_ttl)
-        self.flight = SingleFlight()
-        #: mobility result key -> connections waiting on its answer
-        self._mobility_waiters: dict[str, set[int]] = {}
         self.jobs = JobManager(s.work_dir, self._executor,
-                               max_jobs=s.max_jobs,
-                               progress_poll=s.progress_poll)
+                               max_jobs=s.max_jobs)
         os.makedirs(s.work_dir, exist_ok=True)
         self._server: asyncio.AbstractServer | None = None
         self._clients: dict[int, _ClientState] = {}
@@ -374,8 +367,6 @@ class SimulationService:
     async def _answer_mobility(self, state: _ClientState,
                                message: dict[str, Any]
                                ) -> tuple[dict[str, Any], str]:
-        import hashlib
-
         spec = SystemSpec.from_json(message.get("system"))
         forces = decode_array(message.get("forces"), "forces")
         flat = forces.ndim == 1
@@ -391,38 +382,12 @@ class SimulationService:
         if shed is not None:
             return shed_response(message, shed.reason,
                                  shed.retry_after), "shed"
-        fingerprint = spec.fingerprint()
-        force_digest = hashlib.sha256(
-            forces.tobytes()).hexdigest()[:32]
-        key = f"mob:{fingerprint}:{force_digest}"
-        cached = self.cache.get(key)
-        if cached is not None:
-            return ok_response(message, {**cached, "cached": True}), "ok"
-
-        # the connections waiting on this key: whoever computes it hands
-        # the set to the batcher, so a joiner counts as waiting in the
-        # window that holds the computing request
-        waiters = self._mobility_waiters.setdefault(key, set())
-        waiters.add(state.client_id)
-        if len(waiters) > 1:
-            self.batcher.recheck()      # a joiner: the request is queued
-
-        async def compute() -> dict[str, Any]:
-            velocities = await self.batcher.submit(spec, forces, waiters)
-            result = {
-                "velocities": encode_array(
-                    velocities[:, 0] if flat else velocities),
-                "fingerprint": fingerprint}
-            self.cache.put(key, result)
-            return result
-
-        try:
-            result = await self.flight.run(key, compute)
-        finally:
-            waiters.discard(state.client_id)
-            if not waiters and self._mobility_waiters.get(key) is waiters:
-                del self._mobility_waiters[key]
-        return ok_response(message, {**result, "cached": False}), "ok"
+        velocities = await self.batcher.submit(spec, forces,
+                                               state.client_id)
+        return ok_response(message, {
+            "velocities": encode_array(
+                velocities[:, 0] if flat else velocities),
+            "fingerprint": spec.fingerprint()}), "ok"
 
     # -- simulate --------------------------------------------------------
 
@@ -544,7 +509,5 @@ class SimulationService:
                 "operators": self.pool.stats(),
                 "admission": self.admission.stats(),
                 "cache": self.cache.to_json(),
-                "single_flight": {"active": self.flight.active(),
-                                  "joined": self.flight.joined},
                 "jobs": self.jobs.stats(),
                 "latency": self._latency_stats()}

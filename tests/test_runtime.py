@@ -1,6 +1,6 @@
 """Tests of the supervised ensemble runtime (repro.runtime).
 
-Unit layers (backoff, task specs, manifest, fault
+Unit layers (retry delay, task specs, manifest, fault
 plan, signals, worker logic) run in-process; the integration layers
 spawn real worker processes, and the 1,000-step soak (``-m faults``)
 injects every process-fault kind and asserts the supervisor accounts
@@ -18,7 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pme.operator import PMEParams
-from repro.resilience.backoff import BackoffPolicy
+from repro.resilience import backoff
+from repro.resilience.backoff import retry_delay
 from repro.resilience.failures import FailureKind, StepFailure
 from repro.resilience.faults import EXPECTED_OBSERVATIONS, FaultPlan
 from repro.resilience.recovery import MIN_DT_SCALE, next_dt_scale
@@ -51,43 +52,44 @@ def _run(tmp_path, specs_or_records, sub="c", **kw):
     d = str(tmp_path / sub)
     os.makedirs(d, exist_ok=True)
     kw.setdefault("hang_timeout", 60.0)
-    kw.setdefault("backoff", BackoffPolicy(initial=0.05, max_delay=0.2))
-    return Supervisor(specs_or_records, d, **kw).run()
+    with pytest.MonkeyPatch.context() as mp:
+        # short retry delays keep the fault tests fast; the supervisor
+        # reads them in this process
+        mp.setattr(backoff, "RETRY_INITIAL", 0.05)
+        mp.setattr(backoff, "RETRY_MAX_DELAY", 0.2)
+        return Supervisor(specs_or_records, d, **kw).run()
 
 
 # ----------------------------------------------------------------------
-# backoff policy and dt-scale decay
+# retry delay and dt-scale decay
 # ----------------------------------------------------------------------
 
-def test_backoff_delays_grow_and_cap():
-    policy = BackoffPolicy(initial=0.5, factor=2.0, max_delay=3.0,
-                           jitter=0.0)
-    assert policy.delay(0) == pytest.approx(0.5)
-    assert policy.delay(1) == pytest.approx(1.0)
-    assert policy.delay(2) == pytest.approx(2.0)
-    assert policy.delay(5) == pytest.approx(3.0)  # capped
+def test_backoff_delays_grow_and_cap(monkeypatch):
+    monkeypatch.setattr(backoff, "RETRY_INITIAL", 0.5)
+    monkeypatch.setattr(backoff, "RETRY_MAX_DELAY", 3.0)
+    monkeypatch.setattr(backoff, "RETRY_JITTER", 0.0)
+    assert retry_delay(0) == pytest.approx(0.5)
+    assert retry_delay(1) == pytest.approx(1.0)
+    assert retry_delay(2) == pytest.approx(2.0)
+    assert retry_delay(5) == pytest.approx(3.0)  # capped
+    with pytest.raises(ConfigurationError):
+        retry_delay(-1)
 
 
 def test_backoff_jitter_is_deterministic_and_bounded():
-    policy = BackoffPolicy(initial=1.0, factor=2.0, max_delay=64.0,
-                           jitter=0.1)
-    for attempt in range(5):
-        d1 = policy.delay(attempt, seed=11)
-        d2 = policy.delay(attempt, seed=11)
+    for attempt in range(10):
+        d1 = retry_delay(attempt, seed=11)
+        d2 = retry_delay(attempt, seed=11)
         assert d1 == d2  # replay-identical
-        raw = min(1.0 * 2.0 ** attempt, 64.0)
-        assert abs(d1 - raw) <= 0.1 * raw + 1e-12
+        raw = min(backoff.RETRY_INITIAL * backoff.RETRY_FACTOR ** attempt,
+                  backoff.RETRY_MAX_DELAY)
+        assert abs(d1 - raw) <= backoff.RETRY_JITTER * raw + 1e-12
+
+
+def test_retry_delay_differs_by_seed():
     # different seeds decorrelate retry storms
-    assert policy.delay(1, seed=1) != policy.delay(1, seed=2)
-
-
-def test_backoff_validation():
-    with pytest.raises(ConfigurationError):
-        BackoffPolicy(initial=-1.0)
-    with pytest.raises(ConfigurationError):
-        BackoffPolicy(factor=0.5)
-    with pytest.raises(ConfigurationError):
-        BackoffPolicy(jitter=1.5)
+    delays = {retry_delay(1, seed=seed) for seed in range(8)}
+    assert len(delays) == 8
 
 
 def test_next_dt_scale_decays_to_floor():
@@ -291,7 +293,7 @@ def _worker_messages(tmp_path, spec, fault=None, attempt=0):
     os.makedirs(str(tmp_path), exist_ok=True)
     _run_task(conn, _NeverStop(), spec, attempt=attempt, fault=fault,
               checkpoint_dir=str(tmp_path),
-              slow_per_step=0.0, heartbeat_interval=0.01)
+              slow_per_step=0.0)
     return conn.sent
 
 
@@ -468,13 +470,15 @@ def report_manifest_path(tmp_path):
     return os.path.join(str(tmp_path / "c"), "campaign.json")
 
 
-def test_worker_restart_budget_aborts(tmp_path):
+def test_worker_restart_budget_aborts(tmp_path, monkeypatch):
     # a plan with a kill fault and a restart budget of zero must abort
+    from repro.runtime import supervisor as supervisor_mod
+
+    monkeypatch.setattr(supervisor_mod, "MAX_WORKER_RESTARTS", 0)
     specs = _specs(1, n_steps=30)
     plan = FaultPlan(seed=1, counts={"kill": 1})
     with pytest.raises(StepFailure):
-        _run(tmp_path, specs, n_workers=1, fault_plan=plan,
-             max_worker_restarts=0)
+        _run(tmp_path, specs, n_workers=1, fault_plan=plan)
     # the manifest still landed on disk for post-mortem
     assert os.path.exists(report_manifest_path(tmp_path))
 

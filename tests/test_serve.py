@@ -35,6 +35,7 @@ from repro.serve import (
     ProtocolError,
     ResultCache,
     ServeClient,
+    ServeRequestError,
     ServeSettings,
     SimulationService,
     SingleFlight,
@@ -226,7 +227,7 @@ def test_batched_applies_bit_identical_to_direct():
 
     async def scenario(forces, max_batch):
         with ExecutionContext("threads", workers=2) as context:
-            pool = OperatorPool(context.thread_pool(), max_systems=2)
+            pool = OperatorPool(context.thread_pool())
             batcher = MobilityBatcher(pool, context.thread_pool(),
                                       max_batch=max_batch,
                                       max_wait=0.05)
@@ -283,10 +284,14 @@ def test_batcher_rejects_wrong_shape():
     asyncio.run(scenario())
 
 
-def test_operator_pool_builds_once_and_bounds_residency():
+def test_operator_pool_builds_once_and_bounds_residency(monkeypatch):
+    from repro.serve import batching
+
+    monkeypatch.setattr(batching, "MAX_SYSTEMS", 1)
+
     async def scenario():
         with ExecutionContext("threads", workers=2) as context:
-            pool = OperatorPool(context.thread_pool(), max_systems=1)
+            pool = OperatorPool(context.thread_pool())
             entries = await asyncio.gather(
                 *(pool.acquire(SPEC.operator_key(), SPEC)
                   for _ in range(4)))
@@ -437,16 +442,19 @@ def test_service_mobility_bit_identity_and_cache(tmp_path):
                    "forces": encode_array(forces)}
         first, = await _request(path, request)
         again, = await _request(path, {**request, "id": 2})
-        return first, again
+        return first, again, service.stats()
 
-    first, again = _run_service(_settings(tmp_path), scenario)
+    first, again, stats = _run_service(_settings(tmp_path), scenario)
     assert first["status"] == "ok"
     got = decode_array(first["result"]["velocities"])
     assert got.tobytes() == want.tobytes()
-    # identical request: served from the result cache, same bytes
-    assert again["result"]["cached"] is True
+    # identical request: computed again, same bytes; mobility traffic
+    # never touches the result cache
+    assert "cached" not in again["result"]
     assert decode_array(
         again["result"]["velocities"]).tobytes() == want.tobytes()
+    assert stats["batcher"]["requests_batched"] == 2
+    assert stats["cache"]["entries"] == 0
 
 
 @pytest.mark.parametrize("bad", [{"kernel": "foo"}, {"p": 1}, {"p": 40}],
@@ -555,7 +563,30 @@ def test_service_sheds_under_oversubscription(tmp_path):
     for response in responses:
         if response["status"] == "shed":
             assert response["retry_after"] > 0
-            assert response["reason"] in ("queue_full", "oversized")
+            assert response["reason"] == "queue_full"
+
+
+def test_oversized_mobility_request_is_an_error_not_a_shed(tmp_path):
+    # wider than the whole queue budget: no retry can ever admit it
+    forces = np.random.default_rng(2).standard_normal((3 * SPEC.n, 5))
+
+    async def scenario(service):
+        loop = asyncio.get_running_loop()
+        path = service.settings.socket_path
+
+        def client_work():
+            with ServeClient(socket_path=path, max_retries=5) as client:
+                with pytest.raises(ServeRequestError) as info:
+                    client.mobility_apply(SPEC, forces)
+                return info.value
+
+        error = await loop.run_in_executor(None, client_work)
+        return error, service.admission.shed_total, service.requests_total
+
+    error, shed_total, requests = _run_service(
+        _settings(tmp_path, max_queue_columns=4), scenario)
+    assert error.kind == "config" and "max_queue_columns" in str(error)
+    assert shed_total == 0 and requests == 1    # answered once, no retry
 
 
 def test_service_per_client_inflight_cap(tmp_path):
@@ -731,7 +762,7 @@ def test_service_stats_and_latency_quantiles(tmp_path):
     assert 0 < latency["p50_s"] <= latency["p90_s"] <= latency["p99_s"]
     assert stats["batcher"]["requests_batched"] == 3
     assert stats["operators"]["resident"] == 1
-    assert stats["cache"]["misses"] >= 3
+    assert stats["cache"]["misses"] == 0        # simulate results only
 
 
 def test_latency_quantiles_track_a_skewed_sample():
@@ -862,7 +893,7 @@ def test_silent_connection_holds_the_batch_until_it_leaves(tmp_path):
     assert flushed == 1
 
 
-def test_single_flight_joiner_counts_as_waiting_in_the_batch(tmp_path):
+def test_identical_requests_from_two_connections_form_one_batch(tmp_path):
     forces = np.random.default_rng(23).standard_normal(3 * SPEC.n)
     operator, _ = build_operator(SPEC)
     want = operator.apply_block(forces.reshape(-1, 1))[:, 0]
@@ -876,13 +907,14 @@ def test_single_flight_joiner_counts_as_waiting_in_the_batch(tmp_path):
         replies = [await _replies(reader, 1) for reader, _ in conns]
         for _, writer in conns:
             writer.close()
-        return replies, service.flight.joined, service.batcher.stats()
+        return replies, service.batcher.stats()
 
-    replies, joined, stats = _run_service(
+    replies, stats = _run_service(
         _settings(tmp_path, max_wait=NEVER), scenario)
-    # the second connection never reached the batcher: it waited on
-    # the first one's request, and that counted as being in the window
-    assert joined == 1 and stats["requests_batched"] == 1
+    # both requests reached the batcher; once both connections waited
+    # in the window, it flushed as one apply
+    assert stats["requests_batched"] == 2
+    assert stats["batches_flushed"] == 1
     for (reply,) in replies:
         assert decode_array(
             reply["result"]["velocities"]).tobytes() == want.tobytes()
