@@ -183,15 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compute-threads", type=int, default=0,
                        help="thread pool size for applies/builds "
                             "(0 = REPRO_EXEC_WORKERS resolution)")
-    serve.add_argument("--cache-entries", type=int, default=256,
-                       help="simulate result cache LRU bound "
-                            "(default 256)")
-    serve.add_argument("--cache-ttl", type=float, default=600.0,
-                       help="simulate result cache TTL seconds "
-                            "(0 disables expiry; default 600)")
     serve.add_argument("--work-dir", default="serve-jobs",
                        help="checkpoint/manifest directory for served "
-                            "simulate jobs (default serve-jobs/)")
+                            "simulate jobs; a finished job's directory "
+                            "answers its repeats (default serve-jobs/)")
     _add_obs_arguments(serve)
     _add_exec_arguments(serve)
 
@@ -585,10 +580,7 @@ def _run_serve(args) -> int:
         max_batch=args.max_batch, max_wait=args.max_wait,
         max_queue_columns=args.max_queue,
         max_inflight=args.max_inflight, max_jobs=args.max_jobs,
-        compute_threads=args.compute_threads,
-        cache_entries=args.cache_entries,
-        cache_ttl=(None if args.cache_ttl == 0 else args.cache_ttl),
-        work_dir=args.work_dir)
+        compute_threads=args.compute_threads, work_dir=args.work_dir)
     service = SimulationService(settings)
     where = (args.socket if args.socket is not None
              else f"{args.host}:{args.port}")

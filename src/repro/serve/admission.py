@@ -31,6 +31,10 @@ from .protocol import ProtocolError
 
 __all__ = ["Shed", "AdmissionController"]
 
+#: Retry-After floor in seconds; the hint grows linearly with the
+#: overload factor of the refused budget.
+BASE_RETRY_AFTER = 0.05
+
 
 @dataclass(frozen=True)
 class Shed:
@@ -51,35 +55,26 @@ class AdmissionController:
         Unanswered requests allowed per connection.
     max_jobs:
         Concurrent simulate campaigns allowed.
-    base_retry_after:
-        Retry-After floor in seconds; the hint grows linearly with
-        the overload factor of the refused budget.
     """
 
     def __init__(self, max_queue_columns: int = 64,
-                 max_inflight: int = 8, max_jobs: int = 2,
-                 base_retry_after: float = 0.05):
+                 max_inflight: int = 8, max_jobs: int = 2):
         for name, value in (("max_queue_columns", max_queue_columns),
                             ("max_inflight", max_inflight),
                             ("max_jobs", max_jobs)):
             if value < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {value}")
-        if base_retry_after <= 0:
-            raise ConfigurationError(
-                f"base_retry_after must be positive, got "
-                f"{base_retry_after}")
         self.max_queue_columns = max_queue_columns
         self.max_inflight = max_inflight
         self.max_jobs = max_jobs
-        self.base_retry_after = base_retry_after
         self.shed_total = 0
 
     def _shed(self, reason: str, load_factor: float) -> Shed:
         self.shed_total += 1
         obs.inc("serve_shed_total", reason=reason)
         return Shed(reason=reason,
-                    retry_after=self.base_retry_after
+                    retry_after=BASE_RETRY_AFTER
                     * (1.0 + max(0.0, load_factor)))
 
     def check_inflight(self, client_inflight: int) -> Shed | None:

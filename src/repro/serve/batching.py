@@ -51,8 +51,9 @@ fresh forces with every request, so neither would ever hit).
 The :class:`OperatorPool` keeps one built operator (plus its
 :class:`~repro.pme.cache.MobilityCache`) per
 :meth:`~repro.serve.protocol.SystemSpec.operator_key`, LRU-bounded at
-:data:`MAX_SYSTEMS`; construction is single-flighted so a burst of
-first requests builds each operator once.
+:data:`MAX_SYSTEMS`; a build in flight is one task per key that every
+acquire of the key awaits, so a burst of first requests builds each
+operator once, and a failed build is retried by the next acquire.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..resilience import classify_exception
 from ..utils.timing import now
-from .cache import SingleFlight
 from .protocol import ProtocolError, SystemSpec
 
 __all__ = ["OperatorPool", "MobilityBatcher", "build_operator"]
@@ -127,7 +127,8 @@ class OperatorPool:
     def __init__(self, executor):
         self._executor = executor
         self._entries: "OrderedDict[str, OperatorEntry]" = OrderedDict()
-        self._flight = SingleFlight()
+        #: Builds in flight by key; each drops out once it finishes.
+        self._building: dict[str, asyncio.Task] = {}
         self.builds = 0
 
     def __len__(self) -> int:
@@ -139,23 +140,35 @@ class OperatorPool:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
+        build = self._building.get(key)
+        if build is None:
+            build = asyncio.get_running_loop().create_task(
+                self._build(key, spec))
+            self._building[key] = build
+            build.add_done_callback(
+                lambda done: self._built(key, done))
+        # shielded: a cancelled caller does not cancel the others' build
+        return await asyncio.shield(build)
 
-        async def build() -> OperatorEntry:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            loop = asyncio.get_running_loop()
-            with obs.span("serve.build_operator", n=spec.n,
-                          fingerprint=key[:12]):
-                operator, cache = await loop.run_in_executor(
-                    self._executor, build_operator, spec)
-            self.builds += 1
-            built = OperatorEntry(key=key, operator=operator, cache=cache)
-            self._entries[key] = built
-            self._evict()
-            return built
+    async def _build(self, key: str, spec: SystemSpec) -> OperatorEntry:
+        loop = asyncio.get_running_loop()
+        with obs.span("serve.build_operator", n=spec.n,
+                      fingerprint=key[:12]):
+            operator, cache = await loop.run_in_executor(
+                self._executor, build_operator, spec)
+        self.builds += 1
+        built = OperatorEntry(key=key, operator=operator, cache=cache)
+        self._entries[key] = built
+        self._evict()
+        return built
 
-        return await self._flight.run(f"build:{key}", build)
+    def _built(self, key: str, build: asyncio.Task) -> None:
+        """Drop a finished build, so a failed one is retried."""
+        del self._building[key]
+        if not build.cancelled():
+            # its awaiters re-raise a failure; retrieving it here keeps
+            # one nobody awaited from being logged as never retrieved
+            build.exception()
 
     def _evict(self) -> None:
         """Drop least-recently-used idle entries beyond the bound."""

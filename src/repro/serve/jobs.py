@@ -24,10 +24,12 @@ Everything the runtime guarantees transfers to the service for free:
 * **deduplication** — jobs are keyed by (fingerprint, seed, steps);
   concurrent identical requests subscribe to the one running job.
 
-The terminal result (the final-position digest) is what lands in the
-service's :class:`~repro.serve.cache.ResultCache` — its bytes equal a
-direct :class:`~repro.core.simulation.Simulation` run of the same
-recipe, the contract the test suite pins.
+The job directory is the result store: its manifest records the task
+``DONE`` with the final-position digest, so
+:meth:`JobManager.finished` answers a repeated request from it —
+in-process or after a restart — without launching anything.  The
+digest equals a direct :class:`~repro.core.simulation.Simulation` run
+of the same recipe, the contract the test suite pins.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ import os
 from typing import Any
 
 from .. import obs
-from ..errors import ConfigurationError
 from ..resilience import classify_exception
 from ..runtime.supervisor import Supervisor
 from ..runtime.tasks import (
     MANIFEST_NAME,
     CampaignManifest,
+    TaskRecord,
     TaskSpec,
     TaskState,
 )
@@ -75,17 +77,23 @@ def task_spec_for(spec: SystemSpec, seed: int, steps: int) -> TaskSpec:
                     forces=spec.forces)
 
 
+def _done_result(record: TaskRecord) -> dict[str, Any]:
+    """The answer of a finished campaign, from its task record."""
+    return {"state": "done", "digest": record.digest,
+            "completed_step": record.completed_step,
+            "steps": record.spec.n_steps}
+
+
 class SimulateJob:
     """One running (or finished) served simulation."""
 
-    def __init__(self, key: str, spec: SystemSpec, seed: int, steps: int,
-                 job_dir: str, executor):
+    def __init__(self, manager: JobManager, key: str, spec: SystemSpec,
+                 seed: int, steps: int):
+        self._manager = manager
         self.key = key
         self.spec = spec
         self.seed = seed
         self.steps = steps
-        self.job_dir = job_dir
-        self._executor = executor
         self.supervisor: Supervisor | None = None
         self.state = "pending"
         self.cancelled = False
@@ -128,33 +136,32 @@ class SimulateJob:
 
     async def _prepare(self) -> None:
         """Build the campaign (resuming a drained one if present)."""
-        loop = asyncio.get_running_loop()
-        manifest_path = os.path.join(self.job_dir, MANIFEST_NAME)
-        records: Any = None
-        if os.path.exists(manifest_path):
-            manifest = CampaignManifest.load(manifest_path)
-            if (manifest.resumable and len(manifest.tasks) == 1
-                    and manifest.tasks[0].spec.n_steps == self.steps
-                    and manifest.tasks[0].spec.seed == self.seed):
-                records = manifest.tasks  # drained earlier: resume
-        if records is None:
-            task = await loop.run_in_executor(
-                self._executor, task_spec_for,
+        manager = self._manager
+        record = manager.record(self.key, self.seed, self.steps)
+        if record is None or record.state in (TaskState.DONE,
+                                              TaskState.QUARANTINED):
+            # no campaign to resume: run afresh
+            loop = asyncio.get_running_loop()
+            record = await loop.run_in_executor(
+                manager.executor, task_spec_for,
                 self.spec, self.seed, self.steps)
-            records = [task]
-        self.supervisor = Supervisor(records, self.job_dir, n_workers=1)
+        self.supervisor = Supervisor(
+            [record], manager.job_dir(self.key, self.seed, self.steps),
+            n_workers=1)
         if self.cancelled:          # abandoned while still pending
             self.supervisor.request_drain()
         self.state = "running"
 
     async def _drive(self) -> None:
         require(self._done is not None, "job was not started")
-        loop = asyncio.get_running_loop()
         last_step = -1
         try:
             await self._prepare()
             record = self.supervisor.records[0]
-            run = loop.run_in_executor(self._executor, self.supervisor.run)
+            # the worker process computes; the thread that waits on it
+            # must not hold a compute-pool thread mobility applies need
+            run = asyncio.ensure_future(
+                asyncio.to_thread(self.supervisor.run))
             while not run.done():
                 step = record.completed_step
                 if step != last_step and step > 0:
@@ -169,30 +176,28 @@ class SimulateJob:
             # classified failure becomes the terminal result every
             # subscribed client receives as an error response
             kind = classify_exception(exc)
-            self.state = "failed"
             result: dict[str, Any] = {
                 "state": "failed", "kind": kind.value,
                 "message": str(exc)}
-            self._publish({"event": "end", **result})
-            self._done.set_result(result)
-            return
-        step = record.completed_step
-        if step != last_step and step > 0:
-            # the run can finish between polls: publish the terminal
-            # step so subscribers always see the final progress
-            self._publish({"event": "progress", "step": step,
-                           "of": self.steps})
-        result = self._terminal_result(report, record)
+        else:
+            step = record.completed_step
+            if step != last_step and step > 0:
+                # the run can finish between polls: publish the terminal
+                # step so subscribers always see the final progress
+                self._publish({"event": "progress", "step": step,
+                               "of": self.steps})
+            result = self._terminal_result(report, record)
         self.state = str(result["state"])
+        # retired before anyone is answered: a repeat sent after the
+        # answer reads the job directory instead of joining this job
+        self._manager.retire(self)
         self._publish({"event": "end", **result})
         self._done.set_result(result)
 
     def _terminal_result(self, report: Any,
                          record: Any) -> dict[str, Any]:
         if record.state is TaskState.DONE:
-            return {"state": "done", "digest": record.digest,
-                    "completed_step": record.completed_step,
-                    "steps": self.steps}
+            return _done_result(record)
         if report.drained:
             return {"state": "drained",
                     "completed_step": record.completed_step,
@@ -225,56 +230,82 @@ class SimulateJob:
 
 
 class JobManager:
-    """Owns the active simulate jobs (dedup + concurrency bound)."""
+    """Owns the active simulate jobs (dedup) and their job directories.
 
-    def __init__(self, work_dir: str, executor, *, max_jobs: int = 2):
-        if max_jobs < 1:
-            raise ConfigurationError(
-                f"max_jobs must be >= 1, got {max_jobs}")
+    ``hits`` counts requests answered from a finished job directory,
+    ``misses`` every other simulate request.  The concurrency bound is
+    the :class:`~repro.serve.admission.AdmissionController`'s.
+    """
+
+    def __init__(self, work_dir: str, executor):
         self.work_dir = work_dir
-        self._executor = executor
-        self.max_jobs = max_jobs
+        #: Compute pool for the CPU-bound tuning of a fresh task spec.
+        self.executor = executor
         self.active: dict[str, SimulateJob] = {}
         self.started = 0
         self.deduplicated = 0
+        self.hits = 0
+        self.misses = 0
+
+    def job_dir(self, key: str, seed: int, steps: int) -> str:
+        """The checkpoint/manifest directory of one request."""
+        return os.path.join(self.work_dir, f"{key[:16]}-{seed}-{steps}")
+
+    def record(self, key: str, seed: int, steps: int) -> TaskRecord | None:
+        """The task record in a request's job directory, if its
+        manifest holds exactly this one campaign."""
+        path = os.path.join(self.job_dir(key, seed, steps), MANIFEST_NAME)
+        if not os.path.exists(path):
+            return None
+        tasks = CampaignManifest.load(path).tasks
+        if (len(tasks) != 1 or tasks[0].spec.seed != seed
+                or tasks[0].spec.n_steps != steps):
+            return None
+        return tasks[0]
 
     def get(self, key: str) -> SimulateJob | None:
         """The running job for a key (dedup join), if any."""
         job = self.active.get(key)
         if job is not None:
             self.deduplicated += 1
+            self.misses += 1
         return job
+
+    def finished(self, key: str, seed: int,
+                 steps: int) -> dict[str, Any] | None:
+        """The result a finished job directory holds for a request."""
+        record = self.record(key, seed, steps)
+        if record is None or record.state is not TaskState.DONE:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return _done_result(record)
 
     def launch(self, key: str, spec: SystemSpec, seed: int,
                steps: int) -> SimulateJob:
         """Start a new job; the caller must have admission-checked."""
-        job_dir = os.path.join(self.work_dir,
-                               f"{key[:16]}-{seed}-{steps}")
-        os.makedirs(job_dir, exist_ok=True)
-        job = SimulateJob(key, spec, seed, steps, job_dir, self._executor)
+        os.makedirs(self.job_dir(key, seed, steps), exist_ok=True)
+        job = SimulateJob(self, key, spec, seed, steps)
         self.active[key] = job
         self.started += 1
         obs.set_gauge("serve_active_jobs", len(self.active))
         job.start()
         return job
 
-    def finish(self, key: str) -> None:
-        """Forget a terminal job (its result lives in the cache now)."""
-        self.active.pop(key, None)
+    def retire(self, job: SimulateJob) -> None:
+        """Forget a terminal job (its result lives in its directory)."""
+        self.active.pop(job.key, None)
         obs.set_gauge("serve_active_jobs", len(self.active))
 
     async def drain_all(self) -> None:
         """Gracefully drain every active job (server shutdown)."""
-        for job in list(self.active.values()):
+        jobs = list(self.active.values())
+        for job in jobs:
             job.cancel()
-        for job in list(self.active.values()):
-            if job._done is not None:
-                await job.wait()
-        self.active.clear()
-        obs.set_gauge("serve_active_jobs", 0)
+        for job in jobs:
+            await job.wait()
 
     def stats(self) -> dict[str, Any]:
-        return {"active": len(self.active), "max_jobs": self.max_jobs,
-                "started": self.started,
+        return {"active": len(self.active), "started": self.started,
                 "deduplicated": self.deduplicated,
                 "jobs": [job.to_json() for job in self.active.values()]}

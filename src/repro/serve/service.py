@@ -12,11 +12,11 @@ One :class:`SimulationService` owns the whole serving stack:
   ``mobility.apply`` requests into block applies — an admitted
   request goes straight to the batcher and is always computed;
 * the :class:`~repro.serve.jobs.JobManager` dispatching ``simulate``
-  requests to Supervisor campaigns with progress streaming;
+  requests to Supervisor campaigns with progress streaming; a request
+  whose job directory already holds a finished campaign is answered
+  from it, before admission, even after a restart;
 * the :class:`~repro.serve.admission.AdmissionController` shedding
-  load before anything is queued;
-* the :class:`~repro.serve.cache.ResultCache` holding finished
-  ``simulate`` results, so a repeated campaign costs nothing.
+  load before anything is queued.
 
 Every request runs under an :mod:`repro.obs` span carrying a trace id
 (``<client>-<request id>``), increments
@@ -46,7 +46,6 @@ from ..resilience import classify_exception
 from ..runtime.signals import GracefulShutdown
 from .admission import AdmissionController
 from .batching import MobilityBatcher, OperatorPool
-from .cache import ResultCache
 from .jobs import JobManager
 from .protocol import (
     MAX_LINE_BYTES,
@@ -91,8 +90,6 @@ class ServeSettings:
     max_inflight: int = 8
     max_jobs: int = 2
     compute_threads: int = 0      # 0: RuntimeConfig resolved count
-    cache_entries: int = 256
-    cache_ttl: float | None = 600.0
     work_dir: str = "serve-jobs"
 
     def to_json(self) -> dict[str, Any]:
@@ -135,17 +132,13 @@ class SimulationService:
         self.admission = AdmissionController(
             max_queue_columns=s.max_queue_columns,
             max_inflight=s.max_inflight, max_jobs=s.max_jobs)
-        self.cache = ResultCache(max_entries=s.cache_entries,
-                                 ttl=s.cache_ttl)
-        self.jobs = JobManager(s.work_dir, self._executor,
-                               max_jobs=s.max_jobs)
+        self.jobs = JobManager(s.work_dir, self._executor)
         os.makedirs(s.work_dir, exist_ok=True)
         self._server: asyncio.AbstractServer | None = None
         self._clients: dict[int, _ClientState] = {}
         self._next_client = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
-        self._background: set = set()
         self._installed_metrics = False
         self.requests_total = 0
 
@@ -185,9 +178,6 @@ class SimulationService:
             self._server.close()
         await self.batcher.drain()
         await self.jobs.drain_all()
-        if self._background:
-            await asyncio.gather(*list(self._background),
-                                 return_exceptions=True)
         # close every transport and wait for its handler to see EOF:
         # a handler still pending when the loop shuts down is cancelled
         # there, and asyncio reports that as an unhandled exception
@@ -406,20 +396,16 @@ class SimulationService:
             raise ProtocolError(
                 f"steps must be in [1, {MAX_STEPS}], got {steps}")
         key = f"sim:{spec.fingerprint()}:{seed}:{steps}"
-        cached = self.cache.get(key)
-        if cached is not None:
-            return ok_response(message, {**cached, "cached": True}), "ok"
         job = self.jobs.get(key)
         if job is None:
+            done = self.jobs.finished(key, seed, steps)
+            if done is not None:
+                return ok_response(message, {**done, "cached": True}), "ok"
             shed = self.admission.check_simulate(len(self.jobs.active))
             if shed is not None:
                 return shed_response(message, shed.reason,
                                      shed.retry_after), "shed"
             job = self.jobs.launch(key, spec, seed, steps)
-            finalizer = asyncio.get_running_loop().create_task(
-                self._finalize_job(key, job))
-            self._background.add(finalizer)
-            finalizer.add_done_callback(self._background.discard)
         queue = job.subscribe()
         request_id = str(message["id"])
         forwarder = asyncio.get_running_loop().create_task(
@@ -435,13 +421,6 @@ class SimulationService:
             return error_response(message, str(result.get("kind")),
                                   str(result.get("message"))), "error"
         return ok_response(message, {**result, "cached": False}), "ok"
-
-    async def _finalize_job(self, key: str, job: Any) -> None:
-        """Cache and retire a job independently of its subscribers."""
-        result = await job.wait()
-        if result["state"] == "done":
-            self.cache.put(key, result)
-        self.jobs.finish(key)
 
     async def _forward_events(self, state: _ClientState,
                               message: dict[str, Any],
@@ -508,6 +487,7 @@ class SimulationService:
                 "batcher": self.batcher.stats(),
                 "operators": self.pool.stats(),
                 "admission": self.admission.stats(),
-                "cache": self.cache.to_json(),
+                "cache": {"hits": self.jobs.hits,
+                          "misses": self.jobs.misses},
                 "jobs": self.jobs.stats(),
                 "latency": self._latency_stats()}

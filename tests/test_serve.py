@@ -1,4 +1,4 @@
-"""Tests for ``repro.serve`` — protocol, batching, caching, service.
+"""Tests for ``repro.serve`` — protocol, batching, jobs, service.
 
 The load-bearing assertions are the determinism contracts:
 
@@ -33,12 +33,10 @@ from repro.serve import (
     MobilityBatcher,
     OperatorPool,
     ProtocolError,
-    ResultCache,
     ServeClient,
     ServeRequestError,
     ServeSettings,
     SimulationService,
-    SingleFlight,
     SystemSpec,
 )
 from repro.serve.batching import build_operator
@@ -124,99 +122,6 @@ def test_fingerprint_vs_operator_key_granularity():
 
 
 # ----------------------------------------------------------------------
-# result cache + single flight
-# ----------------------------------------------------------------------
-
-def test_result_cache_lru_eviction():
-    cache = ResultCache(max_entries=2, ttl=None)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1          # refresh a: b becomes LRU
-    cache.put("c", 3)
-    assert cache.get("b") is None
-    assert cache.get("a") == 1 and cache.get("c") == 3
-    assert cache.stats.evictions == 1
-
-
-def test_result_cache_ttl_expiry_with_injected_clock():
-    clock = [0.0]
-    cache = ResultCache(max_entries=8, ttl=10.0, clock=lambda: clock[0])
-    cache.put("k", "v")
-    clock[0] = 9.0
-    assert cache.get("k") == "v"
-    clock[0] = 20.1
-    assert cache.get("k") is None
-    assert cache.stats.expirations == 1
-    assert len(cache) == 0              # expired entry was dropped
-
-
-def test_single_flight_deduplicates_concurrent_callers():
-    async def scenario():
-        flight = SingleFlight()
-        calls = []
-
-        async def compute():
-            calls.append(1)
-            await asyncio.sleep(0.02)
-            return "result"
-
-        results = await asyncio.gather(
-            *(flight.run("k", compute) for _ in range(5)))
-        assert results == ["result"] * 5
-        assert len(calls) == 1
-        assert flight.joined == 4
-        assert flight.active() == 0
-
-    asyncio.run(scenario())
-
-
-def test_single_flight_failure_is_not_cached():
-    async def scenario():
-        flight = SingleFlight()
-        attempts = []
-
-        async def failing():
-            attempts.append(1)
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            await flight.run("k", failing)
-
-        async def working():
-            return 42
-
-        assert await flight.run("k", working) == 42
-        assert len(attempts) == 1
-
-    asyncio.run(scenario())
-
-
-def test_single_flight_cancelled_caller_hands_over():
-    # the computing caller is cancelled (its client disconnected): the
-    # joiner must still get an answer, from its own computation
-    async def scenario():
-        flight = SingleFlight()
-        started = asyncio.Event()
-
-        async def never():
-            started.set()
-            await asyncio.Event().wait()
-
-        async def working():
-            return 42
-
-        first = asyncio.ensure_future(flight.run("k", never))
-        await started.wait()
-        joiner = asyncio.ensure_future(flight.run("k", working))
-        await asyncio.sleep(0)
-        first.cancel()
-        assert await asyncio.wait_for(joiner, timeout=5.0) == 42
-        assert first.cancelled() and flight.active() == 0
-
-    asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
 # batching: bit identity against direct apply_block
 # ----------------------------------------------------------------------
 
@@ -288,19 +193,63 @@ def test_operator_pool_builds_once_and_bounds_residency(monkeypatch):
     from repro.serve import batching
 
     monkeypatch.setattr(batching, "MAX_SYSTEMS", 1)
+    calls = []
+    real = batching.build_operator
+    monkeypatch.setattr(batching, "build_operator",
+                        lambda spec: calls.append(spec) or real(spec))
 
     async def scenario():
         with ExecutionContext("threads", workers=2) as context:
             pool = OperatorPool(context.thread_pool())
-            entries = await asyncio.gather(
-                *(pool.acquire(SPEC.operator_key(), SPEC)
-                  for _ in range(4)))
-            assert pool.builds == 1
+            # concurrent first acquires of one key share one build; a
+            # cancelled caller leaves it running for the others
+            gone = asyncio.ensure_future(
+                pool.acquire(SPEC.operator_key(), SPEC))
+            await asyncio.sleep(0)
+            waiting = [asyncio.ensure_future(
+                pool.acquire(SPEC.operator_key(), SPEC)) for _ in range(4)]
+            await asyncio.sleep(0)
+            gone.cancel()
+            entries = await asyncio.gather(*waiting)
+            assert gone.cancelled()
+            assert pool.builds == 1 and len(calls) == 1
             assert all(e is entries[0] for e in entries)
+            assert not pool._building        # the finished build is gone
             other = SystemSpec(n=18, phi=0.2)
             await pool.acquire(other.operator_key(), other)
             assert pool.builds == 2
             assert len(pool) == 1       # LRU bound evicted the first
+
+    asyncio.run(scenario())
+
+
+def test_operator_pool_failed_build_is_not_kept(monkeypatch):
+    from repro.serve import batching
+
+    real = batching.build_operator
+    attempts = []
+
+    def flaky(spec):
+        attempts.append(spec)
+        if len(attempts) == 1:
+            raise ValueError("boom")
+        return real(spec)
+
+    monkeypatch.setattr(batching, "build_operator", flaky)
+
+    async def scenario():
+        with ExecutionContext("threads", workers=2) as context:
+            pool = OperatorPool(context.thread_pool())
+            failed = await asyncio.gather(
+                *(pool.acquire(SPEC.operator_key(), SPEC)
+                  for _ in range(3)), return_exceptions=True)
+            # every concurrent caller saw the one failure
+            assert all(isinstance(e, ValueError) for e in failed)
+            assert pool.builds == 0 and len(pool) == 0
+            assert not pool._building
+            entry = await pool.acquire(SPEC.operator_key(), SPEC)
+            assert pool.builds == 1 and len(attempts) == 2
+            assert await pool.acquire(SPEC.operator_key(), SPEC) is entry
 
     asyncio.run(scenario())
 
@@ -449,12 +398,12 @@ def test_service_mobility_bit_identity_and_cache(tmp_path):
     got = decode_array(first["result"]["velocities"])
     assert got.tobytes() == want.tobytes()
     # identical request: computed again, same bytes; mobility traffic
-    # never touches the result cache
+    # is never answered from a job directory
     assert "cached" not in again["result"]
     assert decode_array(
         again["result"]["velocities"]).tobytes() == want.tobytes()
     assert stats["batcher"]["requests_batched"] == 2
-    assert stats["cache"]["entries"] == 0
+    assert stats["cache"] == {"hits": 0, "misses": 0}
 
 
 @pytest.mark.parametrize("bad", [{"kernel": "foo"}, {"p": 1}, {"p": 40}],
@@ -532,6 +481,73 @@ def test_service_simulate_concurrent_requests_deduplicate(tmp_path):
     (first, second), started = _run_service(_settings(tmp_path), scenario)
     assert started == 1              # one campaign served both clients
     assert first[0]["result"]["digest"] == second[0]["result"]["digest"]
+
+
+def test_finished_simulate_is_answered_from_its_job_directory(tmp_path):
+    # two services, one after the other, on one work_dir: the second
+    # answers the repeat from the first one's job directory
+    spec = SystemSpec(n=16, phi=0.2, lambda_rpy=4)
+    request = {"op": "simulate", "id": "r", "system": spec.to_json(),
+               "seed": 4, "steps": 8}
+
+    async def scenario(service):
+        response, = await _request(service.settings.socket_path, request)
+        return response, service.jobs.started, service.stats()["cache"]
+
+    settings = _settings(tmp_path)
+    first, started, cache = _run_service(settings, scenario)
+    assert first["status"] == "ok", first
+    assert first["result"]["state"] == "done"
+    assert not first["result"]["cached"]
+    assert started == 1
+    assert (cache["hits"], cache["misses"]) == (0, 1)
+
+    again, started, cache = _run_service(settings, scenario)
+    assert started == 0                 # no Supervisor, no worker
+    assert again["status"] == "ok", again
+    assert again["result"] == {**first["result"], "cached": True}
+    assert cache == {"hits": 1, "misses": 0}
+
+
+def test_mobility_apply_is_answered_while_a_simulate_runs(tmp_path):
+    # one compute thread: the running job must not hold it while its
+    # worker process computes, or the apply waits for the whole job
+    spec = SystemSpec(n=16, phi=0.2)
+    forces = np.random.default_rng(12).standard_normal(3 * SPEC.n)
+    operator, _ = build_operator(SPEC)
+    want = operator.apply_block(forces.reshape(-1, 1))[:, 0]
+
+    async def scenario(service):
+        path = service.settings.socket_path
+        _reader, writer = await asyncio.open_unix_connection(
+            path, limit=2 ** 25)
+        writer.write(encode_message({
+            "op": "simulate", "id": "long", "system": spec.to_json(),
+            "seed": 6, "steps": 1_000_000}))
+        await writer.drain()
+
+        async def running():
+            while not service.jobs.active:
+                await asyncio.sleep(0.01)
+            job, = service.jobs.active.values()
+            while job.state == "pending":
+                await asyncio.sleep(0.01)
+            return job
+
+        job = await asyncio.wait_for(running(), timeout=60.0)
+        try:
+            assert job.state == "running"
+            reply, = await asyncio.wait_for(
+                _request(path, _apply("a", forces)), timeout=10.0)
+        finally:
+            job.cancel()
+            writer.close()
+        return reply
+
+    reply = _run_service(_settings(tmp_path, compute_threads=1), scenario)
+    assert reply["status"] == "ok", reply
+    got = decode_array(reply["result"]["velocities"])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_service_sheds_under_oversubscription(tmp_path):
