@@ -189,10 +189,10 @@ def test_batcher_rejects_wrong_shape():
     asyncio.run(scenario())
 
 
-def test_operator_pool_builds_once_and_bounds_residency(monkeypatch):
+def test_single_flight_deduplicates_concurrent_callers(monkeypatch):
+    # concurrent first acquires of one key share one build
     from repro.serve import batching
 
-    monkeypatch.setattr(batching, "MAX_SYSTEMS", 1)
     calls = []
     real = batching.build_operator
     monkeypatch.setattr(batching, "build_operator",
@@ -201,20 +201,64 @@ def test_operator_pool_builds_once_and_bounds_residency(monkeypatch):
     async def scenario():
         with ExecutionContext("threads", workers=2) as context:
             pool = OperatorPool(context.thread_pool())
-            # concurrent first acquires of one key share one build; a
-            # cancelled caller leaves it running for the others
-            gone = asyncio.ensure_future(
-                pool.acquire(SPEC.operator_key(), SPEC))
-            await asyncio.sleep(0)
-            waiting = [asyncio.ensure_future(
-                pool.acquire(SPEC.operator_key(), SPEC)) for _ in range(4)]
-            await asyncio.sleep(0)
-            gone.cancel()
-            entries = await asyncio.gather(*waiting)
-            assert gone.cancelled()
+            entries = await asyncio.gather(
+                *(pool.acquire(SPEC.operator_key(), SPEC)
+                  for _ in range(4)))
             assert pool.builds == 1 and len(calls) == 1
             assert all(e is entries[0] for e in entries)
             assert not pool._building        # the finished build is gone
+
+    asyncio.run(scenario())
+
+
+def test_single_flight_cancelled_caller_hands_over(monkeypatch):
+    # the caller that started a build is cancelled (its client
+    # disconnected): the build runs on and the joiner gets its answer
+    from repro.serve import batching
+
+    release = threading.Event()
+    real = batching.build_operator
+
+    def gated(spec):
+        release.wait(timeout=30.0)
+        return real(spec)
+
+    monkeypatch.setattr(batching, "build_operator", gated)
+
+    async def scenario():
+        with ExecutionContext("threads", workers=2) as context:
+            pool = OperatorPool(context.thread_pool())
+            first = asyncio.ensure_future(
+                pool.acquire(SPEC.operator_key(), SPEC))
+            await asyncio.sleep(0)
+            joiner = asyncio.ensure_future(
+                pool.acquire(SPEC.operator_key(), SPEC))
+            await asyncio.sleep(0)
+            first.cancel()
+            await asyncio.sleep(0)
+            assert first.cancelled() and not joiner.done()
+            release.set()
+            entry = await asyncio.wait_for(joiner, timeout=30.0)
+            assert pool.builds == 1 and len(pool) == 1
+            assert await pool.acquire(SPEC.operator_key(), SPEC) is entry
+            assert not pool._building
+
+    asyncio.run(scenario())
+
+
+def test_operator_pool_builds_once_and_bounds_residency(monkeypatch):
+    from repro.serve import batching
+
+    monkeypatch.setattr(batching, "MAX_SYSTEMS", 1)
+
+    async def scenario():
+        with ExecutionContext("threads", workers=2) as context:
+            pool = OperatorPool(context.thread_pool())
+            entries = await asyncio.gather(
+                *(pool.acquire(SPEC.operator_key(), SPEC)
+                  for _ in range(4)))
+            assert pool.builds == 1
+            assert all(e is entries[0] for e in entries)
             other = SystemSpec(n=18, phi=0.2)
             await pool.acquire(other.operator_key(), other)
             assert pool.builds == 2
