@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--record-interval", type=int, default=10)
     sim.add_argument("-o", "--output", default="trajectory.npz")
     sim.add_argument("--checkpoint", default=None, metavar="PATH",
-                     help="write rotating crash-safe checkpoints to PATH")
+                     help="write rotating crash-safe checkpoints to PATH; "
+                          "a checkpoint already there is continued "
+                          "(not under --inject-faults)")
     sim.add_argument("--checkpoint-interval", type=int, default=None,
                      help="steps between checkpoints "
                           "(default: lambda-rpy, the bit-exact choice)")
@@ -229,30 +231,23 @@ def _add_exec_arguments(sub_parser: argparse.ArgumentParser) -> None:
 
 def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--trace", default=None, metavar="PATH",
-                            help="write span events as JSONL to PATH")
-    sub_parser.add_argument("--chrome-trace", default=None, metavar="PATH",
                             help="write a chrome://tracing / Perfetto "
                                  "JSON trace to PATH")
     sub_parser.add_argument("--metrics", default=None, metavar="PATH",
-                            help="write metrics to PATH (.json -> JSON, "
-                                 "otherwise Prometheus text)")
+                            help="write metrics as JSON to PATH")
 
 
 def _obs_wanted(args) -> bool:
     # profile always traces: its table is read off the tracer
-    return args.command == "profile" or any(
-        getattr(args, name, None) is not None
-        for name in ("trace", "chrome_trace", "metrics"))
+    return (args.command == "profile" or args.trace is not None
+            or args.metrics is not None)
 
 
 def _write_obs_outputs(args, merged, registry) -> None:
     """Write the requested trace and metrics files (every command)."""
     if args.trace is not None:
-        path = merged.write_jsonl(args.trace)
+        path = merged.write_chrome_trace(args.trace)
         print(f"trace: {len(merged.events)} events -> {path}")
-    if args.chrome_trace is not None:
-        path = merged.write_chrome_trace(args.chrome_trace)
-        print(f"chrome trace -> {path}")
     if args.metrics is not None:
         path = registry.write(args.metrics)
         print(f"metrics -> {path}")
@@ -348,6 +343,9 @@ def _run_simulate(args) -> int:
     else:
         traj, stats = sim.run(**run_kwargs)
     save_trajectory(args.output, traj)
+    if sim.step > stats.n_steps:
+        print(f"continued {args.checkpoint} from step "
+              f"{sim.step - stats.n_steps}")
     print(f"ran {stats.n_steps} steps in {stats.timers.total:.1f} s "
           f"({stats.seconds_per_step * 1e3:.1f} ms/step); "
           f"{traj.n_frames} frames -> {args.output}")
@@ -355,7 +353,7 @@ def _run_simulate(args) -> int:
         where = (args.checkpoint if args.checkpoint
                  else "no checkpoint (pass --checkpoint to continue "
                       "bit-exactly)")
-        print(f"resumable: stopped gracefully at step {stats.n_steps} "
+        print(f"resumable: stopped gracefully at step {sim.step} "
               f"of {args.steps} ({stop_reason}); checkpoint: {where}")
     if schedule is not None:
         print(f"injected faults: {len(schedule.faults)} "

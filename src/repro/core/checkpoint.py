@@ -36,8 +36,9 @@ import numpy as np
 from ..errors import CheckpointCorruptionError, ConfigurationError
 
 __all__ = ["save_checkpoint", "load_checkpoint",
-           "load_checkpoint_with_fallback", "previous_checkpoint_path",
-           "resume", "checkpoint_callback", "fsync_directory"]
+           "load_checkpoint_with_fallback", "load_resume_state",
+           "previous_checkpoint_path", "resume", "checkpoint_callback",
+           "fsync_directory"]
 
 _FORMAT_VERSION = 2
 
@@ -245,6 +246,28 @@ def load_checkpoint_with_fallback(path: str | os.PathLike
                 ConfigurationError) as secondary:
             raise primary from secondary
         return wrapped, unwrapped, step, rng, prev
+
+
+def load_resume_state(path: str | os.PathLike
+                      ) -> tuple[np.ndarray, np.ndarray, int,
+                                 np.random.Generator] | None:
+    """The state a run re-started on ``path`` continues from.
+
+    Returns ``(wrapped, unwrapped, step, rng)`` from ``path`` (with the
+    ``<path>.prev`` fallback), or ``None`` to start from step 0: when
+    there is no checkpoint, and when both rotation generations are
+    unusable — then the only deterministic recovery is a fresh start
+    (same configuration -> same trajectory).  Shared by
+    :meth:`repro.core.simulation.Simulation.run` and the ensemble
+    worker.
+    """
+    try:
+        wrapped, unwrapped, step, rng, _used = (
+            load_checkpoint_with_fallback(path))
+    except (FileNotFoundError, CheckpointCorruptionError,
+            ConfigurationError):
+        return None
+    return wrapped, unwrapped, step, rng
 
 
 def resume(path: str | os.PathLike, integrator, n_steps: int,

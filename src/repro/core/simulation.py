@@ -16,7 +16,11 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..systems.suspension import Suspension
 from ..units import FluidParams
-from .checkpoint import checkpoint_callback, save_checkpoint
+from .checkpoint import (
+    checkpoint_callback,
+    load_resume_state,
+    save_checkpoint,
+)
 from .forces import ForceField, RepulsiveHarmonic
 from .integrators import BDStepStats, BrownianDynamicsBase, EwaldBD, MatrixFreeBD
 
@@ -112,6 +116,10 @@ class Simulation:
                 "use 'matrix-free' or 'ewald'")
         self.algorithm = algorithm
         self._current = suspension.positions.copy()
+        #: Step of the current configuration: where the last
+        #: :meth:`run` ended, counted from step 0 of the checkpointed
+        #: run it continued (from its own start otherwise).
+        self.step = 0
 
     def run(self, n_steps: int, record_interval: int = 1,
             checkpoint_path: str | None = None,
@@ -125,13 +133,19 @@ class Simulation:
         Parameters
         ----------
         n_steps:
-            Inner BD steps to take.
+            Inner BD steps to take — in total, when a checkpoint is
+            continued (see ``checkpoint_path``).
         record_interval:
             Store every this-many-th frame (frame 0 always stored).
         checkpoint_path:
             Optional path for rotating crash-safe checkpoints
             (``<path>.prev`` keeps the previous one) written every
-            ``checkpoint_interval`` steps.
+            ``checkpoint_interval`` steps.  When it already holds a
+            checkpoint (``.prev`` fallback), the run continues it: it
+            starts from the checkpointed state and RNG and takes only
+            the steps left to ``n_steps``, bit-identical to an
+            uninterrupted run.  The trajectory then starts at the
+            checkpointed step.
         checkpoint_interval:
             Steps between checkpoints; defaults to the integrator's
             ``lambda_RPY`` (the block-aligned, bit-exact choice).
@@ -160,19 +174,26 @@ class Simulation:
             raise ConfigurationError(
                 f"record_interval must be >= 1, got {record_interval}")
         dt = self.integrator.dt
-        # keyed by step so a recovery rollback that replays steps simply
-        # overwrites the frames recorded before the rollback
-        frames: dict[int, np.ndarray] = {0: self._current.copy()}
-
+        step0 = 0
+        unwrapped0 = None
         ckpt = None
         if checkpoint_path is not None:
+            state = load_resume_state(checkpoint_path)
+            if state is not None:
+                (self._current, unwrapped0, step0,
+                 self.integrator.rng) = state
             interval = checkpoint_interval or self.integrator.lambda_rpy
             ckpt = checkpoint_callback(checkpoint_path, self.integrator,
                                        interval)
+        # keyed by step so a recovery rollback that replays steps simply
+        # overwrites the frames recorded before the rollback
+        frames: dict[int, np.ndarray] = {step0: (
+            self._current if unwrapped0 is None else unwrapped0).copy()}
 
         last_state: dict[str, np.ndarray] = {}
 
         def record(step, wrapped, unwrapped):
+            step += step0
             if step % record_interval == 0:
                 frames[step] = unwrapped.copy()
             last_state["wrapped"] = wrapped
@@ -182,22 +203,27 @@ class Simulation:
             if extra_callback is not None:
                 extra_callback(step, wrapped, unwrapped)
 
-        with obs.span("sim.run", n_steps=n_steps,
-                      n=self._current.shape[0],
-                      algorithm=self.algorithm):
-            final, stats = self.integrator.run(self._current, n_steps,
-                                               callback=record, stats=stats,
-                                               stop=stop)
+        if step0 >= n_steps:
+            # continued a run that had already finished
+            stats = stats if stats is not None else BDStepStats()
+        else:
+            with obs.span("sim.run", n_steps=n_steps - step0,
+                          n=self._current.shape[0],
+                          algorithm=self.algorithm):
+                final, stats = self.integrator.run(
+                    self._current, n_steps - step0, callback=record,
+                    stats=stats, stop=stop, unwrapped0=unwrapped0)
+            self._current = self.suspension.box.wrap(final)
+        self.step = step0 + stats.n_steps
         if (stats.stopped_early and checkpoint_path is not None
                 and "wrapped" in last_state
-                and stats.n_steps % (checkpoint_interval
-                                     or self.integrator.lambda_rpy) != 0):
+                and self.step % (checkpoint_interval
+                                 or self.integrator.lambda_rpy) != 0):
             # the interval callback missed the stopped step; write one
             # final checkpoint so the interrupted run resumes from here
             save_checkpoint(checkpoint_path, last_state["wrapped"],
-                            last_state["unwrapped"], stats.n_steps,
+                            last_state["unwrapped"], self.step,
                             self.integrator.rng)
-        self._current = self.suspension.box.wrap(final)
         steps = sorted(frames)
         traj = Trajectory(np.array([s * dt for s in steps]),
                           np.array([frames[s] for s in steps]),

@@ -4,13 +4,14 @@ The observability layer every other subsystem reports into (the
 instrumentation behind the paper's Section V evaluation):
 
 * :mod:`repro.obs.trace` — span-based tracer with thread-safe nesting;
-* :mod:`repro.obs.collect` — the trace merge and its JSONL and Chrome
-  ``chrome://tracing`` / Perfetto encoders (one process or a whole
-  campaign), plus the ensemble's cross-process spools;
-* :mod:`repro.obs.metrics` — counters, gauges and histograms with
-  Prometheus-text and JSON export;
-* :mod:`repro.obs.schema` — published schemas + validators for every
-  export format (also ``python -m repro.obs.schema FILE...``);
+* :mod:`repro.obs.collect` — the trace merge and its one encoder, the
+  Chrome trace-event document that ``chrome://tracing`` and Perfetto
+  load (one process or a whole campaign), plus the ensemble's
+  cross-process spools;
+* :mod:`repro.obs.metrics` — counters, gauges and histograms with a
+  JSON export;
+* :mod:`repro.obs.schema` — published schemas + validators for both
+  export documents (also ``python -m repro.obs.schema FILE...``);
 * :mod:`repro.obs.profiling` — the ``repro profile`` engine producing
   the paper-style Fig. 5 phase table with measured-vs-predicted
   columns (imported lazily; it pulls in the simulation stack).
@@ -25,8 +26,9 @@ streams.  Typical usage::
     tracer, registry = obs.enable()
     ...  # run a simulation
     obs.disable()
-    obs.merge_traces([tracer.track_group()]).write_jsonl("out.jsonl")
-    registry.write("out.prom")
+    obs.merge_traces([tracer.track_group()]).write_chrome_trace(
+        "trace.json")
+    registry.write("metrics.json")
 
 Inside library code, use the fast-path facades::
 
@@ -42,7 +44,6 @@ from .collect import (
     MergedTrace,
     SpoolingSession,
     SpoolWriter,
-    TraceContext,
     TrackGroup,
     aggregate_metrics,
     collect_campaign,
@@ -65,11 +66,8 @@ from .metrics import (
 )
 from .schema import (
     METRICS_JSON_SCHEMA,
-    TRACE_EVENT_SCHEMA,
     validate_chrome_trace,
     validate_metrics_json,
-    validate_prometheus_text,
-    validate_trace_events,
 )
 from .trace import (
     TRACE_SCHEMA,
@@ -78,8 +76,6 @@ from .trace import (
     clock,
     get_tracer,
     instant,
-    read_jsonl,
-    read_jsonl_header,
     set_tracer,
     span,
     tracing_enabled,
@@ -87,17 +83,15 @@ from .trace import (
 
 __all__ = [
     "SpanEvent", "Tracer", "span", "instant", "get_tracer", "set_tracer",
-    "tracing_enabled", "read_jsonl", "read_jsonl_header", "clock",
-    "TRACE_SCHEMA",
-    "TraceContext", "SpoolWriter", "SpoolingSession", "TrackGroup",
+    "tracing_enabled", "clock", "TRACE_SCHEMA",
+    "SpoolWriter", "SpoolingSession", "TrackGroup",
     "MergedTrace", "merge_traces", "read_spool", "aggregate_metrics",
     "collect_campaign", "CampaignCollection", "spans_for_task",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_metrics",
     "set_metrics", "metrics_enabled", "inc", "observe", "set_gauge",
     "record_solver",
-    "TRACE_EVENT_SCHEMA", "METRICS_JSON_SCHEMA", "validate_trace_events",
-    "validate_chrome_trace", "validate_metrics_json",
-    "validate_prometheus_text",
+    "METRICS_JSON_SCHEMA", "validate_chrome_trace",
+    "validate_metrics_json",
     "enable", "disable",
 ]
 

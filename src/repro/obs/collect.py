@@ -6,10 +6,6 @@ observability domain: tracers and metric registries die with the
 process unless their contents are shipped out incrementally.  This
 module provides the full collection pipeline:
 
-* :class:`TraceContext` — the supervisor-assigned context propagated
-  through :class:`~repro.runtime.tasks.TaskSpec` into each worker
-  (campaign ``trace_id`` + ``task_id``), so merged traces stay
-  correlatable across the process boundary;
 * :class:`SpoolWriter` / :func:`read_spool` — per-worker spool files
   (append-only JSONL in the campaign checkpoint directory) that
   workers flush at heartbeat/checkpoint cadence.  A SIGKILL'd worker
@@ -19,21 +15,23 @@ module provides the full collection pipeline:
   :class:`~repro.obs.trace.Tracer` and a per-process
   :class:`~repro.obs.metrics.MetricsRegistry` installed as the process
   globals, drained to the spool and snapshotted to disk on every
-  flush;
+  flush (each event stamped with its ``worker_id`` and ``task_id``,
+  the spool header with the campaign ``trace_id``);
 * :func:`merge_traces` — deterministic merge of supervisor + worker
   event streams into one timeline: one named Perfetto process track
   per worker (``process_name``/``thread_name`` metadata events),
   timestamps normalised to the earliest event, byte-identical output
   for the same event set regardless of spool grouping or arrival
-  order;
+  order; :class:`MergedTrace` encodes it as the one Chrome
+  trace-event (Perfetto) document;
 * :func:`aggregate_metrics` — campaign-level metric aggregation:
   counters sum across workers, histograms merge bucket-by-bucket
   (identical bucket ladders required), gauges become per-worker
   labelled series;
 * :func:`collect_campaign` — the one-call entry point the supervisor
   uses after a campaign: discover spools, merge, aggregate, and write
-  the canonical ``campaign-trace.json`` / ``campaign-metrics.json`` /
-  ``campaign-metrics.prom`` next to ``campaign.json``.
+  the canonical ``campaign-trace.json`` / ``campaign-metrics.json``
+  next to ``campaign.json``.
 
 Timestamps inside spool files are *absolute* tracer-clock readings
 (``time.perf_counter``), which on one machine is a shared monotonic
@@ -54,7 +52,7 @@ from typing import Any, Iterable
 from .metrics import MetricsRegistry, set_metrics
 from .trace import TRACE_SCHEMA, Tracer, TrackGroup, is_header, set_tracer
 
-__all__ = ["TraceContext", "SpoolWriter", "SpoolData", "SpoolingSession",
+__all__ = ["SpoolWriter", "SpoolData", "SpoolingSession",
            "read_spool", "spool_path", "metrics_snapshot_path",
            "find_spools", "merge_traces", "MergedTrace",
            "aggregate_metrics", "collect_campaign", "CampaignCollection",
@@ -63,27 +61,6 @@ __all__ = ["TraceContext", "SpoolWriter", "SpoolData", "SpoolingSession",
 #: Spool files are named so every worker *process* gets its own file
 #: (worker ids restart at 0 on ``--resume``; the pid disambiguates).
 SPOOL_PREFIX = "obs-worker-"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Supervisor-assigned trace context carried by a task spec.
-
-    ``trace_id`` names the campaign (derived deterministically from
-    the task set), ``task_id`` the campaign member — together they let
-    the merge correlate a supervisor-side ``supervisor.task`` span
-    with every worker-side span recorded while running that task.
-    """
-
-    trace_id: str
-    task_id: int | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {"trace_id": self.trace_id, "task_id": self.task_id}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> TraceContext:
-        return cls(trace_id=d["trace_id"], task_id=d.get("task_id"))
 
 
 def spool_path(directory: str | Path, worker_id: int, pid: int) -> Path:
@@ -107,7 +84,7 @@ def find_spools(directory: str | Path) -> list[Path]:
 class SpoolWriter:
     """Append-only JSONL event spool for one worker process.
 
-    The file starts with a schema-v2 header line; every
+    The file starts with a header line (``kind: "spool"``); every
     :meth:`write` appends one line per event with *absolute*
     tracer-clock timestamps and flushes to the OS, so a SIGKILL loses
     at most the events recorded since the previous flush (plus,
@@ -212,10 +189,11 @@ class SpoolingSession:
     One instance lives for the worker process's lifetime: the metrics
     registry accumulates across tasks (so per-worker counter sums are
     meaningful), while each task gets a fresh tracer stamped with the
-    task's :class:`TraceContext`.  Events are drained to the spool and
-    the metrics snapshot rewritten atomically on every :meth:`flush`
-    — called from the worker's heartbeat/checkpoint callback, so a
-    SIGKILL'd worker leaves behind everything up to its last flush.
+    worker and task ids; the campaign ``trace_id`` goes into the spool
+    header.  Events are drained to the spool and the metrics snapshot
+    rewritten atomically on every :meth:`flush` — called from the
+    worker's heartbeat/checkpoint callback, so a SIGKILL'd worker
+    leaves behind everything up to its last flush.
     """
 
     def __init__(self, spool_dir: str | Path, worker_id: int, *,
@@ -224,7 +202,6 @@ class SpoolingSession:
                  max_events: int = 1_000_000):
         self.worker_id = worker_id
         self.pid = os.getpid()
-        self.trace_id = trace_id
         self.max_events = max_events
         self.spool = (SpoolWriter(
             spool_path(spool_dir, worker_id, self.pid), pid=self.pid,
@@ -236,11 +213,8 @@ class SpoolingSession:
         self._prev_tracer: Tracer | None = None
         self._prev_registry: MetricsRegistry | None = None
 
-    def begin_task(self, task_id: int,
-                   trace_id: str | None = None) -> None:
+    def begin_task(self, task_id: int) -> None:
         """Install per-task observability as the process globals."""
-        if trace_id is not None:
-            self.trace_id = trace_id
         if self.spool is not None:
             self.tracer = Tracer(max_events=self.max_events,
                                  worker_id=self.worker_id,
@@ -300,9 +274,9 @@ class MergedTrace:
     """One deterministic cross-process timeline.
 
     ``events`` carry normalised timestamps (seconds from the earliest
-    event across every process) and keep their schema-v2 identity
-    fields, so the JSONL form validates and the Chrome form groups
-    into named per-worker process tracks.
+    event across every process) and keep their identity fields
+    (``pid``/``worker_id``/``task_id``), so the Chrome document groups
+    them into named per-worker process tracks.
     """
 
     events: list[dict[str, Any]]
@@ -324,14 +298,6 @@ class MergedTrace:
         if truncated:
             out["truncated_workers"] = truncated
         return out
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.header()) + "\n")
-            for e in self.events:
-                fh.write(json.dumps(e) + "\n")
-        return path
 
     def to_chrome_trace(self) -> dict[str, Any]:
         """The merged Perfetto document: metadata tracks + events."""
@@ -372,16 +338,15 @@ class MergedTrace:
             else:
                 entry["s"] = "t"
             args = dict(e.get("args", {}))
+            args.setdefault("depth", e.get("depth", 0))
             if e.get("worker_id") is not None:
                 args.setdefault("worker_id", e["worker_id"])
             if e.get("task_id") is not None:
                 args.setdefault("task_id", e["task_id"])
-            if args:
-                entry["args"] = args
+            entry["args"] = args
             trace_events.append(entry)
-        other: dict[str, Any] = dict(self.header())
         return {"traceEvents": trace_events, "displayTimeUnit": "ms",
-                "otherData": other}
+                "otherData": self.header()}
 
     def write_chrome_trace(self, path: str | Path) -> Path:
         path = Path(path)
@@ -434,11 +399,13 @@ def merge_traces(groups: Iterable[TrackGroup],
 
 def spans_for_task(events: Iterable[dict[str, Any]],
                    task_id: int) -> list[dict[str, Any]]:
-    """Every merged event correlated to one campaign task.
+    """Every event correlated to one campaign task.
 
-    Matches the schema-v2 ``task_id`` event field (worker spans) and
-    the ``task`` span argument (supervisor spans) — the two ends of
-    the cross-process correlation.
+    Takes :attr:`MergedTrace.events` or the ``traceEvents`` of the
+    Chrome document.  Matches the worker spans' ``task_id`` (an event
+    field, or an ``args`` entry in the Chrome form) and the supervisor
+    spans' ``task`` argument — the two ends of the cross-process
+    correlation.
     """
     out = []
     for e in events:
@@ -540,10 +507,8 @@ class CampaignCollection:
         directory = Path(directory)
         self.outputs["trace"] = self.merged.write_chrome_trace(
             directory / "campaign-trace.json")
-        self.outputs["metrics_json"] = self.metrics.write(
+        self.outputs["metrics"] = self.metrics.write(
             directory / "campaign-metrics.json")
-        self.outputs["metrics_prom"] = self.metrics.write(
-            directory / "campaign-metrics.prom")
         return self.outputs
 
 

@@ -1,12 +1,12 @@
-"""Metrics registry: counters, gauges and histograms with exporters.
+"""Metrics registry: counters, gauges and histograms, exported as JSON.
 
 The registry captures the solver telemetry the paper's evaluation is
 built on — Lanczos iteration counts, relative errors ``e_k``, matvec
 counts, recovery actions, per-phase times, and the
-:mod:`repro.perfmodel` byte/flop estimates — and exports it as
-
-* Prometheus text exposition format (``--metrics out.prom``), and
-* a JSON document (``--metrics out.json``).
+:mod:`repro.perfmodel` byte/flop estimates — and exports it as one
+JSON document (``--metrics out.json``; schema
+:data:`repro.obs.schema.METRICS_JSON_SCHEMA`), the form campaign
+aggregation, ``repro serve``'s ``stats`` and ``repro profile`` read.
 
 Like tracing, metrics are **opt-in**: the module-level fast-path
 helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`) check one
@@ -24,6 +24,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterable
 
 from ..errors import ConfigurationError
@@ -50,13 +51,6 @@ def _check_name(name: str) -> str:
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _format_labels(key: tuple[tuple[str, str], ...]) -> str:
-    if not key:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in key)
-    return "{" + inner + "}"
 
 
 @dataclass
@@ -216,36 +210,6 @@ class MetricsRegistry:
 
     # -- export ----------------------------------------------------------
 
-    def to_prometheus_text(self) -> str:
-        """Prometheus text exposition format (one family per block)."""
-        lines: list[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.help:
-                lines.append(f"# HELP {name} {family.help}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key in sorted(family.series):
-                series = family.series[key]
-                if family.kind == "histogram":
-                    cumulative = 0
-                    for bound, count in zip(series.buckets, series.counts):
-                        cumulative = count
-                        bkey = key + (("le", f"{bound:g}"),)
-                        lines.append(
-                            f"{name}_bucket{_format_labels(bkey)} "
-                            f"{cumulative}")
-                    inf_key = key + (("le", "+Inf"),)
-                    lines.append(f"{name}_bucket{_format_labels(inf_key)} "
-                                 f"{series.count}")
-                    lines.append(f"{name}_sum{_format_labels(key)} "
-                                 f"{series.sum:g}")
-                    lines.append(f"{name}_count{_format_labels(key)} "
-                                 f"{series.count}")
-                else:
-                    lines.append(f"{name}{_format_labels(key)} "
-                                 f"{series.value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def to_json(self) -> dict[str, Any]:
         """JSON document mirroring the full registry state."""
         families = []
@@ -273,16 +237,11 @@ class MetricsRegistry:
                              "help": family.help, "series": series_out})
         return {"metrics": families}
 
-    def write(self, path):
-        """Write to ``path`` (JSON when it ends in ``.json``, else
-        Prometheus text); returns the path."""
-        from pathlib import Path
+    def write(self, path: str | Path) -> Path:
+        """Write the JSON document to ``path``; returns the path."""
         path = Path(path)
-        if path.suffix == ".json":
-            path.write_text(json.dumps(self.to_json(), indent=2),
-                            encoding="utf-8")
-        else:
-            path.write_text(self.to_prometheus_text(), encoding="utf-8")
+        path.write_text(json.dumps(self.to_json(), indent=2),
+                        encoding="utf-8")
         return path
 
 

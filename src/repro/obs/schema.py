@@ -3,64 +3,44 @@
 Mirrors the approach of :mod:`repro.lint` (``REPORT_JSON_SCHEMA``):
 the schemas are plain dictionaries published for external consumers,
 and validation is implemented directly so it works without a
-``jsonschema`` dependency.  The validators are used by the test suite
-and by the CI ``observability`` job::
+``jsonschema`` dependency.  Each artifact has one format — a trace is
+the Chrome trace-event (Perfetto) document, metrics are the JSON
+document — and one validator.  The validators are used by the test
+suite and by the CI ``observability`` job::
 
-    python -m repro.obs.schema out.jsonl out.prom
+    python -m repro.obs.schema trace.json metrics.json
 
-validates any mix of trace JSONL, Chrome trace JSON, metrics JSON and
-Prometheus text files (dispatched on extension) and exits non-zero on
-the first violation.
+validates any mix of trace and metrics documents (told apart by the
+trace's ``traceEvents`` key) and exits non-zero on the first violation.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Any
 
-__all__ = ["TRACE_EVENT_SCHEMA", "TRACE_HEADER_SCHEMA",
-           "METRICS_JSON_SCHEMA",
-           "validate_trace_event", "validate_trace_events",
+__all__ = ["TRACE_HEADER_SCHEMA", "METRICS_JSON_SCHEMA",
            "validate_trace_header", "validate_chrome_trace",
-           "validate_metrics_json",
-           "validate_prometheus_text", "validate_file", "main"]
+           "validate_metrics_json", "validate_file", "main"]
 
-#: JSON-Schema-style description of one JSONL trace event (v2: the
-#: ``pid``/``worker_id``/``task_id`` process-identity fields are
-#: optional, so v1 streams keep validating).
-TRACE_EVENT_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["name", "ph", "ts", "dur", "tid", "depth"],
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "ph": {"enum": ["X", "i"]},
-        "ts": {"type": "number", "minimum": 0},
-        "dur": {"type": "number", "minimum": 0},
-        "tid": {"type": "integer"},
-        "depth": {"type": "integer", "minimum": 0},
-        "args": {"type": "object"},
-        "pid": {"type": "integer"},
-        "worker_id": {"type": "integer"},
-        "task_id": {"type": "integer"},
-    },
-}
-
-#: JSON-Schema-style description of the v2 JSONL stream header (first
-#: line; distinguished from events by ``schema`` + missing ``name``).
+#: JSON-Schema-style description of the trace header: the first line
+#: of a worker spool (``kind: "spool"``) and the ``otherData`` of a
+#: merged trace (``kind: "merged"``).
 TRACE_HEADER_SCHEMA: dict[str, Any] = {
     "type": "object",
-    "required": ["schema", "dropped"],
+    "required": ["schema", "kind", "dropped"],
     "properties": {
         "schema": {"type": "string", "pattern": "^repro-trace/"},
+        "kind": {"enum": ["spool", "merged"]},
         "dropped": {"type": "integer", "minimum": 0},
         "pid": {"type": "integer"},
         "worker_id": {"type": "integer"},
         "trace_id": {"type": "string"},
-        "epoch": {"type": "number"},
-        "kind": {"enum": ["trace", "spool", "merged"]},
+        "processes": {"type": "integer", "minimum": 0},
+        "truncated_workers": {"type": "array",
+                              "items": {"type": "integer"}},
     },
 }
 
@@ -85,12 +65,9 @@ METRICS_JSON_SCHEMA: dict[str, Any] = {
     },
 }
 
-_METRIC_LINE_RE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"                      # metric name
-    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\""           # first label
-    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*\})?"      # more labels
-    r" [0-9eE+.\-]+(\s+[0-9]+)?$")                    # value [timestamp]
-_COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
+#: The metadata events that name and order Perfetto tracks.
+_METADATA_EVENTS = ("process_name", "process_sort_index", "thread_name",
+                    "thread_sort_index")
 
 
 class SchemaError(ValueError):
@@ -102,82 +79,79 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def validate_trace_event(event: dict[str, Any],
-                         where: str = "event") -> None:
-    """Validate one JSONL trace event dict; raises :class:`SchemaError`."""
-    _require(isinstance(event, dict), f"{where}: not an object")
-    for key in TRACE_EVENT_SCHEMA["required"]:
-        _require(key in event, f"{where}: missing required key {key!r}")
-    _require(isinstance(event["name"], str) and event["name"],
-             f"{where}: name must be a non-empty string")
-    _require(event["ph"] in ("X", "i"),
-             f"{where}: ph must be 'X' or 'i', got {event['ph']!r}")
-    for key in ("ts", "dur"):
-        _require(isinstance(event[key], (int, float))
-                 and not isinstance(event[key], bool)
-                 and event[key] >= 0,
-                 f"{where}: {key} must be a non-negative number")
-    for key in ("tid", "depth"):
-        _require(isinstance(event[key], int)
-                 and not isinstance(event[key], bool),
-                 f"{where}: {key} must be an integer")
-    _require(event["depth"] >= 0, f"{where}: depth must be >= 0")
-    if event["ph"] == "i":
-        _require(event["dur"] == 0,
-                 f"{where}: instant events must have dur == 0")
-    if "args" in event:
-        _require(isinstance(event["args"], dict),
-                 f"{where}: args must be an object")
-    for key in ("pid", "worker_id", "task_id"):
-        if key in event:
-            _require(isinstance(event[key], int)
-                     and not isinstance(event[key], bool),
-                     f"{where}: {key} must be an integer")
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_nonnegative(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value >= 0)
 
 
 def validate_trace_header(header: dict[str, Any]) -> None:
-    """Validate a v2 JSONL stream header; raises :class:`SchemaError`."""
+    """Validate a spool header or a merged trace's ``otherData``;
+    raises :class:`SchemaError`."""
     _require(isinstance(header, dict), "header: not an object")
     _require(isinstance(header.get("schema"), str)
              and header["schema"].startswith("repro-trace/"),
              f"header: schema must be 'repro-trace/<v>', "
              f"got {header.get('schema')!r}")
+    _require(header.get("kind") in ("spool", "merged"),
+             f"header: kind must be 'spool' or 'merged', "
+             f"got {header.get('kind')!r}")
     dropped = header.get("dropped")
-    _require(isinstance(dropped, int) and not isinstance(dropped, bool)
-             and dropped >= 0,
+    _require(_is_int(dropped) and dropped >= 0,
              "header: dropped must be a non-negative integer")
-    if "kind" in header:
-        _require(header["kind"] in ("trace", "spool", "merged"),
-                 f"header: unknown kind {header['kind']!r}")
-
-
-def validate_trace_events(events: list[dict[str, Any]]) -> None:
-    """Validate a parsed JSONL trace (an empty trace is valid)."""
-    for i, event in enumerate(events):
-        validate_trace_event(event, where=f"event {i}")
 
 
 def validate_chrome_trace(doc: dict[str, Any]) -> None:
-    """Validate a Chrome trace-event JSON document."""
+    """Validate a merged Chrome trace-event (Perfetto) document.
+
+    Checks the ``otherData`` header and every event: a non-empty
+    ``name``, a known phase, non-negative ``ts``/``dur``, integer
+    ``pid``/``tid`` and ``args`` as an object.  Span and instant events
+    carry an integer ``args.depth >= 0``, and ``args.worker_id`` /
+    ``args.task_id`` are integers where present.  Raises
+    :class:`SchemaError`.
+    """
     _require(isinstance(doc, dict), "chrome trace: not an object")
     _require("traceEvents" in doc, "chrome trace: missing traceEvents")
     events = doc["traceEvents"]
     _require(isinstance(events, list), "chrome trace: traceEvents must "
              "be an array")
+    _require("otherData" in doc, "chrome trace: missing otherData header")
+    validate_trace_header(doc["otherData"])
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         _require(isinstance(e, dict), f"{where}: not an object")
         for key in ("name", "ph", "pid", "tid", "ts"):
             _require(key in e, f"{where}: missing required key {key!r}")
+        _require(isinstance(e["name"], str) and e["name"],
+                 f"{where}: name must be a non-empty string")
         _require(e["ph"] in ("X", "i", "M"),
                  f"{where}: unsupported phase {e['ph']!r}")
-        if e["ph"] == "X":
-            _require("dur" in e and e["dur"] >= 0,
-                     f"{where}: complete events need dur >= 0")
+        _require(_is_nonnegative(e["ts"]),
+                 f"{where}: ts must be a non-negative number")
+        for key in ("pid", "tid"):
+            _require(_is_int(e[key]), f"{where}: {key} must be an integer")
+        args = e.get("args", {})
+        _require(isinstance(args, dict), f"{where}: args must be an object")
         if e["ph"] == "M":
-            _require(e["name"] in ("process_name", "process_sort_index",
-                                   "thread_name", "thread_sort_index"),
+            _require(e["name"] in _METADATA_EVENTS,
                      f"{where}: unknown metadata event {e['name']!r}")
+            continue
+        if e["ph"] == "X":
+            _require("dur" in e and _is_nonnegative(e["dur"]),
+                     f"{where}: complete events need a non-negative dur")
+        else:
+            _require(e.get("dur", 0) == 0,
+                     f"{where}: instant events must have dur == 0")
+        _require("depth" in args, f"{where}: missing args.depth")
+        for key in ("depth", "worker_id", "task_id"):
+            if key in args:
+                _require(_is_int(args[key]),
+                         f"{where}: args.{key} must be an integer")
+        _require(args["depth"] >= 0, f"{where}: args.depth must be >= 0")
 
 
 def validate_metrics_json(doc: dict[str, Any]) -> None:
@@ -203,57 +177,27 @@ def validate_metrics_json(doc: dict[str, Any]) -> None:
                 _require("value" in series, f"{swhere}: missing 'value'")
 
 
-def validate_prometheus_text(text: str) -> None:
-    """Validate Prometheus text exposition format (empty text is valid)."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            _require(_COMMENT_RE.match(line) is not None,
-                     f"line {lineno}: malformed comment {line!r} "
-                     "(only '# HELP name text' / '# TYPE name kind')")
-            continue
-        _require(_METRIC_LINE_RE.match(line) is not None,
-                 f"line {lineno}: malformed sample line {line!r}")
-    _require(text == "" or text.endswith("\n"),
-             "prometheus text must end with a newline")
-
-
 def validate_file(path: str | Path) -> str:
-    """Validate one exported file, dispatching on its extension.
+    """Validate one exported file: a trace or a metrics document.
 
     Returns a short description of what was validated — including a
-    ``WARNING`` notice when the stream recorded dropped events (the
+    ``WARNING`` notice when the trace recorded dropped events (the
     ``max_events`` cap truncated it; no silent caps) — or raises
     :class:`SchemaError` (or ``OSError`` / ``json.JSONDecodeError``)
     on failure.
     """
-    path = Path(path)
-    if path.suffix == ".jsonl":
-        from .trace import read_jsonl, read_jsonl_header
-        header = read_jsonl_header(path)
-        if header is not None:
-            validate_trace_header(header)
-        events = read_jsonl(path)
-        validate_trace_events(events)
-        desc = f"trace jsonl ({len(events)} events)"
-        return desc + _dropped_warning(header)
-    if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if "traceEvents" in doc:
-            validate_chrome_trace(doc)
-            desc = f"chrome trace ({len(doc['traceEvents'])} events)"
-            return desc + _dropped_warning(doc.get("otherData"))
-        validate_metrics_json(doc)
-        return f"metrics json ({len(doc['metrics'])} families)"
-    text = path.read_text(encoding="utf-8")
-    validate_prometheus_text(text)
-    return f"prometheus text ({len(text.splitlines())} lines)"
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(doc, dict) and "traceEvents" in doc:
+        validate_chrome_trace(doc)
+        desc = f"chrome trace ({len(doc['traceEvents'])} events)"
+        return desc + _dropped_warning(doc["otherData"])
+    validate_metrics_json(doc)
+    return f"metrics json ({len(doc['metrics'])} families)"
 
 
-def _dropped_warning(header: dict[str, Any] | None) -> str:
-    dropped = (header or {}).get("dropped", 0)
-    if isinstance(dropped, int) and dropped > 0:
+def _dropped_warning(header: dict[str, Any]) -> str:
+    dropped = header["dropped"]
+    if dropped > 0:
         return (f" — WARNING: {dropped} events dropped at the "
                 "max_events cap (raise it for complete traces)")
     return ""

@@ -4,8 +4,9 @@ A :class:`Tracer` records *spans* — named, timed, attributed intervals
 — with thread-safe nesting, plus zero-duration *instant* events (used
 by the recovery ladder).  It only records: :meth:`Tracer.track_group`
 hands its events to :func:`repro.obs.collect.merge_traces`, whose
-:class:`~repro.obs.collect.MergedTrace` is the one JSONL and Chrome
-trace-event encoder — for one process as for a whole campaign.
+:class:`~repro.obs.collect.MergedTrace` is the one trace encoder (the
+Chrome trace-event / Perfetto document) — for one process as for a
+whole campaign.
 
 Tracing is **opt-in and near-free when off**: the module-level
 :func:`span` / :func:`instant` facades check one global and return a
@@ -21,22 +22,19 @@ Span names are dotted, coarse-to-fine (``pme.spread``,
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 __all__ = ["SpanEvent", "TrackGroup", "Tracer", "span", "instant",
-           "get_tracer", "set_tracer", "tracing_enabled", "read_jsonl",
-           "read_jsonl_header", "clock", "NULL_SPAN", "TRACE_SCHEMA"]
+           "get_tracer", "set_tracer", "tracing_enabled", "clock",
+           "NULL_SPAN", "TRACE_SCHEMA"]
 
-#: Version tag of the trace event/stream layout.  v2 adds the optional
-#: process-identity fields (``pid``/``worker_id``/``task_id``) and the
-#: JSONL header line carrying ``dropped`` — v1 streams (no header, no
-#: identity fields) still validate.
+#: Version tag of the trace header (a spool file's first line and a
+#: merged trace's ``otherData``); events carry the process-identity
+#: fields ``pid``/``worker_id``/``task_id``.
 TRACE_SCHEMA = "repro-trace/2"
 
 
@@ -62,8 +60,8 @@ class SpanEvent:
     args:
         Free-form attributes attached at the call site.
     pid:
-        Recording process id (schema v2; stamped by the tracer so
-        multi-process merges keep events attributable).
+        Recording process id (stamped by the tracer so multi-process
+        merges keep events attributable).
     worker_id:
         Ensemble worker that recorded the event (``None`` outside the
         multi-process runtime).
@@ -83,7 +81,7 @@ class SpanEvent:
     task_id: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form used by the JSONL export."""
+        """Plain-dict form carried by the spools and the merge."""
         out: dict[str, Any] = {"name": self.name, "ph": self.phase,
                                "ts": self.ts, "dur": self.dur,
                                "tid": self.tid, "depth": self.depth}
@@ -162,9 +160,9 @@ class Tracer:
         A spooling consumer that calls :meth:`drain` periodically
         effectively turns the cap into a per-flush-window bound.
     worker_id, task_id:
-        Optional trace context (schema v2) stamped on every recorded
-        event — the ensemble runtime propagates these so merged
-        multi-process traces stay attributable and correlatable.
+        Optional process identity stamped on every recorded event —
+        the ensemble runtime sets these so merged multi-process traces
+        stay attributable and correlatable.
     """
 
     def __init__(self, max_events: int = 1_000_000, *,
@@ -295,37 +293,8 @@ class Tracer:
 
 
 def is_header(obj: dict[str, Any]) -> bool:
-    """Whether a parsed JSONL line is a stream header, not an event."""
+    """Whether a parsed spool line is the header, not an event."""
     return "schema" in obj and "name" not in obj
-
-
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a JSONL trace back into event dictionaries.
-
-    A leading schema-v2 header line is skipped (use
-    :func:`read_jsonl_header` to read it).
-    """
-    out = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                if not out and is_header(obj):
-                    continue
-                out.append(obj)
-    return out
-
-
-def read_jsonl_header(path: str | Path) -> dict[str, Any] | None:
-    """The stream header of a JSONL trace (``None`` for v1 streams)."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                return obj if is_header(obj) else None
-    return None
 
 
 def clock() -> float:

@@ -26,8 +26,8 @@ class RecoveryEvent:
     ``action`` is one of: ``detect`` (a failure was observed),
     ``retry-lanczos``, ``fallback-chebyshev``,
     ``fallback-cholesky``, ``fallback-eigh``, ``dt-backoff``,
-    ``restore-dt``, ``rollback``, ``checkpoint-fallback``, or a
-    fault-injection marker (``inject-*``) from the test harness.
+    ``restore-dt``, ``rollback``, or a fault-injection marker
+    (``inject-*``) from the test harness.
     """
 
     step: int

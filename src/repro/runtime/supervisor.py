@@ -30,7 +30,6 @@ boundary, final checkpoints and a resumable
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -41,7 +40,7 @@ from typing import Any, Sequence
 
 from .. import obs
 from ..errors import ConfigurationError
-from ..obs.collect import CampaignCollection, TraceContext, collect_campaign
+from ..obs.collect import CampaignCollection, collect_campaign
 from ..resilience.backoff import retry_delay
 from ..resilience.failures import FailureKind, StepFailure
 from ..resilience.faults import FaultPlan
@@ -158,16 +157,8 @@ class _WorkerHandle:
     def assign(self, record: TaskRecord, fault, *, checkpoint_dir: str,
                slow_per_step: float, exec_config: dict[str, Any],
                obs_config: dict[str, Any] | None = None) -> None:
-        spec = record.spec
-        if obs_config is not None:
-            # stamp the trace context on the wire copy only — the
-            # manifest record (and its determinism contract) stays
-            # exactly as configured
-            spec = dataclasses.replace(
-                spec, trace=TraceContext(trace_id=obs_config["trace_id"],
-                                         task_id=spec.task_id))
         message: dict[str, Any] = {
-            "cmd": "task", "spec": spec.to_json(),
+            "cmd": "task", "spec": record.spec.to_json(),
             "attempt": record.attempts,
             "checkpoint_dir": checkpoint_dir,
             "slow_per_step": slow_per_step,
@@ -304,9 +295,9 @@ class Supervisor:
     def _task_span(self, handle: _WorkerHandle, outcome: str) -> None:
         """Record the supervisor-side ``supervisor.task`` interval.
 
-        The worker-side half of the correlation carries the same
-        ``task`` id in schema-v2 event fields; :func:`spans_for_task`
-        joins the two in the merged timeline.
+        The worker-side half of the correlation carries the same id
+        as each event's ``task_id``; :func:`spans_for_task` joins the
+        two in the merged timeline.
         """
         tracer = obs.get_tracer()
         if tracer is None or handle.task is None:

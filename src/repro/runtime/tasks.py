@@ -36,7 +36,6 @@ import numpy as np
 
 from ..core.checkpoint import _write_durably
 from ..errors import ConfigurationError
-from ..obs.collect import TraceContext
 from ..pme.operator import PMEParams
 from ..utils.validation import as_positions
 
@@ -86,14 +85,6 @@ class TaskSpec:
         auto-tunes (deterministic for a given system).
     forces:
         Include the paper's repulsive contact force field.
-    trace:
-        Supervisor-assigned :class:`~repro.obs.collect.TraceContext`
-        stamped on the *wire copy* of the spec when campaign tracing
-        is on (never persisted in the manifest); carries the campaign
-        ``trace_id`` into the worker so cross-process spans stay
-        correlatable.  Deliberately excluded from the determinism
-        contract — a traced and an untraced run of the same spec are
-        bit-identical.
     """
 
     task_id: int
@@ -107,7 +98,6 @@ class TaskSpec:
     e_k: float = 1e-2
     pme: PMEParams | None = None
     forces: bool = True
-    trace: TraceContext | None = None
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
@@ -122,13 +112,7 @@ class TaskSpec:
         return os.path.join(directory, f"task-{self.task_id:04d}.ckpt.npz")
 
     def to_json(self) -> dict[str, Any]:
-        d = asdict(self)
-        if self.trace is not None:
-            d["trace"] = self.trace.to_json()
-        else:
-            # keep manifests byte-stable with the pre-trace layout
-            d.pop("trace", None)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> TaskSpec:
@@ -143,10 +127,6 @@ class TaskSpec:
                     f"unsupported hydrodynamic kernel {kernel!r} in task "
                     f"{d.get('task_id')}: only the RPY tensor is simulated")
             d["pme"] = PMEParams(**pme)
-        if d.get("trace") is not None:
-            d["trace"] = TraceContext.from_json(d["trace"])
-        else:
-            d.pop("trace", None)
         return cls(**d)
 
 

@@ -35,13 +35,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.checkpoint import (
-    checkpoint_callback,
-    load_checkpoint_with_fallback,
-)
+from ..core.checkpoint import checkpoint_callback, load_resume_state
 from ..core.forces import RepulsiveHarmonic
 from ..core.integrators import MatrixFreeBD
-from ..errors import CheckpointCorruptionError, ConfigurationError
 from ..obs import set_metrics, set_tracer
 from ..obs.collect import SpoolingSession
 from ..resilience.failures import StepFailure
@@ -95,18 +91,9 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
     step0 = 0
     start = suspension.positions
     unwrapped0 = None  # continue this exact unwrapped frame on resume
-    try:
-        wrapped0, unwrapped0, step0, rng, _used = (
-            load_checkpoint_with_fallback(ckpt_path))
-        integrator.rng = rng
-        start = wrapped0
-    except FileNotFoundError:
-        pass
-    except (CheckpointCorruptionError, ConfigurationError):
-        # both rotation generations unusable: the only deterministic
-        # recovery is a fresh start (same spec -> same trajectory)
-        step0 = 0
-        unwrapped0 = None
+    state = load_resume_state(ckpt_path)
+    if state is not None:
+        start, unwrapped0, step0, integrator.rng = state
 
     fault_kind = fault["kind"] if fault is not None else None
     fault_step = fault["at_step"] if fault is not None else -1
@@ -185,10 +172,10 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
     carries an ``obs`` config the worker builds a (process-lifetime)
     :class:`~repro.obs.collect.SpoolingSession`: the metrics registry
     accumulates across tasks, each task gets a fresh tracer stamped
-    with the spec's :class:`~repro.obs.collect.TraceContext`, and
-    both are flushed to the campaign directory at the same
-    heartbeat/checkpoint cadence as progress messages — so a SIGKILL
-    loses at most one flush window.
+    with the worker and task ids (the config's campaign ``trace_id``
+    heads the spool), and both are flushed to the campaign directory
+    at the same heartbeat/checkpoint cadence as progress messages — so
+    a SIGKILL loses at most one flush window.
     """
     # the supervisor owns shutdown signals; workers must not race it
     # by reacting to a terminal Ctrl-C delivered to the process group
@@ -226,10 +213,7 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
                 trace_id=obs_config.get("trace_id"),
                 max_events=obs_config.get("max_events", 1_000_000))
         if session is not None:
-            session.begin_task(
-                spec.task_id,
-                trace_id=(spec.trace.trace_id if spec.trace is not None
-                          else None))
+            session.begin_task(spec.task_id)
         outcome = "failed"
         try:
             outcome = _run_task(

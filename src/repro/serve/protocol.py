@@ -28,8 +28,9 @@ for hand-written clients.
 :class:`~repro.config.RuntimeConfig` knob (``no_ckernel`` — backends
 are bit-identical, kernel modes are not), so the batching scheduler
 only ever coalesces requests that are provably answerable by one
-operator, and the result cache never serves bytes produced under a
-different kernel configuration.
+operator, and a served simulation's job directory — named after the
+fingerprint — never answers with bytes produced under a different
+kernel configuration.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class SystemSpec:
     ``p`` select the tuned PME parameters, and are checked here, before
     any worker builds a suspension or runs the tuner; ``dt``/``lambda_rpy``/
     ``e_k``/``forces`` only matter to ``simulate`` requests but are
-    part of the full fingerprint so the result cache can key on it.
+    part of the full fingerprint, which names the job directory that
+    holds a served simulation's result.
     """
 
     n: int

@@ -85,6 +85,41 @@ def test_graceful_stop_mid_block_resumes_bit_exactly(tmp_path):
     assert positions_digest(resumed) == positions_digest(full.positions[-1])
 
 
+def test_rerun_on_a_checkpoint_takes_only_the_remaining_steps(tmp_path):
+    # a requeued run (the same call on the same checkpoint path) must
+    # continue the checkpoint, not restart at step 0 and rotate it away
+    susp = make_suspension(16, 0.1, seed=4)
+
+    def simulation():
+        return Simulation(susp, dt=1e-3, lambda_rpy=4, seed=6,
+                          pme_params=PARAMS)
+
+    full, _ = simulation().run(12)
+
+    path = str(tmp_path / "run.ckpt.npz")
+    seen = []
+    _, first = simulation().run(
+        12, checkpoint_path=path,
+        extra_callback=lambda step, w, u: seen.append(step),
+        stop=lambda: bool(seen))
+    assert first.stopped_early and first.n_steps == 4
+
+    sim = simulation()
+    traj, stats = sim.run(12, checkpoint_path=path)
+    assert stats.n_steps == 8 and sim.step == 12
+    assert traj.times[0] == pytest.approx(4e-3)
+    np.testing.assert_array_equal(traj.positions, full.positions[4:])
+    assert positions_digest(traj.positions[-1]) == \
+        positions_digest(full.positions[-1])
+
+    # the finished checkpoint leaves nothing to run
+    sim = simulation()
+    traj, stats = sim.run(12, checkpoint_path=path)
+    assert stats.n_steps == 0 and sim.step == 12
+    assert positions_digest(traj.positions[-1]) == \
+        positions_digest(full.positions[-1])
+
+
 def test_resume_offsets_callback_steps(tmp_path):
     susp = random_suspension(15, 0.1, seed=2)
     bd = _integrator(susp)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,29 @@ def test_simulate_and_analyze(tmp_path, capsys):
     assert "D(tau->0)" in out
 
 
+def test_simulate_continues_its_checkpoint(tmp_path, capsys):
+    from repro.core.trajectory_io import load_trajectory
+    from repro.runtime.tasks import positions_digest
+
+    base = ["simulate", "-n", "20", "--phi", "0.1", "--e-p", "1e-2",
+            "--lambda-rpy", "4", "--record-interval", "4"]
+    ckpt = str(tmp_path / "run.ckpt.npz")
+    assert main(base + ["--steps", "16", "-o",
+                        str(tmp_path / "full.npz")]) == 0
+    assert main(base + ["--steps", "8", "--checkpoint", ckpt, "-o",
+                        str(tmp_path / "first.npz")]) == 0
+    capsys.readouterr()
+    assert main(base + ["--steps", "16", "--checkpoint", ckpt, "-o",
+                        str(tmp_path / "rest.npz")]) == 0
+    out = capsys.readouterr().out
+    assert f"continued {ckpt} from step 8" in out
+    assert "ran 8 steps" in out
+    full = load_trajectory(tmp_path / "full.npz")
+    rest = load_trajectory(tmp_path / "rest.npz")
+    assert positions_digest(rest.positions[-1]) == \
+        positions_digest(full.positions[-1])
+
+
 def test_simulate_ewald_backend(tmp_path):
     out_file = tmp_path / "traj.npz"
     rc = main(["simulate", "-n", "20", "--steps", "4",
@@ -97,7 +122,7 @@ def test_inject_faults_rejects_the_other_levels_keys(tmp_path, command,
 
 
 def test_profile_prints_phase_table(tmp_path, capsys):
-    metrics = tmp_path / "m.prom"
+    metrics = tmp_path / "m.json"
     rc = main(["profile", "-n", "30", "--phi", "0.1", "--steps", "2",
                "--e-p", "1e-2", "--metrics", str(metrics)])
     assert rc == 0
@@ -110,9 +135,8 @@ def test_profile_prints_phase_table(tmp_path, capsys):
     for span in ("construct_p=", "construct_real=", "find_pairs=",
                  "real_tensors=", "real_assemble="):
         assert span in out
-    assert metrics.exists()
-    from repro.obs.schema import validate_prometheus_text
-    validate_prometheus_text(metrics.read_text())
+    from repro.obs.schema import validate_metrics_json
+    validate_metrics_json(json.loads(metrics.read_text()))
 
 
 def test_parser_requires_command():

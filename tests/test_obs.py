@@ -11,11 +11,10 @@ from repro.errors import ConfigurationError
 from repro.obs.schema import (
     SchemaError,
     validate_chrome_trace,
+    validate_file,
     validate_metrics_json,
-    validate_prometheus_text,
-    validate_trace_events,
 )
-from repro.obs.trace import NULL_SPAN, read_jsonl
+from repro.obs.trace import NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
@@ -162,23 +161,18 @@ class TestExports:
         tracer.instant("recovery.retry", kind="nan")
         return tracer
 
-    def test_jsonl_roundtrip_and_schema(self, tmp_path):
-        tracer = self._populated()
-        path = _merged(tracer).write_jsonl(tmp_path / "t.jsonl")
-        events = read_jsonl(path)
-        validate_trace_events(events)
-        # ordered by start time, counted from the earliest event
-        assert [e["name"] for e in events] == ["pme.spread", "pme.fft",
-                                               "recovery.retry"]
-        assert events[0]["ts"] == 0.0
-        assert events[0]["args"] == {"n": 10}
-
     def test_chrome_trace_schema(self):
         doc = _merged(self._populated()).to_chrome_trace()
         validate_chrome_trace(doc)
         assert doc["displayTimeUnit"] == "ms"
-        by_name = {e["name"]: e for e in doc["traceEvents"]
-                   if e["ph"] != "M"}
+        events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+        # ordered by start time, counted from the earliest event
+        assert [e["name"] for e in events] == ["pme.spread", "pme.fft",
+                                               "recovery.retry"]
+        assert events[0]["ts"] == 0.0
+        assert events[0]["args"] == {"n": 10, "depth": 0}
+        by_name = {e["name"]: e for e in events}
+        assert by_name["pme.fft"]["args"] == {"depth": 1}
         # microsecond timestamps, category = dotted root
         assert by_name["pme.spread"]["cat"] == "pme"
         assert by_name["pme.spread"]["dur"] >= by_name["pme.fft"]["dur"]
@@ -187,19 +181,63 @@ class TestExports:
 
     def test_zero_event_exports_are_valid(self, tmp_path):
         merged = _merged(obs.Tracer())
-        path = merged.write_jsonl(tmp_path / "empty.jsonl")
-        assert read_jsonl(path) == []
-        validate_trace_events(read_jsonl(path))
-        doc = merged.to_chrome_trace()
-        validate_chrome_trace(doc)
+        path = merged.write_chrome_trace(tmp_path / "empty.json")
+        assert "chrome trace" in validate_file(path)
+        doc = json.loads(path.read_text())
         assert [e for e in doc["traceEvents"] if e["ph"] != "M"] == []
 
     def test_schema_rejects_malformed_event(self):
-        with pytest.raises(SchemaError):
-            validate_trace_events([{"name": "x", "ph": "X"}])
-        with pytest.raises(SchemaError):
-            validate_trace_events([{"name": "x", "ph": "i", "ts": 0,
-                                    "dur": 0.5, "tid": 1, "depth": 0}])
+        def doc(**fields):
+            event = {"name": "x", "ph": "X", "ts": 0.0, "dur": 1.0,
+                     "pid": 1, "tid": 1, "args": {"depth": 0}}
+            event.update(fields)
+            return {"traceEvents": [event],
+                    "otherData": _merged(obs.Tracer()).header()}
+
+        validate_chrome_trace(doc())
+        malformed = [
+            {"traceEvents": [{"name": "x", "ph": "X"}],
+             "otherData": doc()["otherData"]},    # missing keys
+            doc(ph="i", dur=0.5),                  # instant with a dur
+            doc(ph="B"),                           # unknown phase
+            doc(name=""),                          # empty name
+            doc(name=3),
+            doc(ts=-1.0),                          # negative ts / dur
+            doc(ts=True),
+            doc(dur=-0.5),
+            doc(dur="1"),
+            doc(pid=1.5),                          # non-integer ids
+            doc(tid="1"),
+            doc(args=[]),                          # args not an object
+            doc(args={}),                          # no depth
+            doc(args={"depth": -1}),
+            doc(args={"depth": 0.5}),
+            doc(args={"depth": 0, "worker_id": "0"}),
+            doc(args={"depth": 0, "task_id": True}),
+        ]
+        for bad in malformed:
+            with pytest.raises(SchemaError):
+                validate_chrome_trace(bad)
+
+    def test_schema_rejects_bad_header(self):
+        good = _merged(obs.Tracer()).to_chrome_trace()
+        validate_chrome_trace(good)
+        bad_headers = [
+            None,                                  # no otherData
+            {"schema": "other/1", "kind": "merged", "dropped": 0},
+            {"schema": obs.TRACE_SCHEMA, "dropped": 0},   # no kind
+            {"schema": obs.TRACE_SCHEMA, "kind": "trace", "dropped": 0},
+            {"schema": obs.TRACE_SCHEMA, "kind": "merged", "dropped": -1},
+            {"schema": obs.TRACE_SCHEMA, "kind": "merged"},
+        ]
+        for header in bad_headers:
+            doc = dict(good)
+            if header is None:
+                del doc["otherData"]
+            else:
+                doc["otherData"] = header
+            with pytest.raises(SchemaError):
+                validate_chrome_trace(doc)
 
 
 # ----------------------------------------------------------------------
@@ -240,17 +278,6 @@ class TestMetrics:
         assert hist.mean == pytest.approx(50 / 3)
         assert hist.min == 3 and hist.max == 40
         assert hist.counts == [0, 2, 3]
-
-    def test_prometheus_text_validates(self):
-        registry = obs.MetricsRegistry()
-        registry.counter("a_total", help="things done").inc()
-        registry.gauge("g", scope="run").set(0.5)
-        registry.histogram("h").observe(2)
-        text = registry.to_prometheus_text()
-        validate_prometheus_text(text)
-        assert "# TYPE a_total counter" in text
-        assert 'g{scope="run"} 0.5' in text
-        assert "h_bucket" in text and "h_count 1" in text
 
     def test_json_export_validates(self):
         registry = obs.MetricsRegistry()
@@ -327,7 +354,6 @@ class TestPipelineWiring:
         assert registry.counter("pme_applications_total").value > 0
         # one Krylov solve per mobility block
         assert registry.histogram("bd_krylov_iterations").count == 2
-        validate_prometheus_text(registry.to_prometheus_text())
         validate_metrics_json(registry.to_json())
 
     def test_pme_phase_spans_reconcile_with_phase_breakdown(self):
@@ -401,22 +427,20 @@ class TestCliRoundTrip:
     def test_simulate_trace_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
-        trace = tmp_path / "run.jsonl"
-        chrome = tmp_path / "run.json"
-        metrics = tmp_path / "run.prom"
+        trace = tmp_path / "run.json"
+        metrics = tmp_path / "run.metrics.json"
         rc = main(["simulate", "-n", "24", "--phi", "0.1", "--steps", "3",
                    "--e-p", "1e-2", "--record-interval", "1",
                    "-o", str(tmp_path / "t.npz"),
-                   "--trace", str(trace), "--chrome-trace", str(chrome),
-                   "--metrics", str(metrics)])
+                   "--trace", str(trace), "--metrics", str(metrics)])
         assert rc == 0
         # the run left the globals clean
         assert not obs.tracing_enabled()
 
-        events = read_jsonl(trace)
-        validate_trace_events(events)
-        validate_chrome_trace(json.loads(chrome.read_text()))
-        validate_prometheus_text(metrics.read_text())
+        doc = json.loads(trace.read_text())
+        validate_chrome_trace(doc)
+        validate_metrics_json(json.loads(metrics.read_text()))
+        events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
 
         # reconcile the replayed trace with itself: per-step phases sum
         # to (at most) the enclosing sim.run span
@@ -438,22 +462,22 @@ class TestCliRoundTrip:
     def test_every_export_validates(self, tmp_path, capsys, command):
         from repro.cli import main
         from repro.obs.schema import main as schema_main
-        from repro.obs.trace import read_jsonl_header
 
-        trace, chrome, metrics = (tmp_path / "t.jsonl",
-                                  tmp_path / "t.json", tmp_path / "m.prom")
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
         argv = [command, "-n", "24", "--phi", "0.1", "--steps", "2",
                 "--e-p", "1e-2", "--trace", str(trace),
-                "--chrome-trace", str(chrome), "--metrics", str(metrics)]
+                "--metrics", str(metrics)]
         if command == "simulate":
             argv += ["-o", str(tmp_path / "t.npz")]
         assert main(argv) == 0
-        assert schema_main([str(trace), str(chrome), str(metrics)]) == 0
+        assert schema_main([str(trace), str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "chrome trace" in out and "metrics json" in out
         # a process's own trace is a one-track merge, named after the
         # command that recorded it
-        header = read_jsonl_header(trace)
+        doc = json.loads(trace.read_text())
+        header = doc["otherData"]
         assert (header["kind"], header["processes"]) == ("merged", 1)
-        doc = json.loads(chrome.read_text())
         assert [e["args"]["name"] for e in doc["traceEvents"]
                 if e["name"] == "process_name"] == [command]
 

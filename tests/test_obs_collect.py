@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.obs.collect import (
     SpoolingSession,
     SpoolWriter,
-    TraceContext,
     TrackGroup,
     aggregate_metrics,
     find_spools,
@@ -32,7 +31,7 @@ from repro.obs.schema import (
     validate_file,
     validate_trace_header,
 )
-from repro.obs.trace import TRACE_SCHEMA, read_jsonl, read_jsonl_header
+from repro.obs.trace import TRACE_SCHEMA
 
 
 @pytest.fixture(autouse=True)
@@ -59,31 +58,10 @@ def _event(name="w.step", ts=1.0, dur=0.5, tid=1, pid=100,
 
 
 # ----------------------------------------------------------------------
-# trace context + schema v2
+# trace identity (pid / worker_id / task_id) + the trace header
 # ----------------------------------------------------------------------
 
 class TestTraceContext:
-    def test_json_roundtrip(self):
-        ctx = TraceContext(trace_id="campaign-abc123", task_id=4)
-        assert TraceContext.from_json(ctx.to_json()) == ctx
-
-    def test_task_spec_carries_context_on_the_wire_only(self):
-        from repro.runtime.tasks import TaskSpec
-
-        spec = TaskSpec(task_id=2, n=10, phi=0.1, n_steps=5, seed=1,
-                        system_seed=2)
-        assert "trace" not in spec.to_json()  # manifests stay stable
-
-        import dataclasses
-        stamped = dataclasses.replace(
-            spec, trace=TraceContext(trace_id="campaign-x", task_id=2))
-        wire = stamped.to_json()
-        assert wire["trace"] == {"trace_id": "campaign-x", "task_id": 2}
-        back = TaskSpec.from_json(wire)
-        assert back.trace == stamped.trace
-        # identity fields unaffected by the stamp
-        assert back.seed == spec.seed and back.task_id == spec.task_id
-
     def test_tracer_stamps_identity_fields(self):
         tracer = obs.Tracer(worker_id=3, task_id=7)
         with tracer.span("x"):
@@ -103,33 +81,11 @@ class TestTraceContext:
         assert (header["kind"], header["processes"]) == ("merged", 1)
         validate_trace_header(header)
         with pytest.raises(SchemaError):
-            validate_trace_header({"schema": "other/1", "dropped": 0})
+            validate_trace_header({"schema": "other/1", "kind": "merged",
+                                   "dropped": 0})
         with pytest.raises(SchemaError):
-            validate_trace_header({"schema": TRACE_SCHEMA, "dropped": -1})
-
-    def test_jsonl_header_roundtrip(self, tmp_path):
-        tracer = obs.Tracer(worker_id=5)
-        with tracer.span("a"):
-            pass
-        path = merge_traces([tracer.track_group()]).write_jsonl(
-            tmp_path / "t.jsonl")
-        header = read_jsonl_header(path)
-        assert header["kind"] == "merged"
-        events = read_jsonl(path)  # header line skipped
-        assert [e["name"] for e in events] == ["a"]
-        assert events[0]["worker_id"] == 5
-
-    def test_single_process_stream_of_the_old_layout_validates(
-            self, tmp_path):
-        # the pre-merge single-process file: a header with no kind,
-        # timestamps counted from the tracer epoch
-        path = tmp_path / "old.jsonl"
-        header = {"schema": TRACE_SCHEMA, "dropped": 0, "pid": 7,
-                  "epoch": 1234.5}
-        lines = [header, _event(name="a", ts=0.25, pid=7),
-                 _event(name="b", ts=0.125, dur=0.0, pid=7)]
-        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
-        assert "trace jsonl (2 events)" in validate_file(path)
+            validate_trace_header({"schema": TRACE_SCHEMA,
+                                   "kind": "merged", "dropped": -1})
 
     def test_dropped_surfaces_everywhere(self, tmp_path, capsys):
         tracer = obs.Tracer(max_events=1)
@@ -137,12 +93,12 @@ class TestTraceContext:
             tracer.instant("e")
         assert tracer.dropped == 2
         merged = merge_traces([tracer.track_group()])
-        path = merged.write_jsonl(tmp_path / "d.jsonl")
-        assert read_jsonl_header(path)["dropped"] == 2
-        # final trace.dropped instant appended to the stream
-        assert read_jsonl(path)[-1]["name"] == "trace.dropped"
-        # chrome export carries it in otherData
-        assert merged.to_chrome_trace()["otherData"]["dropped"] == 2
+        path = merged.write_chrome_trace(tmp_path / "d.json")
+        doc = json.loads(path.read_text())
+        # the header carries the count, and a final trace.dropped
+        # instant closes the timeline
+        assert doc["otherData"]["dropped"] == 2
+        assert doc["traceEvents"][-1]["name"] == "trace.dropped"
         # the validator warns, and the CLI surfaces it on stderr
         assert "WARNING" in validate_file(path)
         from repro.obs.schema import main as schema_main
@@ -304,12 +260,10 @@ class TestMerge:
 
         merged_a = merge_traces(groups_a, trace_id="campaign-z")
         merged_b = merge_traces(groups_b, trace_id="campaign-z")
-        path_a = merged_a.write_jsonl(tmp_path / "a.jsonl")
-        path_b = merged_b.write_jsonl(tmp_path / "b.jsonl")
+        path_a = merged_a.write_chrome_trace(tmp_path / "a.json")
+        path_b = merged_b.write_chrome_trace(tmp_path / "b.json")
+        # metadata ordering is canonical too
         assert path_a.read_bytes() == path_b.read_bytes()
-        # chrome form identical too (metadata ordering is canonical)
-        assert json.dumps(merged_a.to_chrome_trace()["traceEvents"]) == \
-            json.dumps(merged_b.to_chrome_trace()["traceEvents"])
 
     def test_timeline_normalised_and_ordered(self):
         merged = merge_traces([
@@ -338,13 +292,16 @@ class TestMerge:
         assert doc["otherData"]["kind"] == "merged"
         assert doc["otherData"]["processes"] == 4
 
-    def test_merged_jsonl_validates(self, tmp_path):
+    def test_merged_trace_validates(self, tmp_path):
         merged = merge_traces([
             TrackGroup("worker-0", 100,
-                       [_event(ts=3.0, pid=100, worker_id=0)],
+                       [_event(ts=3.0, pid=100, worker_id=0, task_id=1)],
                        worker_id=0)])
-        path = merged.write_jsonl(tmp_path / "m.jsonl")
-        assert "trace jsonl" in validate_file(path)
+        path = merged.write_chrome_trace(tmp_path / "m.json")
+        assert "chrome trace (4 events)" in validate_file(path)
+        (event,) = [e for e in json.loads(path.read_text())["traceEvents"]
+                    if e["ph"] != "M"]
+        assert event["args"] == {"depth": 0, "worker_id": 0, "task_id": 1}
 
     def test_spans_for_task_correlates_both_sides(self):
         merged = merge_traces([
@@ -358,10 +315,12 @@ class TestMerge:
                                worker_id=0, task_id=2)],
                        worker_id=0),
         ])
-        correlated = spans_for_task(merged.events, 1)
-        assert {e["name"] for e in correlated} == \
-            {"supervisor.task", "w.step"}
-        assert len(correlated) == 2
+        for events in (merged.events,
+                       merged.to_chrome_trace()["traceEvents"]):
+            correlated = spans_for_task(events, 1)
+            assert {e["name"] for e in correlated} == \
+                {"supervisor.task", "w.step"}
+            assert len(correlated) == 2
 
     def test_truncated_workers_in_header(self):
         merged = merge_traces([
@@ -450,7 +409,7 @@ class TestHistogramQuantiles:
         with pytest.raises(ConfigurationError):
             hist.quantile(1.5)
 
-    def test_json_export_carries_quantiles_prom_does_not(self):
+    def test_json_export_carries_quantiles(self):
         registry = obs.MetricsRegistry()
         hist = registry.histogram("h", buckets=(1.0, 10.0))
         for value in (0.5, 2.0, 3.0):
@@ -459,6 +418,3 @@ class TestHistogramQuantiles:
         series = family["series"][0]
         assert {"p50", "p90", "p99"} <= set(series)
         assert series["p50"] <= series["p90"] <= series["p99"]
-        # the text exposition keeps the standard bucket form only
-        text = registry.to_prometheus_text()
-        assert "p50" not in text and "h_bucket" in text
