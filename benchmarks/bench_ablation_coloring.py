@@ -1,14 +1,15 @@
-"""Ablation — spreading strategies: P^T row gather vs 8-color schedule.
+"""Ablation — spreading strategies: the shipped spreader vs 8-color schedule.
 
 Section IV.B.2's independent-set schedule exists to make a *scatter*
-over particles parallel-safe; the shipped spreader stores ``P^T`` by
-mesh row instead, which makes spreading a gather that needs no
-colouring.  This ablation puts the two side by side on the host:
+over particles parallel-safe.  The shipped spreader scatters only on
+one worker; on several it reads ``P'`` (``P^T`` stored by mesh row),
+which makes spreading a gather that needs no colouring.  This ablation
+puts them side by side on the host:
 
-* the operator's row gather (``InterpolationMatrix.spread_batch``,
-  inline and on a 2-thread context) and the paper-faithful coloured
-  engine (serial and 2-thread contexts) produce the same mesh to
-  rounding,
+* the operator's spreader (``InterpolationMatrix.spread_batch`` on a
+  one-column operand: the particle scatter inline, the ``P'`` row
+  gather on a 2-thread context) and the paper-faithful coloured engine
+  (serial and 2-thread contexts) produce the same mesh to rounding,
 * the per-color block write footprints are disjoint (the race-freedom
   invariant, re-verified here at benchmark scale),
 * relative costs on this host are reported.
@@ -54,8 +55,8 @@ def experiment_rows(n=None):
     rows = []
     with ExecutionContext("serial") as serial, \
             ExecutionContext("threads", workers=2) as threads:
-        for name, context in (("P^T row gather, inline", None),
-                              ("P^T row gather, 2 threads", threads)):
+        for name, context in (("particle scatter, inline", None),
+                              ("P' row gather, 2 threads", threads)):
             t = measure_seconds(
                 lambda: interp.spread_batch(f, out=mesh, context=context),
                 repeats=3, warmup=1).best

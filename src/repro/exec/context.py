@@ -8,7 +8,8 @@ parallel takes a context:
 
 * spreading and interpolation of the PME pipeline, as gathers over
   mesh-row and particle-row ranges (every output element has one
-  writer, so there is nothing to colour or lock),
+  writer, so there is nothing to colour or lock; a one-worker spread
+  of one column scatters by particle instead, with the same bytes),
 * the FFTs, both directions: every lane is one single-threaded
   transform, and lane ranges are split over the workers (no
   ``workers=`` of :mod:`scipy.fft`: that starts pocketfft's own

@@ -7,7 +7,8 @@ machines, reproduced as explicit, testable work-partitioning logic:
   schedule that makes the spreading scatter-add write-conflict free
   (Section IV.B.2, Fig. 2), executed on an execution context's
   workers by :mod:`~repro.parallel.engine` (the reference schedule:
-  the mobility pipeline itself spreads by ``P^T`` row gather),
+  the mobility pipeline itself scatters one column on one worker and
+  otherwise gathers over ``P'`` rows),
 * :mod:`~repro.parallel.partition` -- row-block and cost-balanced
   partitioning used for P construction and static work splits.
 

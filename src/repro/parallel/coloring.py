@@ -22,8 +22,9 @@ disjoint — the property that makes the schedule race-free on actual
 parallel hardware.
 
 This is the paper's schedule, kept as the reference: the pipeline's
-:meth:`repro.pme.spread.InterpolationMatrix.spread_batch` gathers over
-``P^T`` rows (one writer per mesh point) and needs no colouring.
+:meth:`repro.pme.spread.InterpolationMatrix.spread_batch` scatters by
+particle only on one worker, and on several gathers over ``P'`` rows
+(one writer per mesh point), so it needs no colouring.
 """
 
 from __future__ import annotations

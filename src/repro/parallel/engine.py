@@ -3,7 +3,8 @@
 The paper's Section IV.B.2 schedule on real workers, kept as the
 reference for the ablation benchmark and the race-freedom tests (the
 pipeline's spreader, :class:`~repro.pme.spread.InterpolationMatrix`,
-gathers over ``P^T`` rows and needs no colouring):
+scatters only on one worker and otherwise gathers over ``P'`` rows, so
+it needs no colouring):
 :class:`ColoredPMEEngine` takes the per-particle interpolation
 tables (the ``(n, p^3)`` weight/column arrays behind ``P``), groups the
 particles into the 8 independent sets of
@@ -25,7 +26,7 @@ within a color each mesh point is written by exactly one block, within
 a block particles in a deterministic order — so the results are
 **bit-identical** across the ``serial`` and ``threads`` backends at any
 worker count for a fixed kernel configuration.  The order differs from
-the row gather's (colour by colour, not ascending particle), so the two
+the pipeline's (colour by colour, not ascending particle), so the two
 agree to rounding, not bytewise.
 
 Mesh layout is batch-first ``(lanes, K^3)``, matching the batched FFT

@@ -121,7 +121,9 @@ def reciprocal_block_bytes(n: int, K: int, p: int, n_vectors: int) -> float:
     ``24 p^3 n`` gathered by the interpolation; per *pass* the ``12 p^3
     n`` of ``P``, read once by each of the two gathers whatever the
     block width.  The paper's ``24 p^3 n`` scatter term is absent: the
-    spreading is a gather by mesh row that writes every mesh word once.
+    spreading is priced as the gather by mesh row that writes every mesh
+    word once, which a one-worker one-column spread replaces by the
+    cheaper particle scatter (the tuner's split is unchanged by it).
     """
     nnz = p ** 3 * n
     return n_vectors * (76 * K ** 3 + 24 * nnz) + 2 * 12 * nnz

@@ -167,7 +167,8 @@ class PMEOperator:
         workers; ``None`` (default) takes the process default from
         :func:`repro.exec.default_context` — a one-worker ``serial``
         context unless the runtime config selects ``threads``.  Mesh
-        rows of the spreading gather, particle rows of the
+        rows of the spreading gather (which every spread on more than
+        one worker is), particle rows of the
         interpolation, FFT lanes and block rows of the real-space SpMM
         are split across them; every split writes disjoint outputs in
         a fixed summation order, so the result is the same bytes on
@@ -200,10 +201,15 @@ class PMEOperator:
         self.n_applications = 0
 
         with self.timers.phase("construct_p", **self._exec_args):
-            #: The interpolation matrix ``P`` and its ``P^T``, precomputed
-            #: once per configuration (paper Section IV.A; Fig. 4).
+            #: The interpolation matrix ``P``, precomputed once per
+            #: configuration (paper Section IV.A; Fig. 4).
             self.interp = InterpolationMatrix(self.positions, box,
                                               params.K, params.p)
+            if self.context.workers > 1:
+                # every spread here is the gather: build P' now, beside
+                # P and before the workspaces (a late P' fragments the
+                # heap after the workspace arena)
+                self.interp.build_rows()
         self.influence = self.cache.influence(
             self.mesh, params.xi, params.p, fluid.radius)
         with self.timers.phase("construct_real"):
@@ -231,7 +237,9 @@ class PMEOperator:
         flat.  The whole reciprocal pipeline is amortized across the
         block (paper Sections IV.A-IV.C):
 
-        * one spreading gather over ``P^T`` for all ``3s`` mesh lanes,
+        * one spread for all ``3s`` mesh lanes (a scatter by particle
+          for one column on one worker, else the gather over ``P'``;
+          the same bytes),
         * ``3s`` contiguous forward r2c FFTs into one stacked
           half-spectrum, and ``3s`` inverse transforms (c2c over the
           two full axes + c2r over the half axis) back into the mesh

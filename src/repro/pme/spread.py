@@ -15,10 +15,23 @@ CSR keeps the compiled SpMV available; the redundancy is one ``intp``
 per particle.
 
 :class:`InterpolationMatrix` is the one stored-``P`` spreader of the
-mobility pipeline, whatever the execution backend: it also keeps
-``P^T`` in CSR *by mesh row*, which turns spreading from a scatter over
-particles (racy: hence the paper's Section IV.B.2 colouring) into a
-gather with one writer and a fixed summation order per mesh point.
+mobility pipeline, whatever the execution backend.  It spreads a
+block two ways, with the same bytes wherever both apply:
+
+* a one-column block (3 lanes) on one worker is *scattered by
+  particle*, the paper's own order: a zeroed mesh, every particle
+  added in id order (:func:`repro.sparse.kernels.spread_ranges`, or
+  SciPy's ``P^T`` product without the compiled kernels);
+* anything wider, and every block on several workers, is *gathered
+  by mesh row* over ``P'`` (``P^T`` in CSR by mesh row), which has one
+  writer and a fixed summation order per mesh point — the race the
+  paper's Section IV.B.2 colours away does not arise.
+
+Both sum a mesh point's terms from zero in ascending particle id, so
+serial and threaded spreads agree bit for bit.  ``P'`` is built where
+the gather runs: by a multi-worker operator at construction, else on
+the first wide spread.  A serial Brownian run, whose every apply has
+one column, never builds it.
 """
 
 from __future__ import annotations
@@ -36,6 +49,13 @@ from ..utils.validation import as_positions
 from .bspline import bspline_weights
 
 __all__ = ["InterpolationMatrix"]
+
+
+#: Widest block (one column: 3 lanes) that a one-worker spread scatters
+#: by particle; wider blocks gather.  Measured crossover: the scatter
+#: wins at 3 lanes at every n and K tried, is mixed at 6 and loses
+#: from 9 on (EXPERIMENTS.md).
+SCATTER_LANES = 3
 
 
 def _weights_and_columns(positions, box: Box, K: int, p: int
@@ -104,12 +124,24 @@ class InterpolationMatrix:
             #: The sparse ``n x K^3`` matrix (CSR).
             self.matrix = sp.csr_matrix(
                 (data.ravel(), cols.ravel(), indptr), shape=(n, K ** 3))
-            # P^T in CSR by mesh row as the gather's int64 (indptr,
-            # indices, data); the conversion leaves each row's particle
-            # ids ascending, which fixes every mesh point's sum order
+            #: ``P'`` as the gather's int64 ``(indptr, indices, data)``,
+            #: ``None`` until :meth:`build_rows` (the first gather).
+            self._pt: tuple[np.ndarray, ...] | None = None
+
+    def build_rows(self) -> tuple[np.ndarray, ...]:
+        """``P'``, ``P^T`` in CSR by mesh row, built on the first call.
+
+        The conversion leaves each row's particle ids ascending, which
+        fixes every mesh point's sum order.  A multi-worker
+        :class:`~repro.pme.operator.PMEOperator` calls this at
+        construction, so that ``P'`` is allocated beside ``P`` and
+        before the pipeline's workspaces.
+        """
+        if self._pt is None:
             pt = self.matrix.T.tocsr()
             self._pt = (pt.indptr.astype(np.int64),
                         pt.indices.astype(np.int64), pt.data)
+        return self._pt
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Spread per-particle values onto the mesh: ``P^T values``.
@@ -155,16 +187,34 @@ class InterpolationMatrix:
 
         Notes
         -----
-        A gather over rows of ``P^T``
+        One rule picks the order.  A one-column block (at most
+        :data:`SCATTER_LANES` lanes) on one worker is scattered by
+        particle into the zeroed ``out``: the compiled
+        :func:`repro.sparse.kernels.spread_ranges` over all particles
+        in id order, or SciPy's ``P^T`` product without it.  Anything
+        else is a gather over rows of ``P'``
         (:func:`repro.sparse.kernels.spread_rows`): each mesh point is
-        written by exactly one task and summed in ascending particle
-        order, so the bytes do not depend on the row partition.
+        written by exactly one task.  Both orders sum a mesh point from
+        zero in ascending particle id, so the bytes depend neither on
+        the order taken nor on the row partition.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
+        lanes = values.shape[1]
         if out is None:
-            out = np.empty((values.shape[1], self.K ** 3))
-        (context or INLINE).run_ranges(
-            lambda lo, hi: kernels.spread_rows(*self._pt, values, out,
+            out = np.empty((lanes, self.K ** 3))
+        context = context or INLINE
+        if lanes <= SCATTER_LANES and context.workers == 1:
+            if not kernels.kernel_available():
+                out[...] = self.spread(values).T
+            else:
+                out.fill(0.0)
+                kernels.spread_ranges(self.weights, self.columns,
+                                      np.arange(self.n, dtype=np.int64),
+                                      values, out, [(0, self.n)])
+            return out
+        rows = self.build_rows()
+        context.run_ranges(
+            lambda lo, hi: kernels.spread_rows(*rows, values, out,
                                                [(lo, hi)]),
             self.K ** 3, "spread")
         return out
@@ -201,15 +251,16 @@ class InterpolationMatrix:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by ``P`` and ``P^T`` (values, indices and row
-        pointers of each).
+        """Bytes held by ``P``, and by ``P'`` once built (values,
+        indices and row pointers of each).
 
         The paper's model charges ``12 p^3 n`` bytes for ``P`` (8-byte
-        values + 4-byte column indices); the resident ``P^T`` (same
-        nonzeros, 8-byte indices, a ``K^3 + 1`` row pointer) is the
-        spreading operand here, so what is actually held is reported.
+        values + 4-byte column indices).  ``P'`` (same nonzeros, 8-byte
+        indices, a ``K^3 + 1`` row pointer) is resident only where
+        blocks are gathered: on a multi-worker operator, and after the
+        first wide spread on one worker.  What is actually held is
+        reported.
         """
         m = self.matrix
         return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                + sum(a.nbytes for a in self._pt))
-
+                + sum(a.nbytes for a in self._pt or ()))

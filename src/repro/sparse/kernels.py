@@ -17,15 +17,20 @@ schedule need:
     in L1, and every width sums a lane in the same order — the 1-wide
     product *is* column ``j`` of any wider one (self-tested at load).
 ``spread_rows``
-    The pipeline's spreader, a gather: rows ``[lo, hi)`` of ``P^T``
-    (CSR by mesh row) into a batch-first ``(lanes, K^3)`` mesh.  Each
-    mesh point has one writer and a fixed summation order, so any row
-    partition is bit-identical and needs no colouring.
+    The pipeline's spreader of wide blocks and of every multi-worker
+    spread, a gather: rows ``[lo, hi)`` of ``P^T`` (CSR by mesh row)
+    into a batch-first ``(lanes, K^3)`` mesh.  Each mesh point has one
+    writer and a fixed summation order, so any row partition is
+    bit-identical and needs no colouring.
 ``spread_idx``
     Scatter-add of a particle subset onto a batch-first ``(lanes,
-    K^3)`` mesh (Section IV.B.2; the reference schedule of
-    :mod:`repro.parallel.engine`).  The subset is one mesh block of one
-    color of the independent-set schedule: within a color, blocks
+    K^3)`` mesh, in subset order.  In production it is the spreader of
+    a one-column block on one worker: every particle in id order into
+    a zeroed mesh, which sums each mesh point in the gather's order
+    (:meth:`repro.pme.spread.InterpolationMatrix.spread_batch`).  It is
+    also the body of the Section IV.B.2 reference schedule of
+    :mod:`repro.parallel.engine`, where the subset is one mesh block of
+    one color of the independent-set schedule: within a color, blocks
     write disjoint mesh points, so concurrent calls use *plain stores*
     — no atomics — exactly as the paper promises.
 ``interp_range``
@@ -871,7 +876,9 @@ def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,
                   ranges: list[tuple[int, int]]) -> None:
     """Scatter-add particles ``idx[lo:hi]`` of every range onto the
     batch-first mesh ``out (lanes, K^3)``: the compiled kernel, or an
-    ``np.add.at`` pass with the same accumulation order."""
+    ``np.add.at`` pass with the same accumulation order (which only the
+    colored reference schedule takes: the pipeline's one-column scatter
+    uses SciPy's ``P^T`` product when the kernel is unavailable)."""
     kern = getattr(_bundle(), "spread", None)
     pcube, lanes, k3 = weights.shape[1], values.shape[1], out.shape[1]
     for lo, hi in ranges:

@@ -250,18 +250,27 @@ def test_spread_interpolate_digest_bit_identity(system, kernel_mode):
     vals = rng.standard_normal((r.shape[0], 6))
     mesh_in = rng.standard_normal((6, K ** 3))
 
-    # the shipped spreader: one digest with no context and on every backend
+    # the shipped spreader: one digest with no context and on every
+    # backend; a 3-lane operand scatters by particle on one worker and
+    # gathers on several, with the same bytes
+    vals3 = np.ascontiguousarray(vals[:, :3])
     mesh_ref = interp.spread_batch(vals)
+    mesh3_ref = interp.spread_batch(vals3)
     part_ref = interp.interpolate_batch(mesh_in)
     spread_digests, interp_digests = {digest(mesh_ref)}, {digest(part_ref)}
+    spread3_digests = {digest(mesh3_ref)}
     for backend, workers in BACKENDS:
         with ExecutionContext(backend=backend, workers=workers) as ctx:
             spread_digests.add(digest(
                 interp.spread_batch(vals, context=ctx)))
+            spread3_digests.add(digest(
+                interp.spread_batch(vals3, context=ctx)))
             interp_digests.add(digest(
                 interp.interpolate_batch(mesh_in, context=ctx)))
     assert len(spread_digests) == 1
+    assert len(spread3_digests) == 1
     assert len(interp_digests) == 1
+    np.testing.assert_array_equal(mesh3_ref, mesh_ref[:3])
     np.testing.assert_allclose(mesh_ref, interp.spread(vals).T, atol=1e-12)
     np.testing.assert_allclose(part_ref, interp.interpolate(mesh_in.T).T,
                                atol=1e-12)

@@ -153,12 +153,88 @@ def test_spread_batch_empty_rows_and_particle_on_mesh_point(kernel_mode):
                                atol=1e-13)
 
 
+def _p_bytes(interp):
+    m = interp.matrix
+    n, p3 = interp.n, interp.p ** 3
+    return (8 + m.indices.itemsize) * n * p3 + m.indptr.itemsize * (n + 1)
+
+
 def test_memory_accounting(setup):
-    # P and the resident P^T: values of both, plus P^T's K^3 + 1 pointer
-    box, r, _ = setup
+    # P alone until the first wide spread builds P', once: then P plus
+    # P' (8-byte values and indices, a K^3 + 1 row pointer)
+    box, r, rng = setup
+    n = r.shape[0]
     interp = InterpolationMatrix(r, box, K=16, p=4)
-    assert interp.memory_bytes >= 8 * r.shape[0] * 4 ** 3
-    assert interp.memory_bytes >= 2 * 8 * r.shape[0] * 4 ** 3 + 8 * 16 ** 3
+    interp.spread_batch(rng.standard_normal((n, 3)))   # a scatter
+    assert interp._pt is None
+    assert interp.memory_bytes == _p_bytes(interp)
+    interp.spread_batch(rng.standard_normal((n, 6)))   # a gather
+    rows = interp._pt
+    assert interp.memory_bytes == (_p_bytes(interp)
+                                   + 2 * 8 * n * 4 ** 3 + 8 * (16 ** 3 + 1))
+    interp.spread_batch(rng.standard_normal((n, 9)))
+    assert interp._pt is rows
+
+
+@pytest.mark.parametrize("case", ["random", "on_mesh_point", "k_equals_p"])
+def test_one_column_scatter_is_the_gather_bytes(case, kernel_mode):
+    # a one-column block on one worker scatters by particle into the
+    # zeroed mesh; every element is written (the NaN prefill goes) and
+    # the bytes are the P' gather's, in either kernel mode
+    from repro.sparse import kernels
+
+    box = Box(8.0)
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0, box.length, size=(40, 3))
+    K, p = 16, 4
+    if case == "on_mesh_point":
+        r[7] = [2.0, 4.0, 6.0]                   # mesh coords (4, 8, 12)
+    elif case == "k_equals_p":
+        K = p = 6                                # the smallest legal mesh
+    interp = InterpolationMatrix(r, box, K=K, p=p)
+    vals = rng.standard_normal((r.shape[0], 3))
+    mesh = interp.spread_batch(vals, out=np.full((3, K ** 3), np.nan))
+    assert interp._pt is None                    # the scatter ran
+    gather = np.full((3, K ** 3), np.nan)
+    kernels.spread_rows(*interp.build_rows(), vals, gather, [(0, K ** 3)])
+    assert np.all(np.isfinite(mesh))
+    assert mesh.tobytes() == gather.tobytes()
+    np.testing.assert_allclose(mesh, interp.spread(vals).T, atol=1e-13)
+
+
+def test_threaded_operator_holds_rows_serial_one_does_not(setup):
+    from repro import PMEOperator, PMEParams
+    from repro.exec import ExecutionContext
+
+    box, r, _ = setup
+    params = PMEParams(xi=1.0, r_max=3.0, K=12, p=4)
+    with ExecutionContext(backend="threads", workers=2) as ctx:
+        assert PMEOperator(r, box, params, context=ctx).interp._pt is not None
+    with ExecutionContext(backend="serial") as ctx:
+        assert PMEOperator(r, box, params, context=ctx).interp._pt is None
+
+
+def test_matrix_free_run_never_builds_rows(monkeypatch):
+    # every apply of a matrix-free BD step has one column: a run on the
+    # default serial context scatters, and its operator holds P alone
+    from repro import Simulation
+    from repro.exec import reset_default_context
+    from repro.systems import random_suspension
+
+    monkeypatch.setenv("REPRO_BACKEND", "serial")
+    reset_default_context()
+    try:
+        sim = Simulation(random_suspension(30, 0.1, seed=3), dt=1e-3,
+                         lambda_rpy=2, seed=0, target_ep=1e-2)
+        sim.run(n_steps=4)
+    finally:
+        monkeypatch.undo()
+        reset_default_context()
+    op = sim.integrator.operator
+    assert op.context.workers == 1
+    assert op.interp._pt is None
+    assert (op.memory_report()["interpolation_matrix"]
+            == _p_bytes(op.interp))
 
 
 def test_validation():
