@@ -9,18 +9,21 @@ candidate list to the stored blocks: a pair search
 one C sweep in O(n + pairs) whose strict minimum-image test decides),
 the separations of the pairs in a second one
 (:meth:`~repro.geometry.box.Box.distances`), the scalar coefficients
-``f, g`` of every pair in NumPy/SciPy
-(:func:`~repro.rpy.pse.real_space_coefficients`, the positively split
-Ewald real-space half, cache-sized chunks: ``erfc`` and ``exp`` decide
-the bytes, and this is the largest step of the build), and one linear
-symmetric assembly that computes each ``f I + g rhat rhat^T`` in the
-slot it is stored in (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no
-per-pair tensor array exists.  Without a C compiler the same matrix,
+``f, g`` of every pair (:func:`~repro.rpy.pse.real_space_coefficients`,
+the positively split Ewald real-space half, cache-sized chunks: NumPy's
+``exp`` and SciPy's ``erfc`` between two compiled passes with the NumPy
+body's bytes), and one linear symmetric assembly that computes each
+``f I + g rhat rhat^T`` in the slot it is stored in, packed to the 6
+doubles of its upper triangle
+(:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no per-pair
+tensor array exists.  Without a C compiler the same matrix,
 byte for byte, comes from :func:`~repro.rpy.tensor.pair_dyads` through
 :meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2
 applies the operator to blocks of vectors, every product — one column
 or many — is the multi-RHS SpMM of
-:meth:`~repro.sparse.bcsr.BlockCSR.matmat`.
+:meth:`~repro.sparse.bcsr.BlockCSR.matmat`, which streams the packed
+blocks (56 bytes each with the column index, against 80 for a full
+3x3 block) two rows at a time.
 
 All values are in units of ``mu0 = 1/(6 pi eta a)``; the composed
 :class:`~repro.pme.operator.PMEOperator` applies the physical prefactor.
@@ -156,7 +159,8 @@ class RealSpaceOperator:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes of the stored sparse operator."""
+        """Bytes of the stored sparse operator: ``48 nnzb + 8 nnzb + 8
+        (n + 1)`` (packed blocks, column indices, row pointer)."""
         return self.bcsr.memory_bytes
 
     @property

@@ -68,6 +68,8 @@ import math
 import numpy as np
 from scipy.special import erfc
 
+from ..sparse.kernels import coefficient_passes
+
 __all__ = [
     "real_space_coefficients",
     "reciprocal_scalar",
@@ -107,8 +109,11 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0
     stored coefficients, shared by the NumPy tensor fill and the compiled
     fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a
     scalar or broadcasts against ``dist``.  At a scalar ``xi`` the
-    separations are evaluated :data:`COEFFICIENT_CHUNK` at a time (the
-    same bytes).
+    separations are evaluated :data:`COEFFICIENT_CHUNK` at a time, with
+    the compiled kernels by two passes around NumPy's ``exp`` and
+    SciPy's ``erfc`` (:func:`_compiled_coefficients`); the NumPy body
+    :func:`_coefficients` is the fallback, the route of an array-valued
+    ``xi`` and the byte reference of both.
     """
     r = np.asarray(dist, dtype=np.float64)
     if np.any(r <= 0):
@@ -116,14 +121,52 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0
     if np.any(np.asarray(xi) <= 0):
         raise ValueError(f"xi must be positive, got {xi}")
     a = float(radius)
-    if np.ndim(xi) or r.size <= COEFFICIENT_CHUNK:
+    if np.ndim(xi):
         return _coefficients(r, xi, a)
-    flat = r.ravel()
+    flat = np.ascontiguousarray(r.ravel())
     f, g = np.empty_like(flat), np.empty_like(flat)
-    for lo in range(0, flat.size, COEFFICIENT_CHUNK):
-        hi = lo + COEFFICIENT_CHUNK
-        f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a)
+    passes = coefficient_passes()
+    if passes is not None:
+        _compiled_coefficients(passes, flat, xi, a, f, g)
+    else:
+        for lo in range(0, flat.size, COEFFICIENT_CHUNK):
+            hi = lo + COEFFICIENT_CHUNK
+            f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a)
     return f.reshape(r.shape), g.reshape(r.shape)
+
+
+def _pass_constants(xi: float, a: float) -> np.ndarray:
+    """The scalar subexpressions of :func:`_rpy_remainder` and
+    :func:`_coefficients`, evaluated as Python evaluates them there: the
+    ``cst`` operand of the compiled ``pse_combine``."""
+    return np.array([
+        math.pi / 64.0 / xi ** 4, math.pi / 48.0, _SQRT_PI / xi,
+        1.0 / (96.0 * xi * xi),                                # R
+        -(math.pi / 12.0), _SQRT_PI / (12.0 * xi), 0.5 / (xi * xi),  # R'
+        -(math.pi / 4.0), _SQRT_PI / (4.0 * xi),               # R''
+        3.0 / (4.0 * math.pi * a)], dtype=np.float64)
+
+
+def _compiled_coefficients(passes, r: np.ndarray, xi: float, a: float,
+                           f: np.ndarray, g: np.ndarray) -> None:
+    """:func:`_coefficients` of the flat ``r`` into ``f`` and ``g``, a
+    :data:`COEFFICIENT_CHUNK` at a time: the compiled ``pse_arguments``
+    pass, NumPy's ``exp`` and SciPy's ``erfc`` in place on its output,
+    then the compiled ``pse_combine`` pass — NumPy's operations in
+    NumPy's order, so the bytes of the NumPy body."""
+    arguments, combine = passes
+    xi, two_a = float(xi), 2.0 * a
+    cst = _pass_constants(xi, a)
+    width = min(r.size, COEFFICIENT_CHUNK)
+    s, t, q = (np.empty(3 * width) for _ in range(3))
+    for lo in range(0, r.size, COEFFICIENT_CHUNK):
+        hi = min(lo + COEFFICIENT_CHUNK, r.size)
+        m = hi - lo
+        sm, tm, qm = (buf[:3 * m] for buf in (s, t, q))
+        arguments(m, r[lo:hi], two_a, xi, sm, tm, qm)
+        np.exp(qm, out=qm)
+        erfc(tm, out=tm)
+        combine(m, r[lo:hi], two_a, sm, qm, tm, cst, f[lo:hi], g[lo:hi])
 
 
 def _coefficients(r: np.ndarray, xi, a: float

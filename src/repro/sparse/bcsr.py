@@ -1,9 +1,12 @@
-"""Block Compressed Sparse Row (BCSR) matrices with 3x3 blocks.
+"""Block Compressed Sparse Row (BCSR) matrices of symmetric 3x3 blocks.
 
 The RPY real-space operator couples particles through 3x3 tensors, so
 its natural sparse format is CSR over *block* rows and columns with a
-dense 3x3 payload per stored block (paper Section IV.C).  Key
-operations:
+dense 3x3 payload per stored block (paper Section IV.C).  Every block of
+the operator, ``f I + g rhat rhat^T``, is symmetric byte for byte, so a
+block is stored as the 6 doubles of its upper triangle (``00 01 02 11
+12 22``): 56 bytes with its column index instead of 80, which is what a
+product streams.  Only such blocks are accepted.  Key operations:
 
 * construction from a half pair list in any order (symmetric fill-in
   of both triangles; one compiled linear pass,
@@ -32,13 +35,14 @@ import scipy.sparse as sp
 from ..errors import ConfigurationError
 from ..exec import INLINE
 from ..lint.contracts import force_block_arg
-from .kernels import bcsr_assemble, spmm_kernel
+from .kernels import (bcsr_assemble, pack_symmetric, spmm_kernel,
+                      unpack_symmetric)
 
 __all__ = ["BlockCSR"]
 
 
 class BlockCSR:
-    """A square ``(3n, 3n)`` sparse matrix of dense 3x3 blocks.
+    """A square ``(3n, 3n)`` sparse matrix of symmetric 3x3 blocks.
 
     Parameters
     ----------
@@ -50,7 +54,9 @@ class BlockCSR:
         Block-column indices, shape ``(nnzb,)``; **must** be sorted
         within each row (construction helpers guarantee this).
     blocks:
-        Dense payloads, shape ``(nnzb, 3, 3)``.
+        Payloads: ``(nnzb, 3, 3)`` blocks, each symmetric byte for byte
+        (``ConfigurationError`` otherwise), or their packed ``(nnzb,
+        6)`` upper triangles as the assembly kernels write them.
     """
 
     def __init__(self, n_block_rows: int, indptr: np.ndarray,
@@ -65,15 +71,20 @@ class BlockCSR:
             raise ConfigurationError("indptr is inconsistent with indices")
         if np.any(np.diff(indptr) < 0):
             raise ConfigurationError("indptr must be non-decreasing")
-        if blocks.shape != (indices.shape[0], 3, 3):
+        if blocks.shape == (indices.shape[0], 3, 3):
+            blocks = pack_symmetric(blocks)
+        elif blocks.shape != (indices.shape[0], 6):
             raise ConfigurationError(
-                f"blocks must have shape (nnzb, 3, 3), got {blocks.shape}")
+                "blocks must have shape (nnzb, 3, 3) or packed (nnzb, 6), "
+                f"got {blocks.shape}")
         if indices.size and (indices.min() < 0 or indices.max() >= n_block_rows):
             raise ConfigurationError("block column index out of range")
         self.n_block_rows = int(n_block_rows)
         self.indptr = indptr
         self.indices = indices
-        self.blocks = blocks
+        #: The stored payload: every block's upper triangle, ``(nnzb,
+        #: 6)``, ``00 01 02 11 12 22``.
+        self.packed = blocks
         # SpMM-path caches, materialized on first matmat call: int64
         # index views/copies for the native kernel and a scalar CSR
         # export for the SciPy fallback.
@@ -100,13 +111,13 @@ class BlockCSR:
             orientation (each unordered pair listed once; both
             triangles are filled automatically).
         pair_blocks:
-            3x3 tensor for each pair, shape ``(m, 3, 3)``.  The block
-            stored at ``(j, i)`` is the transpose of the one at
-            ``(i, j)`` (the RPY tensor is symmetric, but transposition
-            is applied regardless so general symmetric operators work).
+            3x3 tensor for each pair, shape ``(m, 3, 3)``, symmetric
+            byte for byte (as the RPY tensor is), so the block at ``(j,
+            i)`` is the one at ``(i, j)``; any other payload raises
+            ``ConfigurationError``.
         diag_blocks:
-            Optional diagonal 3x3 blocks, shape ``(n, 3, 3)``; omitted
-            diagonals are zero.
+            Optional diagonal 3x3 blocks, shape ``(n, 3, 3)``, symmetric
+            likewise; omitted diagonals are zero.
 
         Rows come out ascending with columns ascending within a row,
         whatever the input order, from
@@ -184,11 +195,12 @@ class BlockCSR:
 
         The paper's Section IV.C "SpMV on blocks of vectors": unlike
         SciPy's CSR ``matmat``, which loops the RHS columns one by one,
-        the native kernel of :mod:`repro.sparse.kernels` multiplies a
-        row's 3x3 blocks against the ``s`` lanes in chunks of 8, 4, 2
-        and 1 while the row is in L1.  Every chunk width sums a lane in
-        the same order, so a column's bytes do not depend on ``s`` or on
-        its position in the block.  Without a C compiler the SciPy CSR
+        the native kernel of :mod:`repro.sparse.kernels` multiplies two
+        rows' packed blocks at a time against the ``s`` lanes in chunks
+        of 8, 4, 2 and 1 while the rows are in L1.  Every chunk width
+        and either row of a pair sums a lane in the same order, so a
+        column's bytes do not depend on ``s``, on its position in the
+        block or on the row range.  Without a C compiler the SciPy CSR
         export is used instead (column by column, so the same holds).
 
         With a parallel :class:`~repro.exec.ExecutionContext` the native
@@ -210,7 +222,7 @@ class BlockCSR:
         xg = x.reshape(n, 3, s)
         y = np.empty((n, 3, s))
         (context or INLINE).run_ranges(
-            lambda lo, hi: kernel(lo, hi, indptr64, indices64, self.blocks,
+            lambda lo, hi: kernel(lo, hi, indptr64, indices64, self.packed,
                                   xg, y, s),
             n, "real_spmm")
         return y.reshape(3 * n, s)
@@ -236,10 +248,19 @@ class BlockCSR:
         n = self.n_block_rows
         out = np.zeros((3 * n, 3 * n))
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        blocks = self.blocks
         for e in range(self.indices.size):
             r, c = rows[e], self.indices[e]
-            out[3 * r:3 * r + 3, 3 * c:3 * c + 3] += self.blocks[e]
+            out[3 * r:3 * r + 3, 3 * c:3 * c + 3] += blocks[e]
         return out
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The stored blocks unpacked to ``(nnzb, 3, 3)``: a read-only
+        copy, made on each access (introspection, tests, exports)."""
+        blocks = unpack_symmetric(self.packed)
+        blocks.flags.writeable = False
+        return blocks
 
     @property
     def nnz_blocks(self) -> int:
@@ -248,14 +269,15 @@ class BlockCSR:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by payload and index arrays (Fig. 7a accounting).
+        """Bytes held by the packed payload and the index arrays (Fig. 7a
+        accounting): ``48 nnzb + 8 nnzb + 8 (n + 1)`` on LP64 platforms.
 
         Counts, once the SpMM path has materialized them, the kernel's
         int64 index arrays (zero extra on LP64 platforms, where they
         alias the stored ``intp`` arrays) — index overhead is real
         memory and is reported as such.
         """
-        total = self.blocks.nbytes + self.indices.nbytes + self.indptr.nbytes
+        total = self.packed.nbytes + self.indices.nbytes + self.indptr.nbytes
         for extra, base in ((self._indptr64, self.indptr),
                             (self._indices64, self.indices)):
             if extra is not None and extra is not base and extra.base is not base:

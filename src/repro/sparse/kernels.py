@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the eight
+compiles, at import-on-demand time, a small C library with the ten
 entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
@@ -12,10 +12,15 @@ schedule need:
     Multi-RHS BCSR SpMM: block rows ``[lo, hi)`` of ``Y = A X`` for an
     ``s``-lane ``X``, so an execution context can chunk the product
     over workers (any row partition is bit-identical to ``[0, n)``).
-    The width is an operand, not a code path: one row body, at chunk
-    widths 8, 4, 2 and 1, covers a row's lanes while its 3x3 blocks are
-    in L1, and every width sums a lane in the same order — the 1-wide
-    product *is* column ``j`` of any wider one (self-tested at load).
+    Every block is symmetric and stored as the 6 doubles of its upper
+    triangle (``00 01 02 11 12 22``); the packing changes where an
+    entry is loaded from, never the arithmetic.  The width is an
+    operand, not a code path: one body, at chunk widths 8, 4, 2 and 1,
+    walks two block rows together — six independent sum chains — and
+    covers their lanes while their blocks are in L1; every width and
+    either row of a pair sums a lane in the same order, so the 1-wide
+    product *is* column ``j`` of any wider one and a pair of rows is
+    the bytes of two single rows (self-tested at load).
 ``spread_rows``
     The pipeline's spreader of wide blocks and of every multi-worker
     spread, a gather: rows ``[lo, hi)`` of ``P^T`` (CSR by mesh row)
@@ -39,11 +44,12 @@ schedule need:
     parallelize trivially.
 ``bcsr_assemble``
     The body of :meth:`repro.sparse.bcsr.BlockCSR.from_pairs`: the
-    symmetric BCSR matrix of a half pair list in any order, by a stable
-    counting sort on the column then on the row — two linear passes, the
-    72-byte payload written once (copied, or transposed for the mirror
-    triangle).  No floating-point arithmetic, so the bytes are those of
-    the ``lexsort`` fallback whatever the compiler flags.
+    symmetric BCSR matrix of a half pair list of symmetric blocks in any
+    order, by a stable counting sort on the column then on the row — two
+    linear passes, each block's 48-byte upper triangle written once at
+    both mirror positions.  No floating-point arithmetic, so the bytes
+    are those of the packed ``lexsort`` fallback whatever the compiler
+    flags.
 ``min_image_pairs``
     The body of :meth:`repro.geometry.box.Box.distances` and of the
     strict ``< cutoff`` filter of the pair search
@@ -60,11 +66,17 @@ schedule need:
     :func:`~repro.neighbor.pairs.brute_force_pairs`.
 ``bcsr_assemble_dyads``
     ``bcsr_assemble`` with the real-space tensor fill fused in: block
-    ``f I + g rhat rhat^T`` of every pair computed in the slot the
-    counting sort assigns it, the self term on the diagonal; what
+    ``f I + g rhat rhat^T`` of every pair computed, packed, in the slot
+    the counting sort assigns it, the self term on the diagonal; what
     :class:`repro.pme.realspace.RealSpaceOperator` is built by.
+``pse_arguments``, ``pse_combine``
+    The body of :func:`repro.rpy.pse.real_space_coefficients` around the
+    two calls NumPy and SciPy keep (``exp``, ``erfc``): the first writes
+    the remainder's arguments ``s``, ``xi s`` and ``-(xi s)^2``, the
+    second combines the remainder terms into ``f`` and ``g`` — the ~40
+    elementwise NumPy operations of ``pse._coefficients`` in their order.
 
-The last three do floating-point arithmetic whose bytes are pinned to
+The last five do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
@@ -107,14 +119,14 @@ from ..errors import ConfigurationError
 from ..utils.pbc import minimum_image
 
 __all__ = [
-    "spmm_kernel",
+    "spmm_kernel", "coefficient_passes", "pack_symmetric", "unpack_symmetric",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
     "cell_list_pairs", "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
 ]
 
 #: Right-hand sides one pass of ``bcsr_matmat_range``'s row body covers
-#: (the widest ``DEFINE_SPMM_ROW`` below): an ``s``-wide product walks
+#: (the widest ``DEFINE_SPMM_ROWS`` below): an ``s``-wide product walks
 #: a row's blocks ``ceil(s / SPMM_CHUNK)`` times.  The cost model and
 #: its calibration read the width from here.
 SPMM_CHUNK = 8
@@ -130,56 +142,89 @@ typedef double lanes2 __attribute__((vector_size(16)));
 typedef double lanes4 __attribute__((vector_size(32)));
 typedef double lanes8 __attribute__((vector_size(64)));
 
-/* One block row of Y = A X against W adjacent lanes of the s-wide
- * operand (x, yr: the chunk's first lane; s: the lane stride), W lanes
- * to a SIMD value: gcc and clang split one wider than the machine's,
- * and `scalar * vector` splats.  A lane is one chain -- blocks in
- * stored order, then u, then v -- whatever W it rides in, and the
- * chain's latency is what bounds a chunk: 8 lanes cost what 1 does. */
-#define DEFINE_SPMM_ROW(W)                                               \
-static void bcsr_row_##W(const long long k0, const long long k1,         \
-                         const long long *restrict indices,              \
-                         const double *restrict blocks,                  \
-                         const double *restrict x,                       \
-                         double *restrict yr, const long long s)         \
+/* Entry (u, v) of a stored block: a symmetric 3x3 block is packed as
+ * its upper triangle, 00 01 02 11 12 22. */
+static const int PACKED[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
+
+/* acc += (block k) times W adjacent lanes of its column's operand (x:
+ * the chunk's first lane; s: the lane stride), W lanes to a SIMD value:
+ * gcc and clang split one wider than the machine's, and `scalar *
+ * vector` splats.  A lane is one chain -- blocks in stored order, then
+ * u, then v -- whatever W it rides in. */
+#define DEFINE_SPMM_BLOCK(W)                                             \
+static inline __attribute__((always_inline)) void                        \
+bcsr_block_##W(lanes##W *restrict acc, const long long k,                \
+               const long long *restrict indices,                        \
+               const double *restrict blocks,                            \
+               const double *restrict x, const long long s)              \
 {                                                                        \
-    lanes##W acc[3], xv[3];                                              \
-    memset(acc, 0, sizeof acc);                                          \
-    for (long long k = k0; k < k1; ++k) {                                \
-        const double *restrict b = blocks + 9 * (size_t)k;               \
-        const double *restrict xc = x + (size_t)(3 * s) * indices[k];    \
-        for (int v = 0; v < 3; ++v)                                      \
-            memcpy(&xv[v], xc + s * v, sizeof xv[v]);                    \
-        for (int u = 0; u < 3; ++u)                                      \
-            for (int v = 0; v < 3; ++v)                                  \
-                acc[u] += b[3 * u + v] * xv[v];                          \
-    }                                                                    \
+    lanes##W xv[3];                                                      \
+    const double *restrict b = blocks + 6 * (size_t)k;                   \
+    const double *restrict xc = x + (size_t)(3 * s) * indices[k];        \
+    for (int v = 0; v < 3; ++v)                                          \
+        memcpy(&xv[v], xc + s * v, sizeof xv[v]);                        \
     for (int u = 0; u < 3; ++u)                                          \
-        memcpy(yr + s * u, &acc[u], sizeof acc[u]);                      \
+        for (int v = 0; v < 3; ++v)                                      \
+            acc[u] += b[PACKED[u][v]] * xv[v];                           \
 }
 
-DEFINE_SPMM_ROW(8)
-DEFINE_SPMM_ROW(4)
-DEFINE_SPMM_ROW(2)
-DEFINE_SPMM_ROW(1)
+/* Block rows [k[0], k[1]) and, when two, [k[1], k[2]) of Y = A X against
+ * W lanes (ya: the first row's chunk; the second row's follows 3 s
+ * later).  The rows' shared length is walked together -- six
+ * independent chains instead of three, which hides the add latency a
+ * single chain is bound by -- then the longer row's rest; each row
+ * still sums in stored order, so pairing changes no byte. */
+#define DEFINE_SPMM_ROWS(W)                                              \
+DEFINE_SPMM_BLOCK(W)                                                     \
+static void bcsr_rows_##W(const long long *restrict k, const int two,    \
+                          const long long *restrict indices,             \
+                          const double *restrict blocks,                 \
+                          const double *restrict x,                      \
+                          double *restrict ya, const long long s)        \
+{                                                                        \
+    lanes##W a[3], b[3];                                                 \
+    memset(a, 0, sizeof a);                                              \
+    memset(b, 0, sizeof b);                                              \
+    const long long na = k[1] - k[0], nb = two ? k[2] - k[1] : 0;        \
+    const long long both = na < nb ? na : nb;                            \
+    for (long long t = 0; t < both; ++t) {                               \
+        bcsr_block_##W(a, k[0] + t, indices, blocks, x, s);              \
+        bcsr_block_##W(b, k[1] + t, indices, blocks, x, s);              \
+    }                                                                    \
+    for (long long t = both; t < na; ++t)                                \
+        bcsr_block_##W(a, k[0] + t, indices, blocks, x, s);              \
+    for (long long t = both; t < nb; ++t)                                \
+        bcsr_block_##W(b, k[1] + t, indices, blocks, x, s);              \
+    for (int u = 0; u < 3; ++u)                                          \
+        memcpy(ya + s * u, &a[u], sizeof a[u]);                          \
+    if (two)                                                             \
+        for (int u = 0; u < 3; ++u)                                      \
+            memcpy(ya + s * (3 + u), &b[u], sizeof b[u]);                \
+}
 
-/* Block rows [lo, hi) of Y = A X, X and Y row-major (n, 3, s).  A row's
- * lanes are covered while its blocks are in L1, by s in binary: s / 8
- * chunks of 8, then the 4, 2 and 1 bits. */
-#define SPMM_ROW(W, j) \
-    bcsr_row_##W(k0, k1, indices, blocks, x + (j), yr + (j), s)
+DEFINE_SPMM_ROWS(8)
+DEFINE_SPMM_ROWS(4)
+DEFINE_SPMM_ROWS(2)
+DEFINE_SPMM_ROWS(1)
+
+/* Block rows [lo, hi) of Y = A X, X and Y row-major (n, 3, s), two rows
+ * at a time (the last alone when the count is odd).  A row pair's lanes
+ * are covered while its blocks are in L1, by s in binary: s / 8 chunks
+ * of 8, then the 4, 2 and 1 bits. */
+#define SPMM_ROWS(W, j) \
+    bcsr_rows_##W(indptr + r, two, indices, blocks, x + (j), yr + (j), s)
 void bcsr_matmat_range(const long long lo, const long long hi,
                        const long long *indptr, const long long *indices,
                        const double *blocks, const double *x, double *y,
                        const long long s)
 {
-    for (long long r = lo; r < hi; ++r) {
-        const long long k0 = indptr[r], k1 = indptr[r + 1];
+    for (long long r = lo; r < hi; r += 2) {
+        const int two = r + 1 < hi;
         double *yr = y + (size_t)(3 * s) * r;
-        for (long long j = 0; j + 8 <= s; j += 8) SPMM_ROW(8, j);
-        if (s & 4) SPMM_ROW(4, s & ~7LL);
-        if (s & 2) SPMM_ROW(2, s & ~3LL);
-        if (s & 1) SPMM_ROW(1, s & ~1LL);
+        for (long long j = 0; j + 8 <= s; j += 8) SPMM_ROWS(8, j);
+        if (s & 4) SPMM_ROWS(4, s & ~7LL);
+        if (s & 2) SPMM_ROWS(2, s & ~3LL);
+        if (s & 1) SPMM_ROWS(1, s & ~1LL);
     }
 }
 
@@ -314,10 +359,11 @@ static void bcsr_sort_by_column(const long long n, const long long m,
     for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
 }
 
-/* Symmetric BCSR assembly of general payloads: pair_blocks[k] at
- * (pi[k], pj[k]), its transpose at the mirror, diag_blocks on the
- * diagonal, each 72-byte block written once.  Integer work and copies
- * only, so compiler flags cannot change a byte. */
+/* Symmetric BCSR assembly of symmetric payloads: pair_blocks[k] at
+ * (pi[k], pj[k]) and at the mirror (its own transpose), diag_blocks on
+ * the diagonal, each packed to the 6 doubles of its upper triangle and
+ * written once.  Integer work and copies only, so compiler flags cannot
+ * change a byte. */
 void bcsr_assemble(const long long n, const long long m,
                    const long long *restrict pi, const long long *restrict pj,
                    const double *restrict pair_blocks,
@@ -339,18 +385,15 @@ void bcsr_assemble(const long long n, const long long m,
         else if (e < 2 * m) { row = pj[k]; col = pi[k]; src = pair_blocks + 9 * (size_t)k; }
         else { row = col = e - 2 * m; src = diag_blocks + 9 * (size_t)row; }
         const long long dst = cursor[row]++;
-        double *restrict b = blocks + 9 * (size_t)dst;
+        double *restrict b = blocks + 6 * (size_t)dst;
         indices[dst] = col;
-        if (e >= m && e < 2 * m)
-            for (int u = 0; u < 3; ++u)
-                for (int v = 0; v < 3; ++v) b[3 * u + v] = src[3 * v + u];
-        else
-            for (int c = 0; c < 9; ++c) b[c] = src[c];
+        for (int u = 0; u < 3; ++u)
+            for (int v = u; v < 3; ++v) b[PACKED[u][v]] = src[3 * u + v];
     }
 }
 
 /* ---- Floating-point entry points whose bytes are NumPy's -------------
- * The two functions below reproduce NumPy expressions operation for
+ * The functions below reproduce NumPy expressions operation for
  * operation, so from here to the end of the file a product and a sum
  * stay two roundings: contraction into a fused multiply-add is switched
  * off for these functions only (the flags, and with them the kernels
@@ -535,22 +578,23 @@ long long cell_list_pairs(const long long n, const double *restrict pos,
     return count;
 }
 
-/* The 3x3 block c I + g h h^T, as NumPy evaluates
+/* The packed 3x3 block c I + g h h^T, as NumPy evaluates
  * c * eye(3) + g * (h[:, None] * h[None, :]): c * 0.0 is kept (its sign
- * decides the sign of a zero entry). */
+ * decides the sign of a zero entry).  h_u h_v commutes, so the block is
+ * symmetric byte for byte and its upper triangle is all of it. */
 static inline void dyad_block(double *restrict b, const double c,
                               const double g, const double *restrict h)
 {
     for (int u = 0; u < 3; ++u)
-        for (int v = 0; v < 3; ++v)
-            b[3 * u + v] = c * (u == v ? 1.0 : 0.0) + g * (h[u] * h[v]);
+        for (int v = u; v < 3; ++v)
+            b[PACKED[u][v]] = c * (u == v ? 1.0 : 0.0) + g * (h[u] * h[v]);
 }
 
 /* Symmetric BCSR assembly with the tensor fill fused in: pair k stores
  * f[k] I + g[k] rhat rhat^T, rhat = rij[k] / dist[k], at (pi[k], pj[k])
- * and at the mirror (the block is bytewise symmetric: rhat_u * rhat_v
- * commutes), and every diagonal block is self_scalar I.  Each block is
- * computed where it is stored; no (m, 3, 3) payload exists. */
+ * and at the mirror (the block is its own transpose), and every diagonal
+ * block is self_scalar I, all packed.  Each block is computed where it
+ * is stored; no (m, 3, 3) payload exists. */
 void bcsr_assemble_dyads(const long long n, const long long m,
                          const long long *restrict pi,
                          const long long *restrict pj,
@@ -575,7 +619,7 @@ void bcsr_assemble_dyads(const long long n, const long long m,
         else if (e < 2 * m) { row = pj[k]; col = pi[k]; }
         else { row = col = e - 2 * m; }
         const long long dst = cursor[row]++;
-        double *restrict b = blocks + 9 * (size_t)dst;
+        double *restrict b = blocks + 6 * (size_t)dst;
         indices[dst] = col;
         if (e < 2 * m) {
             const double *restrict d = rij + 3 * (size_t)k;
@@ -584,9 +628,64 @@ void bcsr_assemble_dyads(const long long n, const long long m,
             dyad_block(b, f[k], g[k], h);
         } else {        /* self_scalar * eye(3): no dyad term to add */
             for (int u = 0; u < 3; ++u)
-                for (int v = 0; v < 3; ++v)
-                    b[3 * u + v] = self_scalar * (u == v ? 1.0 : 0.0);
+                for (int v = u; v < 3; ++v)
+                    b[PACKED[u][v]] = self_scalar * (u == v ? 1.0 : 0.0);
         }
+    }
+}
+
+/* The positively split Ewald real-space coefficients f, g of m
+ * separations r (repro.rpy.pse._coefficients), in two passes around the
+ * two functions NumPy and SciPy keep, exp and erfc.  The first writes
+ * the remainder's arguments s -- rows r, r + 2a and |r - 2a| of a
+ * (3, m) array -- t = xi s and q = -(xi s)^2. */
+void pse_arguments(const long long m, const double *restrict r,
+                   const double two_a, const double xi, double *restrict s,
+                   double *restrict t, double *restrict q)
+{
+    for (long long k = 0; k < m; ++k) {
+        s[k] = r[k];
+        s[m + k] = r[k] + two_a;
+        s[2 * m + k] = fabs(r[k] - two_a);
+    }
+    for (long long k = 0; k < 3 * m; ++k) {
+        t[k] = xi * s[k];
+        q[k] = -(t[k] * t[k]);
+    }
+}
+
+/* The second, given gauss = exp(q) and tail = erfc(t): the remainder
+ * and its first two derivatives at the three arguments, their second
+ * difference u0..u2 and f, g -- NumPy's operations in NumPy's order.
+ * cst holds the scalar subexpressions as Python evaluates them
+ * (repro.rpy.pse._pass_constants): 0-3 of R, 4-6 of R', 7-8 of R'' and
+ * 9 the prefactor c. */
+void pse_combine(const long long m, const double *restrict r,
+                 const double two_a, const double *restrict s,
+                 const double *restrict gauss, const double *restrict tail,
+                 const double *restrict cst, double *restrict f,
+                 double *restrict g)
+{
+    for (long long k = 0; k < m; ++k) {
+        double v0[3], v1[3], v2[3];
+        for (int w = 0; w < 3; ++w) {      /* argument w of the three */
+            const long long e = w * m + k;
+            const double x = s[e], x2 = x * x;
+            v0[w] = (cst[0] - cst[1] * x2 * x2) * tail[e]
+                    + cst[2] * (x2 / 48.0 - cst[3]) * x * gauss[e];
+            v1[w] = cst[4] * x2 * x * tail[e]
+                    + cst[5] * (x2 - cst[6]) * gauss[e];
+            v2[w] = cst[7] * x2 * tail[e] + cst[8] * x * gauss[e];
+        }
+        const double d = r[k] - two_a;      /* np.sign(d): NaN stays NaN */
+        const double sign = d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : d);
+        const double u0 = 2.0 * v0[0] - v0[1] - sign * v0[2]
+                          - cst[0] * (1.0 - sign);
+        const double u1 = 2.0 * v1[0] - v1[1] - v1[2];
+        const double u2 = 2.0 * v2[0] - v2[1] - sign * v2[2];
+        const double rk = r[k], r2 = rk * rk, c = cst[9];
+        f[k] = c * (u2 / rk - u1 / r2 + u0 / (r2 * rk));
+        g[k] = -c * (u2 / rk - 3.0 * u1 / r2 + 3.0 * u0 / (r2 * rk));
     }
 }
 """
@@ -598,9 +697,11 @@ _UNSET = object()
 _kernels: object = _UNSET
 
 
-#: The eight loaded entry points of one compiled library.
+#: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
-    "_Kernels", "spmm spread interp rows assemble min_image cells dyads")
+    "_Kernels",
+    "spmm spread interp rows assemble min_image cells dyads pse_args "
+    "pse_combine")
 
 
 def _cache_dir() -> Path:
@@ -653,6 +754,8 @@ def _load(path: Path) -> _Kernels | None:
         min_image = lib.min_image_pairs
         cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
+        pse_args = lib.pse_arguments
+        pse_combine = lib.pse_combine
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -677,33 +780,44 @@ def _load(path: Path) -> _Kernels | None:
     dyads.argtypes = [ll, ll, i64, i64, f64, f64, f64, f64, ctypes.c_double,
                       i64, i64, f64, i64]
     dyads.restype = None
+    pse_args.argtypes = [ll, f64, ctypes.c_double, ctypes.c_double, f64,
+                         f64, f64]
+    pse_args.restype = None
+    pse_combine.argtypes = [ll, f64, ctypes.c_double, f64, f64, f64, f64,
+                            f64, f64]
+    pse_combine.restype = None
     return _Kernels(spmm, spread, interp, rows, assemble, min_image, cells,
-                    dyads)
+                    dyads, pse_args, pse_combine)
 
 
 def _selftest(kernels: _Kernels) -> bool:
     """Check every loaded entry point against tiny NumPy references."""
     rng = np.random.default_rng(7)
 
-    # SpMM at a width of every chunk (8 + 4 + 2 + 1), over a split row
-    # range: the dense product, each column the bytes of the 1-wide one
-    indptr = np.array([0, 2, 3], dtype=np.int64)
-    indices = np.array([0, 1, 1], dtype=np.int64)
-    blocks = np.ascontiguousarray(rng.standard_normal((3, 3, 3)))
-    x = np.ascontiguousarray(rng.standard_normal((2, 3, 15)))
-    y = np.empty_like(x)
-    kernels.spmm(0, 1, indptr, indices, blocks, x, y, 15)
-    kernels.spmm(1, 2, indptr, indices, blocks, x, y, 15)
-    dense = np.zeros((6, 6))
-    dense[0:3, 0:3] = blocks[0]
-    dense[0:3, 3:6] = blocks[1]
-    dense[3:6, 3:6] = blocks[2]
-    ref = (dense @ x.reshape(6, 15)).reshape(2, 3, 15)
-    if not np.allclose(y, ref, rtol=1e-12, atol=1e-12):
+    # SpMM at a width of every chunk (8 + 4 + 2 + 1) on five packed block
+    # rows of unequal lengths, one empty, whole and over ranges of odd
+    # length that start on an odd row: the dense product, the same bytes
+    # from every partition, each column the bytes of the 1-wide product
+    indptr = np.array([0, 2, 3, 3, 6, 7], dtype=np.int64)
+    indices = np.array([0, 3, 1, 0, 3, 4, 4], dtype=np.int64)
+    packed = np.ascontiguousarray(rng.standard_normal((7, 6)))
+    x = np.ascontiguousarray(rng.standard_normal((5, 3, 15)))
+    y, split = np.empty_like(x), np.empty_like(x)
+    kernels.spmm(0, 5, indptr, indices, packed, x, y, 15)
+    for lo, hi in ((0, 1), (1, 4), (4, 5)):
+        kernels.spmm(lo, hi, indptr, indices, packed, x, split, 15)
+    dense, full = np.zeros((15, 15)), unpack_symmetric(packed)
+    for r, (k0, k1) in enumerate(zip(indptr[:-1], indptr[1:])):
+        for k in range(k0, k1):
+            c = indices[k]
+            dense[3 * r:3 * r + 3, 3 * c:3 * c + 3] = full[k]
+    ref = (dense @ x.reshape(15, 15)).reshape(5, 3, 15)
+    if (y.tobytes() != split.tobytes()
+            or not np.allclose(y, ref, rtol=1e-12, atol=1e-12)):
         return False
     for j in range(15):
-        xj, yj = np.ascontiguousarray(x[:, :, j:j + 1]), np.empty((2, 3, 1))
-        kernels.spmm(0, 2, indptr, indices, blocks, xj, yj, 1)
+        xj, yj = np.ascontiguousarray(x[:, :, j:j + 1]), np.empty((5, 3, 1))
+        kernels.spmm(0, 5, indptr, indices, packed, xj, yj, 1)
         if yj.tobytes() != y[:, :, j:j + 1].tobytes():
             return False
 
@@ -744,15 +858,18 @@ def _selftest(kernels: _Kernels) -> bool:
             and np.allclose(full, want, rtol=1e-12, atol=1e-12)):
         return False
 
-    # assembly: a shuffled, mixed-orientation half pair list with an
-    # isolated row (3) gives the bytes of the lexsort reference
+    # assembly: a shuffled, mixed-orientation half pair list of symmetric
+    # blocks with an isolated row (3) gives the packed bytes of the
+    # lexsort reference
     pi = np.array([4, 0, 2, 1, 0], dtype=np.int64)
     pj = np.array([2, 1, 0, 4, 4], dtype=np.int64)
-    pair_blocks = rng.standard_normal((5, 3, 3))
-    for diag in (rng.standard_normal((5, 3, 3)), None):
+    sym = rng.standard_normal((10, 3, 3))
+    sym = sym + sym.transpose(0, 2, 1)
+    pair_blocks = sym[:5]
+    for diag in (sym[5:], None):
         got = _assemble_compiled(kernels.assemble, 5, pi, pj, pair_blocks,
                                  diag)
-        want = _assemble_lexsort(5, pi, pj, pair_blocks, diag)
+        want = _assemble_packed(5, pi, pj, pair_blocks, diag)
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False
 
@@ -810,13 +927,26 @@ def _selftest(kernels: _Kernels) -> bool:
 
     pi, pj, rij, dist = got
     for xi, sign in ((0.45, 1.0), (0.6, -1.0)):
-        f, g = (sign * c for c in pse.real_space_coefficients(dist, xi))
+        f, g = (sign * c for c in pse._coefficients(dist, xi, 1.0))
         scalar = sign * pse.self_mobility_scalar(xi)
         got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
                                        dist, scalar)
-        want = _assemble_lexsort(
+        want = _assemble_packed(
             40, pi, pj, pair_dyads(rij, f, g),
             np.broadcast_to(scalar * np.eye(3), (40, 3, 3)))
+        if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
+            return False
+
+    # the compiled coefficient passes against the NumPy body: inside
+    # contact, an ulp either side of it and at it, and far out, at two
+    # values of xi and of the radius
+    for xi, a in ((0.45, 1.0), (0.9, 1.3)):
+        r = a * np.array([0.02, 1.0, np.nextafter(2.0, 0.0), 2.0,
+                          np.nextafter(2.0, 3.0), 2.5, 7.0, 11.0])
+        got = np.empty_like(r), np.empty_like(r)
+        pse._compiled_coefficients((kernels.pse_args, kernels.pse_combine),
+                                   r, xi, a, *got)
+        want = pse._coefficients(r, xi, a)
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False
     return True
@@ -864,11 +994,20 @@ def spmm_kernel() -> object | None:
     """The compiled SpMM entry point, or ``None`` when unavailable.
 
     The returned callable has the C signature ``bcsr_matmat_range(lo,
-    hi, indptr, indices, blocks, x, y, s)`` — block rows ``[lo, hi)``
-    only — with ``x``/``y`` row-major ``(nb, 3, s)`` float64 arrays.
-    The result is memoized for the process lifetime.
+    hi, indptr, indices, packed, x, y, s)`` — block rows ``[lo, hi)``
+    only, ``packed`` the ``(nnzb, 6)`` upper triangles — with ``x``/``y``
+    row-major ``(nb, 3, s)`` float64 arrays.  The result is memoized for
+    the process lifetime.
     """
     return getattr(_bundle(), "spmm", None)
+
+
+def coefficient_passes() -> tuple[object, object] | None:
+    """The compiled passes of :func:`repro.rpy.pse.real_space_coefficients`,
+    ``(pse_arguments, pse_combine)``, or ``None`` when unavailable."""
+    kernels = _bundle()
+    return None if kernels is None else (kernels.pse_args,
+                                         kernels.pse_combine)
 
 
 def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,
@@ -958,11 +1097,46 @@ def _assemble_lexsort(n: int, i: np.ndarray, j: np.ndarray,
     return indptr, col[order], np.concatenate(payload, axis=0)[order]
 
 
+#: Where the 6 stored doubles of a symmetric block (00 01 02 11 12 22)
+#: sit in its flattened 3x3 form, and where the 9 entries of that form
+#: sit among the 6.
+_UPPER = [0, 1, 2, 4, 5, 8]
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def pack_symmetric(blocks: np.ndarray) -> np.ndarray:
+    """The packed ``(m, 6)`` upper triangles of ``(m, 3, 3)`` blocks,
+    which must be symmetric byte for byte (``ConfigurationError``
+    otherwise: the lower triangle is not stored)."""
+    flat = np.ascontiguousarray(blocks, dtype=np.float64).reshape(-1, 9)
+    bits = flat.view(np.uint64)
+    if not np.array_equal(bits[:, [1, 2, 5]], bits[:, [3, 6, 7]]):
+        raise ConfigurationError(
+            "BCSR blocks must be symmetric byte for byte: only the upper "
+            "triangle of a block is stored")
+    return flat.take(_UPPER, axis=1)
+
+
+def unpack_symmetric(packed: np.ndarray) -> np.ndarray:
+    """The ``(m, 3, 3)`` blocks of packed ``(m, 6)`` upper triangles."""
+    return packed.take(_FULL, axis=1).reshape(-1, 3, 3)
+
+
+def _assemble_packed(n: int, i: np.ndarray, j: np.ndarray,
+                     pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``lexsort`` reference with its (symmetric) blocks packed: the
+    compiled assembly's bytes."""
+    indptr, indices, blocks = _assemble_lexsort(n, i, j, pair_blocks,
+                                                diag_blocks)
+    return indptr, indices, blocks.reshape(-1, 9).take(_UPPER, axis=1)
+
+
 def _assembly_buffers(n: int, nnz: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised ``(indptr, indices, blocks, work)`` of a C assembly
-    of ``nnz`` blocks in ``n`` rows."""
+    """Uninitialised ``(indptr, indices, packed blocks, work)`` of a C
+    assembly of ``nnz`` blocks in ``n`` rows."""
     return (np.empty(n + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64),
-            np.empty((nnz, 3, 3)), np.empty(n + 1 + nnz, dtype=np.int64))
+            np.empty((nnz, 6)), np.empty(n + 1 + nnz, dtype=np.int64))
 
 
 def _assemble_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
@@ -1000,32 +1174,36 @@ def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
                   pair_blocks: np.ndarray,
                   diag_blocks: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, blocks)`` of the symmetric BCSR matrix with
-    ``pair_blocks[k]`` at ``(i[k], j[k])``, its transpose at ``(j[k],
-    i[k])`` and ``diag_blocks`` on the diagonal: rows ascending, columns
-    ascending within a row.
+    """``(indptr, indices, packed)`` of the symmetric BCSR matrix with
+    ``pair_blocks[k]`` at ``(i[k], j[k])`` and at ``(j[k], i[k])`` (it is
+    its own transpose) and ``diag_blocks`` on the diagonal: rows
+    ascending, columns ascending within a row, every block packed to the
+    ``(6,)`` upper triangle of :func:`pack_symmetric`.
 
     The half pair list may come in any order and either orientation
     (each unordered pair once, ``i != j``).  The compiled kernel is two
-    counting-sort passes that write the payload once; the fallback is
-    the ``lexsort`` reference — the same bytes, since the kernel only
-    moves integers and copies blocks.  Shapes, ``i != j`` and the index
-    range are checked here, before any pointer reaches C.
+    counting-sort passes that write the packed payload once; the
+    fallback packs the ``lexsort`` reference — the same bytes, since the
+    kernel only moves integers and copies doubles.  Shapes, ``i != j``,
+    the index range and the symmetry of every payload are checked here,
+    before any pointer reaches C.
     """
     i, j = _pair_indices(n, i, j)
     pair_blocks = np.ascontiguousarray(pair_blocks, dtype=np.float64)
     if pair_blocks.shape != (i.size, 3, 3):
         raise ConfigurationError(
             "pair arrays must have matching shapes (m,), (m,), (m, 3, 3)")
+    pack_symmetric(pair_blocks)         # the check; C packs its own copy
     if diag_blocks is not None:
         diag_blocks = np.ascontiguousarray(diag_blocks, dtype=np.float64)
         if diag_blocks.shape != (n, 3, 3):
             raise ConfigurationError(
                 f"diag_blocks must have shape ({n}, 3, 3), "
                 f"got {diag_blocks.shape}")
+        pack_symmetric(diag_blocks)
     kern = getattr(_bundle(), "assemble", None)
     if kern is None:
-        return _assemble_lexsort(n, i, j, pair_blocks, diag_blocks)
+        return _assemble_packed(n, i, j, pair_blocks, diag_blocks)
     return _assemble_compiled(kern, n, i, j, pair_blocks, diag_blocks)
 
 

@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.exec import ExecutionContext
 from repro.sparse import BlockCSR
-from repro.sparse.kernels import _assemble_lexsort
+from repro.sparse.kernels import _assemble_lexsort, spmm_kernel
+
+
+def _symmetric(blocks):
+    """``blocks + blocks^T``: symmetric byte for byte (``+`` commutes)."""
+    return blocks + blocks.transpose(0, 2, 1)
 
 
 def _random_symmetric_bcsr(n, density, seed):
@@ -15,7 +21,7 @@ def _random_symmetric_bcsr(n, density, seed):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < density
     i, j = iu[keep], ju[keep]
-    blocks = rng.standard_normal((i.size, 3, 3))
+    blocks = _symmetric(rng.standard_normal((i.size, 3, 3)))
     diag = rng.standard_normal((n, 3, 3))
     diag = 0.5 * (diag + diag.transpose(0, 2, 1))
     return BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag), (i, j, blocks, diag)
@@ -93,14 +99,14 @@ def test_zero_matrix():
 
 
 def _half_pair_list(case):
-    """``(n, i, j, pair_blocks, diag_blocks)`` of one assembly case; the
-    payloads are not symmetric, so the mirror block is a real transpose."""
+    """``(n, i, j, pair_blocks, diag_blocks)`` of one assembly case, every
+    payload symmetric byte for byte (the only blocks BCSR stores)."""
     rng = np.random.default_rng(31)
     n = 9
     iu, ju = np.triu_indices(n, k=1)
     keep = (rng.random(iu.size) < 0.4) & (iu != 5) & (ju != 5)  # row 5 alone
     i, j = iu[keep], ju[keep]
-    diag = rng.standard_normal((n, 3, 3))
+    diag = _symmetric(rng.standard_normal((n, 3, 3)))
     if case == "shuffled":
         order = rng.permutation(i.size)
         i, j = i[order], j[order]
@@ -114,7 +120,7 @@ def _half_pair_list(case):
         diag = None
     else:
         assert case == "sorted"
-    return n, i, j, rng.standard_normal((i.size, 3, 3)), diag
+    return n, i, j, _symmetric(rng.standard_normal((i.size, 3, 3))), diag
 
 
 @pytest.mark.parametrize("case", ["sorted", "shuffled", "mixed-orientation",
@@ -246,7 +252,7 @@ def test_rejects_complex_operands():
 def test_memory_accounting_includes_spmm_indices():
     bcsr, _ = _random_symmetric_bcsr(10, 0.3, seed=26)
     before = bcsr.memory_bytes
-    assert before >= (bcsr.blocks.nbytes + bcsr.indices.nbytes
+    assert before >= (bcsr.packed.nbytes + bcsr.indices.nbytes
                       + bcsr.indptr.nbytes)
     bcsr.matmat(np.ones((30, 4)))   # materializes the SpMM index arrays
     after = bcsr.memory_bytes
@@ -268,3 +274,110 @@ def test_symmetric_bcsr_is_self_adjoint(n, seed):
     y = rng.standard_normal(3 * n)
     assert np.dot(y, bcsr.matvec(x)) == pytest.approx(
         np.dot(x, bcsr.matvec(y)), rel=1e-9, abs=1e-9)
+
+
+def _ragged_bcsr(n):
+    """A symmetric BCSR matrix on ``n`` block rows of unequal lengths, a
+    dense first one, and empty ones (no diagonal, no pair in rows 3, 8)."""
+    rng = np.random.default_rng(n)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = (rng.random(iu.size) < 0.35) | (iu == 0)
+    keep &= (iu % 5 != 3) & (ju % 5 != 3)
+    i, j = iu[keep], ju[keep]
+    return BlockCSR.from_pairs(n, i, j, _symmetric(
+        rng.standard_normal((i.size, 3, 3))))
+
+
+def _one_row_at_a_time(bcsr, x):
+    """The compiled product one block row per call: the one-row order."""
+    n, s = bcsr.n_block_rows, x.shape[1]
+    indptr, indices = bcsr._spmm_arrays()
+    y = np.empty((n, 3, s))
+    for r in range(n):
+        spmm_kernel()(r, r + 1, indptr, indices, bcsr.packed,
+                      x.reshape(n, 3, s), y, s)
+    return y.reshape(3 * n, s)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("s", range(1, 10))
+def test_packed_matmat_bytes(n, s, kernel_mode):
+    # widths 1-9 cover each of the 8/4/2/1 chunk bodies; an even and an
+    # odd row count, empty rows.  Compiled: the two-row walk is the
+    # one-row order, and column j is the 1-wide product of column j.
+    # Fallback: the SciPy export's product
+    fallback = kernel_mode
+    bcsr = _ragged_bcsr(n)
+    assert np.diff(bcsr.indptr)[[3, 8]].tolist() == [0, 0]
+    x = np.random.default_rng(s).standard_normal((3 * n, s))
+    y = bcsr.matmat(x)
+    np.testing.assert_allclose(y, bcsr.to_dense() @ x, rtol=1e-12,
+                               atol=1e-12)
+    if fallback:
+        assert y.tobytes() == (bcsr.to_scipy() @ x).tobytes()
+        return
+    assert y.tobytes() == _one_row_at_a_time(bcsr, x).tobytes()
+    for c in range(s):
+        assert y[:, c].tobytes() == bcsr.matmat(x[:, c:c + 1]).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_packed_matmat_row_ranges_from_odd_rows(workers, kernel_mode):
+    # 13 rows over 2 or 3 threads: ranges that start on an odd row
+    # (7; 5 and 9) and have odd lengths give the serial bytes
+    bcsr = _ragged_bcsr(13)
+    x = np.random.default_rng(workers).standard_normal((39, 5))
+    fallback = kernel_mode
+    serial = bcsr.matmat(x)
+    with ExecutionContext(backend="threads", workers=workers) as ctx:
+        assert bcsr.matmat(x, context=ctx).tobytes() == serial.tobytes()
+    if not fallback:
+        assert serial.tobytes() == _one_row_at_a_time(bcsr, x).tobytes()
+
+
+def test_from_pairs_rejects_asymmetric_payloads(kernel_mode):
+    # only the upper triangle is stored: a block that differs from its
+    # transpose in any byte (even 0.0 against -0.0) is refused
+    sym = _symmetric(np.random.default_rng(5).standard_normal((2, 3, 3)))
+    i, j = np.array([0, 1]), np.array([1, 2])
+    BlockCSR.from_pairs(3, i, j, sym, diag_blocks=np.ones((3, 3, 3)))
+    for u, v, value in ((0, 1, 1.5), (2, 1, -3.0)):
+        bad = sym.copy()
+        bad[1, u, v] = value
+        with pytest.raises(ConfigurationError):
+            BlockCSR.from_pairs(3, i, j, bad)
+    signed = np.zeros((3, 3, 3))
+    signed[2, 0, 2] = -0.0
+    with pytest.raises(ConfigurationError):
+        BlockCSR.from_pairs(3, i, j, sym, diag_blocks=signed)
+    with pytest.raises(ConfigurationError):
+        BlockCSR(2, np.array([0, 1, 1]), np.array([0]),
+                 np.arange(9.0).reshape(1, 3, 3))
+
+
+def test_blocks_is_a_read_only_unpacked_copy():
+    bcsr, _ = _random_symmetric_bcsr(6, 0.5, seed=27)
+    blocks = bcsr.blocks
+    assert blocks.shape == (bcsr.nnz_blocks, 3, 3)
+    assert not blocks.flags.writeable
+    np.testing.assert_array_equal(blocks, blocks.transpose(0, 2, 1))
+    assert blocks.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]].tobytes() == \
+        bcsr.packed.tobytes()
+    assert not np.shares_memory(blocks, bcsr.packed)
+    again = BlockCSR(6, bcsr.indptr, bcsr.indices, blocks)
+    assert again.packed.tobytes() == bcsr.packed.tobytes()
+
+
+def test_real_space_memory_is_the_packed_storage():
+    # 6 doubles per block, its int64 column index and the row pointer,
+    # before and after a product (the SpMM index arrays alias them)
+    from repro import make_suspension
+    from repro.pme.realspace import RealSpaceOperator
+
+    susp = make_suspension(60, 0.2, seed=3)
+    op = RealSpaceOperator(susp.positions, susp.box, xi=0.6, r_max=4.0)
+    nnzb, n = op.nnz_blocks, op.n
+    want = 48 * nnzb + 8 * nnzb + 8 * (n + 1)
+    assert op.memory_bytes == want
+    op.apply_block(np.ones((3 * n, 2)))
+    assert op.memory_bytes == want

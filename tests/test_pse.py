@@ -184,3 +184,47 @@ def test_tuned_split_meets_the_target_against_dense_ewald(n):
     op = PMEOperator(susp.positions, susp.box,
                      tune_parameters(n, susp.box, target_ep=1e-3))
     assert pme_relative_error(op, n_probe=2) < 1e-3
+
+
+def _coefficient_probe(a):
+    """Separations of ``2 * COEFFICIENT_CHUNK + 5`` pairs (radius ``a``):
+    uniform ones, and inside contact, at ``2a``, an ulp either side of
+    it and far out at both ends and across both chunk boundaries."""
+    chunk = pse.COEFFICIENT_CHUNK
+    r = np.random.default_rng(40).uniform(0.05, 10.0, 2 * chunk + 5) * a
+    special = a * np.array([0.01, 1.0, np.nextafter(2.0, 0.0), 2.0,
+                            np.nextafter(2.0, 3.0), 9.9])
+    for at in (0, chunk - 3, 2 * chunk - 3, r.size - 6):
+        r[at:at + 6] = special
+    return r
+
+
+@pytest.mark.parametrize("xi,a", [(0.27, 1.0), (0.45, 1.0), (0.9, 1.0),
+                                  (np.float64(0.64), 1.3)])
+def test_compiled_coefficients_are_the_numpy_body_bytes(xi, a, kernel_mode):
+    # compiled passes around exp / erfc (or, without the kernels, the
+    # chunked NumPy body) against the NumPy body on the whole array
+    from repro.sparse.kernels import coefficient_passes
+    assert (coefficient_passes() is None) == kernel_mode
+    r = _coefficient_probe(a)
+    f, g = pse.real_space_coefficients(r, xi, a)
+    want_f, want_g = pse._coefficients(r, xi, a)
+    assert f.tobytes() == want_f.tobytes()
+    assert g.tobytes() == want_g.tobytes()
+    # a 2-D input keeps its shape and its bytes
+    f2, g2 = pse.real_space_coefficients(r[:-5].reshape(2, -1), xi, a)
+    assert f2.shape == (2, pse.COEFFICIENT_CHUNK)
+    assert f2.tobytes() == want_f[:-5].tobytes()
+    assert g2.tobytes() == want_g[:-5].tobytes()
+
+
+def test_array_valued_xi_stays_on_numpy(monkeypatch, kernel_mode):
+    def compiled(*args):
+        raise AssertionError("an array-valued xi took the compiled passes")
+
+    monkeypatch.setattr(pse, "_compiled_coefficients", compiled)
+    r = _coefficient_probe(1.0)
+    f, g = pse.real_space_coefficients(r, np.full(r.shape, 0.45))
+    want_f, want_g = pse._coefficients(r, 0.45, 1.0)
+    np.testing.assert_allclose(f, want_f, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-15)
