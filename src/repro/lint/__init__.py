@@ -8,7 +8,8 @@ Two cooperating layers keep the package's array invariants honest:
   RNG state, unguarded Cholesky factorizations, missing minimum-image
   folds, dtype drift, swallowed solver diagnostics, mutable defaults,
   ``assert``-based validation, failures dropped outside the resilience
-  taxonomy, ad-hoc worker pools, blocking calls in async code);
+  taxonomy, ad-hoc worker pools, blocking calls in async code, names
+  a simplification removed);
   ``repro-lint --list-rules`` prints the set.
 * **Runtime layer** — :mod:`repro.lint.contracts`, lightweight
   decorators (``@positions_arg``, ``@force_block_arg``,

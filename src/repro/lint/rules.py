@@ -1,17 +1,21 @@
-"""The built-in physics-aware lint rules (RPR001 .. RPR012).
+"""The built-in physics-aware lint rules (RPR001 .. RPR013).
 
 Each rule encodes an invariant the paper's algorithms depend on but the
 Python type system cannot express — see ``docs/static_analysis.md`` for
 the rationale of every rule and the paper section it protects.  Rules
-are deliberately syntactic (pure AST, no imports of the checked code),
-so the linter can run on broken or dependency-missing files.
+are deliberately syntactic (pure AST or source lines, no imports of the
+checked code), so the linter can run on broken or dependency-missing
+files.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from . import removed
 from .findings import Finding
 from .registry import Rule, RuleMeta, register
 
@@ -715,3 +719,41 @@ class BlockingCallInAsyncRule(Rule):
                     and dotted not in cls._BLOCKING_DOTTED):
                 return f".{call.func.attr}"
         return None
+
+
+@register
+class RemovedNameRule(Rule):
+    """RPR013: a name a simplification removed is back in ``src/repro``."""
+
+    meta = RuleMeta(
+        id="RPR013", name="removed-name",
+        summary="a name in the table of repro.lint.removed (a removed "
+                "option, parallel path or format) appears under src/repro/",
+        rationale="Each simplification left one path per job; a removed "
+                  "name that comes back, even in a comment, starts a "
+                  "second one.")
+
+    _ANY = re.compile("|".join(f"(?:{row.pattern})"
+                               for row in removed.REMOVED_NAMES))
+    _TABLE = Path(removed.__file__).resolve()
+
+    def check(self, ctx: "FileContext") -> Iterator[Finding]:
+        path = Path(ctx.display_path)
+        posix = "/" + path.as_posix()
+        if "/src/repro/" not in posix or path.resolve() == self._TABLE:
+            return
+        rel = posix.rsplit("/src/repro/", 1)[1]     # e.g. neighbor/pairs.py
+        rows = [row for row in removed.REMOVED_NAMES
+                if rel.startswith(row.under) and rel != row.allowed_in]
+        for lineno, line in enumerate(ctx.source.splitlines(), start=1):
+            if not self._ANY.search(line):
+                continue
+            for row in rows:
+                match = re.search(row.pattern, line)
+                if match:
+                    yield Finding(
+                        path=ctx.display_path, line=lineno,
+                        col=match.start(), rule=self.meta.id,
+                        message=f"`{match.group()}` was removed by the "
+                                f"change \"{row.change}\"",
+                        hint="CHANGES.md names what replaced it")

@@ -16,11 +16,11 @@ body's bytes), and one linear symmetric assembly that computes each
 ``f I + g rhat rhat^T`` in the slot it is stored in, packed to the 6
 doubles of its upper triangle
 (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no per-pair
-tensor array exists.  Without a C compiler the same matrix,
-byte for byte, comes from :func:`~repro.rpy.tensor.pair_dyads` through
-:meth:`~repro.sparse.bcsr.BlockCSR.from_pairs`.  Because Algorithm 2
-applies the operator to blocks of vectors, every product — one column
-or many — is the multi-RHS SpMM of
+tensor array exists.  That call is the build's one assembly route:
+without a C compiler it falls back inside itself to the NumPy tensors
+and the ``lexsort`` assembly, the same matrix byte for byte.  Because
+Algorithm 2 applies the operator to blocks of vectors, every product —
+one column or many — is the multi-RHS SpMM of
 :meth:`~repro.sparse.bcsr.BlockCSR.matmat`, which streams the packed
 blocks (56 bytes each with the column index, against 80 for a full
 3x3 block) two rows at a time.
@@ -45,9 +45,8 @@ from ..geometry.box import Box
 from ..lint.contracts import force_block_arg, positions_arg
 from ..neighbor.pairs import find_pairs
 from ..rpy import pse
-from ..rpy.tensor import pair_dyads
 from ..sparse.bcsr import BlockCSR
-from ..sparse.kernels import bcsr_assemble_dyads, kernel_available
+from ..sparse.kernels import bcsr_assemble_dyads
 from ..units import FluidParams, REDUCED
 from ..utils.validation import as_force_block, as_positions
 
@@ -99,25 +98,15 @@ class RealSpaceOperator:
         with obs.span("pme.find_pairs", n=n):
             i, j = find_pairs(r, box, r_max)
         radius = fluid.radius
-        diag_scalar = pse.self_mobility_scalar(xi, radius)
-        # without a compiler: NumPy tensors through from_pairs, the byte
-        # reference of the fused fill
-        fused = kernel_available()
         with obs.span("pme.real_tensors", pairs=int(i.size)):
             rij, dist = box.distances(r, i, j)
             f, g = pse.real_space_coefficients(dist, xi, radius)
-            if not fused:
-                blocks = pair_dyads(rij, f, g)
 
         with obs.span("pme.real_assemble", pairs=int(i.size)):
             #: The block-sparse operator (always available for introspection).
-            if fused:
-                self.bcsr = BlockCSR(n, *bcsr_assemble_dyads(
-                    n, i, j, f, g, rij, dist, diag_scalar))
-            else:
-                diag = np.broadcast_to(diag_scalar * np.eye(3), (n, 3, 3))
-                self.bcsr = BlockCSR.from_pairs(n, i, j, blocks,
-                                                diag_blocks=diag)
+            self.bcsr = BlockCSR(n, *bcsr_assemble_dyads(
+                n, i, j, f, g, rij, dist,
+                pse.self_mobility_scalar(xi, radius)))
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 

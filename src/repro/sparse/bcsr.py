@@ -9,8 +9,10 @@ block is stored as the 6 doubles of its upper triangle (``00 01 02 11
 product streams.  Only such blocks are accepted.  Key operations:
 
 * construction from a half pair list in any order (symmetric fill-in
-  of both triangles; one compiled linear pass,
-  :func:`repro.sparse.kernels.bcsr_assemble`),
+  of both triangles by the NumPy ``lexsort`` assembly,
+  :func:`repro.sparse.kernels.bcsr_assemble`: the byte reference of the
+  real-space build, whose one route is the compiled
+  :func:`repro.sparse.kernels.bcsr_assemble_dyads`),
 * the product (:meth:`BlockCSR.matmat`, also behind ``@``): ``Y = A X``
   for a block ``X`` of any width ``s`` — the kernel the block Krylov
   method relies on (paper reference [24]) — through the native kernel of
@@ -120,9 +122,9 @@ class BlockCSR:
             likewise; omitted diagonals are zero.
 
         Rows come out ascending with columns ascending within a row,
-        whatever the input order, from
-        :func:`repro.sparse.kernels.bcsr_assemble` (compiled counting
-        sort, or its ``lexsort`` fallback — the same bytes).
+        whatever the input order, from the NumPy ``lexsort`` assembly
+        :func:`repro.sparse.kernels.bcsr_assemble` — the bytes the
+        real-space build's fused assembly is pinned to.
         """
         return cls(n, *bcsr_assemble(n, i, j, pair_blocks, diag_blocks))
 

@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the ten
+compiles, at import-on-demand time, a small C library with the nine
 entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
@@ -42,14 +42,6 @@ schedule need:
     Gather (interpolation) of particle rows ``[lo, hi)`` from a
     batch-first mesh; pure reads plus disjoint writes, so row chunks
     parallelize trivially.
-``bcsr_assemble``
-    The body of :meth:`repro.sparse.bcsr.BlockCSR.from_pairs`: the
-    symmetric BCSR matrix of a half pair list of symmetric blocks in any
-    order, by a stable counting sort on the column then on the row — two
-    linear passes, each block's 48-byte upper triangle written once at
-    both mirror positions.  No floating-point arithmetic, so the bytes
-    are those of the packed ``lexsort`` fallback whatever the compiler
-    flags.
 ``min_image_pairs``
     The body of :meth:`repro.geometry.box.Box.distances` and of the
     strict ``< cutoff`` filter of the pair search
@@ -65,10 +57,13 @@ schedule need:
     sort by ``j``, then by ``i``) — the arrays of
     :func:`~repro.neighbor.pairs.brute_force_pairs`.
 ``bcsr_assemble_dyads``
-    ``bcsr_assemble`` with the real-space tensor fill fused in: block
-    ``f I + g rhat rhat^T`` of every pair computed, packed, in the slot
-    the counting sort assigns it, the self term on the diagonal; what
-    :class:`repro.pme.realspace.RealSpaceOperator` is built by.
+    The one assembly of :class:`repro.pme.realspace.RealSpaceOperator`:
+    the symmetric BCSR matrix of a half pair list in any order and
+    either orientation, by a stable counting sort on the column then on
+    the row — two linear passes — with the real-space tensor fill fused
+    in: block ``f I + g rhat rhat^T`` of every pair computed, packed to
+    its 48-byte upper triangle, in the slot the sort assigns it and its
+    mirror, the self term on the diagonal.
 ``pse_arguments``, ``pse_combine``
     The body of :func:`repro.rpy.pse.real_space_coefficients` around the
     two calls NumPy and SciPy keep (``exp``, ``erfc``): the first writes
@@ -326,9 +321,9 @@ void spread_rows(const long long lo, const long long hi,
 }
 
 /* Symmetric BCSR pattern of a half pair list (any order, either
- * orientation).  Entry e of the virtual list is (pi[e], pj[e]) for
- * e < m, its mirror (pj[e-m], pi[e-m]) for e < 2m, and the diagonal
- * block e - 2m after that.  A stable counting sort by column then one
+ * orientation) and the full diagonal.  Entry e of the virtual list is
+ * (pi[e], pj[e]) for e < m, its mirror (pj[e-m], pi[e-m]) for e < 2m,
+ * and the diagonal block e - 2m after that.  A stable counting sort by column then one
  * by row (an LSD radix over two keys of n buckets) leaves rows ascending
  * and columns ascending within a row — the order of lexsort((col, row)).
  * The pattern is symmetric, so the row counts are the column counts:
@@ -339,7 +334,6 @@ void spread_rows(const long long lo, const long long hi,
 static void bcsr_sort_by_column(const long long n, const long long m,
                                 const long long *restrict pi,
                                 const long long *restrict pj,
-                                const long long ndiag,
                                 long long *restrict indptr,
                                 long long *restrict work)
 {
@@ -348,48 +342,15 @@ static void bcsr_sort_by_column(const long long n, const long long m,
 
     for (long long r = 0; r <= n; ++r) indptr[r] = 0;
     for (long long k = 0; k < m; ++k) { ++indptr[pi[k] + 1]; ++indptr[pj[k] + 1]; }
-    for (long long r = 0; r < ndiag; ++r) ++indptr[r + 1];
+    for (long long r = 0; r < n; ++r) ++indptr[r + 1];
     for (long long r = 0; r < n; ++r) indptr[r + 1] += indptr[r];
 
     for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
     for (long long k = 0; k < m; ++k) bycol[cursor[pj[k]]++] = k;
     for (long long k = 0; k < m; ++k) bycol[cursor[pi[k]]++] = m + k;
-    for (long long r = 0; r < ndiag; ++r) bycol[cursor[r]++] = 2 * m + r;
+    for (long long r = 0; r < n; ++r) bycol[cursor[r]++] = 2 * m + r;
 
     for (long long r = 0; r < n; ++r) cursor[r] = indptr[r];
-}
-
-/* Symmetric BCSR assembly of symmetric payloads: pair_blocks[k] at
- * (pi[k], pj[k]) and at the mirror (its own transpose), diag_blocks on
- * the diagonal, each packed to the 6 doubles of its upper triangle and
- * written once.  Integer work and copies only, so compiler flags cannot
- * change a byte. */
-void bcsr_assemble(const long long n, const long long m,
-                   const long long *restrict pi, const long long *restrict pj,
-                   const double *restrict pair_blocks,
-                   const long long ndiag, const double *restrict diag_blocks,
-                   long long *restrict indptr, long long *restrict indices,
-                   double *restrict blocks, long long *restrict work)
-{
-    const long long nnz = 2 * m + ndiag;
-    long long *restrict cursor = work;
-    const long long *restrict bycol = work + n + 1;
-
-    bcsr_sort_by_column(n, m, pi, pj, ndiag, indptr, work);
-    for (long long p = 0; p < nnz; ++p) {
-        const long long e = bycol[p];
-        const long long k = e < m ? e : e - m;      /* pair of entry e */
-        long long row, col;
-        const double *restrict src;
-        if (e < m) { row = pi[k]; col = pj[k]; src = pair_blocks + 9 * (size_t)k; }
-        else if (e < 2 * m) { row = pj[k]; col = pi[k]; src = pair_blocks + 9 * (size_t)k; }
-        else { row = col = e - 2 * m; src = diag_blocks + 9 * (size_t)row; }
-        const long long dst = cursor[row]++;
-        double *restrict b = blocks + 6 * (size_t)dst;
-        indices[dst] = col;
-        for (int u = 0; u < 3; ++u)
-            for (int v = u; v < 3; ++v) b[PACKED[u][v]] = src[3 * u + v];
-    }
 }
 
 /* ---- Floating-point entry points whose bytes are NumPy's -------------
@@ -610,7 +571,7 @@ void bcsr_assemble_dyads(const long long n, const long long m,
     long long *restrict cursor = work;
     const long long *restrict bycol = work + n + 1;
 
-    bcsr_sort_by_column(n, m, pi, pj, n, indptr, work);
+    bcsr_sort_by_column(n, m, pi, pj, indptr, work);
     for (long long p = 0; p < nnz; ++p) {
         const long long e = bycol[p];
         const long long k = e < m ? e : e - m;
@@ -700,8 +661,7 @@ _kernels: object = _UNSET
 #: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
     "_Kernels",
-    "spmm spread interp rows assemble min_image cells dyads pse_args "
-    "pse_combine")
+    "spmm spread interp rows min_image cells dyads pse_args pse_combine")
 
 
 def _cache_dir() -> Path:
@@ -750,7 +710,6 @@ def _load(path: Path) -> _Kernels | None:
         spread = lib.spread_idx
         interp = lib.interp_range
         rows = lib.spread_rows
-        assemble = lib.bcsr_assemble
         min_image = lib.min_image_pairs
         cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
@@ -769,8 +728,6 @@ def _load(path: Path) -> _Kernels | None:
     interp.restype = None
     rows.argtypes = [ll, ll, i64, i64, f64, f64, ll, f64, ll]
     rows.restype = None
-    assemble.argtypes = [ll, ll, i64, i64, f64, ll, f64, i64, i64, f64, i64]
-    assemble.restype = None
     min_image.argtypes = [ll, ll, i64, i64, f64, ctypes.c_double,
                           ctypes.c_int, ctypes.c_double, i64, i64, f64, f64]
     min_image.restype = ll
@@ -786,8 +743,8 @@ def _load(path: Path) -> _Kernels | None:
     pse_combine.argtypes = [ll, f64, ctypes.c_double, f64, f64, f64, f64,
                             f64, f64]
     pse_combine.restype = None
-    return _Kernels(spmm, spread, interp, rows, assemble, min_image, cells,
-                    dyads, pse_args, pse_combine)
+    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads,
+                    pse_args, pse_combine)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -858,21 +815,6 @@ def _selftest(kernels: _Kernels) -> bool:
             and np.allclose(full, want, rtol=1e-12, atol=1e-12)):
         return False
 
-    # assembly: a shuffled, mixed-orientation half pair list of symmetric
-    # blocks with an isolated row (3) gives the packed bytes of the
-    # lexsort reference
-    pi = np.array([4, 0, 2, 1, 0], dtype=np.int64)
-    pj = np.array([2, 1, 0, 4, 4], dtype=np.int64)
-    sym = rng.standard_normal((10, 3, 3))
-    sym = sym + sym.transpose(0, 2, 1)
-    pair_blocks = sym[:5]
-    for diag in (sym[5:], None):
-        got = _assemble_compiled(kernels.assemble, 5, pi, pj, pair_blocks,
-                                 diag)
-        want = _assemble_packed(5, pi, pj, pair_blocks, diag)
-        if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
-            return False
-
     # separations, strict filter and fused tensor fill against the NumPy
     # bytes, on enough pairs that a contracted multiply-add cannot hide:
     # 40 particles up to five boxes away (L * round(d / L) is inexact),
@@ -925,13 +867,16 @@ def _selftest(kernels: _Kernels) -> bool:
                     or kj.tobytes() != cj[keep].tobytes()):
                 return False
 
-    pi, pj, rij, dist = got
+    # the fused assembly on those pairs shuffled, every other one reversed
+    order = rng.permutation(got[0].size)
+    pi, pj, rij, dist = (a[order] for a in got)
+    pi[1::2], pj[1::2] = pj[1::2], pi[1::2].copy()
     for xi, sign in ((0.45, 1.0), (0.6, -1.0)):
         f, g = (sign * c for c in pse._coefficients(dist, xi, 1.0))
         scalar = sign * pse.self_mobility_scalar(xi)
         got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
                                        dist, scalar)
-        want = _assemble_packed(
+        want = bcsr_assemble(
             40, pi, pj, pair_dyads(rij, f, g),
             np.broadcast_to(scalar * np.eye(3), (40, 3, 3)))
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
@@ -1122,35 +1067,6 @@ def unpack_symmetric(packed: np.ndarray) -> np.ndarray:
     return packed.take(_FULL, axis=1).reshape(-1, 3, 3)
 
 
-def _assemble_packed(n: int, i: np.ndarray, j: np.ndarray,
-                     pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``lexsort`` reference with its (symmetric) blocks packed: the
-    compiled assembly's bytes."""
-    indptr, indices, blocks = _assemble_lexsort(n, i, j, pair_blocks,
-                                                diag_blocks)
-    return indptr, indices, blocks.reshape(-1, 9).take(_UPPER, axis=1)
-
-
-def _assembly_buffers(n: int, nnz: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised ``(indptr, indices, packed blocks, work)`` of a C
-    assembly of ``nnz`` blocks in ``n`` rows."""
-    return (np.empty(n + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64),
-            np.empty((nnz, 6)), np.empty(n + 1 + nnz, dtype=np.int64))
-
-
-def _assemble_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
-                       pair_blocks: np.ndarray, diag_blocks: np.ndarray | None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One call of the C assembly into freshly allocated outputs."""
-    ndiag = 0 if diag_blocks is None else n
-    indptr, indices, blocks, work = _assembly_buffers(n, 2 * i.size + ndiag)
-    kern(n, i.size, i, j, pair_blocks, ndiag,
-         pair_blocks if diag_blocks is None else diag_blocks,
-         indptr, indices, blocks, work)
-    return indptr, indices, blocks
-
-
 def _pair_indices(n: int, i: np.ndarray, j: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The half pair list as C-contiguous int64 ``(m,)`` arrays, checked —
@@ -1162,8 +1078,8 @@ def _pair_indices(n: int, i: np.ndarray, j: np.ndarray
         raise ConfigurationError("pair index arrays must both have shape (m,)")
     if np.any(i == j):
         raise ConfigurationError(
-            "from_pairs expects off-diagonal pairs only; "
-            "pass diagonal blocks via diag_blocks")
+            "a half pair list holds off-diagonal pairs only (i != j); "
+            "the diagonal is passed separately")
     if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
         raise ConfigurationError(
             f"pair index out of range for {n} block rows")
@@ -1181,30 +1097,25 @@ def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
     ``(6,)`` upper triangle of :func:`pack_symmetric`.
 
     The half pair list may come in any order and either orientation
-    (each unordered pair once, ``i != j``).  The compiled kernel is two
-    counting-sort passes that write the packed payload once; the
-    fallback packs the ``lexsort`` reference — the same bytes, since the
-    kernel only moves integers and copies doubles.  Shapes, ``i != j``,
-    the index range and the symmetry of every payload are checked here,
-    before any pointer reaches C.
+    (each unordered pair once, ``i != j``).  The body is the ``lexsort``
+    reference, packed — the bytes :func:`bcsr_assemble_dyads` is pinned
+    to.  Shapes, ``i != j``, the index range and the symmetry of every
+    payload are checked.
     """
     i, j = _pair_indices(n, i, j)
     pair_blocks = np.ascontiguousarray(pair_blocks, dtype=np.float64)
     if pair_blocks.shape != (i.size, 3, 3):
         raise ConfigurationError(
             "pair arrays must have matching shapes (m,), (m,), (m, 3, 3)")
-    pack_symmetric(pair_blocks)         # the check; C packs its own copy
     if diag_blocks is not None:
         diag_blocks = np.ascontiguousarray(diag_blocks, dtype=np.float64)
         if diag_blocks.shape != (n, 3, 3):
             raise ConfigurationError(
                 f"diag_blocks must have shape ({n}, 3, 3), "
                 f"got {diag_blocks.shape}")
-        pack_symmetric(diag_blocks)
-    kern = getattr(_bundle(), "assemble", None)
-    if kern is None:
-        return _assemble_packed(n, i, j, pair_blocks, diag_blocks)
-    return _assemble_compiled(kern, n, i, j, pair_blocks, diag_blocks)
+    indptr, indices, blocks = _assemble_lexsort(n, i, j, pair_blocks,
+                                                diag_blocks)
+    return indptr, indices, pack_symmetric(blocks)
 
 
 def _assemble_dyads_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
@@ -1212,33 +1123,29 @@ def _assemble_dyads_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
                              dist: np.ndarray, self_scalar: float
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One call of the fused C assembly into freshly allocated outputs."""
-    indptr, indices, blocks, work = _assembly_buffers(n, 2 * i.size + n)
-    kern(n, i.size, i, j, f, g, rij, dist, self_scalar,
-         indptr, indices, blocks, work)
-    return indptr, indices, blocks
+    nnz = 2 * i.size + n
+    out = (np.empty(n + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64),
+           np.empty((nnz, 6)))
+    kern(n, i.size, i, j, f, g, rij, dist, self_scalar, *out,
+         np.empty(n + 1 + nnz, dtype=np.int64))
+    return out
 
 
 def bcsr_assemble_dyads(n: int, i: np.ndarray, j: np.ndarray,
                         f: np.ndarray, g: np.ndarray, rij: np.ndarray,
                         dist: np.ndarray, self_scalar: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bcsr_assemble` with the tensor fill fused in (compiled
-    kernels only): block ``f[k] I + g[k] rhat rhat^T``, ``rhat = rij[k] /
-    dist[k]``, at ``(i[k], j[k])`` and at its mirror, ``self_scalar I``
-    on every diagonal — each block computed in the slot it is stored in.
+    """``(indptr, indices, packed)`` of the real-space matrix: block ``f[k]
+    I + g[k] rhat rhat^T``, ``rhat = rij[k] / dist[k]``, at ``(i[k],
+    j[k])`` and at its mirror, ``self_scalar I`` on every diagonal, laid
+    out as :func:`bcsr_assemble` lays out a half pair list in any order.
 
-    The bytes are those of :func:`bcsr_assemble` on the NumPy payload
-    ``f[:, None, None] * eye(3) + g[:, None, None] * (rhat[:, :, None] *
-    rhat[:, None, :])`` and the diagonal ``self_scalar * eye(3)`` (the
-    kernel is built without multiply-add contraction; self-tested at
-    load), so a caller without a compiler takes that route —
-    :func:`kernel_available` tells which.
+    The compiled kernel computes each block in the slot it is stored in
+    (built without multiply-add contraction; self-tested at load).  The
+    fallback is :func:`bcsr_assemble` of the NumPy payload
+    :func:`~repro.rpy.tensor.pair_dyads` and the diagonal ``self_scalar *
+    eye(3)`` — the same bytes.
     """
-    kern = getattr(_bundle(), "dyads", None)
-    if kern is None:
-        raise ConfigurationError(
-            "bcsr_assemble_dyads needs the compiled kernels; assemble the "
-            "NumPy tensors with bcsr_assemble instead")
     i, j = _pair_indices(n, i, j)
     f, g, dist = (np.ascontiguousarray(a, dtype=np.float64)
                   for a in (f, g, dist))
@@ -1247,6 +1154,12 @@ def bcsr_assemble_dyads(n: int, i: np.ndarray, j: np.ndarray,
             and rij.shape == (i.size, 3)):
         raise ConfigurationError(
             "pair arrays must have matching shapes (m,) and (m, 3)")
+    kern = getattr(_bundle(), "dyads", None)
+    if kern is None:
+        from ..rpy.tensor import pair_dyads  # lazy: rpy.pse imports us
+        return bcsr_assemble(
+            n, i, j, pair_dyads(rij, f, g),
+            np.broadcast_to(float(self_scalar) * np.eye(3), (n, 3, 3)))
     return _assemble_dyads_compiled(kern, n, i, j, f, g, rij, dist,
                                     float(self_scalar))
 

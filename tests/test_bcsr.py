@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionContext
+from repro.rpy.tensor import pair_dyads
 from repro.sparse import BlockCSR
-from repro.sparse.kernels import _assemble_lexsort, spmm_kernel
+from repro.sparse.kernels import (_assemble_lexsort, bcsr_assemble,
+                                  bcsr_assemble_dyads, spmm_kernel)
 
 
 def _symmetric(blocks):
@@ -126,9 +128,21 @@ def _half_pair_list(case):
 @pytest.mark.parametrize("case", ["sorted", "shuffled", "mixed-orientation",
                                   "empty", "no-diagonal"])
 def test_from_pairs_bytes_match_lexsort_reference(case, kernel_mode):
-    # the compiled assembly and its fallback give the bytes of the
-    # concatenate + lexsort reference, whatever the order of the list
+    # from_pairs is the concatenate + lexsort reference, packed; the
+    # real-space build's fused assembly (the compiled counting sort, or
+    # its fallback) gives its bytes whatever the order of the list
     n, i, j, blocks, diag = _half_pair_list(case)
+    rng = np.random.default_rng(32)
+    f, g = rng.standard_normal((2, i.size))
+    rij = rng.standard_normal((i.size, 3))
+    dist = np.linalg.norm(rij, axis=1)
+    fused = bcsr_assemble_dyads(n, i, j, f, g, rij, dist, 0.75)
+    want = bcsr_assemble(n, i, j, pair_dyads(rij, f, g),
+                         np.broadcast_to(0.75 * np.eye(3), (n, 3, 3)))
+    for got, ref in zip(fused, want):
+        assert got.tobytes() == ref.tobytes()
+    assert np.diff(fused[0])[5] == 1
+
     bcsr = BlockCSR.from_pairs(n, i, j, blocks, diag_blocks=diag)
     indptr, indices, payload = _assemble_lexsort(
         n, i.astype(np.int64), j.astype(np.int64), blocks, diag)

@@ -79,15 +79,16 @@ def test_tuned_operator_with_krylov_displacements():
 
 def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
                                                         monkeypatch):
-    # The real-space build (find_pairs, compiled or fallback assembly)
-    # leaves the trajectory of the reference build — brute-force pair
-    # search, concatenate + lexsort assembly — bit for bit, in both
-    # kernel modes (the id names the cell-list build this pinned before
-    # that search left src/).  The reference is rebuilt here instead of
-    # pinned so the test does not depend on the CPU's libm/SIMD paths.
+    # The real-space build (find_pairs and bcsr_assemble_dyads, compiled
+    # or fallback) leaves the trajectory of the reference build —
+    # brute-force pair search, NumPy tensors, concatenate + lexsort
+    # assembly — bit for bit, in both kernel modes (the id names the
+    # cell-list build this pinned before that search left src/).  The
+    # reference is rebuilt here instead of pinned so the test does not
+    # depend on the CPU's libm/SIMD paths.
     import repro.pme.realspace as realspace
-    import repro.sparse.bcsr as bcsr
     from repro.neighbor.pairs import brute_force_pairs
+    from repro.rpy.tensor import pair_dyads
     from repro.runtime import positions_digest
     from repro.sparse.kernels import _assemble_lexsort
 
@@ -102,7 +103,8 @@ def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
     digest = run()
     monkeypatch.setattr(realspace, "find_pairs", brute_force_pairs)
     monkeypatch.setattr(
-        bcsr, "bcsr_assemble",
-        lambda n, i, j, blocks, diag: _assemble_lexsort(
-            n, i.astype(np.int64), j.astype(np.int64), blocks, diag))
+        realspace, "bcsr_assemble_dyads",
+        lambda n, i, j, f, g, rij, dist, self_scalar: _assemble_lexsort(
+            n, i.astype(np.int64), j.astype(np.int64), pair_dyads(rij, f, g),
+            np.broadcast_to(self_scalar * np.eye(3), (n, 3, 3))))
     assert run() == digest

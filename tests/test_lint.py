@@ -1,4 +1,4 @@
-"""Tests of the static layer: rules RPR001-RPR012, noqa, selection,
+"""Tests of the static layer: rules RPR001-RPR013, noqa, selection,
 CLI, output formats."""
 
 from __future__ import annotations
@@ -624,7 +624,7 @@ def test_list_rules_is_the_file_rule_set(tmp_path, capsys):
     listed = [line.split()[0] for line in
               capsys.readouterr().out.splitlines()
               if line and not line[0].isspace()]
-    assert listed == [f"RPR{k:03d}" for k in range(1, 13)]
+    assert listed == [f"RPR{k:03d}" for k in range(1, 14)]
 
     clean = tmp_path / "clean.py"
     clean.write_text("X = 1\n")
@@ -836,3 +836,58 @@ def test_rpr012_serve_package_is_clean():
         [str(SRC_DIR / "repro" / "serve")])
     assert files_checked >= 7
     assert [f for f in findings if f.rule == "RPR012"] == []
+
+
+# ----------------------------------------------------------------------
+# RPR013 names removed from src/repro
+# ----------------------------------------------------------------------
+
+def removed_name_findings(source: str, path: str) -> list[Finding]:
+    return [f for f in lint_source(source, path) if f.rule == "RPR013"]
+
+
+def test_rpr013_flags_every_removed_name_once():
+    from repro.lint.removed import REMOVED_NAMES
+
+    changes = (SRC_DIR.parent / "CHANGES.md").read_text(encoding="utf-8")
+    for row in REMOVED_NAMES:
+        assert row.change in changes, row.change
+        if row.pattern.startswith("^"):
+            continue            # the import forms: test_rpr013_path_scopes
+        # every other row is a literal name, and counts in a comment
+        path = f"src/repro/{row.under or 'core/'}seeded.py"
+        found = removed_name_findings(f"x = 1  # {row.pattern}\n", path)
+        assert len(found) == 1, row.pattern
+        assert f"`{row.pattern}`" in found[0].message
+        assert (found[0].line, found[0].col) == (1, 9)
+
+
+@pytest.mark.parametrize("seed,path,count", [
+    ("import scipy.spatial", "src/repro/neighbor/pairs.py", 0),
+    ("import scipy.spatial", "/w/src/repro/src/repro/neighbor/pairs.py", 0),
+    ("import scipy.spatial", "src/repro/neighbor/cells.py", 1),
+    ("from scipy.spatial import cKDTree", "src/repro/pme/realspace.py", 1),
+    ("from scipy import spatial", "src/repro/neighbor/pairs.py", 0),
+    ("from scipy import sparse, spatial", "src/repro/geometry/box.py", 1),
+    ("f(backend='threads')", "src/repro/neighbor/pairs.py", 1),
+    ("f(backend='threads')", "src/repro/exec/context.py", 0),
+    ("x = 'lagrange'", "benchmarks/reference/pme_variants.py", 0),
+    ("x = 'lagrange'", "tests/test_spread.py", 0),
+])
+def test_rpr013_path_scopes(seed, path, count):
+    assert len(removed_name_findings(seed + "\n", path)) == count
+
+
+def test_rpr013_table_module_does_not_report_itself():
+    import repro.lint.removed as removed
+
+    table = Path(removed.__file__)
+    findings, checked = lint_paths([table], select=["RPR013"])
+    assert checked == 1 and findings == []
+    # a copy elsewhere in the package reports every literal it spells
+    source = table.read_text(encoding="utf-8")
+    flagged = {f.message.split("`")[1] for f in
+               removed_name_findings(source, "src/repro/core/copy.py")}
+    assert flagged == {row.pattern for row in removed.REMOVED_NAMES
+                       if not (row.pattern.startswith("^") or row.under)}
+
