@@ -10,8 +10,9 @@ operator (Section IV.C, reference [24]):
    native SpMM kernel, each 3x3 block streamed once against all lanes)
    against the two references it replaced as selectable engines: the
    NumPy ``BlockCSR.matvec`` and the ``scipy.sparse`` CSR export,
-3. **construction** — the three passes of the build (pair search, RPY
-   tensors on the half pair list, symmetric assembly) read off the
+3. **construction** — the three steps of the build (pair search and
+   separations, the split's coefficient table, the symmetric assembly
+   with the table gather and tensor fill fused in) read off the
    operator's own obs spans, with the compiled assembly and with its
    ``lexsort`` fallback; and the search alone, ``find_pairs`` against
    its O(n^2) brute-force reference (at a small n only).
@@ -66,7 +67,7 @@ def multi_rhs_rows(n=None):
 
 
 #: The passes of ``RealSpaceOperator.__init__``, by obs span.
-BUILD_PASSES = {"search": "pme.find_pairs", "tensors": "pme.real_tensors",
+BUILD_PASSES = {"search": "pme.find_pairs", "table": "pme.real_table",
                 "assembly": "pme.real_assemble"}
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
+from ..neighbor.verlet import VerletList
 from ..pme.cache import MobilityCache
 from ..pme.operator import PMEOperator, PMEParams
 from ..pme.tuning import tune_parameters
@@ -49,7 +50,11 @@ from ..utils.validation import as_positions
 from .brownian import CholeskyBrownianGenerator, KrylovBrownianGenerator
 from .forces import ForceField
 
-__all__ = ["EwaldBD", "MatrixFreeBD", "BDStepStats"]
+__all__ = ["EwaldBD", "MatrixFreeBD", "BDStepStats", "PAIR_LIST_SKIN"]
+
+#: Skin of the real-space pair list of :class:`MatrixFreeBD`, in radii:
+#: the cheapest per rebuild of a measured sweep (EXPERIMENTS.md).
+PAIR_LIST_SKIN = 1.5
 
 
 @dataclass
@@ -403,7 +408,9 @@ class MatrixFreeBD(BrownianDynamicsBase):
 
     Every ``lambda_RPY`` steps a fresh :class:`~repro.pme.operator.PMEOperator`
     is constructed (line 4) and the Brownian displacements are computed
-    matrix-free (line 6).  The operator's Ewald split is positive
+    matrix-free (line 6); its :class:`~repro.pme.cache.MobilityCache` and
+    real-space pair list (:attr:`pair_list`) are kept across rebuilds.
+    The operator's Ewald split is positive
     (:mod:`repro.rpy.pse`), so they are two independent samples: the
     real-space half per block by block Lanczos on its sparse matrix
     alone, the wave-space half per step, exactly, in the step's drift
@@ -440,15 +447,23 @@ class MatrixFreeBD(BrownianDynamicsBase):
         self._operator: PMEOperator | None = None
         #: Position-independent PME state reused across mobility rebuilds.
         self._mobility_cache = MobilityCache()
+        #: The real-space pair list, remade only when ``r_max`` changes.
+        self.pair_list: VerletList | None = None
 
     def _prepare(self, positions: np.ndarray) -> None:
         if self.pme_params is None:
             self.pme_params = tune_parameters(
                 positions.shape[0], self.box, target_ep=self.target_ep,
                 fluid=self.fluid)
+        r_max = self.pme_params.r_max
+        if self.pair_list is None or self.pair_list.cutoff != r_max:
+            self.pair_list = VerletList(
+                self.box, r_max, skin=PAIR_LIST_SKIN * self.fluid.radius)
+        self._operator = None       # freed first: one matrix at the peak
         self._operator = PMEOperator(
             positions, self.box, self.pme_params, fluid=self.fluid,
-            cache=self._mobility_cache, context=self.context)
+            cache=self._mobility_cache, context=self.context,
+            pairs=self.pair_list)
 
     def _step_noise(self) -> np.ndarray:
         return self._operator.influence.white_noise(self.rng)

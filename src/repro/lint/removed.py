@@ -43,5 +43,9 @@ REMOVED_NAMES: tuple[Removed, ...] = (
         ("One file format per observability artifact",
          "write_jsonl read_jsonl to_prometheus_text "
          "validate_prometheus_text TraceContext chrome-trace"),
+        ("The real-space rebuild keeps its pair list and tabulates the "
+         "PSE coefficients",
+         "pse_arguments pse_combine coefficient_passes _compiled_coefficients "
+         "_pass_constants COEFFICIENT_CHUNK"),
     ) for name in names.split()),
 )

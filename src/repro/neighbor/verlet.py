@@ -1,10 +1,12 @@
 """Skin-buffered Verlet pair list reusable across time steps.
 
-The BD integrators rebuild short-range interaction lists every step; a
-Verlet list with a skin buffer amortizes the pair search by
-caching all pairs within ``cutoff + skin`` and only rebuilding once any
-particle has moved more than ``skin / 2`` since the last build (the
-standard displacement criterion, Allen & Tildesley Section 5.3).
+The forces (every step, at contact) and the real-space matrix of
+:class:`~repro.core.integrators.MatrixFreeBD` (every ``lambda_RPY``
+steps, at ``r_max``) each keep one.  It caches all pairs within ``cutoff
++ skin`` and searches again only once a particle has moved more than
+``skin / 2`` (Allen & Tildesley Section 5.3); in between one strict
+minimum-image pass re-filters the candidates, giving the arrays of a
+fresh search, order included.
 """
 
 from __future__ import annotations

@@ -43,9 +43,10 @@ PROFILE_PHASES = ["spread", "fft", "influence", "ifft", "interpolate",
                   "real"]
 
 #: Spans of an operator (re)build: the two construct phases, and inside
-#: ``construct_real`` the three passes of the real-space build.
+#: ``construct_real`` the three steps of the real-space build (pairs and
+#: separations, the coefficient table, the fused assembly).
 BUILD_SPANS = ["pme.construct_p", "pme.construct_real", "pme.find_pairs",
-               "pme.real_tensors", "pme.real_assemble"]
+               "pme.real_table", "pme.real_assemble"]
 
 
 @dataclass

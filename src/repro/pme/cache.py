@@ -12,6 +12,8 @@ redone at every rebuild:
   function of
   ``(box, K, p, xi, a)`` only (paper Section IV.B.4 notes it is built
   once per simulation);
+* the **real-space coefficient table** of ``(xi, r_max, a)``
+  (:func:`repro.rpy.pse.coefficient_table`);
 * the **mesh** description;
 * the **batched-pipeline workspace arena** — the ``(3s, K, K, K/2+1)``
   complex spectrum, the ``(3s, K^3)`` batch-first mesh block and the
@@ -47,6 +49,7 @@ from typing import Any
 import numpy as np
 
 from ..geometry.box import Box
+from ..rpy import pse
 from .influence import InfluenceFunction
 from .mesh import Mesh
 
@@ -65,6 +68,7 @@ class MobilityCache:
     def __init__(self) -> None:
         self._meshes: dict[tuple, Mesh] = {}
         self._influences: dict[tuple, InfluenceFunction] = {}
+        self._tables: dict[tuple, pse.CoefficientTable] = {}
         self._workspaces: dict[tuple, dict[str, np.ndarray]] = {}
         self._lock = threading.Lock()
         #: Number of cache lookups answered from the store.
@@ -97,6 +101,13 @@ class MobilityCache:
         return self._lookup(self._influences, key, lambda: InfluenceFunction(
             mesh, xi, p, radius))
 
+    def pse_table(self, xi: float, r_max: float, radius: float
+                  ) -> pse.CoefficientTable:
+        """The split's real-space coefficient table over ``[0, r_max]``."""
+        key = (float(xi), float(r_max), float(radius))
+        return self._lookup(self._tables, key, lambda: pse.coefficient_table(
+            xi, r_max, radius))
+
     def workspace(self, K: int, lanes: int, n: int
                   ) -> dict[str, np.ndarray]:
         """The leading ``lanes = 3 s`` lanes of the ``(K, n)`` arena.
@@ -122,7 +133,7 @@ class MobilityCache:
 
     def memory_bytes(self) -> int:
         """Bytes currently held by cached arrays (workspaces +
-        influence scalars/wavevectors + mesh grids)."""
+        influence scalars/wavevectors + coefficient tables)."""
         with self._lock:
             total = 0
             for ws in self._workspaces.values():
@@ -130,7 +141,7 @@ class MobilityCache:
             for infl in self._influences.values():
                 total += infl.memory_bytes + infl.sqrt_scalar.nbytes
                 total += sum(h.nbytes for h in infl._khat)
-            return total
+            return total + sum(t.values.nbytes for t in self._tables.values())
 
     def stats(self) -> dict[str, Any]:
         """Hit/miss counters and entry counts (for tests and logs)."""

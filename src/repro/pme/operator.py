@@ -174,6 +174,11 @@ class PMEOperator:
         a fixed summation order, so the result is the same bytes on
         ``serial`` and ``threads`` at any worker count, for a fixed
         kernel configuration.
+    pairs:
+        A :class:`~repro.neighbor.verlet.VerletList` at ``params.r_max``
+        that the caller keeps across rebuilds (the integrator's), handed
+        to the real-space build; ``None`` searches afresh.  The matrix
+        is the same either way.
 
     Notes
     -----
@@ -185,7 +190,8 @@ class PMEOperator:
     @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
                  fluid: FluidParams = REDUCED,
-                 cache: MobilityCache | None = None, context=None):
+                 cache: MobilityCache | None = None, context=None,
+                 pairs=None):
         from ..exec import default_context  # deferred: import cycle
         self.positions = as_positions(positions).copy()
         self.n = self.positions.shape[0]
@@ -215,7 +221,7 @@ class PMEOperator:
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                context=self.context)
+                context=self.context, cache=self.cache, pairs=pairs)
 
     # ------------------------------------------------------------------
     # application

@@ -3,24 +3,21 @@
 With the Ewald parameter chosen so the real-space series is negligible
 beyond a cutoff ``r_max``, the operator ``M_real`` becomes a sparse
 matrix with a 3x3 RPY tensor block per interacting pair (paper
-Section IV.C) and stored in BCSR.  The build is compiled from the
-candidate list to the stored blocks: a pair search
-(:func:`~repro.neighbor.pairs.find_pairs`: the paper's Verlet cell list,
-one C sweep in O(n + pairs) whose strict minimum-image test decides),
-the separations of the pairs in a second one
-(:meth:`~repro.geometry.box.Box.distances`), the scalar coefficients
-``f, g`` of every pair (:func:`~repro.rpy.pse.real_space_coefficients`,
-the positively split Ewald real-space half, cache-sized chunks: NumPy's
-``exp`` and SciPy's ``erfc`` between two compiled passes with the NumPy
-body's bytes), and one linear symmetric assembly that computes each
-``f I + g rhat rhat^T`` in the slot it is stored in, packed to the 6
-doubles of its upper triangle
-(:func:`~repro.sparse.kernels.bcsr_assemble_dyads`) — no per-pair
-tensor array exists.  That call is the build's one assembly route:
-without a C compiler it falls back inside itself to the NumPy tensors
-and the ``lexsort`` assembly, the same matrix byte for byte.  Because
-Algorithm 2 applies the operator to blocks of vectors, every product —
-one column or many — is the multi-RHS SpMM of
+Section IV.C) and stored in BCSR.  The build is two compiled steps: the
+pairs with their separations, from the caller's
+:class:`~repro.neighbor.verlet.VerletList` kept across rebuilds or from
+a fresh cell-list search (:func:`~repro.neighbor.pairs.find_pairs`,
+:meth:`~repro.geometry.box.Box.distances`) — the same arrays — and one
+linear symmetric assembly (:func:`~repro.sparse.kernels.bcsr_assemble_dyads`)
+that gathers each pair's ``f, g`` of the positively split Ewald
+real-space half from the split's table
+(:func:`~repro.rpy.pse.coefficient_table`, in the
+:class:`~repro.pme.cache.MobilityCache`) and computes ``f I + g rhat
+rhat^T`` in the slot it is stored in, packed to the 6 doubles of its
+upper triangle.  Without a C compiler that call falls back inside itself
+to NumPy, the same matrix byte for byte.  Because Algorithm 2 applies
+the operator to blocks of vectors, every product — one column or many
+— is the multi-RHS SpMM of
 :meth:`~repro.sparse.bcsr.BlockCSR.matmat`, which streams the packed
 blocks (56 bytes each with the column index, against 80 for a full
 3x3 block) two rows at a time.
@@ -44,11 +41,11 @@ from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..lint.contracts import force_block_arg, positions_arg
 from ..neighbor.pairs import find_pairs
-from ..rpy import pse
 from ..sparse.bcsr import BlockCSR
 from ..sparse.kernels import bcsr_assemble_dyads
 from ..units import FluidParams, REDUCED
 from ..utils.validation import as_force_block, as_positions
+from .cache import MobilityCache
 
 __all__ = ["RealSpaceOperator"]
 
@@ -74,11 +71,17 @@ class RealSpaceOperator:
     context:
         The :class:`~repro.exec.ExecutionContext` a product runs on when
         :meth:`apply_block` is given none (``None``: serial).
+    cache:
+        :class:`~repro.pme.cache.MobilityCache` of the coefficient table.
+    pairs:
+        A :class:`~repro.neighbor.verlet.VerletList` at ``r_max`` on
+        ``box``, kept across rebuilds; ``None`` searches afresh.
     """
 
     @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
-                 fluid: FluidParams = REDUCED, context=None):
+                 fluid: FluidParams = REDUCED, context=None,
+                 cache: MobilityCache | None = None, pairs=None):
         r = as_positions(positions)
         n = r.shape[0]
         if r_max <= 0:
@@ -87,6 +90,8 @@ class RealSpaceOperator:
             raise ConfigurationError(
                 f"r_max={r_max} exceeds half the box length {box.length / 2}; "
                 "the real-space sum would need explicit image shells")
+        if pairs is not None and (pairs.cutoff != r_max or pairs.box != box):
+            raise ConfigurationError(f"pair list is not at r_max={r_max}")
 
         self.box = box
         self.fluid = fluid
@@ -96,17 +101,19 @@ class RealSpaceOperator:
         self.context = context
 
         with obs.span("pme.find_pairs", n=n):
-            i, j = find_pairs(r, box, r_max)
-        radius = fluid.radius
-        with obs.span("pme.real_tensors", pairs=int(i.size)):
-            rij, dist = box.distances(r, i, j)
-            f, g = pse.real_space_coefficients(dist, xi, radius)
+            if pairs is None:
+                i, j = find_pairs(r, box, r_max)
+                rij, dist = box.distances(r, i, j)
+            else:
+                i, j, rij, dist = pairs.separations(r)
+        with obs.span("pme.real_table"):
+            table = (cache or MobilityCache()).pse_table(xi, r_max,
+                                                         fluid.radius)
 
         with obs.span("pme.real_assemble", pairs=int(i.size)):
             #: The block-sparse operator (always available for introspection).
-            self.bcsr = BlockCSR(n, *bcsr_assemble_dyads(
-                n, i, j, f, g, rij, dist,
-                pse.self_mobility_scalar(xi, radius)))
+            self.bcsr = BlockCSR(n, *bcsr_assemble_dyads(n, i, j, table, rij,
+                                                         dist))
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 

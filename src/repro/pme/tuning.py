@@ -62,8 +62,8 @@ from .operator import PMEParams
 
 __all__ = ["tune_parameters", "rank_candidates", "Candidate",
            "estimate_errors", "real_space_error", "reciprocal_error",
-           "mobility_row_norm", "fft_friendly_size", "candidate_cutoffs",
-           "VALIDATED_ORDERS"]
+           "table_error", "mobility_row_norm", "fft_friendly_size",
+           "candidate_cutoffs", "VALIDATED_ORDERS"]
 
 #: Spline orders whose reciprocal-error estimate is validated against
 #: dense Ewald.
@@ -261,20 +261,35 @@ def estimate_errors(params: PMEParams, box: Box, n: int,
 
     ``real`` (real-space truncation at ``r_max``), ``spline`` (B-spline
     aliasing on the mesh), ``recip_truncation`` (modes beyond the mesh
-    Nyquist) and ``total``, their root sum of squares — the estimate of
-    :func:`repro.pme.accuracy.pme_relative_error`.
+    Nyquist), ``table`` (the real-space coefficients' table,
+    :func:`table_error`) and ``total``, their root sum of squares — the
+    estimate of :func:`repro.pme.accuracy.pme_relative_error`.
     """
     a = fluid.radius
     real = float(real_space_error(params.xi, params.r_max, n, box, a))
     spline, trunc = (float(e) for e in reciprocal_error(
         params.xi, params.K, params.p, n, box, a))
-    return _error_dict(real, spline, trunc)
+    return _error_dict(real, spline, trunc,
+                       table_error(params.xi, params.r_max, n, box, a))
 
 
-def _error_dict(real: float, spline: float, trunc: float
+def table_error(xi: float, r_max: float, n: int, box: Box,
+                radius: float = 1.0) -> float:
+    """Relative error bound of the real-space coefficient table: a pair
+    block within ``sqrt(6) TABLE_ERROR f(0)`` (Frobenius), the ``rho 4/3
+    pi r_max^3`` pairs of a row adding incoherently."""
+    bound = pse.TABLE_ERROR * pse.self_mobility_scalar(xi, radius)
+    pairs = n / box.volume * 4.0 / 3.0 * math.pi * r_max ** 3
+    return (bound * math.sqrt(2.0 * pairs)
+            / mobility_row_norm(n, box, radius))
+
+
+def _error_dict(real: float, spline: float, trunc: float, table: float
                 ) -> dict[str, float]:
     return {"real": real, "recip_truncation": trunc, "spline": spline,
-            "total": math.sqrt(real ** 2 + spline ** 2 + trunc ** 2)}
+            "table": table,
+            "total": math.sqrt(real ** 2 + spline ** 2 + trunc ** 2
+                               + table ** 2)}
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +402,8 @@ def rank_candidates(n: int, box: Box, target_ep: float = 1e-3, p: int = 6,
         cost={part: float(t[i]) for part, t in cost.items()},
         memory_bytes=float(memory[i]),
         errors=_error_dict(float(real[i]), float(spline[i]),
-                           float(trunc[i])),
+                           float(trunc[i]), table_error(
+                               float(xi[i]), float(cutoffs[i]), n, box, a)),
         cheapest=i == cheapest, chosen=i == chosen)
         for i in range(cutoffs.size)]
 

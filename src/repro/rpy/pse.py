@@ -57,6 +57,8 @@ extended oddly to ``s < 0`` — Hasimoto-type ``erfc`` / ``exp`` terms at
 ``r`` and ``r +- 2a`` (Fiore et al. 2017, appendix), decaying like
 ``exp(-xi^2 (r - 2a)^2)``.  Divergence-free and ``xi``-independent in
 total; ``tests/test_pse.py`` checks it against the 1-D quadrature above.
+At a fixed split ``f, g`` depend on ``r`` alone: the real-space matrix
+gathers them from a :func:`coefficient_table` by linear interpolation.
 The same split of the Oseen (Stokeslet) tensor, which no split makes
 positive definite near contact, is ``benchmarks/reference/oseen.py``.
 """
@@ -64,13 +66,16 @@ positive definite near contact, is ``benchmarks/reference/oseen.py``.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
 
-from ..sparse.kernels import coefficient_passes
-
 __all__ = [
+    "CoefficientTable",
+    "TABLE_ERROR",
+    "TABLE_NODES_PER_RADIUS",
+    "coefficient_table",
     "real_space_coefficients",
     "reciprocal_scalar",
     "self_mobility_scalar",
@@ -78,10 +83,13 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-#: Separations one pass of :func:`real_space_coefficients` evaluates at a
-#: time, so that its ``(3, chunk)`` temporaries stay in cache.  Every
-#: operation is elementwise: the bytes do not depend on it.
-COEFFICIENT_CHUNK = 8192
+#: Nodes of a :func:`coefficient_table` per radius: the smallest power of
+#: two that keeps every tuned split within :data:`TABLE_ERROR` (EXPERIMENTS.md).
+TABLE_NODES_PER_RADIUS = 1024
+
+#: A table's ``f`` and ``g`` stay within ``TABLE_ERROR * f(0)`` (the
+#: largest coefficient) of the closed forms at every separation.
+TABLE_ERROR = 1e-6
 
 
 def _rpy_remainder(s: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray,
@@ -105,68 +113,55 @@ def real_space_coefficients(dist: np.ndarray, xi: float, radius: float = 1.0
 
     ``M_real(r) / mu0 = f(r) I + g(r) rhat rhat^T`` at every separation
     ``r > 0``, overlapping pairs included (the overlap form is part of
-    ``f_RPY``, not a correction added to it).  The one definition of the
-    stored coefficients, shared by the NumPy tensor fill and the compiled
-    fill of :class:`~repro.pme.realspace.RealSpaceOperator`.  ``xi`` is a
-    scalar or broadcasts against ``dist``.  At a scalar ``xi`` the
-    separations are evaluated :data:`COEFFICIENT_CHUNK` at a time, with
-    the compiled kernels by two passes around NumPy's ``exp`` and
-    SciPy's ``erfc`` (:func:`_compiled_coefficients`); the NumPy body
-    :func:`_coefficients` is the fallback, the route of an array-valued
-    ``xi`` and the byte reference of both.
+    ``f_RPY``, not a correction added to it).  ``xi`` is a scalar or
+    broadcasts against ``dist``.  The closed forms, evaluated directly:
+    the oracle of the :func:`coefficient_table` the real-space matrix is
+    built from, and the tail of the tuner's truncation estimate.  Their
+    round-off grows like ``1/r^3`` below ``r ~ 1e-2 a``.
     """
     r = np.asarray(dist, dtype=np.float64)
     if np.any(r <= 0):
         raise ValueError("real_space_coefficients requires positive distances")
     if np.any(np.asarray(xi) <= 0):
         raise ValueError(f"xi must be positive, got {xi}")
+    return _coefficients(r, xi, float(radius))
+
+
+class CoefficientTable(NamedTuple):
+    """``(f, g)`` of the real-space half on the uniform nodes ``r_k = k /
+    inv_h`` of ``[0, top]``: ``values[k] = (f(r_k), g(r_k))``, node 0
+    the exact limit ``(f(0), 0)`` (:func:`self_mobility_scalar`)."""
+
+    values: np.ndarray
+    inv_h: float
+
+    def gather(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f, g)`` at ``(m,)`` separations in ``[0, top]`` by linear
+        interpolation: NumPy's bytes of the compiled gather in
+        :func:`~repro.sparse.kernels.bcsr_assemble_dyads`."""
+        x = np.asarray(dist, dtype=np.float64) * self.inv_h
+        k = x.astype(np.intp)
+        np.minimum(k, len(self.values) - 2, out=k)
+        w = x - k
+        lo, hi = self.values[k].T, self.values[k + 1].T
+        f, g = lo + (hi - lo) * w
+        return f, g
+
+
+def coefficient_table(xi: float, r_max: float, radius: float = 1.0
+                      ) -> CoefficientTable:
+    """The :class:`CoefficientTable` of the split ``xi`` over ``[0,
+    r_max]``: the closed forms once per split, not per pair and rebuild.
+    Below ``r ~ 1e-3 a``, where they lose digits, the exact node 0 makes
+    the table the more accurate of the two."""
     a = float(radius)
-    if np.ndim(xi):
-        return _coefficients(r, xi, a)
-    flat = np.ascontiguousarray(r.ravel())
-    f, g = np.empty_like(flat), np.empty_like(flat)
-    passes = coefficient_passes()
-    if passes is not None:
-        _compiled_coefficients(passes, flat, xi, a, f, g)
-    else:
-        for lo in range(0, flat.size, COEFFICIENT_CHUNK):
-            hi = lo + COEFFICIENT_CHUNK
-            f[lo:hi], g[lo:hi] = _coefficients(flat[lo:hi], xi, a)
-    return f.reshape(r.shape), g.reshape(r.shape)
-
-
-def _pass_constants(xi: float, a: float) -> np.ndarray:
-    """The scalar subexpressions of :func:`_rpy_remainder` and
-    :func:`_coefficients`, evaluated as Python evaluates them there: the
-    ``cst`` operand of the compiled ``pse_combine``."""
-    return np.array([
-        math.pi / 64.0 / xi ** 4, math.pi / 48.0, _SQRT_PI / xi,
-        1.0 / (96.0 * xi * xi),                                # R
-        -(math.pi / 12.0), _SQRT_PI / (12.0 * xi), 0.5 / (xi * xi),  # R'
-        -(math.pi / 4.0), _SQRT_PI / (4.0 * xi),               # R''
-        3.0 / (4.0 * math.pi * a)], dtype=np.float64)
-
-
-def _compiled_coefficients(passes, r: np.ndarray, xi: float, a: float,
-                           f: np.ndarray, g: np.ndarray) -> None:
-    """:func:`_coefficients` of the flat ``r`` into ``f`` and ``g``, a
-    :data:`COEFFICIENT_CHUNK` at a time: the compiled ``pse_arguments``
-    pass, NumPy's ``exp`` and SciPy's ``erfc`` in place on its output,
-    then the compiled ``pse_combine`` pass — NumPy's operations in
-    NumPy's order, so the bytes of the NumPy body."""
-    arguments, combine = passes
-    xi, two_a = float(xi), 2.0 * a
-    cst = _pass_constants(xi, a)
-    width = min(r.size, COEFFICIENT_CHUNK)
-    s, t, q = (np.empty(3 * width) for _ in range(3))
-    for lo in range(0, r.size, COEFFICIENT_CHUNK):
-        hi = min(lo + COEFFICIENT_CHUNK, r.size)
-        m = hi - lo
-        sm, tm, qm = (buf[:3 * m] for buf in (s, t, q))
-        arguments(m, r[lo:hi], two_a, xi, sm, tm, qm)
-        np.exp(qm, out=qm)
-        erfc(tm, out=tm)
-        combine(m, r[lo:hi], two_a, sm, qm, tm, cst, f[lo:hi], g[lo:hi])
+    inv_h = TABLE_NODES_PER_RADIUS / a
+    nodes = math.ceil(float(r_max) * inv_h) + 1
+    values = np.empty((nodes, 2))
+    values[0] = self_mobility_scalar(xi, a), 0.0
+    values[1:, 0], values[1:, 1] = _coefficients(
+        np.arange(1, nodes) / inv_h, float(xi), a)
+    return CoefficientTable(values, inv_h)
 
 
 def _coefficients(r: np.ndarray, xi, a: float

@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the nine
+compiles, at import-on-demand time, a small C library with the seven
 entry points the mobility pipeline, its rebuild and its reference
 schedule need:
 
@@ -61,17 +61,13 @@ schedule need:
     the symmetric BCSR matrix of a half pair list in any order and
     either orientation, by a stable counting sort on the column then on
     the row — two linear passes — with the real-space tensor fill fused
-    in: block ``f I + g rhat rhat^T`` of every pair computed, packed to
-    its 48-byte upper triangle, in the slot the sort assigns it and its
-    mirror, the self term on the diagonal.
-``pse_arguments``, ``pse_combine``
-    The body of :func:`repro.rpy.pse.real_space_coefficients` around the
-    two calls NumPy and SciPy keep (``exp``, ``erfc``): the first writes
-    the remainder's arguments ``s``, ``xi s`` and ``-(xi s)^2``, the
-    second combines the remainder terms into ``f`` and ``g`` — the ~40
-    elementwise NumPy operations of ``pse._coefficients`` in their order.
+    in: the coefficients ``f, g`` of every pair gathered from a uniform
+    table (:class:`repro.rpy.pse.CoefficientTable`, linear
+    interpolation) and its block ``f I + g rhat rhat^T`` computed,
+    packed to its 48-byte upper triangle, in the slot the sort assigns
+    it and its mirror, the table's ``f(0)`` on the diagonal.
 
-The last five do floating-point arithmetic whose bytes are pinned to
+The last three do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
@@ -114,7 +110,7 @@ from ..errors import ConfigurationError
 from ..utils.pbc import minimum_image
 
 __all__ = [
-    "spmm_kernel", "coefficient_passes", "pack_symmetric", "unpack_symmetric",
+    "spmm_kernel", "pack_symmetric", "unpack_symmetric",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
     "cell_list_pairs", "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
@@ -551,18 +547,33 @@ static inline void dyad_block(double *restrict b, const double c,
             b[PACKED[u][v]] = c * (u == v ? 1.0 : 0.0) + g * (h[u] * h[v]);
 }
 
+/* f, g at separation d from the table t of (f, g) at the nodes k h, as
+ * repro.rpy.pse.CoefficientTable.gather evaluates them. */
+static inline void table_gather(const double *restrict t,
+                                const long long nodes, const double inv_h,
+                                const double d, double *restrict fg)
+{
+    const double x = d * inv_h;
+    long long k = (long long)x;
+    if (k > nodes - 2) k = nodes - 2;
+    const double w = x - (double)k;
+    const double *restrict lo = t + 2 * (size_t)k;
+    fg[0] = lo[0] + (lo[2] - lo[0]) * w;
+    fg[1] = lo[1] + (lo[3] - lo[1]) * w;
+}
+
 /* Symmetric BCSR assembly with the tensor fill fused in: pair k stores
- * f[k] I + g[k] rhat rhat^T, rhat = rij[k] / dist[k], at (pi[k], pj[k])
- * and at the mirror (the block is its own transpose), and every diagonal
- * block is self_scalar I, all packed.  Each block is computed where it
- * is stored; no (m, 3, 3) payload exists. */
+ * f I + g rhat rhat^T, rhat = rij[k] / dist[k] and (f, g) gathered from
+ * the table at dist[k], at (pi[k], pj[k]) and at the mirror (the block
+ * is its own transpose), and every diagonal block is t[0] I, f(0), all
+ * packed.  Each block is computed where it is stored; no (m, 3, 3)
+ * payload and no f, g arrays exist. */
 void bcsr_assemble_dyads(const long long n, const long long m,
                          const long long *restrict pi,
                          const long long *restrict pj,
-                         const double *restrict f, const double *restrict g,
-                         const double *restrict rij,
+                         const double *restrict table, const long long nodes,
+                         const double inv_h, const double *restrict rij,
                          const double *restrict dist,
-                         const double self_scalar,
                          long long *restrict indptr,
                          long long *restrict indices,
                          double *restrict blocks, long long *restrict work)
@@ -586,67 +597,14 @@ void bcsr_assemble_dyads(const long long n, const long long m,
             const double *restrict d = rij + 3 * (size_t)k;
             const double h[3] = {d[0] / dist[k], d[1] / dist[k],
                                  d[2] / dist[k]};
-            dyad_block(b, f[k], g[k], h);
-        } else {        /* self_scalar * eye(3): no dyad term to add */
+            double fg[2];
+            table_gather(table, nodes, inv_h, dist[k], fg);
+            dyad_block(b, fg[0], fg[1], h);
+        } else {        /* f(0) * eye(3): no dyad term to add */
             for (int u = 0; u < 3; ++u)
                 for (int v = u; v < 3; ++v)
-                    b[PACKED[u][v]] = self_scalar * (u == v ? 1.0 : 0.0);
+                    b[PACKED[u][v]] = table[0] * (u == v ? 1.0 : 0.0);
         }
-    }
-}
-
-/* The positively split Ewald real-space coefficients f, g of m
- * separations r (repro.rpy.pse._coefficients), in two passes around the
- * two functions NumPy and SciPy keep, exp and erfc.  The first writes
- * the remainder's arguments s -- rows r, r + 2a and |r - 2a| of a
- * (3, m) array -- t = xi s and q = -(xi s)^2. */
-void pse_arguments(const long long m, const double *restrict r,
-                   const double two_a, const double xi, double *restrict s,
-                   double *restrict t, double *restrict q)
-{
-    for (long long k = 0; k < m; ++k) {
-        s[k] = r[k];
-        s[m + k] = r[k] + two_a;
-        s[2 * m + k] = fabs(r[k] - two_a);
-    }
-    for (long long k = 0; k < 3 * m; ++k) {
-        t[k] = xi * s[k];
-        q[k] = -(t[k] * t[k]);
-    }
-}
-
-/* The second, given gauss = exp(q) and tail = erfc(t): the remainder
- * and its first two derivatives at the three arguments, their second
- * difference u0..u2 and f, g -- NumPy's operations in NumPy's order.
- * cst holds the scalar subexpressions as Python evaluates them
- * (repro.rpy.pse._pass_constants): 0-3 of R, 4-6 of R', 7-8 of R'' and
- * 9 the prefactor c. */
-void pse_combine(const long long m, const double *restrict r,
-                 const double two_a, const double *restrict s,
-                 const double *restrict gauss, const double *restrict tail,
-                 const double *restrict cst, double *restrict f,
-                 double *restrict g)
-{
-    for (long long k = 0; k < m; ++k) {
-        double v0[3], v1[3], v2[3];
-        for (int w = 0; w < 3; ++w) {      /* argument w of the three */
-            const long long e = w * m + k;
-            const double x = s[e], x2 = x * x;
-            v0[w] = (cst[0] - cst[1] * x2 * x2) * tail[e]
-                    + cst[2] * (x2 / 48.0 - cst[3]) * x * gauss[e];
-            v1[w] = cst[4] * x2 * x * tail[e]
-                    + cst[5] * (x2 - cst[6]) * gauss[e];
-            v2[w] = cst[7] * x2 * tail[e] + cst[8] * x * gauss[e];
-        }
-        const double d = r[k] - two_a;      /* np.sign(d): NaN stays NaN */
-        const double sign = d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : d);
-        const double u0 = 2.0 * v0[0] - v0[1] - sign * v0[2]
-                          - cst[0] * (1.0 - sign);
-        const double u1 = 2.0 * v1[0] - v1[1] - v1[2];
-        const double u2 = 2.0 * v2[0] - v2[1] - sign * v2[2];
-        const double rk = r[k], r2 = rk * rk, c = cst[9];
-        f[k] = c * (u2 / rk - u1 / r2 + u0 / (r2 * rk));
-        g[k] = -c * (u2 / rk - 3.0 * u1 / r2 + 3.0 * u0 / (r2 * rk));
     }
 }
 """
@@ -661,7 +619,7 @@ _kernels: object = _UNSET
 #: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
     "_Kernels",
-    "spmm spread interp rows min_image cells dyads pse_args pse_combine")
+    "spmm spread interp rows min_image cells dyads")
 
 
 def _cache_dir() -> Path:
@@ -713,8 +671,6 @@ def _load(path: Path) -> _Kernels | None:
         min_image = lib.min_image_pairs
         cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
-        pse_args = lib.pse_arguments
-        pse_combine = lib.pse_combine
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -734,17 +690,10 @@ def _load(path: Path) -> _Kernels | None:
     cells.argtypes = [ll, f64, ctypes.c_double, ctypes.c_double, ll, ll, ll,
                       i64, i64, i64, i64, i64, f64]
     cells.restype = ll
-    dyads.argtypes = [ll, ll, i64, i64, f64, f64, f64, f64, ctypes.c_double,
+    dyads.argtypes = [ll, ll, i64, i64, f64, ll, ctypes.c_double, f64, f64,
                       i64, i64, f64, i64]
     dyads.restype = None
-    pse_args.argtypes = [ll, f64, ctypes.c_double, ctypes.c_double, f64,
-                         f64, f64]
-    pse_args.restype = None
-    pse_combine.argtypes = [ll, f64, ctypes.c_double, f64, f64, f64, f64,
-                            f64, f64]
-    pse_combine.restype = None
-    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads,
-                    pse_args, pse_combine)
+    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -867,31 +816,23 @@ def _selftest(kernels: _Kernels) -> bool:
                     or kj.tobytes() != cj[keep].tobytes()):
                 return False
 
-    # the fused assembly on those pairs shuffled, every other one reversed
+    # the fused assembly on those pairs shuffled, every other one reversed,
+    # from a table and its negation (a negative f(0), whose zeros are
+    # -0.0); one separation is a table node and one its last
     order = rng.permutation(got[0].size)
     pi, pj, rij, dist = (a[order] for a in got)
     pi[1::2], pj[1::2] = pj[1::2], pi[1::2].copy()
     for xi, sign in ((0.45, 1.0), (0.6, -1.0)):
-        f, g = (sign * c for c in pse._coefficients(dist, xi, 1.0))
-        scalar = sign * pse.self_mobility_scalar(xi)
-        got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, f, g, rij,
-                                       dist, scalar)
+        table = pse.coefficient_table(xi, cutoff)
+        table = table._replace(values=sign * table.values)
+        dist[:2] = 3.0, (len(table.values) - 1) / table.inv_h
+        rij[:2] = 0.0
+        rij[:2, 0] = dist[:2]
+        got = _assemble_dyads_compiled(kernels.dyads, 40, pi, pj, table,
+                                       rij, dist)
         want = bcsr_assemble(
-            40, pi, pj, pair_dyads(rij, f, g),
-            np.broadcast_to(scalar * np.eye(3), (40, 3, 3)))
-        if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
-            return False
-
-    # the compiled coefficient passes against the NumPy body: inside
-    # contact, an ulp either side of it and at it, and far out, at two
-    # values of xi and of the radius
-    for xi, a in ((0.45, 1.0), (0.9, 1.3)):
-        r = a * np.array([0.02, 1.0, np.nextafter(2.0, 0.0), 2.0,
-                          np.nextafter(2.0, 3.0), 2.5, 7.0, 11.0])
-        got = np.empty_like(r), np.empty_like(r)
-        pse._compiled_coefficients((kernels.pse_args, kernels.pse_combine),
-                                   r, xi, a, *got)
-        want = pse._coefficients(r, xi, a)
+            40, pi, pj, pair_dyads(rij, *table.gather(dist)),
+            np.broadcast_to(table.values[0, 0] * np.eye(3), (40, 3, 3)))
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False
     return True
@@ -945,14 +886,6 @@ def spmm_kernel() -> object | None:
     the process lifetime.
     """
     return getattr(_bundle(), "spmm", None)
-
-
-def coefficient_passes() -> tuple[object, object] | None:
-    """The compiled passes of :func:`repro.rpy.pse.real_space_coefficients`,
-    ``(pse_arguments, pse_combine)``, or ``None`` when unavailable."""
-    kernels = _bundle()
-    return None if kernels is None else (kernels.pse_args,
-                                         kernels.pse_combine)
 
 
 def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,
@@ -1119,49 +1052,51 @@ def bcsr_assemble(n: int, i: np.ndarray, j: np.ndarray,
 
 
 def _assemble_dyads_compiled(kern, n: int, i: np.ndarray, j: np.ndarray,
-                             f: np.ndarray, g: np.ndarray, rij: np.ndarray,
-                             dist: np.ndarray, self_scalar: float
+                             table, rij: np.ndarray, dist: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One call of the fused C assembly into freshly allocated outputs."""
     nnz = 2 * i.size + n
     out = (np.empty(n + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64),
            np.empty((nnz, 6)))
-    kern(n, i.size, i, j, f, g, rij, dist, self_scalar, *out,
-         np.empty(n + 1 + nnz, dtype=np.int64))
+    values = np.ascontiguousarray(table.values, dtype=np.float64)
+    kern(n, i.size, i, j, values, len(values), float(table.inv_h), rij, dist,
+         *out, np.empty(n + 1 + nnz, dtype=np.int64))
     return out
 
 
-def bcsr_assemble_dyads(n: int, i: np.ndarray, j: np.ndarray,
-                        f: np.ndarray, g: np.ndarray, rij: np.ndarray,
-                        dist: np.ndarray, self_scalar: float
+def bcsr_assemble_dyads(n: int, i: np.ndarray, j: np.ndarray, table,
+                        rij: np.ndarray, dist: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, packed)`` of the real-space matrix: block ``f[k]
-    I + g[k] rhat rhat^T``, ``rhat = rij[k] / dist[k]``, at ``(i[k],
-    j[k])`` and at its mirror, ``self_scalar I`` on every diagonal, laid
-    out as :func:`bcsr_assemble` lays out a half pair list in any order.
+    """``(indptr, indices, packed)`` of the real-space matrix: block ``f
+    I + g rhat rhat^T``, ``rhat = rij[k] / dist[k]`` and ``(f, g)`` the
+    :class:`~repro.rpy.pse.CoefficientTable` ``table`` gathered at
+    ``dist[k]`` (in ``(0, top]``), at ``(i[k], j[k])`` and at its mirror,
+    the table's ``f(0) I`` on every diagonal, laid out as
+    :func:`bcsr_assemble` lays out a half pair list in any order.
 
     The compiled kernel computes each block in the slot it is stored in
-    (built without multiply-add contraction; self-tested at load).  The
-    fallback is :func:`bcsr_assemble` of the NumPy payload
-    :func:`~repro.rpy.tensor.pair_dyads` and the diagonal ``self_scalar *
-    eye(3)`` — the same bytes.
+    (no multiply-add contraction; self-tested at load).  The fallback is
+    :func:`bcsr_assemble` of :func:`~repro.rpy.tensor.pair_dyads` on
+    :meth:`~repro.rpy.pse.CoefficientTable.gather` — the same bytes.
     """
     i, j = _pair_indices(n, i, j)
-    f, g, dist = (np.ascontiguousarray(a, dtype=np.float64)
-                  for a in (f, g, dist))
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
     rij = np.ascontiguousarray(rij, dtype=np.float64)
-    if not (f.shape == g.shape == dist.shape == i.shape
-            and rij.shape == (i.size, 3)):
+    if not (dist.shape == i.shape and rij.shape == (i.size, 3)
+            and np.shape(table.values)[1:] == (2,) and len(table.values) > 1):
+        raise ConfigurationError("pair arrays must have matching shapes (m,) "
+                                 "and (m, 3), the table (nodes > 1, 2)")
+    top = (len(table.values) - 1) / table.inv_h
+    if not np.all((dist > 0) & (dist <= top)):
         raise ConfigurationError(
-            "pair arrays must have matching shapes (m,) and (m, 3)")
+            f"pair separations must lie in (0, {top}], the table's range")
     kern = getattr(_bundle(), "dyads", None)
     if kern is None:
-        from ..rpy.tensor import pair_dyads  # lazy: rpy.pse imports us
+        from ..rpy.tensor import pair_dyads  # lazy: an import cycle via rpy
         return bcsr_assemble(
-            n, i, j, pair_dyads(rij, f, g),
-            np.broadcast_to(float(self_scalar) * np.eye(3), (n, 3, 3)))
-    return _assemble_dyads_compiled(kern, n, i, j, f, g, rij, dist,
-                                    float(self_scalar))
+            n, i, j, pair_dyads(rij, *table.gather(dist)),
+            np.broadcast_to(table.values[0, 0] * np.eye(3), (n, 3, 3)))
+    return _assemble_dyads_compiled(kern, n, i, j, table, rij, dist)
 
 
 def _separations_numpy(positions: np.ndarray, i: np.ndarray, j: np.ndarray,

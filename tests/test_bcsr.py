@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionContext
+from repro.rpy.pse import CoefficientTable
 from repro.rpy.tensor import pair_dyads
 from repro.sparse import BlockCSR
 from repro.sparse.kernels import (_assemble_lexsort, bcsr_assemble,
@@ -133,12 +134,13 @@ def test_from_pairs_bytes_match_lexsort_reference(case, kernel_mode):
     # its fallback) gives its bytes whatever the order of the list
     n, i, j, blocks, diag = _half_pair_list(case)
     rng = np.random.default_rng(32)
-    f, g = rng.standard_normal((2, i.size))
+    table = CoefficientTable(rng.standard_normal((50, 2)), 7.0)
     rij = rng.standard_normal((i.size, 3))
     dist = np.linalg.norm(rij, axis=1)
-    fused = bcsr_assemble_dyads(n, i, j, f, g, rij, dist, 0.75)
-    want = bcsr_assemble(n, i, j, pair_dyads(rij, f, g),
-                         np.broadcast_to(0.75 * np.eye(3), (n, 3, 3)))
+    fused = bcsr_assemble_dyads(n, i, j, table, rij, dist)
+    want = bcsr_assemble(n, i, j, pair_dyads(rij, *table.gather(dist)),
+                         np.broadcast_to(table.values[0, 0] * np.eye(3),
+                                         (n, 3, 3)))
     for got, ref in zip(fused, want):
         assert got.tobytes() == ref.tobytes()
     assert np.diff(fused[0])[5] == 1
@@ -171,6 +173,20 @@ def test_rejects_out_of_range_and_diagonal_pairs(i, j, kernel_mode):
     with pytest.raises(ConfigurationError):
         BlockCSR.from_pairs(3, np.array(i), np.array(j),
                             np.ones((len(i), 3, 3)))
+
+
+def test_fused_assembly_rejects_what_the_table_cannot_gather(kernel_mode):
+    # separations outside (0, top] and malformed tables never reach C
+    table = CoefficientTable(np.ones((5, 2)), 2.0)       # top = 2.0
+    i, j, rij = np.array([0]), np.array([1]), np.ones((1, 3))
+    bcsr_assemble_dyads(2, i, j, table, rij, np.array([2.0]))
+    for dist in (0.0, -1.0, np.nextafter(2.0, 3.0), np.nan):
+        with pytest.raises(ConfigurationError):
+            bcsr_assemble_dyads(2, i, j, table, rij, np.array([dist]))
+    for values in (np.ones(5), np.ones((5, 3)), np.ones((1, 2))):
+        with pytest.raises(ConfigurationError):
+            bcsr_assemble_dyads(2, i, j, CoefficientTable(values, 2.0), rij,
+                                np.array([0.5]))
 
 
 def test_rejects_bad_shapes():

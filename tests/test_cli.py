@@ -131,9 +131,9 @@ def test_profile_prints_phase_table(tmp_path, capsys):
                   "real"):
         assert phase in out
     assert "meas/pred" in out
-    # the operator build, and the three passes of its real-space half
+    # the operator build, and the three steps of its real-space half
     for span in ("construct_p=", "construct_real=", "find_pairs=",
-                 "real_tensors=", "real_assemble="):
+                 "real_table=", "real_assemble="):
         assert span in out
     from repro.obs.schema import validate_metrics_json
     validate_metrics_json(json.loads(metrics.read_text()))

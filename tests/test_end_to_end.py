@@ -79,13 +79,15 @@ def test_tuned_operator_with_krylov_displacements():
 
 def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
                                                         monkeypatch):
-    # The real-space build (find_pairs and bcsr_assemble_dyads, compiled
-    # or fallback) leaves the trajectory of the reference build —
-    # brute-force pair search, NumPy tensors, concatenate + lexsort
-    # assembly — bit for bit, in both kernel modes (the id names the
-    # cell-list build this pinned before that search left src/).  The
-    # reference is rebuilt here instead of pinned so the test does not
-    # depend on the CPU's libm/SIMD paths.
+    # The real-space build (the integrator's pair list over the cell
+    # list, and bcsr_assemble_dyads, compiled or fallback) leaves the
+    # trajectory of the reference build — brute-force pair search, the
+    # table's NumPy gather and tensors, concatenate + lexsort assembly —
+    # bit for bit, in both kernel modes (the id names the cell-list
+    # build this pinned before that search left src/).  The reference is
+    # rebuilt here instead of pinned so the test does not depend on the
+    # CPU's libm/SIMD paths.
+    import repro.neighbor.verlet as verlet
     import repro.pme.realspace as realspace
     from repro.neighbor.pairs import brute_force_pairs
     from repro.rpy.tensor import pair_dyads
@@ -102,9 +104,11 @@ def test_trajectory_bytes_match_cell_list_lexsort_build(kernel_mode,
 
     digest = run()
     monkeypatch.setattr(realspace, "find_pairs", brute_force_pairs)
+    monkeypatch.setattr(verlet, "find_pairs", brute_force_pairs)
     monkeypatch.setattr(
         realspace, "bcsr_assemble_dyads",
-        lambda n, i, j, f, g, rij, dist, self_scalar: _assemble_lexsort(
-            n, i.astype(np.int64), j.astype(np.int64), pair_dyads(rij, f, g),
-            np.broadcast_to(self_scalar * np.eye(3), (n, 3, 3))))
+        lambda n, i, j, table, rij, dist: _assemble_lexsort(
+            n, i.astype(np.int64), j.astype(np.int64),
+            pair_dyads(rij, *table.gather(dist)),
+            np.broadcast_to(table.values[0, 0] * np.eye(3), (n, 3, 3))))
     assert run() == digest

@@ -92,24 +92,6 @@ def test_split_is_divergence_free():
     assert np.abs(div).max() < 1e-8
 
 
-def test_chunked_coefficients_are_the_whole_array_bytes(monkeypatch):
-    # three chunks and a ragged tail, overlapping pairs and contact
-    # included: every operation is elementwise, so the chunk boundaries
-    # (and any other split) leave the bytes alone
-    chunk = pse.COEFFICIENT_CHUNK
-    rng = np.random.default_rng(12)
-    dist = rng.uniform(0.05, 10.0, 3 * chunk + 17)
-    dist[chunk - 2:chunk + 2] = [2.0, 1.0, 4.0, 2.0]
-    f, g = pse.real_space_coefficients(dist, 0.45)
-    pieces = [pse.real_space_coefficients(dist[lo:lo + 1000], 0.45)
-              for lo in range(0, dist.size, 1000)]
-    monkeypatch.setattr(pse, "COEFFICIENT_CHUNK", dist.size)
-    whole = pse.real_space_coefficients(dist, 0.45)
-    for got, want, part in zip((f, g), whole, zip(*pieces)):
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == np.concatenate(part).tobytes()
-
-
 @pytest.mark.parametrize("n", [100, 200, 1000, 2000, 4000])
 def test_wave_scalar_non_negative_on_every_tuned_mesh(n):
     # what makes the wave half sampleable: sqrt of the influence exists
@@ -186,44 +168,113 @@ def test_tuned_split_meets_the_target_against_dense_ewald(n):
     assert pme_relative_error(op, n_probe=2) < 1e-3
 
 
-def _coefficient_probe(a):
-    """Separations of ``2 * COEFFICIENT_CHUNK + 5`` pairs (radius ``a``):
-    uniform ones, and inside contact, at ``2a``, an ulp either side of
-    it and far out at both ends and across both chunk boundaries."""
-    chunk = pse.COEFFICIENT_CHUNK
-    r = np.random.default_rng(40).uniform(0.05, 10.0, 2 * chunk + 5) * a
-    special = a * np.array([0.01, 1.0, np.nextafter(2.0, 0.0), 2.0,
-                            np.nextafter(2.0, 3.0), 9.9])
-    for at in (0, chunk - 3, 2 * chunk - 3, r.size - 6):
-        r[at:at + 6] = special
-    return r
+@pytest.mark.parametrize("target_ep", [1e-2, 1e-3, 1e-4])
+def test_table_is_within_its_bound_at_every_tuned_split(target_ep):
+    # the gather against the closed forms at random separations, from
+    # 1e-2 a (below it the closed forms, not the table, lose digits: the
+    # next test) to the cutoff, contact and the nodes included
+    rng = np.random.default_rng(41)
+    for n in (100, 300, 1000, 2000, 4000, 8000):
+        box = Box.for_volume_fraction(n, 0.2)
+        params = tune_parameters(n, box, target_ep=target_ep)
+        table = pse.coefficient_table(params.xi, params.r_max)
+        special = np.array([1.0, 2.0, np.nextafter(2.0, 0.0), 2.0 + 1e-9,
+                            513 / 1024, np.nextafter(params.r_max, 0.0)])
+        r = np.concatenate((rng.uniform(1e-2, params.r_max, 20000),
+                            special))
+        bound = pse.TABLE_ERROR * pse.self_mobility_scalar(params.xi)
+        for got, want in zip(table.gather(r), pse._coefficients(
+                r, params.xi, 1.0)):
+            assert np.abs(got - want).max() <= bound, (n, params)
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.54, 0.82, 1.05])
+def test_table_beats_the_closed_forms_near_zero(xi):
+    # against the quadrature: the table is within its bound down to
+    # 1e-4 a, where the closed forms have lost digits to cancellation
+    # (their round-off grows like 1/r^3) and node 0 is the exact limit
+    table = pse.coefficient_table(xi, 3.0)
+    bound = pse.TABLE_ERROR * pse.self_mobility_scalar(xi)
+
+    def error(coefficients, r):
+        return max(abs(c[0] - w)
+                   for c, w in zip(coefficients, _quadrature(r, xi, 1.0)))
+
+    for r in (1e-4, 1e-3, 1e-2):
+        assert error(table.gather(np.array([r])), r) <= bound, r
+    direct = error(pse.real_space_coefficients(np.array([1e-4]), xi), 1e-4)
+    assert error(table.gather(np.array([1e-4])), 1e-4) < direct
+    assert direct > bound
+
+
+def test_table_nodes_are_the_closed_forms():
+    # node k is the closed forms at k h, h = a / TABLE_NODES_PER_RADIUS,
+    # node 0 the exact limit, the last node at or past r_max
+    for xi, a, r_max in ((0.45, 1.0, 5.5), (0.64, 1.3, 4.0)):
+        table = pse.coefficient_table(xi, r_max, a)
+        assert table.inv_h == pse.TABLE_NODES_PER_RADIUS / a
+        nodes = len(table.values)
+        assert (nodes - 2) / table.inv_h < r_max <= (nodes - 1) / table.inv_h
+        assert table.values[0].tolist() == [pse.self_mobility_scalar(xi, a),
+                                            0.0]
+        k = np.array([1, 7, nodes - 1])
+        f, g = pse.real_space_coefficients(k / table.inv_h, xi, a)
+        assert table.values[k, 0].tobytes() == f.tobytes()
+        assert table.values[k, 1].tobytes() == g.tobytes()
+        if a == 1.0:
+            # nodes are exact: there the gather is the node (w = 0), and
+            # at the top too (w = 1 on the last interval)
+            top = (nodes - 1) / table.inv_h
+            gf, gg = table.gather(np.concatenate((k / table.inv_h, [top])))
+            assert gf.tolist() == [*f, f[-1]]
+            assert gg.tolist() == [*g, g[-1]]
+
+
+def _separation_probe(a, top):
+    """Separations in ``(0, top]`` (radius ``a``): uniform ones, and
+    inside contact, at ``2a``, an ulp either side of it, at a node, near
+    zero and at the table's last node."""
+    r = np.random.default_rng(40).uniform(1e-6, top, 3000)
+    special = np.array([1e-4 * a, 0.01 * a, a, np.nextafter(2.0 * a, 0.0),
+                        2.0 * a, np.nextafter(2.0 * a, 3.0 * a),
+                        3.0 * a, top])
+    return np.concatenate((special, r))
 
 
 @pytest.mark.parametrize("xi,a", [(0.27, 1.0), (0.45, 1.0), (0.9, 1.0),
                                   (np.float64(0.64), 1.3)])
 def test_compiled_coefficients_are_the_numpy_body_bytes(xi, a, kernel_mode):
-    # compiled passes around exp / erfc (or, without the kernels, the
-    # chunked NumPy body) against the NumPy body on the whole array
-    from repro.sparse.kernels import coefficient_passes
-    assert (coefficient_passes() is None) == kernel_mode
-    r = _coefficient_probe(a)
-    f, g = pse.real_space_coefficients(r, xi, a)
-    want_f, want_g = pse._coefficients(r, xi, a)
-    assert f.tobytes() == want_f.tobytes()
-    assert g.tobytes() == want_g.tobytes()
-    # a 2-D input keeps its shape and its bytes
-    f2, g2 = pse.real_space_coefficients(r[:-5].reshape(2, -1), xi, a)
-    assert f2.shape == (2, pse.COEFFICIENT_CHUNK)
-    assert f2.tobytes() == want_f[:-5].tobytes()
-    assert g2.tobytes() == want_g[:-5].tobytes()
+    # the gather fused into the compiled assembly (or, without the
+    # kernels, the fallback) against the table's NumPy gather, on a
+    # chain of pairs along x: the whole matrix is the NumPy payload's,
+    # and each pair's yy entry, f * 1 + g * (0 * 0), is f itself
+    from repro.rpy.tensor import pair_dyads
+    from repro.sparse.kernels import bcsr_assemble, bcsr_assemble_dyads
+    from repro.sparse.kernels import kernel_available
+    assert kernel_available() != kernel_mode
+    table = pse.coefficient_table(xi, 6.0 * a, a)
+    dist = _separation_probe(a, (len(table.values) - 1) / table.inv_h)
+    m = dist.size
+    rij = np.zeros((m, 3))
+    rij[:, 0] = dist
+    i = np.arange(m, dtype=np.int64)
+    indptr, indices, packed = bcsr_assemble_dyads(m + 1, i, i + 1, table,
+                                                  rij, dist)
+    f, g = table.gather(dist)
+    want = bcsr_assemble(m + 1, i, i + 1, pair_dyads(rij, f, g),
+                         np.broadcast_to(table.values[0, 0] * np.eye(3),
+                                         (m + 1, 3, 3)))
+    assert indptr.tobytes() == want[0].tobytes()
+    assert indices.tobytes() == want[1].tobytes()
+    assert packed.tobytes() == want[2].tobytes()
+    upper = indptr[:-2] + (i > 0) + 1       # slot of (k, k + 1) in row k
+    assert packed[upper, 3].tobytes() == f.tobytes()
 
 
-def test_array_valued_xi_stays_on_numpy(monkeypatch, kernel_mode):
-    def compiled(*args):
-        raise AssertionError("an array-valued xi took the compiled passes")
-
-    monkeypatch.setattr(pse, "_compiled_coefficients", compiled)
-    r = _coefficient_probe(1.0)
+def test_array_valued_xi_stays_on_numpy(kernel_mode):
+    # the tuner's route: xi broadcast against the separations gives the
+    # scalar split's values
+    r = _separation_probe(1.0, 10.0)
     f, g = pse.real_space_coefficients(r, np.full(r.shape, 0.45))
     want_f, want_g = pse._coefficients(r, 0.45, 1.0)
     np.testing.assert_allclose(f, want_f, rtol=1e-12, atol=1e-15)

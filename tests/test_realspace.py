@@ -22,13 +22,16 @@ def setup():
 
 
 def _dense_reference(r, box, xi, r_max):
-    """Direct dense construction of the real-space operator."""
+    """Direct dense construction of the real-space operator, its
+    coefficients gathered from the split's table (whose error against
+    the closed forms ``test_pse`` bounds)."""
     n = r.shape[0]
     out = np.zeros((3 * n, 3 * n))
     i, j = brute_force_pairs(r, box, r_max)
     if i.size:
         rij, dist = box.distances(r, i, j)
-        tensors = pair_dyads(rij, *pse.real_space_coefficients(dist, xi))
+        table = pse.coefficient_table(xi, r_max)
+        tensors = pair_dyads(rij, *table.gather(dist))
         for k in range(i.size):
             out[3 * i[k]:3 * i[k] + 3, 3 * j[k]:3 * j[k] + 3] = tensors[k]
             out[3 * j[k]:3 * j[k] + 3, 3 * i[k]:3 * i[k] + 3] = tensors[k].T
@@ -77,7 +80,7 @@ def _operator_from_pairs(r, box, xi, r_max, search):
     n = r.shape[0]
     i, j = search(r, box, r_max)
     rij, dist = box.distances(r, i, j)
-    f, g = pse.real_space_coefficients(dist, xi, 1.0)
+    f, g = pse.coefficient_table(xi, r_max).gather(dist)
     rhat = rij / dist[:, None]
     blocks = (f[:, None, None] * np.eye(3)
               + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))

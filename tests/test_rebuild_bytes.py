@@ -1,11 +1,13 @@
 """The real-space rebuild, pinned byte for byte.
 
 ``RealSpaceOperator`` builds its matrix in compiled passes (strict
-minimum-image filter, separations, the ``f I + g rhat rhat^T`` fill
-fused into the counting-sort assembly) or, without a compiler, from
-NumPy tensors.  Both must store exactly the matrix of the slow
-definition below — brute-force pairs, NumPy separations and tensors,
-the ``lexsort`` assembly — so every trajectory digest is independent of
+minimum-image filter, separations, the table gather of ``f, g`` and the
+``f I + g rhat rhat^T`` fill fused into the counting-sort assembly) or,
+without a compiler, from NumPy tensors; its pairs come from a fresh
+search or from a pair list kept across rebuilds.  Every route must
+store exactly the matrix of the slow definition below — brute-force
+pairs, NumPy separations, the table's NumPy gather and tensors, the
+``lexsort`` assembly — so every trajectory digest is independent of
 which route built the operator.
 """
 
@@ -13,9 +15,15 @@ import numpy as np
 import pytest
 
 from repro import Box
+from repro.core.checkpoint import checkpoint_callback, resume
+from repro.core.integrators import PAIR_LIST_SKIN, MatrixFreeBD
+from repro.exec import ExecutionContext
+from repro.neighbor import VerletList
 from repro.neighbor.pairs import brute_force_pairs, find_pairs
+from repro.pme.operator import PMEParams
 from repro.pme.realspace import RealSpaceOperator
 from repro.rpy import pse
+from repro.runtime.tasks import positions_digest
 from repro.sparse.kernels import _assemble_lexsort
 from repro.systems import fcc_positions, make_suspension
 
@@ -35,7 +43,7 @@ def _reference(r, box, xi, r_max):
     keep = _separations(box.wrap(r), i, j, length)[1] < r_max
     i, j = i[keep].astype(np.int64), j[keep].astype(np.int64)
     rij, dist = _separations(r, i, j, length)
-    f, g = pse.real_space_coefficients(dist, xi)
+    f, g = pse.coefficient_table(xi, r_max).gather(dist)
     rhat = rij / dist[:, None]
     blocks = (f[:, None, None] * np.eye(3)
               + g[:, None, None] * (rhat[:, :, None] * rhat[:, None, :]))
@@ -45,12 +53,14 @@ def _reference(r, box, xi, r_max):
 
 
 def _assert_same_bytes(r, box, xi, r_max):
-    op = RealSpaceOperator(r, box, xi=xi, r_max=r_max)
+    # a fresh search, and a pair list built at these positions
     n_pairs, (indptr, indices, blocks) = _reference(r, box, xi, r_max)
-    assert op.n_pairs == n_pairs
-    assert op.bcsr.indptr.tobytes() == indptr.tobytes()
-    assert op.bcsr.indices.tobytes() == indices.tobytes()
-    assert op.bcsr.blocks.tobytes() == blocks.tobytes()
+    for pairs in (None, VerletList(box, r_max, skin=PAIR_LIST_SKIN)):
+        op = RealSpaceOperator(r, box, xi=xi, r_max=r_max, pairs=pairs)
+        assert op.n_pairs == n_pairs
+        assert op.bcsr.indptr.tobytes() == indptr.tobytes()
+        assert op.bcsr.indices.tobytes() == indices.tobytes()
+        assert op.bcsr.blocks.tobytes() == blocks.tobytes()
     return op
 
 
@@ -153,3 +163,68 @@ def test_separations_are_numpy_bytes(kernel_mode):
                                           box.length)[1].tobytes()
     with pytest.raises(IndexError):
         box.distances(s.positions, np.array([200]), np.array([0]))
+
+
+# ----------------------------------------------------------------------
+# the pair list MatrixFreeBD keeps across rebuilds
+# ----------------------------------------------------------------------
+
+class _Recorded(MatrixFreeBD):
+    """``MatrixFreeBD`` noting its pair list's rebuild count after every
+    mobility build; ``fresh`` invalidates the list before each build, so
+    every build searches afresh."""
+
+    def __init__(self, *args, fresh=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fresh, self.rebuilds = fresh, []
+
+    def _prepare(self, positions):
+        if self.fresh and self.pair_list is not None:
+            self.pair_list.invalidate()
+        super()._prepare(positions)
+        self.rebuilds.append(self.pair_list.n_rebuilds)
+
+
+def _integrator(box, context=None, fresh=False, seed=3):
+    return _Recorded(box=box, force_field=None, dt=5e-3, lambda_rpy=4,
+                     seed=seed, context=context, fresh=fresh,
+                     pme_params=PMEParams(xi=0.6, r_max=5.0, K=16, p=4))
+
+
+def test_kept_pair_list_is_a_fresh_search_by_trajectory(kernel_mode):
+    # 40 steps in 10 builds: the kept list is rebuilt only when a
+    # particle has moved half the skin, and the trajectory is that of
+    # a fresh search at every build, on one worker and on two threads
+    s = make_suspension(100, 0.2, seed=4)
+    digests = set()
+    with ExecutionContext("serial") as serial, \
+            ExecutionContext("threads", workers=2) as threads:
+        for context in (serial, threads):
+            for fresh in (False, True):
+                bd = _integrator(s.box, context, fresh)
+                final, stats = bd.run(s.positions, 40)
+                assert stats.mobility_updates == len(bd.rebuilds) == 10
+                if fresh:
+                    assert bd.rebuilds == list(range(1, 11))
+                else:
+                    assert 1 < bd.rebuilds[-1] < 10
+                digests.add(positions_digest(final))
+    assert len(digests) == 1
+
+
+def test_checkpoint_resumed_mid_list_is_the_uninterrupted_run(tmp_path):
+    # the list is not checkpointed: a run continued at a build where the
+    # uninterrupted run's list was still valid starts a new list, and
+    # ends on the same bytes
+    s = make_suspension(100, 0.2, seed=4)
+    bd = _integrator(s.box)
+    full, _ = bd.run(s.positions, 40)
+    kept = [b for b in range(1, 10) if bd.rebuilds[b] == bd.rebuilds[b - 1]]
+    assert kept
+    step = 4 * kept[0]
+    path = tmp_path / "ckpt.npz"
+    part = _integrator(s.box)
+    part.run(s.positions, step,
+             callback=checkpoint_callback(path, part, step))
+    resumed, _ = resume(path, _integrator(s.box, seed=99), 40 - step)
+    assert positions_digest(resumed) == positions_digest(full)
