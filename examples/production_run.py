@@ -5,8 +5,8 @@ actually needs, end to end:
 
 1. run matrix-free BD with run-time monitors (MSD, overlap watchdog,
    potential energy),
-2. write block-aligned checkpoints so the run can resume bit-exactly
-   after an interruption,
+2. write block-aligned checkpoints so the run continues bit-exactly
+   after an interruption (re-running the same call continues it),
 3. persist the trajectory and re-load it for analysis.
 
 Run:  python examples/production_run.py
@@ -27,7 +27,7 @@ from repro import (
     diffusion_coefficient,
     make_suspension,
 )
-from repro.core.checkpoint import checkpoint_callback, resume
+from repro.core.checkpoint import run_checkpointed
 from repro.core.integrators import MatrixFreeBD
 from repro.core.trajectory_io import load_trajectory, save_trajectory
 
@@ -38,10 +38,13 @@ def main():
     forces = RepulsiveHarmonic(susp.box, susp.fluid)
     lambda_rpy = 8
 
+    def integrator():
+        return MatrixFreeBD(box=susp.box, fluid=susp.fluid,
+                            force_field=forces, dt=1e-3,
+                            lambda_rpy=lambda_rpy, seed=3,
+                            target_ep=1e-3, e_k=1e-2)
+
     # --- 1. simulate with monitors and checkpoints -------------------
-    bd = MatrixFreeBD(box=susp.box, fluid=susp.fluid, force_field=forces,
-                      dt=1e-3, lambda_rpy=lambda_rpy, seed=3,
-                      target_ep=1e-3, e_k=1e-2)
     msd = MSDMonitor(reference=susp.positions, interval=4)
     watchdog = MinSeparationMonitor(susp.box, interval=8)
     energy = EnergyMonitor(forces, interval=8)
@@ -53,16 +56,19 @@ def main():
             frames.append(unwrapped.copy())
             times.append(step * 1e-3)
 
-    bd.run(susp.positions, 48,
-           callback=compose(msd, watchdog, energy, record,
-                            checkpoint_callback(ckpt, bd, 2 * lambda_rpy)))
+    run_checkpointed(ckpt, integrator(), susp.positions, 48,
+                     interval=2 * lambda_rpy,
+                     callback=compose(msd, watchdog, energy, record))
     print(f"48 steps done; min separation seen: {min(watchdog.values):.3f}a,"
           f" peak contact energy: {max(energy.values):.2f} kT")
 
-    # --- 2. resume from the checkpoint (continues the same stream) ---
-    final, _ = resume(ckpt, bd, 16,
-                      callback=lambda s, w, u: record(s, w, u))
-    print(f"resumed from step 48 checkpoint and ran to step 64")
+    # --- 2. continue the checkpoint (the same noise stream) ----------
+    # a fresh integrator, as in a requeued job: the checkpoint carries
+    # the positions, the unwrapped frame and the RNG state
+    _, _, step0, _ = run_checkpointed(ckpt, integrator(), susp.positions,
+                                      64, interval=2 * lambda_rpy,
+                                      callback=record)
+    print(f"continued the step-{step0} checkpoint and ran to step 64")
 
     # --- 3. persist and re-load the trajectory -----------------------
     from repro import FluidParams, Trajectory

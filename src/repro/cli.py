@@ -304,30 +304,23 @@ def _run_simulate(args) -> int:
                      **kwargs)
 
     run_kwargs = dict(n_steps=args.steps,
-                      record_interval=args.record_interval)
+                      record_interval=args.record_interval,
+                      checkpoint_path=args.checkpoint,
+                      checkpoint_interval=args.checkpoint_interval)
     schedule = None
     if args.inject_faults is not None:
+        from .resilience import RecoveryLog
         from .resilience.faults import (
             FaultPlan,
-            faulty_checkpoint_callback,
+            faulty_checkpoint_save,
             install_faults,
         )
 
         schedule = FaultPlan.from_spec(args.inject_faults)
         install_faults(sim.integrator, schedule)
-        if args.checkpoint:
-            from .core.integrators import BDStepStats
-
-            # share one stats object so checkpoint faults land in the
-            # same recovery log as everything else
-            run_kwargs["stats"] = BDStepStats()
-            run_kwargs["extra_callback"] = faulty_checkpoint_callback(
-                args.checkpoint, sim.integrator,
-                args.checkpoint_interval or args.lambda_rpy, schedule,
-                log=run_kwargs["stats"].recovery)
-    elif args.checkpoint:
-        run_kwargs["checkpoint_path"] = args.checkpoint
-        run_kwargs["checkpoint_interval"] = args.checkpoint_interval
+        checkpoint_log = RecoveryLog()
+        run_kwargs["save"] = faulty_checkpoint_save(schedule,
+                                                    log=checkpoint_log)
 
     if args.max_wall_time is not None:
         from .runtime.signals import GracefulShutdown
@@ -356,6 +349,8 @@ def _run_simulate(args) -> int:
         print(f"resumable: stopped gracefully at step {sim.step} "
               f"of {args.steps} ({stop_reason}); checkpoint: {where}")
     if schedule is not None:
+        # checkpoint faults join the run's recovery log
+        stats.recovery.events += checkpoint_log.events
         print(f"injected faults: {len(schedule.faults)} "
               f"(force={schedule.count('force')}, "
               f"operator={schedule.count('operator')}, "

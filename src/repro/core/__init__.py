@@ -37,9 +37,7 @@ from .trajectory_io import save_trajectory, load_trajectory
 from .checkpoint import (
     save_checkpoint,
     load_checkpoint,
-    load_checkpoint_with_fallback,
-    resume,
-    checkpoint_callback,
+    run_checkpointed,
 )
 from .observables import (
     Monitor,
@@ -70,9 +68,7 @@ __all__ = [
     "load_trajectory",
     "save_checkpoint",
     "load_checkpoint",
-    "load_checkpoint_with_fallback",
-    "resume",
-    "checkpoint_callback",
+    "run_checkpointed",
     "Monitor",
     "MSDMonitor",
     "MinSeparationMonitor",

@@ -12,13 +12,13 @@ over the destination, so a process kill mid-write never corrupts the
 previous checkpoint.  Every checkpoint embeds a SHA-256 checksum of
 its payload which :func:`load_checkpoint` verifies, raising
 :class:`~repro.errors.CheckpointCorruptionError` on truncation or bit
-rot; :func:`checkpoint_callback` additionally rotates the previous
-checkpoint to ``<path>.prev`` so a corrupt latest file falls back to
-the previous good one (:func:`load_checkpoint_with_fallback`).
+rot.  :func:`run_checkpointed`, the one lifecycle of a checkpointed
+run, rotates the previous checkpoint to ``<path>.prev`` before each
+write and falls back to it when the latest file is unusable.
 
 The integrator state is deliberately *not* pickled: checkpoints are
 plain ``.npz`` archives readable across library versions, and the
-mobility representation is rebuilt on resume (it is rebuilt every
+mobility representation is rebuilt on continuing (it is rebuilt every
 ``lambda_RPY`` steps anyway).
 """
 
@@ -35,10 +35,8 @@ import numpy as np
 
 from ..errors import CheckpointCorruptionError, ConfigurationError
 
-__all__ = ["save_checkpoint", "load_checkpoint",
-           "load_checkpoint_with_fallback", "load_resume_state",
-           "previous_checkpoint_path", "resume", "checkpoint_callback",
-           "fsync_directory"]
+__all__ = ["save_checkpoint", "load_checkpoint", "previous_checkpoint_path",
+           "run_checkpointed", "fsync_directory"]
 
 _FORMAT_VERSION = 2
 
@@ -56,7 +54,7 @@ def fsync_directory(directory: str | os.PathLike) -> bool:
     fsynced, a power loss can roll the directory back and the renamed
     checkpoint silently vanishes.  Called after every rename
     (:func:`save_checkpoint` and the ``.prev`` rotation in
-    :func:`checkpoint_callback`).  Best-effort: returns ``False`` on
+    :func:`run_checkpointed`).  Best-effort: returns ``False`` on
     filesystems that refuse ``open``/``fsync`` on directories (some
     network mounts) instead of failing the run.
     """
@@ -224,132 +222,116 @@ def load_checkpoint(path: str | os.PathLike
     return wrapped, unwrapped, step, rng
 
 
-def load_checkpoint_with_fallback(path: str | os.PathLike
-                                  ) -> tuple[np.ndarray, np.ndarray, int,
-                                             np.random.Generator, str]:
-    """Load ``path``, falling back to its rotated predecessor.
 
-    Returns ``(wrapped, unwrapped, step, rng, used_path)`` where
-    ``used_path`` names the file that actually loaded.  The fallback is
-    attempted when the latest checkpoint is missing or fails integrity
-    verification; if both fail, the *primary* error is raised (with the
-    fallback failure attached as context).
+
+def run_checkpointed(path: str | os.PathLike | None,  # noqa: RPR001 - validated by integrator.run
+                     integrator, positions, n_steps: int, *,
+                     interval: int | None = None,
+                     callback=None, stop=None, save=save_checkpoint):
+    """Run ``integrator`` to step ``n_steps`` of a checkpointed run.
+
+    The one lifecycle of a checkpointed run (``Simulation.run``, the
+    ensemble worker and the ``repro simulate --inject-faults`` drill all
+    go through it):
+
+    1. load ``path``, falling back to ``<path>.prev``; when neither is
+       usable (missing, corrupt, not a checkpoint), start from
+       ``positions`` at step 0 — same configuration, same trajectory;
+    2. a checkpoint at or past ``n_steps`` is the finished run: its
+       stored unwrapped positions are returned unchanged;
+    3. otherwise continue the stored unwrapped frame and RNG to
+       ``n_steps``, bit-identical to an uninterrupted run;
+    4. every ``interval`` steps, rotate ``path`` to ``<path>.prev`` and
+       write ``save(path, wrapped, unwrapped, step, rng)``; a graceful
+       ``stop`` off the interval writes one final checkpoint at the
+       stopped step, so the interrupted run continues from there.
+
+    ``path=None`` runs from ``positions`` without checkpoints.
+
+    Parameters
+    ----------
+    interval:
+        Steps between checkpoints, default the integrator's
+        ``lambda_RPY``.  Only a multiple of ``lambda_RPY`` continues
+        bit-exactly (the noise of a mobility block is drawn at once),
+        so another value warns; the continuation is then statistically
+        equivalent.
+    callback:
+        ``callback(step, wrapped, unwrapped)`` after every step, before
+        that step's checkpoint; ``step`` counts from step 0 of the run,
+        not from where it continued.
+    stop:
+        Forwarded to :meth:`~repro.core.integrators.BrownianDynamicsBase.run`.
+    save:
+        The checkpoint writer, :func:`save_checkpoint`'s signature.
+        The ensemble worker's reports each write to its supervisor; the
+        fault drill's (:func:`repro.resilience.faults.faulty_checkpoint_save`)
+        corrupts scheduled writes.
+
+    Returns
+    -------
+    (unwrapped, stats, step0, start):
+        The final unwrapped positions, the statistics of the steps
+        taken (none for a finished run), the step the run continued
+        from and its unwrapped positions there.
     """
-    prev = previous_checkpoint_path(path)
-    try:
-        wrapped, unwrapped, step, rng = load_checkpoint(path)
-        return wrapped, unwrapped, step, rng, os.fspath(path)
-    except (CheckpointCorruptionError, FileNotFoundError) as primary:
-        try:
-            wrapped, unwrapped, step, rng = load_checkpoint(prev)
-        except (CheckpointCorruptionError, FileNotFoundError,
-                ConfigurationError) as secondary:
-            raise primary from secondary
-        return wrapped, unwrapped, step, rng, prev
+    from .integrators import BDStepStats
 
+    state = None
+    if path is not None:
+        path = os.fspath(path)
+        if interval is None:
+            interval = integrator.lambda_rpy
+        if interval < 1:
+            raise ConfigurationError(
+                f"interval must be >= 1, got {interval}")
+        if interval % integrator.lambda_rpy != 0:
+            import warnings
+            warnings.warn(
+                f"checkpoint interval {interval} is not a multiple of "
+                f"lambda_RPY={integrator.lambda_rpy}; continued "
+                "trajectories will be statistically equivalent but not "
+                "bit-identical", stacklevel=2)
+        for candidate in (path, previous_checkpoint_path(path)):
+            try:
+                state = load_checkpoint(candidate)
+                break
+            except (FileNotFoundError, CheckpointCorruptionError,
+                    ConfigurationError):
+                continue
+    wrapped, start, step0 = positions, positions, 0
+    if state is not None:
+        wrapped, start, step0, integrator.rng = state
+        if step0 >= n_steps:
+            return start, BDStepStats(), step0, start
 
-def load_resume_state(path: str | os.PathLike
-                      ) -> tuple[np.ndarray, np.ndarray, int,
-                                 np.random.Generator] | None:
-    """The state a run re-started on ``path`` continues from.
+    def write(step: int, wrapped: np.ndarray, unwrapped: np.ndarray) -> None:
+        if os.path.exists(path):
+            os.replace(path, previous_checkpoint_path(path))
+            # make the rotation durable too: otherwise a power loss
+            # after the (durable) new write could resurface a state
+            # where <path> vanished but .prev never appeared
+            fsync_directory(os.path.dirname(os.path.abspath(path)))
+        save(path, wrapped, unwrapped, step, integrator.rng)
 
-    Returns ``(wrapped, unwrapped, step, rng)`` from ``path`` (with the
-    ``<path>.prev`` fallback), or ``None`` to start from step 0: when
-    there is no checkpoint, and when both rotation generations are
-    unusable — then the only deterministic recovery is a fresh start
-    (same configuration -> same trajectory).  Shared by
-    :meth:`repro.core.simulation.Simulation.run` and the ensemble
-    worker.
-    """
-    try:
-        wrapped, unwrapped, step, rng, _used = (
-            load_checkpoint_with_fallback(path))
-    except (FileNotFoundError, CheckpointCorruptionError,
-            ConfigurationError):
-        return None
-    return wrapped, unwrapped, step, rng
+    last = {}
 
-
-def resume(path: str | os.PathLike, integrator, n_steps: int,
-           callback=None, fallback: bool = True):
-    """Continue an integrator run from a checkpoint.
-
-    The integrator's RNG is replaced by the checkpointed one and
-    propagation restarts from the stored positions.  With the same
-    integrator configuration the combined (pre-checkpoint +
-    resumed) trajectory is bit-identical to an uninterrupted run —
-    tested in ``tests/test_checkpoint.py``.
-
-    With ``fallback=True`` (default) a corrupt or missing latest
-    checkpoint falls back to the rotated ``<path>.prev`` written by
-    :func:`checkpoint_callback`.
-
-    Returns ``(unwrapped, stats)`` like
-    :meth:`repro.core.integrators.BrownianDynamicsBase.run`; the
-    returned unwrapped positions continue the stored unwrapped frame.
-    """
-    if fallback:
-        wrapped, unwrapped_start, step0, rng, _used = (
-            load_checkpoint_with_fallback(path))
-    else:
-        wrapped, unwrapped_start, step0, rng = load_checkpoint(path)
-    integrator.rng = rng
-
-    shifted_callback = None
-    if callback is not None:
-        def shifted_callback(step, w, u):
-            callback(step0 + step, w, u)
+    def on_step(step: int, wrapped: np.ndarray,
+                unwrapped: np.ndarray) -> None:
+        step += step0
+        if callback is not None:
+            callback(step, wrapped, unwrapped)
+        last["wrapped"] = wrapped
+        if path is not None and step % interval == 0:
+            write(step, wrapped, unwrapped)
 
     # continuing the stored unwrapped frame inside the integrator (not
     # re-adding the image offset afterwards) keeps the continuation
     # byte-for-byte identical to an uninterrupted run
-    return integrator.run(wrapped, n_steps, callback=shifted_callback,
-                          unwrapped0=unwrapped_start)
-
-
-def checkpoint_callback(path: str | os.PathLike, integrator,
-                        interval: int, _save=save_checkpoint):
-    """A run callback writing a checkpoint every ``interval`` steps.
-
-    The existing checkpoint is rotated to ``<path>.prev`` before each
-    write, so even if the latest file is later found corrupt (bit rot,
-    torn copy by an external tool) the run can restart from the
-    previous good one via :func:`load_checkpoint_with_fallback`.
-
-    ``_save`` is an internal injection point used by the
-    fault-injection harness
-    (:func:`repro.resilience.faults.faulty_checkpoint_callback`).
-
-    For *bit-exact* resumption, ``interval`` should be a multiple of
-    the integrator's ``lambda_RPY``: the noise for a mobility block is
-    drawn all at once, so only block-aligned checkpoints see the RNG in
-    a resumable position.  (Non-aligned checkpoints still resume to a
-    statistically equivalent trajectory.)
-
-    Usage::
-
-        bd.run(r0, 1000,
-               callback=checkpoint_callback("run.ckpt.npz", bd, 100))
-    """
-    if interval < 1:
-        raise ConfigurationError(f"interval must be >= 1, got {interval}")
-    if interval % integrator.lambda_rpy != 0:
-        import warnings
-        warnings.warn(
-            f"checkpoint interval {interval} is not a multiple of "
-            f"lambda_RPY={integrator.lambda_rpy}; resumed trajectories "
-            "will be statistically equivalent but not bit-identical",
-            stacklevel=2)
-    path = os.fspath(path)
-
-    def callback(step, wrapped, unwrapped):
-        if step % interval == 0:
-            if os.path.exists(path):
-                os.replace(path, previous_checkpoint_path(path))
-                # make the rotation durable too: otherwise a power loss
-                # after the (durable) new write could resurface a state
-                # where <path> vanished but .prev never appeared
-                fsync_directory(os.path.dirname(os.path.abspath(path)))
-            _save(path, wrapped, unwrapped, step, integrator.rng)
-
-    return callback
+    final, stats = integrator.run(
+        wrapped, n_steps - step0, callback=on_step, stop=stop,
+        unwrapped0=None if state is None else start)
+    end = step0 + stats.n_steps
+    if stats.stopped_early and path is not None and end % interval:
+        write(end, last["wrapped"], final)
+    return final, stats, step0, start

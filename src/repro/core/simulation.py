@@ -16,11 +16,7 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..systems.suspension import Suspension
 from ..units import FluidParams
-from .checkpoint import (
-    checkpoint_callback,
-    load_resume_state,
-    save_checkpoint,
-)
+from .checkpoint import run_checkpointed, save_checkpoint
 from .forces import ForceField, RepulsiveHarmonic
 from .integrators import BDStepStats, BrownianDynamicsBase, EwaldBD, MatrixFreeBD
 
@@ -124,9 +120,7 @@ class Simulation:
     def run(self, n_steps: int, record_interval: int = 1,
             checkpoint_path: str | None = None,
             checkpoint_interval: int | None = None,
-            extra_callback=None,
-            stats: BDStepStats | None = None,
-            stop=None
+            stop=None, save=save_checkpoint
             ) -> tuple[Trajectory, BDStepStats]:
         """Propagate and record.
 
@@ -145,16 +139,11 @@ class Simulation:
             starts from the checkpointed state and RNG and takes only
             the steps left to ``n_steps``, bit-identical to an
             uninterrupted run.  The trajectory then starts at the
-            checkpointed step.
+            checkpointed step.  See
+            :func:`~repro.core.checkpoint.run_checkpointed`.
         checkpoint_interval:
             Steps between checkpoints; defaults to the integrator's
             ``lambda_RPY`` (the block-aligned, bit-exact choice).
-        extra_callback:
-            Optional additional ``callback(step, wrapped, unwrapped)``
-            invoked after recording (used by the fault-injection soak).
-        stats:
-            Optional pre-existing stats object to accumulate into (so
-            external callbacks can share the run's recovery log).
         stop:
             Optional zero-argument predicate, consulted at every
             mobility-block boundary; returning true ends the run
@@ -163,6 +152,9 @@ class Simulation:
             set, a final checkpoint at the stopped step is written
             before returning, so continuing from it reproduces the
             uninterrupted run bit-exactly.
+        save:
+            The checkpoint writer (the fault drill passes one that
+            corrupts scheduled writes).
 
         Returns
         -------
@@ -173,57 +165,24 @@ class Simulation:
         if record_interval < 1:
             raise ConfigurationError(
                 f"record_interval must be >= 1, got {record_interval}")
-        dt = self.integrator.dt
-        step0 = 0
-        unwrapped0 = None
-        ckpt = None
-        if checkpoint_path is not None:
-            state = load_resume_state(checkpoint_path)
-            if state is not None:
-                (self._current, unwrapped0, step0,
-                 self.integrator.rng) = state
-            interval = checkpoint_interval or self.integrator.lambda_rpy
-            ckpt = checkpoint_callback(checkpoint_path, self.integrator,
-                                       interval)
         # keyed by step so a recovery rollback that replays steps simply
         # overwrites the frames recorded before the rollback
-        frames: dict[int, np.ndarray] = {step0: (
-            self._current if unwrapped0 is None else unwrapped0).copy()}
-
-        last_state: dict[str, np.ndarray] = {}
+        frames: dict[int, np.ndarray] = {}
 
         def record(step, wrapped, unwrapped):
-            step += step0
             if step % record_interval == 0:
                 frames[step] = unwrapped.copy()
-            last_state["wrapped"] = wrapped
-            last_state["unwrapped"] = unwrapped
-            if ckpt is not None:
-                ckpt(step, wrapped, unwrapped)
-            if extra_callback is not None:
-                extra_callback(step, wrapped, unwrapped)
 
-        if step0 >= n_steps:
-            # continued a run that had already finished
-            stats = stats if stats is not None else BDStepStats()
-        else:
-            with obs.span("sim.run", n_steps=n_steps - step0,
-                          n=self._current.shape[0],
-                          algorithm=self.algorithm):
-                final, stats = self.integrator.run(
-                    self._current, n_steps - step0, callback=record,
-                    stats=stats, stop=stop, unwrapped0=unwrapped0)
-            self._current = self.suspension.box.wrap(final)
+        with obs.span("sim.run", n_steps=n_steps, n=self._current.shape[0],
+                      algorithm=self.algorithm):
+            final, stats, step0, start = run_checkpointed(
+                checkpoint_path, self.integrator, self._current, n_steps,
+                interval=checkpoint_interval, callback=record, stop=stop,
+                save=save)
+        frames[step0] = start.copy()
+        self._current = self.suspension.box.wrap(final)
         self.step = step0 + stats.n_steps
-        if (stats.stopped_early and checkpoint_path is not None
-                and "wrapped" in last_state
-                and self.step % (checkpoint_interval
-                                 or self.integrator.lambda_rpy) != 0):
-            # the interval callback missed the stopped step; write one
-            # final checkpoint so the interrupted run resumes from here
-            save_checkpoint(checkpoint_path, last_state["wrapped"],
-                            last_state["unwrapped"], self.step,
-                            self.integrator.rng)
+        dt = self.integrator.dt
         steps = sorted(frames)
         traj = Trajectory(np.array([s * dt for s in steps]),
                           np.array([frames[s] for s in steps]),

@@ -47,5 +47,9 @@ REMOVED_NAMES: tuple[Removed, ...] = (
          "PSE coefficients",
          "pse_arguments pse_combine coefficient_passes _compiled_coefficients "
          "_pass_constants COEFFICIENT_CHUNK"),
+        ("One checkpointed run: continue, checkpoint and stop through one "
+         "function",
+         "checkpoint.resume load_checkpoint_with_fallback load_resume_state "
+         "checkpoint_callback extra_callback"),
     ) for name in names.split()),
 )

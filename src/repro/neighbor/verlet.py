@@ -86,6 +86,7 @@ class VerletList:
         return self.separations(positions)[:2]
 
     def invalidate(self) -> None:
-        """Force a rebuild on the next :meth:`pairs` call."""
+        """Force a search on the next :meth:`separations` call (which
+        :meth:`pairs` makes)."""
         self._cached = None
         self._reference_positions = None

@@ -12,7 +12,8 @@ effective bandwidth, :func:`calibrate_host` measures them directly:
   pass, the influence function, charged what Eq. 10 charges it,
 * the two real-space rates Eq. 10 has no term for — the BCSR SpMM per
   stored block and the rebuild per pair — on the package's own
-  :class:`~repro.pme.realspace.RealSpaceOperator`.
+  :class:`~repro.pme.realspace.RealSpaceOperator`, rebuilt the way the
+  integrator rebuilds it.
 
 The committed :data:`~repro.perfmodel.machines.SUBSTRATE` is one
 recorded output of this function; ``repro profile --json`` prints a
@@ -26,6 +27,8 @@ import numpy as np
 from ..config import available_cpus
 from ..exec import INLINE
 from ..geometry.box import Box
+from ..neighbor.verlet import VerletList
+from ..pme.cache import MobilityCache
 from ..pme.influence import InfluenceFunction
 from ..pme.mesh import Mesh
 from ..pme.operator import _irfftn_lanes, _rfftn_lanes
@@ -82,15 +85,26 @@ def _real_space_rates(n: int = 1000, r_max: float = 10.0
                       ) -> tuple[float, float]:
     """Measured ``(spmm_ns_per_block, pair_build_us)`` on a random
     suspension at volume fraction 0.2: a product one chunk of the SpMM
-    row body wide and the whole constructor."""
+    row body wide and the whole constructor, built as
+    ``MatrixFreeBD._prepare`` rebuilds it — from a pair list kept at
+    ``r_max`` (skin ``PAIR_LIST_SKIN`` radii) and a shared coefficient
+    table, both filled by a first build."""
+    # imported here: the integrators reach this package through the tuner
+    from ..core.integrators import PAIR_LIST_SKIN
+
     suspension = make_suspension(n, 0.2, seed=0)
+    cache = MobilityCache()
+    pairs = VerletList(suspension.box, r_max,
+                       skin=PAIR_LIST_SKIN * suspension.fluid.radius)
 
     def build() -> RealSpaceOperator:
         return RealSpaceOperator(suspension.positions, suspension.box,
-                                 xi=0.4, r_max=r_max)
+                                 xi=0.4, r_max=r_max,
+                                 fluid=suspension.fluid, cache=cache,
+                                 pairs=pairs)
 
-    t_build = _time_best(build, repeats=3)
     op = build()
+    t_build = _time_best(build, repeats=3)
     block = np.random.default_rng(0).standard_normal((3 * n, SPMM_CHUNK))
     t_spmm = _time_best(lambda: op.apply_block(block, context=INLINE))
     return (t_spmm / op.nnz_blocks * 1e9, t_build / op.n_pairs * 1e6)

@@ -51,13 +51,13 @@ __all__ = [
     "FaultyForceField",
     "FaultyOperator",
     "FaultyKrylovGenerator",
-    "faulty_checkpoint_callback",
+    "faulty_checkpoint_save",
     "install_faults",
 ]
 
 _FAULT_NAMES = {"FaultPlan", "Fault", "FaultyForceField",
                 "FaultyOperator", "FaultyKrylovGenerator",
-                "faulty_checkpoint_callback", "install_faults"}
+                "faulty_checkpoint_save", "install_faults"}
 
 
 def __getattr__(name):

@@ -5,7 +5,7 @@ campaign fails at:
 
 * **in-process sites** — force evaluation, the PME mobility operator,
   the Brownian displacement solver and checkpoint I/O — are wrapped by
-  :func:`install_faults` and :func:`faulty_checkpoint_callback`.  The
+  :func:`install_faults` and :func:`faulty_checkpoint_save`.  The
   same plan always fires at the same call indices, so every recovery
   path can be exercised by a regression test and every fired fault
   accounted for against the run's
@@ -26,20 +26,21 @@ keys, ``repro ensemble`` the process keys, and each rejects the other's.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.brownian import KrylovBrownianGenerator
-from ..core.checkpoint import checkpoint_callback, save_checkpoint
+from ..core.checkpoint import save_checkpoint
 from ..core.forces import ForceField
 from ..errors import ConfigurationError, ConvergenceError
 from .failures import FailureKind
 from .policy import RecoveryLog
 
 __all__ = ["FaultPlan", "Fault", "FaultyForceField", "FaultyOperator",
-           "FaultyKrylovGenerator", "faulty_checkpoint_callback",
+           "FaultyKrylovGenerator", "faulty_checkpoint_save",
            "install_faults"]
 
 #: In-process sites; the order seeds their random substreams.
@@ -389,10 +390,13 @@ class FaultyKrylovGenerator(KrylovBrownianGenerator):
         return d
 
 
-def faulty_checkpoint_callback(path: str | os.PathLike, integrator,
-                               interval: int, schedule: FaultPlan,
-                               log: RecoveryLog | None = None):
-    """A rotating checkpoint callback with scheduled write faults.
+def faulty_checkpoint_save(schedule: FaultPlan,
+                           log: RecoveryLog | None = None):
+    """The fault drill's checkpoint writer: :func:`save_checkpoint` with
+    the plan's scheduled write faults, for the ``save`` hook of
+    :func:`~repro.core.checkpoint.run_checkpointed` (and
+    ``Simulation.run``).  Write indices count every write through the
+    returned function, from the start of the process.
 
     * ``kill`` — the process "dies" between writing the temp file and
       the atomic rename: nothing reaches ``path`` (the previous
@@ -400,27 +404,25 @@ def faulty_checkpoint_callback(path: str | os.PathLike, integrator,
       :func:`~repro.core.checkpoint.save_checkpoint` guarantees).
     * ``truncate`` — the finished file is cut to 60 % of its length.
     * ``bitflip`` — one byte in the middle of the file is flipped.
+
+    Each fired event is recorded in ``log`` as
+    ``inject-checkpoint-<event>``.
     """
-    state = {"writes": 0}
+    writes = itertools.count()
 
-    def save(p, wrapped, unwrapped, step, rng):
-        event = schedule.checkpoint_event(state["writes"])
-        state["writes"] += 1
+    def save(path, wrapped, unwrapped, step, rng):
+        index = next(writes)
+        event = schedule.checkpoint_event(index)
+        if event is not None and log is not None:
+            log.record(step, FailureKind.CHECKPOINT_CORRUPTION,
+                       f"inject-checkpoint-{event}", write_index=index)
         if event == "kill":
-            if log is not None:
-                log.record(step, FailureKind.CHECKPOINT_CORRUPTION,
-                           "inject-checkpoint-kill",
-                           write_index=state["writes"] - 1)
             return  # simulated mid-write death: path is never replaced
-        save_checkpoint(p, wrapped, unwrapped, step, rng)
-        if event in ("truncate", "bitflip"):
-            if log is not None:
-                log.record(step, FailureKind.CHECKPOINT_CORRUPTION,
-                           f"inject-checkpoint-{event}",
-                           write_index=state["writes"] - 1)
-            _corrupt_file(p, event)
+        save_checkpoint(path, wrapped, unwrapped, step, rng)
+        if event is not None:
+            _corrupt_file(path, event)
 
-    return checkpoint_callback(path, integrator, interval, _save=save)
+    return save
 
 
 def _corrupt_file(path: str | os.PathLike, event: str) -> None:
@@ -442,10 +444,11 @@ def install_faults(integrator, schedule: FaultPlan) -> None:
     Wraps the force field and — for the matrix-free algorithm — the
     Brownian generator; the PME operator is wrapped on every rebuild
     via ``_prepare``.  Checkpoint faults are separate
-    (:func:`faulty_checkpoint_callback`), since checkpointing is a
-    callback concern.  A plan with process counts is rejected: only
-    the ensemble :class:`~repro.runtime.supervisor.Supervisor` can
-    kill, hang, slow or corrupt a task.
+    (:func:`faulty_checkpoint_save`): they belong to the writer of
+    :func:`~repro.core.checkpoint.run_checkpointed`.  A plan with
+    process counts is rejected: only the ensemble
+    :class:`~repro.runtime.supervisor.Supervisor` can kill, hang, slow
+    or corrupt a task.
     """
     if schedule.counts:
         key = next(iter(schedule.counts))

@@ -5,11 +5,12 @@ one :class:`~repro.runtime.tasks.TaskSpec` at a time:
 
 1. build the suspension and integrator *from the spec alone* (never
    from worker-local state — the determinism contract),
-2. resume from the task's latest block-aligned checkpoint if one
-   exists (``.prev`` fallback; an unusable pair restarts from scratch),
-3. step, writing a rotating checkpoint and a ``checkpoint`` message
-   every ``lambda_RPY`` steps and pacing ``heartbeat`` messages in
-   between,
+2. run it through :func:`~repro.core.checkpoint.run_checkpointed`,
+   which continues the task's latest checkpoint if one exists
+   (``.prev`` fallback; an unusable pair restarts from scratch) and
+   writes a rotating checkpoint every ``lambda_RPY`` steps; the
+   worker's save hook sends a ``checkpoint`` message after each write,
+   and ``heartbeat`` messages are paced in between,
 4. report ``done`` with the final unwrapped positions *and* their
    SHA-256 digest — the supervisor recomputes the digest on receipt,
    so a corrupted payload is detected end-to-end.
@@ -35,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.checkpoint import checkpoint_callback, load_resume_state
+from ..core.checkpoint import run_checkpointed, save_checkpoint
 from ..core.forces import RepulsiveHarmonic
 from ..core.integrators import MatrixFreeBD
 from ..obs import set_metrics, set_tracer
@@ -87,78 +88,54 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
     """Execute one task; reports over ``conn``, returns the outcome."""
     suspension, integrator = _build_integrator(spec, context=context)
     ckpt_path = spec.checkpoint_path(checkpoint_dir)
-
-    step0 = 0
-    start = suspension.positions
-    unwrapped0 = None  # continue this exact unwrapped frame on resume
-    state = load_resume_state(ckpt_path)
-    if state is not None:
-        start, unwrapped0, step0, integrator.rng = state
-
     fault_kind = fault["kind"] if fault is not None else None
     fault_step = fault["at_step"] if fault is not None else -1
-
-    if step0 >= spec.n_steps:
-        # resumed past the end (e.g. retry after a corrupt-result
-        # fault): the checkpointed unwrapped state *is* the final
-        # state — reuse its exact bytes, no offset arithmetic
-        _send_done(conn, spec, step0, unwrapped0, fault_kind)
-        return "done"
-
     last_hb = [now()]
-    write_checkpoint = checkpoint_callback(ckpt_path, integrator,
-                                           spec.lambda_rpy)
+
+    def reported() -> None:
+        last_hb[0] = now()
+        if session is not None:
+            session.flush()  # trace/metrics ride the same cadence
 
     def callback(step: int, wrapped: np.ndarray,
                  unwrapped: np.ndarray) -> None:
-        gstep = step0 + step
-        if fault_kind == "kill" and gstep == fault_step:
+        if fault_kind == "kill" and step == fault_step:
             os.kill(os.getpid(), signal.SIGKILL)
-        if fault_kind == "hang" and gstep >= fault_step:
+        if fault_kind == "hang" and step >= fault_step:
             while True:  # no progress, no heartbeats: watchdog food
                 time.sleep(0.05)
-        if fault_kind == "slow" and gstep >= fault_step:
+        if fault_kind == "slow" and step >= fault_step:
             time.sleep(slow_per_step)
-        if gstep % spec.lambda_rpy == 0:
-            write_checkpoint(gstep, wrapped, unwrapped)
-            conn.send({"msg": "checkpoint", "task_id": spec.task_id,
-                       "completed_step": gstep, "checkpoint": ckpt_path})
-            last_hb[0] = now()
-            if session is not None:
-                session.flush()  # trace/metrics ride the same cadence
-        elif now() - last_hb[0] >= HEARTBEAT_INTERVAL:
+        if (step % spec.lambda_rpy
+                and now() - last_hb[0] >= HEARTBEAT_INTERVAL):
             conn.send({"msg": "heartbeat", "task_id": spec.task_id,
-                       "step": gstep})
-            last_hb[0] = now()
-            if session is not None:
-                session.flush()
+                       "step": step})
+            reported()
+
+    def save(path, wrapped, unwrapped, step, rng) -> None:
+        save_checkpoint(path, wrapped, unwrapped, step, rng)
+        conn.send({"msg": "checkpoint", "task_id": spec.task_id,
+                   "completed_step": step, "checkpoint": path})
+        reported()
 
     # the integrator consults stop only at block boundaries, where a
     # checkpoint was just written: the resumed campaign stays
-    # bit-identical
-    final, stats = integrator.run(start, spec.n_steps - step0,
-                                  callback=callback,
-                                  stop=stop_event.is_set,
-                                  unwrapped0=unwrapped0)
-    gstep = step0 + stats.n_steps
-    final_total = final
+    # bit-identical.  A checkpoint at or past the end (a retry after a
+    # corrupt-result fault) *is* the final state, reported byte for byte
+    final, stats, step0, _ = run_checkpointed(
+        ckpt_path, integrator, suspension.positions, spec.n_steps,
+        callback=callback, stop=stop_event.is_set, save=save)
+    completed = step0 + stats.n_steps
     if stats.stopped_early:
         conn.send({"msg": "drained", "task_id": spec.task_id,
-                   "completed_step": gstep, "checkpoint": ckpt_path})
+                   "completed_step": completed, "checkpoint": ckpt_path})
         return "drained"
-    _send_done(conn, spec, gstep, final_total, fault_kind)
-    return "done"
-
-
-def _send_done(conn, spec: TaskSpec, completed_step: int,
-               final_total: np.ndarray, fault_kind: str | None) -> None:
-    digest = positions_digest(final_total)
-    payload = final_total
-    if fault_kind == "corrupt":
-        payload = _corrupt_payload(final_total)
     conn.send({"msg": "done", "task_id": spec.task_id,
-               "completed_step": completed_step, "digest": digest,
-               "positions": payload})
+               "completed_step": completed,
+               "digest": positions_digest(final),
+               "positions": (_corrupt_payload(final)
+                             if fault_kind == "corrupt" else final)})
+    return "done"
 
 
 def worker_main(conn, stop_event, worker_id: int) -> None:

@@ -1114,7 +1114,9 @@ def _separations_compiled(kern, positions: np.ndarray, i: np.ndarray,
     kept (all of them for ``cutoff=None``), or ``None`` without the
     kernel (``kern is None``) and for anything but in-range 1-D integer
     pairs on ``(n, 3)`` float64 positions — NumPy's indexing decides
-    what that means (or that it is an error)."""
+    what that means (or that it is an error).  The outputs are sized
+    for every candidate and shrunk in place to the pairs kept, so the
+    arrays returned own exactly their rows."""
     r, i, j = np.asarray(positions), np.asarray(i), np.asarray(j)
     if not (kern is not None
             and r.ndim == 2 and r.shape[1] == 3 and r.dtype == np.float64
@@ -1132,7 +1134,10 @@ def _separations_compiled(kern, positions: np.ndarray, i: np.ndarray,
                 cutoff if strict else 0.0, ki, kj, rij, dist)
     if kept < 0:        # an index outside [0, n): nothing was read there
         return None
-    return ki[:kept], kj[:kept], rij[:kept], dist[:kept]
+    if strict:          # shrink the outputs to the pairs kept, in place
+        for out in (ki, kj, rij, dist):
+            out.resize((kept,) + out.shape[1:], refcheck=False)
+    return ki, kj, rij, dist
 
 
 def pair_separations(positions: np.ndarray,  # noqa: RPR001 - validated by Box.distances

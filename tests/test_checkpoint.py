@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import (
-    checkpoint_callback,
     load_checkpoint,
-    load_checkpoint_with_fallback,
     previous_checkpoint_path,
-    resume,
+    run_checkpointed,
     save_checkpoint,
 )
 from repro.core.integrators import MatrixFreeBD
@@ -48,13 +46,13 @@ def test_bit_exact_resumption(tmp_path):
 
     # interrupted run: 8 steps, checkpoint, resume 4 (block-aligned:
     # 8 and 12 are multiples of lambda_rpy=4)
-    bd_part = _integrator(susp)
     path = tmp_path / "ckpt.npz"
-    bd_part.run(susp.positions, 8,
-                callback=checkpoint_callback(path, bd_part, 8))
+    run_checkpointed(path, _integrator(susp), susp.positions, 8, interval=8)
     bd_resumed = _integrator(susp, seed=999)   # seed replaced on resume
-    resumed, _ = resume(path, bd_resumed, 4)
+    resumed, stats, step0, _ = run_checkpointed(path, bd_resumed,
+                                                susp.positions, 12)
 
+    assert (step0, stats.n_steps) == (8, 4)
     np.testing.assert_array_equal(resumed, full)
 
 
@@ -73,16 +71,27 @@ def test_graceful_stop_mid_block_resumes_bit_exactly(tmp_path):
 
     seen = []
     path = tmp_path / "stopped.ckpt.npz"
-    sim = simulation()
-    _, stats = sim.run(12, checkpoint_path=str(path),
-                       extra_callback=lambda step, w, u: seen.append(step),
-                       stop=lambda: seen[-1] >= 6)
+    _, stats, _, _ = run_checkpointed(
+        path, simulation().integrator, susp.positions, 12,
+        callback=lambda step, w, u: seen.append(step),
+        stop=lambda: seen[-1] >= 6)
     assert stats.stopped_early
     assert stats.n_steps == 8
     assert load_checkpoint(path)[2] == 8
 
-    resumed, _ = resume(path, simulation().integrator, 12 - stats.n_steps)
-    assert positions_digest(resumed) == positions_digest(full.positions[-1])
+    resumed, _ = simulation().run(12, checkpoint_path=str(path))
+    assert positions_digest(resumed.positions[-1]) == \
+        positions_digest(full.positions[-1])
+
+
+def test_graceful_stop_off_the_interval_writes_a_final_checkpoint(tmp_path):
+    susp = random_suspension(16, 0.1, seed=5)
+    path = tmp_path / "c.npz"
+    _, stats, _, _ = run_checkpointed(path, _integrator(susp),
+                                      susp.positions, 12, interval=8,
+                                      stop=lambda: True)
+    assert stats.stopped_early and stats.n_steps == 4
+    assert load_checkpoint(path)[2] == 4
 
 
 def test_rerun_on_a_checkpoint_takes_only_the_remaining_steps(tmp_path):
@@ -97,11 +106,7 @@ def test_rerun_on_a_checkpoint_takes_only_the_remaining_steps(tmp_path):
     full, _ = simulation().run(12)
 
     path = str(tmp_path / "run.ckpt.npz")
-    seen = []
-    _, first = simulation().run(
-        12, checkpoint_path=path,
-        extra_callback=lambda step, w, u: seen.append(step),
-        stop=lambda: bool(seen))
+    _, first = simulation().run(12, checkpoint_path=path, stop=lambda: True)
     assert first.stopped_early and first.n_steps == 4
 
     sim = simulation()
@@ -122,20 +127,20 @@ def test_rerun_on_a_checkpoint_takes_only_the_remaining_steps(tmp_path):
 
 def test_resume_offsets_callback_steps(tmp_path):
     susp = random_suspension(15, 0.1, seed=2)
-    bd = _integrator(susp)
     path = tmp_path / "c.npz"
-    bd.run(susp.positions, 4, callback=checkpoint_callback(path, bd, 4))
-    bd2 = _integrator(susp)
+    run_checkpointed(path, _integrator(susp), susp.positions, 4)
     steps = []
-    resume(path, bd2, 4, callback=lambda s, w, u: steps.append(s))
+    run_checkpointed(path, _integrator(susp), susp.positions, 8,
+                     callback=lambda s, w, u: steps.append(s))
     assert steps == [5, 6, 7, 8]
 
 
 def test_unaligned_interval_warns(tmp_path):
-    susp = random_suspension(10, 0.1, seed=3)
+    susp = random_suspension(16, 0.1, seed=3)
     bd = _integrator(susp)
     with pytest.warns(UserWarning, match="lambda_RPY"):
-        checkpoint_callback(tmp_path / "c.npz", bd, 3)
+        run_checkpointed(tmp_path / "c.npz", bd, susp.positions, 3,
+                         interval=3)
 
 
 def test_rejects_foreign_file(tmp_path):
@@ -149,7 +154,8 @@ def test_interval_validation(tmp_path):
     susp = random_suspension(10, 0.1, seed=4)
     bd = _integrator(susp)
     with pytest.raises(ConfigurationError):
-        checkpoint_callback(tmp_path / "c.npz", bd, 0)
+        run_checkpointed(tmp_path / "c.npz", bd, susp.positions, 4,
+                         interval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +228,8 @@ def test_save_is_atomic_on_write_failure(tmp_path, monkeypatch):
 
 def test_callback_rotates_previous_checkpoint(tmp_path):
     susp = random_suspension(16, 0.1, seed=6)
-    bd = _integrator(susp)
     path = tmp_path / "c.npz"
-    bd.run(susp.positions, 8, callback=checkpoint_callback(path, bd, 4))
+    run_checkpointed(path, _integrator(susp), susp.positions, 8)
     prev = pathlib.Path(previous_checkpoint_path(path))
     assert path.exists() and prev.exists()
     _, _, latest_step, _ = load_checkpoint(path)
@@ -239,35 +244,40 @@ def test_fallback_loads_previous_when_latest_corrupt(tmp_path):
     with open(path, "r+b") as fh:
         fh.truncate(10)
 
-    wrapped, unwrapped, step, rng, used = load_checkpoint_with_fallback(path)
-    assert step == 4
-    assert used.endswith(".prev")
+    # the step-4 checkpoint of a 4-step run is the finished run: its
+    # stored unwrapped positions come back unchanged
+    stored = load_checkpoint(tmp_path / (path.name + ".prev"))[1]
+    bd = _integrator(random_suspension(10, 0.1, seed=3))
+    final, stats, step0, _ = run_checkpointed(path, bd, None, 4)
+    assert (step0, stats.n_steps) == (4, 0)
+    assert final.tobytes() == stored.tobytes()
 
 
-def test_fallback_raises_primary_error_when_both_corrupt(tmp_path):
+def test_fallback_starts_at_step_zero_when_both_unusable(tmp_path):
+    susp = random_suspension(16, 0.1, seed=6)
     path = tmp_path / "c.npz"
     for p in (tmp_path / (path.name + ".prev"), path):
         _write_checkpoint(p)
         with open(p, "r+b") as fh:
             fh.truncate(10)
-    with pytest.raises(CheckpointCorruptionError) as exc_info:
-        load_checkpoint_with_fallback(path)
-    assert "c.npz" in str(exc_info.value)
-    assert isinstance(exc_info.value.__cause__, CheckpointCorruptionError)
+    fresh, _ = _integrator(susp).run(susp.positions, 4)
+    final, stats, step0, _ = run_checkpointed(path, _integrator(susp),
+                                              susp.positions, 4)
+    assert (step0, stats.n_steps) == (0, 4)
+    assert final.tobytes() == fresh.tobytes()
+    assert load_checkpoint(path)[2] == 4
 
 
 def test_resume_falls_back_to_rotated_checkpoint(tmp_path):
     susp = random_suspension(16, 0.1, seed=9)
-    bd = _integrator(susp)
     path = tmp_path / "c.npz"
-    bd.run(susp.positions, 8, callback=checkpoint_callback(path, bd, 4))
+    run_checkpointed(path, _integrator(susp), susp.positions, 8)
     with open(path, "r+b") as fh:       # corrupt the latest (step 8)
         fh.truncate(20)
     bd2 = _integrator(susp, seed=999)
-    final, stats = resume(path, bd2, 4)  # resumes from step 4 instead
+    final, stats, step0, _ = run_checkpointed(path, bd2, susp.positions, 8)
+    assert (step0, stats.n_steps) == (4, 4)  # continued step 4 instead
     assert np.all(np.isfinite(final))
-    with pytest.raises(CheckpointCorruptionError):
-        resume(path, _integrator(susp), 4, fallback=False)
 
 
 def test_version1_checkpoint_still_loads(tmp_path):

@@ -92,6 +92,37 @@ def test_simulate_continues_its_checkpoint(tmp_path, capsys):
         positions_digest(full.positions[-1])
 
 
+def test_fault_drill_continues_its_checkpoint(tmp_path, capsys):
+    # a drill re-run on its checkpoint continues it like any simulate;
+    # its fault call indices count from the start of each process
+    from repro.core.trajectory_io import load_trajectory
+    from repro.runtime.tasks import positions_digest
+
+    base = ["simulate", "-n", "20", "--phi", "0.1", "--e-p", "1e-2",
+            "--lambda-rpy", "4"]
+    ckpt = str(tmp_path / "drill.ckpt.npz")
+    drill = ["--inject-faults", "seed=7,ckpt=kill@1", "--checkpoint", ckpt]
+    assert main(base + ["--steps", "16", "-o",
+                        str(tmp_path / "full.npz")]) == 0
+    # writes at step 4, then at step 8 killed after the rotation: the
+    # latest good checkpoint is step 4's, now <ckpt>.prev
+    assert main(base + drill + ["--steps", "8", "-o",
+                                str(tmp_path / "first.npz")]) == 0
+    capsys.readouterr()
+    assert main(base + drill + ["--steps", "16", "-o",
+                                str(tmp_path / "rest.npz")]) == 0
+    out = capsys.readouterr().out
+    assert f"continued {ckpt} from step 4" in out
+    assert "ran 12 steps" in out
+    assert ("injected faults: 1 (force=0, operator=0, brownian=0, "
+            "checkpoint=1)") in out
+    assert "  checkpoint-corruption    inject-checkpoint-kill x1" in out
+    full = load_trajectory(tmp_path / "full.npz")
+    rest = load_trajectory(tmp_path / "rest.npz")
+    assert positions_digest(rest.positions[-1]) == \
+        positions_digest(full.positions[-1])
+
+
 def test_simulate_ewald_backend(tmp_path):
     out_file = tmp_path / "traj.npz"
     rc = main(["simulate", "-n", "20", "--steps", "4",

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import Box
-from repro.core.checkpoint import checkpoint_callback, resume
+from repro.core.checkpoint import run_checkpointed
 from repro.core.integrators import PAIR_LIST_SKIN, MatrixFreeBD
 from repro.exec import ExecutionContext
 from repro.neighbor import VerletList
@@ -165,6 +165,19 @@ def test_separations_are_numpy_bytes(kernel_mode):
         box.distances(s.positions, np.array([200]), np.array([0]))
 
 
+def test_kept_pairs_own_exactly_their_rows(kernel_mode):
+    # the strict filter hands back arrays holding the pairs kept, not
+    # views of buffers sized for every candidate
+    s = make_suspension(200, 0.2, seed=8)
+    i, j = np.triu_indices(200, 1)
+    kept = s.box.pairs_within(s.positions, i, j, 4.0)
+    n_kept = int((s.box.distances(s.positions, i, j)[1] < 4.0).sum())
+    assert 0 < n_kept < i.size
+    for a in kept:
+        assert a.flags.owndata
+        assert a.shape[0] == n_kept and a.nbytes == n_kept * a[:1].nbytes
+
+
 # ----------------------------------------------------------------------
 # the pair list MatrixFreeBD keeps across rebuilds
 # ----------------------------------------------------------------------
@@ -223,8 +236,9 @@ def test_checkpoint_resumed_mid_list_is_the_uninterrupted_run(tmp_path):
     assert kept
     step = 4 * kept[0]
     path = tmp_path / "ckpt.npz"
-    part = _integrator(s.box)
-    part.run(s.positions, step,
-             callback=checkpoint_callback(path, part, step))
-    resumed, _ = resume(path, _integrator(s.box, seed=99), 40 - step)
+    run_checkpointed(path, _integrator(s.box), s.positions, step,
+                     interval=step)
+    resumed, _, step0, _ = run_checkpointed(
+        path, _integrator(s.box, seed=99), s.positions, 40)
+    assert step0 == step
     assert positions_digest(resumed) == positions_digest(full)

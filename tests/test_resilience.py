@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.brownian import CholeskyBrownianGenerator, KrylovBrownianGenerator
-from repro.core.checkpoint import load_checkpoint, resume
+from repro.core.checkpoint import load_checkpoint, run_checkpointed
 from repro.core.forces import CompositeForce, ConstantForce, RepulsiveHarmonic
 from repro.core.integrators import BDStepStats, MatrixFreeBD
 from repro.core.simulation import Simulation
@@ -33,7 +33,7 @@ from repro.resilience import (
 from repro.resilience.faults import (
     FaultPlan,
     FaultyKrylovGenerator,
-    faulty_checkpoint_callback,
+    faulty_checkpoint_save,
     install_faults,
 )
 from repro.systems import make_suspension, random_suspension
@@ -385,17 +385,15 @@ def test_interrupted_resumed_run_with_recovery_is_bit_identical(tmp_path):
     in ``test_checkpoint.py``; here we pin that the guarded loop
     changes nothing about the resumed arithmetic when no fault fires.)
     """
-    from repro.core.checkpoint import checkpoint_callback
-
     susp = random_suspension(16, 0.1, seed=7)
     forces = RepulsiveHarmonic(susp.box, susp.fluid)
-    bd_part = _mf_integrator(susp, force_field=forces)
     path = tmp_path / "ckpt.npz"
-    bd_part.run(susp.positions, 8,
-                callback=checkpoint_callback(path, bd_part, 8))
+    run_checkpointed(path, _mf_integrator(susp, force_field=forces),
+                     susp.positions, 8, interval=8)
     bd_resumed = _mf_integrator(susp, force_field=forces, seed=999)
-    resumed, stats = resume(path, bd_resumed, 4)
-    assert len(stats.recovery) == 0
+    resumed, stats, step0, _ = run_checkpointed(path, bd_resumed,
+                                                susp.positions, 12)
+    assert step0 == 8 and len(stats.recovery) == 0
 
     reference = _reference_run(_mf_integrator(susp, force_field=forces),
                                susp.positions, 12)
@@ -411,10 +409,9 @@ def test_checkpoint_kill_preserves_previous_checkpoint(tmp_path):
     path = tmp_path / "run.ckpt.npz"
     schedule = FaultPlan(checkpoint_events={1: "kill"})
     log = RecoveryLog()
-    bd = _mf_integrator(susp)
-    cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
     # writes at steps 4 (ok), 8 (killed mid-write), 12 (ok)
-    bd.run(susp.positions, 12, callback=cb)
+    run_checkpointed(path, _mf_integrator(susp), susp.positions, 12,
+                     save=faulty_checkpoint_save(schedule, log=log))
     assert log.count(action="inject-checkpoint-kill") == 1
     assert schedule.count("checkpoint") == 1
     # the atomic writer never tore a file: what survives is valid
@@ -427,11 +424,10 @@ def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
     path = tmp_path / "run.ckpt.npz"
     schedule = FaultPlan(checkpoint_events={2: "truncate"})
     log = RecoveryLog()
-    bd = _mf_integrator(susp)
-    cb = faulty_checkpoint_callback(path, bd, 4, schedule, log=log)
-    bd.run(susp.positions, 12)
-    bd2 = _mf_integrator(susp)
-    bd2.run(susp.positions, 12, callback=cb)  # write 2 (step 12) truncated
+    # write 2 (step 12) truncated
+    run_checkpointed(path, _mf_integrator(susp), susp.positions, 12,
+                     save=faulty_checkpoint_save(schedule, log=log))
+    assert log.count(action="inject-checkpoint-truncate") == 1
 
     from repro.errors import CheckpointCorruptionError
 
@@ -439,7 +435,8 @@ def test_checkpoint_truncate_falls_back_to_previous(tmp_path):
         load_checkpoint(path)
     # the rotated previous checkpoint (step 8) still resumes the run
     bd3 = _mf_integrator(susp, seed=999)
-    resumed, _ = resume(path, bd3, 4)
+    resumed, _, step0, _ = run_checkpointed(path, bd3, susp.positions, 12)
+    assert step0 == 8
     assert np.all(np.isfinite(resumed))
 
 
@@ -455,12 +452,12 @@ def test_soak_1000_steps_with_injected_faults(tmp_path):
                              nan_force_rate=0.003,
                              checkpoint_events={5: "kill"})
     install_faults(sim.integrator, schedule)
-    stats = BDStepStats()
+    checkpoint_log = RecoveryLog()
     ckpt = tmp_path / "soak.ckpt.npz"
-    cb = faulty_checkpoint_callback(ckpt, sim.integrator, 100, schedule,
-                                    log=stats.recovery)
-    traj, stats = sim.run(1000, record_interval=100, extra_callback=cb,
-                          stats=stats)
+    traj, stats = sim.run(
+        1000, record_interval=100, checkpoint_path=ckpt,
+        checkpoint_interval=100,
+        save=faulty_checkpoint_save(schedule, log=checkpoint_log))
 
     # completed without aborting
     assert stats.n_steps == 1000
@@ -475,7 +472,7 @@ def test_soak_1000_steps_with_injected_faults(tmp_path):
     assert stats.recovery.count(
         action="detect", kind=FailureKind.NONFINITE_FORCES
     ) == schedule.count("force")
-    assert stats.recovery.count(
+    assert checkpoint_log.count(
         action="inject-checkpoint-kill") == schedule.count("checkpoint") == 1
 
     # every detected failure was answered by a recovery action
