@@ -20,8 +20,8 @@ batch.  Three parameter points along that trade-off are measured, all
 tuned to hold the truncation errors fixed (``xi r_max ~ 3.95``,
 ``k_max / 2 xi ~ 4.68``).
 
-A block-Lanczos end-to-end comparison (one batched operator per
-iteration vs a per-column callable) closes the loop at the solver
+A block-Lanczos end-to-end comparison (one batched apply per
+iteration vs one apply per column) closes the loop at the solver
 level.
 
 Run ``python benchmarks/bench_blocked_pme.py`` for the table;
@@ -101,7 +101,7 @@ def pipeline_rows(n=N, s=S, repeats=None):
 
 
 def lanczos_rows(n=N, s=S, tol=1e-2):
-    """Block-Lanczos step: batched operator vs per-column callable."""
+    """Block-Lanczos step: batched operator vs per-column applies."""
     susp = cached_suspension(n, volume_fraction=PHI)
     label, xi, r_max, K = POINTS[-1]
     op = PMEOperator(susp.positions, susp.box,
@@ -113,14 +113,16 @@ def lanczos_rows(n=N, s=S, tol=1e-2):
     def batched():
         return block_lanczos_sqrt(op, z, tol=tol)
 
-    def column_wise(v):
-        if v.ndim == 1:
-            return op.apply(v)
-        return np.column_stack([op.apply(v[:, c])
-                                for c in range(v.shape[1])])
+    class ColumnWise:
+        """The operator applied one column at a time."""
+
+        @staticmethod
+        def apply_block(v):
+            return np.column_stack([op.apply(v[:, c])
+                                    for c in range(v.shape[1])])
 
     def per_column():
-        return block_lanczos_sqrt(column_wise, z, tol=tol)
+        return block_lanczos_sqrt(ColumnWise(), z, tol=tol)
 
     t_batched, t_columns = _interleaved_best(batched, per_column, repeats)
     _, info = batched()
@@ -138,7 +140,7 @@ def main():
                 headers, rows)
     lheaders = ["point", "s", "iterations", "t per-column (s)",
                 "t batched (s)", "speedup"]
-    print_table("Block-Lanczos step: batched operator vs per-column callable",
+    print_table("Block-Lanczos step: batched operator vs per-column applies",
                 lheaders, lrows)
     best = max(r[-1] for r in rows)
     record_benchmark("blocked_pme", headers, rows,

@@ -9,6 +9,8 @@ actually needs, end to end:
    after an interruption (re-running the same call continues it),
 3. persist the trajectory and re-load it for analysis.
 
+Every file is written to a temporary directory removed at the end.
+
 Run:  python examples/production_run.py
 """
 
@@ -33,7 +35,11 @@ from repro.core.trajectory_io import load_trajectory, save_trajectory
 
 
 def main():
-    workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro_run_"))
+    with tempfile.TemporaryDirectory(prefix="repro_run_") as tmp:
+        run(pathlib.Path(tmp))
+
+
+def run(workdir: pathlib.Path):
     susp = make_suspension(n=200, volume_fraction=0.25, seed=8)
     forces = RepulsiveHarmonic(susp.box, susp.fluid)
     lambda_rpy = 8
@@ -80,7 +86,6 @@ def main():
     d = diffusion_coefficient(loaded, lag_frames=1)
     print(f"trajectory saved/loaded ({loaded.n_frames} frames); "
           f"D(tau->0) = {d:.3f} D0")
-    print(f"\nartifacts in {workdir}")
 
 
 if __name__ == "__main__":

@@ -65,10 +65,6 @@ from .pme import (
 )
 from .krylov import block_lanczos_sqrt
 from .core import (
-    MobilityOperator,
-    DenseMobilityMatrix,
-    CallableMobility,
-    as_mobility,
     Simulation,
     Trajectory,
     EwaldBD,
@@ -123,10 +119,6 @@ __all__ = [
     "tune_parameters",
     "pme_relative_error",
     "block_lanczos_sqrt",
-    "MobilityOperator",
-    "DenseMobilityMatrix",
-    "CallableMobility",
-    "as_mobility",
     "Simulation",
     "Trajectory",
     "EwaldBD",

@@ -14,12 +14,6 @@ plus the force models of Section V.A and the
 trajectories for analysis.
 """
 
-from .mobility import (
-    MobilityOperator,
-    DenseMobilityMatrix,
-    CallableMobility,
-    as_mobility,
-)
 from .forces import (
     ForceField,
     RepulsiveHarmonic,
@@ -48,10 +42,6 @@ from .observables import (
 )
 
 __all__ = [
-    "MobilityOperator",
-    "DenseMobilityMatrix",
-    "CallableMobility",
-    "as_mobility",
     "ForceField",
     "RepulsiveHarmonic",
     "HarmonicBonds",

@@ -75,13 +75,11 @@ class KrylovBrownianGenerator:
         self.last_info: LanczosInfo | None = None
 
     @array_arg("z", ndim=(1, 2))
-    def generate(self, matvec: Any, z: np.ndarray) -> np.ndarray:
+    def generate(self, mobility: Any, z: np.ndarray) -> np.ndarray:
         """``D = sqrt(2 kT dt) M^(1/2) Z`` via block Lanczos.
 
-        ``matvec`` may be a
-        :class:`~repro.core.mobility.MobilityOperator` (each Lanczos
-        iteration then issues one batched ``apply_block``), a dense
-        matrix, or a legacy ``matvec`` callable.
+        ``mobility`` is an operator with ``apply_block`` (each Lanczos
+        iteration issues one batched product) or a dense matrix.
 
         Blocks wider than the operator dimension (tiny systems with a
         large ``lambda_RPY``) are processed in chunks of at most ``d``
@@ -92,7 +90,7 @@ class KrylovBrownianGenerator:
         z2 = np.atleast_2d(z.T).T
         d, s = z2.shape
         if s <= d:
-            y, info = block_lanczos_sqrt(matvec, z2, tol=self.tol,
+            y, info = block_lanczos_sqrt(mobility, z2, tol=self.tol,
                                          max_iter=self.max_iter)
         else:
             y = np.empty_like(z2)
@@ -101,7 +99,7 @@ class KrylovBrownianGenerator:
             for lo in range(0, s, d):
                 hi = min(lo + d, s)
                 y[:, lo:hi], info = block_lanczos_sqrt(
-                    matvec, z2[:, lo:hi], tol=self.tol,
+                    mobility, z2[:, lo:hi], tol=self.tol,
                     max_iter=self.max_iter)
                 total_matvecs += info.n_matvecs
                 iters = max(iters, info.iterations)

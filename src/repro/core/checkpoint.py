@@ -242,9 +242,11 @@ def run_checkpointed(path: str | os.PathLike | None,  # noqa: RPR001 - validated
     3. otherwise continue the stored unwrapped frame and RNG to
        ``n_steps``, bit-identical to an uninterrupted run;
     4. every ``interval`` steps, rotate ``path`` to ``<path>.prev`` and
-       write ``save(path, wrapped, unwrapped, step, rng)``; a graceful
-       ``stop`` off the interval writes one final checkpoint at the
-       stopped step, so the interrupted run continues from there.
+       write ``save(path, wrapped, unwrapped, step, rng)``; a run that
+       ends off the interval (at ``n_steps`` or at a graceful ``stop``)
+       writes one final checkpoint at its last step, so rerunning a
+       finished run takes no steps and an interrupted one continues
+       from where it stopped.
 
     ``path=None`` runs from ``positions`` without checkpoints.
 
@@ -255,7 +257,9 @@ def run_checkpointed(path: str | os.PathLike | None,  # noqa: RPR001 - validated
         ``lambda_RPY``.  Only a multiple of ``lambda_RPY`` continues
         bit-exactly (the noise of a mobility block is drawn at once),
         so another value warns; the continuation is then statistically
-        equivalent.
+        equivalent.  Likewise, continuing a final checkpoint written
+        off the interval to a larger ``n_steps`` is statistically
+        equivalent to an uninterrupted run, not bit-identical.
     callback:
         ``callback(step, wrapped, unwrapped)`` after every step, before
         that step's checkpoint; ``step`` counts from step 0 of the run,
@@ -332,6 +336,6 @@ def run_checkpointed(path: str | os.PathLike | None,  # noqa: RPR001 - validated
         wrapped, n_steps - step0, callback=on_step, stop=stop,
         unwrapped0=None if state is None else start)
     end = step0 + stats.n_steps
-    if stats.stopped_early and path is not None and end % interval:
+    if path is not None and stats.n_steps and end % interval:
         write(end, last["wrapped"], final)
     return final, stats, step0, start

@@ -127,18 +127,12 @@ class BrownianDynamicsBase(ABC):
         Mobility update interval ``lambda_RPY`` (paper: 10-100).
     seed:
         Seed (or generator) for the Brownian noise.
-    context:
-        Optional :class:`~repro.exec.ExecutionContext` threaded into
-        the mobility representation (the matrix-free path parallelizes
-        PME applications on its workers; results stay bit-identical
-        across backends).  ``None`` uses the process default.
     """
 
     def __init__(self, box: Box, fluid: FluidParams = REDUCED,
                  force_field: ForceField | None = None, dt: float = 1e-3,
                  lambda_rpy: int = 10,
-                 seed: int | np.random.Generator | None = 0,
-                 context=None):
+                 seed: int | np.random.Generator | None = 0):
         if dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         if lambda_rpy < 1:
@@ -151,7 +145,6 @@ class BrownianDynamicsBase(ABC):
         self.lambda_rpy = int(lambda_rpy)
         self.rng = (seed if isinstance(seed, np.random.Generator)
                     else np.random.default_rng(seed))
-        self.context = context
         #: Cumulative dt backoff scale (1.0 = nominal time step).
         self._dt_scale = 1.0
         self._clean_steps = 0
@@ -364,12 +357,8 @@ class EwaldBD(BrownianDynamicsBase):
                  force_field: ForceField | None = None, dt: float = 1e-3,
                  lambda_rpy: int = 10,
                  seed: int | np.random.Generator | None = 0,
-                 ewald_tol: float = 1e-6, xi: float | None = None,
-                 context=None):
-        # the dense path has no parallel stage; context accepted (and
-        # stored) so Simulation can forward it uniformly
-        super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
-                         context=context)
+                 ewald_tol: float = 1e-6, xi: float | None = None):
+        super().__init__(box, fluid, force_field, dt, lambda_rpy, seed)
         self._summation = EwaldSummation(box=box, fluid=fluid, xi=xi,
                                          tol=ewald_tol)
         self._generator = CholeskyBrownianGenerator(kT=fluid.kT, dt=dt)
@@ -430,6 +419,10 @@ class MatrixFreeBD(BrownianDynamicsBase):
     e_k:
         Krylov relative-error tolerance (Table II) of the real-space
         half's block Lanczos.
+    context:
+        Optional :class:`~repro.exec.ExecutionContext` the PME
+        applications run on (results stay bit-identical across
+        backends).  ``None`` uses the process default.
     Remaining parameters as :class:`BrownianDynamicsBase`.
     """
 
@@ -439,8 +432,8 @@ class MatrixFreeBD(BrownianDynamicsBase):
                  seed: int | np.random.Generator | None = 0,
                  pme_params: PMEParams | None = None, target_ep: float = 1e-3,
                  e_k: float = 1e-2, context=None):
-        super().__init__(box, fluid, force_field, dt, lambda_rpy, seed,
-                         context=context)
+        super().__init__(box, fluid, force_field, dt, lambda_rpy, seed)
+        self.context = context
         self.pme_params = pme_params
         self.target_ep = float(target_ep)
         self._generator = KrylovBrownianGenerator(kT=fluid.kT, dt=dt, tol=e_k)

@@ -83,9 +83,7 @@ class Simulation:
         recovery log of a run is available as ``stats.recovery``.
     **integrator_kwargs:
         Algorithm-specific options (``e_k``, ``target_ep``,
-        ``pme_params``, ``ewald_tol``, ...) plus the
-        shared ``context=`` (an :class:`~repro.exec.ExecutionContext`
-        parallelizing the matrix-free mobility applications).
+        ``pme_params``, ``context``, ``ewald_tol``, ...).
     """
 
     _DEFAULT_FORCE = object()  # sentinel: "give me the paper's default"

@@ -21,7 +21,7 @@ criterion is the Frobenius-norm relative update, matching the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +30,26 @@ from .. import obs
 from ..errors import ConvergenceError
 from ..lint.contracts import array_arg
 
-__all__ = ["block_lanczos_sqrt", "LanczosInfo"]
+__all__ = ["block_lanczos_sqrt", "LanczosInfo", "mobility_product"]
+
+
+def mobility_product(mobility: Any) -> Callable[[np.ndarray], np.ndarray]:
+    """``F -> M F`` for a mobility given in one of its two forms.
+
+    ``mobility`` is an operator with ``apply_block`` (taking ``(d,)``
+    and ``(d, s)``; :class:`~repro.pme.operator.PMEOperator`,
+    :class:`~repro.pme.realspace.RealSpaceOperator`) or a 2-D
+    ``ndarray``, applied as ``M @ F``.  Anything else — a bare
+    callable included — raises :class:`TypeError`.
+    """
+    apply_block = getattr(mobility, "apply_block", None)
+    if apply_block is not None:
+        return apply_block
+    if isinstance(mobility, np.ndarray) and mobility.ndim == 2:
+        return mobility.__matmul__
+    raise TypeError(
+        f"expected a mobility operator with apply_block or a 2-D ndarray, "
+        f"got {type(mobility).__name__}")
 
 
 @dataclass
@@ -72,18 +91,15 @@ def _block_tridiag_sqrt_first(blocks_a: list[np.ndarray],
 
 
 @array_arg("z", ndim=(2,))
-def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
+def block_lanczos_sqrt(mobility: Any, z: np.ndarray, tol: float = 1e-2,
                        max_iter: int = 200
                        ) -> tuple[np.ndarray, LanczosInfo]:
     """Approximate ``M^(1/2) Z`` for a block ``Z`` of shape ``(d, s)``.
 
-    ``matvec`` may be a :class:`~repro.core.mobility.MobilityOperator`
-    (preferred — each iteration issues **one** batched
-    ``apply_block``), a dense matrix, or a legacy ``matvec`` callable
-    (wrapped via :func:`~repro.core.mobility.as_mobility`; callables
-    that accept column blocks keep their block behaviour).  Returns
-    ``(Y, info)`` with ``Y`` of shape ``(d, s)``; a single vector is
-    the block ``z[:, None]``.
+    ``mobility`` is an operator with ``apply_block`` or a dense matrix
+    (:func:`mobility_product`); each iteration issues **one** batched
+    product.  Returns ``(Y, info)`` with ``Y`` of shape ``(d, s)``; a
+    single vector is the block ``z[:, None]``.
 
     Parameters
     ----------
@@ -103,6 +119,7 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
     carries the full solve diagnostics (``iterations``,
     ``rel_change``/``residual``, ``n_matvecs``) for the recovery log.
     """
+    product = mobility_product(mobility)
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"Z must have shape (d, s), got {z.shape}")
@@ -112,8 +129,6 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
     if s > d:
         raise ValueError(f"block size {s} exceeds dimension {d}")
 
-    from ..core.mobility import as_mobility  # deferred: import cycle
-    operator = as_mobility(matvec, dim=d)
     v1, r1 = np.linalg.qr(z)           # Z = V_1 R_1
     max_iter = min(max_iter, d // s)
     basis = [v1]
@@ -133,7 +148,7 @@ def block_lanczos_sqrt(matvec: Any, z: np.ndarray, tol: float = 1e-2,
         for m in range(1, max_iter + 1):
             v = basis[-1]
             # one batched multi-RHS application per iteration
-            w = np.asarray(operator.apply_block(v), dtype=np.float64)
+            w = np.asarray(product(v), dtype=np.float64)
             n_matvecs += s
             a = v.T @ w
             a = 0.5 * (a + a.T)        # symmetrize against round-off

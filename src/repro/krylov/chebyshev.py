@@ -25,13 +25,13 @@ and compared with the other samplers in
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any
 
 import numpy as np
 
 from .. import obs
 from ..errors import ConvergenceError
-from .block_lanczos import LanczosInfo
+from .block_lanczos import LanczosInfo, mobility_product
 
 __all__ = ["eigenvalue_bounds", "chebyshev_coefficients", "chebyshev_sqrt"]
 
@@ -39,7 +39,7 @@ __all__ = ["eigenvalue_bounds", "chebyshev_coefficients", "chebyshev_sqrt"]
 BOUND_SAFETY = 1.05
 
 
-def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+def eigenvalue_bounds(mobility: Any, dim: int,
                       n_iter: int = 25,
                       seed: int | np.random.Generator = 0
                       ) -> tuple[float, float]:
@@ -51,8 +51,10 @@ def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
 
     Parameters
     ----------
-    matvec:
-        The operator application.
+    mobility:
+        An operator with ``apply_block`` or a dense matrix
+        (:func:`~repro.krylov.block_lanczos.mobility_product`); each
+        step applies it to one flat vector.
     dim:
         Operator dimension.
     n_iter:
@@ -60,10 +62,9 @@ def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
     seed:
         RNG seed or generator for the starting vector.
     """
+    product = mobility_product(mobility)
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
-    from ..core.mobility import as_mobility  # deferred: import cycle
-    operator = as_mobility(matvec, dim=dim)
     n_iter = min(n_iter, dim)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -72,8 +73,7 @@ def eigenvalue_bounds(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
     beta: list[float] = []
     with obs.span("krylov.bounds", d=dim, n_iter=n_iter):
         for m in range(n_iter):
-            w = np.array(operator.apply(basis[-1]), dtype=np.float64,
-                         copy=True)
+            w = np.array(product(basis[-1]), dtype=np.float64, copy=True)
             a = float(basis[-1] @ w)
             alpha.append(a)
             w -= a * basis[-1]
@@ -156,15 +156,16 @@ def chebyshev_coefficients(l_min: float, l_max: float, tol: float = 1e-3,
     return c
 
 
-def chebyshev_sqrt(matvec: Callable[[np.ndarray], np.ndarray],
-                   z: np.ndarray, l_min: float, l_max: float,
+def chebyshev_sqrt(mobility: Any, z: np.ndarray, l_min: float, l_max: float,
                    tol: float = 1e-3, max_degree: int = 512
                    ) -> tuple[np.ndarray, LanczosInfo]:
     """Approximate ``M^(1/2) z`` with a Chebyshev polynomial of ``M``.
 
     ``z`` may be a vector ``(d,)`` or a block ``(d, s)``; the
     recurrence is applied to the whole block at once (one polynomial
-    serves every vector — Fixman's amortization).
+    serves every vector — Fixman's amortization).  ``mobility`` is an
+    operator with ``apply_block`` or a dense matrix
+    (:func:`~repro.krylov.block_lanczos.mobility_product`).
 
     Returns ``(y, info)`` with ``info.iterations`` the polynomial
     degree and ``info.n_matvecs`` counted per column.
@@ -174,11 +175,10 @@ def chebyshev_sqrt(matvec: Callable[[np.ndarray], np.ndarray],
     :class:`~repro.errors.ConvergenceError` carrying ``iterations``,
     ``residual`` and ``n_matvecs`` is raised.
     """
+    product = mobility_product(mobility)
     z = np.asarray(z, dtype=np.float64)
     flat = z.ndim == 1
     zb = z[:, None] if flat else z
-    from ..core.mobility import as_mobility  # deferred: import cycle
-    operator = as_mobility(matvec, dim=int(zb.shape[0]))
     c, err, converged = _best_coefficients(l_min, l_max, tol, max_degree)
     degree = c.size - 1
     s = zb.shape[1]
@@ -189,7 +189,7 @@ def chebyshev_sqrt(matvec: Callable[[np.ndarray], np.ndarray],
     def t_apply(v):
         """Application of the scaled operator ``t(M) = scale M - shift``
         — one batched multi-RHS product for the whole block."""
-        return scale * np.asarray(operator.apply_block(v)) - shift * v
+        return scale * np.asarray(product(v)) - shift * v
 
     # Clenshaw recurrence on the block
     b1 = np.zeros_like(zb)

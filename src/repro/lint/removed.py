@@ -51,5 +51,8 @@ REMOVED_NAMES: tuple[Removed, ...] = (
          "function",
          "checkpoint.resume load_checkpoint_with_fallback load_resume_state "
          "checkpoint_callback extra_callback"),
+        ("One mobility interface: the solvers take apply_block or a matrix",
+         "MobilityOperator DenseMobilityMatrix CallableMobility as_mobility "
+         "as_linear_operator as_operator"),
     ) for name in names.split()),
 )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator
 
 from .. import obs
 from ..errors import ConfigurationError
@@ -338,18 +337,8 @@ class PMEOperator:
         return out[:, 0] if flat else out
 
     # ------------------------------------------------------------------
-    # adapters and accounting
+    # accounting
     # ------------------------------------------------------------------
-
-    def as_linear_operator(self) -> LinearOperator:
-        """A :class:`scipy.sparse.linalg.LinearOperator` view of ``M``.
-
-        Multi-vector products go through the batched
-        :meth:`apply_block` fast path.
-        """
-        return LinearOperator(
-            shape=self.shape, matvec=self.apply, matmat=self.apply_block,
-            rmatvec=self.apply, dtype=np.float64)
 
     def to_dense(self) -> np.ndarray:
         """Densify by applying to the identity (tests / small n only)."""

@@ -34,7 +34,6 @@ form of the RPY tensor is part of it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .. import obs
 from ..errors import ConfigurationError
@@ -53,8 +52,8 @@ __all__ = ["RealSpaceOperator"]
 class RealSpaceOperator:
     """Sparse real-space Ewald mobility ``M_real + M_self`` (in ``mu0`` units).
 
-    A :class:`~repro.core.mobility.MobilityOperator`: block Lanczos
-    samples it directly (:class:`~repro.core.integrators.MatrixFreeBD`).
+    A mobility operator (``apply_block``): block Lanczos samples it
+    directly (:class:`~repro.core.integrators.MatrixFreeBD`).
 
     Parameters
     ----------
@@ -145,13 +144,6 @@ class RealSpaceOperator:
     def shape(self) -> tuple[int, int]:
         """Operator shape ``(3n, 3n)``."""
         return (3 * self.n, 3 * self.n)
-
-    def as_linear_operator(self) -> LinearOperator:
-        """A :class:`scipy.sparse.linalg.LinearOperator` view (``mu0``
-        units)."""
-        return LinearOperator(shape=self.shape, matvec=self.apply,
-                              matmat=self.apply_block, rmatvec=self.apply,
-                              dtype=np.float64)
 
     @property
     def memory_bytes(self) -> int:

@@ -379,12 +379,12 @@ class FaultyKrylovGenerator(KrylovBrownianGenerator):
         self.last_info = inner.last_info
         self.schedule = schedule
 
-    def generate(self, matvec, z):
+    def generate(self, mobility, z):
         if self.schedule.fire("brownian", "nonconvergence"):
             raise ConvergenceError(
                 "injected Lanczos non-convergence", iterations=0,
                 residual=float("inf"), n_matvecs=0)
-        d = super().generate(matvec, z)
+        d = super().generate(mobility, z)
         if self.schedule.fire("brownian-nan", "nan"):
             d = _poison(d)
         return d

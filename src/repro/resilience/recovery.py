@@ -37,7 +37,7 @@ from ..errors import (
     ConvergenceError,
     NotPositiveDefiniteError,
 )
-from ..krylov.block_lanczos import LanczosInfo
+from ..krylov.block_lanczos import LanczosInfo, mobility_product
 from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from ..krylov.reference import cholesky_displacements, dense_sqrtm
 from .failures import FailureKind, StepFailure, classify_exception
@@ -79,28 +79,25 @@ def next_dt_scale(scale: float) -> float | None:
     return None if nxt < MIN_DT_SCALE else nxt
 
 
-def materialize_operator(matvec: Any, dim: int) -> np.ndarray:
-    """Dense ``(dim, dim)`` matrix of a matrix-free operator.
+def materialize_operator(mobility: Any, dim: int) -> np.ndarray:
+    """Dense ``(dim, dim)`` matrix of a mobility.
 
-    Accepts anything :func:`~repro.core.mobility.as_mobility` does: a
-    :class:`~repro.core.mobility.MobilityOperator`, a dense matrix or a
-    legacy matvec callable.  A dense operator is returned directly;
-    anything else is applied column by column (a vector-only callable
-    accepts nothing wider; for PME one column is one pass of the
-    batched pipeline with the smallest workspace).
+    ``mobility`` is an operator with ``apply_block`` or a dense matrix
+    (:func:`~repro.krylov.block_lanczos.mobility_product`).  A matrix
+    is returned as a float64 copy; an operator is applied column by
+    column (for PME one column is one pass of the batched pipeline with
+    the smallest workspace).
     """
-    from ..core.mobility import DenseMobilityMatrix, as_mobility  # cycle
-    operator = as_mobility(matvec, dim=dim)
-    if isinstance(operator, DenseMobilityMatrix):
-        return operator.matrix.astype(np.float64, copy=True)
+    product = mobility_product(mobility)
+    if isinstance(mobility, np.ndarray):
+        return np.array(mobility, dtype=np.float64)
     eye = np.eye(dim)
-    cols = [np.asarray(operator.apply(eye[:, j]),
-                       dtype=np.float64).reshape(dim)
+    cols = [np.asarray(product(eye[:, j]), dtype=np.float64).reshape(dim)
             for j in range(dim)]
     return np.column_stack(cols)
 
 
-def _dense_displacements(matvec, z2: np.ndarray,
+def _dense_displacements(mobility, z2: np.ndarray,
                          scale: float) -> tuple[np.ndarray, str]:
     """Last-resort rung: materialize and use the dense reference."""
     d = z2.shape[0]
@@ -110,7 +107,7 @@ def _dense_displacements(matvec, z2: np.ndarray,
             f"dense fallback refused: operator dimension {d} exceeds "
             f"DENSE_FALLBACK_MAX_DIM={DENSE_FALLBACK_MAX_DIM}")
     with obs.span("recovery.dense_fallback", d=d):
-        m = materialize_operator(matvec, d)
+        m = materialize_operator(mobility, d)
         m = 0.5 * (m + m.T)  # symmetrize against operator round-off
         try:
             return cholesky_displacements(m, z2, scale=scale), "cholesky"
@@ -120,7 +117,7 @@ def _dense_displacements(matvec, z2: np.ndarray,
 
 
 def krylov_displacements_resilient(
-        generator, matvec: Any, z: np.ndarray, log: RecoveryLog,
+        generator, mobility: Any, z: np.ndarray, log: RecoveryLog,
         step: int) -> tuple[np.ndarray, LanczosInfo | None]:
     """``sqrt(2 kT dt) M^(1/2) Z`` with the full recovery ladder.
 
@@ -130,8 +127,9 @@ def krylov_displacements_resilient(
         A :class:`~repro.core.brownian.KrylovBrownianGenerator` (or
         fault-injection wrapper); supplies the baseline ``tol`` /
         ``max_iter`` and the physical scale.
-    matvec:
-        The mobility application.
+    mobility:
+        An operator with ``apply_block`` or a dense matrix
+        (:func:`~repro.krylov.block_lanczos.mobility_product`).
     z:
         Standard-normal block ``(d, s)`` (or vector ``(d,)``).
     log:
@@ -152,7 +150,7 @@ def krylov_displacements_resilient(
         loop answers it with a block rollback.
     """
     try:
-        d = generator.generate(matvec, z)
+        d = generator.generate(mobility, z)
         return d, generator.last_info
     except ConvergenceError as exc:
         first = exc
@@ -169,7 +167,7 @@ def krylov_displacements_resilient(
             retry.max_iter = max_iter = max(generator.max_iter * iter_factor,
                                             generator.max_iter + 1)
             try:
-                d = retry.generate(matvec, z)
+                d = retry.generate(mobility, z)
                 info = retry.last_info
                 log.record(step, kind, "retry-lanczos", attempt=attempt,
                            tol=tol, max_iter=max_iter,
@@ -186,8 +184,8 @@ def krylov_displacements_resilient(
         z2 = np.atleast_2d(np.asarray(z).T).T
         try:
             l_min, l_max = eigenvalue_bounds(
-                matvec, z2.shape[0], n_iter=CHEBYSHEV_BOUND_ITERATIONS)
-            y, info = chebyshev_sqrt(matvec, z2, l_min, l_max,
+                mobility, z2.shape[0], n_iter=CHEBYSHEV_BOUND_ITERATIONS)
+            y, info = chebyshev_sqrt(mobility, z2, l_min, l_max,
                                      tol=generator.tol)
             log.record(step, kind, "fallback-chebyshev",
                        degree=info.iterations, l_min=l_min, l_max=l_max)
@@ -199,7 +197,7 @@ def krylov_displacements_resilient(
                                                     ).diagnostics)
 
         # Rung 3: dense reference.
-        y, method = _dense_displacements(matvec, z2, generator.scale)
+        y, method = _dense_displacements(mobility, z2, generator.scale)
         log.record(step, kind, "fallback-cholesky", method=method)
         return (y[:, 0] if np.asarray(z).ndim == 1 else y), None
 

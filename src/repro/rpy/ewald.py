@@ -145,19 +145,6 @@ class EwaldSummation:
         mat = self.matrix(positions)
         return mat @ np.asarray(forces, dtype=np.float64)
 
-    @positions_arg()
-    def as_operator(self, positions):
-        """The mobility at ``positions`` as a
-        :class:`~repro.core.mobility.MobilityOperator`.
-
-        Builds the dense matrix once and wraps it in a
-        :class:`~repro.core.mobility.DenseMobilityMatrix`, so the
-        baseline algorithm plugs into the same ``apply`` /
-        ``apply_block`` interface as the matrix-free PME operator.
-        """
-        from ..core.mobility import DenseMobilityMatrix  # deferred: cycle
-        return DenseMobilityMatrix(self.matrix(positions))
-
     # -- reciprocal space ------------------------------------------------
 
     def _reciprocal_matrix(self, r: np.ndarray) -> np.ndarray:

@@ -114,19 +114,19 @@ class _FailsOnce(KrylovBrownianGenerator):
     """Block Lanczos whose first solve does not converge: the ladder's
     Lanczos retry answers instead."""
 
-    def generate(self, matvec, z):
+    def generate(self, mobility, z):
         if not getattr(self, "failed", False):
             self.failed = True
             raise ConvergenceError("first solve fails", iterations=1,
                                    residual=0.5, n_matvecs=1)
-        return super().generate(matvec, z)
+        return super().generate(mobility, z)
 
 
 class _NeverConverges(KrylovBrownianGenerator):
     """Block Lanczos that never converges: every retry fails and the
     Chebyshev rung answers (the dense rung, if Chebyshev fails too)."""
 
-    def generate(self, matvec, z):
+    def generate(self, mobility, z):
         raise ConvergenceError("solve fails", iterations=1, residual=0.5,
                                n_matvecs=1)
 
@@ -173,7 +173,7 @@ def test_generators_agree_on_sqrt_action(mobility):
     z = np.random.default_rng(2).standard_normal((mobility.shape[0], 4))
     g_chol = CholeskyBrownianGenerator(kT=kT, dt=dt).generate(mobility, z)
     g_kry = KrylovBrownianGenerator(kT=kT, dt=dt, tol=1e-9).generate(
-        lambda v: mobility @ v, z)
+        mobility, z)
     minv = np.linalg.inv(mobility)
     q_chol = np.einsum("is,ij,js->s", g_chol, minv, g_chol)
     q_kry = np.einsum("is,ij,js->s", g_kry, minv, g_kry)
@@ -191,7 +191,7 @@ def test_scale_factor(mobility):
 def test_krylov_reports_info(mobility):
     gen = KrylovBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-4)
     z = np.random.default_rng(4).standard_normal((mobility.shape[0], 3))
-    gen.generate(lambda v: mobility @ v, z)
+    gen.generate(mobility, z)
     assert gen.last_info is not None
     assert gen.last_info.converged
     assert gen.last_info.iterations >= 1

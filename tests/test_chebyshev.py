@@ -25,26 +25,26 @@ def _random_spd(d, seed, lo=0.5, hi=4.0):
 class TestEigenvalueBounds:
     def test_brackets_spectrum(self):
         m, lo, hi = _random_spd(60, 0)
-        l_min, l_max = eigenvalue_bounds(lambda v: m @ v, 60)
+        l_min, l_max = eigenvalue_bounds(m, 60)
         assert l_min <= lo + 1e-9
         assert l_max >= hi - 1e-9
 
     def test_tightness(self):
         m, lo, hi = _random_spd(80, 1)
-        l_min, l_max = eigenvalue_bounds(lambda v: m @ v, 80, n_iter=40)
+        l_min, l_max = eigenvalue_bounds(m, 80, n_iter=40)
         assert l_min > 0.5 * lo
         assert l_max < 2.0 * hi
 
     def test_small_dimension(self):
         m = np.diag([1.0, 2.0, 3.0])
-        l_min, l_max = eigenvalue_bounds(lambda v: m @ v, 3, n_iter=10)
+        l_min, l_max = eigenvalue_bounds(m, 3, n_iter=10)
         assert l_min <= 1.0 + 1e-9
         assert l_max >= 3.0 - 1e-9
 
     def test_rejects_indefinite(self):
         m = np.diag([1.0, -2.0, 3.0, 0.5])
         with pytest.raises(ConvergenceError):
-            eigenvalue_bounds(lambda v: m @ v, 4)
+            eigenvalue_bounds(m, 4)
 
 
 class TestCoefficients:
@@ -79,8 +79,7 @@ class TestChebyshevSqrt:
     def test_matches_dense_reference(self):
         m, lo, hi = _random_spd(50, 2)
         z = np.random.default_rng(3).standard_normal(50)
-        y, info = chebyshev_sqrt(lambda v: m @ v, z, lo * 0.99, hi * 1.01,
-                                 tol=1e-6)
+        y, info = chebyshev_sqrt(m, z, lo * 0.99, hi * 1.01, tol=1e-6)
         ref = dense_sqrt_apply(m, z)
         assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-5
         assert info.converged
@@ -88,10 +87,9 @@ class TestChebyshevSqrt:
     def test_block_matches_columns(self):
         m, lo, hi = _random_spd(40, 4)
         z = np.random.default_rng(5).standard_normal((40, 6))
-        y, info = chebyshev_sqrt(lambda v: m @ v, z, lo, hi, tol=1e-5)
+        y, info = chebyshev_sqrt(m, z, lo, hi, tol=1e-5)
         for c in range(6):
-            yc, _ = chebyshev_sqrt(lambda v: m @ v, z[:, c], lo, hi,
-                                   tol=1e-5)
+            yc, _ = chebyshev_sqrt(m, z[:, c], lo, hi, tol=1e-5)
             np.testing.assert_allclose(y[:, c], yc, rtol=1e-12)
         # Clenshaw needs degree + 1 operator applications per column
         assert info.n_matvecs == 6 * (info.iterations + 1)
@@ -99,10 +97,8 @@ class TestChebyshevSqrt:
     def test_polynomial_amortized_over_block(self):
         # same polynomial degree regardless of block width
         m, lo, hi = _random_spd(40, 6)
-        _, info1 = chebyshev_sqrt(lambda v: m @ v,
-                                  np.ones(40), lo, hi, tol=1e-4)
-        _, info8 = chebyshev_sqrt(lambda v: m @ v,
-                                  np.ones((40, 8)), lo, hi, tol=1e-4)
+        _, info1 = chebyshev_sqrt(m, np.ones(40), lo, hi, tol=1e-4)
+        _, info8 = chebyshev_sqrt(m, np.ones((40, 8)), lo, hi, tol=1e-4)
         assert info8.iterations == info1.iterations
 
 
@@ -120,23 +116,19 @@ class TestGeneratorOnRealMobility:
     def test_quadratic_form_matches_krylov(self, mobility):
         from repro.core.brownian import KrylovBrownianGenerator
         z = np.random.default_rng(9).standard_normal((mobility.shape[0], 4))
-        l_min, l_max = eigenvalue_bounds(lambda v: mobility @ v,
-                                         mobility.shape[0])
-        g_cheb, _ = chebyshev_sqrt(lambda v: mobility @ v, z, l_min, l_max,
-                                   tol=1e-8)
+        l_min, l_max = eigenvalue_bounds(mobility, mobility.shape[0])
+        g_cheb, _ = chebyshev_sqrt(mobility, z, l_min, l_max, tol=1e-8)
         g_cheb *= np.sqrt(2.0 * 1.0 * 1e-3)
         g_kry = KrylovBrownianGenerator(kT=1.0, dt=1e-3, tol=1e-9).generate(
-            lambda v: mobility @ v, z)
+            mobility, z)
         # both approximate the same principal square root action
         np.testing.assert_allclose(g_cheb, g_kry, rtol=1e-4, atol=1e-8)
 
     def test_reports_bounds_and_info(self, mobility):
         z = np.random.default_rng(10).standard_normal(mobility.shape[0])
-        l_min, l_max = eigenvalue_bounds(lambda v: mobility @ v,
-                                         mobility.shape[0])
+        l_min, l_max = eigenvalue_bounds(mobility, mobility.shape[0])
         eigs = np.linalg.eigvalsh(mobility)
         assert 0 < l_min <= eigs[0] and l_max >= eigs[-1]
-        _, info = chebyshev_sqrt(lambda v: mobility @ v, z, l_min, l_max,
-                                 tol=1e-3)
+        _, info = chebyshev_sqrt(mobility, z, l_min, l_max, tol=1e-3)
         assert info.converged
         assert info.n_matvecs > info.iterations

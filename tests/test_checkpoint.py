@@ -94,6 +94,23 @@ def test_graceful_stop_off_the_interval_writes_a_final_checkpoint(tmp_path):
     assert load_checkpoint(path)[2] == 4
 
 
+def test_a_run_ending_off_the_interval_checkpoints_its_last_step(tmp_path):
+    # 10 steps at lambda_rpy=4: checkpoints at 4 and 8, then a final one
+    # at 10, so the rerun of the finished run takes no steps
+    susp = random_suspension(16, 0.1, seed=5)
+    path = tmp_path / "c.npz"
+    final, stats, _, _ = run_checkpointed(path, _integrator(susp),
+                                          susp.positions, 10)
+    assert stats.n_steps == 10
+    assert load_checkpoint(path)[2] == 10
+    assert load_checkpoint(previous_checkpoint_path(path))[2] == 8
+
+    again, stats, step0, _ = run_checkpointed(path, _integrator(susp),
+                                              susp.positions, 10)
+    assert (step0, stats.n_steps) == (10, 0)
+    assert positions_digest(again) == positions_digest(final)
+
+
 def test_rerun_on_a_checkpoint_takes_only_the_remaining_steps(tmp_path):
     # a requeued run (the same call on the same checkpoint path) must
     # continue the checkpoint, not restart at step 0 and rotate it away

@@ -67,7 +67,7 @@ def test_tuned_operator_with_krylov_displacements():
     op = PMEOperator(susp.positions, susp.box, params)
     assert pme_relative_error(op, n_probe=2) < 1e-3
     z = np.random.default_rng(0).standard_normal((3 * susp.n, 6))
-    y, info = block_lanczos_sqrt(op.apply, z, tol=1e-3)
+    y, info = block_lanczos_sqrt(op, z, tol=1e-3)
     assert info.converged
     # compare against the dense reference square root
     from repro.krylov import dense_sqrt_apply

@@ -21,6 +21,13 @@ def _nearly_deterministic_fluid():
     return FluidParams(kT=1e-18)
 
 
+def test_ewald_bd_takes_no_context(suspension):
+    # the dense path has no parallel stage: an execution context is
+    # MatrixFreeBD's option only
+    with pytest.raises(TypeError, match="context"):
+        EwaldBD(box=suspension.box, context=None)
+
+
 class TestDriftConsistency:
     def test_algorithms_agree_at_zero_temperature(self, suspension):
         # with negligible noise both algorithms integrate the same ODE;

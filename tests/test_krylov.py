@@ -89,7 +89,7 @@ class TestBlock:
         rng = np.random.default_rng(13)
         z = rng.standard_normal((60, 6))
         ref = dense_sqrt_apply(m, z)
-        y, info = block_lanczos_sqrt(lambda v: m @ v, z, tol=1e-8)
+        y, info = block_lanczos_sqrt(m, z, tol=1e-8)
         assert info.converged
         np.testing.assert_allclose(y, ref, rtol=1e-5)
 
@@ -98,16 +98,14 @@ class TestBlock:
         m = _random_spd(120, 14, cond=5000.0)
         rng = np.random.default_rng(15)
         z = rng.standard_normal((120, 10))
-        _, info_block = block_lanczos_sqrt(lambda v: m @ v, z, tol=1e-6)
-        _, info_single = block_lanczos_sqrt(lambda v: m @ v, z[:, :1],
-                                            tol=1e-6)
+        _, info_block = block_lanczos_sqrt(m, z, tol=1e-6)
+        _, info_single = block_lanczos_sqrt(m, z[:, :1], tol=1e-6)
         assert info_block.iterations < info_single.iterations
 
     def test_block_size_one_matches_single(self):
         m = _random_spd(40, 16)
         z = np.random.default_rng(17).standard_normal(40)
-        yb, _ = block_lanczos_sqrt(lambda v: m @ v.reshape(40, -1),
-                                   z[:, None], tol=1e-9)
+        yb, _ = block_lanczos_sqrt(m, z[:, None], tol=1e-9)
         np.testing.assert_allclose(yb[:, 0], dense_sqrt_apply(m, z),
                                    rtol=1e-6)
 
@@ -118,27 +116,28 @@ class TestBlock:
         rng = np.random.default_rng(19)
         col = rng.standard_normal(30)
         z = np.stack([col, col, rng.standard_normal(30)], axis=1)
-        y, info = block_lanczos_sqrt(lambda v: m @ v, z, tol=1e-7)
+        y, info = block_lanczos_sqrt(m, z, tol=1e-7)
         ref = dense_sqrt_apply(m, z)
         np.testing.assert_allclose(y, ref, rtol=1e-4)
         np.testing.assert_allclose(y[:, 0], y[:, 1], rtol=1e-10)
 
     def test_zero_block(self):
-        y, info = block_lanczos_sqrt(lambda v: v, np.zeros((10, 3)), tol=1e-6)
+        y, info = block_lanczos_sqrt(np.eye(10), np.zeros((10, 3)),
+                                  tol=1e-6)
         np.testing.assert_allclose(y, 0.0)
 
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError):
-            block_lanczos_sqrt(lambda v: v, np.ones(5))
+            block_lanczos_sqrt(np.eye(5), np.ones(5))
 
     def test_rejects_wide_block(self):
         with pytest.raises(ValueError):
-            block_lanczos_sqrt(lambda v: v, np.ones((3, 5)))
+            block_lanczos_sqrt(np.eye(3), np.ones((3, 5)))
 
     def test_matvec_count_is_per_column(self):
         m = _random_spd(40, 20)
         z = np.random.default_rng(21).standard_normal((40, 4))
-        _, info = block_lanczos_sqrt(lambda v: m @ v, z, tol=1e-6)
+        _, info = block_lanczos_sqrt(m, z, tol=1e-6)
         assert info.n_matvecs == 4 * info.iterations
 
 

@@ -1,30 +1,30 @@
-"""Tests for the unified MobilityOperator API and the batched pipeline.
+"""Tests for the one mobility interface and the batched pipeline.
 
-Covers the protocol conformance of every implementer, the equivalence
-of ``apply_block`` and per-column ``apply``, the deprecation shims
-(``operator(f)`` and positional config construction), the ``replace``
-helpers, the :class:`~repro.pme.cache.MobilityCache` reuse and the
-block-Lanczos regression (batched operator vs legacy callable).
+Covers the two forms every solver takes (an operator with
+``apply_block``, or a 2-D matrix) and the rejection of anything else,
+the equivalence of ``apply_block`` and per-column ``apply``, the
+removed call forms (``operator(f)`` and positional config
+construction), the :class:`~repro.pme.cache.MobilityCache` reuse and
+block Lanczos on both forms.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import Box, PMEOperator, PMEParams
 from repro.core.brownian import KrylovBrownianGenerator
-from repro.core.mobility import (
-    CallableMobility,
-    DenseMobilityMatrix,
-    MobilityOperator,
-    as_mobility,
-)
-from repro.krylov.block_lanczos import block_lanczos_sqrt
+from repro.krylov.block_lanczos import block_lanczos_sqrt, mobility_product
+from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from repro.obs import trace as _trace
 from repro.pme.cache import MobilityCache
-from repro.resilience.recovery import materialize_operator
-from repro.rpy.ewald import EwaldSummation
+from repro.resilience import RecoveryLog
+from repro.resilience.recovery import (
+    krylov_displacements_resilient,
+    materialize_operator,
+)
+
+#: The message of the rejection names both accepted forms.
+BOTH_FORMS = "apply_block or a 2-D ndarray"
 
 
 @pytest.fixture(scope="module")
@@ -45,84 +45,50 @@ def spd_matrix():
 
 
 # ---------------------------------------------------------------------------
-# protocol conformance
+# the two forms
 # ---------------------------------------------------------------------------
 
 def test_pme_operator_conforms(system):
     box, r, params = system
     op = PMEOperator(r, box, params)
-    assert isinstance(op, MobilityOperator)
     assert op.shape == (3 * r.shape[0],) * 2
+    f = np.random.default_rng(3).standard_normal((3 * r.shape[0], 2))
+    assert mobility_product(op)(f).tobytes() == op.apply_block(f).tobytes()
 
 
 def test_real_space_operator_conforms(system):
     # the real half of the split is sampled on its own by block Lanczos
     box, r, params = system
     op = PMEOperator(r, box, params).real
-    assert isinstance(op, MobilityOperator)
     assert op.shape == (3 * r.shape[0],) * 2
     f = np.random.default_rng(4).standard_normal((3 * r.shape[0], 2))
-    assert (op.as_linear_operator() @ f).tobytes() == op.apply(f).tobytes()
+    assert mobility_product(op)(f).tobytes() == op.apply(f).tobytes()
 
 
-def test_dense_matrix_wrapper_conforms(spd_matrix):
-    op = DenseMobilityMatrix(spd_matrix)
-    assert isinstance(op, MobilityOperator)
-    assert op.shape == spd_matrix.shape
+def test_non_operators_do_not_conform(spd_matrix):
+    for other in (object(), np.ones(30), lambda v: spd_matrix @ v):
+        with pytest.raises(TypeError, match=BOTH_FORMS):
+            mobility_product(other)
 
 
-def test_callable_wrapper_conforms(spd_matrix):
-    op = CallableMobility(lambda v: spd_matrix @ v, dim=30)
-    assert isinstance(op, MobilityOperator)
-    assert op.shape == (30, 30)
-
-
-def test_ewald_as_operator_conforms(system):
-    box, r, _ = system
-    op = EwaldSummation(box=box, tol=1e-8).as_operator(r)
-    assert isinstance(op, DenseMobilityMatrix)
-    assert isinstance(op, MobilityOperator)
-    f = np.ones(3 * r.shape[0])
-    np.testing.assert_allclose(op.apply(f), op.matrix @ f)
-
-
-def test_non_operators_do_not_conform():
-    assert not isinstance(object(), MobilityOperator)
-    assert not isinstance(np.eye(3), MobilityOperator)
-
-
-# ---------------------------------------------------------------------------
-# as_mobility normalization
-# ---------------------------------------------------------------------------
-
-def test_as_mobility_passthrough(spd_matrix):
-    op = DenseMobilityMatrix(spd_matrix)
-    assert as_mobility(op) is op
-
-
-def test_as_mobility_wraps_matrix_and_callable(spd_matrix):
-    assert isinstance(as_mobility(spd_matrix), DenseMobilityMatrix)
-    wrapped = as_mobility(lambda v: spd_matrix @ v, dim=30)
-    assert isinstance(wrapped, CallableMobility)
-    x = np.arange(30.0)
-    np.testing.assert_allclose(wrapped.apply(x), spd_matrix @ x)
-
-
-def test_as_mobility_rejects_garbage():
-    with pytest.raises(TypeError):
-        as_mobility(42)
-
-
-def test_callable_block_falls_back_to_columns(spd_matrix):
-    def vector_only(v):
-        if np.asarray(v).ndim != 1:
-            raise ValueError("vectors only")
+def test_solvers_reject_a_bare_callable(spd_matrix):
+    def matvec(v):
         return spd_matrix @ v
 
-    op = CallableMobility(vector_only, dim=30)
-    f = np.random.default_rng(3).standard_normal((30, 4))
-    np.testing.assert_allclose(op.apply_block(f), spd_matrix @ f,
-                               rtol=1e-12, atol=1e-12)
+    z = np.random.default_rng(12).standard_normal((30, 2))
+    generator = KrylovBrownianGenerator(kT=1.0, dt=1e-3)
+    calls = [
+        lambda: block_lanczos_sqrt(matvec, z),
+        lambda: eigenvalue_bounds(matvec, 30),
+        lambda: chebyshev_sqrt(matvec, z, 1.0, 2.0),
+        lambda: generator.generate(matvec, z),
+        lambda: materialize_operator(matvec, 30),
+        lambda: krylov_displacements_resilient(generator, matvec, z,
+                                               RecoveryLog(), 0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=BOTH_FORMS):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +120,6 @@ def test_apply_block_flat_vector_and_fortran_input(system):
                                op.apply_block(np.ascontiguousarray(f)))
 
 
-def test_linear_operator_routes_matmat_through_block(system):
-    box, r, params = system
-    op = PMEOperator(r, box, params)
-    lo = op.as_linear_operator()
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((3 * r.shape[0], 4))
-    np.testing.assert_allclose(lo @ f, op.apply_block(f),
-                               rtol=1e-12, atol=1e-14)
-
-
 def test_apply_block_spans_carry_vector_counts(system):
     box, r, params = system
     op = PMEOperator(r, box, params)
@@ -180,7 +136,7 @@ def test_apply_block_spans_carry_vector_counts(system):
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# removed call forms
 # ---------------------------------------------------------------------------
 
 def test_direct_call_raises_on_pme_operator(system):
@@ -189,19 +145,6 @@ def test_direct_call_raises_on_pme_operator(system):
     f = np.ones(3 * r.shape[0])
     with pytest.raises(TypeError):
         op(f)
-
-
-def test_direct_call_raises_on_dense_wrapper(spd_matrix):
-    op = DenseMobilityMatrix(spd_matrix)
-    with pytest.raises(TypeError):
-        op(np.ones(30))
-
-
-def test_callable_wrapper_call_still_works(spd_matrix):
-    op = CallableMobility(lambda v: spd_matrix @ v, dim=30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        op(np.ones(30))
 
 
 def test_positional_params_raise():
@@ -270,20 +213,29 @@ def test_cache_holds_one_arena_as_wide_as_the_widest_pass(system):
 
 
 # ---------------------------------------------------------------------------
-# solvers consume the protocol
+# solvers on both forms
 # ---------------------------------------------------------------------------
 
-def test_block_lanczos_matches_legacy_callable(spd_matrix):
+class _MatrixOperator:
+    """A matrix behind ``apply_block``: the operator form of the array."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def apply_block(self, forces):
+        return self.matrix @ forces
+
+
+def test_block_lanczos_same_bytes_for_matrix_and_operator(spd_matrix):
     rng = np.random.default_rng(8)
     z = rng.standard_normal((30, 4))
-    y_op, info_op = block_lanczos_sqrt(DenseMobilityMatrix(spd_matrix), z,
+    y_op, info_op = block_lanczos_sqrt(_MatrixOperator(spd_matrix), z,
                                        tol=1e-10)
-    y_cb, info_cb = block_lanczos_sqrt(lambda v: spd_matrix @ v, z,
-                                       tol=1e-10)
-    # the callable accepts blocks, so both paths run identical arithmetic
-    np.testing.assert_array_equal(y_op, y_cb)
-    assert info_op.iterations == info_cb.iterations
-    assert info_op.n_matvecs == info_cb.n_matvecs
+    y_mat, info_mat = block_lanczos_sqrt(spd_matrix, z, tol=1e-10)
+    # both forms make the same product: identical arithmetic
+    assert y_op.tobytes() == y_mat.tobytes()
+    assert info_op.iterations == info_mat.iterations
+    assert info_op.n_matvecs == info_mat.n_matvecs
 
 
 def test_block_lanczos_on_batched_pme_operator(system):
@@ -292,14 +244,17 @@ def test_block_lanczos_on_batched_pme_operator(system):
     rng = np.random.default_rng(9)
     z = rng.standard_normal((3 * r.shape[0], 4))
     y_batched, _ = block_lanczos_sqrt(op, z, tol=1e-8)
-    y_legacy, _ = block_lanczos_sqrt(op.apply, z, tol=1e-8)
-    np.testing.assert_allclose(y_batched, y_legacy, rtol=1e-9, atol=1e-11)
+    y_dense, _ = block_lanczos_sqrt(op.to_dense(), z, tol=1e-8)
+    np.testing.assert_allclose(y_batched, y_dense, rtol=1e-9, atol=1e-11)
 
 
-def test_materialize_operator_accepts_all_forms(spd_matrix):
+def test_materialize_operator_accepts_all_forms(system, spd_matrix):
+    # the two forms: an array comes back as a copy of itself, an
+    # operator is applied column by column
     dense = materialize_operator(spd_matrix, 30)
-    np.testing.assert_allclose(dense, spd_matrix)
-    via_callable = materialize_operator(lambda v: spd_matrix @ v, 30)
-    np.testing.assert_allclose(via_callable, spd_matrix)
-    via_operator = materialize_operator(DenseMobilityMatrix(spd_matrix), 30)
-    np.testing.assert_allclose(via_operator, spd_matrix)
+    assert dense.tobytes() == spd_matrix.tobytes()
+    assert dense is not spd_matrix
+    box, r, params = system
+    op = PMEOperator(r, box, params)
+    np.testing.assert_allclose(materialize_operator(op, 3 * r.shape[0]),
+                               op.to_dense(), rtol=1e-12, atol=1e-14)

@@ -119,15 +119,6 @@ def test_wide_block_is_chunked(system):
     assert max(lanes) == 3 * MAX_BLOCK_COLUMNS
 
 
-def test_linear_operator_adapter(system):
-    box, r, _ = system
-    op = PMEOperator(r, box, PARAMS)
-    lo = op.as_linear_operator()
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(3 * r.shape[0])
-    np.testing.assert_allclose(lo @ f, op.apply(f), rtol=1e-12)
-
-
 def test_physical_units(system):
     box, r, ref = system
     fluid = FluidParams(viscosity=3.0)

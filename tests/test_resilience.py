@@ -48,7 +48,7 @@ def _spd_problem(d=30, s=2, seed=0):
     a = rng.standard_normal((d, d))
     m = a @ a.T + 0.5 * np.eye(d)
     z = rng.standard_normal((d, s))
-    return m, (lambda v: m @ v), z
+    return m, z
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,9 @@ def _spd_problem(d=30, s=2, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_block_lanczos_error_carries_diagnostics():
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     with pytest.raises(ConvergenceError) as exc_info:
-        block_lanczos_sqrt(matvec, z, tol=1e-10, max_iter=2)
+        block_lanczos_sqrt(m, z, tol=1e-10, max_iter=2)
     err = exc_info.value
     assert err.iterations == 2
     assert err.n_matvecs == 2 * z.shape[1]
@@ -67,10 +67,10 @@ def test_block_lanczos_error_carries_diagnostics():
 
 
 def test_chebyshev_error_carries_diagnostics():
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     # condition number too large for a degree-8 cap at tight tolerance
     with pytest.raises(ConvergenceError) as exc_info:
-        chebyshev_sqrt(matvec, z, 1e-9, 1e3, tol=1e-12, max_degree=8)
+        chebyshev_sqrt(m, z, 1e-9, 1e3, tol=1e-12, max_degree=8)
     err = exc_info.value
     assert err.iterations == 8
     assert err.residual > 1e-12
@@ -95,10 +95,10 @@ def _chebyshev_fails(*args, **kwargs):
 
 
 def test_ladder_retry_with_grown_budget():
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     gen = KrylovBrownianGenerator(kT=0.5, dt=1.0, tol=1e-6, max_iter=2)
     log = RecoveryLog()
-    y, info = krylov_displacements_resilient(gen, matvec, z, log, step=0)
+    y, info = krylov_displacements_resilient(gen, m, z, log, step=0)
     ref = dense_sqrt_apply(m, z)
     np.testing.assert_allclose(y, ref, rtol=1e-5)
     assert log.count(action="retry-lanczos") == 1
@@ -110,10 +110,10 @@ def test_ladder_retry_with_grown_budget():
 
 
 def test_ladder_chebyshev_fallback():
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     gen = _failing_generator(calls=(0, 1, 2))
     log = RecoveryLog()
-    y, info = krylov_displacements_resilient(gen, matvec, z, log, 0)
+    y, info = krylov_displacements_resilient(gen, m, z, log, 0)
     np.testing.assert_allclose(y, dense_sqrt_apply(m, z), rtol=1e-4)
     assert [e.action for e in log] == ["detect"] * 3 + ["fallback-chebyshev"]
     # the retry schedule: (tol x 10, max_iter x 4), then (tol, max_iter x 16)
@@ -122,11 +122,11 @@ def test_ladder_chebyshev_fallback():
 
 
 def test_ladder_dense_fallback(monkeypatch):
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
     log = RecoveryLog()
     y, info = krylov_displacements_resilient(
-        _failing_generator(calls=(0, 1, 2)), matvec, z, log, 0)
+        _failing_generator(calls=(0, 1, 2)), m, z, log, 0)
     # the dense rung samples via the Cholesky factor: a valid Brownian
     # sample with the exact covariance, reproducible from (m, z)
     np.testing.assert_allclose(
@@ -137,12 +137,12 @@ def test_ladder_dense_fallback(monkeypatch):
 
 
 def test_ladder_dense_fallback_respects_dim_cap(monkeypatch):
-    m, matvec, z = _spd_problem()
+    m, z = _spd_problem()
     monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
     monkeypatch.setattr(recovery, "DENSE_FALLBACK_MAX_DIM", 10)
     with pytest.raises(StepFailure) as exc_info:
         krylov_displacements_resilient(_failing_generator(calls=(0, 1, 2)),
-                                       matvec, z, RecoveryLog(), 0)
+                                       m, z, RecoveryLog(), 0)
     assert "DENSE_FALLBACK_MAX_DIM=10" in str(exc_info.value)
 
 
