@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..lint.contracts import trajectory_arg
 
 __all__ = ["mean_squared_displacement"]
 
 
-@trajectory_arg()
-def mean_squared_displacement(positions: np.ndarray,
+def mean_squared_displacement(positions: np.ndarray,  # noqa: RPR001 - a (T, n, 3) trajectory
                               max_lag: int | None = None) -> np.ndarray:
     """Time- and particle-averaged MSD for all lags up to ``max_lag``.
 
@@ -35,6 +33,8 @@ def mean_squared_displacement(positions: np.ndarray,
     if r.ndim != 3 or r.shape[2] != 3:
         raise ConfigurationError(
             f"positions must have shape (T, n, 3), got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ConfigurationError("positions contain non-finite values")
     t = r.shape[0]
     if t < 2:
         raise ConfigurationError("need at least 2 frames for an MSD")

@@ -6,13 +6,12 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..neighbor.pairs import find_pairs
+from ..utils.validation import as_positions
 
 __all__ = ["radial_distribution"]
 
 
-@positions_arg()
 def radial_distribution(positions: np.ndarray, box: Box, r_max: float,
                         n_bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Pair correlation ``g(r)`` of one configuration.
@@ -34,7 +33,7 @@ def radial_distribution(positions: np.ndarray, box: Box, r_max: float,
         Bin centers and the normalized pair correlation (``g -> 1`` for
         an ideal gas).
     """
-    r = np.asarray(positions, dtype=np.float64)
+    r = as_positions(positions, check_finite=False)
     n = r.shape[0]
     if n < 2:
         raise ConfigurationError("g(r) needs at least 2 particles")

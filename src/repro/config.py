@@ -1,19 +1,17 @@
 """Runtime configuration — the single reader of every ``REPRO_*`` knob.
 
 Historically each subsystem read its own environment variable at its
-own call site (``REPRO_CHECKS`` in the contracts layer,
-``REPRO_NO_CKERNEL`` in the kernel loader, ``REPRO_BENCH_*`` in the
-bench harness), which made the effective configuration impossible to
-inspect and the precedence rules implicit.  This module consolidates
-them:
+own call site (``REPRO_NO_CKERNEL`` in the kernel loader,
+``REPRO_BENCH_*`` in the bench harness), which made the effective
+configuration impossible to inspect and the precedence rules implicit.
+This module consolidates them:
 
 * :class:`RuntimeConfig` is a frozen dataclass holding every runtime
   knob, including the execution-backend settings of :mod:`repro.exec`;
 * :func:`get_config` resolves ``env > CLI > defaults`` on every call
   (the environment lookup is a handful of dict accesses, so
   long-running processes and tests can flip a variable at runtime and
-  the next decorated call sees it — the behavior the contracts layer
-  has always had);
+  the next call sees it);
 * :func:`set_cli_overrides` is how ``repro ...`` subcommands inject
   ``--backend``/``--exec-workers`` and friends; environment variables
   still win, so a deployment can pin a knob across an entire campaign
@@ -45,7 +43,6 @@ BACKENDS = ("serial", "threads")
 
 #: Field name -> environment variable consulted for it.
 ENV_VARS: Mapping[str, str] = {
-    "checks": "REPRO_CHECKS",
     "no_ckernel": "REPRO_NO_CKERNEL",
     "ckernel_cache": "REPRO_CKERNEL_CACHE",
     "bench_scale": "REPRO_BENCH_SCALE",
@@ -70,15 +67,12 @@ class RuntimeConfig:
     """Every runtime knob of the package, resolved.
 
     Values are stored in their *raw* normalized form; semantic
-    validation stays with the consumer (``check_level`` parses
-    ``checks``, ``bench_scale`` enforces ``ci|paper``) so error
-    behavior is unchanged — but the execution-backend fields are
-    validated here because :mod:`repro.exec` is new with this module.
+    validation stays with the consumer (``bench_scale`` enforces
+    ``ci|paper``) so error behavior is unchanged — but the
+    execution-backend fields are validated here because
+    :mod:`repro.exec` is new with this module.
     """
 
-    #: Contract level string (``"0"``/``"1"``/``"strict"``, see
-    #: :func:`repro.lint.contracts.check_level`).
-    checks: str = "1"
     #: Disable the runtime-compiled C kernels entirely.
     no_ckernel: bool = False
     #: Override directory caching compiled kernel libraries.
@@ -127,7 +121,7 @@ def _coerce(name: str, raw: str) -> Any:
             raise ConfigurationError(
                 f"{ENV_VARS[name]} must be an integer, got {raw!r}"
             ) from None
-    if name in ("checks", "bench_scale", "backend"):
+    if name in ("bench_scale", "backend"):
         return raw.strip().lower() or getattr(RuntimeConfig, name)
     return raw
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..krylov.block_lanczos import LanczosInfo, block_lanczos_sqrt
 from ..krylov.reference import cholesky_displacements
-from ..lint.contracts import array_arg, spd_arg
+from ..utils.validation import require_rank
 
 __all__ = ["CholeskyBrownianGenerator", "KrylovBrownianGenerator"]
 
@@ -43,10 +43,11 @@ class CholeskyBrownianGenerator:
     def __init__(self, *, kT: float, dt: float):
         self.scale = math.sqrt(2.0 * kT * dt)
 
-    @spd_arg("mobility")
-    @array_arg("z", ndim=(1, 2))
     def generate(self, mobility: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``D = sqrt(2 kT dt) S Z`` with ``mobility = S S^T``."""
+        """``D = sqrt(2 kT dt) S Z`` with ``mobility = S S^T``; a mobility
+        that is not SPD raises
+        :class:`~repro.errors.NotPositiveDefiniteError`."""
+        require_rank(z, "z", (1, 2))
         return cholesky_displacements(mobility, z, scale=self.scale)
 
 
@@ -74,7 +75,6 @@ class KrylovBrownianGenerator:
         #: Diagnostics of the last solve (iterations, matvecs, ...).
         self.last_info: LanczosInfo | None = None
 
-    @array_arg("z", ndim=(1, 2))
     def generate(self, mobility: Any, z: np.ndarray) -> np.ndarray:
         """``D = sqrt(2 kT dt) M^(1/2) Z`` via block Lanczos.
 
@@ -87,6 +87,7 @@ class KrylovBrownianGenerator:
         not change the statistics.  A 1-D ``z`` gives a 1-D result, as
         from every other generator.
         """
+        require_rank(z, "z", (1, 2))
         z2 = np.atleast_2d(z.T).T
         d, s = z2.shape
         if s <= d:

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..neighbor.verlet import VerletList
 from ..units import FluidParams, REDUCED
 from ..utils.validation import as_positions
@@ -156,8 +155,8 @@ class ConstantForce(ForceField):
         r = as_positions(positions)
         return np.broadcast_to(self.force, r.shape).copy()
 
-    @positions_arg()
     def energy(self, positions: np.ndarray) -> float:
+        as_positions(positions, check_finite=False)
         # potential of a constant force in a periodic box is gauge
         # dependent; report 0 by convention
         return 0.0
@@ -171,13 +170,13 @@ class CompositeForce(ForceField):
             raise ConfigurationError("CompositeForce needs at least one field")
         self.fields = fields
 
-    @positions_arg()
     def forces(self, positions: np.ndarray) -> np.ndarray:
-        out = self.fields[0].forces(positions)
+        r = as_positions(positions, check_finite=False)
+        out = self.fields[0].forces(r)
         for field in self.fields[1:]:
-            out = out + field.forces(positions)
+            out = out + field.forces(r)
         return out
 
-    @positions_arg()
     def energy(self, positions: np.ndarray) -> float:
-        return float(sum(field.energy(positions) for field in self.fields))
+        r = as_positions(positions, check_finite=False)
+        return float(sum(field.energy(r) for field in self.fields))

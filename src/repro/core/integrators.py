@@ -386,11 +386,6 @@ class EwaldBD(BrownianDynamicsBase):
         # here; the conventional algorithm stores both)
         return 2 * self._matrix.nbytes
 
-    @property
-    def mobility_matrix(self) -> np.ndarray | None:
-        """The current dense mobility (``None`` before the first step)."""
-        return self._matrix
-
 
 class MatrixFreeBD(BrownianDynamicsBase):
     """**Algorithm 2** — the paper's matrix-free BD.

@@ -18,9 +18,10 @@ class ConfigurationError(ReproError, ValueError):
 
     Examples: non-positive box length, B-spline order larger than the
     mesh, a cutoff radius exceeding half the box, or a volume fraction
-    that cannot be packed.  Also subclasses :class:`ValueError` so
-    callers (and the runtime contracts of :mod:`repro.lint.contracts`)
-    can treat malformed argument values with the standard idiom.
+    that cannot be packed, or a malformed argument array (the checks
+    of :mod:`repro.utils.validation`).  Also subclasses
+    :class:`ValueError` so callers can treat malformed argument values
+    with the standard idiom.
     """
 
 

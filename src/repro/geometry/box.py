@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..lint.contracts import positions_arg
 from ..sparse.kernels import pair_separations, pairs_within
 from ..utils.pbc import fractional_coordinates, minimum_image, wrap_positions
+from ..utils.validation import as_positions
 
 __all__ = ["Box"]
 
@@ -68,17 +68,16 @@ class Box:
         """Minimum-image displacement vectors (see :func:`repro.utils.pbc.minimum_image`)."""
         return minimum_image(dr, self.length)
 
-    @positions_arg()
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Wrap positions into ``[0, L)^3``."""
-        return wrap_positions(positions, self.length)
+        return wrap_positions(as_positions(positions, check_finite=False),
+                              self.length)
 
-    @positions_arg()
     def fractional(self, positions: np.ndarray, mesh_dim: int) -> np.ndarray:
         """Scaled fractional coordinates ``u = r K / L`` in ``[0, K)``."""
-        return fractional_coordinates(positions, self.length, mesh_dim)
+        return fractional_coordinates(
+            as_positions(positions, check_finite=False), self.length, mesh_dim)
 
-    @positions_arg()
     def distances(self, positions: np.ndarray, pairs_i: np.ndarray,
                   pairs_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-image separation vectors and distances for index pairs.
@@ -89,9 +88,9 @@ class Box:
         expressions it reproduces byte for byte
         (:func:`repro.sparse.kernels.pair_separations`).
         """
-        return pair_separations(positions, pairs_i, pairs_j, self.length)
+        return pair_separations(as_positions(positions, check_finite=False),
+                                pairs_i, pairs_j, self.length)
 
-    @positions_arg()
     def pairs_within(self, positions: np.ndarray, pairs_i: np.ndarray,
                      pairs_j: np.ndarray, cutoff: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -101,4 +100,5 @@ class Box:
         gives them — the membership test of every pair list, in the same
         pass that computes what it tests.
         """
-        return pairs_within(positions, pairs_i, pairs_j, self.length, cutoff)
+        return pairs_within(as_positions(positions, check_finite=False),
+                            pairs_i, pairs_j, self.length, cutoff)

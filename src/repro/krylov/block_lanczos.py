@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .. import obs
 from ..errors import ConvergenceError
-from ..lint.contracts import array_arg
+from ..utils.validation import require_rank
 
 __all__ = ["block_lanczos_sqrt", "LanczosInfo", "mobility_product"]
 
@@ -90,7 +90,6 @@ def _block_tridiag_sqrt_first(blocks_a: list[np.ndarray],
     return (q * w) @ q[:s].T  # (m s, s)
 
 
-@array_arg("z", ndim=(2,))
 def block_lanczos_sqrt(mobility: Any, z: np.ndarray, tol: float = 1e-2,
                        max_iter: int = 200
                        ) -> tuple[np.ndarray, LanczosInfo]:
@@ -121,8 +120,7 @@ def block_lanczos_sqrt(mobility: Any, z: np.ndarray, tol: float = 1e-2,
     """
     product = mobility_product(mobility)
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"Z must have shape (d, s), got {z.shape}")
+    require_rank(z, "z", (2,))
     d, s = z.shape
     if s == 0 or not np.any(z):
         return np.zeros_like(z), LanczosInfo(0, True, 0.0, 0)

@@ -54,5 +54,10 @@ REMOVED_NAMES: tuple[Removed, ...] = (
         ("One mobility interface: the solvers take apply_block or a matrix",
          "MobilityOperator DenseMobilityMatrix CallableMobility as_mobility "
          "as_linear_operator as_operator"),
+        ("Validate once, in the body: the runtime-contract decorators and "
+         "REPRO_CHECKS go",
+         "lint.contracts positions_arg force_block_arg trajectory_arg "
+         "array_arg spd_arg returns_spd check_level __repro_contracts__ "
+         "REPRO_CHECKS"),
     ) for name in names.split()),
 )

@@ -22,13 +22,7 @@ from .registry import Rule, RuleMeta, register
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import FileContext
 
-__all__ = ["CONTRACT_DECORATORS", "VALIDATION_CALLS"]
-
-#: Decorator names (from :mod:`repro.lint.contracts`) that satisfy RPR001.
-CONTRACT_DECORATORS = frozenset({
-    "contract", "positions_arg", "force_block_arg", "trajectory_arg",
-    "array_arg", "spd_arg", "returns_spd",
-})
+__all__ = ["VALIDATION_CALLS"]
 
 #: Callee names whose invocation counts as validating ``positions``.
 VALIDATION_CALLS = frozenset({"as_positions"})
@@ -101,8 +95,8 @@ class UnvalidatedPositionsRule(Rule):
 
     meta = RuleMeta(
         id="RPR001", name="unvalidated-positions",
-        summary="public function takes `positions` but neither calls "
-                "as_positions nor carries a contract decorator",
+        summary="public function takes `positions` but its body neither "
+                "calls as_positions nor delegates to super().__init__",
         rationale="Every operator assumes (n, 3) float64 positions "
                   "(paper Section II); an unvalidated entry point turns a "
                   "transposed array into silently wrong physics.")
@@ -115,10 +109,7 @@ class UnvalidatedPositionsRule(Rule):
                 continue
             if "positions" not in _param_names(func):
                 continue
-            decorators = _decorator_names(func)
-            if decorators & CONTRACT_DECORATORS:
-                continue
-            if "abstractmethod" in decorators or _is_stub_body(func):
+            if "abstractmethod" in _decorator_names(func) or _is_stub_body(func):
                 continue
             if self._body_validates(func):
                 continue
@@ -126,8 +117,7 @@ class UnvalidatedPositionsRule(Rule):
                 ctx, func,
                 f"function {func.name!r} takes `positions` but never "
                 "validates it",
-                hint="call as_positions(positions) or decorate with "
-                     "@positions_arg from repro.lint.contracts")
+                hint="call as_positions(positions) in the body")
 
     @staticmethod
     def _body_validates(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -6,7 +6,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..sparse.kernels import cell_list_pairs
 from ..utils.validation import as_positions, require
 
@@ -34,7 +33,6 @@ def brute_force_pairs(positions, box: Box, cutoff: float
     return iu[sel], ju[sel]
 
 
-@positions_arg()
 def find_pairs(positions, box: Box, cutoff: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs ``(i, j)``, ``i < j``, with minimum-image distance < cutoff.

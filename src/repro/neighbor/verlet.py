@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..utils.validation import as_positions, require
 from .pairs import find_pairs
 
@@ -79,11 +78,10 @@ class VerletList:
             rij, dist = self.box.distances(given, i, j)
         return i, j, rij, dist
 
-    @positions_arg()
     def pairs(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """Pairs ``(i, j)`` within ``cutoff`` for the given configuration
         (see :meth:`separations`)."""
-        return self.separations(positions)[:2]
+        return self.separations(as_positions(positions, check_finite=False))[:2]
 
     def invalidate(self) -> None:
         """Force a search on the next :meth:`separations` call (which

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..rpy.ewald import EwaldSummation
 from ..units import FluidParams, REDUCED
+from ..utils.validation import as_positions
 from .operator import PMEOperator, PMEParams
 from .tuning import (VALIDATED_ORDERS, estimate_errors, real_space_error,
                      tune_parameters)
@@ -26,7 +26,6 @@ __all__ = ["pme_relative_error", "reference_operator"]
 DENSE_REFERENCE_LIMIT = 600
 
 
-@positions_arg()
 def reference_operator(positions, box: Box, params: PMEParams,
                        fluid: FluidParams = REDUCED):
     """A high-accuracy reference ``u = M f`` callable for ``e_p`` measurement.
@@ -41,7 +40,7 @@ def reference_operator(positions, box: Box, params: PMEParams,
     under test, so a real-space truncation error of that operator is
     measured in full however close its cutoff is to ``L/2``.
     """
-    r = np.asarray(positions, dtype=np.float64)
+    r = as_positions(positions, check_finite=False)
     n = r.shape[0]
     if n <= DENSE_REFERENCE_LIMIT:
         matrix = EwaldSummation(box=box, fluid=fluid, tol=1e-12).matrix(r)

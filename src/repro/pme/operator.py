@@ -33,7 +33,6 @@ import scipy.fft as sfft
 from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..lint.contracts import force_block_arg, positions_arg
 from ..units import FluidParams, REDUCED
 from ..utils.timing import PhaseTimer
 from ..utils.validation import as_force_block, as_positions
@@ -186,7 +185,6 @@ class PMEOperator:
     operator once per ``lambda_RPY`` steps.
     """
 
-    @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
                  fluid: FluidParams = REDUCED,
                  cache: MobilityCache | None = None, context=None,
@@ -231,7 +229,6 @@ class PMEOperator:
         """Operator shape ``(3n, 3n)``."""
         return (3 * self.n, 3 * self.n)
 
-    @force_block_arg()
     def apply_block(self, forces, noise=None) -> np.ndarray:
         """``U = M F`` for ``F`` of shape ``(3n,)`` or ``(3n, s)``.
 

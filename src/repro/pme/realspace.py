@@ -38,7 +38,6 @@ import numpy as np
 from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..lint.contracts import force_block_arg, positions_arg
 from ..neighbor.pairs import find_pairs
 from ..sparse.bcsr import BlockCSR
 from ..sparse.kernels import bcsr_assemble_dyads
@@ -77,7 +76,6 @@ class RealSpaceOperator:
         ``box``, kept across rebuilds; ``None`` searches afresh.
     """
 
-    @positions_arg()
     def __init__(self, positions, box: Box, xi: float, r_max: float,
                  fluid: FluidParams = REDUCED, context=None,
                  cache: MobilityCache | None = None, pairs=None):
@@ -116,7 +114,6 @@ class RealSpaceOperator:
         #: Number of interacting pairs within ``r_max``.
         self.n_pairs = int(i.size)
 
-    @force_block_arg()
     def apply_block(self, forces, context=None) -> np.ndarray:
         """``u_real = (M_real + M_self) f`` in ``mu0`` units.
 

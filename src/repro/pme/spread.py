@@ -43,7 +43,6 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..exec import INLINE
 from ..geometry.box import Box
-from ..lint.contracts import positions_arg
 from ..sparse import kernels
 from ..utils.validation import as_positions
 from .bspline import bspline_weights
@@ -106,10 +105,10 @@ class InterpolationMatrix:
     pipeline; :meth:`spread` is step 2 and :meth:`interpolate` step 6.
     """
 
-    @positions_arg()
     def __init__(self, positions, box: Box, K: int, p: int):
         with obs.span("pme.build_p", K=int(K), p=int(p)):
-            data, cols = _weights_and_columns(positions, box, K, p)
+            data, cols = _weights_and_columns(
+                as_positions(positions, check_finite=False), box, K, p)
             n = data.shape[0]
             self.n = n
             self.K = int(K)

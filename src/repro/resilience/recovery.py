@@ -32,11 +32,7 @@ from typing import Any
 import numpy as np
 
 from .. import obs
-from ..errors import (
-    ConfigurationError,
-    ConvergenceError,
-    NotPositiveDefiniteError,
-)
+from ..errors import ConvergenceError, NotPositiveDefiniteError
 from ..krylov.block_lanczos import LanczosInfo, mobility_product
 from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from ..krylov.reference import cholesky_displacements, dense_sqrtm
@@ -214,9 +210,7 @@ def cholesky_displacements_resilient(
     """
     try:
         return generator.generate(matrix, z)
-    except (NotPositiveDefiniteError, ConfigurationError) as exc:
-        # ConfigurationError: the strict-mode SPD contract rejects a
-        # non-SPD matrix before the factorization ever runs.
+    except NotPositiveDefiniteError as exc:
         log.record(step, FailureKind.CHOLESKY_BREAKDOWN, "detect",
                    message=str(exc))
     m = 0.5 * (np.asarray(matrix, dtype=np.float64)

@@ -26,9 +26,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..geometry.box import Box
-from ..lint.contracts import force_block_arg, positions_arg, returns_spd
 from ..units import FluidParams, REDUCED
-from ..utils.validation import as_positions
+from ..utils.validation import as_force_block, as_positions
 from . import beenakker
 
 __all__ = ["EwaldSummation", "ewald_mobility_matrix"]
@@ -118,8 +117,6 @@ class EwaldSummation:
     # dense matrix construction
     # ------------------------------------------------------------------
 
-    @positions_arg()
-    @returns_spd("Ewald-summed periodic RPY mobility matrix")
     def matrix(self, positions) -> np.ndarray:
         """Build the dense ``3n x 3n`` periodic RPY mobility matrix.
 
@@ -138,11 +135,11 @@ class EwaldSummation:
         m *= self.fluid.mobility0
         return m
 
-    @positions_arg()
-    @force_block_arg()
     def apply(self, positions, forces) -> np.ndarray:
         """Reference ``u = M f`` via the dense matrix (small systems only)."""
-        mat = self.matrix(positions)
+        r = as_positions(positions, check_finite=False)
+        as_force_block(forces, r.shape[0])  # check only: a vector stays a GEMV
+        mat = self.matrix(r)
         return mat @ np.asarray(forces, dtype=np.float64)
 
     # -- reciprocal space ------------------------------------------------
@@ -235,7 +232,6 @@ class EwaldSummation:
                 m[3 * i:3 * i + 3, 3 * i:3 * i + 3] += total
 
 
-@positions_arg()
 def ewald_mobility_matrix(positions, box: Box, fluid: FluidParams = REDUCED,
                           xi: float | None = None, tol: float = 1e-8
                           ) -> np.ndarray:
@@ -244,5 +240,5 @@ def ewald_mobility_matrix(positions, box: Box, fluid: FluidParams = REDUCED,
     Equivalent to
     ``EwaldSummation(box=box, fluid=fluid, xi=xi, tol=tol).matrix(positions)``.
     """
-    return EwaldSummation(box=box, fluid=fluid, xi=xi,
-                          tol=tol).matrix(positions)
+    return EwaldSummation(box=box, fluid=fluid, xi=xi, tol=tol).matrix(
+        as_positions(positions, check_finite=False))

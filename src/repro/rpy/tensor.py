@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lint.contracts import positions_arg, returns_spd
 from ..units import FluidParams, REDUCED
 from ..utils.validation import as_positions
 
@@ -118,8 +117,6 @@ def rpy_self_tensor(fluid: FluidParams = REDUCED) -> np.ndarray:
     return fluid.mobility0 * np.eye(3)
 
 
-@positions_arg()
-@returns_spd("free-space RPY mobility matrix")
 def mobility_matrix_free(positions, fluid: FluidParams = REDUCED
                          ) -> np.ndarray:
     """Dense free-boundary RPY mobility matrix ``M`` (shape ``(3n, 3n)``).

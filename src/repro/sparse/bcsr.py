@@ -36,7 +36,6 @@ import scipy.sparse as sp
 
 from ..errors import ConfigurationError
 from ..exec import INLINE
-from ..lint.contracts import force_block_arg
 from .kernels import (bcsr_assemble, pack_symmetric, spmm_kernel,
                       unpack_symmetric)
 
@@ -138,9 +137,15 @@ class BlockCSR:
         Returns the input unchanged (no copy) when it already is a
         C-contiguous float64 array; otherwise performs **one** explicit
         conversion here rather than repeated silent copies inside the
-        product loops.  Non-real dtypes are rejected.
+        product loops.  Operands that are not ``(3n,)`` or non-empty
+        ``(3n, s)``, or not of a real dtype, are rejected.
         """
         x = np.asarray(x)
+        if x.ndim not in (1, 2):
+            raise ConfigurationError(
+                f"x must have shape (3n,) or (3n, s), got {x.shape}")
+        if x.ndim == 2 and x.shape[1] == 0:
+            raise ConfigurationError("x block has zero vectors (s == 0)")
         if x.dtype != np.float64:
             if not (np.issubdtype(x.dtype, np.floating)
                     or np.issubdtype(x.dtype, np.integer)):
@@ -155,7 +160,6 @@ class BlockCSR:
             x = np.ascontiguousarray(x)
         return x
 
-    @force_block_arg("x")
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """NumPy reference product ``y = A x`` for ``x`` of shape ``(3n,)``
         or ``(3n, s)``: one gather / 3x3-matmul / segmented-sum pass over
@@ -190,7 +194,6 @@ class BlockCSR:
                                                    dtype=np.int64)
         return self._indptr64, self._indices64
 
-    @force_block_arg("x")
     def matmat(self, x: np.ndarray,
                context: "object | None" = None) -> np.ndarray:
         """Multi-RHS product ``Y = A X`` with ``X`` of shape ``(3n, s)``.

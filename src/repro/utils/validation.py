@@ -6,9 +6,9 @@ float array and forces either as a flat ``(3n,)`` vector or an
 real-space SpMV to blocks of vectors).  These helpers normalize and check
 those shapes in one place so error messages are uniform.
 
-Hot paths may pass ``check_finite=False`` to skip the ``O(n)`` finiteness
-scan; the runtime contracts of :mod:`repro.lint.contracts` re-enable it
-under ``REPRO_CHECKS=strict``.
+Each public entry point calls them once, in its own body.  Hot paths
+and the recovery path (which must see a non-finite state to classify
+it) pass ``check_finite=False`` to skip the ``O(n)`` finiteness scan.
 """
 
 from __future__ import annotations
@@ -17,13 +17,24 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["require", "as_positions", "as_force_block", "check_square_box"]
+__all__ = ["require", "require_rank", "as_positions", "as_force_block",
+           "check_square_box"]
 
 
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ConfigurationError` with ``message`` unless ``condition``."""
     if not condition:
         raise ConfigurationError(message)
+
+
+def require_rank(array, name: str, ndim: tuple[int, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless ``array`` has one of the
+    ranks in ``ndim`` (the shape check of a Krylov starting block)."""
+    rank = np.ndim(array)
+    if rank not in ndim:
+        expected = " or ".join(f"{d}-D" for d in ndim)
+        raise ConfigurationError(
+            f"{name} must be {expected}, got shape {np.shape(array)}")
 
 
 def as_positions(positions, n: int | None = None,  # noqa: RPR001 - this *is* the validator
@@ -64,8 +75,8 @@ def as_force_block(forces, n: int,
     bug upstream.
 
     ``check_finite`` defaults to *off* here (the force SpMV is the hot
-    path of Algorithm 2); pass ``True`` or run under
-    ``REPRO_CHECKS=strict`` for the full scan.
+    path of Algorithm 2; the step loop has already rejected non-finite
+    forces); pass ``True`` for the full scan.
     """
     f = np.asarray(forces, dtype=np.float64)
     was_flat = f.ndim == 1

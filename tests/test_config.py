@@ -2,8 +2,7 @@
 
 Precedence contract: ``env > CLI > defaults``.  The resolver re-reads
 the environment on every call (fingerprint-cached), so long-running
-processes see live flips — the behavior the contracts layer relied on
-before the knobs were consolidated here.
+processes see live flips.
 """
 
 import json
@@ -41,7 +40,6 @@ def test_defaults():
     cfg = get_config()
     assert cfg.backend == "serial"
     assert cfg.exec_workers == 0
-    assert cfg.checks == "1"
     assert cfg.no_ckernel is False
     assert cfg.bench_scale == "ci"
 
@@ -136,7 +134,7 @@ def test_config_table_provenance(monkeypatch):
     sources = {name: source for name, _, _, source in config_table()}
     assert sources["backend"] == "env"
     assert sources["exec_workers"] == "cli"
-    assert sources["checks"] == "default"
+    assert sources["bench_scale"] == "default"
 
 
 def test_cli_config_show_table(capsys, monkeypatch):

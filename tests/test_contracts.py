@@ -1,132 +1,61 @@
-"""Tests of the runtime-contract layer under REPRO_CHECKS=0/1/strict."""
+"""Array contracts of the public entry points, checked in their bodies.
+
+``tests/test_validation.py`` sweeps every entry point; these are the
+named cases: normalisation, the shape checks of positions, force
+operands, trajectories and Krylov blocks, and the SPD requirement of
+the dense Cholesky path.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.lint import contracts
-from repro.lint.contracts import (
-    BASIC,
-    OFF,
-    STRICT,
-    array_arg,
-    check_level,
-    force_block_arg,
-    positions_arg,
-    returns_spd,
-    spd_arg,
-    trajectory_arg,
-)
+from repro.analysis.msd import mean_squared_displacement
+from repro.errors import ConfigurationError, NotPositiveDefiniteError
+from repro.geometry.box import Box
+from repro.krylov.block_lanczos import block_lanczos_sqrt
+from repro.sparse.bcsr import BlockCSR
 from repro.utils.validation import as_force_block
 
 
-@pytest.fixture
-def checks(monkeypatch):
-    """Set REPRO_CHECKS for the duration of one test."""
-    def _set(value: str) -> None:
-        monkeypatch.setenv("REPRO_CHECKS", value)
-    return _set
+def _bcsr(n=2):
+    """A diagonal ``3n x 3n`` block matrix (identity blocks)."""
+    empty = np.empty(0, dtype=np.intp)
+    return BlockCSR.from_pairs(n, empty, empty, np.empty((0, 3, 3)),
+                               np.tile(np.eye(3), (n, 1, 1)))
 
 
 # ----------------------------------------------------------------------
-# level parsing
+# positions
 # ----------------------------------------------------------------------
 
-def test_check_level_default_is_basic(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKS", raising=False)
-    assert check_level() == BASIC
+def test_positions_arg_normalizes_lists():
+    out = Box(4.0).wrap([[0, 0, 0], [5, 6, 7]])
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    np.testing.assert_allclose(out, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
 
 
-@pytest.mark.parametrize("value,level", [
-    ("0", OFF), ("off", OFF), ("false", OFF), ("none", OFF),
-    ("1", BASIC), ("on", BASIC), ("basic", BASIC),
-    ("2", STRICT), ("strict", STRICT), ("STRICT", STRICT), ("full", STRICT),
-])
-def test_check_level_parsing(checks, value, level):
-    checks(value)
-    assert check_level() == level
-
-
-def test_check_level_rejects_unknown_value(checks):
-    checks("sometimes")
+def test_positions_arg_resolves_positional_and_keyword():
+    box = Box(10.0)
+    r = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    i, j = np.array([0]), np.array([1])
+    _, by_position = box.distances(r, i, j)
+    _, by_keyword = box.distances(positions=r, pairs_i=i, pairs_j=j)
+    np.testing.assert_array_equal(by_position, by_keyword)
+    assert by_position[0] == pytest.approx(3.0)
     with pytest.raises(ConfigurationError):
-        check_level()
+        box.distances(np.zeros(5), i, j)
 
 
 # ----------------------------------------------------------------------
-# positions_arg
+# force operands
 # ----------------------------------------------------------------------
 
-@positions_arg()
-def _centroid(positions):
-    return np.asarray(positions).mean(axis=0)
-
-
-def test_positions_arg_normalizes_lists(checks):
-    checks("1")
-    out = _centroid([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
-    np.testing.assert_allclose(out, [1.0, 1.0, 1.0])
-
-
-@pytest.mark.parametrize("value", ["1", "strict"])
-def test_positions_arg_rejects_n_by_2(checks, value):
-    checks(value)
-    with pytest.raises(ConfigurationError):
-        _centroid(np.zeros((4, 2)))
-
-
-def test_positions_arg_off_passes_malformed_through(checks):
-    checks("0")
-    out = _centroid(np.zeros((4, 2)))
-    assert out.shape == (2,)
-
-
-def test_positions_arg_nan_only_caught_at_strict(checks):
-    bad = np.zeros((3, 3))
-    bad[1, 1] = np.nan
-    checks("1")
-    assert np.isnan(_centroid(bad)).any()
-    checks("strict")
-    with pytest.raises(ConfigurationError):
-        _centroid(bad)
-
-
-def test_positions_arg_resolves_positional_and_keyword(checks):
-    checks("1")
-
-    @positions_arg()
-    def shifted(offset, positions):
-        return positions + offset
-
-    r = np.zeros((2, 3))
-    np.testing.assert_allclose(shifted(1.0, r), np.ones((2, 3)))
-    np.testing.assert_allclose(shifted(1.0, positions=r), np.ones((2, 3)))
-    with pytest.raises(ConfigurationError):
-        shifted(1.0, np.zeros(5))
-
-
-def test_contract_decorator_rejects_missing_param():
-    with pytest.raises(ConfigurationError):
-        @positions_arg("coords")
-        def f(positions):
-            return positions
-
-
-# ----------------------------------------------------------------------
-# force_block_arg
-# ----------------------------------------------------------------------
-
-@force_block_arg()
-def _norm(forces):
-    return float(np.linalg.norm(forces))
-
-
-def test_force_block_accepts_flat_and_blocked(checks):
-    checks("1")
-    assert _norm(np.ones(6)) > 0
-    assert _norm(np.ones((6, 4))) > 0
+def test_force_block_accepts_flat_and_blocked():
+    a = _bcsr()
+    np.testing.assert_array_equal(a.matvec(np.arange(6.0)), np.arange(6.0))
+    assert a.matvec(np.ones((6, 4))).shape == (6, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -134,24 +63,10 @@ def test_force_block_accepts_flat_and_blocked(checks):
     np.ones((6, 0)),       # s == 0
     np.ones((2, 2, 2)),    # wrong rank
 ])
-def test_force_block_rejects_malformed(checks, bad):
-    checks("1")
+def test_force_block_rejects_malformed(bad):
     with pytest.raises(ConfigurationError):
-        _norm(bad)
+        _bcsr().matvec(bad)
 
-
-def test_force_block_finite_scan_strict_only(checks):
-    bad = np.full(6, np.inf)
-    checks("1")
-    assert _norm(bad) == np.inf
-    checks("strict")
-    with pytest.raises(ConfigurationError):
-        _norm(bad)
-
-
-# ----------------------------------------------------------------------
-# as_force_block hardening (s == 0)
-# ----------------------------------------------------------------------
 
 def test_as_force_block_rejects_zero_vectors():
     with pytest.raises(ValueError, match="s == 0"):
@@ -166,160 +81,59 @@ def test_as_force_block_optional_finite_scan():
 
 
 # ----------------------------------------------------------------------
-# trajectory_arg / array_arg
+# trajectories and Krylov blocks
 # ----------------------------------------------------------------------
 
-def test_trajectory_arg(checks):
-    checks("1")
-
-    @trajectory_arg("trajectory")
-    def n_frames(trajectory):
-        return trajectory.shape[0]
-
-    assert n_frames(np.zeros((5, 4, 3))) == 5
+def test_trajectory_arg():
+    r = np.zeros((5, 4, 3))
+    r[:, :, 0] = np.arange(5.0)[:, None]
+    assert mean_squared_displacement(r)[1] == pytest.approx(1.0)
     with pytest.raises(ConfigurationError):
-        n_frames(np.zeros((5, 4)))
+        mean_squared_displacement(np.zeros((5, 4)))
+    r[2, 1, 1] = np.nan   # recorded input: scanned unconditionally
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        mean_squared_displacement(r)
 
 
-def test_array_arg_rank_check(checks):
-    checks("1")
-
-    @array_arg("z", ndim=(1,))
-    def first(z):
-        return z[0]
-
-    assert first(np.arange(3.0)) == 0.0
-    with pytest.raises(ConfigurationError):
-        first(np.zeros((3, 2)))
+def test_array_arg_rank_check():
+    m = np.diag(np.arange(1.0, 7.0))
+    y, _ = block_lanczos_sqrt(m, np.ones((6, 1)))
+    assert y.shape == (6, 1)
+    with pytest.raises(ConfigurationError, match="z must be 2-D"):
+        block_lanczos_sqrt(m, np.ones(6))
 
 
 # ----------------------------------------------------------------------
-# SPD contracts
+# the real entry points
 # ----------------------------------------------------------------------
 
-def _spd(n=4):
-    a = np.diag(np.arange(1.0, n + 1.0))
-    a[0, 1] = a[1, 0] = 0.1
-    return a
-
-
-def _not_spd(n=4):
+def _not_spd(n=6):
     m = np.eye(n)
     m[0, 0] = -1.0
     return m
 
 
-def test_spd_arg_strict_rejects_indefinite(checks):
-    @spd_arg("mobility")
-    def trace(mobility):
-        return float(np.trace(mobility))
-
-    checks("1")
-    trace(_not_spd())  # spd check is strict-only
-    checks("strict")
-    assert trace(_spd()) > 0
-    with pytest.raises(ConfigurationError, match="positive definite"):
-        trace(_not_spd())
-
-
-def test_spd_arg_strict_rejects_asymmetric(checks):
-    @spd_arg("mobility")
-    def trace(mobility):
-        return float(np.trace(mobility))
-
-    checks("strict")
-    m = _spd()
-    m[0, 1] = 5.0
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        trace(m)
-
-
-def test_returns_spd_strict_checks_return_value(checks):
-    @returns_spd("debug mobility")
-    def build(good):
-        return _spd() if good else _not_spd()
-
-    checks("1")
-    build(False)
-    checks("strict")
-    build(True)
-    with pytest.raises(ConfigurationError, match="debug mobility"):
-        build(False)
-
-
-def test_spd_check_skips_large_matrices(checks):
-    checks("strict")
-
-    @returns_spd("big")
-    def build(n):
-        return _not_spd(n)
-
-    build(contracts.SPD_CHECK_MAX_DIM + 3)  # too large to eig-check
-
-
-# ----------------------------------------------------------------------
-# acceptance criteria on the real entry points
-# ----------------------------------------------------------------------
-
-def test_rpy_mobility_rejects_n_by_2_positions(checks):
+def test_rpy_mobility_rejects_n_by_2_positions():
     from repro.rpy.tensor import mobility_matrix_free
 
-    checks("strict")
     with pytest.raises(ConfigurationError):
         mobility_matrix_free(np.zeros((4, 2)))
 
 
-def test_cholesky_generator_rejects_non_spd_mobility(checks):
+def test_cholesky_generator_rejects_non_spd_mobility():
     from repro.core.brownian import CholeskyBrownianGenerator
 
-    checks("strict")
     gen = CholeskyBrownianGenerator(kT=1.0, dt=1e-3)
-    with pytest.raises(ConfigurationError):
-        gen.generate(_not_spd(6), np.ones(6))
+    with pytest.raises(NotPositiveDefiniteError):
+        gen.generate(_not_spd(), np.ones(6))
 
 
-def test_returns_spd_passes_on_real_mobility(checks):
+def test_returns_spd_passes_on_real_mobility():
     from repro.rpy.tensor import mobility_matrix_free
 
-    checks("strict")
     rng = np.random.default_rng(3)
     r = rng.uniform(0.0, 10.0, size=(8, 3))
     m = mobility_matrix_free(r)
     assert m.shape == (24, 24)
-
-
-def test_contracts_introspection_attribute():
-    from repro.core.brownian import CholeskyBrownianGenerator
-    from repro.krylov.block_lanczos import block_lanczos_sqrt
-    from repro.pme.operator import PMEOperator
-    from repro.rpy.ewald import EwaldSummation
-    from repro.rpy.tensor import mobility_matrix_free
-    from repro.sparse.bcsr import BlockCSR
-
-    decorated = [
-        PMEOperator.__init__,
-        PMEOperator.apply,
-        mobility_matrix_free,
-        EwaldSummation.matrix,
-        EwaldSummation.apply,
-        block_lanczos_sqrt,
-        BlockCSR.matvec,
-        CholeskyBrownianGenerator.generate,
-    ]
-    for func in decorated:
-        names = getattr(func, "__repro_contracts__", ())
-        assert names, f"{func.__qualname__} lost its contracts"
-
-
-def test_off_level_is_pure_passthrough(checks):
-    checks("0")
-    calls = []
-
-    @positions_arg()
-    def probe(positions):
-        calls.append(positions)
-        return positions
-
-    sentinel = object()
-    assert probe(sentinel) is sentinel  # not even np.asarray at OFF
-    assert calls == [sentinel]
+    np.testing.assert_array_equal(m, m.T)
+    assert np.linalg.eigvalsh(m).min() > 0
