@@ -5,7 +5,7 @@ The paper chooses the block Krylov method (Section III.B); the
 alternatives are the dense Cholesky factorization (Algorithm 1),
 Fixman's Chebyshev polynomials (reference [25], which "require
 eigenvalue estimates of M"; here the ``eigenvalue_bounds`` +
-``chebyshev_sqrt`` pair of the recovery ladder's rung 3) and the
+``chebyshev_sqrt`` pair of ``reference/chebyshev.py``) and the
 positively split Ewald sampler that ``MatrixFreeBD`` runs (Fiore et al.,
 PAPERS.md): block Lanczos on the sparse real-space half per block, the
 wave-space half drawn on the half spectrum each step and carried by the
@@ -32,6 +32,7 @@ block's real half plus the step's noise-only wave pass.
 import math
 
 import numpy as np
+from reference.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 
 from repro import tune_parameters
 from repro.bench import (
@@ -47,7 +48,6 @@ from repro.core.brownian import (
 )
 from repro.core.integrators import BDStepStats, MatrixFreeBD
 from repro.krylov import dense_sqrt_apply
-from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from repro.rpy.ewald import EwaldSummation
 
 TOL = 1e-4

@@ -10,7 +10,11 @@ influence form, and none of these paths.
   the original PME (the Section III.A ablation), and one reciprocal
   pass that runs either interpolation kind;
 * :mod:`reference.hybrid` -- the Section IV.E hybrid CPU + coprocessor
-  scheduler behind Fig. 9.
+  scheduler behind Fig. 9;
+* :mod:`reference.oseen` -- the Oseen (Stokeslet) tensor of Ablation D;
+* :mod:`reference.chebyshev` -- Fixman's Chebyshev square root, the
+  eigenvalue-estimate alternative to block Lanczos (Section III.B) in
+  Ablation A.
 
 The scripts in ``benchmarks/`` import this package as ``reference``
 (their own directory is first on ``sys.path``); the tests in

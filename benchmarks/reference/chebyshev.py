@@ -1,20 +1,24 @@
-"""Chebyshev-polynomial Brownian displacements (Fixman's method).
+"""Chebyshev-polynomial square root (Fixman's method), Ablation A's row.
 
-The alternative matrix-free square root the paper mentions
-(Section III.B, reference [25], Fixman 1986): approximate ``sqrt(x)``
-on the spectral interval ``[l_min, l_max]`` of the SPD mobility by a
-Chebyshev polynomial ``p_m`` and evaluate ``p_m(M) z`` with the
-three-term recurrence — only matrix-vector products are needed, plus
-*eigenvalue estimates*, which is the method's practical drawback
-compared with Lanczos (the Krylov iteration adapts to the spectrum
-automatically).
+The alternative matrix-free square root the paper sets against block
+Lanczos (Section III.B, reference [25], Fixman 1986): approximate
+``sqrt(x)`` on the spectral interval ``[l_min, l_max]`` of the SPD
+mobility by a Chebyshev polynomial ``p_m`` and evaluate ``p_m(M) z``
+with the three-term recurrence.  Only matrix-vector products are
+needed, plus *eigenvalue estimates*, which is the method's practical
+drawback compared with Lanczos (the Krylov iteration adapts to the
+spectrum automatically).  The estimate is a short Lanczos run whose
+smallest Ritz value can sit far above the true ``l_min`` on a widely
+spread spectrum; the polynomial is then fitted on the wrong interval
+and reports success on a sample it did not compute to ``tol``
+(``reference/tests/test_chebyshev.py`` pins such a case).
 
-Used by rung 2 of the recovery ladder (:mod:`repro.resilience.recovery`)
-and compared with the other samplers in
-``benchmarks/bench_ablation_brownian.py``:
+Compared with the other samplers in
+``benchmarks/bench_ablation_brownian.py``; built from the public
+:mod:`repro` API:
 
 * :func:`eigenvalue_bounds` — extremal Ritz values from a short
-  Lanczos run, padded by safety factors,
+  Lanczos run, padded by :data:`BOUND_SAFETY`,
 * :func:`chebyshev_coefficients` — expansion of ``sqrt`` on the
   interval (computed at Chebyshev nodes; degree chosen adaptively from
   the *scalar* sup-norm error, which bounds the matrix-function error
@@ -28,10 +32,11 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
-from .. import obs
-from ..errors import ConvergenceError
-from .block_lanczos import LanczosInfo, mobility_product
+from repro import obs
+from repro.errors import ConvergenceError
+from repro.krylov.block_lanczos import LanczosInfo, mobility_product
 
 __all__ = ["eigenvalue_bounds", "chebyshev_coefficients", "chebyshev_sqrt"]
 
@@ -53,7 +58,7 @@ def eigenvalue_bounds(mobility: Any, dim: int,
     ----------
     mobility:
         An operator with ``apply_block`` or a dense matrix
-        (:func:`~repro.krylov.block_lanczos.mobility_product`); each
+        (:func:`repro.krylov.block_lanczos.mobility_product`); each
         step applies it to one flat vector.
     dim:
         Operator dimension.
@@ -86,7 +91,6 @@ def eigenvalue_bounds(mobility: Any, dim: int,
                 break
             beta.append(b)
             basis.append(w / b)
-    import scipy.linalg
     ritz = scipy.linalg.eigvalsh_tridiagonal(
         np.array(alpha), np.array(beta[: len(alpha) - 1]))
     l_min = float(ritz[0]) / BOUND_SAFETY
@@ -165,7 +169,7 @@ def chebyshev_sqrt(mobility: Any, z: np.ndarray, l_min: float, l_max: float,
     recurrence is applied to the whole block at once (one polynomial
     serves every vector — Fixman's amortization).  ``mobility`` is an
     operator with ``apply_block`` or a dense matrix
-    (:func:`~repro.krylov.block_lanczos.mobility_product`).
+    (:func:`repro.krylov.block_lanczos.mobility_product`).
 
     Returns ``(y, info)`` with ``info.iterations`` the polynomial
     degree and ``info.n_matvecs`` counted per column.

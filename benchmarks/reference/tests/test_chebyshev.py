@@ -1,17 +1,26 @@
-"""Tests for the Chebyshev (Fixman) square root, rung 2 of the recovery
-ladder (:mod:`repro.resilience.recovery`)."""
+"""The Chebyshev (Fixman) square root of ``reference/chebyshev.py``.
+
+The polynomial, its eigenvalue bounds and its block evaluation against
+the dense reference; its covariance on a real Ewald mobility; and the
+case that took it out of the program's recovery ladder: on a widely
+spread spectrum the short-Lanczos bound misses ``l_min`` and the rung
+reports success on a sample far outside its ``tol``.
+"""
+
+import math
 
 import numpy as np
 import pytest
-
-from repro import Box
-from repro.errors import ConvergenceError
-from repro.krylov import dense_sqrt_apply
-from repro.krylov.chebyshev import (
+from reference.chebyshev import (
     chebyshev_coefficients,
     chebyshev_sqrt,
     eigenvalue_bounds,
 )
+
+from repro import Box
+from repro.core.brownian import KrylovBrownianGenerator
+from repro.errors import ConvergenceError
+from repro.krylov import dense_sqrt_apply
 from repro.rpy.ewald import EwaldSummation
 
 
@@ -104,7 +113,7 @@ class TestChebyshevSqrt:
 
 class TestGeneratorOnRealMobility:
     """``eigenvalue_bounds`` + ``chebyshev_sqrt`` on a real Ewald
-    mobility, exactly as the ladder's rung 2 calls them."""
+    mobility, as Ablation A calls them."""
 
     @pytest.fixture(scope="class")
     def mobility(self):
@@ -114,7 +123,6 @@ class TestGeneratorOnRealMobility:
         return EwaldSummation(box=box, tol=1e-10).matrix(r)
 
     def test_quadratic_form_matches_krylov(self, mobility):
-        from repro.core.brownian import KrylovBrownianGenerator
         z = np.random.default_rng(9).standard_normal((mobility.shape[0], 4))
         l_min, l_max = eigenvalue_bounds(mobility, mobility.shape[0])
         g_cheb, _ = chebyshev_sqrt(mobility, z, l_min, l_max, tol=1e-8)
@@ -132,3 +140,88 @@ class TestGeneratorOnRealMobility:
         _, info = chebyshev_sqrt(mobility, z, l_min, l_max, tol=1e-3)
         assert info.converged
         assert info.n_matvecs > info.iterations
+
+
+def test_fluctuation_dissipation():
+    """The polynomial's displacements have covariance ``2 kT dt M``."""
+    box = Box(15.0)
+    r = np.random.default_rng(6).uniform(0, box.length, size=(8, 3))
+    mobility = EwaldSummation(box=box, tol=1e-10).matrix(r)
+    d = mobility.shape[0]
+    l_min, l_max = eigenvalue_bounds(mobility, d)
+    scale = math.sqrt(2.0 * 1.0 * 1e-3)
+    rng = np.random.default_rng(8)
+    cov = np.zeros((d, d))
+    for _ in range(60):
+        z = rng.standard_normal((d, 500))
+        g = scale * chebyshev_sqrt(mobility, z, l_min, l_max, tol=1e-5)[0]
+        cov += g @ g.T
+    cov /= 30_000
+    target = 2 * 1.0 * 1e-3 * mobility
+    assert np.abs(cov - target).max() < 0.05 * np.abs(target).max()
+
+
+def test_error_carries_diagnostics():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((30, 30))
+    m = a @ a.T + 0.5 * np.eye(30)
+    z = rng.standard_normal((30, 2))
+    # condition number too large for a degree-8 cap at tight tolerance
+    with pytest.raises(ConvergenceError) as exc_info:
+        chebyshev_sqrt(m, z, 1e-9, 1e3, tol=1e-12, max_degree=8)
+    err = exc_info.value
+    assert err.iterations == 8
+    assert err.residual > 1e-12
+    assert err.n_matvecs > 0
+
+
+def test_rejects_a_bare_callable():
+    m = np.diag(np.arange(1.0, 31.0))
+    z = np.random.default_rng(12).standard_normal((30, 2))
+
+    def matvec(v):
+        return m @ v
+
+    for call in (lambda: eigenvalue_bounds(matvec, 30),
+                 lambda: chebyshev_sqrt(matvec, z, 1.0, 2.0)):
+        with pytest.raises(TypeError, match="apply_block or a 2-D ndarray"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the Ritz-bound miss: why the rung left the recovery ladder
+# ---------------------------------------------------------------------------
+
+#: Bound steps the ladder's rung ran before the polynomial (its former
+#: ``CHEBYSHEV_BOUND_ITERATIONS``).
+BOUND_STEPS = 25
+#: The rung's matvecs per column on the matrix below, by ``tol``
+#: (``BOUND_STEPS`` + degree + 1).  ``tests/test_resilience.py`` keeps
+#: the same figures for the Lanczos retry to beat.
+RUNG_MATVECS = {1e-2: 154, 1e-6: 538}
+
+
+@pytest.fixture(scope="module")
+def wide_spectrum():
+    """Dense SPD matrix, eigenvalues log-spaced on ``[1e-6, 1]``."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((600, 600)))
+    return (q * np.geomspace(1e-6, 1.0, 600)) @ q.T
+
+
+@pytest.mark.parametrize("s", [1, 8])
+@pytest.mark.parametrize("tol", [1e-2, 1e-6])
+def test_ritz_bound_miss(wide_spectrum, s, tol):
+    m = wide_spectrum
+    d = m.shape[0]
+    z = np.random.default_rng(1).standard_normal((d, s))
+    l_min, l_max = eigenvalue_bounds(m, d, n_iter=BOUND_STEPS)
+    # the bound sits two orders of magnitude above the true l_min = 1e-6
+    assert l_min > 100 * 1e-6
+    y, info = chebyshev_sqrt(m, z, l_min, l_max, tol=tol)  # no error
+    assert info.converged
+    assert info.n_matvecs / s + BOUND_STEPS == RUNG_MATVECS[tol]
+    if tol == 1e-6:
+        # ... yet the sample is far outside the tolerance it reported
+        ref = dense_sqrt_apply(m, z)
+        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) > 100 * tol

@@ -22,19 +22,15 @@ Modules:
 
 * :mod:`~repro.krylov.block_lanczos` -- block Lanczos square root (a
   single vector is a block of one column),
-* :mod:`~repro.krylov.chebyshev` -- Chebyshev polynomial square root,
 * :mod:`~repro.krylov.reference` -- dense references (eigendecomposition
   square root, Cholesky sampling).
 """
 
 from .block_lanczos import LanczosInfo, block_lanczos_sqrt
-from .chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from .reference import dense_sqrt_apply, cholesky_displacements, dense_sqrtm
 
 __all__ = [
     "block_lanczos_sqrt",
-    "chebyshev_sqrt",
-    "eigenvalue_bounds",
     "LanczosInfo",
     "dense_sqrt_apply",
     "cholesky_displacements",

@@ -59,5 +59,10 @@ REMOVED_NAMES: tuple[Removed, ...] = (
          "lint.contracts positions_arg force_block_arg trajectory_arg "
          "array_arg spd_arg returns_spd check_level __repro_contracts__ "
          "REPRO_CHECKS"),
+        ("One square root: the Lanczos retry answers what the Chebyshev "
+         "rung answered",
+         "chebyshev_sqrt eigenvalue_bounds CHEBYSHEV_BOUND_ITERATIONS "
+         "CHEBYSHEV_FAILURE chebyshev-failure fallback-chebyshev "
+         "krylov.chebyshev"),
     ) for name in names.split()),
 )

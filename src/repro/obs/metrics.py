@@ -296,8 +296,8 @@ def record_solver(method: str, iterations: int, converged: bool,
     """Record one iterative square-root solve (the paper's Table II
     quantities: iteration count, relative error ``e_k``, matvecs).
 
-    No-op when metrics are disabled; called by the Lanczos, block
-    Lanczos and Chebyshev solvers on every completed solve.
+    No-op when metrics are disabled; called by the block Lanczos
+    solver on every completed solve.
     """
     registry = _REGISTRY
     if registry is None:

@@ -12,10 +12,10 @@ This subpackage provides
   delay (:func:`retry_delay`) with deterministic jitter,
 * :mod:`~repro.resilience.policy` — the :class:`RecoveryLog` returned
   in run statistics,
-* :mod:`~repro.resilience.recovery` — the recovery policy: the retry →
-  Chebyshev → dense reference degradation ladder and the constants of
-  the ladder, the dt backoff and the block rollback (recovery is
-  always on and has no knobs),
+* :mod:`~repro.resilience.recovery` — the recovery policy: the Lanczos
+  retry → dense reference degradation ladder and the constants of the
+  ladder, the dt backoff and the block rollback (recovery is always on
+  and has no knobs),
 * :mod:`~repro.resilience.faults` — the deterministic fault-injection
   engine (:class:`FaultPlan`) behind the tests and the
   ``--inject-faults`` option of ``repro simulate`` and ``repro

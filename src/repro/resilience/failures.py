@@ -29,8 +29,6 @@ class FailureKind(str, enum.Enum):
 
     #: (Block) Lanczos exhausted ``max_iter`` before reaching ``e_k``.
     LANCZOS_NONCONVERGENCE = "lanczos-nonconvergence"
-    #: The Chebyshev polynomial degree cap was insufficient.
-    CHEBYSHEV_FAILURE = "chebyshev-failure"
     #: Cholesky factorization of the dense mobility broke down.
     CHOLESKY_BREAKDOWN = "cholesky-breakdown"
     #: A force evaluation produced NaN/Inf entries.
@@ -48,8 +46,6 @@ def classify_exception(exc: BaseException) -> FailureKind:
     if isinstance(exc, StepFailure):
         return exc.kind
     if isinstance(exc, ConvergenceError):
-        if "chebyshev" in str(exc).lower():
-            return FailureKind.CHEBYSHEV_FAILURE
         return FailureKind.LANCZOS_NONCONVERGENCE
     if isinstance(exc, NotPositiveDefiniteError):
         return FailureKind.CHOLESKY_BREAKDOWN

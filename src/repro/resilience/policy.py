@@ -24,10 +24,9 @@ class RecoveryEvent:
     """One recorded recovery action.
 
     ``action`` is one of: ``detect`` (a failure was observed),
-    ``retry-lanczos``, ``fallback-chebyshev``,
-    ``fallback-cholesky``, ``fallback-eigh``, ``dt-backoff``,
-    ``restore-dt``, ``rollback``, or a fault-injection marker
-    (``inject-*``) from the test harness.
+    ``retry-lanczos``, ``fallback-cholesky``, ``fallback-eigh``,
+    ``dt-backoff``, ``restore-dt``, ``rollback``, or a fault-injection
+    marker (``inject-*``) from the test harness.
     """
 
     step: int

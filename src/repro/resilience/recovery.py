@@ -4,14 +4,17 @@ Fiore et al. (PAPERS.md) observe that iterative square-root methods
 degrade as particles approach overlap — the mobility spectrum widens
 and (block) Lanczos needs more iterations than the configured budget.
 Instead of aborting a 10-hour run, the ladder implemented here walks
-down a fixed sequence of increasingly robust (and increasingly
-expensive) methods:
+down two increasingly robust (and increasingly expensive) rungs:
 
 1. retry Lanczos with a grown ``max_iter`` and a looser-then-tighter
    tolerance (:data:`LANCZOS_RETRY_SCHEDULE`),
-2. fall back to the Chebyshev (Fixman) polynomial square root,
-3. fall back to the dense Cholesky / eigendecomposition reference
+2. fall back to the dense Cholesky / eigendecomposition reference
    (materializing the operator — last resort, modest ``n`` only).
+
+Above :data:`DENSE_FALLBACK_MAX_DIM` a solve that exhausts both retries
+raises :class:`~repro.resilience.failures.StepFailure`: the step loop
+rolls the block back, and re-raises after :data:`MAX_ROLLBACKS` rather
+than continuing on a sample of unknown accuracy.
 
 The step-level half of the policy — dt backoff on non-finite states
 (:func:`next_dt_scale`) and block rollback — is driven by
@@ -34,7 +37,6 @@ import numpy as np
 from .. import obs
 from ..errors import ConvergenceError, NotPositiveDefiniteError
 from ..krylov.block_lanczos import LanczosInfo, mobility_product
-from ..krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from ..krylov.reference import cholesky_displacements, dense_sqrtm
 from .failures import FailureKind, StepFailure, classify_exception
 from .policy import RecoveryLog
@@ -47,8 +49,6 @@ __all__ = ["krylov_displacements_resilient",
 #: (grab *a* usable sample fast), then restore the original tolerance
 #: with a larger iteration budget.
 LANCZOS_RETRY_SCHEDULE = ((10.0, 4), (1.0, 16))
-#: Lanczos steps estimating the spectral interval of the Chebyshev rung.
-CHEBYSHEV_BOUND_ITERATIONS = 25
 #: Largest operator dimension (``3n``) the dense rung materializes.
 DENSE_FALLBACK_MAX_DIM = 6000
 #: Attempts per inner step (first try + dt-backoff retries) before a
@@ -176,23 +176,8 @@ def krylov_displacements_resilient(
                                                         attempt=attempt
                                                         ).diagnostics)
 
-        # Rung 2: Chebyshev (Fixman) polynomial square root.
+        # Rung 2: dense reference.
         z2 = np.atleast_2d(np.asarray(z).T).T
-        try:
-            l_min, l_max = eigenvalue_bounds(
-                mobility, z2.shape[0], n_iter=CHEBYSHEV_BOUND_ITERATIONS)
-            y, info = chebyshev_sqrt(mobility, z2, l_min, l_max,
-                                     tol=generator.tol)
-            log.record(step, kind, "fallback-chebyshev",
-                       degree=info.iterations, l_min=l_min, l_max=l_max)
-            y = generator.scale * y
-            return (y[:, 0] if np.asarray(z).ndim == 1 else y), info
-        except ConvergenceError as exc:
-            log.record(step, classify_exception(exc), "detect",
-                       **StepFailure.from_exception(exc, step=step
-                                                    ).diagnostics)
-
-        # Rung 3: dense reference.
         y, method = _dense_displacements(mobility, z2, generator.scale)
         log.record(step, kind, "fallback-cholesky", method=method)
         return (y[:, 0] if np.asarray(z).ndim == 1 else y), None

@@ -2,12 +2,9 @@
 
 The physics requirement (fluctuation-dissipation): the displacement
 block must have covariance ``2 kT dt M``.  Verified statistically for
-every sampler (Cholesky, block Lanczos, the Chebyshev square root of the
-recovery ladder, and the positively split sampler of ``MatrixFreeBD``)
-against a real dense Ewald mobility.
+every sampler (Cholesky, block Lanczos and the positively split sampler
+of ``MatrixFreeBD``) against a real dense Ewald mobility.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,8 +16,7 @@ from repro.core.brownian import (
 )
 from repro.core.integrators import BDStepStats, MatrixFreeBD
 from repro.errors import ConvergenceError
-from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
-from repro.resilience import RecoveryLog, recovery
+from repro.resilience import RecoveryLog, krylov_displacements_resilient
 from repro.rpy.ewald import EwaldSummation
 
 
@@ -60,18 +56,6 @@ def _generator(make):
     return build
 
 
-def _chebyshev(system):
-    """The ladder's rung 2: eigenvalue bounds + Chebyshev square root."""
-    matrix = system[2]
-    l_min, l_max = eigenvalue_bounds(matrix, matrix.shape[0])
-    scale = math.sqrt(2.0 * 1.0 * 1e-3)
-
-    def sample(rng, m):
-        z = rng.standard_normal((matrix.shape[0], m))
-        return scale * chebyshev_sqrt(matrix, z, l_min, l_max, tol=1e-5)[0]
-    return sample
-
-
 def _pse(system):
     """``MatrixFreeBD``'s own force-free steps, on the tuned split: a
     column of the block's block Lanczos on the real-space half plus the
@@ -98,7 +82,6 @@ def _pse(system):
     pytest.param(_generator(lambda: KrylovBrownianGenerator(kT=1.0, dt=1e-3,
                                                             tol=1e-6)),
                  1, 8, id="block_lanczos"),
-    pytest.param(_chebyshev, 8, 500, id="chebyshev"),
     pytest.param(_pse, 3, 500, id="pse"),
 ])
 def test_fluctuation_dissipation(system, make, seed, batch):
@@ -124,30 +107,23 @@ class _FailsOnce(KrylovBrownianGenerator):
 
 class _NeverConverges(KrylovBrownianGenerator):
     """Block Lanczos that never converges: every retry fails and the
-    Chebyshev rung answers (the dense rung, if Chebyshev fails too)."""
+    dense rung answers."""
 
     def generate(self, mobility, z):
         raise ConvergenceError("solve fails", iterations=1, residual=0.5,
                                n_matvecs=1)
 
 
-def _chebyshev_fails(*args, **kwargs):
-    raise ConvergenceError("Chebyshev degree cap insufficient",
-                           iterations=8, residual=1.0, n_matvecs=8)
-
-
-#: rung -> (generator, substitute a failing Chebyshev square root)
+#: rung -> the generator whose failures reach it
 _RUNGS = {
-    "retry-lanczos": (_FailsOnce, False),
-    "fallback-chebyshev": (_NeverConverges, False),
-    "fallback-cholesky": (_NeverConverges, True),
+    "retry-lanczos": _FailsOnce,
+    "fallback-cholesky": _NeverConverges,
 }
 
 
 @pytest.mark.parametrize("sampler", ["cholesky", "block_lanczos",
                                      *_RUNGS])
-def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler,
-                                                      monkeypatch):
+def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler):
     # the same call must not change shape with the rung that answers it
     z = np.random.default_rng(11).standard_normal(mobility.shape[0])
     if sampler == "cholesky":
@@ -155,12 +131,9 @@ def test_one_dimensional_z_comes_back_one_dimensional(mobility, sampler,
     elif sampler == "block_lanczos":
         d = KrylovBrownianGenerator(kT=1.0, dt=1e-3).generate(mobility, z)
     else:
-        generator, chebyshev_fails = _RUNGS[sampler]
-        if chebyshev_fails:
-            monkeypatch.setattr(recovery, "chebyshev_sqrt", _chebyshev_fails)
         log = RecoveryLog()
-        d, _ = recovery.krylov_displacements_resilient(
-            generator(kT=1.0, dt=1e-3), mobility, z, log, step=0)
+        d, _ = krylov_displacements_resilient(
+            _RUNGS[sampler](kT=1.0, dt=1e-3), mobility, z, log, step=0)
         assert log.count(action=sampler) == 1
     assert d.shape == z.shape
 

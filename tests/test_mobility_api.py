@@ -14,7 +14,6 @@ import pytest
 from repro import Box, PMEOperator, PMEParams
 from repro.core.brownian import KrylovBrownianGenerator
 from repro.krylov.block_lanczos import block_lanczos_sqrt, mobility_product
-from repro.krylov.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 from repro.obs import trace as _trace
 from repro.pme.cache import MobilityCache
 from repro.resilience import RecoveryLog
@@ -79,8 +78,6 @@ def test_solvers_reject_a_bare_callable(spd_matrix):
     generator = KrylovBrownianGenerator(kT=1.0, dt=1e-3)
     calls = [
         lambda: block_lanczos_sqrt(matvec, z),
-        lambda: eigenvalue_bounds(matvec, 30),
-        lambda: chebyshev_sqrt(matvec, z, 1.0, 2.0),
         lambda: generator.generate(matvec, z),
         lambda: materialize_operator(matvec, 30),
         lambda: krylov_displacements_resilient(generator, matvec, z,
