@@ -157,7 +157,11 @@ def block_lanczos_sqrt(mobility: Any, z: np.ndarray, tol: float = 1e-2,
             for vb in basis:           # full reorthogonalization
                 w -= vb @ (vb.T @ w)
 
-            # iterate + convergence check (cheap next to the block matvec)
+            # iterate + convergence check, redone every iteration at a
+            # cost that grows with m: the dense eigh of the (m s)-square T
+            # and the iterate rebuilt from all m basis blocks -- small at
+            # the 3-6 iterations production takes, about 2 s over the
+            # ~290 of Ablation A's slowest solve
             coeffs = _block_tridiag_sqrt_first(blocks_a, blocks_b, s)
             y_acc.fill(0.0)
             for j, vb in enumerate(basis):

@@ -309,7 +309,7 @@ def record_solver(method: str, iterations: int, converged: bool,
                      help="operator applications, counted per column",
                      method=method).inc(n_matvecs)
     registry.histogram("krylov_iterations",
-                       help="iterations (or polynomial degree) per solve",
+                       help="block Lanczos iterations per solve",
                        method=method).observe(iterations)
     if math.isfinite(rel_change):
         registry.histogram(

@@ -4,9 +4,9 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the seven
-entry points the mobility pipeline, its rebuild and its reference
-schedule need:
+compiles, at import-on-demand time, a small C library with the eight
+entry points the mobility pipeline, its rebuild, its reference schedule
+and the suspension generator need:
 
 ``bcsr_matmat_range``
     Multi-RHS BCSR SpMM: block rows ``[lo, hi)`` of ``Y = A X`` for an
@@ -66,8 +66,20 @@ schedule need:
     interpolation) and its block ``f I + g rhat rhat^T`` computed,
     packed to its 48-byte upper triangle, in the slot the sort assigns
     it and its mirror, the table's ``f(0)`` on the diagonal.
+``rsa_test_insert``
+    The overlap test of random sequential addition
+    (:func:`repro.systems.suspension.random_suspension`): the accepted
+    set is a cell grid kept across attempts (cells of side at least
+    ``2a``, per-cell point lists as ``int64`` head/link arrays, O(n +
+    cells) memory), each accepted particle inserted once, and an attempt
+    tests only its candidates against the points of the 27 cells around
+    each — O(candidates), where a pair search over the accepted set and
+    the candidates together is O(n) per attempt.  A point overlaps a
+    candidate when ``min_image_pairs``' separation is ``< 2a``, the pair
+    search's own test, so the mask is the one that search gives (and
+    the one the generator computes by that search without the kernels).
 
-The last three do floating-point arithmetic whose bytes are pinned to
+The last four do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
@@ -107,13 +119,14 @@ from numpy.ctypeslib import ndpointer
 
 from ..config import get_config
 from ..errors import ConfigurationError
-from ..utils.pbc import minimum_image
+from ..utils.pbc import minimum_image, wrap_positions
 
 __all__ = [
     "spmm_kernel", "pack_symmetric", "unpack_symmetric",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
-    "cell_list_pairs", "kernel_available", "reset_kernel_cache", "SPMM_CHUNK",
+    "cell_list_pairs", "rsa_grid", "kernel_available",
+    "reset_kernel_cache", "SPMM_CHUNK",
 ]
 
 #: Right-hand sides one pass of ``bcsr_matmat_range``'s row body covers
@@ -607,6 +620,75 @@ void bcsr_assemble_dyads(const long long n, const long long m,
         }
     }
 }
+
+/* Cell (x + m (y + m z)) of a point wrapped into [0, L), binned as
+ * cell_list_pairs bins: its coordinates (q[3]) clamped into [0, m). */
+static inline __attribute__((always_inline)) long long
+grid_cell(const double *restrict p, const long long m, const double scale,
+          long long *restrict q)
+{
+    for (int c = 0; c < 3; ++c) {
+        const double u = p[c] * scale;
+        q[c] = u >= (double)m ? m - 1 : (u > 0.0 ? (long long)u : 0);
+    }
+    return q[0] + m * (q[1] + m * q[2]);
+}
+
+/* The accepted set of random sequential addition as a kept cell grid: m
+ * cells per edge of side L / m >= cutoff (chosen by the caller), so every
+ * point within cutoff of a candidate lies in one of the distinct cells
+ * within one of the candidate's along each axis (27, fewer when m < 3),
+ * and a point list per cell, head (m^3) and link (n), -1 terminated.
+ * Points [lo, hi) of the (n, 3) positions are inserted, then ok[k] = 0
+ * when an inserted point lies within cutoff of candidate k and 1
+ * otherwise: min_image_sep(point, candidate) < cutoff, the pair search's
+ * test in the orientation its sweep over accepted + candidates gives
+ * such a pair.  Positions and candidates are wrapped into [0, L).  Time
+ * O(hi - lo + ncand) at a uniform density, whatever the set's size. */
+void rsa_test_insert(const long long m, long long *restrict head,
+                     long long *restrict link, const double *restrict pos,
+                     const long long lo, const long long hi,
+                     const long long ncand, const double *restrict cand,
+                     const double L, const double cutoff,
+                     unsigned char *restrict ok)
+{
+    const double scale = (double)m / L;
+    long long q[3];
+    for (long long p = lo; p < hi; ++p) {
+        const long long c = grid_cell(pos + 3 * p, m, scale, q);
+        link[p] = head[c];
+        head[c] = p;
+    }
+
+    long long off[3];
+    int noff = 0;
+    for (long long d = -1; d <= 1; ++d) {
+        const long long v = ((d % m) + m) % m;
+        int seen = 0;
+        for (int t = 0; t < noff; ++t) seen |= off[t] == v;
+        if (!seen) off[noff++] = v;
+    }
+
+    for (long long k = 0; k < ncand; ++k) {
+        const double *restrict pk = cand + 3 * k;
+        grid_cell(pk, m, scale, q);
+        int clear = 1;
+        for (int a = 0; a < noff && clear; ++a)
+        for (int b = 0; b < noff && clear; ++b)
+        for (int e = 0; e < noff && clear; ++e) {
+            const long long c = (q[0] + off[e]) % m
+                + m * ((q[1] + off[b]) % m + m * ((q[2] + off[a]) % m));
+            for (long long p = head[c]; p >= 0; p = link[p]) {
+                double d[3];
+                if (min_image_sep(pos + 3 * p, pk, L, d) < cutoff) {
+                    clear = 0;
+                    break;
+                }
+            }
+        }
+        ok[k] = (unsigned char)clear;
+    }
+}
 """
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
@@ -619,7 +701,7 @@ _kernels: object = _UNSET
 #: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
     "_Kernels",
-    "spmm spread interp rows min_image cells dyads")
+    "spmm spread interp rows min_image cells dyads rsa")
 
 
 def _cache_dir() -> Path:
@@ -671,6 +753,7 @@ def _load(path: Path) -> _Kernels | None:
         min_image = lib.min_image_pairs
         cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
+        rsa = lib.rsa_test_insert
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -693,7 +776,11 @@ def _load(path: Path) -> _Kernels | None:
     dyads.argtypes = [ll, ll, i64, i64, f64, ll, ctypes.c_double, f64, f64,
                       i64, i64, f64, i64]
     dyads.restype = None
-    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads)
+    rsa.argtypes = [ll, i64, i64, f64, ll, ll, ll, f64, ctypes.c_double,
+                    ctypes.c_double, ndpointer(dtype=np.bool_,
+                                               flags="C_CONTIGUOUS")]
+    rsa.restype = None
+    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads, rsa)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -835,6 +922,23 @@ def _selftest(kernels: _Kernels) -> bool:
             np.broadcast_to(table.values[0, 0] * np.eye(3), (40, 3, 3)))
         if not all(g.tobytes() == w.tobytes() for g, w in zip(got, want)):
             return False
+
+    # the kept grid against every (point, candidate) pair: the cloud's even
+    # rows inserted in two steps, its odd rows the candidates (the pairs at
+    # exactly 2.8 and an ulp inside straddle the two), on one, two, three
+    # and a capped five cells per edge
+    pts, cand = cloud[::2], cloud[1::2]
+    both = wrap_positions(np.concatenate([pts, cand]), length)
+    pi = np.repeat(np.arange(len(pts), dtype=np.int64), len(cand))
+    pj = len(pts) + np.tile(np.arange(len(cand), dtype=np.int64), len(pts))
+    cdist = _separations_numpy(both, pi, pj, length)[1].reshape(len(pts), -1)
+    for c in (5.0, 4.4, 2.8, 1.5, 0.6):
+        grid = RsaGrid(kernels.rsa, len(pts), length, c)
+        for lo, hi in ((0, 60), (60, len(pts))):
+            grid.add(pts[lo:hi])
+            if not np.array_equal(grid.clear_of(cand),
+                                  ~np.any(cdist[:hi] < c, axis=0)):
+                return False
     return True
 
 
@@ -1241,6 +1345,69 @@ def cell_list_pairs(positions: np.ndarray,  # noqa: RPR001 - validated by find_p
     if not (box_length > 0 and cutoff > 0):
         raise ConfigurationError("box length and cutoff must be positive")
     return _cell_pairs_compiled(kern, r, float(box_length), float(cutoff))
+
+
+class RsaGrid:
+    """The accepted set of random sequential addition as a kept cell grid
+    (``rsa_test_insert``): up to ``n`` points, wrapped into ``[0, L)^3``,
+    in ``m`` cells per edge of side ``L / m >= cutoff`` (with
+    :func:`_cell_grid`'s ``1e-9`` margin; ``m`` at most the nearest
+    integer to ``n^(1/3)``, so O(n) memory at any density).
+
+    :meth:`add` inserts each point once; :meth:`clear_of` tests only its
+    candidates, in O(candidates) however many points the grid holds.
+    Membership is the pair search's minimum-image ``dist < cutoff`` of
+    (point, candidate), so the mask is the one a
+    :func:`~repro.neighbor.pairs.find_pairs` over the points and the
+    candidates together gives.
+    """
+
+    def __init__(self, kern, n: int, box_length: float, cutoff: float):
+        m = max(1, min(int(box_length / cutoff / (1.0 + 1e-9)),
+                       round(n ** (1.0 / 3.0))))
+        self._kern, self._m = kern, m
+        self._length, self._cutoff = float(box_length), float(cutoff)
+        self._head = np.full(m ** 3, -1, dtype=np.int64)
+        self._link = np.full(n, -1, dtype=np.int64)
+        self._points = np.empty((n, 3))
+        self.count = 0
+
+    def _call(self, hi: int, candidates: np.ndarray) -> np.ndarray:
+        ok = np.empty(candidates.shape[0], dtype=bool)
+        self._kern(self._m, self._head, self._link, self._points,
+                   self.count, hi, candidates.shape[0], candidates,
+                   self._length, self._cutoff, ok)
+        self.count = hi
+        return ok
+
+    def add(self, rows: np.ndarray) -> None:
+        """Insert ``rows`` ``(k, 3)`` after the points inserted so far."""
+        rows = np.asarray(rows, dtype=np.float64)
+        room = self._link.size - self.count
+        if rows.ndim != 2 or rows.shape[1] != 3 or rows.shape[0] > room:
+            raise ConfigurationError(
+                f"RsaGrid.add: rows must be (k, 3) with k <= {room}, "
+                f"got {rows.shape}")
+        hi = self.count + rows.shape[0]
+        self._points[self.count:hi] = wrap_positions(rows, self._length)
+        self._call(hi, np.empty((0, 3)))
+
+    def clear_of(self, candidates: np.ndarray) -> np.ndarray:
+        """Mask of the ``(m, 3)`` candidates no point lies within
+        ``cutoff`` of."""
+        cand = wrap_positions(candidates, self._length)
+        if cand.ndim != 2 or cand.shape[1] != 3:
+            raise ConfigurationError(
+                f"RsaGrid.clear_of: candidates must be (m, 3), "
+                f"got {cand.shape}")
+        return self._call(self.count, cand)
+
+
+def rsa_grid(n: int, box_length: float, cutoff: float) -> RsaGrid | None:
+    """An empty :class:`RsaGrid` for up to ``n`` points, or ``None``
+    without the kernels."""
+    kern = getattr(_bundle(), "rsa", None)
+    return None if kern is None else RsaGrid(kern, n, box_length, cutoff)
 
 
 def kernel_available() -> bool:

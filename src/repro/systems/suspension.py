@@ -9,7 +9,8 @@ volume fractions ``Phi`` from 0.1 to 0.4.  Two generators are provided:
 * a jittered FCC lattice — reaches any ``Phi`` up to close packing and
   decorrelates quickly under BD with the repulsive potential.
 
-:func:`make_suspension` chooses automatically.
+:func:`make_suspension` chooses automatically, and falls back to the
+lattice where RSA jams.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from ..errors import ConfigurationError, ConvergenceError
 from ..geometry.box import Box
 from ..neighbor.pairs import find_pairs
+from ..sparse.kernels import rsa_grid
 from ..units import FluidParams, REDUCED
 from .lattice import fcc_positions
 
@@ -99,25 +101,15 @@ def random_suspension(n: int, volume_fraction: float,
         raise ConfigurationError(
             f"box ({box.length:.3g}) too small for non-overlapping spheres")
 
-    accepted = np.empty((n, 3))
-    count = 0
-    while count < n:
+    accepted = _AcceptedSet(n, box, two_a)
+    while accepted.count < n:
+        count = accepted.count
         batch = max(64, count)  # insert in batches to amortize the searches
         for _ in range(RSA_ATTEMPTS):
             m = min(batch, n - count)
             cand = rng.uniform(0.0, box.length, size=(m, 3))
-            ok = np.ones(m, dtype=bool)
-            if count:
-                # distance of each candidate to accepted set via one
-                # combined pair search over the union
-                union = np.concatenate([accepted[:count], cand])
-                i, j = find_pairs(union, box, two_a)
-                bad_pairs = (i < count) != (j < count)  # accepted-candidate
-                bad = np.unique(np.where(j[bad_pairs] >= count,
-                                         j[bad_pairs], i[bad_pairs]) - count)
-                ok[bad] = False
+            cand_ok = cand[accepted.clear_of(cand)]
             # candidates must also not overlap each other
-            cand_ok = cand[ok]
             if cand_ok.shape[0] > 1:
                 i, j = find_pairs(cand_ok, box, two_a)
                 mask = np.ones(cand_ok.shape[0], dtype=bool)
@@ -125,14 +117,57 @@ def random_suspension(n: int, volume_fraction: float,
                 cand_ok = cand_ok[mask]
             take = min(cand_ok.shape[0], n - count)
             if take:
-                accepted[count:count + take] = cand_ok[:take]
-                count += take
+                accepted.add(cand_ok[:take])
                 break
         else:
             raise ConvergenceError(
                 f"RSA failed to place particle {count + 1}/{n} at "
                 f"Phi={volume_fraction}; use lattice_suspension")
-    return Suspension(accepted, box, fluid)
+    return Suspension(accepted.positions, box, fluid)
+
+
+class _AcceptedSet:
+    """The particles random sequential addition has placed, and the one
+    question each attempt asks of them: which candidates lie within
+    ``2a`` of none of them.
+
+    With the kernels a cell grid of the set is kept across attempts, each
+    particle inserted once, and an attempt tests only its candidates
+    (:class:`~repro.sparse.kernels.RsaGrid`), in O(candidates) however
+    many are placed.  Without, one pair search over the set and the
+    candidates together answers, in O(set + candidates).  Both decide
+    with the pair search's minimum-image ``dist < 2a`` on wrapped
+    positions, so the masks, and the suspensions, are the same bytes.
+    """
+
+    def __init__(self, n: int, box: Box, two_a: float):
+        self.positions = np.empty((n, 3))
+        self.count = 0
+        self._box, self._two_a = box, two_a
+        self._grid = rsa_grid(n, box.length, two_a)
+
+    def clear_of(self, cand: np.ndarray) -> np.ndarray:
+        """Mask of the candidates no placed particle lies within ``2a`` of."""
+        if self._grid is not None:
+            return self._grid.clear_of(cand)
+        count = self.count
+        ok = np.ones(cand.shape[0], dtype=bool)
+        if count:
+            union = np.concatenate([self.positions[:count], cand])
+            i, j = find_pairs(union, self._box, self._two_a)
+            bad_pairs = (i < count) != (j < count)  # accepted-candidate
+            bad = np.unique(np.where(j[bad_pairs] >= count,
+                                     j[bad_pairs], i[bad_pairs]) - count)
+            ok[bad] = False
+        return ok
+
+    def add(self, rows: np.ndarray) -> None:
+        """Place ``rows`` after the particles placed so far."""
+        end = self.count + rows.shape[0]
+        self.positions[self.count:end] = rows
+        if self._grid is not None:
+            self._grid.add(rows)
+        self.count = end
 
 
 def _resolve_overlaps(positions: np.ndarray, box: Box, radius: float,
@@ -208,7 +243,17 @@ def lattice_suspension(n: int, volume_fraction: float,
 def make_suspension(n: int, volume_fraction: float,
                     fluid: FluidParams = REDUCED,
                     seed: int | np.random.Generator | None = 0) -> Suspension:
-    """Generate a suspension, picking RSA or jittered FCC by density."""
+    """Generate a suspension, picking RSA or jittered FCC by density.
+
+    Up to :data:`RSA_LIMIT` it is :func:`random_suspension`; above, and
+    wherever RSA jams before placing all ``n`` particles (its
+    ``ConvergenceError``; near ``Phi = 0.30`` that depends on the seed,
+    e.g. ``n = 1000``, seed 1), :func:`lattice_suspension` of the same
+    arguments.  A ``Generator`` seed reaches the lattice as RSA left it.
+    """
     if volume_fraction <= RSA_LIMIT:
-        return random_suspension(n, volume_fraction, fluid, seed)
+        try:
+            return random_suspension(n, volume_fraction, fluid, seed)
+        except ConvergenceError:
+            pass  # jammed: the lattice reaches any Phi below close packing
     return lattice_suspension(n, volume_fraction, fluid, seed)

@@ -1,10 +1,13 @@
 """Tests for suspension and lattice generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import Box
 from repro.errors import ConfigurationError
+from repro.sparse.kernels import rsa_grid
 from repro.systems import (
     bead_spring_chain,
     fcc_positions,
@@ -126,6 +129,62 @@ class TestMakeSuspension:
             set_kernel_mode(no_ckernel)
             digests.append(make_suspension(n, phi, seed=11).positions.tobytes())
         assert digests[0] == digests[1]
+
+
+#: SHA-256 of the positions of (generator, n, Phi, seed), recorded while
+#: every attempt of random sequential addition still ran one pair search
+#: over the accepted set and its candidates together.  The kept cell grid
+#: answers the same question with the same arithmetic, so no byte moves:
+#: (8, 0.2, 0) has two cells per edge, where the stencil wraps onto itself;
+#: (600, 0.3, 1) draws many tail attempts near the jamming limit.
+RSA_DIGESTS = [
+    (make_suspension, 100, 0.2, 0,
+     "e9743ba3a7f1c227141d7daa6e416b66fb283485d1501e596da46a8db3617e88"),
+    (make_suspension, 1000, 0.2, 0,
+     "9ddc407589ccd13a566ead5489c51d84cdd0e088cbaf7bac9e7e094c387ef3a7"),
+    (make_suspension, 2000, 0.2, 7,
+     "56a422273c5a55671905dfaa0487c06daf1ed5ec404558df115c9cdc15da3a9e"),
+    (make_suspension, 30, 0.1, 5,
+     "911350f4c5df0ef5c1422b2029e483ba861e411fa98e534b9aa4313621ab5fc6"),
+    (random_suspension, 600, 0.3, 1,
+     "27c4cce8f87adaeae0320076304306ec00a2c6a224b1f224a40c359b6277cdf8"),
+    (make_suspension, 8, 0.2, 0,
+     "f0ad3adf55cc4206e89b2fc4df465eda3b9d1c7fd32b766d552e6b8f869ab403"),
+]
+
+
+class TestRSABytes:
+    @pytest.mark.parametrize(
+        "generator,n,phi,seed,digest", RSA_DIGESTS,
+        ids=[f"{g.__name__}-{n}-{phi}-{seed}" for g, n, phi, seed, _ in
+             RSA_DIGESTS])
+    def test_pinned_digest(self, generator, n, phi, seed, digest,
+                           kernel_mode):
+        positions = generator(n, phi, seed=seed).positions
+        assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
+
+    def test_jammed_rsa_falls_back_to_the_lattice(self):
+        # RSA jams placing the last of 1000 particles at Phi 0.3 with
+        # seed 1; make_suspension returns the lattice of the same arguments
+        susp = make_suspension(1000, 0.3, seed=1)
+        assert susp.positions.tobytes() \
+            == lattice_suspension(1000, 0.3, seed=1).positions.tobytes()
+        assert susp.min_separation() >= 2.0 - 1e-9
+
+    def test_grid_rejects_malformed_rows(self):
+        grid = rsa_grid(4, 10.0, 2.0)
+        if grid is None:
+            pytest.skip("compiled kernels unavailable")
+        for rows in (np.zeros((5, 3)), np.zeros((2, 2)), np.zeros(3),
+                     np.zeros(())):
+            with pytest.raises(ConfigurationError):
+                grid.add(rows)
+        with pytest.raises(ConfigurationError):
+            grid.clear_of(np.zeros(3))
+        grid.add(np.zeros((4, 3)))
+        with pytest.raises(ConfigurationError):
+            grid.add(np.zeros((1, 3)))
+        assert not grid.clear_of(np.full((1, 3), 1.0)).any()
 
 
 class TestPolymer:
