@@ -9,7 +9,8 @@ effective bandwidth, :func:`calibrate_host` measures them directly:
   (GF/s using the model's own ``2.5 K^3 log2 K^3`` flop convention, so
   model and measurement cancel consistently),
 * the effective bandwidth ``B`` from the pipeline's streaming mesh
-  pass, the influence function, charged what Eq. 10 charges it,
+  pass, the influence function (the compiled pass where the kernels
+  load, on one worker), charged what Eq. 10 charges it,
 * the two real-space rates Eq. 10 has no term for — the BCSR SpMM per
   stored block and the rebuild per pair — on the package's own
   :class:`~repro.pme.realspace.RealSpaceOperator`, rebuilt the way the
@@ -55,7 +56,7 @@ def _time_best(fn, repeats: int = 5) -> float:
 def _fft_rate(K: int, inverse: bool) -> float:
     """Measured 3-D (i)FFT rate in GF/s at mesh dimension ``K``: the
     pipeline's transform of that direction on one column's three
-    lanes."""
+    lanes, one call per pass over the three."""
     mesh = np.random.default_rng(0).standard_normal((3, K, K, K))
     spec = np.empty((3, K, K, K // 2 + 1), dtype=np.complex128)
     _rfftn_lanes(mesh, spec, INLINE)
@@ -70,7 +71,8 @@ def _fft_rate(K: int, inverse: bool) -> float:
 
 def _bandwidth_gbs(K: int = 64, columns: int = 4) -> float:
     """Effective bandwidth ``B`` in GB/s: the pipeline's own streaming
-    mesh pass — the influence function over ``columns`` spectra —
+    mesh pass — the influence function over ``columns`` spectra, the
+    compiled pass on one worker (the NumPy loop without the kernels) —
     charged the ``52 K^3`` bytes per column Eq. 10 charges it."""
     mesh = Mesh(Box(float(K)), K)
     influence = InfluenceFunction(mesh, xi=0.5, p=6)

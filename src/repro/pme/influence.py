@@ -20,6 +20,14 @@ its square root is stored beside it: the same projector with
 so half-spectrum white noise ``W^`` (:meth:`InfluenceFunction.white_noise`)
 added as ``sqrt(scalar) W^`` leaves the drift's pass as a sample of the
 reciprocal half.
+
+Applying it is the paper's one fused, bandwidth-bound pass over the
+half spectrum (Sections IV.B.4 and IV.D(c)), drift and noise together:
+the compiled ``influence_range`` of :mod:`repro.sparse.kernels` over
+ranges of modes split among the execution context's workers.  It
+evaluates NumPy's complex arithmetic operation for operation, so the
+NumPy slab loop it replaces — the fallback without the kernels — gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -30,16 +38,19 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..exec import INLINE
 from ..rpy.pse import reciprocal_scalar
+from ..sparse.kernels import influence_kernel
 from .bspline import euler_spline_modulus
 from .mesh import Mesh
 
 __all__ = ["InfluenceFunction"]
 
-#: Slab size of :meth:`InfluenceFunction.apply_batch`: ``max(1,
-#: SLAB_POINTS // K)`` rows of the leading mesh axis per pass keep the
-#: working set (three slabs of ``khat``, the scalar and the spectra
-#: slices) in cache.  The result does not depend on it.
+#: Slab size of the NumPy fallback of :meth:`InfluenceFunction.apply_batch`
+#: (no compiled kernels): ``max(1, SLAB_POINTS // K)`` rows of the
+#: leading mesh axis per pass keep the working set (three slabs of
+#: ``khat``, the scalar and the spectra slices) in cache.  The result
+#: does not depend on it.
 SLAB_POINTS = 324
 
 
@@ -96,12 +107,13 @@ class InfluenceFunction:
         #: ``sqrt(scalar)``: the weight of the noise of :meth:`apply_batch`.
         self.sqrt_scalar = np.sqrt(scalar)
 
-        # unit wavevector components, built once; k=0 entry is arbitrary
-        # because scalar[0,0,0] == 0.
+        # unit wavevector components, built once, as one (3,) + rshape
+        # array (the compiled pass reads it flat); the k=0 entry is
+        # arbitrary because scalar[0,0,0] == 0.
         gx, gy, gz = mesh.k_grids()
         k2_safe = np.where(k2 == 0.0, 1.0, k2)
         inv_k = 1.0 / np.sqrt(k2_safe)
-        self._khat = (gx * inv_k, gy * inv_k, gz * inv_k)
+        self._khat = np.stack([gx * inv_k, gy * inv_k, gz * inv_k])
 
     def apply(self, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply ``scalar(k) (I - khat khat^T)`` to a spectral force field.
@@ -133,7 +145,8 @@ class InfluenceFunction:
         return out
 
     def apply_batch(self, spec: np.ndarray,
-                    noise: np.ndarray | None = None) -> np.ndarray:
+                    noise: np.ndarray | None = None,
+                    context=None) -> np.ndarray:
         """In-place batched influence over ``s`` spectra at once.
 
         Parameters
@@ -146,26 +159,54 @@ class InfluenceFunction:
             be pure overhead here.
         noise:
             Optional spectra shaped like ``spec`` (scaled draws of
-            :meth:`white_noise`): the result is then ``(I - khat
-            khat^T) (scalar spec + sqrt(scalar) noise)``.
+            :meth:`white_noise`), in memory apart from it: the result
+            is then ``(I - khat khat^T) (scalar spec + sqrt(scalar)
+            noise)``.
+        context:
+            The :class:`~repro.exec.ExecutionContext` whose workers
+            split the modes; ``None`` runs on the calling thread.
 
         Notes
         -----
-        The ``scalar(k) (I - khat khat^T)`` projection, fused over
-        slabs of the leading axis so the ``khat`` grids and the stored
-        scalar are read once per slab for all ``s`` vectors instead of
-        once per vector — the reciprocal analogue of the paper's
-        block-of-vectors SpMV (Section IV.C).  Vectors are independent:
-        ``spec[:, v]`` comes out the same bytes whatever ``s``.
+        The ``scalar(k) (I - khat khat^T)`` projection in one pass over
+        the half spectrum, the paper's bandwidth-bound influence stage
+        (Sections IV.B.4 and IV.D(c)): the compiled ``influence_range``
+        over contiguous mode ranges of ``context.run_ranges``, a
+        cache-sized tile of modes at a time for all ``s`` vectors, so
+        the ``khat`` grids and the stored scalar are read once per tile
+        instead of once per vector — the reciprocal analogue of the
+        paper's block-of-vectors SpMV (Section IV.C).  It evaluates
+        NumPy's complex arithmetic operation for operation, so without
+        the kernels (or for a ``spec`` or ``noise`` that is not a
+        C-contiguous complex128 array) the NumPy slab loop gives the
+        same bytes.  Modes and vectors are independent: ``spec[:, v]``
+        comes out the same bytes whatever ``s`` and the worker count.
         """
-        K = self.mesh.K
         expected = (3,) + (spec.shape[1],) + self.mesh.rshape
         if spec.shape != expected or (noise is not None
                                       and noise.shape != expected):
             raise ConfigurationError(
                 f"expected batched spectra of shape (3, s) + "
                 f"{self.mesh.rshape}, got {spec.shape}")
-        s = spec.shape[1]
+        kern = influence_kernel()
+        if kern is None or not all(
+                a.dtype == np.complex128 and a.flags.c_contiguous
+                for a in (spec, noise) if a is not None):
+            return self._apply_slabs(spec, noise)
+        s, modes = spec.shape[1], self.scalar.size
+        at = None if noise is None else noise.ctypes.data
+        (context or INLINE).run_ranges(
+            lambda lo, hi: kern(lo, hi, s, modes, self._khat, self.scalar,
+                                self.sqrt_scalar, spec, at),
+            modes, "influence")
+        return spec
+
+    def _apply_slabs(self, spec: np.ndarray,
+                     noise: np.ndarray | None) -> np.ndarray:
+        """The NumPy body of :meth:`apply_batch` (its fallback and the
+        kernel's reference): ``SLAB_POINTS // K`` rows of the leading
+        mesh axis at a time for all ``s`` vectors, any strides."""
+        K, s = self.mesh.K, spec.shape[1]
         hx, hy, hz = self._khat
         slab = max(1, SLAB_POINTS // K)
         for lo in range(0, K, slab):

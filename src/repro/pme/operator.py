@@ -9,7 +9,10 @@ configuration, then applied to many force vectors::
 * the real-space term is a BCSR SpMV (:mod:`repro.pme.realspace`),
 * the reciprocal-space term is the six-step mesh pipeline of
   Section IV.A: spread (``P^T f``), forward r2c FFT, influence
-  function, inverse FFT, interpolate (``P U``),
+  function, inverse FFT, interpolate (``P U``) — every stage split
+  over the execution context's workers: the FFTs by ranges of mesh
+  lanes (one call per pass over a range), the influence by ranges of
+  half-spectrum modes (a compiled pass),
 * the self term is carried on the diagonal blocks of the real-space
   matrix.
 
@@ -50,7 +53,7 @@ MAX_BLOCK_COLUMNS = 32
 
 
 #: ``np.fft`` transforms write into ``out=`` from NumPy 2.0 on; below
-#: it (declared floor: 1.24) a lane is transformed and then copied.
+#: it (declared floor: 1.24) a lane range is transformed and then copied.
 #: Decided here, once, for both directions.
 _FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
@@ -60,16 +63,24 @@ def _rfftn_lanes(src: np.ndarray, dst: np.ndarray, context) -> None:
 
     The one forward-transform path of the pipeline: lanes are split in
     contiguous ranges over ``context.run_ranges`` (pocketfft releases
-    the GIL), and each lane is transformed by the same NumPy call
-    whatever the worker count, so the spectrum is bitwise independent
-    of the context.  One worker is the plain loop.
+    the GIL), and a worker transforms its whole range with one call per
+    pass — NumPy's r2c over the last axis into ``dst``, then SciPy's
+    c2c over the two full axes in place, the second axis first.  These
+    are the 1-D pocketfft transforms of a lane's ``np.fft.rfftn``, in
+    its axis order, and give its bytes whatever the range, so the
+    spectrum is bitwise independent of the context.  No ``workers=``:
+    lanes are the parallelism, and pocketfft's own thread pool is never
+    started.
     """
     def transform(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            if _FFT_OUT:
-                np.fft.rfftn(src[b], out=dst[b])
-            else:
-                dst[b] = np.fft.rfftn(src[b])
+        lanes = dst[lo:hi]
+        if _FFT_OUT:
+            np.fft.rfft(src[lo:hi], axis=-1, out=lanes)
+        else:
+            lanes[...] = np.fft.rfft(src[lo:hi], axis=-1)
+        done = sfft.fftn(lanes, axes=(2, 1), overwrite_x=True)
+        if done.ctypes.data != lanes.ctypes.data:   # not done in place
+            lanes[...] = done
 
     context.run_ranges(transform, src.shape[0], "fft")
 
@@ -79,24 +90,22 @@ def _irfftn_lanes(spec: np.ndarray, mesh: np.ndarray, context) -> None:
     ``mesh[b]``; the mirror of :func:`_rfftn_lanes`, on the same pool.
     ``spec`` is consumed (its lanes are transformed in place).
 
-    Per lane: SciPy's c2c over the two full axes, then the c2r over the
-    half axis — NumPy's where it takes ``out=`` (nothing is allocated
-    and nothing copied), SciPy's plus a lane copy below NumPy 2.  These
-    are the 1-D pocketfft transforms of the stacked
-    ``scipy.fft.ifftn(axes=(1, 2))`` / ``irfft(axis=3)`` pair, and give
-    its bytes; an all-NumPy ``irfftn`` does not, and is slower.  No
-    ``workers=``: lanes are the parallelism, and pocketfft's own thread
-    pool is never started.
+    Per lane range, one call per pass: SciPy's c2c over the two full
+    axes, then the c2r over the half axis — NumPy's where it takes
+    ``out=`` (nothing is allocated and nothing copied), SciPy's plus a
+    copy below NumPy 2.  These are the 1-D pocketfft transforms of the
+    stacked ``scipy.fft.ifftn(axes=(1, 2))`` / ``irfft(axis=3)`` pair,
+    and give its bytes whatever the range; an all-NumPy ``irfftn`` does
+    not, and is slower.
     """
     K = mesh.shape[-1]
 
     def transform(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            tmp = sfft.ifftn(spec[b], axes=(0, 1), overwrite_x=True)
-            if _FFT_OUT:
-                np.fft.irfft(tmp, n=K, axis=2, out=mesh[b])
-            else:
-                mesh[b] = sfft.irfft(tmp, n=K, axis=2, overwrite_x=True)
+        tmp = sfft.ifftn(spec[lo:hi], axes=(1, 2), overwrite_x=True)
+        if _FFT_OUT:
+            np.fft.irfft(tmp, n=K, axis=-1, out=mesh[lo:hi])
+        else:
+            mesh[lo:hi] = sfft.irfft(tmp, n=K, axis=-1, overwrite_x=True)
 
     context.run_ranges(transform, spec.shape[0], "ifft")
 
@@ -166,12 +175,12 @@ class PMEOperator:
         :func:`repro.exec.default_context` — a one-worker ``serial``
         context unless the runtime config selects ``threads``.  Mesh
         rows of the spreading gather (which every spread on more than
-        one worker is), particle rows of the
-        interpolation, FFT lanes and block rows of the real-space SpMM
-        are split across them; every split writes disjoint outputs in
-        a fixed summation order, so the result is the same bytes on
-        ``serial`` and ``threads`` at any worker count, for a fixed
-        kernel configuration.
+        one worker is), particle rows of the interpolation, FFT lanes,
+        half-spectrum modes of the influence and block rows of the
+        real-space SpMM are split across them; every split writes
+        disjoint outputs in a fixed summation order, so the result is
+        the same bytes on ``serial`` and ``threads`` at any worker
+        count, for a fixed kernel configuration.
     pairs:
         A :class:`~repro.neighbor.verlet.VerletList` at ``params.r_max``
         that the caller keeps across rebuilds (the integrator's), handed
@@ -242,13 +251,14 @@ class PMEOperator:
         * one spread for all ``3s`` mesh lanes (a scatter by particle
           for one column on one worker, else the gather over ``P'``;
           the same bytes),
-        * ``3s`` contiguous forward r2c FFTs into one stacked
-          half-spectrum, and ``3s`` inverse transforms (c2c over the
+        * forward r2c FFTs of the ``3s`` lanes into one stacked
+          half-spectrum, and their inverse transforms (c2c over the
           two full axes + c2r over the half axis) back into the mesh
-          workspace the forces were spread on,
-        * the influence function applied slab-fused over all vectors
-          (``khat``/scalar grids read once per slab, not once per
-          vector),
+          workspace the forces were spread on, one call per pass over
+          each worker's range of lanes,
+        * the influence function in one compiled pass over all
+          vectors (``khat``/scalar read once per tile of modes, not
+          once per vector; mode ranges over the workers),
         * one BCSR SpMM for the real-space term (a row's 3x3 blocks
           against all ``s`` lanes while the row is in L1).
 
@@ -319,7 +329,8 @@ class PMEOperator:
             with self.timers.phase("influence", vectors=s, **xargs):
                 self.influence.apply_batch(
                     spec.reshape((3, s) + self.mesh.rshape),
-                    noise=None if noise is None else noise[:, lo:lo + s])
+                    noise=None if noise is None else noise[:, lo:lo + s],
+                    context=ctx)
 
             with self.timers.phase("ifft", vectors=s, **xargs):
                 # the forward FFT consumed the spread lanes: the mesh

@@ -6,7 +6,7 @@ one process by :meth:`~repro.pme.operator.PMEOperator.apply_block`.
 This module extends the same economics *across clients*: many
 small ``mobility.apply`` requests against the same system are merged
 into one block apply, so the spread product, the stacked FFTs, the
-slab-fused influence function and the BCSR SpMM are all amortized over
+influence pass and the BCSR SpMM are all amortized over
 requests that arrived independently.
 
 Correctness rests on one property: below ``apply_block`` the block

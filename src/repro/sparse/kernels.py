@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the eight
+compiles, at import-on-demand time, a small C library with the nine
 entry points the mobility pipeline, its rebuild, its reference schedule
 and the suspension generator need:
 
@@ -78,8 +78,19 @@ and the suspension generator need:
     candidate when ``min_image_pairs``' separation is ``< 2a``, the pair
     search's own test, so the mask is the one that search gives (and
     the one the generator computes by that search without the kernels).
+``influence_range``
+    The influence stage of the pipeline
+    (:meth:`repro.pme.influence.InfluenceFunction.apply_batch`): the
+    projector ``I - khat khat^T`` and the stored scalar, with or without
+    the wave-space noise, on half-spectrum modes ``[lo, hi)`` of all
+    ``s`` columns in place — one bandwidth-bound pass, a tile of modes
+    at a time for every column so the tile's ``khat`` and scalars stay
+    in L1.  Modes are independent, so any partition is bit-identical.
+    It is NumPy's complex arithmetic operation for operation (a real
+    operand ``x`` multiplies as ``x + 0i``, its products with ``0.0``
+    kept), so the NumPy slab loop it replaces gives the same bytes.
 
-The last four do floating-point arithmetic whose bytes are pinned to
+The last five do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
@@ -125,7 +136,7 @@ __all__ = [
     "spmm_kernel", "pack_symmetric", "unpack_symmetric",
     "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
-    "cell_list_pairs", "rsa_grid", "kernel_available",
+    "cell_list_pairs", "rsa_grid", "influence_kernel", "kernel_available",
     "reset_kernel_cache", "SPMM_CHUNK",
 ]
 
@@ -689,6 +700,110 @@ void rsa_test_insert(const long long m, long long *restrict head,
         ok[k] = (unsigned char)clear;
     }
 }
+
+/* z = (ar + ai i)(br + bi i) as NumPy's complex multiply evaluates it: a
+ * real operand x enters as x + 0i and its products with 0.0 are kept
+ * (they decide the signs of zeros). */
+static inline __attribute__((always_inline)) void
+cmul(const double ar, const double ai, const double br, const double bi,
+     double *restrict z)
+{
+    z[0] = ar * br - ai * bi;
+    z[1] = ar * bi + ai * br;
+}
+
+/* Modes [t0, t1) of InfluenceFunction.apply_batch on one column: its
+ * components c[u] (interleaved complex) in place, h[u] the unit
+ * wavevector components, sc the scalar, rt its root, w[u] the noise
+ * (noisy only).  The slab loop's ufuncs in order: with noise c *= sc;
+ * c += rt * w, then the projection; without, the projection, then
+ * c *= sc. */
+static inline __attribute__((always_inline)) void
+influence_tile(const long long t0, const long long t1,
+               double *restrict cx, double *restrict cy,
+               double *restrict cz, const double *restrict hx,
+               const double *restrict hy, const double *restrict hz,
+               const double *restrict sc, const double *restrict rt,
+               const double *restrict wx, const double *restrict wy,
+               const double *restrict wz, const int noisy)
+{
+    for (long long m = t0; m < t1; ++m) {
+        double *const c[3] = {cx + 2 * m, cy + 2 * m, cz + 2 * m};
+        const double h[3] = {hx[m], hy[m], hz[m]};
+        double a[3][2], t[2], dot[2];
+        for (int u = 0; u < 3; ++u) {
+            a[u][0] = c[u][0];
+            a[u][1] = c[u][1];
+        }
+        if (noisy) {
+            const double *const w[3] = {wx + 2 * m, wy + 2 * m, wz + 2 * m};
+            for (int u = 0; u < 3; ++u) {
+                double z[2];
+                cmul(a[u][0], a[u][1], sc[m], 0.0, z);
+                cmul(rt[m], 0.0, w[u][0], w[u][1], t);
+                a[u][0] = z[0] + t[0];
+                a[u][1] = z[1] + t[1];
+            }
+        }
+        cmul(a[0][0], a[0][1], h[0], 0.0, dot);
+        for (int u = 1; u < 3; ++u) {
+            cmul(a[u][0], a[u][1], h[u], 0.0, t);
+            dot[0] = dot[0] + t[0];
+            dot[1] = dot[1] + t[1];
+        }
+        for (int u = 0; u < 3; ++u) {
+            cmul(h[u], 0.0, dot[0], dot[1], t);
+            a[u][0] = a[u][0] - t[0];
+            a[u][1] = a[u][1] - t[1];
+        }
+        if (!noisy)
+            for (int u = 0; u < 3; ++u) {
+                double z[2];
+                cmul(a[u][0], a[u][1], sc[m], 0.0, z);
+                a[u][0] = z[0];
+                a[u][1] = z[1];
+            }
+        for (int u = 0; u < 3; ++u) {
+            c[u][0] = a[u][0];
+            c[u][1] = a[u][1];
+        }
+    }
+}
+
+/* InfluenceFunction.apply_batch over the half-spectrum modes [lo, hi) of
+ * all s columns: spec (3, s, modes) complex in place, khat (3, modes) the
+ * unit wavevectors, scalar and root = sqrt(scalar) (modes), noise NULL or
+ * shaped like spec (and apart from it).  Modes are independent, so any
+ * partition of [0, modes) gives the same bytes.  INFLUENCE_TILE modes at
+ * a time for every column, so a tile's khat and scalars stay in L1
+ * across the columns. */
+#define INFLUENCE_TILE 256
+void influence_range(const long long lo, const long long hi,
+                     const long long s, const long long modes,
+                     const double *restrict khat,
+                     const double *restrict scalar,
+                     const double *restrict root, double *restrict spec,
+                     const double *restrict noise)
+{
+    const double *restrict hx = khat, *restrict hy = khat + modes,
+                 *restrict hz = khat + 2 * modes;
+    const size_t lane = 2 * (size_t)modes, comp = (size_t)s * lane;
+    for (long long t0 = lo; t0 < hi; t0 += INFLUENCE_TILE) {
+        const long long t1 = MIN(hi, t0 + INFLUENCE_TILE);
+        for (long long v = 0; v < s; ++v) {
+            double *const c = spec + (size_t)v * lane;
+            if (noise != NULL) {
+                const double *const w = noise + (size_t)v * lane;
+                influence_tile(t0, t1, c, c + comp, c + 2 * comp, hx, hy,
+                               hz, scalar, root, w, w + comp, w + 2 * comp,
+                               1);
+            } else {
+                influence_tile(t0, t1, c, c + comp, c + 2 * comp, hx, hy,
+                               hz, scalar, root, NULL, NULL, NULL, 0);
+            }
+        }
+    }
+}
 """
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
@@ -701,7 +816,7 @@ _kernels: object = _UNSET
 #: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
     "_Kernels",
-    "spmm spread interp rows min_image cells dyads rsa")
+    "spmm spread interp rows min_image cells dyads rsa influence")
 
 
 def _cache_dir() -> Path:
@@ -754,6 +869,7 @@ def _load(path: Path) -> _Kernels | None:
         cells = lib.cell_list_pairs
         dyads = lib.bcsr_assemble_dyads
         rsa = lib.rsa_test_insert
+        influence = lib.influence_range
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -780,7 +896,12 @@ def _load(path: Path) -> _Kernels | None:
                     ctypes.c_double, ndpointer(dtype=np.bool_,
                                                flags="C_CONTIGUOUS")]
     rsa.restype = None
-    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads, rsa)
+    c128 = ndpointer(dtype=np.complex128, flags="C_CONTIGUOUS")
+    influence.argtypes = [ll, ll, ll, ll, f64, f64, f64, c128,
+                          ctypes.c_void_p]
+    influence.restype = None
+    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads, rsa,
+                    influence)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -939,6 +1060,35 @@ def _selftest(kernels: _Kernels) -> bool:
             if not np.array_equal(grid.clear_of(cand),
                                   ~np.any(cdist[:hi] < c, axis=0)):
                 return False
+
+    # the influence against the NumPy slab loop, at an even K (zero
+    # Nyquist planes) and an odd one, with and without noise, whole and
+    # over a split that cuts a tile: spectra with exact zeros of both
+    # signs, so a dropped product with 0.0 shows as well as a contracted
+    # multiply-add
+    from ..geometry.box import Box
+    from ..pme.influence import InfluenceFunction
+    from ..pme.mesh import Mesh
+    for K in (8, 9):
+        infl = InfluenceFunction(Mesh(Box(7.0), K), xi=0.8, p=4)
+        modes = infl.scalar.size
+        spec, noise = (rng.standard_normal((3, 3) + infl.mesh.rshape + (2,))
+                       .view(np.complex128)[..., 0] for _ in range(2))
+        flat = spec.reshape(-1)
+        flat[::7] = 0.0
+        flat[::11] = -0.0
+        flat.real[::5] = -0.0
+        flat.imag[::13] = -0.0
+        for w in (None, noise):
+            want = infl._apply_slabs(spec.copy(), w)
+            at = None if w is None else w.ctypes.data
+            for cuts in ((0, modes), (0, 300, modes)):
+                got = spec.copy()
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    kernels.influence(lo, hi, 3, modes, infl._khat,
+                                      infl.scalar, infl.sqrt_scalar, got, at)
+                if got.tobytes() != want.tobytes():
+                    return False
     return True
 
 
@@ -990,6 +1140,19 @@ def spmm_kernel() -> object | None:
     the process lifetime.
     """
     return getattr(_bundle(), "spmm", None)
+
+
+def influence_kernel() -> object | None:
+    """The compiled influence entry point, or ``None`` when unavailable.
+
+    The callable has the C signature ``influence_range(lo, hi, s, modes,
+    khat, scalar, root, spec, noise)``: half-spectrum modes ``[lo, hi)``
+    of :meth:`repro.pme.influence.InfluenceFunction.apply_batch` over the
+    C-contiguous ``spec (3, s, modes)`` complex128, in place; ``khat (3,
+    modes)``, ``scalar`` and ``root (modes,)`` float64; ``noise`` the
+    address of a C-contiguous array shaped like ``spec``, or ``None``.
+    """
+    return getattr(_bundle(), "influence", None)
 
 
 def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,

@@ -333,40 +333,38 @@ def test_noise_carrying_apply_bit_identity(system, kernel_mode):
 
 def test_forward_fft_lanes_independent_of_workers(set_kernel_mode,
                                                   monkeypatch):
-    # each lane is transformed by the same call whoever runs it: the
-    # bytes of either direction do not depend on the backend, the
-    # worker count, the kernel mode or whether np.fft takes out=
+    # a worker transforms its lane range with one call per pass, and the
+    # bytes are the per-lane transforms': those of np.fft.rfftn forward
+    # and of SciPy's stacked c2c + c2r pair inverse, whatever the range
+    # (backend, worker count, lane count), the kernel mode or whether
+    # np.fft takes out=
     import scipy.fft as sfft
 
     from repro.pme import operator as pme_operator
     from repro.pme.operator import _irfftn_lanes, _rfftn_lanes
 
-    lanes = 7
-    for K in (12, 15):
-        mesh = np.random.default_rng(4).standard_normal((lanes, K, K, K))
-        spec = np.fft.rfftn(mesh, axes=(1, 2, 3))
-        for lanes_fft, src, ref in (
-                (_rfftn_lanes, mesh, spec),
-                (_irfftn_lanes, spec, np.fft.irfftn(spec, s=(K, K, K),
-                                                    axes=(1, 2, 3)))):
-            out = np.empty_like(ref)
-            lanes_fft(src.copy(), out, default_context())   # inverse eats src
-            digests = {digest(out)}
-            for fft_out in (pme_operator._FFT_OUT, False):  # numpy < 2 arm
-                monkeypatch.setattr(pme_operator, "_FFT_OUT", fft_out)
-                for no_ckernel in (False, True):
-                    set_kernel_mode(no_ckernel)
-                    for backend, workers in BACKENDS:
-                        with ExecutionContext(backend=backend,
-                                              workers=workers) as ctx:
-                            out[...] = 0.0
-                            lanes_fft(src.copy(), out, ctx)
-                            digests.add(digest(out))
-            assert len(digests) == 1
-            np.testing.assert_allclose(out, ref, atol=1e-12)
-        # the inverse's bytes of record: SciPy's stacked c2c + c2r pair
-        np.testing.assert_array_equal(
-            out, sfft.irfft(sfft.ifftn(spec, axes=(1, 2)), n=K, axis=3))
+    fft_out = pme_operator._FFT_OUT
+    for K in (9, 12, 15, 24, 40):
+        for lanes in (3, 7, 24):
+            mesh = np.random.default_rng(K + lanes).standard_normal(
+                (lanes, K, K, K))
+            spec = np.stack([np.fft.rfftn(lane) for lane in mesh])
+            inverse = sfft.irfft(sfft.ifftn(spec, axes=(1, 2)), n=K, axis=3)
+            for lanes_fft, src, ref in ((_rfftn_lanes, mesh, spec),
+                                        (_irfftn_lanes, spec, inverse)):
+                out = np.empty_like(ref)
+                for arm in (fft_out, False):        # numpy < 2 arm
+                    monkeypatch.setattr(pme_operator, "_FFT_OUT", arm)
+                    for no_ckernel in (False, True):
+                        set_kernel_mode(no_ckernel)
+                        for backend, workers in BACKENDS:
+                            with ExecutionContext(backend=backend,
+                                                  workers=workers) as ctx:
+                                out[...] = 0.0
+                                lanes_fft(src.copy(), out, ctx)  # eats src
+                            assert out.tobytes() == ref.tobytes(), (
+                                lanes_fft.__name__, K, lanes, arm,
+                                no_ckernel, backend, workers)
 
 
 def test_parallel_apply_repeatable(system):

@@ -115,3 +115,57 @@ def test_nyquist_planes_carry_no_weight(influence):
     for plane in (influence.scalar[K // 2], influence.scalar[:, K // 2],
                   influence.scalar[:, :, K // 2]):
         assert not plane.any()
+
+
+def _signed_spectra(mesh, s, seed):
+    """``(3, s) + rshape`` spectra with exact zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    spec = (rng.standard_normal((3, s) + mesh.rshape + (2,))
+            .view(np.complex128)[..., 0])
+    flat = spec.reshape(-1)
+    flat[::7] = 0.0
+    flat.real[::5] = -0.0
+    flat.imag[::13] = -0.0
+    return spec
+
+
+@pytest.mark.parametrize("K", [12, 15])
+def test_compiled_influence_is_the_slab_loop_bytes(K, kernel_mode):
+    # the compiled pass evaluates NumPy's complex arithmetic operation for
+    # operation: the bytes of the slab loop, with and without noise, at an
+    # even K (zeroed Nyquist planes) and an odd one, for any width and
+    # worker count
+    from repro.exec import ExecutionContext
+    from repro.sparse.kernels import influence_kernel
+
+    assert (influence_kernel() is None) == kernel_mode
+    infl = InfluenceFunction(Mesh(Box(9.0), K), xi=0.8, p=4)
+    for s in (1, 3, 8):
+        spec = _signed_spectra(infl.mesh, s, seed=s)
+        for noise in (None, _signed_spectra(infl.mesh, s, seed=10 + s)):
+            want = infl._apply_slabs(spec.copy(), noise).tobytes()
+            assert infl.apply_batch(spec.copy(), noise).tobytes() == want
+            for workers in (1, 2, 3):
+                with ExecutionContext("threads", workers=workers) as ctx:
+                    got = infl.apply_batch(spec.copy(), noise, context=ctx)
+                assert got.tobytes() == want, (s, noise is None, workers)
+
+
+def test_strided_spectra_take_the_slab_loop(kernel_mode):
+    # a spec or noise that is not C-contiguous complex128 runs the NumPy
+    # loop, in place on the view, with the contiguous pass's bytes
+    infl = InfluenceFunction(Mesh(Box(9.0), 12), xi=0.8, p=4)
+    wide = _signed_spectra(infl.mesh, 6, seed=1)
+    noise = _signed_spectra(infl.mesh, 6, seed=2)
+    for w in (None, noise[:, ::2]):
+        want = infl.apply_batch(wide[:, ::2].copy(),
+                                None if w is None else w.copy())
+        view = wide.copy()[:, ::2]
+        assert not view.flags.c_contiguous
+        assert infl.apply_batch(view, w) is view
+        assert view.tobytes() == want.tobytes()
+    # contiguous spec, strided noise
+    spec = wide[:, :3].copy()
+    want = infl.apply_batch(spec.copy(), noise[:, ::2].copy())
+    assert (infl.apply_batch(spec, noise[:, ::2]).tobytes()
+            == want.tobytes())

@@ -6,6 +6,7 @@ import pytest
 from repro import Box, FluidParams, PMEOperator, PMEParams
 from repro.errors import ConfigurationError
 from repro.rpy.ewald import EwaldSummation
+from repro.systems import random_suspension
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +186,24 @@ def test_single_particle_self_mobility():
     assert u[0] == pytest.approx(ref[0, 0], rel=1e-4)
     assert abs(u[1]) < 1e-6
     assert abs(u[2]) < 1e-6
+
+
+def test_wide_noise_apply_is_the_bytes_of_its_passes(kernel_mode):
+    # wider than MAX_BLOCK_COLUMNS, a pass's noise noise[:, lo:lo + s] is
+    # not contiguous (the influence's NumPy loop); the narrow applies of
+    # contiguous copies take the compiled pass: the same bytes
+    from repro.pme.operator import MAX_BLOCK_COLUMNS
+
+    susp = random_suspension(40, 0.15, seed=3)
+    op = PMEOperator(susp.positions, susp.box,
+                     PMEParams(xi=0.9, r_max=4.0, K=12, p=4))
+    cols = MAX_BLOCK_COLUMNS + 5
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((3 * op.n, cols))
+    w = (rng.standard_normal((3, cols) + op.mesh.rshape)
+         + 1j * rng.standard_normal((3, cols) + op.mesh.rshape))
+    wide = op.apply_block(f, noise=w)
+    for lo in (0, MAX_BLOCK_COLUMNS):
+        hi = min(lo + MAX_BLOCK_COLUMNS, cols)
+        part = op.apply_block(f[:, lo:hi], noise=w[:, lo:hi].copy())
+        assert part.tobytes() == np.ascontiguousarray(wide[:, lo:hi]).tobytes()

@@ -60,7 +60,8 @@ def _products(ctx):
         "InterpolationMatrix.interpolate_batch":
             lambda c: op.interp.interpolate_batch(G[c], context=ctx),
         "InfluenceFunction.apply_batch":
-            lambda c: op.influence.apply_batch(S[:, c].copy()).swapaxes(0, 1),
+            lambda c: op.influence.apply_batch(S[:, c].copy(),
+                                               context=ctx).swapaxes(0, 1),
         "PMEOperator.apply_block":
             lambda c: op.apply_block(F[:, c]).T,
         "PMEOperator.apply_block(noise=)":
