@@ -42,7 +42,7 @@ import numpy as np
 
 from ..geometry.box import Box
 from ..sparse import kernels
-from ..utils.validation import as_positions
+from ..utils.validation import as_positions, require, require_buffer
 from .coloring import IndependentSetColoring
 from .partition import balance_by_cost, row_blocks
 
@@ -111,9 +111,13 @@ class ColoredPMEEngine:
         """Scatter ``values (n, lanes)`` onto the mesh ``out (lanes, K^3)``.
 
         Color stages run sequentially; the blocks of each color run on
-        the context's workers with plain disjoint stores.
+        the context's workers with plain disjoint stores.  Shapes are
+        checked before any kernel runs (``ConfigurationError``).
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
+        require(values.ndim == 2 and values.shape[0] == self.n,
+                f"values must have shape ({self.n}, B), got {values.shape}")
+        require_buffer(out, "out", shape=(values.shape[1], self.K ** 3))
         out[...] = 0.0
         for idx, ranges in zip(self._color_idx, self._color_ranges):
             if not ranges:
@@ -142,8 +146,12 @@ class ColoredPMEEngine:
 
     def interpolate_batch(self, mesh: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
-        """Gather ``mesh (lanes, K^3)`` to particles ``out (lanes, n)``."""
+        """Gather ``mesh (lanes, K^3)`` to particles ``out (lanes, n)``;
+        shapes checked first (``ConfigurationError``)."""
         mesh = np.ascontiguousarray(mesh, dtype=np.float64)
+        require(mesh.ndim == 2 and mesh.shape[1] == self.K ** 3,
+                f"mesh must have shape (B, {self.K ** 3}), got {mesh.shape}")
+        require_buffer(out, "out", shape=(mesh.shape[0], self.n))
         self.context.run_tasks(
             [functools.partial(kernels.interp_ranges, self.weights,
                                self.columns, mesh, out, [(lo, hi)])

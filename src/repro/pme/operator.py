@@ -12,7 +12,10 @@ configuration, then applied to many force vectors::
   function, inverse FFT, interpolate (``P U``) — every stage split
   over the execution context's workers: the FFTs by ranges of mesh
   lanes (one call per pass over a range), the influence by ranges of
-  half-spectrum modes (a compiled pass),
+  half-spectrum modes (a compiled pass), the interpolation of a wide
+  block by ranges of mesh points (a lane-interleaved copy of the mesh,
+  into the spectrum workspace the inverse FFT has consumed) and then
+  of a spatial particle order (every lane per visit of a row),
 * the self term is carried on the diagonal blocks of the real-space
   matrix.
 
@@ -259,6 +262,10 @@ class PMEOperator:
         * the influence function in one compiled pass over all
           vectors (``khat``/scalar read once per tile of modes, not
           once per vector; mode ranges over the workers),
+        * one interpolation for all ``3s`` lanes (a gather by particle
+          row; wider than one column, every lane per visit of a row
+          from a lane-interleaved copy of the mesh, so ``P`` is read
+          once per pass; the same bytes),
         * one BCSR SpMM for the real-space term (a row's 3x3 blocks
           against all ``s`` lanes while the row is in L1).
 
@@ -338,8 +345,11 @@ class PMEOperator:
                 _irfftn_lanes(spec, g4, ctx)
 
             with self.timers.phase("interpolate", vectors=s, **xargs):
-                um = self.interp.interpolate_batch(g, out=ws["particle"],
-                                                   context=ctx)
+                # the inverse FFT consumed the spectrum: it holds the
+                # lane-interleaved mesh of a wide block
+                um = self.interp.interpolate_batch(
+                    g, out=ws["particle"], context=ctx,
+                    scratch=spec.view(np.float64))
                 out.reshape(n, 3, cols)[:, :, lo:lo + s] = \
                     um.reshape(3, s, n).transpose(2, 0, 1)
         return out[:, 0] if flat else out

@@ -32,6 +32,15 @@ serial and threaded spreads agree bit for bit.  ``P'`` is built where
 the gather runs: by a multi-worker operator at construction, else on
 the first wide spread.  A serial Brownian run, whose every apply has
 one column, never builds it.
+
+Interpolation is a gather by particle row either way.  A one-column
+block reads the batch-first mesh a few lanes per sweep over the
+particles; a wider one reads ``P`` once, as the paper's cost model
+charges it: the mesh is copied lane-interleaved, ``(K^3, lanes)``,
+and each particle row gathers every lane per visit of its stencil,
+the particles in a spatial visit order (built on the first wide
+interpolation and kept).  Every lane sums the same terms in the same
+order on both routes, so they give the same bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from ..errors import ConfigurationError
 from ..exec import INLINE
 from ..geometry.box import Box
 from ..sparse import kernels
-from ..utils.validation import as_positions
+from ..utils.validation import as_positions, require, require_buffer
 from .bspline import bspline_weights
 
 __all__ = ["InterpolationMatrix"]
@@ -126,6 +135,9 @@ class InterpolationMatrix:
             #: ``P'`` as the gather's int64 ``(indptr, indices, data)``,
             #: ``None`` until :meth:`build_rows` (the first gather).
             self._pt: tuple[np.ndarray, ...] | None = None
+            #: The spatial visit order of a wide interpolation, ``None``
+            #: until :meth:`build_order` (the first one).
+            self._order: np.ndarray | None = None
 
     def build_rows(self) -> tuple[np.ndarray, ...]:
         """``P'``, ``P^T`` in CSR by mesh row, built on the first call.
@@ -141,6 +153,24 @@ class InterpolationMatrix:
             self._pt = (pt.indptr.astype(np.int64),
                         pt.indices.astype(np.int64), pt.data)
         return self._pt
+
+    def build_order(self) -> np.ndarray:
+        """The particles' visit order of a wide interpolation, built on
+        the first call: a stable argsort of each particle's stencil base
+        cell in blocks of ``p`` mesh points per axis, so that particles
+        visited one after another share most of their stencils' mesh
+        points.  Rows are independent: the order moves no byte.
+        """
+        if self._order is None:
+            K, p = self.K, self.p
+            # column 0 of a row is its stencil's base cell
+            x, rest = np.divmod(self.columns[:, 0], K * K)
+            y, z = np.divmod(rest, K)
+            blocks = -(-K // p)
+            key = ((x // p) * blocks + y // p) * blocks + z // p
+            self._order = np.argsort(key, kind="stable").astype(
+                np.int64, copy=False)
+        return self._order
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Spread per-particle values onto the mesh: ``P^T values``.
@@ -195,12 +225,16 @@ class InterpolationMatrix:
         (:func:`repro.sparse.kernels.spread_rows`): each mesh point is
         written by exactly one task.  Both orders sum a mesh point from
         zero in ascending particle id, so the bytes depend neither on
-        the order taken nor on the row partition.
+        the order taken nor on the row partition.  Shapes are checked
+        before any kernel runs (``ConfigurationError``).
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
+        require(values.ndim == 2 and values.shape[0] == self.n,
+                f"values must have shape ({self.n}, B), got {values.shape}")
         lanes = values.shape[1]
         if out is None:
             out = np.empty((lanes, self.K ** 3))
+        require_buffer(out, "out", shape=(lanes, self.K ** 3))
         context = context or INLINE
         if lanes <= SCATTER_LANES and context.workers == 1:
             if not kernels.kernel_available():
@@ -220,7 +254,8 @@ class InterpolationMatrix:
 
     def interpolate_batch(self, mesh_values: np.ndarray,
                           out: np.ndarray | None = None,
-                          context=None) -> np.ndarray:
+                          context=None,
+                          scratch: np.ndarray | None = None) -> np.ndarray:
         """Interpolate a batch-first mesh block back to the particles.
 
         Parameters
@@ -231,35 +266,81 @@ class InterpolationMatrix:
             Optional preallocated ``(B, n)`` output.
         context:
             Optional :class:`~repro.exec.ExecutionContext` whose workers
-            share the particle rows; ``None`` runs on the calling thread.
+            share the mesh points of the interleave and the particle
+            rows of the gather; ``None`` runs on the calling thread.
+        scratch:
+            Optional C-contiguous float64 array of at least ``B K^3``
+            elements that a wide block interleaves its mesh into (the
+            pipeline passes its spent spectrum workspace); ``None``
+            allocates one when needed.
 
         Returns
         -------
-        ``(B, n)`` array with ``out[b] = P mesh_values[b]``, gathered
-        by :func:`repro.sparse.kernels.interp_ranges` (rows independent:
-        any row partition is bit-identical).
+        ``(B, n)`` array with ``out[b] = P mesh_values[b]``.
+
+        Notes
+        -----
+        A block of at most :data:`SCATTER_LANES` lanes (one column) is
+        gathered from the batch-first mesh, a few lanes per pass over
+        the particles (:func:`repro.sparse.kernels.interp_ranges`; SciPy
+        SpMVs, one per lane, without the compiled kernels, at any
+        width).  A wider one with the kernels runs two stages: the mesh
+        is copied lane-interleaved into ``scratch``
+        (:func:`repro.sparse.kernels.mesh_interleave`, ranges of mesh
+        points), then every lane of a particle row is gathered per
+        visit of its stencil, the particles in :meth:`build_order`'s
+        spatial order (:func:`repro.sparse.kernels.interp_interleaved`,
+        ranges of that order) — so ``P`` is read once, not once per
+        few lanes.  Each lane sums the same terms in the same order on
+        either route, so the bytes depend neither on the route nor on
+        the partition.  Shapes are checked before any kernel runs
+        (``ConfigurationError``).
         """
         mesh_values = np.ascontiguousarray(mesh_values, dtype=np.float64)
+        k3 = self.K ** 3
+        require(mesh_values.ndim == 2 and mesh_values.shape[1] == k3,
+                f"mesh_values must have shape (B, {k3}), "
+                f"got {mesh_values.shape}")
+        lanes = mesh_values.shape[0]
         if out is None:
-            out = np.empty((mesh_values.shape[0], self.n))
-        (context or INLINE).run_ranges(
-            lambda lo, hi: kernels.interp_ranges(
-                self.weights, self.columns, mesh_values, out, [(lo, hi)]),
+            out = np.empty((lanes, self.n))
+        require_buffer(out, "out", shape=(lanes, self.n))
+        if scratch is not None:
+            require_buffer(scratch, "scratch", size=lanes * k3)
+        context = context or INLINE
+        if lanes <= SCATTER_LANES or not kernels.kernel_available():
+            context.run_ranges(
+                lambda lo, hi: kernels.interp_ranges(
+                    self.weights, self.columns, mesh_values, out, [(lo, hi)]),
+                self.n, "interpolate")
+            return out
+        mt = (np.empty(lanes * k3) if scratch is None
+              else scratch.reshape(-1)[:lanes * k3])
+        order = self.build_order()
+        context.run_ranges(
+            lambda lo, hi: kernels.mesh_interleave(mesh_values, mt,
+                                                   [(lo, hi)]),
+            k3, "interleave")
+        context.run_ranges(
+            lambda lo, hi: kernels.interp_interleaved(
+                order, self.weights, self.columns, mt, out, [(lo, hi)]),
             self.n, "interpolate")
         return out
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by ``P``, and by ``P'`` once built (values,
-        indices and row pointers of each).
+        """Bytes held by ``P``, by ``P'`` once built (values, indices
+        and row pointers of each) and by the visit order once built.
 
         The paper's model charges ``12 p^3 n`` bytes for ``P`` (8-byte
         values + 4-byte column indices).  ``P'`` (same nonzeros, 8-byte
         indices, a ``K^3 + 1`` row pointer) is resident only where
         blocks are gathered: on a multi-worker operator, and after the
-        first wide spread on one worker.  What is actually held is
-        reported.
+        first wide spread on one worker; the visit order (``8 n``
+        bytes) after the first wide interpolation.  What is actually
+        held is reported.
         """
         m = self.matrix
         return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                + sum(a.nbytes for a in self._pt or ()))
+                + sum(a.nbytes for a in self._pt or ())
+                + (0 if self._order is None else self._order.nbytes))

@@ -4,7 +4,7 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the nine
+compiles, at import-on-demand time, a small C library with the eleven
 entry points the mobility pipeline, its rebuild, its reference schedule
 and the suspension generator need:
 
@@ -40,8 +40,20 @@ and the suspension generator need:
     — no atomics — exactly as the paper promises.
 ``interp_range``
     Gather (interpolation) of particle rows ``[lo, hi)`` from a
-    batch-first mesh; pure reads plus disjoint writes, so row chunks
-    parallelize trivially.
+    batch-first mesh, a few lanes per sweep over the rows; pure reads
+    plus disjoint writes, so row chunks parallelize trivially.  The
+    interpolation of a one-column block.
+``mesh_interleave``
+    Mesh points ``[lo, hi)`` of a batch-first ``(lanes, K^3)`` mesh
+    copied lane-interleaved into ``(K^3, lanes)``, a tile of points at a
+    time: the operand of ``interp_interleaved``.
+``interp_interleaved``
+    The interpolation of a wider block: particle rows ``order[lo:hi]``
+    from the interleaved mesh, every lane per visit of a row's stencil
+    (passes of up to four 8-lane chunks, then one over the 4-, 2- and
+    1-lane rest), so ``P`` is read once per block rather than once per
+    few lanes.  Each lane is ``interp_range``'s sum chain, so the bytes
+    are ``interp_range``'s in any visit order (self-tested at load).
 ``min_image_pairs``
     The body of :meth:`repro.geometry.box.Box.distances` and of the
     strict ``< cutoff`` filter of the pair search
@@ -94,7 +106,12 @@ The last five do floating-point arithmetic whose bytes are pinned to
 NumPy's, so they are compiled with multiply-add contraction switched
 off *for those functions* (a pragma in the source; the flags, hence the
 bytes of the kernels above, are untouched) and a compiler that fuses
-anyway fails the load-time self-test and loses the kernels.
+anyway fails the load-time self-test and loses the kernels.  The two
+interleaved entry points sit with ``interp_range`` before that pragma,
+in the contracting region: under ``-march=native`` its ``acc += w * m``
+is one fused multiply-add, under the base flags two roundings, and
+``interp_interleaved`` rounds exactly as ``interp_range`` does under
+either (pinned for both builds in the tests).
 
 Every entry point is called through ``ctypes``, which releases the GIL
 for the duration of the C call — this is what makes the ``threads``
@@ -134,7 +151,8 @@ from ..utils.pbc import minimum_image, wrap_positions
 
 __all__ = [
     "spmm_kernel", "pack_symmetric", "unpack_symmetric",
-    "spread_ranges", "interp_ranges", "spread_rows", "bcsr_assemble",
+    "spread_ranges", "interp_ranges", "mesh_interleave", "interp_interleaved",
+    "spread_rows", "bcsr_assemble",
     "bcsr_assemble_dyads", "pair_separations", "pairs_within",
     "cell_list_pairs", "rsa_grid", "influence_kernel", "kernel_available",
     "reset_kernel_cache", "SPMM_CHUNK",
@@ -295,6 +313,109 @@ void interp_range(const long long lo, const long long hi,
                     acc[b] += wi[e] * mb[(size_t)b * k3 + ci[e]];
             for (long long b = 0; b < nb; ++b)
                 out[(size_t)(b0 + b) * n + i] = acc[b];
+        }
+    }
+}
+
+/* Copy mesh points [lo, hi) of the batch-first (lanes, k3) mesh into mt,
+ * the same mesh lane-interleaved (k3, lanes): a point's lanes adjacent,
+ * so that one visit of a particle's stencil reads every lane.  A tile of
+ * points at a time: each lane's run of the tile is read contiguously
+ * while the tile's rows of mt stay in L1.  A copy; no arithmetic. */
+#define INTERLEAVE_TILE 64
+void mesh_interleave(const long long lo, const long long hi,
+                     const double *restrict mesh, const long long k3,
+                     const long long lanes, double *restrict mt)
+{
+    for (long long c0 = lo; c0 < hi; c0 += INTERLEAVE_TILE) {
+        const long long c1 = MIN(hi, c0 + INTERLEAVE_TILE);
+        for (long long b = 0; b < lanes; ++b) {
+            const double *restrict mb = mesh + (size_t)b * k3;
+            for (long long c = c0; c < c1; ++c)
+                mt[(size_t)c * lanes + b] = mb[c];
+        }
+    }
+}
+
+/* One pass over particle row i's stencil (weights wi, columns ci) in
+ * the interleaved (k3, lanes) mt: c8 chunks of 8 lanes from lane j, then
+ * a chunk of 4, one of 2 and a lone lane as h4, h2 and h1 say -- that
+ * many independent chains walked together -- stored into out (lanes,
+ * n).  Every lane is interp_range's chain (from 0.0, terms in ascending
+ * e, one multiply-add each) whatever chunk it rides in, so it has
+ * interp_range's bytes under either flag set.  Each call site passes
+ * constant counts, so its chains stay in registers.  Not vectorized by
+ * the compiler: gcc 12 turns the lone lane's loop into an in-order
+ * reduction, which splits each multiply-add. */
+#define NO_TREE_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
+#define INTERP_CHUNKS 4
+static inline __attribute__((always_inline)) NO_TREE_VECTORIZE void
+interp_pass(const int c8, const int h4, const int h2, const int h1,
+            const double *restrict wi, const long long *restrict ci,
+            const long long pcube, const double *restrict mt,
+            const long long lanes, const long long j, const long long i,
+            const long long n, double *restrict out)
+{
+    lanes8 a8[INTERP_CHUNKS];
+    lanes4 a4 = {0.0};
+    lanes2 a2 = {0.0};
+    lanes1 a1 = 0.0;
+    const long long j4 = j + 8 * c8, j2 = j4 + 4 * h4, j1 = j2 + 2 * h2;
+    memset(a8, 0, sizeof a8);
+    for (long long e = 0; e < pcube; ++e) {
+        const double w = wi[e];
+        const double *restrict m = mt + (size_t)ci[e] * lanes;
+        for (int c = 0; c < c8; ++c) {
+            lanes8 v;
+            memcpy(&v, m + j + 8 * c, sizeof v);
+            a8[c] += w * v;
+        }
+        if (h4) { lanes4 v; memcpy(&v, m + j4, sizeof v); a4 += w * v; }
+        if (h2) { lanes2 v; memcpy(&v, m + j2, sizeof v); a2 += w * v; }
+        if (h1) a1 += w * m[j1];
+    }
+    for (int c = 0; c < c8; ++c)
+        for (int b = 0; b < 8; ++b)
+            out[(size_t)(j + 8 * c + b) * n + i] = a8[c][b];
+    for (int b = 0; b < 4 * h4; ++b) out[(size_t)(j4 + b) * n + i] = a4[b];
+    for (int b = 0; b < 2 * h2; ++b) out[(size_t)(j2 + b) * n + i] = a2[b];
+    if (h1) out[(size_t)j1 * n + i] = a1;
+}
+
+/* Gather particle rows order[lo:hi] from the interleaved (k3, lanes) mt
+ * into the (lanes, n) output, every lane per visit of a row's stencil:
+ * passes of up to INTERP_CHUNKS chunks of 8 lanes, then one over the 4,
+ * 2 and 1 bits of lanes.  Rows are independent, so any order and any
+ * partition of it give the same bytes -- those of interp_range. */
+#define INTERP_PASS(c8, h4, h2, h1, j) \
+    interp_pass(c8, h4, h2, h1, wi, ci, pcube, mt, lanes, j, i, n, out)
+#define INTERP_TAIL(t) \
+    case t: INTERP_PASS(0, (t) >> 2, ((t) >> 1) & 1, (t) & 1, wide); break
+NO_TREE_VECTORIZE
+void interp_interleaved(const long long lo, const long long hi,
+                        const long long *restrict order,
+                        const double *restrict data,
+                        const long long *restrict cols,
+                        const long long pcube, const double *restrict mt,
+                        const long long lanes, const long long n,
+                        double *restrict out)
+{
+    const long long wide = lanes & ~7LL;
+    for (long long t = lo; t < hi; ++t) {
+        const long long i = order[t];
+        const double *restrict wi = data + (size_t)i * pcube;
+        const long long *restrict ci = cols + (size_t)i * pcube;
+        long long j = 0;
+        for (; j + 8 * INTERP_CHUNKS <= wide; j += 8 * INTERP_CHUNKS)
+            INTERP_PASS(INTERP_CHUNKS, 0, 0, 0, j);
+        switch ((wide - j) / 8) {
+        case 3: INTERP_PASS(3, 0, 0, 0, j); break;
+        case 2: INTERP_PASS(2, 0, 0, 0, j); break;
+        case 1: INTERP_PASS(1, 0, 0, 0, j); break;
+        }
+        switch (lanes & 7) {
+        INTERP_TAIL(1); INTERP_TAIL(2); INTERP_TAIL(3); INTERP_TAIL(4);
+        INTERP_TAIL(5); INTERP_TAIL(6); INTERP_TAIL(7);
         }
     }
 }
@@ -816,7 +937,8 @@ _kernels: object = _UNSET
 #: The loaded entry points of one compiled library.
 _Kernels = collections.namedtuple(
     "_Kernels",
-    "spmm spread interp rows min_image cells dyads rsa influence")
+    "spmm spread interp interleave gather rows min_image cells dyads rsa "
+    "influence")
 
 
 def _cache_dir() -> Path:
@@ -864,6 +986,8 @@ def _load(path: Path) -> _Kernels | None:
         spmm = lib.bcsr_matmat_range
         spread = lib.spread_idx
         interp = lib.interp_range
+        interleave = lib.mesh_interleave
+        gather = lib.interp_interleaved
         rows = lib.spread_rows
         min_image = lib.min_image_pairs
         cells = lib.cell_list_pairs
@@ -881,6 +1005,10 @@ def _load(path: Path) -> _Kernels | None:
     spread.restype = None
     interp.argtypes = [ll, ll, f64, i64, ll, f64, ll, ll, ll, f64]
     interp.restype = None
+    interleave.argtypes = [ll, ll, f64, ll, ll, f64]
+    interleave.restype = None
+    gather.argtypes = [ll, ll, i64, f64, i64, ll, f64, ll, ll, f64]
+    gather.restype = None
     rows.argtypes = [ll, ll, i64, i64, f64, f64, ll, f64, ll]
     rows.restype = None
     min_image.argtypes = [ll, ll, i64, i64, f64, ctypes.c_double,
@@ -900,8 +1028,8 @@ def _load(path: Path) -> _Kernels | None:
     influence.argtypes = [ll, ll, ll, ll, f64, f64, f64, c128,
                           ctypes.c_void_p]
     influence.restype = None
-    return _Kernels(spmm, spread, interp, rows, min_image, cells, dyads, rsa,
-                    influence)
+    return _Kernels(spmm, spread, interp, interleave, gather, rows, min_image,
+                    cells, dyads, rsa, influence)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -957,6 +1085,24 @@ def _selftest(kernels: _Kernels) -> bool:
     want = np.einsum("ie,bie->bi", data, mesh[:, cols])
     if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
         return False
+
+    # the lane-interleaved gather must be interp_range's bytes at widths
+    # covering every pass (chunks of 8, the 4, 2 and 1 bits) whatever the
+    # visit order: a split multiply-add, or a fused one the other lacks,
+    # shows over 16 rows of 27 terms
+    rows16 = np.ascontiguousarray(rng.standard_normal((16, 27)))
+    cols16 = np.ascontiguousarray(rng.integers(0, 64, size=(16, 27)),
+                                  dtype=np.int64)
+    order = np.ascontiguousarray(rng.permutation(16), dtype=np.int64)
+    for width in (1, 3, 5, 8, 13, 24):
+        mesh = np.ascontiguousarray(rng.standard_normal((width, 64)))
+        want, got = np.empty((2, width, 16))
+        kernels.interp(0, 16, rows16, cols16, 27, mesh, 64, width, 16, want)
+        mt = np.empty((64, width))
+        kernels.interleave(0, 64, mesh, 64, width, mt)
+        kernels.gather(0, 16, order, rows16, cols16, 27, mt, width, 16, got)
+        if not np.array_equal(mt, mesh.T) or got.tobytes() != want.tobytes():
+            return False
 
     # spread as a gather: P^T rows (one empty) overwrite a NaN mesh, and
     # a split range gives the same bytes as the full one
@@ -1197,6 +1343,41 @@ def interp_ranges(weights: np.ndarray, columns: np.ndarray, mesh: np.ndarray,
              np.arange(0, (hi - lo) * pcube + 1, pcube)), shape=(hi - lo, k3))
         for b in range(lanes):
             out[b, lo:hi] = rows @ mesh[b]
+
+
+def _compiled(name: str):
+    """The loaded entry point ``name``; ``ConfigurationError`` without
+    the kernels."""
+    kern = getattr(_bundle(), name, None)
+    if kern is None:
+        raise ConfigurationError(f"the {name} kernel needs the compiled "
+                                 "kernels, which are unavailable")
+    return kern
+
+
+def mesh_interleave(mesh: np.ndarray, mt: np.ndarray,
+                    ranges: list[tuple[int, int]]) -> None:
+    """Copy mesh points ``[lo, hi)`` of every range of the batch-first
+    ``mesh (lanes, K^3)`` into ``mt``, the same mesh lane-interleaved
+    ``(K^3, lanes)`` (any C-contiguous float64 array of that size):
+    compiled kernels only."""
+    kern = _compiled("interleave")
+    lanes, k3 = mesh.shape
+    for lo, hi in ranges:
+        kern(lo, hi, mesh, k3, lanes, mt)
+
+
+def interp_interleaved(order: np.ndarray, weights: np.ndarray,
+                       columns: np.ndarray, mt: np.ndarray, out: np.ndarray,
+                       ranges: list[tuple[int, int]]) -> None:
+    """Gather particle rows ``order[lo:hi]`` of every range from the
+    lane-interleaved ``mt (K^3, lanes)`` into ``out (lanes, n)``, every
+    lane per visit of a row: the bytes of :func:`interp_ranges` on the
+    batch-first mesh, in any visit order.  Compiled kernels only."""
+    kern = _compiled("gather")
+    pcube, (lanes, n) = weights.shape[1], out.shape
+    for lo, hi in ranges:
+        kern(lo, hi, order, weights, columns, pcube, mt, lanes, n, out)
 
 
 def spread_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["require", "require_rank", "as_positions", "as_force_block",
-           "check_square_box"]
+__all__ = ["require", "require_rank", "require_buffer", "as_positions",
+           "as_force_block", "check_square_box"]
 
 
 def require(condition: bool, message: str) -> None:
@@ -35,6 +35,24 @@ def require_rank(array, name: str, ndim: tuple[int, ...]) -> None:
         expected = " or ".join(f"{d}-D" for d in ndim)
         raise ConfigurationError(
             f"{name} must be {expected}, got shape {np.shape(array)}")
+
+
+def require_buffer(array, name: str, shape: tuple[int, ...] | None = None,
+                   size: int = 0) -> None:
+    """Raise :class:`ConfigurationError` unless ``array`` is a writable,
+    C-contiguous float64 ndarray of ``shape`` (or, without one, of at
+    least ``size`` elements): a buffer a compiled kernel may write."""
+    fits = (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.flags.c_contiguous and array.flags.writeable
+            and (array.shape == shape if shape is not None
+                 else array.size >= size))
+    if not fits:
+        want = f"shape {shape}" if shape is not None else f"size >= {size}"
+        got = (f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray)
+               else type(array).__name__)
+        raise ConfigurationError(
+            f"{name} must be a writable C-contiguous float64 array of "
+            f"{want}, got {got}")
 
 
 def as_positions(positions, n: int | None = None,  # noqa: RPR001 - this *is* the validator

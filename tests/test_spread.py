@@ -161,7 +161,10 @@ def _p_bytes(interp):
 
 def test_memory_accounting(setup):
     # P alone until the first wide spread builds P', once: then P plus
-    # P' (8-byte values and indices, a K^3 + 1 row pointer)
+    # P' (8-byte values and indices, a K^3 + 1 row pointer); the first
+    # wide interpolation adds its visit order (8 n bytes), once
+    from repro.sparse import kernels
+
     box, r, rng = setup
     n = r.shape[0]
     interp = InterpolationMatrix(r, box, K=16, p=4)
@@ -170,10 +173,121 @@ def test_memory_accounting(setup):
     assert interp.memory_bytes == _p_bytes(interp)
     interp.spread_batch(rng.standard_normal((n, 6)))   # a gather
     rows = interp._pt
-    assert interp.memory_bytes == (_p_bytes(interp)
-                                   + 2 * 8 * n * 4 ** 3 + 8 * (16 ** 3 + 1))
+    both = _p_bytes(interp) + 2 * 8 * n * 4 ** 3 + 8 * (16 ** 3 + 1)
+    assert interp.memory_bytes == both
     interp.spread_batch(rng.standard_normal((n, 9)))
     assert interp._pt is rows
+    interp.interpolate_batch(rng.standard_normal((3, 16 ** 3)))   # narrow
+    assert interp._order is None
+    interp.interpolate_batch(rng.standard_normal((6, 16 ** 3)))   # wide
+    order = interp._order
+    assert (order is not None) == kernels.kernel_available()
+    assert interp.memory_bytes == both + (0 if order is None else 8 * n)
+    interp.interpolate_batch(rng.standard_normal((9, 16 ** 3)))
+    assert interp._order is order
+
+
+def _batch_first(interp, mesh):
+    """Every lane of ``mesh`` gathered by the batch-first kernel, rows
+    in id order: the bytes a wide interpolation is pinned to."""
+    from repro.sparse import kernels
+
+    out = np.full((mesh.shape[0], interp.n), np.nan)
+    kernels.interp_ranges(interp.weights, interp.columns, mesh, out,
+                          [(0, interp.n)])
+    return out
+
+
+def _interleaved_cases(case):
+    box = Box(8.0)
+    rng = np.random.default_rng(13)
+    r = rng.uniform(0, box.length, size=(40, 3))
+    K, p = 16, 4
+    if case == "on_mesh_point":
+        r[7] = [2.0, 4.0, 6.0]                   # mesh coords (4, 8, 12)
+    elif case == "k_equals_p":
+        K = p = 6                                # the smallest legal mesh
+    return InterpolationMatrix(r, box, K=K, p=p), rng
+
+
+@pytest.mark.parametrize("case", ["random", "on_mesh_point", "k_equals_p"])
+def test_wide_interpolation_is_the_batch_first_bytes(case, kernel_mode):
+    # widths 1-25 cover every mix of 8-, 4-, 2- and 1-lane passes; a wide
+    # block is interleaved (into a caller's scratch or its own) and
+    # gathered in the spatial order on 1-3 workers, a narrow one
+    # gathered batch-first: every lane is the batch-first kernel's bytes
+    from repro.exec import ExecutionContext
+
+    interp, rng = _interleaved_cases(case)
+    n, k3 = interp.n, interp.K ** 3
+    contexts = [ExecutionContext("serial"),
+                ExecutionContext("threads", workers=2),
+                ExecutionContext("threads", workers=3)]
+    try:
+        for lanes in range(1, 26):
+            mesh = rng.standard_normal((lanes, k3))
+            want = _batch_first(interp, mesh)
+            assert np.all(np.isfinite(want))
+            for ctx in contexts:
+                scratch = (None if ctx.workers == 1
+                           else np.full(lanes * k3 + 7, np.nan))
+                got = interp.interpolate_batch(
+                    mesh, out=np.full((lanes, n), np.nan), context=ctx,
+                    scratch=scratch)
+                assert got.tobytes() == want.tobytes(), (lanes, ctx.workers)
+    finally:
+        for ctx in contexts:
+            ctx.close()
+    assert (interp._order is None) == kernel_mode
+    np.testing.assert_allclose(want, interp.interpolate(mesh.T).T,
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("visit", ["reversed", "shuffled"])
+def test_visit_order_moves_no_byte(visit, setup):
+    # the spatial order is a stable sort by stencil block; rows are
+    # independent, so any permutation of it gives the same bytes
+    box, r, rng = setup
+    interp = InterpolationMatrix(r, box, K=12, p=4)
+    mesh = rng.standard_normal((24, 12 ** 3))
+    want = _batch_first(interp, mesh)
+    spatial = interp.build_order()
+    base = np.stack(np.unravel_index(interp.columns[:, 0], (12,) * 3))
+    key = np.ravel_multi_index(base // 4, (3,) * 3)
+    np.testing.assert_array_equal(spatial, np.argsort(key, kind="stable"))
+    interp._order = np.ascontiguousarray(
+        spatial[::-1] if visit == "reversed" else rng.permutation(spatial))
+    assert interp.interpolate_batch(mesh).tobytes() == want.tobytes()
+
+
+def test_interleaved_gather_bytes_under_base_flags(tmp_path):
+    # the kernels built without -march=native (no fused multiply-adds
+    # where the machine has them): the interleaved gather still gives
+    # the batch-first kernel's bytes at every width, and the library
+    # passes its load-time self-test
+    from repro.sparse import kernels
+
+    compiler = kernels._compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    lib = tmp_path / "repro-kernels-base.so"
+    assert kernels._compile(compiler, kernels._BASE_FLAGS, lib)
+    base = kernels._load(lib)
+    assert base is not None and kernels._selftest(base)
+    interp, rng = _interleaved_cases("random")
+    n, k3, pcube = interp.n, interp.K ** 3, interp.p ** 3
+    order = interp.build_order()
+    for lanes in range(1, 26):
+        mesh = np.ascontiguousarray(rng.standard_normal((lanes, k3)))
+        want, got = np.full((2, lanes, n), np.nan)
+        base.interp(0, n, interp.weights, interp.columns, pcube, mesh, k3,
+                    lanes, n, want)
+        mt = np.empty((k3, lanes))
+        base.interleave(0, k3, mesh, k3, lanes, mt)
+        base.gather(0, n, order, interp.weights, interp.columns, pcube, mt,
+                    lanes, n, got)
+        assert np.array_equal(mt, mesh.T)
+        assert got.tobytes() == want.tobytes(), lanes
 
 
 @pytest.mark.parametrize("case", ["random", "on_mesh_point", "k_equals_p"])

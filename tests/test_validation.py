@@ -18,10 +18,12 @@ from repro.analysis.rdf import radial_distribution
 from repro.core.brownian import CholeskyBrownianGenerator, KrylovBrownianGenerator
 from repro.core.forces import CompositeForce, ConstantForce
 from repro.errors import ConfigurationError
+from repro.exec import INLINE
 from repro.geometry.box import Box
 from repro.krylov.block_lanczos import block_lanczos_sqrt
 from repro.neighbor.pairs import find_pairs
 from repro.neighbor.verlet import VerletList
+from repro.parallel.engine import ColoredPMEEngine
 from repro.pme.accuracy import reference_operator
 from repro.pme.operator import PMEOperator, PMEParams
 from repro.pme.realspace import RealSpaceOperator
@@ -133,6 +135,67 @@ def test_accepts_flat_and_blocked_forces(entry):
     out = apply(block)
     assert out.shape == (D, 2)
     assert apply(F).shape == (D,)
+
+
+def _batch_entry_points():
+    """``spread_batch`` / ``interpolate_batch`` of a 40-particle ``P`` (and
+    of the colored schedule on it) on a 16^3 mesh, each given one
+    malformed array: a narrow (3-lane) and a wide (6-lane) block, as the
+    two routes differ."""
+    r = np.random.default_rng(0).uniform(0, 12, (40, 3))
+    m = InterpolationMatrix(r, BOX, 16, 4)
+    colored = ColoredPMEEngine(r, BOX, 16, 4, weights=m.weights,
+                               columns=m.columns, context=INLINE)
+    k3 = 16 ** 3
+    mesh3, mesh6 = np.zeros((3, k3)), np.zeros((6, k3))
+    return {
+        "interpolate-out-rows": lambda: m.interpolate_batch(
+            mesh6, out=np.empty((6, 39))),
+        "interpolate-out-rows-narrow": lambda: m.interpolate_batch(
+            mesh3, out=np.empty((3, 39))),
+        "interpolate-out-float32": lambda: m.interpolate_batch(
+            mesh6, out=np.empty((6, 40), dtype=np.float32)),
+        "interpolate-out-fortran": lambda: m.interpolate_batch(
+            mesh6, out=np.empty((6, 40), order="F")),
+        "interpolate-out-readonly": lambda: m.interpolate_batch(
+            mesh6, out=np.broadcast_to(np.empty(40), (6, 40))),
+        "interpolate-mesh-points": lambda: m.interpolate_batch(
+            np.zeros((6, 100))),
+        "interpolate-mesh-1d": lambda: m.interpolate_batch(np.zeros(k3)),
+        "interpolate-scratch-short": lambda: m.interpolate_batch(
+            mesh6, scratch=np.empty(6 * k3 - 1)),
+        "interpolate-scratch-complex": lambda: m.interpolate_batch(
+            mesh6, scratch=np.empty(6 * k3, dtype=np.complex128)),
+        "interpolate-scratch-strided": lambda: m.interpolate_batch(
+            mesh6, scratch=np.empty(12 * k3)[::2]),
+        "spread-out-points": lambda: m.spread_batch(
+            np.zeros((40, 6)), out=np.empty((6, 100))),
+        "spread-out-points-narrow": lambda: m.spread_batch(
+            np.zeros((40, 3)), out=np.empty((3, 100))),
+        "spread-out-float32": lambda: m.spread_batch(
+            np.zeros((40, 6)), out=np.empty((6, k3), dtype=np.float32)),
+        "spread-out-fortran": lambda: m.spread_batch(
+            np.zeros((40, 6)), out=np.empty((6, k3), order="F")),
+        "spread-values-rows": lambda: m.spread_batch(np.zeros((39, 6))),
+        "spread-values-1d": lambda: m.spread_batch(np.zeros(40)),
+        # the colored reference schedule's pair takes the same checks
+        "colored-interpolate-out-rows": lambda: colored.interpolate_batch(
+            mesh6, out=np.empty((6, 39))),
+        "colored-interpolate-mesh-points": lambda: colored.interpolate_batch(
+            np.zeros((6, 100)), out=np.empty((6, 40))),
+        "colored-spread-out-points": lambda: colored.spread_batch(
+            np.zeros((40, 6)), out=np.empty((6, 100))),
+        "colored-spread-values-rows": lambda: colored.spread_batch(
+            np.zeros((39, 6)), out=np.empty((6, k3))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_batch_entry_points()))
+def test_batch_spread_and_interpolate_reject_malformed_arrays(case):
+    # a wrong shape, dtype, layout or a read-only output raises before
+    # any kernel reads or writes out of bounds
+    with pytest.raises(ConfigurationError, match="must"):
+        _batch_entry_points()[case]()
 
 
 def _generators():
