@@ -35,7 +35,7 @@ import numpy as np
 from reference.chebyshev import chebyshev_sqrt, eigenvalue_bounds
 
 from repro import tune_parameters
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

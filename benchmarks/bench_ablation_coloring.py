@@ -19,7 +19,7 @@ Run ``python benchmarks/bench_ablation_coloring.py`` for the table.
 
 import numpy as np
 
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

@@ -20,7 +20,7 @@ import numpy as np
 from reference.pme_variants import KINDS, mobility_apply, reciprocal_pass
 
 from repro import Box, PMEOperator, PMEParams
-from repro.bench import measure_seconds, print_table, record_benchmark
+from common import measure_seconds, print_table, record_benchmark
 from repro.rpy.ewald import EwaldSummation
 
 CONFIGS = [(32, 4), (48, 6), (64, 6), (64, 8)]

@@ -24,7 +24,7 @@ from reference import oseen
 from reference.pme_variants import reciprocal_pass
 
 from repro import Box, PMEParams
-from repro.bench import measure_seconds, print_table, record_benchmark
+from common import measure_seconds, print_table, record_benchmark
 from repro.rpy import pse
 from repro.rpy.ewald import EwaldSummation
 from repro.systems import make_suspension

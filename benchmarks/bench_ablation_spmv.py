@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from repro import obs
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

@@ -25,14 +25,14 @@ iteration vs one apply per column) closes the loop at the solver
 level.
 
 Run ``python benchmarks/bench_blocked_pme.py`` for the table;
-``BENCH_blocked_pme.json`` is written via ``repro.bench.record``.
+``BENCH_blocked_pme.json`` is written via ``common.record_benchmark``.
 """
 
 import time
 
 import numpy as np
 
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     print_table,

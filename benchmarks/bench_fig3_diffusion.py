@@ -25,7 +25,7 @@ Run ``python benchmarks/bench_fig3_diffusion.py`` for the table.
 
 from repro import Simulation, diffusion_coefficient
 from repro.analysis import finite_size_correction, short_time_self_diffusion
-from repro.bench import bench_scale, print_table, record_benchmark
+from common import bench_scale, print_table, record_benchmark
 from repro.systems import make_suspension
 
 LAMBDA_RPY = 16

@@ -20,7 +20,7 @@ import numpy as np
 from reference.pme_variants import reciprocal_pass
 
 from repro import PMEOperator, tune_parameters
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

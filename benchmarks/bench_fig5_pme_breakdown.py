@@ -20,7 +20,7 @@ Run ``python benchmarks/bench_fig5_pme_breakdown.py`` for the tables.
 import numpy as np
 
 from repro import PMEOperator, PMEParams
-from repro.bench import bench_scale, cached_suspension, print_table, record_benchmark
+from common import bench_scale, cached_suspension, print_table, record_benchmark
 from repro.perfmodel import HOST, PMECostModel
 
 PHASES = ["spread", "fft", "influence", "ifft", "interpolate"]

@@ -18,7 +18,7 @@ Run ``python benchmarks/bench_fig6_architectures.py`` for the table.
 import numpy as np
 
 from repro import Box, tune_parameters
-from repro.bench import bench_scale, print_table, record_benchmark
+from common import bench_scale, print_table, record_benchmark
 from repro.perfmodel import PMECostModel, WESTMERE_EP, XEON_PHI_KNC
 
 CI_COUNTS = [500, 1000, 5000, 20000, 100000, 500000]

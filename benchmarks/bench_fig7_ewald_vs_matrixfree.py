@@ -16,7 +16,7 @@ Run ``python benchmarks/bench_fig7_ewald_vs_matrixfree.py`` for the table.
 
 import numpy as np
 
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     measure_seconds,

@@ -23,7 +23,7 @@ import numpy as np
 from reference.hybrid import HybridScheduler
 
 from repro import Box, PMEOperator, make_suspension, tune_parameters
-from repro.bench import bench_scale, cached_suspension, print_table, record_benchmark
+from common import bench_scale, cached_suspension, print_table, record_benchmark
 from repro.perfmodel import WESTMERE_EP, XEON_PHI_KNC, PMECostModel
 
 CI_COUNTS = [1000, 5000, 20000, 100000, 500000]

@@ -18,7 +18,7 @@ single-CPU host the thread rows measure dispatch overhead, not
 parallel gain, and the recorded ``cpus`` field lets the CI comparison
 interpret the numbers.  Run ``python benchmarks/bench_parallel_pme.py``
 for the table; ``BENCH_parallel_pme.json`` is written via
-``repro.bench.record``, with the mean seconds per apply of each pipeline
+``common.record_benchmark``, with the mean seconds per apply of each pipeline
 phase at 1 and 2 threads in ``meta["phase_seconds"]`` (how each stage,
 the inverse FFT included, scales on the context's pool).
 """
@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro.bench import (
+from common import (
     bench_scale,
     cached_suspension,
     print_table,

@@ -30,7 +30,7 @@ fires a request and vanishes mid-flight must not take the server (or
 the next client) down.
 
 Run ``python benchmarks/bench_serve_throughput.py``;
-``BENCH_serve_throughput.json`` is written via ``repro.bench.record``.
+``BENCH_serve_throughput.json`` is written via ``common.record_benchmark``.
 """
 
 import asyncio
@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from repro.bench import bench_scale, print_table, record_benchmark
+from common import bench_scale, print_table, record_benchmark
 from repro.serve import ServeClient, ServeSettings, SimulationService, SystemSpec
 from repro.serve.batching import build_operator
 from repro.serve.protocol import encode_message

@@ -9,7 +9,7 @@ scheduler's inner loop, so it must be cheap).
 Run ``python benchmarks/bench_table1_machines.py`` for the table.
 """
 
-from repro.bench import print_table, record_benchmark
+from common import print_table, record_benchmark
 from repro.perfmodel import PMECostModel, WESTMERE_EP, XEON_PHI_KNC
 
 

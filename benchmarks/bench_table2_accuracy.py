@@ -18,7 +18,7 @@ Run ``python benchmarks/bench_table2_accuracy.py`` for the table.
 import numpy as np
 
 from repro import Simulation, diffusion_coefficient
-from repro.bench import bench_scale, print_table, record_benchmark
+from common import bench_scale, print_table, record_benchmark
 from repro.systems import make_suspension
 
 SETTINGS = [  # (e_k, target e_p) — Table II columns

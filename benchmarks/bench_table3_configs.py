@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import (Box, PMEOperator, make_suspension, pme_relative_error,
                    tune_parameters)
-from repro.bench import bench_scale, print_table, record_benchmark
+from common import bench_scale, print_table, record_benchmark
 from repro.perfmodel import PMECostModel, WESTMERE_EP
 from repro.pme.accuracy import DENSE_REFERENCE_LIMIT
 

@@ -1,21 +1,18 @@
-"""Tests for the shared benchmark harness utilities."""
+"""Tests of the benchmark scripts' shared helpers (``benchmarks/common.py``)."""
 
 import json
 
 import numpy as np
 import pytest
-
-from repro.bench import (
+from common import (
+    RECORD_SCHEMA,
     TimingStats,
     bench_output_dir,
     bench_scale,
     cached_suspension,
-    format_bytes,
-    format_table,
     measure_seconds,
     record_benchmark,
 )
-from repro.bench.record import RECORD_SCHEMA
 
 
 class TestScale:
@@ -98,32 +95,3 @@ class TestRecord:
                                 out_dir=tmp_path)
         doc = json.loads(path.read_text())
         assert doc["rows"][0][0] == 0.5
-
-
-class TestFormatting:
-    def test_format_bytes(self):
-        assert format_bytes(10) == "10.0 B"
-        assert format_bytes(2048) == "2.0 KB"
-        assert format_bytes(3 * 1024 ** 3) == "3.0 GB"
-
-    def test_format_table_alignment(self):
-        out = format_table("T", ["aa", "b"], [[1, 2.5], [30, 0.125]])
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert "aa" in lines[2]
-        # all rows have the same rendered width
-        widths = {len(line) for line in lines[2:]}
-        assert len(widths) == 1
-
-    def test_format_table_empty_rows(self):
-        out = format_table("empty", ["x"], [])
-        assert "x" in out
-
-    def test_float_formatting(self):
-        out = format_table("t", ["v"], [[0.123456789]])
-        assert "0.1235" in out
-
-    def test_numpy_scalars(self):
-        # np.float64 subclasses float, so it takes the float format path
-        out = format_table("t", ["v"], [[np.float64(1.5)]])
-        assert "1.5" in out

@@ -36,7 +36,6 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     NotPositiveDefiniteError,
-    OverlapError,
     CheckpointCorruptionError,
 )
 from .resilience import (
@@ -100,7 +99,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "NotPositiveDefiniteError",
-    "OverlapError",
     "CheckpointCorruptionError",
     "FailureKind",
     "StepFailure",

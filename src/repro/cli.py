@@ -33,6 +33,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
+    from .runtime.supervisor import HANG_TIMEOUT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Matrix-free hydrodynamic Brownian dynamics "
@@ -100,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="per-task-attempt wall-clock budget; slower "
                           "attempts are killed and retried")
-    ens.add_argument("--hang-timeout", type=float, default=30.0,
+    ens.add_argument("--hang-timeout", type=float, default=HANG_TIMEOUT,
                      metavar="SECONDS",
                      help="heartbeat silence before a worker is declared "
-                          "hung (default 30)")
+                          "hung (default %(default)g)")
     ens.add_argument("--inject-faults", default=None, metavar="SPEC",
                      help="process-level fault plan, e.g. "
                           "'seed=7,kill=2,hang=1,slow=1,corrupt=1,"
@@ -323,8 +325,8 @@ def _run_simulate(args) -> int:
                                                     log=checkpoint_log)
 
     if args.max_wall_time is not None:
+        from .obs import now
         from .runtime.signals import GracefulShutdown
-        from .utils.timing import now
 
         t0 = now()
         with GracefulShutdown() as shutdown:

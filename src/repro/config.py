@@ -1,10 +1,8 @@
 """Runtime configuration — the single reader of every ``REPRO_*`` knob.
 
-Historically each subsystem read its own environment variable at its
-own call site (``REPRO_NO_CKERNEL`` in the kernel loader,
-``REPRO_BENCH_*`` in the bench harness), which made the effective
-configuration impossible to inspect and the precedence rules implicit.
-This module consolidates them:
+No package module reads its own environment variable at its own call
+site, which would make the effective configuration impossible to
+inspect and the precedence rules implicit.  This module holds them all:
 
 * :class:`RuntimeConfig` is a frozen dataclass holding every runtime
   knob, including the execution-backend settings of :mod:`repro.exec`;
@@ -18,7 +16,9 @@ This module consolidates them:
   regardless of what individual commands pass.
 
 ``repro config show`` prints the resolved table with per-field
-provenance.
+provenance.  The benchmark scripts' ``REPRO_BENCH_SCALE`` and
+``REPRO_BENCH_OUTDIR`` are not package knobs: ``benchmarks/common.py``
+reads them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ BACKENDS = ("serial", "threads")
 ENV_VARS: Mapping[str, str] = {
     "no_ckernel": "REPRO_NO_CKERNEL",
     "ckernel_cache": "REPRO_CKERNEL_CACHE",
-    "bench_scale": "REPRO_BENCH_SCALE",
-    "bench_outdir": "REPRO_BENCH_OUTDIR",
     "backend": "REPRO_BACKEND",
     "exec_workers": "REPRO_EXEC_WORKERS",
 }
@@ -66,21 +64,14 @@ def available_cpus() -> int:
 class RuntimeConfig:
     """Every runtime knob of the package, resolved.
 
-    Values are stored in their *raw* normalized form; semantic
-    validation stays with the consumer (``bench_scale`` enforces
-    ``ci|paper``) so error behavior is unchanged — but the
-    execution-backend fields are validated here because
-    :mod:`repro.exec` is new with this module.
+    Values are stored in their *raw* normalized form; the
+    execution-backend fields are validated here.
     """
 
     #: Disable the runtime-compiled C kernels entirely.
     no_ckernel: bool = False
     #: Override directory caching compiled kernel libraries.
     ckernel_cache: str = ""
-    #: Benchmark problem sizes: ``"ci"`` or ``"paper"``.
-    bench_scale: str = "ci"
-    #: Directory receiving ``BENCH_*.json`` records.
-    bench_outdir: str = "."
     #: Execution backend: ``"serial"`` or ``"threads"``.
     backend: str = "serial"
     #: Worker count for the threads backend (0 = auto: one per CPU).
@@ -121,7 +112,7 @@ def _coerce(name: str, raw: str) -> Any:
             raise ConfigurationError(
                 f"{ENV_VARS[name]} must be an integer, got {raw!r}"
             ) from None
-    if name in ("bench_scale", "backend"):
+    if name == "backend":
         return raw.strip().lower() or getattr(RuntimeConfig, name)
     return raw
 

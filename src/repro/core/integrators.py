@@ -45,7 +45,6 @@ from ..resilience.recovery import (
 )
 from ..rpy.ewald import EwaldSummation
 from ..units import FluidParams, REDUCED
-from ..utils.timing import PhaseTimer
 from ..utils.validation import as_positions
 from .brownian import CholeskyBrownianGenerator, KrylovBrownianGenerator
 from .forces import ForceField
@@ -87,8 +86,8 @@ class BDStepStats:
     n_steps: int = 0
     mobility_updates: int = 0
     krylov_iterations: list[int] = field(default_factory=list)
-    timers: PhaseTimer = field(
-        default_factory=lambda: PhaseTimer(prefix="bd"))
+    timers: obs.PhaseTimer = field(
+        default_factory=lambda: obs.PhaseTimer(prefix="bd"))
     recovery: RecoveryLog = field(default_factory=RecoveryLog)
     stopped_early: bool = False
 

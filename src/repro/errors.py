@@ -64,10 +64,6 @@ class NotPositiveDefiniteError(ReproError):
     """
 
 
-class OverlapError(ReproError):
-    """Particles overlap in a context where overlap is not allowed."""
-
-
 class CheckpointCorruptionError(ReproError):
     """A checkpoint file failed its integrity check.
 

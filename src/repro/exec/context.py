@@ -44,7 +44,6 @@ from typing import Any, Callable, Sequence
 from .. import obs
 from ..config import BACKENDS, get_config
 from ..errors import ConfigurationError
-from ..utils.timing import now
 
 __all__ = ["ExecutionContext", "INLINE", "default_context",
            "reset_default_context", "row_blocks"]
@@ -161,12 +160,12 @@ class ExecutionContext:
             return []
         queue_lag = 0.0
         if self._workers > 1 and len(tasks) > 1:
-            submit_t = now()
+            submit_t = obs.now()
             first_start = [None]
 
             def timed(task: Callable[[], Any]) -> Any:
                 if first_start[0] is None:
-                    first_start[0] = now()
+                    first_start[0] = obs.now()
                 return task()
 
             pool = self.thread_pool()

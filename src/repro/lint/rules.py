@@ -411,16 +411,17 @@ class AssertValidationRule(Rule):
 
 @register
 class DirectWallClockRule(Rule):
-    """RPR009: wall-clock read outside the timing/observability layers."""
+    """RPR009: wall-clock read outside the observability layer."""
 
     meta = RuleMeta(
         id="RPR009", name="direct-wall-clock",
         summary="direct time.perf_counter()/time.time() call outside "
-                "repro.utils.timing, repro.obs and the bench harness",
-        rationale="Ad-hoc clock reads bypass the Timer/PhaseTimer/tracer "
+                "repro.obs, the benchmarks and the tests",
+        rationale="Ad-hoc clock reads bypass the PhaseTimer/tracer "
                   "chokepoints, so the interval never reaches span traces, "
                   "metrics or the Fig. 5 phase profile; route timing "
-                  "through repro.utils.timing or an obs span instead.")
+                  "through repro.obs (a span, PhaseTimer, clock() or "
+                  "now()) instead.")
 
     #: ``time.<attr>()`` calls that read a wall/CPU clock.
     _CLOCK_ATTRS = frozenset({
@@ -437,9 +438,7 @@ class DirectWallClockRule(Rule):
         filename = parts[-1] if parts else ""
         if filename.startswith("test_") or "tests" in parts:
             return True
-        if "bench" in parts or "benchmarks" in parts or "obs" in parts:
-            return True
-        return filename == "timing.py" and "utils" in parts
+        return "benchmarks" in parts or "obs" in parts
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
         if self._exempt(ctx.display_path):
@@ -459,10 +458,9 @@ class DirectWallClockRule(Rule):
             if clock is not None:
                 yield self.finding(
                     ctx, node,
-                    f"direct wall-clock call {clock}() outside the "
-                    "timing utilities",
-                    hint="use repro.utils.timing.Timer/PhaseTimer or an "
-                         "obs.span so the interval is observable")
+                    f"direct wall-clock call {clock}() outside repro.obs",
+                    hint="use an obs.span, obs.PhaseTimer, obs.clock() or "
+                         "obs.now() so the interval is observable")
 
 
 @register

@@ -3,7 +3,10 @@
 The observability layer every other subsystem reports into (the
 instrumentation behind the paper's Section V evaluation):
 
-* :mod:`repro.obs.trace` — span-based tracer with thread-safe nesting;
+* :mod:`repro.obs.trace` — span-based tracer with thread-safe nesting,
+  the two clocks (:func:`clock` for intervals, :func:`now` for
+  schedulers) and :class:`PhaseTimer`, the per-phase accumulator
+  behind ``phase_breakdown()`` — the package's one timing module;
 * :mod:`repro.obs.collect` — the trace merge and its one encoder, the
   Chrome trace-event document that ``chrome://tracing`` and Perfetto
   load (one process or a whole campaign), plus the ensemble's
@@ -71,11 +74,13 @@ from .schema import (
 )
 from .trace import (
     TRACE_SCHEMA,
+    PhaseTimer,
     SpanEvent,
     Tracer,
     clock,
     get_tracer,
     instant,
+    now,
     set_tracer,
     span,
     tracing_enabled,
@@ -83,7 +88,7 @@ from .trace import (
 
 __all__ = [
     "SpanEvent", "Tracer", "span", "instant", "get_tracer", "set_tracer",
-    "tracing_enabled", "clock", "TRACE_SCHEMA",
+    "tracing_enabled", "clock", "now", "PhaseTimer", "TRACE_SCHEMA",
     "SpoolWriter", "SpoolingSession", "TrackGroup",
     "MergedTrace", "merge_traces", "read_spool", "aggregate_metrics",
     "collect_campaign", "CampaignCollection", "spans_for_task",

@@ -33,7 +33,8 @@ from typing import Any
 from ..errors import ConfigurationError
 from . import trace as _trace
 
-__all__ = ["PhaseRow", "ProfileReport", "run_profile", "PROFILE_SCHEMA"]
+__all__ = ["PhaseRow", "ProfileReport", "run_profile", "format_table",
+           "PROFILE_SCHEMA"]
 
 #: Version tag of the ``repro profile --json`` document layout.
 PROFILE_SCHEMA = "repro-profile/1"
@@ -47,6 +48,22 @@ PROFILE_PHASES = ["spread", "fft", "influence", "ifft", "interpolate",
 #: separations, the coefficient table, the fused assembly).
 BUILD_SPANS = ["pme.construct_p", "pme.construct_real", "pme.find_pairs",
                "pme.real_table", "pme.real_assemble"]
+
+
+def format_table(title: str, headers: list[str],
+                 rows: list[list]) -> str:
+    """Render an aligned plain-text table (paper-style)."""
+    str_rows = [[f"{c:.4g}" if isinstance(c, float) else str(c) for c in row]
+                for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in str_rows)) if str_rows
+              else len(h) for i, h in enumerate(headers)]
+    sep = "  "
+    lines = [title, "=" * len(title),
+             sep.join(h.ljust(w) for h, w in zip(headers, widths)),
+             sep.join("-" * w for w in widths)]
+    lines += [sep.join(c.ljust(w) for c, w in zip(row, widths))
+              for row in str_rows]
+    return "\n".join(lines)
 
 
 @dataclass
@@ -87,8 +104,6 @@ class ProfileReport:
 
     def format_table(self) -> str:
         """The Fig. 5-style aligned table."""
-        from ..bench.harness import format_table
-
         table_rows: list[list[Any]] = []
         for row in self.rows:
             predicted = ("-" if row.predicted is None

@@ -25,12 +25,13 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["SpanEvent", "TrackGroup", "Tracer", "span", "instant",
-           "get_tracer", "set_tracer", "tracing_enabled", "clock",
-           "NULL_SPAN", "TRACE_SCHEMA"]
+           "get_tracer", "set_tracer", "tracing_enabled", "clock", "now",
+           "PhaseTimer", "NULL_SPAN", "TRACE_SCHEMA"]
 
 #: Version tag of the trace header (a spool file's first line and a
 #: merged trace's ``otherData``); events carry the process-identity
@@ -226,9 +227,8 @@ class Tracer:
 
     def add_interval(self, name: str, t0: float, dur: float,
                      **args: Any) -> None:
-        """Record an externally timed interval (``t0`` in perf-counter
-        time) — used by :class:`~repro.utils.timing.PhaseTimer` so span
-        durations coincide with the timer's own measurement."""
+        """Record an externally timed interval (``t0`` read from
+        :func:`clock`), e.g. the supervisor's ``supervisor.task``."""
         self._record(name, t0, dur, getattr(self._local, "depth", 0),
                      "X", args)
 
@@ -300,14 +300,27 @@ def is_header(obj: dict[str, Any]) -> bool:
 def clock() -> float:
     """A reading of the tracer clock (for externally timed intervals).
 
-    :meth:`Tracer.add_interval` interprets ``t0`` on this clock;
-    callers outside the timing/obs layers must use this helper rather
-    than a direct ``time.perf_counter()`` so every interval stays on
-    the single tracer timebase (``time.monotonic`` — the
-    :func:`repro.utils.timing.now` scheduler clock — is *not*
-    guaranteed to share an epoch with it on every platform).
+    :meth:`Tracer.add_interval` interprets ``t0`` on this clock, and
+    every span and :class:`PhaseTimer` interval is read from it, so all
+    intervals share one timebase.  Code outside :mod:`repro.obs` reads
+    it here, never through ``time`` directly (lint rule RPR009).
     """
     return time.perf_counter()
+
+
+def now() -> float:
+    """A reading of the scheduler clock (heartbeats, deadlines).
+
+    The ensemble runtime, the serve batcher and the execution context
+    compute ages and deadlines on it.  It is ``time.monotonic``, the
+    clock asyncio's ``loop.time()`` and the timeouts of ``threading``
+    run on, so a deadline computed here lines up with those waits.
+    :func:`clock` is ``time.perf_counter``, the finest-resolution
+    clock, for intervals that become spans.  The two need not share an
+    epoch on every platform, so a reading of one is never compared
+    with a reading of the other.
+    """
+    return time.monotonic()
 
 
 # ----------------------------------------------------------------------
@@ -351,3 +364,74 @@ def instant(name: str, **args: Any) -> None:
     tracer = _TRACER
     if tracer is not None:
         tracer.instant(name, **args)
+
+
+class PhaseTimer:
+    """Accumulated seconds per named phase of a computation.
+
+    The PME operator uses phase names ``"spread"``, ``"fft"``,
+    ``"influence"``, ``"ifft"``, ``"interpolate"``, ``"real"`` matching
+    the paper's Fig. 5 breakdown; the integrators time ``"mobility"``,
+    ``"brownian"``, ``"forces"`` and ``"propagate"``.
+
+    :meth:`phase` is reentrant on the same name: nested occurrences are
+    depth-counted and only the outermost one reads the clock, so a
+    recursive phase accumulates its wall time once.
+
+    When ``prefix`` is set (e.g. ``"pme"``) and a tracer is installed,
+    each outermost occurrence also records a ``<prefix>.<name>`` span.
+    The span encloses the timer's own clock reads, so a phase's span
+    total is always >= (and within microseconds of) its accumulated
+    seconds.
+    """
+
+    def __init__(self, prefix: str = ""):
+        #: Span namespace; empty disables span emission entirely.
+        self.prefix = prefix
+        self._seconds: dict[str, float] = {}
+        self._depth: dict[str, int] = {}
+
+    @contextmanager
+    def phase(self, name: str, **span_args: Any):
+        """Context manager timing one occurrence of phase ``name``.
+
+        Keyword arguments are attached to the emitted span (when a
+        tracer and ``prefix`` are active), e.g. ``vectors=s`` lets
+        ``repro profile`` count batched pipeline passes.
+        """
+        self._seconds.setdefault(name, 0.0)
+        depth = self._depth.get(name, 0)
+        self._depth[name] = depth + 1
+        if depth:
+            # reentrant occurrence: the outer frame owns the clock
+            try:
+                yield
+            finally:
+                self._depth[name] -= 1
+            return
+        with (span(f"{self.prefix}.{name}", **span_args)
+              if self.prefix else NULL_SPAN):
+            t0 = time.perf_counter()
+            try:
+                yield
+            finally:
+                self._seconds[name] += time.perf_counter() - t0
+                self._depth[name] -= 1
+
+    def elapsed(self, name: str) -> float:
+        """Seconds accumulated in phase ``name`` (0 if never run)."""
+        return self._seconds.get(name, 0.0)
+
+    @property
+    def total(self) -> float:
+        """Sum of all phase times."""
+        return sum(self._seconds.values())
+
+    def breakdown(self) -> dict[str, float]:
+        """Mapping of phase name to accumulated seconds."""
+        return dict(self._seconds)
+
+    def reset(self) -> None:
+        """Zero all phases (the phase names are retained)."""
+        for name in self._seconds:
+            self._seconds[name] = 0.0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
 from ..config import available_cpus
 from ..exec import INLINE
 from ..geometry.box import Box
@@ -36,7 +37,6 @@ from ..pme.operator import _irfftn_lanes, _rfftn_lanes
 from ..pme.realspace import RealSpaceOperator
 from ..sparse.kernels import SPMM_CHUNK
 from ..systems.suspension import make_suspension
-from ..utils.timing import Timer
 from .machines import Machine
 from .model import influence_bytes
 
@@ -44,12 +44,11 @@ __all__ = ["calibrate_host"]
 
 
 def _time_best(fn, repeats: int = 5) -> float:
-    timer = Timer()
     best = float("inf")
     for _ in range(repeats):
-        timer.start()
+        t0 = obs.clock()
         fn()
-        best = min(best, timer.stop())
+        best = min(best, obs.clock() - t0)
     return best
 
 

@@ -24,7 +24,7 @@ the same pass also samples the reciprocal half exactly: the ``noise``
 of :meth:`PMEOperator.apply_block` joins the influence stage and leaves
 as ``P C^(1/2) W`` beside the drift.
 
-Each phase is timed into :class:`~repro.utils.timing.PhaseTimer` under
+Each phase is timed into :class:`~repro.obs.PhaseTimer` under
 the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
 ``interpolate``, ``real``).
 """
@@ -40,7 +40,6 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..units import FluidParams, REDUCED
-from ..utils.timing import PhaseTimer
 from ..utils.validation import as_force_block, as_positions
 from .cache import MobilityCache
 from .realspace import RealSpaceOperator
@@ -211,7 +210,7 @@ class PMEOperator:
         self.context = context if context is not None else default_context()
         self._exec_args = self.context.span_args()
         self.mesh = self.cache.mesh(box, params.K)
-        self.timers = PhaseTimer(prefix="pme")
+        self.timers = obs.PhaseTimer(prefix="pme")
         #: Total number of operator applications (column counts included).
         self.n_applications = 0
 

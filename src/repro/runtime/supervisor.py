@@ -44,7 +44,6 @@ from ..obs.collect import CampaignCollection, collect_campaign
 from ..resilience.backoff import retry_delay
 from ..resilience.failures import FailureKind, StepFailure
 from ..resilience.faults import FaultPlan
-from ..utils.timing import now
 from .signals import GracefulShutdown
 from .tasks import (
     MANIFEST_NAME,
@@ -56,7 +55,8 @@ from .tasks import (
 )
 from .worker import worker_main
 
-__all__ = ["Supervisor", "SupervisorReport", "WorkerRestart"]
+__all__ = ["Supervisor", "SupervisorReport", "WorkerRestart",
+           "HANG_TIMEOUT"]
 
 #: Failed attempts of one task (counted by each :class:`Supervisor`) after
 #: which it is quarantined instead of retried.
@@ -69,6 +69,12 @@ MAX_WORKER_RESTARTS = 50
 
 #: Event-loop wait granularity in seconds.
 POLL_INTERVAL = 0.05
+
+#: Default seconds of heartbeat silence before a busy worker is declared
+#: hung (``Supervisor(hang_timeout=)``, ``repro ensemble --hang-timeout``
+#: and served simulate jobs).  Workers heartbeat every 0.05 s, but one
+#: mobility rebuild or a loaded machine can stall them for seconds.
+HANG_TIMEOUT = 30.0
 
 
 def _mp_context():
@@ -146,8 +152,8 @@ class _WorkerHandle:
         self.process.start()
         child_conn.close()
         self.task: TaskRecord | None = None
-        self.last_heartbeat = now()
-        self.started_at = now()
+        self.last_heartbeat = obs.now()
+        self.started_at = obs.now()
         self.obs_t0 = obs.clock()
 
     @property
@@ -172,8 +178,8 @@ class _WorkerHandle:
         record.attempts += 1
         record.state = TaskState.RUNNING
         self.task = record
-        self.last_heartbeat = now()
-        self.started_at = now()
+        self.last_heartbeat = obs.now()
+        self.started_at = obs.now()
         self.obs_t0 = obs.clock()
 
     def kill(self) -> None:
@@ -224,7 +230,8 @@ class Supervisor:
 
     def __init__(self, tasks: Sequence[TaskSpec | TaskRecord],
                  checkpoint_dir: str, *, n_workers: int = 2,
-                 deadline: float | None = None, hang_timeout: float = 5.0,
+                 deadline: float | None = None,
+                 hang_timeout: float = HANG_TIMEOUT,
                  fault_plan: FaultPlan | None = None):
         if n_workers < 1:
             raise ConfigurationError(
@@ -353,7 +360,7 @@ class Supervisor:
             return
         record.state = TaskState.PENDING
         delay = retry_delay(max(0, record.attempts - 1), seed=task_id)
-        self._ready_at[task_id] = now() + delay
+        self._ready_at[task_id] = obs.now() + delay
         self._save_manifest()
 
     def _task_done(self, record: TaskRecord, message: dict[str, Any],
@@ -373,7 +380,7 @@ class Supervisor:
 
     def _assignable(self) -> TaskRecord | None:
         """Next pending task whose backoff delay has elapsed."""
-        t = now()
+        t = obs.now()
         for record in self.records:
             if (record.state is TaskState.PENDING
                     and self._ready_at[record.spec.task_id] <= t):
@@ -501,7 +508,7 @@ class Supervisor:
                 message = handle.conn.recv()
             except (EOFError, OSError):
                 return  # death handled via the process sentinel
-            handle.last_heartbeat = now()
+            handle.last_heartbeat = obs.now()
             kind = message.get("msg")
             record = handle.task
             if kind in ("heartbeat", "ready"):
@@ -533,7 +540,7 @@ class Supervisor:
     def _watchdog(self, workers: list[_WorkerHandle],
                   report: SupervisorReport) -> None:
         """Kill hung (silent) and over-deadline workers."""
-        t = now()
+        t = obs.now()
         max_lag = 0.0
         for handle in list(workers):
             if not handle.busy or not handle.process.is_alive():

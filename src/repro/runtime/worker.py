@@ -29,9 +29,11 @@ was just written — so a drained campaign resumes bit-identically.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
+from multiprocessing import connection
 from typing import Any
 
 import numpy as np
@@ -39,17 +41,32 @@ import numpy as np
 from ..core.checkpoint import run_checkpointed, save_checkpoint
 from ..core.forces import RepulsiveHarmonic
 from ..core.integrators import MatrixFreeBD
-from ..obs import set_metrics, set_tracer
+from ..obs import now, set_metrics, set_tracer
 from ..obs.collect import SpoolingSession
 from ..resilience.failures import StepFailure
 from ..systems.suspension import make_suspension
-from ..utils.timing import now
 from .tasks import TaskSpec, positions_digest
 
 __all__ = ["worker_main", "failure_report"]
 
 #: Seconds between heartbeat messages while a task is stepping.
 HEARTBEAT_INTERVAL = 0.05
+
+
+class _SupervisorGone(Exception):
+    """The supervisor exited: nobody reads this worker's reports."""
+
+
+def _check_supervisor() -> None:
+    """Raise :class:`_SupervisorGone` once the supervisor has exited.
+
+    A forked worker inherits the supervisor's end of its own pipe, so a
+    dead supervisor never shows as EOF on ``conn``: its process
+    sentinel is what tells.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None and not parent.is_alive():
+        raise _SupervisorGone
 
 
 def failure_report(failure: StepFailure, attempt: int) -> dict[str, Any]:
@@ -108,12 +125,14 @@ def _run_task(conn, stop_event, spec: TaskSpec, attempt: int,
             time.sleep(slow_per_step)
         if (step % spec.lambda_rpy
                 and now() - last_hb[0] >= HEARTBEAT_INTERVAL):
+            _check_supervisor()
             conn.send({"msg": "heartbeat", "task_id": spec.task_id,
                        "step": step})
             reported()
 
     def save(path, wrapped, unwrapped, step, rng) -> None:
         save_checkpoint(path, wrapped, unwrapped, step, rng)
+        _check_supervisor()
         conn.send({"msg": "checkpoint", "task_id": spec.task_id,
                    "completed_step": step, "checkpoint": path})
         reported()
@@ -153,6 +172,10 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
     heads the spool), and both are flushed to the campaign directory
     at the same heartbeat/checkpoint cadence as progress messages — so
     a SIGKILL loses at most one flush window.
+
+    The worker exits once the supervisor has: idle, it waits on the
+    supervisor's process sentinel together with ``conn``; stepping, it
+    checks the sentinel before each heartbeat or checkpoint report.
     """
     # the supervisor owns shutdown signals; workers must not race it
     # by reacting to a terminal Ctrl-C delivered to the process group
@@ -161,11 +184,15 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
     set_metrics(None)
     session: SpoolingSession | None = None
     context = None  # process-lifetime execution context (first task)
+    parent = multiprocessing.parent_process()
+    idle_watch = [conn] if parent is None else [conn, parent.sentinel]
     conn.send({"msg": "ready", "worker_id": worker_id})
     while True:
         try:
+            if conn not in connection.wait(idle_watch):
+                raise _SupervisorGone
             message = conn.recv()
-        except (EOFError, OSError):
+        except (EOFError, OSError, _SupervisorGone):
             if context is not None:
                 context.close()
             return  # supervisor died; nothing left to report to
@@ -200,6 +227,10 @@ def worker_main(conn, stop_event, worker_id: int) -> None:
                 checkpoint_dir=message["checkpoint_dir"],
                 slow_per_step=message.get("slow_per_step", 0.0),
                 session=session, context=context)
+        except _SupervisorGone:
+            if context is not None:
+                context.close()
+            return
         except Exception as exc:  # noqa: RPR006 - worker boundary: the
             # failure is not swallowed, it crosses the process boundary
             # as a structured StepFailure report for the supervisor

@@ -68,7 +68,6 @@ import numpy as np
 from .. import obs
 from ..errors import ConfigurationError
 from ..resilience import classify_exception
-from ..utils.timing import now
 from .protocol import ProtocolError, SystemSpec
 
 __all__ = ["OperatorPool", "MobilityBatcher", "build_operator"]
@@ -306,7 +305,7 @@ class MobilityBatcher:
                 window.timer = loop.call_later(
                     self.max_wait, self._flush, key)
         item = _Item(spec=spec, forces=forces,
-                     future=loop.create_future(), enqueued_at=now(),
+                     future=loop.create_future(), enqueued_at=obs.now(),
                      client=client)
         window.items.append(item)
         window.columns += forces.shape[1]
@@ -351,7 +350,7 @@ class MobilityBatcher:
                 "serve_batch_wait_seconds",
                 help="in-queue wait before the batch flushed",
                 buckets=_WAIT_BUCKETS)
-            t_flush = now()
+            t_flush = obs.now()
             for item in items:
                 wait_hist.observe(max(0.0, t_flush - item.enqueued_at))
         entry = None

@@ -282,9 +282,7 @@ class SimulationService:
     # -- request dispatch ------------------------------------------------
 
     async def _dispatch(self, state: _ClientState, line: bytes) -> None:
-        from ..utils.timing import now
-
-        t0 = now()
+        t0 = obs.now()
         self.requests_total += 1
         try:
             message = decode_line(line)
@@ -318,8 +316,6 @@ class SimulationService:
             self._finish(op, outcome, t0)
 
     def _finish(self, op: str | None, outcome: str, t0: float) -> None:
-        from ..utils.timing import now
-
         obs.inc("serve_requests_total", op=op or "invalid",
                 outcome=outcome)
         registry = obs.get_metrics()
@@ -327,7 +323,7 @@ class SimulationService:
             registry.histogram(
                 "serve_request_seconds",
                 help="request latency by op",
-                buckets=_LATENCY_BUCKETS, op=op).observe(now() - t0)
+                buckets=_LATENCY_BUCKETS, op=op).observe(obs.now() - t0)
 
     async def _answer(self, state: _ClientState,
                       message: dict[str, Any],

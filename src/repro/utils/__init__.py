@@ -1,7 +1,6 @@
-"""Small shared utilities: periodic boundary helpers, timers, validation."""
+"""Small shared utilities: periodic boundary helpers and validation."""
 
 from .pbc import minimum_image, wrap_positions, fractional_coordinates
-from .timing import Timer, PhaseTimer
 from .validation import (
     as_positions,
     as_force_block,
@@ -13,8 +12,6 @@ __all__ = [
     "minimum_image",
     "wrap_positions",
     "fractional_coordinates",
-    "Timer",
-    "PhaseTimer",
     "as_positions",
     "as_force_block",
     "check_square_box",

@@ -41,7 +41,11 @@ def test_defaults():
     assert cfg.backend == "serial"
     assert cfg.exec_workers == 0
     assert cfg.no_ckernel is False
-    assert cfg.bench_scale == "ci"
+    assert cfg.ckernel_cache == ""
+    # the package's four knobs; the benchmark scripts read their own
+    assert list(cfg.as_dict()) == ["no_ckernel", "ckernel_cache",
+                                   "backend", "exec_workers"]
+    assert list(ENV_VARS) == list(cfg.as_dict())
 
 
 def test_env_beats_defaults(monkeypatch):
@@ -134,7 +138,7 @@ def test_config_table_provenance(monkeypatch):
     sources = {name: source for name, _, _, source in config_table()}
     assert sources["backend"] == "env"
     assert sources["exec_workers"] == "cli"
-    assert sources["bench_scale"] == "default"
+    assert sources["no_ckernel"] == "default"
 
 
 def test_cli_config_show_table(capsys, monkeypatch):
@@ -142,6 +146,7 @@ def test_cli_config_show_table(capsys, monkeypatch):
     assert main(["config", "show"]) == 0
     out = capsys.readouterr().out
     assert "REPRO_BACKEND" in out and "REPRO_EXEC_WORKERS" in out
+    assert len(out.splitlines()) == 1 + 4     # header + one row per knob
     line = next(ln for ln in out.splitlines()
                 if ln.startswith("exec_workers"))
     assert "5" in line and "env" in line

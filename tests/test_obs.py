@@ -2,12 +2,14 @@
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.obs.profiling import format_table
 from repro.obs.schema import (
     SchemaError,
     validate_chrome_trace,
@@ -141,6 +143,77 @@ class TestDisabled:
         obs.disable()
         assert not obs.tracing_enabled()
         assert not obs.metrics_enabled()
+
+
+# ----------------------------------------------------------------------
+# the phase timer and the table format
+# ----------------------------------------------------------------------
+
+class TestPhaseTimer:
+    def test_phases_accumulate_independently(self):
+        pt = obs.PhaseTimer()
+        with pt.phase("a"):
+            time.sleep(0.005)
+        with pt.phase("b"):
+            time.sleep(0.001)
+        with pt.phase("a"):
+            time.sleep(0.005)
+        assert pt.elapsed("a") > pt.elapsed("b")
+        assert pt.total == pytest.approx(pt.elapsed("a") + pt.elapsed("b"))
+
+    def test_unknown_phase_zero(self):
+        assert obs.PhaseTimer().elapsed("nope") == 0.0
+
+    def test_breakdown_and_reset(self):
+        pt = obs.PhaseTimer()
+        with pt.phase("x"):
+            pass
+        assert "x" in pt.breakdown()
+        pt.reset()
+        assert pt.total == 0.0
+        assert pt.breakdown() == {"x": 0.0}
+
+    def test_reentrant_phase(self):
+        # recursive entry into the same phase must not double-count:
+        # only the outermost occurrence accumulates and records a span
+        tracer, _ = obs.enable()
+        pt = obs.PhaseTimer(prefix="t")
+        with pt.phase("x"):
+            with pt.phase("x"):
+                time.sleep(0.002)
+        assert tracer.counts("t.") == {"t.x": 1}
+        assert 0.002 <= pt.elapsed("x") <= tracer.totals("t.")["t.x"]
+
+    def test_distinct_phases_nest(self):
+        pt = obs.PhaseTimer()
+        with pt.phase("outer"):
+            with pt.phase("inner"):
+                time.sleep(0.001)
+        assert pt.elapsed("outer") >= pt.elapsed("inner") > 0.0
+
+
+class TestFormatting:
+    def test_format_table_alignment(self):
+        out = format_table("T", ["aa", "b"], [[1, 2.5], [30, 0.125]])
+        lines = out.splitlines()
+        assert lines[0] == "T"
+        assert "aa" in lines[2]
+        # all rows have the same rendered width
+        widths = {len(line) for line in lines[2:]}
+        assert len(widths) == 1
+
+    def test_format_table_empty_rows(self):
+        out = format_table("empty", ["x"], [])
+        assert "x" in out
+
+    def test_float_formatting(self):
+        out = format_table("t", ["v"], [[0.123456789]])
+        assert "0.1235" in out
+
+    def test_numpy_scalars(self):
+        # np.float64 subclasses float, so it takes the float format path
+        out = format_table("t", ["v"], [[np.float64(1.5)]])
+        assert "1.5" in out
 
 
 # ----------------------------------------------------------------------

@@ -307,7 +307,8 @@ class TestRanking:
         import os
 
         import repro.perfmodel.machines as machines
-        from repro.utils import timing
+        from repro import obs
+        from repro.obs import trace
 
         box = Box.for_volume_fraction(1000, 0.2)
         expected = tune_parameters(1000, box)
@@ -327,7 +328,10 @@ class TestRanking:
                 patch.setenv("REPRO_BACKEND", "threads")
                 patch.setenv("REPRO_EXEC_WORKERS", str(cpus))
                 patch.setattr(time, "perf_counter", no_clock)
-                patch.setattr(timing.Timer, "start", no_clock)
+                for clocks in (obs, trace):
+                    patch.setattr(clocks, "clock", no_clock)
+                    patch.setattr(clocks, "now", no_clock)
+                patch.setattr(obs.PhaseTimer, "phase", no_clock)
                 patch.setattr(machines, "HOST", NoHost())
                 assert tune_parameters(1000, box) == expected
         assert (SUBSTRATE.cores, SUBSTRATE.threads) == (1, 1)

@@ -10,9 +10,11 @@ for all of them.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -481,6 +483,77 @@ def test_worker_restart_budget_aborts(tmp_path, monkeypatch):
         _run(tmp_path, specs, n_workers=1, fault_plan=plan)
     # the manifest still landed on disk for post-mortem
     assert os.path.exists(report_manifest_path(tmp_path))
+
+
+#: One long task: it is still stepping when its supervisor is killed.
+_ORPHAN_TASK = {"n": 64, "n_steps": 1_000_000}
+
+
+def _supervise_long_task(directory):
+    """Body of the spawned supervisor process of the orphan test."""
+    Supervisor(_specs(1, **_ORPHAN_TASK), directory, n_workers=1).run()
+
+
+def _children(pid):
+    """Pids of the live processes whose parent is ``pid`` (Linux /proc)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat_fields(int(entry))[1:2] == [str(pid)]:
+            found.append(int(entry))
+    return found
+
+
+def _stat_fields(pid):
+    """``state, ppid, ...`` of ``pid`` from /proc (``[]`` once reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:
+        return []
+    # the command name may hold spaces: the fields follow its last ')'
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _running(pid):
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    return _stat_fields(pid)[:1] not in ([], ["Z"], ["X"])
+
+
+@pytest.mark.faults
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_worker_exits_when_its_supervisor_is_killed(tmp_path):
+    # a forked worker holds the supervisor's end of its own pipe, so it
+    # never sees EOF: only the supervisor's process sentinel can tell it
+    # that nobody reads its heartbeats any more
+    directory = str(tmp_path / "orphan")
+    os.makedirs(directory)
+    checkpoint = _specs(1, **_ORPHAN_TASK)[0].checkpoint_path(directory)
+    supervisor = multiprocessing.get_context("spawn").Process(
+        target=_supervise_long_task, args=(directory,))
+    supervisor.start()
+    workers = []
+    try:
+        give_up = time.monotonic() + 120.0
+        while not os.path.exists(checkpoint):
+            assert supervisor.is_alive() and time.monotonic() < give_up
+            time.sleep(0.05)
+        workers = _children(supervisor.pid)
+        assert workers and all(_running(pid) for pid in workers)
+        os.kill(supervisor.pid, signal.SIGKILL)
+        supervisor.join(timeout=10.0)
+        assert not supervisor.is_alive()
+        give_up = time.monotonic() + 10.0
+        while (any(_running(pid) for pid in workers)
+               and time.monotonic() < give_up):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        if supervisor.is_alive():
+            supervisor.kill()
+            supervisor.join(timeout=10.0)
 
 
 # ----------------------------------------------------------------------

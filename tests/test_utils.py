@@ -1,91 +1,15 @@
-"""Tests for timers and validation helpers."""
-
-import time
+"""Tests for the validation helpers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.timing import PhaseTimer, Timer
 from repro.utils.validation import (
     as_force_block,
     as_positions,
     check_square_box,
     require,
 )
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.02
-        assert t.count == 2
-        assert t.mean == pytest.approx(t.elapsed / 2)
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-        assert t.count == 0
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_start_while_running_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        # the in-flight interval survives the failed start
-        assert t.stop() >= 0.0
-        assert t.count == 1
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_independently(self):
-        pt = PhaseTimer()
-        with pt.phase("a"):
-            time.sleep(0.005)
-        with pt.phase("b"):
-            time.sleep(0.001)
-        with pt.phase("a"):
-            time.sleep(0.005)
-        assert pt.elapsed("a") > pt.elapsed("b")
-        assert pt.total == pytest.approx(pt.elapsed("a") + pt.elapsed("b"))
-
-    def test_unknown_phase_zero(self):
-        assert PhaseTimer().elapsed("nope") == 0.0
-
-    def test_breakdown_and_reset(self):
-        pt = PhaseTimer()
-        with pt.phase("x"):
-            pass
-        assert "x" in pt.breakdown()
-        pt.reset()
-        assert pt.total == 0.0
-
-    def test_reentrant_phase(self):
-        # recursive entry into the same phase must not double-count:
-        # only the outermost occurrence accumulates
-        pt = PhaseTimer()
-        with pt.phase("x"):
-            with pt.phase("x"):
-                time.sleep(0.002)
-        assert pt.phases["x"].count == 1
-        assert pt.elapsed("x") >= 0.002
-
-    def test_distinct_phases_nest(self):
-        pt = PhaseTimer()
-        with pt.phase("outer"):
-            with pt.phase("inner"):
-                time.sleep(0.001)
-        assert pt.elapsed("outer") >= pt.elapsed("inner") > 0.0
 
 
 class TestValidation:
