@@ -12,8 +12,6 @@ The subcommands cover the common workflows:
 * ``analyze``  — diffusion analysis of a saved trajectory,
 * ``tune``     — print the PME parameters the tuner selects for a
   system size / accuracy target (one Table III row),
-* ``lint``     — physics-aware static analysis (forwards its arguments
-  to ``repro-lint``),
 * ``config``   — ``config show`` prints the resolved ``REPRO_*``
   runtime configuration with provenance,
 * ``serve``    — the batched simulation service on a local socket,
@@ -140,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--e-p", type=float, default=1e-3)
     tune.add_argument("-p", "--order", type=int, default=6,
                       help="B-spline order (4, 6 or 8)")
-
-    lint = sub.add_parser(
-        "lint", help="physics-aware static analysis (`repro lint "
-                     "--list-rules` prints the rules)",
-        add_help=False)
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to repro-lint "
-                           "(see `repro lint --help`)")
 
     conf = sub.add_parser(
         "config", help="runtime configuration (REPRO_* knobs)")
@@ -519,16 +509,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    return _cmd_lint_argv(args.lint_args)
-
-
-def _cmd_lint_argv(lint_args: list[str]) -> int:
-    from .lint.cli import main as lint_main
-
-    return lint_main(lint_args)
-
-
 def _cmd_info(_args) -> int:
     import numpy
     import scipy
@@ -639,11 +619,6 @@ def _apply_exec_overrides(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "lint":
-        # Forward everything after `lint` untouched: argparse REMAINDER
-        # refuses a leading optional such as `repro lint --help`.
-        return _cmd_lint_argv(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     from .errors import ConfigurationError
@@ -659,7 +634,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "analyze": _cmd_analyze,
         "tune": _cmd_tune,
-        "lint": _cmd_lint,
         "config": _cmd_config,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

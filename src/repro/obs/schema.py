@@ -1,7 +1,6 @@
 """Schemas and validators for the observability export formats.
 
-Mirrors the approach of :mod:`repro.lint` (``REPORT_JSON_SCHEMA``):
-the schemas are plain dictionaries published for external consumers,
+The schemas are plain dictionaries published for external consumers,
 and validation is implemented directly so it works without a
 ``jsonschema`` dependency.  Each artifact has one format — a trace is
 the Chrome trace-event (Perfetto) document, metrics are the JSON

@@ -148,6 +148,7 @@ from numpy.ctypeslib import ndpointer
 from ..config import get_config
 from ..errors import ConfigurationError
 from ..utils.pbc import minimum_image, wrap_positions
+from ..utils.validation import require, require_buffer
 
 __all__ = [
     "spmm_kernel", "pack_symmetric", "unpack_symmetric",
@@ -1308,9 +1309,14 @@ def spread_ranges(weights: np.ndarray, columns: np.ndarray, idx: np.ndarray,
     batch-first mesh ``out (lanes, K^3)``: the compiled kernel, or an
     ``np.add.at`` pass with the same accumulation order (which only the
     colored reference schedule takes: the pipeline's one-column scatter
-    uses SciPy's ``P^T`` product when the kernel is unavailable)."""
+    uses SciPy's ``P^T`` product when the kernel is unavailable).
+    ``out`` and the ranges are checked first (``ConfigurationError``)."""
+    lanes = values.shape[1]
+    require(np.ndim(out) == 2, f"out must be 2-D, got shape {np.shape(out)}")
+    require_buffer(out, "out", shape=(lanes, out.shape[1]))
+    _require_ranges(ranges, len(idx))
     kern = getattr(_bundle(), "spread", None)
-    pcube, lanes, k3 = weights.shape[1], values.shape[1], out.shape[1]
+    pcube, k3 = weights.shape[1], out.shape[1]
     for lo, hi in ranges:
         if hi <= lo:
             continue
@@ -1329,9 +1335,12 @@ def interp_ranges(weights: np.ndarray, columns: np.ndarray, mesh: np.ndarray,
     """Gather particle rows ``[lo, hi)`` of every range from the
     batch-first ``mesh (lanes, K^3)`` into ``out (lanes, n)``: the
     compiled kernel, or the same rows of ``P`` through one SciPy SpMV
-    per (already contiguous) lane."""
+    per (already contiguous) lane.  ``out`` and the ranges are checked
+    first (``ConfigurationError``)."""
+    pcube, (lanes, k3), n = weights.shape[1], mesh.shape, weights.shape[0]
+    require_buffer(out, "out", shape=(lanes, n))
+    _require_ranges(ranges, n)
     kern = getattr(_bundle(), "interp", None)
-    pcube, (lanes, k3), n = weights.shape[1], mesh.shape, out.shape[1]
     for lo, hi in ranges:
         if hi <= lo:
             continue
@@ -1355,14 +1364,26 @@ def _compiled(name: str):
     return kern
 
 
+def _require_ranges(ranges: list[tuple[int, int]], rows: int) -> None:
+    """``ConfigurationError`` unless every ``(lo, hi)`` lies in ``[0, rows]``
+    (its endpoints only: what the rows hold is checked where they are
+    built)."""
+    for lo, hi in ranges:
+        require(0 <= lo <= hi <= rows,
+                f"range ({lo}, {hi}) is not within [0, {rows}]")
+
+
 def mesh_interleave(mesh: np.ndarray, mt: np.ndarray,
                     ranges: list[tuple[int, int]]) -> None:
     """Copy mesh points ``[lo, hi)`` of every range of the batch-first
     ``mesh (lanes, K^3)`` into ``mt``, the same mesh lane-interleaved
     ``(K^3, lanes)`` (any C-contiguous float64 array of that size):
-    compiled kernels only."""
-    kern = _compiled("interleave")
+    compiled kernels only.  ``mt`` and the ranges are checked first
+    (``ConfigurationError``)."""
     lanes, k3 = mesh.shape
+    require_buffer(mt, "mt", size=lanes * k3)
+    _require_ranges(ranges, k3)
+    kern = _compiled("interleave")
     for lo, hi in ranges:
         kern(lo, hi, mesh, k3, lanes, mt)
 
@@ -1373,9 +1394,14 @@ def interp_interleaved(order: np.ndarray, weights: np.ndarray,
     """Gather particle rows ``order[lo:hi]`` of every range from the
     lane-interleaved ``mt (K^3, lanes)`` into ``out (lanes, n)``, every
     lane per visit of a row: the bytes of :func:`interp_ranges` on the
-    batch-first mesh, in any visit order.  Compiled kernels only."""
+    batch-first mesh, in any visit order.  Compiled kernels only.
+    ``out`` and the ranges are checked first (``ConfigurationError``)."""
+    pcube, n = weights.shape[1], weights.shape[0]
+    require(np.ndim(out) == 2, f"out must be 2-D, got shape {np.shape(out)}")
+    lanes = out.shape[0]
+    require_buffer(out, "out", shape=(lanes, n))
+    _require_ranges(ranges, len(order))
     kern = _compiled("gather")
-    pcube, (lanes, n) = weights.shape[1], out.shape
     for lo, hi in ranges:
         kern(lo, hi, order, weights, columns, pcube, mt, lanes, n, out)
 
@@ -1387,9 +1413,12 @@ def spread_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     ``values (n, lanes)`` into the batch-first mesh ``out (lanes, K^3)``,
     every row written: the compiled gather, or the same rows through
     SciPy's CSR product, a cache-sized run at a time so that the
-    lane-last ``(K^3, lanes)`` mesh never exists."""
+    lane-last ``(K^3, lanes)`` mesh never exists.  ``out`` and the
+    ranges are checked first (``ConfigurationError``)."""
+    (n, lanes), k3 = values.shape, len(indptr) - 1
+    require_buffer(out, "out", shape=(lanes, k3))
+    _require_ranges(ranges, k3)
     kern = getattr(_bundle(), "rows", None)
-    (n, lanes), k3 = values.shape, out.shape[1]
     for lo, hi in ranges:
         if kern is not None:
             kern(lo, hi, indptr, indices, data, values, lanes, out, k3)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import Box, FluidParams, REDUCED
 from repro.sparse.kernels import reset_kernel_cache
 from repro.systems import random_suspension
+
+# the repository's linter is a tool beside the package, not part of it:
+# tests/test_lint.py imports it as `rprlint` from tools/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture

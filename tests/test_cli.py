@@ -181,13 +181,16 @@ def test_subcommands_are_pinned(capsys):
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     assert list(sub.choices) == [
-        "simulate", "ensemble", "profile", "analyze", "tune", "lint",
+        "simulate", "ensemble", "profile", "analyze", "tune",
         "config", "serve", "submit", "info"]
-    # no `bench` subcommand: benchmarks/suite is the performance gate
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "compare", "x.json"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # no `bench` subcommand: benchmarks/suite is the performance gate;
+    # no `lint` subcommand: the linter is tools/rprlint, not part of repro
+    for argv, name in ((["bench", "compare", "x.json"], "bench"),
+                       (["lint", "src"], "lint")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_algorithm():

@@ -1,5 +1,7 @@
-"""Tests of the static layer: rules RPR001-RPR013, noqa, selection,
-CLI, output formats."""
+"""Tests of the repository's linter (``tools/rprlint``): rules
+RPR001-RPR013, noqa, the CLI and its output formats.  The tool is not
+part of ``repro``; ``conftest.py`` puts ``tools/`` on the path, so it
+imports as ``rprlint``."""
 
 from __future__ import annotations
 
@@ -9,18 +11,13 @@ from textwrap import dedent
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.lint import (
-    REPORT_JSON_SCHEMA,
-    all_rules,
-    lint_paths,
-    lint_source,
-    resolve_selection,
-)
-from repro.lint.cli import format_github, main as lint_main
-from repro.lint.findings import Finding
+from rprlint import REPORT_JSON_SCHEMA, all_rules, lint_paths, lint_source
+from rprlint.cli import format_github
+from rprlint.cli import main as lint_main
+from rprlint.findings import Finding
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC_DIR, TOOL_DIR = REPO / "src", REPO / "tools" / "rprlint"
 
 
 def rule_ids(source: str) -> list[str]:
@@ -29,8 +26,8 @@ def rule_ids(source: str) -> list[str]:
 
 
 def test_importing_the_package_does_not_load_the_analyser():
-    # the numeric core imports nothing from repro.lint, not even to
-    # build and apply an operator (CI runs the same check)
+    # the numeric core imports no linter, not even to build and apply
+    # an operator, and the package ships none (CI runs the same check)
     import os
     import subprocess
     import sys
@@ -44,8 +41,8 @@ def test_importing_the_package_does_not_load_the_analyser():
         "op.apply_block(np.ones((30, 2)))\n"
         "loaded = [m for m in sys.modules if m.startswith('repro.lint')]\n"
         "assert not loaded, loaded\n"
-        "from repro.lint import lint_paths, Finding, all_rules\n"
-        "assert 'repro.lint.engine' in sys.modules and all_rules()\n")
+        "import importlib.util\n"
+        "assert importlib.util.find_spec('repro.lint') is None\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
@@ -70,51 +67,6 @@ def test_every_rule_has_summary_and_rationale():
     for rule in all_rules():
         assert rule.meta.summary
         assert rule.meta.rationale
-
-
-def test_resolve_selection_prefixes():
-    assert resolve_selection(["RPR001"], None) == {"RPR001"}
-    everything = resolve_selection(None, None)
-    assert resolve_selection(["RPR"], None) == everything
-    assert "RPR007" not in resolve_selection(None, ["RPR007"])
-    with pytest.raises(ConfigurationError):
-        resolve_selection(["RPR9"], None)
-    with pytest.raises(ConfigurationError):
-        resolve_selection(None, ["XXX1"])
-
-
-def test_selection_overlapping_select_and_ignore():
-    assert resolve_selection(["RPR00"], ["RPR005"]) == (
-        {f"RPR00{k}" for k in range(10)} - {"RPR005"})
-    assert resolve_selection(["RPR01"], ["RPR01"]) == set()
-
-
-def test_selection_unknown_prefix_message_names_it():
-    with pytest.raises(ConfigurationError, match=r"RPR9.*matches no"):
-        resolve_selection(["RPR9"], None)
-    with pytest.raises(ConfigurationError, match="--ignore"):
-        resolve_selection(None, ["ZZZ"])
-
-
-def test_rpr000_participates_in_selection(tmp_path):
-    bad = tmp_path / "broken.py"
-    bad.write_text("def broken(:\n")
-    findings, checked = lint_paths([bad])
-    assert checked == 1
-    assert [f.rule for f in findings] == ["RPR000"]
-
-    only, _ = lint_paths([bad], select=["RPR000"])
-    assert [f.rule for f in only] == ["RPR000"]
-
-    none, _ = lint_paths([bad], ignore=["RPR000"])
-    assert none == []
-
-
-def test_rpr000_excluded_by_narrow_select(tmp_path):
-    bad = tmp_path / "broken.py"
-    bad.write_text("def broken(:\n")
-    findings, _ = lint_paths([bad], select=["RPR001"])
-    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -495,10 +447,16 @@ def test_noqa_other_rule_does_not_suppress():
     """)
 
 
-def test_syntax_error_becomes_rpr000_finding():
+def test_syntax_error_becomes_rpr000_finding(tmp_path):
     findings = lint_source("def broken(:\n", "bad.py")
     assert len(findings) == 1
     assert findings[0].rule == "RPR000"
+    # a file on disk reports the same one finding
+    bad = tmp_path / "broken.py"
+    bad.write_text("def broken(:\n")
+    findings, checked = lint_paths([bad])
+    assert checked == 1
+    assert [f.rule for f in findings] == ["RPR000"]
 
 
 # multi-line noqa: any physical line of the statement suppresses
@@ -559,7 +517,7 @@ def test_repo_src_is_lint_clean():
 
 
 # ----------------------------------------------------------------------
-# CLI: exit codes, select/ignore, formats
+# CLI: exit codes, formats
 # ----------------------------------------------------------------------
 
 SEEDED_VIOLATIONS = dedent("""
@@ -593,24 +551,6 @@ def test_cli_zero_exit_on_clean_file(tmp_path, capsys):
     assert "no findings" in capsys.readouterr().out
 
 
-def test_cli_select_restricts_rules(seeded_file, capsys):
-    assert lint_main([str(seeded_file), "--select", "RPR002"]) == 1
-    out = capsys.readouterr().out
-    assert "RPR002" in out
-    assert "RPR007" not in out
-
-
-def test_cli_ignore_can_silence_everything(seeded_file):
-    code = lint_main([str(seeded_file),
-                      "--ignore", "RPR001,RPR002,RPR005,RPR007,RPR008"])
-    assert code == 0
-
-
-def test_cli_unknown_rule_is_usage_error(seeded_file, capsys):
-    assert lint_main([str(seeded_file), "--select", "NOPE"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
 def test_cli_missing_path_is_usage_error(tmp_path, capsys):
     assert lint_main([str(tmp_path / "does_not_exist.py")]) == 2
 
@@ -637,7 +577,9 @@ def test_list_rules_is_the_file_rule_set(tmp_path, capsys):
 
     clean = tmp_path / "clean.py"
     clean.write_text("X = 1\n")
-    assert _exit_code([str(clean), "--select", "RPR1"]) == 2
+    # every run applies every rule: no selection knobs, one name a flag
+    for gone in ("--select", "--ignore", "--output-format", "-f"):
+        assert _exit_code([str(clean), gone, "json"]) == 2, gone
     # the call-graph export option is gone (spelled in two pieces so a
     # grep for leftover uses of it stays empty)
     assert _exit_code([str(clean), "--" + "graph",
@@ -685,16 +627,9 @@ def test_cli_github_format(tmp_path, capsys):
     target = tmp_path / "code.py"
     target.write_text("import numpy as np\n"
                       "x = np.zeros(3, dtype=np.float32)\n")
-    assert lint_main([str(target), "--output-format", "github"]) == 1
+    assert lint_main([str(target), "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert "::warning file=" in out and "RPR005" in out
-
-
-def test_repro_cli_lint_subcommand(seeded_file):
-    from repro.cli import main as repro_main
-
-    assert repro_main(["lint", str(seeded_file)]) == 1
-    assert repro_main(["lint", str(seeded_file), "--select", "RPR006"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -856,10 +791,10 @@ def removed_name_findings(source: str, path: str) -> list[Finding]:
 
 
 def test_rpr013_flags_every_removed_name_once():
-    from repro.lint.removed import REMOVED_NAMES
+    from rprlint.removed import REMOVED_NAMES
 
     changes = (SRC_DIR.parent / "CHANGES.md").read_text(encoding="utf-8")
-    assert len(REMOVED_NAMES) == 75     # a row leaves only with its name
+    assert len(REMOVED_NAMES) == 78     # a row leaves only with its name
     for row in REMOVED_NAMES:
         assert row.change in changes, row.change
         if row.pattern.startswith("^"):
@@ -889,15 +824,34 @@ def test_rpr013_path_scopes(seed, path, count):
 
 
 def test_rpr013_table_module_does_not_report_itself():
-    import repro.lint.removed as removed
+    import rprlint.removed as removed
 
-    table = Path(removed.__file__)
-    findings, checked = lint_paths([table], select=["RPR013"])
-    assert checked == 1 and findings == []
-    # a copy elsewhere in the package reports every literal it spells
+    # the table lives outside src/repro, so it is out of the rule's scope
+    table = TOOL_DIR / "removed.py"
+    findings, checked = lint_paths([table])
+    assert checked == 1
+    assert [f for f in findings if f.rule == "RPR013"] == []
+    # a copy inside the package reports every literal it spells
     source = table.read_text(encoding="utf-8")
     flagged = {f.message.split("`")[1] for f in
                removed_name_findings(source, "src/repro/core/copy.py")}
     assert flagged == {row.pattern for row in removed.REMOVED_NAMES
                        if not (row.pattern.startswith("^") or row.under)}
 
+
+def test_tool_runs_without_repro(seeded_file):
+    # the one invocation, `python tools/rprlint`, in a fresh interpreter
+    # that ignores PYTHONPATH and cannot import repro
+    import subprocess
+    import sys
+
+    code = ("import runpy, sys\n"
+            "sys.modules['repro'] = None\n"
+            f"sys.argv = ['rprlint', {str(seeded_file)!r}, '--format', 'json']\n"
+            f"runpy.run_path({str(TOOL_DIR)!r}, run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=seeded_file.parent)
+    assert done.returncode == 1, done.stderr
+    assert set(json.loads(done.stdout)["counts"]) == {
+        "RPR001", "RPR002", "RPR005", "RPR007", "RPR008"}

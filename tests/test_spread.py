@@ -358,3 +358,56 @@ def test_validation():
         InterpolationMatrix(r, box, K=4, p=6)   # K < p
     with pytest.raises(ConfigurationError):
         InterpolationMatrix(r, box, K=16, p=1)  # bad order
+
+
+def _wrapper_calls(interp, lanes):
+    """Each kernel wrapper that writes a buffer: the call given that
+    buffer and its ranges, the buffer's shape, a shape one short, and
+    the rows its ranges index."""
+    from repro.sparse import kernels
+
+    n, k3 = interp.n, interp.K ** 3
+    w, c = interp.weights, interp.columns
+    values, mesh = np.ones((n, lanes)), np.ones((lanes, k3))
+    ids, order = np.arange(n, dtype=np.int64), interp.build_order()
+    rows, mt = interp.build_rows(), np.ones(lanes * k3)
+    return {
+        "spread_ranges": (lambda out, rg: kernels.spread_ranges(
+            w, c, ids, values, out, rg), (lanes, k3), (lanes - 1, k3), n),
+        "spread_rows": (lambda out, rg: kernels.spread_rows(
+            *rows, values, out, rg), (lanes, k3), (lanes, k3 - 1), k3),
+        "interp_ranges": (lambda out, rg: kernels.interp_ranges(
+            w, c, mesh, out, rg), (lanes, n), (lanes, n - 1), n),
+        "mesh_interleave": (lambda out, rg: kernels.mesh_interleave(
+            mesh, out, rg), (lanes * k3,), (lanes * k3 - 1,), k3),
+        "interp_interleaved": (lambda out, rg: kernels.interp_interleaved(
+            order, w, c, mt, out, rg), (lanes, n), (lanes, n - 1), n),
+    }
+
+
+@pytest.mark.parametrize("fault", ["short", "strided", "float32", "range"])
+@pytest.mark.parametrize("wrapper", ["spread_ranges", "spread_rows",
+                                     "interp_ranges", "mesh_interleave",
+                                     "interp_interleaved"])
+def test_kernel_wrappers_check_what_they_write(wrapper, fault, kernel_mode):
+    # a buffer a wrapper writes, or a range it writes over, that does not
+    # fit is refused before a pointer reaches C, in both kernel modes
+    from repro.sparse import kernels
+
+    r = np.random.default_rng(3).uniform(0, 8.0, size=(10, 3))
+    interp = InterpolationMatrix(r, Box(8.0), K=8, p=4)
+    call, shape, short, rows = _wrapper_calls(interp, lanes=3)[wrapper]
+    if kernels.kernel_available() or wrapper in (
+            "spread_ranges", "spread_rows", "interp_ranges"):
+        call(np.zeros(shape), [(0, rows)])      # the fitting buffer runs
+    ranges = [(0, rows)]
+    if fault == "short":
+        out = np.zeros(short)
+    elif fault == "strided":
+        out = np.zeros(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    elif fault == "float32":
+        out = np.zeros(shape, dtype=np.float32)
+    else:
+        out, ranges = np.zeros(shape), [(0, rows + 1)]
+    with pytest.raises(ConfigurationError, match=r"\bout\b|\bmt\b|range"):
+        call(out, ranges)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import rules as _builtin_rules  # noqa: F401 - registers RPR rules
 from .findings import Finding
-from .registry import Rule, SYNTAX_ERROR_ID, all_rules, resolve_selection
+from .registry import SYNTAX_ERROR_ID, Rule, all_rules
 
 __all__ = ["FileContext", "lint_source", "lint_paths", "iter_python_files"]
 
@@ -141,20 +141,16 @@ def _run_file_rules(ctx: FileContext,
     return findings
 
 
-def lint_source(source: str, display_path: str,
-                rules: Sequence[Rule] | None = None,
-                include_syntax_errors: bool = True) -> list[Finding]:
+def lint_source(source: str, display_path: str) -> list[Finding]:
     """Lint one in-memory source string; returns surviving findings.
 
     Syntax errors produce one ``RPR000`` finding at the error location
     instead of raising.
     """
-    if rules is None:
-        rules = all_rules()
     parsed = parse_context(source, display_path)
     if isinstance(parsed, Finding):
-        return [parsed] if include_syntax_errors else []
-    return sorted(_run_file_rules(parsed, rules))
+        return [parsed]
+    return sorted(_run_file_rules(parsed, all_rules()))
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -177,27 +173,19 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return out
 
 
-def lint_paths(paths: Iterable[str | Path],
-               select: Iterable[str] | None = None,
-               ignore: Iterable[str] | None = None
-               ) -> tuple[list[Finding], int]:
+def lint_paths(paths: Iterable[str | Path]) -> tuple[list[Finding], int]:
     """Lint files and directories; returns ``(findings, files_checked)``.
 
     Unreadable files raise ``OSError`` to the caller — a missing path on
     the command line is a usage error, not a lint finding.
     """
-    selected = resolve_selection(select, ignore)
-    rules = [r for r in all_rules() if r.meta.id in selected]
-    emit_syntax = SYNTAX_ERROR_ID in selected
-
+    rules = all_rules()
     findings: list[Finding] = []
     files = iter_python_files(paths)
     for path in files:
-        source = path.read_text(encoding="utf-8")
-        parsed = parse_context(source, str(path))
+        parsed = parse_context(path.read_text(encoding="utf-8"), str(path))
         if isinstance(parsed, Finding):
-            if emit_syntax:
-                findings.append(parsed)
-            continue
-        findings.extend(_run_file_rules(parsed, rules))
+            findings.append(parsed)
+        else:
+            findings.extend(_run_file_rules(parsed, rules))
     return sorted(findings), len(files)

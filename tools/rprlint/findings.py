@@ -1,7 +1,7 @@
 """Finding records produced by the linter and their JSON representation.
 
 A :class:`Finding` is one rule violation at one source location.  The
-JSON document emitted by ``python -m repro.lint --format json`` is
+JSON document emitted by ``python tools/rprlint --format json`` is
 described by :data:`REPORT_JSON_SCHEMA` (a JSON-Schema fragment the test
 suite validates against), so CI tooling can consume the output without
 parsing the human-readable text format.

@@ -1,8 +1,8 @@
 """The table of RPR013: every name a simplification removed from
 ``src/repro``, with the ``CHANGES.md`` title of the change that removed
 it.  A row's pattern is matched on every line of a file under
-``src/repro/`` as ``grep -E`` matches it (comments and strings count).
-This module spells every name, so the rule skips it.
+``src/repro/`` as ``grep -E`` matches it (comments and strings count),
+so ``repro.lint`` also bans ``repro-lint`` and ``repro lint``.
 """
 
 from __future__ import annotations
@@ -67,5 +67,8 @@ REMOVED_NAMES: tuple[Removed, ...] = (
         ("One clock module: timing lives in repro.obs, the benchmark "
          "harness leaves the library",
          "repro.bench repro.utils.timing OverlapError"),
+        ("The linter leaves the simulator: one repository tool under "
+         "tools/, one way to run it",
+         "repro.lint --output-format resolve_selection"),
     ) for name in names.split()),
 )

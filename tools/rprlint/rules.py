@@ -715,7 +715,7 @@ class RemovedNameRule(Rule):
 
     meta = RuleMeta(
         id="RPR013", name="removed-name",
-        summary="a name in the table of repro.lint.removed (a removed "
+        summary="a name in the table of rprlint/removed.py (a removed "
                 "option, parallel path or format) appears under src/repro/",
         rationale="Each simplification left one path per job; a removed "
                   "name that comes back, even in a comment, starts a "
@@ -723,12 +723,10 @@ class RemovedNameRule(Rule):
 
     _ANY = re.compile("|".join(f"(?:{row.pattern})"
                                for row in removed.REMOVED_NAMES))
-    _TABLE = Path(removed.__file__).resolve()
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        path = Path(ctx.display_path)
-        posix = "/" + path.as_posix()
-        if "/src/repro/" not in posix or path.resolve() == self._TABLE:
+        posix = "/" + Path(ctx.display_path).as_posix()
+        if "/src/repro/" not in posix:
             return
         rel = posix.rsplit("/src/repro/", 1)[1]     # e.g. neighbor/pairs.py
         rows = [row for row in removed.REMOVED_NAMES
