@@ -16,7 +16,7 @@ The subcommands cover the common workflows:
   runtime configuration with provenance,
 * ``serve``    — the batched simulation service on a local socket,
 * ``submit``   — send one request to a running ``serve`` instance,
-* ``info``     — version, backend and machine-model summary.
+* ``info``     — version and machine-model summary.
 """
 
 from __future__ import annotations
@@ -209,16 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_exec_arguments(sub_parser: argparse.ArgumentParser) -> None:
-    from .config import BACKENDS
-
-    sub_parser.add_argument(
-        "--backend", choices=list(BACKENDS), default=None,
-        help="execution backend for the PME pipeline (default: "
-             "REPRO_BACKEND or serial)")
     sub_parser.add_argument(
         "--exec-workers", type=int, default=None, metavar="N",
-        help="worker count for the threads backend (0 = one per CPU; "
-             "default: REPRO_EXEC_WORKERS)")
+        help="threads running the PME pipeline (1 = serial, 0 = one per "
+             "CPU; default: REPRO_EXEC_WORKERS or 1)")
 
 
 def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:
@@ -608,11 +602,10 @@ def _cmd_submit(args) -> int:
 
 
 def _apply_exec_overrides(args) -> None:
-    """Install ``--backend``/``--exec-workers`` as CLI-level config."""
+    """Install ``--exec-workers`` as CLI-level config."""
     from . import config as config_mod
 
     config_mod.set_cli_overrides(
-        backend=getattr(args, "backend", None),
         exec_workers=getattr(args, "exec_workers", None))
     config_mod.get_config()     # resolve now: a bad value is a usage error
 

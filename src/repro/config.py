@@ -5,15 +5,15 @@ site, which would make the effective configuration impossible to
 inspect and the precedence rules implicit.  This module holds them all:
 
 * :class:`RuntimeConfig` is a frozen dataclass holding every runtime
-  knob, including the execution-backend settings of :mod:`repro.exec`;
+  knob, including the worker count of :mod:`repro.exec`;
 * :func:`get_config` resolves ``env > CLI > defaults`` on every call
   (the environment lookup is a handful of dict accesses, so
   long-running processes and tests can flip a variable at runtime and
   the next call sees it);
 * :func:`set_cli_overrides` is how ``repro ...`` subcommands inject
-  ``--backend``/``--exec-workers`` and friends; environment variables
-  still win, so a deployment can pin a knob across an entire campaign
-  regardless of what individual commands pass.
+  ``--exec-workers``; environment variables still win, so a deployment
+  can pin a knob across an entire campaign regardless of what
+  individual commands pass.
 
 ``repro config show`` prints the resolved table with per-field
 provenance.  The benchmark scripts' ``REPRO_BENCH_SCALE`` and
@@ -30,7 +30,6 @@ from typing import Any, Iterator, Mapping
 __all__ = [
     "RuntimeConfig",
     "ENV_VARS",
-    "BACKENDS",
     "get_config",
     "set_cli_overrides",
     "clear_cli_overrides",
@@ -38,14 +37,10 @@ __all__ = [
     "available_cpus",
 ]
 
-#: Supported execution backends (see :mod:`repro.exec`).
-BACKENDS = ("serial", "threads")
-
 #: Field name -> environment variable consulted for it.
 ENV_VARS: Mapping[str, str] = {
     "no_ckernel": "REPRO_NO_CKERNEL",
     "ckernel_cache": "REPRO_CKERNEL_CACHE",
-    "backend": "REPRO_BACKEND",
     "exec_workers": "REPRO_EXEC_WORKERS",
 }
 
@@ -64,25 +59,18 @@ def available_cpus() -> int:
 class RuntimeConfig:
     """Every runtime knob of the package, resolved.
 
-    Values are stored in their *raw* normalized form; the
-    execution-backend fields are validated here.
+    Values are stored in their *raw* normalized form; the worker
+    count is validated here.
     """
 
     #: Disable the runtime-compiled C kernels entirely.
     no_ckernel: bool = False
     #: Override directory caching compiled kernel libraries.
     ckernel_cache: str = ""
-    #: Execution backend: ``"serial"`` or ``"threads"``.
-    backend: str = "serial"
-    #: Worker count for the threads backend (0 = auto: one per CPU).
-    exec_workers: int = 0
+    #: Execution workers: 1 = serial, N > 1 = N threads, 0 = one per CPU.
+    exec_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            from .errors import ConfigurationError
-            raise ConfigurationError(
-                f"backend must be one of {'|'.join(BACKENDS)}, "
-                f"got {self.backend!r} (REPRO_BACKEND / --backend)")
         if self.exec_workers < 0:
             from .errors import ConfigurationError
             raise ConfigurationError(
@@ -90,9 +78,7 @@ class RuntimeConfig:
                 f"{self.exec_workers} (REPRO_EXEC_WORKERS / --exec-workers)")
 
     def resolved_workers(self) -> int:
-        """The effective worker count (auto = one per available CPU)."""
-        if self.backend == "serial":
-            return 1
+        """The effective worker count (0 = one per available CPU)."""
         return self.exec_workers if self.exec_workers > 0 else available_cpus()
 
     def as_dict(self) -> dict[str, Any]:
@@ -112,8 +98,6 @@ def _coerce(name: str, raw: str) -> Any:
             raise ConfigurationError(
                 f"{ENV_VARS[name]} must be an integer, got {raw!r}"
             ) from None
-    if name == "backend":
-        return raw.strip().lower() or getattr(RuntimeConfig, name)
     return raw
 
 

@@ -24,8 +24,8 @@ place that decides how a stage is split) writes disjoint outputs and
 preserves the per-element accumulation order, so parallelism never
 perturbs the floating-point sums.  ``serial`` is not the absence of a
 context: it is a one-worker context running every task inline, and it
-is what :func:`default_context` returns unless the config selects
-``threads``.
+is what :func:`default_context` returns unless the configured worker
+count (``REPRO_EXEC_WORKERS`` / ``--exec-workers``) is not 1.
 
 The pool is created lazily on first dispatch and owned until
 :meth:`ExecutionContext.close` (idempotent; the context is also a
@@ -38,15 +38,18 @@ from __future__ import annotations
 
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
 from .. import obs
-from ..config import BACKENDS, get_config
+from ..config import get_config
 from ..errors import ConfigurationError
 
-__all__ = ["ExecutionContext", "INLINE", "default_context",
+__all__ = ["BACKENDS", "ExecutionContext", "INLINE", "default_context",
            "reset_default_context", "row_blocks"]
+
+#: The backend names a context can be given.
+BACKENDS = ("serial", "threads")
 
 
 def row_blocks(n_rows: int, n_workers: int) -> list[tuple[int, int]]:
@@ -76,28 +79,28 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        ``"serial"`` or ``"threads"``; default from
-        :func:`repro.config.get_config`.
+        ``"serial"`` or ``"threads"``; by default ``serial`` for one
+        worker and ``threads`` for more.
     workers:
         Worker count; default is the config's resolved count (one per
-        available CPU when the ``exec_workers`` knob is 0).  The
-        ``serial`` backend always reports one worker.
+        available CPU when ``exec_workers`` is 0).  The ``serial``
+        backend always reports one worker.
     """
 
     def __init__(self, backend: str | None = None,
                  workers: int | None = None):
-        backend = (get_config().backend if backend is None
-                   else str(backend).lower())
-        if backend not in BACKENDS:
+        backend = None if backend is None else str(backend).lower()
+        if backend not in (None, *BACKENDS):
             raise ConfigurationError(
                 f"backend must be one of {'|'.join(BACKENDS)}, "
                 f"got {backend!r}")
-        if workers is None:
-            workers = (1 if backend == "serial"
-                       else get_config().resolved_workers())
+        if backend == "serial":
+            workers = 1
+        elif workers is None:
+            workers = get_config().resolved_workers()
         workers = max(1, int(workers))
-        self._backend = backend
-        self._workers = 1 if backend == "serial" else workers
+        self._backend = backend or ("serial" if workers == 1 else "threads")
+        self._workers = workers
         self._thread_pool: ThreadPoolExecutor | None = None
         self._closed = False
         self._lock = threading.Lock()
@@ -153,7 +156,9 @@ class ExecutionContext:
 
         A context with more than one worker dispatches to its thread
         pool (the compiled kernels and pocketfft release the GIL, so
-        this is genuine parallelism); one worker runs inline.
+        this is genuine parallelism); one worker runs inline.  A failure
+        is re-raised (the first in task order) once every task is done,
+        so no sibling still writes a buffer the caller reuses.
         """
         self._check_open()
         if not tasks:
@@ -170,7 +175,11 @@ class ExecutionContext:
 
             pool = self.thread_pool()
             futures = [pool.submit(timed, task) for task in tasks]
-            results = [future.result() for future in futures]
+            try:
+                results = [future.result() for future in futures]
+            except BaseException:
+                wait(futures)
+                raise
             queue_lag = max(0.0, (first_start[0] or submit_t) - submit_t)
         else:
             results = [task() for task in tasks]
@@ -234,19 +243,16 @@ def default_context() -> ExecutionContext:
     """The config-selected context shared by operators built without
     an explicit ``context=``.
 
-    With the default ``serial`` backend that is a one-worker context
-    running every stage on the calling thread; when the resolved
-    :class:`~repro.config.RuntimeConfig` selects ``threads``
-    (``REPRO_BACKEND`` / ``--backend``) it is one pooled context,
-    rebuilt when the backend or worker count changes.
+    With the default worker count of 1 that is a ``serial`` context
+    running every stage on the calling thread; a larger resolved count
+    (``REPRO_EXEC_WORKERS`` / ``--exec-workers``) gives one pooled
+    ``threads`` context, rebuilt when the count changes.
     """
-    config = get_config()
-    key = (config.backend, config.resolved_workers())
+    workers = get_config().resolved_workers()
     global _default
-    if (_default is None or _default.closed
-            or (_default.backend, _default.workers) != key):
+    if _default is None or _default.closed or _default.workers != workers:
         reset_default_context()     # stale config: release the old pool
-        _default = ExecutionContext(*key)
+        _default = ExecutionContext(workers=workers)
     return _default
 
 

@@ -329,18 +329,21 @@ class InterpolationMatrix:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by ``P``, by ``P'`` once built (values, indices
-        and row pointers of each) and by the visit order once built.
+        """Bytes held by ``P``, by ``P'`` once built and by the visit
+        order once built, every distinct buffer once.
 
         The paper's model charges ``12 p^3 n`` bytes for ``P`` (8-byte
-        values + 4-byte column indices).  ``P'`` (same nonzeros, 8-byte
-        indices, a ``K^3 + 1`` row pointer) is resident only where
-        blocks are gathered: on a multi-worker operator, and after the
-        first wide spread on one worker; the visit order (``8 n``
-        bytes) after the first wide interpolation.  What is actually
-        held is reported.
+        values + 4-byte column indices); held are ``20 p^3 n``, as the
+        int64 :attr:`columns` sit beside the CSR's int32 copy.  ``P'``
+        (same nonzeros, 8-byte indices, a ``K^3 + 1`` row pointer) is
+        resident only where blocks are gathered: on a multi-worker
+        operator, and after the first wide spread on one worker; the
+        visit order (``8 n`` bytes) after the first wide interpolation.
         """
         m = self.matrix
-        return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                + sum(a.nbytes for a in self._pt or ())
-                + (0 if self._order is None else self._order.nbytes))
+        arrays = (m.data, m.indices, m.indptr, self.weights, self.columns,
+                  *(self._pt or ()),
+                  *(() if self._order is None else (self._order,)))
+        # the CSR's values are a view of weights: key by buffer address
+        return sum({(a.__array_interface__["data"][0], a.nbytes): a.nbytes
+                    for a in arrays}.values())

@@ -39,12 +39,14 @@ class GracefulShutdown:
     final checkpoint write.  Original handlers are restored on exit.
 
     Instances are **nest-safe**: entering a second ``GracefulShutdown``
-    inside an active one (the serve loop wrapping an inner ensemble
-    drain) saves the outer handler and chains to it on delivery, so a
-    single SIGTERM trips *every* level of the stack — the inner drain
-    stops at its boundary and the outer loop still knows it must stop
-    too.  Non-``GracefulShutdown`` previous handlers are restored but
-    never invoked (the flag-only discipline stays intact).
+    inside an active one (a caller's loop around a drained
+    ``Supervisor.run``; serve never nests: its jobs run with no
+    ``shutdown``, off the main thread) saves the outer handler and
+    chains to it on delivery, so a single SIGTERM trips *every* level
+    of the stack — the inner drain stops at its boundary and the outer
+    loop still knows it must stop too.  Non-``GracefulShutdown``
+    previous handlers are restored but never invoked (the flag-only
+    discipline stays intact).
 
     Parameters
     ----------

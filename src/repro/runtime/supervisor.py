@@ -274,17 +274,16 @@ class Supervisor:
         return handle
 
     def _exec_config(self, pool_size: int) -> dict[str, Any]:
-        """Per-worker execution context description.
+        """Per-worker execution context description: the worker count.
 
         The configured worker budget is divided evenly between the
         ``pool_size`` workers actually spawned (never more than there
-        are tasks), so co-resident tasks don't oversubscribe the machine
-        (a ``serial`` context is one worker whatever the share).
+        are tasks), so co-resident tasks don't oversubscribe the machine;
+        a share of one runs ``serial``, a larger one on ``threads``.
         """
         from ..config import get_config
-        cfg = get_config()
-        share = max(1, cfg.resolved_workers() // pool_size)
-        return {"backend": cfg.backend, "workers": share}
+        return {"workers": max(1, get_config().resolved_workers()
+                               // pool_size)}
 
     def _obs_config(self) -> dict[str, Any] | None:
         """Worker observability config (``None`` when obs is off)."""

@@ -24,13 +24,13 @@ for hand-written clients.
 
 :class:`SystemSpec` is the deterministic system recipe shared by
 ``mobility.apply`` and ``simulate`` requests.  Its
-:meth:`~SystemSpec.fingerprint` folds in the result-affecting
-:class:`~repro.config.RuntimeConfig` knob (``no_ckernel`` — backends
-are bit-identical, kernel modes are not), so the batching scheduler
-only ever coalesces requests that are provably answerable by one
-operator, and a served simulation's job directory — named after the
-fingerprint — never answers with bytes produced under a different
-kernel configuration.
+:meth:`~SystemSpec.fingerprint` folds in the kernel mode that runs
+(``no_ckernel``: true when the compiled kernels are off or did not
+load — worker counts are bit-identical, kernel modes are not), so the
+batching scheduler only ever coalesces requests that are provably
+answerable by one operator, and a served simulation's job directory —
+named after the fingerprint — never answers with bytes produced under
+a different kernel configuration.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from typing import Any
 
 import numpy as np
 
-from ..config import get_config
 from ..errors import ReproError
 from ..pme.tuning import VALIDATED_ORDERS
+from ..sparse.kernels import kernel_available
 
 __all__ = ["PROTOCOL", "ProtocolError", "SystemSpec", "encode_array",
            "decode_array", "encode_message", "decode_line",
@@ -172,10 +172,9 @@ class SystemSpec:
 
     def _digest(self, payload: dict[str, Any]) -> str:
         payload = dict(payload)
-        # the one RuntimeConfig knob that changes result *bytes*:
-        # backend choice is bit-identical by the exec-layer contract,
-        # the compiled-vs-NumPy kernel mode is not
-        payload["no_ckernel"] = get_config().no_ckernel
+        # what changes result *bytes* is the kernel mode that runs (off
+        # by the knob or not loaded); worker counts are bit-identical
+        payload["no_ckernel"] = not kernel_available()
         payload["schema"] = PROTOCOL
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))

@@ -25,9 +25,12 @@ histogram whose p50/p90/p99 the ``stats`` op reports.
 
 The server listens on a Unix socket (``socket_path``) or a local TCP
 port; :meth:`SimulationService.run_forever` wires SIGTERM/SIGINT to a
-graceful stop through :class:`~repro.runtime.signals.GracefulShutdown`
-(nest-safe: inner ensemble drains stack under the serve loop's
-handler).
+graceful stop through :class:`~repro.runtime.signals.GracefulShutdown`.
+That is the only handler: a served job's campaign runs
+:meth:`~repro.runtime.supervisor.Supervisor.run` with no ``shutdown``
+on a thread of its own (where no signal handler can be installed),
+and :meth:`SimulationService.stop` drains it through
+:meth:`~repro.runtime.supervisor.Supervisor.request_drain`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from ..errors import ConfigurationError
 from ..exec import ExecutionContext
 from ..resilience import classify_exception
 from ..runtime.signals import GracefulShutdown
+from ..sparse.kernels import kernel_available
 from .admission import AdmissionController
 from .batching import MobilityBatcher, OperatorPool
 from .jobs import JobManager
@@ -153,6 +157,8 @@ class SimulationService:
             self._installed_metrics = True
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        # load the kernels off the loop; fingerprints read the memo
+        await self._loop.run_in_executor(self._executor, kernel_available)
         if self.settings.socket_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_client, path=self.settings.socket_path,
@@ -333,7 +339,7 @@ class SimulationService:
             return ok_response(message, {
                 "protocol": PROTOCOL, "settings": self.settings.to_json(),
                 "fingerprint_knobs": {
-                    "no_ckernel": get_config().no_ckernel}}), "ok"
+                    "no_ckernel": not kernel_available()}}), "ok"
         if op == "stats":
             return ok_response(message, self.stats()), "ok"
         shed = self.admission.check_inflight(state.inflight - 1)

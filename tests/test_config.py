@@ -38,46 +38,41 @@ def clean_slate(monkeypatch):
 
 def test_defaults():
     cfg = get_config()
-    assert cfg.backend == "serial"
-    assert cfg.exec_workers == 0
+    assert cfg.exec_workers == 1        # serial, inline
     assert cfg.no_ckernel is False
     assert cfg.ckernel_cache == ""
-    # the package's four knobs; the benchmark scripts read their own
+    # the package's three knobs; the benchmark scripts read their own
     assert list(cfg.as_dict()) == ["no_ckernel", "ckernel_cache",
-                                   "backend", "exec_workers"]
+                                   "exec_workers"]
     assert list(ENV_VARS) == list(cfg.as_dict())
 
 
 def test_env_beats_defaults(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
     monkeypatch.setenv("REPRO_NO_CKERNEL", "yes")
     cfg = get_config()
-    assert cfg.backend == "threads"
     assert cfg.exec_workers == 3
     assert cfg.no_ckernel is True
 
 
 def test_cli_beats_defaults():
-    set_cli_overrides(backend="threads", exec_workers=2)
-    cfg = get_config()
-    assert cfg.backend == "threads"
-    assert cfg.exec_workers == 2
+    set_cli_overrides(exec_workers=2)
+    assert get_config().exec_workers == 2
 
 
 def test_env_beats_cli(monkeypatch):
-    set_cli_overrides(backend="threads", exec_workers=8)
-    monkeypatch.setenv("REPRO_BACKEND", "serial")
+    set_cli_overrides(exec_workers=8, ckernel_cache="/from/cli")
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     cfg = get_config()
-    assert cfg.backend == "serial"       # env wins
-    assert cfg.exec_workers == 8         # CLI survives where env is unset
+    assert cfg.exec_workers == 2                 # env wins
+    assert cfg.ckernel_cache == "/from/cli"      # CLI survives where env is unset
 
 
 def test_none_cli_values_are_ignored():
-    set_cli_overrides(backend=None, exec_workers=4)
+    set_cli_overrides(exec_workers=None, ckernel_cache="/from/cli")
     cfg = get_config()
-    assert cfg.backend == "serial"
-    assert cfg.exec_workers == 4
+    assert cfg.exec_workers == 1
+    assert cfg.ckernel_cache == "/from/cli"
 
 
 def test_unknown_cli_field_rejected():
@@ -86,15 +81,15 @@ def test_unknown_cli_field_rejected():
 
 
 def test_live_env_flip_reresolves(monkeypatch):
-    assert get_config().backend == "serial"
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
-    assert get_config().backend == "threads"
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert get_config().backend == "serial"
+    assert get_config().exec_workers == 1
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
+    assert get_config().exec_workers == 2
+    monkeypatch.delenv("REPRO_EXEC_WORKERS")
+    assert get_config().exec_workers == 1
 
 
 def test_resolution_is_cached(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     assert get_config() is get_config()
 
 
@@ -102,10 +97,22 @@ def test_resolution_is_cached(monkeypatch):
 # validation
 # ---------------------------------------------------------------------------
 
-def test_invalid_backend_rejected(monkeypatch):
+def test_invalid_backend_rejected():
+    # the backend is not a setting: the worker count decides it, and
+    # the config takes no backend by keyword or as a CLI value
+    with pytest.raises(TypeError, match="backend"):
+        RuntimeConfig(backend="threads")
+    with pytest.raises(TypeError, match="unknown config fields"):
+        set_cli_overrides(backend="threads")
+
+
+def test_removed_backend_variable_is_ignored(monkeypatch, capsys):
+    # REPRO_BACKEND is read by nothing: any value resolves to the
+    # defaults, and `repro config show` does not list it
     monkeypatch.setenv("REPRO_BACKEND", "gpu")
-    with pytest.raises(ConfigurationError, match="backend"):
-        get_config()
+    assert get_config() == RuntimeConfig()
+    assert main(["config", "show"]) == 0
+    assert "REPRO_BACKEND" not in capsys.readouterr().out
 
 
 def test_negative_workers_rejected():
@@ -120,12 +127,11 @@ def test_non_integer_workers_rejected(monkeypatch):
 
 
 def test_resolved_workers():
-    assert RuntimeConfig(backend="serial", exec_workers=9) \
-        .resolved_workers() == 1
-    assert RuntimeConfig(backend="threads", exec_workers=3) \
-        .resolved_workers() == 3
-    assert RuntimeConfig(backend="threads", exec_workers=0) \
-        .resolved_workers() >= 1     # auto: one per available CPU
+    assert RuntimeConfig().resolved_workers() == 1
+    assert RuntimeConfig(exec_workers=3).resolved_workers() == 3
+    # 0: one per CPU of the affinity mask
+    assert (RuntimeConfig(exec_workers=0).resolved_workers()
+            == config_mod.available_cpus())
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +139,19 @@ def test_resolved_workers():
 # ---------------------------------------------------------------------------
 
 def test_config_table_provenance(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     set_cli_overrides(exec_workers=2)
     sources = {name: source for name, _, _, source in config_table()}
-    assert sources["backend"] == "env"
-    assert sources["exec_workers"] == "cli"
-    assert sources["no_ckernel"] == "default"
+    assert sources == {"no_ckernel": "env", "ckernel_cache": "default",
+                       "exec_workers": "cli"}
 
 
 def test_cli_config_show_table(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "5")
     assert main(["config", "show"]) == 0
     out = capsys.readouterr().out
-    assert "REPRO_BACKEND" in out and "REPRO_EXEC_WORKERS" in out
-    assert len(out.splitlines()) == 1 + 4     # header + one row per knob
+    assert "REPRO_EXEC_WORKERS" in out
+    assert len(out.splitlines()) == 1 + 3     # header + one row per knob
     line = next(ln for ln in out.splitlines()
                 if ln.startswith("exec_workers"))
     assert "5" in line and "env" in line
@@ -155,17 +160,31 @@ def test_cli_config_show_table(capsys, monkeypatch):
 def test_cli_config_show_json(capsys):
     assert main(["config", "show", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"] == "serial"
+    assert payload["exec_workers"] == 1
     assert set(payload) == set(ENV_VARS)
 
 
 def test_cli_backend_flag_feeds_config(tmp_path, capsys):
+    # there is no --backend flag: argparse rejects it on every command
+    # that took it, and --exec-workers alone selects threads
+    from repro.exec import default_context, reset_default_context
+
     out_file = tmp_path / "traj.npz"
-    rc = main(["simulate", "-n", "16", "--steps", "2", "--backend",
-               "threads", "--exec-workers", "2", "-o", str(out_file)])
+    for command in ("simulate", "ensemble", "profile", "serve"):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--backend", "threads"])
+        assert usage.value.code == 2
+        assert ("unrecognized arguments: --backend threads"
+                in capsys.readouterr().err), command
+    rc = main(["simulate", "-n", "16", "--steps", "2",
+               "--exec-workers", "2", "-o", str(out_file)])
     assert rc == 0
-    cfg = get_config()
-    assert cfg.backend == "threads" and cfg.exec_workers == 2
+    assert get_config().exec_workers == 2
+    try:
+        ctx = default_context()
+        assert (ctx.backend, ctx.workers) == ("threads", 2)
+    finally:
+        reset_default_context()
 
 
 def test_config_module_is_the_single_reader():

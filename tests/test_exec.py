@@ -44,11 +44,31 @@ def system():
 # ---------------------------------------------------------------------------
 
 def test_context_defaults_from_config(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
-    monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
-    ctx = ExecutionContext()
-    assert ctx.backend == "threads" and ctx.workers == 3
-    ctx.close()
+    # the configured worker count alone selects the backend; a named
+    # ``threads`` context takes the count too (0: one per CPU)
+    from repro.config import available_cpus
+
+    for env, workers in (("3", 3), ("0", available_cpus()), (None, 1)):
+        if env is None:
+            monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_EXEC_WORKERS", env)
+        with ExecutionContext() as ctx:
+            assert ctx.workers == workers
+            assert ctx.backend == ("serial" if workers == 1 else "threads")
+        with ExecutionContext("threads") as ctx:
+            assert (ctx.backend, ctx.workers) == ("threads", workers)
+
+
+def test_worker_count_decides_the_backend():
+    # no name: one worker is serial, more are threads; a given name
+    # keeps its meaning (serial is one worker whatever is asked)
+    cases = [((), 4, "threads", 4), ((), 1, "serial", 1),
+             (("serial",), 4, "serial", 1), (("threads",), 2, "threads", 2),
+             (("threads",), 1, "threads", 1)]
+    for args, asked, backend, workers in cases:
+        with ExecutionContext(*args, workers=asked) as ctx:
+            assert (ctx.backend, ctx.workers) == (backend, workers), args
 
 
 def test_serial_context_single_worker():
@@ -72,41 +92,32 @@ def test_close_is_idempotent_and_guards_use():
         ctx.run_tasks([lambda: None])
 
 
-@pytest.mark.parametrize("entry", ["env", "context", "cli", "cli-env"])
-def test_processes_backend_rejected(entry, monkeypatch, capsys):
-    # the validation that rejects ``gpu`` rejects the removed backend,
-    # and names the two that remain
-    if entry in ("cli", "cli-env"):
+@pytest.mark.parametrize("entry", ["context", "cli"])
+def test_processes_backend_rejected(entry, capsys):
+    # the validation that rejects ``gpu`` rejects the removed backend
+    # and names the two that remain; the CLI takes no backend at all
+    if entry == "cli":
         from repro.cli import main
 
-        argv = ["simulate", "-n", "10", "--steps", "1",
-                "--backend", "processes"]
-        if entry == "cli-env":      # same ending as the flag: no traceback
-            monkeypatch.setenv("REPRO_BACKEND", "processes")
-            argv = ["config", "show"]
         with pytest.raises(SystemExit) as usage:      # argparse
-            main(argv)
+            main(["simulate", "-n", "10", "--steps", "1",
+                  "--backend", "processes"])
         assert usage.value.code == 2
         message = capsys.readouterr().err
-        assert "error:" in message and "Traceback" not in message
+        assert "unrecognized arguments: --backend processes" in message
+        assert "Traceback" not in message
     else:
         with pytest.raises(ConfigurationError) as caught:
-            if entry == "env":
-                from repro.config import get_config
-
-                monkeypatch.setenv("REPRO_BACKEND", "processes")
-                get_config()
-            else:
-                ExecutionContext("processes")
+            ExecutionContext("processes")
         message = str(caught.value)
-    assert "processes" in message
-    assert "serial" in message and "threads" in message
+        assert "processes" in message
+        assert "serial" in message and "threads" in message
 
 
 def test_proc_pool_requires_processes_backend():
     # id pinned by the tier-1 floor; there is no process pool left to
     # require: the thread pool is the only one a context can own
-    from repro.config import BACKENDS as configured
+    from repro.exec import BACKENDS as configured
 
     assert configured == ("serial", "threads")
     with ExecutionContext(backend="threads", workers=2) as ctx:
@@ -119,6 +130,32 @@ def test_run_tasks_is_a_barrier():
     with ExecutionContext(backend="threads", workers=4) as ctx:
         ctx.run_tasks([lambda i=i: done.append(i) for i in range(16)])
     assert sorted(done) == list(range(16))
+
+
+def test_run_tasks_failure_waits_for_every_task():
+    # a task that raises does not end the barrier early: its siblings
+    # finish (they may be writing a buffer the caller reuses next),
+    # then the first failure in task order is raised
+    import threading
+    import time
+
+    started, done = threading.Event(), []
+
+    def fails(name):
+        def task():
+            started.wait(5.0)
+            raise ValueError(name)
+        return task
+
+    def slow():
+        started.set()
+        time.sleep(0.3)     # still running when both others raised
+        done.append("slow")
+
+    with ExecutionContext(backend="threads", workers=3) as ctx:
+        with pytest.raises(ValueError, match="first"):
+            ctx.run_tasks([fails("first"), slow, fails("second")])
+        assert done == ["slow"]
 
 
 def test_run_ranges_covers_each_index_once_with_no_empty_range():
@@ -191,7 +228,6 @@ def test_second_processes_context_exits_clean(tmp_path):
     done = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src,
-                               "REPRO_BACKEND": "threads",
                                "REPRO_EXEC_WORKERS": "2"})
     assert done.returncode == 0
     assert done.stderr == ""
@@ -203,7 +239,7 @@ def test_default_context_none_on_serial(monkeypatch, system):
     # it is a one-worker context that owns no pool, so an operator built
     # before a reset or a config flip keeps working
     box, r, params, f = system
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
     reset_default_context()
     ctx = default_context()
     assert ctx.backend == "serial" and ctx.workers == 1
@@ -211,9 +247,10 @@ def test_default_context_none_on_serial(monkeypatch, system):
     assert op.context is ctx
     first = op.apply_block(f)
     reset_default_context()
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     try:
-        assert default_context().backend == "threads"
+        threaded = default_context()
+        assert (threaded.backend, threaded.workers) == ("threads", 2)
         assert not ctx.closed
         np.testing.assert_array_equal(op.apply_block(f), first)
     finally:
@@ -221,7 +258,6 @@ def test_default_context_none_on_serial(monkeypatch, system):
 
 
 def test_default_context_shared_and_rebuilt(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     reset_default_context()
     try:
@@ -484,12 +520,12 @@ def test_simulation_accepts_context(system):
 
 
 def test_ensemble_soak_1_vs_2_workers_threads(tmp_path, monkeypatch):
-    """1-vs-N ensemble workers under the threads backend: same digests."""
+    """1-vs-N ensemble workers on a 2-thread budget (threads/2 on one
+    worker, serial on each of two): same digests."""
     from repro.pme.operator import PMEParams
     from repro.runtime.supervisor import Supervisor
     from repro.runtime.tasks import TaskSpec
 
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     pme = PMEParams(xi=0.9, r_max=3.0, K=16, p=4)
     specs = [TaskSpec(task_id=i, n=40, phi=0.1, n_steps=4, dt=1e-3,

@@ -123,7 +123,7 @@ class TestMachines:
         assert replace(host, name=SUBSTRATE.name, cores=1,
                        threads=1) == SUBSTRATE
         assert calibrate_host(mesh_dims=(8,)).cores == 3
-        assert RuntimeConfig(backend="threads").resolved_workers() == 3
+        assert RuntimeConfig(exec_workers=0).resolved_workers() == 3
 
 
 class TestRealSpaceModel:

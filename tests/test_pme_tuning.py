@@ -325,7 +325,6 @@ class TestRanking:
                 patch.setattr(os, "cpu_count", lambda: cpus)
                 patch.setattr(os, "sched_getaffinity",
                               lambda pid: set(range(cpus)), raising=False)
-                patch.setenv("REPRO_BACKEND", "threads")
                 patch.setenv("REPRO_EXEC_WORKERS", str(cpus))
                 patch.setattr(time, "perf_counter", no_clock)
                 for clocks in (obs, trace):

@@ -365,7 +365,6 @@ def test_thread_share_divides_by_the_workers_spawned(tmp_path, monkeypatch):
     # two-worker pool runs on one worker, which gets the whole budget
     from repro.runtime import supervisor as supervisor_mod
 
-    monkeypatch.setenv("REPRO_BACKEND", "threads")
     monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
     shares = []
     assign = supervisor_mod._WorkerHandle.assign
@@ -377,7 +376,7 @@ def test_thread_share_divides_by_the_workers_spawned(tmp_path, monkeypatch):
     monkeypatch.setattr(supervisor_mod._WorkerHandle, "assign", spy)
     report = _run(tmp_path, _specs(1, n_steps=10), n_workers=2)
     assert report.manifest.counts() == {"done": 1}
-    assert shares == [{"backend": "threads", "workers": 2}]
+    assert shares == [{"workers": 2}]      # the count alone: threads/2
 
 
 def test_campaign_drain_and_resume_bit_identity(tmp_path):

@@ -996,6 +996,35 @@ def test_stop_with_a_connected_client_leaves_no_handler_behind(tmp_path):
     assert reported == []
 
 
+def test_keys_follow_the_kernel_mode_that_runs(tmp_path, monkeypatch,
+                                               set_kernel_mode):
+    # a process whose kernels did not load (no compiler on PATH) computes
+    # the fallback bytes, so it keys batches and job directories as the
+    # REPRO_NO_CKERNEL knob does; the service resolves the mode at start,
+    # on a compute thread, and reports it in ping
+    from repro.sparse import kernels
+
+    spec = SystemSpec(n=200)
+    set_kernel_mode(True)
+    knob = (spec.operator_key(), spec.fingerprint())
+    set_kernel_mode(False)
+    loaded_on = []
+    monkeypatch.setattr(kernels, "_compiler", lambda: loaded_on.append(
+        threading.current_thread().name))
+    kernels.reset_kernel_cache()
+
+    async def scenario(service):
+        assert len(loaded_on) == 1       # start() resolved it, once
+        return await _request(service.settings.socket_path,
+                              {"op": "ping", "id": 1})
+
+    (pong,) = _run_service(_settings(tmp_path), scenario)
+    assert loaded_on[0].startswith("repro-exec")
+    assert pong["result"]["fingerprint_knobs"] == {"no_ckernel": True}
+    assert (spec.operator_key(), spec.fingerprint()) == knob
+    assert len(loaded_on) == 1
+
+
 def test_serve_client_roundtrip_and_retry(tmp_path):
     """The sync client library against the real server, in a thread."""
     rng = np.random.default_rng(5)

@@ -154,15 +154,21 @@ def test_spread_batch_empty_rows_and_particle_on_mesh_point(kernel_mode):
 
 
 def _p_bytes(interp):
+    # what P holds, each buffer once: the CSR's values are the weights
+    # (shared), its int32 column indices sit beside the int64 columns
     m = interp.matrix
     n, p3 = interp.n, interp.p ** 3
-    return (8 + m.indices.itemsize) * n * p3 + m.indptr.itemsize * (n + 1)
+    assert np.shares_memory(m.data, interp.weights)
+    assert not np.shares_memory(m.indices, interp.columns)
+    assert interp.weights.nbytes == interp.columns.nbytes == 8 * n * p3
+    return (16 + m.indices.itemsize) * n * p3 + m.indptr.itemsize * (n + 1)
 
 
 def test_memory_accounting(setup):
-    # P alone until the first wide spread builds P', once: then P plus
-    # P' (8-byte values and indices, a K^3 + 1 row pointer); the first
-    # wide interpolation adds its visit order (8 n bytes), once
+    # P alone (CSR and gather tables, shared buffers once) until the
+    # first wide spread builds P', once: then P plus P' (8-byte values
+    # and indices, a K^3 + 1 row pointer); the first wide interpolation
+    # adds its visit order (8 n bytes), once
     from repro.sparse import kernels
 
     box, r, rng = setup
@@ -335,7 +341,7 @@ def test_matrix_free_run_never_builds_rows(monkeypatch):
     from repro.exec import reset_default_context
     from repro.systems import random_suspension
 
-    monkeypatch.setenv("REPRO_BACKEND", "serial")
+    monkeypatch.setenv("REPRO_EXEC_WORKERS", "1")
     reset_default_context()
     try:
         sim = Simulation(random_suspension(30, 0.1, seed=3), dt=1e-3,

@@ -70,5 +70,8 @@ REMOVED_NAMES: tuple[Removed, ...] = (
         ("The linter leaves the simulator: one repository tool under "
          "tools/, one way to run it",
          "repro.lint --output-format resolve_selection"),
+        ("One execution setting: the worker count decides serial or "
+         "threads, and REPRO_BACKEND / --backend go",
+         "REPRO_BACKEND --backend"),
     ) for name in names.split()),
 )
